@@ -47,8 +47,7 @@ hotpath:
 pipeline:
 	$(GO) run ./cmd/acbench -pipeline
 
-# Cold-path policy-size sweep (serial scan vs compiled index vs
-# index + worker pool).
+# Cold-path policy-size sweep (linear scan vs compiled search).
 coldpath:
 	$(GO) run ./cmd/acbench -coldpath
 
@@ -58,15 +57,16 @@ coldpath:
 coldsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkColdPath' -benchtime=100x ./internal/checker
 
-# Warm-path allocation contract: a fixed-iteration -benchmem smoke of
-# the warm-tier benchmarks (front tier must report 0 allocs/op), then
-# the budget tests that turn those numbers into hard gates — the
-# checker's decide tiers, and the proxy's pooled encode path
-# end-to-end (front-tier warm probe through wire encode must be
+# Allocation contracts: a fixed-iteration -benchmem smoke of the
+# warm-tier benchmarks (front tier must report 0 allocs/op) and of the
+# cold decide (the compiled cover search itself allocates nothing),
+# then the budget tests that turn those numbers into hard gates — the
+# checker's decide tiers, warm and cold, and the proxy's pooled encode
+# path end-to-end (front-tier warm probe through wire encode must be
 # exactly 0 allocs/op on the v2 surface).
 allocbudget:
-	$(GO) test -run '^$$' -bench 'BenchmarkWarmDecide' -benchmem -benchtime=100x ./internal/checker
-	$(GO) test -run 'TestWarmDecideAllocBudget' -count=1 ./internal/checker
+	$(GO) test -run '^$$' -bench 'BenchmarkWarmDecide|BenchmarkColdDecide' -benchmem -benchtime=100x ./internal/checker
+	$(GO) test -run 'TestWarmDecideAllocBudget|TestColdDecideAllocBudget' -count=1 ./internal/checker
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmEncode' -benchmem -benchtime=100x ./internal/proxy
 	$(GO) test -run 'TestWarmEncodeAllocBudget' -count=1 ./internal/proxy
 
@@ -143,10 +143,13 @@ fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Ten-second fuzz smoke of the SQL parser; the corpus lives in
-# internal/sqlparser/testdata.
+# Ten-second fuzz smokes: the SQL parser (corpus in
+# internal/sqlparser/testdata), then the cold cover search — generated
+# policies, templates and facts on which the compiled search must decide
+# byte-identically to the cq.FindHoms reference scan.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparser
+	$(GO) test -run '^$$' -fuzz=FuzzCoverParity -fuzztime=10s ./internal/checker
 
 # Ten-second fuzz smoke of the WAL record decoder (torn writes, bit
 # flips, truncation must never panic recovery).

@@ -250,12 +250,11 @@ func WithMaxHomsPerView(n int) CheckerOption {
 	return func(o *CheckerOptions) { o.MaxHomsPerView = n }
 }
 
-// WithColdWorkers bounds the checker-owned worker pool the cold
-// coverage search fans out on (across template disjuncts and
-// surviving candidate views). 0 means GOMAXPROCS; 1 keeps the search
-// fully serial. Parallelism never changes the answer: results merge
-// in disjunct and view order, so parallel and serial searches produce
-// identical Decisions.
+// WithColdWorkers is accepted and ignored: the cold coverage search is
+// serial (DESIGN.md §10.2), and the option that bounded its worker pool
+// stays only so existing callers keep compiling.
+//
+// Deprecated: has no effect.
 func WithColdWorkers(n int) CheckerOption {
 	return func(o *CheckerOptions) { o.ColdWorkers = n }
 }

@@ -1,21 +1,18 @@
 package main
 
 // The -coldpath sweep: cold-decision latency vs policy size, for the
-// three cold-path configurations — the original serial scan over
-// every view (ColdIndex off, one worker), the compiled per-relation
-// index (ColdIndex on, one worker), and the index plus the bounded
-// worker pool (ColdWorkers = GOMAXPROCS). The workload is a synthetic
-// wide schema (16 relations) whose policy spreads views evenly across
-// relations, so the per-relation index prunes ~15/16 of the policy
-// before any embedding search; the query is a 4-arm UNION, so the
-// parallel configuration also exercises the per-disjunct fan-out.
-// Caching is disabled: every check takes the cold path.
+// two cold-path configurations — the linear scan over every view
+// (ColdIndex off) and the compiled search (ColdIndex on: discrimination
+// index plus match programs). The workload is a synthetic wide schema
+// (16 relations) whose policy spreads views evenly across relations and
+// pins a distinct K per view, so the index hands each arm of the 4-arm
+// UNION query its one covering view. Caching is disabled: every check
+// takes the cold path.
 
 import (
 	"context"
 	"fmt"
 	"reflect"
-	"runtime"
 	"time"
 
 	"repro/internal/checker"
@@ -26,13 +23,11 @@ import (
 )
 
 type coldpathRow struct {
-	Views           int     `json:"views"`
-	SerialMicros    float64 `json:"serialMicros"`
-	IndexedMicros   float64 `json:"indexedMicros"`
-	ParallelMicros  float64 `json:"parallelMicros"`
-	IndexedSpeedup  float64 `json:"indexedSpeedup"`
-	ParallelSpeedup float64 `json:"parallelSpeedup"`
-	PruneRatio      float64 `json:"pruneRatio"`
+	Views          int     `json:"views"`
+	SerialMicros   float64 `json:"serialMicros"`
+	IndexedMicros  float64 `json:"indexedMicros"`
+	IndexedSpeedup float64 `json:"indexedSpeedup"`
+	PruneRatio     float64 `json:"pruneRatio"`
 }
 
 // coldpathTables is how many relations the synthetic schema spreads
@@ -79,16 +74,15 @@ func coldpathQuery() *sqlparser.SelectStmt {
 	return sqlparser.MustParseSelect(sql)
 }
 
-func coldpathChecker(p *policy.Policy, index bool, workers int) *checker.Checker {
+func coldpathChecker(p *policy.Policy, index bool) *checker.Checker {
 	opts := checker.DefaultOptions()
 	opts.UseCache = false // every check is a cold decision
 	opts.ColdIndex = index
-	opts.ColdWorkers = workers
 	return checker.NewWithOptions(p, opts)
 }
 
-// runColdPath measures the cold-decision sweep and checks that all
-// three configurations return identical Decisions at every size.
+// runColdPath measures the cold-decision sweep and checks that both
+// configurations return identical Decisions at every size.
 func runColdPath() ([]coldpathRow, error) {
 	s := coldpathSchema()
 	sel := coldpathQuery()
@@ -120,30 +114,26 @@ func runColdPath() ([]coldpathRow, error) {
 	var rows []coldpathRow
 	for _, n := range []int{8, 32, 128, 512} {
 		p := coldpathPolicy(s, n)
-		serial := coldpathChecker(p, false, 1)
-		indexed := coldpathChecker(p, true, 1)
-		parallel := coldpathChecker(p, true, runtime.GOMAXPROCS(0))
+		serial := coldpathChecker(p, false)
+		indexed := coldpathChecker(p, true)
 
-		// The acceptance bar: all three configurations must agree
-		// exactly before any of them is worth timing.
+		// The acceptance bar: the two configurations must agree exactly
+		// before either is worth timing.
 		dS := serial.Check(ctx, sel, sqlparser.NoArgs, sess, nil)
 		dI := indexed.Check(ctx, sel, sqlparser.NoArgs, sess, nil)
-		dP := parallel.Check(ctx, sel, sqlparser.NoArgs, sess, nil)
-		if !reflect.DeepEqual(dS, dI) || !reflect.DeepEqual(dS, dP) {
-			return nil, fmt.Errorf("coldpath: decision mismatch at %d views: serial=%+v indexed=%+v parallel=%+v", n, dS, dI, dP)
+		if !reflect.DeepEqual(dS, dI) {
+			return nil, fmt.Errorf("coldpath: decision mismatch at %d views: serial=%+v indexed=%+v", n, dS, dI)
 		}
 		if !dS.Allowed {
 			return nil, fmt.Errorf("coldpath: expected allowed decision at %d views, got %q", n, dS.Reason)
 		}
 
 		row := coldpathRow{
-			Views:          n,
-			SerialMicros:   measure(serial),
-			IndexedMicros:  measure(indexed),
-			ParallelMicros: measure(parallel),
+			Views:         n,
+			SerialMicros:  measure(serial),
+			IndexedMicros: measure(indexed),
 		}
 		row.IndexedSpeedup = row.SerialMicros / row.IndexedMicros
-		row.ParallelSpeedup = row.SerialMicros / row.ParallelMicros
 		cs := indexed.Stats()
 		if tot := cs.ColdViewsKept + cs.ColdViewsPruned; tot > 0 {
 			row.PruneRatio = float64(cs.ColdViewsPruned) / float64(tot)
@@ -159,13 +149,11 @@ func printColdPath() error {
 		return err
 	}
 	fmt.Println("Cold path: per-decision latency vs policy size (caching off; 16 relations, 4-arm UNION query)")
-	fmt.Printf("serial = linear view scan, indexed = compiled per-relation index, parallel = indexed + %d workers\n\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("%-8s %12s %12s %12s %10s %10s %8s\n",
-		"views", "serial", "indexed", "parallel", "idx-spdup", "par-spdup", "pruned")
+	fmt.Print("serial = linear view scan, indexed = compiled search (discrimination index + match programs)\n\n")
+	fmt.Printf("%-8s %12s %12s %10s %8s\n", "views", "serial", "indexed", "idx-spdup", "pruned")
 	for _, r := range rows {
-		fmt.Printf("%-8d %11.1fµs %11.1fµs %11.1fµs %9.1fx %9.1fx %7.0f%%\n",
-			r.Views, r.SerialMicros, r.IndexedMicros, r.ParallelMicros,
-			r.IndexedSpeedup, r.ParallelSpeedup, r.PruneRatio*100)
+		fmt.Printf("%-8d %11.1fµs %11.1fµs %9.1fx %7.0f%%\n",
+			r.Views, r.SerialMicros, r.IndexedMicros, r.IndexedSpeedup, r.PruneRatio*100)
 	}
 	fmt.Println()
 	return nil

@@ -85,7 +85,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (E1..E8)")
 	hotpath := flag.Bool("hotpath", false, "run only the enforcement hot-path scaling table")
 	pipeline := flag.Bool("pipeline", false, "run only the protocol-v2 pipelining throughput table")
-	coldpath := flag.Bool("coldpath", false, "run only the cold-path policy-size sweep (serial vs indexed vs parallel)")
+	coldpath := flag.Bool("coldpath", false, "run only the cold-path policy-size sweep (linear scan vs compiled search)")
 	durableBench := flag.Bool("durable", false, "run only the WAL append-throughput ablation (fsync policies vs group commit)")
 	openloop := flag.Bool("openloop", false, "run only the open-loop (coordinated-omission-safe) proxy load table")
 	ingress := flag.Bool("ingress", false, "run only the ingress-surface comparison (v2 vs database/sql driver vs pgwire)")

@@ -46,7 +46,6 @@ package checker
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -107,13 +106,15 @@ type Stats struct {
 	// session-parameter generalizations of trace facts.
 	FactGenHits   int
 	FactGenMisses int
-	// ColdViewsKept / ColdViewsPruned count candidate policy views the
-	// compiled index let through vs pruned before any embedding search
-	// (their ratio is the proxy's cold_prune_ratio).
+	// ColdViewsKept / ColdViewsPruned count, per decided disjunct, the
+	// policy views the discrimination index let into the embedding
+	// search vs kept out of it (their ratio is the proxy's
+	// cold_prune_ratio).
 	ColdViewsKept   int
 	ColdViewsPruned int
-	// ColdWorkersBusy is the current number of extra cold-search
-	// workers running (a gauge; zero when idle or ColdWorkers <= 1).
+	// ColdWorkersBusy is always zero: the cold search no longer fans
+	// out (see Options.ColdWorkers). Kept for the proxy's stats wire
+	// format.
 	ColdWorkersBusy int
 }
 
@@ -131,16 +132,17 @@ type Options struct {
 	UseFactCache bool
 	// MaxHomsPerView bounds the embedding search per view disjunct.
 	MaxHomsPerView int
-	// ColdIndex runs the cold coverage search against the compiled
-	// per-relation policy index (compile.go); disabling it restores
-	// the original linear scan over every view, kept as the ablation
-	// baseline for acbench -coldpath.
+	// ColdIndex runs the cold coverage search on the compiled policy
+	// plan — discrimination index plus match programs (compile.go);
+	// disabling it scans every view through cq.FindHoms instead: the
+	// reference the parity tests compare against, and the baseline of
+	// acbench -coldpath.
 	ColdIndex bool
-	// ColdWorkers bounds the checker-owned worker pool the cold
-	// coverage search fans out on (across template disjuncts and
-	// candidate views). 0 means GOMAXPROCS; 1 keeps the search fully
-	// serial. Parallel and serial searches produce identical
-	// Decisions.
+	// ColdWorkers is accepted and ignored. It bounded the worker pool
+	// the cold search fanned out on; behind the discrimination index no
+	// measured search is large enough for a fan-out to win, so the
+	// search is serial (DESIGN.md §10.2) and removing the option is a
+	// ROADMAP follow-up.
 	ColdWorkers int
 	// CacheSize bounds the decision-template cache (total entries
 	// across shards); 0 means the default.
@@ -246,14 +248,8 @@ type Checker struct {
 	mGenHits, mGenMisses                       *obsv.Counter
 	mParseErrors                               *obsv.Counter
 	mColdKept, mColdPruned                     *obsv.Counter
-	mColdBusy, mColdTasks                      *obsv.Counter
 	mParse                                     *obsv.Histogram
 	mCompile, mColdGather, mColdSearch         *obsv.Histogram
-
-	// cold is the bounded worker pool the cold coverage search fans
-	// out on; shared by every decision, so proxy lanes and the batch
-	// op all dispatch onto one global bound.
-	cold *coldPool
 }
 
 // New creates a checker for the policy with default options.
@@ -266,9 +262,6 @@ func NewWithOptions(p *policy.Policy, opts Options) *Checker {
 	}
 	if opts.CacheSize <= 0 {
 		opts.CacheSize = DefaultCacheSize
-	}
-	if opts.ColdWorkers <= 0 {
-		opts.ColdWorkers = runtime.GOMAXPROCS(0)
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = obsv.NewRegistry()
@@ -297,13 +290,14 @@ func NewWithOptions(p *policy.Policy, opts Options) *Checker {
 	c.mParseErrors = reg.Counter("checker.parse.errors")
 	c.mColdKept = reg.Counter("checker.cold.views.kept")
 	c.mColdPruned = reg.Counter("checker.cold.views.pruned")
-	c.mColdBusy = reg.Counter("checker.cold.workers.busy")
-	c.mColdTasks = reg.Counter("checker.cold.workers.tasks")
+	// Registered so the metric name set is unchanged; nothing counts
+	// into them since the cold search stopped fanning out.
+	reg.Counter("checker.cold.workers.busy")
+	reg.Counter("checker.cold.workers.tasks")
 	c.mParse = reg.Histogram("checker.parse.micros")
 	c.mCompile = reg.Histogram("checker.compile.micros")
 	c.mColdGather = reg.Histogram("checker.cold.gather.micros")
 	c.mColdSearch = reg.Histogram("checker.cold.search.micros")
-	c.cold = newColdPool(opts.ColdWorkers, c.mColdBusy, c.mColdTasks)
 	c.pipe = c.newDecidePipeline()
 	comp := c.compilePol(p)
 	c.nextEpoch = 1
@@ -344,7 +338,6 @@ func (c *Checker) Stats() Stats {
 		FactGenMisses:   int(c.mGenMisses.Value()),
 		ColdViewsKept:   int(c.mColdKept.Value()),
 		ColdViewsPruned: int(c.mColdPruned.Value()),
-		ColdWorkersBusy: int(c.mColdBusy.Value()),
 	}
 }
 

@@ -2,30 +2,30 @@ package checker
 
 // The policy-coverage decision procedure — the "solver" behind the
 // pipeline's cover stage. coverAll checks every disjunct of a
-// decision template; coverDisjunct enumerates view embeddings and
-// searches for an assignment of covering candidates that satisfies
-// the joint visibility conditions.
+// decision template; coverDisjunct finds the policy views that embed
+// into the disjunct and picks, per query atom, the first embedding
+// that covers it under the visibility rules.
 //
-// The search runs against the compiled policy plan (compile.go): the
-// per-relation inverted index and relation-signature masks prune
-// views that cannot embed before any homomorphism search, and the
-// target constraint closure is built once per disjunct instead of
-// once per view. Options.ColdIndex turns the index off for ablation
-// benchmarks, restoring the original linear scan.
+// The search runs the compiled policy plan (compile.go): the
+// discrimination index returns, per query atom, only the view atoms
+// whose pinned terms agree with it; each surviving view's match
+// program is then run against the embedding target — the query's
+// atoms plus the positive trace facts — binding view variables into a
+// slot array. DESIGN.md §10 has the layouts, the three pruning rules
+// and their soundness arguments. Options.ColdIndex=false replaces
+// index and programs by a linear scan of every view through
+// cq.FindHoms: the reference the parity tests compare against. It
+// shares the per-embedding cover rules with the compiled search; those
+// are pinned by a test-only third implementation that shares nothing
+// with either (cover_ref_test.go).
 //
-// Both coverAll (across template disjuncts) and the candidate
-// enumeration (across surviving views) can fan out on the checker's
-// bounded worker pool (Options.ColdWorkers). Parallelism never
-// changes the answer: results are merged in disjunct order and
-// candidates in view order, exactly the serial orders, so a parallel
-// checker produces byte-identical Decisions — a blocking disjunct
-// cancels only LATER disjuncts, whose results an earlier block always
-// shadows in the merge.
+// The search is serial, on the deciding goroutine; DESIGN.md §10.2 has
+// the measurement behind that.
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -36,572 +36,833 @@ import (
 // coverAll runs the coverage check for every disjunct of a decision
 // template against the given fact set, under one compiled policy plan
 // (the caller pins the version; shadow decisions pass the candidate's
-// plan here). occs optionally carries the per-disjunct
-// variable-occurrence censuses memoized by the pipeline (nil entries
-// are computed here). Callers must check ctx.Err() before caching the
+// plan here). occs carries the per-disjunct variable-occurrence
+// censuses memoized by the pipeline; sc is the decision's pooled
+// search scratch. Callers must check ctx.Err() before caching the
 // result: a cancellation mid-search yields a decision that must not
 // be stored.
-func (c *Checker) coverAll(ctx context.Context, comp *compiledPolicy, tpl []*cq.Query, occs []map[string]varOcc, facts []cq.Fact) Decision {
-	fi := comp.indexFacts(facts)
-	n := len(tpl)
-	res := make([]coverResult, n)
-	if n > 1 && c.cold.parallel() {
-		// Parallel across disjuncts: each gets a derived context so a
-		// definitive block at disjunct i can cancel the now-irrelevant
-		// disjuncts AFTER i (an earlier block always wins the ordered
-		// merge; earlier disjuncts keep running).
-		ctxs := make([]context.Context, n)
-		cancels := make([]context.CancelFunc, n)
-		for i := range tpl {
-			ctxs[i], cancels[i] = context.WithCancel(ctx)
+func (c *Checker) coverAll(ctx context.Context, comp *compiledPolicy, tpl []*cq.Query, occs []occCensus, facts []cq.Fact, sc *coverScratch) Decision {
+	sc.used = sc.used[:0]
+	for i, q := range tpl {
+		res := c.coverDisjunct(ctx, sc, comp, q, &occs[i], facts)
+		if ctx.Err() != nil {
+			return canceledDecision(ctx)
 		}
-		c.cold.run(n, func(i int) {
-			res[i] = c.coverDisjunct(ctxs[i], comp, tpl[i], occAt(occs, tpl, i), fi, facts)
-			if !res[i].ok && ctxs[i].Err() == nil {
-				for j := i + 1; j < n; j++ {
-					cancels[j]()
-				}
-			}
-		})
-		for _, cancel := range cancels {
-			cancel()
-		}
-	} else {
-		for i, q := range tpl {
-			res[i] = c.coverDisjunct(ctx, comp, q, occAt(occs, tpl, i), fi, facts)
-			if ctx.Err() != nil {
-				return canceledDecision(ctx)
-			}
-			if !res[i].ok {
-				return Decision{Allowed: false, Reason: res[i].reason}
-			}
-		}
-	}
-	if ctx.Err() != nil {
-		return canceledDecision(ctx)
-	}
-	// Ordered merge: the first not-ok disjunct decides, exactly as the
-	// serial loop would. A disjunct canceled by an earlier sibling's
-	// block is shadowed by that earlier result here.
-	usedViews := map[string]bool{}
-	for i := range res {
-		if !res[i].ok {
-			return Decision{Allowed: false, Reason: res[i].reason}
-		}
-		for _, v := range res[i].views {
-			usedViews[v] = true
+		if !res.ok {
+			return Decision{Allowed: false, Reason: res.reason}
 		}
 	}
 	d := Decision{Allowed: true}
-	for v := range usedViews {
-		d.Views = append(d.Views, v)
-	}
-	sort.Strings(d.Views)
-	if len(d.Views) > 0 {
-		d.Reason = "covered by " + strings.Join(d.Views, ", ")
-	} else {
+	if len(sc.used) == 0 {
 		d.Reason = "reveals no database content"
+		return d
 	}
+	slices.Sort(sc.used)
+	d.Views = append([]string(nil), slices.Compact(sc.used)...)
+	d.Reason = "covered by " + strings.Join(d.Views, ", ")
 	return d
 }
 
-// occAt returns the memoized occurrence census for disjunct i, or
-// computes it when the caller didn't supply one.
-func occAt(occs []map[string]varOcc, tpl []*cq.Query, i int) map[string]varOcc {
-	if i < len(occs) && occs[i] != nil {
-		return occs[i]
-	}
-	return countVarOccurrences(tpl[i])
-}
-
-// coverResult is the outcome for one disjunct.
+// coverResult is the outcome for one disjunct; the views an ok
+// disjunct used are appended to coverScratch.used.
 type coverResult struct {
 	ok     bool
-	views  []string
 	reason string
 }
 
-// candidate is one usable view embedding.
-type candidate struct {
-	viewName string
-	// covers[i] is true when query atom i is in the embedding's image
-	// and every argument position passes the visibility rules.
-	covers []bool
-	// visible holds the term keys exposed by the view head under the
-	// embedding.
-	visible map[string]bool
-	// enforced holds comparison-only query variables whose every
-	// constraint the view's own body implies (so invisibility is
-	// acceptable for them).
-	enforced map[string]bool
+// varOcc summarizes where a query variable occurs.
+type varOcc struct {
+	name        string
+	natoms      int32 // distinct atoms it occurs in
+	last        int32 // the latest such atom (census bookkeeping)
+	inHead      bool
+	inComps     bool
+	multiInAtom bool // appears twice within one atom
+}
+
+// distinguishing: the variable's value is observable in the query's
+// answer (head, comparison, join), so a covering view must expose it.
+func (o *varOcc) distinguishing() bool {
+	return o.inHead || o.inComps || o.natoms > 1 || o.multiInAtom
+}
+
+// compOnly: a comparison-only variable confined to one atom, for which
+// a view that enforces the comparisons itself is as good as a visible
+// column.
+func (o *varOcc) compOnly() bool {
+	return o.inComps && !o.inHead && o.natoms == 1 && !o.multiInAtom
+}
+
+// occCensus is one disjunct's variable-occurrence census: its atom
+// variables interned to dense ids, and every atom position resolved to
+// its variable's id, so the visibility rules index arrays instead of
+// hashing names.
+type occCensus struct {
+	vars    []varOcc
+	argVar  []int32 // one per atom position, in atom order: variable id or -1
+	atomOff []int32 // atomOff[ai] is atom ai's first position in argVar; len(atoms)+1 entries
+}
+
+// varID returns the id of the atom variable called name, or -1.
+func (oc *occCensus) varID(name string) int32 {
+	for i := range oc.vars {
+		if oc.vars[i].name == name {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+// build takes the census of q, reusing the census's storage.
+func (oc *occCensus) build(q *cq.Query) {
+	oc.reset()
+	for ai, a := range q.Atoms {
+		oc.atomOff = append(oc.atomOff, int32(len(oc.argVar)))
+		for _, t := range a.Args {
+			if !t.IsVar() {
+				oc.argVar = append(oc.argVar, -1)
+				continue
+			}
+			id := oc.varID(t.Var)
+			if id < 0 {
+				id = int32(len(oc.vars))
+				oc.vars = append(oc.vars, varOcc{name: t.Var, last: -1})
+			}
+			o := &oc.vars[id]
+			if o.last == int32(ai) {
+				o.multiInAtom = true
+			} else {
+				o.natoms++
+				o.last = int32(ai)
+			}
+			oc.argVar = append(oc.argVar, id)
+		}
+	}
+	oc.atomOff = append(oc.atomOff, int32(len(oc.argVar)))
+	// Variables outside every atom never meet a visibility rule.
+	for _, t := range q.Head {
+		if id := oc.termVar(t); id >= 0 {
+			oc.vars[id].inHead = true
+		}
+	}
+	for _, cmp := range q.Comps {
+		if id := oc.termVar(cmp.Left); id >= 0 {
+			oc.vars[id].inComps = true
+		}
+		if id := oc.termVar(cmp.Right); id >= 0 {
+			oc.vars[id].inComps = true
+		}
+	}
+}
+
+func (oc *occCensus) termVar(t cq.Term) int32 {
+	if !t.IsVar() {
+		return -1
+	}
+	return oc.varID(t.Var)
+}
+
+// reset empties the census, dropping its references into the query.
+func (oc *occCensus) reset() {
+	clear(oc.vars)
+	oc.vars, oc.argVar, oc.atomOff = oc.vars[:0], oc.argVar[:0], oc.atomOff[:0]
+}
+
+// resized returns s with length n, reusing its storage when it is large
+// enough. Contents are whatever the storage held: callers overwrite or
+// clear.
+func resized[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// bitset is a set of small ints over a caller-sized word slice.
+type bitset []uint64
+
+func (b bitset) set(i int32)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b bitset) has(i int32) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// sized returns b with n bits, all clear, reusing its storage.
+func (b bitset) sized(n int) bitset {
+	b = resized(b, (n+63)/64)
+	clear(b)
+	return b
+}
+
+// coverScratch is one decision's cold-search scratch. It rides the
+// pooled decideState: every slice keeps its capacity across decisions,
+// nothing in it outlives coverAll, and release drops every reference
+// into the decision's query, facts and policy.
+type coverScratch struct {
+	// The disjunct under search — read-only while views are matched.
+	comp  *compiledPolicy
+	q     *cq.Query
+	occ   *occCensus
+	facts []cq.Fact
+	// hasEq: the disjunct's comparisons contain an equality, so two
+	// structurally different terms may be entailed equal and term
+	// matching falls back to the closure.
+	hasEq bool
+	// qRel[ai] is query atom ai's interned relation, -1 when no view
+	// mentions it.
+	qRel []int32
+	// need[ai]: the atom is not already a known row, so some view must
+	// cover it.
+	need []bool
+	// factRel[i] is positive fact i's interned relation, -1 for a
+	// negative fact or a relation no view mentions; resolved on first
+	// use (factsReady), since most searches never look at a fact.
+	factsReady bool
+	factRel    []int32
+
+	// Views that entered the search, ascending; mark[vi] == epoch flags
+	// membership without clearing between disjuncts.
+	kept  []int32
+	mark  []uint32
+	epoch uint32
+
+	m      matcher
+	target cq.Query // reference scan only: atoms + positive facts
+	used   []string // views picked so far by this coverAll
+}
+
+// release drops every reference the scratch holds, keeping capacity.
+// A scratch its decision never searched with (a warm hit) holds none.
+func (sc *coverScratch) release() {
+	if sc.comp == nil {
+		return
+	}
+	sc.comp, sc.q, sc.occ, sc.facts = nil, nil, nil, nil
+	clear(sc.used)
+	sc.used = sc.used[:0]
+	clear(sc.target.Atoms[:cap(sc.target.Atoms)])
+	sc.target = cq.Query{Atoms: sc.target.Atoms[:0]}
+	sc.m.release()
+}
+
+// matcher runs match programs against one disjunct's target and
+// accumulates, per query atom, whether any embedding covers it and the
+// first view whose embedding covers it under the joint visibility
+// rule.
+type matcher struct {
+	sc *coverScratch
+	// cs is the disjunct's constraint closure.
+	cs *cq.Constraints
+
+	// The view being matched.
+	v      *compiledView
+	vi     int32
+	slots  []*cq.Term // slot -> the target term it is bound to
+	images []int32    // view atom -> query atom it landed on, -1 for a fact atom
+	// touchAfter[i]: some view atom at or after i agrees with some query
+	// atom on every pinned position, so a branch that has only touched
+	// facts so far can still reach the query.
+	touchAfter []bool
+	count      int // embeddings found for this view (MaxHomsPerView)
+
+	// Per-embedding scratch.
+	visible  bitset  // query variables the view head exposes
+	enforced bitset  // comparison-only variables the view's own body constrains
+	covered  []int32 // query atoms the embedding covers
+	viewCS   *cq.Constraints
+	viewCSOK bool      // viewCS holds this embedding's view comparisons
+	held     []cq.Term // reference scan only: storage slots point into
+
+	// The accumulator.
+	seen      []bool  // per query atom: some embedding covers it
+	pick      []int32 // per query atom: first view covering it visibly, or -1
+	remaining int     // needed atoms still without a pick
+	offers    int     // covering embeddings seen (tests)
+}
+
+func (m *matcher) release() {
+	m.sc, m.v = nil, nil
+	clear(m.slots[:cap(m.slots)])
+	clear(m.held[:cap(m.held)])
+	if m.cs != nil {
+		m.cs.Reset()
+	}
+	if m.viewCS != nil {
+		m.viewCS.Reset()
+	}
+}
+
+// begin points the matcher at the scratch's current disjunct and
+// builds its constraint closure.
+func (m *matcher) begin(sc *coverScratch) {
+	m.sc = sc
+	if m.cs == nil {
+		m.cs = cq.NewConstraints()
+	} else {
+		m.cs.Reset()
+	}
+	m.cs.AddAll(sc.q.Comps)
+}
+
+// resetAcc empties the accumulator; sc.need must be final.
+func (m *matcher) resetAcc() {
+	sc := m.sc
+	nq := len(sc.q.Atoms)
+	m.seen = resized(m.seen, nq)
+	clear(m.seen)
+	m.pick = resized(m.pick, nq)
+	m.remaining = 0
+	for ai := range m.pick {
+		m.pick[ai] = -1
+		if sc.need[ai] {
+			m.remaining++
+		}
+	}
+	m.visible = m.visible.sized(len(sc.occ.vars))
+	m.enforced = m.enforced.sized(len(sc.occ.vars))
+	m.offers = 0
 }
 
 // coverDisjunct decides one conjunctive disjunct against a compiled
-// policy. Cancellation is polled inside candidate enumeration and the
-// assignment search and surfaces as a not-ok result the caller must
-// discard after seeing ctx.Err (or, under parallel coverAll, shadow
-// with an earlier disjunct's definitive block).
-func (c *Checker) coverDisjunct(ctx context.Context, comp *compiledPolicy, q *cq.Query, occ map[string]varOcc, fi *factIndex, facts []cq.Fact) coverResult {
+// policy. Cancellation is polled between views and surfaces as a
+// not-ok result the caller must discard after seeing ctx.Err.
+func (c *Checker) coverDisjunct(ctx context.Context, sc *coverScratch, comp *compiledPolicy, q *cq.Query, occ *occCensus, facts []cq.Fact) coverResult {
+	sc.comp, sc.q, sc.occ, sc.facts = comp, q, occ, facts
+	sc.factsReady = false
+	sc.hasEq = false
+	for _, cmp := range q.Comps {
+		if cmp.Op == cq.Eq {
+			sc.hasEq = true
+		}
+	}
+	nq := len(q.Atoms)
+	sc.need = resized(sc.need, nq)
+	m := &sc.m
+	m.begin(sc)
+
 	// A query whose comparisons are unsatisfiable returns nothing.
-	cs := cq.NewConstraints()
-	cs.AddAll(q.Comps)
-	if !cs.Consistent() {
+	if len(q.Comps) > 0 && !m.cs.Consistent() {
 		return coverResult{ok: true}
 	}
 
 	// Vacuity via negative facts: an atom that can only match a
 	// pattern known to be empty makes the disjunct return nothing.
 	for _, a := range q.Atoms {
-		for _, f := range fi.neg[a.Table] {
-			if atomInstanceOf(a, f.Atom, cs) {
+		for i := range facts {
+			if f := &facts[i]; f.Negated && f.Atom.Table == a.Table && atomInstanceOf(a, f.Atom, m.cs) {
 				return coverResult{ok: true}
 			}
 		}
 	}
 
-	if len(q.Atoms) == 0 {
-		return coverResult{ok: true} // reveals no database content
+	// Fact-covered atoms: fully ground atoms whose row is known. Every
+	// other atom needs a covering view.
+	for ai, a := range q.Atoms {
+		sc.need[ai] = !factCovered(a, facts)
+	}
+	m.resetAcc()
+	if m.remaining == 0 {
+		return coverResult{ok: true} // reveals nothing beyond rows already known
 	}
 
-	// Occurrence census for visibility rules (memoized by the
-	// pipeline; tests may call in with nil).
-	if occ == nil {
-		occ = countVarOccurrences(q)
-	}
-
-	// The embedding target: the query's atoms plus positive trace
-	// facts as extra known rows.
-	target := &cq.Query{Atoms: append([]cq.Atom(nil), q.Atoms...), Comps: q.Comps}
-	for _, f := range facts {
-		if !f.Negated {
-			target.Atoms = append(target.Atoms, f.Atom)
-		}
-	}
-
-	// Fact-covered atoms: fully ground atoms whose row is known.
-	factCovered := make([]bool, len(q.Atoms))
-	for i, a := range q.Atoms {
-		if !atomGround(a) {
-			continue
-		}
-		for _, f := range fi.pos[a.Table] {
-			if atomsEqual(a, f.Atom) {
-				factCovered[i] = true
-				break
-			}
-		}
-	}
-
-	// Enumerate view embeddings and derive candidates.
 	timed := c.reg.Enabled()
-	var t0 time.Time
+	var t0, t1 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	cands, canceled := c.gatherCandidates(ctx, comp, q, target, cs, occ, fi)
+	// Gather: the views the discrimination index lets through (the
+	// reference scan gathers nothing but its materialized target).
+	if c.opts.ColdIndex {
+		sc.selectViews()
+		c.mColdKept.Add(int64(len(sc.kept)))
+		c.mColdPruned.Add(int64(len(comp.views) - len(sc.kept)))
+	} else {
+		sc.buildTarget()
+	}
 	if timed {
-		el := time.Since(t0)
-		c.mColdGather.Observe(el.Microseconds())
-		obsv.SpanSetFrom(ctx).Record("cover.gather", el)
+		t1 = time.Now()
+		c.mColdGather.Observe(t1.Sub(t0).Microseconds())
+		obsv.SpanSetFrom(ctx).Record("cover.gather", t1.Sub(t0))
+	}
+	// Search: embed them.
+	var canceled bool
+	if c.opts.ColdIndex {
+		canceled = c.runKept(ctx, sc)
+	} else {
+		canceled = c.scanReference(ctx, sc)
+	}
+	if timed {
+		el := time.Since(t1)
+		c.mColdSearch.Observe(el.Microseconds())
+		obsv.SpanSetFrom(ctx).Record("cover.search", el)
 	}
 	if canceled {
 		return coverResult{reason: "check canceled"}
 	}
 
-	// Choose a candidate per uncovered atom; then validate joint
-	// visibility of join and head variables.
-	need := make([]int, 0, len(q.Atoms))
-	for i := range q.Atoms {
-		if !factCovered[i] {
-			need = append(need, i)
-		}
-	}
-	if len(need) == 0 {
-		return coverResult{ok: true}
-	}
-
-	options := make([][]int, len(need))
-	for ni, ai := range need {
-		for ci, cand := range cands {
-			if cand.covers[ai] {
-				options[ni] = append(options[ni], ci)
-			}
-		}
-		if len(options[ni]) == 0 {
+	// Every needed atom takes the first embedding that covers it with
+	// its observable variables visible. The visibility rule constrains
+	// one (atom, embedding) pair at a time — never two atoms jointly —
+	// so per-atom first picks ARE the first satisfying assignment of a
+	// backtracking search over the same candidate order.
+	for ai := range q.Atoms {
+		if sc.need[ai] && !m.seen[ai] {
 			return coverResult{
 				reason: fmt.Sprintf("atom %s is not covered by any policy view", q.Atoms[ai]),
 			}
 		}
 	}
-
-	if timed {
-		t0 = time.Now()
-	}
-	assign := make([]int, len(need))
-	var steps int
-	found, searchCanceled := c.searchAssignment(ctx, q, occ, cands, need, options, assign, 0, &steps)
-	if timed {
-		el := time.Since(t0)
-		c.mColdSearch.Observe(el.Microseconds())
-		obsv.SpanSetFrom(ctx).Record("cover.search", el)
-	}
-	if searchCanceled {
-		return coverResult{reason: "check canceled"}
-	}
-	if found {
-		used := map[string]bool{}
-		for _, ci := range assign {
-			used[cands[ci].viewName] = true
+	if m.remaining > 0 {
+		return coverResult{
+			reason: "no combination of view embeddings determines the query's answer",
 		}
-		var views []string
-		for v := range used {
-			views = append(views, v)
+	}
+	for ai := range q.Atoms {
+		if sc.need[ai] {
+			sc.used = append(sc.used, comp.views[m.pick[ai]].q.Name)
 		}
-		sort.Strings(views)
-		return coverResult{ok: true, views: views}
 	}
-	return coverResult{
-		reason: "no combination of view embeddings determines the query's answer",
-	}
+	return coverResult{ok: true}
 }
 
-// coldParallelViews is the minimum surviving-candidate-view count
-// before the per-disjunct enumeration fans out on the pool; below it
-// the chunk bookkeeping costs more than it saves.
-const coldParallelViews = 8
-
-// coldChunkSize is how many candidate views one parallel enumeration
-// task handles.
-const coldChunkSize = 8
-
-// gatherCandidates enumerates view embeddings into the target and
-// derives covering candidates, in policy-view order (parallel chunks
-// are merged back in view order, so the candidate list — and
-// therefore the assignment the search finds — is identical to the
-// serial one). The bool result reports cancellation.
-func (c *Checker) gatherCandidates(ctx context.Context, comp *compiledPolicy, q *cq.Query, target *cq.Query, targetCS *cq.Constraints, occ map[string]varOcc, fi *factIndex) ([]candidate, bool) {
-	if !c.opts.ColdIndex {
-		// Ablation: the original serial scan over every policy view,
-		// rebuilding the target constraint closure per view.
-		var cands []candidate
-		for vi := range comp.views {
-			if ctx.Err() != nil {
-				return nil, true
-			}
-			v := &comp.views[vi]
-			homs := cq.FindHoms(v.q, target, nil, c.opts.MaxHomsPerView)
-			cands = deriveCandidates(cands, v, homs, q, occ)
-		}
-		return cands, false
+// factCovered reports whether a is fully ground and a known row.
+func factCovered(a cq.Atom, facts []cq.Fact) bool {
+	if !atomGround(a) {
+		return false
 	}
-
-	// Indexed path. The embedding target's relation signature: the
-	// query's atoms plus the positive facts.
-	targetMask := fi.mask
-	qRels := make([]int, 0, len(q.Atoms))
-	for _, a := range q.Atoms {
-		if id, ok := comp.syms.id(a.Table); ok && !containsInt(qRels, id) {
-			qRels = append(qRels, id)
-			targetMask |= relBit(id)
+	for i := range facts {
+		if f := &facts[i]; !f.Negated && atomsEqual(a, f.Atom) {
+			return true
 		}
 	}
-	targetRels := mergeSortedSets(qRels, fi.rels)
+	return false
+}
 
-	// Gather candidate views from the inverted index — only views
-	// sharing a relation with the query's own atoms can cover one —
-	// and prune those mentioning a relation the target lacks (no hom
-	// can exist). The mask test is a one-word bloom filter; survivors
-	// are confirmed against the exact relation sets.
-	seen := make([]bool, len(comp.views))
-	var idxs []int
-	for _, a := range q.Atoms {
-		id, ok := comp.syms.id(a.Table)
+// eqTouched reports whether an equality among the disjunct's
+// comparisons names t. Only such a term can be entailed equal to a
+// structurally different one: a consistent closure merges two classes
+// only through an Eq edge, and every member of a merged class was an
+// operand of one.
+func (sc *coverScratch) eqTouched(t *cq.Term) bool {
+	if !sc.hasEq {
+		return false
+	}
+	for i := range sc.q.Comps {
+		if cmp := &sc.q.Comps[i]; cmp.Op == cq.Eq && (termEq(t, &cmp.Left) || termEq(t, &cmp.Right)) {
+			return true
+		}
+	}
+	return false
+}
+
+// selectViews asks the discrimination index which views can land an
+// atom on a query atom (rules 1 and 2, DESIGN.md §10.3) and leaves
+// them in sc.kept, ascending.
+func (sc *coverScratch) selectViews() {
+	comp, q := sc.comp, sc.q
+	sc.kept = sc.kept[:0]
+	if sc.epoch++; sc.epoch == 0 {
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+	if len(sc.mark) < len(comp.views) {
+		sc.mark = make([]uint32, len(comp.views))
+	}
+	sc.qRel = sc.qRel[:0]
+	for ai := range q.Atoms {
+		a := &q.Atoms[ai]
+		rel, ok := comp.syms.id(a.Table)
 		if !ok {
+			sc.qRel = append(sc.qRel, -1)
 			continue
 		}
-		for _, vi := range comp.byRel[id] {
-			if seen[vi] {
-				continue
+		sc.qRel = append(sc.qRel, int32(rel))
+		// The most selective position the atom can be discriminated on.
+		entries, disc := comp.byRel[rel], comp.disc[rel]
+		var pinned, wild []int32
+		best := -1
+		for k := range a.Args {
+			if k >= len(disc) {
+				break
 			}
-			seen[vi] = true
-			v := &comp.views[vi]
-			if v.relMask&^targetMask != 0 || !subsetSorted(v.rels, targetRels) {
-				continue
+			t := &a.Args[k]
+			var p []int32
+			if !t.IsVar() {
+				key, keyed := discKey(*t)
+				if !keyed {
+					continue
+				}
+				p = disc[k].pinned[key]
 			}
-			idxs = append(idxs, vi)
-		}
-	}
-	c.mColdKept.Add(int64(len(idxs)))
-	c.mColdPruned.Add(int64(len(comp.views) - len(idxs)))
-	if len(idxs) == 0 {
-		return nil, false
-	}
-	sort.Ints(idxs) // restore policy-view order after index-order discovery
-
-	if !c.cold.parallel() || len(idxs) < coldParallelViews {
-		// Serial: share the disjunct's already-built target closure
-		// across all surviving views.
-		var cands []candidate
-		for _, vi := range idxs {
-			if ctx.Err() != nil {
-				return nil, true
+			if sc.eqTouched(t) {
+				continue // the closure may equate t with anything: no key rules a view out
 			}
-			v := &comp.views[vi]
-			homs := cq.FindHomsWith(v.q, target, targetCS, nil, c.opts.MaxHomsPerView)
-			cands = deriveCandidates(cands, v, homs, q, occ)
-		}
-		return cands, false
-	}
-
-	// Parallel: fixed-size contiguous chunks of the (sorted) survivor
-	// list, merged back in chunk order. Each chunk builds a private
-	// target closure — a Constraints memoizes internally and must not
-	// be shared across goroutines.
-	nch := (len(idxs) + coldChunkSize - 1) / coldChunkSize
-	parts := make([][]candidate, nch)
-	c.cold.run(nch, func(ci int) {
-		lo := ci * coldChunkSize
-		hi := lo + coldChunkSize
-		if hi > len(idxs) {
-			hi = len(idxs)
-		}
-		ccs := cq.NewConstraints()
-		ccs.AddAll(target.Comps)
-		var cands []candidate
-		for _, vi := range idxs[lo:hi] {
-			if ctx.Err() != nil {
-				return
-			}
-			v := &comp.views[vi]
-			homs := cq.FindHomsWith(v.q, target, ccs, nil, c.opts.MaxHomsPerView)
-			cands = deriveCandidates(cands, v, homs, q, occ)
-		}
-		parts[ci] = cands
-	})
-	if ctx.Err() != nil {
-		return nil, true
-	}
-	var cands []candidate
-	for _, p := range parts {
-		cands = append(cands, p...)
-	}
-	return cands, false
-}
-
-// mergeSortedSets unions int set a (sorted in place here) with
-// already-sorted set b.
-func mergeSortedSets(a, b []int) []int {
-	sort.Ints(a)
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j == len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i == len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// deriveCandidates turns the homomorphisms of one view into covering
-// candidates, appending to cands.
-func deriveCandidates(cands []candidate, v *compiledView, homs []cq.Hom, q *cq.Query, occ map[string]varOcc) []candidate {
-	for _, h := range homs {
-		cand := candidate{
-			viewName: v.q.Name,
-			covers:   make([]bool, len(q.Atoms)),
-			visible:  make(map[string]bool),
-			enforced: make(map[string]bool),
-		}
-		for _, ht := range v.q.Head {
-			cand.visible[h.Map.Apply(ht).Key()] = true
-		}
-		// Constraints the view itself enforces, mapped onto query
-		// terms: an invisible view column may still satisfy a query
-		// comparison when the view's own body implies it.
-		viewCS := cq.NewConstraints()
-		for _, vc := range v.q.Comps {
-			viewCS.Add(h.Map.ApplyComp(vc))
-		}
-		any := false
-		for srcIdx, tgtIdx := range h.AtomImage {
-			if tgtIdx >= len(q.Atoms) {
-				continue // maps onto a fact atom
-			}
-			if atomCoverOK(v.q.Atoms[srcIdx], q.Atoms[tgtIdx], v.headVars, viewCS, occ, q, cand.enforced) {
-				cand.covers[tgtIdx] = true
-				any = true
+			if n := len(p) + len(disc[k].wild); best < 0 || n < best {
+				pinned, wild, best = p, disc[k].wild, n
 			}
 		}
-		if any {
-			cands = append(cands, cand)
-		}
-	}
-	return cands
-}
-
-// searchPollEvery is how many backtracking nodes the assignment
-// search visits between context polls: a pathological template with
-// many need atoms and many options per atom can otherwise backtrack
-// for seconds with no cancellation check at all.
-const searchPollEvery = 1024
-
-// searchAssignment tries candidate assignments for the atoms in need.
-// The second result reports cancellation: the search did not finish,
-// so the caller must return the never-cached canceled verdict.
-func (c *Checker) searchAssignment(ctx context.Context, q *cq.Query, occ map[string]varOcc, cands []candidate, need []int, options [][]int, assign []int, i int, steps *int) (found, canceled bool) {
-	*steps++
-	if *steps%searchPollEvery == 0 && ctx.Err() != nil {
-		return false, true
-	}
-	if i == len(need) {
-		return validateAssignment(q, occ, cands, need, assign), false
-	}
-	for _, ci := range options[i] {
-		assign[i] = ci
-		found, canceled = c.searchAssignment(ctx, q, occ, cands, need, options, assign, i+1, steps)
-		if found || canceled {
-			return found, canceled
-		}
-	}
-	return false, false
-}
-
-// validateAssignment enforces the joint visibility conditions: every
-// head variable, comparison variable, and variable shared across
-// atoms must be visible in the candidates covering those atoms.
-func validateAssignment(q *cq.Query, occ map[string]varOcc, cands []candidate, need []int, assign []int) bool {
-	// Candidate per atom index.
-	byAtom := make(map[int]*candidate, len(need))
-	for i, ai := range need {
-		byAtom[ai] = &cands[assign[i]]
-	}
-	for v, o := range occ {
-		key := cq.V(v).Key()
-		distinguishing := o.inHead || o.inComps || len(o.atoms) > 1 || o.multiInAtom
-		if !distinguishing {
+		if best < 0 {
+			for e := range entries {
+				sc.admit(entries[e], a)
+			}
 			continue
 		}
-		// A comparison-only variable confined to a single atom is fine
-		// when the covering view enforces its constraints itself.
-		compOnly := o.inComps && !o.inHead && len(o.atoms) == 1 && !o.multiInAtom
-		for ai := range o.atoms {
-			cand, covered := byAtom[ai]
-			if !covered {
-				continue // fact-covered atoms are ground; vars can't occur there
+		for _, e := range pinned {
+			sc.admit(entries[e], a)
+		}
+		for _, e := range wild {
+			sc.admit(entries[e], a)
+		}
+	}
+	slices.Sort(sc.kept) // policy-view order, whatever order the index yielded
+}
+
+// admit keeps va's view when va agrees with query atom a on every
+// position it pins.
+func (sc *coverScratch) admit(va viewAtom, a *cq.Atom) {
+	if sc.mark[va.view] == sc.epoch {
+		return
+	}
+	v := &sc.comp.views[va.view]
+	if sc.m.agrees(v, &v.atoms[va.atom], a.Args) {
+		sc.mark[va.view] = sc.epoch
+		sc.kept = append(sc.kept, va.view)
+	}
+}
+
+// runKept runs the match programs of sc.kept in policy-view order,
+// stopping once every needed atom has its pick. The bool result reports
+// cancellation.
+func (c *Checker) runKept(ctx context.Context, sc *coverScratch) bool {
+	for _, vi := range sc.kept {
+		if ctx.Err() != nil {
+			return true
+		}
+		if sc.m.runView(vi, c.opts.MaxHomsPerView) {
+			break
+		}
+	}
+	return false
+}
+
+// scanReference is the ColdIndex=false search: every view, in policy
+// order, embedded by cq.FindHoms into the materialized target. It
+// shares only the per-embedding cover rules (offer) with the compiled
+// search, so it is the reference the parity tests compare against.
+func (c *Checker) scanReference(ctx context.Context, sc *coverScratch) bool {
+	for vi := range sc.comp.views {
+		if ctx.Err() != nil {
+			return true
+		}
+		sc.m.scanView(int32(vi), c.opts.MaxHomsPerView)
+	}
+	return false
+}
+
+// buildTarget materializes the embedding target as a query: the
+// disjunct's atoms, then the positive facts as extra known rows.
+func (sc *coverScratch) buildTarget() {
+	sc.target.Atoms = append(sc.target.Atoms[:0], sc.q.Atoms...)
+	for i := range sc.facts {
+		if !sc.facts[i].Negated {
+			sc.target.Atoms = append(sc.target.Atoms, sc.facts[i].Atom)
+		}
+	}
+	sc.target.Comps = sc.q.Comps
+}
+
+// scanView offers every cq.FindHoms embedding of view vi.
+func (m *matcher) scanView(vi int32, limit int) {
+	sc := m.sc
+	m.setView(vi)
+	v := m.v
+	m.held = resized(m.held, len(v.slotVars))
+	for _, h := range cq.FindHoms(v.q, &sc.target, nil, limit) {
+		for s := range v.slotVars {
+			if t, ok := h.Map[v.slotVars[s].Var]; ok {
+				m.held[s] = t
+				m.slots[s] = &m.held[s]
+			} else {
+				m.slots[s] = &v.slotVars[s]
 			}
-			if cand.visible[key] {
-				continue
+		}
+		for i, img := range h.AtomImage {
+			m.images[i] = -1
+			if img < len(sc.q.Atoms) {
+				m.images[i] = int32(img)
 			}
-			if compOnly && cand.enforced[v] {
-				continue
+		}
+		m.offer()
+	}
+}
+
+// factRels resolves each fact's relation, once per disjunct.
+func (sc *coverScratch) factRels() []int32 {
+	if !sc.factsReady {
+		sc.factsReady = true
+		sc.factRel = sc.factRel[:0]
+		for i := range sc.facts {
+			rel := -1
+			if f := &sc.facts[i]; !f.Negated {
+				if id, ok := sc.comp.syms.id(f.Atom.Table); ok {
+					rel = id
+				}
 			}
+			sc.factRel = append(sc.factRel, int32(rel))
+		}
+	}
+	return sc.factRel
+}
+
+// termEq is cq.Term.Equal without copying the terms.
+func termEq(a, b *cq.Term) bool {
+	return a == b || a.Equal(*b)
+}
+
+// match reports whether two target-side terms are equal under the
+// disjunct's constraints: structurally, or — only possible when the
+// comparisons contain an equality — entailed by the closure.
+func (m *matcher) match(a, b *cq.Term) bool {
+	if termEq(a, b) {
+		return true
+	}
+	return m.sc.hasEq && m.cs.Implies(cq.Comparison{Op: cq.Eq, Left: *a, Right: *b})
+}
+
+// agrees reports whether the view atom's pinned terms match the target
+// atom's (rule 1): the part of an embedding attempt that binds nothing.
+func (m *matcher) agrees(v *compiledView, ap *atomProg, args []cq.Term) bool {
+	if len(ap.ops) != len(args) {
+		return false
+	}
+	for k, op := range ap.ops {
+		if op.kind == opGround && !m.match(&v.grounds[op.arg], &args[k]) {
 			return false
 		}
 	}
 	return true
 }
 
-// varOcc summarizes where a query variable occurs.
-type varOcc struct {
-	atoms       map[int]bool
-	inHead      bool
-	inComps     bool
-	multiInAtom bool // appears twice within one atom
+// setView points the matcher at view vi and sizes its per-view arrays.
+func (m *matcher) setView(vi int32) {
+	v := &m.sc.comp.views[vi]
+	m.v, m.vi, m.count = v, vi, 0
+	m.slots = resized(m.slots, len(v.slotVars))
+	m.images = resized(m.images, len(v.atoms))
 }
 
-func countVarOccurrences(q *cq.Query) map[string]varOcc {
-	out := make(map[string]varOcc)
-	get := func(v string) varOcc {
-		o, ok := out[v]
-		if !ok {
-			o = varOcc{atoms: make(map[int]bool)}
-		}
-		return o
+// runView enumerates view vi's embeddings that touch the query, in
+// cq.FindHoms order, offering each to the accumulator. It reports
+// whether the whole search can stop: every needed atom has its pick.
+func (m *matcher) runView(vi int32, limit int) (done bool) {
+	m.setView(vi)
+	v, q := m.v, m.sc.q
+	for s := v.nbound; s < len(v.slotVars); s++ {
+		m.slots[s] = &v.slotVars[s]
 	}
-	for ai, a := range q.Atoms {
-		seenHere := map[string]bool{}
-		for _, t := range a.Args {
-			if !t.IsVar() {
-				continue
+	n := len(v.atoms)
+	m.touchAfter = resized(m.touchAfter, n+1)
+	m.touchAfter[n] = false
+	for i := n - 1; i >= 0; i-- {
+		m.touchAfter[i] = m.touchAfter[i+1]
+		for ai := range q.Atoms {
+			if m.touchAfter[i] {
+				break
 			}
-			o := get(t.Var)
-			o.atoms[ai] = true
-			if seenHere[t.Var] {
-				o.multiInAtom = true
+			m.touchAfter[i] = m.sc.qRel[ai] == v.atoms[i].rel && m.agrees(v, &v.atoms[i], q.Atoms[ai].Args)
+		}
+	}
+	m.embed(0, false, limit)
+	return m.remaining == 0
+}
+
+// embed matches view atoms i.. against the target, query atoms before
+// fact atoms (the order cq.FindHoms enumerates), and reports whether
+// the view is finished: its embedding cap is spent, or nothing is left
+// to pick. touched: an earlier atom landed on a query atom. A branch
+// that cannot reach a query atom any more is not entered (rule 2).
+func (m *matcher) embed(i int, touched bool, limit int) (stop bool) {
+	v, sc := m.v, m.sc
+	if i == len(v.atoms) {
+		return m.leaf(limit)
+	}
+	ap := &v.atoms[i]
+	for ai := range sc.q.Atoms {
+		if sc.qRel[ai] != ap.rel || !m.bind(ap, sc.q.Atoms[ai].Args) {
+			continue
+		}
+		m.images[i] = int32(ai)
+		if m.embed(i+1, true, limit) {
+			return true
+		}
+	}
+	if !touched && !m.touchAfter[i+1] {
+		return false
+	}
+	for fi, rel := range sc.factRels() {
+		if rel != ap.rel || !m.bind(ap, sc.facts[fi].Atom.Args) {
+			continue
+		}
+		m.images[i] = -1
+		if m.embed(i+1, touched, limit) {
+			return true
+		}
+	}
+	return false
+}
+
+// bind runs one atom program against a target atom's arguments. Slots
+// need no undo trail: bind ops always write, and a program never reads
+// a slot before the op that binds it.
+func (m *matcher) bind(ap *atomProg, args []cq.Term) bool {
+	if len(ap.ops) != len(args) {
+		return false
+	}
+	for k, op := range ap.ops {
+		switch op.kind {
+		case opBind:
+			m.slots[op.arg] = &args[k]
+		case opCheck:
+			if !m.match(m.slots[op.arg], &args[k]) {
+				return false
 			}
-			seenHere[t.Var] = true
-			out[t.Var] = o
-		}
-	}
-	for _, t := range q.Head {
-		if t.IsVar() {
-			o := get(t.Var)
-			o.inHead = true
-			out[t.Var] = o
-		}
-	}
-	for _, cmp := range q.Comps {
-		for _, t := range []cq.Term{cmp.Left, cmp.Right} {
-			if t.IsVar() {
-				o := get(t.Var)
-				o.inComps = true
-				out[t.Var] = o
+		default:
+			if !m.match(&m.v.grounds[op.arg], &args[k]) {
+				return false
 			}
 		}
 	}
-	return out
+	return true
+}
+
+// image returns a view comparison's side under the current embedding.
+func (m *matcher) image(slot int32, ground cq.Term) cq.Term {
+	if slot < 0 {
+		return ground
+	}
+	return *m.slots[slot]
+}
+
+func (m *matcher) imageComp(i int) cq.Comparison {
+	vc, s := m.v.q.Comps[i], m.v.comps[i]
+	return cq.Comparison{Op: vc.Op, Left: m.image(s[0], vc.Left), Right: m.image(s[1], vc.Right)}
+}
+
+// leaf completes an embedding: the view's comparisons must be entailed
+// by the target's, then the embedding counts against the cap and is
+// offered.
+func (m *matcher) leaf(limit int) (stop bool) {
+	for i := range m.v.comps {
+		if !m.cs.Implies(m.imageComp(i)) {
+			return false
+		}
+	}
+	m.count++
+	m.offer()
+	return m.count >= limit || m.remaining == 0
+}
+
+// offer applies the cover rules to the current embedding (slots,
+// images) and folds it into the accumulator.
+func (m *matcher) offer() {
+	sc, v := m.sc, m.v
+	clear(m.visible)
+	clear(m.enforced)
+	m.covered = m.covered[:0]
+	m.viewCSOK = false
+	for _, s := range v.head {
+		if t := m.slots[s]; t.IsVar() {
+			if id := sc.occ.varID(t.Var); id >= 0 {
+				m.visible.set(id)
+			}
+		}
+	}
+	for i, ai := range m.images {
+		if ai >= 0 && m.atomCoverOK(&v.atoms[i], ai) {
+			m.covered = append(m.covered, ai)
+		}
+	}
+	if len(m.covered) == 0 {
+		return
+	}
+	m.offers++
+	for _, ai := range m.covered {
+		m.seen[ai] = true
+		if sc.need[ai] && m.pick[ai] < 0 && m.observable(ai) {
+			m.pick[ai] = m.vi
+			m.remaining--
+		}
+	}
 }
 
 // atomCoverOK applies the per-position visibility rule for a view atom
-// covering a query atom: a position whose query-side term is
+// covering query atom ai: a position whose query-side term is
 // distinguishing (constant, parameter, head/join/comparison variable)
 // must be visible in the view head, pinned by the view itself
 // (view-side constant or parameter), or — for comparison variables —
-// constrained identically by the view's own body (viewCS carries the
-// view's comparisons mapped to query terms). viewHead is the view's
-// precompiled head-variable set.
-func atomCoverOK(viewAtom, qAtom cq.Atom, viewHead map[string]bool, viewCS *cq.Constraints, occ map[string]varOcc, q *cq.Query, enforced map[string]bool) bool {
-	for k, y := range viewAtom.Args {
-		t := qAtom.Args[k]
-		if !y.IsVar() {
-			// View-side constant/parameter pins the position.
-			continue
-		}
-		if viewHead[y.Var] {
-			continue // visible: filterable and joinable by the caller
+// constrained identically by the view's own body.
+func (m *matcher) atomCoverOK(ap *atomProg, ai int32) bool {
+	occ, q := m.sc.occ, m.sc.q
+	base := occ.atomOff[ai]
+	for k, op := range ap.ops {
+		if op.kind == opGround || op.vis {
+			continue // pinned by the view, or filterable and joinable by the caller
 		}
 		// Invisible view position: acceptable for a pure existential
-		// query variable, or for a comparison-only variable whose
-		// every constraint the view itself enforces.
-		if !t.IsVar() {
+		// query variable, or for a comparison-only variable whose every
+		// constraint the view itself enforces.
+		id := occ.argVar[base+int32(k)]
+		if id < 0 {
 			return false
 		}
-		o := occ[t.Var]
-		if o.inHead || len(o.atoms) > 1 || o.multiInAtom {
+		o := &occ.vars[id]
+		if o.inHead || o.natoms > 1 || o.multiInAtom {
 			return false
 		}
 		if o.inComps {
 			for _, qc := range q.Comps {
-				involves := qc.Left.IsVar() && qc.Left.Var == t.Var ||
-					qc.Right.IsVar() && qc.Right.Var == t.Var
-				if involves && !viewCS.Implies(qc) {
+				involves := qc.Left.IsVar() && qc.Left.Var == o.name ||
+					qc.Right.IsVar() && qc.Right.Var == o.name
+				if involves && !m.viewClosure().Implies(qc) {
 					return false
 				}
 			}
-			enforced[t.Var] = true
+			m.enforced.set(id)
 		}
+	}
+	return true
+}
+
+// viewClosure returns the constraints the view itself enforces, mapped
+// onto query terms by the current embedding; built on first use.
+func (m *matcher) viewClosure() *cq.Constraints {
+	if m.viewCSOK {
+		return m.viewCS
+	}
+	if m.viewCS == nil {
+		m.viewCS = cq.NewConstraints()
+	} else {
+		m.viewCS.Reset()
+	}
+	for i := range m.v.comps {
+		m.viewCS.Add(m.imageComp(i))
+	}
+	m.viewCSOK = true
+	return m.viewCS
+}
+
+// observable enforces the joint visibility condition on query atom ai
+// under the current embedding: every head variable, comparison
+// variable, and variable shared across atoms that occurs in ai must be
+// visible, or be a comparison-only variable the view enforces.
+func (m *matcher) observable(ai int32) bool {
+	occ := m.sc.occ
+	for _, id := range occ.argVar[occ.atomOff[ai]:occ.atomOff[ai+1]] {
+		if id < 0 {
+			continue
+		}
+		o := &occ.vars[id]
+		if !o.distinguishing() || m.visible.has(id) {
+			continue
+		}
+		if o.compOnly() && m.enforced.has(id) {
+			continue
+		}
+		return false
 	}
 	return true
 }
@@ -636,7 +897,7 @@ func atomInstanceOf(a, p cq.Atom, cs *cq.Constraints) bool {
 	if a.Table != p.Table || len(a.Args) != len(p.Args) {
 		return false
 	}
-	bind := map[string]cq.Term{}
+	var bind map[string]cq.Term
 	for i, pt := range p.Args {
 		at := a.Args[i]
 		if pt.IsVar() {
@@ -645,6 +906,9 @@ func atomInstanceOf(a, p cq.Atom, cs *cq.Constraints) bool {
 					return false
 				}
 			} else {
+				if bind == nil {
+					bind = make(map[string]cq.Term)
+				}
 				bind[pt.Var] = at
 			}
 			continue

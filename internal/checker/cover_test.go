@@ -3,12 +3,12 @@ package checker
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/cq"
 	"repro/internal/engine"
+	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
@@ -18,11 +18,10 @@ import (
 
 // coldOpts builds checker options for one cold-path configuration:
 // caching off so every check runs the coverage search.
-func coldOpts(index bool, workers int) Options {
+func coldOpts(index bool) Options {
 	opts := DefaultOptions()
 	opts.UseCache = false
 	opts.ColdIndex = index
-	opts.ColdWorkers = workers
 	return opts
 }
 
@@ -33,13 +32,10 @@ func TestCoverEmptyPolicy(t *testing.T) {
 	s := calendarSchema(t)
 	empty := policy.MustNew(s, nil)
 	for _, cfg := range []struct {
-		name    string
-		index   bool
-		workers int
-	}{
-		{"scan", false, 1}, {"indexed", true, 1}, {"parallel", true, 8},
-	} {
-		c := NewWithOptions(empty, coldOpts(cfg.index, cfg.workers))
+		name  string
+		index bool
+	}{{"scan", false}, {"indexed", true}} {
+		c := NewWithOptions(empty, coldOpts(cfg.index))
 		comp := c.activeVersion().comp
 		if len(comp.views) != 0 || len(comp.byRel) != 0 {
 			t.Fatalf("%s: empty policy compiled to %d views, %d index buckets",
@@ -88,14 +84,11 @@ func TestCompileAbsentRelation(t *testing.T) {
 		"SELECT Title FROM Events",
 	}
 	for _, cfg := range []struct {
-		name    string
-		index   bool
-		workers int
-	}{
-		{"scan", false, 1}, {"indexed", true, 1}, {"parallel", true, 8},
-	} {
-		base := NewWithOptions(pol, coldOpts(cfg.index, cfg.workers))
-		with := NewWithOptions(ghosted, coldOpts(cfg.index, cfg.workers))
+		name  string
+		index bool
+	}{{"scan", false}, {"indexed", true}} {
+		base := NewWithOptions(pol, coldOpts(cfg.index))
+		with := NewWithOptions(ghosted, coldOpts(cfg.index))
 		for _, q := range queries {
 			dBase := mustCheck(t, base, q, session(1), nil)
 			dWith := mustCheck(t, with, q, session(1), nil)
@@ -123,27 +116,24 @@ func TestCompileDedupesDuplicateViews(t *testing.T) {
 			len(comp.views), len(uniq.views))
 	}
 
-	c := NewWithOptions(doubled, coldOpts(true, 8))
+	c := NewWithOptions(doubled, coldOpts(true))
 	d := mustCheck(t, c, "SELECT EId FROM Attendance WHERE UId = 1", session(1), nil)
 	if !d.Allowed {
 		t.Fatalf("doubled policy blocked a V1-covered query: %+v", d)
 	}
 }
 
-// primeE1Trace replays a corpus query's priming probe against the
-// fixture database so its result enters the history (the same setup
-// experiments.RunE1 uses).
-func primeE1Trace(t *testing.T, db *engine.DB, w apps.WorkloadQuery) *trace.Trace {
+// recordQuery runs a query against the fixture database and appends
+// it, with its answer, to the trace — what the proxy does after an
+// allowed query.
+func recordQuery(t *testing.T, db *engine.DB, tr *trace.Trace, sql string, argv []any) {
 	t.Helper()
-	tr := &trace.Trace{}
-	if w.PrimeSQL == "" {
-		return tr
-	}
-	sel, err := sqlparser.ParseSelect(w.PrimeSQL)
+	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := sqlparser.Bind(sel, sqlparser.PositionalArgs(w.PrimeArgs...))
+	args := sqlparser.PositionalArgs(argv...)
+	bound, err := sqlparser.Bind(sel, args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,56 +145,112 @@ func primeE1Trace(t *testing.T, db *engine.DB, w apps.WorkloadQuery) *trace.Trac
 	for i, r := range res.Rows {
 		rows[i] = r
 	}
-	tr.Append(trace.Entry{
-		SQL: w.PrimeSQL, Stmt: sel, Args: sqlparser.PositionalArgs(w.PrimeArgs...),
-		Columns: res.Columns, Rows: rows,
-	})
+	tr.Append(trace.Entry{SQL: sql, Stmt: sel, Args: args, Columns: res.Columns, Rows: rows})
+}
+
+// primeE1Trace replays a corpus query's priming probe against the
+// fixture database so its result enters the history (the same setup
+// experiments.RunE1 uses).
+func primeE1Trace(t *testing.T, db *engine.DB, w apps.WorkloadQuery) *trace.Trace {
+	t.Helper()
+	tr := &trace.Trace{}
+	if w.PrimeSQL != "" {
+		recordQuery(t, db, tr, w.PrimeSQL, w.PrimeArgs)
+	}
 	return tr
 }
 
-// TestSerialParallelParityE1: over the full E1 corpus (every labeled
-// query of every fixture), the original linear scan, the indexed
-// serial search, and the indexed parallel search return byte-identical
-// Decisions. This is the determinism half of the cold-path
-// parallelization's soundness argument: parallelism must never change
-// the answer, the reason string, or the covering-view list.
-func TestSerialParallelParityE1(t *testing.T) {
-	total := 0
+// coverInputs runs the pipeline's bind and facts stages for one check
+// and returns what the cover stage would be handed: the decision
+// template and the session-generalized trace facts. ok is false when
+// binding already decided the check.
+func coverInputs(ctx context.Context, c *Checker, sql string, args sqlparser.Args, sess map[string]sqlvalue.Value, tr *trace.Trace) (tpl []*cq.Query, facts []cq.Fact, ok bool) {
+	sel, err := sqlparser.ParseSelect(sql)
+	if err != nil {
+		return nil, nil, false
+	}
+	st := &decideState{c: c, ver: c.activeVersion(), sel: sel, args: args, session: sess, tr: tr}
+	if stageBind(ctx, st) != pipeline.Continue || stageFacts(ctx, st) != pipeline.Continue {
+		return nil, nil, false
+	}
+	return st.tpl, st.facts, true
+}
+
+// TestCoverParityFixtures: over every fixture (calendar, hospital,
+// employees, forum), the compiled search and the ColdIndex=false scan
+// return Decisions byte-identical — the answer, the reason string and
+// the covering-view list — to the independent reference procedure
+// (cover_ref_test.go) run on the same template and facts, on three
+// corpora: the 42 labeled E1 queries, each behind its own priming
+// probe; the same 42 replayed against one trace per fixture that keeps
+// every earlier probe and answer (facts accumulate, so view atoms find
+// more rows to land on); and the fixture's own policy views and
+// sensitive queries issued as queries with no history.
+func TestCoverParityFixtures(t *testing.T) {
+	ctx := context.Background()
+	total, histAllows := 0, 0
 	for _, f := range apps.All() {
 		db := f.MustNewDB(24)
-		pol := f.Policy()
-		scan := NewWithOptions(pol, coldOpts(false, 1))
-		indexed := NewWithOptions(pol, coldOpts(true, 1))
-		parallel := NewWithOptions(pol, coldOpts(true, 8))
+		scan, compiled := NewWithOptions(f.Policy(), coldOpts(false)), NewWithOptions(f.Policy(), coldOpts(true))
+		views := f.Policy().Disjuncts(nil)
+		decide := func(label, sql string, args sqlparser.Args, sess map[string]sqlvalue.Value, tr *trace.Trace) Decision {
+			t.Helper()
+			var got [2]string
+			var d Decision
+			for i, c := range []*Checker{scan, compiled} {
+				var err error
+				if d, err = c.CheckSQL(ctx, sql, args, sess, tr); err != nil {
+					t.Fatalf("%s/%s: %v", f.Name, label, err)
+				}
+				d.Epoch = 0 // the pipeline's stamp, not the cover search's
+				got[i] = fmt.Sprintf("%#v", d)
+			}
+			want := got[0]
+			if tpl, facts, ok := coverInputs(ctx, compiled, sql, args, sess, tr); ok {
+				want = fmt.Sprintf("%#v", refDecide(views, tpl, facts, compiled.opts.MaxHomsPerView))
+			}
+			if got[0] != want || got[1] != want {
+				t.Fatalf("%s/%s: searches disagree:\nreference: %s\nscan:      %s\ncompiled:  %s",
+					f.Name, label, want, got[0], got[1])
+			}
+			total++
+			return d
+		}
+		shared := &trace.Trace{}
 		for _, w := range f.Corpus {
 			tr := primeE1Trace(t, db, w)
 			args := sqlparser.PositionalArgs(w.Args...)
-			sess := f.Session(w.UId)
-			ctx := context.Background()
-			dScan, err := scan.CheckSQL(ctx, w.SQL, args, sess, tr)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", f.Name, w.Label, err)
+			d := decide(w.Label, w.SQL, args, f.Session(w.UId), tr)
+			if w.PrimeSQL != "" && w.WantAllowed {
+				// History-dependent allow: a view atom lands on a trace
+				// fact, which rule 2 must keep reachable.
+				if !d.Allowed {
+					t.Fatalf("%s/%s: history-dependent query blocked: %+v", f.Name, w.Label, d)
+				}
+				histAllows++
 			}
-			dIdx, err := indexed.CheckSQL(ctx, w.SQL, args, sess, tr)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", f.Name, w.Label, err)
+			if w.UId == f.Corpus[0].UId {
+				// One principal's cumulative history: every probe, and
+				// every allowed query with its answer.
+				if w.PrimeSQL != "" {
+					recordQuery(t, db, shared, w.PrimeSQL, w.PrimeArgs)
+				}
+				if decide(w.Label+"/cumulative", w.SQL, args, f.Session(w.UId), shared).Allowed {
+					recordQuery(t, db, shared, w.SQL, w.Args)
+				}
 			}
-			dPar, err := parallel.CheckSQL(ctx, w.SQL, args, sess, tr)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", f.Name, w.Label, err)
-			}
-			gScan, gIdx, gPar := fmt.Sprintf("%#v", dScan), fmt.Sprintf("%#v", dIdx), fmt.Sprintf("%#v", dPar)
-			if gScan != gIdx || gScan != gPar {
-				t.Fatalf("%s/%s: cold-path configurations disagree:\nscan:     %s\nindexed:  %s\nparallel: %s",
-					f.Name, w.Label, gScan, gIdx, gPar)
-			}
-			total++
+		}
+		for name, sql := range f.PolicySQL {
+			decide("view/"+name, sql, sqlparser.NoArgs, f.Session(1), nil)
+		}
+		for name, sql := range f.Sensitive {
+			decide("sensitive/"+name, sql, sqlparser.NoArgs, f.Session(1), nil)
 		}
 	}
-	if total < 40 {
-		t.Fatalf("E1 corpus too small to be meaningful: %d decisions", total)
+	if total < 100 || histAllows == 0 {
+		t.Fatalf("corpus too small to be meaningful: %d decisions, %d history-dependent allows", total, histAllows)
 	}
-	t.Logf("serial/indexed/parallel byte-identical over %d E1 decisions", total)
+	t.Logf("reference/scan/compiled byte-identical over %d decisions (%d history-dependent allows)", total, histAllows)
 }
 
 // --- Cold-path benchmark workload (mirrors acbench -coldpath):
@@ -258,9 +304,9 @@ func benchColdSession() map[string]sqlvalue.Value {
 	return map[string]sqlvalue.Value{"MyUId": sqlvalue.NewInt(1_000_001)}
 }
 
-func benchColdPath(b *testing.B, index bool, workers int) {
+func benchColdPath(b *testing.B, index bool) {
 	s := benchColdSchema(b)
-	c := NewWithOptions(benchColdPolicy(s, 128), coldOpts(index, workers))
+	c := NewWithOptions(benchColdPolicy(s, 128), coldOpts(index))
 	sel := benchColdQuery()
 	sess := benchColdSession()
 	ctx := context.Background()
@@ -274,10 +320,7 @@ func benchColdPath(b *testing.B, index bool, workers int) {
 	}
 }
 
-// The three cold-path configurations at 128 policy views; acbench
+// The two cold-path configurations at 128 policy views; acbench
 // -coldpath runs the full policy-size sweep.
-func BenchmarkColdPathSerial(b *testing.B)  { benchColdPath(b, false, 1) }
-func BenchmarkColdPathIndexed(b *testing.B) { benchColdPath(b, true, 1) }
-func BenchmarkColdPathParallel(b *testing.B) {
-	benchColdPath(b, true, runtime.GOMAXPROCS(0))
-}
+func BenchmarkColdPathSerial(b *testing.B)  { benchColdPath(b, false) }
+func BenchmarkColdPathIndexed(b *testing.B) { benchColdPath(b, true) }

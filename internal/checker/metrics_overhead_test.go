@@ -3,7 +3,6 @@ package checker
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -120,11 +119,11 @@ func TestMetricsOverheadGuard(t *testing.T) {
 }
 
 // TestColdPathMetricsOverheadGuard is the cold-path sibling of
-// TestMetricsOverheadGuard: the instrumented *parallel* cold coverage
-// search (compiled index + worker pool, caching off so every check
-// runs the full search) must stay within 5% of the no-op-metrics
-// build. The cold path's instrumentation — pool gauges, prune
-// counters, gather/search histograms and span records — is gated on
+// TestMetricsOverheadGuard: the instrumented cold coverage search
+// (compiled index, caching off so every check runs the full search)
+// must stay within 5% of the no-op-metrics build. The cold path's
+// instrumentation — prune counters, gather/search histograms and span
+// records — is gated on
 // reg.Enabled(), and this guard fails if any of it ever runs (or
 // allocates) in the disabled build, or grows past noise in the
 // enabled one.
@@ -139,10 +138,9 @@ func TestColdPathMetricsOverheadGuard(t *testing.T) {
 	pol := benchColdPolicy(s, 64)
 	sel := benchColdQuery()
 	sess := benchColdSession()
-	workers := runtime.GOMAXPROCS(0)
 
 	newCold := func(reg *obsv.Registry) *Checker {
-		opts := coldOpts(true, workers)
+		opts := coldOpts(true)
 		opts.Metrics = reg
 		c := NewWithOptions(pol, opts)
 		if d := c.Check(context.Background(), sel, sqlparser.NoArgs, sess, nil); !d.Allowed {

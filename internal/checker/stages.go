@@ -72,7 +72,7 @@ type decideState struct {
 	// Per-disjunct variable-occurrence censuses, memoized lazily so
 	// the history-free probe and the cover stage share one
 	// computation per decision (and cache hits never pay it).
-	occ []map[string]varOcc
+	occ []occCensus
 
 	// Session-generalized trace facts (stage "facts").
 	facts    []cq.Fact
@@ -87,9 +87,10 @@ type decideState struct {
 
 	// Pooled scratch, reused across decisions (capacity survives the
 	// pool round-trip; contents never do).
-	keyBuf  []byte   // rendered signatures and cache keys
-	names   []string // sort scratch for session/arg names
-	tplKeys []string // per-disjunct canonical keys, computed once
+	keyBuf  []byte        // rendered signatures and cache keys
+	names   []string      // sort scratch for session/arg names
+	tplKeys []string      // per-disjunct canonical keys, computed once
+	cover   *coverScratch // the cold cover search's arrays (cover.go); nil until a decision goes cold
 }
 
 var decidePool = sync.Pool{New: func() any { return new(decideState) }}
@@ -100,11 +101,16 @@ var decidePool = sync.Pool{New: func() any { return new(decideState) }}
 // or fact graph in memory.
 func (st *decideState) release() {
 	clear(st.tpl)
-	clear(st.occ)
+	for i := range st.occ {
+		st.occ[i].reset()
+	}
 	clear(st.facts)
 	clear(st.factKeys)
 	clear(st.tplKeys)
 	clear(st.names)
+	if st.cover != nil {
+		st.cover.release()
+	}
 	*st = decideState{
 		keyBuf:   st.keyBuf[:0],
 		names:    st.names[:0],
@@ -113,6 +119,7 @@ func (st *decideState) release() {
 		occ:      st.occ[:0],
 		facts:    st.facts[:0],
 		factKeys: st.factKeys[:0],
+		cover:    st.cover,
 	}
 	decidePool.Put(st)
 }
@@ -148,14 +155,25 @@ func (c *Checker) newDecidePipeline() *pipeline.Pipeline[*decideState] {
 	)
 }
 
+// coverScratch returns the state's cold-search scratch, allocated the
+// first time a decision riding this pooled state goes cold, so warm
+// decisions neither carry nor release it.
+func (st *decideState) coverScratch() *coverScratch {
+	if st.cover == nil {
+		st.cover = new(coverScratch)
+	}
+	return st.cover
+}
+
 // occs returns the per-disjunct occurrence censuses for the bound
 // templates, computing them on first use. Warm decisions (front,
 // histfree, template hits) never reach a caller of this.
-func (st *decideState) occs() []map[string]varOcc {
+func (st *decideState) occs() []occCensus {
 	if len(st.occ) != len(st.tpl) {
-		st.occ = st.occ[:0]
-		for _, q := range st.tpl {
-			st.occ = append(st.occ, countVarOccurrences(q))
+		// Censuses past len keep their storage from earlier decisions.
+		st.occ = resized(st.occ, len(st.tpl))
+		for i, q := range st.tpl {
+			st.occ[i].build(q)
 		}
 	}
 	return st.occ
@@ -310,7 +328,7 @@ func stageHistFree(ctx context.Context, st *decideState) pipeline.Outcome {
 		}
 		return pipeline.Continue // denial marker: the template needs facts
 	}
-	d := c.coverAll(ctx, st.ver.comp, st.tpl, st.occs(), nil)
+	d := c.coverAll(ctx, st.ver.comp, st.tpl, st.occs(), nil, st.coverScratch())
 	if ctx.Err() != nil {
 		st.d = canceledDecision(ctx)
 		return pipeline.Abort
@@ -405,7 +423,7 @@ func stageTemplate(ctx context.Context, st *decideState) pipeline.Outcome {
 // stageCover runs the policy-coverage decision procedure — the
 // expensive embedding search — against the facts.
 func stageCover(ctx context.Context, st *decideState) pipeline.Outcome {
-	st.d = st.c.coverAll(ctx, st.ver.comp, st.tpl, st.occs(), st.facts)
+	st.d = st.c.coverAll(ctx, st.ver.comp, st.tpl, st.occs(), st.facts, st.coverScratch())
 	if ctx.Err() != nil {
 		st.d = canceledDecision(ctx)
 		return pipeline.Abort

@@ -53,21 +53,7 @@ func FindHoms(src, tgt *Query, init Mapping, limit int) []Hom {
 	return homSearch(src, tgt, tgtCS, init, limit)
 }
 
-// FindHomsWith is FindHoms with a caller-supplied constraint closure
-// for the target (tgtCS must be built from tgt.Comps). Callers that
-// search many sources against one target build the closure once
-// instead of once per source. A Constraints memoizes internally, so a
-// shared closure must not be used from concurrent goroutines; nil
-// falls back to building a private one.
-func FindHomsWith(src, tgt *Query, tgtCS *Constraints, init Mapping, limit int) []Hom {
-	return homSearch(src, tgt, tgtCS, init, limit)
-}
-
 func homSearch(src, tgt *Query, tgtCS *Constraints, init Mapping, limit int) []Hom {
-	if tgtCS == nil {
-		tgtCS = NewConstraints()
-		tgtCS.AddAll(tgt.Comps)
-	}
 	// Index target atoms by table.
 	type cand struct {
 		atom Atom
@@ -410,7 +396,7 @@ func CoveredAtoms(q *Query, by *Query) []bool {
 	for i, a := range q.Atoms {
 		probe := &Query{Atoms: []Atom{a}, Comps: q.Comps}
 		probe.Head = nil
-		if len(homSearch(by, probe, nil, nil, 1)) > 0 {
+		if len(FindHoms(by, probe, nil, 1)) > 0 {
 			out[i] = true
 		}
 	}

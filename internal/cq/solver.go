@@ -56,6 +56,20 @@ func (cs *Constraints) Clone() *Constraints {
 	return out
 }
 
+// Reset empties the set for reuse, keeping its map capacity: a caller
+// deciding many small conjunctions in a row (the checker's cold cover
+// search) reuses one Constraints instead of allocating three maps per
+// conjunction.
+func (cs *Constraints) Reset() {
+	clear(cs.parent)
+	clear(cs.terms)
+	clear(cs.le)
+	clear(cs.nes)
+	cs.nes = cs.nes[:0]
+	cs.dirty = true
+	cs.closed = nil
+}
+
 func (cs *Constraints) intern(t Term) string {
 	k := t.Key()
 	if _, ok := cs.parent[k]; !ok {
@@ -147,9 +161,18 @@ type closure struct {
 
 const noRel int8 = 1
 
+// emptyClosure is the closure of the empty set, shared and never
+// written: with no class to index, every probe resolves through
+// impliesVirtual without touching it.
+var emptyClosure = &closure{}
+
 func (cs *Constraints) close() *closure {
 	if !cs.dirty && cs.closed != nil {
 		return cs.closed
+	}
+	if len(cs.parent) == 0 {
+		cs.closed, cs.dirty = emptyClosure, false
+		return emptyClosure
 	}
 	// Collect class representatives.
 	repSet := make(map[string]bool)

@@ -37,15 +37,26 @@ func TestRunE2Shapes(t *testing.T) {
 	pass := ns["passthrough (no enforcement)"]
 	cold := ns["decision only, cold"]
 	cached := ns["decision only, cached"]
-	if pass <= 0 || cold <= 0 || cached <= 0 {
+	front := ns["decision only, cached (front tier)"]
+	if pass <= 0 || cold <= 0 || cached <= 0 || front <= 0 {
 		t.Fatalf("missing configs: %v", ns)
 	}
 	// The headline shape: a cached decision is much cheaper than a
 	// cold one (end-to-end rows are dominated by query execution and
-	// too noisy for a strict assertion).
-	if cached >= cold {
-		t.Errorf("cached decision (%v) should beat cold (%v)", cached, cold)
+	// too noisy for a strict assertion). Asserted on the front tier,
+	// the hit a repeated proxy decision takes.
+	if front >= cold {
+		t.Errorf("front-tier decision (%v) should beat cold (%v)", front, cold)
 	}
+	// No longer asserted: that a template-cache hit ("decision only,
+	// cached", decided without a trace) beats cold. Since the compiled
+	// cover search this one-atom query's cold search takes under a
+	// microsecond, while a template hit still binds, translates and
+	// canonically keys the statement that cold (caching off) never
+	// keys: 4.5-5.1 µs per hit against 3.5-4.2 µs cold on the
+	// reference container (EXPERIMENTS.md E2). The template tier's cost
+	// is a ROADMAP follow-up.
+	t.Logf("template-cache hit %v ns, cold %v ns, front-tier hit %v ns", cached, cold, front)
 }
 
 func TestRunE3HistoryMatters(t *testing.T) {
