@@ -53,13 +53,15 @@ coldpath:
 
 # Fixed-iteration smoke of the cold-path benchmarks: catches a
 # broken/pessimized cold path in CI without the noise sensitivity of
-# time-based benching.
+# time-based benching. BenchmarkPlanInstantiate fails outright when
+# filling a statement plan allocates or the plan is not found again.
 coldsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkColdPath' -benchtime=100x ./internal/checker
+	$(GO) test -run '^$$' -bench 'BenchmarkColdPath|BenchmarkPlanInstantiate' -benchtime=100x ./internal/checker
 
 # Allocation contracts: a fixed-iteration -benchmem smoke of the
-# warm-tier benchmarks (front tier must report 0 allocs/op) and of the
-# cold decide (the compiled cover search itself allocates nothing),
+# warm-tier benchmarks (front and template tiers must report 0
+# allocs/op) and of the cold decide (neither filling the statement plan
+# nor the compiled cover search allocates),
 # then the budget tests that turn those numbers into hard gates — the
 # checker's decide tiers, warm and cold, and the proxy's pooled encode
 # path end-to-end (front-tier warm probe through wire encode must be
@@ -146,10 +148,14 @@ fmtcheck:
 # Ten-second fuzz smokes: the SQL parser (corpus in
 # internal/sqlparser/testdata), then the cold cover search — generated
 # policies, templates and facts on which the compiled search must decide
-# byte-identically to the cq.FindHoms reference scan.
+# byte-identically to the cq.FindHoms reference scan — then statement
+# plans: generated (statement, arguments, session) triples on which
+# filling a plan must give the templates and the decision that binding
+# and translating the statement gives.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparser
 	$(GO) test -run '^$$' -fuzz=FuzzCoverParity -fuzztime=10s ./internal/checker
+	$(GO) test -run '^$$' -fuzz=FuzzPlanParity -fuzztime=10s ./internal/checker
 
 # Ten-second fuzz smoke of the WAL record decoder (torn writes, bit
 # flips, truncation must never panic recovery).

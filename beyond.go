@@ -250,15 +250,6 @@ func WithMaxHomsPerView(n int) CheckerOption {
 	return func(o *CheckerOptions) { o.MaxHomsPerView = n }
 }
 
-// WithColdWorkers is accepted and ignored: the cold coverage search is
-// serial (DESIGN.md §10.2), and the option that bounded its worker pool
-// stays only so existing callers keep compiling.
-//
-// Deprecated: has no effect.
-func WithColdWorkers(n int) CheckerOption {
-	return func(o *CheckerOptions) { o.ColdWorkers = n }
-}
-
 // WithColdIndex toggles the compiled per-relation policy index the
 // cold coverage search runs against (on by default; off restores the
 // linear scan over every view — the acbench -coldpath ablation

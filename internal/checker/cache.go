@@ -29,7 +29,7 @@ type cacheShard struct {
 }
 
 type cacheEntry struct {
-	d    Decision      // Views copied on the way in and out; see Get/Put
+	d    Decision      // Views copied on the way in and out; see GetBytes/Put
 	used atomic.Uint64 // last-touch tick from decisionCache.clock
 }
 
@@ -47,8 +47,9 @@ func newDecisionCache(total int) *decisionCache {
 	return c
 }
 
-// shard picks the shard for a key (FNV-1a).
-func (c *decisionCache) shard(key string) *cacheShard {
+// shard picks the shard for a key (FNV-1a), held as a string or still
+// as scratch bytes: both probes of one key agree.
+func shard[K string | []byte](c *decisionCache, key K) *cacheShard {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -59,50 +60,20 @@ func (c *decisionCache) shard(key string) *cacheShard {
 		h *= prime64
 	}
 	return &c.shards[h%cacheShards]
-}
-
-// shardBytes is shard for a key still held as scratch bytes (same
-// FNV-1a, so string and byte probes of one key agree).
-func (c *decisionCache) shardBytes(key []byte) *cacheShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return &c.shards[h%cacheShards]
-}
-
-// Get returns a cached decision. The Views slice of the result is a
-// defensive copy: cached templates are shared across principals, and
-// a caller mutating d.Views must not corrupt later hits.
-func (c *decisionCache) Get(key string) (Decision, bool) {
-	return c.hit(c.shard(key), key, true)
 }
 
 // GetBytes probes with the key still in a scratch buffer — the map
 // lookup uses the compiler's no-copy []byte→string indexing, so a warm
-// probe allocates nothing. copyViews false returns the cache-owned
-// Views slice (borrowed: read-only, stable until ResetCache).
+// probe allocates nothing. The key is compared in full: two different
+// keys never share an entry. copyViews true returns a defensive copy of
+// Views (cached templates are shared across principals, and a caller
+// mutating d.Views must not corrupt later hits); false returns the
+// cache-owned slice (borrowed: read-only, stable until ResetCache).
 func (c *decisionCache) GetBytes(key []byte, copyViews bool) (Decision, bool) {
-	sh := c.shardBytes(key)
+	sh := shard(c, key)
 	sh.mu.RLock()
 	e, ok := sh.m[string(key)]
 	sh.mu.RUnlock()
-	return c.finish(e, ok, copyViews)
-}
-
-func (c *decisionCache) hit(sh *cacheShard, key string, copyViews bool) (Decision, bool) {
-	sh.mu.RLock()
-	e, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return c.finish(e, ok, copyViews)
-}
-
-func (c *decisionCache) finish(e *cacheEntry, ok bool, copyViews bool) (Decision, bool) {
 	if !ok {
 		return Decision{}, false
 	}
@@ -121,7 +92,7 @@ func (c *decisionCache) Put(key string, d Decision) {
 	if len(d.Views) > 0 {
 		d.Views = append([]string(nil), d.Views...)
 	}
-	sh := c.shard(key)
+	sh := shard(c, key)
 	sh.mu.Lock()
 	if _, exists := sh.m[key]; !exists && len(sh.m) >= c.perShard {
 		// Sample a few entries (map iteration order is pseudorandom)

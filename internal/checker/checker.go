@@ -14,10 +14,10 @@
 // fragment are conservatively blocked.
 //
 // The decide path is an explicit staged pipeline (stages.go, built on
-// internal/pipeline): front-cache probe → bind/translate →
-// history-free template probe → fact derivation → template-cache
-// probe → policy coverage → verdict. Each stage is named, and every
-// stage reports run counts and latency into the checker's
+// internal/pipeline): front-cache probe → bind (fill the statement
+// plan's slots) → history-free template probe → fact derivation →
+// template-cache probe → policy coverage → verdict. Each stage is
+// named, and every stage reports run counts and latency into the checker's
 // obsv.Registry, so per-phase time (the Blockaid-style parse / cache
 // probe / solver breakdown) is observable at runtime rather than
 // reconstructed from ad-hoc benchmarks. The coverage algorithm itself
@@ -112,10 +112,6 @@ type Stats struct {
 	// cold_prune_ratio).
 	ColdViewsKept   int
 	ColdViewsPruned int
-	// ColdWorkersBusy is always zero: the cold search no longer fans
-	// out (see Options.ColdWorkers). Kept for the proxy's stats wire
-	// format.
-	ColdWorkersBusy int
 }
 
 // Options configure a Checker.
@@ -138,12 +134,6 @@ type Options struct {
 	// reference the parity tests compare against, and the baseline of
 	// acbench -coldpath.
 	ColdIndex bool
-	// ColdWorkers is accepted and ignored. It bounded the worker pool
-	// the cold search fanned out on; behind the discrimination index no
-	// measured search is large enough for a fan-out to win, so the
-	// search is serial (DESIGN.md §10.2) and removing the option is a
-	// ROADMAP follow-up.
-	ColdWorkers int
 	// CacheSize bounds the decision-template cache (total entries
 	// across shards); 0 means the default.
 	CacheSize int
@@ -184,7 +174,7 @@ type genEntry struct {
 // epoch, the parsed statement BY POINTER (sqlparser.ParseCached
 // returns one shared immutable statement per SQL text, so the pointer
 // stands in for the text), and the rendered session attributes and
-// arguments. Holding the pointer as a map key also keeps the statement
+// arguments, interned. Holding the pointer as a map key also keeps the statement
 // alive, so an address can never be reused while its entry exists.
 // Statements parsed outside the cache simply miss here and fall
 // through to the template path. Entries keyed by a superseded epoch
@@ -212,7 +202,10 @@ type Checker struct {
 	vers      atomic.Pointer[versionTable]
 
 	cache *decisionCache
-	tr    *cq.Translator // stateless; safe to share
+	// tr translates over the checker's schema (fixed for its lifetime:
+	// every policy version shares it) and holds the statement plans, which
+	// therefore outlive policy swaps and cache resets.
+	tr *cq.Translator
 
 	// Session-parameterized fact generalization memo, two levels:
 	// interned session signature → raw fact canonical string → entry.
@@ -223,9 +216,10 @@ type Checker struct {
 	gen   map[string]map[string]genEntry
 	genN  int
 
-	// strs interns the warm path's rendered session/argument
-	// signatures: a hit maps scratch bytes to the one canonical string
-	// without allocating (map index by converted []byte is no-copy).
+	// strs interns rendered signatures — front-cache keys as they are
+	// stored, session signatures as the memo's namespace: a hit maps
+	// scratch bytes to the one canonical string without allocating (map
+	// index by converted []byte is no-copy).
 	strMu sync.RWMutex
 	strs  map[string]string
 
@@ -249,7 +243,8 @@ type Checker struct {
 	mParseErrors                               *obsv.Counter
 	mColdKept, mColdPruned                     *obsv.Counter
 	mParse                                     *obsv.Histogram
-	mCompile, mColdGather, mColdSearch         *obsv.Histogram
+	mCompile, mColdSelect, mColdMatch          *obsv.Histogram
+	coldTick                                   atomic.Uint64 // samples the two cold histograms
 }
 
 // New creates a checker for the policy with default options.
@@ -290,14 +285,10 @@ func NewWithOptions(p *policy.Policy, opts Options) *Checker {
 	c.mParseErrors = reg.Counter("checker.parse.errors")
 	c.mColdKept = reg.Counter("checker.cold.views.kept")
 	c.mColdPruned = reg.Counter("checker.cold.views.pruned")
-	// Registered so the metric name set is unchanged; nothing counts
-	// into them since the cold search stopped fanning out.
-	reg.Counter("checker.cold.workers.busy")
-	reg.Counter("checker.cold.workers.tasks")
 	c.mParse = reg.Histogram("checker.parse.micros")
 	c.mCompile = reg.Histogram("checker.compile.micros")
-	c.mColdGather = reg.Histogram("checker.cold.gather.micros")
-	c.mColdSearch = reg.Histogram("checker.cold.search.micros")
+	c.mColdSelect = reg.Histogram("checker.cold.select.micros")
+	c.mColdMatch = reg.Histogram("checker.cold.match.micros")
 	c.pipe = c.newDecidePipeline()
 	comp := c.compilePol(p)
 	c.nextEpoch = 1
@@ -318,7 +309,7 @@ func (c *Checker) WarmTrace(tr *trace.Trace) {
 	if tr == nil || !c.opts.UseHistory {
 		return
 	}
-	_ = tr.Facts(c.activeVersion().pol.Schema)
+	_, _ = tr.FactsKeyed(c.tr)
 }
 
 // Metrics returns the checker's observability registry (the one every
@@ -483,45 +474,28 @@ func canceledDecision(ctx context.Context) Decision {
 	return Decision{Allowed: false, Reason: fmt.Sprintf("check canceled: %v", ctx.Err())}
 }
 
-// appendSessionSig renders the session attributes deterministically
-// into buf (names sorted via the caller's scratch slice); the result
-// namespaces the fact-generalization memo, since the same ground fact
-// generalizes differently under different principals. Rendering into
-// scratch instead of building a string keeps the warm path
-// allocation-free; the rendered bytes are interned for map keying.
-func appendSessionSig(buf []byte, names []string, session map[string]sqlvalue.Value) ([]byte, []string) {
-	if len(session) == 0 {
-		return buf, names
-	}
-	if len(session) == 1 {
-		for n, v := range session {
-			buf = append(buf, n...)
-			buf = append(buf, '=')
-			buf = v.AppendKey(buf)
-			buf = append(buf, ';')
-		}
-		return buf, names
-	}
-	names = names[:0]
-	for n := range session {
-		names = append(names, n)
-	}
-	slices.Sort(names)
+// appendSessionSig renders the session attributes into buf, in the
+// order of names (decideState.attrNames: sorted); the result namespaces
+// the fact-generalization memo, since the same ground fact generalizes
+// differently under different principals. Rendering into scratch
+// instead of building a string keeps the warm path allocation-free.
+// Values are length-framed (appendKeyed) here and in appendArgsSig: a
+// text value cannot spell a separator and pass for two.
+func appendSessionSig(buf []byte, names []string, session map[string]sqlvalue.Value) []byte {
 	for _, n := range names {
 		buf = append(buf, n...)
 		buf = append(buf, '=')
-		buf = session[n].AppendKey(buf)
-		buf = append(buf, ';')
+		buf = appendKeyed(buf, session[n])
 	}
-	return buf, names
+	return buf
 }
 
 // appendArgsSig renders the bound arguments deterministically into buf
-// for the front-cache key, same scratch discipline as appendSessionSig.
+// for the front-cache key, sorting argument names in the caller's
+// scratch slice.
 func appendArgsSig(buf []byte, names []string, args sqlparser.Args) ([]byte, []string) {
 	for _, v := range args.Positional {
-		buf = v.AppendKey(buf)
-		buf = append(buf, ',')
+		buf = appendKeyed(buf, v)
 	}
 	if len(args.Named) > 0 {
 		names = names[:0]
@@ -533,8 +507,7 @@ func appendArgsSig(buf []byte, names []string, args sqlparser.Args) ([]byte, []s
 			buf = append(buf, '@')
 			buf = append(buf, n...)
 			buf = append(buf, '=')
-			buf = args.Named[n].AppendKey(buf)
-			buf = append(buf, ';')
+			buf = appendKeyed(buf, args.Named[n])
 		}
 	}
 	return buf, names
@@ -581,41 +554,21 @@ func (c *Checker) generalizeFactMemo(f cq.Fact, rawKey string, session map[strin
 	return e, false
 }
 
-// appendCacheKey renders the decision-template cache key into buf:
-// template canonical keys, a "#" divider, the (pre-sorted) generalized
-// fact keys, all NUL-separated, then the deciding policy version's
-// epoch as 8 fixed big-endian bytes. The epoch suffix replaced the old
-// policy-fingerprint suffix when the versioned store landed — 8 bytes
-// instead of a fingerprint that grows with the policy, and a swap
-// invalidates by bump instead of wholesale cache drop. Building into
-// scratch lets warm probes hit the cache without materializing a
-// string.
-func appendCacheKey(buf []byte, epoch uint64, tplKeys []string, factKeys []string) []byte {
-	for _, k := range tplKeys {
-		buf = append(buf, k...)
-		buf = append(buf, 0)
+// generalized returns the term a constant is written as in a decision
+// template: the parameter of the session attribute it equals — the
+// first in names, which callers pass sorted, so ambiguities resolve
+// deterministically — or itself.
+func generalized(names []string, session map[string]sqlvalue.Value, v sqlvalue.Value) cq.Term {
+	for _, n := range names {
+		if sqlvalue.Identical(session[n], v) {
+			return cq.P(n)
+		}
 	}
-	buf = append(buf, '#')
-	buf = append(buf, 0)
-	for _, k := range factKeys {
-		buf = append(buf, k...)
-		buf = append(buf, 0)
-	}
-	buf = append(buf,
-		byte(epoch>>56), byte(epoch>>48), byte(epoch>>40), byte(epoch>>32),
-		byte(epoch>>24), byte(epoch>>16), byte(epoch>>8), byte(epoch))
-	return buf
-}
-
-// constGeneralizer is a no-op Substitute hook (vars and params pass
-// through); constant generalization happens in generalizeConsts.
-func constGeneralizer(map[string]sqlvalue.Value) func(cq.Term) cq.Term {
-	return func(t cq.Term) cq.Term { return t }
+	return cq.C(v)
 }
 
 // generalizeConsts replaces constants equal to a session attribute
-// with that attribute's parameter. Ambiguities resolve to the
-// alphabetically first attribute name, deterministically.
+// with that attribute's parameter (see generalized).
 func generalizeConsts(q *cq.Query, session map[string]sqlvalue.Value) *cq.Query {
 	if len(session) == 0 {
 		return q
@@ -629,12 +582,7 @@ func generalizeConsts(q *cq.Query, session map[string]sqlvalue.Value) *cq.Query 
 		if !t.IsConst() {
 			return t
 		}
-		for _, n := range names {
-			if sqlvalue.Identical(session[n], t.Const) {
-				return cq.P(n)
-			}
-		}
-		return t
+		return generalized(names, session, t.Const)
 	}
 	out := q.Clone()
 	for i, t := range out.Head {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
@@ -114,15 +115,17 @@ func BenchmarkColdDecide(b *testing.B) {
 	b.Run("facts=48", func(b *testing.B) { benchColdDecide(b, 48) })
 }
 
-// Cold allocation budgets: one third of what the same two shapes cost
-// at the commit before the compiled search (779 and 3465 allocs per
-// decide, measured with this file on that commit). What remains is
-// outside the cover search — binding and translating the statement,
-// the canonical template keys, the cached decision, and the block
-// reason.
+// Cold allocation budgets. With statement plans a cold decide copies
+// its templates into pooled arrays and keys its caches from the slot
+// vector, so what still allocates is what outlives the decision: the
+// two cache entries and their key strings, the front-cache entry, the
+// decision's Views and Reason (measured 8 per decide without facts; 18
+// on the blocked decide over 48 facts, most of them the block reason's
+// rendering of the uncovered atom). The commit before plans measured 238
+// and 249 against budgets of 259 and 1155.
 const (
-	budgetColdAllocs      = 779 / 3
-	budgetColdFactsAllocs = 3465 / 3
+	budgetColdAllocs      = 16
+	budgetColdFactsAllocs = 32
 )
 
 func TestColdDecideAllocBudget(t *testing.T) {
@@ -141,5 +144,43 @@ func TestColdDecideAllocBudget(t *testing.T) {
 			t.Errorf("cold decide, %d facts: %d allocs/op exceeds budget %d (%d B/op)",
 				tc.nfacts, got, tc.budget, res.AllocedBytesPerOp())
 		}
+	}
+}
+
+// BenchmarkPlanInstantiate is the per-decision cost statement plans
+// leave of "bind and translate": look the plan up, fill the slot
+// vector, generalize it, instantiate the templates. It fails — not just
+// slows — when that stops being one map probe and zero allocations.
+func BenchmarkPlanInstantiate(b *testing.B) {
+	for _, tc := range []struct{ name, sql string }{
+		{"one-atom", "SELECT Id, A FROM R03 WHERE Owner = ? AND Kind = ? AND Id = ?"},
+		{"two-arm-union", coldDecideSQL},
+		{"three-way-join", "SELECT a.Id, b.A, c.B FROM R01 a JOIN R02 b ON a.A = b.Id JOIN R03 c ON b.A = c.Id " +
+			"WHERE a.Owner = ? AND a.Kind = ? AND b.Kind = ? AND c.Kind = 3 AND a.Id <> ? AND b.A > ? AND c.Id = ?"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c := New(coldDecidePolicy(b))
+			sel := sqlparser.MustParseSelect(tc.sql)
+			args := sqlparser.PositionalArgs(int64(coldDecUID), int64(1), int64(2), int64(coldDecUID), int64(5), int64(6))
+			st := &decideState{c: c, ver: c.activeVersion(), sel: sel, args: args, session: session(coldDecUID)}
+			plan := c.tr.Plan(sel)
+			instantiate := func() {
+				st.plan, st.tpl, st.attrsDone = nil, nil, false
+				if stageBind(context.Background(), st) != pipeline.Continue || len(st.templates()) != plan.Disjuncts() {
+					b.Fatalf("bind: %+v", st.d)
+				}
+				if st.plan != plan || plan.Fallback() {
+					b.Fatal("the statement was planned again, or has no plan")
+				}
+			}
+			if n := testing.AllocsPerRun(100, instantiate); n != 0 {
+				b.Fatalf("instantiation allocates: %v allocs per run", n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				instantiate()
+			}
+		})
 	}
 }

@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/cq"
 	"repro/internal/obsv"
+	"repro/internal/pipeline"
 )
 
 // coverAll runs the coverage check for every disjunct of a decision
@@ -41,7 +42,7 @@ import (
 // search scratch. Callers must check ctx.Err() before caching the
 // result: a cancellation mid-search yields a decision that must not
 // be stored.
-func (c *Checker) coverAll(ctx context.Context, comp *compiledPolicy, tpl []*cq.Query, occs []occCensus, facts []cq.Fact, sc *coverScratch) Decision {
+func (c *Checker) coverAll(ctx context.Context, comp *compiledPolicy, tpl []*cq.Query, occs []cq.Census, facts []cq.Fact, sc *coverScratch) Decision {
 	sc.used = sc.used[:0]
 	for i, q := range tpl {
 		res := c.coverDisjunct(ctx, sc, comp, q, &occs[i], facts)
@@ -68,104 +69,6 @@ func (c *Checker) coverAll(ctx context.Context, comp *compiledPolicy, tpl []*cq.
 type coverResult struct {
 	ok     bool
 	reason string
-}
-
-// varOcc summarizes where a query variable occurs.
-type varOcc struct {
-	name        string
-	natoms      int32 // distinct atoms it occurs in
-	last        int32 // the latest such atom (census bookkeeping)
-	inHead      bool
-	inComps     bool
-	multiInAtom bool // appears twice within one atom
-}
-
-// distinguishing: the variable's value is observable in the query's
-// answer (head, comparison, join), so a covering view must expose it.
-func (o *varOcc) distinguishing() bool {
-	return o.inHead || o.inComps || o.natoms > 1 || o.multiInAtom
-}
-
-// compOnly: a comparison-only variable confined to one atom, for which
-// a view that enforces the comparisons itself is as good as a visible
-// column.
-func (o *varOcc) compOnly() bool {
-	return o.inComps && !o.inHead && o.natoms == 1 && !o.multiInAtom
-}
-
-// occCensus is one disjunct's variable-occurrence census: its atom
-// variables interned to dense ids, and every atom position resolved to
-// its variable's id, so the visibility rules index arrays instead of
-// hashing names.
-type occCensus struct {
-	vars    []varOcc
-	argVar  []int32 // one per atom position, in atom order: variable id or -1
-	atomOff []int32 // atomOff[ai] is atom ai's first position in argVar; len(atoms)+1 entries
-}
-
-// varID returns the id of the atom variable called name, or -1.
-func (oc *occCensus) varID(name string) int32 {
-	for i := range oc.vars {
-		if oc.vars[i].name == name {
-			return int32(i)
-		}
-	}
-	return -1
-}
-
-// build takes the census of q, reusing the census's storage.
-func (oc *occCensus) build(q *cq.Query) {
-	oc.reset()
-	for ai, a := range q.Atoms {
-		oc.atomOff = append(oc.atomOff, int32(len(oc.argVar)))
-		for _, t := range a.Args {
-			if !t.IsVar() {
-				oc.argVar = append(oc.argVar, -1)
-				continue
-			}
-			id := oc.varID(t.Var)
-			if id < 0 {
-				id = int32(len(oc.vars))
-				oc.vars = append(oc.vars, varOcc{name: t.Var, last: -1})
-			}
-			o := &oc.vars[id]
-			if o.last == int32(ai) {
-				o.multiInAtom = true
-			} else {
-				o.natoms++
-				o.last = int32(ai)
-			}
-			oc.argVar = append(oc.argVar, id)
-		}
-	}
-	oc.atomOff = append(oc.atomOff, int32(len(oc.argVar)))
-	// Variables outside every atom never meet a visibility rule.
-	for _, t := range q.Head {
-		if id := oc.termVar(t); id >= 0 {
-			oc.vars[id].inHead = true
-		}
-	}
-	for _, cmp := range q.Comps {
-		if id := oc.termVar(cmp.Left); id >= 0 {
-			oc.vars[id].inComps = true
-		}
-		if id := oc.termVar(cmp.Right); id >= 0 {
-			oc.vars[id].inComps = true
-		}
-	}
-}
-
-func (oc *occCensus) termVar(t cq.Term) int32 {
-	if !t.IsVar() {
-		return -1
-	}
-	return oc.varID(t.Var)
-}
-
-// reset empties the census, dropping its references into the query.
-func (oc *occCensus) reset() {
-	clear(oc.vars)
-	oc.vars, oc.argVar, oc.atomOff = oc.vars[:0], oc.argVar[:0], oc.atomOff[:0]
 }
 
 // resized returns s with length n, reusing its storage when it is large
@@ -196,7 +99,7 @@ type coverScratch struct {
 	// The disjunct under search — read-only while views are matched.
 	comp  *compiledPolicy
 	q     *cq.Query
-	occ   *occCensus
+	occ   *cq.Census
 	facts []cq.Fact
 	// hasEq: the disjunct's comparisons contain an equality, so two
 	// structurally different terms may be entailed equal and term
@@ -312,15 +215,15 @@ func (m *matcher) resetAcc() {
 			m.remaining++
 		}
 	}
-	m.visible = m.visible.sized(len(sc.occ.vars))
-	m.enforced = m.enforced.sized(len(sc.occ.vars))
+	m.visible = m.visible.sized(len(sc.occ.Vars))
+	m.enforced = m.enforced.sized(len(sc.occ.Vars))
 	m.offers = 0
 }
 
 // coverDisjunct decides one conjunctive disjunct against a compiled
 // policy. Cancellation is polled between views and surfaces as a
 // not-ok result the caller must discard after seeing ctx.Err.
-func (c *Checker) coverDisjunct(ctx context.Context, sc *coverScratch, comp *compiledPolicy, q *cq.Query, occ *occCensus, facts []cq.Fact) coverResult {
+func (c *Checker) coverDisjunct(ctx context.Context, sc *coverScratch, comp *compiledPolicy, q *cq.Query, occ *cq.Census, facts []cq.Fact) coverResult {
 	sc.comp, sc.q, sc.occ, sc.facts = comp, q, occ, facts
 	sc.factsReady = false
 	sc.hasEq = false
@@ -359,13 +262,22 @@ func (c *Checker) coverDisjunct(ctx context.Context, sc *coverScratch, comp *com
 		return coverResult{ok: true} // reveals nothing beyond rows already known
 	}
 
+	// Timed like the pipeline's stages: every search of a request that
+	// carries a SpanSet, else one in pipeline.SampleEvery — three clock
+	// reads are a tenth of a small search. The kept/pruned counters are
+	// exact.
+	var spans *obsv.SpanSet
 	timed := c.reg.Enabled()
+	if timed {
+		spans = obsv.SpanSetFrom(ctx)
+		timed = spans != nil || c.coldTick.Add(1)%pipeline.SampleEvery == 1
+	}
 	var t0, t1 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	// Gather: the views the discrimination index lets through (the
-	// reference scan gathers nothing but its materialized target).
+	// Select: the views the discrimination index lets through (the
+	// reference scan selects nothing, it materializes its target).
 	if c.opts.ColdIndex {
 		sc.selectViews()
 		c.mColdKept.Add(int64(len(sc.kept)))
@@ -375,10 +287,10 @@ func (c *Checker) coverDisjunct(ctx context.Context, sc *coverScratch, comp *com
 	}
 	if timed {
 		t1 = time.Now()
-		c.mColdGather.Observe(t1.Sub(t0).Microseconds())
-		obsv.SpanSetFrom(ctx).Record("cover.gather", t1.Sub(t0))
+		c.mColdSelect.Observe(t1.Sub(t0).Microseconds())
+		spans.Record("cover.select", t1.Sub(t0))
 	}
-	// Search: embed them.
+	// Match: run their programs.
 	var canceled bool
 	if c.opts.ColdIndex {
 		canceled = c.runKept(ctx, sc)
@@ -387,8 +299,8 @@ func (c *Checker) coverDisjunct(ctx context.Context, sc *coverScratch, comp *com
 	}
 	if timed {
 		el := time.Since(t1)
-		c.mColdSearch.Observe(el.Microseconds())
-		obsv.SpanSetFrom(ctx).Record("cover.search", el)
+		c.mColdMatch.Observe(el.Microseconds())
+		spans.Record("cover.match", el)
 	}
 	if canceled {
 		return coverResult{reason: "check canceled"}
@@ -766,7 +678,7 @@ func (m *matcher) offer() {
 	m.viewCSOK = false
 	for _, s := range v.head {
 		if t := m.slots[s]; t.IsVar() {
-			if id := sc.occ.varID(t.Var); id >= 0 {
+			if id := sc.occ.VarID(t.Var); id >= 0 {
 				m.visible.set(id)
 			}
 		}
@@ -797,7 +709,7 @@ func (m *matcher) offer() {
 // constrained identically by the view's own body.
 func (m *matcher) atomCoverOK(ap *atomProg, ai int32) bool {
 	occ, q := m.sc.occ, m.sc.q
-	base := occ.atomOff[ai]
+	base := occ.AtomOff[ai]
 	for k, op := range ap.ops {
 		if op.kind == opGround || op.vis {
 			continue // pinned by the view, or filterable and joinable by the caller
@@ -805,18 +717,18 @@ func (m *matcher) atomCoverOK(ap *atomProg, ai int32) bool {
 		// Invisible view position: acceptable for a pure existential
 		// query variable, or for a comparison-only variable whose every
 		// constraint the view itself enforces.
-		id := occ.argVar[base+int32(k)]
+		id := occ.ArgVar[base+int32(k)]
 		if id < 0 {
 			return false
 		}
-		o := &occ.vars[id]
-		if o.inHead || o.natoms > 1 || o.multiInAtom {
+		o := &occ.Vars[id]
+		if o.InHead || o.NAtoms > 1 || o.MultiInAtom {
 			return false
 		}
-		if o.inComps {
+		if o.InComps {
 			for _, qc := range q.Comps {
-				involves := qc.Left.IsVar() && qc.Left.Var == o.name ||
-					qc.Right.IsVar() && qc.Right.Var == o.name
+				involves := qc.Left.IsVar() && qc.Left.Var == o.Name ||
+					qc.Right.IsVar() && qc.Right.Var == o.Name
 				if involves && !m.viewClosure().Implies(qc) {
 					return false
 				}
@@ -851,15 +763,15 @@ func (m *matcher) viewClosure() *cq.Constraints {
 // visible, or be a comparison-only variable the view enforces.
 func (m *matcher) observable(ai int32) bool {
 	occ := m.sc.occ
-	for _, id := range occ.argVar[occ.atomOff[ai]:occ.atomOff[ai+1]] {
+	for _, id := range occ.ArgVar[occ.AtomOff[ai]:occ.AtomOff[ai+1]] {
 		if id < 0 {
 			continue
 		}
-		o := &occ.vars[id]
-		if !o.distinguishing() || m.visible.has(id) {
+		o := &occ.Vars[id]
+		if !o.Distinguishing() || m.visible.has(id) {
 			continue
 		}
-		if o.compOnly() && m.enforced.has(id) {
+		if o.CompOnly() && m.enforced.has(id) {
 			continue
 		}
 		return false

@@ -105,7 +105,8 @@ func (g *coverGen) query(name, prefix string, maxAtoms, pVar int) *cq.Query {
 	return q
 }
 
-func newGenCase(seed int64) genCase {
+// newCoverGen seeds a generator and draws its relations and policy.
+func newCoverGen(seed int64) (*coverGen, genCase) {
 	g := &coverGen{rng: rand.New(rand.NewSource(seed))}
 	for n := 1 + g.rng.Intn(3); n > 0; n-- {
 		g.arity = append(g.arity, 1+g.rng.Intn(3))
@@ -117,6 +118,11 @@ func newGenCase(seed int64) genCase {
 	for n := 1 + g.rng.Intn(2); n > 0; n-- {
 		gc.tpl = append(gc.tpl, g.query("", "y", 3, 50))
 	}
+	return g, gc
+}
+
+func newGenCase(seed int64) genCase {
+	g, gc := newCoverGen(seed)
 	for n := g.rng.Intn(7); n > 0; n-- {
 		// Positive facts are ground rows; a negative fact is a pattern.
 		f := cq.Fact{Atom: g.atom("z", 0)}
@@ -156,9 +162,9 @@ func newGenCheckers(tb testing.TB) genCheckers {
 
 // decideGen runs coverAll for a generated case on the given scratch.
 func decideGen(c *Checker, comp *compiledPolicy, gc genCase, sc *coverScratch) Decision {
-	occs := make([]occCensus, len(gc.tpl))
+	occs := make([]cq.Census, len(gc.tpl))
 	for i, q := range gc.tpl {
-		occs[i].build(q)
+		occs[i].Build(q)
 	}
 	return c.coverAll(context.Background(), comp, gc.tpl, occs, gc.facts, sc)
 }
@@ -181,8 +187,8 @@ func checkGenCase(t *testing.T, cs genCheckers, gc genCase) Decision {
 	}
 
 	for i, q := range gc.tpl {
-		var occ occCensus
-		occ.build(q)
+		var occ cq.Census
+		occ.Build(q)
 		var sc coverScratch
 		before := sc.epoch
 		cs.compiled.coverDisjunct(context.Background(), &sc, comp, q, &occ, gc.facts)

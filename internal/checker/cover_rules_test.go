@@ -258,9 +258,9 @@ func TestCoverCanceledBetweenViews(t *testing.T) {
 	gc := capCase(10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var occ occCensus
-	occ.build(gc.tpl[0])
-	d := cs.compiled.coverAll(ctx, compilePolicy("rules", gc.views), gc.tpl, []occCensus{occ}, gc.facts, &coverScratch{})
+	var occ cq.Census
+	occ.Build(gc.tpl[0])
+	d := cs.compiled.coverAll(ctx, compilePolicy("rules", gc.views), gc.tpl, []cq.Census{occ}, gc.facts, &coverScratch{})
 	if d.Allowed || d.Reason != canceledDecision(ctx).Reason {
 		t.Fatalf("canceled search must block with the canceled verdict: %+v", d)
 	}

@@ -173,12 +173,13 @@ func coverInputs(ctx context.Context, c *Checker, sql string, args sqlparser.Arg
 	if stageBind(ctx, st) != pipeline.Continue || stageFacts(ctx, st) != pipeline.Continue {
 		return nil, nil, false
 	}
-	return st.tpl, st.facts, true
+	return st.templates(), st.facts, true
 }
 
 // TestCoverParityFixtures: over every fixture (calendar, hospital,
-// employees, forum), the compiled search and the ColdIndex=false scan
-// return Decisions byte-identical — the answer, the reason string and
+// employees, forum), the compiled search, the ColdIndex=false scan and
+// the compiled search behind the bind-then-translate oracle return
+// Decisions byte-identical — the answer, the reason string and
 // the covering-view list — to the independent reference procedure
 // (cover_ref_test.go) run on the same template and facts, on three
 // corpora: the 42 labeled E1 queries, each behind its own priming
@@ -192,12 +193,15 @@ func TestCoverParityFixtures(t *testing.T) {
 	for _, f := range apps.All() {
 		db := f.MustNewDB(24)
 		scan, compiled := NewWithOptions(f.Policy(), coldOpts(false)), NewWithOptions(f.Policy(), coldOpts(true))
+		// The same search behind the bind stage that plans replaced: the
+		// statement bound and translated per decision (plan_test.go).
+		oracle := newOracleChecker(f.Policy(), coldOpts(true))
 		views := f.Policy().Disjuncts(nil)
 		decide := func(label, sql string, args sqlparser.Args, sess map[string]sqlvalue.Value, tr *trace.Trace) Decision {
 			t.Helper()
-			var got [2]string
+			var got [3]string
 			var d Decision
-			for i, c := range []*Checker{scan, compiled} {
+			for i, c := range []*Checker{scan, compiled, oracle} {
 				var err error
 				if d, err = c.CheckSQL(ctx, sql, args, sess, tr); err != nil {
 					t.Fatalf("%s/%s: %v", f.Name, label, err)
@@ -209,9 +213,9 @@ func TestCoverParityFixtures(t *testing.T) {
 			if tpl, facts, ok := coverInputs(ctx, compiled, sql, args, sess, tr); ok {
 				want = fmt.Sprintf("%#v", refDecide(views, tpl, facts, compiled.opts.MaxHomsPerView))
 			}
-			if got[0] != want || got[1] != want {
-				t.Fatalf("%s/%s: searches disagree:\nreference: %s\nscan:      %s\ncompiled:  %s",
-					f.Name, label, want, got[0], got[1])
+			if got[0] != want || got[1] != want || got[2] != want {
+				t.Fatalf("%s/%s: searches disagree:\nreference: %s\nscan:      %s\ncompiled:  %s\nbind-then-translate: %s",
+					f.Name, label, want, got[0], got[1], got[2])
 			}
 			total++
 			return d

@@ -122,7 +122,7 @@ func TestMetricsOverheadGuard(t *testing.T) {
 // TestMetricsOverheadGuard: the instrumented cold coverage search
 // (compiled index, caching off so every check runs the full search)
 // must stay within 5% of the no-op-metrics build. The cold path's
-// instrumentation — prune counters, gather/search histograms and span
+// instrumentation — prune counters, select/match histograms and span
 // records — is gated on
 // reg.Enabled(), and this guard fails if any of it ever runs (or
 // allocates) in the disabled build, or grows past noise in the

@@ -6,8 +6,9 @@ package checker
 // stage order is the efficient execution order, which differs from
 // the conceptual order in one place: the front-cache probe runs
 // BEFORE bind, because its key is the raw shared-statement identity
-// plus rendered session/args — a hit skips binding and translation
-// entirely. DESIGN.md §9 documents the stages and their metric names.
+// plus rendered session/args — a hit never looks at the statement's
+// plan. DESIGN.md §9 documents the stages and their metric names,
+// §10.5 the statement plans the bind stage fills.
 //
 // Pipeline invariants the stages maintain:
 //
@@ -21,6 +22,7 @@ package checker
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -56,23 +58,32 @@ type decideState struct {
 	// Views copy and hand out the cache-owned slice read-only.
 	borrow bool
 
-	// Front-cache keying (stage "front").
+	// Front-cache keying (stage "front"): sigBuf holds the rendered
+	// session signature (its first sessLen bytes), a NUL, and the
+	// rendered arguments. Only a front-cache store interns it.
 	useFront bool
-	fkey     frontKey
+	sigBuf   []byte
+	sessLen  int
+	sigDone  bool
 
-	// Interned session signature (front key prefix, gen-memo
-	// namespace). sigDone distinguishes "not computed" from the empty
-	// session's legitimately empty signature.
-	sessSig string
-	sigDone bool
+	// The statement's plan and this call's slot vector (stage "bind"):
+	// raw values, and the term each is written as — the constant, or the
+	// session attribute's parameter it equals. plan is nil for a
+	// statement no plan expresses, whose templates bind-then-translate
+	// built.
+	plan *cq.StmtPlan
+	raw  []sqlvalue.Value
+	gen  []cq.Term
 
-	// Parameter-generic query templates (stage "bind").
-	tpl []*cq.Query
+	// Parameter-generic query templates: instantiated from the plan the
+	// first time a stage has to search (a cache hit never builds them),
+	// or translated by the bind stage for a fallback statement.
+	tpl  []*cq.Query
+	inst cq.Instantiation
 
-	// Per-disjunct variable-occurrence censuses, memoized lazily so
-	// the history-free probe and the cover stage share one
-	// computation per decision (and cache hits never pay it).
-	occ []occCensus
+	// occ holds a fallback statement's per-disjunct censuses, which a
+	// plan precomputes.
+	occ []cq.Census
 
 	// Session-generalized trace facts (stage "facts").
 	facts    []cq.Fact
@@ -87,10 +98,11 @@ type decideState struct {
 
 	// Pooled scratch, reused across decisions (capacity survives the
 	// pool round-trip; contents never do).
-	keyBuf  []byte        // rendered signatures and cache keys
-	names   []string      // sort scratch for session/arg names
-	tplKeys []string      // per-disjunct canonical keys, computed once
-	cover   *coverScratch // the cold cover search's arrays (cover.go); nil until a decision goes cold
+	keyBuf    []byte   // decision-cache keys
+	names     []string // sort scratch for argument names
+	attrs     []string // session attribute names, sorted (attrNames)
+	attrsDone bool
+	cover     *coverScratch // the cold cover search's arrays (cover.go); nil until a decision goes cold
 }
 
 var decidePool = sync.Pool{New: func() any { return new(decideState) }}
@@ -98,25 +110,26 @@ var decidePool = sync.Pool{New: func() any { return new(decideState) }}
 // release zeroes the state and returns it to the pool, keeping only
 // the scratch capacity. Pointerful scratch is cleared element-wise so
 // a pooled idle state never pins a policy snapshot, statement, trace,
-// or fact graph in memory.
+// argument value or fact graph in memory.
 func (st *decideState) release() {
-	clear(st.tpl)
-	for i := range st.occ {
-		st.occ[i].reset()
-	}
+	st.inst.Reset()
+	clear(st.raw)
+	clear(st.gen)
 	clear(st.facts)
 	clear(st.factKeys)
-	clear(st.tplKeys)
 	clear(st.names)
+	clear(st.attrs)
 	if st.cover != nil {
 		st.cover.release()
 	}
 	*st = decideState{
+		sigBuf:   st.sigBuf[:0],
 		keyBuf:   st.keyBuf[:0],
 		names:    st.names[:0],
-		tplKeys:  st.tplKeys[:0],
-		tpl:      st.tpl[:0],
-		occ:      st.occ[:0],
+		attrs:    st.attrs[:0],
+		raw:      st.raw[:0],
+		gen:      st.gen[:0],
+		inst:     st.inst,
 		facts:    st.facts[:0],
 		factKeys: st.factKeys[:0],
 		cover:    st.cover,
@@ -124,20 +137,66 @@ func (st *decideState) release() {
 	decidePool.Put(st)
 }
 
-// sessionSig computes (once) and interns the session signature.
+// attrNames returns the session's attribute names in sorted order,
+// computed once per decision: the order signatures render in, and the
+// order in which a value equal to several attributes picks its
+// parameter.
+func (st *decideState) attrNames() []string {
+	if !st.attrsDone {
+		st.attrsDone = true
+		st.attrs = st.attrs[:0]
+		for n := range st.session {
+			st.attrs = append(st.attrs, n)
+		}
+		if len(st.attrs) > 1 {
+			slices.Sort(st.attrs)
+		}
+	}
+	return st.attrs
+}
+
+// renderSig renders the front-cache signature of the check into sigBuf:
+// session attributes, NUL, arguments.
+func (st *decideState) renderSig() {
+	buf := appendSessionSig(st.sigBuf[:0], st.attrNames(), st.session)
+	st.sessLen = len(buf)
+	buf = append(buf, 0)
+	st.sigBuf, st.names = appendArgsSig(buf, st.names, st.args)
+	st.sigDone = true
+}
+
+// frontProbe renders the check's signature into pooled scratch and looks
+// it up read-only: front keys are interned when stored, so a signature
+// the intern table has never seen cannot match an entry, and a miss
+// writes nothing.
+func (st *decideState) frontProbe() (Decision, bool) {
+	st.renderSig()
+	sig, ok := st.c.internGet(st.sigBuf)
+	if !ok {
+		return Decision{}, false
+	}
+	return st.c.frontGet(frontKey{epoch: st.ver.epoch, sel: st.sel, sig: sig})
+}
+
+// sessionSig interns the session signature: the namespace of the
+// fact-generalization memo.
 func (st *decideState) sessionSig() string {
 	if !st.sigDone {
-		var buf []byte
-		buf, st.names = appendSessionSig(st.keyBuf[:0], st.names, st.session)
-		if len(buf) == 0 {
-			st.sessSig = ""
-		} else {
-			st.sessSig = st.c.intern(buf)
-		}
-		st.keyBuf = buf[:0]
-		st.sigDone = true
+		st.renderSig()
 	}
-	return st.sessSig
+	if st.sessLen == 0 {
+		return ""
+	}
+	return st.c.intern(st.sigBuf[:st.sessLen])
+}
+
+// frontPut stores a trace-independent allow under the check's front
+// key. This is the one place a front signature is materialized: a probe
+// that misses leaves the intern table alone.
+func (st *decideState) frontPut(d Decision) {
+	if st.useFront {
+		st.c.frontPut(frontKey{epoch: st.ver.epoch, sel: st.sel, sig: st.c.intern(st.sigBuf)}, d)
+	}
 }
 
 // newDecidePipeline assembles the decide pipeline over the checker's
@@ -165,30 +224,95 @@ func (st *decideState) coverScratch() *coverScratch {
 	return st.cover
 }
 
-// occs returns the per-disjunct occurrence censuses for the bound
-// templates, computing them on first use. Warm decisions (front,
-// histfree, template hits) never reach a caller of this.
-func (st *decideState) occs() []occCensus {
-	if len(st.occ) != len(st.tpl) {
-		// Censuses past len keep their storage from earlier decisions.
-		st.occ = resized(st.occ, len(st.tpl))
+// templates returns the decision's templates, instantiating the plan
+// on first use. Warm decisions (front, histfree, template hits) never
+// reach a caller of this.
+func (st *decideState) templates() []*cq.Query {
+	if st.tpl == nil && st.plan != nil {
+		st.tpl = st.plan.Instantiate(&st.inst, st.raw, st.gen)
+	}
+	return st.tpl
+}
+
+// occs returns the per-disjunct occurrence censuses: the plan's, or for
+// a fallback statement taken from its templates on first use.
+func (st *decideState) occs() []cq.Census {
+	if st.plan != nil {
+		return st.plan.Census()
+	}
+	if st.occ == nil {
+		st.occ = make([]cq.Census, len(st.tpl))
 		for i, q := range st.tpl {
-			st.occ[i].build(q)
+			st.occ[i].Build(q)
 		}
 	}
 	return st.occ
 }
 
-// tplCanonKeys returns the per-disjunct canonical keys, computed once
-// per decision (the history-free and full template probes share them).
-func (st *decideState) tplCanonKeys() []string {
-	if len(st.tplKeys) != len(st.tpl) {
-		st.tplKeys = st.tplKeys[:0]
+// Decision-cache keys. Layout: the deciding epoch (8 bytes), the
+// template's identity, '#', the sorted generalized fact keys. Every
+// variable-length component is behind its length, so two different
+// component lists never render to the same bytes, and the cache's maps
+// compare whole keys: nothing is looked up by a hash that could collide
+// into somebody else's allow. With no facts the key is the history-free
+// key, by design: a template decided without facts IS its decision for
+// an empty history.
+//
+// A planned statement's template identity is its plan's shape, each
+// slot as written into the template (the session attribute's parameter,
+// or the value), and the outcomes of the plan's ground steps — which is
+// everything Instantiate's result depends on. A fallback statement's is
+// the canonical rendering of its translated templates.
+func (st *decideState) appendCacheKey(buf []byte, factKeys []string) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, st.ver.epoch)
+	if st.plan != nil {
+		buf = append(buf, 'P')
+		buf = binary.BigEndian.AppendUint64(buf, st.plan.Shape)
+		for i, t := range st.gen {
+			if t.IsParam() {
+				buf = appendFramed(buf, "p", t.Param)
+			} else {
+				buf = appendKeyed(buf, st.raw[i])
+			}
+		}
+		buf = st.plan.AppendOutcomes(buf, st.raw)
+	} else {
+		buf = append(buf, 'C')
 		for _, q := range st.tpl {
-			st.tplKeys = append(st.tplKeys, q.CanonicalKey())
+			buf = appendFramed(buf, "", q.CanonicalKey())
 		}
 	}
-	return st.tplKeys
+	buf = append(buf, '#')
+	for _, k := range factKeys {
+		buf = appendFramed(buf, "", k)
+	}
+	return buf
+}
+
+// appendFramed appends prefix+s behind its length (a uvarint).
+func appendFramed(buf []byte, prefix, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(prefix)+len(s)))
+	buf = append(buf, prefix...)
+	return append(buf, s...)
+}
+
+// appendKeyed appends the value's key (sqlvalue.Value.AppendKey) behind
+// its length (a uvarint).
+func appendKeyed(buf []byte, v sqlvalue.Value) []byte {
+	at := len(buf)
+	buf = v.AppendKey(append(buf, 0))
+	n := len(buf) - at - 1
+	if n < 0x80 {
+		buf[at] = byte(n)
+		return buf
+	}
+	// A long text: make room for the rest of the length.
+	var pre [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(pre[:], uint64(n))
+	buf = append(buf, pre[1:k]...)
+	copy(buf[at+k:], buf[at+1:at+1+n])
+	copy(buf[at:], pre[:k])
+	return buf
 }
 
 // decide runs the staged pipeline for one check under the current
@@ -220,8 +344,8 @@ func (c *Checker) decideVersion(ctx context.Context, ver *polVersion, sel *sqlpa
 
 // stageFront probes the statement-identity front cache: an identical
 // concrete check (same shared statement, principal, and arguments)
-// whose decision is known to be trace-independent skips binding,
-// translation, and template rendering entirely.
+// whose decision is known to be trace-independent skips the plan, the
+// slot vector and every template key.
 func stageFront(ctx context.Context, st *decideState) pipeline.Outcome {
 	c := st.c
 	if ctx.Err() != nil {
@@ -232,17 +356,7 @@ func stageFront(ctx context.Context, st *decideState) pipeline.Outcome {
 	if !st.useFront {
 		return pipeline.Continue
 	}
-	// Render session + args signatures into pooled scratch and intern
-	// the result: on a warm key this is byte appends into retained
-	// capacity plus a no-copy map lookup — no allocation.
-	sess := st.sessionSig()
-	buf := append(st.keyBuf[:0], sess...)
-	buf = append(buf, 0)
-	buf, st.names = appendArgsSig(buf, st.names, st.args)
-	sig := c.intern(buf)
-	st.keyBuf = buf[:0]
-	st.fkey = frontKey{epoch: st.ver.epoch, sel: st.sel, sig: sig}
-	if d, ok := c.frontGet(st.fkey); ok {
+	if d, ok := st.frontProbe(); ok {
 		if !st.borrow && len(d.Views) > 0 {
 			// The front cache owns its Views; the safe API hands the
 			// caller a private copy.
@@ -258,15 +372,40 @@ func stageFront(ctx context.Context, st *decideState) pipeline.Outcome {
 	return pipeline.Continue
 }
 
-// stageBind normalizes the query into parameter-generic conjunctive
-// templates: session attributes merge into the named arguments
-// (?MyUId in an application query means the current principal), the
-// statement is bound and translated to unions of conjunctive queries,
-// and constants equal to session attributes are abstracted into
-// parameters (the decision template). Bind or translation failures
-// block conservatively and complete the pipeline.
+// stageBind turns the call into a slot vector for the statement's plan
+// (cq/plan.go): each slot's value — a literal of the statement, a
+// positional argument, a named one, or the session attribute a query
+// names (?MyUId means the current principal unless args.Named says
+// otherwise) — and the term it is written as, which is the session
+// attribute's parameter when the value equals one (the decision
+// template: one cold decision serves every principal). Nothing is
+// translated or copied here; templates() instantiates only if a later
+// stage has to search. A statement without a plan is bound and
+// translated as the plan's compile did it once, and missing arguments
+// block with Bind's own message.
 func stageBind(ctx context.Context, st *decideState) pipeline.Outcome {
-	c := st.c
+	plan := st.c.tr.Plan(st.sel)
+	if plan.Fallback() {
+		return bindTranslate(st)
+	}
+	raw, ok := plan.Resolve(st.raw, st.args, st.session)
+	st.raw = raw
+	if !ok {
+		return bindTranslate(st)
+	}
+	st.plan = plan
+	st.gen = st.gen[:0]
+	for _, v := range raw {
+		st.gen = append(st.gen, generalized(st.attrNames(), st.session, v))
+	}
+	return pipeline.Continue
+}
+
+// bindTranslate is the path plans replaced, kept for the statements a
+// plan cannot express and for the block reason of a call that lacks an
+// argument: bind a copy of the AST, translate it, generalize constants.
+// The plan differential tests use it as their oracle.
+func bindTranslate(st *decideState) pipeline.Outcome {
 	args := st.args
 	if len(st.session) > 0 {
 		merged := make(map[string]sqlvalue.Value, len(args.Named)+len(st.session))
@@ -283,19 +422,14 @@ func stageBind(ctx context.Context, st *decideState) pipeline.Outcome {
 		st.d = Decision{Reason: fmt.Sprintf("bind: %v", err)}
 		return pipeline.Done
 	}
-	ucq, err := c.tr.TranslateSelect(bound.(*sqlparser.SelectStmt))
+	ucq, err := st.c.tr.TranslateSelect(bound.(*sqlparser.SelectStmt))
 	if err != nil {
 		st.d = Decision{Reason: fmt.Sprintf("blocked conservatively: %v", err)}
 		return pipeline.Done
 	}
-
-	generalize := constGeneralizer(st.session)
-	st.tpl = st.tpl[:0]
-	for _, q := range ucq {
-		t := q.Substitute(generalize)
-		// Substitute only rewrites vars/params; constants need the map
-		// form below.
-		st.tpl = append(st.tpl, generalizeConsts(t, st.session))
+	st.tpl = make([]*cq.Query, len(ucq))
+	for i, q := range ucq {
+		st.tpl[i] = generalizeConsts(q, st.session)
 	}
 	return pipeline.Continue
 }
@@ -314,12 +448,10 @@ func stageHistFree(ctx context.Context, st *decideState) pipeline.Outcome {
 	if !(c.opts.UseCache && c.opts.UseHistory && st.tr != nil) {
 		return pipeline.Continue
 	}
-	st.keyBuf = appendCacheKey(st.keyBuf[:0], st.ver.epoch, st.tplCanonKeys(), nil)
+	st.keyBuf = st.appendCacheKey(st.keyBuf[:0], nil)
 	if d, ok := c.cache.GetBytes(st.keyBuf, !st.borrow); ok {
 		if d.Allowed {
-			if st.useFront {
-				c.frontPut(st.fkey, d)
-			}
+			st.frontPut(d)
 			d.FromCache = true
 			d.Tier = TierHistFree
 			st.d = d
@@ -328,16 +460,14 @@ func stageHistFree(ctx context.Context, st *decideState) pipeline.Outcome {
 		}
 		return pipeline.Continue // denial marker: the template needs facts
 	}
-	d := c.coverAll(ctx, st.ver.comp, st.tpl, st.occs(), nil, st.coverScratch())
+	d := c.coverAll(ctx, st.ver.comp, st.templates(), st.occs(), nil, st.coverScratch())
 	if ctx.Err() != nil {
 		st.d = canceledDecision(ctx)
 		return pipeline.Abort
 	}
 	c.cache.Put(string(st.keyBuf), d)
 	if d.Allowed {
-		if st.useFront {
-			c.frontPut(st.fkey, d)
-		}
+		st.frontPut(d)
 		st.d = d
 		return pipeline.Done
 	}
@@ -359,9 +489,9 @@ func stageFacts(ctx context.Context, st *decideState) pipeline.Outcome {
 		// Shared snapshot plus the canonical string of each raw fact,
 		// rendered once at derivation — the memo keys below cost two
 		// map lookups per fact, no rendering.
-		raw, rawKeys = st.tr.FactsKeyed(st.ver.pol.Schema)
+		raw, rawKeys = st.tr.FactsKeyed(c.tr)
 	} else {
-		raw = trace.FactsUncached(st.ver.pol.Schema, st.tr)
+		raw = trace.FactsUncached(c.tr, st.tr)
 	}
 	st.facts = st.facts[:0]
 	st.factKeys = st.factKeys[:0]
@@ -406,7 +536,7 @@ func stageTemplate(ctx context.Context, st *decideState) pipeline.Outcome {
 	// (st.facts carries the facts for the cover stage), so sort it in
 	// place — the key requires a canonical order, not this one.
 	slices.Sort(st.factKeys)
-	st.keyBuf = appendCacheKey(st.keyBuf[:0], st.ver.epoch, st.tplCanonKeys(), st.factKeys)
+	st.keyBuf = st.appendCacheKey(st.keyBuf[:0], st.factKeys)
 	if d, ok := c.cache.GetBytes(st.keyBuf, !st.borrow); ok {
 		d.FromCache = true
 		d.Tier = TierTemplate
@@ -423,7 +553,7 @@ func stageTemplate(ctx context.Context, st *decideState) pipeline.Outcome {
 // stageCover runs the policy-coverage decision procedure — the
 // expensive embedding search — against the facts.
 func stageCover(ctx context.Context, st *decideState) pipeline.Outcome {
-	st.d = st.c.coverAll(ctx, st.ver.comp, st.tpl, st.occs(), st.facts, st.coverScratch())
+	st.d = st.c.coverAll(ctx, st.ver.comp, st.templates(), st.occs(), st.facts, st.coverScratch())
 	if ctx.Err() != nil {
 		st.d = canceledDecision(ctx)
 		return pipeline.Abort

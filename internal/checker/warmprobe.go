@@ -9,14 +9,10 @@ package checker
 // the connection's reader behind binding, translation, or an embedding
 // search.
 //
-// The probe replicates stageFront's key computation exactly (rendered
-// session signature + NUL + rendered args, interned; frontKey over the
-// pinned active epoch and the shared statement pointer) but uses a
-// READ-ONLY intern lookup: front-cache keys are always interned when
-// stored, so a signature absent from the intern table cannot match any
-// front entry — the probe can miss without inserting, which keeps
-// probe misses allocation-free and the intern table free of
-// cold-signature churn.
+// The probe is stageFront's (decideState.frontProbe): the same rendered
+// signature, the same READ-ONLY intern lookup — front keys are interned
+// when stored, so a signature absent from the intern table cannot match
+// any front entry, and a miss inserts nothing.
 
 import (
 	"repro/internal/sqlparser"
@@ -47,20 +43,8 @@ func (c *Checker) CheckWarmBorrowed(sel *sqlparser.SelectStmt, args sqlparser.Ar
 	}
 	ver := c.vers.Load().active
 	st := decidePool.Get().(*decideState)
-	st.c = c
-	st.session = session
-
-	sess := st.sessionSig()
-	buf := append(st.keyBuf[:0], sess...)
-	buf = append(buf, 0)
-	buf, st.names = appendArgsSig(buf, st.names, args)
-	st.keyBuf = buf
-	sig, ok := c.internGet(buf)
-	if !ok {
-		st.release()
-		return Decision{}, false
-	}
-	d, ok := c.frontGet(frontKey{epoch: ver.epoch, sel: sel, sig: sig})
+	st.c, st.ver, st.sel, st.args, st.session = c, ver, sel, args, session
+	d, ok := st.frontProbe()
 	st.release()
 	if !ok {
 		return Decision{}, false

@@ -506,3 +506,26 @@ func TestTranslateUnion(t *testing.T) {
 		t.Fatal("mismatched union arms must error")
 	}
 }
+
+// A contradictory equality must survive translation as a comparison
+// between the two representatives: dropped, `Age = 1 AND Age = 2` would
+// be decided as `Age = 1` (and a view `Id = ?MyUId AND Id = 5` read as
+// `Id = 5` for every principal).
+func TestTranslateKeepsContradictoryEquality(t *testing.T) {
+	s := employeeSchema(t)
+	q := one(t, MustFromSQL(s, "SELECT Id FROM Employees WHERE Age = 1 AND Age = 2"))
+	cs := NewConstraints()
+	cs.AddAll(q.Comps)
+	if len(q.Comps) != 1 || cs.Consistent() {
+		t.Fatalf("contradiction lost: %s", q)
+	}
+	// Agreeing constants leave nothing behind, whatever their spelling.
+	if q := one(t, MustFromSQL(s, "SELECT Id FROM Employees WHERE Age = 1 AND Age = 1.0")); len(q.Comps) != 0 {
+		t.Fatalf("redundant equality kept: %s", q)
+	}
+	// A parameter and a constant stay two terms.
+	v := one(t, MustFromSQL(s, "SELECT Name FROM Employees WHERE Id = ?MyUId AND Id = 5"))
+	if got := v.String(); !strings.Contains(got, "?MyUId") || !strings.Contains(got, "5") || len(v.Comps) != 1 {
+		t.Fatalf("parameter or constant lost: %s", got)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
@@ -19,9 +20,16 @@ var ErrNotCQ = errors.New("query outside the conjunctive fragment")
 const maxBranches = 64
 
 // Translator converts SQL SELECTs to unions of conjunctive queries,
-// resolving columns against a schema.
+// resolving columns against a schema. Translation itself is stateless;
+// a translator that is kept also caches statement plans (plan.go). It
+// is safe for concurrent use and must not be copied after first use.
 type Translator struct {
 	Schema *schema.Schema
+
+	mu        sync.RWMutex
+	plans     map[*sqlparser.SelectStmt]*StmtPlan
+	shapes    map[string]uint64 // rendered templates -> StmtPlan.Shape
+	nextShape uint64
 }
 
 // FromSQL parses the SQL and translates it.
@@ -73,6 +81,9 @@ type translation struct {
 	tr       *Translator
 	branches []*branch
 	fresh    int
+	// slots, when set, makes every literal and parameter in term
+	// position a numbered placeholder (plan.go) instead of itself.
+	slots *slotTable
 }
 
 func (t *translation) notCQ(format string, args ...any) error {
@@ -88,12 +99,16 @@ func (t *translation) freshPrefix() string {
 // additional disjuncts (the natural fit: a union of conjunctive
 // queries).
 func (tr *Translator) TranslateSelect(sel *sqlparser.SelectStmt) (UCQ, error) {
-	out, err := tr.translateOne(sel)
+	return tr.translateSelect(sel, nil)
+}
+
+func (tr *Translator) translateSelect(sel *sqlparser.SelectStmt, slots *slotTable) (UCQ, error) {
+	out, err := tr.translateOne(sel, slots)
 	if err != nil {
 		return nil, err
 	}
 	for _, u := range sel.Union {
-		arm, err := tr.TranslateSelect(u.Select)
+		arm, err := tr.translateSelect(u.Select, slots)
 		if err != nil {
 			return nil, err
 		}
@@ -108,8 +123,8 @@ func (tr *Translator) TranslateSelect(sel *sqlparser.SelectStmt) (UCQ, error) {
 	return out, nil
 }
 
-func (tr *Translator) translateOne(sel *sqlparser.SelectStmt) (UCQ, error) {
-	t := &translation{tr: tr, branches: []*branch{{}}}
+func (tr *Translator) translateOne(sel *sqlparser.SelectStmt, slots *slotTable) (UCQ, error) {
+	t := &translation{tr: tr, branches: []*branch{{}}, slots: slots}
 	frame := &tframe{}
 	if err := t.addFrom(sel, frame); err != nil {
 		return nil, err
@@ -254,8 +269,14 @@ func (t *translation) resolve(frame *tframe, table, column string) (Term, error)
 func (t *translation) termOf(e sqlparser.Expr, frame *tframe) (Term, error) {
 	switch x := e.(type) {
 	case *sqlparser.Literal:
+		if t.slots != nil {
+			return t.slots.literal(x), nil
+		}
 		return C(x.Value), nil
 	case *sqlparser.Param:
+		if t.slots != nil {
+			return t.slots.param(x), nil
+		}
 		if x.Name != "" {
 			return P(x.Name), nil
 		}
@@ -544,7 +565,11 @@ func (t *translation) addHeadItem(q *Query, it sqlparser.SelectItem, frame *tfra
 
 // normalizeEq eliminates Eq comparisons that involve a variable by
 // substituting the variable with the other side (constants and
-// parameters preferred as representatives), in place.
+// parameters preferred as representatives), in place. Two classes that
+// each already have a non-variable representative are NOT merged: the
+// equality between the representatives stays as a comparison, so
+// `Kind = 1 AND Kind = 2` keeps its contradiction (Consistent sees
+// 1 = 2) instead of silently deciding as `Kind = 1`.
 func normalizeEq(q *Query) {
 	// Union-find over terms connected by Eq comparisons.
 	parent := make(map[string]string)
@@ -564,15 +589,6 @@ func normalizeEq(q *Query) {
 		}
 		return parent[k]
 	}
-	rank := func(t Term) int {
-		switch t.Kind {
-		case KindConst:
-			return 2
-		case KindParam:
-			return 1
-		}
-		return 0
-	}
 	var keep []Comparison
 	for _, c := range q.Comps {
 		if c.Op == Eq && (c.Left.IsVar() || c.Right.IsVar()) {
@@ -580,8 +596,12 @@ func normalizeEq(q *Query) {
 			if a == b {
 				continue
 			}
-			// Higher-rank term becomes representative.
-			if rank(terms[b]) > rank(terms[a]) {
+			if !terms[a].IsVar() && !terms[b].IsVar() {
+				keep = append(keep, Comparison{Op: Eq, Left: terms[a], Right: terms[b]}.normalize())
+				continue
+			}
+			// A constant or parameter becomes the representative.
+			if !terms[b].IsVar() {
 				a, b = b, a
 			}
 			parent[b] = a

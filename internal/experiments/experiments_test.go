@@ -41,22 +41,22 @@ func TestRunE2Shapes(t *testing.T) {
 	if pass <= 0 || cold <= 0 || cached <= 0 || front <= 0 {
 		t.Fatalf("missing configs: %v", ns)
 	}
-	// The headline shape: a cached decision is much cheaper than a
-	// cold one (end-to-end rows are dominated by query execution and
-	// too noisy for a strict assertion). Asserted on the front tier,
-	// the hit a repeated proxy decision takes.
+	// The headline shape: a cached decision is cheaper than a cold one,
+	// on every tier (end-to-end rows are dominated by query execution
+	// and too noisy for a strict assertion). "decision only, cached" is
+	// decided without a trace and so is a template-cache hit; the
+	// front-tier row is the hit a repeated proxy decision takes. The
+	// template row was not assertable between the compiled cover search
+	// and statement plans: a hit bound, translated and canonically keyed
+	// the statement, which cost more than this one-atom query's whole
+	// cold decision (EXPERIMENTS.md E2). A hit now fills the plan's slots
+	// and probes.
 	if front >= cold {
 		t.Errorf("front-tier decision (%v) should beat cold (%v)", front, cold)
 	}
-	// No longer asserted: that a template-cache hit ("decision only,
-	// cached", decided without a trace) beats cold. Since the compiled
-	// cover search this one-atom query's cold search takes under a
-	// microsecond, while a template hit still binds, translates and
-	// canonically keys the statement that cold (caching off) never
-	// keys: 4.5-5.1 µs per hit against 3.5-4.2 µs cold on the
-	// reference container (EXPERIMENTS.md E2). The template tier's cost
-	// is a ROADMAP follow-up.
-	t.Logf("template-cache hit %v ns, cold %v ns, front-tier hit %v ns", cached, cold, front)
+	if cached >= cold {
+		t.Errorf("template-cache hit (%v) should beat cold (%v)", cached, cold)
+	}
 }
 
 func TestRunE3HistoryMatters(t *testing.T) {

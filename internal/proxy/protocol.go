@@ -297,14 +297,10 @@ type StatsBody struct {
 	FactCacheHitRate      float64 `json:"factCacheHitRate"`
 
 	// Cold-path effectiveness: candidate policy views the compiled
-	// index searched vs pruned before any embedding search, and the
-	// pool's currently-busy extra workers (all decisions — session
-	// lanes and the batch op alike — dispatch onto the checker's one
-	// pool).
+	// index searched vs pruned before any embedding search.
 	ColdViewsKept   int     `json:"coldViewsKept"`
 	ColdViewsPruned int     `json:"coldViewsPruned"`
 	ColdPruneRatio  float64 `json:"coldPruneRatio"`
-	ColdWorkersBusy int     `json:"coldWorkersBusy"`
 
 	// Latency over the recent-query window, in microseconds.
 	LatencyP50Micros  int64   `json:"latencyP50Micros"`

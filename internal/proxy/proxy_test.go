@@ -210,3 +210,43 @@ func TestStatsOverWire(t *testing.T) {
 		t.Errorf("stats: %+v", st)
 	}
 }
+
+// The contradictory-equality sequence: a probe whose equalities cannot
+// both hold is harmless (it returns nothing), but its empty answer must
+// not be recorded as "no row of R has Kind = 1" — a false negative fact
+// under which the full-row read of Kind = 1 would then "reveal no
+// database content". The read is blocked before the probe and stays
+// blocked after it, with literals and with arguments.
+func TestContradictoryEqualityProbeDoesNotUnlock(t *testing.T) {
+	s, err := schema.NewBuilder().
+		Table("R").
+		NotNullCol("Id", sqlvalue.Int).
+		NotNullCol("Owner", sqlvalue.Int).
+		NotNullCol("Kind", sqlvalue.Int).
+		NotNullCol("A", sqlvalue.Int).
+		PK("Id").Done().
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := engine.New(s)
+	db.MustExec("INSERT INTO R (Id, Owner, Kind, A) VALUES (1, 7, 1, 10), (2, 8, 2, 20)")
+	pol := policy.MustNew(s, map[string]string{"V": "SELECT Id FROM R WHERE Kind = 1"})
+	const read = "SELECT Id, Owner, A FROM R WHERE Kind = 1"
+	for _, probe := range []*Request{
+		{Op: "query", SQL: "SELECT Id FROM R WHERE Kind = 1 AND Kind = 2"},
+		{Op: "query", SQL: "SELECT Id FROM R WHERE Kind = ? AND Kind = ?", Args: []any{1, 2}},
+	} {
+		srv := NewServer(db, checker.New(pol), Enforce)
+		sess := NewSession(map[string]sqlvalue.Value{"MyUId": sqlvalue.NewInt(7)})
+		if resp := srv.HandleIn(&Request{Op: "query", SQL: read}, sess); !resp.Blocked {
+			t.Fatalf("full-row read before the probe: %+v", resp)
+		}
+		if resp := srv.HandleIn(probe, sess); !resp.OK || len(resp.Rows) != 0 {
+			t.Fatalf("probe %q: %+v", probe.SQL, resp)
+		}
+		if resp := srv.HandleIn(&Request{Op: "query", SQL: read}, sess); !resp.Blocked {
+			t.Fatalf("full-row read after probe %q was allowed: %+v", probe.SQL, resp)
+		}
+	}
+}

@@ -1225,7 +1225,6 @@ func (s *Server) StatsSnapshot() *StatsBody {
 
 		ColdViewsKept:   cs.ColdViewsKept,
 		ColdViewsPruned: cs.ColdViewsPruned,
-		ColdWorkersBusy: cs.ColdWorkersBusy,
 
 		TotalConns:    int(s.mConnsTotal.Value()),
 		RejectedConns: int(s.mConnsRejected.Value()),

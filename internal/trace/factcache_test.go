@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cq"
 	"repro/internal/schema"
 )
 
@@ -23,7 +24,7 @@ func TestIncrementalFactsMatchUncached(t *testing.T) {
 			tr.Append(entry(fmt.Sprintf("SELECT 1 FROM Attendance WHERE UId=9 AND EId=%d", i))) // empty: negative fact
 		}
 		got := tr.Facts(s)
-		want := FactsUncached(s, tr)
+		want := FactsUncached(&cq.Translator{Schema: s}, tr)
 		if len(got) != len(want) {
 			t.Fatalf("after %d entries: cached %d facts, uncached %d", i+1, len(got), len(want))
 		}
@@ -166,7 +167,7 @@ func BenchmarkFactsLongTrace(b *testing.B) {
 		tr := mk()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = FactsUncached(s, tr)
+			_ = FactsUncached(&cq.Translator{Schema: s}, tr)
 		}
 	})
 }

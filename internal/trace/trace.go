@@ -232,8 +232,10 @@ func (t *Trace) FactCacheStats() FactCacheStats {
 // The returned slice is freshly allocated on every call; the facts it
 // holds are shared with the cache and must be treated as immutable
 // (callers that rewrite terms must clone, as cq.Fact.Atom.Clone does).
+// The translator is a throwaway: a caller that keeps one (the checker)
+// uses FactsKeyed and shares its statement plans.
 func (t *Trace) Facts(s *schema.Schema) []cq.Fact {
-	facts, _ := t.FactsKeyed(s)
+	facts, _ := t.FactsKeyed(&cq.Translator{Schema: s})
 	return append([]cq.Fact(nil), facts...)
 }
 
@@ -243,8 +245,11 @@ func (t *Trace) Facts(s *schema.Schema) []cq.Fact {
 // immutable snapshots — the cache only ever appends past their length,
 // never rewrites the returned prefix — so the warm decide path can
 // walk a long history with zero per-check allocation. Callers must not
-// mutate either slice or retain them across a schema change.
-func (t *Trace) FactsKeyed(s *schema.Schema) ([]cq.Fact, []string) {
+// mutate either slice or retain them across a schema change. Entries
+// are translated through tr's statement plans, so a statement the
+// caller's translator has already planned is not translated again.
+func (t *Trace) FactsKeyed(tr *cq.Translator) ([]cq.Fact, []string) {
+	s := tr.Schema
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	fc := t.fc
@@ -258,9 +263,9 @@ func (t *Trace) FactsKeyed(s *schema.Schema) ([]cq.Fact, []string) {
 	}
 	t.reused += uint64(fc.upto)
 	if fc.upto < len(t.Entries) {
-		tr := &cq.Translator{Schema: s}
+		d := deriver{tr: tr}
 		for i := fc.upto; i < len(t.Entries); i++ {
-			appendEntryFacts(tr, &t.Entries[i], func(f cq.Fact) {
+			d.entryFacts(&t.Entries[i], func(f cq.Fact) {
 				k := f.String()
 				if !fc.seen[k] {
 					fc.seen[k] = true
@@ -287,15 +292,15 @@ func Facts(s *schema.Schema, t *Trace) []cq.Fact {
 // FactsUncached derives the facts from scratch without touching the
 // trace's cache. It exists for ablation benchmarks and as an oracle in
 // tests; production paths should use (*Trace).Facts.
-func FactsUncached(s *schema.Schema, t *Trace) []cq.Fact {
+func FactsUncached(tr *cq.Translator, t *Trace) []cq.Fact {
 	t.mu.Lock()
 	entries := append([]Entry(nil), t.Entries...)
 	t.mu.Unlock()
 	var out []cq.Fact
 	seen := make(map[string]bool)
-	tr := &cq.Translator{Schema: s}
+	d := deriver{tr: tr}
 	for i := range entries {
-		appendEntryFacts(tr, &entries[i], func(f cq.Fact) {
+		d.entryFacts(&entries[i], func(f cq.Fact) {
 			k := f.String()
 			if !seen[k] {
 				seen[k] = true
@@ -306,26 +311,45 @@ func FactsUncached(s *schema.Schema, t *Trace) []cq.Fact {
 	return out
 }
 
-// appendEntryFacts derives the facts of a single entry and hands each
+// deriver derives facts entry by entry through one translator's
+// statement plans, instantiating into storage it reuses: facts copy the
+// terms they keep.
+type deriver struct {
+	tr  *cq.Translator
+	in  cq.Instantiation
+	raw []sqlvalue.Value
+}
+
+// entryFacts derives the facts of a single entry and hands each
 // to add (which owns deduplication). A positive fact R(c1..cn) is
 // derived from a returned row when the query is a single-disjunct CQ
 // and every argument of an atom is forced: either a constant/bound
 // parameter, or a head variable whose value the row supplies. A
 // negative fact (pattern known to match no rows) is derived from an
 // empty result for a single-atom CQ: no row of R matches the pattern.
-func appendEntryFacts(tr *cq.Translator, e *Entry, add func(cq.Fact)) {
-	bound, err := sqlparser.Bind(e.Stmt, e.Args)
-	if err != nil {
-		return
+func (d *deriver) entryFacts(e *Entry, add func(cq.Fact)) {
+	var q *cq.Query
+	if plan := d.tr.Plan(e.Stmt); plan.Fallback() {
+		// No plan expresses the statement: bind and translate this entry.
+		bound, err := sqlparser.Bind(e.Stmt, e.Args)
+		if err != nil {
+			return
+		}
+		ucq, err := d.tr.TranslateSelect(bound.(*sqlparser.SelectStmt))
+		if err != nil || len(ucq) != 1 {
+			return // outside the fragment, or disjunctive (see below)
+		}
+		q = ucq[0]
+	} else {
+		if plan.Disjuncts() != 1 {
+			return // disjunctive queries don't pin down which branch matched
+		}
+		var ok bool
+		if d.raw, ok = plan.Resolve(d.raw, e.Args, nil); !ok {
+			return
+		}
+		q = plan.Instantiate(&d.in, d.raw, nil)[0]
 	}
-	ucq, err := tr.TranslateSelect(bound.(*sqlparser.SelectStmt))
-	if err != nil {
-		return // outside the fragment: no facts derivable
-	}
-	if len(ucq) != 1 {
-		return // disjunctive queries don't pin down which branch matched
-	}
-	q := ucq[0]
 	if q.AggApprox {
 		// Aggregate answers don't expose row contents; no positive
 		// facts. (A COUNT(*)=0 observation would justify a negative

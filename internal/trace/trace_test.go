@@ -158,3 +158,26 @@ func TestFactsSkipOutOfFragmentQueries(t *testing.T) {
 		t.Fatalf("out-of-fragment queries yield no facts: %v", facts)
 	}
 }
+
+// An empty answer to a query whose equalities contradict each other says
+// nothing about the table: no negative fact.
+func TestNoNegativeFactFromUnsatisfiableQuery(t *testing.T) {
+	s := calSchema(t)
+	tr := &Trace{}
+	tr.Append(entry("SELECT EId FROM Attendance WHERE UId = 1 AND UId = 2"))
+	tr.Append(Entry{
+		Stmt: sqlparser.MustParseSelect("SELECT EId FROM Attendance WHERE UId = ? AND UId = ?"),
+		Args: sqlparser.PositionalArgs(1, 2),
+	})
+	if facts := Facts(s, tr); len(facts) != 0 {
+		t.Fatalf("facts from an unsatisfiable query: %v", facts)
+	}
+	// The same shape with agreeing values is the plain empty probe.
+	tr.Append(Entry{
+		Stmt: sqlparser.MustParseSelect("SELECT EId FROM Attendance WHERE UId = ? AND UId = ?"),
+		Args: sqlparser.PositionalArgs(1, 1),
+	})
+	if facts := Facts(s, tr); len(facts) != 1 || !facts[0].Negated {
+		t.Fatalf("facts: %v", facts)
+	}
+}
