@@ -63,12 +63,16 @@ coldsmoke:
 # allocs/op) and of the cold decide (neither filling the statement plan
 # nor the compiled cover search allocates),
 # then the budget tests that turn those numbers into hard gates — the
-# checker's decide tiers, warm and cold, and the proxy's pooled encode
+# checker's decide tiers, warm and cold, a windowed trace (an append
+# into a full window, and deriving a window of statements that yield no
+# fact, must be exactly 0 allocs/op), and the proxy's pooled encode
 # path end-to-end (front-tier warm probe through wire encode must be
 # exactly 0 allocs/op on the v2 surface).
 allocbudget:
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmDecide|BenchmarkColdDecide' -benchmem -benchtime=100x ./internal/checker
 	$(GO) test -run 'TestWarmDecideAllocBudget|TestColdDecideAllocBudget' -count=1 ./internal/checker
+	$(GO) test -run '^$$' -bench 'BenchmarkTraceAppendWindowed|BenchmarkFactsWindowedScan' -benchmem -benchtime=100x ./internal/trace
+	$(GO) test -run 'TestTraceAllocBudget' -count=1 ./internal/trace
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmEncode' -benchmem -benchtime=100x ./internal/proxy
 	$(GO) test -run 'TestWarmEncodeAllocBudget' -count=1 ./internal/proxy
 
@@ -151,11 +155,14 @@ fmtcheck:
 # byte-identically to the cq.FindHoms reference scan — then statement
 # plans: generated (statement, arguments, session) triples on which
 # filling a plan must give the templates and the decision that binding
-# and translating the statement gives.
+# and translating the statement gives — then fact extractors: generated
+# (statement, arguments, result rows) triples whose trace facts must be
+# the reference derivation's, key for key and in order.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparser
 	$(GO) test -run '^$$' -fuzz=FuzzCoverParity -fuzztime=10s ./internal/checker
 	$(GO) test -run '^$$' -fuzz=FuzzPlanParity -fuzztime=10s ./internal/checker
+	$(GO) test -run '^$$' -fuzz=FuzzFactParity -fuzztime=10s ./internal/checker
 
 # Ten-second fuzz smoke of the WAL record decoder (torn writes, bit
 # flips, truncation must never panic recovery).

@@ -264,32 +264,18 @@ func longTrace(n int) *trace.Trace {
 }
 
 // BenchmarkCheckLongTrace is the enforcement hot path on a long
-// session history (200 entries): "incremental" uses the trace-fact
-// cache and the checker's generalization memo; "naive" re-derives the
-// whole history per check, which is what every check paid before the
-// incremental cache (O(n²) per session).
+// session history (200 entries): the trace derived each entry's facts
+// once, and the checker's generalization memo holds them per session.
 func BenchmarkCheckLongTrace(b *testing.B) {
 	f := apps.Calendar()
 	sel := sqlparser.MustParseSelect("SELECT * FROM Events WHERE EId=2")
 	sess := f.Session(1)
-	for _, cfg := range []struct {
-		name         string
-		useFactCache bool
-	}{
-		{"incremental", true},
-		{"naive", false},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			opts := checker.DefaultOptions()
-			opts.UseFactCache = cfg.useFactCache
-			chk := checker.NewWithOptions(f.Policy(), opts)
-			tr := longTrace(200)
-			chk.Check(context.Background(), sel, sqlparser.NoArgs, sess, tr) // warm caches
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				chk.Check(context.Background(), sel, sqlparser.NoArgs, sess, tr)
-			}
-		})
+	chk := checker.New(f.Policy())
+	tr := longTrace(200)
+	chk.Check(context.Background(), sel, sqlparser.NoArgs, sess, tr) // warm caches
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chk.Check(context.Background(), sel, sqlparser.NoArgs, sess, tr)
 	}
 }
 

@@ -240,11 +240,6 @@ func WithCache(on bool) CheckerOption {
 	return func(o *CheckerOptions) { o.UseCache = on }
 }
 
-// WithFactCache toggles the incremental trace-fact cache.
-func WithFactCache(on bool) CheckerOption {
-	return func(o *CheckerOptions) { o.UseFactCache = on }
-}
-
 // WithMaxHomsPerView bounds the embedding search per view disjunct.
 func WithMaxHomsPerView(n int) CheckerOption {
 	return func(o *CheckerOptions) { o.MaxHomsPerView = n }
@@ -274,7 +269,7 @@ func NewMetrics() *Metrics { return obsv.NewRegistry() }
 func DisabledMetrics() *Metrics { return obsv.Disabled() }
 
 // NewChecker builds a compliance checker. Defaults are history-aware
-// with decision templates and the fact cache on; options override
+// with decision templates on; options override
 // individual knobs:
 //
 //	beyond.NewChecker(p, beyond.WithCacheSize(1<<16), beyond.WithHistory(false))

@@ -15,7 +15,7 @@
 //	acbench -json BENCH_5.json   # machine-readable benchmark document
 //
 // -hotpath measures the per-check cost against growing session
-// histories with the incremental trace-fact cache on and off, and the
+// histories, whose facts the trace derives once per entry, and the
 // throughput of parallel principals hitting the sharded decision
 // cache — the scaling story behind the proxy's production posture.
 //
@@ -107,7 +107,7 @@ func main() {
 	olOps := flag.Int("openloop-ops", 0, "with -openloop/-json: operations per scale (default 10000)")
 	olQPS := flag.Float64("openloop-qps", 0, "with -openloop/-json: offered Poisson arrival rate (default 2000)")
 	jsonOut := flag.String("json", "", "write the benchmark document as JSON to this file")
-	against := flag.String("against", "", "with -json: compare against a previous benchmark document and fail on >10% hotpath regression")
+	against := flag.String("against", "", "with -json: compare against a previous benchmark document and fail on an open-loop tail or cluster knee regression")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -297,10 +297,8 @@ type benchDoc struct {
 }
 
 type hotpathRow struct {
-	History            int     `json:"history"`
-	IncrementalMicros  float64 `json:"incrementalMicros"`
-	NaiveMicros        float64 `json:"naiveMicros"`
-	IncrementalSpeedup float64 `json:"incrementalSpeedup"`
+	History           int     `json:"history"`
+	IncrementalMicros float64 `json:"incrementalMicros"`
 }
 
 type parallelRow struct {
@@ -323,10 +321,9 @@ type overheadRow struct {
 }
 
 // runJSON assembles the full benchmark document and writes it. When
-// against names a previous document, the new hotpath numbers are
-// diffed against it and a >10% speedup regression fails the run
-// (after the new document is written, so the numbers are
-// inspectable).
+// against names a previous document, the new open-loop and cluster
+// numbers are diffed against it and a regression fails the run (after
+// the new document is written, so the numbers are inspectable).
 func runJSON(path, against string, olCfg openloopConfig, satCfg satConfig, clCfg clusterBenchConfig) error {
 	doc := benchDoc{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -441,15 +438,8 @@ func runJSON(path, against string, olCfg openloopConfig, satCfg satConfig, clCfg
 	return nil
 }
 
-// diffAgainst gates on the previous document's pinned hotpath
-// numbers: the incremental-vs-naive speedup — a machine-robust
-// relative metric — summarized as the geometric mean over the history
-// sweep must stay within 10% of the prior run. Per-row ratios are
-// printed for inspection but gated only in aggregate: a single row at
-// the short-history end measures a few milliseconds of work on a
-// shared container, and gating each row individually would flake on
-// any one noisy sample. Pipeline and coldpath rows are informational
-// (they pin NEW capabilities, not prior ones).
+// diffAgainst gates on the previous document's open-loop tails and
+// cluster knees. Hotpath, pipeline and coldpath rows are informational.
 func diffAgainst(doc benchDoc, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -458,31 +448,6 @@ func diffAgainst(doc benchDoc, path string) error {
 	var prev benchDoc
 	if err := json.Unmarshal(raw, &prev); err != nil {
 		return fmt.Errorf("bench diff: %s: %w", path, err)
-	}
-	prevBy := make(map[int]hotpathRow, len(prev.Hotpath))
-	for _, r := range prev.Hotpath {
-		prevBy[r.History] = r
-	}
-	logSum, n := 0.0, 0
-	for _, r := range doc.Hotpath {
-		p, ok := prevBy[r.History]
-		if !ok || p.IncrementalSpeedup <= 0 || r.IncrementalSpeedup <= 0 {
-			continue
-		}
-		ratio := r.IncrementalSpeedup / p.IncrementalSpeedup
-		fmt.Printf("bench diff: history=%d speedup %.2fx -> %.2fx (%.0f%%)\n",
-			r.History, p.IncrementalSpeedup, r.IncrementalSpeedup, ratio*100)
-		logSum += math.Log(ratio)
-		n++
-	}
-	if n == 0 {
-		fmt.Printf("bench diff vs %s: no comparable hotpath rows\n", path)
-	} else {
-		geo := math.Exp(logSum / float64(n))
-		if geo < 0.9 {
-			return fmt.Errorf("bench diff vs %s FAILED: hotpath speedup geomean regressed to %.0f%% of the pinned run (>10%%)", path, geo*100)
-		}
-		fmt.Printf("bench diff vs %s: ok (hotpath speedup geomean %.0f%% of pinned run)\n", path, geo*100)
 	}
 	if err := diffOpenloop(doc, prev, path); err != nil {
 		return err
@@ -524,8 +489,7 @@ func diffCluster(doc, prev benchDoc, path string) error {
 
 // diffOpenloop gates the open-loop tail latencies against the pinned
 // document, scale by scale within each ingress. Wall-clock tails on a
-// shared container are far noisier than the relative hotpath metric,
-// so the gate is a geomean across scales with 2× headroom — it catches
+// shared container are noisy, so the gate is a geomean across scales with 2× headroom — it catches
 // a warm path that broke (tails jump integer multiples when pooling or
 // the lane scheduler regresses), not scheduler jitter. Rows are keyed
 // by (ingress, sessions); a pinned document predating the ingress
@@ -593,33 +557,24 @@ func diffOpenloop(doc, prev benchDoc, path string) error {
 	return nil
 }
 
-// runHotPath measures per-check latencies for long-history sessions
-// with the fact cache on and off.
+// runHotPath measures per-check latencies for long-history sessions.
 func runHotPath() []hotpathRow {
 	f := apps.Calendar()
 	sel := sqlparser.MustParseSelect("SELECT * FROM Events WHERE EId=2")
 	sess := f.Session(1)
 	var rows []hotpathRow
 	for _, n := range []int{25, 50, 100, 200, 400} {
-		tr := mkTrace(n)
-		inc := timeChecks(f, sel, sess, tr, true)
-		naive := timeChecks(f, sel, sess, tr, false)
-		rows = append(rows, hotpathRow{
-			History:            n,
-			IncrementalMicros:  float64(inc.Nanoseconds()) / 1e3,
-			NaiveMicros:        float64(naive.Nanoseconds()) / 1e3,
-			IncrementalSpeedup: float64(naive) / float64(inc),
-		})
+		inc := timeChecks(f, sel, sess, mkTrace(n))
+		rows = append(rows, hotpathRow{History: n, IncrementalMicros: float64(inc.Nanoseconds()) / 1e3})
 	}
 	return rows
 }
 
 func printHotPath() {
 	fmt.Println("Hot path: per-check latency vs session history length")
-	fmt.Printf("%-10s %15s %15s %10s\n", "history", "incremental", "naive", "speedup")
+	fmt.Printf("%-10s %15s\n", "history", "incremental")
 	for _, r := range runHotPath() {
-		fmt.Printf("%-10d %14.1fµs %14.1fµs %9.1fx\n",
-			r.History, r.IncrementalMicros, r.NaiveMicros, r.IncrementalSpeedup)
+		fmt.Printf("%-10d %14.1fµs\n", r.History, r.IncrementalMicros)
 	}
 	fmt.Println()
 	p := runParallel()
@@ -873,15 +828,10 @@ func mkTrace(n int) *trace.Trace {
 // history size (the minimum batch mean is the stablest location
 // statistic on a shared container — a single batch is at the mercy of
 // whatever else the machine is doing during those few milliseconds).
-func timeChecks(f *apps.Fixture, sel *sqlparser.SelectStmt, sess map[string]sqlvalue.Value, tr *trace.Trace, useFactCache bool) time.Duration {
-	opts := checker.DefaultOptions()
-	opts.UseFactCache = useFactCache
-	chk := checker.NewWithOptions(f.Policy(), opts)
+func timeChecks(f *apps.Fixture, sel *sqlparser.SelectStmt, sess map[string]sqlvalue.Value, tr *trace.Trace) time.Duration {
+	chk := checker.New(f.Policy())
 	chk.Check(context.Background(), sel, sqlparser.NoArgs, sess, tr) // warm
-	iters := 50
-	if !useFactCache {
-		iters = 10
-	}
+	const iters = 50
 	best := time.Duration(1 << 62)
 	for trial := 0; trial < 3; trial++ {
 		start := time.Now()

@@ -121,11 +121,6 @@ type Options struct {
 	UseHistory bool
 	// UseCache enables decision templates.
 	UseCache bool
-	// UseFactCache enables the trace's incremental fact cache and the
-	// checker's fact-generalization memo. Disabling it re-derives the
-	// whole history on every check (the pre-optimization behaviour,
-	// kept for ablation benchmarks).
-	UseFactCache bool
 	// MaxHomsPerView bounds the embedding search per view disjunct.
 	MaxHomsPerView int
 	// ColdIndex runs the cold coverage search on the compiled policy
@@ -160,7 +155,7 @@ const internMax = 1 << 15
 
 // DefaultOptions returns the production configuration.
 func DefaultOptions() Options {
-	return Options{UseHistory: true, UseCache: true, UseFactCache: true, MaxHomsPerView: 64, ColdIndex: true}
+	return Options{UseHistory: true, UseCache: true, MaxHomsPerView: 64, ColdIndex: true}
 }
 
 // genEntry is one memoized fact generalization: the rewritten fact
@@ -521,13 +516,8 @@ func appendArgsSig(buf []byte, names []string, args sqlparser.Args) ([]byte, []s
 // map lookups and no allocation. Counting is left to the caller (the
 // facts stage batches one atomic add per check instead of one per
 // fact). Memoized facts are shared; callers must treat their atoms as
-// immutable. The memo is skipped when the fact cache is disabled
-// (ablation mode measures the unmemoized path).
+// immutable.
 func (c *Checker) generalizeFactMemo(f cq.Fact, rawKey string, session map[string]sqlvalue.Value, sig string) (genEntry, bool) {
-	if !c.opts.UseFactCache {
-		g := generalizeFact(f, session)
-		return genEntry{f: g, key: g.String()}, false
-	}
 	c.genMu.RLock()
 	e, ok := c.gen[sig][rawKey]
 	c.genMu.RUnlock()

@@ -203,33 +203,34 @@ func TestFactGeneralizationMemo(t *testing.T) {
 	}
 }
 
-// TestHotPathSemanticsMatchAblation: decisions with the fact cache on
-// and off must agree across a grown history (Example 2.1 included).
+// TestHotPathSemanticsMatchAblation: decisions over the trace's memoized
+// facts must equal decisions over the reference derivation from scratch
+// (facts_ref_test.go) across a grown history — Example 2.1 included, in
+// an unbounded trace and in a window that evicts facts the decisions
+// rest on.
 func TestHotPathSemanticsMatchAblation(t *testing.T) {
 	p := calendarPolicy(t)
-	fast := New(p)
-	slowOpts := DefaultOptions()
-	slowOpts.UseFactCache = false
-	slowOpts.UseCache = false
-	slow := NewWithOptions(p, slowOpts)
-
-	tr := &trace.Trace{}
 	queries := []string{
 		"SELECT * FROM Events WHERE EId=2", // blocked until history covers it
+		"SELECT * FROM Events WHERE EId=7",
 		"SELECT EId FROM Attendance WHERE UId = 1",
 		"SELECT * FROM Attendance",
 	}
-	for i := 0; i < 20; i++ {
-		sql := fmt.Sprintf("SELECT 1 FROM Attendance WHERE UId=1 AND EId=%d", i+2)
-		st := sqlparser.MustParseSelect(sql)
-		tr.Append(trace.Entry{SQL: sql, Stmt: st, Args: sqlparser.NoArgs,
-			Columns: []string{"1"}, Rows: [][]sqlvalue.Value{{sqlvalue.NewInt(1)}}})
-		for _, q := range queries {
-			df := mustCheck(t, fast, q, session(1), tr)
-			ds := mustCheck(t, slow, q, session(1), tr)
-			if df.Allowed != ds.Allowed {
-				t.Fatalf("iteration %d, %q: cached=%v ablation=%v (%s / %s)",
-					i, q, df.Allowed, ds.Allowed, df.Reason, ds.Reason)
+	for _, window := range []int{0, 4} {
+		fast, ref := New(p), newRefFactsChecker(p, DefaultOptions())
+		tr := &trace.Trace{}
+		tr.SetWindow(window)
+		for i := 0; i < 20; i++ {
+			sql := fmt.Sprintf("SELECT 1 FROM Attendance WHERE UId=1 AND EId=%d", i%8+2)
+			st := sqlparser.MustParseSelect(sql)
+			tr.Append(trace.Entry{SQL: sql, Stmt: st, Args: sqlparser.NoArgs,
+				Columns: []string{"1"}, Rows: [][]sqlvalue.Value{{sqlvalue.NewInt(1)}}})
+			for _, q := range queries {
+				df := mustCheck(t, fast, q, session(1), tr)
+				dr := mustCheck(t, ref, q, session(1), tr)
+				if df.Allowed != dr.Allowed || df.Reason != dr.Reason || fmt.Sprint(df.Views) != fmt.Sprint(dr.Views) {
+					t.Fatalf("window %d, iteration %d, %q:\nmemoized:  %+v\nreference: %+v", window, i, q, df, dr)
+				}
 			}
 		}
 	}

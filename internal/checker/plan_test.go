@@ -349,7 +349,11 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 					t.Fatal(err)
 				}
 				var in cq.Instantiation
-				if got, want := tplStrings(pst.plan.Instantiate(&in, pst.raw, nil)), tplStrings(ucq); got != want {
+				consts := make([]cq.Term, len(pst.raw))
+				for i, v := range pst.raw {
+					consts[i] = cq.C(v)
+				}
+				if got, want := tplStrings(pst.plan.Instantiate(&in, pst.raw, consts)), tplStrings(ucq); got != want {
 					fail("ungeneralized templates", args, sess, got, want)
 				}
 				for _, term := range pst.gen {

@@ -483,16 +483,10 @@ func stageFacts(ctx context.Context, st *decideState) pipeline.Outcome {
 		return pipeline.Continue
 	}
 	sig := st.sessionSig()
-	var raw []cq.Fact
-	var rawKeys []string
-	if c.opts.UseFactCache {
-		// Shared snapshot plus the canonical string of each raw fact,
-		// rendered once at derivation — the memo keys below cost two
-		// map lookups per fact, no rendering.
-		raw, rawKeys = st.tr.FactsKeyed(c.tr)
-	} else {
-		raw = trace.FactsUncached(c.tr, st.tr)
-	}
+	// Shared snapshot plus the canonical string of each raw fact,
+	// rendered once at derivation — the memo keys below cost two map
+	// lookups per fact, no rendering.
+	raw, rawKeys := st.tr.FactsKeyed(c.tr)
 	st.facts = st.facts[:0]
 	st.factKeys = st.factKeys[:0]
 	var hits, misses int64
@@ -501,14 +495,10 @@ func stageFacts(ctx context.Context, st *decideState) pipeline.Outcome {
 			st.d = canceledDecision(ctx)
 			return pipeline.Abort
 		}
-		var rk string
-		if rawKeys != nil {
-			rk = rawKeys[i]
-		}
-		g, hit := c.generalizeFactMemo(f, rk, st.session, sig)
+		g, hit := c.generalizeFactMemo(f, rawKeys[i], st.session, sig)
 		if hit {
 			hits++
-		} else if c.opts.UseFactCache {
+		} else {
 			misses++
 		}
 		st.facts = append(st.facts, g.f)

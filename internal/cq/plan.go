@@ -7,8 +7,9 @@ package cq
 // translator ONCE on the parameter-form statement with every value site
 // — `?`, `?name` and literals alike — replaced by a numbered slot, and
 // keeps what came out: per-disjunct templates, where their slots sit,
-// and each disjunct's variable census. A decision then copies the term
-// arrays and patches the slot sites (Instantiate).
+// each disjunct's variable census, and which trace facts an answer can
+// yield (facts.go). A decision then copies the term arrays and patches
+// the slot sites (Instantiate).
 //
 // The value-dependent steps, all of them in normalizeEq, all redone per
 // instantiation (instComps):
@@ -129,6 +130,7 @@ type StmtPlan struct {
 
 	disj   []planDisjunct // nil: fallback
 	census []Census       // parallel to disj
+	facts  *FactExtractor // nil: no answer yields a fact (facts.go)
 	// Arena sizes of one instantiation.
 	nTerms, nAtoms, nComps int
 }
@@ -260,6 +262,9 @@ func (tr *Translator) compilePlan(sel *sqlparser.SelectStmt) (*StmtPlan, string)
 		}
 		shape.WriteByte('\n')
 	}
+	if len(ucq) == 1 {
+		p.facts = compileFacts(ucq[0], limited(sel))
+	}
 	return p, shape.String()
 }
 
@@ -363,9 +368,9 @@ func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 // Instantiate builds the plan's templates for one slot vector into in:
 // raw are the values (Resolve), terms what to write at each slot's
 // sites — the constant itself, or the parameter a caller generalizes it
-// to; nil writes every value as a constant. The result is what
-// TranslateSelect returns for the bound statement, with terms[i] in
-// place of raw[i]. It lives in in, valid until in is Reset or reused.
+// to. The result is what TranslateSelect returns for the bound
+// statement, with terms[i] in place of raw[i]. It lives in in, valid
+// until in is Reset or reused.
 func (p *StmtPlan) Instantiate(in *Instantiation, raw []sqlvalue.Value, terms []Term) []*Query {
 	in.ptrs = sized(in.ptrs, len(p.disj))
 	in.qs = sized(in.qs, len(p.disj))
@@ -380,7 +385,7 @@ func (p *StmtPlan) Instantiate(in *Instantiation, raw []sqlvalue.Value, terms []
 		arena = arena[n:]
 		copy(flat, d.flat)
 		for _, s := range d.sites {
-			flat[s.at] = written(raw, terms, s.slot)
+			flat[s.at] = terms[s.slot]
 		}
 		nh := len(d.tmpl.Head)
 		q := &in.qs[i]
@@ -402,14 +407,6 @@ func (p *StmtPlan) Instantiate(in *Instantiation, raw []sqlvalue.Value, terms []
 	return in.ptrs
 }
 
-// written is the term an instantiation writes at a slot's sites.
-func written(raw []sqlvalue.Value, terms []Term, slot int32) Term {
-	if terms == nil {
-		return C(raw[slot])
-	}
-	return terms[slot]
-}
-
 // instComps redoes normalizeEq's value-dependent steps for one
 // disjunct's comparisons (see the file comment).
 func instComps(in *Instantiation, d *planDisjunct, raw []sqlvalue.Value, terms []Term) []Comparison {
@@ -427,10 +424,10 @@ next:
 			}
 		}
 		if l >= 0 {
-			c.Left = written(raw, terms, l)
+			c.Left = terms[l]
 		}
 		if r >= 0 {
-			c.Right = written(raw, terms, r)
+			c.Right = terms[r]
 		}
 		for _, e := range in.comps[start:] {
 			if e.Op == c.Op && e.Left.Equal(c.Left) && e.Right.Equal(c.Right) {

@@ -390,7 +390,8 @@ func TestManagerReopenRestoresSessions(t *testing.T) {
 	if restored != 5 {
 		t.Fatalf("restored = %d, want 5", restored)
 	}
-	entriesEqual(t, tr2.Entries, want)
+	got, _ := tr2.SnapshotState()
+	entriesEqual(t, got, want)
 	if tr2.NextIndex() != 5 {
 		t.Fatalf("NextIndex = %d, want 5", tr2.NextIndex())
 	}
@@ -414,7 +415,8 @@ func TestManagerReopenRestoresSessions(t *testing.T) {
 	if restored != 6 {
 		t.Fatalf("second restore = %d, want 6", restored)
 	}
-	entriesEqual(t, tr3.Entries, want)
+	got, _ = tr3.SnapshotState()
+	entriesEqual(t, got, want)
 }
 
 func TestHistoryWindowAcrossRestart(t *testing.T) {
@@ -455,8 +457,8 @@ func TestHistoryWindowAcrossRestart(t *testing.T) {
 	if tr2.NextIndex() != 10 {
 		t.Fatalf("NextIndex = %d, want 10 (absolute indices survive the window)", tr2.NextIndex())
 	}
-	got := tr2.Entries[len(tr2.Entries)-1].Args.Positional[0].Int()
-	if got != 9 {
+	entries, _ := tr2.SnapshotState()
+	if got := entries[len(entries)-1].Args.Positional[0].Int(); got != 9 {
 		t.Fatalf("last restored entry arg = %d, want 9", got)
 	}
 }

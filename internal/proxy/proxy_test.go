@@ -216,7 +216,8 @@ func TestStatsOverWire(t *testing.T) {
 // not be recorded as "no row of R has Kind = 1" — a false negative fact
 // under which the full-row read of Kind = 1 would then "reveal no
 // database content". The read is blocked before the probe and stays
-// blocked after it, with literals and with arguments.
+// blocked after it, with literals and with arguments. The same holds for
+// an empty answer that LIMIT or OFFSET cut short.
 func TestContradictoryEqualityProbeDoesNotUnlock(t *testing.T) {
 	s, err := schema.NewBuilder().
 		Table("R").
@@ -236,6 +237,11 @@ func TestContradictoryEqualityProbeDoesNotUnlock(t *testing.T) {
 	for _, probe := range []*Request{
 		{Op: "query", SQL: "SELECT Id FROM R WHERE Kind = 1 AND Kind = 2"},
 		{Op: "query", SQL: "SELECT Id FROM R WHERE Kind = ? AND Kind = ?", Args: []any{1, 2}},
+		// A probe the policy allows, whose answer LIMIT or OFFSET cuts to
+		// nothing: it shows no row, and proves none absent.
+		{Op: "query", SQL: "SELECT Id FROM R WHERE Kind = 1 LIMIT 0"},
+		{Op: "query", SQL: "SELECT Id FROM R WHERE Kind = 1 LIMIT 5 OFFSET 100"},
+		{Op: "query", SQL: "SELECT Id FROM R WHERE Kind = 1 LIMIT ?", Args: []any{0}},
 	} {
 		srv := NewServer(db, checker.New(pol), Enforce)
 		sess := NewSession(map[string]sqlvalue.Value{"MyUId": sqlvalue.NewInt(7)})

@@ -9,6 +9,32 @@ import (
 	"repro/internal/schema"
 )
 
+// fromScratch derives the facts of tr's current entries in a fresh
+// trace, which carries no memo over.
+func fromScratch(tr *Trace, s *schema.Schema) ([]cq.Fact, []string) {
+	entries, _ := tr.SnapshotState()
+	fresh := &Trace{}
+	fresh.Restore(entries, 0)
+	return fresh.FactsKeyed(&cq.Translator{Schema: s})
+}
+
+// sameFacts fails unless two derivations list the same facts under the
+// same keys in the same order, each key its fact's rendering.
+func sameFacts(t testing.TB, what string, gotF []cq.Fact, gotK []string, wantF []cq.Fact, wantK []string) {
+	t.Helper()
+	if len(gotF) != len(gotK) {
+		t.Fatalf("%s: %d facts, %d keys", what, len(gotF), len(gotK))
+	}
+	if fmt.Sprint(gotK) != fmt.Sprint(wantK) || fmt.Sprint(gotF) != fmt.Sprint(wantF) {
+		t.Fatalf("%s:\ngot  %q\nwant %q", what, gotK, wantK)
+	}
+	for i, f := range gotF {
+		if f.String() != gotK[i] {
+			t.Fatalf("%s: key %q for fact %v", what, gotK[i], f)
+		}
+	}
+}
+
 // TestIncrementalFactsMatchUncached grows a trace entry by entry and
 // checks that the cached derivation always equals a from-scratch one.
 func TestIncrementalFactsMatchUncached(t *testing.T) {
@@ -23,16 +49,9 @@ func TestIncrementalFactsMatchUncached(t *testing.T) {
 		default:
 			tr.Append(entry(fmt.Sprintf("SELECT 1 FROM Attendance WHERE UId=9 AND EId=%d", i))) // empty: negative fact
 		}
-		got := tr.Facts(s)
-		want := FactsUncached(&cq.Translator{Schema: s}, tr)
-		if len(got) != len(want) {
-			t.Fatalf("after %d entries: cached %d facts, uncached %d", i+1, len(got), len(want))
-		}
-		for j := range got {
-			if got[j].String() != want[j].String() || got[j].Negated != want[j].Negated {
-				t.Fatalf("after %d entries, fact %d: cached %v, uncached %v", i+1, j, got[j], want[j])
-			}
-		}
+		got, gotKeys := tr.FactsKeyed(&cq.Translator{Schema: s})
+		want, wantKeys := fromScratch(tr, s)
+		sameFacts(t, fmt.Sprintf("after %d entries", i+1), got, gotKeys, want, wantKeys)
 	}
 }
 
@@ -122,6 +141,56 @@ func TestConcurrentFactsAndAppend(t *testing.T) {
 	}
 }
 
+// TestConcurrentFactsAndAppendWindowed is the same hammering on a
+// windowed trace, so eviction runs between derivations; readers check
+// that no snapshot changes under them. Run under -race.
+func TestConcurrentFactsAndAppendWindowed(t *testing.T) {
+	s := calSchema(t)
+	tr := &Trace{}
+	tr.SetWindow(8)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				// EIds repeat across appenders: facts both evicted and
+				// still held by a survivor.
+				tr.Append(entry(fmt.Sprintf("SELECT 1 FROM Attendance WHERE UId=%d AND EId=%d", g%2, i%6), iv(1)))
+			}
+		}(g)
+		go func() {
+			defer wg.Done()
+			ct := &cq.Translator{Schema: s}
+			var held []cq.Fact
+			var heldKeys, was []string
+			for i := 0; i < 50; i++ {
+				facts, keys := tr.FactsKeyed(ct)
+				for j, f := range facts {
+					if f.String() != keys[j] {
+						t.Errorf("key %q for fact %v", keys[j], f)
+						return
+					}
+				}
+				for j, f := range held {
+					if f.String() != was[j] || heldKeys[j] != was[j] {
+						t.Errorf("an earlier snapshot changed: %v / %q, was %q", f, heldKeys[j], was[j])
+						return
+					}
+				}
+				held, heldKeys, was = facts, keys, append(was[:0], keys...)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := tr.Len(); n != 8 {
+		t.Fatalf("window holds %d entries, want 8", n)
+	}
+	got, gotKeys := tr.FactsKeyed(&cq.Translator{Schema: s})
+	want, wantKeys := fromScratch(tr, s)
+	sameFacts(t, "after the appends", got, gotKeys, want, wantKeys)
+}
+
 // TestCloneRebuildsLazily: a clone starts with an empty cache but
 // derives identical facts.
 func TestCloneRebuildsLazily(t *testing.T) {
@@ -144,8 +213,8 @@ func benchSchema(b *testing.B) *schema.Schema {
 	return calSchema(b)
 }
 
-// BenchmarkFactsLongTrace compares cached vs uncached derivation on a
-// 200-entry history — the trace-side half of the O(n²) fix.
+// BenchmarkFactsLongTrace compares cached vs from-scratch derivation on
+// a 200-entry history — the trace-side half of the O(n²) fix.
 func BenchmarkFactsLongTrace(b *testing.B) {
 	s := benchSchema(b)
 	mk := func() *Trace {
@@ -163,11 +232,11 @@ func BenchmarkFactsLongTrace(b *testing.B) {
 			_ = tr.Facts(s)
 		}
 	})
-	b.Run("uncached", func(b *testing.B) {
+	b.Run("from-scratch", func(b *testing.B) {
 		tr := mk()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = FactsUncached(&cq.Translator{Schema: s}, tr)
+			_, _ = fromScratch(tr, s)
 		}
 	})
 }

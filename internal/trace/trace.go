@@ -5,12 +5,14 @@
 // what lets the checker allow queries that would be non-compliant in
 // isolation (the paper's Example 2.1).
 //
-// Fact derivation is incremental: a Trace memoizes the facts derived
-// from each appended entry, so a session of n queries costs n entry
-// translations in total rather than n per check (which made the
-// enforcement hot path O(n²)). Entries are immutable once appended,
-// so the cache never needs per-entry invalidation — only extension
-// for newly appended entries, or a rebuild if the schema changes.
+// Fact derivation is lazy, incremental and memoized per entry: the first
+// decision that needs facts derives every entry not derived yet, once,
+// through its statement plan's fact extractor (cq.FactExtractor), and
+// the trace remembers which facts each entry yielded. A session of n
+// queries so costs n derivations in total, not n per check. Evicting an
+// entry from a bounded window drops exactly its facts: the session's
+// fact list is re-assembled from the survivors' memos, and no entry is
+// derived twice in its life. Only a schema change starts over.
 package trace
 
 import (
@@ -47,39 +49,49 @@ type Entry struct {
 // evictions and restores, so replay can always tell a duplicate from
 // new history.
 type Trace struct {
-	Entries []Entry
-
 	mu sync.Mutex
-	fc *factCache
-	// window bounds len(Entries); 0 means unlimited.
+	// entries holds the history, oldest first. Eviction shifts the
+	// survivors down in place, so a full window appends without
+	// allocating.
+	entries []Entry
+	fc      *factCache
+	// window bounds len(entries); 0 means unlimited.
 	window int
 	// evicted counts entries dropped from the front over the trace's
-	// lifetime (including a restore base): Entries[i] has absolute
-	// index evicted+i.
+	// lifetime (including a restore base): entries[i] has absolute index
+	// evicted+i.
 	evicted uint64
 	// hook, when set, observes every Append with the entry's absolute
 	// index (see SetHook).
 	hook func(idx uint64, e *Entry)
 	// Cache counters: entries whose derivation was reused vs freshly
-	// translated (see FactCacheStats).
+	// derived (see FactCacheStats).
 	reused, translated uint64
 }
 
-// factCache holds incrementally derived facts for one schema. keys
-// holds each fact's canonical string, rendered exactly once at
-// derivation time (it is needed for dedup anyway) so checkers can key
-// their memos off it without re-rendering per check.
+// factCache is the trace's derivation for one schema. The first
+// len(ends) entries of the window are derived, and their facts are
+// memoized as positions in the session's fact list: entry i yields the
+// facts at occ[ends[i-1]:ends[i]], in derivation order. facts/keys is
+// that list — each fact of a derived entry at its first occurrence in
+// window order, as a derivation from scratch over the window lists them,
+// with its canonical string rendered once, at derivation. Deriving an
+// entry appends to the list; evicting a derived entry that had facts
+// marks it stale, and it is re-assembled from the memo before its next
+// use.
 type factCache struct {
 	schema *schema.Schema
-	upto   int // entries processed so far
-	seen   map[string]bool
+	occ    []int32
+	ends   []int32
 	facts  []cq.Fact
 	keys   []string
+	listed map[string]int32 // position in the list by key
+	stale  bool
 }
 
 // FactCacheStats reports the incremental fact cache's effectiveness:
 // Reused counts entries whose derived facts were served from cache,
-// Translated counts entries that had to be parsed/bound/translated.
+// Translated counts entries that had to be derived.
 type FactCacheStats struct {
 	Reused     uint64
 	Translated uint64
@@ -96,36 +108,45 @@ type FactCacheStats struct {
 func (t *Trace) Append(e Entry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.Entries = append(t.Entries, e)
-	idx := t.evicted + uint64(len(t.Entries)) - 1
-	t.evictLocked()
+	if n := len(t.entries); t.window > 0 && n >= t.window {
+		t.evictLocked(n - t.window + 1)
+	} else if t.window > 0 && n == cap(t.entries) {
+		// Grow by doubling, but never past the window.
+		grown := make([]Entry, n, min(t.window, max(4, 2*n)))
+		copy(grown, t.entries)
+		t.entries = grown
+	}
+	t.entries = append(t.entries, e)
 	if t.hook != nil {
-		t.hook(idx, &e)
+		n := len(t.entries) - 1
+		t.hook(t.evicted+uint64(n), &t.entries[n])
 	}
 }
 
-// evictLocked enforces the window bound. Evicting from the front
-// invalidates the incremental fact cache (its prefix changed), so the
-// facts of the surviving window are re-derived on next use.
-func (t *Trace) evictLocked() {
-	if t.window <= 0 || len(t.Entries) <= t.window {
-		return
+// evictLocked drops the n oldest entries, and their facts with them.
+// Nothing is derived again: the survivors move down in place, and when
+// a dropped entry had facts the fact list is re-assembled from the
+// survivors' before its next use.
+func (t *Trace) evictLocked(n int) {
+	if fc := t.fc; fc != nil {
+		fc.forget(n)
 	}
-	drop := len(t.Entries) - t.window
-	t.Entries = append([]Entry(nil), t.Entries[drop:]...)
-	t.evicted += uint64(drop)
-	t.fc = nil
+	k := copy(t.entries, t.entries[n:])
+	clear(t.entries[k:])
+	t.entries = t.entries[:k]
+	t.evicted += uint64(n)
 }
 
 // SetWindow bounds the trace to at most n entries (0 restores
-// unlimited), evicting the oldest immediately if already over. A
-// windowed trace pays a full window re-derivation of facts per
-// eviction; it is meant for long-lived bounded sessions, not the
-// unbounded hot path.
+// unlimited), evicting the oldest immediately if already over. Eviction
+// re-derives nothing: it drops the evicted entries' facts, and the
+// session's fact list is re-assembled from the survivors' on next use.
 func (t *Trace) SetWindow(n int) {
 	t.mu.Lock()
 	t.window = n
-	t.evictLocked()
+	if n > 0 && len(t.entries) > n {
+		t.evictLocked(len(t.entries) - n)
+	}
 	t.mu.Unlock()
 }
 
@@ -148,7 +169,7 @@ func (t *Trace) Evicted() uint64 {
 // WAL uses it to log every recorded entry; the hook runs under the
 // trace lock and may block (e.g. waiting on group commit), which
 // backpressures that trace only. The hook must not call back into the
-// trace.
+// trace, nor keep the entry's address past its return.
 func (t *Trace) SetHook(fn func(idx uint64, e *Entry)) {
 	t.mu.Lock()
 	t.hook = fn
@@ -163,19 +184,22 @@ func (t *Trace) SetHook(fn func(idx uint64, e *Entry)) {
 // durable.
 func (t *Trace) Restore(entries []Entry, base uint64) {
 	t.mu.Lock()
-	t.Entries = append([]Entry(nil), entries...)
+	if t.window > 0 && len(entries) > t.window {
+		drop := len(entries) - t.window
+		entries, base = entries[drop:], base+uint64(drop)
+	}
+	t.entries = append([]Entry(nil), entries...)
 	t.evicted = base
 	t.fc = nil
-	t.evictLocked()
 	t.mu.Unlock()
 }
 
 // SnapshotState copies the current entries and their base offset (the
-// absolute index of Entries[0]) — what a checkpoint serializes.
+// absolute index of the first) — what a checkpoint serializes.
 func (t *Trace) SnapshotState() ([]Entry, uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Entry(nil), t.Entries...), t.evicted
+	return append([]Entry(nil), t.entries...), t.evicted
 }
 
 // NextIndex returns the absolute index the next appended entry will
@@ -183,14 +207,14 @@ func (t *Trace) SnapshotState() ([]Entry, uint64) {
 func (t *Trace) NextIndex() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.evicted + uint64(len(t.Entries))
+	return t.evicted + uint64(len(t.entries))
 }
 
 // Len returns the number of entries.
 func (t *Trace) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.Entries)
+	return len(t.entries)
 }
 
 // Clone copies the trace (entries are immutable once appended, so a
@@ -202,7 +226,7 @@ func (t *Trace) Clone() *Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return &Trace{
-		Entries: append([]Entry(nil), t.Entries...),
+		entries: append([]Entry(nil), t.entries...),
 		window:  t.window,
 		evicted: t.evicted,
 	}
@@ -213,7 +237,7 @@ func (t *Trace) String() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var b strings.Builder
-	for i, e := range t.Entries {
+	for i, e := range t.entries {
 		fmt.Fprintf(&b, "[%d] %s -> %d row(s)\n", i+1, e.SQL, len(e.Rows))
 	}
 	return b.String()
@@ -227,8 +251,8 @@ func (t *Trace) FactCacheStats() FactCacheStats {
 }
 
 // Facts derives ground facts from the trace, incrementally: entries
-// already processed for this schema are served from the per-trace
-// cache, and only entries appended since the last call are translated.
+// already derived for this schema are served from the per-trace memo,
+// and only entries appended since the last call are derived.
 // The returned slice is freshly allocated on every call; the facts it
 // holds are shared with the cache and must be treated as immutable
 // (callers that rewrite terms must clone, as cq.Fact.Atom.Clone does).
@@ -242,45 +266,99 @@ func (t *Trace) Facts(s *schema.Schema) []cq.Fact {
 // FactsKeyed is Facts without the defensive copy: it returns the
 // cache's own fact slice alongside each fact's canonical string
 // (rendered once at derivation, not per call). Both slices are shared,
-// immutable snapshots — the cache only ever appends past their length,
-// never rewrites the returned prefix — so the warm decide path can
-// walk a long history with zero per-check allocation. Callers must not
-// mutate either slice or retain them across a schema change. Entries
-// are translated through tr's statement plans, so a statement the
-// caller's translator has already planned is not translated again.
+// immutable snapshots — the cache only ever appends past their length
+// or re-assembles into new arrays, never rewrites a returned one — so
+// the warm decide path can walk a long history with zero per-check
+// allocation. Callers must not mutate either slice or retain them
+// across a schema change. Entries are derived through tr's statement
+// plans, so a statement the caller's translator has already planned is
+// not translated again.
 func (t *Trace) FactsKeyed(tr *cq.Translator) ([]cq.Fact, []string) {
-	s := tr.Schema
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	fc := t.fc
-	// (Re)build from scratch when the cache is missing, was built for
-	// a different schema, or the trace shrank (cannot happen through
-	// Append, but a caller rebinding Entries directly gets correctness
-	// over speed).
-	if fc == nil || fc.schema != s || fc.upto > len(t.Entries) {
-		fc = &factCache{schema: s, seen: make(map[string]bool)}
+	if fc == nil || fc.schema != tr.Schema {
+		fc = &factCache{schema: tr.Schema, listed: make(map[string]int32)}
 		t.fc = fc
 	}
-	t.reused += uint64(fc.upto)
-	if fc.upto < len(t.Entries) {
-		d := deriver{tr: tr}
-		for i := fc.upto; i < len(t.Entries); i++ {
-			d.entryFacts(&t.Entries[i], func(f cq.Fact) {
-				k := f.String()
-				if !fc.seen[k] {
-					fc.seen[k] = true
-					fc.facts = append(fc.facts, f)
-					fc.keys = append(fc.keys, k)
-				}
-			})
-			t.translated++
-		}
-		fc.upto = len(t.Entries)
+	t.reused += uint64(len(fc.ends))
+	d := deriver{tr: tr}
+	for i := len(fc.ends); i < len(t.entries); i++ {
+		fc.add(d.derive(&t.entries[i]))
+		t.translated++
+	}
+	if fc.stale {
+		fc.reassemble()
 	}
 	// Full slice expressions pin capacity at the snapshot length, so a
 	// later in-place append can never write inside a returned view.
 	n := len(fc.facts)
 	return fc.facts[:n:n], fc.keys[:n:n]
+}
+
+// add memoizes the facts of the next entry: each takes its place on the
+// list if it has none yet.
+func (fc *factCache) add(facts []cq.Fact) {
+	for _, f := range facts {
+		k := f.String()
+		at, ok := fc.listed[k]
+		if !ok {
+			at = int32(len(fc.facts))
+			fc.listed[k] = at
+			fc.facts = append(fc.facts, f)
+			fc.keys = append(fc.keys, k)
+		}
+		fc.occ = append(fc.occ, at)
+	}
+	fc.ends = append(fc.ends, int32(len(fc.occ)))
+}
+
+// forget drops the memo of the n oldest entries (those of them that
+// were derived). A fact such an entry yielded may be gone, or belong
+// further down the list, so the list goes stale.
+func (fc *factCache) forget(n int) {
+	n = min(n, len(fc.ends))
+	if n == 0 {
+		return
+	}
+	drop := fc.ends[n-1]
+	fc.stale = fc.stale || drop > 0
+	fc.occ = fc.occ[:copy(fc.occ, fc.occ[drop:])]
+	fc.ends = fc.ends[:copy(fc.ends, fc.ends[n:])]
+	for i := range fc.ends {
+		fc.ends[i] -= drop
+	}
+}
+
+// reassemble lists the facts of the derived entries again after
+// eviction dropped some, in window order, each at its first occurrence.
+// Every fact a survivor yields is on the old list, so the memo is all it
+// takes; the new list goes into new arrays of its exact size, so the
+// snapshots handed out before stay as they were.
+func (fc *factCache) reassemble() {
+	moved := make([]int32, len(fc.facts)) // old position -> new + 1; 0: gone
+	n := int32(0)
+	for i, at := range fc.occ {
+		if moved[at] == 0 {
+			n++
+			moved[at] = n
+		}
+		fc.occ[i] = moved[at] - 1
+	}
+	facts, keys := make([]cq.Fact, n), make([]string, n)
+	for at, to := range moved {
+		if to > 0 {
+			facts[to-1], keys[to-1] = fc.facts[at], fc.keys[at]
+		}
+	}
+	for k, at := range fc.listed {
+		if to := moved[at]; to > 0 {
+			fc.listed[k] = to - 1
+		} else {
+			delete(fc.listed, k) // only evicted entries yielded it
+		}
+	}
+	fc.facts, fc.keys, fc.stale = facts, keys, false
 }
 
 // Facts derives ground facts from the trace, using the trace's
@@ -289,133 +367,32 @@ func Facts(s *schema.Schema, t *Trace) []cq.Fact {
 	return t.Facts(s)
 }
 
-// FactsUncached derives the facts from scratch without touching the
-// trace's cache. It exists for ablation benchmarks and as an oracle in
-// tests; production paths should use (*Trace).Facts.
-func FactsUncached(tr *cq.Translator, t *Trace) []cq.Fact {
-	t.mu.Lock()
-	entries := append([]Entry(nil), t.Entries...)
-	t.mu.Unlock()
-	var out []cq.Fact
-	seen := make(map[string]bool)
-	d := deriver{tr: tr}
-	for i := range entries {
-		d.entryFacts(&entries[i], func(f cq.Fact) {
-			k := f.String()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, f)
-			}
-		})
-	}
-	return out
-}
-
-// deriver derives facts entry by entry through one translator's
-// statement plans, instantiating into storage it reuses: facts copy the
-// terms they keep.
+// deriver derives entries' facts through one translator's statement
+// plans, into storage it reuses between entries.
 type deriver struct {
-	tr  *cq.Translator
-	in  cq.Instantiation
-	raw []sqlvalue.Value
+	tr    *cq.Translator
+	raw   []sqlvalue.Value
+	facts []cq.Fact
 }
 
-// entryFacts derives the facts of a single entry and hands each
-// to add (which owns deduplication). A positive fact R(c1..cn) is
-// derived from a returned row when the query is a single-disjunct CQ
-// and every argument of an atom is forced: either a constant/bound
-// parameter, or a head variable whose value the row supplies. A
-// negative fact (pattern known to match no rows) is derived from an
-// empty result for a single-atom CQ: no row of R matches the pattern.
-func (d *deriver) entryFacts(e *Entry, add func(cq.Fact)) {
-	var q *cq.Query
-	if plan := d.tr.Plan(e.Stmt); plan.Fallback() {
-		// No plan expresses the statement: bind and translate this entry.
-		bound, err := sqlparser.Bind(e.Stmt, e.Args)
-		if err != nil {
-			return
-		}
-		ucq, err := d.tr.TranslateSelect(bound.(*sqlparser.SelectStmt))
-		if err != nil || len(ucq) != 1 {
-			return // outside the fragment, or disjunctive (see below)
-		}
-		q = ucq[0]
-	} else {
-		if plan.Disjuncts() != 1 {
-			return // disjunctive queries don't pin down which branch matched
-		}
-		var ok bool
-		if d.raw, ok = plan.Resolve(d.raw, e.Args, nil); !ok {
-			return
-		}
-		q = plan.Instantiate(&d.in, d.raw, nil)[0]
+// derive returns the facts of one entry (cq/facts.go has the rules),
+// valid until the next call. A statement whose answers yield no fact
+// costs its plan lookup; a statement no plan expresses is bound and
+// translated, once in the entry's life.
+func (d *deriver) derive(e *Entry) []cq.Fact {
+	plan := d.tr.Plan(e.Stmt)
+	if plan.Fallback() {
+		d.facts = d.tr.BoundFacts(e.Stmt, e.Args).AppendFacts(d.facts[:0], nil, e.Rows)
+		return d.facts
 	}
-	if q.AggApprox {
-		// Aggregate answers don't expose row contents; no positive
-		// facts. (A COUNT(*)=0 observation would justify a negative
-		// fact, but the aggregate result row is non-empty either
-		// way, so we conservatively derive nothing.)
-		return
+	x := plan.Facts()
+	if x == nil {
+		return nil
 	}
-	if len(e.Rows) == 0 {
-		// Empty result: for a single-atom query, the pattern has
-		// no matching row (conservatively skip queries with
-		// comparisons beyond the atom's own constants, where
-		// emptiness doesn't localize to the atom).
-		if len(q.Atoms) == 1 && len(q.Comps) == 0 {
-			add(cq.Fact{Atom: q.Atoms[0].Clone(), Negated: true})
-		}
-		return
+	var ok bool
+	if d.raw, ok = plan.Resolve(d.raw, e.Args, nil); !ok {
+		return nil
 	}
-	// Positive facts per returned row.
-	for _, row := range e.Rows {
-		if len(row) != len(q.Head) {
-			continue
-		}
-		// Head variable -> observed value.
-		bind := make(map[string]sqlvalue.Value)
-		okRow := true
-		for i, h := range q.Head {
-			switch {
-			case h.IsVar():
-				if prev, dup := bind[h.Var]; dup && !sqlvalue.Identical(prev, row[i]) {
-					okRow = false
-				}
-				bind[h.Var] = row[i]
-			case h.IsConst():
-				// Sanity: observed value should equal the constant.
-				if !sqlvalue.Identical(h.Const, row[i]) {
-					okRow = false
-				}
-			}
-		}
-		if !okRow {
-			continue
-		}
-		for _, a := range q.Atoms {
-			ground := cq.Atom{Table: a.Table, Args: make([]cq.Term, len(a.Args))}
-			full := true
-			for i, arg := range a.Args {
-				switch {
-				case arg.IsConst():
-					ground.Args[i] = arg
-				case arg.IsVar():
-					v, ok := bind[arg.Var]
-					if !ok {
-						full = false
-					} else {
-						ground.Args[i] = cq.C(v)
-					}
-				default: // unbound parameter: not ground
-					full = false
-				}
-				if !full {
-					break
-				}
-			}
-			if full {
-				add(cq.Fact{Atom: ground})
-			}
-		}
-	}
+	d.facts = x.AppendFacts(d.facts[:0], d.raw, e.Rows)
+	return d.facts
 }

@@ -181,3 +181,30 @@ func TestNoNegativeFactFromUnsatisfiableQuery(t *testing.T) {
 		t.Fatalf("facts: %v", facts)
 	}
 }
+
+// An empty answer cut short by LIMIT or OFFSET says nothing about the
+// table either: no negative fact. The rows such a statement does return
+// are real, so its positive facts stay.
+func TestNoNegativeFactFromLimitedQuery(t *testing.T) {
+	s := calSchema(t)
+	tr := &Trace{}
+	tr.Append(entry("SELECT 1 FROM Attendance WHERE UId=1 AND EId=9 LIMIT 0"))
+	tr.Append(entry("SELECT 1 FROM Attendance WHERE UId=1 AND EId=9 LIMIT 5 OFFSET 100"))
+	tr.Append(entry("SELECT 1 FROM Attendance WHERE UId=1 AND EId=9 OFFSET 1"))
+	tr.Append(Entry{
+		Stmt: sqlparser.MustParseSelect("SELECT 1 FROM Attendance WHERE UId=1 AND EId=9 LIMIT ?"),
+		Args: sqlparser.PositionalArgs(0),
+	})
+	if facts := Facts(s, tr); len(facts) != 0 {
+		t.Fatalf("facts from a limited empty answer: %v", facts)
+	}
+	tr.Append(entry("SELECT EId FROM Attendance WHERE UId=1 LIMIT 1", iv(2)))
+	if facts := Facts(s, tr); len(facts) != 1 || facts[0].String() != "attendance(1, 2)" {
+		t.Fatalf("facts: %v", facts)
+	}
+	// Without the LIMIT the same empty probe is the plain negative fact.
+	tr.Append(entry("SELECT 1 FROM Attendance WHERE UId=1 AND EId=9"))
+	if facts := Facts(s, tr); len(facts) != 2 || !facts[1].Negated {
+		t.Fatalf("facts: %v", facts)
+	}
+}

@@ -2,7 +2,12 @@ package trace
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
+
+	"repro/internal/cq"
+	"repro/internal/schema"
+	"repro/internal/sqlvalue"
 )
 
 // Window, eviction, and restore edge cases — the state machine the
@@ -135,23 +140,120 @@ func TestRestoreInvalidatesFactCache(t *testing.T) {
 	}
 }
 
-func TestEvictionInvalidatesFactCache(t *testing.T) {
+// TestEvictionKeepsFactsOfSurvivors: eviction drops the evicted
+// entries' facts — except those a surviving entry yields too, which stay,
+// at the place their first surviving occurrence gives them — and derives
+// nothing again.
+func TestEvictionKeepsFactsOfSurvivors(t *testing.T) {
 	s := calSchema(t)
 	tr := &Trace{}
-	tr.SetWindow(2)
+	tr.SetWindow(3)
 	tr.Append(probeEntry(1, 1))
 	tr.Append(probeEntry(1, 2))
+	tr.Append(probeEntry(1, 1)) // the first entry's fact again
 	if n := len(Facts(s, tr)); n != 2 {
 		t.Fatalf("facts at window capacity: %d", n)
 	}
-	tr.Append(probeEntry(1, 3)) // evicts (1,1)
-	facts := Facts(s, tr)
-	if len(facts) != 2 {
-		t.Fatalf("facts after eviction: %d, want 2", len(facts))
+	tr.Append(probeEntry(1, 3)) // evicts the first (1,1), not its duplicate
+	want := []string{"attendance(1, 2)", "attendance(1, 1)", "attendance(1, 3)"}
+	if got := fmt.Sprint(Facts(s, tr)); got != fmt.Sprint(want) {
+		t.Fatalf("facts after eviction: %s, want %s", got, want)
 	}
-	for _, f := range facts {
-		if f.Atom.Args[1].Const.Int() == 1 {
-			t.Fatalf("evicted entry's fact survived: %v", f)
+	tr.Append(probeEntry(1, 4)) // evicts (1,2): no survivor yields it
+	want = []string{"attendance(1, 1)", "attendance(1, 3)", "attendance(1, 4)"}
+	if got := fmt.Sprint(Facts(s, tr)); got != fmt.Sprint(want) {
+		t.Fatalf("facts after the second eviction: %s, want %s", got, want)
+	}
+	if st := tr.FactCacheStats(); st.Translated != 5 {
+		t.Fatalf("derived %d entries, want 5 (each once)", st.Translated)
+	}
+}
+
+// TestEvictionInterleavings drives a trace through random sequences of
+// appends (entries with no facts, with new facts, and with facts other
+// entries yield too), window grows and shrinks, restores, clones and
+// schema switches. After every step its facts must be what a derivation
+// from scratch over the surviving entries lists — facts, keys, order —
+// no snapshot handed out earlier may change, and exactly the entries not
+// derived before (for the schema in use) are derived.
+func TestEvictionInterleavings(t *testing.T) {
+	schemas := []*schema.Schema{calSchema(t), calSchema(t)} // equal, distinct identity
+	pick := func(rng *rand.Rand) Entry {
+		uid, eid := int64(rng.Intn(2)), int64(rng.Intn(4))
+		switch rng.Intn(5) {
+		case 0: // no fact: the row does not show the event's id
+			return entry("SELECT Title FROM Events WHERE EId > 0", []sqlvalue.Value{sqlvalue.NewText("retro")})
+		case 1: // a negative fact
+			return entry(fmt.Sprintf("SELECT 1 FROM Attendance WHERE UId=%d AND EId=%d", uid+5, eid))
+		case 2: // two facts per entry
+			return entry(fmt.Sprintf("SELECT EId FROM Attendance WHERE UId=%d", uid), iv(eid), iv(eid+1))
+		default:
+			return probeEntry(uid, eid)
+		}
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := &Trace{}
+		tr.SetWindow(1 + rng.Intn(4))
+		si, last := 0, 0 // the schema in use, and the one last derived under
+		// derived[i] reports whether the i-th entry of the window was
+		// derived under schemas[last]; translated is what the trace's
+		// counter should read.
+		var derived []bool
+		var translated uint64
+		var held []cq.Fact
+		var heldKeys, was []string
+		for step := 0; step < 60; step++ {
+			switch r := rng.Intn(20); {
+			case r < 12:
+				tr.Append(pick(rng))
+				derived = append(derived, false)
+			case r < 14:
+				tr.SetWindow(1 + rng.Intn(5))
+			case r < 15:
+				entries, base := tr.SnapshotState()
+				if len(entries) > 0 {
+					entries = entries[rng.Intn(len(entries)):]
+				}
+				tr.Restore(append(entries, pick(rng)), base+1)
+				derived = make([]bool, len(entries)+1)
+			case r < 16:
+				tr = tr.Clone()
+				translated = 0
+				derived = make([]bool, tr.Len())
+				held = nil
+			case r < 17:
+				si = 1 - si
+			}
+			if w := tr.Window(); len(derived) > w {
+				derived = derived[len(derived)-w:]
+			}
+			if rng.Intn(3) == 0 {
+				continue // no decision needs facts yet: nothing is derived
+			}
+			if si != last {
+				clear(derived)
+				last = si
+			}
+			for i, d := range derived {
+				if !d {
+					translated++
+					derived[i] = true
+				}
+			}
+			what := fmt.Sprintf("seed %d, step %d", seed, step)
+			got, gotKeys := tr.FactsKeyed(&cq.Translator{Schema: schemas[si]})
+			want, wantKeys := fromScratch(tr, schemas[si])
+			sameFacts(t, what, got, gotKeys, want, wantKeys)
+			if st := tr.FactCacheStats(); st.Translated != translated {
+				t.Fatalf("%s: derived %d entries in all, want %d", what, st.Translated, translated)
+			}
+			for i, f := range held {
+				if f.String() != was[i] || heldKeys[i] != was[i] {
+					t.Fatalf("%s: an earlier snapshot changed at %d: %v / %q, was %q", what, i, f, heldKeys[i], was[i])
+				}
+			}
+			held, heldKeys, was = got, gotKeys, append(was[:0], gotKeys...)
 		}
 	}
 }
