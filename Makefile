@@ -157,12 +157,16 @@ fmtcheck:
 # filling a plan must give the templates and the decision that binding
 # and translating the statement gives — then fact extractors: generated
 # (statement, arguments, result rows) triples whose trace facts must be
-# the reference derivation's, key for key and in order.
+# the reference derivation's, key for key and in order — then key-index
+# scans: generated tables, writes and single-table reads on which the
+# served read, the generic evaluator and a keyless full scan must render
+# byte-identically.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparser
 	$(GO) test -run '^$$' -fuzz=FuzzCoverParity -fuzztime=10s ./internal/checker
 	$(GO) test -run '^$$' -fuzz=FuzzPlanParity -fuzztime=10s ./internal/checker
 	$(GO) test -run '^$$' -fuzz=FuzzFactParity -fuzztime=10s ./internal/checker
+	$(GO) test -run '^$$' -fuzz=FuzzScanParity -fuzztime=10s ./internal/engine
 
 # Ten-second fuzz smoke of the WAL record decoder (torn writes, bit
 # flips, truncation must never panic recovery).

@@ -111,14 +111,12 @@ const (
 )
 
 // newSatTarget builds the live stack for one ingress, with the
-// ceiling-lift optimizations on or ablated off. Ablation reverts every
-// lift this harness motivated — the proxy inline fast path, response
-// encode pooling, and the engine's bound equality scan — so the
-// optimized-vs-ablated knee spread is the full measured ceiling lift.
+// ceiling-lift optimizations on or ablated off. Ablation reverts the
+// proxy inline fast path and response encode pooling; the engine's
+// bound equality scan has no switch and stays on in both arms.
 func newSatTarget(ingress string, ablate bool) (*satTarget, error) {
 	f := apps.Calendar()
 	db := f.MustNewDB(satUsers)
-	db.DisableEqScan = ablate
 	chk := checker.New(f.Policy())
 	switch ingress {
 	case "v2":

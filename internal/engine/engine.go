@@ -1,5 +1,5 @@
 // Package engine implements an in-memory relational database engine:
-// row storage with primary/unique-key hash indexes, constraint
+// row storage with an ordered index per declared key, constraint
 // checking, and an executor for the SQL subset produced by
 // internal/sqlparser. It is the substrate the enforcement proxy
 // forwards allowed queries to, standing in for the production DBMS a
@@ -7,7 +7,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -42,17 +44,114 @@ func (r Row) key(cols []int) string {
 // tableData is the storage for one table.
 type tableData struct {
 	def  *schema.Table
-	rows []Row // live rows; deletion swaps with last
-
-	pkCols  []int          // column positions of the PK; nil if none
-	pkIndex map[string]int // PK key -> row position
-
-	uniques []uniqueIndex
+	rows []Row       // live rows; deletion keeps the survivors' order
+	keys []*keyIndex // the primary key first, if any, then each UNIQUE key
 }
 
-type uniqueIndex struct {
-	cols  []int
-	index map[string]int
+// keyIndex is the ordered index over one declared key: row positions
+// sorted by key tuple (compareKey), each tuple kept beside its position
+// so a search touches no row — a row probe cost a cache miss per step.
+type keyIndex struct {
+	cols []int            // key column positions
+	pos  []int32          // row positions in key order
+	keys []sqlvalue.Value // entry i's key tuple, len(cols) values from i*len(cols)
+	what string           // "primary key" or "unique", for violation errors
+}
+
+// compareKey orders two values of one key column under sqlvalue.Less.
+// A column holds one type after CoerceTo, so equality here is Key()
+// equality: 2 and 2.0 collide, NULL duplicates NULL. Two REALs compare
+// by cmp.Compare, which places NaN (first, equal to itself) as Key()
+// does and Less cannot.
+func compareKey(a, b *sqlvalue.Value) int {
+	if a.Type() == b.Type() {
+		switch a.Type() {
+		case sqlvalue.Int:
+			return cmp.Compare(a.Int(), b.Int())
+		case sqlvalue.Real:
+			return cmp.Compare(a.Real(), b.Real())
+		case sqlvalue.Text:
+			return strings.Compare(a.Text(), b.Text())
+		}
+	}
+	switch {
+	case sqlvalue.Less(*a, *b):
+		return -1
+	case sqlvalue.Less(*b, *a):
+		return 1
+	}
+	return 0
+}
+
+// compareKeys orders key tuple k against vals, a prefix of a key tuple.
+func compareKeys(k, vals []sqlvalue.Value) int {
+	for i := range vals {
+		if c := compareKey(&k[i], &vals[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// entry returns entry i's key tuple.
+func (ix *keyIndex) entry(i int) []sqlvalue.Value {
+	w := len(ix.cols)
+	return ix.keys[i*w : i*w+w]
+}
+
+// seek returns the first entry in [lo, hi) whose key prefix is not below
+// vals, or, with upper, the first above it; hi if there is none.
+func (ix *keyIndex) seek(vals []sqlvalue.Value, upper bool, lo, hi int) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c := compareKeys(ix.entry(m), vals); c < 0 || c == 0 && upper {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// equal returns the entries [i, j) of [lo, hi) whose key prefix equals
+// vals. The run is walked, not searched: the read visits it anyway.
+func (ix *keyIndex) equal(vals []sqlvalue.Value, lo, hi int) (i, j int) {
+	i = ix.seek(vals, false, lo, hi)
+	for j = i; j < hi && compareKeys(ix.entry(j), vals) == 0; j++ {
+	}
+	return i, j
+}
+
+// find returns where the key vals belongs and whether a row holds it
+// already. A key above every entry — an insert in key order — costs one
+// comparison.
+func (ix *keyIndex) find(vals []sqlvalue.Value) (int, bool) {
+	n := len(ix.pos)
+	if n == 0 || compareKeys(ix.entry(n-1), vals) < 0 {
+		return n, false
+	}
+	i := ix.seek(vals, false, 0, n)
+	return i, i < n && compareKeys(ix.entry(i), vals) == 0
+}
+
+// key returns row r's key tuple.
+func (ix *keyIndex) key(r Row) []sqlvalue.Value {
+	out := make([]sqlvalue.Value, len(ix.cols))
+	for i, c := range ix.cols {
+		out[i] = r[c]
+	}
+	return out
+}
+
+// file enters row position p, whose key is vals, in key order.
+func (ix *keyIndex) file(vals []sqlvalue.Value, p int) {
+	i, _ := ix.find(vals)
+	ix.pos = slices.Insert(ix.pos, i, int32(p))
+	ix.keys = slices.Insert(ix.keys, i*len(ix.cols), vals...)
+}
+
+func (ix *keyIndex) violation(t *schema.Table) error {
+	return fmt.Errorf("engine: %s violation on %s", ix.what, t.Name)
 }
 
 // DB is an in-memory database over a fixed schema. It is safe for
@@ -61,12 +160,6 @@ type DB struct {
 	mu     sync.RWMutex
 	schema *schema.Schema
 	tables map[string]*tableData
-
-	// DisableEqScan turns off the bound equality-scan fast path
-	// (tryEqScan) so the generic evaluator serves every query — the
-	// saturation harness's ablation switch and the parity tests' lever.
-	// Set before serving; it is not synchronized.
-	DisableEqScan bool
 
 	// obs holds the optional scan instruments (SetMetrics); an atomic
 	// pointer so installing metrics never races with running queries.
@@ -102,14 +195,10 @@ func New(s *schema.Schema) *DB {
 	for _, t := range s.Tables() {
 		td := &tableData{def: t}
 		if len(t.PrimaryKey) > 0 {
-			td.pkCols = columnPositions(t, t.PrimaryKey)
-			td.pkIndex = make(map[string]int)
+			td.keys = append(td.keys, &keyIndex{cols: columnPositions(t, t.PrimaryKey), what: "primary key"})
 		}
 		for _, uk := range t.UniqueKeys {
-			td.uniques = append(td.uniques, uniqueIndex{
-				cols:  columnPositions(t, uk),
-				index: make(map[string]int),
-			})
+			td.keys = append(td.keys, &keyIndex{cols: columnPositions(t, uk), what: "unique"})
 		}
 		db.tables[strings.ToLower(t.Name)] = td
 	}
@@ -295,16 +384,9 @@ func (db *DB) insertRowLocked(td *tableData, row Row) error {
 		}
 	}
 	// PK and unique.
-	if td.pkIndex != nil {
-		k := row.key(td.pkCols)
-		if _, dup := td.pkIndex[k]; dup {
-			return fmt.Errorf("engine: primary key violation on %s", td.def.Name)
-		}
-	}
-	for _, u := range td.uniques {
-		k := row.key(u.cols)
-		if _, dup := u.index[k]; dup {
-			return fmt.Errorf("engine: unique violation on %s", td.def.Name)
+	for _, ix := range td.keys {
+		if _, dup := ix.find(ix.key(row)); dup {
+			return ix.violation(td.def)
 		}
 	}
 	// Foreign keys.
@@ -313,13 +395,9 @@ func (db *DB) insertRowLocked(td *tableData, row Row) error {
 			return err
 		}
 	}
-	at := len(td.rows)
 	td.rows = append(td.rows, row)
-	if td.pkIndex != nil {
-		td.pkIndex[row.key(td.pkCols)] = at
-	}
-	for _, u := range td.uniques {
-		u.index[row.key(u.cols)] = at
+	for _, ix := range td.keys {
+		ix.file(ix.key(row), len(td.rows)-1)
 	}
 	return nil
 }
@@ -339,13 +417,14 @@ func (db *DB) checkFKLocked(t *schema.Table, fk schema.ForeignKey, row Row) erro
 	}
 	ref := db.tables[strings.ToLower(fk.RefTable)]
 	refPos := columnPositions(ref.def, fk.RefColumns)
-	// Fast path: referenced columns are the ref table's PK.
-	if ref.pkIndex != nil && equalIntSlices(refPos, ref.pkCols) {
-		probe := Row(vals)
-		if _, ok := ref.pkIndex[probe.key(rangeInts(len(vals)))]; ok {
-			return nil
+	// Fast path: the referenced columns are one of the ref table's keys.
+	for _, ix := range ref.keys {
+		if slices.Equal(refPos, ix.cols) {
+			if _, ok := ix.find(vals); ok {
+				return nil
+			}
+			return fmt.Errorf("engine: FK violation: %s(%s) -> %s", t.Name, strings.Join(fk.Columns, ","), fk.RefTable)
 		}
-		return fmt.Errorf("engine: FK violation: %s(%s) -> %s", t.Name, strings.Join(fk.Columns, ","), fk.RefTable)
 	}
 	for _, rr := range ref.rows {
 		match := true
@@ -360,18 +439,6 @@ func (db *DB) checkFKLocked(t *schema.Table, fk schema.ForeignKey, row Row) erro
 		}
 	}
 	return fmt.Errorf("engine: FK violation: %s(%s) -> %s", t.Name, strings.Join(fk.Columns, ","), fk.RefTable)
-}
-
-func equalIntSlices(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func rangeInts(n int) []int {
@@ -422,7 +489,7 @@ func (db *DB) Update(upd *sqlparser.UpdateStmt) (int, error) {
 			}
 			updated[setPos[i]] = cv
 		}
-		if err := db.replaceRowLocked(td, ri, updated); err != nil {
+		if err := db.replaceRowLocked(td, ri, updated, true); err != nil {
 			return n, err
 		}
 		n++
@@ -430,36 +497,33 @@ func (db *DB) Update(upd *sqlparser.UpdateStmt) (int, error) {
 	return n, nil
 }
 
-func (db *DB) replaceRowLocked(td *tableData, ri int, updated Row) error {
+// replaceRowLocked stores updated at row ri once every check has
+// passed, re-filing each key it changes.
+func (db *DB) replaceRowLocked(td *tableData, ri int, updated Row, checkFKs bool) error {
 	old := td.rows[ri]
 	for i, c := range td.def.Columns {
 		if c.NotNull && updated[i].IsNull() {
 			return fmt.Errorf("engine: NOT NULL violation on %s.%s", td.def.Name, c.Name)
 		}
 	}
-	if td.pkIndex != nil {
-		ok, nk := old.key(td.pkCols), updated.key(td.pkCols)
-		if ok != nk {
-			if _, dup := td.pkIndex[nk]; dup {
-				return fmt.Errorf("engine: primary key violation on %s", td.def.Name)
+	for _, ix := range td.keys {
+		if nk := ix.key(updated); compareKeys(ix.key(old), nk) != 0 {
+			if _, dup := ix.find(nk); dup {
+				return ix.violation(td.def)
 			}
-			delete(td.pkIndex, ok)
-			td.pkIndex[nk] = ri
 		}
 	}
-	for _, u := range td.uniques {
-		ok, nk := old.key(u.cols), updated.key(u.cols)
-		if ok != nk {
-			if _, dup := u.index[nk]; dup {
-				return fmt.Errorf("engine: unique violation on %s", td.def.Name)
-			}
-			delete(u.index, ok)
-			u.index[nk] = ri
-		}
-	}
-	for _, fk := range td.def.ForeignKeys {
-		if err := db.checkFKLocked(td.def, fk, updated); err != nil {
+	for i := 0; checkFKs && i < len(td.def.ForeignKeys); i++ {
+		if err := db.checkFKLocked(td.def, td.def.ForeignKeys[i], updated); err != nil {
 			return err
+		}
+	}
+	for _, ix := range td.keys {
+		if ok, nk := ix.key(old), ix.key(updated); compareKeys(ok, nk) != 0 {
+			i, w := ix.seek(ok, false, 0, len(ix.pos)), len(ix.cols)
+			ix.pos = slices.Delete(ix.pos, i, i+1)
+			ix.keys = slices.Delete(ix.keys, i*w, i*w+w)
+			ix.file(nk, ri)
 		}
 	}
 	td.rows[ri] = updated
@@ -478,39 +542,34 @@ func (db *DB) Delete(del *sqlparser.DeleteStmt) (int, error) {
 	scope := newScope(nil)
 	scope.addTable(td.def, strings.ToLower(del.Table), 0)
 	var keep []Row
-	n := 0
-	for _, row := range td.rows {
+	moved := make([]int32, len(td.rows)) // old position -> new, -1 if deleted
+	for i, row := range td.rows {
 		match, err := ev.predicate(del.Where, scope, row)
 		if err != nil {
 			return 0, err
 		}
-		if match {
-			n++
-		} else {
+		moved[i] = -1
+		if !match {
+			moved[i] = int32(len(keep))
 			keep = append(keep, row)
 		}
 	}
+	n := len(td.rows) - len(keep)
 	if n == 0 {
 		return 0, nil
 	}
 	td.rows = keep
-	db.rebuildIndexesLocked(td)
+	// Survivors keep their order, so renumbered indexes stay sorted.
+	for _, ix := range td.keys {
+		pos, keys := ix.pos[:0], ix.keys[:0]
+		for i, p := range ix.pos {
+			if q := moved[p]; q >= 0 {
+				pos, keys = append(pos, q), append(keys, ix.entry(i)...)
+			}
+		}
+		ix.pos, ix.keys = pos, keys
+	}
 	return n, nil
-}
-
-func (db *DB) rebuildIndexesLocked(td *tableData) {
-	if td.pkIndex != nil {
-		td.pkIndex = make(map[string]int, len(td.rows))
-		for i, r := range td.rows {
-			td.pkIndex[r.key(td.pkCols)] = i
-		}
-	}
-	for ui := range td.uniques {
-		td.uniques[ui].index = make(map[string]int, len(td.rows))
-		for i, r := range td.rows {
-			td.uniques[ui].index[r.key(td.uniques[ui].cols)] = i
-		}
-	}
 }
 
 // Snapshot returns a deep copy of all rows of the table, for test
@@ -542,7 +601,9 @@ func (db *DB) Clone() *DB {
 		for i, r := range td.rows {
 			otd.rows[i] = r.Clone()
 		}
-		out.rebuildIndexesLocked(otd)
+		for i, ix := range td.keys {
+			otd.keys[i].pos, otd.keys[i].keys = slices.Clone(ix.pos), slices.Clone(ix.keys)
+		}
 	}
 	return out
 }
@@ -620,22 +681,7 @@ func (db *DB) SetCell(table string, rowIdx int, column string, val any) error {
 	}
 	updated := td.rows[rowIdx].Clone()
 	updated[p] = cv
-	old := td.rows[rowIdx]
-	if td.def.Columns[p].NotNull && cv.IsNull() {
-		return fmt.Errorf("engine: NOT NULL violation on %s.%s", table, column)
-	}
-	if td.pkIndex != nil {
-		ok2, nk := old.key(td.pkCols), updated.key(td.pkCols)
-		if ok2 != nk {
-			if _, dup := td.pkIndex[nk]; dup {
-				return fmt.Errorf("engine: primary key violation on %s", table)
-			}
-			delete(td.pkIndex, ok2)
-			td.pkIndex[nk] = rowIdx
-		}
-	}
-	td.rows[rowIdx] = updated
-	return nil
+	return db.replaceRowLocked(td, rowIdx, updated, false)
 }
 
 // Tables returns the table names sorted, for deterministic iteration.

@@ -434,29 +434,3 @@ func TestPointLookupFastPath(t *testing.T) {
 		t.Fatalf("OR fallback: %v", res)
 	}
 }
-
-func BenchmarkPointLookupVsScan(b *testing.B) {
-	db := calendarDB(b)
-	for i := 10; i < 5000; i++ {
-		db.MustExec("INSERT INTO Events (EId, Title, Notes) VALUES (?, 'x', NULL)", i)
-	}
-	sel := sqlparser.MustParseSelect("SELECT Title FROM Events WHERE EId = 4321")
-	bound, _ := sqlparser.Bind(sel, sqlparser.NoArgs)
-	b.Run("point-lookup", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Query(bound.(*sqlparser.SelectStmt)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The range form defeats the equality fast path, forcing a scan.
-	scan := sqlparser.MustParseSelect("SELECT Title FROM Events WHERE EId >= 4321 AND EId <= 4321")
-	sb, _ := sqlparser.Bind(scan, sqlparser.NoArgs)
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Query(sb.(*sqlparser.SelectStmt)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -3,11 +3,44 @@ package engine
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/sqlparser"
 )
 
+// genericQuery runs q through the generic evaluator alone (subqueries
+// still take either path), the reference the fast path must match; a
+// failure comes back rendered as the result.
+func genericQuery(t testing.TB, db *DB, q string) string {
+	t.Helper()
+	sel, err := sqlparser.ParseSelect(q)
+	if err != nil {
+		t.Fatalf("parse %q: %v", q, err)
+	}
+	bound, err := sqlparser.Bind(sel, sqlparser.NoArgs)
+	if err != nil {
+		t.Fatalf("bind %q: %v", q, err)
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	res, err := (&evaluator{db: db}).execGeneric(bound.(*sqlparser.SelectStmt), nil)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return res.String()
+}
+
+// servedQuery runs q the way QueryCtx does, rendered like genericQuery.
+func servedQuery(db *DB, q string) string {
+	res, err := db.QuerySQL(q, sqlparser.NoArgs)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return res.String()
+}
+
 // TestEqScanParity pins the bound equality-scan fast path to the
-// generic evaluator: every query runs twice (fast path on, then
-// ablated via DisableEqScan) and the rendered results must match
+// generic evaluator: every query runs twice (served, then through
+// execGeneric alone) and the rendered results must match
 // byte-for-byte — columns, rows, row order. The list mixes shapes the
 // fast path serves (single table, AND-of-comparisons, plain
 // projection) with shapes that must fall back (joins, aggregates,
@@ -46,12 +79,7 @@ func TestEqScanParity(t *testing.T) {
 		"SELECT Title FROM Events WHERE Notes IS NULL AND EId < 8",
 	}
 	for _, q := range queries {
-		db.DisableEqScan = false
-		fast := mustQuery(t, db, q)
-		db.DisableEqScan = true
-		generic := mustQuery(t, db, q)
-		db.DisableEqScan = false
-		if fast.String() != generic.String() {
+		if fast, generic := servedQuery(db, q), genericQuery(t, db, q); fast != generic {
 			t.Errorf("eq-scan parity broken for %q:\nfast path:\n%s\ngeneric:\n%s", q, fast, generic)
 		}
 	}
@@ -60,8 +88,13 @@ func TestEqScanParity(t *testing.T) {
 // TestEqScanRandomizedParity hammers the fast path with generated
 // single-table conjunction queries over random data — every eligible
 // (column, op, literal) combination the planner accepts must agree
-// with the generic evaluator.
+// with the generic evaluator — then runs the key-index parity cases
+// (checkScanParity): every key, literal type and side, tables filled
+// out of key order and rewritten, against a keyless full scan too.
 func TestEqScanRandomizedParity(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		checkScanParity(t, seed)
+	}
 	rng := rand.New(rand.NewSource(11))
 	db := randSeededDB(t, rng, 40)
 
@@ -83,12 +116,7 @@ func TestEqScanRandomizedParity(t *testing.T) {
 				q += col + " " + op + " " + itoa(lit)
 			}
 		}
-		db.DisableEqScan = false
-		fast := mustQuery(t, db, q)
-		db.DisableEqScan = true
-		generic := mustQuery(t, db, q)
-		db.DisableEqScan = false
-		if fast.String() != generic.String() {
+		if fast, generic := servedQuery(db, q), genericQuery(t, db, q); fast != generic {
 			t.Fatalf("randomized parity broken for %q:\nfast path:\n%s\ngeneric:\n%s", q, fast, generic)
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -235,39 +236,35 @@ func (ev *evaluator) execSelect(sel *sqlparser.SelectStmt, parent *env) (*Result
 	return res, nil
 }
 
+// execSingleSelect runs one SELECT without UNION arms: the bound
+// equality scan when the shape allows (saturation profiling showed the
+// generic evaluator's per-row env work as the serving ceiling), else
+// the generic evaluator.
 func (ev *evaluator) execSingleSelect(sel *sqlparser.SelectStmt, parent *env) (*Result, error) {
-	// 0. The bound equality-scan fast path: the dominant serving shape
-	// (single table, AND-of-comparisons WHERE, plain projection) with
-	// every column reference resolved once per query instead of once
-	// per row. Saturation profiling showed the generic evaluator's
-	// per-row env allocation and name resolution as the serving
-	// ceiling; this path removes both without changing semantics
-	// (ineligible shapes fall through untouched).
-	if !ev.db.DisableEqScan {
-		if res, ok, err := ev.tryEqScan(sel); err != nil {
-			return nil, err
-		} else if ok {
-			return res, nil
-		}
+	if res, ok, err := ev.tryEqScan(sel); err != nil || ok {
+		return res, err
 	}
+	return ev.execGeneric(sel, parent)
+}
 
+// execGeneric evaluates any SELECT without UNION arms, row by row.
+func (ev *evaluator) execGeneric(sel *sqlparser.SelectStmt, parent *env) (*Result, error) {
 	// 1. FROM: build the combined-row stream and its scope. A
-	// single-table query whose WHERE pins the whole primary key takes
-	// the hash-index fast path instead of a scan.
+	// single-table FROM reads only the key range its WHERE allows.
 	sc := &scope{}
 	rows := []Row{{}} // one empty row: SELECT without FROM yields a single tuple
-	if fast, ok := ev.tryPointLookup(sel, sc); ok {
-		rows = fast
-	} else {
-		for _, te := range sel.From {
-			teRows, err := ev.tableRows(te, sc, parent)
-			if err != nil {
-				return nil, err
-			}
-			rows, err = ev.crossProduct(rows, teRows)
-			if err != nil {
-				return nil, err
-			}
+	var where sqlparser.Expr
+	if len(sel.From) == 1 {
+		where = sel.Where
+	}
+	for _, te := range sel.From {
+		teRows, err := ev.tableRows(te, sc, parent, where)
+		if err != nil {
+			return nil, err
+		}
+		rows, err = ev.crossProduct(rows, teRows)
+		if err != nil {
+			return nil, err
 		}
 	}
 
@@ -425,13 +422,130 @@ func (ev *evaluator) execSingleSelect(sel *sqlparser.SelectStmt, parent *env) (*
 	return res, nil
 }
 
-// eqCond is one pre-resolved WHERE conjunct of the equality-scan fast
-// path: row[pos] op lit (or lit op row[pos] when litLeft).
+// eqCond is one pre-resolved WHERE conjunct over a single table:
+// row[pos] op lit, or lit op row[pos] when litLeft (LIKE only: other
+// comparisons are mirrored).
 type eqCond struct {
 	pos     int
 	op      sqlparser.BinaryOp
 	lit     sqlvalue.Value
 	litLeft bool
+}
+
+// mirrored maps each collected operator to its form with operands swapped.
+var mirrored = map[sqlparser.BinaryOp]sqlparser.BinaryOp{
+	sqlparser.OpEq: sqlparser.OpEq, sqlparser.OpNe: sqlparser.OpNe,
+	sqlparser.OpLt: sqlparser.OpGt, sqlparser.OpLe: sqlparser.OpGe,
+	sqlparser.OpGt: sqlparser.OpLt, sqlparser.OpGe: sqlparser.OpLe,
+	sqlparser.OpLike: sqlparser.OpLike,
+}
+
+// localColumn resolves e if it is a column of td, the single FROM
+// table named name: unqualified or qualified by name. Anything else —
+// a column td lacks could be a correlated outer reference — is not.
+func localColumn(e sqlparser.Expr, td *tableData, name string) (int, bool) {
+	cr, ok := e.(*sqlparser.ColumnRef)
+	if !ok || cr.Table != "" && !strings.EqualFold(cr.Table, name) {
+		return 0, false
+	}
+	return td.def.ColumnIndex(cr.Column)
+}
+
+// localConds collects the conjuncts of the AND-tree e that compare a
+// local column of td with a literal. complete reports whether every
+// conjunct had that form.
+func localConds(e sqlparser.Expr, td *tableData, name string) (conds []eqCond, complete bool) {
+	complete = true
+	var walk func(sqlparser.Expr)
+	walk = func(e sqlparser.Expr) {
+		b, ok := e.(*sqlparser.BinaryExpr)
+		if !ok {
+			complete = false
+			return
+		}
+		if b.Op == sqlparser.OpAnd {
+			walk(b.Left)
+			walk(b.Right)
+			return
+		}
+		if m, ok := mirrored[b.Op]; ok {
+			if lit, ok := b.Right.(*sqlparser.Literal); ok {
+				if pos, ok := localColumn(b.Left, td, name); ok {
+					conds = append(conds, eqCond{pos: pos, op: b.Op, lit: lit.Value})
+					return
+				}
+			}
+			if lit, ok := b.Left.(*sqlparser.Literal); ok {
+				if pos, ok := localColumn(b.Right, td, name); ok {
+					conds = append(conds, eqCond{pos: pos, op: m, lit: lit.Value, litLeft: m == sqlparser.OpLike})
+					return
+				}
+			}
+		}
+		complete = false
+	}
+	walk(e)
+	return conds, complete
+}
+
+// candidates narrows a single-table read through the key that narrows
+// it most: its leading column's =, <, <=, >, >= intersect into one
+// range, and equality on a longer prefix probes a composite key. Every
+// conjunct still filters every candidate, so the range need only hold
+// the rows they accept — a literal of another type sorts by class, one
+// never TRUE (NULL, an unordered class) accepts none. Positions come
+// back ascending, so the read returns a full scan's rows in its order.
+// ok is false when no key narrows the read.
+func (td *tableData) candidates(conds []eqCond) (pos []int32, ok bool) {
+	for _, ix := range td.keys {
+		if td.def.Columns[ix.cols[0]].Type == sqlvalue.Real {
+			continue // NaN equals every number under Compare: no range holds it
+		}
+		lo, hi, narrowed := 0, len(ix.pos), false
+		var buf [4]sqlvalue.Value
+		prefix := buf[:0] // the equality-pinned prefix of a composite key
+		for k := 0; len(ix.cols) > 1 && k == len(prefix) && k < len(ix.cols); k++ {
+			for _, c := range conds {
+				if c.op == sqlparser.OpEq && c.pos == ix.cols[k] {
+					prefix = append(prefix, c.lit)
+					break
+				}
+			}
+		}
+		for _, c := range conds {
+			if c.pos != ix.cols[0] {
+				continue
+			}
+			// Each bound is searched for inside the range narrowed so far.
+			v := []sqlvalue.Value{c.lit}
+			switch c.op {
+			case sqlparser.OpEq:
+				lo, hi = ix.equal(v, lo, hi)
+			case sqlparser.OpLt:
+				hi = ix.seek(v, false, lo, hi)
+			case sqlparser.OpLe:
+				hi = ix.seek(v, true, lo, hi)
+			case sqlparser.OpGt:
+				lo = ix.seek(v, true, lo, hi)
+			case sqlparser.OpGe:
+				lo = ix.seek(v, false, lo, hi)
+			default:
+				continue
+			}
+			narrowed = true
+		}
+		if len(prefix) > 1 {
+			lo, hi = ix.equal(prefix, lo, hi)
+		}
+		if narrowed && (!ok || hi-lo < len(pos)) {
+			pos, ok = ix.pos[lo:hi], true
+		}
+	}
+	if ok && !slices.IsSorted(pos) {
+		pos = slices.Clone(pos)
+		slices.Sort(pos)
+	}
+	return pos, ok
 }
 
 // eqProj is one pre-resolved select-list item: a column position, a
@@ -445,14 +559,13 @@ type eqProj struct {
 // tryEqScan executes a single-table SELECT whose WHERE is an AND-tree
 // of <column> <cmp> <literal> conjuncts and whose select list is plain
 // columns, literals, or an unqualified *, resolving every column
-// reference ONCE and then scanning rows with direct index accesses —
-// no per-row env allocation, no per-row name resolution. When the
-// conjuncts equality-pin the full primary key the PK hash index
-// replaces the scan. ok=false means the shape is out of scope and the
-// generic evaluator must run; semantics for in-scope shapes are
-// identical to the generic path (same tristate WHERE filtering, same
-// output column names), which TestEqScanParity pins by running every
-// corpus query both ways.
+// reference ONCE and then scanning its candidate rows with direct
+// index accesses — no per-row env allocation, no per-row name
+// resolution. ok=false means the shape is out of scope and the generic
+// evaluator must run; semantics for in-scope shapes are identical to
+// the generic path (same tristate WHERE filtering, same output column
+// names), which TestEqScanParity pins by running every corpus query
+// both ways.
 func (ev *evaluator) tryEqScan(sel *sqlparser.SelectStmt) (*Result, bool, error) {
 	if len(sel.From) != 1 || sel.Where == nil || sel.Distinct ||
 		len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 ||
@@ -471,56 +584,8 @@ func (ev *evaluator) tryEqScan(sel *sqlparser.SelectStmt) (*Result, bool, error)
 	if ref.Alias != "" {
 		name = strings.ToLower(ref.Alias)
 	}
-	// A reference is local iff it is unqualified or names this table's
-	// alias; anything else (including a column this table lacks, which
-	// could be a correlated outer reference) sends the query back to
-	// the generic evaluator.
-	resolve := func(cr *sqlparser.ColumnRef) (int, bool) {
-		if cr.Table != "" && !strings.EqualFold(cr.Table, name) {
-			return 0, false
-		}
-		return td.def.ColumnIndex(cr.Column)
-	}
-
-	var conds []eqCond
-	var flatten func(e sqlparser.Expr) bool
-	flatten = func(e sqlparser.Expr) bool {
-		b, ok := e.(*sqlparser.BinaryExpr)
-		if !ok {
-			return false
-		}
-		if b.Op == sqlparser.OpAnd {
-			return flatten(b.Left) && flatten(b.Right)
-		}
-		switch b.Op {
-		case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe,
-			sqlparser.OpGt, sqlparser.OpGe, sqlparser.OpLike:
-		default:
-			return false
-		}
-		if cr, okc := b.Left.(*sqlparser.ColumnRef); okc {
-			if lit, okl := b.Right.(*sqlparser.Literal); okl {
-				pos, okr := resolve(cr)
-				if !okr {
-					return false
-				}
-				conds = append(conds, eqCond{pos: pos, op: b.Op, lit: lit.Value})
-				return true
-			}
-		}
-		if lit, okl := b.Left.(*sqlparser.Literal); okl {
-			if cr, okc := b.Right.(*sqlparser.ColumnRef); okc {
-				pos, okr := resolve(cr)
-				if !okr {
-					return false
-				}
-				conds = append(conds, eqCond{pos: pos, op: b.Op, lit: lit.Value, litLeft: true})
-				return true
-			}
-		}
-		return false
-	}
-	if !flatten(sel.Where) {
+	conds, complete := localConds(sel.Where, td, name)
+	if !complete {
 		return nil, false, nil
 	}
 
@@ -539,7 +604,7 @@ func (ev *evaluator) tryEqScan(sel *sqlparser.SelectStmt) (*Result, bool, error)
 			}
 			switch x := it.Expr.(type) {
 			case *sqlparser.ColumnRef:
-				pos, okr := resolve(x)
+				pos, okr := localColumn(x, td, name)
 				if !okr {
 					return nil, false, nil
 				}
@@ -553,36 +618,20 @@ func (ev *evaluator) tryEqScan(sel *sqlparser.SelectStmt) (*Result, bool, error)
 		}
 	}
 
-	// Candidate rows: the PK hash index when the conjuncts equality-pin
-	// every primary-key column (the full conjunct list still filters the
-	// probed row, preserving NULL and extra-conjunct semantics), else
-	// the whole table.
-	candidates := td.rows
-	if td.pkIndex != nil {
-		probe := make(Row, len(td.pkCols))
-		pinned := 0
-		for i, pc := range td.pkCols {
-			for _, c := range conds {
-				if c.op == sqlparser.OpEq && c.pos == pc {
-					probe[i] = c.lit
-					pinned++
-					break
-				}
-			}
-		}
-		if pinned == len(td.pkCols) {
-			if pos, okp := td.pkIndex[probe.key(rangeInts(len(probe)))]; okp {
-				candidates = td.rows[pos : pos+1]
-			} else {
-				candidates = nil
-			}
-		}
+	pos, narrowed := td.candidates(conds)
+	n := len(td.rows)
+	if narrowed {
+		n = len(pos)
 	}
-
 	sc := &scope{}
 	sc.addTable(td.def, name, 0)
 	res := &Result{Columns: ev.outputColumns(sel, sc)}
-	for _, r := range candidates {
+	for i := range n {
+		p := i
+		if narrowed {
+			p = int(pos[i])
+		}
+		r := td.rows[p]
 		if err := ev.tick(); err != nil {
 			return nil, false, err
 		}
@@ -620,81 +669,11 @@ func (ev *evaluator) tryEqScan(sel *sqlparser.SelectStmt) (*Result, bool, error)
 	return res, true, nil
 }
 
-// tryPointLookup serves single-table queries whose WHERE conjuncts
-// pin every primary-key column to a literal, via the PK hash index.
-// The full WHERE still runs afterwards, so extra conjuncts and NULL
-// semantics are preserved.
-func (ev *evaluator) tryPointLookup(sel *sqlparser.SelectStmt, sc *scope) ([]Row, bool) {
-	if len(sel.From) != 1 || sel.Where == nil {
-		return nil, false
-	}
-	ref, ok := sel.From[0].(*sqlparser.TableRef)
-	if !ok {
-		return nil, false
-	}
-	td, ok := ev.db.tables[strings.ToLower(ref.Name)]
-	if !ok || td.pkIndex == nil {
-		return nil, false
-	}
-	// Collect col = literal equalities from the AND-conjunction.
-	pins := map[int]sqlvalue.Value{}
-	var collect func(e sqlparser.Expr) bool
-	collect = func(e sqlparser.Expr) bool {
-		b, ok := e.(*sqlparser.BinaryExpr)
-		if !ok {
-			return true // non-conjunct shapes are fine; just no pin
-		}
-		switch b.Op {
-		case sqlparser.OpAnd:
-			return collect(b.Left) && collect(b.Right)
-		case sqlparser.OpEq:
-			cr, okc := b.Left.(*sqlparser.ColumnRef)
-			lit, okl := b.Right.(*sqlparser.Literal)
-			if !okc || !okl {
-				if cr2, okc2 := b.Right.(*sqlparser.ColumnRef); okc2 {
-					if lit2, okl2 := b.Left.(*sqlparser.Literal); okl2 {
-						cr, lit, okc, okl = cr2, lit2, true, true
-					}
-				}
-			}
-			if okc && okl {
-				if ci, found := td.def.ColumnIndex(cr.Column); found {
-					pins[ci] = lit.Value
-				}
-			}
-			return true
-		case sqlparser.OpOr:
-			return false // disjunctions disable the fast path
-		}
-		return true
-	}
-	if !collect(sel.Where) {
-		return nil, false
-	}
-	probe := make(Row, len(td.pkCols))
-	for i, pc := range td.pkCols {
-		v, ok := pins[pc]
-		if !ok {
-			return nil, false
-		}
-		probe[i] = v
-	}
-	name := strings.ToLower(ref.Name)
-	if ref.Alias != "" {
-		name = strings.ToLower(ref.Alias)
-	}
-	sc.addTable(td.def, name, 0)
-	pos, ok := td.pkIndex[probe.key(rangeInts(len(probe)))]
-	if !ok {
-		return []Row{}, true
-	}
-	return []Row{td.rows[pos]}, true
-}
-
 // tableRows enumerates the rows of a FROM item, extending sc with its
 // tables at fresh offsets. Returned rows are padded to start at the
 // registered offsets relative to the current sc.width at call time.
-func (ev *evaluator) tableRows(te sqlparser.TableExpr, sc *scope, parent *env) ([]Row, error) {
+// where, the WHERE of a query whose whole FROM is te, narrows a table.
+func (ev *evaluator) tableRows(te sqlparser.TableExpr, sc *scope, parent *env, where sqlparser.Expr) ([]Row, error) {
 	base := sc.width
 	switch t := te.(type) {
 	case *sqlparser.TableRef:
@@ -707,17 +686,24 @@ func (ev *evaluator) tableRows(te sqlparser.TableExpr, sc *scope, parent *env) (
 			name = strings.ToLower(t.Alias)
 		}
 		sc.addTable(td.def, name, base)
-		out := make([]Row, len(td.rows))
-		copy(out, td.rows)
+		conds, _ := localConds(where, td, name)
+		pos, narrowed := td.candidates(conds)
+		if !narrowed {
+			return slices.Clone(td.rows), nil
+		}
+		out := make([]Row, len(pos))
+		for i, p := range pos {
+			out[i] = td.rows[p]
+		}
 		return out, nil
 
 	case *sqlparser.JoinExpr:
-		leftRows, err := ev.tableRows(t.Left, sc, parent)
+		leftRows, err := ev.tableRows(t.Left, sc, parent, nil)
 		if err != nil {
 			return nil, err
 		}
 		leftWidth := sc.width - base
-		rightRows, err := ev.tableRows(t.Right, sc, parent)
+		rightRows, err := ev.tableRows(t.Right, sc, parent, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -194,6 +194,34 @@ func TestInProcessHandle(t *testing.T) {
 	}
 }
 
+// TestRecordedRowsSurviveUpdate pins that the trace may share the
+// engine's result rows: an UPDATE of the row a query returned leaves
+// both the recorded trace entry and the response with the old values.
+func TestRecordedRowsSurviveUpdate(t *testing.T) {
+	srv := testServer(t, Enforce)
+	sess := NewSession(map[string]sqlvalue.Value{"MyUId": sqlvalue.NewInt(1)})
+	srv.HandleIn(&Request{Op: "query", SQL: "SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2"}, sess)
+	resp := srv.HandleIn(&Request{Op: "query", SQL: "SELECT * FROM Events WHERE EId = 2"}, sess)
+	if !resp.OK || resp.Blocked || len(resp.Rows) != 1 {
+		t.Fatalf("query: %+v", resp)
+	}
+	upd := srv.HandleIn(&Request{Op: "exec", SQL: "UPDATE Events SET Title = 'changed', Notes = NULL WHERE EId = 2"}, sess)
+	if !upd.OK || upd.Affected != 1 {
+		t.Fatalf("update: %+v", upd)
+	}
+	if got := resp.Rows[0][1]; got != "retro" {
+		t.Errorf("response row changed under it: Title = %v", got)
+	}
+	entries, _ := sess.Trace().SnapshotState()
+	row := entries[len(entries)-1].Rows[0]
+	if row[1].Text() != "retro" || row[2].Text() != "snacks" {
+		t.Errorf("trace entry changed under it: %v", row)
+	}
+	if now := srv.DB.Snapshot("Events")[0]; now[1].Text() != "changed" {
+		t.Errorf("update not applied: %v", now)
+	}
+}
+
 func TestStatsOverWire(t *testing.T) {
 	srv := testServer(t, Enforce)
 	cl := dialTest(t, srv)

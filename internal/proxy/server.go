@@ -1416,10 +1416,12 @@ func (s *Server) finishQuery(ctx context.Context, req *Request, sess *session, s
 
 	// Record in history (queries the application actually saw answers
 	// to are what future decisions may rely on). With enforcement off
-	// nothing ever reads the trace, so don't grow it.
+	// nothing ever reads the trace, so don't grow it. The engine builds
+	// every result row afresh (stored rows are copy-on-write), so the
+	// trace and the response share them; only the header is new.
 	rows := make([][]sqlvalue.Value, len(res.Rows))
 	for i, r := range res.Rows {
-		rows[i] = append([]sqlvalue.Value(nil), r...)
+		rows[i] = r
 	}
 	if s.Mode != Off {
 		sess.tr.Append(trace.Entry{
