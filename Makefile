@@ -65,9 +65,11 @@ coldsmoke:
 # then the budget tests that turn those numbers into hard gates — the
 # checker's decide tiers, warm and cold, a windowed trace (an append
 # into a full window, and deriving a window of statements that yield no
-# fact, must be exactly 0 allocs/op), and the proxy's pooled encode
-# path end-to-end (front-tier warm probe through wire encode must be
-# exactly 0 allocs/op on the v2 surface).
+# fact, must be exactly 0 allocs/op), the proxy's pooled encode path
+# end-to-end (front-tier warm probe through wire encode of typed rows
+# must be exactly 0 allocs/op on the v2 surface), the engine's bound
+# range read (the same count for 50 rows as for 500, at most 4), and a
+# pgwire DataRow framed from typed values (exactly 0).
 allocbudget:
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmDecide|BenchmarkColdDecide' -benchmem -benchtime=100x ./internal/checker
 	$(GO) test -run 'TestWarmDecideAllocBudget|TestColdDecideAllocBudget' -count=1 ./internal/checker
@@ -75,6 +77,8 @@ allocbudget:
 	$(GO) test -run 'TestTraceAllocBudget' -count=1 ./internal/trace
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmEncode' -benchmem -benchtime=100x ./internal/proxy
 	$(GO) test -run 'TestWarmEncodeAllocBudget' -count=1 ./internal/proxy
+	$(GO) test -run 'TestScanAllocsConstant' -count=1 ./internal/engine
+	$(GO) test -run 'TestDataRowAllocs' -count=1 ./internal/pgwire
 
 # Full open-loop sweep (10k/100k/1M sessions); see README Load Testing.
 openloop:
@@ -94,9 +98,9 @@ ingress:
 
 # Full saturation-knee search: stepped open-loop ramp per ingress,
 # binary-searching the highest offered QPS whose p99 stays under the
-# SLO (default 5ms), with per-step CPU attribution. -sat-ablate
-# reverts the ceiling lifts for a before/after pair; see README
-# "Finding the ceiling".
+# SLO (default 5ms), with per-step CPU attribution. The ablated
+# before/after pair can no longer be re-run: the switches it flipped
+# are gone; see README "Finding the ceiling".
 saturate:
 	$(GO) run ./cmd/acbench -saturate
 
@@ -173,11 +177,16 @@ fuzz:
 fuzzwal:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/durable
 
-# Ten-second fuzz smoke of the proxy wire codec: the hand-rolled fast
+# Ten-second fuzz smokes of the wire codecs: the hand-rolled fast
 # decoder must agree with the normalized reflective fallback on every
-# line it accepts.
+# line it accepts; the pooled response encode of typed rows must equal
+# encoding/json through Value.MarshalJSON and decode back to the same
+# Values; every pgwire DataRow cell must equal the string-building
+# reference rendering.
 fuzzwire:
-	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/proxy
+	$(GO) test -run '^$$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/proxy
+	$(GO) test -run '^$$' -fuzz=FuzzEncodeResponsePooled -fuzztime=10s ./internal/proxy
+	$(GO) test -run '^$$' -fuzz=FuzzValueTextParity -fuzztime=10s ./internal/pgwire
 
 # Kill-and-recover integration test: run a WAL-backed proxy, SIGKILL
 # it mid-workload, restart, and assert decision parity with an

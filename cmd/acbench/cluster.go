@@ -265,7 +265,7 @@ func clusterSearch(n int, cfg clusterBenchConfig, progress func(string)) (cluste
 	)
 search:
 	for step := 0; ; step++ {
-		ss, err := runStep(st, sat, q, step, false)
+		ss, err := runStep(st, sat, q, step)
 		if err != nil {
 			return clusterRow{}, fmt.Errorf("cluster %d @%.0f qps: %w", n, q, err)
 		}

@@ -32,9 +32,7 @@
 // KNEE: the highest QPS whose p99 stays under -sat-slo with zero
 // errors and no late-generator disqualification. Each step runs under
 // an in-process CPU profile whose top flat functions name the
-// limiting resource. -sat-ablate repeats the search with the inline
-// fast path and encode pooling disabled, so the ceiling lift is
-// measured by the same harness that found the ceiling.
+// limiting resource.
 //
 // -cluster stands up N clustered Serve stacks in-process (durable WAL,
 // live shipping, consistent-hash routing), spreads named durable
@@ -96,10 +94,9 @@ func main() {
 	clusterBudget := flag.Duration("cluster-budget", 25*time.Second, "with -cluster/-json: wall-clock budget per cluster size")
 	satIngress := flag.String("sat-ingress", "v2,driver,pg", "with -saturate: comma-separated ingresses to search")
 	satSLO := flag.Duration("sat-slo", 5*time.Millisecond, "with -saturate/-json: p99 SLO a passing step must hold")
-	satBudget := flag.Duration("sat-budget", 45*time.Second, "with -saturate/-json: wall-clock budget per (ingress, variant) search")
+	satBudget := flag.Duration("sat-budget", 45*time.Second, "with -saturate/-json: wall-clock budget per ingress search")
 	satStep := flag.Duration("sat-step", 4*time.Second, "with -saturate/-json: target duration of one load step")
 	satStart := flag.Float64("sat-start", 500, "with -saturate: starting offered QPS for the ramp")
-	satAblate := flag.Bool("sat-ablate", false, "with -saturate: disable the inline fast path and encode pooling (ceiling-lift ablation)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (in -saturate mode: one per load step, <path>.<ingress>.<qps>qps.pprof)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	olIngress := flag.String("openloop-ingress", "v2", "with -openloop: ingress surface to load, v2 (lanes) or pg (one wire connection per session)")
@@ -120,7 +117,6 @@ func main() {
 	satCfg.Budget = *satBudget
 	satCfg.Step = *satStep
 	satCfg.StartQPS = *satStart
-	satCfg.Ablate = *satAblate
 	if *satIngress != "" {
 		satCfg.Ingresses = satCfg.Ingresses[:0]
 		for _, s := range strings.Split(*satIngress, ",") {
@@ -379,30 +375,18 @@ func runJSON(path, against string, olCfg openloopConfig, satCfg satConfig, clCfg
 		return err
 	}
 	doc.Ingress = ing
-	// Saturation knees: the optimized build and its ablation (inline
-	// fast path, encode pooling, and the engine's bound equality scan
-	// all off), per ingress, both measured by the same knee-search
-	// harness so the ceiling lift is apples-to-apples. Settle the heap
-	// first: the million-session openloop sweep above leaves the GC
-	// pacer with a huge heap goal, and knee steps measured under that
-	// inherited pressure read artificially low.
+	// Saturation knees per ingress. Settle the heap first: the
+	// million-session openloop sweep above leaves the GC pacer with a
+	// huge heap goal, and knee steps measured under that inherited
+	// pressure read artificially low.
 	runtime.GC()
 	debug.FreeOSMemory()
-	for _, ablate := range []bool{false, true} {
-		variant := "optimized"
-		if ablate {
-			variant = "ablated"
-		}
-		fmt.Printf("acbench: saturation knee search (%s)...\n", variant)
-		cfg := satCfg
-		cfg.Ablate = ablate
-		rows, err := runSaturate(cfg, func(s string) { fmt.Println(s) })
-		if err != nil {
-			return err
-		}
-		doc.Saturation = append(doc.Saturation, rows...)
+	fmt.Println("acbench: saturation knee search...")
+	sat, err := runSaturate(satCfg, func(s string) { fmt.Println(s) })
+	if err != nil {
+		return err
 	}
-	printSatLift(doc.Saturation)
+	doc.Saturation = sat
 	fmt.Println("acbench: cluster knee sweep...")
 	runtime.GC()
 	debug.FreeOSMemory()

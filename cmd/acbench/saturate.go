@@ -40,10 +40,9 @@ const satMaxLatenessMicros = 50_000
 type satConfig struct {
 	Ingresses []string      // subset of v2, driver, pg
 	SLO       time.Duration // p99 budget a passing step must meet
-	Budget    time.Duration // wall-clock bound per (ingress, variant) search
+	Budget    time.Duration // wall-clock bound per ingress search
 	Step      time.Duration // target duration of one load step
 	StartQPS  float64
-	Ablate    bool // disable inline fast path + encode pooling (ceiling-lift ablation)
 }
 
 func defaultSatConfig() satConfig {
@@ -79,11 +78,10 @@ type satStep struct {
 	Top  []satFn `json:"top,omitempty"`
 }
 
-// satRow is one (ingress, slo, variant) knee result for BENCH_9.json.
+// satRow is one (ingress, slo) knee result for BENCH_9.json.
 type satRow struct {
 	Ingress       string    `json:"ingress"`
 	SLOMicros     int64     `json:"sloMicros"`
-	Ablated       bool      `json:"ablated,omitempty"`
 	KneeQPS       float64   `json:"kneeQPS"`
 	KneeP99Micros int64     `json:"kneeP99Micros"`
 	Steps         []satStep `json:"steps"`
@@ -110,30 +108,25 @@ const (
 	satSessions = 128
 )
 
-// newSatTarget builds the live stack for one ingress, with the
-// ceiling-lift optimizations on or ablated off. Ablation reverts the
-// proxy inline fast path and response encode pooling; the engine's
-// bound equality scan has no switch and stays on in both arms.
-func newSatTarget(ingress string, ablate bool) (*satTarget, error) {
+// newSatTarget builds the live stack for one ingress.
+func newSatTarget(ingress string) (*satTarget, error) {
 	f := apps.Calendar()
 	db := f.MustNewDB(satUsers)
 	chk := checker.New(f.Policy())
 	switch ingress {
 	case "v2":
-		return newSatV2(db, chk, ablate)
+		return newSatV2(db, chk)
 	case "driver":
-		return newSatDriver(db, chk, ablate)
+		return newSatDriver(db, chk)
 	case "pg":
-		return newSatPg(db, chk, ablate)
+		return newSatPg(db, chk)
 	}
 	return nil, fmt.Errorf("unknown saturate ingress %q (want v2, driver, or pg)", ingress)
 }
 
-func newSatV2(db *beyond.DB, chk *beyond.Checker, ablate bool) (*satTarget, error) {
+func newSatV2(db *beyond.DB, chk *beyond.Checker) (*satTarget, error) {
 	ctx := context.Background()
 	srv := proxy.NewServer(db, chk, proxy.Enforce)
-	srv.DisableInlineFast = ablate
-	srv.DisableEncodePooling = ablate
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -171,10 +164,8 @@ func newSatV2(db *beyond.DB, chk *beyond.Checker, ablate bool) (*satTarget, erro
 // repro/driver: the schedule's sessions are pooled driver connections,
 // all bound to one principal (the pool hands out whichever connection
 // is free, so per-session principals would be a lie here).
-func newSatDriver(db *beyond.DB, chk *beyond.Checker, ablate bool) (*satTarget, error) {
+func newSatDriver(db *beyond.DB, chk *beyond.Checker) (*satTarget, error) {
 	srv := proxy.NewServer(db, chk, proxy.Enforce)
-	srv.DisableInlineFast = ablate
-	srv.DisableEncodePooling = ablate
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -208,15 +199,13 @@ func newSatDriver(db *beyond.DB, chk *beyond.Checker, ablate bool) (*satTarget, 
 	}, nil
 }
 
-func newSatPg(db *beyond.DB, chk *beyond.Checker, ablate bool) (*satTarget, error) {
+func newSatPg(db *beyond.DB, chk *beyond.Checker) (*satTarget, error) {
 	svc, err := beyond.Serve(db, chk, beyond.Enforce,
 		beyond.WithPgListener("127.0.0.1:0"),
 		beyond.WithPgMaxConns(satSessions+8))
 	if err != nil {
 		return nil, err
 	}
-	svc.Proxy().DisableInlineFast = ablate
-	svc.Proxy().DisableEncodePooling = ablate
 	pool := &pgPoolTarget{conns: make([]*pgLoadConn, satSessions)}
 	closeAll := func() { pool.close(); svc.Close() }
 	for i := 0; i < satSessions; i++ {
@@ -233,14 +222,14 @@ func newSatPg(db *beyond.DB, chk *beyond.Checker, ablate bool) (*satTarget, erro
 }
 
 // satProfileSink, when non-"", makes each step also dump its raw CPU
-// profile to <sink>.<ingress>[-ablated].<qps>qps.pprof for offline
+// profile to <sink>.<ingress>.<qps>qps.pprof for offline
 // `go tool pprof` (the -cpuprofile flag in saturate mode).
 var satProfileSink string
 
 // runStep measures one offered-QPS step against a live target: a fresh
 // Poisson schedule sized to roughly cfg.Step of traffic, profiled
 // in-process, judged against the SLO.
-func runStep(t *satTarget, cfg satConfig, qps float64, stepIdx int, ablated bool) (satStep, error) {
+func runStep(t *satTarget, cfg satConfig, qps float64, stepIdx int) (satStep, error) {
 	ops := int(qps * cfg.Step.Seconds())
 	if ops < 200 {
 		ops = 200
@@ -292,20 +281,13 @@ func runStep(t *satTarget, cfg satConfig, qps float64, stepIdx int, ablated bool
 	if profiling {
 		st.Top = profTop(prof.Bytes())
 		if satProfileSink != "" {
-			name := fmt.Sprintf("%s.%s.%.0fqps.pprof", satProfileSink, variantName(t.name, ablated), qps)
+			name := fmt.Sprintf("%s.%s.%.0fqps.pprof", satProfileSink, t.name, qps)
 			if werr := os.WriteFile(name, prof.Bytes(), 0o644); werr != nil {
 				fmt.Fprintf(os.Stderr, "saturate: write %s: %v\n", name, werr)
 			}
 		}
 	}
 	return st, nil
-}
-
-func variantName(ingress string, ablated bool) string {
-	if ablated {
-		return ingress + "-ablated"
-	}
-	return ingress
 }
 
 // profTop reduces a raw CPU profile to its top-5 flat functions with
@@ -332,14 +314,14 @@ func profTop(data []byte) []satFn {
 	return out
 }
 
-// satSearch locates the knee for one (ingress, variant): exponential
+// satSearch locates the knee for one ingress: exponential
 // ramp from StartQPS until a step fails, then binary search between
 // the bracketing pass/fail until the bracket is within 10% or the
 // wall-clock budget runs out. The knee is the highest passing step.
 func satSearch(ingress string, cfg satConfig, progress func(string)) (satRow, error) {
-	t, err := newSatTarget(ingress, cfg.Ablate)
+	t, err := newSatTarget(ingress)
 	if err != nil {
-		return satRow{}, fmt.Errorf("saturate %s: setup: %w", variantName(ingress, cfg.Ablate), err)
+		return satRow{}, fmt.Errorf("saturate %s: setup: %w", ingress, err)
 	}
 	defer t.close()
 
@@ -352,11 +334,11 @@ func satSearch(ingress string, cfg satConfig, progress func(string)) (satRow, er
 		if _, err := loadgen.Run(context.Background(), loadgen.Config{
 			Target: t.target, Schedule: warm, Workers: 128,
 		}); err != nil {
-			return satRow{}, fmt.Errorf("saturate %s: warmup: %w", variantName(ingress, cfg.Ablate), err)
+			return satRow{}, fmt.Errorf("saturate %s: warmup: %w", ingress, err)
 		}
 	}
 
-	row := satRow{Ingress: ingress, SLOMicros: cfg.SLO.Microseconds(), Ablated: cfg.Ablate}
+	row := satRow{Ingress: ingress, SLOMicros: cfg.SLO.Microseconds()}
 	deadline := time.Now().Add(cfg.Budget)
 	var (
 		lo, hi float64 // highest pass, lowest fail (0 = none yet)
@@ -365,9 +347,9 @@ func satSearch(ingress string, cfg satConfig, progress func(string)) (satRow, er
 	)
 search:
 	for step := 0; ; step++ {
-		st, err := runStep(t, cfg, q, step, cfg.Ablate)
+		st, err := runStep(t, cfg, q, step)
 		if err != nil {
-			return satRow{}, fmt.Errorf("saturate %s @%.0f qps: %w", variantName(ingress, cfg.Ablate), q, err)
+			return satRow{}, fmt.Errorf("saturate %s @%.0f qps: %w", ingress, q, err)
 		}
 		row.Steps = append(row.Steps, st)
 		if progress != nil {
@@ -376,7 +358,7 @@ search:
 				status = "pass"
 			}
 			progress(fmt.Sprintf("  %-14s %8.0f qps  p99=%6dµs  achieved=%7.0f/s  %s",
-				variantName(ingress, cfg.Ablate), q, st.P99Micros, st.AchievedQPS, status))
+				ingress, q, st.P99Micros, st.AchievedQPS, status))
 		}
 		if st.Pass {
 			lo = q
@@ -413,7 +395,7 @@ search:
 }
 
 // runSaturate runs the knee search over the configured ingresses,
-// returning one row per (ingress, variant).
+// returning one row per ingress.
 func runSaturate(cfg satConfig, progress func(string)) ([]satRow, error) {
 	var rows []satRow
 	for _, ing := range cfg.Ingresses {
@@ -424,27 +406,6 @@ func runSaturate(cfg satConfig, progress func(string)) ([]satRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// printSatLift summarizes the optimized-vs-ablated knee per ingress —
-// the measured ceiling lift from the inline fast path + encode
-// pooling, by the same harness that located both knees.
-func printSatLift(rows []satRow) {
-	knee := map[string]float64{}
-	for _, r := range rows {
-		knee[variantName(r.Ingress, r.Ablated)] = r.KneeQPS
-	}
-	for _, r := range rows {
-		if r.Ablated {
-			continue
-		}
-		abl := knee[r.Ingress+"-ablated"]
-		if abl <= 0 || r.KneeQPS <= 0 {
-			continue
-		}
-		fmt.Printf("acbench: saturation lift %s: knee %.0f qps optimized vs %.0f qps ablated (%.2fx)\n",
-			r.Ingress, r.KneeQPS, abl, r.KneeQPS/abl)
-	}
 }
 
 func printSaturate(cfg satConfig) error {
@@ -463,7 +424,7 @@ func printSaturate(cfg satConfig) error {
 		if len(r.Top) > 0 {
 			top = fmt.Sprintf("%s (%.0f%%)", r.Top[0].Name, r.Top[0].Percent)
 		}
-		fmt.Printf("%-14s %12.0f %10dµs  %s\n", variantName(r.Ingress, r.Ablated), r.KneeQPS, r.KneeP99Micros, top)
+		fmt.Printf("%-14s %12.0f %10dµs  %s\n", r.Ingress, r.KneeQPS, r.KneeP99Micros, top)
 	}
 	return nil
 }

@@ -100,12 +100,8 @@ func mine(f *beyond.Fixture, hints, guards bool) (*beyond.Policy, error) {
 				if err != nil {
 					return nil, err
 				}
-				rows := make([][]sqlvalue.Value, len(res.Rows))
-				for i, r := range res.Rows {
-					rows[i] = r
-				}
-				entries = append(entries, extract.MinedEntry{SQL: sql, Args: args, Columns: res.Columns, Rows: rows})
-				return &appdsl.Rows{Columns: res.Columns, Rows: rows}, nil
+				entries = append(entries, extract.MinedEntry{SQL: sql, Args: args, Columns: res.Columns, Rows: res.Rows})
+				return &appdsl.Rows{Columns: res.Columns, Rows: res.Rows}, nil
 			})
 			_, err := appdsl.Run(h, params,
 				map[string]sqlvalue.Value{"user_id": sqlvalue.NewInt(uid)}, runner)

@@ -21,21 +21,17 @@ import (
 	"repro/internal/sqlvalue"
 )
 
-// Row is one stored tuple, in declared column order.
-type Row []sqlvalue.Value
+// Row is one tuple, in declared column order for a stored row and in
+// select-list order for a result row. It is a plain []sqlvalue.Value, so
+// a result row reaches the trace and both wires as the engine built it.
+type Row = []sqlvalue.Value
 
-// Clone returns a copy of the row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
-// key builds a composite index key from the given column positions.
-func (r Row) key(cols []int) string {
+// rowKey builds a key over every column of r: rows with equal keys are
+// duplicates to DISTINCT and UNION.
+func rowKey(r Row) string {
 	var b strings.Builder
-	for _, c := range cols {
-		b.WriteString(r[c].Key())
+	for _, v := range r {
+		b.WriteString(v.Key())
 		b.WriteByte(0)
 	}
 	return b.String()
@@ -217,6 +213,13 @@ func columnPositions(t *schema.Table, names []string) []int {
 	return out
 }
 
+// table finds a table by name in any letter case.
+func (db *DB) table(name string) (*tableData, bool) {
+	var buf [64]byte
+	td, ok := db.tables[string(schema.AppendLower(buf[:0], name))]
+	return td, ok
+}
+
 // Schema returns the database schema.
 func (db *DB) Schema() *schema.Schema { return db.schema }
 
@@ -224,7 +227,7 @@ func (db *DB) Schema() *schema.Schema { return db.schema }
 func (db *DB) RowCount(table string) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	td, ok := db.tables[strings.ToLower(table)]
+	td, ok := db.table(table)
 	if !ok {
 		return 0
 	}
@@ -305,7 +308,7 @@ func (db *DB) MustExec(sql string, argVals ...any) {
 func (db *DB) Insert(ins *sqlparser.InsertStmt) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	td, ok := db.tables[strings.ToLower(ins.Table)]
+	td, ok := db.table(ins.Table)
 	if !ok {
 		return 0, fmt.Errorf("engine: no table %q", ins.Table)
 	}
@@ -354,7 +357,7 @@ func (db *DB) Insert(ins *sqlparser.InsertStmt) (int, error) {
 func (db *DB) InsertRow(table string, vals ...any) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	td, ok := db.tables[strings.ToLower(table)]
+	td, ok := db.table(table)
 	if !ok {
 		return fmt.Errorf("engine: no table %q", table)
 	}
@@ -415,7 +418,7 @@ func (db *DB) checkFKLocked(t *schema.Table, fk schema.ForeignKey, row Row) erro
 	if anyNull {
 		return nil // SQL FK semantics: NULL escapes the check
 	}
-	ref := db.tables[strings.ToLower(fk.RefTable)]
+	ref, _ := db.table(fk.RefTable)
 	refPos := columnPositions(ref.def, fk.RefColumns)
 	// Fast path: the referenced columns are one of the ref table's keys.
 	for _, ix := range ref.keys {
@@ -441,19 +444,11 @@ func (db *DB) checkFKLocked(t *schema.Table, fk schema.ForeignKey, row Row) erro
 	return fmt.Errorf("engine: FK violation: %s(%s) -> %s", t.Name, strings.Join(fk.Columns, ","), fk.RefTable)
 }
 
-func rangeInts(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // Update applies an UPDATE whose parameters are bound.
 func (db *DB) Update(upd *sqlparser.UpdateStmt) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	td, ok := db.tables[strings.ToLower(upd.Table)]
+	td, ok := db.table(upd.Table)
 	if !ok {
 		return 0, fmt.Errorf("engine: no table %q", upd.Table)
 	}
@@ -467,7 +462,7 @@ func (db *DB) Update(upd *sqlparser.UpdateStmt) (int, error) {
 	}
 	ev := &evaluator{db: db}
 	scope := newScope(nil)
-	scope.addTable(td.def, strings.ToLower(upd.Table), 0)
+	scope.addTable(td.def, upd.Table, 0)
 	n := 0
 	for ri, row := range td.rows {
 		keep, err := ev.predicate(upd.Where, scope, row)
@@ -477,7 +472,7 @@ func (db *DB) Update(upd *sqlparser.UpdateStmt) (int, error) {
 		if !keep {
 			continue
 		}
-		updated := row.Clone()
+		updated := slices.Clone(row)
 		for i, a := range upd.Set {
 			v, err := ev.eval(a.Value, scope, row)
 			if err != nil {
@@ -534,13 +529,13 @@ func (db *DB) replaceRowLocked(td *tableData, ri int, updated Row, checkFKs bool
 func (db *DB) Delete(del *sqlparser.DeleteStmt) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	td, ok := db.tables[strings.ToLower(del.Table)]
+	td, ok := db.table(del.Table)
 	if !ok {
 		return 0, fmt.Errorf("engine: no table %q", del.Table)
 	}
 	ev := &evaluator{db: db}
 	scope := newScope(nil)
-	scope.addTable(td.def, strings.ToLower(del.Table), 0)
+	scope.addTable(td.def, del.Table, 0)
 	var keep []Row
 	moved := make([]int32, len(td.rows)) // old position -> new, -1 if deleted
 	for i, row := range td.rows {
@@ -577,13 +572,13 @@ func (db *DB) Delete(del *sqlparser.DeleteStmt) (int, error) {
 func (db *DB) Snapshot(table string) []Row {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	td, ok := db.tables[strings.ToLower(table)]
+	td, ok := db.table(table)
 	if !ok {
 		return nil
 	}
 	out := make([]Row, len(td.rows))
 	for i, r := range td.rows {
-		out[i] = r.Clone()
+		out[i] = slices.Clone(r)
 	}
 	return out
 }
@@ -599,7 +594,7 @@ func (db *DB) Clone() *DB {
 		otd := out.tables[name]
 		otd.rows = make([]Row, len(td.rows))
 		for i, r := range td.rows {
-			otd.rows[i] = r.Clone()
+			otd.rows[i] = slices.Clone(r)
 		}
 		for i, ix := range td.keys {
 			otd.keys[i].pos, otd.keys[i].keys = slices.Clone(ix.pos), slices.Clone(ix.keys)
@@ -660,7 +655,7 @@ func (db *DB) ContentHash() uint64 {
 func (db *DB) SetCell(table string, rowIdx int, column string, val any) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	td, ok := db.tables[strings.ToLower(table)]
+	td, ok := db.table(table)
 	if !ok {
 		return fmt.Errorf("engine: no table %q", table)
 	}
@@ -679,7 +674,7 @@ func (db *DB) SetCell(table string, rowIdx int, column string, val any) error {
 	if err != nil {
 		return err
 	}
-	updated := td.rows[rowIdx].Clone()
+	updated := slices.Clone(td.rows[rowIdx])
 	updated[p] = cv
 	return db.replaceRowLocked(td, rowIdx, updated, false)
 }

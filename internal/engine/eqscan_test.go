@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sqlparser"
+	"repro/internal/sqlvalue"
 )
 
 // genericQuery runs q through the generic evaluator alone (subqueries
@@ -82,6 +85,11 @@ func TestEqScanParity(t *testing.T) {
 		if fast, generic := servedQuery(db, q), genericQuery(t, db, q); fast != generic {
 			t.Errorf("eq-scan parity broken for %q:\nfast path:\n%s\ngeneric:\n%s", q, fast, generic)
 		}
+		// A Describe's columns, derived without running the query.
+		sel := sqlparser.MustParseSelect(q)
+		if res, err := db.Query(sel); err != nil || !slices.Equal(db.ResultColumns(sel), res.Columns) {
+			t.Errorf("%q: ResultColumns %q, the run's columns %v (%v)", q, db.ResultColumns(sel), res, err)
+		}
 	}
 }
 
@@ -119,6 +127,68 @@ func TestEqScanRandomizedParity(t *testing.T) {
 		if fast, generic := servedQuery(db, q), genericQuery(t, db, q); fast != generic {
 			t.Fatalf("randomized parity broken for %q:\nfast path:\n%s\ngeneric:\n%s", q, fast, generic)
 		}
+	}
+}
+
+// TestEqCondHoldsParity pins the bound scan's comparison to the
+// evaluator's: for every operator and every ordered pair from a pool of
+// every class (and the values where classes meet: 2 against 2.0, NaN,
+// numeric text, the empty string), eqCond.holds must be
+// truth(applyBinary(op, l, r)) == True — with the literal on the right,
+// and on the left as localConds stores it (mirrored, or litLeft for
+// LIKE).
+func TestEqCondHoldsParity(t *testing.T) {
+	pool := []sqlvalue.Value{
+		sqlvalue.NewNull(), sqlvalue.NewInt(2), sqlvalue.NewReal(2.0), sqlvalue.NewReal(2.5),
+		sqlvalue.NewReal(math.NaN()), sqlvalue.NewText("2"), sqlvalue.NewText(""),
+		sqlvalue.NewText("%"), sqlvalue.NewBool(true),
+	}
+	for op, m := range mirrored {
+		for _, l := range pool {
+			for _, r := range pool {
+				v, err := applyBinary(op, l, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := truth(v) == sqlvalue.True
+				litRight := eqCond{op: op, lit: r}
+				litLeft := eqCond{op: m, lit: l, litLeft: op == sqlparser.OpLike}
+				if got := litRight.holds(Row{l}); got != want {
+					t.Errorf("row %v op %d literal %v: holds %v, evaluator %v", l, op, r, got, want)
+				}
+				if got := litLeft.holds(Row{r}); got != want {
+					t.Errorf("literal %v op %d row %v: holds %v, evaluator %v", l, op, r, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestScanAllocsConstant is the bound scan's allocation contract: a
+// range read allocates its Result, its column names, one slab of
+// cells and one slice of row headers — the same count for 50 rows as
+// for 500, and at most 4. Each row is capped at its own cells, so an
+// append to one cannot write into the next.
+func TestScanAllocsConstant(t *testing.T) {
+	db := rangeDB(t, 2000)
+	counts := map[int]float64{}
+	for _, rows := range []int{50, 500} {
+		sel := sqlparser.MustParseSelect("SELECT EId, Title FROM Events WHERE EId >= 1000 AND EId < " + itoa(1000+rows))
+		var res *Result
+		counts[rows] = testing.AllocsPerRun(50, func() {
+			var err error
+			if res, err = db.Query(sel); err != nil || len(res.Rows) != rows {
+				t.Fatalf("%v; want %d rows", err, rows)
+			}
+		})
+		next := res.Rows[1][0]
+		_ = append(res.Rows[0], sqlvalue.NewText("spill"))
+		if cap(res.Rows[0]) != 2 || res.Rows[1][0] != next {
+			t.Errorf("row 0 has capacity %d; an append to it rewrote row 1 to %v", cap(res.Rows[0]), res.Rows[1])
+		}
+	}
+	if counts[50] != counts[500] || counts[500] > 4 {
+		t.Errorf("bound range read allocates %v times for 50 rows, %v for 500; contract is the same count, at most 4", counts[50], counts[500])
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -52,6 +53,32 @@ func (db *DB) QuerySQL(sql string, args sqlparser.Args) (*Result, error) {
 	return db.Query(bound.(*sqlparser.SelectStmt))
 }
 
+// ResultColumns returns the column names a run of sel returns in
+// Result.Columns, without running it: what a Postgres Describe
+// announces before any row exists. A FROM table the schema lacks adds
+// no columns; running the statement reports it.
+func (db *DB) ResultColumns(sel *sqlparser.SelectStmt) []string {
+	sc := &scope{}
+	for _, te := range sel.From {
+		db.scopeFrom(te, sc)
+	}
+	return outputColumns(sel, sc)
+}
+
+// scopeFrom registers the tables of FROM item te in sc at the offsets
+// tableRows gives them.
+func (db *DB) scopeFrom(te sqlparser.TableExpr, sc *scope) {
+	switch t := te.(type) {
+	case *sqlparser.TableRef:
+		if td, ok := db.table(t.Name); ok {
+			sc.addTable(td.def, refName(t), sc.width)
+		}
+	case *sqlparser.JoinExpr:
+		db.scopeFrom(t.Left, sc)
+		db.scopeFrom(t.Right, sc)
+	}
+}
+
 // scope maps table names/aliases to column ranges of a combined row.
 type scope struct {
 	entries []scopeEntry
@@ -59,7 +86,7 @@ type scope struct {
 }
 
 type scopeEntry struct {
-	name   string // lower-cased alias or table name
+	name   string // alias or table name as written; matched case-insensitively
 	table  *schema.Table
 	offset int
 }
@@ -83,13 +110,12 @@ func (s *scope) addTable(t *schema.Table, name string, offset int) {
 
 // resolve finds the combined-row position for a column reference.
 func (s *scope) resolve(table, column string) (int, bool, error) {
-	tl, cl := strings.ToLower(table), strings.ToLower(column)
 	found, at := false, 0
 	for _, e := range s.entries {
-		if tl != "" && e.name != tl {
+		if table != "" && !strings.EqualFold(e.name, table) {
 			continue
 		}
-		if p, ok := e.table.ColumnIndex(cl); ok {
+		if p, ok := e.table.ColumnIndex(column); ok {
 			if found {
 				return 0, false, fmt.Errorf("engine: ambiguous column reference %q", column)
 			}
@@ -163,7 +189,7 @@ func (ev *evaluator) execSelect(sel *sqlparser.SelectStmt, parent *env) (*Result
 		seen := make(map[string]bool, len(res.Rows))
 		var rows []Row
 		for _, r := range res.Rows {
-			k := r.key(rangeInts(len(r)))
+			k := rowKey(r)
 			if seen[k] {
 				continue
 			}
@@ -305,7 +331,7 @@ func (ev *evaluator) execGeneric(sel *sqlparser.SelectStmt, parent *env) (*Resul
 		if err != nil {
 			return nil, err
 		}
-		res.Columns = ev.outputColumns(sel, sc)
+		res.Columns = outputColumns(sel, sc)
 		for _, g := range groups {
 			genv := &groupEnv{scope: sc, rows: g, parent: parent}
 			if sel.Having != nil {
@@ -331,7 +357,7 @@ func (ev *evaluator) execGeneric(sel *sqlparser.SelectStmt, parent *env) (*Resul
 			}
 		}
 	} else {
-		res.Columns = ev.outputColumns(sel, sc)
+		res.Columns = outputColumns(sel, sc)
 		for _, r := range rows {
 			e := &env{scope: sc, row: r, parent: parent}
 			out, err := ev.projectRow(sel, sc, e)
@@ -355,7 +381,7 @@ func (ev *evaluator) execGeneric(sel *sqlparser.SelectStmt, parent *env) (*Resul
 		var outRows []Row
 		var outKeys [][]sqlvalue.Value
 		for i, r := range res.Rows {
-			k := r.key(rangeInts(len(r)))
+			k := rowKey(r)
 			if seen[k] {
 				continue
 			}
@@ -432,12 +458,51 @@ type eqCond struct {
 	litLeft bool
 }
 
+// holds reports whether the conjunct is TRUE on row r — exactly
+// truth(applyBinary(op, l, r)) == True — with one comparison that builds
+// no Value.
+func (c *eqCond) holds(r Row) bool {
+	v := r[c.pos]
+	switch c.op {
+	case sqlparser.OpEq:
+		return sqlvalue.Equal(v, c.lit) == sqlvalue.True
+	case sqlparser.OpNe:
+		return sqlvalue.Equal(v, c.lit) == sqlvalue.False
+	case sqlparser.OpLike:
+		if c.litLeft {
+			return sqlvalue.Like(c.lit, v) == sqlvalue.True
+		}
+		return sqlvalue.Like(v, c.lit) == sqlvalue.True
+	}
+	n, ok := sqlvalue.Compare(v, c.lit)
+	switch c.op {
+	case sqlparser.OpLt:
+		return ok && n < 0
+	case sqlparser.OpLe:
+		return ok && n <= 0
+	case sqlparser.OpGt:
+		return ok && n > 0
+	case sqlparser.OpGe:
+		return ok && n >= 0
+	}
+	return false
+}
+
 // mirrored maps each collected operator to its form with operands swapped.
 var mirrored = map[sqlparser.BinaryOp]sqlparser.BinaryOp{
 	sqlparser.OpEq: sqlparser.OpEq, sqlparser.OpNe: sqlparser.OpNe,
 	sqlparser.OpLt: sqlparser.OpGt, sqlparser.OpLe: sqlparser.OpGe,
 	sqlparser.OpGt: sqlparser.OpLt, sqlparser.OpGe: sqlparser.OpLe,
 	sqlparser.OpLike: sqlparser.OpLike,
+}
+
+// refName is the name a FROM table is referenced by: its alias, else
+// its table name.
+func refName(t *sqlparser.TableRef) string {
+	if t.Alias != "" {
+		return t.Alias
+	}
+	return t.Name
 }
 
 // localColumn resolves e if it is a column of td, the single FROM
@@ -451,41 +516,32 @@ func localColumn(e sqlparser.Expr, td *tableData, name string) (int, bool) {
 	return td.def.ColumnIndex(cr.Column)
 }
 
-// localConds collects the conjuncts of the AND-tree e that compare a
-// local column of td with a literal. complete reports whether every
-// conjunct had that form.
-func localConds(e sqlparser.Expr, td *tableData, name string) (conds []eqCond, complete bool) {
-	complete = true
-	var walk func(sqlparser.Expr)
-	walk = func(e sqlparser.Expr) {
-		b, ok := e.(*sqlparser.BinaryExpr)
-		if !ok {
-			complete = false
-			return
-		}
-		if b.Op == sqlparser.OpAnd {
-			walk(b.Left)
-			walk(b.Right)
-			return
-		}
-		if m, ok := mirrored[b.Op]; ok {
-			if lit, ok := b.Right.(*sqlparser.Literal); ok {
-				if pos, ok := localColumn(b.Left, td, name); ok {
-					conds = append(conds, eqCond{pos: pos, op: b.Op, lit: lit.Value})
-					return
-				}
-			}
-			if lit, ok := b.Left.(*sqlparser.Literal); ok {
-				if pos, ok := localColumn(b.Right, td, name); ok {
-					conds = append(conds, eqCond{pos: pos, op: m, lit: lit.Value, litLeft: m == sqlparser.OpLike})
-					return
-				}
-			}
-		}
-		complete = false
+// localConds appends to conds the conjuncts of the AND-tree e that
+// compare a local column of td with a literal. complete reports whether
+// every conjunct had that form.
+func localConds(conds []eqCond, e sqlparser.Expr, td *tableData, name string) (_ []eqCond, complete bool) {
+	b, ok := e.(*sqlparser.BinaryExpr)
+	if !ok {
+		return conds, false
 	}
-	walk(e)
-	return conds, complete
+	if b.Op == sqlparser.OpAnd {
+		conds, left := localConds(conds, b.Left, td, name)
+		conds, right := localConds(conds, b.Right, td, name)
+		return conds, left && right
+	}
+	if m, ok := mirrored[b.Op]; ok {
+		if lit, ok := b.Right.(*sqlparser.Literal); ok {
+			if pos, ok := localColumn(b.Left, td, name); ok {
+				return append(conds, eqCond{pos: pos, op: b.Op, lit: lit.Value}), true
+			}
+		}
+		if lit, ok := b.Left.(*sqlparser.Literal); ok {
+			if pos, ok := localColumn(b.Right, td, name); ok {
+				return append(conds, eqCond{pos: pos, op: m, lit: lit.Value, litLeft: m == sqlparser.OpLike}), true
+			}
+		}
+	}
+	return conds, false
 }
 
 // candidates narrows a single-table read through the key that narrows
@@ -556,12 +612,21 @@ type eqProj struct {
 	star bool
 }
 
+// keptWords is the stack bitmap in which the bound scan marks the
+// candidates it keeps: 4 096 candidates before it allocates one.
+const keptWords = 64
+
 // tryEqScan executes a single-table SELECT whose WHERE is an AND-tree
 // of <column> <cmp> <literal> conjuncts and whose select list is plain
 // columns, literals, or an unqualified *, resolving every column
 // reference ONCE and then scanning its candidate rows with direct
-// index accesses — no per-row env allocation, no per-row name
-// resolution. ok=false means the shape is out of scope and the generic
+// index accesses — no per-row env, no per-row name resolution, no
+// per-row Value or allocation: each conjunct is one comparison
+// (eqCond.holds), the kept candidates are marked first, and the output
+// cells are projected into one exact-size slab that every result row
+// is a capacity-capped window of. A read thus allocates its Result,
+// its column names, the slab and the row headers, however many rows it
+// returns. ok=false means the shape is out of scope and the generic
 // evaluator must run; semantics for in-scope shapes are identical to
 // the generic path (same tristate WHERE filtering, same output column
 // names), which TestEqScanParity pins by running every corpus query
@@ -576,26 +641,25 @@ func (ev *evaluator) tryEqScan(sel *sqlparser.SelectStmt) (*Result, bool, error)
 	if !ok {
 		return nil, false, nil
 	}
-	td, ok := ev.db.tables[strings.ToLower(ref.Name)]
+	td, ok := ev.db.table(ref.Name)
 	if !ok {
 		return nil, false, nil
 	}
-	name := strings.ToLower(ref.Name)
-	if ref.Alias != "" {
-		name = strings.ToLower(ref.Alias)
-	}
-	conds, complete := localConds(sel.Where, td, name)
+	name := refName(ref)
+	var condBuf [8]eqCond
+	conds, complete := localConds(condBuf[:0], sel.Where, td, name)
 	if !complete {
 		return nil, false, nil
 	}
 
-	projs := make([]eqProj, 0, len(sel.Items))
-	outWidth := 0
+	var projBuf [8]eqProj
+	projs := projBuf[:0]
+	width := 0
 	for _, it := range sel.Items {
 		switch {
 		case it.Star && it.Table == "":
 			projs = append(projs, eqProj{star: true})
-			outWidth += len(td.def.Columns)
+			width += len(td.def.Columns)
 		case it.Star:
 			return nil, false, nil
 		default:
@@ -614,7 +678,7 @@ func (ev *evaluator) tryEqScan(sel *sqlparser.SelectStmt) (*Result, bool, error)
 			default:
 				return nil, false, nil
 			}
-			outWidth++
+			width++
 		}
 	}
 
@@ -623,48 +687,56 @@ func (ev *evaluator) tryEqScan(sel *sqlparser.SelectStmt) (*Result, bool, error)
 	if narrowed {
 		n = len(pos)
 	}
-	sc := &scope{}
-	sc.addTable(td.def, name, 0)
-	res := &Result{Columns: ev.outputColumns(sel, sc)}
+	var keptBuf [keptWords]uint64
+	kept := keptBuf[:]
+	if words := (n + 63) / 64; words > len(kept) {
+		kept = make([]uint64, words)
+	}
+	nkept := 0
+scan:
 	for i := range n {
 		p := i
 		if narrowed {
 			p = int(pos[i])
 		}
-		r := td.rows[p]
 		if err := ev.tick(); err != nil {
 			return nil, false, err
 		}
-		keep := true
-		for _, c := range conds {
-			l, rv := r[c.pos], c.lit
-			if c.litLeft {
-				l, rv = c.lit, r[c.pos]
-			}
-			v, err := applyBinary(c.op, l, rv)
-			if err != nil {
-				return nil, false, err
-			}
-			if truth(v) != sqlvalue.True {
-				keep = false
-				break
+		for c := range conds {
+			if !conds[c].holds(td.rows[p]) {
+				continue scan
 			}
 		}
-		if !keep {
-			continue
-		}
-		out := make(Row, 0, outWidth)
-		for _, p := range projs {
-			switch {
-			case p.star:
-				out = append(out, r...)
-			case p.pos < 0:
-				out = append(out, p.lit)
-			default:
-				out = append(out, r[p.pos])
+		kept[i/64] |= 1 << (i % 64)
+		nkept++
+	}
+
+	res := &Result{Columns: outputColumns(sel, &scope{entries: []scopeEntry{{name: name, table: td.def}}})}
+	if nkept == 0 {
+		return res, true, nil
+	}
+	slab := make([]sqlvalue.Value, nkept*width)
+	res.Rows = make([]Row, 0, nkept)
+	for w, word := range kept {
+		for ; word != 0; word &= word - 1 {
+			p := w*64 + bits.TrailingZeros64(word)
+			if narrowed {
+				p = int(pos[p])
 			}
+			r, at := td.rows[p], len(res.Rows)*width
+			out := slab[at : at : at+width]
+			for _, pr := range projs {
+				switch {
+				case pr.star:
+					out = append(out, r...)
+				case pr.pos < 0:
+					out = append(out, pr.lit)
+				default:
+					out = append(out, r[pr.pos])
+				}
+			}
+			res.Rows = append(res.Rows, out)
 		}
-		res.Rows = append(res.Rows, out)
 	}
 	return res, true, nil
 }
@@ -677,16 +749,13 @@ func (ev *evaluator) tableRows(te sqlparser.TableExpr, sc *scope, parent *env, w
 	base := sc.width
 	switch t := te.(type) {
 	case *sqlparser.TableRef:
-		td, ok := ev.db.tables[strings.ToLower(t.Name)]
+		td, ok := ev.db.table(t.Name)
 		if !ok {
 			return nil, fmt.Errorf("engine: no table %q", t.Name)
 		}
-		name := strings.ToLower(t.Name)
-		if t.Alias != "" {
-			name = strings.ToLower(t.Alias)
-		}
+		name := refName(t)
 		sc.addTable(td.def, name, base)
-		conds, _ := localConds(where, td, name)
+		conds, _ := localConds(nil, where, td, name)
 		pos, narrowed := td.candidates(conds)
 		if !narrowed {
 			return slices.Clone(td.rows), nil
@@ -773,18 +842,24 @@ func (ev *evaluator) crossProduct(acc, next []Row) ([]Row, error) {
 }
 
 // outputColumns derives the result column names.
-func (ev *evaluator) outputColumns(sel *sqlparser.SelectStmt, sc *scope) []string {
-	var cols []string
+func outputColumns(sel *sqlparser.SelectStmt, sc *scope) []string {
+	n := len(sel.Items)
+	for _, it := range sel.Items {
+		if it.Star {
+			for _, e := range sc.entries {
+				n += len(e.table.Columns)
+			}
+		}
+	}
+	cols := make([]string, 0, n)
 	for _, it := range sel.Items {
 		switch {
-		case it.Star && it.Table == "":
-			for _, e := range sc.entries {
-				cols = append(cols, e.table.ColumnNames()...)
-			}
 		case it.Star:
 			for _, e := range sc.entries {
-				if e.name == strings.ToLower(it.Table) {
-					cols = append(cols, e.table.ColumnNames()...)
+				if it.Table == "" || strings.EqualFold(e.name, it.Table) {
+					for _, c := range e.table.Columns {
+						cols = append(cols, c.Name)
+					}
 				}
 			}
 		case it.Alias != "":
@@ -811,7 +886,7 @@ func (ev *evaluator) projectRow(sel *sqlparser.SelectStmt, sc *scope, e *env) (R
 		case it.Star:
 			found := false
 			for _, se := range sc.entries {
-				if se.name == strings.ToLower(it.Table) {
+				if strings.EqualFold(se.name, it.Table) {
 					out = append(out, e.row[se.offset:se.offset+len(se.table.Columns)]...)
 					found = true
 				}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/checker"
 	"repro/internal/engine"
 	"repro/internal/sqlparser"
-	"repro/internal/sqlvalue"
 	"repro/internal/trace"
 )
 
@@ -91,13 +90,9 @@ func primeTrace(db *engine.DB, w apps.WorkloadQuery) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([][]sqlvalue.Value, len(res.Rows))
-	for i, r := range res.Rows {
-		rows[i] = r
-	}
 	tr.Append(trace.Entry{
 		SQL: w.PrimeSQL, Stmt: sel, Args: sqlparser.PositionalArgs(w.PrimeArgs...),
-		Columns: res.Columns, Rows: rows,
+		Columns: res.Columns, Rows: res.Rows,
 	})
 	return tr, nil
 }

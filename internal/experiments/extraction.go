@@ -85,14 +85,10 @@ func runHandlerCollect(f *apps.Fixture, db *engine.DB, h *appdsl.Handler, uid in
 		if err != nil {
 			return nil, err
 		}
-		rows := make([][]sqlvalue.Value, len(res.Rows))
-		for i, r := range res.Rows {
-			rows[i] = r
-		}
 		entries = append(entries, extract.MinedEntry{
-			SQL: sql, Args: args, Columns: res.Columns, Rows: rows,
+			SQL: sql, Args: args, Columns: res.Columns, Rows: res.Rows,
 		})
-		return &appdsl.Rows{Columns: res.Columns, Rows: rows}, nil
+		return &appdsl.Rows{Columns: res.Columns, Rows: res.Rows}, nil
 	})
 	pv := map[string]sqlvalue.Value{}
 	for k, v := range params {
@@ -313,12 +309,8 @@ func runHandlerCollectValues(db *engine.DB, h *appdsl.Handler, params, session m
 		if err != nil {
 			return nil, err
 		}
-		rows := make([][]sqlvalue.Value, len(res.Rows))
-		for i, r := range res.Rows {
-			rows[i] = r
-		}
 		sqls = append(sqls, sql)
-		return &appdsl.Rows{Columns: res.Columns, Rows: rows}, nil
+		return &appdsl.Rows{Columns: res.Columns, Rows: res.Rows}, nil
 	})
 	_, err := appdsl.Run(h, params, session, runner)
 	if err != nil {

@@ -128,12 +128,8 @@ func (e *Explorer) runOnce(h *appdsl.Handler, uid int64, params map[string]sqlva
 		if err != nil {
 			return nil, err
 		}
-		rows := make([][]sqlvalue.Value, len(res.Rows))
-		for i, r := range res.Rows {
-			rows[i] = r
-		}
-		entries = append(entries, MinedEntry{SQL: sql, Args: args, Columns: res.Columns, Rows: rows})
-		return &appdsl.Rows{Columns: res.Columns, Rows: rows}, nil
+		entries = append(entries, MinedEntry{SQL: sql, Args: args, Columns: res.Columns, Rows: res.Rows})
+		return &appdsl.Rows{Columns: res.Columns, Rows: res.Rows}, nil
 	})
 	session := map[string]sqlvalue.Value{"user_id": sqlvalue.NewInt(uid)}
 	_, err := appdsl.Run(h, params, session, runner)

@@ -116,14 +116,10 @@ func mineSamples(t *testing.T, s *schema.Schema, app *appdsl.App, db *engine.DB,
 			if err != nil {
 				return nil, err
 			}
-			rows := make([][]sqlvalue.Value, len(res.Rows))
-			for i, rr := range res.Rows {
-				rows[i] = rr
-			}
 			entries = append(entries, MinedEntry{
-				SQL: sql, Args: args, Columns: res.Columns, Rows: rows,
+				SQL: sql, Args: args, Columns: res.Columns, Rows: res.Rows,
 			})
-			return &appdsl.Rows{Columns: res.Columns, Rows: rows}, nil
+			return &appdsl.Rows{Columns: res.Columns, Rows: res.Rows}, nil
 		})
 		h, _ := app.Handler("show_event")
 		_, err := appdsl.Run(h,

@@ -30,8 +30,10 @@ type prepared struct {
 	sql       string
 	kw        string
 	numParams int
-	paramOIDs []int32               // as declared by Parse; 0 = unspecified
-	sel       *sqlparser.SelectStmt // non-nil for SELECT
+	paramOIDs []int32 // as declared by Parse; 0 = unspecified
+	// cols are the engine's output columns, resolved at Parse; nil for
+	// anything but a SELECT.
+	cols []string
 }
 
 // portal is a Bind result: a prepared statement with argument values.
@@ -422,7 +424,7 @@ func (c *conn) handleParse(p *payloadReader) bool {
 		}
 		st.numParams = sqlparser.NumPositionalParams(stmt)
 		if sel, ok := stmt.(*sqlparser.SelectStmt); ok {
-			st.sel = sel
+			st.cols = c.srv.cfg.Proxy.DB.ResultColumns(sel)
 		}
 	}
 	c.stmts[name] = st
@@ -557,34 +559,15 @@ func (c *conn) handleDescribe(p *payloadReader) bool {
 	return true
 }
 
-// describeResult announces the statement's result shape:
-// RowDescription for SELECTs, NoData otherwise. Column names come from
-// the AST the way the engine derives them (alias, then column name,
-// then expression text); star items are announced as "*" because the
-// bridge has no schema access — row data is still complete.
+// describeResult announces the statement's result shape: for a SELECT
+// the RowDescription the simple protocol sends with its rows — every
+// column a star item expands to included — and NoData otherwise.
 func (c *conn) describeResult(st *prepared) {
-	if st.sel == nil {
+	if st.cols == nil {
 		_ = writeNoData(c.w, &c.m)
 		return
 	}
-	cols := make([]string, 0, len(st.sel.Items))
-	for _, it := range st.sel.Items {
-		switch {
-		case it.Star && it.Table == "":
-			cols = append(cols, "*")
-		case it.Star:
-			cols = append(cols, it.Table+".*")
-		case it.Alias != "":
-			cols = append(cols, it.Alias)
-		default:
-			if cr, ok := it.Expr.(*sqlparser.ColumnRef); ok {
-				cols = append(cols, cr.Column)
-			} else {
-				cols = append(cols, it.Expr.SQL())
-			}
-		}
-	}
-	_ = writeRowDescription(c.w, &c.m, cols)
+	_ = writeRowDescription(c.w, &c.m, st.cols)
 }
 
 func (c *conn) handleExecute(base context.Context, p *payloadReader) bool {

@@ -4,20 +4,47 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/sqlvalue"
 )
 
-// The DataRow encoder writes values directly into the per-connection
-// message buffer (valueText) instead of materializing a string per
-// cell (renderValue). These tests pin both halves of that bargain:
-// the wire bytes are exactly the Postgres v3 framing (golden tests,
-// byte literals computed by hand from the protocol spec), and the
-// direct-append rendering is byte-identical to the renderValue
-// reference for every value the engine can produce (equivalence
-// tests and fuzz). The msgBuf is reused across every case, as the
-// connection loop reuses it across every query.
+// The DataRow encoder writes typed values directly into the
+// per-connection message buffer (valueText) instead of materializing a
+// string per cell (renderValue). These tests pin both halves of that
+// bargain: the wire bytes are exactly the Postgres v3 framing (golden
+// tests, byte literals computed by hand from the protocol spec), and
+// the direct-append rendering is byte-identical to the renderValue
+// reference for every value the engine can produce (equivalence tests
+// and fuzz). The msgBuf is reused across every case, as the connection
+// loop reuses it across every query.
+
+// renderValue is the reference rendering of one cell, from the Go
+// value a Value boxes to (Value.Any): its Postgres text form, ok=false
+// for NULL.
+func renderValue(v any) (s string, ok bool) {
+	switch x := v.(type) {
+	case nil:
+		return "", false
+	case int64:
+		return strconv.FormatInt(x, 10), true
+	case float64:
+		return strconv.FormatFloat(x, 'g', -1, 64), true
+	case bool:
+		if x {
+			return "t", true
+		}
+		return "f", true
+	case string:
+		return x, true
+	}
+	return fmt.Sprint(v), true
+}
 
 // mustHex decodes a spaced hex golden literal.
 func mustHex(t *testing.T, s string) []byte {
@@ -35,7 +62,8 @@ func mustHex(t *testing.T, s string) []byte {
 // (includes itself, excludes the type byte), int16 column count, then
 // per cell an int32 length (-1 for NULL) and the text rendering.
 func TestDataRowGolden(t *testing.T) {
-	row := []any{nil, int64(-7), float64(2.5), "hi", true, false}
+	row := []sqlvalue.Value{sqlvalue.NewNull(), sqlvalue.NewInt(-7), sqlvalue.NewReal(2.5),
+		sqlvalue.NewText("hi"), sqlvalue.NewBool(true), sqlvalue.NewBool(false)}
 	want := mustHex(t, "44 00000027 0006"+
 		" ffffffff"+ // NULL
 		" 00000002 2d37"+ // "-7"
@@ -60,7 +88,7 @@ func TestDataRowGolden(t *testing.T) {
 	// Integral REALs render without a decimal point, exactly like the
 	// v2 JSON surface renders them.
 	buf.Reset()
-	if err := writeDataRow(&buf, &m, []any{float64(3)}); err != nil {
+	if err := writeDataRow(&buf, &m, []sqlvalue.Value{sqlvalue.NewReal(3)}); err != nil {
 		t.Fatal(err)
 	}
 	want = mustHex(t, "44 0000000b 0001 00000001 33")
@@ -91,8 +119,8 @@ func TestRowDescriptionGolden(t *testing.T) {
 // referenceCell renders one DataRow cell the slow way — renderValue
 // into a fresh string, then explicit framing — to serve as the oracle
 // for the direct-append encoder.
-func referenceCell(v any) []byte {
-	s, ok := renderValue(v)
+func referenceCell(v sqlvalue.Value) []byte {
+	s, ok := renderValue(v.Any())
 	if !ok {
 		return []byte{0xff, 0xff, 0xff, 0xff}
 	}
@@ -102,7 +130,7 @@ func referenceCell(v any) []byte {
 
 // valueTextCell renders one cell through the production path, into a
 // deliberately dirty, reused buffer.
-func valueTextCell(m *msgBuf, v any) []byte {
+func valueTextCell(m *msgBuf, v sqlvalue.Value) []byte {
 	m.begin('D')
 	start := len(m.buf)
 	m.valueText(v)
@@ -110,12 +138,12 @@ func valueTextCell(m *msgBuf, v any) []byte {
 }
 
 // TestValueTextMatchesRenderValue walks every value shape the engine
-// emits through a Response — plus the fmt fallback for foreign types —
-// and checks the direct-append rendering byte-for-byte against the
-// renderValue reference.
+// emits and checks the direct-append rendering byte-for-byte against
+// the renderValue reference.
 func TestValueTextMatchesRenderValue(t *testing.T) {
 	var m msgBuf
-	values := []any{
+	var values []sqlvalue.Value
+	for _, v := range []any{
 		nil,
 		int64(0), int64(42), int64(-42), int64(math.MaxInt64), int64(math.MinInt64),
 		float64(0), float64(2.5), float64(-0.125), float64(1e300), float64(5e-324),
@@ -123,7 +151,8 @@ func TestValueTextMatchesRenderValue(t *testing.T) {
 		math.Inf(1), math.Inf(-1), math.NaN(),
 		"", "standup", "tab\tand\x00nul", "ünïcödé",
 		true, false,
-		int(7), uint16(9), // foreign types: fmt fallback
+	} {
+		values = append(values, sqlvalue.MustFromAny(v))
 	}
 	for _, v := range values {
 		got := valueTextCell(&m, v)
@@ -135,9 +164,9 @@ func TestValueTextMatchesRenderValue(t *testing.T) {
 }
 
 // FuzzValueTextParity fuzzes the direct-append cell encoder against
-// the renderValue reference across the four wire kinds, reusing one
+// the renderValue reference across every value class, reusing one
 // msgBuf the whole run the way a connection does. kind selects the
-// Go type handed to the encoder; the other arguments supply the value.
+// class (0 is NULL); the other arguments supply the value.
 func FuzzValueTextParity(f *testing.F) {
 	f.Add(uint8(0), int64(0), uint64(0), "")
 	f.Add(uint8(1), int64(-9007199254740993), uint64(0), "")
@@ -147,18 +176,16 @@ func FuzzValueTextParity(f *testing.F) {
 	f.Add(uint8(4), int64(1), uint64(0), "")
 	var m msgBuf
 	f.Fuzz(func(t *testing.T, kind uint8, i int64, fbits uint64, s string) {
-		var v any
+		var v sqlvalue.Value
 		switch kind % 5 {
-		case 0:
-			v = nil
 		case 1:
-			v = i
+			v = sqlvalue.NewInt(i)
 		case 2:
-			v = math.Float64frombits(fbits)
+			v = sqlvalue.NewReal(math.Float64frombits(fbits))
 		case 3:
-			v = s
+			v = sqlvalue.NewText(s)
 		case 4:
-			v = i%2 == 0
+			v = sqlvalue.NewBool(i%2 == 0)
 		}
 		got := valueTextCell(&m, v)
 		want := referenceCell(v)
@@ -166,4 +193,20 @@ func FuzzValueTextParity(f *testing.F) {
 			t.Fatalf("valueText(%#v):\n got  %x\n want %x", v, got, want)
 		}
 	})
+}
+
+// TestDataRowAllocs is the framing half of the allocation contract: a
+// DataRow written from a []sqlvalue.Value into a warmed message buffer
+// allocates nothing.
+func TestDataRowAllocs(t *testing.T) {
+	row := []sqlvalue.Value{sqlvalue.NewInt(1 << 40), sqlvalue.NewText("a post body"),
+		sqlvalue.NewReal(2.5), sqlvalue.NewBool(true), sqlvalue.NewNull()}
+	var m msgBuf
+	if n := testing.AllocsPerRun(100, func() {
+		if err := writeDataRow(io.Discard, &m, row); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("DataRow from typed values: %v allocs, contract is exactly 0", n)
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"repro/internal/sqlvalue"
 )
 
 // Postgres v3 framing: after startup, every frontend message is one
@@ -156,61 +158,37 @@ func writeRowDescription(w io.Writer, m *msgBuf, cols []string) error {
 	return writeMsg(w, m)
 }
 
-// renderValue converts an engine value (as returned through the proxy
-// Response: int64, float64, string, bool, or nil) to its Postgres text
-// rendering; ok=false means NULL.
-func renderValue(v any) (s string, ok bool) {
-	switch x := v.(type) {
-	case nil:
-		return "", false
-	case int64:
-		return strconv.FormatInt(x, 10), true
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64), true
-	case bool:
-		if x {
-			return "t", true
-		}
-		return "f", true
-	case string:
-		return x, true
-	}
-	return fmt.Sprint(v), true
-}
-
 // valueText appends one DataRow cell: NULL as length -1, otherwise a
 // 4-byte length placeholder followed by the value's Postgres text
 // rendering appended DIRECTLY into the message buffer (strconv append
 // forms, no intermediate string or []byte copy), with the length
-// patched afterward. Must render byte-identically to renderValue —
-// the golden and fuzz tests in frame_test.go pin the equivalence.
-func (m *msgBuf) valueText(v any) {
-	if v == nil {
+// patched afterward. The golden and fuzz tests in frame_test.go pin it
+// to a string-building reference.
+func (m *msgBuf) valueText(v sqlvalue.Value) {
+	if v.IsNull() {
 		m.int32(-1)
 		return
 	}
 	at := len(m.buf)
 	m.buf = append(m.buf, 0, 0, 0, 0)
-	switch x := v.(type) {
-	case int64:
-		m.buf = strconv.AppendInt(m.buf, x, 10)
-	case float64:
-		m.buf = strconv.AppendFloat(m.buf, x, 'g', -1, 64)
-	case bool:
-		if x {
+	switch v.Type() {
+	case sqlvalue.Int:
+		m.buf = strconv.AppendInt(m.buf, v.Int(), 10)
+	case sqlvalue.Real:
+		m.buf = strconv.AppendFloat(m.buf, v.Real(), 'g', -1, 64)
+	case sqlvalue.Bool:
+		if v.Bool() {
 			m.buf = append(m.buf, 't')
 		} else {
 			m.buf = append(m.buf, 'f')
 		}
-	case string:
-		m.buf = append(m.buf, x...)
-	default:
-		m.buf = fmt.Append(m.buf, v)
+	case sqlvalue.Text:
+		m.buf = append(m.buf, v.Text()...)
 	}
 	binary.BigEndian.PutUint32(m.buf[at:], uint32(len(m.buf)-at-4))
 }
 
-func writeDataRow(w io.Writer, m *msgBuf, row []any) error {
+func writeDataRow(w io.Writer, m *msgBuf, row []sqlvalue.Value) error {
 	m.begin('D')
 	m.int16(int16(len(row)))
 	for _, v := range row {

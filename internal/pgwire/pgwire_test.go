@@ -215,6 +215,11 @@ func (pc *pgConn) sendExecute(portal string, maxRows int32) {
 
 func (pc *pgConn) sendSync() { pc.send('S', nil) }
 
+func (pc *pgConn) sendClose(kind byte, name string) {
+	b := append([]byte{kind}, name...)
+	pc.send('C', append(b, 0))
+}
+
 // cancelVia opens a second connection and issues a CancelRequest with
 // this connection's BackendKeyData.
 func (pc *pgConn) cancelVia(addr string) {
@@ -468,6 +473,58 @@ func TestExtendedProtocol(t *testing.T) {
 	pc.send('B', b)
 	pc.sendSync()
 	wantSQLState(t, pc.readUntilReady(), "0A000")
+}
+
+// TestDescribeMatchesSimpleProtocol pins Describe's RowDescription to
+// the one the simple protocol sends with the same statement's rows, on
+// Describe of the statement and of the portal: a star expands to the
+// table's columns — over a join, to both tables' — an alias names its
+// column, an aggregate its expression, and a UNION its first arm. A
+// client such as libpq rejects a DataRow whose cell count differs from
+// the RowDescription it was given.
+func TestDescribeMatchesSimpleProtocol(t *testing.T) {
+	addr, _ := listen(t, testProxy(t, proxy.LogOnly), Config{})
+	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
+	for _, c := range []struct{ sql, arg string }{
+		{"SELECT * FROM Events WHERE EId = $1", "2"},
+		{"SELECT e.* FROM Events e WHERE e.EId = $1", "2"},
+		{"SELECT * FROM Events e JOIN Attendance a ON e.EId = a.EId WHERE a.UId = $1", "1"},
+		{"SELECT Title AS name, EId FROM Events WHERE EId = $1", "2"},
+		{"SELECT COUNT(*) FROM Attendance WHERE UId = $1", "1"},
+		{"SELECT EId FROM Attendance WHERE UId = $1 UNION SELECT EId FROM Events WHERE EId = 3", "1"},
+	} {
+		simple := pc.query(strings.Replace(c.sql, "$1", c.arg, 1))
+		want := findMsg(simple, 'T')
+		if want == nil {
+			t.Fatalf("%s: no RowDescription in %s", c.sql, msgTypes(simple))
+		}
+		pc.sendParse("d", c.sql, nil)
+		pc.sendDescribe('S', "d")
+		pc.sendBind("", "d", []string{c.arg})
+		pc.sendDescribe('P', "")
+		pc.sendExecute("", 0)
+		pc.sendSync()
+		msgs := pc.readUntilReady()
+		if got := msgTypes(msgs); !strings.HasPrefix(got, "1tT2T") || countMsgs(msgs, 'D') != countMsgs(simple, 'D') {
+			t.Fatalf("%s: extended flow %s, simple %s", c.sql, got, msgTypes(simple))
+		}
+		fields := int(binary.BigEndian.Uint16(want.payload))
+		for _, m := range msgs {
+			switch m.typ {
+			case 'T':
+				if string(m.payload) != string(want.payload) {
+					t.Errorf("%s: Describe announces %q, the simple protocol %q", c.sql, m.payload, want.payload)
+				}
+			case 'D':
+				if n := len(dataRowValues(t, m)); n != fields {
+					t.Errorf("%s: DataRow of %d fields under a RowDescription of %d", c.sql, n, fields)
+				}
+			}
+		}
+		pc.sendClose('S', "d")
+		pc.sendSync()
+		pc.readUntilReady()
+	}
 }
 
 func TestMidTransactionBlock(t *testing.T) {

@@ -452,15 +452,7 @@ func respToRows(resp *Response) (*Rows, error) {
 	if resp.Blocked {
 		return nil, &BlockedError{Reason: resp.Reason}
 	}
-	out := &Rows{Columns: resp.Columns}
-	for _, r := range resp.Rows {
-		vals, err := decodeValues(r)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, vals)
-	}
-	return out, nil
+	return &Rows{Columns: resp.Columns, Rows: resp.Rows}, nil
 }
 
 // Query runs a SELECT with positional args; a policy block surfaces

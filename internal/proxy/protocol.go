@@ -154,14 +154,16 @@ type Response struct {
 	Code string `json:"code,omitempty"`
 	// Restored, on a durable hello response, is how many history
 	// entries the session came back with from the WAL.
-	Restored int        `json:"restored,omitempty"`
-	Blocked  bool       `json:"blocked,omitempty"`
-	Reason   string     `json:"reason,omitempty"`
-	Views    []string   `json:"views,omitempty"`
-	Columns  []string   `json:"columns,omitempty"`
-	Rows     [][]any    `json:"rows,omitempty"`
-	Affected int        `json:"affected,omitempty"`
-	Stats    *StatsBody `json:"stats,omitempty"`
+	Restored int      `json:"restored,omitempty"`
+	Blocked  bool     `json:"blocked,omitempty"`
+	Reason   string   `json:"reason,omitempty"`
+	Views    []string `json:"views,omitempty"`
+	Columns  []string `json:"columns,omitempty"`
+	// Rows are the result rows as the engine returned them: the trace
+	// and both wires read these same Values.
+	Rows     [][]sqlvalue.Value `json:"rows,omitempty"`
+	Affected int                `json:"affected,omitempty"`
+	Stats    *StatsBody         `json:"stats,omitempty"`
 	// Policy reports the policy lifecycle state (policy.* ops).
 	Policy *PolicyBody `json:"policy,omitempty"`
 	// Batch holds sub-responses of a "batch" op, in request order.
@@ -338,19 +340,6 @@ type StatsBody struct {
 	// Open replayed from disk.
 	WALRecoveredSessions int `json:"walRecoveredSessions,omitempty"`
 	WALRecoveredEntries  int `json:"walRecoveredEntries,omitempty"`
-}
-
-// encodeRows converts engine values to JSON-friendly values.
-func encodeRows(rows [][]sqlvalue.Value) [][]any {
-	out := make([][]any, len(rows))
-	for i, r := range rows {
-		row := make([]any, len(r))
-		for j, v := range r {
-			row[j] = v.Any()
-		}
-		out[i] = row
-	}
-	return out
 }
 
 // decodeValues converts JSON-decoded values to engine values.

@@ -209,7 +209,7 @@ func TestRecordedRowsSurviveUpdate(t *testing.T) {
 	if !upd.OK || upd.Affected != 1 {
 		t.Fatalf("update: %+v", upd)
 	}
-	if got := resp.Rows[0][1]; got != "retro" {
+	if got := resp.Rows[0][1]; got.Text() != "retro" {
 		t.Errorf("response row changed under it: Title = %v", got)
 	}
 	entries, _ := sess.Trace().SnapshotState()

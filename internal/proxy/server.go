@@ -89,15 +89,6 @@ type Server struct {
 	// only forgets facts, so windowed decisions are sound, merely more
 	// conservative.
 	HistoryWindow int
-	// DisableInlineFast turns off the v2 inline fast path (executing a
-	// warm-tier query on the read goroutine when its lane is idle) and
-	// forces every request through the queue/runner handoff. Ablation
-	// knob for acbench -saturate; the default (false) is production.
-	DisableInlineFast bool
-	// DisableEncodePooling turns off Response pooling on the v2 path
-	// (every lane response heap-allocates, the pre-PR-9 behaviour).
-	// Ablation knob paired with DisableInlineFast.
-	DisableEncodePooling bool
 	// Cluster, when set, routes durable sessions across an enforcement
 	// cluster (cluster.go, internal/cluster): hellos for sessions owned
 	// by a peer are forwarded there, and cluster.* control ops dispatch
@@ -679,13 +670,10 @@ func (pc *pipeConn) send(resp *Response) {
 
 func (pc *pipeConn) runWriter() {
 	defer close(pc.wdone)
-	pooled := !pc.s.DisableEncodePooling
 	for resp := range pc.out {
 		pc.writeMu.Lock()
 		err := pc.encodeResp(resp)
-		if pooled {
-			releaseResponse(resp)
-		}
+		releaseResponse(resp)
 		yielded := false
 	drain:
 		for err == nil {
@@ -695,9 +683,7 @@ func (pc *pipeConn) runWriter() {
 					break drain
 				}
 				err = pc.encodeResp(more)
-				if pooled {
-					releaseResponse(more)
-				}
+				releaseResponse(more)
 			default:
 				// Before paying a write syscall for a short batch,
 				// yield once: lanes that are about to produce more
@@ -766,7 +752,6 @@ func (pc *pipeConn) enqueue(ln *lane, job pipeJob) {
 // guards the queue.
 func (pc *pipeConn) runLane(ln *lane) {
 	defer pc.wg.Done()
-	pooled := !pc.s.DisableEncodePooling
 	for {
 		job, ok := ln.pop()
 		if !ok {
@@ -775,12 +760,7 @@ func (pc *pipeConn) runLane(ln *lane) {
 		// Pooled response: HandleCtx's value result is copied into a
 		// recycled struct (the writer releases it after encoding), so a
 		// warm request costs zero response-object allocations.
-		var resp *Response
-		if pooled {
-			resp = acquireResponse()
-		} else {
-			resp = new(Response)
-		}
+		resp := acquireResponse()
 		*resp = pc.s.HandleCtx(job.ctx, job.req, ln.sess)
 		job.done()
 		pc.s.accumulateFactStats(ln.sess)
@@ -985,7 +965,7 @@ func (s *Server) dispatchV2(pc *pipeConn, req *Request) {
 // enforcement off, all take the general path: those features need the
 // full handleQuery/dualDecide plumbing.
 func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
-	if s.DisableInlineFast || req.TimeoutMillis != 0 || s.SlowLogThreshold > 0 ||
+	if req.TimeoutMillis != 0 || s.SlowLogThreshold > 0 ||
 		s.Mode == Off || s.Checker == nil || s.Checker.ShadowStaged() {
 		return false
 	}
@@ -1019,13 +999,7 @@ func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
 	}
 	start := time.Now()
 	s.mQueries.Inc()
-	pooled := !s.DisableEncodePooling
-	var resp *Response
-	if pooled {
-		resp = acquireResponse()
-	} else {
-		resp = new(Response)
-	}
+	resp := acquireResponse()
 	*resp = s.finishQuery(pc.ctx, req, ln.sess, sel, args, d)
 	s.mQueryLat.Observe(time.Since(start).Microseconds())
 	s.accumulateFactStats(ln.sess)
@@ -1034,9 +1008,7 @@ func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
 	ln.releaseClaim()
 	s.mInlineHits.Inc()
 	pc.sendInline(resp)
-	if pooled {
-		releaseResponse(resp)
-	}
+	releaseResponse(resp)
 	return true
 }
 
@@ -1058,7 +1030,6 @@ func releaseRequest(req *Request) {
 // path) fills a pooled struct; the encoder copies its bytes into the
 // connection's buffered writer and releases it — nothing downstream
 // retains the pointer, so the round trip is allocation-free.
-// DisableEncodePooling bypasses the pool for ablation runs.
 var respPool = sync.Pool{New: func() any { return new(Response) }}
 
 func acquireResponse() *Response { return respPool.Get().(*Response) }
@@ -1418,19 +1389,14 @@ func (s *Server) finishQuery(ctx context.Context, req *Request, sess *session, s
 	// to are what future decisions may rely on). With enforcement off
 	// nothing ever reads the trace, so don't grow it. The engine builds
 	// every result row afresh (stored rows are copy-on-write), so the
-	// trace and the response share them; only the header is new.
-	rows := make([][]sqlvalue.Value, len(res.Rows))
-	for i, r := range res.Rows {
-		rows[i] = r
-	}
+	// trace and the response share its rows.
 	if s.Mode != Off {
 		sess.tr.Append(trace.Entry{
 			SQL: req.SQL, Stmt: sel, Args: args,
-			Columns: res.Columns, Rows: rows,
+			Columns: res.Columns, Rows: res.Rows,
 		})
 	}
-
-	return Response{OK: true, Columns: res.Columns, Rows: encodeRows(rows)}
+	return Response{OK: true, Columns: res.Columns, Rows: res.Rows}
 }
 
 func (s *Server) handleExec(ctx context.Context, req *Request) Response {

@@ -39,7 +39,7 @@ func BenchmarkWarmEncode(b *testing.B) {
 	// benchmark charges the proxy's decide+encode work, not the
 	// engine's row building.
 	cols := []string{"EId"}
-	rows := [][]any{{int64(2)}}
+	rows := [][]sqlvalue.Value{{sqlvalue.NewInt(2)}}
 	var scratch []byte
 
 	b.ReportAllocs()

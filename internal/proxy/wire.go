@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"repro/internal/sqlvalue"
 )
 
 // The proxy frames v2 traffic as one JSON object per line, and the
@@ -19,28 +21,10 @@ import (
 // — falls back to encoding/json, so the wire format stays identical
 // and the fallback is always correct.
 
-// plainJSONString reports whether s can be emitted between quotes
-// with no escaping.
-func plainJSONString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			return false
-		}
-	}
-	return true
-}
-
-// appendString appends s as a JSON string, delegating to
-// encoding/json when escaping is needed.
+// appendString appends s as a JSON string, quoted as a TEXT cell is.
 func appendString(buf []byte, s string) []byte {
-	if plainJSONString(s) {
-		buf = append(buf, '"')
-		buf = append(buf, s...)
-		return append(buf, '"')
-	}
-	b, _ := json.Marshal(s)
-	return append(buf, b...)
+	buf, _ = sqlvalue.NewText(s).AppendJSON(buf)
+	return buf
 }
 
 // appendResponse hand-encodes the common response shapes. It returns
@@ -96,8 +80,7 @@ func appendResponse(buf []byte, resp *Response) ([]byte, bool) {
 					buf = append(buf, ',')
 				}
 				var ok bool
-				buf, ok = appendScalar(buf, cell)
-				if !ok {
+				if buf, ok = cell.AppendJSON(buf); !ok {
 					return buf, false
 				}
 			}
@@ -186,28 +169,16 @@ func appendRequest(buf []byte, req *Request) ([]byte, bool) {
 	return buf, true
 }
 
+// appendScalar appends a request argument or session attribute in the
+// JSON form of its Value, except that a uint64 past MaxInt64 stays
+// exact. ok=false for a type it does not know or a NaN/Inf.
 func appendScalar(buf []byte, v any) ([]byte, bool) {
 	switch x := v.(type) {
-	case nil:
-		return append(buf, `null`...), true
-	case bool:
-		return strconv.AppendBool(buf, x), true
-	case int:
-		return strconv.AppendInt(buf, int64(x), 10), true
-	case int64:
-		return strconv.AppendInt(buf, x, 10), true
 	case uint64:
 		return strconv.AppendUint(buf, x, 10), true
-	case float64:
-		if x != x || x > 1e308 || x < -1e308 {
-			return buf, false // NaN/Inf have no JSON form
-		}
-		if x == float64(int64(x)) && x >= -1e15 && x <= 1e15 {
-			return strconv.AppendInt(buf, int64(x), 10), true
-		}
-		return strconv.AppendFloat(buf, x, 'g', -1, 64), true
-	case string:
-		return appendString(buf, x), true
+	case nil, bool, int, int64, float64, string:
+		sv, _ := sqlvalue.FromAny(x)
+		return sv.AppendJSON(buf)
 	}
 	return buf, false
 }
@@ -419,6 +390,25 @@ func (s *wireScanner) lit(word string) bool {
 	return true
 }
 
+// value scans one result cell: null, a boolean, an escape-free string,
+// or a number typed as Value.UnmarshalJSON types it.
+func (s *wireScanner) value() (sqlvalue.Value, bool) {
+	switch s.peek() {
+	case '"':
+		str, ok := s.str()
+		return sqlvalue.NewText(str), ok
+	case 't':
+		return sqlvalue.NewBool(true), s.lit("true")
+	case 'f':
+		return sqlvalue.NewBool(false), s.lit("false")
+	case 'n':
+		return sqlvalue.NewNull(), s.lit("null")
+	}
+	tok, ok := s.numTok()
+	var v sqlvalue.Value
+	return v, ok && v.UnmarshalJSON(tok) == nil
+}
+
 // scalar scans null / bool / number / escape-free string.
 func (s *wireScanner) scalar() (any, bool) {
 	switch s.peek() {
@@ -575,7 +565,7 @@ func decodeRequest(line []byte, req *Request) bool {
 				return false
 			}
 		case "args":
-			if req.Args, ok = s.scalarArray(); !ok {
+			if req.Args, ok = scanArray(&s, s.scalar); !ok {
 				return false
 			}
 		case "session":
@@ -600,16 +590,18 @@ func decodeRequest(line []byte, req *Request) bool {
 	}
 }
 
-func (s *wireScanner) scalarArray() ([]any, bool) {
+// scanArray scans a JSON array whose elements elem scans. An empty
+// array comes back non-nil, as encoding/json decodes one.
+func scanArray[T any](s *wireScanner, elem func() (T, bool)) ([]T, bool) {
 	if !s.eat('[') {
 		return nil, false
 	}
-	out := []any{}
+	out := []T{}
 	if s.eat(']') {
 		return out, true
 	}
 	for {
-		v, ok := s.scalar()
+		v, ok := elem()
 		if !ok {
 			return nil, false
 		}
@@ -623,6 +615,9 @@ func (s *wireScanner) scalarArray() ([]any, bool) {
 		return nil, false
 	}
 }
+
+// row scans one result row.
+func (s *wireScanner) row() ([]sqlvalue.Value, bool) { return scanArray(s, s.value) }
 
 func (s *wireScanner) scalarMap() (map[string]any, bool) {
 	if !s.eat('{') {
@@ -646,30 +641,6 @@ func (s *wireScanner) scalarMap() (map[string]any, bool) {
 			continue
 		}
 		if s.eat('}') {
-			return out, true
-		}
-		return nil, false
-	}
-}
-
-func (s *wireScanner) stringArray() ([]string, bool) {
-	if !s.eat('[') {
-		return nil, false
-	}
-	out := []string{}
-	if s.eat(']') {
-		return out, true
-	}
-	for {
-		v, ok := s.str()
-		if !ok {
-			return nil, false
-		}
-		out = append(out, v)
-		if s.eat(',') {
-			continue
-		}
-		if s.eat(']') {
 			return out, true
 		}
 		return nil, false
@@ -752,29 +723,12 @@ func decodeResponse(line []byte, resp *Response) bool {
 				return false
 			}
 		case "columns":
-			if resp.Columns, ok = s.stringArray(); !ok {
+			if resp.Columns, ok = scanArray(&s, s.str); !ok {
 				return false
 			}
 		case "rows":
-			if !s.eat('[') {
+			if resp.Rows, ok = scanArray(&s, s.row); !ok {
 				return false
-			}
-			resp.Rows = [][]any{}
-			if !s.eat(']') {
-				for {
-					row, ok := s.scalarArray()
-					if !ok {
-						return false
-					}
-					resp.Rows = append(resp.Rows, row)
-					if s.eat(',') {
-						continue
-					}
-					if s.eat(']') {
-						break
-					}
-					return false
-				}
 			}
 		default:
 			// stats, batch, views: reflective decode.
@@ -796,9 +750,10 @@ func decodeResponse(line []byte, resp *Response) bool {
 // encoding/json. A plain json.Unmarshal would decode every number in
 // an `any` position as float64 — disagreeing with the fast path (and
 // corrupting integers above 2^53) depending on which decoder handled a
-// line. The helpers below decode with UseNumber and normalize numeric
-// tokens by the same rule as the scanner's numValue, so both decoders
-// produce identical values on every line.
+// line. The request helpers below decode with UseNumber and normalize
+// numeric tokens by the same rule as the scanner's numValue, so both
+// decoders produce identical values on every line; a response's cells
+// are Values, which decode themselves by the scanner's rule.
 
 // normalizeWireNumber maps a json.Number to the fast path's decode:
 // integral → int64 (uint64 past MaxInt64), otherwise float64.
@@ -850,15 +805,6 @@ func normalizeRequest(req *Request) {
 	}
 }
 
-func normalizeResponse(resp *Response) {
-	for _, row := range resp.Rows {
-		normalizeWireSlice(row)
-	}
-	for i := range resp.Batch {
-		normalizeResponse(&resp.Batch[i])
-	}
-}
-
 // decodeRequestJSON is the reflective request decode, normalized to
 // agree with the fast path on every numeric value.
 func decodeRequestJSON(line []byte, req *Request) error {
@@ -871,14 +817,7 @@ func decodeRequestJSON(line []byte, req *Request) error {
 	return nil
 }
 
-// decodeResponseJSON is the reflective response decode, normalized to
-// agree with the fast path on every numeric value.
+// decodeResponseJSON is the reflective response decode.
 func decodeResponseJSON(line []byte, resp *Response) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.UseNumber()
-	if err := dec.Decode(resp); err != nil {
-		return err
-	}
-	normalizeResponse(resp)
-	return nil
+	return json.NewDecoder(bytes.NewReader(line)).Decode(resp)
 }

@@ -3,8 +3,11 @@ package proxy
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/sqlvalue"
 )
 
 // The hand-rolled wire codec is an optimization, not a format: every
@@ -17,12 +20,13 @@ func TestWireEncodeResponseMatchesJSON(t *testing.T) {
 	cases := []Response{
 		{ID: 7, OK: true, Proto: 2},
 		{OK: true},
-		{ID: 1, OK: true, Columns: []string{"EId", "Title"}, Rows: [][]any{{int64(3), "standup"}, {int64(4), "retro"}}},
+		{ID: 1, OK: true, Columns: []string{"EId", "Title"}, Rows: [][]sqlvalue.Value{
+			{sqlvalue.NewInt(3), sqlvalue.NewText("standup")}, {sqlvalue.NewInt(4), sqlvalue.NewText("retro")}}},
 		{ID: 2, OK: true, Affected: 5},
 		{ID: 3, OK: false, Blocked: true, Reason: "not covered by any view", Code: "blocked"},
-		{ID: 9, OK: true, Rows: [][]any{{nil, true, 1.5, int64(-12)}}},
-		{ID: 10, OK: true, Columns: []string{"n"}, Rows: [][]any{}},
-		{ID: 11, OK: true, Columns: []string{"quote\"here"}, Rows: [][]any{{"tab\tnewline\n"}}},
+		{ID: 9, OK: true, Rows: [][]sqlvalue.Value{{sqlvalue.NewNull(), sqlvalue.NewBool(true), sqlvalue.NewReal(1.5), sqlvalue.NewInt(-12)}}},
+		{ID: 10, OK: true, Columns: []string{"n"}, Rows: [][]sqlvalue.Value{}},
+		{ID: 11, OK: true, Columns: []string{"quote\"here"}, Rows: [][]sqlvalue.Value{{sqlvalue.NewText("tab\tnewline\n")}}},
 	}
 	for i, resp := range cases {
 		buf, ok := appendResponse(nil, &resp)
@@ -44,7 +48,7 @@ func TestWireEncodeResponseBailsOnComplex(t *testing.T) {
 		{ID: 1, Error: "boom"},
 		{ID: 2, OK: true, Stats: &StatsBody{}},
 		{ID: 3, OK: true, Batch: []Response{{OK: true}}},
-		{ID: 4, OK: true, Rows: [][]any{{map[string]any{"k": 1}}}},
+		{ID: 4, OK: true, Rows: [][]sqlvalue.Value{{sqlvalue.NewReal(math.NaN())}}},
 	}
 	for i, resp := range cases {
 		if _, ok := appendResponse(nil, &resp); ok {
@@ -130,7 +134,7 @@ func TestWireDecodeRequestBailsOnComplex(t *testing.T) {
 func TestWireDecodeResponseMatchesJSON(t *testing.T) {
 	lines := []string{
 		`{"id":7,"ok":true,"proto":2}`,
-		`{"id":1,"ok":true,"columns":["a","b"],"rows":[[1,"x"],[2,null]]}`,
+		`{"id":1,"ok":true,"columns":["a","b","c"],"rows":[[1,"x",true],[2,null,false]]}`,
 		`{"id":3,"ok":false,"code":"blocked","blocked":true,"reason":"no view"}`,
 		`{"id":4,"ok":false,"error":"parse: bad","code":"parse"}`,
 		`{"id":5,"ok":true,"affected":2}`,
@@ -184,7 +188,11 @@ func TestWireBigIntegerRoundTrip(t *testing.T) {
 		}
 	}
 
-	resp := Response{ID: 1, OK: true, Columns: []string{"n"}, Rows: [][]any{args}}
+	var cells []sqlvalue.Value
+	for _, a := range args[:4] { // a uint64 past MaxInt64 is no INTEGER Value
+		cells = append(cells, sqlvalue.MustFromAny(a))
+	}
+	resp := Response{ID: 1, OK: true, Columns: []string{"n"}, Rows: [][]sqlvalue.Value{cells}}
 	rline, ok := appendResponse(nil, &resp)
 	if !ok {
 		t.Fatalf("fast encoder refused big-integer rows")

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/sqlvalue"
 )
@@ -119,6 +120,25 @@ func (s *Schema) Table(name string) (*Table, bool) {
 	return t, ok
 }
 
+// AppendLower appends name as strings.ToLower returns it. Table and
+// column lookups fold names into a stack buffer this way, so resolving
+// a name allocates nothing.
+func AppendLower(buf []byte, name string) []byte {
+	for i := 0; i < len(name); i++ {
+		if name[i] >= utf8.RuneSelf {
+			return append(buf, strings.ToLower(name)...)
+		}
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf = append(buf, c)
+	}
+	return buf
+}
+
 // MustTable is Table, panicking when absent. For seed code and tests.
 func (s *Schema) MustTable(name string) *Table {
 	t, ok := s.Table(name)
@@ -171,7 +191,8 @@ func (t *Table) ColumnIndex(name string) (int, bool) {
 		}
 		return 0, false
 	}
-	i, ok := t.colIndex[strings.ToLower(name)]
+	var buf [64]byte
+	i, ok := t.colIndex[string(AppendLower(buf[:0], name))]
 	return i, ok
 }
 

@@ -7,6 +7,8 @@
 package sqlvalue
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -260,6 +262,99 @@ func (v Value) AppendKey(buf []byte) []byte {
 		return strconv.AppendInt(buf, v.i, 10)
 	}
 	return append(buf, '?')
+}
+
+// AppendJSON appends v's JSON form to buf — the form a result cell
+// takes on the proxy's v2 wire: null, true or false, a decimal
+// INTEGER, a REAL in strconv's shortest 'g' form (as an integer when it
+// is integral within ±1e15), or a JSON string. NaN and ±Inf have no
+// JSON form: ok is false and buf comes back unchanged.
+func (v Value) AppendJSON(buf []byte) (_ []byte, ok bool) {
+	switch v.typ {
+	case Int:
+		return strconv.AppendInt(buf, v.i, 10), true
+	case Real:
+		x := v.f
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return buf, false
+		}
+		if x >= -1e15 && x <= 1e15 && x == math.Trunc(x) {
+			return strconv.AppendInt(buf, int64(x), 10), true
+		}
+		return strconv.AppendFloat(buf, x, 'g', -1, 64), true
+	case Text:
+		return appendJSONString(buf, v.s), true
+	case Bool:
+		return strconv.AppendBool(buf, v.i != 0), true
+	}
+	return append(buf, "null"...), true
+}
+
+// appendJSONString appends s quoted, escaping through encoding/json
+// only when s needs it.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
+			b, _ := json.Marshal(s)
+			return append(buf, b...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
+}
+
+// MarshalJSON implements json.Marshaler with AppendJSON's form, so a
+// response encoded reflectively renders its cells as the hand-rolled
+// encoder does.
+func (v Value) MarshalJSON() ([]byte, error) {
+	if b, ok := v.AppendJSON(nil); ok {
+		return b, nil
+	}
+	return nil, fmt.Errorf("sqlvalue: REAL %v has no JSON form", v.f)
+}
+
+// UnmarshalJSON implements json.Unmarshaler for MarshalJSON's form. A
+// number whose token is a plain integer becomes INTEGER (REAL past
+// MaxInt64, as FromAny treats a uint64); any other number becomes
+// INTEGER when its value is integral and in int64 range, else REAL.
+func (v *Value) UnmarshalJSON(data []byte) error {
+	switch string(data) {
+	case "null":
+		*v = NewNull()
+		return nil
+	case "true", "false":
+		*v = NewBool(data[0] == 't')
+		return nil
+	}
+	if len(data) > 0 && data[0] == '"' {
+		var s string
+		if err := json.Unmarshal(data, &s); err != nil {
+			return err
+		}
+		*v = NewText(s)
+		return nil
+	}
+	if !bytes.ContainsAny(data, ".eE") { // a plain integer token
+		if i, err := strconv.ParseInt(string(data), 10, 64); err == nil {
+			*v = NewInt(i)
+			return nil
+		}
+		if u, err := strconv.ParseUint(string(data), 10, 64); err == nil {
+			*v = fromUint64(u)
+			return nil
+		}
+	}
+	f, err := strconv.ParseFloat(string(data), 64)
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("sqlvalue: cannot decode JSON %q", data)
+	}
+	if f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+		*v = NewInt(int64(f))
+	} else {
+		*v = NewReal(f)
+	}
+	return nil
 }
 
 // Tristate is the result of a SQL predicate: TRUE, FALSE, or UNKNOWN.

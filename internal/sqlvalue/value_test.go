@@ -1,6 +1,7 @@
 package sqlvalue
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -378,6 +379,67 @@ func TestAppendKeyMatchesKeyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValueJSON pins Value's JSON form for every kind and its round
+// trip: a REAL that is integral decodes as the INTEGER it renders as.
+// The crash and failover parity tests compare result rows as JSON, so
+// this form is what they compare.
+func TestValueJSON(t *testing.T) {
+	for _, c := range []struct {
+		v    Value
+		js   string
+		back Value
+	}{
+		{NewNull(), `null`, NewNull()},
+		{NewInt(7), `7`, NewInt(7)},
+		{NewInt(math.MinInt64), `-9223372036854775808`, NewInt(math.MinInt64)},
+		{NewReal(2.5), `2.5`, NewReal(2.5)},
+		{NewReal(3), `3`, NewInt(3)},
+		{NewReal(1e16), `1e+16`, NewInt(1e16)},
+		{NewReal(-1e300), `-1e+300`, NewReal(-1e300)},
+		{NewText("x"), `"x"`, NewText("x")},
+		{NewText("quote\" tab\t ü"), `"quote\" tab\t ü"`, NewText("quote\" tab\t ü")},
+		{NewBool(true), `true`, NewBool(true)},
+		{NewBool(false), `false`, NewBool(false)},
+	} {
+		b, err := json.Marshal(c.v)
+		if err != nil || string(b) != c.js {
+			t.Errorf("Marshal(%s) = %s, %v; want %s", c.v, b, err, c.js)
+		}
+		var got Value
+		if err := json.Unmarshal(b, &got); err != nil || got != c.back {
+			t.Errorf("Unmarshal(%s) = %#v, %v; want %#v", b, got, err, c.back)
+		}
+	}
+	b, err := json.Marshal([][]Value{{NewInt(7), NewText("x")}})
+	if err != nil || string(b) != `[[7,"x"]]` {
+		t.Errorf("rows marshal to %s, %v", b, err)
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := json.Marshal(NewReal(x)); err == nil {
+			t.Errorf("REAL %v marshalled; it has no JSON form", x)
+		}
+	}
+	// Numbers another encoder could send decode by the same rule.
+	for js, want := range map[string]Value{
+		`2e3`:                  NewInt(2000),
+		`-0.0`:                 NewInt(0),
+		`18446744073709551615`: NewReal(18446744073709551615),
+		`9223372036854775808`:  NewReal(9223372036854775808),
+		`1e19`:                 NewReal(1e19),
+	} {
+		var got Value
+		if err := got.UnmarshalJSON([]byte(js)); err != nil || got != want {
+			t.Errorf("UnmarshalJSON(%s) = %#v, %v; want %#v", js, got, err, want)
+		}
+	}
+	for _, js := range []string{`1e999`, `{}`, `[1]`, `"unterminated`} {
+		var got Value
+		if err := got.UnmarshalJSON([]byte(js)); err == nil {
+			t.Errorf("UnmarshalJSON(%s) = %#v, want an error", js, got)
+		}
 	}
 }
 
