@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 DATE    ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ 2>/dev/null || echo unknown)
 LDFLAGS  = -ldflags "-X repro/internal/buildinfo.Version=$(VERSION) -X repro/internal/buildinfo.Commit=$(COMMIT) -X repro/internal/buildinfo.Date=$(DATE)"
 
-.PHONY: build test vet race bench bench-json hotpath pipeline coldpath coldsmoke allocbudget openloop opensmoke ingress pgsmoke driversmoke shadowsmoke saturate satsmoke clusterbench clustersmoke clusterkill fmtcheck fuzz fuzzwal fuzzwire killrecover staticcheck ci
+.PHONY: build test vet race bench benchsmoke coldsmoke allocbudget pgsmoke driversmoke shadowsmoke clustersmoke clusterkill fmtcheck fuzz fuzzwal fuzzwire killrecover staticcheck ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -33,23 +33,11 @@ race:
 bench:
 	$(GO) test -bench 'CheckLongTrace|ParallelPrincipals|FactsLongTrace|ProxyRoundTrip|CheckMetrics' -benchmem ./...
 
-# Machine-readable benchmark document; successive BENCH_*.json files
-# checked in at the repo root form the performance trajectory.
-# -against diffs the fresh document's pinned hotpath numbers against
-# the previous one and fails on a >10% speedup regression.
-bench-json:
-	$(GO) run ./cmd/acbench -json BENCH_10.json -against BENCH_9.json
-
-hotpath:
-	$(GO) run ./cmd/acbench -hotpath
-
-# Pipelining throughput table (protocol v2, window sweep).
-pipeline:
-	$(GO) run ./cmd/acbench -pipeline
-
-# Cold-path policy-size sweep (linear scan vs compiled search).
-coldpath:
-	$(GO) run ./cmd/acbench -coldpath
+# Seconds-long smoke of the repository's benchmark (bench/README.md):
+# every workload at a tenth of its duration, gating its correctness and
+# regime checks.
+benchsmoke:
+	$(GO) run ./bench -smoke
 
 # Fixed-iteration smoke of the cold-path benchmarks: catches a
 # broken/pessimized cold path in CI without the noise sensitivity of
@@ -80,36 +68,6 @@ allocbudget:
 	$(GO) test -run 'TestScanAllocsConstant' -count=1 ./internal/engine
 	$(GO) test -run 'TestDataRowAllocs' -count=1 ./internal/pgwire
 
-# Full open-loop sweep (10k/100k/1M sessions); see README Load Testing.
-openloop:
-	$(GO) run ./cmd/acbench -openloop
-
-# Seconds-long open-loop smoke for CI: a real proxy under Poisson
-# arrivals, gating that the harness runs end to end and the proxy
-# absorbs the offered rate without errors.
-opensmoke:
-	$(GO) run ./cmd/acbench -openloop -openloop-sessions 200 -openloop-ops 2500 -openloop-qps 500
-
-# Ingress-surface comparison: serial decide throughput for the same
-# statement through the v2 client, the database/sql driver, and the
-# Postgres wire listener, all on one enforcement core.
-ingress:
-	$(GO) run ./cmd/acbench -ingress
-
-# Full saturation-knee search: stepped open-loop ramp per ingress,
-# binary-searching the highest offered QPS whose p99 stays under the
-# SLO (default 5ms), with per-step CPU attribution. The ablated
-# before/after pair can no longer be re-run: the switches it flipped
-# are gone; see README "Finding the ceiling".
-saturate:
-	$(GO) run ./cmd/acbench -saturate
-
-# Seconds-long bounded saturate smoke for CI: a real knee search on
-# the v2 ingress with a tight wall-clock budget, gating that the ramp,
-# the step classifier, and the in-process profiler run end to end.
-satsmoke:
-	$(GO) run ./cmd/acbench -saturate -sat-ingress v2 -sat-budget 5s -sat-step 1s
-
 # Postgres wire-protocol conformance: raw-socket client exercising the
 # simple and extended flows, mid-transaction blocks, cancellation, the
 # prepared-statement front-cache pin, and the connection limit.
@@ -127,12 +85,6 @@ driversmoke:
 # set, promote, and assert convergence with direct enforcement.
 shadowsmoke:
 	$(GO) test -count=1 -run 'TestShadowSmoke' .
-
-# Full cluster knee sweep: aggregate sustained QPS at the p99 SLO over
-# 1/2/4/8 in-process cluster nodes with ring-mixed (local + forwarded)
-# durable sessions; see DESIGN.md §16.
-clusterbench:
-	$(GO) run ./cmd/acbench -cluster
 
 # Cluster-mode CI smoke: a 3-node in-process cluster serves a
 # mixed-session corpus through one entry node (some sessions local,
@@ -164,7 +116,8 @@ fmtcheck:
 # the reference derivation's, key for key and in order — then key-index
 # scans: generated tables, writes and single-table reads on which the
 # served read, the generic evaluator and a keyless full scan must render
-# byte-identically.
+# byte-identically, and each write, served and through the reference
+# row finder, must leave the same tables, count and error.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sqlparser
 	$(GO) test -run '^$$' -fuzz=FuzzCoverParity -fuzztime=10s ./internal/checker
@@ -202,4 +155,4 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping"; fi
 
-ci: fmtcheck vet test race coldsmoke allocbudget opensmoke satsmoke pgsmoke driversmoke shadowsmoke clustersmoke clusterkill fuzz fuzzwal fuzzwire killrecover staticcheck
+ci: fmtcheck vet test race coldsmoke allocbudget benchsmoke pgsmoke driversmoke shadowsmoke clustersmoke clusterkill fuzz fuzzwal fuzzwire killrecover staticcheck

@@ -247,8 +247,8 @@ func WithMaxHomsPerView(n int) CheckerOption {
 
 // WithColdIndex toggles the compiled per-relation policy index the
 // cold coverage search runs against (on by default; off restores the
-// linear scan over every view — the acbench -coldpath ablation
-// baseline).
+// linear scan over every view, the reference the parity tests compare
+// against).
 func WithColdIndex(on bool) CheckerOption {
 	return func(o *CheckerOptions) { o.ColdIndex = on }
 }

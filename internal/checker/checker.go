@@ -126,8 +126,7 @@ type Options struct {
 	// ColdIndex runs the cold coverage search on the compiled policy
 	// plan — discrimination index plus match programs (compile.go);
 	// disabling it scans every view through cq.FindHoms instead: the
-	// reference the parity tests compare against, and the baseline of
-	// acbench -coldpath.
+	// reference the parity tests compare against.
 	ColdIndex bool
 	// CacheSize bounds the decision-template cache (total entries
 	// across shards); 0 means the default.

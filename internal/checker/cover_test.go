@@ -257,7 +257,7 @@ func TestCoverParityFixtures(t *testing.T) {
 	t.Logf("reference/scan/compiled byte-identical over %d decisions (%d history-dependent allows)", total, histAllows)
 }
 
-// --- Cold-path benchmark workload (mirrors acbench -coldpath):
+// --- Cold-path benchmark workload:
 // 16 relations, views spread evenly across them, a 4-arm UNION query
 // with exactly one covering view per arm, caching off.
 
@@ -324,7 +324,6 @@ func benchColdPath(b *testing.B, index bool) {
 	}
 }
 
-// The two cold-path configurations at 128 policy views; acbench
-// -coldpath runs the full policy-size sweep.
+// The two cold-path configurations at 128 policy views.
 func BenchmarkColdPathSerial(b *testing.B)  { benchColdPath(b, false) }
 func BenchmarkColdPathIndexed(b *testing.B) { benchColdPath(b, true) }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/trace"
 )
 
-// hotpathTrace mirrors acbench -hotpath's session history: n prior
-// point probes against Attendance.
+// hotpathTrace is a hot-path session history: n prior point probes
+// against Attendance.
 func hotpathTrace(n int) *trace.Trace {
 	tr := &trace.Trace{}
 	for i := 0; i < n; i++ {
@@ -38,7 +38,7 @@ func newHotpathChecker(t testing.TB, reg *obsv.Registry, tr *trace.Trace) (*Chec
 
 // TestMetricsOverheadGuard asserts the instrumented CheckSQL path
 // stays within 5% of a no-op-metrics (obsv.Disabled) build on the
-// acbench -hotpath workload: a warm trace-dependent check against a
+// hot-path workload: a warm trace-dependent check against a
 // 50-entry history. The per-op cost there is tens of microseconds,
 // against which the pipeline's per-stage clock reads and atomic
 // instruments are noise; this guard fails if instrumentation ever
@@ -204,7 +204,7 @@ func TestColdPathMetricsOverheadGuard(t *testing.T) {
 
 // BenchmarkCheckMetricsOn / BenchmarkCheckMetricsOff are the
 // calibrated pair behind the overhead guard; compare with
-// benchstat or acbench -json's metricsOverhead section.
+// benchstat.
 func BenchmarkCheckMetricsOn(b *testing.B) {
 	tr := hotpathTrace(50)
 	c, sel := newHotpathChecker(b, nil, tr)

@@ -68,12 +68,6 @@ type Options struct {
 	// FsyncInterval is the timer period under FsyncInterval; 0 means
 	// DefaultFsyncInterval.
 	FsyncInterval time.Duration
-	// MaxBatch bounds how many appends one commit batch may coalesce;
-	// 0 means unbounded (every append waiting when the committer wakes
-	// joins the batch). 1 disables group commit — every append pays
-	// its own write and fsync — and exists as the acbench -durable
-	// ablation baseline.
-	MaxBatch int
 	// GroupWindow is how long the committer holds a batch open for
 	// stragglers under FsyncAlways once it has evidence of concurrent
 	// appenders (the previous batch coalesced, or the drain caught
@@ -355,9 +349,9 @@ func (l *Log) Append(typ byte, payload []byte) error {
 }
 
 // runCommitter is the group-commit loop: it sleeps until an append
-// arrives, drains every append already queued (bounded by MaxBatch)
-// into one batch, writes the batch with a single WriteV-ish write,
-// fsyncs once per policy, and acknowledges the whole batch. Under
+// arrives, drains every append already queued into one batch, writes
+// the batch with a single WriteV-ish write, fsyncs once per policy,
+// and acknowledges the whole batch. Under
 // load, every append that arrives during an fsync joins the next
 // batch, so durability cost amortizes across concurrent sessions.
 func (l *Log) runCommitter() {
@@ -383,7 +377,7 @@ func (l *Log) runCommitter() {
 		batch = append(batch[:0], first)
 		buf = append(buf[:0], first.buf...)
 	fill:
-		for l.opts.MaxBatch <= 0 || len(batch) < l.opts.MaxBatch {
+		for {
 			select {
 			case r := <-l.reqs:
 				batch = append(batch, r)
@@ -403,14 +397,13 @@ func (l *Log) runCommitter() {
 		// 50µs sleep up to roughly a millisecond, which would cost more
 		// than the fsyncs it saves.
 		if l.opts.Fsync == FsyncAlways && l.opts.GroupWindow > 0 &&
-			(len(batch) > 1 || lastBatch > 1) &&
-			(l.opts.MaxBatch <= 0 || len(batch) < l.opts.MaxBatch) {
+			(len(batch) > 1 || lastBatch > 1) {
 			// Once as many appends have joined as the previous batch
 			// held, the whole cohort has re-arrived — commit now
 			// rather than spinning out the deadline.
 			deadline := time.Now().Add(l.opts.GroupWindow)
 		window:
-			for (l.opts.MaxBatch <= 0 || len(batch) < l.opts.MaxBatch) && len(batch) < lastBatch {
+			for len(batch) < lastBatch {
 				select {
 				case r := <-l.reqs:
 					batch = append(batch, r)

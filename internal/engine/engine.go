@@ -304,7 +304,8 @@ func (db *DB) MustExec(sql string, argVals ...any) {
 
 // Insert applies an INSERT statement whose parameters are already
 // bound. It enforces NOT NULL, type coercion, PK/unique uniqueness,
-// and foreign keys.
+// and foreign keys, all or nothing: a row that fails removes the rows
+// the statement appended before it.
 func (db *DB) Insert(ins *sqlparser.InsertStmt) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -324,32 +325,44 @@ func (db *DB) Insert(ins *sqlparser.InsertStmt) (int, error) {
 		}
 		pos[i] = p
 	}
-	inserted := 0
+	start := len(td.rows)
 	for _, exprRow := range ins.Rows {
-		if len(exprRow) != len(cols) {
-			return inserted, fmt.Errorf("engine: INSERT arity mismatch: %d values for %d columns", len(exprRow), len(cols))
+		row, err := valuesRow(td, cols, pos, exprRow)
+		if err == nil {
+			err = db.insertRowLocked(td, row)
 		}
-		row := make(Row, len(td.def.Columns))
-		for i := range row {
-			row[i] = sqlvalue.NewNull()
-		}
-		for i, e := range exprRow {
-			v, err := constEval(e)
-			if err != nil {
-				return inserted, err
+		if err != nil {
+			appended := make([]int32, len(td.rows)-start)
+			for i := range appended {
+				appended[i] = int32(start + i)
 			}
-			cv, err := sqlvalue.CoerceTo(v, td.def.Columns[pos[i]].Type)
-			if err != nil {
-				return inserted, fmt.Errorf("engine: column %s.%s: %v", td.def.Name, cols[i], err)
-			}
-			row[pos[i]] = cv
+			td.deleteRows(appended)
+			return 0, err
 		}
-		if err := db.insertRowLocked(td, row); err != nil {
-			return inserted, err
-		}
-		inserted++
 	}
-	return inserted, nil
+	return len(ins.Rows), nil
+}
+
+// valuesRow evaluates one VALUES tuple into a stored row of td: the
+// value for column cols[i] at pos[i], NULL in every column not named.
+func valuesRow(td *tableData, cols []string, pos []int, exprRow []sqlparser.Expr) (Row, error) {
+	if len(exprRow) != len(cols) {
+		return nil, fmt.Errorf("engine: INSERT arity mismatch: %d values for %d columns", len(exprRow), len(cols))
+	}
+	row := make(Row, len(td.def.Columns))
+	for i := range row {
+		row[i] = sqlvalue.NewNull()
+	}
+	for i, e := range exprRow {
+		v, err := constEval(e)
+		if err != nil {
+			return nil, err
+		}
+		if row[pos[i]], err = sqlvalue.CoerceTo(v, td.def.Columns[pos[i]].Type); err != nil {
+			return nil, fmt.Errorf("engine: column %s.%s: %v", td.def.Name, cols[i], err)
+		}
+	}
+	return row, nil
 }
 
 // InsertRow inserts one tuple given as Go values in declared column
@@ -444,7 +457,8 @@ func (db *DB) checkFKLocked(t *schema.Table, fk schema.ForeignKey, row Row) erro
 	return fmt.Errorf("engine: FK violation: %s(%s) -> %s", t.Name, strings.Join(fk.Columns, ","), fk.RefTable)
 }
 
-// Update applies an UPDATE whose parameters are bound.
+// Update applies an UPDATE whose parameters are bound, finding its rows
+// as a read does (matchRows).
 func (db *DB) Update(upd *sqlparser.UpdateStmt) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -452,44 +466,76 @@ func (db *DB) Update(upd *sqlparser.UpdateStmt) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("engine: no table %q", upd.Table)
 	}
-	setPos := make([]int, len(upd.Set))
-	for i, a := range upd.Set {
+	ev := &evaluator{db: db}
+	var buf [8]int32
+	pos, err := ev.matchRows(buf[:0], td, upd.Table, upd.Where)
+	if err != nil {
+		return 0, err
+	}
+	return db.updateRows(ev, td, upd, pos)
+}
+
+// updateRows applies upd's SET list to the rows at pos, ascending, all
+// or nothing: the first row that fails restores every row changed
+// before it, in reverse, and the statement reports 0 affected.
+func (db *DB) updateRows(ev *evaluator, td *tableData, upd *sqlparser.UpdateStmt, pos []int32) (int, error) {
+	var setBuf [8]int
+	setPos := setBuf[:0]
+	for _, a := range upd.Set {
 		p, ok := td.def.ColumnIndex(a.Column)
 		if !ok {
 			return 0, fmt.Errorf("engine: table %s has no column %q", td.def.Name, a.Column)
 		}
-		setPos[i] = p
+		setPos = append(setPos, p)
 	}
-	ev := &evaluator{db: db}
-	scope := newScope(nil)
-	scope.addTable(td.def, upd.Table, 0)
-	n := 0
-	for ri, row := range td.rows {
-		keep, err := ev.predicate(upd.Where, scope, row)
+	sc := newScope(nil)
+	sc.addTable(td.def, upd.Table, 0)
+	var oldBuf [8]Row
+	olds := oldBuf[:0] // the row each changed position held before
+	for _, p := range pos {
+		old := td.rows[p]
+		updated, err := ev.assigned(td, upd, setPos, sc, old)
+		if err == nil {
+			err = db.replaceRowLocked(td, int(p), updated, true)
+		}
 		if err != nil {
-			return n, err
-		}
-		if !keep {
-			continue
-		}
-		updated := slices.Clone(row)
-		for i, a := range upd.Set {
-			v, err := ev.eval(a.Value, scope, row)
-			if err != nil {
-				return n, err
+			// Each step back returns to a state that held, so none fails.
+			for i := len(olds) - 1; i >= 0; i-- {
+				if db.replaceRowLocked(td, int(pos[i]), olds[i], false) != nil {
+					panic("engine: undoing an UPDATE failed")
+				}
 			}
-			cv, err := sqlvalue.CoerceTo(v, td.def.Columns[setPos[i]].Type)
-			if err != nil {
-				return n, fmt.Errorf("engine: column %s.%s: %v", td.def.Name, a.Column, err)
-			}
-			updated[setPos[i]] = cv
+			return 0, err
 		}
-		if err := db.replaceRowLocked(td, ri, updated, true); err != nil {
-			return n, err
-		}
-		n++
+		olds = append(olds, old)
 	}
-	return n, nil
+	return len(pos), nil
+}
+
+// assigned returns a copy of old with upd's SET list, whose columns sit
+// at setPos, evaluated over old and coerced to the column types.
+func (ev *evaluator) assigned(td *tableData, upd *sqlparser.UpdateStmt, setPos []int, sc *scope, old Row) (Row, error) {
+	updated := slices.Clone(old)
+	for i, a := range upd.Set {
+		v, err := ev.eval(a.Value, sc, old)
+		if err != nil {
+			return nil, err
+		}
+		if updated[setPos[i]], err = sqlvalue.CoerceTo(v, td.def.Columns[setPos[i]].Type); err != nil {
+			return nil, fmt.Errorf("engine: column %s.%s: %v", td.def.Name, a.Column, err)
+		}
+	}
+	return updated, nil
+}
+
+// changed reports whether rows a and b differ on the key.
+func (ix *keyIndex) changed(a, b Row) bool {
+	for _, c := range ix.cols {
+		if compareKey(&a[c], &b[c]) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // replaceRowLocked stores updated at row ri once every check has
@@ -502,8 +548,8 @@ func (db *DB) replaceRowLocked(td *tableData, ri int, updated Row, checkFKs bool
 		}
 	}
 	for _, ix := range td.keys {
-		if nk := ix.key(updated); compareKeys(ix.key(old), nk) != 0 {
-			if _, dup := ix.find(nk); dup {
+		if ix.changed(old, updated) {
+			if _, dup := ix.find(ix.key(updated)); dup {
 				return ix.violation(td.def)
 			}
 		}
@@ -514,18 +560,19 @@ func (db *DB) replaceRowLocked(td *tableData, ri int, updated Row, checkFKs bool
 		}
 	}
 	for _, ix := range td.keys {
-		if ok, nk := ix.key(old), ix.key(updated); compareKeys(ok, nk) != 0 {
-			i, w := ix.seek(ok, false, 0, len(ix.pos)), len(ix.cols)
+		if ix.changed(old, updated) {
+			i, w := ix.seek(ix.key(old), false, 0, len(ix.pos)), len(ix.cols)
 			ix.pos = slices.Delete(ix.pos, i, i+1)
 			ix.keys = slices.Delete(ix.keys, i*w, i*w+w)
-			ix.file(nk, ri)
+			ix.file(ix.key(updated), ri)
 		}
 	}
 	td.rows[ri] = updated
 	return nil
 }
 
-// Delete applies a DELETE whose parameters are bound.
+// Delete applies a DELETE whose parameters are bound, finding its rows
+// as a read does (matchRows).
 func (db *DB) Delete(del *sqlparser.DeleteStmt) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -533,27 +580,32 @@ func (db *DB) Delete(del *sqlparser.DeleteStmt) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("engine: no table %q", del.Table)
 	}
-	ev := &evaluator{db: db}
-	scope := newScope(nil)
-	scope.addTable(td.def, del.Table, 0)
-	var keep []Row
+	var buf [8]int32
+	pos, err := (&evaluator{db: db}).matchRows(buf[:0], td, del.Table, del.Where)
+	if err != nil {
+		return 0, err
+	}
+	td.deleteRows(pos)
+	return len(pos), nil
+}
+
+// deleteRows removes the rows at pos, ascending.
+func (td *tableData) deleteRows(pos []int32) {
+	if len(pos) == 0 {
+		return
+	}
 	moved := make([]int32, len(td.rows)) // old position -> new, -1 if deleted
+	n := 0
 	for i, row := range td.rows {
-		match, err := ev.predicate(del.Where, scope, row)
-		if err != nil {
-			return 0, err
+		if len(pos) > 0 && int(pos[0]) == i {
+			moved[i], pos = -1, pos[1:]
+			continue
 		}
-		moved[i] = -1
-		if !match {
-			moved[i] = int32(len(keep))
-			keep = append(keep, row)
-		}
+		moved[i], td.rows[n] = int32(n), row
+		n++
 	}
-	n := len(td.rows) - len(keep)
-	if n == 0 {
-		return 0, nil
-	}
-	td.rows = keep
+	clear(td.rows[n:])
+	td.rows = td.rows[:n]
 	// Survivors keep their order, so renumbered indexes stay sorted.
 	for _, ix := range td.keys {
 		pos, keys := ix.pos[:0], ix.keys[:0]
@@ -564,7 +616,6 @@ func (db *DB) Delete(del *sqlparser.DeleteStmt) (int, error) {
 		}
 		ix.pos, ix.keys = pos, keys
 	}
-	return n, nil
 }
 
 // Snapshot returns a deep copy of all rows of the table, for test

@@ -544,14 +544,14 @@ func localConds(conds []eqCond, e sqlparser.Expr, td *tableData, name string) (_
 	return conds, false
 }
 
-// candidates narrows a single-table read through the key that narrows
-// it most: its leading column's =, <, <=, >, >= intersect into one
-// range, and equality on a longer prefix probes a composite key. Every
-// conjunct still filters every candidate, so the range need only hold
-// the rows they accept — a literal of another type sorts by class, one
-// never TRUE (NULL, an unordered class) accepts none. Positions come
-// back ascending, so the read returns a full scan's rows in its order.
-// ok is false when no key narrows the read.
+// candidates narrows a single-table statement through the key that
+// narrows it most: its leading column's =, <, <=, >, >= intersect into
+// one range, and equality on a longer prefix probes a composite key.
+// Every conjunct still filters every candidate, so the range need only
+// hold the rows they accept — a literal of another type sorts by class,
+// one never TRUE (NULL, an unordered class) accepts none. Positions
+// come back ascending, so the statement meets a full scan's rows in its
+// order. ok is false when no key narrows the statement.
 func (td *tableData) candidates(conds []eqCond) (pos []int32, ok bool) {
 	for _, ix := range td.keys {
 		if td.def.Columns[ix.cols[0]].Type == sqlvalue.Real {
@@ -602,6 +602,50 @@ func (td *tableData) candidates(conds []eqCond) (pos []int32, ok bool) {
 		slices.Sort(pos)
 	}
 	return pos, ok
+}
+
+// matchRows appends to buf, ascending, the positions of td's rows that
+// where accepts: the rows an UPDATE or DELETE writes. It narrows through
+// candidates as a read does; each candidate is then tested with
+// eqCond.holds when every conjunct is column op literal, else with the
+// generic evaluator (an OR, a subquery, an expression). A nil where
+// accepts every row.
+func (ev *evaluator) matchRows(buf []int32, td *tableData, name string, where sqlparser.Expr) ([]int32, error) {
+	var condBuf [8]eqCond
+	conds, complete := localConds(condBuf[:0], where, td, name)
+	pos, narrowed := td.candidates(conds)
+	n := len(td.rows)
+	if narrowed {
+		n = len(pos)
+	}
+	var sc *scope
+	if where != nil && !complete {
+		sc = newScope(nil)
+		sc.addTable(td.def, name, 0)
+	}
+rows:
+	for i := range n {
+		p := i
+		if narrowed {
+			p = int(pos[i])
+		}
+		if err := ev.tick(); err != nil {
+			return nil, err
+		}
+		if sc == nil {
+			for c := range conds {
+				if !conds[c].holds(td.rows[p]) {
+					continue rows
+				}
+			}
+		} else if ok, err := ev.predicate(where, sc, td.rows[p]); err != nil {
+			return nil, err
+		} else if !ok {
+			continue
+		}
+		buf = append(buf, int32(p))
+	}
+	return buf, nil
 }
 
 // eqProj is one pre-resolved select-list item: a column position, a

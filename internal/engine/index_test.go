@@ -106,34 +106,71 @@ func scanQuery(rng *rand.Rand, n int) string {
 	return fmt.Sprintf("SELECT %s FROM %s WHERE %s", tb.proj, from, where)
 }
 
-// scanMutation applies one random write: a DELETE, a key-changing
-// UPDATE (many fail on a duplicate key, some partway through), a
-// SetCell, or a Clone that later steps then write to.
-func scanMutation(rng *rand.Rand, db *DB, n int) *DB {
-	k := rng.Intn(n + 4)
-	switch rng.Intn(7) {
-	case 0:
-		_, _, _ = db.Exec(fmt.Sprintf("DELETE FROM Attendance WHERE UId = %d", k), sqlparser.NoArgs)
-	case 1:
-		_, _, _ = db.Exec(fmt.Sprintf("DELETE FROM Events WHERE EId < %d AND EId > %d", k, k-4), sqlparser.NoArgs)
-	case 2:
-		_, _, _ = db.Exec(fmt.Sprintf("UPDATE Users SET UId = %d.0 WHERE UId = %d", rng.Intn(2*n), k), sqlparser.NoArgs)
-	case 3:
-		_, _, _ = db.Exec(fmt.Sprintf("UPDATE Events SET EId = EId + %d WHERE EId > %d", rng.Intn(5), k), sqlparser.NoArgs)
-	case 4:
-		_, _, _ = db.Exec(fmt.Sprintf("UPDATE Attendance SET EId = %d WHERE UId = %d", rng.Intn(n), k), sqlparser.NoArgs)
-	case 5:
-		_ = db.SetCell("Users", rng.Intn(db.RowCount("Users")), "UId", rng.Intn(2*n))
-	case 6:
-		return db.Clone()
+// scanMutation draws one random write statement, or "" for a SetCell.
+// Its WHERE clauses take every row-finder shape: the leading key
+// column, the literal on either side, <>, a literal of another type, a
+// composite-key prefix, and an OR conjunct for the generic path. Many
+// key-changing and constraint-breaking writes fail — on a duplicate
+// key, NOT NULL or a foreign key, some on a later row than the first
+// they change — and must then change nothing.
+func scanMutation(rng *rand.Rand, n int) string {
+	k, j, lit := rng.Intn(n+4), rng.Intn(n+4), scanLiteral(rng, n)
+	writes := []string{
+		fmt.Sprintf("DELETE FROM Attendance WHERE UId = %d", k),
+		fmt.Sprintf("DELETE FROM Attendance WHERE %d = UId AND EId = %d", k, j),
+		fmt.Sprintf("DELETE FROM Events WHERE EId < %d AND EId > %d", k, k-4),
+		fmt.Sprintf("DELETE FROM Events WHERE EId >= %s AND (Notes IS NULL OR EId = %d)", lit, j),
+		fmt.Sprintf("UPDATE Users SET UId = %d.0 WHERE UId = %d", rng.Intn(2*n), k),
+		fmt.Sprintf("UPDATE Users SET UId = %d WHERE UId >= %d", rng.Intn(2*n), k),
+		fmt.Sprintf("UPDATE Users SET Name = 'w%d' WHERE UId <> %d AND UId < %s", j, k, lit),
+		fmt.Sprintf("UPDATE Users SET Name = 'o%d' WHERE UId = %d OR UId = %d", j, k, j),
+		fmt.Sprintf("UPDATE Events SET EId = EId + %d WHERE EId > %d", rng.Intn(5), k),
+		fmt.Sprintf("UPDATE Events SET Notes = 'n%d' WHERE %s > EId", j, lit),
+		fmt.Sprintf("UPDATE Events SET Title = Notes WHERE EId >= %d", k),
+		fmt.Sprintf("UPDATE Attendance SET EId = %d WHERE UId = %d", rng.Intn(n), k),
+		fmt.Sprintf("UPDATE Attendance SET EId = EId + 1 WHERE UId = %d AND EId >= %d", k, j),
+		fmt.Sprintf("UPDATE Attendance SET UId = UId + %d WHERE EId = %s", rng.Intn(3), lit),
+		fmt.Sprintf("INSERT INTO Users (UId, Name) VALUES (%d, 'i'), (%d, 'j')", rng.Intn(2*n), rng.Intn(2*n)),
+		"",
 	}
-	return db
+	return writes[rng.Intn(len(writes))]
+}
+
+// checkWriteParity applies one scanMutation write to db as served and
+// to gen through the reference row finder (genericExec). Affected
+// counts, error text and every table must agree; a failed write must
+// leave db as it was; db's indexes must hold.
+func checkWriteParity(t *testing.T, at string, rng *rand.Rand, db, gen *DB, n int) {
+	t.Helper()
+	q, before := scanMutation(rng, n), snapshotAll(db)
+	var got, want string
+	if q == "" {
+		i, v := rng.Intn(db.RowCount("Users")), rng.Intn(2*n)
+		q = fmt.Sprintf("SetCell(Users, %d, UId, %d)", i, v)
+		got, want = fmt.Sprint(db.SetCell("Users", i, "UId", v)), fmt.Sprint(gen.SetCell("Users", i, "UId", v))
+	} else {
+		_, an, aerr := db.Exec(q, sqlparser.NoArgs)
+		bn, berr := genericExec(t, gen, q)
+		got, want = fmt.Sprint(an, " ", aerr), fmt.Sprint(bn, " ", berr)
+		if aerr != nil && snapshotAll(db) != before {
+			t.Fatalf("%s: %s failed (%v) but changed the tables:\n%swant\n%s", at, q, aerr, snapshotAll(db), before)
+		}
+	}
+	if got != want {
+		t.Fatalf("%s: %s: served %s, reference finder %s", at, q, got, want)
+	}
+	if a, b := snapshotAll(db), snapshotAll(gen); a != b {
+		t.Fatalf("%s: %s: served\n%sreference finder\n%s", at, q, a, b)
+	}
+	checkIndexes(t, db)
 }
 
 // checkScanParity runs one generated case: a calendar database filled
-// out of key order, then mutated step by step; after every step each
-// generated read must render byte-identically served, through
-// execGeneric, and through execGeneric over a keyless copy of the rows.
+// out of key order, then written step by step, served and through the
+// reference row finder side by side (checkWriteParity), sometimes
+// cloned between steps; after every step each generated read must
+// render byte-identically served, through execGeneric, and through
+// execGeneric over a keyless copy of the rows.
 func checkScanParity(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	db := calendarDB(t)
@@ -146,6 +183,7 @@ func checkScanParity(t *testing.T, seed int64) {
 		_, _, _ = db.Exec("INSERT INTO Attendance (UId, EId) VALUES (?, ?)",
 			sqlparser.PositionalArgs(rng.Intn(n+3)+1, rng.Intn(n+3)+1)) // duplicates rejected; fine
 	}
+	gen := db.Clone()
 	for step := 0; step < 6; step++ {
 		ref := keylessMirror(t, db)
 		for i := 0; i < 20; i++ {
@@ -155,7 +193,12 @@ func checkScanParity(t *testing.T, seed int64) {
 				t.Fatalf("seed %d step %d: %q\nserved:\n%s\ngeneric:\n%s\nfull scan:\n%s", seed, step, q, served, generic, scan)
 			}
 		}
-		db = scanMutation(rng, db, n)
+		for w := 0; w < 4; w++ {
+			checkWriteParity(t, fmt.Sprintf("seed %d step %d", seed, step), rng, db, gen, n)
+		}
+		if rng.Intn(6) == 0 {
+			db, gen = db.Clone(), gen.Clone()
+		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // DESIGN.md. The paper is a HotOS position paper with no tables or
 // figures of its own, so each experiment operationalizes one of its
 // claims or worked examples; EXPERIMENTS.md records expectation vs
-// measurement. Every experiment returns a Table the benchmark harness
-// and cmd/acbench print.
+// measurement. Every experiment returns a Table, whose claims the
+// package's tests check.
 package experiments
 
 import (

@@ -5,8 +5,8 @@
 // Every layer that does measurable work — the checker's decision
 // pipeline, the proxy server, the engine's scans, the diagnose search
 // — reports into a Registry, and the edges surface it: acproxy's
-// -metrics endpoint serializes a Snapshot as JSON, acbench -json
-// writes trajectory files, and the proxy's slow-decision log attaches
+// -metrics endpoint serializes a Snapshot as JSON, the benchmark in
+// bench/ reads Snapshots, and the proxy's slow-decision log attaches
 // per-stage micros from the context SpanSet.
 //
 // Design constraints, in order:

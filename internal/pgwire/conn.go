@@ -100,8 +100,23 @@ func (c *conn) statementCtx(base context.Context) (context.Context, func()) {
 	}
 }
 
+// flushReader is the connection's read side. Before any kernel read —
+// exactly when every buffered frontend message is handled and the
+// server is about to wait on the client — it flushes the replies
+// buffered in w. An exchange's replies thus leave in one write, yet are
+// always on the wire before the server waits, so no client can wait on
+// output the server holds.
+type flushReader struct{ c *conn }
+
+func (f flushReader) Read(p []byte) (int, error) {
+	if err := f.c.w.Flush(); err != nil {
+		return 0, err
+	}
+	return f.c.netc.Read(p)
+}
+
 func (c *conn) serve(base context.Context) {
-	c.r = bufio.NewReader(c.netc)
+	c.r = bufio.NewReader(flushReader{c})
 	c.w = bufio.NewWriter(c.netc)
 	c.tx = 'I'
 	c.stmts = make(map[string]*prepared)
@@ -145,15 +160,8 @@ func (c *conn) serve(base context.Context) {
 		case 'S':
 			skipTillSync = false
 			_ = writeReadyForQuery(c.w, &c.m, c.tx)
-			if c.w.Flush() != nil {
-				return
-			}
-			continue
 		case 'H':
-			if c.w.Flush() != nil {
-				return
-			}
-			continue
+			// Flush: flushReader writes the replies before the next read.
 		case 'X':
 			return
 		case 'd', 'c', 'f', 'F':
@@ -166,9 +174,6 @@ func (c *conn) serve(base context.Context) {
 		}
 		if !ok {
 			skipTillSync = true
-		}
-		if c.w.Flush() != nil {
-			return
 		}
 	}
 }
