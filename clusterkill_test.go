@@ -201,7 +201,7 @@ func TestClusterKillHandover(t *testing.T) {
 	corpus := f.Corpus
 	// The full ring every node computes; session pinning and the
 	// follower invariant both derive from it.
-	fullRing := cluster.NewRing(ckIDs[:], 0)
+	fullRing := cluster.NewRing(ckIDs[:])
 
 	// Control: one unkilled single-node WAL proxy, same prime/decide
 	// sequence under the same session names.
@@ -263,23 +263,9 @@ func TestClusterKillHandover(t *testing.T) {
 	ckPrime(t, svcA.V2Addr(), fullRing, corpus)
 
 	// The kill is only meaningful once b has drained its ship queue.
-	statusOf := func(addr string) *proxy.ClusterBody {
-		cl, err := proxy.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		resp, err := cl.Do(ctx, &proxy.Request{Op: "cluster.status"})
-		if err != nil || resp.Error != "" || resp.Cluster == nil {
-			t.Fatalf("cluster.status %s: %v %+v", addr, err, resp)
-		}
-		return resp.Cluster
-	}
 	drainDeadline := time.Now().Add(10 * time.Second)
 	for {
-		st := statusOf(addrB)
+		st := clusterStatus(t, addrB)
 		if st.ShipEnqueued > 0 && st.ShipAcked == st.ShipEnqueued && st.ShipDropped == 0 {
 			break
 		}

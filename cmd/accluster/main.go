@@ -1,20 +1,15 @@
-// Command accluster inspects and steers a running enforcement
-// cluster (DESIGN.md §16) through any member's v2 listener.
+// Command accluster inspects a running enforcement cluster
+// (DESIGN.md §16) through any member's v2 listener.
 //
 // Usage:
 //
-//	accluster -addr 127.0.0.1:7070 status     # full view: placement, leases, ship lag
+//	accluster -addr 127.0.0.1:7070 status     # full view: members, leases, forwarding, ship lag
 //	accluster -addr 127.0.0.1:7070 members    # membership table only
-//	accluster -addr 127.0.0.1:7070 drain      # stop owning new sessions on this node
-//	accluster -addr 127.0.0.1:7070 rebalance  # force a probe round + ring rebuild
+//	accluster -addr 127.0.0.1:7070 ping       # is the node up and clustered?
 //
-// status answers from the contacted node's local view: its membership
-// epoch, each peer's liveness and draining state, the leases it has
-// granted (sessions it follows), and its own placement and WAL-ship
-// counters. drain removes the contacted node from its own routing
-// ring — peers notice via health probes and route new sessions
-// elsewhere; sessions it already owns keep serving. rebalance forces
-// an immediate probe round instead of waiting out the probe interval.
+// status answers from the contacted node's local view: each peer's
+// liveness, the leases it has granted (sessions it follows), and its
+// own forwarding and WAL-ship counters.
 package main
 
 import (
@@ -46,14 +41,10 @@ func main() {
 	switch cmd {
 	case "status", "members":
 		op = "cluster.status"
-	case "drain":
-		op = "cluster.drain"
-	case "rebalance":
-		op = "cluster.rebalance"
 	case "ping":
 		op = "cluster.ping"
 	default:
-		fmt.Fprintf(os.Stderr, "accluster: unknown command %q (want status|members|drain|rebalance|ping)\n", cmd)
+		fmt.Fprintf(os.Stderr, "accluster: unknown command %q (want status|members|ping)\n", cmd)
 		os.Exit(2)
 	}
 
@@ -78,17 +69,11 @@ func main() {
 
 	switch cmd {
 	case "ping":
-		fmt.Printf("node %s epoch %d draining=%v\n", b.Self, b.Epoch, b.Draining)
+		fmt.Printf("node %s is up\n", b.Self)
 	case "members":
 		printMembers(b)
-	case "drain":
-		fmt.Printf("node %s draining; peers will route new sessions around it\n", b.Self)
-		printMembers(b)
-	case "rebalance":
-		fmt.Printf("node %s probed its peers and rebuilt its ring (epoch %d)\n", b.Self, b.Epoch)
-		printMembers(b)
 	default: // status
-		fmt.Printf("node %s  epoch %d  draining=%v\n", b.Self, b.Epoch, b.Draining)
+		fmt.Printf("node %s\n", b.Self)
 		printMembers(b)
 		if len(b.Leases) > 0 {
 			fmt.Println("leases granted (sessions this node follows):")
@@ -100,9 +85,9 @@ func main() {
 				fmt.Printf("  %-12s term %-4d %s\n", l.Origin, l.Term, state)
 			}
 		}
-		fmt.Printf("placement: local=%d forwarded-sessions=%d forwarded-ops=%d forward-errors=%d takeovers=%d\n",
-			b.LocalSessions, b.ForwardedSessions, b.ForwardedOps, b.ForwardErrors, b.Takeovers)
-		fmt.Printf("wal ship:  enqueued=%d acked=%d dropped=%d bytes=%d (lag %d records)\n",
+		fmt.Printf("forwarding: open-sessions=%d relayed=%d errors=%d takeovers=%d\n",
+			b.ForwardedSessions, b.ForwardedOps, b.ForwardErrors, b.Takeovers)
+		fmt.Printf("wal ship:   enqueued=%d acked=%d dropped=%d bytes=%d (lag %d records)\n",
 			b.ShipEnqueued, b.ShipAcked, b.ShipDropped, b.ShipBytes, b.ShipEnqueued-b.ShipAcked-b.ShipDropped)
 	}
 }
@@ -118,9 +103,6 @@ func printMembers(b *proxy.ClusterBody) {
 		if !m.Alive {
 			state = "dead"
 		}
-		if m.Draining {
-			state += ",draining"
-		}
-		fmt.Printf("  %s %-12s %-21s %-14s epoch %d\n", mark, m.ID, m.Addr, state, m.Epoch)
+		fmt.Printf("  %s %-12s %-21s %s\n", mark, m.ID, m.Addr, state)
 	}
 }

@@ -47,8 +47,8 @@
 //   - -lease-ttl / -probe-interval tune failover latency.
 //   - -lazy-wal defers WAL open until first durable use, so a
 //     forwarding-only node doesn't create an empty log directory.
-//   - Inspect and steer a running cluster with the accluster CLI
-//     (status, members, drain, rebalance).
+//   - Inspect a running cluster with the accluster CLI (status,
+//     members, ping).
 //
 // Policy lifecycle:
 //

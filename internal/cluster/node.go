@@ -19,54 +19,30 @@ type Member struct {
 	Addr string
 }
 
-// Provider supplies the member set. Static configuration implements
-// it today; a gossip or service-discovery layer can replace it
-// without touching the node.
-type Provider interface {
-	Members() []Member
-}
-
-// Static is the fixed-configuration membership Provider.
-type Static []Member
-
-// Members implements Provider.
-func (s Static) Members() []Member { return append([]Member(nil), s...) }
-
-// Config parameterizes a Node. Self and the member set (via Members
-// or Provider) are required; everything else has serviceable
-// defaults.
+// Config parameterizes a Node. Self and Members are required;
+// everything else has serviceable defaults.
 type Config struct {
-	// Self is this node's member id; the member set must contain it.
+	// Self is this node's member id; Members must contain it.
 	Self string
-	// Members is the static member set (ignored when Provider is set).
+	// Members is the static member set.
 	Members []Member
-	// Provider overrides Members as the membership source.
-	Provider Provider
-	// VNodes per member on the ring; 0 means DefaultVNodes.
-	VNodes int
 	// LeaseTTL is how long one ship batch's lease assertion holds; 0
 	// means 1500ms.
 	LeaseTTL time.Duration
-	// ProbeInterval paces peer health probes; 0 means 500ms.
+	// ProbeInterval paces peer health probes and bounds each probe's
+	// round trip; 0 means 500ms.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round trip; 0 means ProbeInterval.
-	ProbeTimeout time.Duration
 	// SuspectAfter is how many consecutive probe failures mark a peer
 	// dead (subject to the lease gate); 0 means 2.
 	SuspectAfter int
 	// ShipFlush paces the WAL-ship flusher; 0 means 5ms.
 	ShipFlush time.Duration
-	// ShipTimeout bounds one ship batch round trip; 0 means 2s.
-	ShipTimeout time.Duration
-	// ForwardWindow is the pipelining window on each inter-node
-	// client; 0 means proxy.DefaultMaxInFlight.
-	ForwardWindow int
-	// Metrics receives the cluster.* instruments; nil means the
-	// attached server's registry.
-	Metrics *obsv.Registry
 	// Logf receives diagnostics; nil means the attached server's.
 	Logf func(format string, args ...any)
 }
+
+// peerTimeout bounds one ship batch or peer-connection hello.
+const peerTimeout = 2 * time.Second
 
 func (c *Config) normalize() {
 	if c.LeaseTTL <= 0 {
@@ -75,27 +51,19 @@ func (c *Config) normalize() {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
-	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 2
 	}
 	if c.ShipFlush <= 0 {
 		c.ShipFlush = 5 * time.Millisecond
 	}
-	if c.ShipTimeout <= 0 {
-		c.ShipTimeout = 2 * time.Second
-	}
 }
 
 // memberState is the node's live view of one peer.
 type memberState struct {
 	Member
-	alive    bool
-	draining bool
-	epoch    uint64 // peer's own epoch, from its last probe response
-	fails    int    // consecutive probe failures
+	alive bool
+	fails int // consecutive probe failures
 }
 
 // Node implements proxy.ClusterHandler: it owns the membership view,
@@ -105,15 +73,13 @@ type Node struct {
 	cfg Config
 	srv *proxy.Server
 
-	mu       sync.Mutex
-	members  map[string]*memberState
-	order    []string // member ids, sorted, for stable iteration
-	epoch    atomic.Uint64
-	draining atomic.Bool
+	mu      sync.Mutex
+	members map[string]*memberState
+	order   []string // member ids, sorted, for stable iteration
 
-	// ring is the immutable routing view, swapped wholesale on any
-	// membership change; the per-request Owner check is one atomic
-	// load.
+	// ring is the immutable routing view, set in New and swapped
+	// wholesale on any membership change; the per-request Owner check
+	// is one atomic load.
 	ring atomic.Pointer[Ring]
 
 	// term is the lease term this node asserts as an owner; it
@@ -136,15 +102,11 @@ type Node struct {
 	started    atomic.Bool
 	closed     atomic.Bool
 
-	// Session-placement counters for cluster.status.
-	localSessions     atomic.Int64
+	// forwardedSessions counts the open forwarded-session handles.
 	forwardedSessions atomic.Int64
-	forwardedOps      atomic.Int64
-	forwardErrors     atomic.Int64
-	takeovers         atomic.Int64
 
-	// obsv instruments (forward latency, ship lag, lease transitions)
-	// surface through the proxy -metrics endpoint.
+	// obsv instruments (forward latency, ship lag, lease transitions).
+	// cluster.status reads its counts from these same counters.
 	mForwardMicros *obsv.Histogram
 	mForwards      *obsv.Counter
 	mForwardErrs   *obsv.Counter
@@ -175,13 +137,8 @@ func New(cfg Config) (*Node, error) {
 		proberDone: make(chan struct{}),
 	}
 	n.ship = newShipper(n)
-	n.epoch.Store(1)
-	members := cfg.Members
-	if cfg.Provider != nil {
-		members = cfg.Provider.Members()
-	}
-	n.installMembers(members)
-	if _, ok := n.members[cfg.Self]; !ok && len(members) > 0 {
+	n.SetMembers(cfg.Members)
+	if _, ok := n.members[cfg.Self]; !ok && len(cfg.Members) > 0 {
 		return nil, fmt.Errorf("cluster: member set does not contain self %q", cfg.Self)
 	}
 	return n, nil
@@ -193,9 +150,14 @@ func New(cfg Config) (*Node, error) {
 func (n *Node) Attach(srv *proxy.Server) {
 	n.srv = srv
 	srv.Cluster = n
-	reg := n.cfg.Metrics
-	if reg == nil {
-		reg = srv.MetricsRegistry()
+	if n.cfg.Logf == nil {
+		n.cfg.Logf = srv.Logf
+	}
+	reg := srv.MetricsRegistry()
+	if !reg.Enabled() {
+		// cluster.status reports these counts, so they count even when
+		// the server exports no metrics.
+		reg = obsv.NewRegistry()
 	}
 	n.mForwardMicros = reg.Histogram("cluster.forward.micros")
 	n.mForwards = reg.Counter("cluster.forwards")
@@ -253,14 +215,10 @@ func (n *Node) logf(format string, args ...any) {
 	}
 }
 
-// Epoch reports this node's membership-view epoch (bumped on every
-// view change).
-func (n *Node) Epoch() uint64 { return n.epoch.Load() }
-
-// installMembers replaces the member set under n.mu, preserving known
-// peers' liveness state, then rebuilds the ring. Caller must NOT hold
-// n.mu.
-func (n *Node) installMembers(members []Member) {
+// SetMembers replaces the member set, preserving known peers' liveness
+// state, then rebuilds the ring. Tests and in-process clusters use it
+// after binding ephemeral listener ports.
+func (n *Node) SetMembers(members []Member) {
 	n.mu.Lock()
 	next := make(map[string]*memberState, len(members))
 	order := make([]string, 0, len(members))
@@ -284,46 +242,29 @@ func (n *Node) installMembers(members []Member) {
 	n.rebuild()
 }
 
-// SetMembers installs a new member set (bumping the epoch). Tests and
-// in-process clusters use it after binding ephemeral listener ports.
-func (n *Node) SetMembers(members []Member) {
-	n.installMembers(members)
-	n.epoch.Add(1)
-}
-
-// rebuild recomputes the routing ring from the current view: members
-// that are alive and not draining. Caller must not hold n.mu.
+// rebuild recomputes the routing ring over the members that are
+// alive. Caller must not hold n.mu.
 func (n *Node) rebuild() {
 	n.mu.Lock()
 	ids := make([]string, 0, len(n.order))
 	for _, id := range n.order {
-		st := n.members[id]
-		drain := st.draining
-		if id == n.cfg.Self {
-			drain = n.draining.Load()
-		}
-		if st.alive && !drain {
+		if n.members[id].alive {
 			ids = append(ids, id)
 		}
 	}
 	n.mu.Unlock()
-	n.ring.Store(NewRing(ids, n.cfg.VNodes))
+	n.ring.Store(NewRing(ids))
 }
 
-// Ring exposes the current routing ring (tests, accluster).
+// Ring exposes the current routing ring (tests).
 func (n *Node) Ring() *Ring { return n.ring.Load() }
 
 // --- proxy.ClusterHandler ---
 
 // Owner resolves a session name to its owning node.
 func (n *Node) Owner(name string) (addr string, local bool) {
-	ring := n.ring.Load()
-	if ring == nil || ring.Size() == 0 {
-		return "", true
-	}
-	owner := ring.Owner(name)
+	owner := n.ring.Load().Owner(name)
 	if owner == "" || owner == n.cfg.Self {
-		n.localSessions.Add(1)
 		return "", true
 	}
 	n.mu.Lock()
@@ -359,30 +300,19 @@ func (n *Node) WALOpened(m *durable.Manager) {
 
 // OpenRemote forwards a durable hello to the session's owner.
 func (n *Node) OpenRemote(ctx context.Context, req *proxy.Request) (proxy.RemoteSession, *proxy.Response, error) {
-	ring := n.ring.Load()
-	if ring == nil {
-		return nil, nil, fmt.Errorf("cluster: no ring")
-	}
-	owner := ring.Owner(req.Name)
+	owner := n.ring.Load().Owner(req.Name)
 	c, err := n.client(owner)
 	if err != nil {
-		n.forwardErrors.Add(1)
 		n.mForwardErrs.Inc()
 		return nil, nil, err
 	}
-	lane := c.Lane(n.nextSID.Add(1))
-	start := time.Now()
-	resp, err := lane.Do(ctx, &proxy.Request{Op: "hello", Name: req.Name, Session: req.Session})
+	r := &remoteSession{n: n, peer: owner, client: c, lane: c.Lane(n.nextSID.Add(1))}
+	resp, err := r.relay(ctx, &proxy.Request{Op: "hello", Name: req.Name, Session: req.Session})
 	if err != nil {
-		n.dropClient(owner, c)
-		n.forwardErrors.Add(1)
-		n.mForwardErrs.Inc()
 		return nil, nil, err
 	}
-	n.mForwardMicros.Observe(time.Since(start).Microseconds())
-	n.mForwards.Inc()
 	n.forwardedSessions.Add(1)
-	return &remoteSession{n: n, peer: owner, client: c, lane: lane}, resp, nil
+	return r, resp, nil
 }
 
 // remoteSession relays one forwarded session's requests to its owner
@@ -400,17 +330,22 @@ type remoteSession struct {
 func (r *remoteSession) Do(ctx context.Context, req *proxy.Request) (*proxy.Response, error) {
 	creq := *req
 	creq.ID, creq.SID = 0, 0
+	return r.relay(ctx, &creq)
+}
+
+// relay sends one request over the lane and accounts for it; a
+// transport failure drops the pooled connection so the next use
+// redials.
+func (r *remoteSession) relay(ctx context.Context, req *proxy.Request) (*proxy.Response, error) {
 	start := time.Now()
-	resp, err := r.lane.Do(ctx, &creq)
+	resp, err := r.lane.Do(ctx, req)
 	if err != nil {
 		r.n.dropClient(r.peer, r.client)
-		r.n.forwardErrors.Add(1)
 		r.n.mForwardErrs.Inc()
 		return nil, err
 	}
-	r.n.mForwardMicros.Observe(time.Since(start).Microseconds())
+	r.n.mForwardMicros.ObserveSince(start)
 	r.n.mForwards.Inc()
-	r.n.forwardedOps.Add(1)
 	return resp, nil
 }
 
@@ -432,15 +367,11 @@ func (n *Node) client(peer string) (*proxy.Client, error) {
 	if st == nil || st.Addr == "" {
 		return nil, fmt.Errorf("cluster: unknown peer %q", peer)
 	}
-	opts := []proxy.ClientOption{}
-	if n.cfg.ForwardWindow > 0 {
-		opts = append(opts, proxy.WithWindow(n.cfg.ForwardWindow))
-	}
-	c, err := proxy.Dial(st.Addr, opts...)
+	c, err := proxy.Dial(st.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s (%s): %w", peer, st.Addr, err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ShipTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), peerTimeout)
 	err = c.Hello(ctx, nil)
 	cancel()
 	if err != nil {
@@ -477,9 +408,8 @@ func (n *Node) probeLoop() {
 	}
 }
 
-// probeOnce pings every peer and folds the results into the view.
-// Transitions (alive→dead, dead→alive, draining flips, epoch moves)
-// bump this node's epoch and rebuild the ring.
+// probeOnce pings every peer and folds the results into the view. A
+// liveness transition (alive→dead or dead→alive) rebuilds the ring.
 func (n *Node) probeOnce() {
 	n.mu.Lock()
 	peers := make([]Member, 0, len(n.order))
@@ -492,7 +422,7 @@ func (n *Node) probeOnce() {
 
 	changed := false
 	for _, p := range peers {
-		ok, body := n.ping(p)
+		ok := n.ping(p)
 		n.mu.Lock()
 		st := n.members[p.ID]
 		if st == nil {
@@ -506,13 +436,6 @@ func (n *Node) probeOnce() {
 				changed = true
 				n.logf("cluster: peer %s is back", p.ID)
 			}
-			if body != nil {
-				if body.Draining != st.draining {
-					st.draining = body.Draining
-					changed = true
-				}
-				st.epoch = body.Epoch
-			}
 		} else {
 			st.fails++
 			// The lease gate: a follower that granted this origin a
@@ -522,7 +445,6 @@ func (n *Node) probeOnce() {
 				st.alive = false
 				changed = true
 				if n.leases.term(p.ID) > 0 {
-					n.takeovers.Add(1)
 					n.mTakeovers.Inc()
 				}
 				n.logf("cluster: peer %s marked dead after %d failed probes", p.ID, st.fails)
@@ -531,26 +453,22 @@ func (n *Node) probeOnce() {
 		n.mu.Unlock()
 	}
 	if changed {
-		n.epoch.Add(1)
 		n.rebuild()
 	}
 }
 
-// ping sends one cluster.ping, returning the peer's reported state.
-func (n *Node) ping(p Member) (bool, *proxy.ClusterBody) {
+// ping sends one cluster.ping and reports whether the peer answered.
+func (n *Node) ping(p Member) bool {
 	c, err := n.client(p.ID)
 	if err != nil {
-		return false, nil
+		return false
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ProbeInterval)
 	defer cancel()
-	resp, err := c.Do(ctx, &proxy.Request{Op: "cluster.ping", Node: n.cfg.Self, Epoch: n.Epoch()})
+	resp, err := c.Do(ctx, &proxy.Request{Op: "cluster.ping", Node: n.cfg.Self})
 	if err != nil {
 		n.dropClient(p.ID, c)
-		return false, nil
+		return false
 	}
-	if resp.Error != "" {
-		return false, nil
-	}
-	return true, resp.Cluster
+	return resp.Error == ""
 }

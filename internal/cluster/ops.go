@@ -13,39 +13,17 @@ import (
 // HandleOp serves the cluster.* control ops — the small v2 op set
 // peers (and the accluster CLI) speak:
 //
-//	cluster.ping      liveness probe; answers self/epoch/draining
-//	cluster.status    full view: members, leases, placement, ship lag
+//	cluster.ping      liveness probe; answers self
+//	cluster.status    full view: members, leases, forwarding, ship lag
 //	cluster.ship      a peer owner's WAL record batch + lease assertion
-//	cluster.drain     stop owning new sessions; peers route around us
-//	cluster.rebalance force an immediate probe round and ring rebuild
 func (n *Node) HandleOp(ctx context.Context, req *proxy.Request) *proxy.Response {
 	switch req.Op {
 	case "cluster.ping":
-		return &proxy.Response{OK: true, Cluster: &proxy.ClusterBody{
-			Self:     n.cfg.Self,
-			Epoch:    n.Epoch(),
-			Draining: n.draining.Load(),
-		}}
-
+		return &proxy.Response{OK: true, Cluster: &proxy.ClusterBody{Self: n.cfg.Self}}
 	case "cluster.status":
 		return &proxy.Response{OK: true, Cluster: n.statusBody()}
-
 	case "cluster.ship":
 		return n.handleShip(req)
-
-	case "cluster.drain":
-		if !n.draining.Swap(true) {
-			n.epoch.Add(1)
-			n.rebuild()
-			n.logf("cluster: draining — new sessions route to peers")
-		}
-		return &proxy.Response{OK: true, Cluster: n.statusBody()}
-
-	case "cluster.rebalance":
-		n.probeOnce()
-		n.epoch.Add(1)
-		n.rebuild()
-		return &proxy.Response{OK: true, Cluster: n.statusBody()}
 	}
 	return &proxy.Response{
 		Error: fmt.Sprintf("unknown cluster op %q", req.Op),
@@ -65,9 +43,6 @@ func (n *Node) handleShip(req *proxy.Request) *proxy.Response {
 	}
 	m := n.wal.Load()
 	if m == nil {
-		if n.srv == nil {
-			return &proxy.Response{Error: "cluster.ship: node not attached", Code: acerr.CodeInternal}
-		}
 		if err := n.srv.OpenDurable(); err != nil {
 			return &proxy.Response{Error: "cluster.ship: open WAL: " + err.Error(), Code: acerr.CodeEngine}
 		}
@@ -109,43 +84,31 @@ func (n *Node) handleShip(req *proxy.Request) *proxy.Response {
 
 // statusBody assembles the full cluster.status payload.
 func (n *Node) statusBody() *proxy.ClusterBody {
-	now := time.Now()
 	body := &proxy.ClusterBody{
-		Self:     n.cfg.Self,
-		Epoch:    n.Epoch(),
-		Draining: n.draining.Load(),
+		Self: n.cfg.Self,
 
-		LocalSessions:     n.localSessions.Load(),
 		ForwardedSessions: n.forwardedSessions.Load(),
-		ForwardedOps:      n.forwardedOps.Load(),
-		ForwardErrors:     n.forwardErrors.Load(),
+		ForwardedOps:      n.mForwards.Value(),
+		ForwardErrors:     n.mForwardErrs.Value(),
 
 		ShipEnqueued: n.mShipEnqueued.Value(),
 		ShipAcked:    n.mShipAcked.Value(),
 		ShipDropped:  n.mShipDropped.Value(),
 		ShipBytes:    n.mShipBytes.Value(),
-		Takeovers:    n.takeovers.Load(),
+		Takeovers:    n.mTakeovers.Value(),
 	}
 	n.mu.Lock()
 	for _, id := range n.order {
 		st := n.members[id]
-		ms := proxy.MemberStatus{
-			ID:       id,
-			Addr:     st.Addr,
-			Alive:    st.alive,
-			Draining: st.draining,
-			Epoch:    st.epoch,
-		}
-		if id == n.cfg.Self {
-			ms.Self = true
-			ms.Alive = true
-			ms.Draining = n.draining.Load()
-			ms.Epoch = n.Epoch()
-		}
-		body.Members = append(body.Members, ms)
+		body.Members = append(body.Members, proxy.MemberStatus{
+			ID:    id,
+			Addr:  st.Addr,
+			Self:  id == n.cfg.Self,
+			Alive: st.alive, // a node never probes, or marks dead, itself
+		})
 	}
 	n.mu.Unlock()
-	snaps := n.leases.snapshot(now)
+	snaps := n.leases.snapshot(time.Now())
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].origin < snaps[j].origin })
 	for _, ls := range snaps {
 		body.Leases = append(body.Leases, proxy.LeaseStatus{

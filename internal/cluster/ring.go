@@ -11,10 +11,10 @@ package cluster
 
 import "sort"
 
-// DefaultVNodes is the virtual-node count per member. More vnodes
+// vnodesPerMember is the virtual-node count per member. More vnodes
 // smooth the key distribution and shrink the movement bound on
 // membership change; 64 keeps ring rebuilds cheap at small N.
-const DefaultVNodes = 64
+const vnodesPerMember = 64
 
 // Ring is an immutable consistent-hash ring: members are expanded
 // into virtual nodes, and a key belongs to the member owning the
@@ -80,12 +80,9 @@ func vnodeHash(member string, i int) uint64 {
 }
 
 // NewRing builds a ring over members (order-insensitive; duplicates
-// collapse). vnodesPer <= 0 means DefaultVNodes. A nil/empty member
-// set yields an empty ring, whose Owner always answers "".
-func NewRing(members []string, vnodesPer int) *Ring {
-	if vnodesPer <= 0 {
-		vnodesPer = DefaultVNodes
-	}
+// collapse). A nil/empty member set yields an empty ring, whose Owner
+// always answers "".
+func NewRing(members []string) *Ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -95,9 +92,9 @@ func NewRing(members []string, vnodesPer int) *Ring {
 		}
 	}
 	sort.Strings(uniq)
-	r := &Ring{members: uniq, vnodes: make([]vnode, 0, len(uniq)*vnodesPer)}
+	r := &Ring{members: uniq, vnodes: make([]vnode, 0, len(uniq)*vnodesPerMember)}
 	for _, m := range uniq {
-		for i := 0; i < vnodesPer; i++ {
+		for i := 0; i < vnodesPerMember; i++ {
 			r.vnodes = append(r.vnodes, vnode{hash: vnodeHash(m, i), member: m})
 		}
 	}
@@ -111,9 +108,6 @@ func NewRing(members []string, vnodesPer int) *Ring {
 	})
 	return r
 }
-
-// Members returns the ring's member ids, sorted.
-func (r *Ring) Members() []string { return r.members }
 
 // Size reports the member count.
 func (r *Ring) Size() int { return len(r.members) }
@@ -135,37 +129,21 @@ func (r *Ring) Owner(key string) string {
 	return r.vnodes[r.firstAt(keyHash(key))].member
 }
 
-// Successors returns up to n distinct members in the key's ring-walk
-// order, owner first. The walk order is what makes WAL shipping line
-// up with failover: the key's records ship to Successors(key, 2)[1],
-// and when the owner leaves the ring, Owner(key) over the survivors
-// is exactly that member.
-func (r *Ring) Successors(key string, n int) []string {
-	if len(r.vnodes) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	start := r.firstAt(keyHash(key))
-	for i := 0; i < len(r.vnodes) && len(out) < n; i++ {
-		m := r.vnodes[(start+i)%len(r.vnodes)].member
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Follower returns the member the key's owner ships this key's WAL
-// records to ("" when the ring has fewer than two members).
+// records to ("" when the ring has fewer than two members): the first
+// member other than the owner on the key's clockwise walk. The walk
+// order is what makes WAL shipping line up with failover: when the
+// owner leaves the ring, Owner(key) over the survivors is exactly
+// this member.
 func (r *Ring) Follower(key string) string {
-	succ := r.Successors(key, 2)
-	if len(succ) < 2 {
+	if len(r.members) < 2 {
 		return ""
 	}
-	return succ[1]
+	start := r.firstAt(keyHash(key))
+	owner := r.vnodes[start].member
+	for i := 1; ; i++ {
+		if m := r.vnodes[(start+i)%len(r.vnodes)].member; m != owner {
+			return m
+		}
+	}
 }

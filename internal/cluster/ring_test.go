@@ -17,8 +17,8 @@ func keys(n int) []string {
 // member order, ring rebuild count, and process identity must not
 // matter, because every node computes its own ring independently.
 func TestRingDeterminism(t *testing.T) {
-	a := NewRing([]string{"a", "b", "c"}, 0)
-	b := NewRing([]string{"c", "a", "b", "a"}, 0) // shuffled + duplicate
+	a := NewRing([]string{"a", "b", "c"})
+	b := NewRing([]string{"c", "a", "b", "a"}) // shuffled + duplicate
 	for _, k := range keys(500) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("owner(%q) differs across equivalent rings: %q vs %q", k, a.Owner(k), b.Owner(k))
@@ -34,7 +34,7 @@ func TestRingDeterminism(t *testing.T) {
 // more than half the keyspace at N=4).
 func TestRingCoversAllMembers(t *testing.T) {
 	members := []string{"a", "b", "c", "d"}
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	counts := map[string]int{}
 	ks := keys(4000)
 	for _, k := range ks {
@@ -55,8 +55,8 @@ func TestRingCoversAllMembers(t *testing.T) {
 // bound is what makes failover targeted — only the dead node's
 // sessions change owner.
 func TestRingBoundedMovement(t *testing.T) {
-	before := NewRing([]string{"a", "b", "c", "d"}, 0)
-	after := NewRing([]string{"a", "b", "d"}, 0)
+	before := NewRing([]string{"a", "b", "c", "d"})
+	after := NewRing([]string{"a", "b", "d"})
 	moved := 0
 	for _, k := range keys(4000) {
 		was, is := before.Owner(k), after.Owner(k)
@@ -75,8 +75,8 @@ func TestRingBoundedMovement(t *testing.T) {
 // TestRingAddMovesOnlyToNewMember: the dual bound for joins — a key
 // either keeps its owner or moves to the joining member.
 func TestRingAddMovesOnlyToNewMember(t *testing.T) {
-	before := NewRing([]string{"a", "b", "c"}, 0)
-	after := NewRing([]string{"a", "b", "c", "d"}, 0)
+	before := NewRing([]string{"a", "b", "c"})
+	after := NewRing([]string{"a", "b", "c", "d"})
 	gained := 0
 	for _, k := range keys(4000) {
 		was, is := before.Owner(k), after.Owner(k)
@@ -97,7 +97,7 @@ func TestRingAddMovesOnlyToNewMember(t *testing.T) {
 // that owns the key once the original owner leaves the ring.
 func TestFollowerIsFailoverOwner(t *testing.T) {
 	members := []string{"a", "b", "c", "d"}
-	full := NewRing(members, 0)
+	full := NewRing(members)
 	for _, k := range keys(1000) {
 		owner := full.Owner(k)
 		follower := full.Follower(k)
@@ -110,7 +110,7 @@ func TestFollowerIsFailoverOwner(t *testing.T) {
 				survivors = append(survivors, m)
 			}
 		}
-		if got := NewRing(survivors, 0).Owner(k); got != follower {
+		if got := NewRing(survivors).Owner(k); got != follower {
 			t.Fatalf("key %q: shipped to %s but failover owner is %s", k, follower, got)
 		}
 	}
@@ -118,21 +118,18 @@ func TestFollowerIsFailoverOwner(t *testing.T) {
 
 // TestRingEdgeCases: empty and single-member rings degrade safely.
 func TestRingEdgeCases(t *testing.T) {
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if got := empty.Owner("x"); got != "" {
 		t.Fatalf("empty ring owner = %q", got)
 	}
 	if got := empty.Follower("x"); got != "" {
 		t.Fatalf("empty ring follower = %q", got)
 	}
-	solo := NewRing([]string{"a"}, 0)
+	solo := NewRing([]string{"a"})
 	if got := solo.Owner("x"); got != "a" {
 		t.Fatalf("solo owner = %q", got)
 	}
 	if got := solo.Follower("x"); got != "" {
 		t.Fatalf("solo follower = %q (no one to ship to)", got)
-	}
-	if got := solo.Successors("x", 5); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("solo successors = %v", got)
 	}
 }

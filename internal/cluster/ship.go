@@ -58,11 +58,7 @@ func newShipper(n *Node) *shipper {
 // follower (single-node ring) drop silently — there is no one to ship
 // to.
 func (sh *shipper) enqueue(name string, typ byte, payload []byte) {
-	ring := sh.n.ring.Load()
-	if ring == nil {
-		return
-	}
-	follower := ring.Follower(name)
+	follower := sh.n.ring.Load().Follower(name)
 	if follower == "" || follower == sh.n.cfg.Self {
 		return
 	}
@@ -145,12 +141,11 @@ func (sh *shipper) send(follower string, recs []shipRec) error {
 	for i, r := range recs {
 		ship[i] = proxy.ShipRecord{Session: r.name, Type: r.typ, Payload: r.payload}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), sh.n.cfg.ShipTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), peerTimeout)
 	defer cancel()
 	resp, err := c.Do(ctx, &proxy.Request{
 		Op:        "cluster.ship",
 		Node:      sh.n.cfg.Self,
-		Epoch:     sh.n.Epoch(),
 		Term:      sh.n.term.Load(),
 		TTLMillis: sh.n.cfg.LeaseTTL.Milliseconds(),
 		Ship:      ship,

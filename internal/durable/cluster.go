@@ -3,6 +3,8 @@ package durable
 import (
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/trace"
 )
 
 // Cluster-mode durability: WAL shipping and lease terms.
@@ -78,38 +80,56 @@ func (res *RecoveryResult) applyCluster(typ byte, payload []byte) error {
 		case recSession:
 			return res.apply(recSession, inner)
 		case recAppend:
-			// Shipped appends tolerate what local appends may not: a
-			// session with no prior session record (the ship stream can
-			// begin mid-life when followership changes — attrs arrive
-			// with the adopting hello) and an index gap (the shipper
-			// dropped records under backpressure; the history restarts
-			// at the gap rather than poisoning recovery).
 			name, idx, e, err := decodeAppend(inner)
 			if err != nil {
 				return err
 			}
-			s := res.Sessions[name]
-			if s == nil {
-				s = &RecoveredSession{Name: name}
-				res.Sessions[name] = s
-			}
-			switch next := s.next(); {
-			case len(s.Entries) == 0:
-				s.Base = idx
-				s.Entries = append(s.Entries, e)
-			case idx == next:
-				s.Entries = append(s.Entries, e)
-			case idx < next:
+			dup, gap := recoveredIn(res.Sessions, name).foldShipped(idx, e)
+			if dup {
 				res.DuplicatesSkipped++
-			default:
+			}
+			if gap {
 				res.ShippedGaps++
-				s.Base, s.Entries = idx, append(s.Entries[:0], e)
 			}
 		default:
 			return fmt.Errorf("shipped record from %q wraps unsupported type %d", origin, innerTyp)
 		}
 	}
 	return nil
+}
+
+// recoveredIn returns sessions[name], creating it when absent: a
+// shipped record may be the first this node hears of a session.
+func recoveredIn(sessions map[string]*RecoveredSession, name string) *RecoveredSession {
+	s := sessions[name]
+	if s == nil {
+		s = &RecoveredSession{Name: name}
+		sessions[name] = s
+	}
+	return s
+}
+
+// foldShipped appends one shipped entry at absolute index idx, both
+// at runtime (ApplyShipped) and in recovery. Shipped appends tolerate
+// what local appends may not: a session with no prior session record
+// (the ship stream can begin mid-life when followership changes —
+// attrs arrive with the adopting hello), a duplicate (the owner
+// re-shipped after a retry; dropped), and an index gap (the owner's
+// shipper dropped records under backpressure). A gap restarts the
+// history at idx: serving a history with a hole would be unsound.
+func (s *RecoveredSession) foldShipped(idx uint64, e trace.Entry) (dup, gap bool) {
+	switch next := s.next(); {
+	case len(s.Entries) == 0:
+		s.Base = idx
+	case idx == next:
+	case idx < next:
+		return true, false
+	default:
+		s.Base, s.Entries = idx, s.Entries[:0]
+		gap = true
+	}
+	s.Entries = append(s.Entries, e)
+	return false, gap
 }
 
 // --- manager runtime ---
@@ -150,12 +170,7 @@ func (m *Manager) ApplyShipped(origin string, typ byte, payload []byte) error {
 		}
 		m.mu.Lock()
 		if m.live[name] == nil {
-			rec := m.recovered[name]
-			if rec == nil {
-				rec = &RecoveredSession{Name: name}
-				m.recovered[name] = rec
-			}
-			rec.Attrs = attrs
+			recoveredIn(m.recovered, name).Attrs = attrs
 		}
 		m.mu.Unlock()
 	case recAppend:
@@ -165,25 +180,8 @@ func (m *Manager) ApplyShipped(origin string, typ byte, payload []byte) error {
 		}
 		m.mu.Lock()
 		if m.live[name] == nil {
-			rec := m.recovered[name]
-			if rec == nil {
-				rec = &RecoveredSession{Name: name}
-				m.recovered[name] = rec
-			}
-			switch next := rec.next(); {
-			case len(rec.Entries) == 0:
-				rec.Base = idx
-				rec.Entries = append(rec.Entries, e)
-			case idx == next:
-				rec.Entries = append(rec.Entries, e)
-			case idx < next:
-				// Duplicate (owner re-shipped after a retry); drop.
-			default:
-				// Gap: the owner's shipper dropped records under
-				// backpressure. Restart the history at idx — serving a
-				// history with a hole would be unsound.
-				rec.Base, rec.Entries = idx, append(rec.Entries[:0], e)
-			}
+			rec := recoveredIn(m.recovered, name)
+			rec.foldShipped(idx, e)
 			if w := m.opts.HistoryWindow; w > 0 && len(rec.Entries) > w {
 				drop := len(rec.Entries) - w
 				rec.Base += uint64(drop)
@@ -219,21 +217,6 @@ func (m *Manager) LeaseTerm(origin string) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.leaseTerms[origin]
-}
-
-// PendingSessionCount reports recovered-or-shipped sessions not yet
-// claimed by a hello (the set a takeover would adopt).
-func (m *Manager) PendingSessionCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.recovered)
-}
-
-// LiveSessionCount reports sessions currently claimed by a hello.
-func (m *Manager) LiveSessionCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.live)
 }
 
 // shipPtr is the atomic ship-hook cell type (a named field initializer

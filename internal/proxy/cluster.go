@@ -27,8 +27,8 @@ type ClusterHandler interface {
 	// returns a handle relaying the session's subsequent requests plus
 	// the owner's hello response.
 	OpenRemote(ctx context.Context, req *Request) (RemoteSession, *Response, error)
-	// HandleOp serves one cluster.* control op (ping, status, ship,
-	// drain, rebalance).
+	// HandleOp serves one cluster.* control op (ping, status, ship).
+	// It never returns nil: an unknown op gets an error response.
 	HandleOp(ctx context.Context, req *Request) *Response
 	// WALOpened runs once when the server's durable manager opens,
 	// before any session uses it; the cluster installs its ship hook
@@ -56,16 +56,13 @@ func (s *Server) handleClusterHello(ctx context.Context, req *Request, sess *ses
 	if h == nil || req.Name == "" {
 		return Response{}, false
 	}
-	if _, local := h.Owner(req.Name); local {
-		if sess.remote != nil {
-			sess.remote.Close()
-			sess.remote = nil
-		}
-		return Response{}, false
-	}
+	// A re-hello replaces whatever session the lane held before.
 	if sess.remote != nil {
 		sess.remote.Close()
 		sess.remote = nil
+	}
+	if _, local := h.Owner(req.Name); local {
+		return Response{}, false
 	}
 	remote, rresp, err := h.OpenRemote(ctx, req)
 	if err != nil {
@@ -104,10 +101,7 @@ func (s *Server) handleClusterOp(ctx context.Context, req *Request) Response {
 	if h == nil {
 		return Response{Error: "cluster mode is not enabled", Code: acerr.CodeBadRequest}
 	}
-	if resp := h.HandleOp(ctx, req); resp != nil {
-		return *resp
-	}
-	return Response{Error: "unknown cluster op " + req.Op, Code: acerr.CodeBadRequest}
+	return *h.HandleOp(ctx, req)
 }
 
 // isClusterOp reports whether op belongs to the cluster.* control set.

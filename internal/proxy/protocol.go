@@ -121,11 +121,10 @@ type Request struct {
 	TimeoutMillis int64 `json:"timeoutMillis,omitempty"`
 
 	// Cluster fields (cluster.* ops between peer nodes; DESIGN.md §16).
-	// Node identifies the sending node; Epoch its membership epoch.
-	// Term and TTLMillis carry the lease a shipping owner asserts on
-	// "cluster.ship"; Ship is the shipped WAL record batch.
+	// Node identifies the sending node. Term and TTLMillis carry the
+	// lease a shipping owner asserts on "cluster.ship"; Ship is the
+	// shipped WAL record batch.
 	Node      string       `json:"node,omitempty"`
-	Epoch     uint64       `json:"epoch,omitempty"`
 	Term      uint64       `json:"term,omitempty"`
 	TTLMillis int64        `json:"ttlMillis,omitempty"`
 	Ship      []ShipRecord `json:"ship,omitempty"`
@@ -173,20 +172,16 @@ type Response struct {
 }
 
 // ClusterBody is the payload of the cluster.* ops: this node's
-// identity and membership view, the sessions it serves vs forwards,
-// ship-stream accounting, and the leases it currently holds as a
-// follower.
+// identity and membership view, the sessions it forwards, ship-stream
+// accounting, and the leases it currently holds as a follower.
 type ClusterBody struct {
-	Self     string `json:"self"`
-	Epoch    uint64 `json:"epoch"`
-	Draining bool   `json:"draining,omitempty"`
+	Self string `json:"self"`
 
 	Members []MemberStatus `json:"members,omitempty"`
 	Leases  []LeaseStatus  `json:"leases,omitempty"`
 
-	// Session placement: hellos served locally vs forwarded to an
-	// owner, and the queries relayed over forwarded sessions.
-	LocalSessions     int64 `json:"localSessions,omitempty"`
+	// Forwarding: open forwarded-session handles, requests (hellos
+	// included) relayed to owners, and relays that failed in transport.
 	ForwardedSessions int64 `json:"forwardedSessions,omitempty"`
 	ForwardedOps      int64 `json:"forwardedOps,omitempty"`
 	ForwardErrors     int64 `json:"forwardErrors,omitempty"`
@@ -206,14 +201,10 @@ type ClusterBody struct {
 
 // MemberStatus is one peer in a node's membership view.
 type MemberStatus struct {
-	ID       string `json:"id"`
-	Addr     string `json:"addr"`
-	Self     bool   `json:"self,omitempty"`
-	Alive    bool   `json:"alive"`
-	Draining bool   `json:"draining,omitempty"`
-	// Epoch is the member's own epoch as last reported by its probe
-	// response (0 until first contact).
-	Epoch uint64 `json:"epoch,omitempty"`
+	ID    string `json:"id"`
+	Addr  string `json:"addr"`
+	Self  bool   `json:"self,omitempty"`
+	Alive bool   `json:"alive"`
 }
 
 // LeaseStatus is one lease this node holds as a follower: it accepts

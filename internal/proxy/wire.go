@@ -100,7 +100,7 @@ func appendResponse(buf []byte, resp *Response) ([]byte, bool) {
 // args and session attrs). ok=false falls back to encoding/json.
 func appendRequest(buf []byte, req *Request) ([]byte, bool) {
 	if req.Batch != nil || req.Named != nil || req.Views != nil ||
-		req.Node != "" || req.Ship != nil || req.Epoch != 0 || req.Term != 0 || req.TTLMillis != 0 {
+		req.Node != "" || req.Ship != nil || req.Term != 0 || req.TTLMillis != 0 {
 		return buf, false
 	}
 	buf = append(buf, `{"op":`...)
