@@ -35,7 +35,6 @@ func startCluster(t *testing.T, f *apps.Fixture, n int) ([]*beyond.Service, []st
 				Members:       members,
 				LeaseTTL:      300 * time.Millisecond,
 				ProbeInterval: 50 * time.Millisecond,
-				SuspectAfter:  2,
 				ShipFlush:     2 * time.Millisecond,
 				Logf:          t.Logf,
 			}))

@@ -32,17 +32,19 @@ type Config struct {
 	// ProbeInterval paces peer health probes and bounds each probe's
 	// round trip; 0 means 500ms.
 	ProbeInterval time.Duration
-	// SuspectAfter is how many consecutive probe failures mark a peer
-	// dead (subject to the lease gate); 0 means 2.
-	SuspectAfter int
 	// ShipFlush paces the WAL-ship flusher; 0 means 5ms.
 	ShipFlush time.Duration
 	// Logf receives diagnostics; nil means the attached server's.
 	Logf func(format string, args ...any)
 }
 
-// peerTimeout bounds one ship batch or peer-connection hello.
-const peerTimeout = 2 * time.Second
+const (
+	// peerTimeout bounds one ship batch or peer-connection hello.
+	peerTimeout = 2 * time.Second
+	// suspectAfter is how many consecutive probe failures mark a peer
+	// dead (subject to the lease gate).
+	suspectAfter = 2
+)
 
 func (c *Config) normalize() {
 	if c.LeaseTTL <= 0 {
@@ -50,9 +52,6 @@ func (c *Config) normalize() {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 2
 	}
 	if c.ShipFlush <= 0 {
 		c.ShipFlush = 5 * time.Millisecond
@@ -441,7 +440,7 @@ func (n *Node) probeOnce() {
 			// The lease gate: a follower that granted this origin a
 			// lease must let it expire before serving its sessions —
 			// before removing it from the ring.
-			if st.alive && st.fails >= n.cfg.SuspectAfter && !n.leases.active(p.ID, time.Now()) {
+			if st.alive && st.fails >= suspectAfter && !n.leases.active(p.ID, time.Now()) {
 				st.alive = false
 				changed = true
 				if n.leases.term(p.ID) > 0 {

@@ -19,7 +19,7 @@ import (
 // node's own fallback registry.
 func attachedNode(t *testing.T, members []Member) *Node {
 	t.Helper()
-	n, err := New(Config{Self: "a", Members: members, SuspectAfter: 2})
+	n, err := New(Config{Self: "a", Members: members})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,16 +16,16 @@ import (
 //	cluster.ping      liveness probe; answers self
 //	cluster.status    full view: members, leases, forwarding, ship lag
 //	cluster.ship      a peer owner's WAL record batch + lease assertion
-func (n *Node) HandleOp(ctx context.Context, req *proxy.Request) *proxy.Response {
+func (n *Node) HandleOp(ctx context.Context, req *proxy.Request) proxy.Response {
 	switch req.Op {
 	case "cluster.ping":
-		return &proxy.Response{OK: true, Cluster: &proxy.ClusterBody{Self: n.cfg.Self}}
+		return proxy.Response{OK: true, Cluster: &proxy.ClusterBody{Self: n.cfg.Self}}
 	case "cluster.status":
-		return &proxy.Response{OK: true, Cluster: n.statusBody()}
+		return proxy.Response{OK: true, Cluster: n.statusBody()}
 	case "cluster.ship":
 		return n.handleShip(req)
 	}
-	return &proxy.Response{
+	return proxy.Response{
 		Error: fmt.Sprintf("unknown cluster op %q", req.Op),
 		Code:  acerr.CodeBadRequest,
 	}
@@ -36,18 +36,18 @@ func (n *Node) HandleOp(ctx context.Context, req *proxy.Request) *proxy.Response
 // manager), and extend the lease. A node with no WAL configured
 // cannot follow; one with a lazy WAL opens it now — replicas imply
 // durable writes.
-func (n *Node) handleShip(req *proxy.Request) *proxy.Response {
+func (n *Node) handleShip(req *proxy.Request) proxy.Response {
 	origin := req.Node
 	if origin == "" {
-		return &proxy.Response{Error: "cluster.ship: missing origin node", Code: acerr.CodeBadRequest}
+		return proxy.Response{Error: "cluster.ship: missing origin node", Code: acerr.CodeBadRequest}
 	}
 	m := n.wal.Load()
 	if m == nil {
 		if err := n.srv.OpenDurable(); err != nil {
-			return &proxy.Response{Error: "cluster.ship: open WAL: " + err.Error(), Code: acerr.CodeEngine}
+			return proxy.Response{Error: "cluster.ship: open WAL: " + err.Error(), Code: acerr.CodeEngine}
 		}
 		if m = n.wal.Load(); m == nil {
-			return &proxy.Response{Error: "cluster.ship: follower has no WAL directory configured", Code: acerr.CodeBadRequest}
+			return proxy.Response{Error: "cluster.ship: follower has no WAL directory configured", Code: acerr.CodeBadRequest}
 		}
 	}
 	ttl := time.Duration(req.TTLMillis) * time.Millisecond
@@ -57,7 +57,7 @@ func (n *Node) handleShip(req *proxy.Request) *proxy.Response {
 	accepted, isNew := n.leases.renew(origin, req.Term, ttl, time.Now())
 	if !accepted {
 		n.mLeaseRejects.Inc()
-		return &proxy.Response{
+		return proxy.Response{
 			Error: fmt.Sprintf("cluster.ship: stale lease term %d from %s (granted %d)", req.Term, origin, n.leases.term(origin)),
 			Code:  acerr.CodeBadRequest,
 		}
@@ -65,7 +65,7 @@ func (n *Node) handleShip(req *proxy.Request) *proxy.Response {
 	if isNew {
 		n.mLeaseGrants.Inc()
 		if err := m.RecordLease(origin, req.Term); err != nil {
-			return &proxy.Response{Error: "cluster.ship: persist lease: " + err.Error(), Code: acerr.CodeEngine}
+			return proxy.Response{Error: "cluster.ship: persist lease: " + err.Error(), Code: acerr.CodeEngine}
 		}
 	} else {
 		n.mLeaseRenewals.Inc()
@@ -73,13 +73,13 @@ func (n *Node) handleShip(req *proxy.Request) *proxy.Response {
 	for i := range req.Ship {
 		r := &req.Ship[i]
 		if err := m.ApplyShipped(origin, r.Type, r.Payload); err != nil {
-			return &proxy.Response{
+			return proxy.Response{
 				Error: fmt.Sprintf("cluster.ship: record %d (session %s): %v", i, r.Session, err),
 				Code:  acerr.CodeEngine,
 			}
 		}
 	}
-	return &proxy.Response{OK: true}
+	return proxy.Response{OK: true}
 }
 
 // statusBody assembles the full cluster.status payload.

@@ -73,6 +73,12 @@ func TestShipHookEmitsReplayablePayloads(t *testing.T) {
 			t.Fatalf("apply shipped %d: %v", i, err)
 		}
 	}
+	follower.mu.Lock()
+	pending := len(follower.recovered)
+	follower.mu.Unlock()
+	if pending != 1 {
+		t.Fatalf("pending sessions = %d, want 1", pending)
+	}
 	// Takeover is the ordinary recovered-session restore path.
 	ftr, restored, err := follower.Session("s1", attrs)
 	if err != nil {

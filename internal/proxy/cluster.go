@@ -27,9 +27,9 @@ type ClusterHandler interface {
 	// returns a handle relaying the session's subsequent requests plus
 	// the owner's hello response.
 	OpenRemote(ctx context.Context, req *Request) (RemoteSession, *Response, error)
-	// HandleOp serves one cluster.* control op (ping, status, ship).
-	// It never returns nil: an unknown op gets an error response.
-	HandleOp(ctx context.Context, req *Request) *Response
+	// HandleOp serves one cluster.* control op (ping, status, ship);
+	// an unknown op gets an error response.
+	HandleOp(ctx context.Context, req *Request) Response
 	// WALOpened runs once when the server's durable manager opens,
 	// before any session uses it; the cluster installs its ship hook
 	// here.
@@ -101,7 +101,7 @@ func (s *Server) handleClusterOp(ctx context.Context, req *Request) Response {
 	if h == nil {
 		return Response{Error: "cluster mode is not enabled", Code: acerr.CodeBadRequest}
 	}
-	return *h.HandleOp(ctx, req)
+	return h.HandleOp(ctx, req)
 }
 
 // isClusterOp reports whether op belongs to the cluster.* control set.
