@@ -65,7 +65,7 @@ allocbudget:
 	$(GO) test -run 'TestTraceAllocBudget' -count=1 ./internal/trace
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmEncode' -benchmem -benchtime=100x ./internal/proxy
 	$(GO) test -run 'TestWarmEncodeAllocBudget' -count=1 ./internal/proxy
-	$(GO) test -run 'TestScanAllocsConstant' -count=1 ./internal/engine
+	$(GO) test -run 'TestScanAllocsConstant|TestInsertRowAllocs' -count=1 ./internal/engine
 	$(GO) test -run 'TestDataRowAllocs' -count=1 ./internal/pgwire
 
 # Postgres wire-protocol conformance: raw-socket client exercising the

@@ -28,9 +28,10 @@
 // abstracted to parameters, so one cold decision serves every
 // principal issuing the same query shape. The template cache is
 // sharded and bounded (see cache.go) so concurrent sessions with warm
-// templates never serialize on one mutex, and the session-parameter
-// generalization of trace facts is memoized so long histories don't
-// pay repeated rewriting.
+// templates share only read locks; once full it keeps a cold decision
+// only when its key comes back, so a one-off decision writes no cache.
+// The session-parameter generalization of trace facts is memoized so
+// long histories don't pay repeated rewriting.
 //
 // A Checker is safe for concurrent use: policy versions (compiled
 // plan plus monotone epoch; version.go) are published through an
@@ -233,6 +234,7 @@ type Checker struct {
 	mDecisions, mAllowed, mBlocked, mCacheHits *obsv.Counter
 	mFrontHit, mFrontMiss                      *obsv.Counter
 	mHistFreeHit, mTemplateHit, mTemplateMiss  *obsv.Counter
+	mDeclined                                  *obsv.Counter
 	mGenHits, mGenMisses                       *obsv.Counter
 	mParseErrors                               *obsv.Counter
 	mColdKept, mColdPruned                     *obsv.Counter
@@ -274,6 +276,7 @@ func NewWithOptions(p *policy.Policy, opts Options) *Checker {
 	c.mHistFreeHit = reg.Counter("checker.histfree.hit")
 	c.mTemplateHit = reg.Counter("checker.template.hit")
 	c.mTemplateMiss = reg.Counter("checker.template.miss")
+	c.mDeclined = reg.Counter("checker.cache.declined")
 	c.mGenHits = reg.Counter("checker.factgen.hit")
 	c.mGenMisses = reg.Counter("checker.factgen.miss")
 	c.mParseErrors = reg.Counter("checker.parse.errors")
@@ -329,15 +332,36 @@ func (c *Checker) Stats() Stats {
 // ResetCache republishes the policy (used when it is edited in place)
 // and invalidates warm decision state by EPOCH BUMP: every cache key
 // embeds the deciding epoch, so entries made under the old policy can
-// never match again and age out through normal eviction — no map is
-// recreated, and the policy-independent state (fact-generalization
-// memo, string interns) survives untouched. When the recompiled plan's
+// never match again. They are dropped from the decision cache, whose
+// capacity a new policy's decisions then fill without waiting for a
+// second sighting, and age out of the front cache through normal
+// eviction — no map is recreated, and the policy-independent state
+// (fact-generalization memo, string interns) survives untouched. When the recompiled plan's
 // fingerprint is unchanged the epoch is kept too, so a no-op republish
 // destroys nothing: front-cache hits keep accumulating across it.
 // Checks already in flight keep using the version they started with;
 // new checks see the new policy.
 func (c *Checker) ResetCache() {
 	c.installActive(c.Policy())
+}
+
+// store offers a decision template to the cache, counting a store that
+// admission turned down, and reports whether it was kept.
+func (c *Checker) store(key []byte, d Decision) bool {
+	if c.cache.Put(key, d) {
+		return true
+	}
+	c.mDeclined.Inc()
+	return false
+}
+
+// dropDeadEpochs frees the decision cache of entries that no resident
+// policy version can match. Callers hold verMu, after publishing.
+func (c *Checker) dropDeadEpochs() {
+	t := c.vers.Load()
+	c.cache.dropEpochs(func(e uint64) bool {
+		return e == t.active.epoch || t.candidate != nil && e == t.candidate.epoch
+	})
 }
 
 // intern returns the canonical string for the scratch bytes, keeping

@@ -85,20 +85,21 @@ type decideState struct {
 	// plan precomputes.
 	occ []cq.Census
 
+	// hfDenied marks a denial the history-free stage decided cold, left
+	// in d: with no facts it is the verdict, whether or not the cache
+	// kept it.
+	hfDenied bool
+
 	// Session-generalized trace facts (stage "facts").
 	facts    []cq.Fact
 	factKeys []string
-
-	// Full template-cache key (stage "template"), materialized only on
-	// a miss for the verdict's Put; warm probes use keyBuf.
-	key string
 
 	// The verdict.
 	d Decision
 
 	// Pooled scratch, reused across decisions (capacity survives the
 	// pool round-trip; contents never do).
-	keyBuf    []byte   // decision-cache keys
+	keyBuf    []byte   // decision-cache keys: the probe's, kept for the verdict's Put
 	names     []string // sort scratch for argument names
 	attrs     []string // session attribute names, sorted (attrNames)
 	attrsDone bool
@@ -192,7 +193,8 @@ func (st *decideState) sessionSig() string {
 
 // frontPut stores a trace-independent allow under the check's front
 // key. This is the one place a front signature is materialized: a probe
-// that misses leaves the intern table alone.
+// that misses leaves the intern table alone, and callers store only
+// allows the decision cache holds, so a one-off check interns nothing.
 func (st *decideState) frontPut(d Decision) {
 	if st.useFront {
 		st.c.frontPut(frontKey{epoch: st.ver.epoch, sel: st.sel, sig: st.c.intern(st.sigBuf)}, d)
@@ -465,12 +467,15 @@ func stageHistFree(ctx context.Context, st *decideState) pipeline.Outcome {
 		st.d = canceledDecision(ctx)
 		return pipeline.Abort
 	}
-	c.cache.Put(string(st.keyBuf), d)
+	stored := c.store(st.keyBuf, d)
+	st.d = d
 	if d.Allowed {
-		st.frontPut(d)
-		st.d = d
+		if stored {
+			st.frontPut(d)
+		}
 		return pipeline.Done
 	}
+	st.hfDenied = true
 	return pipeline.Continue
 }
 
@@ -534,9 +539,13 @@ func stageTemplate(ctx context.Context, st *decideState) pipeline.Outcome {
 		c.mTemplateHit.Inc()
 		return pipeline.Done
 	}
-	// Miss: materialize the key once for the verdict's Put.
-	st.key = string(st.keyBuf)
+	// Miss: keyBuf keeps the key for the verdict's Put.
 	c.mTemplateMiss.Inc()
+	if st.hfDenied && len(st.factKeys) == 0 {
+		// The history-free stage decided this very key, and the cache
+		// declined it: its denial stands without a second search.
+		return pipeline.Done
+	}
 	return pipeline.Continue
 }
 
@@ -551,11 +560,11 @@ func stageCover(ctx context.Context, st *decideState) pipeline.Outcome {
 	return pipeline.Continue
 }
 
-// stageVerdict finalizes a cold decision: store the template so the
-// next identical check hits a cache tier instead.
+// stageVerdict finalizes a cold decision: offer the template to the
+// cache so the next identical check hits a cache tier instead.
 func stageVerdict(ctx context.Context, st *decideState) pipeline.Outcome {
 	if st.c.opts.UseCache {
-		st.c.cache.Put(st.key, st.d)
+		st.c.store(st.keyBuf, st.d)
 	}
 	return pipeline.Continue
 }

@@ -12,8 +12,9 @@ package checker
 // Epochs are the cache-invalidation currency: every decision-cache key
 // (front, history-free, template tiers) embeds the deciding epoch, so
 // swapping policies invalidates warm state by bumping the epoch —
-// stale-epoch entries simply never match again and age out through
-// normal eviction — instead of recreating every map. A republish whose
+// stale-epoch entries never match again; the decision cache drops them
+// (dropDeadEpochs), the front cache ages them out through normal
+// eviction — instead of recreating every map. A republish whose
 // compiled fingerprint is unchanged keeps its epoch, so all warm state
 // stays live (see installActive). Candidate decisions warm the same
 // caches under the candidate's epoch, which means a promote arrives
@@ -107,6 +108,7 @@ func (c *Checker) installActive(pol *policy.Policy) (PolicyVersion, bool) {
 	c.nextEpoch++
 	nv := &polVersion{epoch: c.nextEpoch, parent: cur.active.epoch, fp: comp.fp, comp: comp, pol: pol}
 	c.vers.Store(&versionTable{active: nv, candidate: cur.candidate})
+	c.dropDeadEpochs()
 	return nv.summary(), true
 }
 
@@ -141,6 +143,9 @@ func (c *Checker) StagePolicy(p *policy.Policy) (PolicyVersion, error) {
 	c.nextEpoch++
 	cand := &polVersion{epoch: c.nextEpoch, parent: cur.active.epoch, fp: comp.fp, comp: comp, pol: p}
 	c.vers.Store(&versionTable{active: cur.active, candidate: cand})
+	if cur.candidate != nil {
+		c.dropDeadEpochs()
+	}
 	return cand.summary(), nil
 }
 
@@ -156,6 +161,7 @@ func (c *Checker) Promote() (PolicyVersion, error) {
 		return PolicyVersion{}, ErrNoCandidate
 	}
 	c.vers.Store(&versionTable{active: cur.candidate})
+	c.dropDeadEpochs()
 	return cur.candidate.summary(), nil
 }
 
@@ -169,6 +175,7 @@ func (c *Checker) Rollback() (PolicyVersion, error) {
 		return PolicyVersion{}, ErrNoCandidate
 	}
 	c.vers.Store(&versionTable{active: cur.active})
+	c.dropDeadEpochs()
 	return cur.candidate.summary(), nil
 }
 

@@ -150,6 +150,14 @@ type Log struct {
 	f    *os.File
 	idx  uint64 // active segment index
 	size int64
+	// failed is the first write or rotation error a batch commit met.
+	// It is sticky: a failed write may have left a torn record in the
+	// segment, and a batch written after it would be acknowledged yet
+	// dropped by recovery's scan, so the log fails closed instead.
+	failed error
+	// writeBatch writes one batch to the active segment (a seam for
+	// injecting write faults in tests).
+	writeBatch func(f *os.File, b []byte) (int, error)
 
 	reqs   chan commitReq
 	quit   chan struct{}
@@ -241,6 +249,8 @@ func OpenLog(dir string, opts Options) (*Log, error) {
 		idx:  next - 1, // rotate() increments
 		reqs: make(chan commitReq, 1024),
 		quit: make(chan struct{}),
+
+		writeBatch: (*os.File).Write,
 	}
 	reg := opts.Metrics
 	l.mAppendMicros = reg.Histogram("durable.append.micros")
@@ -418,28 +428,36 @@ func (l *Log) runCommitter() {
 		}
 		lastBatch = len(batch)
 		err := l.commit(buf)
-		for _, r := range batch {
-			r.done <- err
-		}
+		// Count the batch before releasing its appenders, so Stats read
+		// after an acknowledgement include it.
 		l.batches.Add(1)
 		l.mBatchRecords.Observe(int64(len(batch)))
 		l.appends.Add(int64(len(batch)))
 		l.mAppends.Add(int64(len(batch)))
+		for _, r := range batch {
+			r.done <- err
+		}
 	}
 }
 
 // commit writes one batch to the active segment, rotating first when
-// it would overflow, and fsyncs per policy.
+// it would overflow, and fsyncs per policy. Its first failure fails
+// every later commit (Log.failed).
 func (l *Log) commit(buf []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.failed != nil {
+		return l.failed
+	}
 	if l.size > headerSize && l.size+int64(len(buf)) > l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
-			return err
+			l.failed = fmt.Errorf("durable: log failed closed: %w", err)
+			return l.failed
 		}
 	}
-	if _, err := l.f.Write(buf); err != nil {
-		return err
+	if _, err := l.writeBatch(l.f, buf); err != nil {
+		l.failed = fmt.Errorf("durable: log failed closed: %w", err)
+		return l.failed
 	}
 	l.size += int64(len(buf))
 	l.appendedBytes.Add(int64(len(buf)))
@@ -592,6 +610,9 @@ func (l *Log) RotateForCheckpoint() (uint64, error) {
 	// nil once Close ran; closed flips first, so check both).
 	if l.closed.Load() || l.f == nil {
 		return 0, fmt.Errorf("durable: log closed")
+	}
+	if l.failed != nil {
+		return 0, l.failed
 	}
 	if err := l.rotateLocked(); err != nil {
 		return 0, err

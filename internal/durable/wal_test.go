@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -714,4 +715,71 @@ func TestCloseWaitsForBackgroundCheckpoint(t *testing.T) {
 	if _, err := Recover(dir); err != nil {
 		t.Fatalf("recovery after close: %v", err)
 	}
+}
+
+// TestFailedWriteFailsClosed: a batch write that fails after the kernel
+// took half of it leaves a torn record in the segment. The log must
+// refuse every later append — one written after the torn record would
+// be acknowledged and then dropped by recovery's scan — and recovery
+// must return exactly the acknowledged records.
+func TestFailedWriteFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := testEntry(t, "SELECT id FROM events WHERE id = 1", sqlparser.NoArgs, [][]sqlvalue.Value{intRow(1)})
+	b := testEntry(t, "SELECT id FROM events WHERE id = 2", sqlparser.NoArgs, [][]sqlvalue.Value{intRow(2)})
+	if err := l.Append(recSession, encodeSession("s", nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(recAppend, encodeAppend("s", 0, &a)); err != nil {
+		t.Fatal(err)
+	}
+
+	injected := errors.New("injected write fault")
+	l.writeBatch = func(f *os.File, buf []byte) (int, error) {
+		n, _ := f.Write(buf[:len(buf)/2])
+		return n, injected
+	}
+	if err := l.Append(recAppend, encodeAppend("s", 1, &b)); !errors.Is(err, injected) {
+		t.Fatalf("append over a failing write: %v, want the injected fault", err)
+	}
+	l.writeBatch = (*os.File).Write
+	if err := l.Append(recAppend, encodeAppend("s", 1, &b)); !errors.Is(err, injected) {
+		t.Fatalf("append after a failed write: %v, want the sticky fault", err)
+	}
+	if _, err := l.RotateForCheckpoint(); !errors.Is(err, injected) {
+		t.Fatalf("rotate after a failed write: %v, want the sticky fault", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.TornTailBytes == 0 {
+		t.Fatal("the half-written record was not seen as a torn tail")
+	}
+	entriesEqual(t, rec.Sessions["s"].Entries, []trace.Entry{a})
+
+	// The directory stays recoverable across a restart that appends.
+	m, err := Open(dir, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := m.Session("s", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Append(b)
+	if err := m.Log().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err = Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	entriesEqual(t, rec.Sessions["s"].Entries, []trace.Entry{a, b})
 }

@@ -130,14 +130,17 @@ func (ix *keyIndex) find(vals []sqlvalue.Value) (int, bool) {
 	return i, i < n && compareKeys(ix.entry(i), vals) == 0
 }
 
-// key returns row r's key tuple.
-func (ix *keyIndex) key(r Row) []sqlvalue.Value {
-	out := make([]sqlvalue.Value, len(ix.cols))
-	for i, c := range ix.cols {
-		out[i] = r[c]
+// keyInto appends row r's key tuple to buf. Callers pass a stack
+// buffer: find only reads the tuple, and file copies what it keeps.
+func (ix *keyIndex) keyInto(buf []sqlvalue.Value, r Row) []sqlvalue.Value {
+	for _, c := range ix.cols {
+		buf = append(buf, r[c])
 	}
-	return out
+	return buf
 }
+
+// keyBuf is room for the key tuples of common keys without allocating.
+type keyBuf [4]sqlvalue.Value
 
 // file enters row position p, whose key is vals, in key order.
 func (ix *keyIndex) file(vals []sqlvalue.Value, p int) {
@@ -400,8 +403,9 @@ func (db *DB) insertRowLocked(td *tableData, row Row) error {
 		}
 	}
 	// PK and unique.
+	var kb keyBuf
 	for _, ix := range td.keys {
-		if _, dup := ix.find(ix.key(row)); dup {
+		if _, dup := ix.find(ix.keyInto(kb[:0], row)); dup {
 			return ix.violation(td.def)
 		}
 	}
@@ -413,7 +417,7 @@ func (db *DB) insertRowLocked(td *tableData, row Row) error {
 	}
 	td.rows = append(td.rows, row)
 	for _, ix := range td.keys {
-		ix.file(ix.key(row), len(td.rows)-1)
+		ix.file(ix.keyInto(kb[:0], row), len(td.rows)-1)
 	}
 	return nil
 }
@@ -547,9 +551,10 @@ func (db *DB) replaceRowLocked(td *tableData, ri int, updated Row, checkFKs bool
 			return fmt.Errorf("engine: NOT NULL violation on %s.%s", td.def.Name, c.Name)
 		}
 	}
+	var kb keyBuf
 	for _, ix := range td.keys {
 		if ix.changed(old, updated) {
-			if _, dup := ix.find(ix.key(updated)); dup {
+			if _, dup := ix.find(ix.keyInto(kb[:0], updated)); dup {
 				return ix.violation(td.def)
 			}
 		}
@@ -561,10 +566,10 @@ func (db *DB) replaceRowLocked(td *tableData, ri int, updated Row, checkFKs bool
 	}
 	for _, ix := range td.keys {
 		if ix.changed(old, updated) {
-			i, w := ix.seek(ix.key(old), false, 0, len(ix.pos)), len(ix.cols)
+			i, w := ix.seek(ix.keyInto(kb[:0], old), false, 0, len(ix.pos)), len(ix.cols)
 			ix.pos = slices.Delete(ix.pos, i, i+1)
 			ix.keys = slices.Delete(ix.keys, i*w, i*w+w)
-			ix.file(ix.key(updated), ri)
+			ix.file(ix.keyInto(kb[:0], updated), ri)
 		}
 	}
 	td.rows[ri] = updated

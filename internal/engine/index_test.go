@@ -536,3 +536,35 @@ func BenchmarkRangeScan(b *testing.B) {
 		})
 	}
 }
+
+// TestInsertRowAllocs pins what an in-order InsertRow into a PK table
+// allocates: the stored row, and nothing per key — the duplicate check
+// and the index filing build the key tuple in a stack buffer. Growing
+// the row and index arrays is amortized away by the per-run average.
+func TestInsertRowAllocs(t *testing.T) {
+	s, err := schema.NewBuilder().Table("T").
+		NotNullCol("Id", sqlvalue.Int).NotNullCol("A", sqlvalue.Int).NotNullCol("B", sqlvalue.Text).
+		PK("Id").Done().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New(s)
+	const runs = 200
+	rows := make([][]any, runs+1)
+	for i := range rows {
+		rows[i] = []any{int64(1000 + i), int64(7 * i), "b"}
+	}
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		if err := db.InsertRow("T", rows[next]...); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if n > 1 {
+		t.Errorf("InsertRow allocates %v times per row, want 1 (the row)", n)
+	}
+	if got := db.RowCount("T"); got != runs+1 {
+		t.Fatalf("%d rows, want %d", got, runs+1)
+	}
+}

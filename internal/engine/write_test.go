@@ -95,7 +95,7 @@ func checkIndexes(t *testing.T, db *DB) {
 					t.Fatalf("%s %s index files row %d twice", name, ix.what, p)
 				}
 				seen[p] = true
-				if compareKeys(ix.entry(i), ix.key(td.rows[p])) != 0 {
+				if compareKeys(ix.entry(i), ix.keyInto(nil, td.rows[p])) != 0 {
 					t.Fatalf("%s %s entry %d holds %v, its row %v", name, ix.what, i, ix.entry(i), td.rows[p])
 				}
 				if i > 0 && compareKeys(ix.entry(i-1), ix.entry(i)) >= 0 {
