@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 DATE    ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ 2>/dev/null || echo unknown)
 LDFLAGS  = -ldflags "-X repro/internal/buildinfo.Version=$(VERSION) -X repro/internal/buildinfo.Commit=$(COMMIT) -X repro/internal/buildinfo.Date=$(DATE)"
 
-.PHONY: build test vet race bench benchsmoke coldsmoke allocbudget pgsmoke driversmoke shadowsmoke clustersmoke clusterkill fmtcheck fuzz fuzzwal fuzzwire killrecover staticcheck ci
+.PHONY: build test vet race bench benchsmoke coldsmoke allocbudget pgsmoke driversmoke shadowsmoke clustersmoke clusterkill fmtcheck fuzz fuzzwal fuzzwire killrecover staticcheck loc ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -100,6 +100,15 @@ clustersmoke:
 # control.
 clusterkill:
 	$(GO) test -count=1 -run 'TestClusterKillHandover' -v .
+
+# Non-test Go lines per package directory, then the total and the
+# total outside bench/: the size figures a simplicity change reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } END { for (d in n) print n[d], d }' | \
+		sort -k2 | \
+		awk '{ printf "%7d %s\n", $$1, $$2; t += $$1; if ($$2 !~ /^\.\/bench(\/|$$)/) o += $$1 } \
+			END { printf "%7d total\n%7d total outside bench/\n", t, o }'
 
 fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

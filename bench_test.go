@@ -225,13 +225,12 @@ func BenchmarkE8Diagnose(b *testing.B) {
 func BenchmarkProxyRoundTrip(b *testing.B) {
 	f := apps.Calendar()
 	db := f.MustNewDB(32)
-	srv := beyond.NewProxy(db, checker.New(f.Policy()), beyond.Enforce)
-	addr, err := srv.Listen("127.0.0.1:0")
+	svc, err := beyond.Serve(db, checker.New(f.Policy()), beyond.Enforce, beyond.WithV2Listener("127.0.0.1:0"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer srv.Close()
-	cl, err := beyond.DialProxy(addr)
+	defer svc.Close()
+	cl, err := beyond.DialProxy(svc.V2Addr())
 	if err != nil {
 		b.Fatal(err)
 	}

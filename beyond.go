@@ -288,7 +288,8 @@ func NewCheckerWithOptions(p *Policy, o CheckerOptions) *Checker {
 	return checker.NewWithOptions(p, o)
 }
 
-// ProxyOption configures NewProxy.
+// ProxyOption configures the proxy core Serve builds (through
+// WithV2Listener or WithProxyConfig).
 type ProxyOption func(*ProxyServer)
 
 // WithMaxConns bounds simultaneous proxy connections (negative means
@@ -297,7 +298,9 @@ func WithMaxConns(n int) ProxyOption {
 	return func(s *ProxyServer) { s.MaxConns = n }
 }
 
-// WithReadTimeout sets the per-connection idle read deadline.
+// WithReadTimeout sets the per-connection idle deadline: a connection
+// that sends nothing, or stops reading its responses, for this long is
+// dropped.
 func WithReadTimeout(d time.Duration) ProxyOption {
 	return func(s *ProxyServer) { s.ReadTimeout = d }
 }
@@ -307,8 +310,7 @@ func WithMaxLineBytes(n int) ProxyOption {
 	return func(s *ProxyServer) { s.MaxLineBytes = n }
 }
 
-// WithMaxInFlight bounds the per-connection pipelined window
-// (protocol v2).
+// WithMaxInFlight bounds the per-connection pipelined window.
 func WithMaxInFlight(n int) ProxyOption {
 	return func(s *ProxyServer) { s.MaxInFlight = n }
 }
@@ -386,10 +388,10 @@ func WithSegmentBytes(n int64) DurabilityOption {
 // a crashed proxy would have made are exactly the decisions its
 // successor makes. The WAL opens (and recovery replays) on Listen.
 //
-//	beyond.NewProxy(db, chk, beyond.Enforce,
-//		beyond.WithDurability("/var/lib/ac/wal",
+//	beyond.Serve(db, chk, beyond.Enforce,
+//		beyond.WithV2Listener(addr, beyond.WithDurability("/var/lib/ac/wal",
 //			beyond.WithFsync(beyond.FsyncInterval),
-//			beyond.WithCheckpointEvery(10000)))
+//			beyond.WithCheckpointEvery(10000))))
 func WithDurability(dir string, opts ...DurabilityOption) ProxyOption {
 	return func(s *ProxyServer) {
 		o := durable.DefaultOptions()
@@ -409,34 +411,11 @@ func WithHistoryWindow(n int) ProxyOption {
 	return func(s *ProxyServer) { s.HistoryWindow = n }
 }
 
-// NewProxy builds an enforcement proxy over a database and checker:
-//
-//	beyond.NewProxy(db, chk, beyond.Enforce,
-//		beyond.WithMaxConns(256), beyond.WithReadTimeout(30*time.Second))
-//
-// Deprecated: use Serve with WithV2Listener, which binds the same
-// core and composes with the Postgres wire listener:
-//
-//	svc, err := beyond.Serve(db, chk, beyond.Enforce,
-//		beyond.WithV2Listener(addr, beyond.WithMaxConns(256)))
-//
-// NewProxy remains a supported thin shim over the same proxy core;
-// existing callers keep working unchanged.
-func NewProxy(db *DB, c *Checker, mode ProxyMode, opts ...ProxyOption) *ProxyServer {
-	s := proxy.NewServer(db, c, mode)
-	for _, o := range opts {
-		o(s)
-	}
-	return s
-}
-
-// DialProxy connects a client to a proxy address.
-//
-// Deprecated: new application code should prefer the database/sql
-// driver (import _ "repro/driver"; sql.Open("beyond", dsn)), which
-// rides the same v2 protocol behind the standard library API.
-// DialProxy remains supported for tools that want the native client's
-// typed surface (Stats, HelloDurable, pipelining).
+// DialProxy connects the native client to a proxy address, for tools
+// that want its typed surface (Stats, HelloDurable, pipelining,
+// lanes). Application code can use the database/sql driver instead
+// (import _ "repro/driver"; sql.Open("beyond", dsn)), which rides the
+// same v2 protocol behind the standard library API.
 func DialProxy(addr string, opts ...proxy.ClientOption) (*ProxyClient, error) {
 	return proxy.Dial(addr, opts...)
 }

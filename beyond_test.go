@@ -67,13 +67,12 @@ func TestPublicAPIProxyAndDiagnosis(t *testing.T) {
 	}
 	db := f.MustNewDB(8)
 	chk := beyond.NewChecker(f.Policy())
-	srv := beyond.NewProxy(db, chk, beyond.Enforce)
-	addr, err := srv.Listen("127.0.0.1:0")
+	svc, err := beyond.Serve(db, chk, beyond.Enforce, beyond.WithV2Listener("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	cl, err := beyond.DialProxy(addr)
+	defer svc.Close()
+	cl, err := beyond.DialProxy(svc.V2Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,8 +138,8 @@ type Connector struct {
 	drv *Driver
 }
 
-// Connect dials the proxy, negotiates protocol v2, and binds the
-// session attributes (durably when the DSN names a session).
+// Connect dials the proxy and binds the session attributes (durably
+// when the DSN names a session).
 func (c *Connector) Connect(ctx context.Context) (sqldriver.Conn, error) {
 	cl, err := proxy.DialContext(ctx, c.cfg.addr)
 	if err != nil {

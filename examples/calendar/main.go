@@ -24,12 +24,12 @@ func main() {
 	chk := beyond.NewChecker(fixture.Policy())
 
 	// Start the proxy on a loopback socket.
-	srv := beyond.NewProxy(db, chk, beyond.Enforce)
-	addr, err := srv.Listen("127.0.0.1:0")
+	svc, err := beyond.Serve(db, chk, beyond.Enforce, beyond.WithV2Listener("127.0.0.1:0"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
+	defer svc.Close()
+	addr := svc.V2Addr()
 	fmt.Printf("proxy listening on %s (mode %s)\n", addr, beyond.Enforce)
 
 	cl, err := beyond.DialProxy(addr)

@@ -39,13 +39,12 @@ func main() {
 	fmt.Printf("applying patch: run %q before the query\n", diag.Checks[0].CheckSQL)
 
 	db := fixture.MustNewDB(8)
-	srv := beyond.NewProxy(db, chk, beyond.Enforce)
-	addr, err := srv.Listen("127.0.0.1:0")
+	svc, err := beyond.Serve(db, chk, beyond.Enforce, beyond.WithV2Listener("127.0.0.1:0"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
-	cl, err := beyond.DialProxy(addr)
+	defer svc.Close()
+	cl, err := beyond.DialProxy(svc.V2Addr())
 	if err != nil {
 		log.Fatal(err)
 	}

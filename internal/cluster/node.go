@@ -39,7 +39,7 @@ type Config struct {
 }
 
 const (
-	// peerTimeout bounds one ship batch or peer-connection hello.
+	// peerTimeout bounds one ship batch.
 	peerTimeout = 2 * time.Second
 	// suspectAfter is how many consecutive probe failures mark a peer
 	// dead (subject to the lease gate).
@@ -352,8 +352,8 @@ func (r *remoteSession) relay(ctx context.Context, req *proxy.Request) (*proxy.R
 // it by design.
 func (r *remoteSession) Close() { r.n.forwardedSessions.Add(-1) }
 
-// client returns the pooled pipelined connection to peer, dialing and
-// upgrading it on first use.
+// client returns the pooled pipelined connection to peer, dialing it
+// on first use.
 func (n *Node) client(peer string) (*proxy.Client, error) {
 	n.cmu.Lock()
 	defer n.cmu.Unlock()
@@ -369,13 +369,6 @@ func (n *Node) client(peer string) (*proxy.Client, error) {
 	c, err := proxy.Dial(st.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s (%s): %w", peer, st.Addr, err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), peerTimeout)
-	err = c.Hello(ctx, nil)
-	cancel()
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("cluster: hello %s: %w", peer, err)
 	}
 	n.clients[peer] = c
 	return c, nil

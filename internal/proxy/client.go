@@ -33,9 +33,9 @@ func (e *BlockedError) Unwrap() error { return ErrBlocked }
 // ClientOption configures a Client at dial time.
 type ClientOption func(*Client)
 
-// WithWindow bounds how many requests the client keeps in flight when
-// pipelining (protocol v2). Additional sends block until a response
-// frees a slot. Defaults to DefaultMaxInFlight; n < 1 is treated as 1.
+// WithWindow bounds how many requests the client keeps in flight.
+// Additional sends block until a response frees a slot. Defaults to
+// DefaultMaxInFlight; n < 1 is treated as 1.
 func WithWindow(n int) ClientOption {
 	if n < 1 {
 		n = 1
@@ -43,29 +43,25 @@ func WithWindow(n int) ClientOption {
 	return func(c *Client) { c.window = n }
 }
 
-// Client is a connection to the proxy server. Until Hello negotiates
-// protocol v2 it speaks strict request/response; after negotiation it
-// pipelines: sends and receives run on separate goroutines, responses
-// demux by request ID, and QueryAsync/Batch become available.
+// Client is a pipelined connection to the proxy server: sends and
+// receives run on separate goroutines, and responses demux by request
+// ID. Requests on one session lane execute in send order; lanes run
+// concurrently. The Client's own Hello, Query, Exec… run on lane 0,
+// the connection's default session.
 type Client struct {
+	def    Lane // lane 0
 	conn   net.Conn
 	window int
+	r      *bufio.Reader
 
-	// Serial-mode state (also used for the one negotiating Hello).
-	mu  sync.Mutex
-	r   *bufio.Reader
-	enc *json.Encoder
-
-	// Pipelined-mode state.
 	pmu     sync.Mutex
-	proto   int
 	nextID  uint64
 	pending map[uint64]chan *Response
 	dead    error
 	sem     chan struct{}
 
-	// Pipelined-mode coalescing writer: requests queue on out and the
-	// writer goroutine batches each burst into a single flush.
+	// Coalescing writer: requests queue on out and the writer goroutine
+	// batches each burst into a single flush.
 	bw       *bufio.Writer
 	wenc     *json.Encoder
 	scratch  []byte
@@ -88,123 +84,48 @@ func DialContext(ctx context.Context, addr string, opts ...ClientOption) (*Clien
 		return nil, err
 	}
 	c := &Client{
-		conn:   conn,
-		window: DefaultMaxInFlight,
-		r:      bufio.NewReader(conn),
-		enc:    json.NewEncoder(conn),
-		proto:  ProtoV1,
+		conn:    conn,
+		window:  DefaultMaxInFlight,
+		r:       bufio.NewReader(conn),
+		pending: make(map[uint64]chan *Response),
+		bw:      bufio.NewWriterSize(conn, 32*1024),
+		quit:    make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(c)
 	}
+	c.def = Lane{c: c}
+	c.wenc = json.NewEncoder(c.bw)
+	c.sem = make(chan struct{}, c.window)
+	c.out = make(chan *Request, c.window+64)
+	go c.demux()
+	go c.writer()
 	return c, nil
 }
 
-// Close closes the connection; outstanding pipelined calls fail.
+// Close closes the connection; outstanding calls fail.
 func (c *Client) Close() error {
-	c.quitOnce.Do(func() {
-		if c.quit != nil {
-			close(c.quit)
-		}
-	})
+	c.quitOnce.Do(func() { close(c.quit) })
 	return c.conn.Close()
 }
 
-// Proto reports the negotiated protocol version (ProtoV1 until a
-// Hello negotiates higher).
-func (c *Client) Proto() int {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	return c.proto
-}
-
-func (c *Client) pipelined() bool { return c.Proto() >= ProtoV2 }
-
-// roundTrip is the serial-mode exchange: one request, then block for
-// its response on the caller's goroutine.
-func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, acerr.Canceled(err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
-		return nil, err
-	}
-	line, err := c.r.ReadBytes('\n')
-	if err != nil {
-		return nil, err
-	}
-	var resp Response
-	if !decodeResponse(line, &resp) {
-		resp = Response{}
-		if err := decodeResponseJSON(line, &resp); err != nil {
-			return nil, err
-		}
-	}
-	if resp.Error != "" {
-		return nil, acerr.FromCode(resp.Code, resp.Error)
-	}
-	return &resp, nil
-}
-
-// Hello establishes the session principal and negotiates the
-// protocol: it advertises v2, and if the server agrees the client
-// switches to pipelined mode. Calling Hello again re-keys the default
-// session (lane 0).
+// Hello establishes the default session's principal. Calling it again
+// re-keys the session and resets its history.
 func (c *Client) Hello(ctx context.Context, attrs map[string]any) error {
-	_, err := c.hello(ctx, &Request{Op: "hello", Session: attrs, MaxProto: ProtoV2})
-	return err
+	return c.def.Hello(ctx, attrs)
 }
 
 // HelloDurable establishes a named durable session: on a server
 // running with a WAL, the session's history is persisted under name
 // and survives proxy restarts. It returns how many history entries the
 // server restored for the name (0 on a fresh session or a server
-// without durability). Like Hello, it negotiates protocol v2.
+// without durability).
 func (c *Client) HelloDurable(ctx context.Context, name string, attrs map[string]any) (restored int, err error) {
-	resp, err := c.hello(ctx, &Request{Op: "hello", Session: attrs, MaxProto: ProtoV2, Name: name})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Restored, nil
+	return c.def.HelloDurable(ctx, name, attrs)
 }
 
-func (c *Client) hello(ctx context.Context, req *Request) (*Response, error) {
-	if c.pipelined() {
-		resp, err := c.call(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		if resp.Error != "" {
-			return nil, acerr.FromCode(resp.Code, resp.Error)
-		}
-		return resp, nil
-	}
-	resp, err := c.roundTrip(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Proto >= ProtoV2 {
-		c.pmu.Lock()
-		if c.proto < ProtoV2 {
-			c.proto = resp.Proto
-			c.pending = make(map[uint64]chan *Response)
-			c.sem = make(chan struct{}, c.window)
-			c.bw = bufio.NewWriterSize(c.conn, 32*1024)
-			c.wenc = json.NewEncoder(c.bw)
-			c.out = make(chan *Request, c.window+64)
-			c.quit = make(chan struct{})
-			go c.demux()
-			go c.writer()
-		}
-		c.pmu.Unlock()
-	}
-	return resp, nil
-}
-
-// writer is the pipelined-mode send loop: it drains bursts of queued
-// requests and flushes each burst with one write syscall.
+// writer is the send loop: it drains bursts of queued requests and
+// flushes each burst with one write syscall.
 func (c *Client) writer() {
 	for {
 		var req *Request
@@ -263,8 +184,9 @@ func (c *Client) enqueue(req *Request) error {
 	}
 }
 
-// demux is the pipelined-mode read loop: it routes each response to
-// the pending call with the matching ID. On read failure every
+// demux is the read loop: it routes each response to the pending call
+// with the matching ID; a response with no pending call (the reply to
+// a fire-and-forget cancel) is dropped. On read failure every
 // outstanding and future call gets the error.
 func (c *Client) demux() {
 	for {
@@ -309,8 +231,7 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// Pending is an in-flight pipelined request; Wait blocks for its
-// response.
+// Pending is an in-flight request; Wait blocks for its response.
 type Pending struct {
 	c   *Client
 	id  uint64
@@ -325,12 +246,9 @@ type Pending struct {
 // channel, which must never be reused.
 var respChanPool = sync.Pool{New: func() any { return make(chan *Response, 1) }}
 
-// start sends a pipelined request and registers it for demuxing. It
-// blocks while the in-flight window is full.
+// start sends a request and registers it for demuxing. It blocks
+// while the in-flight window is full.
 func (c *Client) start(ctx context.Context, req *Request) (*Pending, error) {
-	if !c.pipelined() {
-		return nil, errors.New("pipelining requires protocol v2 (call Hello first)")
-	}
 	select {
 	case c.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -391,13 +309,14 @@ func (p *Pending) Wait(ctx context.Context) (*Response, error) {
 		if present {
 			<-p.c.sem
 		}
-		// Fire-and-forget: tell the server to stop working on it.
+		// Fire-and-forget: tell the server to stop working on it. The
+		// cancel carries no ID, so demux drops its reply.
 		_ = p.c.enqueue(&Request{Op: "cancel", Target: p.id})
 		return nil, acerr.Canceled(ctx.Err())
 	}
 }
 
-// call runs one pipelined request to completion.
+// call runs one request to completion.
 func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
 	p, err := c.start(ctx, req)
 	if err != nil {
@@ -406,37 +325,12 @@ func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
 	return p.Wait(ctx)
 }
 
-// Do sends one raw request and returns the raw response:
-// application-level errors stay in Response.Error instead of becoming
-// Go errors. Cluster forwarding uses it to relay a peer's responses
-// verbatim.
+// Do sends one raw request on the default session and returns the
+// raw response: application-level errors stay in Response.Error
+// instead of becoming Go errors. Cluster forwarding uses it to relay a
+// peer's responses verbatim.
 func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
-	if !c.pipelined() {
-		return c.roundTrip(ctx, req)
-	}
-	return c.call(ctx, req)
-}
-
-// Do sends one raw request on this lane; see Client.Do. Requires
-// protocol v2.
-func (l *Lane) Do(ctx context.Context, req *Request) (*Response, error) {
-	req.SID = l.sid
-	return l.c.call(ctx, req)
-}
-
-// dispatch runs a request in whichever mode the connection is in.
-func (c *Client) dispatch(ctx context.Context, req *Request) (*Response, error) {
-	if c.pipelined() {
-		resp, err := c.call(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		if resp.Error != "" {
-			return nil, acerr.FromCode(resp.Code, resp.Error)
-		}
-		return resp, nil
-	}
-	return c.roundTrip(ctx, req)
+	return c.def.Do(ctx, req)
 }
 
 // Rows is a client-side result set.
@@ -455,17 +349,13 @@ func respToRows(resp *Response) (*Rows, error) {
 	return &Rows{Columns: resp.Columns, Rows: resp.Rows}, nil
 }
 
-// Query runs a SELECT with positional args; a policy block surfaces
-// as a *BlockedError (errors.Is(err, ErrBlocked)).
+// Query runs a SELECT with positional args on the default session; a
+// policy block surfaces as a *BlockedError (errors.Is(err, ErrBlocked)).
 func (c *Client) Query(ctx context.Context, sql string, args ...any) (*Rows, error) {
-	resp, err := c.dispatch(ctx, &Request{Op: "query", SQL: sql, Args: args})
-	if err != nil {
-		return nil, err
-	}
-	return respToRows(resp)
+	return c.def.Query(ctx, sql, args...)
 }
 
-// PendingRows is an in-flight pipelined query.
+// PendingRows is an in-flight query.
 type PendingRows struct{ p *Pending }
 
 // Wait blocks for the query's result.
@@ -480,34 +370,23 @@ func (pr *PendingRows) Wait(ctx context.Context) (*Rows, error) {
 	return respToRows(resp)
 }
 
-// QueryAsync sends a SELECT without waiting for its response,
-// pipelining it behind earlier requests. Requires protocol v2 (call
-// Hello first). Responses may complete out of order relative to other
-// sessions' queries; within this client's default session the server
-// still executes in send order.
+// QueryAsync sends a SELECT on the default session without waiting
+// for its response, pipelining it behind earlier requests. Responses
+// may complete out of order relative to other sessions' queries;
+// within the session the server still executes in send order.
 func (c *Client) QueryAsync(ctx context.Context, sql string, args ...any) (*PendingRows, error) {
-	if !c.pipelined() {
-		return nil, errors.New("QueryAsync requires protocol v2 (call Hello first)")
-	}
-	p, err := c.start(ctx, &Request{Op: "query", SQL: sql, Args: args})
-	if err != nil {
-		return nil, err
-	}
-	return &PendingRows{p: p}, nil
+	return c.def.QueryAsync(ctx, sql, args...)
 }
 
-// Exec runs a DML statement with positional args.
+// Exec runs a DML statement with positional args on the default
+// session.
 func (c *Client) Exec(ctx context.Context, sql string, args ...any) (int, error) {
-	resp, err := c.dispatch(ctx, &Request{Op: "exec", SQL: sql, Args: args})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Affected, nil
+	return c.def.Exec(ctx, sql, args...)
 }
 
 // Stats fetches server counters.
 func (c *Client) Stats(ctx context.Context) (*StatsBody, error) {
-	resp, err := c.dispatch(ctx, &Request{Op: "stats"})
+	resp, err := c.def.call(ctx, &Request{Op: "stats"})
 	if err != nil {
 		return nil, err
 	}
@@ -534,11 +413,8 @@ type BatchResult struct {
 
 // Batch submits the items in one round trip. They execute in order on
 // this client's default session; a blocked or failing item records
-// its error and the rest still run. Requires protocol v2.
+// its error and the rest still run.
 func (c *Client) Batch(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
-	if !c.pipelined() {
-		return nil, errors.New("Batch requires protocol v2 (call Hello first)")
-	}
 	req := &Request{Op: "batch", Batch: make([]Request, len(items))}
 	for i, it := range items {
 		op := "query"
@@ -547,12 +423,9 @@ func (c *Client) Batch(ctx context.Context, items []BatchItem) ([]BatchResult, e
 		}
 		req.Batch[i] = Request{Op: op, SQL: it.SQL, Args: it.Args}
 	}
-	resp, err := c.call(ctx, req)
+	resp, err := c.def.call(ctx, req)
 	if err != nil {
 		return nil, err
-	}
-	if resp.Error != "" {
-		return nil, acerr.FromCode(resp.Code, resp.Error)
 	}
 	out := make([]BatchResult, len(resp.Batch))
 	for i := range resp.Batch {
@@ -573,7 +446,7 @@ func (c *Client) Batch(ctx context.Context, items []BatchItem) ([]BatchResult, e
 }
 
 // Lane is a handle for one multiplexed session (SID) over a shared
-// pipelined connection. Requests on different lanes execute
+// connection. Requests on different lanes execute
 // concurrently server-side; requests within a lane stay ordered.
 type Lane struct {
 	c   *Client
@@ -581,12 +454,13 @@ type Lane struct {
 }
 
 // Lane returns the handle for session id sid (0 is the default
-// session). Requires protocol v2.
+// session).
 func (c *Client) Lane(sid uint64) *Lane { return &Lane{c: c, sid: sid} }
 
+// call runs one request on this lane and turns an error response
+// into a Go error.
 func (l *Lane) call(ctx context.Context, req *Request) (*Response, error) {
-	req.SID = l.sid
-	resp, err := l.c.call(ctx, req)
+	resp, err := l.Do(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -596,45 +470,25 @@ func (l *Lane) call(ctx context.Context, req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// Hello keys the lane's session principal.
+// Do sends one raw request on this lane; see Client.Do.
+func (l *Lane) Do(ctx context.Context, req *Request) (*Response, error) {
+	req.SID = l.sid
+	return l.c.call(ctx, req)
+}
+
+// Hello keys the lane's session principal. It advertises MaxProto 2,
+// which servers that predate single-mode connections need before they
+// pipeline.
 func (l *Lane) Hello(ctx context.Context, attrs map[string]any) error {
-	_, err := l.call(ctx, &Request{Op: "hello", Session: attrs})
+	_, err := l.call(ctx, &Request{Op: "hello", Session: attrs, MaxProto: ProtoV2})
 	return err
-}
-
-// PendingOK is an in-flight pipelined request whose response carries
-// no payload beyond success or failure (a lane hello).
-type PendingOK struct{ p *Pending }
-
-// Wait blocks for the request's outcome.
-func (po *PendingOK) Wait(ctx context.Context) error {
-	resp, err := po.p.Wait(ctx)
-	if err != nil {
-		return err
-	}
-	if resp.Error != "" {
-		return acerr.FromCode(resp.Code, resp.Error)
-	}
-	return nil
-}
-
-// HelloAsync pipelines the lane's session hello without waiting for
-// its response, so mass session setup — the open-loop harness keys
-// hundreds of thousands of lanes before driving load — proceeds at
-// window depth instead of one round trip per session.
-func (l *Lane) HelloAsync(ctx context.Context, attrs map[string]any) (*PendingOK, error) {
-	p, err := l.c.start(ctx, &Request{Op: "hello", SID: l.sid, Session: attrs})
-	if err != nil {
-		return nil, err
-	}
-	return &PendingOK{p: p}, nil
 }
 
 // HelloDurable keys the lane to a named durable session (see
 // Client.HelloDurable); it returns how many history entries the server
 // restored for the name.
 func (l *Lane) HelloDurable(ctx context.Context, name string, attrs map[string]any) (int, error) {
-	resp, err := l.call(ctx, &Request{Op: "hello", Session: attrs, Name: name})
+	resp, err := l.call(ctx, &Request{Op: "hello", Session: attrs, MaxProto: ProtoV2, Name: name})
 	if err != nil {
 		return 0, err
 	}

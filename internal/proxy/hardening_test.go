@@ -162,6 +162,49 @@ func TestReadTimeoutDropsIdleConnection(t *testing.T) {
 	}
 }
 
+// TestStalledReaderDropped: a client that writes requests but never
+// reads its responses must not hold its connection (and a MaxConns
+// slot) past ReadTimeout — the deadline covers the server's writes too.
+func TestStalledReaderDropped(t *testing.T) {
+	srv := testServer(t, Enforce)
+	quietLog(t, srv)
+	srv.ReadTimeout = 200 * time.Millisecond
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Write stats requests without reading until the write blocks (both
+	// socket buffers full) or fails (the server dropped the connection).
+	wrote := make(chan int, 1)
+	go func() {
+		line := []byte(`{"op":"stats"}` + "\n")
+		n := 0
+		for {
+			conn.SetWriteDeadline(time.Now().Add(time.Second))
+			if _, err := conn.Write(line); err != nil {
+				wrote <- n
+				return
+			}
+			n++
+		}
+	}()
+	n := <-wrote
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.StatsSnapshot().ActiveConns != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("connection still held 2s after its client stopped reading (%d requests written)", n)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestGracefulCloseDrains: Close returns only after in-flight request
 // handling finished, and the response of a request racing with Close
 // still arrives.

@@ -114,7 +114,7 @@ func TestSlowDecisionLog(t *testing.T) {
 	}
 
 	// An allowed decision with a full pipeline pass.
-	resp := srv.HandleIn(&Request{Op: "query", SQL: "SELECT EId FROM Attendance WHERE UId = 1"}, sess)
+	resp := srv.HandleInCtx(context.Background(), &Request{Op: "query", SQL: "SELECT EId FROM Attendance WHERE UId = 1"}, sess)
 	if !resp.OK || resp.Blocked {
 		t.Fatalf("query failed: %+v", resp)
 	}
@@ -134,7 +134,7 @@ func TestSlowDecisionLog(t *testing.T) {
 	}
 
 	// The repeat answers from a cache tier and says which.
-	srv.HandleIn(&Request{Op: "query", SQL: "SELECT EId FROM Attendance WHERE UId = 1"}, sess)
+	srv.HandleInCtx(context.Background(), &Request{Op: "query", SQL: "SELECT EId FROM Attendance WHERE UId = 1"}, sess)
 	recs = records()
 	if len(recs) != 2 {
 		t.Fatalf("want 2 slow records, got %d", len(recs))
@@ -144,7 +144,7 @@ func TestSlowDecisionLog(t *testing.T) {
 	}
 
 	// A blocked decision reports the verdict and reason.
-	srv.HandleIn(&Request{Op: "query", SQL: "SELECT * FROM Events WHERE EId=3"}, sess)
+	srv.HandleInCtx(context.Background(), &Request{Op: "query", SQL: "SELECT * FROM Events WHERE EId=3"}, sess)
 	recs = records()
 	last := recs[len(recs)-1]
 	if last.Decision != "blocked" || last.Reason == "" {
@@ -164,7 +164,7 @@ func TestSlowLogOffByDefault(t *testing.T) {
 		mu.Unlock()
 	}
 	sess := NewSession(map[string]sqlvalue.Value{"MyUId": sqlvalue.NewInt(1)})
-	srv.HandleIn(&Request{Op: "query", SQL: "SELECT EId FROM Attendance WHERE UId = 1"}, sess)
+	srv.HandleInCtx(context.Background(), &Request{Op: "query", SQL: "SELECT EId FROM Attendance WHERE UId = 1"}, sess)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(lines) != 0 {

@@ -15,7 +15,7 @@ import (
 	"repro/internal/acerr"
 )
 
-// dialV2 dials the server and negotiates protocol v2 as user 1.
+// dialV2 dials the server and keys the default session as user 1.
 func dialV2(t *testing.T, srv *Server, opts ...ClientOption) *Client {
 	t.Helper()
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -30,9 +30,6 @@ func dialV2(t *testing.T, srv *Server, opts ...ClientOption) *Client {
 	t.Cleanup(func() { cl.Close() })
 	if err := cl.Hello(context.Background(), map[string]any{"MyUId": 1}); err != nil {
 		t.Fatal(err)
-	}
-	if cl.Proto() != ProtoV2 {
-		t.Fatalf("negotiated proto %d, want %d", cl.Proto(), ProtoV2)
 	}
 	return cl
 }
@@ -54,7 +51,7 @@ const (
 func TestPipelinedOutOfOrderAcrossLanes(t *testing.T) {
 	srv := testServer(t, Off)
 	seedWide(t, srv, 80)
-	cl := dialV2(t, srv)
+	cl := dialTest(t, srv) // no Hello: every connection pipelines
 	ctx := context.Background()
 
 	slow, err := cl.Lane(1).QueryAsync(ctx, slowJoin3)
@@ -87,6 +84,19 @@ func TestPipelinedOutOfOrderAcrossLanes(t *testing.T) {
 	if !fastDone.Before(slowDone) {
 		t.Fatalf("expected the fast lane to complete first (fast %v, slow %v): responses were not reordered",
 			fastDone, slowDone)
+	}
+
+	// The default session pipelines without a Hello too.
+	p, err := cl.QueryAsync(ctx, "SELECT Name FROM Users WHERE UId = 1")
+	if err != nil {
+		t.Fatalf("QueryAsync before any Hello: %v", err)
+	}
+	if rows, err := p.Wait(ctx); err != nil || len(rows.Rows) != 1 {
+		t.Fatalf("QueryAsync before any Hello: %v %+v", err, rows)
+	}
+	res, err := cl.Batch(ctx, []BatchItem{{SQL: "SELECT Name FROM Users WHERE UId = 2"}})
+	if err != nil || len(res) != 1 || res[0].Err != nil || len(res[0].Rows.Rows) != 1 {
+		t.Fatalf("Batch before any Hello: %v %+v", err, res)
 	}
 }
 
@@ -237,8 +247,8 @@ func TestV1WireCompat(t *testing.T) {
 		t.Fatalf("v1 hello response changed shape: %+v", h)
 	}
 
-	// Two pipelined-on-the-wire requests: a v1 server loop still
-	// answers them one at a time, in order.
+	// Two pipelined-on-the-wire requests on one session: they run, and
+	// answer, in order.
 	if err := enc.Encode(Request{Op: "query", SQL: "SELECT EId FROM Attendance WHERE UId = 1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +262,27 @@ func TestV1WireCompat(t *testing.T) {
 	second := read()
 	if !second.OK || !second.Blocked {
 		t.Fatalf("second response should be the policy block: %+v", second)
+	}
+
+	// Unnumbered control ops: each gets exactly one reply, in order —
+	// the query after them reads its own answer, not a stray one.
+	if err := enc.Encode(Request{Op: "stats"}); err != nil {
+		t.Fatal(err)
+	}
+	if st := read(); !st.OK || st.ID != 0 || st.Stats == nil {
+		t.Fatalf("unnumbered stats: %+v", st)
+	}
+	if err := enc.Encode(Request{Op: "cancel"}); err != nil {
+		t.Fatal(err)
+	}
+	if c := read(); !c.OK || c.ID != 0 || c.Stats != nil || c.Rows != nil {
+		t.Fatalf("unnumbered cancel: %+v", c)
+	}
+	if err := enc.Encode(Request{Op: "query", SQL: "SELECT EId FROM Attendance WHERE UId = 1"}); err != nil {
+		t.Fatal(err)
+	}
+	if q := read(); !q.OK || q.Blocked || len(q.Rows) != 1 {
+		t.Fatalf("query after the control ops: %+v", q)
 	}
 }
 
@@ -296,27 +327,27 @@ func TestPipelineStress(t *testing.T) {
 }
 
 // TestMassLanesHelloAsync keys thousands of sessions over one
-// connection with pipelined hellos, then verifies (a) idle lanes do
-// not each hold a server goroutine — lane runners must exit when their
-// queues drain — and (b) arbitrary lanes still answer on their own
-// session state afterward.
+// connection with hellos sent without waiting, then verifies (a) idle
+// lanes do not each hold a server goroutine — lane runners must exit
+// when their queues drain — and (b) arbitrary lanes still answer on
+// their own session state afterward.
 func TestMassLanesHelloAsync(t *testing.T) {
 	srv := testServer(t, Enforce)
 	cl := dialV2(t, srv, WithWindow(32))
 	ctx := context.Background()
 
 	const lanes = 2000
-	pending := make([]*PendingOK, 0, 64)
+	pending := make([]*Pending, 0, 64)
 	flush := func() {
 		for _, p := range pending {
-			if err := p.Wait(ctx); err != nil {
-				t.Fatal(err)
+			if resp, err := p.Wait(ctx); err != nil || resp.Error != "" {
+				t.Fatal(err, resp)
 			}
 		}
 		pending = pending[:0]
 	}
 	for sid := 1; sid <= lanes; sid++ {
-		p, err := cl.Lane(uint64(sid)).HelloAsync(ctx, map[string]any{"MyUId": sid%3 + 1})
+		p, err := cl.start(ctx, &Request{Op: "hello", SID: uint64(sid), Session: map[string]any{"MyUId": sid%3 + 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

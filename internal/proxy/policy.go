@@ -258,7 +258,7 @@ func (c *Client) PolicyDiff(ctx context.Context, after uint64) (*PolicyBody, err
 }
 
 func (c *Client) policyOp(ctx context.Context, req *Request) (*PolicyBody, error) {
-	resp, err := c.dispatch(ctx, req)
+	resp, err := c.def.call(ctx, req)
 	if err != nil {
 		return nil, err
 	}

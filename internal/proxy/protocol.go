@@ -5,24 +5,27 @@
 // the database engine as-is or blocks it outright.
 //
 // The wire protocol is line-delimited JSON over TCP: one Request per
-// line from the client, one Response per line back. Sessions are
-// established with a "hello" carrying the principal's attributes
-// (e.g. MyUId), which bind the policy's parameters.
+// line from the client, exactly one Response line back for each.
+// Sessions are established with a "hello" carrying the principal's
+// attributes (e.g. MyUId), which bind the policy's parameters.
 //
-// # Protocol v2 (pipelining)
+// # Pipelining
 //
-// A client that sends "hello" with MaxProto >= 2 upgrades the
-// connection to protocol v2, negotiated in the hello response's Proto
-// field. Under v2:
+// Every connection pipelines from its first line; there is no serial
+// mode and nothing to negotiate:
 //
-//   - Every request carries a client-assigned sequence ID, echoed in
-//     its response. Responses may return OUT OF ORDER; clients demux
-//     by ID.
+//   - A request may carry a client-assigned ID, echoed in its
+//     response. Responses may return OUT OF ORDER across sessions; a
+//     client that sends several lines without waiting gives them IDs
+//     and demuxes by ID. A client that waits for each response needs
+//     no IDs.
 //   - A connection multiplexes independent sessions ("lanes") keyed
-//     by the request's SID. Requests within one session are executed
-//     strictly in arrival order — the history-dependence of compliance
-//     decisions requires it — while different sessions' checks run
-//     concurrently on a bounded per-connection worker pool.
+//     by the request's SID; lane 0 is the default session. Requests
+//     within one session execute, and answer, strictly in arrival
+//     order — the history-dependence of compliance decisions requires
+//     it — while different sessions' checks run concurrently.
+//   - The read loop answers "stats", "cancel" and malformed lines
+//     itself, ahead of queued session work.
 //   - The server stops reading when Server.MaxInFlight requests are
 //     queued or executing (TCP backpressure).
 //   - "batch" submits sub-requests (query/exec) in one round trip;
@@ -31,14 +34,12 @@
 //     blocked or failing sub-query does not abort the rest.
 //   - "cancel" (Target = an in-flight request ID) cancels that
 //     request's context; the canceled request responds with the
-//     "canceled" error code.
+//     "canceled" error code. The cancel itself is always answered.
 //   - Per-request TimeoutMillis bounds queueing plus execution.
 //   - Error responses carry a stable machine-readable Code (see
 //     internal/acerr) alongside the human-readable Error string.
-//
-// v1 clients are untouched: without the MaxProto >= 2 hello the
-// server keeps the serial read-handle-respond loop, in-order
-// responses, and v1 response shapes.
+//   - A "hello" with MaxProto >= 2 gets Proto 2 back, so clients that
+//     negotiate before pipelining still do.
 package proxy
 
 import (
@@ -74,23 +75,20 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Protocol versions. ProtoV1 is the implicit version of clients that
-// never negotiate; ProtoV2 adds pipelining, sessions lanes, batch,
-// and cancel.
-const (
-	ProtoV1 = 1
-	ProtoV2 = 2
-)
+// ProtoV2 is the protocol version a hello with MaxProto >= 2 is
+// answered with: pipelining, session lanes, batch, and cancel, which
+// every connection has from its first line.
+const ProtoV2 = 2
 
 // Request is one client message.
 type Request struct {
 	// Op is "hello", "query", "exec", "stats", "batch", or "cancel".
 	Op string `json:"op"`
-	// ID is the client-assigned sequence number (v2). Echoed in the
-	// response; 0 means "no ID" (v1 clients).
+	// ID is the client-assigned sequence number, echoed in the
+	// response; 0 means "no ID" (a client that waits for each answer).
 	ID uint64 `json:"id,omitempty"`
-	// SID selects the session lane this request executes on (v2).
-	// Lane 0 is the connection's default session.
+	// SID selects the session lane this request executes on. Lane 0
+	// is the connection's default session.
 	SID uint64 `json:"sid,omitempty"`
 	// MaxProto, on "hello", is the highest protocol version the client
 	// speaks; the server answers with the negotiated version.
@@ -98,7 +96,7 @@ type Request struct {
 	// Name, on "hello", declares a durable session: when the server
 	// runs with a WAL, the session's query history is persisted under
 	// this name and restored across proxy restarts. Empty means an
-	// ephemeral session (the v1 behaviour). Ignored when the server has
+	// ephemeral session. Ignored when the server has
 	// no WAL.
 	Name string `json:"name,omitempty"`
 	// Session attributes for "hello" (policy parameter values).
@@ -141,7 +139,7 @@ type ShipRecord struct {
 
 // Response is one server message.
 type Response struct {
-	// ID echoes the request's sequence number (v2).
+	// ID echoes the request's sequence number.
 	ID uint64 `json:"id,omitempty"`
 	OK bool   `json:"ok"`
 	// Proto, on a hello response, is the negotiated protocol version.
@@ -306,11 +304,11 @@ type StatsBody struct {
 	ActiveConns   int `json:"activeConns"`
 	TotalConns    int `json:"totalConns"`
 	RejectedConns int `json:"rejectedConns"`
-	// CanceledReqs counts in-flight requests aborted by a v2 "cancel"
+	// CanceledReqs counts in-flight requests aborted by a "cancel"
 	// op.
 	CanceledReqs int `json:"canceledReqs,omitempty"`
 
-	// Inline fast path and write coalescing (v2): queries executed on
+	// Inline fast path and write coalescing: queries executed on
 	// the read goroutine (warm lane-idle hits), warm probes that fell
 	// back to the lane queue, response frames encoded, and flush
 	// syscalls issued — frames/flushes is the write batching factor.

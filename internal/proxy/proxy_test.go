@@ -185,7 +185,7 @@ func TestQueryErrorsSurface(t *testing.T) {
 func TestInProcessHandle(t *testing.T) {
 	srv := testServer(t, Enforce)
 	sess := NewSession(map[string]sqlvalue.Value{"MyUId": sqlvalue.NewInt(1)})
-	resp := srv.HandleIn(&Request{Op: "query", SQL: "SELECT EId FROM Attendance WHERE UId = 1"}, sess)
+	resp := srv.HandleInCtx(context.Background(), &Request{Op: "query", SQL: "SELECT EId FROM Attendance WHERE UId = 1"}, sess)
 	if !resp.OK || resp.Blocked {
 		t.Fatalf("in-process query: %+v", resp)
 	}
@@ -200,12 +200,12 @@ func TestInProcessHandle(t *testing.T) {
 func TestRecordedRowsSurviveUpdate(t *testing.T) {
 	srv := testServer(t, Enforce)
 	sess := NewSession(map[string]sqlvalue.Value{"MyUId": sqlvalue.NewInt(1)})
-	srv.HandleIn(&Request{Op: "query", SQL: "SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2"}, sess)
-	resp := srv.HandleIn(&Request{Op: "query", SQL: "SELECT * FROM Events WHERE EId = 2"}, sess)
+	srv.HandleInCtx(context.Background(), &Request{Op: "query", SQL: "SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2"}, sess)
+	resp := srv.HandleInCtx(context.Background(), &Request{Op: "query", SQL: "SELECT * FROM Events WHERE EId = 2"}, sess)
 	if !resp.OK || resp.Blocked || len(resp.Rows) != 1 {
 		t.Fatalf("query: %+v", resp)
 	}
-	upd := srv.HandleIn(&Request{Op: "exec", SQL: "UPDATE Events SET Title = 'changed', Notes = NULL WHERE EId = 2"}, sess)
+	upd := srv.HandleInCtx(context.Background(), &Request{Op: "exec", SQL: "UPDATE Events SET Title = 'changed', Notes = NULL WHERE EId = 2"}, sess)
 	if !upd.OK || upd.Affected != 1 {
 		t.Fatalf("update: %+v", upd)
 	}
@@ -273,13 +273,13 @@ func TestContradictoryEqualityProbeDoesNotUnlock(t *testing.T) {
 	} {
 		srv := NewServer(db, checker.New(pol), Enforce)
 		sess := NewSession(map[string]sqlvalue.Value{"MyUId": sqlvalue.NewInt(7)})
-		if resp := srv.HandleIn(&Request{Op: "query", SQL: read}, sess); !resp.Blocked {
+		if resp := srv.HandleInCtx(context.Background(), &Request{Op: "query", SQL: read}, sess); !resp.Blocked {
 			t.Fatalf("full-row read before the probe: %+v", resp)
 		}
-		if resp := srv.HandleIn(probe, sess); !resp.OK || len(resp.Rows) != 0 {
+		if resp := srv.HandleInCtx(context.Background(), probe, sess); !resp.OK || len(resp.Rows) != 0 {
 			t.Fatalf("probe %q: %+v", probe.SQL, resp)
 		}
-		if resp := srv.HandleIn(&Request{Op: "query", SQL: read}, sess); !resp.Blocked {
+		if resp := srv.HandleInCtx(context.Background(), &Request{Op: "query", SQL: read}, sess); !resp.Blocked {
 			t.Fatalf("full-row read after probe %q was allowed: %+v", probe.SQL, resp)
 		}
 	}

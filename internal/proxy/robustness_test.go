@@ -150,7 +150,7 @@ func TestLargeResultOverWire(t *testing.T) {
 func TestSessionAttributeTypes(t *testing.T) {
 	srv := testServer(t, Enforce)
 	sess := NewSession(nil)
-	resp := srv.HandleIn(&Request{Op: "hello", Session: map[string]any{
+	resp := srv.HandleInCtx(context.Background(), &Request{Op: "hello", Session: map[string]any{
 		"MyUId": 3, "MyRole": "admin", "MyScore": 1.5,
 	}}, sess)
 	if !resp.OK {

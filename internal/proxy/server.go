@@ -11,6 +11,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/acerr"
@@ -30,9 +31,9 @@ const (
 	DefaultMaxConns = 1024
 	// DefaultMaxLineBytes bounds one request line.
 	DefaultMaxLineBytes = 16 * 1024 * 1024
-	// DefaultMaxInFlight bounds pipelined (v2) requests queued or
-	// executing per connection; past it the server stops reading and
-	// lets TCP flow control push back on the client.
+	// DefaultMaxInFlight bounds requests queued or executing per
+	// connection; past it the server stops reading and lets TCP flow
+	// control push back on the client.
 	DefaultMaxInFlight = 64
 )
 
@@ -48,17 +49,17 @@ type Server struct {
 	// one error Response and are closed. 0 means DefaultMaxConns;
 	// negative means unlimited.
 	MaxConns int
-	// ReadTimeout is the per-connection idle read deadline; a
-	// connection that sends nothing for this long is dropped. 0
+	// ReadTimeout is the per-connection idle deadline, in either
+	// direction: a connection that sends nothing for this long, or
+	// stops reading its responses for this long, is dropped. 0
 	// disables the deadline.
 	ReadTimeout time.Duration
 	// MaxLineBytes bounds one request line; an over-long line gets a
 	// final error Response and the connection is closed. 0 means
 	// DefaultMaxLineBytes.
 	MaxLineBytes int
-	// MaxInFlight bounds the per-connection pipelined window (protocol
-	// v2): requests queued or executing at once. 0 means
-	// DefaultMaxInFlight.
+	// MaxInFlight bounds the per-connection pipelined window: requests
+	// queued or executing at once. 0 means DefaultMaxInFlight.
 	MaxInFlight int
 	// Logf, when set, receives connection-level diagnostics (dropped
 	// connections, rejected dials) and the slow-decision log. Defaults
@@ -67,7 +68,7 @@ type Server struct {
 	// Metrics is the observability registry the server reports into.
 	// Nil means the checker's registry, so `stats` responses and an
 	// acproxy -metrics endpoint see checker and proxy instruments side
-	// by side. Set before Listen or the first Handle.
+	// by side. Set before Listen or the first HandleInCtx.
 	Metrics *obsv.Registry
 	// SlowLogThreshold, when positive, turns on the structured
 	// slow-decision log: every query whose end-to-end handling takes at
@@ -446,8 +447,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// session is per-connection (v1) or per-lane (v2) state: principal
-// attributes and history.
+// session is per-lane state: principal attributes and history.
 type session struct {
 	attrs map[string]sqlvalue.Value
 	tr    *trace.Trace
@@ -471,7 +471,7 @@ func (s *Server) newSessionState() *session {
 	return &session{attrs: map[string]sqlvalue.Value{}, tr: tr}
 }
 
-// pipeJob is one dispatched v2 request: the decoded request, its
+// pipeJob is one dispatched request: the decoded request, its
 // already-started context (the per-request deadline ticks from
 // dispatch, so queue time counts), and the un-registration hook.
 type pipeJob struct {
@@ -496,6 +496,10 @@ type lane struct {
 	mu      sync.Mutex
 	q       []pipeJob
 	running bool
+	// unsent counts the lane's responses handed to the writer but not
+	// yet encoded; the inline fast path waits for zero, so it cannot
+	// overtake them and a session's answers stay in request order.
+	unsent atomic.Int32
 }
 
 // push appends a job and reports whether the caller must start a
@@ -521,7 +525,7 @@ func (ln *lane) push(job pipeJob) (startRunner bool) {
 // gives queued jobs.
 func (ln *lane) tryClaim() bool {
 	ln.mu.Lock()
-	ok := !ln.running && len(ln.q) == 0
+	ok := !ln.running && len(ln.q) == 0 && ln.unsent.Load() == 0
 	if ok {
 		ln.running = true
 	}
@@ -553,14 +557,15 @@ func (ln *lane) pop() (job pipeJob, ok bool) {
 	return job, true
 }
 
-// pipeConn is the per-connection pipelining state for protocol v2.
-// The reader goroutine dispatches into session lanes; lane goroutines
-// execute and hand responses (out of order across lanes) to a writer
-// goroutine that coalesces bursts into single flushes; the sem
-// channel is the in-flight window.
+// pipeConn is the per-connection pipelining state. The reader
+// goroutine dispatches into session lanes; lane goroutines execute and
+// hand responses (out of order across lanes) to a writer goroutine
+// that coalesces bursts into single flushes; the sem channel is the
+// in-flight window.
 type pipeConn struct {
-	s   *Server
-	ctx context.Context
+	s    *Server
+	ctx  context.Context
+	conn net.Conn
 
 	writeMu sync.Mutex
 	bw      *bufio.Writer
@@ -574,7 +579,7 @@ type pipeConn struct {
 	dirty bool
 
 	sem   chan struct{}
-	out   chan *Response
+	out   chan frame
 	wdone chan struct{}
 
 	mu       sync.Mutex
@@ -584,29 +589,49 @@ type pipeConn struct {
 	wg sync.WaitGroup
 }
 
+// frame is one response queued for the writer; ln is the lane whose
+// unsent count it holds (nil for the read loop's own replies).
+type frame struct {
+	resp *Response
+	ln   *lane
+}
+
+// newPipeConn sets up a connection's pipelining state and starts its
+// coalescing writer: responses queue on out and the writer goroutine
+// batches every burst into one flush, so under a full window many
+// responses share a single write syscall.
 func newPipeConn(s *Server, ctx context.Context, conn net.Conn) *pipeConn {
 	bw := bufio.NewWriterSize(conn, 64*1024)
-	return &pipeConn{
+	n := s.maxInFlight()
+	pc := &pipeConn{
 		s:        s,
 		ctx:      ctx,
+		conn:     conn,
 		bw:       bw,
 		enc:      json.NewEncoder(bw),
-		sem:      make(chan struct{}, s.maxInFlight()),
+		sem:      make(chan struct{}, n),
+		out:      make(chan frame, n+16),
+		wdone:    make(chan struct{}),
 		lanes:    make(map[uint64]*lane),
 		inflight: make(map[uint64]context.CancelFunc),
 	}
+	go pc.runWriter()
+	return pc
 }
 
 // encodeResp writes one response into the buffered writer, using the
-// hand-rolled encoder for common shapes. writeMu must be held.
+// hand-rolled encoder for common shapes. writeMu must be held. A
+// failed write closes the connection (see writeFailed).
 func (pc *pipeConn) encodeResp(resp *Response) error {
 	pc.s.mWriteFrames.Inc()
+	var err error
 	if buf, ok := appendResponse(pc.scratch[:0], resp); ok {
 		pc.scratch = buf[:0]
-		_, err := pc.bw.Write(buf)
-		return err
+		_, err = pc.bw.Write(buf)
+	} else {
+		err = pc.enc.Encode(resp)
 	}
-	return pc.enc.Encode(resp)
+	return pc.writeFailed(err)
 }
 
 // flush flushes the buffered writer and clears the inline dirty mark
@@ -614,26 +639,24 @@ func (pc *pipeConn) encodeResp(resp *Response) error {
 func (pc *pipeConn) flush() error {
 	pc.dirty = false
 	pc.s.mWriteFlushes.Inc()
-	return pc.bw.Flush()
+	return pc.writeFailed(pc.bw.Flush())
 }
 
-// write encodes and flushes one response synchronously. It is the
-// serial (v1) path; after the v2 upgrade all writes go through send.
-func (pc *pipeConn) write(resp *Response) error {
-	pc.writeMu.Lock()
-	defer pc.writeMu.Unlock()
-	if err := pc.encodeResp(resp); err != nil {
-		return err
+// writeFailed closes the connection when a write fails, typically on
+// the ReadTimeout deadline of a client that stopped reading: the
+// reader, however it is blocked behind the writer, then fails its next
+// read and ends the connection.
+func (pc *pipeConn) writeFailed(err error) error {
+	if err != nil {
+		_ = pc.conn.Close()
 	}
-	return pc.flush()
+	return err
 }
 
 // sendInline encodes one response into the buffered writer WITHOUT
 // flushing, marking the connection dirty; the flush happens when the
 // reader is about to block (flushConn → flushPending) or when the
-// coalescing writer next flushes a lane response. Encode errors mean
-// the connection is dying; the read side surfaces the drop, same
-// policy as runWriter.
+// coalescing writer next flushes a lane response.
 func (pc *pipeConn) sendInline(resp *Response) {
 	pc.writeMu.Lock()
 	if err := pc.encodeResp(resp); err == nil {
@@ -654,26 +677,33 @@ func (pc *pipeConn) flushPending() {
 	pc.writeMu.Unlock()
 }
 
-// startWriter begins coalesced (v2) output: responses queue on out
-// and the writer goroutine batches every burst into one flush, so
-// under a full window many responses share a single write syscall.
-func (pc *pipeConn) startWriter() {
-	pc.out = make(chan *Response, cap(pc.sem)+16)
-	pc.wdone = make(chan struct{})
-	go pc.runWriter()
+// send queues one of the read loop's own replies for the writer.
+func (pc *pipeConn) send(resp *Response) {
+	pc.out <- frame{resp: resp}
 }
 
-// send queues a response for the coalescing writer (v2 mode only).
-func (pc *pipeConn) send(resp *Response) {
-	pc.out <- resp
+// sendLane queues a lane's response for the writer.
+func (pc *pipeConn) sendLane(ln *lane, resp *Response) {
+	ln.unsent.Add(1)
+	pc.out <- frame{resp: resp, ln: ln}
+}
+
+// encodeFrame encodes one queued response and returns it to the pool.
+// writeMu must be held.
+func (pc *pipeConn) encodeFrame(f frame) error {
+	err := pc.encodeResp(f.resp)
+	if f.ln != nil {
+		f.ln.unsent.Add(-1)
+	}
+	releaseResponse(f.resp)
+	return err
 }
 
 func (pc *pipeConn) runWriter() {
 	defer close(pc.wdone)
-	for resp := range pc.out {
+	for f := range pc.out {
 		pc.writeMu.Lock()
-		err := pc.encodeResp(resp)
-		releaseResponse(resp)
+		err := pc.encodeFrame(f)
 		yielded := false
 	drain:
 		for err == nil {
@@ -682,8 +712,7 @@ func (pc *pipeConn) runWriter() {
 				if !ok {
 					break drain
 				}
-				err = pc.encodeResp(more)
-				releaseResponse(more)
+				err = pc.encodeFrame(more)
 			default:
 				// Before paying a write syscall for a short batch,
 				// yield once: lanes that are about to produce more
@@ -700,40 +729,22 @@ func (pc *pipeConn) runWriter() {
 			err = pc.flush()
 		}
 		pc.writeMu.Unlock()
-		// A write failure means the connection is dying; keep
-		// draining so lanes never block, the read side surfaces the
-		// drop.
-		_ = err
-	}
-}
-
-// adoptDefaultSession installs the pre-upgrade serial session as lane
-// 0, so a connection that talked v1 first keeps its history across
-// the upgrade.
-func (pc *pipeConn) adoptDefaultSession(sess *session) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if _, ok := pc.lanes[0]; !ok {
-		pc.startLaneLocked(0, sess)
+		// A write failure has closed the connection; keep draining so
+		// lanes never block, the read side surfaces the drop.
 	}
 }
 
 // lane returns (creating on first use) the ordered queue for a
-// session ID. Only the reader goroutine calls it, so creation never
-// races with shutdown.
+// session ID; lane 0 is the connection's default session. Only the
+// reader goroutine calls it, so creation never races with shutdown.
 func (pc *pipeConn) lane(sid uint64) *lane {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	ln, ok := pc.lanes[sid]
 	if !ok {
-		ln = pc.startLaneLocked(sid, pc.s.newSessionState())
+		ln = &lane{sess: pc.s.newSessionState()}
+		pc.lanes[sid] = ln
 	}
-	return ln
-}
-
-func (pc *pipeConn) startLaneLocked(sid uint64, sess *session) *lane {
-	ln := &lane{sess: sess}
-	pc.lanes[sid] = ln
 	return ln
 }
 
@@ -757,16 +768,16 @@ func (pc *pipeConn) runLane(ln *lane) {
 		if !ok {
 			return
 		}
-		// Pooled response: HandleCtx's value result is copied into a
+		// Pooled response: handle's value result is copied into a
 		// recycled struct (the writer releases it after encoding), so a
 		// warm request costs zero response-object allocations.
 		resp := acquireResponse()
-		*resp = pc.s.HandleCtx(job.ctx, job.req, ln.sess)
+		*resp = pc.s.handle(job.ctx, job.req, ln.sess)
 		job.done()
 		pc.s.accumulateFactStats(ln.sess)
 		resp.ID = job.req.ID
 		releaseRequest(job.req)
-		pc.send(resp)
+		pc.sendLane(ln, resp)
 		<-pc.sem
 	}
 }
@@ -838,17 +849,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer connCancel()
 
 	pc := newPipeConn(s, connCtx, conn)
-	sess := s.newSessionState()
 	// The reader interposes flushPending before every kernel read, so
 	// inline-fastpath responses parked in the write buffer always reach
 	// the wire before the server blocks waiting for the client.
 	lr := newLineReader(flushConn{c: conn, flush: pc.flushPending}, s.maxLineBytes())
 
-	v2 := false
 	var readErr error
 	for {
 		if s.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
+			// Both directions: a client that stops reading stalls the
+			// writer, and the reader behind the window or an inline
+			// write, until the write deadline fails (writeFailed).
+			_ = conn.SetDeadline(time.Now().Add(s.ReadTimeout))
 		}
 		line, err := lr.ReadLine()
 		if err != nil {
@@ -862,46 +874,19 @@ func (s *Server) serveConn(conn net.Conn) {
 			*req = Request{}
 			if err := decodeRequestJSON(line, req); err != nil {
 				releaseRequest(req)
-				bad := &Response{
+				pc.send(&Response{
 					Error: fmt.Sprintf("bad request: %v", err),
 					Code:  acerr.CodeBadRequest,
-				}
-				if v2 {
-					pc.send(bad)
-				} else {
-					_ = pc.write(bad)
-				}
+				})
 				continue
 			}
 		}
-		if !v2 {
-			// Serial (v1) mode: read, handle, respond, in order. A
-			// hello carrying MaxProto >= 2 upgrades the connection to
-			// pipelined mode from the next request on.
-			resp := s.HandleCtx(connCtx, req, sess)
-			s.accumulateFactStats(sess)
-			resp.ID = req.ID
-			releaseRequest(req)
-			if resp.Proto >= ProtoV2 {
-				v2 = true
-				pc.adoptDefaultSession(sess)
-				pc.startWriter()
-			}
-			if err := pc.write(&resp); err != nil {
-				break
-			}
-			continue
-		}
-		s.dispatchV2(pc, req)
+		s.dispatch(pc, req)
 	}
-	// Reader is done: abort in-flight work for this connection, drain
-	// the lanes, then retire the writer once no lane can send again.
+	// Reader is done: abort in-flight work for this connection and
+	// drain the lanes.
 	connCancel()
 	pc.shutdown()
-	if v2 {
-		close(pc.out)
-		<-pc.wdone
-	}
 
 	// A read failure (over-long line, read error or timeout) drops
 	// the connection; surface the cause to the client where the write
@@ -912,31 +897,34 @@ func (s *Server) serveConn(conn net.Conn) {
 		closing := s.closed
 		s.mu.Unlock()
 		if !closing {
-			_ = pc.write(&Response{Error: fmt.Sprintf("connection dropped: %v", readErr)})
+			if s.ReadTimeout > 0 {
+				_ = conn.SetWriteDeadline(time.Now().Add(s.ReadTimeout))
+			}
+			pc.send(&Response{Error: fmt.Sprintf("connection dropped: %v", readErr)})
 			s.logf("proxy: dropping %s: %v", conn.RemoteAddr(), readErr)
 		}
 	}
+	// No lane can send again: retire the writer once it has flushed.
+	close(pc.out)
+	<-pc.wdone
 }
 
-// dispatchV2 routes one pipelined request. Control ops (cancel,
-// stats) are answered inline from the read loop — they must overtake
-// the queued work they report on or abort. Warm queries take the
-// inline fast path (tryInlineQuery) when their lane is idle.
-// Everything else acquires a window slot (the backpressure point) and
-// joins its session lane.
-func (s *Server) dispatchV2(pc *pipeConn, req *Request) {
+// dispatch routes one request line. Control ops (cancel, stats) are
+// answered from the read loop — they must overtake the queued work
+// they report on or abort — and every one gets a reply, numbered or
+// not. Warm queries take the inline fast path (tryInlineQuery) when
+// their lane is idle. Everything else acquires a window slot (the
+// backpressure point) and joins its session lane.
+func (s *Server) dispatch(pc *pipeConn, req *Request) {
 	switch req.Op {
 	case "cancel":
 		pc.cancelRequest(req.Target)
-		if req.ID != 0 {
-			pc.send(&Response{ID: req.ID, OK: true})
-		}
+		pc.send(&Response{ID: req.ID, OK: true})
 		releaseRequest(req)
 		return
 	case "stats":
-		id := req.ID
+		pc.send(&Response{ID: req.ID, OK: true, Stats: s.StatsSnapshot()})
 		releaseRequest(req)
-		pc.send(&Response{ID: id, OK: true, Stats: s.StatsSnapshot()})
 		return
 	case "query":
 		if s.tryInlineQuery(pc, req) {
@@ -948,7 +936,7 @@ func (s *Server) dispatchV2(pc *pipeConn, req *Request) {
 	pc.enqueue(pc.lane(req.SID), pipeJob{req: req, ctx: ctx, done: done})
 }
 
-// tryInlineQuery is the v2 inline fast path: when a query's session
+// tryInlineQuery is the inline fast path: when a query's session
 // lane is idle and the decision is already warm (a front-cache hit),
 // executing it right here on the read goroutine skips the window slot,
 // the queue handoff, the runner wakeup, and the writer-channel round
@@ -957,8 +945,9 @@ func (s *Server) dispatchV2(pc *pipeConn, req *Request) {
 // is untouched in that case.
 //
 // In-session order is preserved: tryClaim only succeeds when no runner
-// is live and nothing is queued, and while the reader executes inline
-// it cannot dispatch the session's next request. Cancellation needs no
+// is live, nothing is queued and no earlier answer waits for the
+// writer, and while the reader executes inline it cannot dispatch the
+// session's next request. Cancellation needs no
 // registration — a "cancel" for this request cannot be read until the
 // inline execution has already finished. Requests with a per-request
 // timeout, and servers running a slow-log, a shadow trial, or with
@@ -1026,7 +1015,7 @@ func releaseRequest(req *Request) {
 	reqPool.Put(req)
 }
 
-// respPool recycles v2 Responses. A lane runner (or the inline fast
+// respPool recycles Responses. A lane runner (or the inline fast
 // path) fills a pooled struct; the encoder copies its bytes into the
 // connection's buffered writer and releases it — nothing downstream
 // retains the pointer, so the round trip is allocation-free.
@@ -1053,17 +1042,10 @@ func (s *Server) accumulateFactStats(sess *session) {
 	sess.factReused, sess.factTranslated = st.Reused, st.Translated
 }
 
-// Handle processes one request against a session with a background
-// context. It is exported so in-process callers (tests, benchmarks,
-// the examples) can use the proxy logic without a socket.
-func (s *Server) Handle(req *Request, sess *session) Response {
-	return s.HandleCtx(context.Background(), req, sess)
-}
-
-// HandleCtx processes one request against a session. The ctx bounds
+// handle processes one request against a session. The ctx bounds
 // the compliance check and the engine scan; cancellation yields a
 // response with the "canceled" error code.
-func (s *Server) HandleCtx(ctx context.Context, req *Request, sess *session) Response {
+func (s *Server) handle(ctx context.Context, req *Request, sess *session) Response {
 	s.initObs()
 	if isClusterOp(req.Op) {
 		return s.handleClusterOp(ctx, req)
@@ -1141,10 +1123,6 @@ func (s *Server) HandleCtx(ctx context.Context, req *Request, sess *session) Res
 
 	case "batch":
 		return s.handleBatch(ctx, req, sess)
-
-	case "cancel":
-		// Serial mode has nothing in flight to cancel; acknowledge.
-		return Response{OK: true}
 
 	case "stats":
 		return Response{OK: true, Stats: s.StatsSnapshot()}
@@ -1236,7 +1214,7 @@ func (s *Server) StatsSnapshot() *StatsBody {
 	return body
 }
 
-// NewSession creates a fresh in-process session for Handle.
+// NewSession creates a fresh in-process session for HandleInCtx.
 func NewSession(attrs map[string]sqlvalue.Value) *Session {
 	if attrs == nil {
 		attrs = map[string]sqlvalue.Value{}
@@ -1250,15 +1228,11 @@ type Session struct{ inner *session }
 // Trace exposes the session's query history.
 func (s *Session) Trace() *trace.Trace { return s.inner.tr }
 
-// HandleIn processes a request against an exported session.
-func (s *Server) HandleIn(req *Request, sess *Session) Response {
-	return s.Handle(req, sess.inner)
-}
-
 // HandleInCtx processes a request against an exported session under a
-// caller-supplied context.
+// caller-supplied context, with no socket: the in-process entry that
+// pgwire, benchmarks and tests use.
 func (s *Server) HandleInCtx(ctx context.Context, req *Request, sess *Session) Response {
-	return s.HandleCtx(ctx, req, sess.inner)
+	return s.handle(ctx, req, sess.inner)
 }
 
 func canceledResponse(ctx context.Context) Response {

@@ -80,9 +80,9 @@ func TestWireEncodeRequestMatchesJSON(t *testing.T) {
 	}
 }
 
-// roundTripEquivalence asserts the fast decoder agrees field-for-field
-// with the normalized reflective fallback (decodeRequestJSON) on the
-// same line. The fallback — not raw encoding/json — is the reference
+// decodeBothRequest decodes a line both ways: the fast decoder must
+// agree field-for-field with the normalized reflective fallback
+// (decodeRequestJSON) on the same line. The fallback — not raw encoding/json — is the reference
 // because both paths must agree on number typing: integral tokens
 // decode as int64/uint64 so values past 2^53 survive, where plain
 // encoding/json would round them through float64.

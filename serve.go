@@ -244,7 +244,7 @@ func (s *Service) V2Addr() string { return s.v2Addr }
 // configured).
 func (s *Service) PgAddr() string { return s.pgAddr }
 
-// Proxy exposes the shared core for in-process use (HandleIn,
+// Proxy exposes the shared core for in-process use (HandleInCtx,
 // Durable, Stats) — both listeners delegate to it.
 func (s *Service) Proxy() *ProxyServer { return s.core }
 

@@ -225,23 +225,23 @@ func TestServeBothListeners(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructorsCompatible pins the deprecated entry
-// points at their original signatures: the shims must keep compiling
-// for existing callers.
+// TestDeprecatedConstructorsCompatible pins DialProxy at its original
+// signature, so existing callers keep compiling, and checks that a
+// listener option (WithMaxConns) reaches the core Serve builds.
 func TestDeprecatedConstructorsCompatible(t *testing.T) {
-	var _ func(*beyond.DB, *beyond.Checker, beyond.ProxyMode, ...beyond.ProxyOption) *beyond.ProxyServer = beyond.NewProxy
 	var _ func(string, ...proxy.ClientOption) (*beyond.ProxyClient, error) = beyond.DialProxy
 
-	// And the shim still works: it builds the same core Serve binds.
 	f := apps.Calendar()
-	srv := beyond.NewProxy(f.MustNewDB(8), beyond.NewChecker(f.Policy()), beyond.Enforce,
-		beyond.WithMaxConns(4))
-	addr, err := srv.Listen("127.0.0.1:0")
+	svc, err := beyond.Serve(f.MustNewDB(8), beyond.NewChecker(f.Policy()), beyond.Enforce,
+		beyond.WithV2Listener("127.0.0.1:0", beyond.WithMaxConns(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	cl, err := beyond.DialProxy(addr)
+	defer svc.Close()
+	if got := svc.Proxy().MaxConns; got != 4 {
+		t.Fatalf("WithMaxConns(4) left MaxConns = %d", got)
+	}
+	cl, err := beyond.DialProxy(svc.V2Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
