@@ -117,7 +117,7 @@ fmtcheck:
 # Ten-second fuzz smokes: the SQL parser (corpus in
 # internal/sqlparser/testdata), then the cold cover search — generated
 # policies, templates and facts on which the compiled search must decide
-# byte-identically to the cq.FindHoms reference scan — then statement
+# byte-identically to refDecide, the test-only reference — then statement
 # plans: generated (statement, arguments, session) triples on which
 # filling a plan must give the templates and the decision that binding
 # and translating the statement gives — then fact extractors: generated

@@ -77,11 +77,9 @@ func BenchmarkE2Latency(b *testing.B) {
 		}
 	})
 	b.Run("checker-cold", func(b *testing.B) {
-		opts := checker.DefaultOptions()
-		opts.UseCache = false
-		chk := checker.NewWithOptions(f.Policy(), opts)
+		chk := checker.New(f.Policy())
 		for i := 0; i < b.N; i++ {
-			chk.Check(context.Background(), sel, argv, sess, nil)
+			chk.CheckCold(context.Background(), sel, argv, sess, nil)
 			if _, err := db.Query(bsel); err != nil {
 				b.Fatal(err)
 			}
@@ -131,11 +129,8 @@ func BenchmarkE3Cache(b *testing.B) {
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
-		opts := checker.DefaultOptions()
-		opts.UseCache = false
-		cold := checker.NewWithOptions(f.Policy(), opts)
 		for i := 0; i < b.N; i++ {
-			cold.Check(context.Background(), sel, sqlparser.PositionalArgs(1), f.Session(1), nil)
+			chk.CheckCold(context.Background(), sel, sqlparser.PositionalArgs(1), f.Session(1), nil)
 		}
 	})
 }

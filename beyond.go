@@ -103,7 +103,8 @@ type (
 	Checker = checker.Checker
 	// Decision is a compliance verdict.
 	Decision = checker.Decision
-	// CheckerOptions toggles history, caching, and search bounds.
+	// CheckerOptions sizes the decision-template cache and picks the
+	// metrics registry; the zero value is the production configuration.
 	CheckerOptions = checker.Options
 	// Metrics is the observability registry: atomic counters and
 	// bounded latency histograms that the checker, pipeline stages,
@@ -229,30 +230,6 @@ func WithCacheSize(n int) CheckerOption {
 	return func(o *CheckerOptions) { o.CacheSize = n }
 }
 
-// WithHistory toggles trace-derived facts (disable for the paper's E3
-// ablation).
-func WithHistory(on bool) CheckerOption {
-	return func(o *CheckerOptions) { o.UseHistory = on }
-}
-
-// WithCache toggles decision templates.
-func WithCache(on bool) CheckerOption {
-	return func(o *CheckerOptions) { o.UseCache = on }
-}
-
-// WithMaxHomsPerView bounds the embedding search per view disjunct.
-func WithMaxHomsPerView(n int) CheckerOption {
-	return func(o *CheckerOptions) { o.MaxHomsPerView = n }
-}
-
-// WithColdIndex toggles the compiled per-relation policy index the
-// cold coverage search runs against (on by default; off restores the
-// linear scan over every view, the reference the parity tests compare
-// against).
-func WithColdIndex(on bool) CheckerOption {
-	return func(o *CheckerOptions) { o.ColdIndex = on }
-}
-
 // WithMetrics points the checker at an explicit metrics registry —
 // share one across components to get a combined snapshot, or pass
 // DisabledMetrics() for a strictly no-op instrumentation build.
@@ -268,23 +245,15 @@ func NewMetrics() *Metrics { return obsv.NewRegistry() }
 // out record nothing and cost one nil check per operation.
 func DisabledMetrics() *Metrics { return obsv.Disabled() }
 
-// NewChecker builds a compliance checker. Defaults are history-aware
-// with decision templates on; options override
-// individual knobs:
+// NewChecker builds a compliance checker: history-aware, with decision
+// templates. Options size the cache and pick the metrics registry:
 //
-//	beyond.NewChecker(p, beyond.WithCacheSize(1<<16), beyond.WithHistory(false))
+//	beyond.NewChecker(p, beyond.WithCacheSize(1<<16), beyond.WithMetrics(reg))
 func NewChecker(p *Policy, opts ...CheckerOption) *Checker {
-	o := checker.DefaultOptions()
+	var o CheckerOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return checker.NewWithOptions(p, o)
-}
-
-// NewCheckerWithOptions builds a checker from an explicit options
-// struct (the internal configuration surface; most callers want
-// NewChecker with CheckerOptions).
-func NewCheckerWithOptions(p *Policy, o CheckerOptions) *Checker {
 	return checker.NewWithOptions(p, o)
 }
 

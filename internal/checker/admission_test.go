@@ -24,7 +24,7 @@ const admitSQL = "SELECT EId FROM Attendance WHERE UId = ? AND EId = ?"
 // entries, and the statement the tests decide.
 func admitChecker(t *testing.T, size int) (*Checker, *sqlparser.SelectStmt) {
 	t.Helper()
-	opts := DefaultOptions()
+	var opts Options
 	opts.CacheSize = size
 	return NewWithOptions(calendarPolicy(t), opts), sqlparser.MustParseSelect(admitSQL)
 }
@@ -138,7 +138,7 @@ func TestAdmissionKeepsHotEntry(t *testing.T) {
 
 func TestAdmissionUnconditionalAfterResetCache(t *testing.T) {
 	p := calendarPolicy(t)
-	opts := DefaultOptions()
+	var opts Options
 	opts.CacheSize = 32
 	c := NewWithOptions(p, opts)
 	sel := sqlparser.MustParseSelect(admitSQL)
@@ -163,20 +163,18 @@ func TestAdmissionUnconditionalAfterResetCache(t *testing.T) {
 // TestAdmissionDecisionParity: admission only chooses what is kept.
 // A generated stream of repeats and one-offs — allows, history-free
 // denials, and denials that facts lift — is decided through a small
-// full cache, through one it never fills, and with caches off. The two
-// caches must agree in full. Caches off must agree in Allowed: it has
+// full cache, through one it never fills, and by CheckCold. The two
+// caches must agree in full. CheckCold must agree in Allowed: it has
 // no history-free tier, so an allow that facts cover as well reads
 // "reveals no database content" there, and "covered by V1" through a
 // cache, full or not.
 func TestAdmissionDecisionParity(t *testing.T) {
 	p := calendarPolicy(t)
-	opts := DefaultOptions()
+	var opts Options
 	opts.CacheSize = 32
 	small := NewWithOptions(p, opts)
 	opts.CacheSize = 1 << 16
 	big := NewWithOptions(p, opts)
-	opts.UseCache = false
-	plain := NewWithOptions(p, opts)
 
 	own := sqlparser.MustParseSelect(admitSQL) // allowed for the principal's own rows
 	event := sqlparser.MustParseSelect("SELECT Title FROM Events WHERE EId = ?")
@@ -212,10 +210,10 @@ func TestAdmissionDecisionParity(t *testing.T) {
 		}
 		got := small.Check(ctx, sel, args, session(uid), tr)
 		want := big.Check(ctx, sel, args, session(uid), tr)
-		cold := plain.Check(ctx, sel, args, session(uid), tr)
+		cold := big.CheckCold(ctx, sel, args, session(uid), tr)
 		if got.Allowed != want.Allowed || got.Reason != want.Reason || fmt.Sprint(got.Views) != fmt.Sprint(want.Views) ||
 			got.Allowed != cold.Allowed {
-			t.Fatalf("op %d (%s, %v, uid %d):\nfull cache:   %+v\nroomy cache:  %+v\ncaches off:   %+v",
+			t.Fatalf("op %d (%s, %v, uid %d):\nfull cache:   %+v\nroomy cache:  %+v\nCheckCold:    %+v",
 				i, sel.SQL(), args.Positional, uid, got, want, cold)
 		}
 	}
@@ -232,7 +230,7 @@ func TestAdmissionDecisionParity(t *testing.T) {
 func TestAdmissionConcurrent(t *testing.T) {
 	wide := calendarPolicy(t)
 	narrow := narrowCalendarPolicy(t, wide)
-	opts := DefaultOptions()
+	var opts Options
 	opts.CacheSize = 32
 	c, sel := NewWithOptions(wide, opts), sqlparser.MustParseSelect(admitSQL)
 	var wg sync.WaitGroup

@@ -13,15 +13,16 @@
 // enough to decide all of the paper's examples; queries outside the
 // fragment are conservatively blocked.
 //
-// The decide path is an explicit staged pipeline (stages.go, built on
-// internal/pipeline): front-cache probe → bind (fill the statement
-// plan's slots) → history-free template probe → fact derivation →
-// template-cache probe → policy coverage → verdict. Each stage is
-// named, and every stage reports run counts and latency into the checker's
-// obsv.Registry, so per-phase time (the Blockaid-style parse / cache
-// probe / solver breakdown) is observable at runtime rather than
-// reconstructed from ad-hoc benchmarks. The coverage algorithm itself
-// lives in cover.go.
+// The decide path is a fixed table of named stages (stages.go):
+// front-cache probe → bind (fill the statement plan's slots) →
+// history-free template probe → fact derivation → template-cache probe
+// → policy coverage → verdict. Every stage reports run counts and
+// latency into the checker's obsv.Registry, so per-phase time (the
+// Blockaid-style parse / cache probe / solver breakdown) is observable
+// at runtime rather than reconstructed from ad-hoc benchmarks. CheckCold
+// runs only the table's bind, facts and cover stages: the decision with
+// every cache out of the way, which the parity tests and the cold
+// timings use. The coverage algorithm itself lives in cover.go.
 //
 // Decisions are memoized as parameter-generic templates (Blockaid's
 // "decision cache"): constants equal to session attributes are
@@ -56,7 +57,6 @@ import (
 	"repro/internal/acerr"
 	"repro/internal/cq"
 	"repro/internal/obsv"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/sqlparser"
 	"repro/internal/sqlvalue"
@@ -115,24 +115,13 @@ type Stats struct {
 	ColdViewsPruned int
 }
 
-// Options configure a Checker.
+// Options configure a Checker; the zero value is the production
+// configuration.
 type Options struct {
-	// UseHistory enables trace-derived facts (the paper's Example 2.1
-	// depends on it). Disabling it is the E3 ablation.
-	UseHistory bool
-	// UseCache enables decision templates.
-	UseCache bool
-	// MaxHomsPerView bounds the embedding search per view disjunct.
-	MaxHomsPerView int
-	// ColdIndex runs the cold coverage search on the compiled policy
-	// plan — discrimination index plus match programs (compile.go);
-	// disabling it scans every view through cq.FindHoms instead: the
-	// reference the parity tests compare against.
-	ColdIndex bool
 	// CacheSize bounds the decision-template cache (total entries
 	// across shards); 0 means the default.
 	CacheSize int
-	// Metrics is the observability registry every pipeline stage and
+	// Metrics is the observability registry every decide stage and
 	// counter reports into. Nil means a fresh private registry;
 	// obsv.Disabled() turns instrumentation off (stage clock reads are
 	// skipped entirely). Sharing one registry across checkers
@@ -153,10 +142,9 @@ const genCacheMax = 1 << 16
 // table is dropped wholesale, same epoch-reset discipline as the memo.
 const internMax = 1 << 15
 
-// DefaultOptions returns the production configuration.
-func DefaultOptions() Options {
-	return Options{UseHistory: true, UseCache: true, MaxHomsPerView: 64, ColdIndex: true}
-}
+// maxHomsPerView bounds the embeddings the cover search enumerates per
+// view disjunct.
+const maxHomsPerView = 64
 
 // genEntry is one memoized fact generalization: the rewritten fact
 // plus its canonical string (reused for decision-cache keys).
@@ -186,8 +174,6 @@ const frontCacheMax = 4096
 
 // Checker vets queries against a policy.
 type Checker struct {
-	opts Options
-
 	// The versioned policy store (version.go): the (active, candidate)
 	// pair behind one atomic pointer, the monotone epoch source behind
 	// verMu. Lifecycle writers (installActive, StagePolicy, Promote,
@@ -225,11 +211,14 @@ type Checker struct {
 	frontMu sync.RWMutex
 	front   map[frontKey]Decision
 
-	// Observability: the staged decide pipeline plus named obsv
+	// Observability: the stage table (stages.go) plus named obsv
 	// instruments, resolved once here so the hot path never touches
 	// the registry map. All are nil-safe no-ops under obsv.Disabled().
-	reg  *obsv.Registry
-	pipe *pipeline.Pipeline[*decideState]
+	reg           *obsv.Registry
+	stages        [numStages]stage
+	mDecideTotal  *obsv.Histogram
+	mDecideAborts *obsv.Counter
+	stageTick     atomic.Uint64 // samples the stage histograms
 
 	mDecisions, mAllowed, mBlocked, mCacheHits *obsv.Counter
 	mFrontHit, mFrontMiss                      *obsv.Counter
@@ -244,13 +233,10 @@ type Checker struct {
 }
 
 // New creates a checker for the policy with default options.
-func New(p *policy.Policy) *Checker { return NewWithOptions(p, DefaultOptions()) }
+func New(p *policy.Policy) *Checker { return NewWithOptions(p, Options{}) }
 
 // NewWithOptions creates a checker with explicit options.
 func NewWithOptions(p *policy.Policy, opts Options) *Checker {
-	if opts.MaxHomsPerView <= 0 {
-		opts.MaxHomsPerView = 64
-	}
 	if opts.CacheSize <= 0 {
 		opts.CacheSize = DefaultCacheSize
 	}
@@ -258,7 +244,6 @@ func NewWithOptions(p *policy.Policy, opts Options) *Checker {
 		opts.Metrics = obsv.NewRegistry()
 	}
 	c := &Checker{
-		opts:  opts,
 		cache: newDecisionCache(opts.CacheSize),
 		tr:    &cq.Translator{Schema: p.Schema},
 		gen:   make(map[string]map[string]genEntry),
@@ -286,7 +271,7 @@ func NewWithOptions(p *policy.Policy, opts Options) *Checker {
 	c.mCompile = reg.Histogram("checker.compile.micros")
 	c.mColdSelect = reg.Histogram("checker.cold.select.micros")
 	c.mColdMatch = reg.Histogram("checker.cold.match.micros")
-	c.pipe = c.newDecidePipeline()
+	c.initStages()
 	comp := c.compilePol(p)
 	c.nextEpoch = 1
 	c.vers.Store(&versionTable{active: &polVersion{epoch: 1, fp: comp.fp, comp: comp, pol: p}})
@@ -303,7 +288,7 @@ func (c *Checker) Policy() *policy.Policy { return c.activeVersion().pol }
 // trace's own incremental cache, and a trace warmed twice (or never)
 // decides identically.
 func (c *Checker) WarmTrace(tr *trace.Trace) {
-	if tr == nil || !c.opts.UseHistory {
+	if tr == nil {
 		return
 	}
 	_, _ = tr.FactsKeyed(c.tr)
@@ -413,7 +398,7 @@ func (c *Checker) frontPut(k frontKey, d Decision) {
 // CheckSQL parses and checks a SELECT. A parse failure wraps
 // acerr.ErrParse; a context cancellation mid-check wraps
 // acerr.ErrCanceled (the accompanying Decision conservatively blocks).
-// Parse time is the pipeline's first stage observationally: it lands
+// Parse time is the decide path's first stage observationally: it lands
 // in checker.parse.micros and in the request SpanSet as "parse".
 func (c *Checker) CheckSQL(ctx context.Context, sql string, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace) (Decision, error) {
 	return c.checkSQL(ctx, sql, args, session, tr, false)
@@ -449,7 +434,7 @@ func (c *Checker) checkSQL(ctx context.Context, sql string, args sqlparser.Args,
 }
 
 // Check decides whether the query may run for the given principal
-// session, considering the trace when history is enabled. It is safe
+// session, considering the trace (nil for none). It is safe
 // for concurrent use. A canceled ctx aborts the embedding search and
 // yields a conservative blocked Decision (never cached); callers that
 // care should inspect ctx.Err.
@@ -472,8 +457,13 @@ func (c *Checker) CheckBorrowed(ctx context.Context, sel *sqlparser.SelectStmt, 
 }
 
 func (c *Checker) check(ctx context.Context, sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace, borrow bool) Decision {
+	return c.countDecision(c.decide(ctx, sel, args, session, tr, borrow))
+}
+
+// countDecision applies the decision accounting (decisions,
+// allowed/blocked, cache hits) to an enforcing verdict.
+func (c *Checker) countDecision(d Decision) Decision {
 	c.mDecisions.Inc()
-	d := c.decide(ctx, sel, args, session, tr, borrow)
 	if d.Allowed {
 		c.mAllowed.Inc()
 	} else {

@@ -92,20 +92,13 @@ func TestExample21Q2AllowedWithHistory(t *testing.T) {
 	}
 }
 
+// TestHistoryAblationBlocksQ2: without the trace (E3's ablation
+// decides with a nil one) Q2 is blocked.
 func TestHistoryAblationBlocksQ2(t *testing.T) {
-	opts := DefaultOptions()
-	opts.UseHistory = false
-	c := NewWithOptions(calendarPolicy(t), opts)
-	tr := &trace.Trace{}
-	q1 := sqlparser.MustParseSelect("SELECT 1 FROM Attendance WHERE UId=1 AND EId=2")
-	tr.Append(trace.Entry{
-		SQL: q1.SQL(), Stmt: q1, Args: sqlparser.NoArgs,
-		Columns: []string{"1"},
-		Rows:    [][]sqlvalue.Value{{sqlvalue.NewInt(1)}},
-	})
-	d := mustCheck(t, c, "SELECT * FROM Events WHERE EId=2", session(1), tr)
+	c := New(calendarPolicy(t))
+	d := mustCheck(t, c, "SELECT * FROM Events WHERE EId=2", session(1), nil)
 	if d.Allowed {
-		t.Fatal("with history disabled Q2 must be blocked")
+		t.Fatal("without history Q2 must be blocked")
 	}
 }
 
@@ -210,14 +203,44 @@ func TestDecisionTemplatesGeneralizeAcrossUsers(t *testing.T) {
 	}
 }
 
+// TestCacheDisabled: CheckCold decides with every cache out of the
+// way. A key Check has warmed comes back cold, and a key no check has
+// seen leaves the decision cache, the front cache and the intern table
+// as they were, so Check still decides it cold afterwards.
 func TestCacheDisabled(t *testing.T) {
-	opts := DefaultOptions()
-	opts.UseCache = false
-	c := NewWithOptions(calendarPolicy(t), opts)
-	mustCheck(t, c, "SELECT EId FROM Attendance WHERE UId = 1", session(1), nil)
-	d := mustCheck(t, c, "SELECT EId FROM Attendance WHERE UId = 1", session(1), nil)
-	if d.FromCache {
-		t.Fatal("cache disabled but decision came from cache")
+	c := New(calendarPolicy(t))
+	ctx := context.Background()
+	tr := exampleTrace()
+	warm := sqlparser.MustParseSelect("SELECT EId FROM Attendance WHERE UId = 1")
+	for i := 0; i < 2; i++ {
+		c.Check(ctx, warm, sqlparser.NoArgs, session(1), tr)
+	}
+	if d := c.Check(ctx, warm, sqlparser.NoArgs, session(1), tr); d.Tier != TierFront {
+		t.Fatalf("the key did not warm: %+v", d)
+	}
+	decisions := c.Stats().Decisions
+	d := c.CheckCold(ctx, warm, sqlparser.NoArgs, session(1), tr)
+	if !d.Allowed || d.FromCache || d.Tier != "" || d.Epoch != c.activeVersion().epoch {
+		t.Fatalf("CheckCold on a warm key: %+v", d)
+	}
+	if c.Stats().Decisions != decisions {
+		t.Fatal("CheckCold counted a decision")
+	}
+
+	unseen := sqlparser.MustParseSelect("SELECT * FROM Events WHERE EId=2")
+	entries, front, strs := c.Stats().CacheEntries, len(c.front), len(c.strs)
+	for _, uid := range []int64{1, 5} {
+		// Allowed only for the principal the trace shows attending.
+		if d := c.CheckCold(ctx, unseen, sqlparser.NoArgs, session(uid), tr); d.Allowed != (uid == 1) {
+			t.Fatalf("CheckCold for principal %d: %+v", uid, d)
+		}
+	}
+	if c.Stats().CacheEntries != entries || len(c.front) != front || len(c.strs) != strs {
+		t.Fatalf("CheckCold wrote a cache: entries %d -> %d, front %d -> %d, interned %d -> %d",
+			entries, c.Stats().CacheEntries, front, len(c.front), strs, len(c.strs))
+	}
+	if d := c.Check(ctx, unseen, sqlparser.NoArgs, session(1), tr); d.FromCache || d.Tier != "" {
+		t.Fatalf("a key only CheckCold saw was warm: %+v", d)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
@@ -243,7 +242,7 @@ func BenchmarkPlanInstantiate(b *testing.B) {
 			plan := c.tr.Plan(sel)
 			instantiate := func() {
 				st.plan, st.tpl, st.attrsDone = nil, nil, false
-				if stageBind(context.Background(), st) != pipeline.Continue || len(st.templates()) != plan.Disjuncts() {
+				if stageBind(context.Background(), st) != outNext || len(st.templates()) != plan.Disjuncts() {
 					b.Fatalf("bind: %+v", st.d)
 				}
 				if st.plan != plan || plan.Fallback() {

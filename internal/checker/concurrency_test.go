@@ -135,7 +135,7 @@ func TestCachedDecisionViewsNotAliased(t *testing.T) {
 // TestDecisionCacheBounded: the template cache must not grow past its
 // configured size.
 func TestDecisionCacheBounded(t *testing.T) {
-	opts := DefaultOptions()
+	var opts Options
 	opts.CacheSize = 32
 	c := NewWithOptions(calendarPolicy(t), opts)
 	for i := 0; i < 500; i++ {
@@ -155,7 +155,7 @@ func TestDecisionCacheBounded(t *testing.T) {
 // TestDecisionCacheLRUKeepsHotEntry: with heavy reuse of one shape,
 // the hot template should survive eviction pressure.
 func TestDecisionCacheLRUKeepsHotEntry(t *testing.T) {
-	opts := DefaultOptions()
+	var opts Options
 	opts.CacheSize = 64
 	c := NewWithOptions(calendarPolicy(t), opts)
 	hot := "SELECT EId FROM Attendance WHERE UId = 1"
@@ -217,7 +217,7 @@ func TestHotPathSemanticsMatchAblation(t *testing.T) {
 		"SELECT * FROM Attendance",
 	}
 	for _, window := range []int{0, 4} {
-		fast, ref := New(p), newRefFactsChecker(p, DefaultOptions())
+		fast, ref := New(p), newRefFactsChecker(p)
 		tr := &trace.Trace{}
 		tr.SetWindow(window)
 		for i := 0; i < 20; i++ {

@@ -1,7 +1,7 @@
 package checker
 
 // The policy-coverage decision procedure — the "solver" behind the
-// pipeline's cover stage. coverAll checks every disjunct of a
+// cover stage. coverAll checks every disjunct of a
 // decision template; coverDisjunct finds the policy views that embed
 // into the disjunct and picks, per query atom, the first embedding
 // that covers it under the visibility rules.
@@ -12,12 +12,9 @@ package checker
 // program is then run against the embedding target — the query's
 // atoms plus the positive trace facts — binding view variables into a
 // slot array. DESIGN.md §10 has the layouts, the three pruning rules
-// and their soundness arguments. Options.ColdIndex=false replaces
-// index and programs by a linear scan of every view through
-// cq.FindHoms: the reference the parity tests compare against. It
-// shares the per-embedding cover rules with the compiled search; those
-// are pinned by a test-only third implementation that shares nothing
-// with either (cover_ref_test.go).
+// and their soundness arguments. The parity tests compare it against
+// refDecide, a test-only reference that shares nothing with it
+// (cover_ref_test.go).
 //
 // The search is serial, on the deciding goroutine; DESIGN.md §10.2 has
 // the measurement behind that.
@@ -31,14 +28,13 @@ import (
 
 	"repro/internal/cq"
 	"repro/internal/obsv"
-	"repro/internal/pipeline"
 )
 
 // coverAll runs the coverage check for every disjunct of a decision
 // template against the given fact set, under one compiled policy plan
 // (the caller pins the version; shadow decisions pass the candidate's
 // plan here). occs carries the per-disjunct variable-occurrence
-// censuses memoized by the pipeline; sc is the decision's pooled
+// censuses memoized by the decision; sc is the decision's pooled
 // search scratch. Callers must check ctx.Err() before caching the
 // result: a cancellation mid-search yields a decision that must not
 // be stored.
@@ -123,9 +119,8 @@ type coverScratch struct {
 	mark  []uint32
 	epoch uint32
 
-	m      matcher
-	target cq.Query // reference scan only: atoms + positive facts
-	used   []string // views picked so far by this coverAll
+	m    matcher
+	used []string // views picked so far by this coverAll
 }
 
 // release drops every reference the scratch holds, keeping capacity.
@@ -137,8 +132,6 @@ func (sc *coverScratch) release() {
 	sc.comp, sc.q, sc.occ, sc.facts = nil, nil, nil, nil
 	clear(sc.used)
 	sc.used = sc.used[:0]
-	clear(sc.target.Atoms[:cap(sc.target.Atoms)])
-	sc.target = cq.Query{Atoms: sc.target.Atoms[:0]}
 	sc.m.release()
 }
 
@@ -160,15 +153,14 @@ type matcher struct {
 	// atom on every pinned position, so a branch that has only touched
 	// facts so far can still reach the query.
 	touchAfter []bool
-	count      int // embeddings found for this view (MaxHomsPerView)
+	count      int // embeddings found for this view (maxHomsPerView)
 
 	// Per-embedding scratch.
 	visible  bitset  // query variables the view head exposes
 	enforced bitset  // comparison-only variables the view's own body constrains
 	covered  []int32 // query atoms the embedding covers
 	viewCS   *cq.Constraints
-	viewCSOK bool      // viewCS holds this embedding's view comparisons
-	held     []cq.Term // reference scan only: storage slots point into
+	viewCSOK bool // viewCS holds this embedding's view comparisons
 
 	// The accumulator.
 	seen      []bool  // per query atom: some embedding covers it
@@ -180,7 +172,6 @@ type matcher struct {
 func (m *matcher) release() {
 	m.sc, m.v = nil, nil
 	clear(m.slots[:cap(m.slots)])
-	clear(m.held[:cap(m.held)])
 	if m.cs != nil {
 		m.cs.Reset()
 	}
@@ -262,41 +253,30 @@ func (c *Checker) coverDisjunct(ctx context.Context, sc *coverScratch, comp *com
 		return coverResult{ok: true} // reveals nothing beyond rows already known
 	}
 
-	// Timed like the pipeline's stages: every search of a request that
-	// carries a SpanSet, else one in pipeline.SampleEvery — three clock
-	// reads are a tenth of a small search. The kept/pruned counters are
-	// exact.
+	// Timed like the decide stages: every search of a request that
+	// carries a SpanSet, else one in sampleEvery — three clock reads are
+	// a tenth of a small search. The kept/pruned counters are exact.
 	var spans *obsv.SpanSet
 	timed := c.reg.Enabled()
 	if timed {
 		spans = obsv.SpanSetFrom(ctx)
-		timed = spans != nil || c.coldTick.Add(1)%pipeline.SampleEvery == 1
+		timed = spans != nil || c.coldTick.Add(1)%sampleEvery == 1
 	}
 	var t0, t1 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	// Select: the views the discrimination index lets through (the
-	// reference scan selects nothing, it materializes its target).
-	if c.opts.ColdIndex {
-		sc.selectViews()
-		c.mColdKept.Add(int64(len(sc.kept)))
-		c.mColdPruned.Add(int64(len(comp.views) - len(sc.kept)))
-	} else {
-		sc.buildTarget()
-	}
+	// Select: the views the discrimination index lets through.
+	sc.selectViews()
+	c.mColdKept.Add(int64(len(sc.kept)))
+	c.mColdPruned.Add(int64(len(comp.views) - len(sc.kept)))
 	if timed {
 		t1 = time.Now()
 		c.mColdSelect.Observe(t1.Sub(t0).Microseconds())
 		spans.Record("cover.select", t1.Sub(t0))
 	}
 	// Match: run their programs.
-	var canceled bool
-	if c.opts.ColdIndex {
-		canceled = c.runKept(ctx, sc)
-	} else {
-		canceled = c.scanReference(ctx, sc)
-	}
+	canceled := runKept(ctx, sc)
 	if timed {
 		el := time.Since(t1)
 		c.mColdMatch.Observe(el.Microseconds())
@@ -439,67 +419,16 @@ func (sc *coverScratch) admit(va viewAtom, a *cq.Atom) {
 // runKept runs the match programs of sc.kept in policy-view order,
 // stopping once every needed atom has its pick. The bool result reports
 // cancellation.
-func (c *Checker) runKept(ctx context.Context, sc *coverScratch) bool {
+func runKept(ctx context.Context, sc *coverScratch) bool {
 	for _, vi := range sc.kept {
 		if ctx.Err() != nil {
 			return true
 		}
-		if sc.m.runView(vi, c.opts.MaxHomsPerView) {
+		if sc.m.runView(vi) {
 			break
 		}
 	}
 	return false
-}
-
-// scanReference is the ColdIndex=false search: every view, in policy
-// order, embedded by cq.FindHoms into the materialized target. It
-// shares only the per-embedding cover rules (offer) with the compiled
-// search, so it is the reference the parity tests compare against.
-func (c *Checker) scanReference(ctx context.Context, sc *coverScratch) bool {
-	for vi := range sc.comp.views {
-		if ctx.Err() != nil {
-			return true
-		}
-		sc.m.scanView(int32(vi), c.opts.MaxHomsPerView)
-	}
-	return false
-}
-
-// buildTarget materializes the embedding target as a query: the
-// disjunct's atoms, then the positive facts as extra known rows.
-func (sc *coverScratch) buildTarget() {
-	sc.target.Atoms = append(sc.target.Atoms[:0], sc.q.Atoms...)
-	for i := range sc.facts {
-		if !sc.facts[i].Negated {
-			sc.target.Atoms = append(sc.target.Atoms, sc.facts[i].Atom)
-		}
-	}
-	sc.target.Comps = sc.q.Comps
-}
-
-// scanView offers every cq.FindHoms embedding of view vi.
-func (m *matcher) scanView(vi int32, limit int) {
-	sc := m.sc
-	m.setView(vi)
-	v := m.v
-	m.held = resized(m.held, len(v.slotVars))
-	for _, h := range cq.FindHoms(v.q, &sc.target, nil, limit) {
-		for s := range v.slotVars {
-			if t, ok := h.Map[v.slotVars[s].Var]; ok {
-				m.held[s] = t
-				m.slots[s] = &m.held[s]
-			} else {
-				m.slots[s] = &v.slotVars[s]
-			}
-		}
-		for i, img := range h.AtomImage {
-			m.images[i] = -1
-			if img < len(sc.q.Atoms) {
-				m.images[i] = int32(img)
-			}
-		}
-		m.offer()
-	}
 }
 
 // factRels resolves each fact's relation, once per disjunct.
@@ -560,7 +489,7 @@ func (m *matcher) setView(vi int32) {
 // runView enumerates view vi's embeddings that touch the query, in
 // cq.FindHoms order, offering each to the accumulator. It reports
 // whether the whole search can stop: every needed atom has its pick.
-func (m *matcher) runView(vi int32, limit int) (done bool) {
+func (m *matcher) runView(vi int32) (done bool) {
 	m.setView(vi)
 	v, q := m.v, m.sc.q
 	for s := v.nbound; s < len(v.slotVars); s++ {
@@ -578,7 +507,7 @@ func (m *matcher) runView(vi int32, limit int) (done bool) {
 			m.touchAfter[i] = m.sc.qRel[ai] == v.atoms[i].rel && m.agrees(v, &v.atoms[i], q.Atoms[ai].Args)
 		}
 	}
-	m.embed(0, false, limit)
+	m.embed(0, false)
 	return m.remaining == 0
 }
 
@@ -587,10 +516,10 @@ func (m *matcher) runView(vi int32, limit int) (done bool) {
 // the view is finished: its embedding cap is spent, or nothing is left
 // to pick. touched: an earlier atom landed on a query atom. A branch
 // that cannot reach a query atom any more is not entered (rule 2).
-func (m *matcher) embed(i int, touched bool, limit int) (stop bool) {
+func (m *matcher) embed(i int, touched bool) (stop bool) {
 	v, sc := m.v, m.sc
 	if i == len(v.atoms) {
-		return m.leaf(limit)
+		return m.leaf()
 	}
 	ap := &v.atoms[i]
 	for ai := range sc.q.Atoms {
@@ -598,7 +527,7 @@ func (m *matcher) embed(i int, touched bool, limit int) (stop bool) {
 			continue
 		}
 		m.images[i] = int32(ai)
-		if m.embed(i+1, true, limit) {
+		if m.embed(i+1, true) {
 			return true
 		}
 	}
@@ -610,7 +539,7 @@ func (m *matcher) embed(i int, touched bool, limit int) (stop bool) {
 			continue
 		}
 		m.images[i] = -1
-		if m.embed(i+1, touched, limit) {
+		if m.embed(i+1, touched) {
 			return true
 		}
 	}
@@ -657,7 +586,7 @@ func (m *matcher) imageComp(i int) cq.Comparison {
 // leaf completes an embedding: the view's comparisons must be entailed
 // by the target's, then the embedding counts against the cap and is
 // offered.
-func (m *matcher) leaf(limit int) (stop bool) {
+func (m *matcher) leaf() (stop bool) {
 	for i := range m.v.comps {
 		if !m.cs.Implies(m.imageComp(i)) {
 			return false
@@ -665,7 +594,7 @@ func (m *matcher) leaf(limit int) (stop bool) {
 	}
 	m.count++
 	m.offer()
-	return m.count >= limit || m.remaining == 0
+	return m.count >= maxHomsPerView || m.remaining == 0
 }
 
 // offer applies the cover rules to the current embedding (slots,

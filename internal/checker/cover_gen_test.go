@@ -148,16 +148,10 @@ func (gc genCase) String() string {
 	return s
 }
 
-// genCheckers are the two cold-path configurations over one
-// (irrelevant) schema; generated cases bring their own compiled plan.
-type genCheckers struct{ compiled, reference *Checker }
-
-func newGenCheckers(tb testing.TB) genCheckers {
-	pol := policy.MustNew(calendarSchema(tb), nil)
-	return genCheckers{
-		compiled:  NewWithOptions(pol, coldOpts(true)),
-		reference: NewWithOptions(pol, coldOpts(false)),
-	}
+// newGenChecker is a checker over one (irrelevant) schema; generated
+// cases bring their own compiled plan.
+func newGenChecker(tb testing.TB) *Checker {
+	return New(policy.MustNew(calendarSchema(tb), nil))
 }
 
 // decideGen runs coverAll for a generated case on the given scratch.
@@ -170,20 +164,16 @@ func decideGen(c *Checker, comp *compiledPolicy, gc genCase, sc *coverScratch) D
 }
 
 // checkGenCase asserts the parity contract on one generated case: the
-// compiled search and the ColdIndex=false scan decide byte-identically
-// to the independent reference procedure (cover_ref_test.go), and every
-// view the index kept out of a disjunct's search yields no covering
-// candidate under that reference.
-func checkGenCase(t *testing.T, cs genCheckers, gc genCase) Decision {
+// compiled search decides byte-identically to the independent reference
+// procedure (cover_ref_test.go), and every view the index kept out of a
+// disjunct's search yields no covering candidate under that reference.
+func checkGenCase(t *testing.T, c *Checker, gc genCase) Decision {
 	t.Helper()
 	comp := compilePolicy("gen", gc.views)
-	limit := cs.compiled.opts.MaxHomsPerView
-	dC := decideGen(cs.compiled, comp, gc, &coverScratch{})
-	dS := decideGen(cs.reference, comp, gc, &coverScratch{})
-	dR := refDecide(gc.views, gc.tpl, gc.facts, limit)
-	gC, gS, gR := fmt.Sprintf("%#v", dC), fmt.Sprintf("%#v", dS), fmt.Sprintf("%#v", dR)
-	if gC != gR || gS != gR {
-		t.Fatalf("searches disagree:\ncompiled:  %s\nscan:      %s\nreference: %s\n%s", gC, gS, gR, gc)
+	dC := decideGen(c, comp, gc, &coverScratch{})
+	dR := refDecide(gc.views, gc.tpl, gc.facts, maxHomsPerView)
+	if gC, gR := fmt.Sprintf("%#v", dC), fmt.Sprintf("%#v", dR); gC != gR {
+		t.Fatalf("searches disagree:\ncompiled:  %s\nreference: %s\n%s", gC, gR, gc)
 	}
 
 	for i, q := range gc.tpl {
@@ -191,7 +181,7 @@ func checkGenCase(t *testing.T, cs genCheckers, gc genCase) Decision {
 		occ.Build(q)
 		var sc coverScratch
 		before := sc.epoch
-		cs.compiled.coverDisjunct(context.Background(), &sc, comp, q, &occ, gc.facts)
+		c.coverDisjunct(context.Background(), &sc, comp, q, &occ, gc.facts)
 		if sc.epoch == before {
 			continue // decided before any search: nothing was pruned
 		}
@@ -209,7 +199,7 @@ func checkGenCase(t *testing.T, cs genCheckers, gc genCase) Decision {
 			if kept[int32(vi)] {
 				continue
 			}
-			if v := comp.views[vi].q; len(refCandidates(v, q, target, refCensus(q), limit)) > 0 {
+			if v := comp.views[vi].q; len(refCandidates(v, q, target, refCensus(q), maxHomsPerView)) > 0 {
 				t.Fatalf("disjunct %d: the index pruned view %s, which covers under the reference\n%s", i, v.Name, gc)
 			}
 		}
@@ -220,11 +210,11 @@ func checkGenCase(t *testing.T, cs genCheckers, gc genCase) Decision {
 // TestCoverParityGenerated runs the parity contract over a fixed block
 // of seeds (the fuzz target below explores beyond it).
 func TestCoverParityGenerated(t *testing.T) {
-	cs := newGenCheckers(t)
+	c := newGenChecker(t)
 	allowed := 0
 	const cases = 4000
 	for seed := int64(0); seed < cases; seed++ {
-		if checkGenCase(t, cs, newGenCase(seed)).Allowed {
+		if checkGenCase(t, c, newGenCase(seed)).Allowed {
 			allowed++
 		}
 	}
@@ -240,9 +230,9 @@ func FuzzCoverParity(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed)
 	}
-	cs := newGenCheckers(f)
+	c := newGenChecker(f)
 	f.Fuzz(func(t *testing.T, seed int64) {
-		checkGenCase(t, cs, newGenCase(seed))
+		checkGenCase(t, c, newGenCase(seed))
 	})
 }
 

@@ -17,9 +17,7 @@ import (
 // atomCoverOK or observable, not the occurrence census, and not the
 // per-atom first pick that replaced the backtracking search — so a
 // mistake in the visibility rules, or in the argument that first picks
-// equal the search's first assignment, is a disagreement here where
-// Options.ColdIndex=false (which runs the same matcher code behind a
-// different enumerator) would agree with it.
+// equal the search's first assignment, is a disagreement here.
 
 type refOcc struct {
 	atoms                    map[int]bool

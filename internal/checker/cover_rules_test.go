@@ -13,21 +13,15 @@ import (
 // (DESIGN.md §10.3), one test per edge. Cases are built in the
 // conjunctive-query IR; ruleCase decides one under the independent
 // reference procedure (cover_ref_test.go) and the compiled search and
-// returns both, having checked that the ColdIndex=false scan sides with
-// the reference.
+// returns both.
 
 func r(table string, args ...cq.Term) cq.Atom { return cq.Atom{Table: table, Args: args} }
 
 func ruleCase(t *testing.T, gc genCase) (reference, compiled Decision, sc *coverScratch) {
 	t.Helper()
-	cs := newGenCheckers(t)
-	comp := compilePolicy("rules", gc.views)
 	sc = &coverScratch{}
-	reference = refDecide(gc.views, gc.tpl, gc.facts, cs.reference.opts.MaxHomsPerView)
-	if scan := decideGen(cs.reference, comp, gc, &coverScratch{}); fmt.Sprintf("%#v", scan) != fmt.Sprintf("%#v", reference) {
-		t.Fatalf("the ColdIndex=false scan disagrees with the reference:\nreference: %#v\nscan:      %#v", reference, scan)
-	}
-	return reference, decideGen(cs.compiled, comp, gc, sc), sc
+	reference = refDecide(gc.views, gc.tpl, gc.facts, maxHomsPerView)
+	return reference, decideGen(newGenChecker(t), compilePolicy("rules", gc.views), gc, sc), sc
 }
 
 func sameDecision(t *testing.T, reference, compiled Decision) {
@@ -192,7 +186,7 @@ func capCase(nfacts int64) genCase {
 }
 
 // The stated exception to byte-identity (DESIGN.md §10.3):
-// MaxHomsPerView counts only embeddings that touch the query. Where the
+// maxHomsPerView counts only embeddings that touch the query. Where the
 // reference spends its 64 on fact-only embeddings and never reaches the
 // covering one, the compiled search reaches it. The extra embedding is
 // a genuine homomorphism: the reference finds it too once its cap is
@@ -254,13 +248,12 @@ func TestLargeJoinSearch(t *testing.T) {
 // A canceled context stops the search between views and is reported as
 // the never-cached canceled verdict.
 func TestCoverCanceledBetweenViews(t *testing.T) {
-	cs := newGenCheckers(t)
 	gc := capCase(10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var occ cq.Census
 	occ.Build(gc.tpl[0])
-	d := cs.compiled.coverAll(ctx, compilePolicy("rules", gc.views), gc.tpl, []cq.Census{occ}, gc.facts, &coverScratch{})
+	d := newGenChecker(t).coverAll(ctx, compilePolicy("rules", gc.views), gc.tpl, []cq.Census{occ}, gc.facts, &coverScratch{})
 	if d.Allowed || d.Reason != canceledDecision(ctx).Reason {
 		t.Fatalf("canceled search must block with the canceled verdict: %+v", d)
 	}

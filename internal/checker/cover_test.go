@@ -8,7 +8,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cq"
 	"repro/internal/engine"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
@@ -16,35 +15,18 @@ import (
 	"repro/internal/trace"
 )
 
-// coldOpts builds checker options for one cold-path configuration:
-// caching off so every check runs the coverage search.
-func coldOpts(index bool) Options {
-	opts := DefaultOptions()
-	opts.UseCache = false
-	opts.ColdIndex = index
-	return opts
-}
-
 // TestCoverEmptyPolicy: a policy with no views compiles to an empty
-// plan and blocks every data-revealing query, in every cold-path
-// configuration.
+// plan and blocks every data-revealing query.
 func TestCoverEmptyPolicy(t *testing.T) {
 	s := calendarSchema(t)
-	empty := policy.MustNew(s, nil)
-	for _, cfg := range []struct {
-		name  string
-		index bool
-	}{{"scan", false}, {"indexed", true}} {
-		c := NewWithOptions(empty, coldOpts(cfg.index))
-		comp := c.activeVersion().comp
-		if len(comp.views) != 0 || len(comp.byRel) != 0 {
-			t.Fatalf("%s: empty policy compiled to %d views, %d index buckets",
-				cfg.name, len(comp.views), len(comp.byRel))
-		}
-		d := mustCheck(t, c, "SELECT EId FROM Attendance WHERE UId = 1", session(1), nil)
-		if d.Allowed {
-			t.Fatalf("%s: empty policy allowed a data-revealing query: %+v", cfg.name, d)
-		}
+	c := New(policy.MustNew(s, nil))
+	comp := c.activeVersion().comp
+	if len(comp.views) != 0 || len(comp.byRel) != 0 {
+		t.Fatalf("empty policy compiled to %d views, %d index buckets", len(comp.views), len(comp.byRel))
+	}
+	d := mustCheck(t, c, "SELECT EId FROM Attendance WHERE UId = 1", session(1), nil)
+	if d.Allowed {
+		t.Fatalf("empty policy allowed a data-revealing query: %+v", d)
 	}
 }
 
@@ -62,8 +44,7 @@ func ghostView() *policy.View {
 
 // TestCompileAbsentRelation: a view over a relation absent from the
 // schema is indexed under its own symbol and never surfaces as a
-// candidate — decisions are identical with and without it, in every
-// configuration.
+// candidate — decisions are identical with and without it.
 func TestCompileAbsentRelation(t *testing.T) {
 	pol := calendarPolicy(t)
 	ghosted := pol.Clone()
@@ -83,19 +64,12 @@ func TestCompileAbsentRelation(t *testing.T) {
 		"SELECT * FROM Events WHERE EId = 2",
 		"SELECT Title FROM Events",
 	}
-	for _, cfg := range []struct {
-		name  string
-		index bool
-	}{{"scan", false}, {"indexed", true}} {
-		base := NewWithOptions(pol, coldOpts(cfg.index))
-		with := NewWithOptions(ghosted, coldOpts(cfg.index))
-		for _, q := range queries {
-			dBase := mustCheck(t, base, q, session(1), nil)
-			dWith := mustCheck(t, with, q, session(1), nil)
-			if fmt.Sprintf("%#v", dBase) != fmt.Sprintf("%#v", dWith) {
-				t.Fatalf("%s: ghost view changed the decision for %q:\nwithout: %#v\nwith:    %#v",
-					cfg.name, q, dBase, dWith)
-			}
+	base, with := New(pol), New(ghosted)
+	for _, q := range queries {
+		dBase := mustCheck(t, base, q, session(1), nil)
+		dWith := mustCheck(t, with, q, session(1), nil)
+		if fmt.Sprintf("%#v", dBase) != fmt.Sprintf("%#v", dWith) {
+			t.Fatalf("ghost view changed the decision for %q:\nwithout: %#v\nwith:    %#v", q, dBase, dWith)
 		}
 	}
 }
@@ -116,7 +90,7 @@ func TestCompileDedupesDuplicateViews(t *testing.T) {
 			len(comp.views), len(uniq.views))
 	}
 
-	c := NewWithOptions(doubled, coldOpts(true))
+	c := New(doubled)
 	d := mustCheck(t, c, "SELECT EId FROM Attendance WHERE UId = 1", session(1), nil)
 	if !d.Allowed {
 		t.Fatalf("doubled policy blocked a V1-covered query: %+v", d)
@@ -160,7 +134,7 @@ func primeE1Trace(t *testing.T, db *engine.DB, w apps.WorkloadQuery) *trace.Trac
 	return tr
 }
 
-// coverInputs runs the pipeline's bind and facts stages for one check
+// coverInputs runs the bind and facts stages for one check
 // and returns what the cover stage would be handed: the decision
 // template and the session-generalized trace facts. ok is false when
 // binding already decided the check.
@@ -170,52 +144,53 @@ func coverInputs(ctx context.Context, c *Checker, sql string, args sqlparser.Arg
 		return nil, nil, false
 	}
 	st := &decideState{c: c, ver: c.activeVersion(), sel: sel, args: args, session: sess, tr: tr}
-	if stageBind(ctx, st) != pipeline.Continue || stageFacts(ctx, st) != pipeline.Continue {
+	if stageBind(ctx, st) != outNext || stageFacts(ctx, st) != outNext {
 		return nil, nil, false
 	}
 	return st.templates(), st.facts, true
 }
 
 // TestCoverParityFixtures: over every fixture (calendar, hospital,
-// employees, forum), the compiled search, the ColdIndex=false scan and
-// the compiled search behind the bind-then-translate oracle return
-// Decisions byte-identical — the answer, the reason string and
-// the covering-view list — to the independent reference procedure
-// (cover_ref_test.go) run on the same template and facts, on three
-// corpora: the 42 labeled E1 queries, each behind its own priming
-// probe; the same 42 replayed against one trace per fixture that keeps
-// every earlier probe and answer (facts accumulate, so view atoms find
-// more rows to land on); and the fixture's own policy views and
-// sensitive queries issued as queries with no history.
+// employees, forum), CheckCold — the compiled search, and the compiled
+// search behind the bind-then-translate oracle — returns Decisions
+// byte-identical — the answer, the reason string and the covering-view
+// list — to the independent reference procedure (cover_ref_test.go) run
+// on the same template and facts, on three corpora: the 42 labeled E1
+// queries, each behind its own priming probe; the same 42 replayed
+// against one trace per fixture that keeps every earlier probe and
+// answer (facts accumulate, so view atoms find more rows to land on);
+// and the fixture's own policy views and sensitive queries issued as
+// queries with no history.
 func TestCoverParityFixtures(t *testing.T) {
 	ctx := context.Background()
 	total, histAllows := 0, 0
 	for _, f := range apps.All() {
 		db := f.MustNewDB(24)
-		scan, compiled := NewWithOptions(f.Policy(), coldOpts(false)), NewWithOptions(f.Policy(), coldOpts(true))
+		compiled := New(f.Policy())
 		// The same search behind the bind stage that plans replaced: the
 		// statement bound and translated per decision (plan_test.go).
-		oracle := newOracleChecker(f.Policy(), coldOpts(true))
+		oracle := newOracleChecker(f.Policy(), Options{})
 		views := f.Policy().Disjuncts(nil)
 		decide := func(label, sql string, args sqlparser.Args, sess map[string]sqlvalue.Value, tr *trace.Trace) Decision {
 			t.Helper()
-			var got [3]string
+			sel, err := sqlparser.ParseSelectCached(sql)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", f.Name, label, err)
+			}
+			var got [2]string
 			var d Decision
-			for i, c := range []*Checker{scan, compiled, oracle} {
-				var err error
-				if d, err = c.CheckSQL(ctx, sql, args, sess, tr); err != nil {
-					t.Fatalf("%s/%s: %v", f.Name, label, err)
-				}
-				d.Epoch = 0 // the pipeline's stamp, not the cover search's
+			for i, c := range []*Checker{compiled, oracle} {
+				d = c.CheckCold(ctx, sel, args, sess, tr)
+				d.Epoch = 0 // the deciding version's stamp, not the cover search's
 				got[i] = fmt.Sprintf("%#v", d)
 			}
 			want := got[0]
 			if tpl, facts, ok := coverInputs(ctx, compiled, sql, args, sess, tr); ok {
-				want = fmt.Sprintf("%#v", refDecide(views, tpl, facts, compiled.opts.MaxHomsPerView))
+				want = fmt.Sprintf("%#v", refDecide(views, tpl, facts, maxHomsPerView))
 			}
-			if got[0] != want || got[1] != want || got[2] != want {
-				t.Fatalf("%s/%s: searches disagree:\nreference: %s\nscan:      %s\ncompiled:  %s\nbind-then-translate: %s",
-					f.Name, label, want, got[0], got[1], got[2])
+			if got[0] != want || got[1] != want {
+				t.Fatalf("%s/%s: searches disagree:\nreference: %s\ncompiled:  %s\nbind-then-translate: %s",
+					f.Name, label, want, got[0], got[1])
 			}
 			total++
 			return d
@@ -254,12 +229,12 @@ func TestCoverParityFixtures(t *testing.T) {
 	if total < 100 || histAllows == 0 {
 		t.Fatalf("corpus too small to be meaningful: %d decisions, %d history-dependent allows", total, histAllows)
 	}
-	t.Logf("reference/scan/compiled byte-identical over %d decisions (%d history-dependent allows)", total, histAllows)
+	t.Logf("reference/compiled byte-identical over %d decisions (%d history-dependent allows)", total, histAllows)
 }
 
 // --- Cold-path benchmark workload:
 // 16 relations, views spread evenly across them, a 4-arm UNION query
-// with exactly one covering view per arm, caching off.
+// with exactly one covering view per arm, decided by CheckCold.
 
 const benchColdTables = 16
 
@@ -308,22 +283,19 @@ func benchColdSession() map[string]sqlvalue.Value {
 	return map[string]sqlvalue.Value{"MyUId": sqlvalue.NewInt(1_000_001)}
 }
 
-func benchColdPath(b *testing.B, index bool) {
+// BenchmarkColdPath decides the cold-path workload at 128 policy views.
+func BenchmarkColdPath(b *testing.B) {
 	s := benchColdSchema(b)
-	c := NewWithOptions(benchColdPolicy(s, 128), coldOpts(index))
+	c := New(benchColdPolicy(s, 128))
 	sel := benchColdQuery()
 	sess := benchColdSession()
 	ctx := context.Background()
-	if d := c.Check(ctx, sel, sqlparser.NoArgs, sess, nil); !d.Allowed {
+	if d := c.CheckCold(ctx, sel, sqlparser.NoArgs, sess, nil); !d.Allowed {
 		b.Fatalf("cold workload should be allowed: %+v", d)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Check(ctx, sel, sqlparser.NoArgs, sess, nil)
+		c.CheckCold(ctx, sel, sqlparser.NoArgs, sess, nil)
 	}
 }
-
-// The two cold-path configurations at 128 policy views.
-func BenchmarkColdPathSerial(b *testing.B)  { benchColdPath(b, false) }
-func BenchmarkColdPathIndexed(b *testing.B) { benchColdPath(b, true) }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/cq"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/sqlparser"
 	"repro/internal/sqlvalue"
@@ -133,23 +132,15 @@ func refFacts(tr *cq.Translator, entries []trace.Entry, stats *refFactStats) ([]
 // newRefFactsChecker is a checker whose facts stage derives the whole
 // trace through the reference on every check; every other stage is the
 // production one.
-func newRefFactsChecker(p *policy.Policy, opts Options) *Checker {
-	c := NewWithOptions(p, opts)
-	c.pipe = pipeline.New("decide", c.reg,
-		pipeline.Stage[*decideState]{Name: "front", Run: stageFront},
-		pipeline.Stage[*decideState]{Name: "bind", Run: stageBind},
-		pipeline.Stage[*decideState]{Name: "histfree", Run: stageHistFree},
-		pipeline.Stage[*decideState]{Name: "facts", Run: stageRefFacts},
-		pipeline.Stage[*decideState]{Name: "template", Run: stageTemplate},
-		pipeline.Stage[*decideState]{Name: "cover", Run: stageCover},
-		pipeline.Stage[*decideState]{Name: "verdict", Run: stageVerdict},
-	)
+func newRefFactsChecker(p *policy.Policy) *Checker {
+	c := New(p)
+	c.stages[stFacts].run = stageRefFacts
 	return c
 }
 
-func stageRefFacts(_ context.Context, st *decideState) pipeline.Outcome {
-	if !st.c.opts.UseHistory || st.tr == nil {
-		return pipeline.Continue
+func stageRefFacts(_ context.Context, st *decideState) outcome {
+	if st.tr == nil {
+		return outNext
 	}
 	entries, _ := st.tr.SnapshotState()
 	facts, _ := refFacts(st.c.tr, entries, nil)
@@ -159,5 +150,5 @@ func stageRefFacts(_ context.Context, st *decideState) pipeline.Outcome {
 		st.facts = append(st.facts, g)
 		st.factKeys = append(st.factKeys, g.String())
 	}
-	return pipeline.Continue
+	return outNext
 }

@@ -28,7 +28,7 @@ func hotpathTrace(n int) *trace.Trace {
 // newHotpathChecker builds a checker over the calendar policy with
 // the given registry and warms the hotpath decision once.
 func newHotpathChecker(t testing.TB, reg *obsv.Registry, tr *trace.Trace) (*Checker, *sqlparser.SelectStmt) {
-	opts := DefaultOptions()
+	var opts Options
 	opts.Metrics = reg
 	c := NewWithOptions(calendarPolicy(t), opts)
 	sel := sqlparser.MustParseSelect("SELECT * FROM Events WHERE EId=2")
@@ -40,7 +40,7 @@ func newHotpathChecker(t testing.TB, reg *obsv.Registry, tr *trace.Trace) (*Chec
 // stays within 5% of a no-op-metrics (obsv.Disabled) build on the
 // hot-path workload: a warm trace-dependent check against a
 // 50-entry history. The per-op cost there is tens of microseconds,
-// against which the pipeline's per-stage clock reads and atomic
+// against which the stage table's per-stage clock reads and atomic
 // instruments are noise; this guard fails if instrumentation ever
 // grows a hot-path allocation or lock.
 //
@@ -120,8 +120,8 @@ func TestMetricsOverheadGuard(t *testing.T) {
 
 // TestColdPathMetricsOverheadGuard is the cold-path sibling of
 // TestMetricsOverheadGuard: the instrumented cold coverage search
-// (compiled index, caching off so every check runs the full search)
-// must stay within 5% of the no-op-metrics build. The cold path's
+// (CheckCold, so every check runs the full search) must stay within 5%
+// of the no-op-metrics build. The cold path's
 // instrumentation — prune counters, select/match histograms and span
 // records — is gated on
 // reg.Enabled(), and this guard fails if any of it ever runs (or
@@ -140,10 +140,8 @@ func TestColdPathMetricsOverheadGuard(t *testing.T) {
 	sess := benchColdSession()
 
 	newCold := func(reg *obsv.Registry) *Checker {
-		opts := coldOpts(true)
-		opts.Metrics = reg
-		c := NewWithOptions(pol, opts)
-		if d := c.Check(context.Background(), sel, sqlparser.NoArgs, sess, nil); !d.Allowed {
+		c := NewWithOptions(pol, Options{Metrics: reg})
+		if d := c.CheckCold(context.Background(), sel, sqlparser.NoArgs, sess, nil); !d.Allowed {
 			t.Fatalf("cold workload should be allowed: %+v", d)
 		}
 		return c
@@ -158,7 +156,7 @@ func TestColdPathMetricsOverheadGuard(t *testing.T) {
 	measure := func(c *Checker) time.Duration {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			c.Check(context.Background(), sel, sqlparser.NoArgs, sess, nil)
+			c.CheckCold(context.Background(), sel, sqlparser.NoArgs, sess, nil)
 		}
 		return time.Since(start)
 	}

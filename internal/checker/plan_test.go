@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cq"
 	"repro/internal/obsv"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
@@ -20,8 +19,8 @@ import (
 
 // Plan-vs-oracle differential tests. The oracle is the path statement
 // plans replaced — bind a copy of the AST, translate it, generalize the
-// constants (bindTranslate) — run as the bind stage of an otherwise
-// identical pipeline. Statements come from the cover generator
+// constants (bindTranslate) — run as the bind entry of an otherwise
+// identical stage table. Statements come from the cover generator
 // (cover_gen_test.go): its conjunctive queries are rendered as SQL over
 // a schema with the generator's relations, with every ground term
 // turned into a value site of a randomly chosen kind, and the values of
@@ -34,16 +33,7 @@ import (
 // statement per decision.
 func newOracleChecker(p *policy.Policy, opts Options) *Checker {
 	c := NewWithOptions(p, opts)
-	stages := []pipeline.Stage[*decideState]{
-		{Name: "front", Run: stageFront},
-		{Name: "bind", Run: func(_ context.Context, st *decideState) pipeline.Outcome { return bindTranslate(st) }},
-		{Name: "histfree", Run: stageHistFree},
-		{Name: "facts", Run: stageFacts},
-		{Name: "template", Run: stageTemplate},
-		{Name: "cover", Run: stageCover},
-		{Name: "verdict", Run: stageVerdict},
-	}
-	c.pipe = pipeline.New("decide", c.reg, stages...)
+	c.stages[stBind].run = func(_ context.Context, st *decideState) outcome { return bindTranslate(st) }
 	return c
 }
 
@@ -294,7 +284,7 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 	ctx := context.Background()
 	g, gc := newCoverGen(seed)
 	pol := policy.MustNew(g.schema(t), nil)
-	opts := DefaultOptions()
+	var opts Options
 	opts.Metrics = obsv.Disabled()
 	planned, oracle := NewWithOptions(pol, opts), newOracleChecker(pol, opts)
 	for _, c := range []*Checker{planned, oracle} {
@@ -306,7 +296,7 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 		t.Fatalf("seed %d: generated statement does not parse: %v\n%s", seed, err, st.sql)
 	}
 	tr := g.history()
-	limit := planned.opts.MaxHomsPerView
+	limit := maxHomsPerView
 	fail := func(what string, args sqlparser.Args, sess map[string]sqlvalue.Value, got, want string) {
 		t.Helper()
 		t.Fatalf("seed %d: %s differ\nstatement: %s\nargs:      %v %v\nsession:   %v\nplan:   %s\noracle: %s\n%s",
@@ -323,7 +313,7 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 		if pout != oout || pst.d.Reason != ost.d.Reason {
 			fail("bind outcomes", args, sess, fmt.Sprint(pout, " ", pst.d.Reason), fmt.Sprint(oout, " ", ost.d.Reason))
 		}
-		if pout != pipeline.Continue {
+		if pout != outNext {
 			stats.bindErrs++
 		} else {
 			if got, want := tplStrings(pst.templates()), tplStrings(ost.tpl); got != want {
@@ -380,8 +370,8 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 			if want := fmt.Sprintf("%v %q %q", do.Allowed, do.Reason, do.Views); got != want {
 				fail(fmt.Sprintf("decisions (round %d)", round), args, sess, got, want)
 			}
-			if pout == pipeline.Continue && stageFacts(ctx, pst) == pipeline.Continue {
-				// The pipeline answers from the history-free pass when that
+			if pout == outNext && stageFacts(ctx, pst) == outNext {
+				// The stage table answers from the history-free pass when that
 				// allows, and only otherwise looks at the facts.
 				dr := refDecide(gc.views, pst.templates(), nil, limit)
 				if !dr.Allowed {
@@ -440,7 +430,7 @@ func FuzzPlanParity(f *testing.F) {
 func TestPlanFallbackStatements(t *testing.T) {
 	ctx := context.Background()
 	pol := calendarPolicy(t)
-	planned, oracle := New(pol), newOracleChecker(pol, DefaultOptions())
+	planned, oracle := New(pol), newOracleChecker(pol, Options{})
 	for _, tc := range []struct {
 		sql      string
 		args     sqlparser.Args

@@ -56,7 +56,7 @@ func classifyShadow(active, shadow Decision) (bool, string) {
 // into the checker's decision counters exactly like Check; the shadow
 // half is advisory and deliberately kept out of allowed/blocked
 // accounting so shadow traffic never skews enforcement stats. Both
-// halves run the full staged pipeline and warm the decision caches
+// halves run the full stage table and warm the decision caches
 // under their own epochs — a later Promote therefore arrives with the
 // candidate's cache tiers already hot. ok is false (and only the
 // active half is decided) when no candidate is staged.
@@ -87,32 +87,4 @@ func (c *Checker) checkShadow(ctx context.Context, sel *sqlparser.SelectStmt, ar
 	sd.Shadow = c.decideVersion(ctx, vt.candidate, sel, args, session, tr, borrow)
 	sd.Diverged, sd.Kind = classifyShadow(sd.Active, sd.Shadow)
 	return sd, true
-}
-
-// CheckShadowSQL parses and dual-decides a SELECT, the CheckSQL
-// analogue of CheckShadow (used by the batch diff path in acpolicy's
-// server-side corpus replay). Errors follow CheckSQL.
-func (c *Checker) CheckShadowSQL(ctx context.Context, sql string, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace) (ShadowDecision, bool, error) {
-	sel, err := sqlparser.ParseSelectCached(sql)
-	if err != nil {
-		c.mParseErrors.Inc()
-		return ShadowDecision{}, false, err
-	}
-	sd, staged := c.CheckShadow(ctx, sel, args, session, tr)
-	return sd, staged, ctx.Err()
-}
-
-// countDecision applies the standard decision accounting (Check's
-// counters) to an already-computed active verdict.
-func (c *Checker) countDecision(d Decision) Decision {
-	c.mDecisions.Inc()
-	if d.Allowed {
-		c.mAllowed.Inc()
-	} else {
-		c.mBlocked.Inc()
-	}
-	if d.FromCache {
-		c.mCacheHits.Inc()
-	}
-	return d
 }

@@ -1,8 +1,8 @@
 package checker
 
-// The staged decide path. Each stage below is one named unit in an
-// internal/pipeline pipeline; the checker's decide() is nothing but
-// "run the pipeline over a decideState and return its decision". The
+// The staged decide path. Each stage below is one named entry of the
+// checker's stage table; the checker's decide() is nothing but "run the
+// table over a decideState and return its decision". The
 // stage order is the efficient execution order, which differs from
 // the conceptual order in one place: the front-cache probe runs
 // BEFORE bind, because its key is the raw shared-statement identity
@@ -10,11 +10,11 @@ package checker
 // plan. DESIGN.md §9 documents the stages and their metric names,
 // §10.5 the statement plans the bind stage fills.
 //
-// Pipeline invariants the stages maintain:
+// Invariants the stages maintain:
 //
-//   - st.d always holds the final Decision once the pipeline stops
-//     (Done, Abort, or running off the end after "verdict").
-//   - Abort is used only for context cancellation; an aborted
+//   - st.d always holds the final Decision once the table stops
+//     (outDone, outAbort, or running off the end after "verdict").
+//   - outAbort is used only for context cancellation; an aborted
 //     decision is never cached (the search did not finish, so a
 //     template would poison future decisions).
 //   - Decision.Tier is set only on the way out of a cache probe —
@@ -26,15 +26,16 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/cq"
-	"repro/internal/pipeline"
+	"repro/internal/obsv"
 	"repro/internal/sqlparser"
 	"repro/internal/sqlvalue"
 	"repro/internal/trace"
 )
 
-// decideState carries one decision through the staged pipeline. States
+// decideState carries one decision through the stage table. States
 // are pooled (decidePool): the scratch fields at the bottom keep their
 // capacity across decisions, which is what makes the warm tiers
 // allocation-free. Nothing in a state may outlive decide() — the
@@ -57,14 +58,16 @@ type decideState struct {
 	// borrow marks a CheckBorrowed call: cache hits skip the defensive
 	// Views copy and hand out the cache-owned slice read-only.
 	borrow bool
+	// cold marks a CheckCold call: the session signature is not
+	// interned.
+	cold bool
 
 	// Front-cache keying (stage "front"): sigBuf holds the rendered
 	// session signature (its first sessLen bytes), a NUL, and the
 	// rendered arguments. Only a front-cache store interns it.
-	useFront bool
-	sigBuf   []byte
-	sessLen  int
-	sigDone  bool
+	sigBuf  []byte
+	sessLen int
+	sigDone bool
 
 	// The statement's plan and this call's slot vector (stage "bind"):
 	// raw values, and the term each is written as — the constant, or the
@@ -188,6 +191,9 @@ func (st *decideState) sessionSig() string {
 	if st.sessLen == 0 {
 		return ""
 	}
+	if st.cold {
+		return string(st.sigBuf[:st.sessLen])
+	}
 	return st.c.intern(st.sigBuf[:st.sessLen])
 }
 
@@ -195,25 +201,139 @@ func (st *decideState) sessionSig() string {
 // key. This is the one place a front signature is materialized: a probe
 // that misses leaves the intern table alone, and callers store only
 // allows the decision cache holds, so a one-off check interns nothing.
+// A state whose signature was never rendered stores nothing.
 func (st *decideState) frontPut(d Decision) {
-	if st.useFront {
+	if st.sigDone {
 		st.c.frontPut(frontKey{epoch: st.ver.epoch, sel: st.sel, sig: st.c.intern(st.sigBuf)}, d)
 	}
 }
 
-// newDecidePipeline assembles the decide pipeline over the checker's
-// metrics registry. Stage metric names are
-// pipeline.decide.<stage>.{runs,done,micros}.
-func (c *Checker) newDecidePipeline() *pipeline.Pipeline[*decideState] {
-	return pipeline.New("decide", c.reg,
-		pipeline.Stage[*decideState]{Name: "front", Run: stageFront},
-		pipeline.Stage[*decideState]{Name: "bind", Run: stageBind},
-		pipeline.Stage[*decideState]{Name: "histfree", Run: stageHistFree},
-		pipeline.Stage[*decideState]{Name: "facts", Run: stageFacts},
-		pipeline.Stage[*decideState]{Name: "template", Run: stageTemplate},
-		pipeline.Stage[*decideState]{Name: "cover", Run: stageCover},
-		pipeline.Stage[*decideState]{Name: "verdict", Run: stageVerdict},
-	)
+// outcome is a stage's verdict on how the decide path proceeds.
+type outcome int
+
+const (
+	// outNext passes control to the next stage.
+	outNext outcome = iota
+	// outDone ends the decision early with st.d: a cache tier answered,
+	// or binding already decided.
+	outDone
+	// outAbort ends the decision without a reusable answer (context
+	// cancellation); st.d carries the conservative verdict.
+	outAbort
+)
+
+// The stage table's entries, in execution order.
+const (
+	stFront = iota
+	stBind
+	stHistFree
+	stFacts
+	stTemplate
+	stCover
+	stVerdict
+	numStages
+)
+
+// stage is one entry of the stage table: its name, which labels its
+// metrics (pipeline.decide.<name>.{runs,done,micros}) and its span in a
+// request's breakdown, the step itself, and its instruments (nil-safe
+// no-ops under obsv.Disabled()).
+type stage struct {
+	name      string
+	run       func(context.Context, *decideState) outcome
+	runs      *obsv.Counter
+	dones     *obsv.Counter
+	latencies *obsv.Histogram
+}
+
+// sampleEvery is the latency sampling period of the stage table and the
+// cold search's histograms: the first decision and every sampleEvery-th
+// after it pay the clock reads; the rest increment counters only. A
+// decision whose context carries an obsv.SpanSet is always timed (the
+// caller asked for its breakdown), and every counter is exact — only
+// the latency histograms are sampled. Sampling keeps the instrumented
+// hot path inside its overhead budget on hosts with slow clock reads.
+const sampleEvery = 8
+
+// initStages fills the stage table and resolves its instruments in the
+// checker's registry.
+func (c *Checker) initStages() {
+	c.stages = [numStages]stage{
+		{name: "front", run: stageFront},
+		{name: "bind", run: stageBind},
+		{name: "histfree", run: stageHistFree},
+		{name: "facts", run: stageFacts},
+		{name: "template", run: stageTemplate},
+		{name: "cover", run: stageCover},
+		{name: "verdict", run: stageVerdict},
+	}
+	for i := range c.stages {
+		s := &c.stages[i]
+		prefix := "pipeline.decide." + s.name
+		s.runs = c.reg.Counter(prefix + ".runs")
+		s.dones = c.reg.Counter(prefix + ".done")
+		s.latencies = c.reg.Histogram(prefix + ".micros")
+	}
+	c.mDecideTotal = c.reg.Histogram("pipeline.decide.total.micros")
+	c.mDecideAborts = c.reg.Counter("pipeline.decide.aborts")
+}
+
+// runStages runs the stage table over st until a stage ends the
+// decision, counting every stage run, early answer and abort, and
+// timing the stages (sampled; see sampleEvery) into their histograms
+// and, when the context carries an obsv.SpanSet, into the request's
+// breakdown.
+func (c *Checker) runStages(ctx context.Context, st *decideState) {
+	if !c.reg.Enabled() {
+		// Metrics disabled: no clock reads, no counters, no span lookup.
+		for i := range c.stages {
+			if c.stages[i].run(ctx, st) != outNext {
+				return
+			}
+		}
+		return
+	}
+	spans := obsv.SpanSetFrom(ctx)
+	if spans == nil && c.stageTick.Add(1)%sampleEvery != 1 {
+		// Counted-only decision: exact counters, no clock reads.
+		for i := range c.stages {
+			s := &c.stages[i]
+			s.runs.Inc()
+			if out := s.run(ctx, st); out != outNext {
+				c.countStop(s, out)
+				return
+			}
+		}
+		return
+	}
+	// Timed decision: clock reads are chained — one per stage boundary,
+	// not two per stage.
+	start := time.Now()
+	prev := start
+	for i := range c.stages {
+		s := &c.stages[i]
+		s.runs.Inc()
+		out := s.run(ctx, st)
+		now := time.Now()
+		d := now.Sub(prev)
+		prev = now
+		s.latencies.Observe(d.Microseconds())
+		spans.Record(s.name, d)
+		if out != outNext {
+			c.countStop(s, out)
+			break
+		}
+	}
+	c.mDecideTotal.Observe(prev.Sub(start).Microseconds())
+}
+
+// countStop counts a stage that ended the decision.
+func (c *Checker) countStop(s *stage, out outcome) {
+	if out == outDone {
+		s.dones.Inc()
+	} else {
+		c.mDecideAborts.Inc()
+	}
 }
 
 // coverScratch returns the state's cold-search scratch, allocated the
@@ -317,17 +437,16 @@ func appendKeyed(buf []byte, v sqlvalue.Value) []byte {
 	return buf
 }
 
-// decide runs the staged pipeline for one check under the current
-// active policy version, on a pooled state.
+// decide runs the stage table for one check under the current active
+// policy version, on a pooled state.
 func (c *Checker) decide(ctx context.Context, sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace, borrow bool) Decision {
 	return c.decideVersion(ctx, c.vers.Load().active, sel, args, session, tr, borrow)
 }
 
-// decideVersion runs the staged pipeline pinned to one policy
-// version. CheckShadow calls it twice on the same inputs — once with
-// the active version, once with the candidate — so both halves run
-// the identical pipeline and warm the same caches under their own
-// epochs.
+// decideVersion runs the stage table pinned to one policy version.
+// CheckShadow calls it twice on the same inputs — once with the active
+// version, once with the candidate — so both halves run the identical
+// stages and warm the same caches under their own epochs.
 func (c *Checker) decideVersion(ctx context.Context, ver *polVersion, sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace, borrow bool) Decision {
 	st := decidePool.Get().(*decideState)
 	st.c = c
@@ -337,7 +456,32 @@ func (c *Checker) decideVersion(ctx context.Context, ver *polVersion, sel *sqlpa
 	st.session = session
 	st.tr = tr
 	st.borrow = borrow
-	c.pipe.Run(ctx, st)
+	c.runStages(ctx, st)
+	d := st.d
+	d.Epoch = ver.epoch
+	st.release()
+	return d
+}
+
+// CheckCold decides the query from scratch under the active policy
+// version: the stage table's bind, facts and cover entries, with no
+// cache probe or store. It reads and writes no decision-cache tier,
+// front cache or intern table (only the fact-generalization memo, whose
+// entries are a pure function of their key), and counts no decision, so
+// an oracle can call it beside Check without warming the tiers it
+// checks. A canceled ctx
+// yields the conservative blocked Decision. The Decision is owned by
+// the caller, and Epoch is the deciding version's.
+func (c *Checker) CheckCold(ctx context.Context, sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace) Decision {
+	ver := c.vers.Load().active
+	st := decidePool.Get().(*decideState)
+	st.c, st.ver, st.sel, st.args, st.session, st.tr = c, ver, sel, args, session, tr
+	st.cold = true
+	for _, i := range [...]int{stBind, stFacts, stCover} {
+		if c.stages[i].run(ctx, st) != outNext {
+			break
+		}
+	}
 	d := st.d
 	d.Epoch = ver.epoch
 	st.release()
@@ -348,15 +492,11 @@ func (c *Checker) decideVersion(ctx context.Context, ver *polVersion, sel *sqlpa
 // concrete check (same shared statement, principal, and arguments)
 // whose decision is known to be trace-independent skips the plan, the
 // slot vector and every template key.
-func stageFront(ctx context.Context, st *decideState) pipeline.Outcome {
+func stageFront(ctx context.Context, st *decideState) outcome {
 	c := st.c
 	if ctx.Err() != nil {
 		st.d = canceledDecision(ctx)
-		return pipeline.Abort
-	}
-	st.useFront = c.opts.UseCache && c.opts.UseHistory
-	if !st.useFront {
-		return pipeline.Continue
+		return outAbort
 	}
 	if d, ok := st.frontProbe(); ok {
 		if !st.borrow && len(d.Views) > 0 {
@@ -368,10 +508,10 @@ func stageFront(ctx context.Context, st *decideState) pipeline.Outcome {
 		d.Tier = TierFront
 		st.d = d
 		c.mFrontHit.Inc()
-		return pipeline.Done
+		return outDone
 	}
 	c.mFrontMiss.Inc()
-	return pipeline.Continue
+	return outNext
 }
 
 // stageBind turns the call into a slot vector for the statement's plan
@@ -385,7 +525,7 @@ func stageFront(ctx context.Context, st *decideState) pipeline.Outcome {
 // stage has to search. A statement without a plan is bound and
 // translated as the plan's compile did it once, and missing arguments
 // block with Bind's own message.
-func stageBind(ctx context.Context, st *decideState) pipeline.Outcome {
+func stageBind(ctx context.Context, st *decideState) outcome {
 	plan := st.c.tr.Plan(st.sel)
 	if plan.Fallback() {
 		return bindTranslate(st)
@@ -400,14 +540,14 @@ func stageBind(ctx context.Context, st *decideState) pipeline.Outcome {
 	for _, v := range raw {
 		st.gen = append(st.gen, generalized(st.attrNames(), st.session, v))
 	}
-	return pipeline.Continue
+	return outNext
 }
 
 // bindTranslate is the path plans replaced, kept for the statements a
 // plan cannot express and for the block reason of a call that lacks an
 // argument: bind a copy of the AST, translate it, generalize constants.
 // The plan differential tests use it as their oracle.
-func bindTranslate(st *decideState) pipeline.Outcome {
+func bindTranslate(st *decideState) outcome {
 	args := st.args
 	if len(st.session) > 0 {
 		merged := make(map[string]sqlvalue.Value, len(args.Named)+len(st.session))
@@ -422,18 +562,18 @@ func bindTranslate(st *decideState) pipeline.Outcome {
 	bound, err := sqlparser.Bind(st.sel, args)
 	if err != nil {
 		st.d = Decision{Reason: fmt.Sprintf("bind: %v", err)}
-		return pipeline.Done
+		return outDone
 	}
 	ucq, err := st.c.tr.TranslateSelect(bound.(*sqlparser.SelectStmt))
 	if err != nil {
 		st.d = Decision{Reason: fmt.Sprintf("blocked conservatively: %v", err)}
-		return pipeline.Done
+		return outDone
 	}
 	st.tpl = make([]*cq.Query, len(ucq))
 	for i, q := range ucq {
 		st.tpl[i] = generalizeConsts(q, st.session)
 	}
-	return pipeline.Continue
+	return outNext
 }
 
 // stageHistFree is the history-free tier of the decision cache.
@@ -445,10 +585,10 @@ func bindTranslate(st *decideState) pipeline.Outcome {
 // queries would re-derive from scratch each request. A cached
 // history-free DENIAL is only a marker that the template needs facts;
 // it is never returned as the answer.
-func stageHistFree(ctx context.Context, st *decideState) pipeline.Outcome {
+func stageHistFree(ctx context.Context, st *decideState) outcome {
 	c := st.c
-	if !(c.opts.UseCache && c.opts.UseHistory && st.tr != nil) {
-		return pipeline.Continue
+	if st.tr == nil {
+		return outNext
 	}
 	st.keyBuf = st.appendCacheKey(st.keyBuf[:0], nil)
 	if d, ok := c.cache.GetBytes(st.keyBuf, !st.borrow); ok {
@@ -458,14 +598,14 @@ func stageHistFree(ctx context.Context, st *decideState) pipeline.Outcome {
 			d.Tier = TierHistFree
 			st.d = d
 			c.mHistFreeHit.Inc()
-			return pipeline.Done
+			return outDone
 		}
-		return pipeline.Continue // denial marker: the template needs facts
+		return outNext // denial marker: the template needs facts
 	}
 	d := c.coverAll(ctx, st.ver.comp, st.templates(), st.occs(), nil, st.coverScratch())
 	if ctx.Err() != nil {
 		st.d = canceledDecision(ctx)
-		return pipeline.Abort
+		return outAbort
 	}
 	stored := c.store(st.keyBuf, d)
 	st.d = d
@@ -473,19 +613,19 @@ func stageHistFree(ctx context.Context, st *decideState) pipeline.Outcome {
 		if stored {
 			st.frontPut(d)
 		}
-		return pipeline.Done
+		return outDone
 	}
 	st.hfDenied = true
-	return pipeline.Continue
+	return outNext
 }
 
 // stageFacts derives the session-generalized trace facts. factKeys
 // carries each generalized fact's canonical string for the cache key,
 // so it is rendered once per (fact, session shape), not per check.
-func stageFacts(ctx context.Context, st *decideState) pipeline.Outcome {
+func stageFacts(ctx context.Context, st *decideState) outcome {
 	c := st.c
-	if !c.opts.UseHistory || st.tr == nil {
-		return pipeline.Continue
+	if st.tr == nil {
+		return outNext
 	}
 	sig := st.sessionSig()
 	// Shared snapshot plus the canonical string of each raw fact,
@@ -498,7 +638,7 @@ func stageFacts(ctx context.Context, st *decideState) pipeline.Outcome {
 	for i, f := range raw {
 		if i&63 == 63 && ctx.Err() != nil {
 			st.d = canceledDecision(ctx)
-			return pipeline.Abort
+			return outAbort
 		}
 		g, hit := c.generalizeFactMemo(f, rawKeys[i], st.session, sig)
 		if hit {
@@ -517,16 +657,13 @@ func stageFacts(ctx context.Context, st *decideState) pipeline.Outcome {
 	if misses > 0 {
 		c.mGenMisses.Add(misses)
 	}
-	return pipeline.Continue
+	return outNext
 }
 
 // stageTemplate probes the full decision-template cache, keyed by
 // (policy, templates, generalized facts).
-func stageTemplate(ctx context.Context, st *decideState) pipeline.Outcome {
+func stageTemplate(ctx context.Context, st *decideState) outcome {
 	c := st.c
-	if !c.opts.UseCache {
-		return pipeline.Continue
-	}
 	// factKeys is per-decision scratch whose order nothing else needs
 	// (st.facts carries the facts for the cover stage), so sort it in
 	// place — the key requires a canonical order, not this one.
@@ -537,34 +674,32 @@ func stageTemplate(ctx context.Context, st *decideState) pipeline.Outcome {
 		d.Tier = TierTemplate
 		st.d = d
 		c.mTemplateHit.Inc()
-		return pipeline.Done
+		return outDone
 	}
 	// Miss: keyBuf keeps the key for the verdict's Put.
 	c.mTemplateMiss.Inc()
 	if st.hfDenied && len(st.factKeys) == 0 {
 		// The history-free stage decided this very key, and the cache
 		// declined it: its denial stands without a second search.
-		return pipeline.Done
+		return outDone
 	}
-	return pipeline.Continue
+	return outNext
 }
 
 // stageCover runs the policy-coverage decision procedure — the
 // expensive embedding search — against the facts.
-func stageCover(ctx context.Context, st *decideState) pipeline.Outcome {
+func stageCover(ctx context.Context, st *decideState) outcome {
 	st.d = st.c.coverAll(ctx, st.ver.comp, st.templates(), st.occs(), st.facts, st.coverScratch())
 	if ctx.Err() != nil {
 		st.d = canceledDecision(ctx)
-		return pipeline.Abort
+		return outAbort
 	}
-	return pipeline.Continue
+	return outNext
 }
 
 // stageVerdict finalizes a cold decision: offer the template to the
 // cache so the next identical check hits a cache tier instead.
-func stageVerdict(ctx context.Context, st *decideState) pipeline.Outcome {
-	if st.c.opts.UseCache {
-		st.c.store(st.keyBuf, st.d)
-	}
-	return pipeline.Continue
+func stageVerdict(ctx context.Context, st *decideState) outcome {
+	st.c.store(st.keyBuf, st.d)
+	return outNext
 }

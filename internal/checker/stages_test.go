@@ -88,16 +88,20 @@ func TestDecisionTiers(t *testing.T) {
 	}
 }
 
-// TestPipelineMetricsRecorded verifies the staged pipeline reports
+// TestPipelineMetricsRecorded verifies the stage table reports
 // per-stage instruments into the checker's registry, and that parse
-// time from CheckSQL lands there too.
+// time from CheckSQL lands there too: counters are exact, early answers
+// and aborts are counted where they stop the decision, latencies are
+// sampled one decision in sampleEvery, and concurrent decisions lose no
+// count.
 func TestPipelineMetricsRecorded(t *testing.T) {
 	c := New(calendarPolicy(t))
+	reg := c.Metrics()
 	tr := exampleTrace()
 	for i := 0; i < 3; i++ {
 		mustCheck(t, c, "SELECT * FROM Events WHERE EId=2", session(1), tr)
 	}
-	snap := c.Metrics().Snapshot()
+	snap := reg.Snapshot()
 	for _, key := range []string{
 		"pipeline.decide.front.runs",
 		"pipeline.decide.bind.micros",
@@ -106,6 +110,7 @@ func TestPipelineMetricsRecorded(t *testing.T) {
 		"pipeline.decide.template.runs",
 		"pipeline.decide.cover.micros",
 		"pipeline.decide.total.micros",
+		"pipeline.decide.aborts",
 		"checker.parse.micros",
 		"checker.decisions",
 	} {
@@ -113,24 +118,76 @@ func TestPipelineMetricsRecorded(t *testing.T) {
 			t.Errorf("registry snapshot missing %q", key)
 		}
 	}
-	if got := c.Metrics().Counter("pipeline.decide.front.runs").Value(); got != 3 {
+	counter := func(name string) int64 { return reg.Counter("pipeline.decide." + name).Value() }
+	if got := counter("front.runs"); got != 3 {
 		t.Errorf("front.runs = %d, want 3", got)
 	}
 	// Cover ran for the cold decision only; the repeats hit the
-	// template tier before it.
-	if got := c.Metrics().Counter("pipeline.decide.cover.runs").Value(); got != 1 {
+	// template tier before it, which ended them.
+	if got := counter("cover.runs"); got != 1 {
 		t.Errorf("cover.runs = %d, want 1", got)
 	}
-	// Stage latency histograms are sampled (pipeline.SampleEvery), so
-	// only the first of these three runs is guaranteed recorded.
-	if hs := c.Metrics().Histogram("pipeline.decide.total.micros").Snapshot(); hs.Count < 1 {
-		t.Errorf("total.micros count = %d, want >= 1", hs.Count)
+	if got := counter("template.done"); got != 2 {
+		t.Errorf("template.done = %d, want 2", got)
+	}
+
+	// Latency histograms are sampled: the first decision and every
+	// sampleEvery-th after it.
+	for i := 3; i < 2*sampleEvery; i++ {
+		mustCheck(t, c, "SELECT * FROM Events WHERE EId=2", session(1), tr)
+	}
+	if got := counter("front.runs"); got != 2*sampleEvery {
+		t.Errorf("front.runs = %d, want %d", got, 2*sampleEvery)
+	}
+	for _, h := range []string{"total", "front", "template"} {
+		if got := reg.Histogram("pipeline.decide." + h + ".micros").Snapshot().Count; got != 2 {
+			t.Errorf("%s.micros count = %d, want 2 (sampled 1/%d)", h, got, sampleEvery)
+		}
+	}
+
+	// A canceled decision stops at its first stage: one abort, no
+	// verdict, nothing cached.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	aborts, verdicts, entries := counter("aborts"), counter("verdict.runs"), c.Stats().CacheEntries
+	d, err := c.CheckSQL(ctx, "SELECT Title FROM Events WHERE EId = 9", sqlparser.NoArgs, session(1), tr)
+	if err == nil || d.Allowed {
+		t.Fatalf("canceled decision: %+v, %v", d, err)
+	}
+	if got := counter("aborts"); got != aborts+1 {
+		t.Errorf("aborts = %d, want %d", got, aborts+1)
+	}
+	if got := counter("verdict.runs"); got != verdicts {
+		t.Errorf("verdict.runs = %d after a canceled decision, want %d", got, verdicts)
+	}
+	if got := c.Stats().CacheEntries; got != entries {
+		t.Errorf("a canceled decision changed the cache: %d -> %d entries", entries, got)
+	}
+
+	// Concurrent decisions count exactly.
+	const workers, each = 4, 50
+	runs := counter("front.runs")
+	sel := sqlparser.MustParseSelect("SELECT EId FROM Attendance WHERE UId = 1")
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				c.Check(context.Background(), sel, sqlparser.NoArgs, session(1), tr)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := counter("front.runs"); got != runs+workers*each {
+		t.Errorf("front.runs = %d after %d concurrent decisions, want %d", got, workers*each, runs+workers*each)
 	}
 }
 
 // TestSpanSetBreakdown verifies a caller that installs an
 // obsv.SpanSet gets the per-stage breakdown for its one request —
-// what the proxy's slow-decision log attaches.
+// what the proxy's slow-decision log attaches — and that such a
+// request is always timed, whatever the sampling would have skipped.
 func TestSpanSetBreakdown(t *testing.T) {
 	c := New(calendarPolicy(t))
 	tr := exampleTrace()
@@ -144,13 +201,27 @@ func TestSpanSetBreakdown(t *testing.T) {
 			t.Errorf("span breakdown missing stage %q: %v", stage, m)
 		}
 	}
+	total := c.Metrics().Histogram("pipeline.decide.total.micros")
+	before := total.Snapshot().Count
+	for i := 0; i < 3; i++ {
+		ctx, ss := obsv.WithSpanSet(context.Background())
+		if _, err := c.CheckSQL(ctx, "SELECT * FROM Events WHERE EId=2", sqlparser.NoArgs, session(1), tr); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := ss.Micros()["template"]; !ok {
+			t.Fatalf("a SpanSet decision must always collect stage timings: %v", ss.Micros())
+		}
+	}
+	if after := total.Snapshot().Count; after-before != 3 {
+		t.Fatalf("SpanSet decisions must always reach the histogram: %d -> %d", before, after)
+	}
 }
 
 // TestDisabledMetricsSameDecisions pins that an obsv.Disabled()
 // checker decides identically (the no-op-metrics build used by the
 // overhead guard) — only Stats() goes dark.
 func TestDisabledMetricsSameDecisions(t *testing.T) {
-	opts := DefaultOptions()
+	var opts Options
 	opts.Metrics = obsv.Disabled()
 	c := NewWithOptions(calendarPolicy(t), opts)
 	tr := exampleTrace()

@@ -190,11 +190,3 @@ func (c *Checker) Versions() (active PolicyVersion, candidate *PolicyVersion) {
 	}
 	return active, candidate
 }
-
-// CandidatePolicy returns the staged candidate policy, or nil.
-func (c *Checker) CandidatePolicy() *policy.Policy {
-	if cand := c.vers.Load().candidate; cand != nil {
-		return cand.pol
-	}
-	return nil
-}

@@ -38,9 +38,6 @@ func (c *Checker) internGet(b []byte) (string, bool) {
 // NO counters — the caller is expected to re-issue the check through
 // CheckBorrowed, which counts the miss itself — and allocates nothing.
 func (c *Checker) CheckWarmBorrowed(sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value) (Decision, bool) {
-	if !(c.opts.UseCache && c.opts.UseHistory) {
-		return Decision{}, false
-	}
 	ver := c.vers.Load().active
 	st := decidePool.Get().(*decideState)
 	st.c, st.ver, st.sel, st.args, st.session = c, ver, sel, args, session

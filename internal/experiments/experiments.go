@@ -193,11 +193,9 @@ func RunE2(dbSize, iters int) (*Table, error) {
 		return nil, err
 	}
 
-	coldOpts := checker.DefaultOptions()
-	coldOpts.UseCache = false
-	coldChk := checker.NewWithOptions(f.Policy(), coldOpts)
+	coldChk := checker.New(f.Policy())
 	cold, err := measure(func() error {
-		coldChk.Check(context.Background(), sel, argv, sess, nil)
+		coldChk.CheckCold(context.Background(), sel, argv, sess, nil)
 		_, e := db.Query(bsel)
 		return e
 	})
@@ -236,7 +234,7 @@ func RunE2(dbSize, iters int) (*Table, error) {
 	// Decision-only costs (no query execution), the stable signal for
 	// the cached-vs-cold comparison.
 	decCold, err := measure(func() error {
-		coldChk.Check(context.Background(), sel, argv, sess, nil)
+		coldChk.CheckCold(context.Background(), sel, argv, sess, nil)
 		return nil
 	})
 	if err != nil {
@@ -275,9 +273,9 @@ func RunE2(dbSize, iters int) (*Table, error) {
 	// Series: cold decision latency vs number of views.
 	for _, nviews := range []int{1, 2, 4, 8, 16} {
 		p := SyntheticPolicy(f, nviews)
-		chk := checker.NewWithOptions(p, coldOpts)
+		chk := checker.New(p)
 		ns, err := measure(func() error {
-			chk.Check(context.Background(), sel, argv, sess, nil)
+			chk.CheckCold(context.Background(), sel, argv, sess, nil)
 			return nil
 		})
 		if err != nil {
@@ -299,9 +297,8 @@ func RunE3() (*Table, error) {
 	for _, f := range apps.All() {
 		db := f.MustNewDB(24)
 		chk := checker.New(f.Policy())
-		noHist := checker.DefaultOptions()
-		noHist.UseHistory = false
-		chkNoHist := checker.NewWithOptions(f.Policy(), noHist)
+		// The ablation decides without the trace.
+		chkNoHist := checker.New(f.Policy())
 
 		allowedHist, allowedNo, historyOnly := 0, 0, 0
 		// Replay the corpus for three principals: identical templates
@@ -316,7 +313,7 @@ func RunE3() (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				dn, err := chkNoHist.CheckSQL(context.Background(), w.SQL, sqlparser.PositionalArgs(w.Args...), f.Session(uid), tr)
+				dn, err := chkNoHist.CheckSQL(context.Background(), w.SQL, sqlparser.PositionalArgs(w.Args...), f.Session(uid), nil)
 				if err != nil {
 					return nil, err
 				}

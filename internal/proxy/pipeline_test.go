@@ -434,3 +434,27 @@ func TestServerMaxInFlightBackpressure(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneClaimWaitsForUnsentAnswers pins the inline path's overtake
+// guard: a lane with an answer handed to the writer but not yet encoded
+// (sendLane counts it in unsent, encodeFrame uncounts it) refuses the
+// inline claim, because an inline answer would reach the wire ahead of
+// it; once the writer has encoded it, the idle lane is claimable.
+func TestLaneClaimWaitsForUnsentAnswers(t *testing.T) {
+	ln := &lane{}
+	ln.unsent.Add(1)
+	if ln.tryClaim() {
+		t.Fatal("a lane with an unsent answer was claimed for inline execution")
+	}
+	ln.unsent.Add(-1)
+	if !ln.tryClaim() {
+		t.Fatal("an idle lane with nothing unsent refused the claim")
+	}
+	if ln.tryClaim() {
+		t.Fatal("a claimed lane was claimed twice")
+	}
+	ln.releaseClaim()
+	if !ln.tryClaim() {
+		t.Fatal("a released lane refused the claim")
+	}
+}
