@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 DATE    ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ 2>/dev/null || echo unknown)
 LDFLAGS  = -ldflags "-X repro/internal/buildinfo.Version=$(VERSION) -X repro/internal/buildinfo.Commit=$(COMMIT) -X repro/internal/buildinfo.Date=$(DATE)"
 
-.PHONY: build test vet race bench benchsmoke coldsmoke allocbudget pgsmoke driversmoke shadowsmoke clustersmoke clusterkill fmtcheck fuzz fuzzwal fuzzwire killrecover staticcheck loc ci
+.PHONY: build test vet race bench benchsmoke coldsmoke allocbudget pgsmoke driversmoke shadowsmoke clustersmoke clusterkill metricslint fmtcheck fuzz fuzzwal fuzzwire killrecover staticcheck loc ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -101,6 +101,13 @@ clustersmoke:
 clusterkill:
 	$(GO) test -count=1 -run 'TestClusterKillHandover' -v .
 
+# Instrument inventory check: bring up every serving surface (v2, pg,
+# WAL, cluster, shadow) over one registry, run one request, and compare
+# the registered instrument names with DESIGN.md §9.2 in both
+# directions.
+metricslint:
+	$(GO) test -count=1 -run 'TestMetricNamesDocumented' .
+
 # Non-test Go lines per package directory, then the total and the
 # total outside bench/: the size figures a simplicity change reports.
 loc:
@@ -164,4 +171,4 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping"; fi
 
-ci: fmtcheck vet test race coldsmoke allocbudget benchsmoke pgsmoke driversmoke shadowsmoke clustersmoke clusterkill fuzz fuzzwal fuzzwire killrecover staticcheck
+ci: fmtcheck vet test race coldsmoke allocbudget benchsmoke pgsmoke driversmoke shadowsmoke clustersmoke clusterkill metricslint fuzz fuzzwal fuzzwire killrecover staticcheck

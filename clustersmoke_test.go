@@ -151,8 +151,17 @@ func TestClusterSmoke(t *testing.T) {
 		t.Fatalf("corpus placement not mixed: %v — rename sessions so both paths run", owners)
 	}
 	st := clusterStatus(t, entry.V2Addr())
-	if st.ForwardedSessions == 0 && st.ForwardedOps == 0 {
+	if st.ForwardedOps == 0 {
 		t.Fatalf("entry node forwarded nothing: %+v", st)
+	}
+	// Every forwarding client has disconnected, and a connection's end
+	// closes its sessions: the open forwarded-session count returns to
+	// zero once the entry node has noticed each close.
+	for deadline := time.Now().Add(5 * time.Second); st.ForwardedSessions != 0; st = clusterStatus(t, entry.V2Addr()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("entry node still counts %d forwarded session(s) after every client closed", st.ForwardedSessions)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Phase 2: forced handover. Pick a history-dependent allowed query,

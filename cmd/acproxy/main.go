@@ -29,12 +29,16 @@
 //
 //   - -wal-dir DIR persists every named session's query history to a
 //     write-ahead log under DIR and restores it on restart, so
-//     compliance decisions survive a crash (DESIGN.md §11).
+//     compliance decisions survive a crash (DESIGN.md §11). The log
+//     opens, and recovery replays, at startup, before the first
+//     connection; every cluster member needs one, since each follows
+//     some other member's sessions.
 //   - -fsync always|interval|off selects the durability/latency
 //     trade-off; -fsync-interval tunes the interval timer.
 //   - -checkpoint-every N checkpoints and compacts the log after N
 //     appended records.
-//   - -window N bounds every session trace to its last N entries.
+//   - -window N bounds every session trace — durable or not — to its
+//     last N entries; it is the only window setting.
 //
 // Cluster mode (DESIGN.md §16):
 //
@@ -45,8 +49,6 @@
 //     session's ring successor so a follower can adopt them
 //     byte-identically when the owner dies.
 //   - -lease-ttl / -probe-interval tune failover latency.
-//   - -lazy-wal defers WAL open until first durable use, so a
-//     forwarding-only node doesn't create an empty log directory.
 //   - Inspect a running cluster with the accluster CLI (status,
 //     members, ping).
 //
@@ -107,7 +109,6 @@ func main() {
 	peers := flag.String("peers", "", "cluster member set as id=host:port[,id=host:port...]; must include -node-id (its address may be omitted to reuse -addr)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "cluster session-ownership lease TTL (0 = default)")
 	probeEvery := flag.Duration("probe-interval", 0, "cluster peer health-probe interval (0 = default)")
-	lazyWAL := flag.Bool("lazy-wal", false, "defer WAL open until the first durable session or shipped batch (forwarding-only nodes skip creating an empty log dir)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -153,9 +154,6 @@ func main() {
 	if *pgAddr != "" {
 		sopts = append(sopts, beyond.WithPgListener(*pgAddr))
 	}
-	if *lazyWAL {
-		sopts = append(sopts, beyond.WithLazyWAL())
-	}
 	if *clusterOn {
 		ccfg, err := clusterConfig(*nodeID, *peers, *addr, *leaseTTL, *probeEvery)
 		if err != nil {
@@ -191,8 +189,10 @@ func main() {
 		fmt.Printf("acproxy: shadow candidate staged from %s; every decision dual-decides (acpolicy diff/promote/rollback to conclude)\n",
 			*shadowPolicy)
 	}
-	if *walDir != "" {
-		wal := srv.Durable()
+	// The WAL opened, and recovery replayed, in Serve; the drain below
+	// reads its totals from the same manager after Close.
+	wal := srv.Durable()
+	if wal != nil {
 		fmt.Printf("acproxy: WAL at %s (fsync %s), recovered %d session(s) / %d entr(ies)\n",
 			*walDir, *fsync, wal.RecoveredSessionCount(), wal.RecoveredEntryCount())
 	}
@@ -216,16 +216,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "acproxy: forced exit before drain completed")
 		os.Exit(1)
 	}()
-	// Snapshot WAL stats before Close tears the manager down.
-	var walStats *beyond.WALManager
-	if *walDir != "" {
-		walStats = srv.Durable()
-	}
 	if err := svc.Close(); err != nil {
 		log.Printf("acproxy: close: %v", err)
 	}
-	if walStats != nil {
-		ws := walStats.Stats()
+	if wal != nil {
+		ws := wal.Stats()
 		fmt.Printf("acproxy: WAL: appends=%d batches=%d fsyncs=%d bytes=%d checkpoints=%d compacted=%d\n",
 			ws.Appends, ws.Batches, ws.Fsyncs, ws.AppendedBytes, ws.Checkpoints, ws.CompactedSegments)
 	}

@@ -245,8 +245,8 @@ func TestDSNParsing(t *testing.T) {
 func TestDurableSessionDSN(t *testing.T) {
 	srv, addr := testServer(t, proxy.Enforce)
 	srv.WALDir = t.TempDir()
-	// Re-listen is unnecessary: OpenDurable is idempotent and the
-	// connector's hello opens it lazily through the running server.
+	// Re-listen is unnecessary: the running server serves durable
+	// hellos as soon as its WAL is open.
 	if err := srv.OpenDurable(); err != nil {
 		t.Fatal(err)
 	}

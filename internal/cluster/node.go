@@ -70,7 +70,6 @@ type memberState struct {
 // attaches to one proxy.Server.
 type Node struct {
 	cfg Config
-	srv *proxy.Server
 
 	mu      sync.Mutex
 	members map[string]*memberState
@@ -94,7 +93,12 @@ type Node struct {
 	cmu     sync.Mutex
 	clients map[string]*proxy.Client
 
-	nextSID atomic.Uint64
+	// sids are the peer-connection session ids in use by forwarded
+	// sessions; a closed handle's id is reused, so an owner keeps one
+	// lane per session forwarded at once, not one per forwarded hello.
+	sidMu    sync.Mutex
+	freeSIDs []uint64
+	nextSID  uint64
 
 	proberDone chan struct{}
 	proberWG   sync.WaitGroup
@@ -147,7 +151,6 @@ func New(cfg Config) (*Node, error) {
 // durable hellos and cluster.* ops through it, and the node installs
 // its ship hook when the server's WAL opens. Call before Listen.
 func (n *Node) Attach(srv *proxy.Server) {
-	n.srv = srv
 	srv.Cluster = n
 	if n.cfg.Logf == nil {
 		n.cfg.Logf = srv.Logf
@@ -170,11 +173,6 @@ func (n *Node) Attach(srv *proxy.Server) {
 	n.mLeaseRenewals = reg.Counter("cluster.lease.renewals")
 	n.mLeaseRejects = reg.Counter("cluster.lease.rejects")
 	n.mTakeovers = reg.Counter("cluster.lease.takeovers")
-	// If the WAL already opened (eager mode, Attach after OpenDurable),
-	// install the hook now.
-	if m := srv.Durable(); m != nil {
-		n.WALOpened(m)
-	}
 }
 
 // Start launches the prober and ship flusher.
@@ -277,11 +275,9 @@ func (n *Node) Owner(name string) (addr string, local bool) {
 
 // WALOpened installs the ship hook and advances the owner term past
 // anything persisted — a restarted owner's ships must outrank its
-// pre-crash self at every follower.
+// pre-crash self at every follower. The WAL opens once, after Attach.
 func (n *Node) WALOpened(m *durable.Manager) {
-	if n.wal.Swap(m) == m {
-		return
-	}
+	n.wal.Store(m)
 	t := m.LeaseTerm(n.cfg.Self) + 1
 	if err := m.RecordLease(n.cfg.Self, t); err != nil {
 		n.logf("cluster: persist own lease term: %v", err)
@@ -305,13 +301,35 @@ func (n *Node) OpenRemote(ctx context.Context, req *proxy.Request) (proxy.Remote
 		n.mForwardErrs.Inc()
 		return nil, nil, err
 	}
-	r := &remoteSession{n: n, peer: owner, client: c, lane: c.Lane(n.nextSID.Add(1))}
+	sid := n.takeSID()
+	r := &remoteSession{n: n, peer: owner, client: c, sid: sid, lane: c.Lane(sid)}
 	resp, err := r.relay(ctx, &proxy.Request{Op: "hello", Name: req.Name, Session: req.Session})
 	if err != nil {
+		n.releaseSID(sid)
 		return nil, nil, err
 	}
 	n.forwardedSessions.Add(1)
 	return r, resp, nil
+}
+
+// takeSID returns the last freed forwarding session id, else a new one.
+func (n *Node) takeSID() uint64 {
+	n.sidMu.Lock()
+	defer n.sidMu.Unlock()
+	if k := len(n.freeSIDs) - 1; k >= 0 {
+		sid := n.freeSIDs[k]
+		n.freeSIDs = n.freeSIDs[:k]
+		return sid
+	}
+	n.nextSID++
+	return n.nextSID
+}
+
+// releaseSID frees a closed handle's id.
+func (n *Node) releaseSID(sid uint64) {
+	n.sidMu.Lock()
+	n.freeSIDs = append(n.freeSIDs, sid)
+	n.sidMu.Unlock()
 }
 
 // remoteSession relays one forwarded session's requests to its owner
@@ -320,6 +338,7 @@ type remoteSession struct {
 	n      *Node
 	peer   string
 	client *proxy.Client
+	sid    uint64
 	lane   *proxy.Lane
 }
 
@@ -348,9 +367,13 @@ func (r *remoteSession) relay(ctx context.Context, req *proxy.Request) (*proxy.R
 	return resp, nil
 }
 
-// Close forgets the handle. The durable session on the owner outlives
-// it by design.
-func (r *remoteSession) Close() { r.n.forwardedSessions.Add(-1) }
+// Close forgets the handle and frees its session id for the next
+// forwarded hello, whose hello resets the owner's lane. The durable
+// session on the owner outlives it by design.
+func (r *remoteSession) Close() {
+	r.n.forwardedSessions.Add(-1)
+	r.n.releaseSID(r.sid)
+}
 
 // client returns the pooled pipelined connection to peer, dialing it
 // on first use.

@@ -111,3 +111,47 @@ func TestProbeWaitsOutTheLease(t *testing.T) {
 		t.Fatalf("after takeover: takeovers=%d members=%+v", st.Takeovers, st.Members)
 	}
 }
+
+// TestClosedSIDIsReused: a forwarded session rides a session id on the
+// pooled peer connection, and closing its handle frees that id for the
+// next OpenRemote. The owner then keeps one lane per session forwarded
+// at once, not one per forwarded hello.
+func TestClosedSIDIsReused(t *testing.T) {
+	f := apps.Calendar()
+	owner := proxy.NewServer(f.MustNewDB(2), checker.New(f.Policy()), proxy.Enforce)
+	owner.Logf = t.Logf
+	addr, err := owner.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { owner.Close() })
+	n := attachedNode(t, []Member{{ID: "a"}, {ID: "b", Addr: addr}})
+	name := ""
+	for k := 0; name == ""; k++ {
+		if cand := fmt.Sprintf("s%d", k); n.Ring().Owner(cand) == "b" {
+			name = cand
+		}
+	}
+	open := func() *remoteSession {
+		t.Helper()
+		r, resp, err := n.OpenRemote(context.Background(), &proxy.Request{Op: "hello", Name: name, Session: map[string]any{"MyUId": 1}})
+		if err != nil || resp.Error != "" {
+			t.Fatalf("OpenRemote: %v %+v", err, resp)
+		}
+		return r.(*remoteSession)
+	}
+	r1, r2 := open(), open()
+	if r1.sid == r2.sid {
+		t.Fatalf("two open handles share session id %d", r1.sid)
+	}
+	r1.Close()
+	if r3 := open(); r3.sid != r1.sid {
+		t.Fatalf("after closing id %d the next OpenRemote took %d", r1.sid, r3.sid)
+	} else {
+		r3.Close()
+	}
+	r2.Close()
+	if st := n.statusBody(); st.ForwardedSessions != 0 {
+		t.Fatalf("forwarded sessions = %d after every handle closed", st.ForwardedSessions)
+	}
+}

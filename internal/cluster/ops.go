@@ -34,8 +34,7 @@ func (n *Node) HandleOp(ctx context.Context, req *proxy.Request) proxy.Response 
 // handleShip is the follower half of WAL shipping: verify the lease
 // assertion, persist each shipped record (wrapped, via the durable
 // manager), and extend the lease. A node with no WAL configured
-// cannot follow; one with a lazy WAL opens it now — replicas imply
-// durable writes.
+// cannot follow.
 func (n *Node) handleShip(req *proxy.Request) proxy.Response {
 	origin := req.Node
 	if origin == "" {
@@ -43,12 +42,7 @@ func (n *Node) handleShip(req *proxy.Request) proxy.Response {
 	}
 	m := n.wal.Load()
 	if m == nil {
-		if err := n.srv.OpenDurable(); err != nil {
-			return proxy.Response{Error: "cluster.ship: open WAL: " + err.Error(), Code: acerr.CodeEngine}
-		}
-		if m = n.wal.Load(); m == nil {
-			return proxy.Response{Error: "cluster.ship: follower has no WAL directory configured", Code: acerr.CodeBadRequest}
-		}
+		return proxy.Response{Error: "cluster.ship: follower has no WAL directory configured", Code: acerr.CodeBadRequest}
 	}
 	ttl := time.Duration(req.TTLMillis) * time.Millisecond
 	if ttl <= 0 {

@@ -182,7 +182,7 @@ func (m *Manager) ApplyShipped(origin string, typ byte, payload []byte) error {
 		if m.live[name] == nil {
 			rec := recoveredIn(m.recovered, name)
 			rec.foldShipped(idx, e)
-			if w := m.opts.HistoryWindow; w > 0 && len(rec.Entries) > w {
+			if w := m.window; w > 0 && len(rec.Entries) > w {
 				drop := len(rec.Entries) - w
 				rec.Base += uint64(drop)
 				rec.Entries = append(rec.Entries[:0], rec.Entries[drop:]...)

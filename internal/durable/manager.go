@@ -43,6 +43,11 @@ type Manager struct {
 	// (cluster WAL shipping; cluster.go).
 	shipFn shipPtr
 
+	// newTrace builds a live session's trace and window bounds the
+	// shipped history kept for adoption; both come from UseTraces.
+	newTrace func() *trace.Trace
+	window   int
+
 	recovery RecoveryResult
 
 	appendsSinceCkpt atomic.Int64
@@ -61,7 +66,6 @@ type Manager struct {
 }
 
 type liveSession struct {
-	name  string
 	attrs map[string]sqlvalue.Value
 	tr    *trace.Trace
 }
@@ -81,6 +85,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 	m := &Manager{
 		log:        l,
 		opts:       opts,
+		newTrace:   func() *trace.Trace { return &trace.Trace{} },
 		live:       make(map[string]*liveSession),
 		recovered:  rec.Sessions,
 		policy:     rec.Policy,
@@ -113,6 +118,16 @@ func (m *Manager) logf(format string, args ...any) {
 	if m.opts.Logf != nil {
 		m.opts.Logf(format, args...)
 	}
+}
+
+// UseTraces installs the constructor of live session traces, in place
+// of a plain unbounded trace. The proxy passes its own, so a durable
+// session's trace has the same history window and fact-cache counters
+// as an ephemeral one, and shipped history kept for a later adoption
+// is trimmed to that window. Call it before the manager is shared.
+func (m *Manager) UseTraces(newTrace func() *trace.Trace) {
+	m.newTrace = newTrace
+	m.window = newTrace().Window()
 }
 
 // Recovery reports what Open replayed.
@@ -153,16 +168,9 @@ func (m *Manager) SetPolicy(p PolicyID) error {
 	}))
 }
 
-// Policy returns the current policy identity (recovered or set).
-func (m *Manager) Policy() *PolicyID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.policy
-}
-
 // Session declares (or re-claims) a durable session and returns its
 // trace. A recovered session's history is restored into the trace —
-// bounded by HistoryWindow if set — and further appends are
+// bounded by its window (UseTraces) — and further appends are
 // WAL-logged before the append returns (per the fsync policy). The
 // session record itself is durable before Session returns, so an
 // append can never precede its session in the log. Restored reports
@@ -174,19 +182,15 @@ func (m *Manager) Session(name string, attrs map[string]sqlvalue.Value) (tr *tra
 	m.mu.Lock()
 	ls := m.live[name]
 	if ls == nil {
-		ls = &liveSession{name: name, tr: &trace.Trace{}}
-		if m.opts.HistoryWindow > 0 {
-			ls.tr.SetWindow(m.opts.HistoryWindow)
-		}
+		ls = &liveSession{tr: m.newTrace()}
 		if rec := m.recovered[name]; rec != nil {
 			ls.tr.Restore(rec.Entries, rec.Base)
 			restored = ls.tr.Len()
 			delete(m.recovered, name)
 		}
-		sessName := name
 		ls.tr.SetHook(func(idx uint64, e *trace.Entry) {
-			if err := m.appendEntry(sessName, idx, e); err != nil {
-				m.logf("durable: append for session %q lost: %v", sessName, err)
+			if err := m.appendEntry(name, idx, e); err != nil {
+				m.logf("durable: append for session %q lost: %v", name, err)
 			}
 		})
 		m.live[name] = ls
@@ -310,10 +314,6 @@ func (m *Manager) Checkpoint() error {
 	m.log.compact(cut)
 	return nil
 }
-
-// Flush forces everything acknowledged so far onto stable storage —
-// the proxy's drain path.
-func (m *Manager) Flush() error { return m.log.Sync() }
 
 // Close checkpoints (so restart replays one small file instead of the
 // whole tail), flushes, and closes the WAL. It first waits for any

@@ -77,9 +77,6 @@ type Options struct {
 	// CheckpointEvery, when positive, checkpoints automatically after
 	// that many appended records (Manager only).
 	CheckpointEvery int
-	// HistoryWindow, when positive, bounds every restored or durable
-	// session trace to its last n entries (Manager only).
-	HistoryWindow int
 	// Metrics is the observability registry the WAL reports into (nil
 	// or disabled: instruments are no-ops; the plain Stats counters
 	// still work).

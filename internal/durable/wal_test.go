@@ -423,11 +423,16 @@ func TestManagerReopenRestoresSessions(t *testing.T) {
 func TestHistoryWindowAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOpts()
-	opts.HistoryWindow = 3
+	windowed := func() *trace.Trace {
+		tr := &trace.Trace{}
+		tr.SetWindow(3)
+		return tr
+	}
 	m, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.UseTraces(windowed)
 	tr, _, err := m.Session("s", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -448,6 +453,7 @@ func TestHistoryWindowAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
+	m2.UseTraces(windowed)
 	tr2, restored, err := m2.Session("s", nil)
 	if err != nil {
 		t.Fatal(err)

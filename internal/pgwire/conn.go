@@ -121,6 +121,9 @@ func (c *conn) serve(base context.Context) {
 	c.tx = 'I'
 	c.stmts = make(map[string]*prepared)
 	c.portals = make(map[string]*portal)
+	// The connection's end closes its session (DESIGN.md §7).
+	c.sess = proxy.NewSession(nil)
+	defer c.sess.Close()
 
 	if !c.startup(base) {
 		return
@@ -231,7 +234,6 @@ func (c *conn) startup(base context.Context) bool {
 			durableName = v
 		}
 	}
-	c.sess = proxy.NewSession(nil)
 	hello := c.srv.cfg.Proxy.HandleInCtx(base, &proxy.Request{
 		Op: "hello", Name: durableName, Session: attrs,
 	}, c.sess)

@@ -25,7 +25,9 @@ type ClusterHandler interface {
 	Owner(name string) (addr string, local bool)
 	// OpenRemote forwards a durable hello to the session's owner and
 	// returns a handle relaying the session's subsequent requests plus
-	// the owner's hello response.
+	// the owner's hello response. The caller closes the handle when
+	// the session closes, or at once if the owner's response is an
+	// error.
 	OpenRemote(ctx context.Context, req *Request) (RemoteSession, *Response, error)
 	// HandleOp serves one cluster.* control op (ping, status, ship);
 	// an unknown op gets an error response.
@@ -42,44 +44,10 @@ type RemoteSession interface {
 	// (application-level errors stay in Response.Error; the error
 	// return is transport failure only).
 	Do(ctx context.Context, req *Request) (*Response, error)
-	// Close releases the handle. It does not end the session on the
-	// owner — durable sessions outlive connections by design.
+	// Close releases the handle when the forwarding session closes.
+	// It does not end the session on the owner — durable sessions
+	// outlive connections by design.
 	Close()
-}
-
-// handleClusterHello intercepts a durable hello when cluster routing
-// is on. It returns (resp, true) when the session is owned by a peer
-// and was forwarded (or the forward failed); (_, false) means the
-// session is local and the caller proceeds down the normal path.
-func (s *Server) handleClusterHello(ctx context.Context, req *Request, sess *session) (Response, bool) {
-	h := s.Cluster
-	if h == nil || req.Name == "" {
-		return Response{}, false
-	}
-	// A re-hello replaces whatever session the lane held before.
-	if sess.remote != nil {
-		sess.remote.Close()
-		sess.remote = nil
-	}
-	if _, local := h.Owner(req.Name); local {
-		return Response{}, false
-	}
-	remote, rresp, err := h.OpenRemote(ctx, req)
-	if err != nil {
-		return Response{Error: "cluster forward: " + err.Error(), Code: acerr.CodeInternal}, true
-	}
-	if rresp.Error != "" {
-		return Response{Error: rresp.Error, Code: rresp.Code}, true
-	}
-	sess.remote = remote
-	sess.name = req.Name
-	resp := Response{OK: true, Restored: rresp.Restored}
-	// Protocol negotiation is between this node and ITS client, not
-	// whatever the inter-node connection negotiated.
-	if req.MaxProto >= ProtoV2 {
-		resp.Proto = ProtoV2
-	}
-	return resp, true
 }
 
 // forwardRemote relays one request over a forwarded session's remote

@@ -88,18 +88,14 @@ type Server struct {
 	// HistoryWindow, when positive, bounds every session trace —
 	// durable or ephemeral — to its most recent n entries. Eviction
 	// only forgets facts, so windowed decisions are sound, merely more
-	// conservative.
+	// conservative. It is the only window setting: the WAL manager
+	// builds its traces with the server's constructor (session.go).
 	HistoryWindow int
 	// Cluster, when set, routes durable sessions across an enforcement
 	// cluster (cluster.go, internal/cluster): hellos for sessions owned
 	// by a peer are forwarded there, and cluster.* control ops dispatch
 	// to the handler. Set before Listen.
 	Cluster ClusterHandler
-	// LazyWAL defers opening the WAL past Listen: it opens on the first
-	// durable hello (or incoming ship) instead. A node that only ever
-	// forwards — or only serves ephemeral sessions — then never creates
-	// a WAL directory at all.
-	LazyWAL bool
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -112,9 +108,9 @@ type Server struct {
 	closeCtx    context.Context
 	closeCancel context.CancelFunc
 	// wal is the durable-state manager (nil without WALDir). walMu
-	// serializes OpenDurable end to end — recovery can be slow, and two
-	// racing opens on one directory would mean two live committers —
-	// without stalling everything else s.mu guards.
+	// serializes OpenDurable end to end — two opens on one directory
+	// would mean two live committers — without holding s.mu across
+	// recovery and the caller's Logf.
 	walMu sync.Mutex
 	wal   *durable.Manager
 
@@ -251,15 +247,9 @@ func (s *Server) OpenDurable() error {
 	if s.WALDir == "" {
 		return nil
 	}
-	// walMu spans the whole open (check through publish): concurrent
-	// callers — e.g. an explicit OpenDurable racing Listen — must not
-	// both run durable.Open on the same directory.
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	s.mu.Lock()
-	opened := s.wal != nil
-	s.mu.Unlock()
-	if opened {
+	if s.Durable() != nil {
 		return nil
 	}
 	s.initObs()
@@ -270,20 +260,14 @@ func (s *Server) OpenDurable() error {
 	if opts.Logf == nil {
 		opts.Logf = s.logf
 	}
-	if opts.HistoryWindow == 0 {
-		opts.HistoryWindow = s.HistoryWindow
-	}
 	m, err := durable.Open(s.WALDir, opts)
 	if err != nil {
 		return fmt.Errorf("proxy: open WAL: %w", err)
 	}
+	m.UseTraces(s.newTrace)
 	if rec := m.Recovery(); len(rec.Sessions) > 0 {
-		n := 0
-		for _, sess := range rec.Sessions {
-			n += len(sess.Entries)
-		}
 		s.logf("proxy: recovered %d durable session(s), %d history entries (checkpoint cut %d, %d segment(s) replayed)",
-			len(rec.Sessions), n, rec.CheckpointCut, rec.SegmentsReplayed)
+			len(rec.Sessions), m.RecoveredEntryCount(), rec.CheckpointCut, rec.SegmentsReplayed)
 	}
 	if s.Checker != nil {
 		// A recovered promote outranks the startup policy: the operator
@@ -355,19 +339,14 @@ func (s *Server) Durable() *durable.Manager {
 // background goroutines until Close.
 func (s *Server) Listen(addr string) (string, error) {
 	s.initObs()
-	if !s.LazyWAL {
-		if err := s.OpenDurable(); err != nil {
-			return "", err
-		}
+	if err := s.OpenDurable(); err != nil {
+		return "", err
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
 	s.mu.Lock()
-	if s.conns == nil {
-		s.conns = make(map[net.Conn]struct{})
-	}
 	s.closed = false
 	s.ln = ln
 	s.closeCtx, s.closeCancel = context.WithCancel(context.Background())
@@ -445,30 +424,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		s.mu.Unlock()
 		go s.serveConn(conn)
 	}
-}
-
-// session is per-lane state: principal attributes and history.
-type session struct {
-	attrs map[string]sqlvalue.Value
-	tr    *trace.Trace
-	// name is the durable session name from hello ("" for ephemeral
-	// sessions); shadow diff records carry it as the session identity.
-	name string
-	// Last-seen fact-cache counters, for delta aggregation into the
-	// server totals (the trace is replaced on every hello).
-	factReused, factTranslated uint64
-	// remote, when set, marks this session as owned by a cluster peer:
-	// queries relay through it instead of deciding locally
-	// (cluster.go), so the session's history accrues on one node.
-	remote RemoteSession
-}
-
-func (s *Server) newSessionState() *session {
-	tr := &trace.Trace{}
-	if s.HistoryWindow > 0 {
-		tr.SetWindow(s.HistoryWindow)
-	}
-	return &session{attrs: map[string]sqlvalue.Value{}, tr: tr}
 }
 
 // pipeJob is one dispatched request: the decoded request, its
@@ -742,7 +697,7 @@ func (pc *pipeConn) lane(sid uint64) *lane {
 	defer pc.mu.Unlock()
 	ln, ok := pc.lanes[sid]
 	if !ok {
-		ln = &lane{sess: pc.s.newSessionState()}
+		ln = &lane{sess: pc.s.newSession()}
 		pc.lanes[sid] = ln
 	}
 	return ln
@@ -774,7 +729,6 @@ func (pc *pipeConn) runLane(ln *lane) {
 		resp := acquireResponse()
 		*resp = pc.s.handle(job.ctx, job.req, ln.sess)
 		job.done()
-		pc.s.accumulateFactStats(ln.sess)
 		resp.ID = job.req.ID
 		releaseRequest(job.req)
 		pc.sendLane(ln, resp)
@@ -822,13 +776,16 @@ func (pc *pipeConn) cancelRequest(target uint64) {
 	}
 }
 
-// shutdown waits for every live lane runner to drain its queue. The
-// caller has already stopped dispatching and canceled the connection
-// context, so queued jobs finish quickly with canceled responses that
-// fail to write — both are fine. Runners exit on their own once their
-// queues empty; with no new dispatches there is nothing to close.
+// shutdown waits for every live lane runner to drain its queue, then
+// closes each lane's session. The caller has already stopped
+// dispatching and canceled the connection context, so queued jobs
+// finish quickly with canceled responses that fail to write — both are
+// fine. Runners exit on their own once their queues empty.
 func (pc *pipeConn) shutdown() {
 	pc.wg.Wait()
+	for _, ln := range pc.lanes {
+		ln.sess.close()
+	}
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -991,7 +948,6 @@ func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
 	resp := acquireResponse()
 	*resp = s.finishQuery(pc.ctx, req, ln.sess, sel, args, d)
 	s.mQueryLat.Observe(time.Since(start).Microseconds())
-	s.accumulateFactStats(ln.sess)
 	resp.ID = req.ID
 	releaseRequest(req)
 	ln.releaseClaim()
@@ -1028,20 +984,6 @@ func releaseResponse(resp *Response) {
 	respPool.Put(resp)
 }
 
-// accumulateFactStats folds the session trace's fact-cache counters
-// into the server totals as deltas (traces are per-session and die
-// with the connection or the next hello).
-func (s *Server) accumulateFactStats(sess *session) {
-	st := sess.tr.FactCacheStats()
-	if d := st.Reused - sess.factReused; d > 0 {
-		s.mFactReused.Add(int64(d))
-	}
-	if d := st.Translated - sess.factTranslated; d > 0 {
-		s.mFactTrans.Add(int64(d))
-	}
-	sess.factReused, sess.factTranslated = st.Reused, st.Translated
-}
-
 // handle processes one request against a session. The ctx bounds
 // the compliance check and the engine scan; cancellation yields a
 // response with the "canceled" error code.
@@ -1060,60 +1002,7 @@ func (s *Server) handle(ctx context.Context, req *Request, sess *session) Respon
 	}
 	switch req.Op {
 	case "hello":
-		attrs := make(map[string]sqlvalue.Value, len(req.Session))
-		for k, v := range req.Session {
-			sv, err := decodeValue(v)
-			if err != nil {
-				return Response{
-					Error: fmt.Sprintf("session attribute %s: %v", k, err),
-					Code:  acerr.CodeBadRequest,
-				}
-			}
-			attrs[k] = sv
-		}
-		sess.attrs = attrs
-		sess.name = req.Name
-		if resp, forwarded := s.handleClusterHello(ctx, req, sess); forwarded {
-			return resp
-		}
-		resp := Response{OK: true}
-		if s.LazyWAL && req.Name != "" && s.WALDir != "" && s.Durable() == nil {
-			// Deferred WAL open: the first durable hello pays for it; a
-			// node that only forwards never does.
-			if err := s.OpenDurable(); err != nil {
-				return Response{Error: err.Error(), Code: acerr.CodeEngine}
-			}
-		}
-		if wal := s.Durable(); wal != nil && req.Name != "" {
-			// Durable session: the trace is shared, WAL-hooked, and —
-			// after a restart — restored with its pre-crash history.
-			tr, restored, err := wal.Session(req.Name, attrs)
-			if err != nil {
-				return Response{Error: err.Error(), Code: acerr.CodeEngine}
-			}
-			sess.tr = tr
-			resp.Restored = restored
-			if restored > 0 && s.Checker != nil {
-				// Pre-derive the restored history's facts so the first
-				// post-recovery decision pays cache extension, not a
-				// full re-translation.
-				s.Checker.WarmTrace(tr)
-			}
-		} else {
-			sess.tr = &trace.Trace{}
-			if s.HistoryWindow > 0 {
-				sess.tr.SetWindow(s.HistoryWindow)
-			}
-		}
-		// Baseline the fact-cache delta at the trace's current counters:
-		// a restored (and possibly warmed) trace arrives with history
-		// already translated, which is not this connection's work.
-		fs := sess.tr.FactCacheStats()
-		sess.factReused, sess.factTranslated = fs.Reused, fs.Translated
-		if req.MaxProto >= ProtoV2 {
-			resp.Proto = ProtoV2
-		}
-		return resp
+		return s.openSession(ctx, req, sess)
 
 	case "query":
 		return s.handleQuery(ctx, req, sess)
@@ -1212,27 +1101,6 @@ func (s *Server) StatsSnapshot() *StatsBody {
 	body.LatencyP50Micros, body.LatencyP90Micros, body.LatencyP99Micros = hs.P50, hs.P90, hs.P99
 	body.LatencySamples, body.LatencyMeanMicros = int(hs.Count), hs.Mean
 	return body
-}
-
-// NewSession creates a fresh in-process session for HandleInCtx.
-func NewSession(attrs map[string]sqlvalue.Value) *Session {
-	if attrs == nil {
-		attrs = map[string]sqlvalue.Value{}
-	}
-	return &Session{inner: &session{attrs: attrs, tr: &trace.Trace{}}}
-}
-
-// Session is the exported handle for in-process use.
-type Session struct{ inner *session }
-
-// Trace exposes the session's query history.
-func (s *Session) Trace() *trace.Trace { return s.inner.tr }
-
-// HandleInCtx processes a request against an exported session under a
-// caller-supplied context, with no socket: the in-process entry that
-// pgwire, benchmarks and tests use.
-func (s *Server) HandleInCtx(ctx context.Context, req *Request, sess *Session) Response {
-	return s.handle(ctx, req, sess.inner)
 }
 
 func canceledResponse(ctx context.Context) Response {

@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"repro/internal/cq"
+	"repro/internal/obsv"
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
 	"repro/internal/sqlvalue"
@@ -65,8 +66,9 @@ type Trace struct {
 	// index (see SetHook).
 	hook func(idx uint64, e *Entry)
 	// Cache counters: entries whose derivation was reused vs freshly
-	// derived (see FactCacheStats).
-	reused, translated uint64
+	// derived (FactCacheStats), also added to the two of CountInto.
+	reused, translated   uint64
+	reusedC, translatedC *obsv.Counter
 }
 
 // factCache is the trace's derivation for one schema. The first
@@ -243,6 +245,15 @@ func (t *Trace) String() string {
 	return b.String()
 }
 
+// CountInto adds the trace's fact-cache counts from now on to two
+// counters as well (nil counts nothing). A server attaches its totals
+// once, when it builds the trace, so a shared trace counts once.
+func (t *Trace) CountInto(reused, translated *obsv.Counter) {
+	t.mu.Lock()
+	t.reusedC, t.translatedC = reused, translated
+	t.mu.Unlock()
+}
+
 // FactCacheStats returns the cache counters.
 func (t *Trace) FactCacheStats() FactCacheStats {
 	t.mu.Lock()
@@ -281,18 +292,23 @@ func (t *Trace) FactsKeyed(tr *cq.Translator) ([]cq.Fact, []string) {
 		fc = &factCache{schema: tr.Schema, listed: make(map[string]int32)}
 		t.fc = fc
 	}
-	t.reused += uint64(len(fc.ends))
+	n := len(fc.ends)
 	d := deriver{tr: tr}
-	for i := len(fc.ends); i < len(t.entries); i++ {
+	for i := n; i < len(t.entries); i++ {
 		fc.add(d.derive(&t.entries[i]))
-		t.translated++
+	}
+	t.reused += uint64(n)
+	t.reusedC.Add(int64(n))
+	if k := len(t.entries) - n; k > 0 {
+		t.translated += uint64(k)
+		t.translatedC.Add(int64(k))
 	}
 	if fc.stale {
 		fc.reassemble()
 	}
 	// Full slice expressions pin capacity at the snapshot length, so a
 	// later in-place append can never write inside a returned view.
-	n := len(fc.facts)
+	n = len(fc.facts)
 	return fc.facts[:n:n], fc.keys[:n:n]
 }
 

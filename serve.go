@@ -51,7 +51,6 @@ type serveConfig struct {
 	pgMax     int
 	metrics   *Metrics
 	proxyOpts []ProxyOption
-	lazyWAL   bool
 	cluster   *ClusterConfig
 	// shadowViews, when non-nil, stages a candidate policy as soon as
 	// the core is up (after WAL recovery, so the stage persists).
@@ -110,16 +109,6 @@ func WithShadowPolicy(views map[string]string) ServeOption {
 // isolate serving metrics from offline checker use.
 func WithListenerMetrics(reg *Metrics) ServeOption {
 	return func(c *serveConfig) { c.metrics = reg }
-}
-
-// WithLazyWAL defers opening the WAL (and running recovery) until the
-// first operation that needs it: a durable hello, or an incoming
-// cluster.ship batch. Without it the WAL opens at Listen. Use it for
-// nodes that may never write — a forwarding-heavy cluster member, or a
-// pgwire ingress serving only ephemeral sessions — so they don't
-// create an empty log directory at startup.
-func WithLazyWAL() ServeOption {
-	return func(c *serveConfig) { c.lazyWAL = true }
 }
 
 // WithCluster joins this Service to an enforcement cluster
@@ -186,7 +175,6 @@ func Serve(db *DB, c *Checker, mode ProxyMode, opts ...ServeOption) (*Service, e
 	if cfg.metrics != nil {
 		core.Metrics = cfg.metrics
 	}
-	core.LazyWAL = cfg.lazyWAL
 	svc := &Service{core: core}
 	if cfg.cluster != nil {
 		if !cfg.v2 {
@@ -196,8 +184,8 @@ func Serve(db *DB, c *Checker, mode ProxyMode, opts ...ServeOption) (*Service, e
 		if err != nil {
 			return nil, fmt.Errorf("beyond: %w", err)
 		}
-		// Attach before Listen: if the WAL opens eagerly there, the
-		// node's ship hook and lease term install during open.
+		// Attach before Listen: the WAL opens there, and the node's
+		// ship hook and lease term install during that open.
 		node.Attach(core)
 		svc.cluster = node
 	}
@@ -207,13 +195,6 @@ func Serve(db *DB, c *Checker, mode ProxyMode, opts ...ServeOption) (*Service, e
 			return nil, fmt.Errorf("beyond: v2 listener: %w", err)
 		}
 		svc.v2Addr = addr
-	} else if core.WALDir != "" && !cfg.lazyWAL {
-		// No v2 listener means core.Listen never runs; open the WAL
-		// here so pgwire sessions are durable from the first accept
-		// (unless WithLazyWAL asked to defer until first durable use).
-		if err := core.OpenDurable(); err != nil {
-			return nil, fmt.Errorf("beyond: open wal: %w", err)
-		}
 	}
 	if cfg.pg {
 		pg := pgwire.NewServer(pgwire.Config{Proxy: core, MaxConns: cfg.pgMax, Logf: core.Logf})
