@@ -55,16 +55,17 @@ coldsmoke:
 # into a full window, and deriving a window of statements that yield no
 # fact, must be exactly 0 allocs/op), the proxy's pooled encode path
 # end-to-end (front-tier warm probe through wire encode of typed rows
-# must be exactly 0 allocs/op on the v2 surface), the engine's bound
-# range read (the same count for 50 rows as for 500, at most 4), and a
-# pgwire DataRow framed from typed values (exactly 0).
+# must be exactly 0 allocs/op on the v2 surface), the proxy's trace of
+# range reads (32 reads of 500 rows keep no row, only their counts), the
+# engine's bound range read (the same count for 50 rows as for 500, at
+# most 4), and a pgwire DataRow framed from typed values (exactly 0).
 allocbudget:
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmDecide|BenchmarkColdDecide' -benchmem -benchtime=100x ./internal/checker
 	$(GO) test -run 'TestWarmDecideAllocBudget|TestColdDecideAllocBudget' -count=1 ./internal/checker
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceAppendWindowed|BenchmarkFactsWindowedScan' -benchmem -benchtime=100x ./internal/trace
 	$(GO) test -run 'TestTraceAllocBudget' -count=1 ./internal/trace
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmEncode' -benchmem -benchtime=100x ./internal/proxy
-	$(GO) test -run 'TestWarmEncodeAllocBudget' -count=1 ./internal/proxy
+	$(GO) test -run 'TestWarmEncodeAllocBudget|TestRangeReadKeepsNoRows' -count=1 ./internal/proxy
 	$(GO) test -run 'TestScanAllocsConstant|TestInsertRowAllocs' -count=1 ./internal/engine
 	$(GO) test -run 'TestDataRowAllocs' -count=1 ./internal/pgwire
 

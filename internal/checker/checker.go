@@ -294,6 +294,13 @@ func (c *Checker) WarmTrace(tr *trace.Trace) {
 	_, _ = tr.FactsKeyed(c.tr)
 }
 
+// ReadsRows reports whether a trace entry of sel must keep its result
+// rows for the checker to derive its facts (cq.StmtPlan.ReadsRows): when
+// it does not, the row count alone derives the same facts under the
+// checker's schema. The plan is the one decisions use, so this is a
+// plan-map hit.
+func (c *Checker) ReadsRows(sel *sqlparser.SelectStmt) bool { return c.tr.Plan(sel).ReadsRows() }
+
 // Metrics returns the checker's observability registry (the one every
 // decide stage reports into). Share it with the proxy server and the
 // diagnose search to get one consolidated snapshot.

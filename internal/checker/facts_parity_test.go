@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/cq"
 	"repro/internal/sqlparser"
 	"repro/internal/sqlvalue"
@@ -21,12 +22,50 @@ import (
 // value and rows that do not both come up constantly. The trace's facts
 // — derived through statement plans' extractors and memoized per entry —
 // must equal the reference derivation from scratch (facts_ref_test.go),
-// key for key and in order, after every append.
+// key for key and in order, after every append. So must the facts of a
+// second trace that records each answer as the proxy does, without its
+// rows when no fact of the statement reads them (elide): the row count
+// alone has to derive what the rows did.
 
 // factCaseStats counts what the generated triples exercised.
 type factCaseStats struct {
 	refFactStats
 	fallback, limited int
+	// elided counts entries recorded without their rows (ReadsRows is
+	// false) that had some; negPattern counts calls whose empty answer
+	// yields a negative fact, which an omitted row must suppress.
+	elided, negPattern int
+}
+
+// elide records e the way the proxy does: without its rows when no fact
+// of the statement reads them.
+func elide(tr *cq.Translator, e trace.Entry) trace.Entry {
+	if !tr.Plan(e.Stmt).ReadsRows() {
+		e.Rows, e.Omitted = nil, len(e.Rows)
+	}
+	return e
+}
+
+// checkNoNegativeWhenOmitted derives, alone, an entry of e's statement
+// and call that kept no row but omitted some: whatever the extractor —
+// one with a negative pattern, one that reads rows, a fallback — it must
+// not read the answer as empty. It reports whether the same entry with
+// an empty answer does yield a negative fact.
+func checkNoNegativeWhenOmitted(t *testing.T, tr *cq.Translator, e trace.Entry) (negPattern bool) {
+	t.Helper()
+	derive := func(omitted int) (neg bool) {
+		one := &trace.Trace{}
+		one.Append(trace.Entry{SQL: e.SQL, Stmt: e.Stmt, Args: e.Args, Omitted: omitted})
+		facts, _ := one.FactsKeyed(tr)
+		for _, f := range facts {
+			neg = neg || f.Negated
+		}
+		return neg
+	}
+	if derive(1 + len(e.Rows)) {
+		t.Fatalf("an answer of %d omitted rows yielded a negative fact: %s %v", 1+len(e.Rows), e.SQL, e.Args.Positional)
+	}
+	return derive(0)
 }
 
 // twin returns a numeric value's equal of the other type (2 and 2.0).
@@ -131,9 +170,10 @@ func checkFactCase(t *testing.T, seed int64, stats *factCaseStats) {
 	if sel.Limit != nil || sel.Offset != nil {
 		stats.limited++
 	}
-	tr := &trace.Trace{}
+	tr, elided := &trace.Trace{}, &trace.Trace{}
 	if g.rng.Intn(3) == 0 {
 		tr.SetWindow(2)
+		elided.SetWindow(2)
 	}
 	for call := 0; call < 3; call++ {
 		args, sess := g.call(st)
@@ -164,13 +204,27 @@ func checkFactCase(t *testing.T, seed int64, stats *factCaseStats) {
 		}
 		e := trace.Entry{SQL: st.sql, Stmt: sel, Args: args, Rows: g.answer(head)}
 		tr.Append(e)
+		short := elide(derive, e)
+		elided.Append(short)
+		if short.Omitted > 0 {
+			stats.elided++
+		}
+		if checkNoNegativeWhenOmitted(t, derive, e) {
+			stats.negPattern++
+		}
 
 		entries, _ := tr.SnapshotState()
-		gotFacts, gotKeys := tr.FactsKeyed(derive)
 		wantFacts, wantKeys := refFacts(ref, entries, &stats.refFactStats)
-		if got, want := factDump(gotFacts, gotKeys), factDump(wantFacts, wantKeys); got != want {
-			t.Fatalf("seed %d, call %d: facts differ\nstatement: %s\nargs:      %v %v\nrows:      %v\nextractor:\n%s\nreference:\n%s\n%s",
-				seed, call, st.sql, args.Positional, args.Named, e.Rows, got, want, gc)
+		want := factDump(wantFacts, wantKeys)
+		for _, run := range []struct {
+			name string
+			tr   *trace.Trace
+		}{{"extractor", tr}, {"rows elided", elided}} {
+			gotFacts, gotKeys := run.tr.FactsKeyed(derive)
+			if got := factDump(gotFacts, gotKeys); got != want {
+				t.Fatalf("seed %d, call %d: facts differ\nstatement: %s\nargs:      %v %v\nrows:      %v\n%s:\n%s\nreference:\n%s\n%s",
+					seed, call, st.sql, args.Positional, args.Named, e.Rows, run.name, got, want, gc)
+			}
 		}
 	}
 }
@@ -214,8 +268,62 @@ func TestFactParityGenerated(t *testing.T) {
 		stats.rowsRejected < cases/10,
 		stats.limitedEmpty < cases/100,
 		stats.fallback < cases/20,
-		stats.limited < cases/10:
+		stats.limited < cases/10,
+		stats.elided < cases/10,
+		stats.negPattern < cases/40:
 		t.Fatalf("generator is lopsided: %+v", stats)
+	}
+}
+
+// TestFactElisionFixtures runs the elision contract over every
+// fixture's corpus: each probe and query, run against the fixture's
+// database, is recorded once with its rows and once as the proxy records
+// it (Checker.ReadsRows), into one trace per fixture; after every append
+// the second trace's facts must be the reference derivation's over the
+// first, key for key.
+func TestFactElisionFixtures(t *testing.T) {
+	elided := 0
+	for _, f := range apps.All() {
+		db := f.MustNewDB(24)
+		c, ref := New(f.Policy()), &cq.Translator{Schema: f.Schema}
+		var full []trace.Entry
+		short := &trace.Trace{}
+		record := func(label, sql string, argv []any) {
+			sel, err := sqlparser.ParseSelectCached(sql)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", f.Name, label, err)
+			}
+			args := sqlparser.PositionalArgs(argv...)
+			bound, err := sqlparser.Bind(sel, args)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", f.Name, label, err)
+			}
+			res, err := db.Query(bound.(*sqlparser.SelectStmt))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", f.Name, label, err)
+			}
+			e := trace.Entry{SQL: sql, Stmt: sel, Args: args, Columns: res.Columns, Rows: res.Rows}
+			full = append(full, e)
+			if !c.ReadsRows(sel) {
+				e.Rows, e.Omitted = nil, len(res.Rows)
+				elided += min(e.Omitted, 1)
+			}
+			short.Append(e)
+			gotFacts, gotKeys := short.FactsKeyed(c.tr)
+			wantFacts, wantKeys := refFacts(ref, full, nil)
+			if got, want := factDump(gotFacts, gotKeys), factDump(wantFacts, wantKeys); got != want {
+				t.Fatalf("%s/%s: facts with rows elided differ\nstatement: %s\nelided:\n%s\nreference:\n%s", f.Name, label, sql, got, want)
+			}
+		}
+		for _, w := range f.Corpus {
+			if w.PrimeSQL != "" {
+				record(w.Label+"/prime", w.PrimeSQL, w.PrimeArgs)
+			}
+			record(w.Label, w.SQL, w.Args)
+		}
+	}
+	if elided == 0 {
+		t.Fatal("no fixture answer was recorded without its rows: the contract pins nothing")
 	}
 }
 

@@ -98,6 +98,14 @@ type FactExtractor struct {
 // it can yield a fact (a fallback plan has none: see BoundFacts).
 func (p *StmtPlan) Facts() *FactExtractor { return p.facts }
 
+// ReadsRows reports whether the facts of an answer depend on its rows,
+// not only on their count: a fallback plan's may (its extractor is
+// compiled per call), and so do an extractor's positive atoms. An
+// answer to any other statement may be recorded by its row count alone.
+func (p *StmtPlan) ReadsRows() bool {
+	return p.Fallback() || p.facts != nil && len(p.facts.atoms) > 0
+}
+
 // limited reports a LIMIT or OFFSET: a result it can cut short says
 // nothing about the rows it does not show.
 func limited(sel *sqlparser.SelectStmt) bool { return sel.Limit != nil || sel.Offset != nil }
@@ -207,12 +215,14 @@ func negPattern(q *Query) (*extAtom, []slotComp) {
 
 // AppendFacts appends to dst the facts one answer yields: raw are the
 // call's slot values (StmtPlan.Resolve; nil for a BoundFacts extractor),
-// rows the answer. A nil extractor yields nothing.
-func (x *FactExtractor) AppendFacts(dst []Fact, raw []sqlvalue.Value, rows [][]sqlvalue.Value) []Fact {
+// rows the answer's rows that were kept and omitted the count of those
+// that were not. An answer is empty only when it had no row at all, kept
+// or not. A nil extractor yields nothing.
+func (x *FactExtractor) AppendFacts(dst []Fact, raw []sqlvalue.Value, rows [][]sqlvalue.Value, omitted int) []Fact {
 	if x == nil {
 		return dst
 	}
-	if len(rows) == 0 {
+	if len(rows)+omitted == 0 {
 		if x.neg == nil {
 			return dst
 		}

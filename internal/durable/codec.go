@@ -220,13 +220,15 @@ func encodeAppend(name string, idx uint64, e *trace.Entry) []byte {
 	for _, row := range e.Rows {
 		buf = appendValues(buf, row)
 	}
-	return buf
+	return appendUvarint(buf, uint64(e.Omitted))
 }
 
 // decodeAppend rebuilds the trace entry, re-parsing the SQL (parsed
 // statements are shared immutable objects, not serialized). An entry
 // whose SQL no longer parses is reported as an error — it could only
-// have been logged by a different (newer-grammar) build.
+// have been logged by a different (newer-grammar) build. The trailing
+// omitted-row count is format 2's; a format-1 record ends before it and
+// kept every row.
 func decodeAppend(payload []byte) (name string, idx uint64, e trace.Entry, err error) {
 	r := payloadReader{b: payload}
 	name = r.str("session name")
@@ -250,6 +252,13 @@ func decodeAppend(payload []byte) (name string, idx uint64, e trace.Entry, err e
 		e.Rows = make([][]sqlvalue.Value, n)
 		for i := range e.Rows {
 			e.Rows[i] = r.values("row")
+		}
+	}
+	if r.err == nil && len(r.b) > 0 {
+		if n := r.uvarint("omitted rows"); n <= math.MaxInt32 {
+			e.Omitted = int(n)
+		} else {
+			r.fail("omitted rows")
 		}
 	}
 	if r.err != nil {

@@ -47,6 +47,18 @@ func FuzzWALDecode(f *testing.F) {
 	flipLen[headerSize+2] = 0xff
 	f.Add(flipLen)
 
+	// Version 2: an append record that omitted its rows, with the
+	// trailing count, and the same entry in the version-1 layout.
+	short := testEntry(f, "SELECT id FROM events WHERE id = ?", sqlparser.PositionalArgs(int64(3)), nil)
+	short.Omitted = 140
+	v2 := appendRecord(append([]byte(nil), seed[:headerSize]...), recAppend, encodeAppend("alice", 1, &short))
+	f.Add(v2)
+	v1 := append([]byte(nil), seed[:headerSize]...)
+	v1[4] = 1
+	short.Omitted = 0
+	rec := encodeAppend("alice", 1, &short)
+	f.Add(appendRecord(v1, recAppend, rec[:len(rec)-1]))
+
 	// Regression: record claiming maxRecordBytes+ length.
 	huge := append([]byte(nil), seed[:headerSize]...)
 	huge = append(huge, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, recAppend)

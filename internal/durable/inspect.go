@@ -102,7 +102,7 @@ func decodeForInspection(file string, seq int, typ byte, payload []byte) Record 
 	case recAppend:
 		name, idx, e, err := decodeAppend(payload)
 		rec.Session, rec.Index = name, idx
-		rec.SQL, rec.Rows = e.SQL, len(e.Rows)
+		rec.SQL, rec.Rows = e.SQL, e.RowCount()
 		if err != nil {
 			rec.Err = err.Error()
 		}

@@ -3,6 +3,8 @@ package durable
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/sqlparser"
@@ -127,5 +129,42 @@ func TestInspectEmptyDir(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("empty dir reported %d files", n)
+	}
+}
+
+// TestInspectCountsOmittedRows: an entry recorded without its rows still
+// reports the rows its answer had — in Inspect's Record.Rows (what
+// `acwal dump` prints as rows=N) and in the trace's rendering.
+func TestInspectCountsOmittedRows(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(dir, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := m.Session("insp", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := testEntry(t, "SELECT id FROM events WHERE uid = 1", sqlparser.NoArgs, nil)
+	short.Omitted = 140
+	tr.Append(short)
+	tr.Append(testEntry(t, "SELECT id FROM events WHERE uid = 2", sqlparser.NoArgs,
+		[][]sqlvalue.Value{intRow(1), intRow(2)}))
+	if s := tr.String(); !strings.Contains(s, "-> 140 row(s)") || !strings.Contains(s, "-> 2 row(s)") {
+		t.Fatalf("trace renders\n%s", s)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var rows []int
+	if err := Inspect(dir, nil, func(r Record) {
+		if r.Type == "append" {
+			rows = append(rows, r.Rows)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rows, []int{140, 2}) {
+		t.Fatalf("append records report rows %v, want [140 2]", rows)
 	}
 }

@@ -43,8 +43,10 @@ var (
 
 // FormatVersion is the on-disk format version stamped into every
 // segment and checkpoint header. Readers reject files from a newer
-// format rather than misparse them.
-const FormatVersion = 1
+// format rather than misparse them. Version 2 appends the count of
+// omitted result rows to an append record (trace.Entry.Omitted); a
+// version-1 record reads as having kept every row.
+const FormatVersion = 2
 
 const headerSize = 8
 

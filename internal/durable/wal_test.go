@@ -48,8 +48,8 @@ func entriesEqual(t *testing.T, got, want []trace.Entry) {
 		if got[i].SQL != want[i].SQL {
 			t.Fatalf("entry %d SQL = %q, want %q", i, got[i].SQL, want[i].SQL)
 		}
-		if !reflect.DeepEqual(got[i].Rows, want[i].Rows) {
-			t.Fatalf("entry %d rows = %v, want %v", i, got[i].Rows, want[i].Rows)
+		if !reflect.DeepEqual(got[i].Rows, want[i].Rows) || got[i].Omitted != want[i].Omitted {
+			t.Fatalf("entry %d rows = %v +%d omitted, want %v +%d", i, got[i].Rows, got[i].Omitted, want[i].Rows, want[i].Omitted)
 		}
 		if !reflect.DeepEqual(got[i].Args.Positional, want[i].Args.Positional) {
 			t.Fatalf("entry %d args = %v, want %v", i, got[i].Args.Positional, want[i].Args.Positional)

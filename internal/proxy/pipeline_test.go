@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -456,5 +457,89 @@ func TestLaneClaimWaitsForUnsentAnswers(t *testing.T) {
 	ln.releaseClaim()
 	if !ln.tryClaim() {
 		t.Fatal("a released lane refused the claim")
+	}
+}
+
+// TestInlineNeverOvertakesLaneAnswers is the lane-overtake race end to
+// end. Each round writes, in one write on one session, a query whose
+// decision is cold (it takes the lane path) and then up to 64 warm
+// queries the inline path may answer. Padding the warm lines with a
+// field the server ignores sends them down the slow decoder, so the
+// reader now and then falls behind the lane's runner: it reads a warm
+// query after the runner drained the lane but before the writer sent the
+// runner's answers. The inline path must not answer it ahead of them:
+// the replies come back in request order, round after round.
+func TestInlineNeverOvertakesLaneAnswers(t *testing.T) {
+	srv := testServer(t, Enforce)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	const warm = "SELECT EId FROM Attendance WHERE UId = 1 AND EId = 2"
+	var buf []byte
+	line := func(req Request, pad int) {
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pad > 0 {
+			b = fmt.Appendf(b[:len(b)-1], `,"pad":%q}`, strings.Repeat("x", pad))
+		}
+		buf = append(append(buf, b...), '\n')
+	}
+	exchange := func(n int) []Response {
+		t.Helper()
+		if _, err := conn.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		buf = buf[:0]
+		out := make([]Response, n)
+		for i := range out {
+			b, err := r.ReadBytes('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(b, &out[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	line(Request{Op: "hello", ID: 1, Session: map[string]any{"MyUId": 1}}, 0)
+	line(Request{Op: "query", ID: 2, SQL: warm}, 0) // warms the front cache
+	exchange(2)
+
+	rounds := 600
+	if testing.Short() {
+		rounds = 100
+	}
+	id := uint64(2)
+	for round := 0; round < rounds; round++ {
+		first := id + 1
+		id++
+		line(Request{Op: "query", ID: id, SQL: fmt.Sprintf("SELECT Name FROM Users WHERE UId = %d", 1000+round)}, 0)
+		n := 1 + round%64
+		for i := 0; i < n; i++ {
+			id++
+			line(Request{Op: "query", ID: id, SQL: warm}, (round%8)*512)
+		}
+		for i, resp := range exchange(1 + n) {
+			if want := first + uint64(i); resp.ID != want {
+				t.Fatalf("round %d: reply %d answers request %d, want %d: an inline answer overtook a lane answer", round, i, resp.ID, want)
+			}
+			if !resp.OK || resp.Blocked != (i == 0) {
+				t.Fatalf("round %d: reply %d: %+v", round, i, resp)
+			}
+		}
+	}
+	if srv.mInlineHits.Value() == 0 {
+		t.Fatal("no warm query took the inline path: the rounds did not mix the inline and lane paths")
 	}
 }

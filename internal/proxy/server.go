@@ -1231,12 +1231,15 @@ func (s *Server) finishQuery(ctx context.Context, req *Request, sess *session, s
 	// to are what future decisions may rely on). With enforcement off
 	// nothing ever reads the trace, so don't grow it. The engine builds
 	// every result row afresh (stored rows are copy-on-write), so the
-	// trace and the response share its rows.
+	// trace and the response share its rows. A statement whose facts
+	// read no row keeps only the count: holding the rows would pin the
+	// result set for the life of the entry, and no decision reads them.
 	if s.Mode != Off {
-		sess.tr.Append(trace.Entry{
-			SQL: req.SQL, Stmt: sel, Args: args,
-			Columns: res.Columns, Rows: res.Rows,
-		})
+		e := trace.Entry{SQL: req.SQL, Stmt: sel, Args: args, Columns: res.Columns, Rows: res.Rows}
+		if s.Checker != nil && !s.Checker.ReadsRows(sel) {
+			e.Rows, e.Omitted = nil, len(res.Rows)
+		}
+		sess.tr.Append(e)
 	}
 	return Response{OK: true, Columns: res.Columns, Rows: res.Rows}
 }

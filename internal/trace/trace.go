@@ -36,7 +36,15 @@ type Entry struct {
 	// list); Columns their labels.
 	Columns []string
 	Rows    [][]sqlvalue.Value
+	// Omitted counts result tuples that were returned but not kept in
+	// Rows, because no fact of the statement reads them
+	// (cq.StmtPlan.ReadsRows); the answer had len(Rows)+Omitted rows.
+	// Zero keeps every row.
+	Omitted int
 }
+
+// RowCount is the number of rows the answer had, kept or omitted.
+func (e *Entry) RowCount() int { return len(e.Rows) + e.Omitted }
 
 // Trace is an append-only query history for one request/session.
 // The zero value is ready to use. A Trace may be shared by concurrent
@@ -240,7 +248,7 @@ func (t *Trace) String() string {
 	defer t.mu.Unlock()
 	var b strings.Builder
 	for i, e := range t.entries {
-		fmt.Fprintf(&b, "[%d] %s -> %d row(s)\n", i+1, e.SQL, len(e.Rows))
+		fmt.Fprintf(&b, "[%d] %s -> %d row(s)\n", i+1, e.SQL, e.RowCount())
 	}
 	return b.String()
 }
@@ -398,7 +406,7 @@ type deriver struct {
 func (d *deriver) derive(e *Entry) []cq.Fact {
 	plan := d.tr.Plan(e.Stmt)
 	if plan.Fallback() {
-		d.facts = d.tr.BoundFacts(e.Stmt, e.Args).AppendFacts(d.facts[:0], nil, e.Rows)
+		d.facts = d.tr.BoundFacts(e.Stmt, e.Args).AppendFacts(d.facts[:0], nil, e.Rows, e.Omitted)
 		return d.facts
 	}
 	x := plan.Facts()
@@ -409,6 +417,6 @@ func (d *deriver) derive(e *Entry) []cq.Fact {
 	if d.raw, ok = plan.Resolve(d.raw, e.Args, nil); !ok {
 		return nil
 	}
-	d.facts = x.AppendFacts(d.facts[:0], d.raw, e.Rows)
+	d.facts = x.AppendFacts(d.facts[:0], d.raw, e.Rows, e.Omitted)
 	return d.facts
 }
