@@ -47,14 +47,14 @@ coldsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkColdPath|BenchmarkPlanInstantiate' -benchtime=100x ./internal/checker
 
 # Allocation contracts: a fixed-iteration -benchmem smoke of the
-# warm-tier benchmarks (front and template tiers must report 0
-# allocs/op) and of the cold decide (neither filling the statement plan
+# warm-tier benchmarks (the borrowed history-free and the template
+# tiers report 0 allocs/op) and of the cold decide (neither filling the statement plan
 # nor the compiled cover search allocates),
 # then the budget tests that turn those numbers into hard gates — the
 # checker's decide tiers, warm and cold, a windowed trace (an append
 # into a full window, and deriving a window of statements that yield no
 # fact, must be exactly 0 allocs/op), the proxy's pooled encode path
-# end-to-end (front-tier warm probe through wire encode of typed rows
+# end-to-end (history-free warm probe through wire encode of typed rows
 # must be exactly 0 allocs/op on the v2 surface), the proxy's trace of
 # range reads (32 reads of 500 rows keep no row, only their counts), the
 # engine's bound range read (the same count for 50 rows as for 500, at
@@ -71,7 +71,7 @@ allocbudget:
 
 # Postgres wire-protocol conformance: raw-socket client exercising the
 # simple and extended flows, mid-transaction blocks, cancellation, the
-# prepared-statement front-cache pin, and the connection limit.
+# prepared-statement history-free hit pin, and the connection limit.
 pgsmoke:
 	$(GO) test -count=1 ./internal/pgwire
 

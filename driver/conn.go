@@ -32,8 +32,8 @@ func (c *conn) Close() error { return c.cl.Close() }
 // is how database/sql validates arguments client-side). The text
 // itself still travels per execution: preparation is a client-side
 // affair in the v2 protocol, and the server's parse cache plus the
-// checker's statement-identity front cache make re-submission as
-// cheap as a server-side prepared statement.
+// checker's statement plans, keyed by the shared parsed statement,
+// make re-submission as cheap as a server-side prepared statement.
 func (c *conn) Prepare(query string) (sqldriver.Stmt, error) {
 	return c.prepare(query)
 }

@@ -15,8 +15,7 @@ import (
 
 // The decision cache's admission rule (cache.go): while a shard has
 // room it stores every decision; once full it stores a key it does not
-// hold only at the key's second sighting, and the front cache and the
-// intern table follow its verdict.
+// hold only at the key's second sighting.
 
 const admitSQL = "SELECT EId FROM Attendance WHERE UId = ? AND EId = ?"
 
@@ -74,21 +73,16 @@ func cachedKeys(c *Checker) []string {
 func TestAdmissionDeclinesOneOffAtCapacity(t *testing.T) {
 	c, sel := admitChecker(t, 32)
 	fillCache(t, c, sel)
-	keys, fronts, interned := cachedKeys(c), len(c.front), len(c.strs)
+	keys := cachedKeys(c)
 	declined := c.mDeclined.Value()
 
-	// A trace-carrying check goes through the history-free tier, whose
-	// allows would also make a front entry and intern its signature.
+	// A trace-carrying check goes through the history-free tier.
 	d := decideEId(t, c, sel, 7, &trace.Trace{})
 	if d.FromCache {
 		t.Fatalf("a key never seen answered from cache: %+v", d)
 	}
 	if got := cachedKeys(c); !slices.Equal(got, keys) {
 		t.Fatalf("a one-off key changed the stored keys: %d before, %d after", len(keys), len(got))
-	}
-	if len(c.front) != fronts || len(c.strs) != interned {
-		t.Fatalf("a declined allow made a front entry or interned: front %d -> %d, interned %d -> %d",
-			fronts, len(c.front), interned, len(c.strs))
 	}
 	if got := c.mDeclined.Value(); got != declined+1 {
 		t.Fatalf("checker.cache.declined = %d, want %d", got, declined+1)
@@ -102,18 +96,14 @@ func TestAdmissionStoresSecondSighting(t *testing.T) {
 	if d := decideEId(t, c, sel, 7, tr); d.FromCache {
 		t.Fatalf("first sighting answered from cache: %+v", d)
 	}
-	fronts := len(c.front)
 	if d := decideEId(t, c, sel, 7, tr); d.FromCache {
 		t.Fatalf("second sighting answered from cache: %+v", d)
 	}
 	if n := c.cache.Len(); n != 32 {
 		t.Fatalf("a stored key must evict one: %d entries, want 32", n)
 	}
-	if len(c.front) != fronts+1 {
-		t.Fatalf("the stored allow made no front entry: %d -> %d", fronts, len(c.front))
-	}
-	if d := decideEId(t, c, sel, 7, tr); !d.FromCache || d.Tier != TierFront {
-		t.Fatalf("third sighting: tier %q, from cache %v; want a front hit", d.Tier, d.FromCache)
+	if d := decideEId(t, c, sel, 7, tr); !d.FromCache || d.Tier != TierHistFree {
+		t.Fatalf("third sighting: tier %q, from cache %v; want a histfree hit", d.Tier, d.FromCache)
 	}
 }
 

@@ -28,20 +28,20 @@ func TestDecisionAliasStress(t *testing.T) {
 	ctx := context.Background()
 	const factSQL = "SELECT * FROM Events WHERE EId=2"
 
-	// Baselines: the pristine view lists for a front-tier and a
+	// Baselines: the pristine view lists for a histfree-tier and a
 	// template-tier decision.
-	front, err := c.CheckSQL(ctx, warmSQL, sqlparser.PositionalArgs(1), session(1), tr)
-	if err != nil || !front.Allowed {
-		t.Fatalf("front prime: %+v %v", front, err)
+	hf, err := c.CheckSQL(ctx, warmSQL, sqlparser.PositionalArgs(1), session(1), tr)
+	if err != nil || !hf.Allowed {
+		t.Fatalf("histfree prime: %+v %v", hf, err)
 	}
 	tmpl, err := c.CheckSQL(ctx, factSQL, sqlparser.NoArgs, session(1), tr)
 	if err != nil || !tmpl.Allowed {
 		t.Fatalf("template prime: %+v %v", tmpl, err)
 	}
-	wantFront := append([]string(nil), front.Views...)
+	wantHF := append([]string(nil), hf.Views...)
 	wantTmpl := append([]string(nil), tmpl.Views...)
-	if len(wantFront) == 0 || len(wantTmpl) == 0 {
-		t.Fatalf("primes must cover through views: front=%v tmpl=%v", wantFront, wantTmpl)
+	if len(wantHF) == 0 || len(wantTmpl) == 0 {
+		t.Fatalf("primes must cover through views: histfree=%v tmpl=%v", wantHF, wantTmpl)
 	}
 
 	var wg sync.WaitGroup
@@ -110,7 +110,7 @@ func TestDecisionAliasStress(t *testing.T) {
 		args sqlparser.Args
 		want []string
 	}{
-		{warmSQL, sqlparser.PositionalArgs(1), wantFront},
+		{warmSQL, sqlparser.PositionalArgs(1), wantHF},
 		{factSQL, sqlparser.NoArgs, wantTmpl},
 	} {
 		d, err := c.CheckSQL(ctx, tc.sql, tc.args, session(1), tr)

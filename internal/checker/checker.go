@@ -14,12 +14,12 @@
 // fragment are conservatively blocked.
 //
 // The decide path is a fixed table of named stages (stages.go):
-// front-cache probe → bind (fill the statement plan's slots) →
-// history-free template probe → fact derivation → template-cache probe
-// → policy coverage → verdict. Every stage reports run counts and
-// latency into the checker's obsv.Registry, so per-phase time (the
-// Blockaid-style parse / cache probe / solver breakdown) is observable
-// at runtime rather than reconstructed from ad-hoc benchmarks. CheckCold
+// bind (fill the statement plan's slots) → history-free template probe
+// → fact derivation → template-cache probe → policy coverage →
+// verdict. Every stage reports run counts and latency into the
+// checker's obsv.Registry, so per-phase time (the Blockaid-style parse
+// / cache probe / solver breakdown) is observable at runtime rather
+// than reconstructed from ad-hoc benchmarks. CheckCold
 // runs only the table's bind, facts and cover stages: the decision with
 // every cache out of the way, which the parity tests and the cold
 // timings use. The coverage algorithm itself lives in cover.go.
@@ -48,7 +48,6 @@ package checker
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -66,7 +65,9 @@ import (
 // Cache-tier labels reported in Decision.Tier and the proxy's
 // slow-decision log.
 const (
-	// TierFront marks a statement-identity front-cache hit.
+	// TierFront named the statement-identity front cache, which no
+	// longer exists: no decision carries it. It stays declared for
+	// readers of older slow-log lines and tier tallies.
 	TierFront = "front"
 	// TierHistFree marks a history-free decision-template hit.
 	TierHistFree = "histfree"
@@ -84,7 +85,7 @@ type Decision struct {
 	Views []string
 	// FromCache reports a decision-template hit.
 	FromCache bool
-	// Tier names the cache tier that answered ("front", "histfree",
+	// Tier names the cache tier that answered ("histfree" or
 	// "template"); empty for a cold decision.
 	Tier string
 	// Epoch identifies the policy version that decided (version.go):
@@ -138,10 +139,6 @@ const DefaultCacheSize = 8192
 // wholesale and rebuilt (epoch reset, no tracking cost).
 const genCacheMax = 1 << 16
 
-// internMax bounds the warm path's key-intern table; past it the
-// table is dropped wholesale, same epoch-reset discipline as the memo.
-const internMax = 1 << 15
-
 // maxHomsPerView bounds the embeddings the cover search enumerates per
 // view disjunct.
 const maxHomsPerView = 64
@@ -152,25 +149,6 @@ type genEntry struct {
 	f   cq.Fact
 	key string
 }
-
-// frontKey identifies a concrete check: the deciding policy version's
-// epoch, the parsed statement BY POINTER (sqlparser.ParseCached
-// returns one shared immutable statement per SQL text, so the pointer
-// stands in for the text), and the rendered session attributes and
-// arguments, interned. Holding the pointer as a map key also keeps the statement
-// alive, so an address can never be reused while its entry exists.
-// Statements parsed outside the cache simply miss here and fall
-// through to the template path. Entries keyed by a superseded epoch
-// can never match again and are evicted as the cap recycles them.
-type frontKey struct {
-	epoch uint64
-	sel   *sqlparser.SelectStmt
-	sig   string
-}
-
-// frontCacheMax bounds the front cache; past it an arbitrary entry is
-// evicted (the workload's key population is far below the cap).
-const frontCacheMax = 4096
 
 // Checker vets queries against a policy.
 type Checker struct {
@@ -189,27 +167,13 @@ type Checker struct {
 	tr *cq.Translator
 
 	// Session-parameterized fact generalization memo, two levels:
-	// interned session signature → raw fact canonical string → entry.
-	// Two map lookups replace the old per-fact key concatenation, so a
-	// memo hit allocates nothing. genN counts total inner entries for
+	// rendered session signature → raw fact canonical string → entry.
+	// Both levels are indexed by converted bytes or shared strings, so
+	// a memo hit allocates nothing. genN counts total inner entries for
 	// the epoch-reset bound.
 	genMu sync.RWMutex
 	gen   map[string]map[string]genEntry
 	genN  int
-
-	// strs interns rendered signatures — front-cache keys as they are
-	// stored, session signatures as the memo's namespace: a hit maps
-	// scratch bytes to the one canonical string without allocating (map
-	// index by converted []byte is no-copy).
-	strMu sync.RWMutex
-	strs  map[string]string
-
-	// Front cache for trace-independent decisions, keyed by identity
-	// of the shared parsed statement (see frontKey). Holds only
-	// decisions allowed with zero history facts, which stay valid
-	// under every trace.
-	frontMu sync.RWMutex
-	front   map[frontKey]Decision
 
 	// Observability: the stage table (stages.go) plus named obsv
 	// instruments, resolved once here so the hot path never touches
@@ -221,7 +185,6 @@ type Checker struct {
 	stageTick     atomic.Uint64 // samples the stage histograms
 
 	mDecisions, mAllowed, mBlocked, mCacheHits *obsv.Counter
-	mFrontHit, mFrontMiss                      *obsv.Counter
 	mHistFreeHit, mTemplateHit, mTemplateMiss  *obsv.Counter
 	mDeclined                                  *obsv.Counter
 	mGenHits, mGenMisses                       *obsv.Counter
@@ -247,8 +210,6 @@ func NewWithOptions(p *policy.Policy, opts Options) *Checker {
 		cache: newDecisionCache(opts.CacheSize),
 		tr:    &cq.Translator{Schema: p.Schema},
 		gen:   make(map[string]map[string]genEntry),
-		strs:  make(map[string]string),
-		front: make(map[frontKey]Decision),
 		reg:   opts.Metrics,
 	}
 	reg := c.reg
@@ -256,8 +217,6 @@ func NewWithOptions(p *policy.Policy, opts Options) *Checker {
 	c.mAllowed = reg.Counter("checker.allowed")
 	c.mBlocked = reg.Counter("checker.blocked")
 	c.mCacheHits = reg.Counter("checker.cache.hits")
-	c.mFrontHit = reg.Counter("checker.front.hit")
-	c.mFrontMiss = reg.Counter("checker.front.miss")
 	c.mHistFreeHit = reg.Counter("checker.histfree.hit")
 	c.mTemplateHit = reg.Counter("checker.template.hit")
 	c.mTemplateMiss = reg.Counter("checker.template.miss")
@@ -326,11 +285,10 @@ func (c *Checker) Stats() Stats {
 // embeds the deciding epoch, so entries made under the old policy can
 // never match again. They are dropped from the decision cache, whose
 // capacity a new policy's decisions then fill without waiting for a
-// second sighting, and age out of the front cache through normal
-// eviction — no map is recreated, and the policy-independent state
-// (fact-generalization memo, string interns) survives untouched. When the recompiled plan's
-// fingerprint is unchanged the epoch is kept too, so a no-op republish
-// destroys nothing: front-cache hits keep accumulating across it.
+// second sighting, and the policy-independent state (statement plans,
+// fact-generalization memo) survives untouched. When the recompiled
+// plan's fingerprint is unchanged the epoch is kept too, so a no-op
+// republish destroys nothing: warm hits keep accumulating across it.
 // Checks already in flight keep using the version they started with;
 // new checks see the new policy.
 func (c *Checker) ResetCache() {
@@ -338,13 +296,11 @@ func (c *Checker) ResetCache() {
 }
 
 // store offers a decision template to the cache, counting a store that
-// admission turned down, and reports whether it was kept.
-func (c *Checker) store(key []byte, d Decision) bool {
-	if c.cache.Put(key, d) {
-		return true
+// admission turned down.
+func (c *Checker) store(key []byte, d Decision) {
+	if !c.cache.Put(key, d) {
+		c.mDeclined.Inc()
 	}
-	c.mDeclined.Inc()
-	return false
 }
 
 // dropDeadEpochs frees the decision cache of entries that no resident
@@ -354,52 +310,6 @@ func (c *Checker) dropDeadEpochs() {
 	c.cache.dropEpochs(func(e uint64) bool {
 		return e == t.active.epoch || t.candidate != nil && e == t.candidate.epoch
 	})
-}
-
-// intern returns the canonical string for the scratch bytes, keeping
-// the warm path free of per-check string conversions: the read-path
-// map index converts b without copying, so a hit allocates nothing.
-func (c *Checker) intern(b []byte) string {
-	c.strMu.RLock()
-	s, ok := c.strs[string(b)]
-	c.strMu.RUnlock()
-	if ok {
-		return s
-	}
-	s = string(b)
-	c.strMu.Lock()
-	if len(c.strs) >= internMax {
-		c.strs = make(map[string]string)
-	}
-	c.strs[s] = s
-	c.strMu.Unlock()
-	return s
-}
-
-func (c *Checker) frontGet(k frontKey) (Decision, bool) {
-	c.frontMu.RLock()
-	d, ok := c.front[k]
-	c.frontMu.RUnlock()
-	return d, ok
-}
-
-func (c *Checker) frontPut(k frontKey, d Decision) {
-	// Copy Views in: the caller's slice may itself be borrowed from the
-	// decision cache or about to be handed to the application, and the
-	// front cache must own what it serves (frontGet hands the stored
-	// slice out borrowed; stageFront copies for the safe API).
-	if len(d.Views) > 0 {
-		d.Views = append([]string(nil), d.Views...)
-	}
-	c.frontMu.Lock()
-	if len(c.front) >= frontCacheMax {
-		for old := range c.front {
-			delete(c.front, old)
-			break
-		}
-	}
-	c.front[k] = d
-	c.frontMu.Unlock()
 }
 
 // CheckSQL parses and checks a SELECT. A parse failure wraps
@@ -453,8 +363,8 @@ func (c *Checker) Check(ctx context.Context, sel *sqlparser.SelectStmt, args sql
 }
 
 // CheckBorrowed is Check without the defensive Views copy on cache
-// hits: the returned Decision's Views may alias the decision caches
-// directly, making warm front-cache decisions fully allocation-free.
+// hits: the returned Decision's Views may alias the decision cache
+// directly, making warm history-free decisions fully allocation-free.
 // The borrowed contract (DESIGN.md §12): treat Views as read-only, and
 // do not rely on it after ResetCache. Everything else in the Decision
 // is a value and owned by the caller. The proxy hot path — which only
@@ -494,8 +404,8 @@ func canceledDecision(ctx context.Context) Decision {
 // the fact-generalization memo, since the same ground fact generalizes
 // differently under different principals. Rendering into scratch
 // instead of building a string keeps the warm path allocation-free.
-// Values are length-framed (appendKeyed) here and in appendArgsSig: a
-// text value cannot spell a separator and pass for two.
+// Values are length-framed (appendKeyed): a text value cannot spell a
+// separator and pass for two.
 func appendSessionSig(buf []byte, names []string, session map[string]sqlvalue.Value) []byte {
 	for _, n := range names {
 		buf = append(buf, n...)
@@ -505,41 +415,18 @@ func appendSessionSig(buf []byte, names []string, session map[string]sqlvalue.Va
 	return buf
 }
 
-// appendArgsSig renders the bound arguments deterministically into buf
-// for the front-cache key, sorting argument names in the caller's
-// scratch slice.
-func appendArgsSig(buf []byte, names []string, args sqlparser.Args) ([]byte, []string) {
-	for _, v := range args.Positional {
-		buf = appendKeyed(buf, v)
-	}
-	if len(args.Named) > 0 {
-		names = names[:0]
-		for n := range args.Named {
-			names = append(names, n)
-		}
-		slices.Sort(names)
-		for _, n := range names {
-			buf = append(buf, '@')
-			buf = append(buf, n...)
-			buf = append(buf, '=')
-			buf = appendKeyed(buf, args.Named[n])
-		}
-	}
-	return buf, names
-}
-
 // generalizeFactMemo returns the session-parameterized form of a
 // trace fact, memoized per (fact, session signature), and reports
 // whether it was a memo hit. rawKey is the fact's canonical string as
 // rendered once by the trace's fact cache (trace.FactsKeyed); together
-// with the interned sig it keys the two-level memo, so a hit is two
-// map lookups and no allocation. Counting is left to the caller (the
-// facts stage batches one atomic add per check instead of one per
-// fact). Memoized facts are shared; callers must treat their atoms as
+// with the rendered session signature sig it keys the two-level memo,
+// so a hit is two map lookups and no allocation. Counting is left to
+// the caller (the facts stage batches one atomic add per check instead
+// of one per fact). Memoized facts are shared; callers must treat their atoms as
 // immutable.
-func (c *Checker) generalizeFactMemo(f cq.Fact, rawKey string, session map[string]sqlvalue.Value, sig string) (genEntry, bool) {
+func (c *Checker) generalizeFactMemo(f cq.Fact, rawKey string, session map[string]sqlvalue.Value, sig []byte) (genEntry, bool) {
 	c.genMu.RLock()
-	e, ok := c.gen[sig][rawKey]
+	e, ok := c.gen[string(sig)][rawKey]
 	c.genMu.RUnlock()
 	if ok {
 		return e, true
@@ -551,10 +438,10 @@ func (c *Checker) generalizeFactMemo(f cq.Fact, rawKey string, session map[strin
 		c.gen = make(map[string]map[string]genEntry)
 		c.genN = 0
 	}
-	inner := c.gen[sig]
+	inner := c.gen[string(sig)]
 	if inner == nil {
 		inner = make(map[string]genEntry)
-		c.gen[sig] = inner
+		c.gen[string(sig)] = inner
 	}
 	if _, dup := inner[rawKey]; !dup {
 		c.genN++

@@ -2,6 +2,7 @@ package checker
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -205,8 +206,7 @@ func TestDecisionTemplatesGeneralizeAcrossUsers(t *testing.T) {
 
 // TestCacheDisabled: CheckCold decides with every cache out of the
 // way. A key Check has warmed comes back cold, and a key no check has
-// seen leaves the decision cache, the front cache and the intern table
-// as they were, so Check still decides it cold afterwards.
+// seen leaves the decision cache as it was, so Check still decides it cold afterwards.
 func TestCacheDisabled(t *testing.T) {
 	c := New(calendarPolicy(t))
 	ctx := context.Background()
@@ -215,7 +215,7 @@ func TestCacheDisabled(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		c.Check(ctx, warm, sqlparser.NoArgs, session(1), tr)
 	}
-	if d := c.Check(ctx, warm, sqlparser.NoArgs, session(1), tr); d.Tier != TierFront {
+	if d := c.Check(ctx, warm, sqlparser.NoArgs, session(1), tr); d.Tier != TierHistFree {
 		t.Fatalf("the key did not warm: %+v", d)
 	}
 	decisions := c.Stats().Decisions
@@ -228,19 +228,90 @@ func TestCacheDisabled(t *testing.T) {
 	}
 
 	unseen := sqlparser.MustParseSelect("SELECT * FROM Events WHERE EId=2")
-	entries, front, strs := c.Stats().CacheEntries, len(c.front), len(c.strs)
+	entries := c.Stats().CacheEntries
 	for _, uid := range []int64{1, 5} {
 		// Allowed only for the principal the trace shows attending.
 		if d := c.CheckCold(ctx, unseen, sqlparser.NoArgs, session(uid), tr); d.Allowed != (uid == 1) {
 			t.Fatalf("CheckCold for principal %d: %+v", uid, d)
 		}
 	}
-	if c.Stats().CacheEntries != entries || len(c.front) != front || len(c.strs) != strs {
-		t.Fatalf("CheckCold wrote a cache: entries %d -> %d, front %d -> %d, interned %d -> %d",
-			entries, c.Stats().CacheEntries, front, len(c.front), strs, len(c.strs))
+	if c.Stats().CacheEntries != entries {
+		t.Fatalf("CheckCold wrote the decision cache: entries %d -> %d", entries, c.Stats().CacheEntries)
 	}
 	if d := c.Check(ctx, unseen, sqlparser.NoArgs, session(1), tr); d.FromCache || d.Tier != "" {
 		t.Fatalf("a key only CheckCold saw was warm: %+v", d)
+	}
+}
+
+// TestNumericKeyEqualityWarmMatchesCold pins that a cache key cannot
+// carry an answer across numeric types: sqlvalue.Value.AppendKey writes
+// INTEGER 2 and REAL 2.0 alike, so a decision warmed with one is served
+// to the other, and that is sound only while the two decide alike.
+// Each statement is warmed with one argument and then asked with
+// another; the answer, and the inline probe's when it hits, must be
+// CheckCold's, taken as the stage table takes it: without the history
+// when that allows, and only otherwise with it.
+func TestNumericKeyEqualityWarmMatchesCold(t *testing.T) {
+	stmts := []string{
+		"SELECT EId FROM Attendance WHERE UId = ?",
+		"SELECT EId FROM Attendance WHERE UId = ?MyUId AND EId = ?",
+		"SELECT EId FROM Attendance WHERE UId = 2 AND EId <> ?",
+		"SELECT * FROM Events WHERE EId = ?",
+		"SELECT * FROM Events WHERE EId <> ?",
+		"SELECT * FROM Events WHERE EId < ?",
+		"SELECT * FROM Events WHERE EId <= ?",
+	}
+	vals := []sqlvalue.Value{
+		sqlvalue.NewInt(1), sqlvalue.NewReal(1), sqlvalue.NewInt(2), sqlvalue.NewReal(2), sqlvalue.NewReal(1.5),
+	}
+	// Principal 2 has read that it attends event 2.
+	tr := &trace.Trace{}
+	probe := sqlparser.MustParseSelect("SELECT 1 FROM Attendance WHERE UId=2 AND EId=2")
+	tr.Append(trace.Entry{
+		SQL: probe.SQL(), Stmt: probe, Args: sqlparser.NoArgs,
+		Columns: []string{"1"},
+		Rows:    [][]sqlvalue.Value{{sqlvalue.NewInt(1)}},
+	})
+	ctx := context.Background()
+	sess := session(2)
+	render := func(d Decision) string { return fmt.Sprintf("%v %q %q", d.Allowed, d.Reason, d.Views) }
+	var hits, probeHits int
+	for _, sql := range stmts {
+		sel, err := sqlparser.ParseSelectNorm(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, warm := range vals {
+			for _, ask := range vals {
+				c := New(calendarPolicy(t))
+				for i := 0; i < 2; i++ {
+					c.Check(ctx, sel, sqlparser.PositionalArgs(warm), sess, tr)
+				}
+				args := sqlparser.PositionalArgs(ask)
+				cold := c.CheckCold(ctx, sel, args, sess, nil)
+				if !cold.Allowed {
+					cold = c.CheckCold(ctx, sel, args, sess, tr)
+				}
+				want := render(cold)
+				d := c.Check(ctx, sel, args, sess, tr)
+				if d.FromCache {
+					hits++
+				}
+				if got := render(d); got != want {
+					t.Errorf("%s: warmed with %v, asked %v: got %s, cold %s", sql, warm, ask, got, want)
+				}
+				if d, ok := c.CheckWarmBorrowed(sel, args, sess); ok {
+					probeHits++
+					if render(d) != want {
+						t.Errorf("%s: warmed with %v, asked %v: probe %s, cold %s", sql, warm, ask, render(d), want)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d warm answers, %d probe hits", hits, probeHits)
+	if hits == 0 || probeHits == 0 {
+		t.Fatal("no asked value reached a warm entry: the table pins nothing")
 	}
 }
 

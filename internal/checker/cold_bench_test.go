@@ -186,8 +186,8 @@ func BenchmarkColdDecideParallel(b *testing.B) {
 // Cold allocation budgets. With statement plans a cold decide copies
 // its templates into pooled arrays and keys its caches from the slot
 // vector, so what still allocates is what outlives the decision: the
-// two cache entries and their key strings, the front-cache entry, the
-// decision's Views and Reason (measured 8 per decide without facts; 18
+// two cache entries and their key strings, the decision's Views and
+// Reason (measured 6 per decide without facts; 18
 // on the blocked decide over 48 facts, most of them the block reason's
 // rendering of the uncovered atom). The commit before plans measured 238
 // and 249 against budgets of 259 and 1155. Into a full cache a one-off

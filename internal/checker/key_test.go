@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sqlparser"
 	"repro/internal/sqlvalue"
 )
 
@@ -24,11 +23,13 @@ func TestAppendKeyedFramesValues(t *testing.T) {
 			t.Errorf("%.20s: framed as %d %q", v.String(), n, got)
 		}
 	}
-	one := sqlparser.Args{Positional: []sqlvalue.Value{sqlvalue.NewText("a\x02tb")}}
-	two := sqlparser.Args{Positional: []sqlvalue.Value{sqlvalue.NewText("a"), sqlvalue.NewText("b")}}
-	a, _ := appendArgsSig(nil, nil, one)
-	b, _ := appendArgsSig(nil, nil, two)
+	// The one-attribute session's text spells the rest of the
+	// two-attribute rendering; only the framing tells them apart.
+	one := map[string]sqlvalue.Value{"A": sqlvalue.NewText("aB=\x02tb")}
+	two := map[string]sqlvalue.Value{"A": sqlvalue.NewText("a"), "B": sqlvalue.NewText("b")}
+	a := appendSessionSig(nil, []string{"A"}, one)
+	b := appendSessionSig(nil, []string{"A", "B"}, two)
 	if bytes.Equal(a, b) {
-		t.Fatalf("one argument and two render the same signature %q", a)
+		t.Fatalf("one attribute and two render the same signature %q", a)
 	}
 }

@@ -274,7 +274,7 @@ func tplStrings(tpl []*cq.Query) string {
 
 // planStats counts what the generated triples exercised.
 type planStats struct {
-	calls, planned, bindErrs, allowed, generalized, contradictions, cacheHits int
+	calls, planned, bindErrs, allowed, generalized, contradictions, cacheHits, warmHits int
 }
 
 // checkPlanCase runs the differential contract on one seed: a policy, a
@@ -363,12 +363,20 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 		}
 
 		// The whole decision, twice: cold, then from whatever tier the
-		// keys of each side reach.
+		// keys of each side reach. After each, the inline probe: whatever
+		// it answers must be the independent reference's answer too.
 		for round := 0; round < 2; round++ {
 			dp, do := planned.Check(ctx, sel, args, sess, tr), oracle.Check(ctx, sel, args, sess, tr)
 			got := fmt.Sprintf("%v %q %q", dp.Allowed, dp.Reason, dp.Views)
 			if want := fmt.Sprintf("%v %q %q", do.Allowed, do.Reason, do.Views); got != want {
 				fail(fmt.Sprintf("decisions (round %d)", round), args, sess, got, want)
+			}
+			dw, warm := planned.CheckWarmBorrowed(sel, args, sess)
+			if warm {
+				stats.warmHits++
+				if pout != outNext {
+					fail("inline probe on a call bind rejects", args, sess, fmt.Sprintf("%+v", dw), pst.d.Reason)
+				}
 			}
 			if pout == outNext && stageFacts(ctx, pst) == outNext {
 				// The stage table answers from the history-free pass when that
@@ -377,8 +385,12 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 				if !dr.Allowed {
 					dr = refDecide(gc.views, pst.templates(), pst.facts, limit)
 				}
-				if want := fmt.Sprintf("%v %q %q", dr.Allowed, dr.Reason, dr.Views); got != want {
+				want := fmt.Sprintf("%v %q %q", dr.Allowed, dr.Reason, dr.Views)
+				if got != want {
 					fail("decision and the independent reference", args, sess, got, want)
+				}
+				if w := fmt.Sprintf("%v %q %q", dw.Allowed, dw.Reason, dw.Views); warm && w != want {
+					fail("inline probe and the independent reference", args, sess, w, want)
 				}
 			}
 			if dp.Allowed && round == 0 {
@@ -410,7 +422,8 @@ func TestPlanParityGenerated(t *testing.T) {
 		stats.allowed < stats.calls/20 || stats.allowed > stats.calls*19/20,
 		stats.generalized < stats.calls/10,
 		stats.contradictions < stats.calls/100,
-		stats.cacheHits < stats.calls/2:
+		stats.cacheHits < stats.calls/2,
+		stats.warmHits < stats.calls/20:
 		t.Fatalf("generator is lopsided: %+v", stats)
 	}
 }

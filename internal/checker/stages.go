@@ -2,13 +2,9 @@ package checker
 
 // The staged decide path. Each stage below is one named entry of the
 // checker's stage table; the checker's decide() is nothing but "run the
-// table over a decideState and return its decision". The
-// stage order is the efficient execution order, which differs from
-// the conceptual order in one place: the front-cache probe runs
-// BEFORE bind, because its key is the raw shared-statement identity
-// plus rendered session/args — a hit never looks at the statement's
-// plan. DESIGN.md §9 documents the stages and their metric names,
-// §10.5 the statement plans the bind stage fills.
+// table over a decideState and return its decision". DESIGN.md §9
+// documents the stages and their metric names, §10.5 the statement
+// plans the bind stage fills.
 //
 // Invariants the stages maintain:
 //
@@ -58,16 +54,6 @@ type decideState struct {
 	// borrow marks a CheckBorrowed call: cache hits skip the defensive
 	// Views copy and hand out the cache-owned slice read-only.
 	borrow bool
-	// cold marks a CheckCold call: the session signature is not
-	// interned.
-	cold bool
-
-	// Front-cache keying (stage "front"): sigBuf holds the rendered
-	// session signature (its first sessLen bytes), a NUL, and the
-	// rendered arguments. Only a front-cache store interns it.
-	sigBuf  []byte
-	sessLen int
-	sigDone bool
 
 	// The statement's plan and this call's slot vector (stage "bind"):
 	// raw values, and the term each is written as — the constant, or the
@@ -103,7 +89,7 @@ type decideState struct {
 	// Pooled scratch, reused across decisions (capacity survives the
 	// pool round-trip; contents never do).
 	keyBuf    []byte   // decision-cache keys: the probe's, kept for the verdict's Put
-	names     []string // sort scratch for argument names
+	sigBuf    []byte   // the rendered session signature (stage "facts")
 	attrs     []string // session attribute names, sorted (attrNames)
 	attrsDone bool
 	cover     *coverScratch // the cold cover search's arrays (cover.go); nil until a decision goes cold
@@ -121,7 +107,6 @@ func (st *decideState) release() {
 	clear(st.gen)
 	clear(st.facts)
 	clear(st.factKeys)
-	clear(st.names)
 	clear(st.attrs)
 	if st.cover != nil {
 		st.cover.release()
@@ -129,7 +114,6 @@ func (st *decideState) release() {
 	*st = decideState{
 		sigBuf:   st.sigBuf[:0],
 		keyBuf:   st.keyBuf[:0],
-		names:    st.names[:0],
 		attrs:    st.attrs[:0],
 		raw:      st.raw[:0],
 		gen:      st.gen[:0],
@@ -159,55 +143,6 @@ func (st *decideState) attrNames() []string {
 	return st.attrs
 }
 
-// renderSig renders the front-cache signature of the check into sigBuf:
-// session attributes, NUL, arguments.
-func (st *decideState) renderSig() {
-	buf := appendSessionSig(st.sigBuf[:0], st.attrNames(), st.session)
-	st.sessLen = len(buf)
-	buf = append(buf, 0)
-	st.sigBuf, st.names = appendArgsSig(buf, st.names, st.args)
-	st.sigDone = true
-}
-
-// frontProbe renders the check's signature into pooled scratch and looks
-// it up read-only: front keys are interned when stored, so a signature
-// the intern table has never seen cannot match an entry, and a miss
-// writes nothing.
-func (st *decideState) frontProbe() (Decision, bool) {
-	st.renderSig()
-	sig, ok := st.c.internGet(st.sigBuf)
-	if !ok {
-		return Decision{}, false
-	}
-	return st.c.frontGet(frontKey{epoch: st.ver.epoch, sel: st.sel, sig: sig})
-}
-
-// sessionSig interns the session signature: the namespace of the
-// fact-generalization memo.
-func (st *decideState) sessionSig() string {
-	if !st.sigDone {
-		st.renderSig()
-	}
-	if st.sessLen == 0 {
-		return ""
-	}
-	if st.cold {
-		return string(st.sigBuf[:st.sessLen])
-	}
-	return st.c.intern(st.sigBuf[:st.sessLen])
-}
-
-// frontPut stores a trace-independent allow under the check's front
-// key. This is the one place a front signature is materialized: a probe
-// that misses leaves the intern table alone, and callers store only
-// allows the decision cache holds, so a one-off check interns nothing.
-// A state whose signature was never rendered stores nothing.
-func (st *decideState) frontPut(d Decision) {
-	if st.sigDone {
-		st.c.frontPut(frontKey{epoch: st.ver.epoch, sel: st.sel, sig: st.c.intern(st.sigBuf)}, d)
-	}
-}
-
 // outcome is a stage's verdict on how the decide path proceeds.
 type outcome int
 
@@ -224,8 +159,7 @@ const (
 
 // The stage table's entries, in execution order.
 const (
-	stFront = iota
-	stBind
+	stBind = iota
 	stHistFree
 	stFacts
 	stTemplate
@@ -259,7 +193,6 @@ const sampleEvery = 8
 // checker's registry.
 func (c *Checker) initStages() {
 	c.stages = [numStages]stage{
-		{name: "front", run: stageFront},
 		{name: "bind", run: stageBind},
 		{name: "histfree", run: stageHistFree},
 		{name: "facts", run: stageFacts},
@@ -347,7 +280,7 @@ func (st *decideState) coverScratch() *coverScratch {
 }
 
 // templates returns the decision's templates, instantiating the plan
-// on first use. Warm decisions (front, histfree, template hits) never
+// on first use. Warm decisions (histfree and template hits) never
 // reach a caller of this.
 func (st *decideState) templates() []*cq.Query {
 	if st.tpl == nil && st.plan != nil {
@@ -465,18 +398,16 @@ func (c *Checker) decideVersion(ctx context.Context, ver *polVersion, sel *sqlpa
 
 // CheckCold decides the query from scratch under the active policy
 // version: the stage table's bind, facts and cover entries, with no
-// cache probe or store. It reads and writes no decision-cache tier,
-// front cache or intern table (only the fact-generalization memo, whose
-// entries are a pure function of their key), and counts no decision, so
-// an oracle can call it beside Check without warming the tiers it
-// checks. A canceled ctx
-// yields the conservative blocked Decision. The Decision is owned by
+// cache probe or store. It reads and writes no decision-cache tier (only
+// the fact-generalization memo, whose entries are a pure function of
+// their key), and counts no decision, so an oracle can call it beside
+// Check without warming the tiers it checks. A canceled ctx yields the
+// conservative blocked Decision. The Decision is owned by
 // the caller, and Epoch is the deciding version's.
 func (c *Checker) CheckCold(ctx context.Context, sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace) Decision {
 	ver := c.vers.Load().active
 	st := decidePool.Get().(*decideState)
 	st.c, st.ver, st.sel, st.args, st.session, st.tr = c, ver, sel, args, session, tr
-	st.cold = true
 	for _, i := range [...]int{stBind, stFacts, stCover} {
 		if c.stages[i].run(ctx, st) != outNext {
 			break
@@ -486,32 +417,6 @@ func (c *Checker) CheckCold(ctx context.Context, sel *sqlparser.SelectStmt, args
 	d.Epoch = ver.epoch
 	st.release()
 	return d
-}
-
-// stageFront probes the statement-identity front cache: an identical
-// concrete check (same shared statement, principal, and arguments)
-// whose decision is known to be trace-independent skips the plan, the
-// slot vector and every template key.
-func stageFront(ctx context.Context, st *decideState) outcome {
-	c := st.c
-	if ctx.Err() != nil {
-		st.d = canceledDecision(ctx)
-		return outAbort
-	}
-	if d, ok := st.frontProbe(); ok {
-		if !st.borrow && len(d.Views) > 0 {
-			// The front cache owns its Views; the safe API hands the
-			// caller a private copy.
-			d.Views = append([]string(nil), d.Views...)
-		}
-		d.FromCache = true
-		d.Tier = TierFront
-		st.d = d
-		c.mFrontHit.Inc()
-		return outDone
-	}
-	c.mFrontMiss.Inc()
-	return outNext
 }
 
 // stageBind turns the call into a slot vector for the statement's plan
@@ -524,23 +429,34 @@ func stageFront(ctx context.Context, st *decideState) outcome {
 // translated or copied here; templates() instantiates only if a later
 // stage has to search. A statement without a plan is bound and
 // translated as the plan's compile did it once, and missing arguments
-// block with Bind's own message.
+// block with Bind's own message. A canceled decision aborts here,
+// before any work.
 func stageBind(ctx context.Context, st *decideState) outcome {
-	plan := st.c.tr.Plan(st.sel)
-	if plan.Fallback() {
+	if ctx.Err() != nil {
+		st.d = canceledDecision(ctx)
+		return outAbort
+	}
+	if plan := st.c.tr.Plan(st.sel); plan.Fallback() || !st.bindPlan(plan) {
 		return bindTranslate(st)
 	}
+	return outNext
+}
+
+// bindPlan fills the slot vector from a planned statement and reports
+// whether the call supplied every slot; on false the state holds no
+// plan.
+func (st *decideState) bindPlan(plan *cq.StmtPlan) bool {
 	raw, ok := plan.Resolve(st.raw, st.args, st.session)
 	st.raw = raw
 	if !ok {
-		return bindTranslate(st)
+		return false
 	}
 	st.plan = plan
 	st.gen = st.gen[:0]
 	for _, v := range raw {
 		st.gen = append(st.gen, generalized(st.attrNames(), st.session, v))
 	}
-	return outNext
+	return true
 }
 
 // bindTranslate is the path plans replaced, kept for the statements a
@@ -593,7 +509,6 @@ func stageHistFree(ctx context.Context, st *decideState) outcome {
 	st.keyBuf = st.appendCacheKey(st.keyBuf[:0], nil)
 	if d, ok := c.cache.GetBytes(st.keyBuf, !st.borrow); ok {
 		if d.Allowed {
-			st.frontPut(d)
 			d.FromCache = true
 			d.Tier = TierHistFree
 			st.d = d
@@ -607,12 +522,9 @@ func stageHistFree(ctx context.Context, st *decideState) outcome {
 		st.d = canceledDecision(ctx)
 		return outAbort
 	}
-	stored := c.store(st.keyBuf, d)
+	c.store(st.keyBuf, d)
 	st.d = d
 	if d.Allowed {
-		if stored {
-			st.frontPut(d)
-		}
 		return outDone
 	}
 	st.hfDenied = true
@@ -627,7 +539,7 @@ func stageFacts(ctx context.Context, st *decideState) outcome {
 	if st.tr == nil {
 		return outNext
 	}
-	sig := st.sessionSig()
+	st.sigBuf = appendSessionSig(st.sigBuf[:0], st.attrNames(), st.session)
 	// Shared snapshot plus the canonical string of each raw fact,
 	// rendered once at derivation — the memo keys below cost two map
 	// lookups per fact, no rendering.
@@ -640,7 +552,7 @@ func stageFacts(ctx context.Context, st *decideState) outcome {
 			st.d = canceledDecision(ctx)
 			return outAbort
 		}
-		g, hit := c.generalizeFactMemo(f, rawKeys[i], st.session, sig)
+		g, hit := c.generalizeFactMemo(f, rawKeys[i], st.session, st.sigBuf)
 		if hit {
 			hits++
 		} else {

@@ -25,9 +25,9 @@ func exampleTrace() *trace.Trace {
 }
 
 // TestDecisionTiers pins which cache tier answers as the same check
-// repeats: cold first, then the statement-identity front cache; a new
-// principal (same template) rides the history-free tier; and a
-// trace-dependent decision repeats out of the full template cache.
+// repeats: cold first, then the history-free tier, which also answers a
+// new principal (same template); and a trace-dependent decision
+// repeats out of the full template cache.
 func TestDecisionTiers(t *testing.T) {
 	c := New(calendarPolicy(t))
 	tr := exampleTrace()
@@ -43,18 +43,17 @@ func TestDecisionTiers(t *testing.T) {
 		t.Fatalf("cold: %+v", d1)
 	}
 
-	// Identical concrete check: front tier.
+	// Identical concrete check: history-free tier.
 	d2, err := c.CheckSQL(ctx, "SELECT EId FROM Attendance WHERE UId = ?",
 		sqlparser.PositionalArgs(1), session(1), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d2.FromCache || d2.Tier != TierFront {
-		t.Fatalf("repeat: want front-tier hit, got %+v", d2)
+	if !d2.FromCache || d2.Tier != TierHistFree {
+		t.Fatalf("repeat: want histfree-tier hit, got %+v", d2)
 	}
 
-	// New principal, same template: the front key misses but the
-	// history-free template answers.
+	// New principal, same template: the history-free template answers.
 	d3, err := c.CheckSQL(ctx, "SELECT EId FROM Attendance WHERE UId = ?",
 		sqlparser.PositionalArgs(7), session(7), tr)
 	if err != nil {
@@ -77,11 +76,8 @@ func TestDecisionTiers(t *testing.T) {
 
 	// The tier counters agree with what we observed.
 	reg := c.Metrics()
-	if got := reg.Counter("checker.front.hit").Value(); got < 1 {
-		t.Errorf("front.hit = %d, want >= 1", got)
-	}
-	if got := reg.Counter("checker.histfree.hit").Value(); got < 1 {
-		t.Errorf("histfree.hit = %d, want >= 1", got)
+	if got := reg.Counter("checker.histfree.hit").Value(); got < 2 {
+		t.Errorf("histfree.hit = %d, want >= 2", got)
 	}
 	if got := reg.Counter("checker.template.hit").Value(); got < 1 {
 		t.Errorf("template.hit = %d, want >= 1", got)
@@ -103,7 +99,7 @@ func TestPipelineMetricsRecorded(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	for _, key := range []string{
-		"pipeline.decide.front.runs",
+		"pipeline.decide.bind.runs",
 		"pipeline.decide.bind.micros",
 		"pipeline.decide.histfree.runs",
 		"pipeline.decide.facts.micros",
@@ -119,8 +115,8 @@ func TestPipelineMetricsRecorded(t *testing.T) {
 		}
 	}
 	counter := func(name string) int64 { return reg.Counter("pipeline.decide." + name).Value() }
-	if got := counter("front.runs"); got != 3 {
-		t.Errorf("front.runs = %d, want 3", got)
+	if got := counter("bind.runs"); got != 3 {
+		t.Errorf("bind.runs = %d, want 3", got)
 	}
 	// Cover ran for the cold decision only; the repeats hit the
 	// template tier before it, which ended them.
@@ -136,10 +132,10 @@ func TestPipelineMetricsRecorded(t *testing.T) {
 	for i := 3; i < 2*sampleEvery; i++ {
 		mustCheck(t, c, "SELECT * FROM Events WHERE EId=2", session(1), tr)
 	}
-	if got := counter("front.runs"); got != 2*sampleEvery {
-		t.Errorf("front.runs = %d, want %d", got, 2*sampleEvery)
+	if got := counter("bind.runs"); got != 2*sampleEvery {
+		t.Errorf("bind.runs = %d, want %d", got, 2*sampleEvery)
 	}
-	for _, h := range []string{"total", "front", "template"} {
+	for _, h := range []string{"total", "bind", "template"} {
 		if got := reg.Histogram("pipeline.decide." + h + ".micros").Snapshot().Count; got != 2 {
 			t.Errorf("%s.micros count = %d, want 2 (sampled 1/%d)", h, got, sampleEvery)
 		}
@@ -166,7 +162,7 @@ func TestPipelineMetricsRecorded(t *testing.T) {
 
 	// Concurrent decisions count exactly.
 	const workers, each = 4, 50
-	runs := counter("front.runs")
+	runs := counter("bind.runs")
 	sel := sqlparser.MustParseSelect("SELECT EId FROM Attendance WHERE UId = 1")
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -179,8 +175,8 @@ func TestPipelineMetricsRecorded(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := counter("front.runs"); got != runs+workers*each {
-		t.Errorf("front.runs = %d after %d concurrent decisions, want %d", got, workers*each, runs+workers*each)
+	if got := counter("bind.runs"); got != runs+workers*each {
+		t.Errorf("bind.runs = %d after %d concurrent decisions, want %d", got, workers*each, runs+workers*each)
 	}
 }
 
@@ -196,7 +192,7 @@ func TestSpanSetBreakdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := ss.Micros()
-	for _, stage := range []string{"parse", "front", "bind", "facts", "cover", "verdict"} {
+	for _, stage := range []string{"parse", "bind", "facts", "cover", "verdict"} {
 		if _, ok := m[stage]; !ok {
 			t.Errorf("span breakdown missing stage %q: %v", stage, m)
 		}
@@ -243,10 +239,10 @@ func TestDisabledMetricsSameDecisions(t *testing.T) {
 
 // TestResetCacheRaceAllTiers hammers ResetCache (policy-snapshot
 // republication plus wholesale cache drops) against concurrent
-// decisions exercising all three cache tiers at once: the
-// statement-identity front cache (identical repeats), the
-// history-free template tier (rotating principals over one shape),
-// and the sharded full-template cache (trace-dependent decisions).
+// decisions exercising both cache tiers at once: the history-free
+// template tier (identical repeats, and rotating principals over one
+// shape) and the sharded full-template cache (trace-dependent
+// decisions).
 // Run under -race in CI.
 func TestResetCacheRaceAllTiers(t *testing.T) {
 	c := New(calendarPolicy(t))
@@ -269,8 +265,8 @@ func TestResetCacheRaceAllTiers(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
-	// Front tier: identical concrete checks (same statement pointer,
-	// principal, args) repeat into the front cache.
+	// History-free tier: identical concrete checks repeat into one
+	// entry.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -282,14 +278,13 @@ func TestResetCacheRaceAllTiers(t *testing.T) {
 				return
 			}
 			if !d.Allowed {
-				errs <- fmt.Errorf("front tier: own attendance blocked: %s", d.Reason)
+				errs <- fmt.Errorf("repeat: own attendance blocked: %s", d.Reason)
 				return
 			}
 		}
 	}()
 	// History-free tier: rotating principals share one template, so
-	// each fresh (principal, args) front-misses into the history-free
-	// template entry.
+	// each fresh (principal, args) lands on the same entry.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -10,11 +10,10 @@ package checker
 // decisions, which pin the version they started with.
 //
 // Epochs are the cache-invalidation currency: every decision-cache key
-// (front, history-free, template tiers) embeds the deciding epoch, so
+// (history-free and template tiers) embeds the deciding epoch, so
 // swapping policies invalidates warm state by bumping the epoch —
-// stale-epoch entries never match again; the decision cache drops them
-// (dropDeadEpochs), the front cache ages them out through normal
-// eviction — instead of recreating every map. A republish whose
+// stale-epoch entries never match again, and the decision cache drops
+// them (dropDeadEpochs) — instead of recreating every map. A republish whose
 // compiled fingerprint is unchanged keeps its epoch, so all warm state
 // stays live (see installActive). Candidate decisions warm the same
 // caches under the candidate's epoch, which means a promote arrives
@@ -75,9 +74,6 @@ func (c *Checker) compilePol(p *policy.Policy) *compiledPolicy {
 
 // activeVersion returns the current active version.
 func (c *Checker) activeVersion() *polVersion { return c.vers.Load().active }
-
-// candidateVersion returns the staged candidate, or nil.
-func (c *Checker) candidateVersion() *polVersion { return c.vers.Load().candidate }
 
 // ShadowStaged reports whether a candidate policy is currently staged.
 // It is one atomic load, cheap enough for the per-query hot path.

@@ -31,21 +31,21 @@ func narrowCalendarPolicy(t testing.TB, s *policy.Policy) *policy.Policy {
 }
 
 // The ISSUE's regression case: a ResetCache (republish) whose compiled
-// fingerprint is unchanged must keep the epoch, so front-cache hits
+// fingerprint is unchanged must keep the epoch, so history-free hits
 // keep accumulating across it instead of every warm entry dying with
 // an epoch bump.
 func TestRepublishSameFingerprintKeepsFrontCacheWarm(t *testing.T) {
 	c := New(calendarPolicy(t))
 	const q = "SELECT EId FROM Attendance WHERE UId = 1"
-	tr := &trace.Trace{} // front tier only engages for trace-carrying checks
+	tr := &trace.Trace{} // the history-free tier engages for trace-carrying checks
 	d0 := mustCheck(t, c, q, session(1), tr)
 	d1 := mustCheck(t, c, q, session(1), tr)
-	if d1.Tier != TierFront {
-		t.Fatalf("second identical check should be a front hit, got tier %q", d1.Tier)
+	if d1.Tier != TierHistFree {
+		t.Fatalf("second identical check should be a histfree hit, got tier %q", d1.Tier)
 	}
-	hitsBefore := c.mFrontHit.Value()
+	hitsBefore := c.mHistFreeHit.Value()
 	if hitsBefore == 0 {
-		t.Fatal("front-hit counter did not rise on the warm check")
+		t.Fatal("histfree-hit counter did not rise on the warm check")
 	}
 
 	// Republish the SAME policy: fingerprint unchanged, epoch kept.
@@ -56,11 +56,11 @@ func TestRepublishSameFingerprintKeepsFrontCacheWarm(t *testing.T) {
 		t.Fatalf("fingerprint-identical republish bumped the epoch: %d -> %d", d0.Epoch, active.Epoch)
 	}
 	d2 := mustCheck(t, c, q, session(1), tr)
-	if d2.Tier != TierFront {
-		t.Fatalf("front cache went cold across a no-op republish: tier %q", d2.Tier)
+	if d2.Tier != TierHistFree {
+		t.Fatalf("histfree tier went cold across a no-op republish: tier %q", d2.Tier)
 	}
-	if got := c.mFrontHit.Value(); got <= hitsBefore {
-		t.Fatalf("front-hit counter stopped rising across republish: %d -> %d", hitsBefore, got)
+	if got := c.mHistFreeHit.Value(); got <= hitsBefore {
+		t.Fatalf("histfree-hit counter stopped rising across republish: %d -> %d", hitsBefore, got)
 	}
 	if d2.Epoch != d0.Epoch {
 		t.Fatalf("decision epoch changed across a no-op republish: %d -> %d", d0.Epoch, d2.Epoch)
@@ -73,7 +73,7 @@ func TestRepublishChangedFingerprintBumpsEpochAndInvalidates(t *testing.T) {
 	const q = "SELECT EId FROM Attendance WHERE UId = 1"
 	tr := &trace.Trace{}
 	d0 := mustCheck(t, c, q, session(1), tr)
-	mustCheck(t, c, q, session(1), tr) // warm the front tier
+	mustCheck(t, c, q, session(1), tr) // warm the history-free tier
 
 	if err := p.Add("VAllEvents", "SELECT * FROM Events"); err != nil {
 		t.Fatal(err)
@@ -85,8 +85,8 @@ func TestRepublishChangedFingerprintBumpsEpochAndInvalidates(t *testing.T) {
 		t.Fatalf("changed fingerprint must bump the epoch: %d -> %d", d0.Epoch, active.Epoch)
 	}
 	d := mustCheck(t, c, q, session(1), tr)
-	if d.Tier == TierFront {
-		t.Fatal("epoch bump must invalidate front-cache entries keyed under the old epoch")
+	if d.FromCache {
+		t.Fatalf("epoch bump must invalidate warm entries keyed under the old epoch: tier %q", d.Tier)
 	}
 	if d.Epoch != active.Epoch {
 		t.Fatalf("decision epoch %d != active epoch %d", d.Epoch, active.Epoch)
@@ -178,8 +178,8 @@ func TestPromoteServesShadowWarmedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dual-decide with a trace so the candidate's front entry is warmed
-	// (the front tier only engages for trace-carrying checks).
+	// Dual-decide with a trace so the candidate's history-free entry is
+	// warmed (the history-free tier engages for trace-carrying checks).
 	tr := &trace.Trace{}
 	sel := sqlparser.MustParseSelect("SELECT EId FROM Attendance WHERE UId = 1")
 	c.CheckShadow(context.Background(), sel, sqlparser.NoArgs, session(1), tr)
@@ -196,8 +196,8 @@ func TestPromoteServesShadowWarmedCache(t *testing.T) {
 		t.Fatal("promote must clear the candidate slot")
 	}
 	d := c.Check(context.Background(), sel, sqlparser.NoArgs, session(1), tr)
-	if d.Tier != TierFront {
-		t.Fatalf("post-promote check should hit the shadow-warmed front tier, got %q", d.Tier)
+	if d.Tier != TierHistFree {
+		t.Fatalf("post-promote check should hit the shadow-warmed histfree tier, got %q", d.Tier)
 	}
 	if d.Epoch != pv.Epoch {
 		t.Fatalf("post-promote decision epoch %d != promoted epoch %d", d.Epoch, pv.Epoch)

@@ -2,6 +2,7 @@ package cq
 
 import (
 	"sort"
+	"strings"
 
 	"repro/internal/schema"
 )
@@ -387,56 +388,24 @@ func headSafe(q *Query) bool {
 	return true
 }
 
-// CoveredAtoms reports, for each atom of q, whether some homomorphism
-// image covers it — a helper for diagnosis messages.
-func CoveredAtoms(q *Query, by *Query) []bool {
-	out := make([]bool, len(q.Atoms))
-	cs := NewConstraints()
-	cs.AddAll(q.Comps)
-	for i, a := range q.Atoms {
-		probe := &Query{Atoms: []Atom{a}, Comps: q.Comps}
-		probe.Head = nil
-		if len(FindHoms(by, probe, nil, 1)) > 0 {
-			out[i] = true
-		}
-	}
-	_ = cs
-	return out
-}
-
-// Canonicalize renames variables to a stable canonical form (v0, v1,
-// ... in order of first occurrence) and sorts atoms and comparisons,
-// yielding a key usable for caching and deduplication.
-func Canonicalize(q *Query) *Query {
-	// Stable atom order first: by table, then by argument skeleton
-	// (kinds and constants only, ignoring variable names).
+// CanonicalKey renders the query in a canonical form, usable as a key
+// for caching and deduplication: atoms sorted by table, then by
+// argument skeleton (kinds and constants only, ignoring variable
+// names); variables renamed v0, v1, ... in order of first occurrence
+// over head, atoms and comparisons; comparisons sorted by rendering.
+// The query is read, never copied.
+func (q *Query) CanonicalKey() string {
 	idx := make([]int, len(q.Atoms))
 	for i := range idx {
 		idx[i] = i
 	}
-	skeleton := func(a Atom) string {
-		s := a.Table + "("
-		for _, t := range a.Args {
-			switch t.Kind {
-			case KindVar:
-				s += "v,"
-			case KindParam:
-				s += "?" + t.Param + ","
-			default:
-				s += t.Const.Key() + ","
-			}
+	if len(idx) > 1 {
+		skel := make([]string, len(q.Atoms))
+		for i, a := range q.Atoms {
+			skel[i] = skeleton(a)
 		}
-		return s + ")"
+		sort.SliceStable(idx, func(i, j int) bool { return skel[idx[i]] < skel[idx[j]] })
 	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		return skeleton(q.Atoms[idx[i]]) < skeleton(q.Atoms[idx[j]])
-	})
-	ordered := q.Clone()
-	ordered.Atoms = ordered.Atoms[:0]
-	for _, i := range idx {
-		ordered.Atoms = append(ordered.Atoms, q.Atoms[i].Clone())
-	}
-	// Rename variables in traversal order.
 	names := make(map[string]string)
 	rename := func(t Term) Term {
 		if !t.IsVar() {
@@ -449,36 +418,57 @@ func Canonicalize(q *Query) *Query {
 		names[t.Var] = n
 		return V(n)
 	}
-	canon := ordered.Substitute(rename)
-	// Sort comparisons by rendering.
-	sort.Slice(canon.Comps, func(i, j int) bool {
-		return canon.Comps[i].String() < canon.Comps[j].String()
-	})
-	return canon
+	var b strings.Builder
+	for i, t := range q.Head {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(rename(t).Key())
+	}
+	b.WriteByte('|')
+	for _, i := range idx {
+		a := q.Atoms[i]
+		b.WriteString(a.Table)
+		b.WriteByte('(')
+		for k, t := range a.Args {
+			if k > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(rename(t).String())
+		}
+		b.WriteString(");")
+	}
+	b.WriteByte('|')
+	comps := make([]string, len(q.Comps))
+	for i, c := range q.Comps {
+		comps[i] = Comparison{Op: c.Op, Left: rename(c.Left), Right: rename(c.Right)}.String()
+	}
+	sort.Strings(comps)
+	for _, c := range comps {
+		b.WriteString(c)
+		b.WriteByte(';')
+	}
+	if q.AggApprox {
+		b.WriteString("|agg")
+	}
+	return b.String()
 }
 
-// Key returns a canonical cache key for the query.
-func (q *Query) CanonicalKey() string {
-	c := Canonicalize(q)
-	s := ""
-	for i, t := range c.Head {
-		if i > 0 {
-			s += ","
+// skeleton renders an atom's table and argument kinds and constants,
+// ignoring variable names: the key CanonicalKey orders atoms by.
+func skeleton(a Atom) string {
+	s := a.Table + "("
+	for _, t := range a.Args {
+		switch t.Kind {
+		case KindVar:
+			s += "v,"
+		case KindParam:
+			s += "?" + t.Param + ","
+		default:
+			s += t.Const.Key() + ","
 		}
-		s += t.Key()
 	}
-	s += "|"
-	for _, a := range c.Atoms {
-		s += a.String() + ";"
-	}
-	s += "|"
-	for _, cm := range c.Comps {
-		s += cm.String() + ";"
-	}
-	if c.AggApprox {
-		s += "|agg"
-	}
-	return s
+	return s + ")"
 }
 
 func itoa(n int) string {

@@ -164,16 +164,22 @@ func (p *StmtPlan) Disjuncts() int { return len(p.disj) }
 // instantiation.
 func (p *StmtPlan) Census() []Census { return p.census }
 
+// CachedPlan returns the statement's plan if Plan has compiled it, or
+// nil: the lookup half of Plan, which never compiles.
+func (tr *Translator) CachedPlan(sel *sqlparser.SelectStmt) *StmtPlan {
+	tr.mu.RLock()
+	p := tr.plans[sel]
+	tr.mu.RUnlock()
+	return p
+}
+
 // Plan returns the statement's plan, compiling it on first use. Plans
 // are keyed by the statement pointer — sqlparser's parse cache hands out
 // one shared statement per SQL text — and the entry keeps the statement
 // alive, so an address cannot be reused while its plan is cached. A
 // statement parsed outside that cache is planned on every call.
 func (tr *Translator) Plan(sel *sqlparser.SelectStmt) *StmtPlan {
-	tr.mu.RLock()
-	p := tr.plans[sel]
-	tr.mu.RUnlock()
-	if p != nil {
+	if p := tr.CachedPlan(sel); p != nil {
 		return p
 	}
 	// Compiled outside the lock: first users racing on one statement may

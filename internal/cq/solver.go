@@ -322,11 +322,6 @@ func (cs *Constraints) Consistent() bool {
 	return !cs.close().inconsistent
 }
 
-// SameClass reports whether a and b are known equal.
-func (cs *Constraints) SameClass(a, b Term) bool {
-	return cs.find(cs.intern(a)) == cs.find(cs.intern(b))
-}
-
 // ValueOf returns the constant value the term is forced to, if known.
 func (cs *Constraints) ValueOf(t Term) (sqlvalue.Value, bool) {
 	cl := cs.close()
@@ -480,14 +475,4 @@ func (cl *closure) neConst(i int, v sqlvalue.Value) bool {
 	}
 	cmp, ok := sqlvalue.Compare(cl.constVal[i], v)
 	return !ok || cmp != 0
-}
-
-// ImpliesAll reports whether every comparison is entailed.
-func (cs *Constraints) ImpliesAll(comps []Comparison) bool {
-	for _, c := range comps {
-		if !cs.Implies(c) {
-			return false
-		}
-	}
-	return true
 }

@@ -267,9 +267,6 @@ func OpenLog(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// Dir returns the WAL directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Stats returns the plain counters.
 func (l *Log) Stats() Stats {
 	return Stats{

@@ -248,11 +248,11 @@ func RunE2(dbSize, iters int) (*Table, error) {
 		return nil, err
 	}
 	// The rows above decide without a session trace, which bypasses the
-	// tiers above the template cache. Under a trace, as every proxy
-	// decision runs, the repeat is a front-tier hit.
+	// history-free stage: the template stage answers. Under a trace, as
+	// every proxy decision runs, the repeat is a history-free hit.
 	tr := &trace.Trace{}
 	cachedChk.Check(context.Background(), sel, argv, sess, tr)
-	decFront, err := measure(func() error {
+	decHistFree, err := measure(func() error {
 		cachedChk.Check(context.Background(), sel, argv, sess, tr)
 		return nil
 	})
@@ -267,7 +267,7 @@ func RunE2(dbSize, iters int) (*Table, error) {
 	t.Add("RLS query modification", fmt.Sprintf("%.0f", rlsNs), rel(rlsNs))
 	t.Add("decision only, cold", fmt.Sprintf("%.0f", decCold), rel(decCold))
 	t.Add("decision only, cached", fmt.Sprintf("%.0f", decCached), rel(decCached))
-	t.Add("decision only, cached (front tier)", fmt.Sprintf("%.0f", decFront), rel(decFront))
+	t.Add("decision only, cached (histfree tier)", fmt.Sprintf("%.0f", decHistFree), rel(decHistFree))
 	t.Note("expected shape: cached ≈ passthrough ≪ cold (Blockaid's headline result)")
 
 	// Series: cold decision latency vs number of views.

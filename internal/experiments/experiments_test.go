@@ -37,22 +37,22 @@ func TestRunE2Shapes(t *testing.T) {
 	pass := ns["passthrough (no enforcement)"]
 	cold := ns["decision only, cold"]
 	cached := ns["decision only, cached"]
-	front := ns["decision only, cached (front tier)"]
-	if pass <= 0 || cold <= 0 || cached <= 0 || front <= 0 {
+	hf := ns["decision only, cached (histfree tier)"]
+	if pass <= 0 || cold <= 0 || cached <= 0 || hf <= 0 {
 		t.Fatalf("missing configs: %v", ns)
 	}
 	// The headline shape: a cached decision is cheaper than a cold one,
 	// on every tier (end-to-end rows are dominated by query execution
 	// and too noisy for a strict assertion). "decision only, cached" is
 	// decided without a trace and so is a template-cache hit; the
-	// front-tier row is the hit a repeated proxy decision takes. The
+	// histfree-tier row is the hit a repeated proxy decision takes. The
 	// template row was not assertable between the compiled cover search
 	// and statement plans: a hit bound, translated and canonically keyed
 	// the statement, which cost more than this one-atom query's whole
 	// cold decision (EXPERIMENTS.md E2). A hit now fills the plan's slots
 	// and probes.
-	if front >= cold {
-		t.Errorf("front-tier decision (%v) should beat cold (%v)", front, cold)
+	if hf >= cold {
+		t.Errorf("histfree-tier decision (%v) should beat cold (%v)", hf, cold)
 	}
 	if cached >= cold {
 		t.Errorf("template-cache hit (%v) should beat cold (%v)", cached, cold)

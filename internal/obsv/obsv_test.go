@@ -159,7 +159,7 @@ func TestSpanSetThroughContext(t *testing.T) {
 	// Nil SpanSet is a no-op.
 	var nilSS *SpanSet
 	nilSS.Record("x", time.Second)
-	nilSS.SetTier("front")
+	nilSS.SetTier("histfree")
 	if nilSS.Micros() != nil || nilSS.Tier() != "" {
 		t.Fatal("nil SpanSet must be inert")
 	}

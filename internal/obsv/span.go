@@ -60,9 +60,8 @@ func (s *SpanSet) Record(name string, d time.Duration) {
 	s.mu.Unlock()
 }
 
-// SetTier notes which cache tier answered the operation ("front",
-// "histfree", "template", or "" for a cold decision). No-op on a nil
-// receiver.
+// SetTier notes which cache tier answered the operation ("histfree",
+// "template", or "" for a cold decision). No-op on a nil receiver.
 func (s *SpanSet) SetTier(t string) {
 	if s == nil {
 		return

@@ -23,8 +23,9 @@ const (
 
 // prepared is a named statement from Parse: the original SQL (the
 // proxy normalizes it on ingest, so re-submitting the text hits the
-// shared parse-cache entry and, from the second execution on, the
-// checker's statement-identity front cache), its leading keyword, and
+// shared parse-cache entry and the checker's plan for that statement,
+// and from the second execution on its history-free decision), its
+// leading keyword, and
 // what Describe needs.
 type prepared struct {
 	sql       string

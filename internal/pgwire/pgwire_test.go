@@ -615,11 +615,11 @@ func TestCancelRequest(t *testing.T) {
 	wantCommandTag(t, pc2.query("SELECT EId FROM Attendance WHERE UId = 1"), "SELECT 1")
 }
 
-// TestPreparedStatementFrontCacheHit pins the acceptance criterion:
-// a prepared statement issued via the extended protocol registers as a
-// statement-identity front-cache hit on its second execution, because
-// the listener's Parse and the proxy's ingest parse share one
-// normalized statement in the process-wide parse cache.
+// TestPreparedStatementFrontCacheHit pins that a prepared statement
+// issued via the extended protocol registers as a history-free hit on
+// its second execution: the first decides cold and stores the
+// trace-independent allow, and the second, bound to the same value,
+// fills the same plan slots and so lands on the same key.
 func TestPreparedStatementFrontCacheHit(t *testing.T) {
 	px := testProxy(t, proxy.Enforce)
 	addr, _ := listen(t, px, Config{})
@@ -630,7 +630,7 @@ func TestPreparedStatementFrontCacheHit(t *testing.T) {
 	pc.readUntilReady()
 
 	reg := px.Checker.Metrics()
-	before := reg.Counter("checker.front.hit").Value()
+	before := reg.Counter("checker.histfree.hit").Value()
 
 	for i := 0; i < 2; i++ {
 		pc.sendBind("", "q", []string{"1"})
@@ -640,8 +640,8 @@ func TestPreparedStatementFrontCacheHit(t *testing.T) {
 		wantCommandTag(t, msgs, "SELECT 1")
 	}
 
-	if got := reg.Counter("checker.front.hit").Value(); got != before+1 {
-		t.Fatalf("front cache hits across two executions = %d, want %d", got-before, 1)
+	if got := reg.Counter("checker.histfree.hit").Value(); got != before+1 {
+		t.Fatalf("histfree hits across two executions = %d, want %d", got-before, 1)
 	}
 }
 

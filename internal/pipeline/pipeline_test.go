@@ -19,7 +19,7 @@ import (
 )
 
 // stages is the decide table's stage order (DESIGN.md §9.1).
-var stages = []string{"front", "bind", "histfree", "facts", "template", "cover", "verdict"}
+var stages = []string{"bind", "histfree", "facts", "template", "cover", "verdict"}
 
 // sampleEvery is the checker's latency sampling period (DESIGN.md
 // §9.2): the first decision and every sampleEvery-th after it are timed.
@@ -88,7 +88,7 @@ func runsDelta(reg *obsv.Registry, f func()) []int64 {
 }
 
 // TestStagesRunInOrder pins that every decision runs a prefix of the
-// table, each stage once: a cold decision runs all seven, and a
+// table, each stage once: a cold decision runs all six, and a
 // decision a stage answers runs exactly the stages up to that one.
 func TestStagesRunInOrder(t *testing.T) {
 	c, reg := newChecker(t)
@@ -105,7 +105,7 @@ func TestStagesRunInOrder(t *testing.T) {
 		{"cold", eid, session(1), "verdict", ""},
 		{"template hit", eid, session(1), "template", checker.TierTemplate},
 		{"history-free allow", att, session(1), "histfree", ""},
-		{"front hit", att, session(1), "front", checker.TierFront},
+		{"history-free hit", att, session(1), "histfree", checker.TierHistFree},
 	} {
 		var d checker.Decision
 		got := runsDelta(reg, func() {
@@ -169,7 +169,7 @@ func TestAbortCountsAndStops(t *testing.T) {
 		t.Fatal("abort counter not incremented")
 	}
 	if got[0] != 1 {
-		t.Fatalf("front runs = %d, want 1", got[0])
+		t.Fatalf("%s runs = %d, want 1", stages[0], got[0])
 	}
 	for i := 1; i < len(stages); i++ {
 		if got[i] != 0 {
@@ -188,10 +188,10 @@ func TestMetricsRecorded(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		c.Check(context.Background(), sel, sqlparser.NoArgs, session(1), tr)
 	}
-	if got := counter(reg, "front.runs"); got != int64(runs) {
-		t.Fatalf("front.runs = %d, want %d", got, runs)
+	if got := counter(reg, "bind.runs"); got != int64(runs) {
+		t.Fatalf("bind.runs = %d, want %d", got, runs)
 	}
-	for _, h := range []string{"total", "front", "template"} {
+	for _, h := range []string{"total", "bind", "template"} {
 		if got := reg.Histogram("pipeline.decide." + h + ".micros").Snapshot().Count; got != 2 {
 			t.Fatalf("%s.micros count = %d, want 2 (sampled 1/%d)", h, got, sampleEvery)
 		}
@@ -206,12 +206,12 @@ func TestSpanSetRunsAlwaysTimed(t *testing.T) {
 	sel := sqlparser.MustParseSelect("SELECT * FROM Events WHERE EId=2")
 	// Burn the sampled slot so later plain decisions are counted-only.
 	c.Check(context.Background(), sel, sqlparser.NoArgs, session(1), tr)
-	hist := reg.Histogram("pipeline.decide.front.micros")
+	hist := reg.Histogram("pipeline.decide.bind.micros")
 	before := hist.Snapshot().Count
 	for i := 0; i < 3; i++ {
 		ctx, ss := obsv.WithSpanSet(context.Background())
 		c.Check(ctx, sel, sqlparser.NoArgs, session(1), tr)
-		if _, ok := ss.Micros()["front"]; !ok {
+		if _, ok := ss.Micros()["bind"]; !ok {
 			t.Fatal("SpanSet decision must always collect stage timings")
 		}
 	}
@@ -276,8 +276,8 @@ func TestConcurrentRuns(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := counter(reg, "front.runs"); got != 1600 {
-		t.Fatalf("front.runs = %d, want 1600", got)
+	if got := counter(reg, "bind.runs"); got != 1600 {
+		t.Fatalf("bind.runs = %d, want 1600", got)
 	}
 	if got := c.Stats().Decisions; got != 1600 {
 		t.Fatalf("decisions = %d, want 1600", got)

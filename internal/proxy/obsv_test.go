@@ -127,7 +127,7 @@ func TestSlowDecisionLog(t *testing.T) {
 	}
 	// This template is allowed with zero facts, so the pipeline stops
 	// at the history-free stage; cover never runs.
-	for _, stage := range []string{"front", "bind", "histfree"} {
+	for _, stage := range []string{"bind", "histfree"} {
 		if _, ok := recs[0].StageMicros[stage]; !ok {
 			t.Errorf("record missing stage %q: %v", stage, recs[0].StageMicros)
 		}

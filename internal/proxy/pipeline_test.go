@@ -513,7 +513,7 @@ func TestInlineNeverOvertakesLaneAnswers(t *testing.T) {
 		return out
 	}
 	line(Request{Op: "hello", ID: 1, Session: map[string]any{"MyUId": 1}}, 0)
-	line(Request{Op: "query", ID: 2, SQL: warm}, 0) // warms the front cache
+	line(Request{Op: "query", ID: 2, SQL: warm}, 0) // warms the history-free tier
 	exchange(2)
 
 	rounds := 600

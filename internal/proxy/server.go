@@ -894,7 +894,8 @@ func (s *Server) dispatch(pc *pipeConn, req *Request) {
 }
 
 // tryInlineQuery is the inline fast path: when a query's session
-// lane is idle and the decision is already warm (a front-cache hit),
+// lane is idle and the decision is already warm (a cached
+// trace-independent allow, answered by the history-free probe),
 // executing it right here on the read goroutine skips the window slot,
 // the queue handoff, the runner wakeup, and the writer-channel round
 // trip — the whole request is one goroutine's straight-line code.
@@ -937,7 +938,7 @@ func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
 	d, ok := s.Checker.CheckWarmBorrowed(sel, args, ln.sess.attrs)
 	if !ok {
 		// Cold or deep-tier decision: release the lane and let the
-		// general path decide (and count the front miss) off the read
+		// general path decide (and count the miss) off the read
 		// goroutine.
 		ln.releaseClaim()
 		s.mInlineBypass.Inc()

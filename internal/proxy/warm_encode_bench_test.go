@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkWarmEncode measures the v2 serving surface's warm
-// steady-state minus the engine scan: a front-tier warm-probe decide
+// steady-state minus the engine scan: a history-free warm-probe decide
 // (CheckWarmBorrowed), a pooled Response filled in place, the
 // hand-rolled frame encode into a reused scratch buffer, and the
 // release back to the pool — exactly the per-request work the inline
@@ -27,12 +27,12 @@ func BenchmarkWarmEncode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Prime the front cache, then confirm the warm probe answers.
+	// Prime the history-free tier, then confirm the warm probe answers.
 	if d := srv.Checker.CheckBorrowed(context.Background(), sel, args, attrs, tr); !d.Allowed {
 		b.Fatalf("prime: %+v", d)
 	}
 	if _, ok := srv.Checker.CheckWarmBorrowed(sel, args, attrs); !ok {
-		b.Fatal("prime: warm probe missed after a front-tier fill")
+		b.Fatal("prime: warm probe missed after a history-free fill")
 	}
 
 	// The result set a warm hit would carry, pre-materialized: the

@@ -330,15 +330,6 @@ func jsonNumber(tok []byte) bool {
 	return i == n
 }
 
-func (s *wireScanner) number() (float64, bool) {
-	tok, ok := s.numTok()
-	if !ok {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	return f, err == nil
-}
-
 // integralToken reports whether tok is a plain (optionally signed)
 // decimal integer — no fraction, no exponent.
 func integralToken(tok []byte) bool {

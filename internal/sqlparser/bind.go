@@ -76,11 +76,6 @@ func Bind(s Statement, args Args) (Statement, error) {
 	return out, nil
 }
 
-// CloneStatement deep-copies a statement.
-func CloneStatement(s Statement) Statement {
-	return mapStatement(s, func(e Expr) Expr { return e })
-}
-
 // CloneSelect deep-copies a SELECT statement.
 func CloneSelect(s *SelectStmt) *SelectStmt {
 	return mapStatement(s, func(e Expr) Expr { return e }).(*SelectStmt)

@@ -3,7 +3,6 @@ package sqlparser
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // tokenKind classifies lexer tokens.
@@ -270,20 +269,4 @@ func identLike(t token) bool {
 		}
 	}
 	return false
-}
-
-// sanitizeIdent validates an identifier for printing without quotes.
-func sanitizeIdent(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		if i == 0 && !unicode.IsLetter(r) && r != '_' {
-			return false
-		}
-		if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
-			return false
-		}
-	}
-	return !keywords[strings.ToUpper(s)]
 }

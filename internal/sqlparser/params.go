@@ -6,8 +6,8 @@ import "strconv"
 // protocol, the Postgres wire listener, and the database/sql driver —
 // accepts whatever placeholder style its clients write: sequential
 // `?`, Postgres `$N`, `:name`, or the native `?name`. The
-// statement-identity caches (the parse cache and the checker's front
-// cache) key on statement text, so "WHERE UId = ?" from a v2 client
+// statement-identity caches (the parse cache and the checker's
+// statement plans) key on statement text, so "WHERE UId = ?" from a v2 client
 // and "WHERE UId = $1" from a stock Postgres driver would otherwise be
 // two distinct statements forever. NormalizeParams rewrites a
 // statement into one canonical parameter form so identical statements

@@ -188,7 +188,7 @@ func TestParseCasts(t *testing.T) {
 // TestParseNormSharesStatement pins the cross-surface cache-keying
 // contract: the same logical statement in different placeholder styles
 // resolves to the SAME shared Statement pointer, which is what keys
-// the checker's statement-identity front cache.
+// the checker's statement plans.
 func TestParseNormSharesStatement(t *testing.T) {
 	variants := []string{
 		"SELECT EId FROM Attendance WHERE UId = ? AND EId = ?",

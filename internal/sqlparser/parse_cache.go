@@ -135,7 +135,7 @@ func ParseSelectCached(src string) (*SelectStmt, error) {
 // protocol, "... WHERE a = $1" over the Postgres wire, or
 // "... WHERE a = :a" from a client library therefore returns the SAME
 // shared *Statement, so every statement-identity cache downstream (the
-// checker's front cache keys on the shared statement pointer) hits
+// checker's statement plans key on the shared statement pointer) hits
 // across ingress surfaces. The warm path is one cache probe on the raw
 // text — normalization only runs on a miss.
 func ParseNorm(src string) (Statement, error) {
