@@ -56,9 +56,11 @@ coldsmoke:
 # fact, must be exactly 0 allocs/op), the proxy's pooled encode path
 # end-to-end (history-free warm probe through wire encode of typed rows
 # must be exactly 0 allocs/op on the v2 surface), the proxy's trace of
-# range reads (32 reads of 500 rows keep no row, only their counts), the
-# engine's bound range read (the same count for 50 rows as for 500, at
-# most 4), and a pgwire DataRow framed from typed values (exactly 0).
+# range reads (32 reads of 500 rows keep no row, only their counts, in
+# process and over pgwire), the engine's bound range read (the same count
+# for 50 rows as for 500, at most 4), a pgwire DataRow framed from typed
+# values (exactly 0), and a pgwire range-read exchange, whose rows stream
+# from the scan (the same count and bytes for 50 rows as for 500).
 allocbudget:
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmDecide|BenchmarkColdDecide' -benchmem -benchtime=100x ./internal/checker
 	$(GO) test -run 'TestWarmDecideAllocBudget|TestColdDecideAllocBudget' -count=1 ./internal/checker
@@ -67,11 +69,12 @@ allocbudget:
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmEncode' -benchmem -benchtime=100x ./internal/proxy
 	$(GO) test -run 'TestWarmEncodeAllocBudget|TestRangeReadKeepsNoRows' -count=1 ./internal/proxy
 	$(GO) test -run 'TestScanAllocsConstant|TestInsertRowAllocs' -count=1 ./internal/engine
-	$(GO) test -run 'TestDataRowAllocs' -count=1 ./internal/pgwire
+	$(GO) test -run 'TestDataRowAllocs|TestPgExchangeAllocsConstant' -count=1 ./internal/pgwire
 
 # Postgres wire-protocol conformance: raw-socket client exercising the
 # simple and extended flows, mid-transaction blocks, cancellation, the
-# prepared-statement history-free hit pin, and the connection limit.
+# prepared-statement history-free hit pin, the connection limit,
+# malformed counts, and the edges of streamed reads.
 pgsmoke:
 	$(GO) test -count=1 ./internal/pgwire
 
@@ -152,11 +155,14 @@ fuzzwal:
 # line it accepts; the pooled response encode of typed rows must equal
 # encoding/json through Value.MarshalJSON and decode back to the same
 # Values; every pgwire DataRow cell must equal the string-building
-# reference rendering.
+# reference rendering; a fuzzed pgwire frontend byte stream, startup
+# included, must neither panic the connection nor keep it from ending
+# with its input.
 fuzzwire:
 	$(GO) test -run '^$$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/proxy
 	$(GO) test -run '^$$' -fuzz=FuzzEncodeResponsePooled -fuzztime=10s ./internal/proxy
 	$(GO) test -run '^$$' -fuzz=FuzzValueTextParity -fuzztime=10s ./internal/pgwire
+	$(GO) test -run '^$$' -fuzz=FuzzPgFrontend -fuzztime=10s ./internal/pgwire
 
 # Kill-and-recover integration test: run a WAL-backed proxy, SIGKILL
 # it mid-workload, restart, and assert decision parity with an

@@ -13,11 +13,11 @@ import (
 )
 
 // startCluster brings up n clustered Serve stacks over the fixture,
-// each with its own database, checker, WAL directory, and v2 listener,
-// then installs the bound addresses as the shared member set. Tuning
-// is aggressive (short leases, fast probes) so failover completes in
-// test time.
-func startCluster(t *testing.T, f *apps.Fixture, n int) ([]*beyond.Service, []string) {
+// each with its own database, checker, WAL directory, and v2 listener
+// (and whatever opts add), then installs the bound addresses as the
+// shared member set. Tuning is aggressive (short leases, fast probes)
+// so failover completes in test time.
+func startCluster(t *testing.T, f *apps.Fixture, n int, opts ...beyond.ServeOption) ([]*beyond.Service, []string) {
 	t.Helper()
 	ids := make([]string, n)
 	members := make([]beyond.ClusterMember, n)
@@ -28,16 +28,16 @@ func startCluster(t *testing.T, f *apps.Fixture, n int) ([]*beyond.Service, []st
 	svcs := make([]*beyond.Service, n)
 	for i, id := range ids {
 		svc, err := beyond.Serve(f.MustNewDB(20), beyond.NewChecker(f.Policy()), beyond.Enforce,
-			beyond.WithV2Listener("127.0.0.1:0",
+			append([]beyond.ServeOption{beyond.WithV2Listener("127.0.0.1:0",
 				beyond.WithDurability(t.TempDir(), beyond.WithFsync(beyond.FsyncOff))),
-			beyond.WithCluster(beyond.ClusterConfig{
-				Self:          id,
-				Members:       members,
-				LeaseTTL:      300 * time.Millisecond,
-				ProbeInterval: 50 * time.Millisecond,
-				ShipFlush:     2 * time.Millisecond,
-				Logf:          t.Logf,
-			}))
+				beyond.WithCluster(beyond.ClusterConfig{
+					Self:          id,
+					Members:       members,
+					LeaseTTL:      300 * time.Millisecond,
+					ProbeInterval: 50 * time.Millisecond,
+					ShipFlush:     2 * time.Millisecond,
+					Logf:          t.Logf,
+				})}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,5 +246,51 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	if st := clusterStatus(t, entry.V2Addr()); st.Takeovers == 0 && clusterStatus(t, svcs[2].V2Addr()).Takeovers == 0 {
 		t.Fatalf("no survivor recorded a takeover")
+	}
+}
+
+// TestClusterPgForwardedRows: a pgwire session whose durable name a
+// peer owns is forwarded there, and the rows of its answers, which come
+// back in the owner's response rather than from a local scan, still
+// reach the client as DataRows: for every allowed corpus query the
+// entry node frames as many as a single-node stack does.
+func TestClusterPgForwardedRows(t *testing.T) {
+	f, err := apps.ByName("calendar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svcs, ids := startCluster(t, f, 2, beyond.WithPgListener("127.0.0.1:0"))
+	ctrl, err := beyond.Serve(f.MustNewDB(20), beyond.NewChecker(f.Policy()), beyond.Enforce,
+		beyond.WithPgListener("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	ring := svcs[0].ClusterNode().Ring()
+	framed := 0
+	for i, w := range f.Corpus {
+		name := fmt.Sprintf("pgf-%02d", i)
+		for j := 0; ring.Owner(name) == ids[0]; j++ {
+			name = fmt.Sprintf("pgf-%02d-%d", i, j)
+		}
+		params := map[string]string{"session": name, "attr.MyUId": fmt.Sprint(w.UId)}
+		got := pgDial(t, svcs[0].PgAddr(), params)
+		want := pgDial(t, ctrl.PgAddr(), params)
+		for _, p := range []*pgClient{got, want} {
+			if w.PrimeSQL != "" {
+				p.extQuery(t, w.PrimeSQL, w.PrimeArgs)
+			}
+		}
+		n, state, msg := got.extQuery(t, w.SQL, w.Args)
+		wn, wstate, _ := want.extQuery(t, w.SQL, w.Args)
+		got.close()
+		want.close()
+		if n != wn || state != wstate {
+			t.Fatalf("%s (session %s on %s): forwarded %d rows, %q %s; control %d rows, %q", w.Label, name, ring.Owner(name), n, state, msg, wn, wstate)
+		}
+		framed += n
+	}
+	if st := clusterStatus(t, svcs[0].V2Addr()); st.ForwardedOps == 0 || framed == 0 {
+		t.Fatalf("forwarded %d ops framing %d rows; want both above 0", st.ForwardedOps, framed)
 	}
 }

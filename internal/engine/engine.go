@@ -23,7 +23,8 @@ import (
 
 // Row is one tuple, in declared column order for a stored row and in
 // select-list order for a result row. It is a plain []sqlvalue.Value, so
-// a result row reaches the trace and both wires as the engine built it.
+// a result row reaches the trace and both wires as the engine built it,
+// a streamed one (QueryEach) in a buffer reused for the next.
 type Row = []sqlvalue.Value
 
 // rowKey builds a key over every column of r: rows with equal keys are
@@ -173,8 +174,8 @@ type engineObs struct {
 }
 
 // SetMetrics points the engine at an observability registry: every
-// QueryCtx counts into engine.queries and times its scan into
-// engine.scan.micros. Safe to call at any time, including while
+// read (QueryCtx, QueryEach) counts into engine.queries and times its
+// scan into engine.scan.micros. Safe to call at any time, including while
 // queries run; a nil registry (or never calling this) keeps the
 // zero-overhead path.
 func (db *DB) SetMetrics(reg *obsv.Registry) {

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/acerr"
 	"repro/internal/sqlparser"
 	"repro/internal/sqlvalue"
 )
@@ -38,6 +41,31 @@ func servedQuery(db *DB, q string) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
+	return res.String()
+}
+
+// streamedQuery runs q through QueryEach, copying out each row it is
+// handed, rendered like genericQuery.
+func streamedQuery(db *DB, q string) string {
+	sel, err := sqlparser.ParseSelect(q)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	bound, err := sqlparser.Bind(sel, sqlparser.NoArgs)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	res := &Result{}
+	cols, n, err := db.QueryEach(context.Background(), bound.(*sqlparser.SelectStmt), func(r Row) {
+		res.Rows = append(res.Rows, slices.Clone(r))
+	})
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	if n != len(res.Rows) {
+		return "error: QueryEach counted " + itoa(n) + " rows and emitted " + itoa(len(res.Rows))
+	}
+	res.Columns = cols
 	return res.String()
 }
 
@@ -84,6 +112,8 @@ func TestEqScanParity(t *testing.T) {
 	for _, q := range queries {
 		if fast, generic := servedQuery(db, q), genericQuery(t, db, q); fast != generic {
 			t.Errorf("eq-scan parity broken for %q:\nfast path:\n%s\ngeneric:\n%s", q, fast, generic)
+		} else if streamed := streamedQuery(db, q); streamed != generic {
+			t.Errorf("streamed read of %q:\n%s\ngeneric:\n%s", q, streamed, generic)
 		}
 		// A Describe's columns, derived without running the query.
 		sel := sqlparser.MustParseSelect(q)
@@ -189,6 +219,23 @@ func TestScanAllocsConstant(t *testing.T) {
 	}
 	if counts[50] != counts[500] || counts[500] > 4 {
 		t.Errorf("bound range read allocates %v times for 50 rows, %v for 500; contract is the same count, at most 4", counts[50], counts[500])
+	}
+}
+
+// TestQueryEachCanceled pins that a context canceled while a bound scan
+// streams its rows stops the read within the 1 024 candidates between
+// polls, with acerr.ErrCanceled.
+func TestQueryEachCanceled(t *testing.T) {
+	db := rangeDB(t, 4000)
+	ctx, cancel := context.WithCancel(context.Background())
+	seen := 0
+	_, _, err := db.QueryEach(ctx, sqlparser.MustParseSelect("SELECT EId, Title FROM Events WHERE EId >= 1"), func(Row) {
+		if seen++; seen == 10 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, acerr.ErrCanceled) || seen > 1024 {
+		t.Errorf("canceled after 10 rows: emitted %d, %v", seen, err)
 	}
 }
 

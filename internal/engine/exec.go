@@ -24,6 +24,28 @@ func (db *DB) Query(sel *sqlparser.SelectStmt) (*Result, error) {
 // mid-scan when ctx is canceled or its deadline passes. The returned
 // error then satisfies errors.Is(err, acerr.ErrCanceled).
 func (db *DB) QueryCtx(ctx context.Context, sel *sqlparser.SelectStmt) (*Result, error) {
+	return db.read(ctx, sel, &rowsOut{})
+}
+
+// QueryEach runs a SELECT as QueryCtx does but hands each row to emit,
+// returning the columns and the row count. A bound scan emits a row as
+// it finds it, under the read lock (emit must not wait on a writer, or
+// a socket), in a buffer reused for the next; other reads build first.
+func (db *DB) QueryEach(ctx context.Context, sel *sqlparser.SelectStmt, emit func(Row)) ([]string, int, error) {
+	out := rowsOut{emit: emit}
+	res, err := db.read(ctx, sel, &out)
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, r := range res.Rows {
+		emit(r)
+	}
+	return res.Columns, out.n + len(res.Rows), nil
+}
+
+// read runs sel under the read lock, counted into engine.queries and
+// timed into engine.scan.micros.
+func (db *DB) read(ctx context.Context, sel *sqlparser.SelectStmt, out *rowsOut) (*Result, error) {
 	obs := db.obs.Load()
 	var start time.Time
 	if obs != nil {
@@ -32,8 +54,7 @@ func (db *DB) QueryCtx(ctx context.Context, sel *sqlparser.SelectStmt) (*Result,
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	ev := &evaluator{db: db, ctx: ctx}
-	res, err := ev.execSelect(sel, nil)
+	res, err := (&evaluator{db: db, ctx: ctx}).execSelect(sel, nil, out)
 	if obs != nil {
 		obs.scan.ObserveSince(start)
 	}
@@ -157,22 +178,27 @@ func (ev *evaluator) tick() error {
 // including any UNION arms: arms are evaluated with the same parent
 // environment, concatenated (deduplicating unless UNION ALL), and the
 // head select's ORDER BY / LIMIT / OFFSET apply to the combined rows.
-func (ev *evaluator) execSelect(sel *sqlparser.SelectStmt, parent *env) (*Result, error) {
+// Without arms it runs the bound scan into out when the shape allows
+// (the generic evaluator's per-row env work was the serving ceiling).
+func (ev *evaluator) execSelect(sel *sqlparser.SelectStmt, parent *env, out *rowsOut) (*Result, error) {
 	if len(sel.Union) == 0 {
-		return ev.execSingleSelect(sel, parent)
+		if cols, ok, err := ev.tryEqScan(sel, out); err != nil || ok {
+			return &Result{Columns: cols, Rows: out.rows}, err
+		}
+		return ev.execGeneric(sel, parent)
 	}
 	head := *sel
 	head.Union = nil
 	orderBy, limit, offset := head.OrderBy, head.Limit, head.Offset
 	head.OrderBy, head.Limit, head.Offset = nil, nil, nil
 
-	res, err := ev.execSingleSelect(&head, parent)
+	res, err := ev.execSelect(&head, parent, &rowsOut{})
 	if err != nil {
 		return nil, err
 	}
 	allDup := false
 	for _, u := range sel.Union {
-		arm, err := ev.execSelect(u.Select, parent)
+		arm, err := ev.execSelect(u.Select, parent, &rowsOut{})
 		if err != nil {
 			return nil, err
 		}
@@ -260,17 +286,6 @@ func (ev *evaluator) execSelect(sel *sqlparser.SelectStmt, parent *env) (*Result
 		}
 	}
 	return res, nil
-}
-
-// execSingleSelect runs one SELECT without UNION arms: the bound
-// equality scan when the shape allows (saturation profiling showed the
-// generic evaluator's per-row env work as the serving ceiling), else
-// the generic evaluator.
-func (ev *evaluator) execSingleSelect(sel *sqlparser.SelectStmt, parent *env) (*Result, error) {
-	if res, ok, err := ev.tryEqScan(sel); err != nil || ok {
-		return res, err
-	}
-	return ev.execGeneric(sel, parent)
 }
 
 // execGeneric evaluates any SELECT without UNION arms, row by row.
@@ -660,22 +675,30 @@ type eqProj struct {
 // candidates it keeps: 4 096 candidates before it allocates one.
 const keptWords = 64
 
+// rowsOut takes a bound scan's rows: emitted (and counted), or collected.
+type rowsOut struct {
+	emit func(Row)
+	rows []Row
+	n    int
+}
+
 // tryEqScan executes a single-table SELECT whose WHERE is an AND-tree
 // of <column> <cmp> <literal> conjuncts and whose select list is plain
 // columns, literals, or an unqualified *, resolving every column
 // reference ONCE and then scanning its candidate rows with direct
 // index accesses — no per-row env, no per-row name resolution, no
 // per-row Value or allocation: each conjunct is one comparison
-// (eqCond.holds), the kept candidates are marked first, and the output
-// cells are projected into one exact-size slab that every result row
-// is a capacity-capped window of. A read thus allocates its Result,
-// its column names, the slab and the row headers, however many rows it
+// (eqCond.holds). A streamed row is projected into one reused buffer as
+// the scan finds it. Collected, the kept candidates are marked first,
+// then projected into one exact-size slab that every result row is a
+// capacity-capped window of, so a read allocates its Result, its
+// column names, the slab and the row headers, however many rows it
 // returns. ok=false means the shape is out of scope and the generic
 // evaluator must run; semantics for in-scope shapes are identical to
 // the generic path (same tristate WHERE filtering, same output column
 // names), which TestEqScanParity pins by running every corpus query
 // both ways.
-func (ev *evaluator) tryEqScan(sel *sqlparser.SelectStmt) (*Result, bool, error) {
+func (ev *evaluator) tryEqScan(sel *sqlparser.SelectStmt, out *rowsOut) (cols []string, ok bool, err error) {
 	if len(sel.From) != 1 || sel.Where == nil || sel.Distinct ||
 		len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 ||
 		sel.Limit != nil || sel.Offset != nil || len(sel.Union) > 0 {
@@ -726,14 +749,19 @@ func (ev *evaluator) tryEqScan(sel *sqlparser.SelectStmt) (*Result, bool, error)
 		}
 	}
 
+	cols = outputColumns(sel, &scope{entries: []scopeEntry{{name: name, table: td.def}}})
 	pos, narrowed := td.candidates(conds)
 	n := len(td.rows)
 	if narrowed {
 		n = len(pos)
 	}
+	var buf Row // the streamed rows' buffer
+	if out.emit != nil {
+		buf = make(Row, 0, width)
+	}
 	var keptBuf [keptWords]uint64
 	kept := keptBuf[:]
-	if words := (n + 63) / 64; words > len(kept) {
+	if words := (n + 63) / 64; out.emit == nil && words > len(kept) {
 		kept = make([]uint64, words)
 	}
 	nkept := 0
@@ -746,43 +774,52 @@ scan:
 		if err := ev.tick(); err != nil {
 			return nil, false, err
 		}
+		r := td.rows[p]
 		for c := range conds {
-			if !conds[c].holds(td.rows[p]) {
+			if !conds[c].holds(r) {
 				continue scan
 			}
+		}
+		if out.emit != nil {
+			out.emit(project(buf, projs, r))
+			out.n++
+			continue
 		}
 		kept[i/64] |= 1 << (i % 64)
 		nkept++
 	}
-
-	res := &Result{Columns: outputColumns(sel, &scope{entries: []scopeEntry{{name: name, table: td.def}}})}
 	if nkept == 0 {
-		return res, true, nil
+		return cols, true, nil
 	}
+
 	slab := make([]sqlvalue.Value, nkept*width)
-	res.Rows = make([]Row, 0, nkept)
+	out.rows = make([]Row, 0, nkept)
 	for w, word := range kept {
 		for ; word != 0; word &= word - 1 {
 			p := w*64 + bits.TrailingZeros64(word)
 			if narrowed {
 				p = int(pos[p])
 			}
-			r, at := td.rows[p], len(res.Rows)*width
-			out := slab[at : at : at+width]
-			for _, pr := range projs {
-				switch {
-				case pr.star:
-					out = append(out, r...)
-				case pr.pos < 0:
-					out = append(out, pr.lit)
-				default:
-					out = append(out, r[pr.pos])
-				}
-			}
-			res.Rows = append(res.Rows, out)
+			at := len(out.rows) * width
+			out.rows = append(out.rows, project(slab[at:at:at+width], projs, td.rows[p]))
 		}
 	}
-	return res, true, nil
+	return cols, true, nil
+}
+
+// project appends to dst the cells projs select from stored row r.
+func project(dst Row, projs []eqProj, r Row) Row {
+	for _, pr := range projs {
+		switch {
+		case pr.star:
+			dst = append(dst, r...)
+		case pr.pos < 0:
+			dst = append(dst, pr.lit)
+		default:
+			dst = append(dst, r[pr.pos])
+		}
+	}
+	return dst
 }
 
 // tableRows enumerates the rows of a FROM item, extending sc with its
@@ -1276,7 +1313,7 @@ func (ev *evaluator) evalEnv(e sqlparser.Expr, en *env) (sqlvalue.Value, error) 
 		return ev.evalIn(x, en)
 
 	case *sqlparser.ExistsExpr:
-		res, err := ev.execSelect(x.Subquery, en)
+		res, err := ev.execSelect(x.Subquery, en, &rowsOut{})
 		if err != nil {
 			return sqlvalue.Value{}, err
 		}
@@ -1317,7 +1354,7 @@ func (ev *evaluator) evalEnv(e sqlparser.Expr, en *env) (sqlvalue.Value, error) 
 		return ev.evalScalarFunc(x, en)
 
 	case *sqlparser.SubqueryExpr:
-		res, err := ev.execSelect(x.Subquery, en)
+		res, err := ev.execSelect(x.Subquery, en, &rowsOut{})
 		if err != nil {
 			return sqlvalue.Value{}, err
 		}
@@ -1342,7 +1379,7 @@ func (ev *evaluator) evalIn(x *sqlparser.InExpr, en *env) (sqlvalue.Value, error
 	}
 	var candidates []sqlvalue.Value
 	if x.Subquery != nil {
-		res, err := ev.execSelect(x.Subquery, en)
+		res, err := ev.execSelect(x.Subquery, en, &rowsOut{})
 		if err != nil {
 			return sqlvalue.Value{}, err
 		}

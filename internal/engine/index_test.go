@@ -189,8 +189,8 @@ func checkScanParity(t *testing.T, seed int64) {
 		for i := 0; i < 20; i++ {
 			q := scanQuery(rng, n)
 			served, generic, scan := servedQuery(db, q), genericQuery(t, db, q), genericQuery(t, ref, q)
-			if served != scan || generic != scan {
-				t.Fatalf("seed %d step %d: %q\nserved:\n%s\ngeneric:\n%s\nfull scan:\n%s", seed, step, q, served, generic, scan)
+			if streamed := streamedQuery(db, q); served != scan || generic != scan || streamed != scan {
+				t.Fatalf("seed %d step %d: %q\nserved:\n%s\nstreamed:\n%s\ngeneric:\n%s\nfull scan:\n%s", seed, step, q, served, streamed, generic, scan)
 			}
 		}
 		for w := 0; w < 4; w++ {
@@ -485,7 +485,7 @@ func TestRangeScanVisitsRange(t *testing.T) {
 		sel := sqlparser.MustParseSelect(c.q)
 		c.db.mu.RLock()
 		ev := &evaluator{db: c.db}
-		res, err := ev.execSelect(sel, nil)
+		res, err := ev.execSelect(sel, nil, &rowsOut{})
 		c.db.mu.RUnlock()
 		if err != nil {
 			t.Fatal(err)

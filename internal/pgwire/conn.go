@@ -10,7 +10,10 @@ import (
 	"repro/internal/acerr"
 	"repro/internal/proxy"
 	"repro/internal/sqlparser"
+	"repro/internal/sqlvalue"
 )
+
+const rowsKeep = 64 << 10 // the most DataRow buffer a conn keeps between statements
 
 // SQLSTATEs for protocol-level conditions the acerr vocabulary does
 // not cover (they never cross the v2 wire).
@@ -59,6 +62,13 @@ type conn struct {
 	readBuf []byte
 
 	pid, secret int32
+
+	// rows gathers a read's DataRows (frameRow) for w, written once the
+	// query returns: never under the engine's read lock, never on error.
+	rows  msgBuf
+	nrows int
+
+	closing bool // set by protoError: serve then closes the connection
 
 	sess *proxy.Session
 	tx   byte // 'I' idle, 'T' in transaction, 'E' failed transaction
@@ -174,6 +184,8 @@ func (c *conn) serve(base context.Context) {
 			ok = false
 		default:
 			c.protoError("unexpected message type " + strconv.QuoteRune(rune(typ)))
+		}
+		if c.closing {
 			return
 		}
 		if !ok {
@@ -182,11 +194,11 @@ func (c *conn) serve(base context.Context) {
 	}
 }
 
-// protoError reports an unrecoverable protocol violation; the caller
-// closes the connection.
+// protoError reports an unrecoverable protocol violation.
 func (c *conn) protoError(msg string) {
 	_ = writeErrorResponse(c.w, &c.m, stateProtocolViolation, msg)
 	_ = c.w.Flush()
+	c.closing = true
 }
 
 // startup runs the pre-authentication phase: SSL refusal,
@@ -354,8 +366,9 @@ func (c *conn) execStatement(base context.Context, sql string, args []any, sendR
 		op = "query"
 	}
 	ctx, done := c.statementCtx(base)
-	resp := c.srv.cfg.Proxy.HandleInCtx(ctx, &proxy.Request{Op: op, SQL: sql, Args: args}, c.sess)
+	resp := c.srv.cfg.Proxy.HandleInCtx(ctx, &proxy.Request{Op: op, SQL: sql, Args: args, Sink: c.frameRow}, c.sess)
 	done()
+	defer c.dropRows()
 
 	if resp.Blocked {
 		c.failTx()
@@ -373,10 +386,8 @@ func (c *conn) execStatement(base context.Context, sql string, args []any, sendR
 		if sendRowDesc {
 			_ = writeRowDescription(c.w, &c.m, resp.Columns)
 		}
-		for _, row := range resp.Rows {
-			_ = writeDataRow(c.w, &c.m, row)
-		}
-		_ = writeCommandCompleteSelect(c.w, &c.m, len(resp.Rows))
+		_, _ = c.w.Write(c.rows.buf)
+		_ = writeCommandCompleteSelect(c.w, &c.m, c.nrows)
 		return true
 	}
 	var tag string
@@ -396,6 +407,20 @@ func (c *conn) execStatement(base context.Context, sql string, args []any, sendR
 	return true
 }
 
+// frameRow is the one place pgwire frames a DataRow.
+func (c *conn) frameRow(row []sqlvalue.Value) {
+	c.rows.dataRow(row)
+	c.nrows++
+}
+
+// dropRows empties c.rows after a statement.
+func (c *conn) dropRows() {
+	c.rows.buf, c.nrows = c.rows.buf[:0], 0
+	if cap(c.rows.buf) > rowsKeep {
+		c.rows.buf = nil
+	}
+}
+
 func (c *conn) failTx() {
 	if c.tx == 'T' {
 		c.tx = 'E'
@@ -408,7 +433,7 @@ func (c *conn) handleParse(p *payloadReader) bool {
 	name, err1 := p.cstr()
 	sql, err2 := p.cstr()
 	nOids, err3 := p.int16()
-	if err1 != nil || err2 != nil || err3 != nil {
+	if err1 != nil || err2 != nil || err3 != nil || nOids < 0 {
 		c.protoError("malformed Parse")
 		return false
 	}
@@ -455,7 +480,7 @@ func (c *conn) handleBind(p *payloadReader) bool {
 	}
 
 	nFmt, err := p.int16()
-	if err != nil {
+	if err != nil || nFmt < 0 {
 		c.protoError("malformed Bind")
 		return false
 	}
@@ -473,7 +498,7 @@ func (c *conn) handleBind(p *payloadReader) bool {
 	}
 
 	nParams, err := p.int16()
-	if err != nil {
+	if err != nil || nParams < 0 {
 		c.protoError("malformed Bind")
 		return false
 	}

@@ -1,11 +1,9 @@
 package pgwire
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"io"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,14 +12,18 @@ import (
 
 // scriptConn is a netConn driven by the test: Read hands out the chunks
 // sent on in and signals idle each time the server has consumed every
-// chunk and would block on the client; Write records each write.
+// chunk and would block on the client; Write appends to out and counts
+// the writes. Once out has grown, neither side allocates, so an
+// exchange's allocations are the server's. The channels order every
+// access to out and writes: the server only writes between a chunk on
+// in and the next idle.
 type scriptConn struct {
 	in      chan []byte
 	idle    chan struct{}
 	pending []byte
 
-	mu     sync.Mutex
-	writes [][]byte
+	out    []byte
+	writes int
 }
 
 func (s *scriptConn) Read(p []byte) (int, error) {
@@ -39,31 +41,33 @@ func (s *scriptConn) Read(p []byte) (int, error) {
 }
 
 func (s *scriptConn) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.writes = append(s.writes, bytes.Clone(p))
+	s.out = append(s.out, p...)
+	s.writes++
 	return len(p), nil
 }
 
 func (s *scriptConn) Close() error { return nil }
 
-// exchange sends one chunk of frontend messages, waits until the server
-// would block on the client again, and returns the writes it issued
-// meanwhile.
-func (s *scriptConn) exchange(t *testing.T, chunk []byte) [][]byte {
+// send hands the server one chunk of frontend messages and waits until
+// it would block on the client again, allocating nothing itself.
+func (s *scriptConn) send(chunk []byte) {
+	s.out, s.writes = s.out[:0], 0
+	s.in <- chunk
+	<-s.idle
+}
+
+// exchange is send with a deadline: it returns the bytes the server
+// wrote meanwhile and in how many writes.
+func (s *scriptConn) exchange(t *testing.T, chunk []byte) ([]byte, int) {
 	t.Helper()
-	s.mu.Lock()
-	s.writes = nil
-	s.mu.Unlock()
+	s.out, s.writes = s.out[:0], 0
 	s.in <- chunk
 	select {
 	case <-s.idle:
 	case <-time.After(5 * time.Second):
 		t.Fatal("server never returned to reading")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writes
+	return s.out, s.writes
 }
 
 // frontend frames one frontend message.
@@ -72,11 +76,10 @@ func frontend(typ byte, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// startScripted serves one connection over a scriptConn through startup
-// and the Parse of an allowed one-row read as the unnamed statement.
-func startScripted(t *testing.T) *scriptConn {
+// serveScripted serves one connection to px over a scriptConn through
+// startup with the given parameters ("key\x00value\x00" pairs).
+func serveScripted(t *testing.T, px *proxy.Server, params string) (*scriptConn, *conn) {
 	t.Helper()
-	px := testProxy(t, proxy.Enforce)
 	sc := &scriptConn{in: make(chan []byte), idle: make(chan struct{}, 1)}
 	c := &conn{srv: NewServer(Config{Proxy: px}), netc: sc, pid: 1, secret: 2}
 	done := make(chan struct{})
@@ -91,8 +94,16 @@ func startScripted(t *testing.T) *scriptConn {
 	})
 	<-sc.idle
 	startup := binary.BigEndian.AppendUint32(nil, protoV3)
-	startup = append(startup, "attr.MyUId\x001\x00\x00"...)
+	startup = append(startup, params+"\x00"...)
 	sc.exchange(t, append(binary.BigEndian.AppendUint32(nil, uint32(len(startup)+4)), startup...))
+	return sc, c
+}
+
+// startScripted serves one connection over a scriptConn through startup
+// and the Parse of an allowed one-row read as the unnamed statement.
+func startScripted(t *testing.T) *scriptConn {
+	t.Helper()
+	sc, _ := serveScripted(t, testProxy(t, proxy.Enforce), "attr.MyUId\x001\x00")
 	parse := frontend('P', append([]byte("\x00SELECT EId FROM Attendance WHERE UId = 1\x00"), 0, 0))
 	sc.exchange(t, append(parse, frontend('S', nil)...))
 	return sc
@@ -110,11 +121,11 @@ func bindExecute() []byte {
 // holding every reply through ReadyForQuery.
 func TestExchangeIsOneWrite(t *testing.T) {
 	sc := startScripted(t)
-	w := sc.exchange(t, append(bindExecute(), frontend('S', nil)...))
-	if len(w) != 1 {
-		t.Fatalf("Bind/Execute/Sync issued %d writes, want 1", len(w))
+	out, writes := sc.exchange(t, append(bindExecute(), frontend('S', nil)...))
+	if writes != 1 {
+		t.Fatalf("Bind/Execute/Sync issued %d writes, want 1", writes)
 	}
-	msgs := backendMsgs(t, w[0])
+	msgs := backendMsgs(t, out)
 	if got := msgTypes(msgs); got != "2DCZ" {
 		t.Fatalf("replies %q, want BindComplete, DataRow, CommandComplete, ReadyForQuery", got)
 	}
@@ -125,8 +136,8 @@ func TestExchangeIsOneWrite(t *testing.T) {
 // waits on the client.
 func TestFlushMessageDeliversRows(t *testing.T) {
 	sc := startScripted(t)
-	w := sc.exchange(t, append(bindExecute(), frontend('H', nil)...))
-	if got := msgTypes(backendMsgs(t, bytes.Join(w, nil))); got != "2DC" {
+	out, _ := sc.exchange(t, append(bindExecute(), frontend('H', nil)...))
+	if got := msgTypes(backendMsgs(t, out)); got != "2DC" {
 		t.Fatalf("replies before the server blocked: %q, want BindComplete, DataRow, CommandComplete", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -72,28 +71,24 @@ func TestDataRowGolden(t *testing.T) {
 		" 00000001 74"+ // "t"
 		" 00000001 66") // "f"
 
-	var buf bytes.Buffer
+	// A read's rows gather in one buffer: a row must be framed after the
+	// ones before it and leave them as they were.
 	var m msgBuf
-	// Dirty the buffer first: correctness must not depend on a fresh
-	// msgBuf, because the connection loop never hands it one.
 	m.begin('X')
 	m.cstr("stale")
-	if err := writeDataRow(&buf, &m, row); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("DataRow bytes:\n got  %x\n want %x", buf.Bytes(), want)
+	stale := bytes.Clone(m.buf)
+	m.dataRow(row)
+	if !bytes.Equal(m.buf, append(stale, want...)) {
+		t.Errorf("DataRow bytes:\n got  %x\n want %x", m.buf[len(stale):], want)
 	}
 
 	// Integral REALs render without a decimal point, exactly like the
 	// v2 JSON surface renders them.
-	buf.Reset()
-	if err := writeDataRow(&buf, &m, []sqlvalue.Value{sqlvalue.NewReal(3)}); err != nil {
-		t.Fatal(err)
-	}
+	m.buf = m.buf[:0]
+	m.dataRow([]sqlvalue.Value{sqlvalue.NewReal(3)})
 	want = mustHex(t, "44 0000000b 0001 00000001 33")
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("integral REAL DataRow:\n got  %x\n want %x", buf.Bytes(), want)
+	if !bytes.Equal(m.buf, want) {
+		t.Errorf("integral REAL DataRow:\n got  %x\n want %x", m.buf, want)
 	}
 }
 
@@ -196,16 +191,15 @@ func FuzzValueTextParity(f *testing.F) {
 }
 
 // TestDataRowAllocs is the framing half of the allocation contract: a
-// DataRow written from a []sqlvalue.Value into a warmed message buffer
+// DataRow framed from a []sqlvalue.Value into a warmed message buffer
 // allocates nothing.
 func TestDataRowAllocs(t *testing.T) {
 	row := []sqlvalue.Value{sqlvalue.NewInt(1 << 40), sqlvalue.NewText("a post body"),
 		sqlvalue.NewReal(2.5), sqlvalue.NewBool(true), sqlvalue.NewNull()}
 	var m msgBuf
 	if n := testing.AllocsPerRun(100, func() {
-		if err := writeDataRow(io.Discard, &m, row); err != nil {
-			t.Fatal(err)
-		}
+		m.buf = m.buf[:0]
+		m.dataRow(row)
 	}); n != 0 {
 		t.Errorf("DataRow from typed values: %v allocs, contract is exactly 0", n)
 	}

@@ -188,13 +188,15 @@ func (m *msgBuf) valueText(v sqlvalue.Value) {
 	binary.BigEndian.PutUint32(m.buf[at:], uint32(len(m.buf)-at-4))
 }
 
-func writeDataRow(w io.Writer, m *msgBuf, row []sqlvalue.Value) error {
-	m.begin('D')
+// dataRow appends one DataRow after whatever m already holds.
+func (m *msgBuf) dataRow(row []sqlvalue.Value) {
+	at := len(m.buf)
+	m.buf = append(m.buf, 'D', 0, 0, 0, 0)
 	m.int16(int16(len(row)))
 	for _, v := range row {
 		m.valueText(v)
 	}
-	return writeMsg(w, m)
+	binary.BigEndian.PutUint32(m.buf[at+1:], uint32(len(m.buf)-at-1))
 }
 
 func writeCommandComplete(w io.Writer, m *msgBuf, tag string) error {

@@ -671,3 +671,68 @@ func TestConnectionLimit(t *testing.T) {
 		t.Fatalf("SQLSTATE = %q, want 53300", f['C'])
 	}
 }
+
+// wantViolationThenClose reads every reply up to the end of the
+// connection: the last must be an ErrorResponse with SQLSTATE 08P01
+// (protocol_violation), and the server must then close the connection.
+func (pc *pgConn) wantViolationThenClose() {
+	pc.t.Helper()
+	var msgs []backendMsg
+	for {
+		pc.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var hdr [5]byte
+		if _, err := io.ReadFull(pc.r, hdr[:]); err == io.EOF {
+			break
+		} else if err != nil {
+			pc.t.Fatalf("after %s: %v, want the connection closed", msgTypes(msgs), err)
+		}
+		payload := make([]byte, binary.BigEndian.Uint32(hdr[1:])-4)
+		if _, err := io.ReadFull(pc.r, payload); err != nil {
+			pc.t.Fatal(err)
+		}
+		msgs = append(msgs, backendMsg{typ: hdr[0], payload: payload})
+	}
+	if len(msgs) == 0 || msgs[len(msgs)-1].typ != 'E' {
+		pc.t.Fatalf("replies %s, want an ErrorResponse last", msgTypes(msgs))
+	}
+	if f := errorFields(msgs[len(msgs)-1].payload); f['C'] != "08P01" {
+		pc.t.Fatalf("SQLSTATE = %q (%q), want 08P01", f['C'], f['M'])
+	}
+}
+
+// TestParseNegativeParamTypeCount: a Parse declaring a negative number
+// of parameter types is a protocol violation that closes the connection
+// (it once panicked the whole proxy in make), and the server serves the
+// next connection.
+func TestParseNegativeParamTypeCount(t *testing.T) {
+	addr, _ := listen(t, testProxy(t, proxy.Enforce), Config{})
+	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
+	pc.send('P', []byte("\x00SELECT EId FROM Attendance WHERE UId = $1\x00\xff\xff"))
+	pc.sendSync()
+	pc.wantViolationThenClose()
+	wantCommandTag(t, dialPg(t, addr, map[string]string{"attr.MyUId": "1"}).query("SELECT EId FROM Attendance WHERE UId = 1"), "SELECT 1")
+}
+
+// TestBindNegativeFormatCount: the same for a Bind with a negative
+// parameter-format count.
+func TestBindNegativeFormatCount(t *testing.T) {
+	addr, _ := listen(t, testProxy(t, proxy.Enforce), Config{})
+	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
+	pc.sendParse("", "SELECT EId FROM Attendance WHERE UId = $1", nil)
+	pc.send('B', []byte("\x00\x00\xff\xff"))
+	pc.sendSync()
+	pc.wantViolationThenClose()
+	wantCommandTag(t, dialPg(t, addr, map[string]string{"attr.MyUId": "1"}).query("SELECT EId FROM Attendance WHERE UId = 1"), "SELECT 1")
+}
+
+// TestBindNegativeParamCount: the same for a Bind with a negative
+// parameter count, 0xFFFF.
+func TestBindNegativeParamCount(t *testing.T) {
+	addr, _ := listen(t, testProxy(t, proxy.Enforce), Config{})
+	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
+	pc.sendParse("", "SELECT EId FROM Attendance WHERE UId = $1", nil)
+	pc.send('B', []byte("\x00\x00\x00\x00\xff\xff"))
+	pc.sendSync()
+	pc.wantViolationThenClose()
+	wantCommandTag(t, dialPg(t, addr, map[string]string{"attr.MyUId": "1"}).query("SELECT EId FROM Attendance WHERE UId = 1"), "SELECT 1")
+}

@@ -52,7 +52,7 @@ type RemoteSession interface {
 
 // forwardRemote relays one request over a forwarded session's remote
 // handle. The owner's response comes back verbatim except for the ID,
-// which the local dispatch layer re-stamps.
+// which the local dispatch layer re-stamps, and the rows a Sink takes.
 func (s *Server) forwardRemote(ctx context.Context, req *Request, sess *session) Response {
 	resp, err := sess.remote.Do(ctx, req)
 	if err != nil {
@@ -60,6 +60,10 @@ func (s *Server) forwardRemote(ctx context.Context, req *Request, sess *session)
 	}
 	out := *resp
 	out.ID = 0
+	if req.Sink != nil {
+		req.sink(out.Rows)
+		out.Rows = nil
+	}
 	return out
 }
 

@@ -105,6 +105,9 @@ type Request struct {
 	SQL   string         `json:"sql,omitempty"`
 	Args  []any          `json:"args,omitempty"`
 	Named map[string]any `json:"named,omitempty"`
+	// Sink, set by pgwire, takes a query's rows in place of Response.Rows,
+	// as engine.DB.QueryEach's emit does (under its lock, in its buffer).
+	Sink func(row []sqlvalue.Value) `json:"-"`
 	// Batch holds the sub-requests of a "batch" op (query/exec only).
 	Batch []Request `json:"batch,omitempty"`
 	// Views, on "policy.stage", carries the candidate policy's view SQL
@@ -156,8 +159,8 @@ type Response struct {
 	Reason   string   `json:"reason,omitempty"`
 	Views    []string `json:"views,omitempty"`
 	Columns  []string `json:"columns,omitempty"`
-	// Rows are the result rows as the engine returned them: the trace
-	// and both wires read these same Values.
+	// Rows are the result rows as the engine returned them, unless the
+	// request's Sink took them; a kept trace entry shares them.
 	Rows     [][]sqlvalue.Value `json:"rows,omitempty"`
 	Affected int                `json:"affected,omitempty"`
 	Stats    *StatsBody         `json:"stats,omitempty"`

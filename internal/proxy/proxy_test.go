@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/checker"
 	"repro/internal/engine"
 	"repro/internal/policy"
@@ -283,54 +282,5 @@ func TestContradictoryEqualityProbeDoesNotUnlock(t *testing.T) {
 		if resp := srv.HandleInCtx(context.Background(), &Request{Op: "query", SQL: read}, sess); !resp.Blocked {
 			t.Fatalf("full-row read after probe %q was allowed: %+v", probe.SQL, resp)
 		}
-	}
-}
-
-// TestRangeReadKeepsNoRows: an answer whose statement derives no fact
-// from its rows is recorded by its row count alone. Thirty-two range
-// reads of 500 forum posts leave no row in the session's trace, while
-// the entries' omitted counts add up to every row returned; a calendar
-// read, whose rows are facts, keeps them.
-func TestRangeReadKeepsNoRows(t *testing.T) {
-	ctx := context.Background()
-	forum, err := apps.ByName("forum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(forum.MustNewDB(600), checker.New(forum.Policy()), Enforce)
-	sess := NewSession(forum.Session(2))
-	const rangeRead = "SELECT PId, Body FROM Posts WHERE Visibility = 'public' AND PId >= ? AND PId < ?"
-	returned := 0
-	for i := 0; i < 32; i++ {
-		lo := 1 + 2*(i%4)
-		r := srv.HandleInCtx(ctx, &Request{Op: "query", SQL: rangeRead, Args: []any{lo, lo + 1000}}, sess)
-		if !r.OK || r.Blocked || len(r.Rows) != 500 {
-			t.Fatalf("range read %d: ok=%v blocked=%v rows=%d %s", i, r.OK, r.Blocked, len(r.Rows), r.Error+r.Reason)
-		}
-		returned += len(r.Rows)
-	}
-	entries, _ := sess.Trace().SnapshotState()
-	kept, omitted := 0, 0
-	for _, e := range entries {
-		kept += len(e.Rows)
-		omitted += e.Omitted
-	}
-	if len(entries) != 32 || kept != 0 || omitted != returned {
-		t.Fatalf("%d entries keep %d rows and omit %d; want 32 entries, 0 rows, %d omitted", len(entries), kept, omitted, returned)
-	}
-
-	cal, err := apps.ByName("calendar")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv = NewServer(cal.MustNewDB(20), checker.New(cal.Policy()), Enforce)
-	sess = NewSession(cal.Session(1))
-	r := srv.HandleInCtx(ctx, &Request{Op: "query", SQL: "SELECT EId FROM Attendance WHERE UId = ?", Args: []any{1}}, sess)
-	if !r.OK || r.Blocked || len(r.Rows) == 0 {
-		t.Fatalf("calendar read: %+v", r)
-	}
-	entries, _ = sess.Trace().SnapshotState()
-	if len(entries) != 1 || len(entries[0].Rows) != len(r.Rows) || entries[0].Omitted != 0 {
-		t.Fatalf("calendar read recorded %d rows, %d omitted; want its %d rows kept", len(entries[0].Rows), entries[0].Omitted, len(r.Rows))
 	}
 }

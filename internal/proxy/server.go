@@ -1220,7 +1220,16 @@ func (s *Server) finishQuery(ctx context.Context, req *Request, sess *session, s
 	if err != nil {
 		return Response{Error: err.Error(), Code: acerr.CodeBadRequest}
 	}
-	res, err := s.DB.QueryCtx(ctx, bound.(*sqlparser.SelectStmt))
+	// A statement whose facts read no row keeps only the count in the
+	// trace: no decision reads its rows, and holding them would pin the
+	// result set. Then a Sink takes them straight from the scan.
+	keep := s.Mode != Off && (s.Checker == nil || s.Checker.ReadsRows(sel))
+	res, n := &engine.Result{}, 0
+	if req.Sink != nil && !keep {
+		res.Columns, n, err = s.DB.QueryEach(ctx, bound.(*sqlparser.SelectStmt), req.Sink)
+	} else {
+		res, err = s.DB.QueryCtx(ctx, bound.(*sqlparser.SelectStmt))
+	}
 	if err != nil {
 		if errors.Is(err, acerr.ErrCanceled) {
 			return Response{Error: err.Error(), Code: acerr.CodeCanceled}
@@ -1232,17 +1241,27 @@ func (s *Server) finishQuery(ctx context.Context, req *Request, sess *session, s
 	// to are what future decisions may rely on). With enforcement off
 	// nothing ever reads the trace, so don't grow it. The engine builds
 	// every result row afresh (stored rows are copy-on-write), so the
-	// trace and the response share its rows. A statement whose facts
-	// read no row keeps only the count: holding the rows would pin the
-	// result set for the life of the entry, and no decision reads them.
+	// trace and the response share its rows.
 	if s.Mode != Off {
 		e := trace.Entry{SQL: req.SQL, Stmt: sel, Args: args, Columns: res.Columns, Rows: res.Rows}
-		if s.Checker != nil && !s.Checker.ReadsRows(sel) {
-			e.Rows, e.Omitted = nil, len(res.Rows)
+		if !keep {
+			e.Rows, e.Omitted = nil, n+len(res.Rows)
 		}
 		sess.tr.Append(e)
 	}
+	if req.Sink != nil {
+		req.sink(res.Rows)
+		return Response{OK: true, Columns: res.Columns}
+	}
 	return Response{OK: true, Columns: res.Columns, Rows: res.Rows}
+}
+
+// sink hands rows to the request's Sink, which takes them in place of
+// Response.Rows.
+func (req *Request) sink(rows []engine.Row) {
+	for _, r := range rows {
+		req.Sink(r)
+	}
 }
 
 func (s *Server) handleExec(ctx context.Context, req *Request) Response {

@@ -25,7 +25,9 @@ type pgClient struct {
 	r *bufio.Reader
 }
 
-func pgDial(t *testing.T, addr string, attrs map[string]string) *pgClient {
+// pgDial connects and runs the startup with the given parameters
+// ("attr.MyUId", "session", ...).
+func pgDial(t *testing.T, addr string, params map[string]string) *pgClient {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -35,8 +37,8 @@ func pgDial(t *testing.T, addr string, attrs map[string]string) *pgClient {
 	body = binary.BigEndian.AppendUint32(body, 196608)
 	body = append(append(body, "user"...), 0)
 	body = append(append(body, "parity"...), 0)
-	for k, v := range attrs {
-		body = append(append(body, "attr."+k...), 0)
+	for k, v := range params {
+		body = append(append(body, k...), 0)
 		body = append(append(body, v...), 0)
 	}
 	body = append(body, 0)
@@ -210,7 +212,7 @@ func TestServeBothListeners(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pc := pgDial(t, svc.PgAddr(), map[string]string{"MyUId": "1"})
+	pc := pgDial(t, svc.PgAddr(), map[string]string{"attr.MyUId": "1"})
 	defer pc.close()
 	n, state, msg := pc.extQuery(t, "SELECT EId FROM Attendance WHERE UId = $1", []any{1})
 	if state != "" {
@@ -332,7 +334,7 @@ func driverDecision(t *testing.T, addr string, w apps.WorkloadQuery) decision {
 // decision's reason text.
 func pgDecision(t *testing.T, addr string, w apps.WorkloadQuery) decision {
 	t.Helper()
-	pc := pgDial(t, addr, map[string]string{"MyUId": fmt.Sprint(w.UId)})
+	pc := pgDial(t, addr, map[string]string{"attr.MyUId": fmt.Sprint(w.UId)})
 	defer pc.close()
 	if w.PrimeSQL != "" {
 		if _, state, msg := pc.extQuery(t, w.PrimeSQL, w.PrimeArgs); state != "" {
