@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 DATE    ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ 2>/dev/null || echo unknown)
 LDFLAGS  = -ldflags "-X repro/internal/buildinfo.Version=$(VERSION) -X repro/internal/buildinfo.Commit=$(COMMIT) -X repro/internal/buildinfo.Date=$(DATE)"
 
-.PHONY: build test vet race bench benchsmoke coldsmoke allocbudget pgsmoke driversmoke shadowsmoke clustersmoke clusterkill metricslint fmtcheck fuzz fuzzwal fuzzwire killrecover staticcheck loc ci
+.PHONY: build test vet race bench benchsmoke coldsmoke allocbudget pgsmoke driversmoke shadowsmoke metricslint fmtcheck fuzz fuzzwal fuzzwire killrecover staticcheck loc ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -90,23 +90,8 @@ driversmoke:
 shadowsmoke:
 	$(GO) test -count=1 -run 'TestShadowSmoke' .
 
-# Cluster-mode CI smoke: a 3-node in-process cluster serves a
-# mixed-session corpus through one entry node (some sessions local,
-# some forwarded), every decision byte-matched against a single-node
-# control, then one owner is closed and a history-dependent session it
-# owned must re-decide identically from its follower's shipped WAL.
-clustersmoke:
-	$(GO) test -count=1 -run 'TestClusterSmoke' .
-
-# Cluster kill-and-takeover integration test: SIGKILL a session's owner
-# mid-corpus (a real child process), and the follower must serve the
-# whole history-dependent corpus byte-identically to an unkilled
-# control.
-clusterkill:
-	$(GO) test -count=1 -run 'TestClusterKillHandover' -v .
-
 # Instrument inventory check: bring up every serving surface (v2, pg,
-# WAL, cluster, shadow) over one registry, run one request, and compare
+# WAL, shadow) over one registry, run one request, and compare
 # the registered instrument names with DESIGN.md §9.2 in both
 # directions.
 metricslint:
@@ -178,4 +163,4 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping"; fi
 
-ci: fmtcheck vet test race coldsmoke allocbudget benchsmoke pgsmoke driversmoke shadowsmoke clustersmoke clusterkill metricslint fuzz fuzzwal fuzzwire killrecover staticcheck
+ci: fmtcheck vet test race coldsmoke allocbudget benchsmoke pgsmoke driversmoke shadowsmoke metricslint fuzz fuzzwal fuzzwire killrecover staticcheck

@@ -31,26 +31,13 @@
 //     write-ahead log under DIR and restores it on restart, so
 //     compliance decisions survive a crash (DESIGN.md §11). The log
 //     opens, and recovery replays, at startup, before the first
-//     connection; every cluster member needs one, since each follows
-//     some other member's sessions.
+//     connection.
 //   - -fsync always|interval|off selects the durability/latency
 //     trade-off; -fsync-interval tunes the interval timer.
 //   - -checkpoint-every N checkpoints and compacts the log after N
 //     appended records.
 //   - -window N bounds every session trace — durable or not — to its
 //     last N entries; it is the only window setting.
-//
-// Cluster mode (DESIGN.md §16):
-//
-//   - -cluster -node-id ID -peers a=host:port,b=host:port joins this
-//     proxy to an enforcement cluster: durable sessions hash onto a
-//     consistent ring over the members, hellos landing on a non-owner
-//     forward to the owner, and owners ship WAL records to each
-//     session's ring successor so a follower can adopt them
-//     byte-identically when the owner dies.
-//   - -lease-ttl / -probe-interval tune failover latency.
-//   - Inspect a running cluster with the accluster CLI (status,
-//     members, ping).
 //
 // Policy lifecycle:
 //
@@ -76,7 +63,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -104,11 +90,6 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 10000, "checkpoint + compact the WAL after this many appended records (0 disables auto-checkpoints)")
 	window := flag.Int("window", 0, "bound each session trace to its last N entries (0 = unbounded)")
 	shadowPolicy := flag.String("shadow-policy", "", "stage a candidate policy from this JSON file (view name -> SQL) for shadow dual-decide")
-	clusterOn := flag.Bool("cluster", false, "join an enforcement cluster: consistent-hash session routing + WAL shipping (needs -node-id and -peers)")
-	nodeID := flag.String("node-id", "", "this node's stable cluster member id")
-	peers := flag.String("peers", "", "cluster member set as id=host:port[,id=host:port...]; must include -node-id (its address may be omitted to reuse -addr)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "cluster session-ownership lease TTL (0 = default)")
-	probeEvery := flag.Duration("probe-interval", 0, "cluster peer health-probe interval (0 = default)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -154,15 +135,6 @@ func main() {
 	if *pgAddr != "" {
 		sopts = append(sopts, beyond.WithPgListener(*pgAddr))
 	}
-	if *clusterOn {
-		ccfg, err := clusterConfig(*nodeID, *peers, *addr, *leaseTTL, *probeEvery)
-		if err != nil {
-			log.Fatalf("acproxy: %v", err)
-		}
-		sopts = append(sopts, beyond.WithCluster(*ccfg))
-	} else if *nodeID != "" || *peers != "" {
-		log.Fatal("acproxy: -node-id/-peers need -cluster")
-	}
 	if *shadowPolicy != "" {
 		views, err := readPolicyFile(*shadowPolicy)
 		if err != nil {
@@ -177,10 +149,6 @@ func main() {
 	srv := svc.Proxy()
 	fmt.Printf("acproxy: %s app, policy %d views, mode %s, listening on %s\n",
 		f.Name, len(f.Policy().Views), m, svc.V2Addr())
-	if node := svc.ClusterNode(); node != nil {
-		fmt.Printf("acproxy: cluster node %s over %d member(s); sessions route by consistent hash, WAL records ship to followers\n",
-			*nodeID, node.Ring().Size())
-	}
 	if *pgAddr != "" {
 		fmt.Printf("acproxy: Postgres wire protocol on %s (session attrs via attr.* startup params)\n",
 			svc.PgAddr())
@@ -236,48 +204,6 @@ func main() {
 		st.LatencyP50Micros, st.LatencyP90Micros, st.LatencyP99Micros,
 		st.LatencyMeanMicros, st.LatencySamples)
 	fmt.Printf("acproxy: connections: total=%d rejected=%d canceled-requests=%d\n", st.TotalConns, st.RejectedConns, st.CanceledReqs)
-}
-
-// clusterConfig parses -node-id/-peers into a ClusterConfig. The
-// peers list is id=host:port pairs; the self entry may omit its
-// address (or the whole entry), in which case the -addr listener
-// address stands in.
-func clusterConfig(self, peers, listenAddr string, leaseTTL, probeEvery time.Duration) (*beyond.ClusterConfig, error) {
-	if self == "" {
-		return nil, fmt.Errorf("-cluster needs -node-id")
-	}
-	members := []beyond.ClusterMember{}
-	sawSelf := false
-	for _, part := range strings.Split(peers, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, addr, ok := strings.Cut(part, "=")
-		if !ok || id == "" {
-			return nil, fmt.Errorf("-peers entry %q: want id=host:port", part)
-		}
-		if id == self {
-			sawSelf = true
-			if addr == "" {
-				addr = listenAddr
-			}
-		}
-		members = append(members, beyond.ClusterMember{ID: id, Addr: addr})
-	}
-	if !sawSelf {
-		members = append(members, beyond.ClusterMember{ID: self, Addr: listenAddr})
-	}
-	if len(members) < 2 {
-		return nil, fmt.Errorf("-peers needs at least one peer besides %s", self)
-	}
-	return &beyond.ClusterConfig{
-		Self:          self,
-		Members:       members,
-		LeaseTTL:      leaseTTL,
-		ProbeInterval: probeEvery,
-		Logf:          log.Printf,
-	}, nil
 }
 
 // readPolicyFile loads a candidate policy file: one JSON object

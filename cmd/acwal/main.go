@@ -10,10 +10,7 @@
 //	acwal -dir DIR dump     # decode and print every record
 //
 // dump accepts -session NAME to filter append/session records and
-// -sql to include the replayed query text. Cluster WALs additionally
-// carry "lease" records (a peer's ownership term) and "shipped-*"
-// records (another owner's session/append records replicated here);
-// both render with their origin node.
+// -sql to include the replayed query text.
 package main
 
 import (
@@ -129,12 +126,12 @@ func dump(dir, session string, withSQL bool) error {
 		}
 		line := fmt.Sprintf("%-20s #%-5d %-15s", rec.File, rec.Seq, rec.Type)
 		switch rec.Type {
-		case "session", "shipped-session":
+		case "session":
 			line += fmt.Sprintf(" %s", rec.Session)
 			if rec.Detail != "" {
 				line += " {" + rec.Detail + "}"
 			}
-		case "append", "shipped-append":
+		case "append":
 			line += fmt.Sprintf(" %s[%d] rows=%d", rec.Session, rec.Index, rec.Rows)
 			if rec.Detail != "" {
 				line += " {" + rec.Detail + "}"

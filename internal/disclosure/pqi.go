@@ -38,6 +38,16 @@ type Verdict struct {
 	Witness string
 }
 
+// Word renders the verdict: "witness" when the search found one, "no
+// witness found" when it did not. The search is sound, not complete,
+// so the second is not a proof that nothing is disclosed.
+func (v Verdict) Word() string {
+	if v.Holds {
+		return "witness"
+	}
+	return "no witness found"
+}
+
 // maxDerived bounds the number of derived (joined) views considered.
 const maxDerived = 256
 
@@ -285,7 +295,7 @@ func Audit(ctx context.Context, p *policy.Policy, sensitive map[string]string) (
 func (r *Report) String() string {
 	var b strings.Builder
 	for _, f := range r.Findings {
-		fmt.Fprintf(&b, "%s: PQI=%v NQI=%v", f.Name, f.PQI.Holds, f.NQI.Holds)
+		fmt.Fprintf(&b, "%s: PQI=%s NQI=%s", f.Name, f.PQI.Word(), f.NQI.Word())
 		if f.PQI.Holds {
 			fmt.Fprintf(&b, " [PQI via %s]", f.PQI.Witness)
 		}

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,17 +129,15 @@ func TestRecoverFormatV1(t *testing.T) {
 }
 
 // TestOmittedSurvivesEveryPath: an entry recorded without its rows keeps
-// its omitted count through the log, a checkpoint, recovery and a
-// follower's ApplyShipped, and still derives no negative fact.
+// its omitted count through the log, a checkpoint and recovery, and
+// still derives no negative fact.
 func TestOmittedSurvivesEveryPath(t *testing.T) {
-	ownerDir, followerDir := t.TempDir(), t.TempDir()
-	owner, err := Open(ownerDir, testOpts())
+	dir := t.TempDir()
+	m, err := Open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cap captureShip
-	owner.SetShipHook(cap.hook)
-	tr, _, err := owner.Session("s1", nil)
+	tr, _, err := m.Session("s1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,42 +153,20 @@ func TestOmittedSurvivesEveryPath(t *testing.T) {
 	}
 	tr.Append(want[0])
 	tr.Append(want[1])
-	if err := owner.Checkpoint(); err != nil {
+	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	tr.Append(want[2])
-	if err := owner.Close(); err != nil {
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Recover(ownerDir)
+	res, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	entriesEqual(t, res.Sessions["s1"].Entries, want)
 	if facts := factsOf(eventsSchema(t), res.Sessions["s1"].Entries); strings.Contains(facts, "NOT") || facts == "" {
 		t.Fatalf("recovered entries derive %q: an answer of omitted rows was read as empty", facts)
-	}
-
-	follower, err := Open(followerDir, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cap.payloads {
-		if err := follower.ApplyShipped("nodeA", cap.types[i], cap.payloads[i]); err != nil {
-			t.Fatalf("apply shipped %d: %v", i, err)
-		}
-	}
-	if err := follower.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	ftr, _, err := follower.Session("s1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := ftr.SnapshotState()
-	entriesEqual(t, got, want)
-	if err := follower.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -212,5 +189,42 @@ func TestNewerFormatRefused(t *testing.T) {
 	}
 	if _, err := Recover(dir); err == nil || !strings.Contains(err.Error(), "newer than supported") {
 		t.Fatalf("recovering a version-3 segment: %v", err)
+	}
+}
+
+// TestClusterRecordsRefused: types 9 and 10 were cluster mode's lease
+// and shipped records. A segment or a checkpoint that holds either
+// fails recovery with an error naming the type and the removed mode,
+// rather than being read past or discarded as malformed.
+func TestClusterRecordsRefused(t *testing.T) {
+	attrs := map[string]sqlvalue.Value{"uid": sqlvalue.NewInt(7)}
+	header := func(magic [4]byte) []byte {
+		return []byte{magic[0], magic[1], magic[2], magic[3], FormatVersion, 0, 0, 0}
+	}
+	for _, typ := range []byte{recLease, recShipped} {
+		want := fmt.Sprintf("type %d: written by cluster mode, which was removed", typ)
+		// The payload is never decoded: the type alone refuses it.
+		removed := appendRecord(nil, typ, []byte("origin"))
+
+		dir := t.TempDir()
+		seg := appendRecord(header(segMagic), recSession, encodeSession("s", attrs))
+		seg = append(seg, removed...)
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Recover(dir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("segment holding a type-%d record: %v", typ, err)
+		}
+
+		dir = t.TempDir()
+		ckpt := appendRecord(header(ckptMagic), recCkptMeta, encodeCkptMeta(&ckptMeta{Cut: 1}))
+		ckpt = append(ckpt, removed...)
+		ckpt = appendRecord(ckpt, recCkptEnd, encodeCkptEnd(3))
+		if err := os.WriteFile(filepath.Join(dir, ckptName(1)), ckpt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Recover(dir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("checkpoint holding a type-%d record: %v", typ, err)
+		}
 	}
 }

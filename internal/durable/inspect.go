@@ -57,10 +57,6 @@ func recordTypeName(typ byte) string {
 		return "policy-promote"
 	case recPolicyRollback:
 		return "policy-rollback"
-	case recLease:
-		return "lease"
-	case recShipped:
-		return "shipped"
 	}
 	return fmt.Sprintf("unknown(%d)", typ)
 }
@@ -146,28 +142,6 @@ func decodeForInspection(file string, seq int, typ byte, payload []byte) Record 
 		}
 		rec.Index = id
 		rec.Detail = fmt.Sprintf("id=%d fingerprint=%s", id, shortFP(fp))
-	case recLease:
-		origin, term, err := decodeLease(payload)
-		if err != nil {
-			rec.Err = err.Error()
-			break
-		}
-		rec.Index = term
-		rec.Detail = fmt.Sprintf("origin=%s term=%d", origin, term)
-	case recShipped:
-		origin, innerTyp, inner, err := decodeShipped(payload)
-		if err != nil {
-			rec.Err = err.Error()
-			break
-		}
-		// Render the wrapped record and mark its provenance.
-		rec = decodeForInspection(file, seq, innerTyp, inner)
-		rec.Type = "shipped-" + recordTypeName(innerTyp)
-		if rec.Detail != "" {
-			rec.Detail = fmt.Sprintf("origin=%s %s", origin, rec.Detail)
-		} else {
-			rec.Detail = fmt.Sprintf("origin=%s", origin)
-		}
 	default:
 		rec.Err = "unknown record type"
 	}

@@ -35,18 +35,9 @@ type Manager struct {
 	active    *PolicyVersion
 	candidate *PolicyVersion
 	nextVerID uint64
-	// leaseTerms tracks the highest durably granted lease term per
-	// origin node (cluster.go).
-	leaseTerms map[string]uint64
 
-	// shipFn, when set, observes every session/append record logged
-	// (cluster WAL shipping; cluster.go).
-	shipFn shipPtr
-
-	// newTrace builds a live session's trace and window bounds the
-	// shipped history kept for adoption; both come from UseTraces.
+	// newTrace builds a live session's trace (UseTraces).
 	newTrace func() *trace.Trace
-	window   int
 
 	recovery RecoveryResult
 
@@ -83,17 +74,16 @@ func Open(dir string, opts Options) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{
-		log:        l,
-		opts:       opts,
-		newTrace:   func() *trace.Trace { return &trace.Trace{} },
-		live:       make(map[string]*liveSession),
-		recovered:  rec.Sessions,
-		policy:     rec.Policy,
-		active:     rec.ActiveVersion,
-		candidate:  rec.Candidate,
-		nextVerID:  rec.LastVersionID,
-		leaseTerms: rec.LeaseTerms,
-		recovery:   *rec,
+		log:       l,
+		opts:      opts,
+		newTrace:  func() *trace.Trace { return &trace.Trace{} },
+		live:      make(map[string]*liveSession),
+		recovered: rec.Sessions,
+		policy:    rec.Policy,
+		active:    rec.ActiveVersion,
+		candidate: rec.Candidate,
+		nextVerID: rec.LastVersionID,
+		recovery:  *rec,
 	}
 	reg := opts.Metrics
 	m.mCheckpointMicros = reg.Histogram("durable.checkpoint.micros")
@@ -123,11 +113,9 @@ func (m *Manager) logf(format string, args ...any) {
 // UseTraces installs the constructor of live session traces, in place
 // of a plain unbounded trace. The proxy passes its own, so a durable
 // session's trace has the same history window and fact-cache counters
-// as an ephemeral one, and shipped history kept for a later adoption
-// is trimmed to that window. Call it before the manager is shared.
+// as an ephemeral one. Call it before the manager is shared.
 func (m *Manager) UseTraces(newTrace func() *trace.Trace) {
 	m.newTrace = newTrace
-	m.window = newTrace().Window()
 }
 
 // Recovery reports what Open replayed.
@@ -199,21 +187,17 @@ func (m *Manager) Session(name string, attrs map[string]sqlvalue.Value) (tr *tra
 	}
 	ls.attrs = attrs
 	m.mu.Unlock()
-	payload := encodeSession(name, attrs)
-	if err := m.log.Append(recSession, payload); err != nil {
+	if err := m.log.Append(recSession, encodeSession(name, attrs)); err != nil {
 		return nil, 0, err
 	}
-	m.ship(name, recSession, payload)
 	return ls.tr, restored, nil
 }
 
 // appendEntry logs one trace append and drives auto-checkpointing.
 func (m *Manager) appendEntry(name string, idx uint64, e *trace.Entry) error {
-	payload := encodeAppend(name, idx, e)
-	if err := m.log.Append(recAppend, payload); err != nil {
+	if err := m.log.Append(recAppend, encodeAppend(name, idx, e)); err != nil {
 		return err
 	}
-	m.ship(name, recAppend, payload)
 	if n := m.opts.CheckpointEvery; n > 0 {
 		if m.appendsSinceCkpt.Add(1) >= int64(n) {
 			m.maybeCheckpointAsync()
@@ -275,10 +259,6 @@ func (m *Manager) Checkpoint() error {
 		v := *m.candidate
 		cVer = &v
 	}
-	leases := make(map[string]uint64, len(m.leaseTerms))
-	for origin, term := range m.leaseTerms {
-		leases[origin] = term
-	}
 	m.mu.Unlock()
 
 	// Deterministic order keeps checkpoint bytes reproducible.
@@ -293,11 +273,6 @@ func (m *Manager) Checkpoint() error {
 	// The policy lifecycle survives compaction: the active version's
 	// stage+promote pair, then the staged candidate (version.go).
 	records = lifecycleRecords(records, aVer, cVer)
-	// Lease terms survive compaction too — a follower that forgot a
-	// granted term could accept a stale owner's ships after restart.
-	for _, origin := range sortedUintKeys(leases) {
-		records = append(records, appendRecord(nil, recLease, encodeLease(origin, leases[origin])))
-	}
 	for _, s := range snaps {
 		records = append(records, appendRecord(nil, recSession, encodeSession(s.name, s.attrs)))
 		for i := range s.entries {

@@ -71,12 +71,11 @@ const (
 	recPolicyPromote  byte = 7 // staged candidate promoted to active
 	recPolicyRollback byte = 8 // staged candidate discarded
 
-	// Cluster records (cluster.go): a follower persists the lease term
-	// it last granted an origin node, and wraps every session/append
-	// record shipped from that origin so replicated state is
-	// distinguishable from local state in the log.
-	recLease   byte = 9  // lease grant/renewal: origin node + term
-	recShipped byte = 10 // shipped record: origin + wrapped session/append
+	// Reserved: cluster mode's lease and shipped records. Cluster mode
+	// was removed; no later record may reuse these bytes, and recovery
+	// refuses a log that holds either (recover.go).
+	recLease   byte = 9
+	recShipped byte = 10
 )
 
 // recHeaderSize frames every record: u32 length + u32 crc.

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -52,12 +53,6 @@ type RecoveryResult struct {
 	// because the checkpoint already covered them.
 	TornTailBytes     int64
 	DuplicatesSkipped int
-	// LeaseTerms maps origin node id -> highest lease term durably
-	// granted to it (cluster mode; nil outside it). ShippedGaps counts
-	// shipped-record index gaps (histories restarted mid-stream because
-	// the owner's shipper dropped records).
-	LeaseTerms  map[string]uint64
-	ShippedGaps int
 }
 
 // PolicyID is the persisted policy identity: the checker fingerprint
@@ -181,6 +176,9 @@ func (res *RecoveryResult) replayCheckpoint(path string) (ok bool, err error) {
 		}
 		return res.apply(typ, payload)
 	})
+	if errors.Is(err, errRemovedRecord) {
+		return false, err
+	}
 	if err != nil {
 		// A malformed checkpoint is a fallback, not a fatal error; the
 		// state built so far is discarded by the caller.
@@ -192,6 +190,11 @@ func (res *RecoveryResult) replayCheckpoint(path string) (ok bool, err error) {
 	res.RecordsReplayed += count
 	return true, nil
 }
+
+// errRemovedRecord refuses a record of a reserved type: an intact
+// record this reader no longer understands, so recovery fails rather
+// than drop the state it carries, in a checkpoint as in a segment.
+var errRemovedRecord = errors.New("reserved record type")
 
 // apply folds one intact record into the state. Append records dedup
 // by absolute index: a record the checkpoint already covers is
@@ -247,7 +250,7 @@ func (res *RecoveryResult) apply(typ byte, payload []byte) error {
 	case recPolicyStage, recPolicyPromote, recPolicyRollback:
 		return res.applyPolicyVersion(typ, payload)
 	case recLease, recShipped:
-		return res.applyCluster(typ, payload)
+		return fmt.Errorf("%w %d: written by cluster mode, which was removed", errRemovedRecord, typ)
 	default:
 		return fmt.Errorf("unknown record type %d", typ)
 	}

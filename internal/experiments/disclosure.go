@@ -29,9 +29,7 @@ func RunE6() (*Table, error) {
 			return nil, fmt.Errorf("%s: %w", f.Name, err)
 		}
 		for _, fd := range rep.Findings {
-			t.Add(f.Name, fd.Name,
-				fmt.Sprintf("%v", fd.PQI.Holds),
-				fmt.Sprintf("%v", fd.NQI.Holds))
+			t.Add(f.Name, fd.Name, fd.PQI.Word(), fd.NQI.Word())
 		}
 	}
 
@@ -44,7 +42,7 @@ func RunE6() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Add("example4.2", "Q2 given {Q1}", fmt.Sprintf("%v", v.Holds), "-")
+	t.Add("example4.2", "Q2 given {Q1}", v.Word(), "-")
 	p42b := policy.MustNew(emp.Schema, map[string]string{
 		"Q2": "SELECT Name FROM Employees WHERE Age >= 18",
 	})
@@ -52,7 +50,7 @@ func RunE6() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Add("example4.2", "Q1 given {Q2}", "-", fmt.Sprintf("%v", nv.Holds))
+	t.Add("example4.2", "Q1 given {Q2}", "-", nv.Word())
 
 	// Hospital k-anonymity of the doctor-disease join release.
 	hosp := apps.Hospital()

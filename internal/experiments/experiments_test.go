@@ -151,28 +151,28 @@ func TestRunE6Disclosure(t *testing.T) {
 		return "", ""
 	}
 	// Example 4.1: hospital sensitive query flagged via NQI.
-	if _, nqi := cell("hospital", "SPatientDisease"); nqi != "true" {
+	if _, nqi := cell("hospital", "SPatientDisease"); nqi != "witness" {
 		t.Error("hospital SPatientDisease must be flagged NQI")
 	}
 	// Example 4.2 rows.
-	if pqi, _ := cell("example4.2", "Q2 given {Q1}"); pqi != "true" {
+	if pqi, _ := cell("example4.2", "Q2 given {Q1}"); pqi != "witness" {
 		t.Error("Example 4.2 PQI must hold")
 	}
-	if _, nqi := cell("example4.2", "Q1 given {Q2}"); nqi != "true" {
+	if _, nqi := cell("example4.2", "Q1 given {Q2}"); nqi != "witness" {
 		t.Error("Example 4.2 NQI must hold")
 	}
 	// SSalaries is PQI-flagged: VOwnRecord makes the principal's own
 	// salary a certain answer (self-disclosure). Scoped to other
 	// principals, the finding disappears.
-	if pqi, _ := cell("employees", "SSalaries"); pqi != "true" {
+	if pqi, _ := cell("employees", "SSalaries"); pqi != "witness" {
 		t.Error("SSalaries should be PQI-flagged via VOwnRecord self-disclosure")
 	}
-	if pqi, _ := cell("employees", "SOthersSalaries"); pqi != "false" {
+	if pqi, _ := cell("employees", "SOthersSalaries"); pqi != "no witness found" {
 		t.Error("other principals' salaries must not be PQI-disclosed")
 	}
 	// The adults roster is PQI-disclosed via VSeniors (subset
 	// certainty), matching Example 4.2.
-	if pqi, _ := cell("employees", "SAdults"); pqi != "true" {
+	if pqi, _ := cell("employees", "SAdults"); pqi != "witness" {
 		t.Error("SAdults should be PQI-flagged via VSeniors")
 	}
 	hasBayes := false

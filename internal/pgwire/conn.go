@@ -132,9 +132,7 @@ func (c *conn) serve(base context.Context) {
 	c.tx = 'I'
 	c.stmts = make(map[string]*prepared)
 	c.portals = make(map[string]*portal)
-	// The connection's end closes its session (DESIGN.md §7).
 	c.sess = proxy.NewSession(nil)
-	defer c.sess.Close()
 
 	if !c.startup(base) {
 		return
@@ -198,6 +196,12 @@ func (c *conn) serve(base context.Context) {
 func (c *conn) protoError(msg string) {
 	_ = writeErrorResponse(c.w, &c.m, stateProtocolViolation, msg)
 	_ = c.w.Flush()
+	// Half-close before the close: the client then reads the error and
+	// EOF even when input it sent after the violation, still unread
+	// here, turns the close into a reset.
+	if tc, ok := c.netc.(interface{ CloseWrite() error }); ok {
+		_ = tc.CloseWrite()
+	}
 	c.closing = true
 }
 

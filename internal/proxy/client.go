@@ -327,8 +327,7 @@ func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
 
 // Do sends one raw request on the default session and returns the
 // raw response: application-level errors stay in Response.Error
-// instead of becoming Go errors. Cluster forwarding uses it to relay a
-// peer's responses verbatim.
+// instead of becoming Go errors.
 func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
 	return c.def.Do(ctx, req)
 }

@@ -120,24 +120,6 @@ type Request struct {
 	// TimeoutMillis bounds this request's queueing plus execution; 0
 	// means no per-request deadline.
 	TimeoutMillis int64 `json:"timeoutMillis,omitempty"`
-
-	// Cluster fields (cluster.* ops between peer nodes; DESIGN.md §16).
-	// Node identifies the sending node. Term and TTLMillis carry the
-	// lease a shipping owner asserts on "cluster.ship"; Ship is the
-	// shipped WAL record batch.
-	Node      string       `json:"node,omitempty"`
-	Term      uint64       `json:"term,omitempty"`
-	TTLMillis int64        `json:"ttlMillis,omitempty"`
-	Ship      []ShipRecord `json:"ship,omitempty"`
-}
-
-// ShipRecord is one WAL record in flight between cluster peers: the
-// session it belongs to, the durable record type byte, and the exact
-// payload bytes the owner's WAL logged (base64 on the wire).
-type ShipRecord struct {
-	Session string `json:"session"`
-	Type    byte   `json:"type"`
-	Payload []byte `json:"payload"`
 }
 
 // Response is one server message.
@@ -168,53 +150,6 @@ type Response struct {
 	Policy *PolicyBody `json:"policy,omitempty"`
 	// Batch holds sub-responses of a "batch" op, in request order.
 	Batch []Response `json:"batch,omitempty"`
-	// Cluster reports cluster state (cluster.* ops).
-	Cluster *ClusterBody `json:"cluster,omitempty"`
-}
-
-// ClusterBody is the payload of the cluster.* ops: this node's
-// identity and membership view, the sessions it forwards, ship-stream
-// accounting, and the leases it currently holds as a follower.
-type ClusterBody struct {
-	Self string `json:"self"`
-
-	Members []MemberStatus `json:"members,omitempty"`
-	Leases  []LeaseStatus  `json:"leases,omitempty"`
-
-	// Forwarding: open forwarded-session handles, requests (hellos
-	// included) relayed to owners, and relays that failed in transport.
-	ForwardedSessions int64 `json:"forwardedSessions,omitempty"`
-	ForwardedOps      int64 `json:"forwardedOps,omitempty"`
-	ForwardErrors     int64 `json:"forwardErrors,omitempty"`
-
-	// Ship-stream accounting (this node as an owner): records and bytes
-	// enqueued for followers, acknowledged by them, and dropped under
-	// backpressure. Lag is enqueued minus acknowledged.
-	ShipEnqueued int64 `json:"shipEnqueued,omitempty"`
-	ShipAcked    int64 `json:"shipAcked,omitempty"`
-	ShipDropped  int64 `json:"shipDropped,omitempty"`
-	ShipBytes    int64 `json:"shipBytes,omitempty"`
-
-	// Takeovers counts sessions this node adopted after an owner's
-	// lease expired.
-	Takeovers int64 `json:"takeovers,omitempty"`
-}
-
-// MemberStatus is one peer in a node's membership view.
-type MemberStatus struct {
-	ID    string `json:"id"`
-	Addr  string `json:"addr"`
-	Self  bool   `json:"self,omitempty"`
-	Alive bool   `json:"alive"`
-}
-
-// LeaseStatus is one lease this node holds as a follower: it accepts
-// shipped records from Origin under Term until the lease expires.
-type LeaseStatus struct {
-	Origin string `json:"origin"`
-	Term   uint64 `json:"term"`
-	// ExpiresInMillis is the remaining validity (negative: expired).
-	ExpiresInMillis int64 `json:"expiresInMillis"`
 }
 
 // PolicyBody is the payload of the policy.* admin ops: the resident

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/acerr"
 )
 
 // TestConcurrentClients drives many sessions in parallel against one
@@ -96,8 +98,11 @@ func TestMalformedRequests(t *testing.T) {
 	if resp := send("this is not json"); resp.Error == "" {
 		t.Fatal("garbage line should produce an error response")
 	}
-	if resp := send(`{"op":"frobnicate"}`); resp.Error == "" {
-		t.Fatal("unknown op should error")
+	// An old peer's cluster.* op is one more unknown op.
+	for _, line := range []string{`{"op":"frobnicate"}`, `{"op":"cluster.status"}`} {
+		if resp := send(line); resp.Error == "" || resp.Code != acerr.CodeBadRequest {
+			t.Fatalf("unknown op %s: %+v", line, resp)
+		}
 	}
 	if resp := send(`{"op":"query","sql":"SELECT FROM"}`); resp.Error == "" {
 		t.Fatal("parse error should surface")

@@ -91,11 +91,6 @@ type Server struct {
 	// conservative. It is the only window setting: the WAL manager
 	// builds its traces with the server's constructor (session.go).
 	HistoryWindow int
-	// Cluster, when set, routes durable sessions across an enforcement
-	// cluster (cluster.go, internal/cluster): hellos for sessions owned
-	// by a peer are forwarded there, and cluster.* control ops dispatch
-	// to the handler. Set before Listen.
-	Cluster ClusterHandler
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -314,11 +309,6 @@ func (s *Server) OpenDurable() error {
 				s.logf("proxy: restored staged candidate policy (version id %d); shadow dual-decide resumes", cand.ID)
 			}
 		}
-	}
-	// The cluster's ship hook must be live before the manager is
-	// published — the first durable append may need replicating.
-	if s.Cluster != nil {
-		s.Cluster.WALOpened(m)
 	}
 	s.mu.Lock()
 	s.wal = m
@@ -776,18 +766,6 @@ func (pc *pipeConn) cancelRequest(target uint64) {
 	}
 }
 
-// shutdown waits for every live lane runner to drain its queue, then
-// closes each lane's session. The caller has already stopped
-// dispatching and canceled the connection context, so queued jobs
-// finish quickly with canceled responses that fail to write — both are
-// fine. Runners exit on their own once their queues empty.
-func (pc *pipeConn) shutdown() {
-	pc.wg.Wait()
-	for _, ln := range pc.lanes {
-		ln.sess.close()
-	}
-}
-
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -841,9 +819,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.dispatch(pc, req)
 	}
 	// Reader is done: abort in-flight work for this connection and
-	// drain the lanes.
+	// wait for every lane runner to drain its queue. Queued jobs finish
+	// quickly with canceled responses that fail to write — both are
+	// fine. Runners exit on their own once their queues empty.
 	connCancel()
-	pc.shutdown()
+	pc.wg.Wait()
 
 	// A read failure (over-long line, read error or timeout) drops
 	// the connection; surface the cause to the client where the write
@@ -920,11 +900,6 @@ func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
 	if !ln.tryClaim() {
 		return false
 	}
-	if ln.sess.remote != nil {
-		// Forwarded session: the owner decides; take the general path.
-		ln.releaseClaim()
-		return false
-	}
 	args, err := buildArgs(req)
 	if err != nil {
 		ln.releaseClaim()
@@ -990,20 +965,9 @@ func releaseResponse(resp *Response) {
 // response with the "canceled" error code.
 func (s *Server) handle(ctx context.Context, req *Request, sess *session) Response {
 	s.initObs()
-	if isClusterOp(req.Op) {
-		return s.handleClusterOp(ctx, req)
-	}
-	// A session owned by a cluster peer relays its work there: history
-	// must accrue on exactly one node for decisions to stay sound.
-	if sess.remote != nil {
-		switch req.Op {
-		case "query", "exec", "batch":
-			return s.forwardRemote(ctx, req, sess)
-		}
-	}
 	switch req.Op {
 	case "hello":
-		return s.openSession(ctx, req, sess)
+		return s.openSession(req, sess)
 
 	case "query":
 		return s.handleQuery(ctx, req, sess)

@@ -11,9 +11,8 @@ import (
 
 // The session lifecycle (DESIGN.md §7), the same on every ingress: a
 // hello opens a session (openSession), building the complete new state
-// before it replaces the old; a failed hello leaves the empty session
-// every session starts as (newSession); and the end of a connection
-// closes its sessions (session.close).
+// before it replaces the old; and a failed hello leaves the empty
+// session every session starts as (newSession).
 
 // session is per-lane state: principal attributes and history.
 type session struct {
@@ -22,10 +21,6 @@ type session struct {
 	// name is the durable session name from hello ("" for ephemeral
 	// sessions); shadow diff records carry it as the session identity.
 	name string
-	// remote, when set, marks this session as owned by a cluster peer:
-	// queries relay through it instead of deciding locally
-	// (cluster.go), so the session's history accrues on one node.
-	remote RemoteSession
 }
 
 // newTrace is the one constructor of session traces, ephemeral and —
@@ -45,28 +40,23 @@ func (s *Server) newSession() *session {
 	return &session{attrs: map[string]sqlvalue.Value{}, tr: s.newTrace()}
 }
 
-// openSession serves a hello on sess: it closes the old state, then
-// installs the new one, or on any failure the empty session, so a
-// failed re-hello never decides for the new principal on the old
-// principal's history.
-func (s *Server) openSession(ctx context.Context, req *Request, sess *session) Response {
-	sess.close()
-	next, resp := s.buildSession(ctx, req)
+// openSession serves a hello on sess: it installs the new state, or on
+// any failure the empty session, so a failed re-hello never decides
+// for the new principal on the old principal's history.
+func (s *Server) openSession(req *Request, sess *session) Response {
+	next, resp := s.buildSession(req)
 	if resp.Error != "" {
 		next = s.newSession()
 	} else if req.MaxProto >= ProtoV2 {
-		// Negotiated between this node and its client, whatever a
-		// forwarded hello negotiated with the owner.
 		resp.Proto = ProtoV2
 	}
 	*sess = *next
 	return resp
 }
 
-// buildSession decodes a hello's attributes and routes its session:
-// forwarded to the cluster peer that owns the name, restored from (or
-// declared in) the WAL, or fresh and ephemeral.
-func (s *Server) buildSession(ctx context.Context, req *Request) (*session, Response) {
+// buildSession decodes a hello's attributes and builds its session:
+// restored from (or declared in) the WAL, or fresh and ephemeral.
+func (s *Server) buildSession(req *Request) (*session, Response) {
 	next := &session{attrs: make(map[string]sqlvalue.Value, len(req.Session)), name: req.Name}
 	for k, v := range req.Session {
 		sv, err := decodeValue(v)
@@ -76,22 +66,9 @@ func (s *Server) buildSession(ctx context.Context, req *Request) (*session, Resp
 		next.attrs[k] = sv
 	}
 	resp := Response{OK: true}
-	if h := s.Cluster; h != nil && req.Name != "" {
-		if _, local := h.Owner(req.Name); !local {
-			remote, rresp, err := h.OpenRemote(ctx, req)
-			if err != nil {
-				return nil, Response{Error: "cluster forward: " + err.Error(), Code: acerr.CodeInternal}
-			}
-			if rresp.Error != "" {
-				remote.Close()
-				return nil, Response{Error: rresp.Error, Code: rresp.Code}
-			}
-			next.remote, resp.Restored = remote, rresp.Restored
-		}
-	}
-	if wal := s.Durable(); wal != nil && req.Name != "" && next.remote == nil {
+	if wal := s.Durable(); wal != nil && req.Name != "" {
 		// Durable session: the trace is shared, WAL-hooked, and — after
-		// a restart or a takeover — restored with its earlier history.
+		// a restart — restored with its earlier history.
 		tr, restored, err := wal.Session(req.Name, next.attrs)
 		if err != nil {
 			return nil, Response{Error: err.Error(), Code: acerr.CodeEngine}
@@ -109,15 +86,6 @@ func (s *Server) buildSession(ctx context.Context, req *Request) (*session, Resp
 	return next, resp
 }
 
-// close releases a forwarded session's remote handle. A durable
-// session's trace outlives it: the WAL manager keeps it.
-func (sess *session) close() {
-	if sess.remote != nil {
-		sess.remote.Close()
-		sess.remote = nil
-	}
-}
-
 // Session is the exported handle for in-process use.
 type Session struct{ inner *session }
 
@@ -133,9 +101,6 @@ func NewSession(attrs map[string]sqlvalue.Value) *Session {
 
 // Trace exposes the session's history (nil before its first request).
 func (s *Session) Trace() *trace.Trace { return s.inner.tr }
-
-// Close closes the session, as the end of a pgwire connection does.
-func (s *Session) Close() { s.inner.close() }
 
 // HandleInCtx processes a request against an exported session under a
 // caller-supplied context, with no socket: the in-process entry that

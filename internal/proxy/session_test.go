@@ -9,20 +9,6 @@ import (
 	"repro/internal/sqlvalue"
 )
 
-// deadOwner routes every durable name to a peer that cannot be reached,
-// as a cluster node does for a session whose owner is down.
-type deadOwner struct{}
-
-func (deadOwner) Owner(string) (string, bool) { return "127.0.0.1:1", false }
-
-func (deadOwner) OpenRemote(context.Context, *Request) (RemoteSession, *Response, error) {
-	return nil, nil, errors.New("dial 127.0.0.1:1: connection refused")
-}
-
-func (deadOwner) HandleOp(context.Context, *Request) Response { return Response{} }
-
-func (deadOwner) WALOpened(*durable.Manager) {}
-
 // TestFailedHelloResetsSession pins the tighten-only rule for a
 // re-hello: a session that said hello as user 1 and built history, then
 // fails to re-hello as user 2, is left empty — no attributes and an
@@ -32,9 +18,6 @@ func TestFailedHelloResetsSession(t *testing.T) {
 		name  string
 		setup func(t *testing.T, srv *Server)
 	}{
-		{"cluster forward to a dead owner", func(t *testing.T, srv *Server) {
-			srv.Cluster = deadOwner{}
-		}},
 		{"durable open error", func(t *testing.T, srv *Server) {
 			srv.WALDir = t.TempDir()
 			if err := srv.OpenDurable(); err != nil {
@@ -75,8 +58,8 @@ func TestFailedHelloResetsSession(t *testing.T) {
 			if n := sess.Trace().Len(); n != 0 {
 				t.Fatalf("after a failed hello the session keeps %d history entries", n)
 			}
-			if sess.inner.remote != nil || sess.inner.name != "" {
-				t.Fatalf("after a failed hello the session keeps a route: name %q remote %v", sess.inner.name, sess.inner.remote)
+			if sess.inner.name != "" {
+				t.Fatalf("after a failed hello the session keeps its name %q", sess.inner.name)
 			}
 			if r := do(&Request{Op: "query", SQL: "SELECT * FROM Events WHERE EId=2"}); r.OK && !r.Blocked {
 				t.Fatalf("event query allowed on an empty session: %+v", r)

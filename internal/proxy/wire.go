@@ -31,7 +31,7 @@ func appendString(buf []byte, s string) []byte {
 // ok=false when resp needs the reflective encoder (stats, policy,
 // batch, views, or an error payload).
 func appendResponse(buf []byte, resp *Response) ([]byte, bool) {
-	if resp.Error != "" || resp.Stats != nil || resp.Policy != nil || resp.Batch != nil || resp.Views != nil || resp.Cluster != nil {
+	if resp.Error != "" || resp.Stats != nil || resp.Policy != nil || resp.Batch != nil || resp.Views != nil {
 		return buf, false
 	}
 	buf = append(buf, '{')
@@ -99,8 +99,7 @@ func appendResponse(buf []byte, resp *Response) ([]byte, bool) {
 // appendRequest hand-encodes the common request shapes (flat scalar
 // args and session attrs). ok=false falls back to encoding/json.
 func appendRequest(buf []byte, req *Request) ([]byte, bool) {
-	if req.Batch != nil || req.Named != nil || req.Views != nil ||
-		req.Node != "" || req.Ship != nil || req.Term != 0 || req.TTLMillis != 0 {
+	if req.Batch != nil || req.Named != nil || req.Views != nil {
 		return buf, false
 	}
 	buf = append(buf, `{"op":`...)

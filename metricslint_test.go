@@ -15,8 +15,8 @@ import (
 // TestMetricNamesDocumented is `make metricslint`: the instrument
 // inventory in DESIGN.md §9.2 and the names a full serving stack
 // registers must be the same set. It brings up every surface that
-// registers instruments — v2 and Postgres listeners, a WAL, a cluster
-// node and a staged shadow candidate — over one registry, runs one
+// registers instruments — v2 and Postgres listeners, a WAL and a
+// staged shadow candidate — over one registry, runs one
 // request, and compares both directions, so a new instrument needs its
 // line in §9.2 and a documented name needs its instrument.
 func TestMetricNamesDocumented(t *testing.T) {
@@ -31,7 +31,6 @@ func TestMetricNamesDocumented(t *testing.T) {
 			beyond.WithDurability(t.TempDir(), beyond.WithFsync(beyond.FsyncOff)),
 			func(s *beyond.ProxyServer) { s.Logf = t.Logf }),
 		beyond.WithPgListener("127.0.0.1:0"),
-		beyond.WithCluster(beyond.ClusterConfig{Self: "a", Members: []beyond.ClusterMember{{ID: "a"}}}),
 		beyond.WithShadowPolicy(wide))
 	if err != nil {
 		t.Fatal(err)

@@ -22,24 +22,9 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/obsv"
 	"repro/internal/pgwire"
 	"repro/internal/proxy"
-)
-
-// Cluster types (DESIGN.md §16): N Serve stacks joined into one
-// enforcement cluster — consistent-hash session routing, lease-based
-// ownership, WAL shipping to the per-session follower.
-type (
-	// ClusterConfig parameterizes a cluster node (self id, member set,
-	// lease/probe/ship tuning).
-	ClusterConfig = cluster.Config
-	// ClusterMember is one node: stable id + v2 listener address.
-	ClusterMember = cluster.Member
-	// ClusterNode is the running membership/routing/shipping engine a
-	// clustered Service embeds (Service.ClusterNode).
-	ClusterNode = cluster.Node
 )
 
 // serveConfig is what ServeOptions assemble.
@@ -51,7 +36,6 @@ type serveConfig struct {
 	pgMax     int
 	metrics   *Metrics
 	proxyOpts []ProxyOption
-	cluster   *ClusterConfig
 	// shadowViews, when non-nil, stages a candidate policy as soon as
 	// the core is up (after WAL recovery, so the stage persists).
 	shadowViews map[string]string
@@ -111,31 +95,6 @@ func WithListenerMetrics(reg *Metrics) ServeOption {
 	return func(c *serveConfig) { c.metrics = reg }
 }
 
-// WithCluster joins this Service to an enforcement cluster
-// (DESIGN.md §16). The config names this node (Self) and the full
-// member set; every member must run a v2 listener, which carries both
-// forwarded application traffic and the cluster.* control ops. Durable
-// sessions hash onto a consistent ring over the live members: hellos
-// landing on a non-owner forward transparently, so each session's
-// history accrues on exactly one node and the warm-path caches behave
-// exactly as on a single proxy. Owners ship WAL records to each
-// session's ring successor; if an owner dies, the successor's probes
-// plus lease expiry move the sessions to the node already holding
-// their history — byte-identical decisions included.
-//
-//	svc, err := beyond.Serve(db, chk, beyond.Enforce,
-//		beyond.WithV2Listener(":7781", beyond.WithDurability(dir)),
-//		beyond.WithCluster(beyond.ClusterConfig{
-//			Self: "a",
-//			Members: []beyond.ClusterMember{
-//				{ID: "a", Addr: "10.0.0.1:7781"},
-//				{ID: "b", Addr: "10.0.0.2:7781"},
-//			},
-//		}))
-func WithCluster(cfg ClusterConfig) ServeOption {
-	return func(c *serveConfig) { c.cluster = &cfg }
-}
-
 // WithProxyConfig applies proxy-core options (durability, history
 // window, timeouts, connection limits) without implying a v2
 // listener — for pgwire-only deployments that still want a WAL:
@@ -150,11 +109,10 @@ func WithProxyConfig(opts ...ProxyOption) ServeOption {
 // Service is a running enforcement stack: one proxy core with its
 // bound listeners. Close shuts everything down.
 type Service struct {
-	core    *ProxyServer
-	pg      *pgwire.Server
-	cluster *ClusterNode
-	v2Addr  string
-	pgAddr  string
+	core   *ProxyServer
+	pg     *pgwire.Server
+	v2Addr string
+	pgAddr string
 }
 
 // Serve builds one enforcement core over db and c and binds the
@@ -176,19 +134,6 @@ func Serve(db *DB, c *Checker, mode ProxyMode, opts ...ServeOption) (*Service, e
 		core.Metrics = cfg.metrics
 	}
 	svc := &Service{core: core}
-	if cfg.cluster != nil {
-		if !cfg.v2 {
-			return nil, errors.New("beyond: WithCluster requires a v2 listener (peers forward and ship over it)")
-		}
-		node, err := cluster.New(*cfg.cluster)
-		if err != nil {
-			return nil, fmt.Errorf("beyond: %w", err)
-		}
-		// Attach before Listen: the WAL opens there, and the node's
-		// ship hook and lease term install during that open.
-		node.Attach(core)
-		svc.cluster = node
-	}
 	if cfg.v2 {
 		addr, err := core.Listen(cfg.v2Addr)
 		if err != nil {
@@ -212,9 +157,6 @@ func Serve(db *DB, c *Checker, mode ProxyMode, opts ...ServeOption) (*Service, e
 			return nil, fmt.Errorf("beyond: stage shadow policy: %w", err)
 		}
 	}
-	if svc.cluster != nil {
-		svc.cluster.Start()
-	}
 	return svc, nil
 }
 
@@ -228,11 +170,6 @@ func (s *Service) PgAddr() string { return s.pgAddr }
 // Proxy exposes the shared core for in-process use (HandleInCtx,
 // Durable, Stats) — both listeners delegate to it.
 func (s *Service) Proxy() *ProxyServer { return s.core }
-
-// ClusterNode exposes the cluster engine (nil without WithCluster).
-// In-process clusters bind ephemeral ports first, then install the
-// real addresses with SetMembers.
-func (s *Service) ClusterNode() *ClusterNode { return s.cluster }
 
 // Metrics is the registry every listener reports into.
 func (s *Service) Metrics() *obsv.Registry { return s.core.MetricsRegistry() }
@@ -251,19 +188,11 @@ func (s *Service) PromotePolicy() (PolicyVersion, error) { return s.core.Promote
 func (s *Service) RollbackPolicy() (PolicyVersion, error) { return s.core.RollbackPolicy() }
 
 // Close stops all listeners and the core, in ingress-first order so
-// in-flight statements drain before the WAL closes. The cluster node
-// (prober + ship flusher) stops between the two: after ingress quiets
-// it flushes any queued ship batches, before the WAL that feeds it
-// goes away.
+// in-flight statements drain before the WAL closes.
 func (s *Service) Close() error {
 	var first error
 	if s.pg != nil {
 		if err := s.pg.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if s.cluster != nil {
-		if err := s.cluster.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
