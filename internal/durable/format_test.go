@@ -190,6 +190,20 @@ func TestNewerFormatRefused(t *testing.T) {
 	if _, err := Recover(dir); err == nil || !strings.Contains(err.Error(), "newer than supported") {
 		t.Fatalf("recovering a version-3 segment: %v", err)
 	}
+
+	// A checkpoint is refused too, not skipped as malformed: skipping it
+	// would recover without error and lose the session it holds.
+	dir = t.TempDir()
+	ckpt := []byte{ckptMagic[0], ckptMagic[1], ckptMagic[2], ckptMagic[3], FormatVersion + 1, 0, 0, 0}
+	ckpt = appendRecord(ckpt, recCkptMeta, encodeCkptMeta(&ckptMeta{Cut: 1}))
+	ckpt = appendRecord(ckpt, recSession, encodeSession("s", map[string]sqlvalue.Value{"uid": sqlvalue.NewInt(7)}))
+	ckpt = appendRecord(ckpt, recCkptEnd, encodeCkptEnd(3))
+	if err := os.WriteFile(filepath.Join(dir, ckptName(1)), ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir); err == nil || !strings.Contains(err.Error(), "newer than supported") {
+		t.Fatalf("recovering a checkpoint of format version %d: %v", FormatVersion+1, err)
+	}
 }
 
 // TestClusterRecordsRefused: types 9 and 10 were cluster mode's lease

@@ -28,6 +28,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -98,10 +99,15 @@ func checkFileHeader(h []byte, magic [4]byte) error {
 		return fmt.Errorf("durable: bad file magic")
 	}
 	if h[4] > FormatVersion {
-		return fmt.Errorf("durable: format version %d newer than supported %d", h[4], FormatVersion)
+		return fmt.Errorf("durable: format version %d %w %d", h[4], errNewerFormat, FormatVersion)
 	}
 	return nil
 }
+
+// errNewerFormat refuses a file stamped with a format version this
+// reader predates: recovery fails rather than misread it or, for a
+// checkpoint, fall back past the state it carries.
+var errNewerFormat = errors.New("newer than supported")
 
 // appendRecord frames one record (type+payload) onto buf.
 func appendRecord(buf []byte, typ byte, payload []byte) []byte {

@@ -176,7 +176,7 @@ func (res *RecoveryResult) replayCheckpoint(path string) (ok bool, err error) {
 		}
 		return res.apply(typ, payload)
 	})
-	if errors.Is(err, errRemovedRecord) {
+	if errors.Is(err, errRemovedRecord) || errors.Is(err, errNewerFormat) {
 		return false, err
 	}
 	if err != nil {

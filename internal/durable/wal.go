@@ -68,12 +68,6 @@ type Options struct {
 	// FsyncInterval is the timer period under FsyncInterval; 0 means
 	// DefaultFsyncInterval.
 	FsyncInterval time.Duration
-	// GroupWindow is how long the committer holds a batch open for
-	// stragglers under FsyncAlways once it has evidence of concurrent
-	// appenders (the previous batch coalesced, or the drain caught
-	// extras). A solo appender never pays it. 0 means
-	// DefaultGroupWindow; negative disables the window.
-	GroupWindow time.Duration
 	// CheckpointEvery, when positive, checkpoints automatically after
 	// that many appended records (Manager only).
 	CheckpointEvery int
@@ -90,8 +84,13 @@ type Options struct {
 const (
 	DefaultSegmentBytes  = 4 << 20
 	DefaultFsyncInterval = 5 * time.Millisecond
-	DefaultGroupWindow   = 50 * time.Microsecond
 )
+
+// groupWindow is how long the committer holds a batch open for
+// stragglers under FsyncAlways once it has evidence of concurrent
+// appenders (the previous batch coalesced, or the drain caught
+// extras). A solo appender never pays it.
+const groupWindow = 50 * time.Microsecond
 
 // DefaultOptions returns the production configuration: group commit
 // with fsync on every batch.
@@ -105,9 +104,6 @@ func (o *Options) normalize() {
 	}
 	if o.FsyncInterval <= 0 {
 		o.FsyncInterval = DefaultFsyncInterval
-	}
-	if o.GroupWindow == 0 {
-		o.GroupWindow = DefaultGroupWindow
 	}
 }
 
@@ -400,12 +396,11 @@ func (l *Log) runCommitter() {
 		// The window is a yield-spin, not a timer: Go timers round a
 		// 50µs sleep up to roughly a millisecond, which would cost more
 		// than the fsyncs it saves.
-		if l.opts.Fsync == FsyncAlways && l.opts.GroupWindow > 0 &&
-			(len(batch) > 1 || lastBatch > 1) {
+		if l.opts.Fsync == FsyncAlways && (len(batch) > 1 || lastBatch > 1) {
 			// Once as many appends have joined as the previous batch
 			// held, the whole cohort has re-arrived — commit now
 			// rather than spinning out the deadline.
-			deadline := time.Now().Add(l.opts.GroupWindow)
+			deadline := time.Now().Add(groupWindow)
 		window:
 			for len(batch) < lastBatch {
 				select {

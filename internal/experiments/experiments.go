@@ -168,97 +168,86 @@ func RunE2(dbSize, iters int) (*Table, error) {
 
 	// Best-of-3 passes: the minimum mean is the least noisy estimator
 	// of the true cost, which keeps the cached-vs-cold comparison
-	// stable even under the race detector's scheduling jitter.
-	measure := func(fn func() error) (float64, error) {
-		best := math.MaxFloat64
+	// stable even under the race detector's scheduling jitter. The
+	// passes interleave across the configurations measured together, so
+	// a burst of load lands on one pass of each, not on every pass of
+	// one.
+	measure := func(fns ...func() error) ([]float64, error) {
+		best := make([]float64, len(fns))
+		for k := range best {
+			best[k] = math.MaxFloat64
+		}
 		for pass := 0; pass < 3; pass++ {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := fn(); err != nil {
-					return 0, err
+			for k, fn := range fns {
+				start := time.Now()
+				for i := 0; i < iters; i++ {
+					if err := fn(); err != nil {
+						return nil, err
+					}
 				}
-			}
-			if ns := float64(time.Since(start).Nanoseconds()) / float64(iters); ns < best {
-				best = ns
+				if ns := float64(time.Since(start).Nanoseconds()) / float64(iters); ns < best[k] {
+					best[k] = ns
+				}
 			}
 		}
 		return best, nil
 	}
 
-	pass, err := measure(func() error {
-		_, e := db.Query(bsel)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	coldChk := checker.New(f.Policy())
-	cold, err := measure(func() error {
-		coldChk.CheckCold(context.Background(), sel, argv, sess, nil)
-		_, e := db.Query(bsel)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	cachedChk := checker.New(f.Policy())
 	cachedChk.Check(context.Background(), sel, argv, sess, nil) // warm the template
-	cached, err := measure(func() error {
-		cachedChk.Check(context.Background(), sel, argv, sess, nil)
-		_, e := db.Query(bsel)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	rls := baseline.MustNewRLS(f.Schema, f.RLSRules)
-	rlsNs, err := measure(func() error {
-		rw, e := rls.Rewrite(sel, sess)
-		if e != nil {
-			return e
-		}
-		rb, e := sqlparser.Bind(rw, argv)
-		if e != nil {
-			return e
-		}
-		_, e = db.Query(rb.(*sqlparser.SelectStmt))
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Decision-only costs (no query execution), the stable signal for
-	// the cached-vs-cold comparison.
-	decCold, err := measure(func() error {
-		coldChk.CheckCold(context.Background(), sel, argv, sess, nil)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	decCached, err := measure(func() error {
-		cachedChk.Check(context.Background(), sel, argv, sess, nil)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The rows above decide without a session trace, which bypasses the
-	// history-free stage: the template stage answers. Under a trace, as
-	// every proxy decision runs, the repeat is a history-free hit.
+	// The decision-only rows are the stable signal for the cached-vs-cold
+	// comparison. "decision only, cached" decides without a session
+	// trace, which bypasses the history-free stage: the template stage
+	// answers. Under a trace, as every proxy decision runs, the repeat is
+	// a history-free hit.
 	tr := &trace.Trace{}
 	cachedChk.Check(context.Background(), sel, argv, sess, tr)
-	decHistFree, err := measure(func() error {
-		cachedChk.Check(context.Background(), sel, argv, sess, tr)
-		return nil
-	})
+	ns, err := measure(
+		func() error { // passthrough
+			_, e := db.Query(bsel)
+			return e
+		},
+		func() error { // checker cold
+			coldChk.CheckCold(context.Background(), sel, argv, sess, nil)
+			_, e := db.Query(bsel)
+			return e
+		},
+		func() error { // checker cached
+			cachedChk.Check(context.Background(), sel, argv, sess, nil)
+			_, e := db.Query(bsel)
+			return e
+		},
+		func() error { // RLS query modification
+			rw, e := rls.Rewrite(sel, sess)
+			if e != nil {
+				return e
+			}
+			rb, e := sqlparser.Bind(rw, argv)
+			if e != nil {
+				return e
+			}
+			_, e = db.Query(rb.(*sqlparser.SelectStmt))
+			return e
+		},
+		func() error { // decision only, cold
+			coldChk.CheckCold(context.Background(), sel, argv, sess, nil)
+			return nil
+		},
+		func() error { // decision only, cached
+			cachedChk.Check(context.Background(), sel, argv, sess, nil)
+			return nil
+		},
+		func() error { // decision only, cached (histfree tier)
+			cachedChk.Check(context.Background(), sel, argv, sess, tr)
+			return nil
+		},
+	)
 	if err != nil {
 		return nil, err
 	}
+	pass, cold, cached, rlsNs, decCold, decCached, decHistFree := ns[0], ns[1], ns[2], ns[3], ns[4], ns[5], ns[6]
 
 	rel := func(x float64) string { return fmt.Sprintf("%.2fx", x/pass) }
 	t.Add("passthrough (no enforcement)", fmt.Sprintf("%.0f", pass), "1.00x")
@@ -271,17 +260,20 @@ func RunE2(dbSize, iters int) (*Table, error) {
 	t.Note("expected shape: cached ≈ passthrough ≪ cold (Blockaid's headline result)")
 
 	// Series: cold decision latency vs number of views.
-	for _, nviews := range []int{1, 2, 4, 8, 16} {
-		p := SyntheticPolicy(f, nviews)
-		chk := checker.New(p)
-		ns, err := measure(func() error {
+	nviews := []int{1, 2, 4, 8, 16}
+	fns := make([]func() error, len(nviews))
+	for k, n := range nviews {
+		chk := checker.New(SyntheticPolicy(f, n))
+		fns[k] = func() error {
 			chk.CheckCold(context.Background(), sel, argv, sess, nil)
 			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		t.Add(fmt.Sprintf("cold decision, %d views", nviews), fmt.Sprintf("%.0f", ns), rel(ns))
+	}
+	if ns, err = measure(fns...); err != nil {
+		return nil, err
+	}
+	for k, n := range nviews {
+		t.Add(fmt.Sprintf("cold decision, %d views", n), fmt.Sprintf("%.0f", ns[k]), rel(ns[k]))
 	}
 	return t, nil
 }

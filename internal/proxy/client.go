@@ -7,8 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/acerr"
 	"repro/internal/sqlvalue"
@@ -43,11 +43,11 @@ func WithWindow(n int) ClientOption {
 	return func(c *Client) { c.window = n }
 }
 
-// Client is a pipelined connection to the proxy server: sends and
-// receives run on separate goroutines, and responses demux by request
-// ID. Requests on one session lane execute in send order; lanes run
-// concurrently. The Client's own Hello, Query, Exec… run on lane 0,
-// the connection's default session.
+// Client is a pipelined connection to the proxy server: each caller
+// writes its own request, one demux goroutine reads, and responses
+// demux by request ID. Requests on one session lane execute in send
+// order; lanes run concurrently. The Client's own Hello, Query, Exec…
+// run on lane 0, the connection's default session.
 type Client struct {
 	def    Lane // lane 0
 	conn   net.Conn
@@ -60,14 +60,14 @@ type Client struct {
 	dead    error
 	sem     chan struct{}
 
-	// Coalescing writer: requests queue on out and the writer goroutine
-	// batches each burst into a single flush.
-	bw       *bufio.Writer
-	wenc     *json.Encoder
-	scratch  []byte
-	out      chan *Request
-	quit     chan struct{}
-	quitOnce sync.Once
+	// wmu guards the buffered writer and the encoder state. waiting
+	// counts the callers queued for wmu: a caller flushes only when none
+	// is, so the last one in line flushes for all.
+	wmu     sync.Mutex
+	waiting atomic.Int32
+	bw      *bufio.Writer
+	wenc    *json.Encoder
+	scratch []byte
 }
 
 // Dial connects to the proxy.
@@ -89,7 +89,6 @@ func DialContext(ctx context.Context, addr string, opts ...ClientOption) (*Clien
 		r:       bufio.NewReader(conn),
 		pending: make(map[uint64]chan *Response),
 		bw:      bufio.NewWriterSize(conn, 32*1024),
-		quit:    make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(c)
@@ -97,15 +96,12 @@ func DialContext(ctx context.Context, addr string, opts ...ClientOption) (*Clien
 	c.def = Lane{c: c}
 	c.wenc = json.NewEncoder(c.bw)
 	c.sem = make(chan struct{}, c.window)
-	c.out = make(chan *Request, c.window+64)
 	go c.demux()
-	go c.writer()
 	return c, nil
 }
 
-// Close closes the connection; outstanding calls fail.
+// Close closes the connection; outstanding and later calls fail.
 func (c *Client) Close() error {
-	c.quitOnce.Do(func() { close(c.quit) })
 	return c.conn.Close()
 }
 
@@ -124,47 +120,8 @@ func (c *Client) HelloDurable(ctx context.Context, name string, attrs map[string
 	return c.def.HelloDurable(ctx, name, attrs)
 }
 
-// writer is the send loop: it drains bursts of queued requests and
-// flushes each burst with one write syscall.
-func (c *Client) writer() {
-	for {
-		var req *Request
-		select {
-		case req = <-c.out:
-		case <-c.quit:
-			return
-		}
-		err := c.encodeReq(req)
-		yielded := false
-	drain:
-		for err == nil {
-			select {
-			case more := <-c.out:
-				err = c.encodeReq(more)
-			default:
-				// Yield once before flushing a short batch so callers
-				// mid-send can join this write syscall.
-				if !yielded {
-					yielded = true
-					runtime.Gosched()
-					continue
-				}
-				break drain
-			}
-		}
-		if err == nil {
-			err = c.bw.Flush()
-		}
-		if err != nil {
-			c.fail(fmt.Errorf("proxy connection lost: %w", err))
-			// Keep draining so senders never block; quit unsticks us.
-		}
-	}
-}
-
 // encodeReq writes one request into the buffered writer, using the
-// hand-rolled encoder for common shapes. Only the writer goroutine
-// calls it.
+// hand-rolled encoder for common shapes. wmu must be held.
 func (c *Client) encodeReq(req *Request) error {
 	if buf, ok := appendRequest(c.scratch[:0], req); ok {
 		c.scratch = buf[:0]
@@ -174,14 +131,24 @@ func (c *Client) encodeReq(req *Request) error {
 	return c.wenc.Encode(req)
 }
 
-// enqueue hands a request to the coalescing writer.
+// enqueue writes a request onto the connection and flushes it unless
+// another caller waits for wmu; that one (or the last behind it)
+// flushes this request with its own. A write failure fails the client,
+// so every outstanding and later call gets the error.
 func (c *Client) enqueue(req *Request) error {
-	select {
-	case c.out <- req:
-		return nil
-	case <-c.quit:
-		return errors.New("proxy client closed")
+	c.waiting.Add(1)
+	c.wmu.Lock()
+	c.waiting.Add(-1)
+	err := c.encodeReq(req)
+	if err == nil && c.waiting.Load() == 0 {
+		err = c.bw.Flush()
 	}
+	c.wmu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("proxy connection lost: %w", err)
+		c.fail(err)
+	}
+	return err
 }
 
 // demux is the read loop: it routes each response to the pending call
@@ -325,13 +292,6 @@ func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
 	return p.Wait(ctx)
 }
 
-// Do sends one raw request on the default session and returns the
-// raw response: application-level errors stay in Response.Error
-// instead of becoming Go errors.
-func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
-	return c.def.Do(ctx, req)
-}
-
 // Rows is a client-side result set.
 type Rows struct {
 	Columns []string
@@ -469,7 +429,9 @@ func (l *Lane) call(ctx context.Context, req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// Do sends one raw request on this lane; see Client.Do.
+// Do sends one raw request on this lane and returns the raw response:
+// application-level errors stay in Response.Error instead of becoming
+// Go errors.
 func (l *Lane) Do(ctx context.Context, req *Request) (*Response, error) {
 	req.SID = l.sid
 	return l.c.call(ctx, req)

@@ -15,11 +15,12 @@ var errLineTooLong = errors.New("request line too long")
 // flushConn interposes on the connection's read side: just before any
 // kernel read — i.e. exactly when the reader has drained every
 // buffered request and is about to block waiting on the client — it
-// flushes responses the inline fast path parked in the write buffer.
-// Responses therefore coalesce across a pipelined burst (K answers,
-// one write syscall) yet are always on the wire before the server
-// waits for the client, so the interposition can never deadlock a
-// request/response client.
+// flushes responses parked in the write buffer: the reader's inline
+// answers and control replies, and a runner's answer that had another
+// goroutine behind it for the write lock. Responses therefore coalesce
+// across a pipelined burst (K answers, one write syscall) yet are
+// always on the wire before the server waits for the client, so the
+// interposition can never deadlock a request/response client.
 type flushConn struct {
 	c     net.Conn
 	flush func()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -436,20 +437,30 @@ func TestServerMaxInFlightBackpressure(t *testing.T) {
 	}
 }
 
-// TestLaneClaimWaitsForUnsentAnswers pins the inline path's overtake
-// guard: a lane with an answer handed to the writer but not yet encoded
-// (sendLane counts it in unsent, encodeFrame uncounts it) refuses the
-// inline claim, because an inline answer would reach the wire ahead of
-// it; once the writer has encoded it, the idle lane is claimable.
+// TestLaneClaimWaitsForUnsentAnswers pins the inline path's order
+// rule: a lane whose runner is live refuses the inline claim until the
+// runner's last pop. A runner writes each answer into the connection's
+// buffer before its next pop, so until then an inline answer could
+// reach the wire ahead of one of its answers; after it, none can.
 func TestLaneClaimWaitsForUnsentAnswers(t *testing.T) {
 	ln := &lane{}
-	ln.unsent.Add(1)
-	if ln.tryClaim() {
-		t.Fatal("a lane with an unsent answer was claimed for inline execution")
+	if !ln.push(pipeJob{}) {
+		t.Fatal("a push onto an idle lane did not start a runner")
 	}
-	ln.unsent.Add(-1)
+	if ln.tryClaim() {
+		t.Fatal("a lane with a queued job was claimed for inline execution")
+	}
+	if _, ok := ln.pop(); !ok {
+		t.Fatal("the runner found its job missing")
+	}
+	if ln.tryClaim() {
+		t.Fatal("a lane was claimed while its runner was still answering its last job")
+	}
+	if _, ok := ln.pop(); ok {
+		t.Fatal("the runner popped a job that was never pushed")
+	}
 	if !ln.tryClaim() {
-		t.Fatal("an idle lane with nothing unsent refused the claim")
+		t.Fatal("an idle lane refused the claim after its runner's last pop")
 	}
 	if ln.tryClaim() {
 		t.Fatal("a claimed lane was claimed twice")
@@ -460,15 +471,55 @@ func TestLaneClaimWaitsForUnsentAnswers(t *testing.T) {
 	}
 }
 
+// TestLastInLineFlushes pins the write rule: a runner's answer is
+// flushed by the last goroutine queued for the write lock, not by each.
+// Two runners queue behind a held lock; once it is released they write
+// two frames with one flush between them.
+func TestLastInLineFlushes(t *testing.T) {
+	srv := testServer(t, Enforce)
+	srv.initObs()
+	client, server := net.Pipe()
+	defer client.Close()
+	go io.Copy(io.Discard, client)
+	pc := newPipeConn(srv, context.Background(), server)
+	defer server.Close()
+	frames, flushes := srv.mWriteFrames.Value(), srv.mWriteFlushes.Value()
+
+	pc.writeMu.Lock()
+	var wg sync.WaitGroup
+	for id := uint64(1); id <= 2; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pc.answer(&Response{ID: id, OK: true})
+		}()
+	}
+	for pc.waiting.Load() != 2 {
+		time.Sleep(time.Millisecond)
+	}
+	pc.writeMu.Unlock()
+	wg.Wait()
+
+	if got := srv.mWriteFrames.Value() - frames; got != 2 {
+		t.Errorf("%d frames written, want 2", got)
+	}
+	if got := srv.mWriteFlushes.Value() - flushes; got != 1 {
+		t.Errorf("%d flushes for two queued answers, want 1: only the last in line flushes", got)
+	}
+	if pc.dirty {
+		t.Error("an answer was left parked after the last in line flushed")
+	}
+}
+
 // TestInlineNeverOvertakesLaneAnswers is the lane-overtake race end to
 // end. Each round writes, in one write on one session, a query whose
 // decision is cold (it takes the lane path) and then up to 64 warm
 // queries the inline path may answer. Padding the warm lines with a
 // field the server ignores sends them down the slow decoder, so the
 // reader now and then falls behind the lane's runner: it reads a warm
-// query after the runner drained the lane but before the writer sent the
-// runner's answers. The inline path must not answer it ahead of them:
-// the replies come back in request order, round after round.
+// query while the runner is still answering, or just after it drained
+// the lane. The inline path must not answer it ahead of the runner's
+// answers: the replies come back in request order, round after round.
 func TestInlineNeverOvertakesLaneAnswers(t *testing.T) {
 	srv := testServer(t, Enforce)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -541,5 +592,23 @@ func TestInlineNeverOvertakesLaneAnswers(t *testing.T) {
 	}
 	if srv.mInlineHits.Value() == 0 {
 		t.Fatal("no warm query took the inline path: the rounds did not mix the inline and lane paths")
+	}
+}
+
+// TestClientCallAfterClose: with no writer goroutine to refuse it, a
+// call made after Close still fails, through its own failed write or the
+// demux loop's failed read, rather than waiting for an answer that
+// cannot come.
+func TestClientCallAfterClose(t *testing.T) {
+	srv := testServer(t, Enforce)
+	cl := dialV2(t, srv)
+	cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for i := 0; i < 3; i++ {
+		_, err := cl.Query(ctx, "SELECT EId FROM Attendance WHERE UId = 1")
+		if err == nil || errors.Is(err, acerr.ErrCanceled) {
+			t.Fatalf("call %d after Close: %v, want a connection error", i, err)
+		}
 	}
 }

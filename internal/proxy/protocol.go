@@ -246,10 +246,10 @@ type StatsBody struct {
 	// op.
 	CanceledReqs int `json:"canceledReqs,omitempty"`
 
-	// Inline fast path and write coalescing: queries executed on
-	// the read goroutine (warm lane-idle hits), warm probes that fell
-	// back to the lane queue, response frames encoded, and flush
-	// syscalls issued — frames/flushes is the write batching factor.
+	// Inline fast path and the write path: queries executed on the
+	// read goroutine (warm lane-idle hits), warm probes that fell back
+	// to the lane queue, response frames encoded, and flush syscalls
+	// issued — frames/flushes is the write batching factor.
 	InlineHits   int `json:"inlineHits,omitempty"`
 	InlineBypass int `json:"inlineBypass,omitempty"`
 	WriteFrames  int `json:"writeFrames,omitempty"`

@@ -9,7 +9,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,9 +131,9 @@ type Server struct {
 	mFactTrans     *obsv.Counter
 	mSlowQueries   *obsv.Counter
 	mQueryLat      *obsv.Histogram
-	// Inline-fastpath and write-coalescing instruments: queries answered
-	// on the read goroutine, warm probes that fell back to the lane
-	// queue, response frames encoded, and flush syscalls issued — the
+	// Inline-fastpath and write instruments: queries answered on the
+	// read goroutine, warm probes that fell back to the lane queue,
+	// response frames encoded, and flush syscalls issued — the
 	// frames/flushes ratio is the write batching factor.
 	mInlineHits   *obsv.Counter
 	mInlineBypass *obsv.Counter
@@ -427,11 +426,11 @@ type pipeJob struct {
 
 // lane is one session's ordered execution queue. At most one runner
 // goroutine drains it at a time (the running flag), so requests within
-// a session execute — and append to the session's history — in exactly
-// the order the client sent them. The runner is spawned on demand by
-// the dispatch that finds the lane idle and exits when the queue
-// empties: an idle session costs its state, not a parked goroutine or
-// a window-sized channel. That is what lets one connection multiplex
+// a session execute, append to the session's history and answer in
+// exactly the order the client sent them. The runner is spawned on
+// demand by the dispatch that finds the lane idle and exits when the
+// queue empties: an idle session costs its state, not a parked
+// goroutine or a window-sized channel. That is what lets one connection multiplex
 // hundreds of thousands of sessions (the open-loop harness drives 1M)
 // while the goroutine count tracks the in-flight window, not the
 // session count.
@@ -441,10 +440,6 @@ type lane struct {
 	mu      sync.Mutex
 	q       []pipeJob
 	running bool
-	// unsent counts the lane's responses handed to the writer but not
-	// yet encoded; the inline fast path waits for zero, so it cannot
-	// overtake them and a session's answers stay in request order.
-	unsent atomic.Int32
 }
 
 // push appends a job and reports whether the caller must start a
@@ -465,12 +460,14 @@ func (ln *lane) push(job pipeJob) (startRunner bool) {
 // queued) for inline execution on the read goroutine. While the claim
 // is held no runner can exist — push only starts one when running is
 // false — and no new job can be pushed, because the only dispatcher is
-// the read goroutine, which is the claim holder. Together that gives
-// the inline fast path the same in-session total order the runner
-// gives queued jobs.
+// the read goroutine, which is the claim holder. A runner writes each
+// answer into the connection's buffer before its next pop, so once its
+// last pop has given the lane up every answer it made is ahead of the
+// inline one. Together that gives the inline fast path the same
+// in-session total order the runner gives queued jobs.
 func (ln *lane) tryClaim() bool {
 	ln.mu.Lock()
-	ok := !ln.running && len(ln.q) == 0 && ln.unsent.Load() == 0
+	ok := !ln.running && len(ln.q) == 0
 	if ok {
 		ln.running = true
 	}
@@ -503,29 +500,31 @@ func (ln *lane) pop() (job pipeJob, ok bool) {
 }
 
 // pipeConn is the per-connection pipelining state. The reader
-// goroutine dispatches into session lanes; lane goroutines execute and
-// hand responses (out of order across lanes) to a writer goroutine
-// that coalesces bursts into single flushes; the sem channel is the
-// in-flight window.
+// goroutine dispatches into session lanes; lane runners execute and
+// write their own responses (out of order across lanes) into the
+// shared buffered writer; the sem channel is the in-flight window.
 type pipeConn struct {
 	s    *Server
 	ctx  context.Context
 	conn net.Conn
 
+	// writeMu guards the buffered writer, the encoder state and dirty.
+	// waiting counts the goroutines queued for writeMu: a runner flushes
+	// only when none is, so the last one in line flushes for all.
 	writeMu sync.Mutex
+	waiting atomic.Int32
 	bw      *bufio.Writer
 	enc     *json.Encoder
 	scratch []byte
-	// dirty marks responses encoded into bw by the inline fast path but
-	// not yet flushed. The reader flushes them (flushPending) just
-	// before it would block on the kernel read — see flushConn — so a
-	// pipelined burst of K inline answers costs one write syscall.
-	// Guarded by writeMu.
+	// dirty marks responses encoded into bw but not yet flushed: the
+	// reader's own (inline answers and control replies) and a runner's
+	// that had another goroutine behind it. The reader flushes them
+	// (flushPending) just before it would block on the kernel read — see
+	// flushConn — so a pipelined burst of K inline answers costs one
+	// write syscall. Guarded by writeMu.
 	dirty bool
 
-	sem   chan struct{}
-	out   chan frame
-	wdone chan struct{}
+	sem chan struct{}
 
 	mu       sync.Mutex
 	lanes    map[uint64]*lane
@@ -534,34 +533,26 @@ type pipeConn struct {
 	wg sync.WaitGroup
 }
 
-// frame is one response queued for the writer; ln is the lane whose
-// unsent count it holds (nil for the read loop's own replies).
-type frame struct {
-	resp *Response
-	ln   *lane
-}
-
-// newPipeConn sets up a connection's pipelining state and starts its
-// coalescing writer: responses queue on out and the writer goroutine
-// batches every burst into one flush, so under a full window many
-// responses share a single write syscall.
+// newPipeConn sets up a connection's pipelining state.
 func newPipeConn(s *Server, ctx context.Context, conn net.Conn) *pipeConn {
 	bw := bufio.NewWriterSize(conn, 64*1024)
-	n := s.maxInFlight()
-	pc := &pipeConn{
+	return &pipeConn{
 		s:        s,
 		ctx:      ctx,
 		conn:     conn,
 		bw:       bw,
 		enc:      json.NewEncoder(bw),
-		sem:      make(chan struct{}, n),
-		out:      make(chan frame, n+16),
-		wdone:    make(chan struct{}),
+		sem:      make(chan struct{}, s.maxInFlight()),
 		lanes:    make(map[uint64]*lane),
 		inflight: make(map[uint64]context.CancelFunc),
 	}
-	go pc.runWriter()
-	return pc
+}
+
+// lockWrite takes writeMu, counted in waiting while it waits.
+func (pc *pipeConn) lockWrite() {
+	pc.waiting.Add(1)
+	pc.writeMu.Lock()
+	pc.waiting.Add(-1)
 }
 
 // encodeResp writes one response into the buffered writer, using the
@@ -579,8 +570,8 @@ func (pc *pipeConn) encodeResp(resp *Response) error {
 	return pc.writeFailed(err)
 }
 
-// flush flushes the buffered writer and clears the inline dirty mark
-// (a flush empties bw wholesale). writeMu must be held.
+// flush flushes the buffered writer and clears the dirty mark (a
+// flush empties bw wholesale). writeMu must be held.
 func (pc *pipeConn) flush() error {
 	pc.dirty = false
 	pc.s.mWriteFlushes.Inc()
@@ -589,7 +580,7 @@ func (pc *pipeConn) flush() error {
 
 // writeFailed closes the connection when a write fails, typically on
 // the ReadTimeout deadline of a client that stopped reading: the
-// reader, however it is blocked behind the writer, then fails its next
+// reader, however it is blocked behind a writer, then fails its next
 // read and ends the connection.
 func (pc *pipeConn) writeFailed(err error) error {
 	if err != nil {
@@ -598,85 +589,43 @@ func (pc *pipeConn) writeFailed(err error) error {
 	return err
 }
 
-// sendInline encodes one response into the buffered writer WITHOUT
-// flushing, marking the connection dirty; the flush happens when the
-// reader is about to block (flushConn → flushPending) or when the
-// coalescing writer next flushes a lane response.
-func (pc *pipeConn) sendInline(resp *Response) {
-	pc.writeMu.Lock()
+// answer writes a lane runner's response and flushes it unless another
+// goroutine waits for writeMu; that one (or the last behind it) flushes
+// this response with its own.
+func (pc *pipeConn) answer(resp *Response) {
+	pc.lockWrite()
+	if err := pc.encodeResp(resp); err == nil {
+		if pc.waiting.Load() == 0 {
+			_ = pc.flush()
+		} else {
+			pc.dirty = true
+		}
+	}
+	pc.writeMu.Unlock()
+}
+
+// park writes one of the reader's own responses (an inline answer or a
+// control reply) WITHOUT flushing, marking the connection dirty; the
+// flush happens when the reader is about to block (flushConn →
+// flushPending) or when a runner next flushes.
+func (pc *pipeConn) park(resp *Response) {
+	pc.lockWrite()
 	if err := pc.encodeResp(resp); err == nil {
 		pc.dirty = true
 	}
 	pc.writeMu.Unlock()
 }
 
-// flushPending flushes inline responses parked in the buffered writer,
-// if any. Called by the reader just before it would block on the
-// kernel read, so a client waiting for its answer always gets it
-// before the server waits for the client.
+// flushPending flushes responses parked in the buffered writer, if
+// any. Called by the reader just before it would block on the kernel
+// read, so a client waiting for its answer always gets it before the
+// server waits for the client.
 func (pc *pipeConn) flushPending() {
-	pc.writeMu.Lock()
+	pc.lockWrite()
 	if pc.dirty {
 		_ = pc.flush()
 	}
 	pc.writeMu.Unlock()
-}
-
-// send queues one of the read loop's own replies for the writer.
-func (pc *pipeConn) send(resp *Response) {
-	pc.out <- frame{resp: resp}
-}
-
-// sendLane queues a lane's response for the writer.
-func (pc *pipeConn) sendLane(ln *lane, resp *Response) {
-	ln.unsent.Add(1)
-	pc.out <- frame{resp: resp, ln: ln}
-}
-
-// encodeFrame encodes one queued response and returns it to the pool.
-// writeMu must be held.
-func (pc *pipeConn) encodeFrame(f frame) error {
-	err := pc.encodeResp(f.resp)
-	if f.ln != nil {
-		f.ln.unsent.Add(-1)
-	}
-	releaseResponse(f.resp)
-	return err
-}
-
-func (pc *pipeConn) runWriter() {
-	defer close(pc.wdone)
-	for f := range pc.out {
-		pc.writeMu.Lock()
-		err := pc.encodeFrame(f)
-		yielded := false
-	drain:
-		for err == nil {
-			select {
-			case more, ok := <-pc.out:
-				if !ok {
-					break drain
-				}
-				err = pc.encodeFrame(more)
-			default:
-				// Before paying a write syscall for a short batch,
-				// yield once: lanes that are about to produce more
-				// responses get to enqueue them into this flush.
-				if !yielded {
-					yielded = true
-					runtime.Gosched()
-					continue
-				}
-				break drain
-			}
-		}
-		if err == nil {
-			err = pc.flush()
-		}
-		pc.writeMu.Unlock()
-		// A write failure has closed the connection; keep draining so
-		// lanes never block, the read side surfaces the drop.
-	}
 }
 
 // lane returns (creating on first use) the ordered queue for a
@@ -704,8 +653,9 @@ func (pc *pipeConn) enqueue(ln *lane, job pipeJob) {
 
 // runLane drains one lane's queue in order and exits when it is empty.
 // Strict in-session order holds because push only starts a runner when
-// none is live, and pop relinquishes the lane under the same lock that
-// guards the queue.
+// none is live, pop relinquishes the lane under the same lock that
+// guards the queue, and each answer is in the write buffer before the
+// next pop.
 func (pc *pipeConn) runLane(ln *lane) {
 	defer pc.wg.Done()
 	for {
@@ -714,14 +664,15 @@ func (pc *pipeConn) runLane(ln *lane) {
 			return
 		}
 		// Pooled response: handle's value result is copied into a
-		// recycled struct (the writer releases it after encoding), so a
-		// warm request costs zero response-object allocations.
+		// recycled struct, released once encoded, so a warm request
+		// costs zero response-object allocations.
 		resp := acquireResponse()
 		*resp = pc.s.handle(job.ctx, job.req, ln.sess)
 		job.done()
 		resp.ID = job.req.ID
 		releaseRequest(job.req)
-		pc.sendLane(ln, resp)
+		pc.answer(resp)
+		releaseResponse(resp)
 		<-pc.sem
 	}
 }
@@ -785,16 +736,17 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	pc := newPipeConn(s, connCtx, conn)
 	// The reader interposes flushPending before every kernel read, so
-	// inline-fastpath responses parked in the write buffer always reach
-	// the wire before the server blocks waiting for the client.
+	// responses parked in the write buffer always reach the wire before
+	// the server blocks waiting for the client.
 	lr := newLineReader(flushConn{c: conn, flush: pc.flushPending}, s.maxLineBytes())
 
 	var readErr error
 	for {
 		if s.ReadTimeout > 0 {
-			// Both directions: a client that stops reading stalls the
-			// writer, and the reader behind the window or an inline
-			// write, until the write deadline fails (writeFailed).
+			// Both directions: a client that stops reading stalls
+			// whichever goroutine writes to it, runner or reader, and the
+			// reader behind it, until the write deadline fails
+			// (writeFailed).
 			_ = conn.SetDeadline(time.Now().Add(s.ReadTimeout))
 		}
 		line, err := lr.ReadLine()
@@ -809,7 +761,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			*req = Request{}
 			if err := decodeRequestJSON(line, req); err != nil {
 				releaseRequest(req)
-				pc.send(&Response{
+				pc.park(&Response{
 					Error: fmt.Sprintf("bad request: %v", err),
 					Code:  acerr.CodeBadRequest,
 				})
@@ -837,13 +789,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			if s.ReadTimeout > 0 {
 				_ = conn.SetWriteDeadline(time.Now().Add(s.ReadTimeout))
 			}
-			pc.send(&Response{Error: fmt.Sprintf("connection dropped: %v", readErr)})
+			pc.park(&Response{Error: fmt.Sprintf("connection dropped: %v", readErr)})
 			s.logf("proxy: dropping %s: %v", conn.RemoteAddr(), readErr)
 		}
 	}
-	// No lane can send again: retire the writer once it has flushed.
-	close(pc.out)
-	<-pc.wdone
+	// Every runner has answered: put what is parked on the wire.
+	pc.flushPending()
 }
 
 // dispatch routes one request line. Control ops (cancel, stats) are
@@ -856,11 +807,11 @@ func (s *Server) dispatch(pc *pipeConn, req *Request) {
 	switch req.Op {
 	case "cancel":
 		pc.cancelRequest(req.Target)
-		pc.send(&Response{ID: req.ID, OK: true})
+		pc.park(&Response{ID: req.ID, OK: true})
 		releaseRequest(req)
 		return
 	case "stats":
-		pc.send(&Response{ID: req.ID, OK: true, Stats: s.StatsSnapshot()})
+		pc.park(&Response{ID: req.ID, OK: true, Stats: s.StatsSnapshot()})
 		releaseRequest(req)
 		return
 	case "query":
@@ -877,15 +828,15 @@ func (s *Server) dispatch(pc *pipeConn, req *Request) {
 // lane is idle and the decision is already warm (a cached
 // trace-independent allow, answered by the history-free probe),
 // executing it right here on the read goroutine skips the window slot,
-// the queue handoff, the runner wakeup, and the writer-channel round
-// trip — the whole request is one goroutine's straight-line code.
+// the queue handoff and the runner wakeup — the whole request is one
+// goroutine's straight-line code.
 // Reporting false means "not eligible, dispatch normally"; the request
 // is untouched in that case.
 //
 // In-session order is preserved: tryClaim only succeeds when no runner
-// is live, nothing is queued and no earlier answer waits for the
-// writer, and while the reader executes inline it cannot dispatch the
-// session's next request. Cancellation needs no
+// is live and nothing is queued, so every earlier answer of the session
+// is already in the write buffer, and while the reader executes inline
+// it cannot dispatch the session's next request. Cancellation needs no
 // registration — a "cancel" for this request cannot be read until the
 // inline execution has already finished. Requests with a per-request
 // timeout, and servers running a slow-log, a shadow trial, or with
@@ -928,7 +879,7 @@ func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
 	releaseRequest(req)
 	ln.releaseClaim()
 	s.mInlineHits.Inc()
-	pc.sendInline(resp)
+	pc.park(resp)
 	releaseResponse(resp)
 	return true
 }
@@ -948,7 +899,7 @@ func releaseRequest(req *Request) {
 }
 
 // respPool recycles Responses. A lane runner (or the inline fast
-// path) fills a pooled struct; the encoder copies its bytes into the
+// path) fills a pooled struct, copies its encoded bytes into the
 // connection's buffered writer and releases it — nothing downstream
 // retains the pointer, so the round trip is allocation-free.
 var respPool = sync.Pool{New: func() any { return new(Response) }}

@@ -160,13 +160,6 @@ func (t *Trace) SetWindow(n int) {
 	t.mu.Unlock()
 }
 
-// Window returns the configured bound (0 = unlimited).
-func (t *Trace) Window() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.window
-}
-
 // Evicted returns how many entries have been dropped from the front
 // over the trace's lifetime (restore bases included).
 func (t *Trace) Evicted() uint64 {

@@ -225,7 +225,7 @@ func TestEvictionInterleavings(t *testing.T) {
 			case r < 17:
 				si = 1 - si
 			}
-			if w := tr.Window(); len(derived) > w {
+			if w := tr.window; len(derived) > w {
 				derived = derived[len(derived)-w:]
 			}
 			if rng.Intn(3) == 0 {
@@ -265,8 +265,8 @@ func TestWindowedCloneKeepsBound(t *testing.T) {
 		tr.Append(probeEntry(1, i))
 	}
 	cl := tr.Clone()
-	if cl.Window() != 2 || cl.Evicted() != 2 {
-		t.Fatalf("clone window=%d evicted=%d, want 2/2", cl.Window(), cl.Evicted())
+	if cl.window != 2 || cl.Evicted() != 2 {
+		t.Fatalf("clone window=%d evicted=%d, want 2/2", cl.window, cl.Evicted())
 	}
 	cl.Append(probeEntry(1, 9))
 	if cl.Len() != 2 || tr.Len() != 2 {
