@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 DATE    ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ 2>/dev/null || echo unknown)
 LDFLAGS  = -ldflags "-X repro/internal/buildinfo.Version=$(VERSION) -X repro/internal/buildinfo.Commit=$(COMMIT) -X repro/internal/buildinfo.Date=$(DATE)"
 
-.PHONY: build test vet race bench benchsmoke coldsmoke allocbudget pgsmoke driversmoke shadowsmoke metricslint fmtcheck fuzz fuzzwal fuzzwire killrecover pipesmoke staticcheck loc ci
+.PHONY: build test vet race bench benchsmoke coldsmoke allocbudget pgsmoke driversmoke shadowsmoke metricslint fmtcheck fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke staticcheck loc ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -162,6 +162,14 @@ killrecover:
 pipesmoke:
 	$(GO) test -race -count=3 -run 'TestInlineNeverOvertakesLaneAnswers|TestStalledReaderDropped|TestGracefulCloseDrains' ./internal/proxy
 
+# Group-commit smoke of the WAL under the race detector, three times
+# over: concurrent and shared-session appends recover in order, the
+# first appender in line commits for those queued behind it, appends
+# racing Close return, Close waits out a background checkpoint, and a
+# failed write or fsync fails the log closed.
+walsmoke:
+	$(GO) test -race -count=3 -run 'TestGroupCommitConcurrentAppends|TestFirstInLineCommitsForAll|TestSharedSessionConcurrentAppendsRecover|TestAppendCloseRaceDoesNotHang|TestCloseWaitsForBackgroundCheckpoint|TestFailedWriteFailsClosed|TestFailedSyncFailsClosed' ./internal/durable
+
 # staticcheck is optional tooling: run it when installed, succeed
 # quietly when not, so CI works on minimal containers.
 staticcheck:
@@ -170,4 +178,4 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping"; fi
 
-ci: fmtcheck vet test race coldsmoke allocbudget benchsmoke pgsmoke driversmoke shadowsmoke metricslint fuzz fuzzwal fuzzwire killrecover pipesmoke staticcheck
+ci: fmtcheck vet test race coldsmoke allocbudget benchsmoke pgsmoke driversmoke shadowsmoke metricslint fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke staticcheck

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -42,11 +43,10 @@ type Manager struct {
 	recovery RecoveryResult
 
 	appendsSinceCkpt atomic.Int64
-	// ckptRunning is the single checkpoint slot: a background
-	// auto-checkpoint CASes it for its run, and Close takes it
-	// permanently so no checkpoint can overlap or outlive shutdown.
-	ckptRunning atomic.Bool
-	mgrClosed   atomic.Bool
+	// ckptMu is the checkpoint slot, so no two checkpoints overlap: a
+	// background checkpoint starts only if it is free, Checkpoint and
+	// Close wait for it.
+	ckptMu sync.Mutex
 
 	mCheckpointMicros *obsv.Histogram
 	mRecoveryMicros   *obsv.Histogram
@@ -207,14 +207,14 @@ func (m *Manager) appendEntry(name string, idx uint64, e *trace.Entry) error {
 }
 
 // maybeCheckpointAsync starts one background checkpoint if none is
-// running.
+// running. One that finds the log closed does nothing.
 func (m *Manager) maybeCheckpointAsync() {
-	if !m.ckptRunning.CompareAndSwap(false, true) {
+	if !m.ckptMu.TryLock() {
 		return
 	}
 	go func() {
-		defer m.ckptRunning.Store(false)
-		if err := m.Checkpoint(); err != nil {
+		defer m.ckptMu.Unlock()
+		if err := m.checkpoint(); err != nil && !errors.Is(err, errLogClosed) {
 			m.logf("durable: background checkpoint failed: %v", err)
 		}
 	}()
@@ -224,8 +224,16 @@ func (m *Manager) maybeCheckpointAsync() {
 // snapshot into a new checkpoint file, then compacts segments it
 // covers. Appends keep flowing while the snapshot is written; the
 // overlap (records both in the checkpoint and in post-cut segments)
-// is deduplicated on replay by absolute entry index.
+// is deduplicated on replay by absolute entry index. It waits for a
+// running background checkpoint rather than overlap it.
 func (m *Manager) Checkpoint() error {
+	m.ckptMu.Lock()
+	defer m.ckptMu.Unlock()
+	return m.checkpoint()
+}
+
+// checkpoint is Checkpoint's body; the caller holds ckptMu.
+func (m *Manager) checkpoint() error {
 	start := time.Now()
 	cut, err := m.log.RotateForCheckpoint()
 	if err != nil {
@@ -291,20 +299,14 @@ func (m *Manager) Checkpoint() error {
 }
 
 // Close checkpoints (so restart replays one small file instead of the
-// whole tail), flushes, and closes the WAL. It first waits for any
-// in-flight background checkpoint and then holds the checkpoint slot
-// for good, so the final checkpoint cannot run concurrently with an
-// auto-checkpoint and no auto-checkpoint can rotate the log after it
-// is closed.
+// whole tail), flushes, and closes the WAL. It waits for any in-flight
+// background checkpoint and holds the checkpoint slot until the log is
+// closed, so the final checkpoint overlaps no other and a checkpoint
+// that asks afterwards finds the log closed before it touches a file.
 func (m *Manager) Close() error {
-	if m.mgrClosed.Swap(true) {
-		return m.log.Close() // idempotent
-	}
-	for !m.ckptRunning.CompareAndSwap(false, true) {
-		time.Sleep(time.Millisecond)
-	}
-	// Deliberately never released: the manager is closed.
-	if err := m.Checkpoint(); err != nil {
+	m.ckptMu.Lock()
+	defer m.ckptMu.Unlock()
+	if err := m.checkpoint(); err != nil && !errors.Is(err, errLogClosed) {
 		m.logf("durable: final checkpoint failed: %v", err)
 	}
 	return m.log.Close()

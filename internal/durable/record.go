@@ -109,16 +109,14 @@ func checkFileHeader(h []byte, magic [4]byte) error {
 // checkpoint, fall back past the state it carries.
 var errNewerFormat = errors.New("newer than supported")
 
-// appendRecord frames one record (type+payload) onto buf.
+// appendRecord frames one record (type+payload) onto buf. It allocates
+// nothing beyond growing buf: the WAL frames under its queue lock.
 func appendRecord(buf []byte, typ byte, payload []byte) []byte {
-	n := 1 + len(payload)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(payload)
-	buf = binary.LittleEndian.AppendUint32(buf, crc.Sum32())
-	buf = append(buf, typ)
-	return append(buf, payload...)
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(1+len(payload)))
+	buf = append(append(buf, 0, 0, 0, 0, typ), payload...)
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(buf[start+8:]))
+	return buf
 }
 
 // scanResult reports how a segment scan ended.

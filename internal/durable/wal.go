@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -86,10 +87,10 @@ const (
 	DefaultFsyncInterval = 5 * time.Millisecond
 )
 
-// groupWindow is how long the committer holds a batch open for
+// groupWindow is how long a commit holds its batch open for
 // stragglers under FsyncAlways once it has evidence of concurrent
-// appenders (the previous batch coalesced, or the drain caught
-// extras). A solo appender never pays it.
+// appenders (the previous batch coalesced, or others queued behind the
+// appender that commits). A solo appender never pays it.
 const groupWindow = 50 * time.Microsecond
 
 // DefaultOptions returns the production configuration: group commit
@@ -124,41 +125,43 @@ type Stats struct {
 	CompactedSegments int64
 }
 
-// commitReq is one append waiting for the committer: the framed
-// record bytes and the channel its durability (or error) is signaled
-// on.
-type commitReq struct {
-	buf  []byte
-	done chan error
-}
+var errLogClosed = errors.New("durable: log closed")
 
-// Log is the write-ahead log proper: a directory of segment files and
-// one committer goroutine that batches concurrent appends into shared
-// writes and fsyncs. Manager builds the session semantics on top.
+// Log is the write-ahead log proper: a directory of segment files that
+// concurrent appends share. Appends commit themselves: an appender that
+// finds no commit running commits every record queued so far in one
+// batch. Manager builds the session semantics on top.
 type Log struct {
 	dir  string
 	opts Options
 
-	mu   sync.Mutex // guards the active segment file
-	f    *os.File
-	idx  uint64 // active segment index
-	size int64
-	// failed is the first write or rotation error a batch commit met.
-	// It is sticky: a failed write may have left a torn record in the
-	// segment, and a batch written after it would be acknowledged yet
-	// dropped by recovery's scan, so the log fails closed instead.
+	// The commit queue (qmu). Records framed into pending form batch seq;
+	// committed is the last batch finished by the one appender that
+	// commits at a time, and qcond wakes the others. spare is the last
+	// batch's buffer and lastBatch its record count (the group window's
+	// evidence). failedSeq is the first batch that failed, with
+	// failedErr: failures are sticky, so every later batch shares it.
+	qmu                       sync.Mutex
+	qcond                     sync.Cond
+	pending, spare            []byte
+	npending, lastBatch       int
+	seq, committed, failedSeq uint64
+	failedErr                 error
+	committing, closed        bool
+
+	mu    sync.Mutex // guards the active segment file
+	f     *os.File
+	idx   uint64 // active segment index
+	size  int64
+	dirty bool // written since the last fsync (interval mode)
+	// failed is the first write, rotation or fsync error. It is sticky:
+	// a failed write may leave a torn record, a failed fsync may drop
+	// dirty pages no later fsync writes, and a batch acknowledged after
+	// either would be lost behind the hole, so the log fails closed.
 	failed error
-	// writeBatch writes one batch to the active segment (a seam for
-	// injecting write faults in tests).
-	writeBatch func(f *os.File, b []byte) (int, error)
-
-	reqs   chan commitReq
-	quit   chan struct{}
-	wg     sync.WaitGroup
-	closed atomic.Bool
-
-	// dirty marks bytes written since the last fsync (interval mode).
-	dirty atomic.Bool
+	// writeBatch and syncSegment are seams for injecting faults in tests.
+	writeBatch  func(f *os.File, b []byte) (int, error)
+	syncSegment func(f *os.File) error
 
 	appends, batches, fsyncs   atomic.Int64
 	appendedBytes              atomic.Int64
@@ -212,10 +215,9 @@ func listIndexed(dir, prefix, suffix string) ([]uint64, error) {
 	return out, nil
 }
 
-// OpenLog opens (creating if needed) the WAL directory and starts the
-// committer. A fresh segment is always started: existing segments are
-// recovery inputs, never append targets, so a torn tail from a crash
-// is never appended over.
+// OpenLog opens (creating if needed) the WAL directory and starts a
+// fresh segment: existing segments are recovery inputs, never append
+// targets, so a torn tail from a crash is never appended over.
 func OpenLog(dir string, opts Options) (*Log, error) {
 	opts.normalize()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -240,11 +242,12 @@ func OpenLog(dir string, opts Options) (*Log, error) {
 		dir:  dir,
 		opts: opts,
 		idx:  next - 1, // rotate() increments
-		reqs: make(chan commitReq, 1024),
-		quit: make(chan struct{}),
+		seq:  1,
 
-		writeBatch: (*os.File).Write,
+		writeBatch:  (*os.File).Write,
+		syncSegment: (*os.File).Sync,
 	}
+	l.qcond.L = &l.qmu
 	reg := opts.Metrics
 	l.mAppendMicros = reg.Histogram("durable.append.micros")
 	l.mFsyncMicros = reg.Histogram("durable.fsync.micros")
@@ -253,12 +256,6 @@ func OpenLog(dir string, opts Options) (*Log, error) {
 	l.mFsyncs = reg.Counter("durable.fsyncs")
 	if err := l.rotateLocked(); err != nil {
 		return nil, err
-	}
-	l.wg.Add(1)
-	go l.runCommitter()
-	if opts.Fsync == FsyncInterval {
-		l.wg.Add(1)
-		go l.runIntervalSync()
 	}
 	return l, nil
 }
@@ -281,7 +278,9 @@ func (l *Log) Stats() Stats {
 func (l *Log) rotateLocked() error {
 	if l.f != nil {
 		if l.opts.Fsync != FsyncOff {
-			_ = l.f.Sync()
+			if err := l.syncSegment(l.f); err != nil {
+				return err
+			}
 		}
 		if err := l.f.Close(); err != nil {
 			return err
@@ -313,120 +312,75 @@ func syncDir(dir string) {
 	}
 }
 
-// Append frames one record, hands it to the committer, and blocks
-// until the record is acknowledged per the fsync policy (written and
-// fsynced under FsyncAlways; written under FsyncInterval/FsyncOff).
+// Append frames one record into the pending batch and blocks until
+// that batch is acknowledged per the fsync policy (written and fsynced
+// under FsyncAlways; written under FsyncInterval/FsyncOff). An appender
+// that finds no commit running commits the batch itself.
 func (l *Log) Append(typ byte, payload []byte) error {
-	if l.closed.Load() {
-		return fmt.Errorf("durable: log closed")
-	}
 	start := time.Now()
-	req := commitReq{buf: appendRecord(nil, typ, payload), done: make(chan error, 1)}
-	select {
-	case l.reqs <- req:
-	case <-l.quit:
-		return fmt.Errorf("durable: log closed")
+	l.qmu.Lock()
+	defer l.qmu.Unlock()
+	if l.closed {
+		return errLogClosed
 	}
-	var err error
-	select {
-	case err = <-req.done:
-	case <-l.quit:
-		// Closing. Wait for the committer to exit: it finishes its
-		// in-flight batch and drains the queue first, signaling done
-		// (buffered) for every request it saw. A request it did NOT
-		// see won the send race against the drain's exit and is
-		// stranded in the queue with no committer left to serve it —
-		// report closed rather than block forever.
-		l.wg.Wait()
-		select {
-		case err = <-req.done:
+	l.pending = appendRecord(l.pending, typ, payload)
+	l.npending++
+	my := l.seq
+	for l.committed < my {
+		switch {
+		case l.committing:
+			l.qcond.Wait()
+		case l.closed:
+			return errLogClosed
 		default:
-			err = fmt.Errorf("durable: log closed")
+			l.commitPending()
 		}
 	}
 	l.mAppendMicros.ObserveSince(start)
-	return err
+	if l.failedSeq != 0 && my >= l.failedSeq {
+		return l.failedErr
+	}
+	return nil
 }
 
-// runCommitter is the group-commit loop: it sleeps until an append
-// arrives, drains every append already queued into one batch, writes
-// the batch with a single WriteV-ish write, fsyncs once per policy,
-// and acknowledges the whole batch. Under
-// load, every append that arrives during an fsync joins the next
-// batch, so durability cost amortizes across concurrent sessions.
-func (l *Log) runCommitter() {
-	defer l.wg.Done()
-	var batch []commitReq
-	var buf []byte
-	lastBatch := 1
-	for {
-		var first commitReq
-		select {
-		case first = <-l.reqs:
-		case <-l.quit:
-			// Drain stragglers that won the send race with Close.
-			for {
-				select {
-				case r := <-l.reqs:
-					r.done <- fmt.Errorf("durable: log closed")
-				default:
-					return
-				}
-			}
-		}
-		batch = append(batch[:0], first)
-		buf = append(buf[:0], first.buf...)
-	fill:
-		for {
-			select {
-			case r := <-l.reqs:
-				batch = append(batch, r)
-				buf = append(buf, r.buf...)
-			default:
-				break fill
-			}
-		}
-		// With fsync-per-batch and evidence of concurrent appenders —
-		// the drain above caught extras, or the previous batch
-		// coalesced — hold the batch open for one short window. The
-		// appenders we just acknowledged are re-encoding their next
-		// entries right now; the window lets them join this batch
-		// instead of forcing one fsync each. A solo appender never
-		// leaves evidence, so it commits immediately.
-		// The window is a yield-spin, not a timer: Go timers round a
-		// 50µs sleep up to roughly a millisecond, which would cost more
-		// than the fsyncs it saves.
-		if l.opts.Fsync == FsyncAlways && (len(batch) > 1 || lastBatch > 1) {
-			// Once as many appends have joined as the previous batch
-			// held, the whole cohort has re-arrived — commit now
-			// rather than spinning out the deadline.
-			deadline := time.Now().Add(groupWindow)
-		window:
-			for len(batch) < lastBatch {
-				select {
-				case r := <-l.reqs:
-					batch = append(batch, r)
-					buf = append(buf, r.buf...)
-				default:
-					if !time.Now().Before(deadline) {
-						break window
-					}
-					runtime.Gosched()
-				}
-			}
-		}
-		lastBatch = len(batch)
-		err := l.commit(buf)
-		// Count the batch before releasing its appenders, so Stats read
-		// after an acknowledgement include it.
-		l.batches.Add(1)
-		l.mBatchRecords.Observe(int64(len(batch)))
-		l.appends.Add(int64(len(batch)))
-		l.mAppends.Add(int64(len(batch)))
-		for _, r := range batch {
-			r.done <- err
+// commitPending commits the pending batch: one write, plus one fsync
+// under FsyncAlways. The caller holds qmu, found no commit running, and
+// has its record in the batch, as batches commit in order. qmu is
+// released around the file I/O, so later appenders queue the next batch.
+func (l *Log) commitPending() {
+	l.committing = true
+	// With fsync-per-batch and evidence of concurrent appenders (others
+	// queued behind this one, or the previous batch coalesced), hold the
+	// batch open until the previous batch's cohort has re-arrived or
+	// groupWindow has passed, so they share one fsync. The window is a
+	// yield-spin: Go rounds a 50µs timer up to about a millisecond.
+	if l.opts.Fsync == FsyncAlways && (l.npending > 1 || l.lastBatch > 1) {
+		deadline := time.Now().Add(groupWindow)
+		for l.npending < l.lastBatch && time.Now().Before(deadline) {
+			l.qmu.Unlock()
+			runtime.Gosched()
+			l.qmu.Lock()
 		}
 	}
+	batch, n, seq := l.pending, l.npending, l.seq
+	l.pending, l.spare, l.npending, l.lastBatch = l.spare, nil, 0, n
+	l.seq++
+	l.qmu.Unlock()
+
+	err := l.commit(batch)
+	// Count the batch before releasing its appenders, so Stats read
+	// after an acknowledgement include it.
+	l.batches.Add(1)
+	l.mBatchRecords.Observe(int64(n))
+	l.appends.Add(int64(n))
+	l.mAppends.Add(int64(n))
+
+	l.qmu.Lock()
+	if err != nil && l.failedSeq == 0 {
+		l.failedSeq, l.failedErr = seq, err
+	}
+	l.spare, l.committed, l.committing = batch[:0], seq, false
+	l.qcond.Broadcast()
 }
 
 // commit writes one batch to the active segment, rotating first when
@@ -440,13 +394,11 @@ func (l *Log) commit(buf []byte) error {
 	}
 	if l.size > headerSize && l.size+int64(len(buf)) > l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
-			l.failed = fmt.Errorf("durable: log failed closed: %w", err)
-			return l.failed
+			return l.fail(err)
 		}
 	}
 	if _, err := l.writeBatch(l.f, buf); err != nil {
-		l.failed = fmt.Errorf("durable: log failed closed: %w", err)
-		return l.failed
+		return l.fail(err)
 	}
 	l.size += int64(len(buf))
 	l.appendedBytes.Add(int64(len(buf)))
@@ -454,65 +406,63 @@ func (l *Log) commit(buf []byte) error {
 	case FsyncAlways:
 		return l.syncLocked()
 	case FsyncInterval:
-		l.dirty.Store(true)
+		if !l.dirty {
+			l.dirty = true
+			time.AfterFunc(l.opts.FsyncInterval, l.syncDirty)
+		}
 	}
 	return nil
 }
 
+// fail records err as the log's sticky failure unless an earlier one
+// is recorded, and returns the recorded one. Callers hold l.mu.
+func (l *Log) fail(err error) error {
+	if l.failed == nil {
+		l.failed = fmt.Errorf("durable: log failed closed: %w", err)
+	}
+	return l.failed
+}
+
 func (l *Log) syncLocked() error {
 	start := time.Now()
-	err := l.f.Sync()
+	err := l.syncSegment(l.f)
 	l.fsyncs.Add(1)
 	l.mFsyncs.Inc()
 	l.mFsyncMicros.ObserveSince(start)
-	l.dirty.Store(false)
-	return err
-}
-
-// runIntervalSync fsyncs dirty segments on the configured period.
-func (l *Log) runIntervalSync() {
-	defer l.wg.Done()
-	t := time.NewTicker(l.opts.FsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if l.dirty.Load() {
-				l.mu.Lock()
-				_ = l.syncLocked()
-				l.mu.Unlock()
-			}
-		case <-l.quit:
-			return
-		}
+	l.dirty = false
+	if err != nil {
+		return l.fail(err)
 	}
+	return nil
 }
 
-// Sync forces an fsync of the active segment regardless of policy
-// (the drain path: nothing acknowledged may be lost to a clean
-// shutdown).
-func (l *Log) Sync() error {
+// syncDirty is the FsyncInterval timer a commit arms when it dirties
+// the segment: it fsyncs unless Close got there first. A failure
+// reaches the next append through l.failed.
+func (l *Log) syncDirty() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
+	if l.dirty && l.f != nil {
+		_ = l.syncLocked()
 	}
-	return l.syncLocked()
 }
 
-// Close stops the committer, fsyncs, and closes the active segment.
-// Appends racing Close fail with a closed error.
+// Close waits out a running commit, fsyncs, and closes the active
+// segment. Appends racing Close, and any queued behind the last
+// commit, fail with a closed error.
 func (l *Log) Close() error {
-	if l.closed.Swap(true) {
+	l.qmu.Lock()
+	if l.closed {
+		l.qmu.Unlock()
 		return nil
 	}
-	close(l.quit)
-	l.wg.Wait()
+	l.closed = true
+	for l.committing {
+		l.qcond.Wait()
+	}
+	l.qmu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
 	if l.opts.Fsync != FsyncOff {
 		_ = l.syncLocked()
 	}
@@ -596,15 +546,15 @@ func (l *Log) RotateForCheckpoint() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// A closed log must not grow a stray post-shutdown segment (l.f is
-	// nil once Close ran; closed flips first, so check both).
-	if l.closed.Load() || l.f == nil {
-		return 0, fmt.Errorf("durable: log closed")
+	// nil once Close ran).
+	if l.f == nil {
+		return 0, errLogClosed
 	}
 	if l.failed != nil {
 		return 0, l.failed
 	}
 	if err := l.rotateLocked(); err != nil {
-		return 0, err
+		return 0, l.fail(err)
 	}
 	return l.idx, nil
 }

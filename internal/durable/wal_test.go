@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/sqlparser"
 	"repro/internal/sqlvalue"
@@ -300,6 +301,98 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 		if len(s.Entries) != perSession {
 			t.Fatalf("session %s recovered %d entries, want %d", name, len(s.Entries), perSession)
 		}
+	}
+}
+
+// TestFirstInLineCommitsForAll pins the group-commit rule: the first
+// appender to find no commit running commits everything queued so far.
+// One appender commits alone and stalls on the held segment lock while
+// seven more queue behind it; once the lock is released, one of the
+// seven commits all seven in one batch.
+func TestFirstInLineCommitsForAll(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	const n = 8
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = l.Append(recSession, encodeSession(fmt.Sprintf("s%d", i), nil))
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		l.qmu.Lock()
+		committing, queued := l.committing, l.npending
+		l.qmu.Unlock()
+		if committing && queued == n-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("committing = %v with %d queued, want one commit running and %d queued behind it", committing, queued, n-1)
+		}
+	}
+	l.mu.Unlock()
+	wg.Wait()
+
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if st := l.Stats(); st.Batches != 2 || st.Appends != n {
+		t.Fatalf("batches = %d, appends = %d; want 2 and %d: one commit for the first, one for the seven queued behind it", st.Batches, st.Appends, n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Sessions) != n {
+		t.Fatalf("recovered %d records, want %d", len(rec.Sessions), n)
+	}
+}
+
+// TestIntervalSyncsIdleTail: under FsyncInterval a commit arms the
+// fsync timer, so one append with no traffic after it is still
+// fsynced within a few intervals, and a log that appends nothing
+// issues no fsync at all.
+func TestIntervalSyncsIdleTail(t *testing.T) {
+	opts := Options{Fsync: FsyncInterval, FsyncInterval: 2 * time.Millisecond}
+	busy, err := OpenLog(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := OpenLog(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := busy.Append(recSession, encodeSession("s", nil)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(50 * opts.FsyncInterval)
+	for busy.Stats().Fsyncs == 0 && time.Now().Before(deadline) {
+		time.Sleep(opts.FsyncInterval)
+	}
+	time.Sleep(time.Until(deadline))
+	if got := busy.Stats().Fsyncs; got < 1 {
+		t.Fatalf("fsyncs after an idle tail = %d, want >= 1", got)
+	}
+	if got := idle.Stats().Fsyncs; got != 0 {
+		t.Fatalf("a log that appended nothing issued %d fsyncs", got)
+	}
+	if err := busy.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := idle.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -622,9 +715,9 @@ func TestSharedSessionConcurrentAppendsRecover(t *testing.T) {
 }
 
 // Appends racing Close must all return — success or a closed error —
-// never hang. Pre-fix, a send that won the race against the
-// committer's exit drain stranded the request in the queue and the
-// appender blocked forever on done.
+// never hang. An appender queued behind the last commit when Close
+// lands must wake and report the log closed, not wait for a commit
+// that will never run.
 func TestAppendCloseRaceDoesNotHang(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		l, err := OpenLog(t.TempDir(), testOpts())
@@ -787,5 +880,52 @@ func TestFailedWriteFailsClosed(t *testing.T) {
 	if rec, err = Recover(dir); err != nil {
 		t.Fatal(err)
 	}
+	entriesEqual(t, rec.Sessions["s"].Entries, []trace.Entry{a, b})
+}
+
+// TestFailedSyncFailsClosed: a failed fsync may have dropped the dirty
+// pages it was asked to write, so a later fsync that succeeds would
+// acknowledge records sitting after a hole. The batch that met the
+// failure gets it, every later append and rotation returns it, and
+// recovery returns the acknowledged records and nothing appended
+// after the failure.
+func TestFailedSyncFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := testEntry(t, "SELECT id FROM events WHERE id = 1", sqlparser.NoArgs, [][]sqlvalue.Value{intRow(1)})
+	b := testEntry(t, "SELECT id FROM events WHERE id = 2", sqlparser.NoArgs, [][]sqlvalue.Value{intRow(2)})
+	c := testEntry(t, "SELECT id FROM events WHERE id = 3", sqlparser.NoArgs, [][]sqlvalue.Value{intRow(3)})
+	if err := l.Append(recSession, encodeSession("s", nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(recAppend, encodeAppend("s", 0, &a)); err != nil {
+		t.Fatal(err)
+	}
+
+	injected := errors.New("injected fsync fault")
+	l.syncSegment = func(*os.File) error { return injected }
+	if err := l.Append(recAppend, encodeAppend("s", 1, &b)); !errors.Is(err, injected) {
+		t.Fatalf("append over a failing fsync: %v, want the injected fault", err)
+	}
+	l.syncSegment = (*os.File).Sync
+	if err := l.Append(recAppend, encodeAppend("s", 2, &c)); !errors.Is(err, injected) {
+		t.Fatalf("append after a failed fsync: %v, want the sticky fault", err)
+	}
+	if _, err := l.RotateForCheckpoint(); !errors.Is(err, injected) {
+		t.Fatalf("rotate after a failed fsync: %v, want the sticky fault", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// b was written before its fsync failed and, with no crash, is
+	// still in the file; c was never written.
 	entriesEqual(t, rec.Sessions["s"].Entries, []trace.Entry{a, b})
 }

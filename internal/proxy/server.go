@@ -103,7 +103,7 @@ type Server struct {
 	closeCancel context.CancelFunc
 	// wal is the durable-state manager (nil without WALDir). walMu
 	// serializes OpenDurable end to end — two opens on one directory
-	// would mean two live committers — without holding s.mu across
+	// would mean two logs appending to it — without holding s.mu across
 	// recovery and the caller's Logf.
 	walMu sync.Mutex
 	wal   *durable.Manager
