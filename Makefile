@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 DATE    ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ 2>/dev/null || echo unknown)
 LDFLAGS  = -ldflags "-X repro/internal/buildinfo.Version=$(VERSION) -X repro/internal/buildinfo.Commit=$(COMMIT) -X repro/internal/buildinfo.Date=$(DATE)"
 
-.PHONY: build test vet race bench benchsmoke coldsmoke allocbudget pgsmoke driversmoke shadowsmoke metricslint fmtcheck fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke staticcheck loc ci
+.PHONY: build test vet race bench benchsmoke coldsmoke allocbudget pgsmoke driversmoke shadowsmoke metricslint fmtcheck fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck loc ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -58,7 +58,8 @@ coldsmoke:
 # must be exactly 0 allocs/op on the v2 surface), the proxy's trace of
 # range reads (32 reads of 500 rows keep no row, only their counts, in
 # process and over pgwire), the engine's bound range read (the same count
-# for 50 rows as for 500, at most 4), a pgwire DataRow framed from typed
+# for 50 rows as for 500, at most 4, and through a secondary index for 8
+# rows as for 128), a pgwire DataRow framed from typed
 # values (exactly 0), and a pgwire range-read exchange, whose rows stream
 # from the scan (the same count and bytes for 50 rows as for 500).
 allocbudget:
@@ -118,7 +119,7 @@ fmtcheck:
 # filling a plan must give the templates and the decision that binding
 # and translating the statement gives — then fact extractors: generated
 # (statement, arguments, result rows) triples whose trace facts must be
-# the reference derivation's, key for key and in order — then key-index
+# the reference derivation's, key for key and in order — then index
 # scans: generated tables, writes and single-table reads on which the
 # served read, the generic evaluator and a keyless full scan must render
 # byte-identically, and each write, served and through the reference
@@ -170,6 +171,13 @@ pipesmoke:
 walsmoke:
 	$(GO) test -race -count=3 -run 'TestGroupCommitConcurrentAppends|TestFirstInLineCommitsForAll|TestSharedSessionConcurrentAppendsRecover|TestAppendCloseRaceDoesNotHang|TestCloseWaitsForBackgroundCheckpoint|TestFailedWriteFailsClosed|TestFailedSyncFailsClosed' ./internal/durable
 
+# Concurrency smoke of the engine under the race detector, three times
+# over: readers racing to build an unbuilt secondary index (one of them
+# cloning) while a writer inserts, updates and deletes, and parallel
+# readers beside a writer.
+enginesmoke:
+	$(GO) test -race -count=3 -run 'TestSecondaryIndexConcurrentBuild|TestConcurrentReadsAndWrites' ./internal/engine
+
 # staticcheck is optional tooling: run it when installed, succeed
 # quietly when not, so CI works on minimal containers.
 staticcheck:
@@ -178,4 +186,4 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping"; fi
 
-ci: fmtcheck vet test race coldsmoke allocbudget benchsmoke pgsmoke driversmoke shadowsmoke metricslint fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke staticcheck
+ci: fmtcheck vet test race coldsmoke allocbudget benchsmoke pgsmoke driversmoke shadowsmoke metricslint fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obsv"
 	"repro/internal/schema"
@@ -43,6 +44,7 @@ type tableData struct {
 	def  *schema.Table
 	rows []Row       // live rows; deletion keeps the survivors' order
 	keys []*keyIndex // the primary key first, if any, then each UNIQUE key
+	secs []*secIndex // the secondary indexes DeclareIndex declared
 }
 
 // keyIndex is the ordered index over one declared key: row positions
@@ -131,10 +133,10 @@ func (ix *keyIndex) find(vals []sqlvalue.Value) (int, bool) {
 	return i, i < n && compareKeys(ix.entry(i), vals) == 0
 }
 
-// keyInto appends row r's key tuple to buf. Callers pass a stack
-// buffer: find only reads the tuple, and file copies what it keeps.
-func (ix *keyIndex) keyInto(buf []sqlvalue.Value, r Row) []sqlvalue.Value {
-	for _, c := range ix.cols {
+// keyInto appends row r's key tuple over cols to buf. Callers pass a
+// stack buffer: find only reads the tuple, and file copies what it keeps.
+func keyInto(buf []sqlvalue.Value, cols []int, r Row) []sqlvalue.Value {
+	for _, c := range cols {
 		buf = append(buf, r[c])
 	}
 	return buf
@@ -154,6 +156,71 @@ func (ix *keyIndex) violation(t *schema.Table) error {
 	return fmt.Errorf("engine: %s violation on %s", ix.what, t.Name)
 }
 
+// secIndex is a non-unique secondary index (DeclareIndex): row positions
+// only, ordered by (key, position), each key read through the table's
+// rows — a tuple beside each position would cost memory per row. The
+// first read it serves builds it; once built, every write keeps it.
+type secIndex struct {
+	cols  []int
+	pos   []int32
+	once  sync.Once   // the build, run by a read under the read lock
+	built atomic.Bool // read by writers, which skip an unbuilt index
+}
+
+// compare orders row r's key prefix against vals.
+func (sx *secIndex) compare(r Row, vals []sqlvalue.Value) int {
+	for i := range vals {
+		if c := compareKey(&r[sx.cols[i]], &vals[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// seek returns the first entry in [lo, hi) not below (vals, p): with p
+// -1 the first whose key prefix is vals or above, with p MaxInt32 the
+// first above it.
+func (sx *secIndex) seek(rows []Row, vals []sqlvalue.Value, p int32, lo, hi int) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		e := sx.pos[m]
+		if c := sx.compare(rows[e], vals); c < 0 || c == 0 && e < p {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// build sorts every row position by (key, position), once.
+func (sx *secIndex) build(rows []Row, obs *engineObs) {
+	sx.once.Do(func() {
+		start := time.Now()
+		pos := make([]int32, len(rows))
+		for i := range pos {
+			pos[i] = int32(i)
+		}
+		slices.SortFunc(pos, func(a, b int32) int {
+			var kb keyBuf
+			return cmp.Or(sx.compare(rows[a], keyInto(kb[:0], sx.cols, rows[b])), cmp.Compare(a, b))
+		})
+		sx.pos = pos
+		sx.built.Store(true)
+		if obs != nil {
+			obs.builds.Inc()
+			obs.build.ObserveSince(start)
+		}
+	})
+}
+
+// at returns where row position p, whose row is r, files in (key,
+// position) order.
+func (sx *secIndex) at(rows []Row, r Row, p int) int {
+	var kb keyBuf
+	return sx.seek(rows, keyInto(kb[:0], sx.cols, r), int32(p), 0, len(sx.pos))
+}
+
 // DB is an in-memory database over a fixed schema. It is safe for
 // concurrent use; reads take a shared lock.
 type DB struct {
@@ -171,13 +238,16 @@ type DB struct {
 type engineObs struct {
 	queries *obsv.Counter
 	scan    *obsv.Histogram
+	builds  *obsv.Counter
+	build   *obsv.Histogram
 }
 
 // SetMetrics points the engine at an observability registry: every
 // read (QueryCtx, QueryEach) counts into engine.queries and times its
-// scan into engine.scan.micros. Safe to call at any time, including while
-// queries run; a nil registry (or never calling this) keeps the
-// zero-overhead path.
+// scan into engine.scan.micros, each secondary-index build (one read
+// pays for it) into engine.index.builds and engine.index.build.micros.
+// Safe to call at any time, including while queries run; a nil registry
+// (or never calling this) keeps the zero-overhead path.
 func (db *DB) SetMetrics(reg *obsv.Registry) {
 	if reg == nil || !reg.Enabled() {
 		db.obs.Store(nil)
@@ -186,6 +256,8 @@ func (db *DB) SetMetrics(reg *obsv.Registry) {
 	db.obs.Store(&engineObs{
 		queries: reg.Counter("engine.queries"),
 		scan:    reg.Histogram("engine.scan.micros"),
+		builds:  reg.Counter("engine.index.builds"),
+		build:   reg.Histogram("engine.index.build.micros"),
 	})
 }
 
@@ -215,6 +287,32 @@ func columnPositions(t *schema.Table, names []string) []int {
 		out[i] = p
 	}
 	return out
+}
+
+// DeclareIndex declares a secondary index over the named columns of a
+// table, in index order. A read whose equalities pin its leading
+// columns builds it, once, and then tests only the rows of its range.
+// Declaring an index the table has already is a no-op.
+func (db *DB) DeclareIndex(table string, cols []string) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	td, ok := db.table(table)
+	if !ok {
+		return fmt.Errorf("engine: no table %q", table)
+	}
+	pos := make([]int, len(cols))
+	for i, c := range cols {
+		if pos[i], ok = td.def.ColumnIndex(c); !ok {
+			return fmt.Errorf("engine: table %s has no column %q", td.def.Name, c)
+		}
+	}
+	for _, sx := range td.secs {
+		if slices.Equal(sx.cols, pos) {
+			return nil
+		}
+	}
+	td.secs = append(td.secs, &secIndex{cols: pos})
+	return nil
 }
 
 // table finds a table by name in any letter case.
@@ -406,7 +504,7 @@ func (db *DB) insertRowLocked(td *tableData, row Row) error {
 	// PK and unique.
 	var kb keyBuf
 	for _, ix := range td.keys {
-		if _, dup := ix.find(ix.keyInto(kb[:0], row)); dup {
+		if _, dup := ix.find(keyInto(kb[:0], ix.cols, row)); dup {
 			return ix.violation(td.def)
 		}
 	}
@@ -418,7 +516,12 @@ func (db *DB) insertRowLocked(td *tableData, row Row) error {
 	}
 	td.rows = append(td.rows, row)
 	for _, ix := range td.keys {
-		ix.file(ix.keyInto(kb[:0], row), len(td.rows)-1)
+		ix.file(keyInto(kb[:0], ix.cols, row), len(td.rows)-1)
+	}
+	for _, sx := range td.secs {
+		if p := len(td.rows) - 1; sx.built.Load() {
+			sx.pos = slices.Insert(sx.pos, sx.at(td.rows, row, p), int32(p))
+		}
 	}
 	return nil
 }
@@ -533,9 +636,9 @@ func (ev *evaluator) assigned(td *tableData, upd *sqlparser.UpdateStmt, setPos [
 	return updated, nil
 }
 
-// changed reports whether rows a and b differ on the key.
-func (ix *keyIndex) changed(a, b Row) bool {
-	for _, c := range ix.cols {
+// changed reports whether rows a and b differ on the columns cols.
+func changed(cols []int, a, b Row) bool {
+	for _, c := range cols {
 		if compareKey(&a[c], &b[c]) != 0 {
 			return true
 		}
@@ -554,8 +657,8 @@ func (db *DB) replaceRowLocked(td *tableData, ri int, updated Row, checkFKs bool
 	}
 	var kb keyBuf
 	for _, ix := range td.keys {
-		if ix.changed(old, updated) {
-			if _, dup := ix.find(ix.keyInto(kb[:0], updated)); dup {
+		if changed(ix.cols, old, updated) {
+			if _, dup := ix.find(keyInto(kb[:0], ix.cols, updated)); dup {
 				return ix.violation(td.def)
 			}
 		}
@@ -566,11 +669,18 @@ func (db *DB) replaceRowLocked(td *tableData, ri int, updated Row, checkFKs bool
 		}
 	}
 	for _, ix := range td.keys {
-		if ix.changed(old, updated) {
-			i, w := ix.seek(ix.keyInto(kb[:0], old), false, 0, len(ix.pos)), len(ix.cols)
+		if changed(ix.cols, old, updated) {
+			i, w := ix.seek(keyInto(kb[:0], ix.cols, old), false, 0, len(ix.pos)), len(ix.cols)
 			ix.pos = slices.Delete(ix.pos, i, i+1)
 			ix.keys = slices.Delete(ix.keys, i*w, i*w+w)
-			ix.file(ix.keyInto(kb[:0], updated), ri)
+			ix.file(keyInto(kb[:0], ix.cols, updated), ri)
+		}
+	}
+	for _, sx := range td.secs {
+		if sx.built.Load() && changed(sx.cols, old, updated) {
+			i := sx.at(td.rows, old, ri)
+			sx.pos = slices.Delete(sx.pos, i, i+1)
+			sx.pos = slices.Insert(sx.pos, sx.at(td.rows, updated, ri), int32(ri))
 		}
 	}
 	td.rows[ri] = updated
@@ -622,6 +732,15 @@ func (td *tableData) deleteRows(pos []int32) {
 		}
 		ix.pos, ix.keys = pos, keys
 	}
+	for _, sx := range td.secs {
+		pos := sx.pos[:0]
+		for _, p := range sx.pos {
+			if q := moved[p]; q >= 0 {
+				pos = append(pos, q)
+			}
+		}
+		sx.pos = pos
+	}
 }
 
 // Snapshot returns a deep copy of all rows of the table, for test
@@ -641,8 +760,9 @@ func (db *DB) Snapshot(table string) []Row {
 }
 
 // Clone returns an independent copy of the whole database (same
-// schema object, copied rows). Used by mutation probing and the
-// counterexample search.
+// schema object, copied rows, the same indexes declared — a secondary
+// one unbuilt, as a read may be building it in db). Used by mutation
+// probing and the counterexample search.
 func (db *DB) Clone() *DB {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -655,6 +775,9 @@ func (db *DB) Clone() *DB {
 		}
 		for i, ix := range td.keys {
 			otd.keys[i].pos, otd.keys[i].keys = slices.Clone(ix.pos), slices.Clone(ix.keys)
+		}
+		for _, sx := range td.secs {
+			otd.secs = append(otd.secs, &secIndex{cols: sx.cols})
 		}
 	}
 	return out

@@ -10,7 +10,12 @@ import (
 
 func calendarDB(t testing.TB) *DB {
 	t.Helper()
-	s, err := schema.NewBuilder().
+	return seedCalendar(t, calendarSchema())
+}
+
+// calendarSchema declares calendarDB's tables; a test may add more.
+func calendarSchema() *schema.Builder {
+	return schema.NewBuilder().
 		Table("Users").
 		NotNullCol("UId", sqlvalue.Int).
 		NotNullCol("Name", sqlvalue.Text).
@@ -25,8 +30,13 @@ func calendarDB(t testing.TB) *DB {
 		NotNullCol("EId", sqlvalue.Int).
 		PK("UId", "EId").
 		FK([]string{"UId"}, "Users", []string{"UId"}).
-		FK([]string{"EId"}, "Events", []string{"EId"}).Done().
-		Build()
+		FK([]string{"EId"}, "Events", []string{"EId"}).Done()
+}
+
+// seedCalendar builds the schema b declares and fills calendarDB's rows.
+func seedCalendar(t testing.TB, b *schema.Builder) *DB {
+	t.Helper()
+	s, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,6 +220,23 @@ func TestScanAllocsConstant(t *testing.T) {
 	if counts[50] != counts[500] || counts[500] > 4 {
 		t.Errorf("bound range read allocates %v times for 50 rows, %v for 500; contract is the same count, at most 4", counts[50], counts[500])
 	}
+	// The same contract for a read through a secondary index, built by
+	// the warm-up run AllocsPerRun makes.
+	owner := ownerDB(t, 2048)
+	for _, c := range []struct {
+		rows        int
+		owner, kind int
+	}{{8, 5, 7}, {128, 2, 3}} {
+		sel := sqlparser.MustParseSelect("SELECT Id, Owner, Kind FROM T WHERE Owner = " + itoa(c.owner) + " AND Kind = " + itoa(c.kind))
+		counts[c.rows] = testing.AllocsPerRun(50, func() {
+			if res, err := owner.Query(sel); err != nil || len(res.Rows) != c.rows {
+				t.Fatalf("%v; want %d rows", err, c.rows)
+			}
+		})
+	}
+	if counts[8] != counts[128] || counts[128] > 4 {
+		t.Errorf("secondary-index read allocates %v times for 8 rows, %v for 128; contract is the same count, at most 4", counts[8], counts[128])
+	}
 }
 
 // TestQueryEachCanceled pins that a context canceled while a bound scan

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -562,27 +563,21 @@ func localConds(conds []eqCond, e sqlparser.Expr, td *tableData, name string) (_
 // candidates narrows a single-table statement through the key that
 // narrows it most: its leading column's =, <, <=, >, >= intersect into
 // one range, and equality on a longer prefix probes a composite key.
-// Every conjunct still filters every candidate, so the range need only
-// hold the rows they accept — a literal of another type sorts by class,
-// one never TRUE (NULL, an unordered class) accepts none. Positions
-// come back ascending, so the statement meets a full scan's rows in its
-// order. ok is false when no key narrows the statement.
-func (td *tableData) candidates(conds []eqCond) (pos []int32, ok bool) {
+// When no key narrows it to at most one row, a secondary index whose
+// leading columns its equalities pin may narrow it further; the first
+// such read builds the index. Every conjunct still filters every
+// candidate, so the range need only hold the rows they accept — a
+// literal of another type sorts by class, one never TRUE (NULL, an
+// unordered class) accepts none. Positions come back ascending, so the
+// statement meets a full scan's rows in its order. ok is false when no
+// index narrows the statement.
+func (db *DB) candidates(td *tableData, conds []eqCond) (pos []int32, ok bool) {
+	var buf keyBuf
 	for _, ix := range td.keys {
 		if td.def.Columns[ix.cols[0]].Type == sqlvalue.Real {
 			continue // NaN equals every number under Compare: no range holds it
 		}
 		lo, hi, narrowed := 0, len(ix.pos), false
-		var buf [4]sqlvalue.Value
-		prefix := buf[:0] // the equality-pinned prefix of a composite key
-		for k := 0; len(ix.cols) > 1 && k == len(prefix) && k < len(ix.cols); k++ {
-			for _, c := range conds {
-				if c.op == sqlparser.OpEq && c.pos == ix.cols[k] {
-					prefix = append(prefix, c.lit)
-					break
-				}
-			}
-		}
 		for _, c := range conds {
 			if c.pos != ix.cols[0] {
 				continue
@@ -605,11 +600,23 @@ func (td *tableData) candidates(conds []eqCond) (pos []int32, ok bool) {
 			}
 			narrowed = true
 		}
-		if len(prefix) > 1 {
+		if prefix := eqPrefix(buf[:0], td, ix.cols, conds); len(prefix) > 1 {
 			lo, hi = ix.equal(prefix, lo, hi)
 		}
 		if narrowed && (!ok || hi-lo < len(pos)) {
 			pos, ok = ix.pos[lo:hi], true
+		}
+	}
+	for _, sx := range td.secs {
+		prefix := eqPrefix(buf[:0], td, sx.cols, conds)
+		if ok && len(pos) <= 1 || len(prefix) == 0 {
+			continue
+		}
+		sx.build(td.rows, db.obs.Load())
+		lo := sx.seek(td.rows, prefix, -1, 0, len(sx.pos))
+		hi := sx.seek(td.rows, prefix, math.MaxInt32, lo, len(sx.pos))
+		if !ok || hi-lo < len(pos) {
+			pos, ok = sx.pos[lo:hi], true
 		}
 	}
 	if ok && !slices.IsSorted(pos) {
@@ -617,6 +624,26 @@ func (td *tableData) candidates(conds []eqCond) (pos []int32, ok bool) {
 		slices.Sort(pos)
 	}
 	return pos, ok
+}
+
+// eqPrefix appends to buf the literals conds equate the leading columns
+// cols of an index with, up to the first column none pins. It stops, too,
+// at a REAL column or a NaN literal: NaN equals every number under
+// Equal, which eqCond.holds tests, but only itself under compareKey, so
+// no range of the index holds every row such an equality accepts.
+func eqPrefix(buf []sqlvalue.Value, td *tableData, cols []int, conds []eqCond) []sqlvalue.Value {
+next:
+	for _, col := range cols {
+		for _, c := range conds {
+			if c.op == sqlparser.OpEq && c.pos == col && td.def.Columns[col].Type != sqlvalue.Real &&
+				!(c.lit.Type() == sqlvalue.Real && math.IsNaN(c.lit.Real())) {
+				buf = append(buf, c.lit)
+				continue next
+			}
+		}
+		break
+	}
+	return buf
 }
 
 // matchRows appends to buf, ascending, the positions of td's rows that
@@ -628,7 +655,7 @@ func (td *tableData) candidates(conds []eqCond) (pos []int32, ok bool) {
 func (ev *evaluator) matchRows(buf []int32, td *tableData, name string, where sqlparser.Expr) ([]int32, error) {
 	var condBuf [8]eqCond
 	conds, complete := localConds(condBuf[:0], where, td, name)
-	pos, narrowed := td.candidates(conds)
+	pos, narrowed := ev.db.candidates(td, conds)
 	n := len(td.rows)
 	if narrowed {
 		n = len(pos)
@@ -750,7 +777,7 @@ func (ev *evaluator) tryEqScan(sel *sqlparser.SelectStmt, out *rowsOut) (cols []
 	}
 
 	cols = outputColumns(sel, &scope{entries: []scopeEntry{{name: name, table: td.def}}})
-	pos, narrowed := td.candidates(conds)
+	pos, narrowed := ev.db.candidates(td, conds)
 	n := len(td.rows)
 	if narrowed {
 		n = len(pos)
@@ -837,7 +864,7 @@ func (ev *evaluator) tableRows(te sqlparser.TableExpr, sc *scope, parent *env, w
 		name := refName(t)
 		sc.addTable(td.def, name, base)
 		conds, _ := localConds(nil, where, td, name)
-		pos, narrowed := td.candidates(conds)
+		pos, narrowed := ev.db.candidates(td, conds)
 		if !narrowed {
 			return slices.Clone(td.rows), nil
 		}

@@ -40,15 +40,37 @@ func keylessMirror(t testing.TB, db *DB) *DB {
 	return m
 }
 
-// scanTables are the calendar tables the parity generator reads: two
-// single-column keys and Attendance's composite (UId, EId).
+// scanTables are the tables the parity generator reads: two
+// single-column keys, Attendance's composite (UId, EId) and Scores'
+// (a, b), whose REAL b holds NaN. eq names the columns of scanDB's
+// secondary indexes, each with the prefix of the TEXT it holds ("" for
+// an INTEGER column).
 var scanTables = []struct {
 	name, proj string
 	cols       []string // key leading column first
+	eq         [][2]string
 }{
-	{"Users", "UId, Name", []string{"UId", "Name"}},
-	{"Events", "*", []string{"EId", "Title", "Notes"}},
-	{"Attendance", "EId, UId", []string{"UId", "EId"}},
+	{"Users", "UId, Name", []string{"UId", "Name"}, [][2]string{{"Name", "u"}}},
+	{"Events", "*", []string{"EId", "Title", "Notes"}, [][2]string{{"Title", "e"}, {"Notes", "n"}}},
+	{"Attendance", "EId, UId", []string{"UId", "EId"}, [][2]string{{"EId", ""}}},
+	{"Scores", "a, b", []string{"a", "b"}, nil},
+}
+
+// scanDB is calendarDB with secondary indexes on non-key columns —
+// Users(Name), Events(Title, Notes), Attendance(EId) — and the table
+// Scores, whose composite key ends in a REAL column.
+func scanDB(t testing.TB) *DB {
+	db := seedCalendar(t, calendarSchema().
+		Table("Scores").NotNullCol("a", sqlvalue.Int).NotNullCol("b", sqlvalue.Real).PK("a", "b").Done())
+	for _, ix := range []struct {
+		table string
+		cols  []string
+	}{{"Users", []string{"Name"}}, {"Events", []string{"Title", "Notes"}}, {"Attendance", []string{"EId"}}} {
+		if err := db.DeclareIndex(ix.table, ix.cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
 }
 
 // scanLiteral draws a literal of every type a key column meets: Int,
@@ -85,6 +107,13 @@ func scanQuery(rng *rand.Rand, n int) string {
 			col = tb.cols[rng.Intn(len(tb.cols))]
 		}
 		op, lit := ops[rng.Intn(len(ops))], scanLiteral(rng, n)
+		if len(tb.eq) > 0 && rng.Intn(3) == 0 { // an equality on an indexed column
+			eq := tb.eq[rng.Intn(len(tb.eq))]
+			col, op = eq[0], "="
+			if eq[1] != "" && rng.Intn(4) > 0 {
+				lit = fmt.Sprintf("'%s%d'", eq[1], rng.Intn(6))
+			}
+		}
 		if rng.Intn(3) == 0 {
 			conds = append(conds, lit+" "+op+" "+qual+col)
 		} else {
@@ -131,6 +160,8 @@ func scanMutation(rng *rand.Rand, n int) string {
 		fmt.Sprintf("UPDATE Attendance SET EId = EId + 1 WHERE UId = %d AND EId >= %d", k, j),
 		fmt.Sprintf("UPDATE Attendance SET UId = UId + %d WHERE EId = %s", rng.Intn(3), lit),
 		fmt.Sprintf("INSERT INTO Users (UId, Name) VALUES (%d, 'i'), (%d, 'j')", rng.Intn(2*n), rng.Intn(2*n)),
+		fmt.Sprintf("DELETE FROM Scores WHERE a = %d AND b = %s", k%4, lit),
+		fmt.Sprintf("UPDATE Scores SET b = b + 1 WHERE %s = b AND a = %d", lit, k%4),
 		"",
 	}
 	return writes[rng.Intn(len(writes))]
@@ -165,19 +196,21 @@ func checkWriteParity(t *testing.T, at string, rng *rand.Rand, db, gen *DB, n in
 	checkIndexes(t, db)
 }
 
-// checkScanParity runs one generated case: a calendar database filled
-// out of key order, then written step by step, served and through the
-// reference row finder side by side (checkWriteParity), sometimes
-// cloned between steps; after every step each generated read must
-// render byte-identically served, through execGeneric, and through
-// execGeneric over a keyless copy of the rows.
+// checkScanParity runs one generated case: a scanDB filled out of key
+// order, then written step by step, served and through the reference
+// row finder side by side (checkWriteParity), sometimes cloned between
+// steps; after every step each generated read must render
+// byte-identically served, through execGeneric, and through execGeneric
+// over a keyless copy of the rows.
 func checkScanParity(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	db := calendarDB(t)
+	db := scanDB(t)
 	n := 8 + rng.Intn(24)
 	for _, i := range rng.Perm(n) {
-		db.MustExec("INSERT INTO Users (UId, Name) VALUES (?, ?)", i+4, fmt.Sprintf("u%d", i))
-		db.MustExec("INSERT INTO Events (EId, Title, Notes) VALUES (?, ?, NULL)", i+4, fmt.Sprintf("e%d", rng.Intn(5)))
+		db.MustExec("INSERT INTO Users (UId, Name) VALUES (?, ?)", i+4, fmt.Sprintf("u%d", i%6))
+		db.MustExec("INSERT INTO Events (EId, Title, Notes) VALUES (?, ?, ?)", i+4, fmt.Sprintf("e%d", rng.Intn(5)),
+			[]any{nil, fmt.Sprintf("n%d", rng.Intn(3))}[rng.Intn(2)])
+		_ = db.InsertRow("Scores", i%4, []float64{math.NaN(), float64(i % 5), float64(i%5) + 0.5}[rng.Intn(3)]) // duplicates rejected
 	}
 	for i := 0; i < 2*n; i++ {
 		_, _, _ = db.Exec("INSERT INTO Attendance (UId, EId) VALUES (?, ?)",
@@ -198,6 +231,7 @@ func checkScanParity(t *testing.T, seed int64) {
 		}
 		if rng.Intn(6) == 0 {
 			db, gen = db.Clone(), gen.Clone()
+			checkIndexes(t, db)
 		}
 	}
 }
@@ -516,6 +550,113 @@ func TestRealKeyScanParity(t *testing.T) {
 			t.Errorf("%s:\nserved:\n%s\nfull scan:\n%s", q, served, scan)
 		}
 	}
+}
+
+// TestRealCompositeKeyParity pins reads and writes over a composite key
+// whose non-leading column is REAL and holds NaN to a keyless full scan
+// and the reference row finder: NaN equals every number under '=', so
+// the key's equality prefix stops before b. A NaN argument stops the
+// prefix of an INTEGER composite key too.
+func TestRealCompositeKeyParity(t *testing.T) {
+	s, err := schema.NewBuilder().Table("T").
+		NotNullCol("a", sqlvalue.Int).NotNullCol("b", sqlvalue.Real).NotNullCol("c", sqlvalue.Int).
+		PK("a", "b").Done().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New(s)
+	for i, r := range [][2]float64{{1, math.NaN()}, {1, 2}, {1, 7.5}, {2, math.NaN()}, {2, 2}, {3, 1}} {
+		if err := db.InsertRow("T", int(r[0]), r[1], i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := keylessMirror(t, db)
+	for _, q := range []string{
+		"SELECT a, b FROM T WHERE a = 1 AND b = 2.0",
+		"SELECT a, b FROM T WHERE b = 7 AND a = 1",
+		"SELECT c FROM T WHERE a = 2 AND b = 2 AND c >= 0",
+	} {
+		if served, scan := servedQuery(db, q), genericQuery(t, ref, q); served != scan {
+			t.Errorf("%s:\nserved:\n%s\nfull scan:\n%s", q, served, scan)
+		}
+	}
+	cal := calendarDB(t)
+	cal.MustExec("INSERT INTO Attendance (UId, EId) VALUES (2, 3), (3, 1)")
+	nan, calRef := sqlparser.PositionalArgs(math.NaN(), 1), keylessMirror(t, cal)
+	served, err := cal.QuerySQL("SELECT UId FROM Attendance WHERE UId = ? AND EId = ?", nan)
+	scan, rerr := calRef.QuerySQL("SELECT UId FROM Attendance WHERE UId = ? AND EId = ?", nan)
+	if fmt.Sprint(served, err) != fmt.Sprint(scan, rerr) {
+		t.Errorf("UId = NaN AND EId = 1:\nserved:\n%v\nfull scan:\n%v", served, scan)
+	}
+	for _, q := range []string{
+		"DELETE FROM T WHERE a = 1 AND b = 7",
+		"DELETE FROM T WHERE 2 = b AND a = 2",
+		"UPDATE T SET c = c + 10 WHERE a = 1 AND b = 2",
+	} {
+		served, ref := db.Clone(), db.Clone()
+		_, n, err := served.Exec(q, sqlparser.NoArgs)
+		rn, rerr := genericExec(t, ref, q)
+		if got, want := fmt.Sprint(n, err, "\n", snapshotAll(served)), fmt.Sprint(rn, rerr, "\n", snapshotAll(ref)); got != want {
+			t.Errorf("%s:\nserved: %s\nreference: %s", q, got, want)
+		}
+		checkIndexes(t, served)
+	}
+}
+
+// ownerDB holds T(Id, Owner, Kind, B) with a secondary index declared on
+// (Owner, Kind), the shape a policy census declares: rows 1..n spread
+// 16 owners by 16 kinds, as inproc_cold's tables are, then 120 rows
+// more under (Owner 2, Kind 3).
+func ownerDB(t testing.TB, n int) *DB {
+	s, err := schema.NewBuilder().Table("T").
+		NotNullCol("Id", sqlvalue.Int).NotNullCol("Owner", sqlvalue.Int).NotNullCol("Kind", sqlvalue.Int).NotNullCol("B", sqlvalue.Text).
+		PK("Id").Done().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New(s)
+	if err := db.DeclareIndex("T", []string{"Owner", "Kind"}); err != nil {
+		t.Fatal(err)
+	}
+	for id := 1; id <= n; id++ {
+		if err := db.InsertRow("T", id, id%16, (id/16)%16, "b"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := n + 1; id <= n+120; id++ {
+		if err := db.InsertRow("T", id, 2, 3, "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestSecondaryIndexVisitsRange is the secondary index's scan-work
+// contract: a read pinned to (Owner, Kind) over 2 168 rows visits the 8
+// rows of its range, counted by the evaluator's per-row tick, and a
+// point read through the primary key still visits one.
+func TestSecondaryIndexVisitsRange(t *testing.T) {
+	db := ownerDB(t, 2048)
+	for _, c := range []struct {
+		q     string
+		limit int
+	}{
+		{"SELECT Id, B FROM T WHERE Owner = 5 AND Kind = 7", 8},
+		{"SELECT Id FROM T WHERE Kind = 7 AND Owner = 5 AND Id = 117", 1},
+	} {
+		sel := sqlparser.MustParseSelect(c.q)
+		db.mu.RLock()
+		ev := &evaluator{db: db}
+		res, err := ev.execSelect(sel, nil, &rowsOut{})
+		db.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != c.limit || ev.ops > c.limit {
+			t.Errorf("%s: %d rows, %d rows visited, want %d", c.q, len(res.Rows), ev.ops, c.limit)
+		}
+	}
+	checkIndexes(t, db)
 }
 
 func BenchmarkRangeScan(b *testing.B) {

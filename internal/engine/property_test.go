@@ -147,6 +147,68 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 	}
 }
 
+// TestSecondaryIndexConcurrentBuild races 8 readers, one of them
+// cloning, to build an unbuilt secondary index while a writer inserts,
+// updates and deletes rows; afterwards the index must hold and every
+// (Owner, Kind) read agree with a keyless full scan.
+func TestSecondaryIndexConcurrentBuild(t *testing.T) {
+	base := ownerDB(t, 512)
+	for round := 0; round < 4; round++ {
+		db := base.Clone() // a clone's secondary index starts unbuilt
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 20; i++ {
+					if _, err := db.QuerySQL("SELECT Id FROM T WHERE Owner = ? AND Kind = ?", sqlparser.PositionalArgs(g, i%16)); err != nil {
+						t.Error(err)
+						return
+					}
+					if g == 0 {
+						db.Clone()
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 20; i++ {
+				id := 10000 + round*100 + i
+				for _, w := range []struct {
+					q    string
+					args []any
+				}{
+					{"INSERT INTO T (Id, Owner, Kind, B) VALUES (?, ?, ?, 'w')", []any{id, i % 16, i % 4}},
+					{"UPDATE T SET Kind = Kind + 1 WHERE Owner = ? AND Kind = ?", []any{i % 16, i % 4}},
+					{"DELETE FROM T WHERE Owner = ? AND Kind = ? AND Id < ?", []any{(i + 3) % 16, i % 16, 200}},
+				} {
+					if _, _, err := db.Exec(w.q, sqlparser.PositionalArgs(w.args...)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+		close(start)
+		wg.Wait()
+		checkIndexes(t, db)
+		ref := keylessMirror(t, db)
+		for o := 0; o < 16; o++ {
+			for k := 0; k < 16; k++ {
+				q := "SELECT Id, Kind FROM T WHERE Owner = " + itoa(o) + " AND Kind = " + itoa(k)
+				if served, scan := servedQuery(db, q), genericQuery(t, ref, q); served != scan {
+					t.Fatalf("round %d: %s:\nserved:\n%s\nfull scan:\n%s", round, q, served, scan)
+				}
+			}
+		}
+	}
+}
+
 // TestSubqueryJoinEquivalence: IN (subquery) equals the equivalent
 // join under DISTINCT.
 func TestSubqueryJoinEquivalence(t *testing.T) {

@@ -81,10 +81,26 @@ func snapshotAll(db *DB) string {
 }
 
 // checkIndexes asserts that every key index of db files each row once,
-// under the row's own key tuple, in strictly ascending key order.
+// under the row's own key tuple, in strictly ascending key order, and
+// that every built secondary index files each row once, in strictly
+// ascending (key, position) order.
 func checkIndexes(t *testing.T, db *DB) {
 	t.Helper()
 	for name, td := range db.tables {
+		for _, sx := range td.secs {
+			if !sx.built.Load() {
+				continue
+			}
+			if len(sx.pos) != len(td.rows) {
+				t.Fatalf("%s secondary index %v files %d rows, table holds %d", name, sx.cols, len(sx.pos), len(td.rows))
+			}
+			for i := 1; i < len(sx.pos); i++ {
+				p, q := sx.pos[i-1], sx.pos[i]
+				if c := sx.compare(td.rows[p], keyInto(nil, sx.cols, td.rows[q])); c > 0 || c == 0 && p >= q {
+					t.Fatalf("%s secondary index %v entries %d (row %d) and %d (row %d) out of order", name, sx.cols, i-1, p, i, q)
+				}
+			}
+		}
 		for _, ix := range td.keys {
 			if len(ix.pos) != len(td.rows) || len(ix.keys) != len(td.rows)*len(ix.cols) {
 				t.Fatalf("%s %s index files %d rows, table holds %d", name, ix.what, len(ix.pos), len(td.rows))
@@ -95,7 +111,7 @@ func checkIndexes(t *testing.T, db *DB) {
 					t.Fatalf("%s %s index files row %d twice", name, ix.what, p)
 				}
 				seen[p] = true
-				if compareKeys(ix.entry(i), ix.keyInto(nil, td.rows[p])) != 0 {
+				if compareKeys(ix.entry(i), keyInto(nil, ix.cols, td.rows[p])) != 0 {
 					t.Fatalf("%s %s entry %d holds %v, its row %v", name, ix.what, i, ix.entry(i), td.rows[p])
 				}
 				if i > 0 && compareKeys(ix.entry(i-1), ix.entry(i)) >= 0 {

@@ -131,6 +131,55 @@ func (p *Policy) Disjuncts(session map[string]sqlvalue.Value) []*cq.Query {
 	return out
 }
 
+// Indexes is the census of the access paths allowed reads carry, as
+// table name to index columns: per table some view reads, the non-REAL
+// columns every view atom over it pins to a parameter or a constant,
+// those a parameter pins in every atom first (no ordered range holds
+// what a REAL equality accepts: NaN equals every number under '='). A
+// table whose key leads with those columns, or lies among them, has none.
+func (p *Policy) Indexes() map[string][]string {
+	pins := map[string][]cq.TermKind{} // per column, the least pin of any atom: KindVar < KindConst < KindParam
+	for _, q := range p.Disjuncts(nil) {
+		for _, a := range q.Atoms {
+			pn, seen := pins[a.Table]
+			for i, t := range a.Args {
+				if !seen {
+					pn = append(pn, t.Kind)
+				}
+				pn[i] = min(pn[i], t.Kind)
+			}
+			pins[a.Table] = pn
+		}
+	}
+	out := map[string][]string{}
+	for _, t := range p.Schema.Tables() {
+		pn, cols := pins[strings.ToLower(t.Name)], []string(nil)
+		pinned := func(col string) bool {
+			i, _ := t.ColumnIndex(col)
+			return pn != nil && pn[i] != cq.KindVar && t.Columns[i].Type != sqlvalue.Real
+		}
+		for _, kind := range []cq.TermKind{cq.KindParam, cq.KindConst} {
+			for i, c := range t.Columns {
+				if pinned(c.Name) && pn[i] == kind {
+					cols = append(cols, c.Name)
+				}
+			}
+		}
+		served := len(cols) == 0
+		for _, key := range append([][]string{t.PrimaryKey}, t.UniqueKeys...) {
+			n := 0 // the key's leading columns that are pinned
+			for n < len(key) && pinned(key[n]) {
+				n++
+			}
+			served = served || n > 0 && n == min(len(key), len(cols))
+		}
+		if !served {
+			out[t.Name] = cols
+		}
+	}
+	return out
+}
+
 // String renders the policy as named view definitions, one per line.
 func (p *Policy) String() string {
 	var b strings.Builder

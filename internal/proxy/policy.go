@@ -41,6 +41,7 @@ func (s *Server) StagePolicy(views map[string]string) (checker.PolicyVersion, er
 	if err != nil {
 		return checker.PolicyVersion{}, err
 	}
+	s.declareIndexes(pol)
 	if wal := s.Durable(); wal != nil {
 		id := durable.PolicyID{Fingerprint: pv.Fingerprint, Views: views}
 		if s.DB != nil {

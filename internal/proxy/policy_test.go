@@ -6,6 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/checker"
+	"repro/internal/engine"
+	"repro/internal/policy"
+	"repro/internal/schema"
+	"repro/internal/sqlparser"
+	"repro/internal/sqlvalue"
 )
 
 // wideViews is the test policy plus an all-events view: strictly
@@ -234,4 +239,37 @@ func TestShadowDiffRingEviction(t *testing.T) {
 	if diffs[0].Seq != 11 {
 		t.Fatalf("oldest surviving seq %d, want 11 (10 evicted)", diffs[0].Seq)
 	}
+}
+
+// TestPolicyDeclaresIndexes pins the census wiring: the server declares
+// the secondary index its active policy pins, and staging a candidate
+// declares the candidate's, each built by the first read it serves.
+func TestPolicyDeclaresIndexes(t *testing.T) {
+	s := schema.NewBuilder().
+		Table("T").NotNullCol("Id", sqlvalue.Int).NotNullCol("Owner", sqlvalue.Int).NotNullCol("Kind", sqlvalue.Int).PK("Id").Done().
+		Table("U").NotNullCol("Id", sqlvalue.Int).NotNullCol("Tag", sqlvalue.Text).PK("Id").Done().
+		MustBuild()
+	db := engine.New(s)
+	db.MustExec("INSERT INTO T (Id, Owner, Kind) VALUES (1, 1, 1), (2, 1, 2), (3, 2, 1)")
+	db.MustExec("INSERT INTO U (Id, Tag) VALUES (1, 'x'), (2, 'y')")
+	views := map[string]string{"V": "SELECT Id FROM T WHERE Owner = ?MyUId AND Kind = 1"}
+	srv := NewServer(db, checker.New(policy.MustNew(s, views)), Enforce)
+	builds := srv.MetricsRegistry().Counter("engine.index.builds")
+	read := func(q string, want int64) {
+		t.Helper()
+		if _, err := db.QuerySQL(q, sqlparser.NoArgs); err != nil {
+			t.Fatal(err)
+		}
+		if got := builds.Value(); got != want {
+			t.Fatalf("after %s: %d index builds, want %d", q, got, want)
+		}
+	}
+	read("SELECT Id FROM U WHERE Tag = 'x'", 0)
+	read("SELECT Id FROM T WHERE Owner = 1 AND Kind = 1", 1)
+	read("SELECT Id FROM T WHERE Kind = 2 AND Owner = 1", 1)
+	views["W"] = "SELECT Id FROM U WHERE Tag = 'x'"
+	if _, err := srv.StagePolicy(views); err != nil {
+		t.Fatal(err)
+	}
+	read("SELECT Id FROM U WHERE Tag = 'y'", 2)
 }

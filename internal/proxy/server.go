@@ -149,9 +149,26 @@ type Server struct {
 	mShadowLat     *obsv.Histogram
 }
 
-// NewServer builds a proxy server over the engine and checker.
+// NewServer builds a proxy server over the engine and checker, and
+// declares in the engine the secondary indexes the active policy pins.
 func NewServer(db *engine.DB, c *checker.Checker, mode Mode) *Server {
-	return &Server{DB: db, Checker: c, Mode: mode, conns: make(map[net.Conn]struct{})}
+	s := &Server{DB: db, Checker: c, Mode: mode, conns: make(map[net.Conn]struct{})}
+	s.declareIndexes(c.Policy())
+	return s
+}
+
+// declareIndexes declares in the engine the secondary indexes p's census
+// asks for (policy.Indexes), as each policy enters the checker. Indexes
+// are only added, so promote and rollback need none; the schema bounds them.
+func (s *Server) declareIndexes(p *policy.Policy) {
+	if s.DB == nil {
+		return
+	}
+	for table, cols := range p.Indexes() {
+		if err := s.DB.DeclareIndex(table, cols); err != nil {
+			s.logf("proxy: declare index on %s%v: %v", table, cols, err)
+		}
+	}
 }
 
 // initObs resolves the server's instruments exactly once: the explicit
@@ -277,6 +294,7 @@ func (s *Server) OpenDurable() error {
 			} else if _, _, err := s.Checker.SetActivePolicy(pol); err != nil {
 				s.logf("proxy: restore recovered active policy: %v", err)
 			} else {
+				s.declareIndexes(pol)
 				s.logf("proxy: restored promoted policy (version id %d) over startup policy", av.ID)
 			}
 		}
@@ -305,6 +323,7 @@ func (s *Server) OpenDurable() error {
 			} else if _, err := s.Checker.StagePolicy(pol); err != nil {
 				s.logf("proxy: re-stage recovered candidate: %v", err)
 			} else {
+				s.declareIndexes(pol)
 				s.logf("proxy: restored staged candidate policy (version id %d); shadow dual-decide resumes", cand.ID)
 			}
 		}
