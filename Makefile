@@ -51,7 +51,8 @@ coldsmoke:
 # tiers report 0 allocs/op) and of the cold decide (neither filling the statement plan
 # nor the compiled cover search allocates),
 # then the budget tests that turn those numbers into hard gates — the
-# checker's decide tiers, warm and cold, a windowed trace (an append
+# checker's decide tiers, warm and cold, a repeat decide of a statement
+# whose plan is refused (exactly 0 allocs/op), a windowed trace (an append
 # into a full window, and deriving a window of statements that yield no
 # fact, must be exactly 0 allocs/op), the proxy's pooled encode path
 # end-to-end (history-free warm probe through wire encode of typed rows
@@ -64,7 +65,7 @@ coldsmoke:
 # from the scan (the same count and bytes for 50 rows as for 500).
 allocbudget:
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmDecide|BenchmarkColdDecide' -benchmem -benchtime=100x ./internal/checker
-	$(GO) test -run 'TestWarmDecideAllocBudget|TestColdDecideAllocBudget' -count=1 ./internal/checker
+	$(GO) test -run 'TestWarmDecideAllocBudget|TestColdDecideAllocBudget|TestUnplannedStatementsBlock' -count=1 ./internal/checker
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceAppendWindowed|BenchmarkFactsWindowedScan' -benchmem -benchtime=100x ./internal/trace
 	$(GO) test -run 'TestTraceAllocBudget' -count=1 ./internal/trace
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmEncode' -benchmem -benchtime=100x ./internal/proxy
@@ -117,9 +118,12 @@ fmtcheck:
 # byte-identically to refDecide, the test-only reference — then statement
 # plans: generated (statement, arguments, session) triples on which
 # filling a plan must give the templates and the decision that binding
-# and translating the statement gives — then fact extractors: generated
-# (statement, arguments, result rows) triples whose trace facts must be
-# the reference derivation's, key for key and in order — then index
+# and translating the statement gives (the test-only oracle), and on
+# which a statement with a bare parameter as a condition, which has no
+# plan, must block — then fact extractors: generated (statement,
+# arguments, result rows) triples whose trace facts must be the
+# reference derivation's, key for key and in order (none, for a
+# statement with no plan) — then index
 # scans: generated tables, writes and single-table reads on which the
 # served read, the generic evaluator and a keyless full scan must render
 # byte-identically, and each write, served and through the reference

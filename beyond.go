@@ -233,7 +233,9 @@ func WithCacheSize(n int) CheckerOption {
 // WithMetrics points the checker at an explicit metrics registry —
 // share one across components to get a combined snapshot, or pass
 // DisabledMetrics() for a strictly no-op instrumentation build.
-// Without this option every checker gets its own enabled registry.
+// Without this option every checker gets its own enabled registry. A
+// proxy core (Serve) reports into its checker's registry, so this is
+// also how serving metrics are shared or turned off.
 func WithMetrics(reg *Metrics) CheckerOption {
 	return func(o *CheckerOptions) { o.Metrics = reg }
 }
@@ -282,13 +284,6 @@ func WithMaxLineBytes(n int) ProxyOption {
 // WithMaxInFlight bounds the per-connection pipelined window.
 func WithMaxInFlight(n int) ProxyOption {
 	return func(s *ProxyServer) { s.MaxInFlight = n }
-}
-
-// WithProxyMetrics points the proxy at an explicit metrics registry.
-// By default the proxy reports into its checker's registry, so one
-// snapshot covers checker.*, pipeline.*, proxy.*, and engine.* names.
-func WithProxyMetrics(reg *Metrics) ProxyOption {
-	return func(s *ProxyServer) { s.Metrics = reg }
 }
 
 // WithSlowLog turns on the proxy's structured slow-decision log:

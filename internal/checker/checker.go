@@ -13,6 +13,12 @@
 // enough to decide all of the paper's examples; queries outside the
 // fragment are conservatively blocked.
 //
+// A read takes one form after the parser: its statement plan
+// (cq.StmtPlan), compiled once per statement from the parameter form.
+// A statement whose parameter form does not translate is refused once,
+// when it is planned, and every call of it blocks with that reason;
+// nothing is bound or translated per call.
+//
 // The decide path is a fixed table of named stages (stages.go):
 // bind (fill the statement plan's slots) → history-free template probe
 // → fact derivation → template-cache probe → policy coverage →
@@ -41,7 +47,7 @@
 // version it started with — and all counters are atomic (obsv
 // instruments). Every cache key embeds the deciding epoch, so a
 // policy swap invalidates warm state by epoch bump rather than cache
-// teardown, and a staged candidate dual-decides via CheckShadow
+// teardown, and a staged candidate dual-decides via CheckShadowBorrowed
 // (shadow.go).
 package checker
 
@@ -90,7 +96,7 @@ type Decision struct {
 	Tier string
 	// Epoch identifies the policy version that decided (version.go):
 	// the active version's epoch for Check*, the candidate's for the
-	// shadow half of CheckShadow.
+	// shadow half of CheckShadowBorrowed.
 	Epoch uint64
 }
 
@@ -318,16 +324,6 @@ func (c *Checker) dropDeadEpochs() {
 // Parse time is the decide path's first stage observationally: it lands
 // in checker.parse.micros and in the request SpanSet as "parse".
 func (c *Checker) CheckSQL(ctx context.Context, sql string, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace) (Decision, error) {
-	return c.checkSQL(ctx, sql, args, session, tr, false)
-}
-
-// CheckSQLBorrowed is CheckSQL under the borrowed-Decision contract of
-// CheckBorrowed: the result's Views may alias cache-owned storage.
-func (c *Checker) CheckSQLBorrowed(ctx context.Context, sql string, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace) (Decision, error) {
-	return c.checkSQL(ctx, sql, args, session, tr, true)
-}
-
-func (c *Checker) checkSQL(ctx context.Context, sql string, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace, borrow bool) (Decision, error) {
 	var start time.Time
 	timed := c.reg.Enabled()
 	if timed {
@@ -343,7 +339,7 @@ func (c *Checker) checkSQL(ctx context.Context, sql string, args sqlparser.Args,
 		c.mParseErrors.Inc()
 		return Decision{}, fmt.Errorf("%w: %v", acerr.ErrParse, err)
 	}
-	d := c.check(ctx, sel, args, session, tr, borrow)
+	d := c.check(ctx, sel, args, session, tr, false)
 	if err := ctx.Err(); err != nil {
 		return d, acerr.Canceled(err)
 	}

@@ -245,7 +245,7 @@ func BenchmarkPlanInstantiate(b *testing.B) {
 				if stageBind(context.Background(), st) != outNext || len(st.templates()) != plan.Disjuncts() {
 					b.Fatalf("bind: %+v", st.d)
 				}
-				if st.plan != plan || plan.Fallback() {
+				if st.plan != plan || plan.Refusal() != "" {
 					b.Fatal("the statement was planned again, or has no plan")
 				}
 			}

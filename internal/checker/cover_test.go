@@ -152,7 +152,7 @@ func coverInputs(ctx context.Context, c *Checker, sql string, args sqlparser.Arg
 
 // TestCoverParityFixtures: over every fixture (calendar, hospital,
 // employees, forum), CheckCold — the compiled search, and the compiled
-// search behind the bind-then-translate oracle — returns Decisions
+// search on the bind-then-translate oracle's templates — returns Decisions
 // byte-identical — the answer, the reason string and the covering-view
 // list — to the independent reference procedure (cover_ref_test.go) run
 // on the same template and facts, on three corpora: the 42 labeled E1
@@ -167,9 +167,10 @@ func TestCoverParityFixtures(t *testing.T) {
 	for _, f := range apps.All() {
 		db := f.MustNewDB(24)
 		compiled := New(f.Policy())
-		// The same search behind the bind stage that plans replaced: the
-		// statement bound and translated per decision (plan_test.go).
-		oracle := newOracleChecker(f.Policy(), Options{})
+		// The same search on the templates of the bind stage that plans
+		// replaced: the statement bound and translated per decision
+		// (plan_test.go).
+		oracle := New(f.Policy())
 		views := f.Policy().Disjuncts(nil)
 		decide := func(label, sql string, args sqlparser.Args, sess map[string]sqlvalue.Value, tr *trace.Trace) Decision {
 			t.Helper()
@@ -177,13 +178,9 @@ func TestCoverParityFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", f.Name, label, err)
 			}
-			var got [2]string
-			var d Decision
-			for i, c := range []*Checker{compiled, oracle} {
-				d = c.CheckCold(ctx, sel, args, sess, tr)
-				d.Epoch = 0 // the deciding version's stamp, not the cover search's
-				got[i] = fmt.Sprintf("%#v", d)
-			}
+			d := compiled.CheckCold(ctx, sel, args, sess, tr)
+			d.Epoch = 0 // the deciding version's stamp, not the cover search's
+			got := [2]string{fmt.Sprintf("%#v", d), fmt.Sprintf("%#v", oracleDecide(ctx, oracle, sel, args, sess, tr, true))}
 			want := got[0]
 			if tpl, facts, ok := coverInputs(ctx, compiled, sql, args, sess, tr); ok {
 				want = fmt.Sprintf("%#v", refDecide(views, tpl, facts, maxHomsPerView))

@@ -2,6 +2,7 @@ package checker
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,8 +16,8 @@ import (
 
 // Extractor-vs-reference differential tests. Statements come from the
 // plan tests' renderer over the cover generator (plan_test.go), now and
-// then turned into a fallback statement (a bare parameter as a whole
-// condition) or given a LIMIT or OFFSET; each call's answer is made up
+// then given a bare parameter as a whole condition, which no plan
+// accepts, or a LIMIT or OFFSET; each call's answer is made up
 // from the generator's value pool, shaped after what the statement
 // translates to, so rows that satisfy a repeated head variable or a head
 // value and rows that do not both come up constantly. The trace's facts
@@ -25,16 +26,20 @@ import (
 // key for key and in order, after every append. So must the facts of a
 // second trace that records each answer as the proxy does, without its
 // rows when no fact of the statement reads them (elide): the row count
-// alone has to derive what the rows did.
+// alone has to derive what the rows did. A statement with a bare
+// parameter as a condition derives no fact, a subset of what the
+// reference derives from its bound translation.
 
 // factCaseStats counts what the generated triples exercised.
 type factCaseStats struct {
 	refFactStats
-	fallback, limited int
+	refused, limited int
 	// elided counts entries recorded without their rows (ReadsRows is
 	// false) that had some; negPattern counts calls whose empty answer
-	// yields a negative fact, which an omitted row must suppress.
-	elided, negPattern int
+	// yields a negative fact, which an omitted row must suppress;
+	// tightened counts derivations over a bare-parameter statement's
+	// entries where the reference found facts.
+	elided, negPattern, tightened int
 }
 
 // elide records e the way the proxy does: without its rows when no fact
@@ -48,8 +53,8 @@ func elide(tr *cq.Translator, e trace.Entry) trace.Entry {
 
 // checkNoNegativeWhenOmitted derives, alone, an entry of e's statement
 // and call that kept no row but omitted some: whatever the extractor —
-// one with a negative pattern, one that reads rows, a fallback — it must
-// not read the answer as empty. It reports whether the same entry with
+// one with a negative pattern, one that reads rows, none — it must not
+// read the answer as empty. It reports whether the same entry with
 // an empty answer does yield a negative fact.
 func checkNoNegativeWhenOmitted(t *testing.T, tr *cq.Translator, e trace.Entry) (negPattern bool) {
 	t.Helper()
@@ -121,21 +126,12 @@ func (g *coverGen) answer(head []cq.Term) [][]sqlvalue.Value {
 }
 
 // factStatement renders a generated statement, sometimes with a bare
-// positional parameter as a whole condition (no plan expresses it) and
+// positional parameter as a whole condition (bareCondition) and
 // sometimes with a LIMIT or OFFSET. cond and limit are the positions of
 // those parameters, 0 when there is none.
 func (g *coverGen) factStatement(qs []*cq.Query) (st genStmt, cond, limit int) {
 	st = g.statement(qs)
-	if g.rng.Intn(6) == 0 {
-		st.npos++
-		cond = st.npos
-		arm := st.sql[strings.LastIndex(st.sql, " UNION ")+1:]
-		if strings.Contains(arm, " WHERE ") {
-			st.sql += " AND $" + strconv.Itoa(cond)
-		} else {
-			st.sql += " WHERE $" + strconv.Itoa(cond)
-		}
-	}
+	cond = g.bareCondition(&st)
 	switch g.rng.Intn(12) {
 	case 0:
 		st.sql += " LIMIT 0"
@@ -164,8 +160,8 @@ func checkFactCase(t *testing.T, seed int64, stats *factCaseStats) {
 		t.Fatalf("seed %d: generated statement does not parse: %v\n%s", seed, err, st.sql)
 	}
 	derive, ref := &cq.Translator{Schema: s}, &cq.Translator{Schema: s}
-	if derive.Plan(sel).Fallback() {
-		stats.fallback++
+	if derive.Plan(sel).Refusal() != "" {
+		stats.refused++
 	}
 	if sel.Limit != nil || sel.Offset != nil {
 		stats.limited++
@@ -177,13 +173,8 @@ func checkFactCase(t *testing.T, seed int64, stats *factCaseStats) {
 	}
 	for call := 0; call < 3; call++ {
 		args, sess := g.call(st)
-		set := func(pos int, v sqlvalue.Value) {
-			if pos > 0 && pos <= len(args.Positional) {
-				args.Positional[pos-1] = v
-			}
-		}
-		set(cond, sqlvalue.NewInt(int64(min(g.rng.Intn(6), 1)))) // mostly true
-		set(limit, sqlvalue.NewInt(int64(g.rng.Intn(2)*3)))
+		setArg(args, cond, sqlvalue.NewInt(int64(min(g.rng.Intn(6), 1)))) // mostly true
+		setArg(args, limit, sqlvalue.NewInt(int64(g.rng.Intn(2)*3)))
 		if g.rng.Intn(4) > 0 {
 			// The session's attributes as named arguments, as a caller
 			// binding them itself would record them.
@@ -221,6 +212,19 @@ func checkFactCase(t *testing.T, seed int64, stats *factCaseStats) {
 			tr   *trace.Trace
 		}{{"extractor", tr}, {"rows elided", elided}} {
 			gotFacts, gotKeys := run.tr.FactsKeyed(derive)
+			if cond > 0 {
+				// Tighten-only: every fact derived is a reference fact.
+				for i, k := range gotKeys {
+					if !slices.Contains(wantKeys, k) {
+						t.Fatalf("seed %d, call %d: %s derived %s, which the reference does not\nstatement: %s\nargs:      %v %v\nreference:\n%s",
+							seed, call, run.name, factDump(gotFacts[i:i+1], gotKeys[i:i+1]), st.sql, args.Positional, args.Named, want)
+					}
+				}
+				if len(wantKeys) > 0 {
+					stats.tightened++
+				}
+				continue
+			}
 			if got := factDump(gotFacts, gotKeys); got != want {
 				t.Fatalf("seed %d, call %d: facts differ\nstatement: %s\nargs:      %v %v\nrows:      %v\n%s:\n%s\nreference:\n%s\n%s",
 					seed, call, st.sql, args.Positional, args.Named, e.Rows, run.name, got, want, gc)
@@ -267,7 +271,8 @@ func TestFactParityGenerated(t *testing.T) {
 		stats.negative < cases/40,
 		stats.rowsRejected < cases/10,
 		stats.limitedEmpty < cases/100,
-		stats.fallback < cases/20,
+		stats.refused < cases/20,
+		stats.tightened < cases/50,
 		stats.limited < cases/10,
 		stats.elided < cases/10,
 		stats.negPattern < cases/40:

@@ -19,22 +19,71 @@ import (
 
 // Plan-vs-oracle differential tests. The oracle is the path statement
 // plans replaced — bind a copy of the AST, translate it, generalize the
-// constants (bindTranslate) — run as the bind entry of an otherwise
-// identical stage table. Statements come from the cover generator
-// (cover_gen_test.go): its conjunctive queries are rendered as SQL over
-// a schema with the generator's relations, with every ground term
-// turned into a value site of a randomly chosen kind, and the values of
-// one call are drawn from the generator's own tiny pools — so two slots
-// with equal values, a slot equal to a literal or to a session
+// constants, per call (bindTranslate) — followed by the same cover
+// search, with no cache (oracleDecide). Statements come from the cover
+// generator (cover_gen_test.go): its conjunctive queries are rendered as
+// SQL over a schema with the generator's relations, with every ground
+// term turned into a value site of a randomly chosen kind, and the values
+// of one call are drawn from the generator's own tiny pools — so two
+// slots with equal values, a slot equal to a literal or to a session
 // attribute, cross-type equals and NULLs all happen constantly, not by
-// luck.
+// luck. Now and then a statement also gets a bare parameter as a whole
+// condition, which no plan accepts: on those the plan side may only be
+// tighter than the oracle.
 
-// newOracleChecker is a checker that binds and translates every
-// statement per decision.
-func newOracleChecker(p *policy.Policy, opts Options) *Checker {
-	c := NewWithOptions(p, opts)
-	c.stages[stBind].run = func(_ context.Context, st *decideState) outcome { return bindTranslate(st) }
-	return c
+// bindTranslate binds the call's arguments — the session's attributes
+// under them — into a copy of the statement, translates the copy and
+// generalizes its constants into st.tpl.
+func bindTranslate(st *decideState) outcome {
+	args := st.args
+	if len(st.session) > 0 {
+		merged := make(map[string]sqlvalue.Value, len(args.Named)+len(st.session))
+		for k, v := range st.session {
+			merged[k] = v
+		}
+		for k, v := range args.Named {
+			merged[k] = v
+		}
+		args = sqlparser.Args{Positional: args.Positional, Named: merged}
+	}
+	bound, err := sqlparser.Bind(st.sel, args)
+	if err != nil {
+		st.d = Decision{Reason: fmt.Sprintf("bind: %v", err)}
+		return outDone
+	}
+	ucq, err := st.c.tr.TranslateSelect(bound.(*sqlparser.SelectStmt))
+	if err != nil {
+		st.d = Decision{Reason: fmt.Sprintf("blocked conservatively: %v", err)}
+		return outDone
+	}
+	st.tpl = make([]*cq.Query, len(ucq))
+	for i, q := range ucq {
+		st.tpl[i] = generalizeConsts(q, st.session)
+	}
+	return outNext
+}
+
+// oracleDecide decides from bindTranslate's templates what c's stage
+// table decides from the plan: Check's verdict (a history-free allow
+// first, then the search with the trace's facts), or with cold set
+// CheckCold's (the search with the facts only). It reads and writes no
+// decision cache.
+func oracleDecide(ctx context.Context, c *Checker, sel *sqlparser.SelectStmt, args sqlparser.Args, sess map[string]sqlvalue.Value, tr *trace.Trace, cold bool) Decision {
+	st := &decideState{c: c, ver: c.activeVersion(), sel: sel, args: args, session: sess, tr: tr}
+	if bindTranslate(st) != outNext {
+		return st.d
+	}
+	occ := make([]cq.Census, len(st.tpl))
+	for i, q := range st.tpl {
+		occ[i].Build(q)
+	}
+	if !cold && tr != nil {
+		if d := c.coverAll(ctx, st.ver.comp, st.tpl, occ, nil, st.coverScratch()); d.Allowed {
+			return d
+		}
+	}
+	stageFacts(ctx, st)
+	return c.coverAll(ctx, st.ver.comp, st.tpl, occ, st.facts, st.coverScratch())
 }
 
 // schema declares the generator's relations: r<i>(c0 .. c<arity-1>).
@@ -195,6 +244,31 @@ func (g *coverGen) statement(qs []*cq.Query) genStmt {
 	return st
 }
 
+// bareCondition appends, one time in six, a bare positional parameter
+// as a whole condition to the statement's last arm, and returns its
+// position (0: none).
+func (g *coverGen) bareCondition(st *genStmt) int {
+	if g.rng.Intn(6) > 0 {
+		return 0
+	}
+	st.npos++
+	arm := st.sql[strings.LastIndex(st.sql, " UNION ")+1:]
+	if strings.Contains(arm, " WHERE ") {
+		st.sql += " AND $" + strconv.Itoa(st.npos)
+	} else {
+		st.sql += " WHERE $" + strconv.Itoa(st.npos)
+	}
+	return st.npos
+}
+
+// setArg sets a call's positional argument pos (1-based; 0 or one the
+// call lacks: nothing).
+func setArg(args sqlparser.Args, pos int, v sqlvalue.Value) {
+	if pos > 0 && pos <= len(args.Positional) {
+		args.Positional[pos-1] = v
+	}
+}
+
 // call draws one call's arguments and session for the statement. Now
 // and then an argument is missing, so both paths must block with Bind's
 // message.
@@ -272,9 +346,12 @@ func tplStrings(tpl []*cq.Query) string {
 	return strings.Join(parts, "\n")
 }
 
-// planStats counts what the generated triples exercised.
+// planStats counts what the generated triples exercised. bare counts
+// calls of a statement with a bare parameter as a condition, tightened
+// those of them the oracle allows.
 type planStats struct {
 	calls, planned, bindErrs, allowed, generalized, contradictions, cacheHits, warmHits int
+	bare, tightened                                                                     int
 }
 
 // checkPlanCase runs the differential contract on one seed: a policy, a
@@ -286,11 +363,12 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 	pol := policy.MustNew(g.schema(t), nil)
 	var opts Options
 	opts.Metrics = obsv.Disabled()
-	planned, oracle := NewWithOptions(pol, opts), newOracleChecker(pol, opts)
+	planned, oracle := NewWithOptions(pol, opts), NewWithOptions(pol, opts)
 	for _, c := range []*Checker{planned, oracle} {
 		c.vers.Store(&versionTable{active: &polVersion{epoch: 1, fp: "gen", comp: compilePolicy("gen", gc.views), pol: pol}})
 	}
 	st := g.statement(gc.tpl)
+	cond := g.bareCondition(&st)
 	sel, err := sqlparser.ParseSelectNorm(st.sql)
 	if err != nil {
 		t.Fatalf("seed %d: generated statement does not parse: %v\n%s", seed, err, st.sql)
@@ -304,13 +382,25 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 	}
 	for call := 0; call < 2; call++ {
 		args, sess := g.call(st)
+		setArg(args, cond, sqlvalue.NewInt(int64(min(g.rng.Intn(6), 1)))) // mostly true
 		stats.calls++
 
 		// The bind stage alone: slot vector, generalization, templates.
 		pst := &decideState{c: planned, ver: planned.activeVersion(), sel: sel, args: args, session: sess, tr: tr}
 		ost := &decideState{c: oracle, ver: oracle.activeVersion(), sel: sel, args: args, session: sess, tr: tr}
 		pout, oout := stageBind(ctx, pst), bindTranslate(ost)
-		if pout != oout || pst.d.Reason != ost.d.Reason {
+		if cond > 0 {
+			// No plan: every call blocks, with Bind's message when it lacks
+			// an argument and with the parameter form's error otherwise.
+			stats.bare++
+			want := planned.tr.Plan(sel).Refusal()
+			if strings.HasPrefix(ost.d.Reason, "bind: ") {
+				want = ost.d.Reason
+			}
+			if pout != outDone || pst.d.Reason != want || want == "" {
+				fail("bind outcomes of a bare-parameter statement", args, sess, fmt.Sprint(pout, " ", pst.d.Reason), fmt.Sprint(outDone, " ", want))
+			}
+		} else if pout != oout || pst.d.Reason != ost.d.Reason {
 			fail("bind outcomes", args, sess, fmt.Sprint(pout, " ", pst.d.Reason), fmt.Sprint(oout, " ", ost.d.Reason))
 		}
 		if pout != outNext {
@@ -366,9 +456,17 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 		// keys of each side reach. After each, the inline probe: whatever
 		// it answers must be the independent reference's answer too.
 		for round := 0; round < 2; round++ {
-			dp, do := planned.Check(ctx, sel, args, sess, tr), oracle.Check(ctx, sel, args, sess, tr)
+			dp, do := planned.Check(ctx, sel, args, sess, tr), oracleDecide(ctx, oracle, sel, args, sess, tr, false)
 			got := fmt.Sprintf("%v %q %q", dp.Allowed, dp.Reason, dp.Views)
-			if want := fmt.Sprintf("%v %q %q", do.Allowed, do.Reason, do.Views); got != want {
+			want := fmt.Sprintf("%v %q %q", do.Allowed, do.Reason, do.Views)
+			switch {
+			case cond > 0 && dp.Allowed && !do.Allowed:
+				fail(fmt.Sprintf("bare-parameter statement loosened (round %d)", round), args, sess, got, want)
+			case cond > 0:
+				if do.Allowed && round == 0 {
+					stats.tightened++
+				}
+			case got != want:
 				fail(fmt.Sprintf("decisions (round %d)", round), args, sess, got, want)
 			}
 			dw, warm := planned.CheckWarmBorrowed(sel, args, sess)
@@ -423,7 +521,9 @@ func TestPlanParityGenerated(t *testing.T) {
 		stats.generalized < stats.calls/10,
 		stats.contradictions < stats.calls/100,
 		stats.cacheHits < stats.calls/2,
-		stats.warmHits < stats.calls/20:
+		stats.warmHits < stats.calls/20,
+		stats.bare < stats.calls/20,
+		stats.tightened < stats.calls/100:
 		t.Fatalf("generator is lopsided: %+v", stats)
 	}
 }
@@ -438,31 +538,65 @@ func FuzzPlanParity(f *testing.F) {
 	})
 }
 
-// TestPlanFallbackStatements: statements no plan expresses decide as the
-// oracle does, through the bind-then-translate path.
-func TestPlanFallbackStatements(t *testing.T) {
+// TestUnplannedStatementsBlock: a statement whose parameter form does
+// not translate blocks every call with the translation error, whatever
+// the values, and a call that lacks an argument blocks with Bind's
+// message. Neither binds nor translates per call: deciding a refused
+// statement again allocates nothing, and the inline probe misses it.
+func TestUnplannedStatementsBlock(t *testing.T) {
 	ctx := context.Background()
-	pol := calendarPolicy(t)
-	planned, oracle := New(pol), newOracleChecker(pol, Options{})
+	c := New(calendarPolicy(t))
+	sess := session(1)
 	for _, tc := range []struct {
-		sql      string
-		args     sqlparser.Args
-		fallback bool
+		sql    string
+		args   sqlparser.Args
+		reason string // "": Bind's error
 	}{
-		{"SELECT EId FROM Attendance WHERE UId = 1 AND ?", sqlparser.PositionalArgs(1), true}, // a bare parameter as a condition
-		{"SELECT EId FROM Attendance WHERE UId = 1 AND ?", sqlparser.PositionalArgs(0), true},
-		{"SELECT EId FROM Attendance WHERE Nope = 1", sqlparser.NoArgs, true}, // does not translate at all
-		{"SELECT EId FROM Attendance WHERE UId = 1 AND 1", sqlparser.NoArgs, false},
-		{"SELECT EId FROM Attendance WHERE UId = ? LIMIT ?", sqlparser.PositionalArgs(1), false}, // LIMIT's value is missing
+		// A bare parameter as a whole condition, true and false.
+		{"SELECT EId FROM Attendance WHERE UId = 1 AND ?", sqlparser.PositionalArgs(1),
+			"blocked conservatively: query outside the conjunctive fragment: condition ?"},
+		{"SELECT EId FROM Attendance WHERE UId = 1 AND ?", sqlparser.PositionalArgs(0),
+			"blocked conservatively: query outside the conjunctive fragment: condition ?"},
+		{"SELECT EId FROM Attendance WHERE Nope = 1", sqlparser.NoArgs,
+			"blocked conservatively: cq: unknown column .Nope"},
+		{"SELECT EId FROM Attendance WHERE UId = ? AND EId IS NULL", sqlparser.PositionalArgs(1),
+			"blocked conservatively: query outside the conjunctive fragment: IS NULL"},
+		// Planned, but LIMIT's value is missing.
+		{"SELECT EId FROM Attendance WHERE UId = ? LIMIT ?", sqlparser.PositionalArgs(1), ""},
 	} {
 		sel := sqlparser.MustParseSelect(tc.sql)
-		if got := planned.tr.Plan(sel).Fallback(); got != tc.fallback {
-			t.Errorf("%s: fallback plan = %v, want %v", tc.sql, got, tc.fallback)
+		if got := c.tr.Plan(sel).Refusal(); got != tc.reason {
+			t.Errorf("%s: plan refusal %q, want %q", tc.sql, got, tc.reason)
 		}
-		dp, do := planned.Check(ctx, sel, tc.args, session(1), nil), oracle.Check(ctx, sel, tc.args, session(1), nil)
-		if dp.Allowed != do.Allowed || dp.Reason != do.Reason || fmt.Sprint(dp.Views) != fmt.Sprint(do.Views) {
-			t.Errorf("%s %v:\nplan:   %+v\noracle: %+v", tc.sql, tc.args.Positional, dp, do)
+		want := tc.reason
+		if want == "" {
+			_, err := sqlparser.Bind(sel, tc.args)
+			if err == nil {
+				t.Fatalf("%s %v: Bind accepts the call", tc.sql, tc.args.Positional)
+			}
+			want = "bind: " + err.Error()
 		}
+		for round := 0; round < 2; round++ {
+			if d := c.Check(ctx, sel, tc.args, sess, nil); d.Allowed || d.Reason != want {
+				t.Errorf("%s %v (round %d): %+v, want blocked with %q", tc.sql, tc.args.Positional, round, d, want)
+			}
+		}
+		if d, ok := c.CheckWarmBorrowed(sel, tc.args, sess); ok {
+			t.Errorf("%s %v: the inline probe answered %+v", tc.sql, tc.args.Positional, d)
+		}
+		if tc.reason != "" {
+			if n := testing.AllocsPerRun(100, func() { c.Check(ctx, sel, tc.args, sess, nil) }); n != 0 {
+				t.Errorf("%s: deciding a refused statement again costs %v allocs/op, want 0", tc.sql, n)
+			}
+		}
+	}
+	// A literal condition is a value the parameter form can test: planned.
+	sel := sqlparser.MustParseSelect("SELECT EId FROM Attendance WHERE UId = 1 AND 1")
+	if r := c.tr.Plan(sel).Refusal(); r != "" {
+		t.Errorf("literal condition refused: %s", r)
+	}
+	if d := c.Check(ctx, sel, sqlparser.NoArgs, sess, nil); !d.Allowed {
+		t.Errorf("literal condition: %+v", d)
 	}
 }
 
@@ -548,7 +682,7 @@ func TestPlansSurvivePolicyLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range queries { // shadow traffic warms the candidate's epoch
-		long.CheckShadow(ctx, sels[i], q.args, session(1), tr)
+		long.CheckShadowBorrowed(ctx, sels[i], q.args, session(1), tr)
 	}
 	compare("staged", v1)
 	if _, err := long.Rollback(); err != nil {
@@ -606,7 +740,7 @@ func TestPlanFirstUseConcurrent(t *testing.T) {
 			t.Error(e)
 		}
 		for _, sel := range sels {
-			if p := c.tr.Plan(sel); p != c.tr.Plan(sel) || p.Fallback() {
+			if p := c.tr.Plan(sel); p != c.tr.Plan(sel) || p.Refusal() != "" {
 				t.Fatalf("unstable plan for %s", sel.SQL())
 			}
 		}

@@ -51,7 +51,7 @@ func classifyShadow(active, shadow Decision) (bool, string) {
 	return true, DivergeLoosen
 }
 
-// CheckShadow decides one query under the active AND the staged
+// CheckShadowBorrowed decides one query under the active AND the staged
 // candidate policy, returning both verdicts. The active half counts
 // into the checker's decision counters exactly like Check; the shadow
 // half is advisory and deliberately kept out of allowed/blocked
@@ -61,30 +61,20 @@ func classifyShadow(active, shadow Decision) (bool, string) {
 // candidate's cache tiers already hot. ok is false (and only the
 // active half is decided) when no candidate is staged.
 //
-// The returned Decisions are caller-owned (Views copied), matching
-// Check.
-func (c *Checker) CheckShadow(ctx context.Context, sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace) (ShadowDecision, bool) {
-	return c.checkShadow(ctx, sel, args, session, tr, false)
-}
-
-// CheckShadowBorrowed is CheckShadow under the borrowed-Decision
-// contract of CheckBorrowed: both halves' Views may alias cache-owned
-// storage. The proxy's dual-decide hot path uses this form.
+// Both Decisions follow the borrowed contract of CheckBorrowed: their
+// Views may alias cache-owned storage. The proxy's dual-decide hot path
+// reads them only.
 func (c *Checker) CheckShadowBorrowed(ctx context.Context, sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace) (ShadowDecision, bool) {
-	return c.checkShadow(ctx, sel, args, session, tr, true)
-}
-
-func (c *Checker) checkShadow(ctx context.Context, sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace, borrow bool) (ShadowDecision, bool) {
 	// One load pins a consistent (active, candidate) pair for the whole
 	// dual-decide: a concurrent promote/rollback affects the next
 	// query, never tears this one.
 	vt := c.vers.Load()
 	var sd ShadowDecision
-	sd.Active = c.countDecision(c.decideVersion(ctx, vt.active, sel, args, session, tr, borrow))
+	sd.Active = c.countDecision(c.decideVersion(ctx, vt.active, sel, args, session, tr, true))
 	if vt.candidate == nil {
 		return sd, false
 	}
-	sd.Shadow = c.decideVersion(ctx, vt.candidate, sel, args, session, tr, borrow)
+	sd.Shadow = c.decideVersion(ctx, vt.candidate, sel, args, session, tr, true)
 	sd.Diverged, sd.Kind = classifyShadow(sd.Active, sd.Shadow)
 	return sd, true
 }

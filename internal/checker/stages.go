@@ -19,7 +19,6 @@ package checker
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -41,8 +40,8 @@ import (
 type decideState struct {
 	c *Checker
 	// ver is the policy version this decision is pinned to: the active
-	// version for Check*, either half's version for CheckShadow. Every
-	// cache key the stages build embeds ver.epoch.
+	// version for Check*, either half's version for CheckShadowBorrowed.
+	// Every cache key the stages build embeds ver.epoch.
 	ver *polVersion
 
 	// Inputs.
@@ -57,22 +56,15 @@ type decideState struct {
 
 	// The statement's plan and this call's slot vector (stage "bind"):
 	// raw values, and the term each is written as — the constant, or the
-	// session attribute's parameter it equals. plan is nil for a
-	// statement no plan expresses, whose templates bind-then-translate
-	// built.
+	// session attribute's parameter it equals.
 	plan *cq.StmtPlan
 	raw  []sqlvalue.Value
 	gen  []cq.Term
 
 	// Parameter-generic query templates: instantiated from the plan the
-	// first time a stage has to search (a cache hit never builds them),
-	// or translated by the bind stage for a fallback statement.
+	// first time a stage has to search (a cache hit never builds them).
 	tpl  []*cq.Query
 	inst cq.Instantiation
-
-	// occ holds a fallback statement's per-disjunct censuses, which a
-	// plan precomputes.
-	occ []cq.Census
 
 	// hfDenied marks a denial the history-free stage decided cold, left
 	// in d: with no facts it is the verdict, whether or not the cache
@@ -283,28 +275,13 @@ func (st *decideState) coverScratch() *coverScratch {
 // on first use. Warm decisions (histfree and template hits) never
 // reach a caller of this.
 func (st *decideState) templates() []*cq.Query {
-	if st.tpl == nil && st.plan != nil {
+	if st.tpl == nil {
 		st.tpl = st.plan.Instantiate(&st.inst, st.raw, st.gen)
 	}
 	return st.tpl
 }
 
-// occs returns the per-disjunct occurrence censuses: the plan's, or for
-// a fallback statement taken from its templates on first use.
-func (st *decideState) occs() []cq.Census {
-	if st.plan != nil {
-		return st.plan.Census()
-	}
-	if st.occ == nil {
-		st.occ = make([]cq.Census, len(st.tpl))
-		for i, q := range st.tpl {
-			st.occ[i].Build(q)
-		}
-	}
-	return st.occ
-}
-
-// Decision-cache keys. Layout: the deciding epoch (8 bytes), the
+// Decision-cache keys. Layout: the deciding epoch (8 bytes), 'P', the
 // template's identity, '#', the sorted generalized fact keys. Every
 // variable-length component is behind its length, so two different
 // component lists never render to the same bytes, and the cache's maps
@@ -313,30 +290,22 @@ func (st *decideState) occs() []cq.Census {
 // key, by design: a template decided without facts IS its decision for
 // an empty history.
 //
-// A planned statement's template identity is its plan's shape, each
-// slot as written into the template (the session attribute's parameter,
-// or the value), and the outcomes of the plan's ground steps — which is
-// everything Instantiate's result depends on. A fallback statement's is
-// the canonical rendering of its translated templates.
+// The template's identity is its plan's shape, each slot as written
+// into the template (the session attribute's parameter, or the value),
+// and the outcomes of the plan's ground steps — which is everything
+// Instantiate's result depends on.
 func (st *decideState) appendCacheKey(buf []byte, factKeys []string) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, st.ver.epoch)
-	if st.plan != nil {
-		buf = append(buf, 'P')
-		buf = binary.BigEndian.AppendUint64(buf, st.plan.Shape)
-		for i, t := range st.gen {
-			if t.IsParam() {
-				buf = appendFramed(buf, "p", t.Param)
-			} else {
-				buf = appendKeyed(buf, st.raw[i])
-			}
-		}
-		buf = st.plan.AppendOutcomes(buf, st.raw)
-	} else {
-		buf = append(buf, 'C')
-		for _, q := range st.tpl {
-			buf = appendFramed(buf, "", q.CanonicalKey())
+	buf = append(buf, 'P')
+	buf = binary.BigEndian.AppendUint64(buf, st.plan.Shape)
+	for i, t := range st.gen {
+		if t.IsParam() {
+			buf = appendFramed(buf, "p", t.Param)
+		} else {
+			buf = appendKeyed(buf, st.raw[i])
 		}
 	}
+	buf = st.plan.AppendOutcomes(buf, st.raw)
 	buf = append(buf, '#')
 	for _, k := range factKeys {
 		buf = appendFramed(buf, "", k)
@@ -377,9 +346,9 @@ func (c *Checker) decide(ctx context.Context, sel *sqlparser.SelectStmt, args sq
 }
 
 // decideVersion runs the stage table pinned to one policy version.
-// CheckShadow calls it twice on the same inputs — once with the active
-// version, once with the candidate — so both halves run the identical
-// stages and warm the same caches under their own epochs.
+// CheckShadowBorrowed calls it twice on the same inputs — once with the
+// active version, once with the candidate — so both halves run the
+// identical stages and warm the same caches under their own epochs.
 func (c *Checker) decideVersion(ctx context.Context, ver *polVersion, sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace, borrow bool) Decision {
 	st := decidePool.Get().(*decideState)
 	st.c = c
@@ -427,69 +396,41 @@ func (c *Checker) CheckCold(ctx context.Context, sel *sqlparser.SelectStmt, args
 // attribute's parameter when the value equals one (the decision
 // template: one cold decision serves every principal). Nothing is
 // translated or copied here; templates() instantiates only if a later
-// stage has to search. A statement without a plan is bound and
-// translated as the plan's compile did it once, and missing arguments
-// block with Bind's own message. A canceled decision aborts here,
-// before any work.
+// stage has to search. A call that lacks an argument blocks with Bind's
+// own message, and a statement whose plan is refused blocks with the
+// plan's reason. A canceled decision aborts here, before any work.
 func stageBind(ctx context.Context, st *decideState) outcome {
 	if ctx.Err() != nil {
 		st.d = canceledDecision(ctx)
 		return outAbort
 	}
-	if plan := st.c.tr.Plan(st.sel); plan.Fallback() || !st.bindPlan(plan) {
-		return bindTranslate(st)
+	plan := st.c.tr.Plan(st.sel)
+	if err := st.bindPlan(plan); err != nil {
+		st.d = Decision{Reason: "bind: " + err.Error()}
+		return outDone
+	}
+	if r := plan.Refusal(); r != "" {
+		st.d = Decision{Reason: r}
+		return outDone
 	}
 	return outNext
 }
 
-// bindPlan fills the slot vector from a planned statement and reports
-// whether the call supplied every slot; on false the state holds no
+// bindPlan fills the slot vector from the statement's plan, failing with
+// Bind's error when the call lacks an argument; then the state holds no
 // plan.
-func (st *decideState) bindPlan(plan *cq.StmtPlan) bool {
-	raw, ok := plan.Resolve(st.raw, st.args, st.session)
+func (st *decideState) bindPlan(plan *cq.StmtPlan) error {
+	raw, err := plan.Resolve(st.raw, st.args, st.session)
 	st.raw = raw
-	if !ok {
-		return false
+	if err != nil {
+		return err
 	}
 	st.plan = plan
 	st.gen = st.gen[:0]
 	for _, v := range raw {
 		st.gen = append(st.gen, generalized(st.attrNames(), st.session, v))
 	}
-	return true
-}
-
-// bindTranslate is the path plans replaced, kept for the statements a
-// plan cannot express and for the block reason of a call that lacks an
-// argument: bind a copy of the AST, translate it, generalize constants.
-// The plan differential tests use it as their oracle.
-func bindTranslate(st *decideState) outcome {
-	args := st.args
-	if len(st.session) > 0 {
-		merged := make(map[string]sqlvalue.Value, len(args.Named)+len(st.session))
-		for k, v := range st.session {
-			merged[k] = v
-		}
-		for k, v := range args.Named {
-			merged[k] = v
-		}
-		args = sqlparser.Args{Positional: args.Positional, Named: merged}
-	}
-	bound, err := sqlparser.Bind(st.sel, args)
-	if err != nil {
-		st.d = Decision{Reason: fmt.Sprintf("bind: %v", err)}
-		return outDone
-	}
-	ucq, err := st.c.tr.TranslateSelect(bound.(*sqlparser.SelectStmt))
-	if err != nil {
-		st.d = Decision{Reason: fmt.Sprintf("blocked conservatively: %v", err)}
-		return outDone
-	}
-	st.tpl = make([]*cq.Query, len(ucq))
-	for i, q := range ucq {
-		st.tpl[i] = generalizeConsts(q, st.session)
-	}
-	return outNext
+	return nil
 }
 
 // stageHistFree is the history-free tier of the decision cache.
@@ -517,7 +458,7 @@ func stageHistFree(ctx context.Context, st *decideState) outcome {
 		}
 		return outNext // denial marker: the template needs facts
 	}
-	d := c.coverAll(ctx, st.ver.comp, st.templates(), st.occs(), nil, st.coverScratch())
+	d := c.coverAll(ctx, st.ver.comp, st.templates(), st.plan.Census(), nil, st.coverScratch())
 	if ctx.Err() != nil {
 		st.d = canceledDecision(ctx)
 		return outAbort
@@ -601,7 +542,7 @@ func stageTemplate(ctx context.Context, st *decideState) outcome {
 // stageCover runs the policy-coverage decision procedure — the
 // expensive embedding search — against the facts.
 func stageCover(ctx context.Context, st *decideState) outcome {
-	st.d = st.c.coverAll(ctx, st.ver.comp, st.templates(), st.occs(), st.facts, st.coverScratch())
+	st.d = st.c.coverAll(ctx, st.ver.comp, st.templates(), st.plan.Census(), st.facts, st.coverScratch())
 	if ctx.Err() != nil {
 		st.d = canceledDecision(ctx)
 		return outAbort

@@ -123,7 +123,7 @@ func (c *Checker) SetActivePolicy(p *policy.Policy) (PolicyVersion, bool, error)
 }
 
 // StagePolicy compiles p and stages it as the candidate policy. Every
-// subsequent CheckShadow (and the proxy's dual-decide path) decides
+// subsequent CheckShadowBorrowed (the proxy's dual-decide path) decides
 // under both versions; the active version keeps enforcing. Staging
 // replaces any previously staged candidate. The candidate must share
 // the active policy's schema (same application); policies over a

@@ -102,7 +102,7 @@ func TestShadowDivergenceTighten(t *testing.T) {
 	// V2 allows the join under the active policy; the narrow candidate
 	// (V1 only) blocks it.
 	sel := sqlparser.MustParseSelect("SELECT e.Title FROM Events e JOIN Attendance a ON e.EId = a.EId WHERE a.UId = 1")
-	sd, staged := c.CheckShadow(context.Background(), sel, sqlparser.NoArgs, session(1), nil)
+	sd, staged := c.CheckShadowBorrowed(context.Background(), sel, sqlparser.NoArgs, session(1), nil)
 	if !staged {
 		t.Fatal("candidate is staged; CheckShadow must report it")
 	}
@@ -121,7 +121,7 @@ func TestShadowDivergenceLoosen(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := sqlparser.MustParseSelect("SELECT Title FROM Events")
-	sd, staged := c.CheckShadow(context.Background(), sel, sqlparser.NoArgs, session(1), nil)
+	sd, staged := c.CheckShadowBorrowed(context.Background(), sel, sqlparser.NoArgs, session(1), nil)
 	if !staged {
 		t.Fatal("candidate is staged; CheckShadow must report it")
 	}
@@ -140,7 +140,7 @@ func TestShadowAgreementNoDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := sqlparser.MustParseSelect("SELECT EId FROM Attendance WHERE UId = 1")
-	sd, _ := c.CheckShadow(context.Background(), sel, sqlparser.NoArgs, session(1), nil)
+	sd, _ := c.CheckShadowBorrowed(context.Background(), sel, sqlparser.NoArgs, session(1), nil)
 	if !sd.Active.Allowed || !sd.Shadow.Allowed || sd.Diverged || sd.Kind != "" {
 		t.Fatalf("both policies allow; no divergence expected: %+v", sd)
 	}
@@ -157,7 +157,7 @@ func TestShadowEpochTagging(t *testing.T) {
 	}
 	active, _ := c.Versions()
 	sel := sqlparser.MustParseSelect("SELECT EId FROM Attendance WHERE UId = 1")
-	sd, _ := c.CheckShadow(context.Background(), sel, sqlparser.NoArgs, session(1), nil)
+	sd, _ := c.CheckShadowBorrowed(context.Background(), sel, sqlparser.NoArgs, session(1), nil)
 	if sd.Active.Epoch != active.Epoch {
 		t.Fatalf("active verdict epoch %d != active version epoch %d", sd.Active.Epoch, active.Epoch)
 	}
@@ -182,8 +182,8 @@ func TestPromoteServesShadowWarmedCache(t *testing.T) {
 	// warmed (the history-free tier engages for trace-carrying checks).
 	tr := &trace.Trace{}
 	sel := sqlparser.MustParseSelect("SELECT EId FROM Attendance WHERE UId = 1")
-	c.CheckShadow(context.Background(), sel, sqlparser.NoArgs, session(1), tr)
-	c.CheckShadow(context.Background(), sel, sqlparser.NoArgs, session(1), tr)
+	c.CheckShadowBorrowed(context.Background(), sel, sqlparser.NoArgs, session(1), tr)
+	c.CheckShadowBorrowed(context.Background(), sel, sqlparser.NoArgs, session(1), tr)
 
 	pv, err := c.Promote()
 	if err != nil {
@@ -243,7 +243,7 @@ func TestLifecycleErrors(t *testing.T) {
 		t.Fatal("staging a policy over a different schema object must be rejected")
 	}
 	sel := sqlparser.MustParseSelect("SELECT EId FROM Attendance WHERE UId = 1")
-	if sd, staged := c.CheckShadow(context.Background(), sel, sqlparser.NoArgs, session(1), nil); staged {
+	if sd, staged := c.CheckShadowBorrowed(context.Background(), sel, sqlparser.NoArgs, session(1), nil); staged {
 		t.Fatal("CheckShadow without a candidate must report staged=false")
 	} else if !sd.Active.Allowed {
 		t.Fatal("active half must still decide when nothing is staged")
@@ -268,7 +268,7 @@ func TestShadowWithHistoryTrace(t *testing.T) {
 	// Example 2.1's Q2: allowed under active (V2 + history), blocked by
 	// the V1-only candidate.
 	sel := sqlparser.MustParseSelect("SELECT * FROM Events WHERE EId=2")
-	sd, staged := c.CheckShadow(context.Background(), sel, sqlparser.NoArgs, session(1), tr)
+	sd, staged := c.CheckShadowBorrowed(context.Background(), sel, sqlparser.NoArgs, session(1), tr)
 	if !staged {
 		t.Fatal("candidate is staged")
 	}

@@ -17,6 +17,16 @@ import (
 
 const warmSQL = "SELECT EId FROM Attendance WHERE UId = ?"
 
+// checkSQLBorrowed is the proxy-facing decide path: a parse-cache hit,
+// then CheckBorrowed.
+func checkSQLBorrowed(ctx context.Context, c *Checker, sql string, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace) (Decision, error) {
+	sel, err := sqlparser.ParseSelectCached(sql)
+	if err != nil {
+		return Decision{}, err
+	}
+	return c.CheckBorrowed(ctx, sel, args, session, tr), nil
+}
+
 // warmChecker returns a checker whose caches are primed so that the
 // named tier answers warmSQL for principal 1.
 func warmChecker(tb testing.TB) (*Checker, *trace.Trace) {
@@ -49,13 +59,13 @@ func BenchmarkWarmDecideHistFree(b *testing.B) {
 		argv[i] = sqlparser.PositionalArgs(uid)
 	}
 	// Prime the history-free template with one cold decision.
-	if d, err := c.CheckSQLBorrowed(ctx, warmSQL, argv[b.N], sessions[b.N], tr); err != nil || !d.Allowed {
+	if d, err := checkSQLBorrowed(ctx, c, warmSQL, argv[b.N], sessions[b.N], tr); err != nil || !d.Allowed {
 		b.Fatalf("prime: %+v %v", d, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := c.CheckSQLBorrowed(ctx, warmSQL, argv[i], sessions[i], tr)
+		d, err := checkSQLBorrowed(ctx, c, warmSQL, argv[i], sessions[i], tr)
 		if err != nil || !d.Allowed {
 			b.Fatalf("%+v %v", d, err)
 		}
@@ -75,16 +85,16 @@ func BenchmarkWarmDecideRepeat(b *testing.B) {
 	ctx := context.Background()
 	args := sqlparser.PositionalArgs(1)
 	sess := session(1)
-	if d, err := c.CheckSQLBorrowed(ctx, warmSQL, args, sess, tr); err != nil || !d.Allowed {
+	if d, err := checkSQLBorrowed(ctx, c, warmSQL, args, sess, tr); err != nil || !d.Allowed {
 		b.Fatalf("prime: %+v %v", d, err)
 	}
-	if d, _ := c.CheckSQLBorrowed(ctx, warmSQL, args, sess, tr); d.Tier != TierHistFree {
+	if d, _ := checkSQLBorrowed(ctx, c, warmSQL, args, sess, tr); d.Tier != TierHistFree {
 		b.Fatalf("prime: want histfree tier, got %+v", d)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := c.CheckSQLBorrowed(ctx, warmSQL, args, sess, tr)
+		d, err := checkSQLBorrowed(ctx, c, warmSQL, args, sess, tr)
 		if err != nil || !d.Allowed {
 			b.Fatalf("%+v %v", d, err)
 		}
@@ -125,16 +135,16 @@ func BenchmarkWarmDecideTemplate(b *testing.B) {
 	ctx := context.Background()
 	const sql = "SELECT * FROM Events WHERE EId=2"
 	sess := session(1)
-	if d, err := c.CheckSQLBorrowed(ctx, sql, sqlparser.NoArgs, sess, tr); err != nil || !d.Allowed {
+	if d, err := checkSQLBorrowed(ctx, c, sql, sqlparser.NoArgs, sess, tr); err != nil || !d.Allowed {
 		b.Fatalf("prime: %+v %v", d, err)
 	}
-	if d, _ := c.CheckSQLBorrowed(ctx, sql, sqlparser.NoArgs, sess, tr); d.Tier != TierTemplate {
+	if d, _ := checkSQLBorrowed(ctx, c, sql, sqlparser.NoArgs, sess, tr); d.Tier != TierTemplate {
 		b.Fatalf("prime: want template tier, got %+v", d)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := c.CheckSQLBorrowed(ctx, sql, sqlparser.NoArgs, sess, tr)
+		d, err := checkSQLBorrowed(ctx, c, sql, sqlparser.NoArgs, sess, tr)
 		if err != nil || !d.Allowed {
 			b.Fatalf("%+v %v", d, err)
 		}

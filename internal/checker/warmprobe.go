@@ -25,22 +25,23 @@ import (
 // borrowed-Views contract of CheckBorrowed (the Views slice may alias
 // cache storage; treat it as read-only) and is counted exactly like a
 // history-free hit through the full path (decisions, allowed, cache
-// and histfree-hit counters). A statement with no compiled plan, a
-// fallback plan, a call the plan cannot bind, an absent entry and a
-// denial marker are all misses. A miss performs NO cold work — not even
+// and histfree-hit counters). A statement with no compiled plan, a call
+// the plan cannot bind, an absent entry and a denial marker are all
+// misses; so is a refused plan, whose shape 0 no decision is stored
+// under. A miss performs NO cold work — not even
 // compiling a plan — bumps NO counters (the caller is expected to
 // re-issue the check through CheckBorrowed, which counts the miss
 // itself) and stores nothing.
 func (c *Checker) CheckWarmBorrowed(sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value) (Decision, bool) {
 	plan := c.tr.CachedPlan(sel)
-	if plan == nil || plan.Fallback() {
+	if plan == nil {
 		return Decision{}, false
 	}
 	ver := c.vers.Load().active
 	st := decidePool.Get().(*decideState)
 	st.c, st.ver, st.sel, st.args, st.session = c, ver, sel, args, session
 	var d Decision
-	ok := st.bindPlan(plan)
+	ok := st.bindPlan(plan) == nil
 	if ok {
 		st.keyBuf = st.appendCacheKey(st.keyBuf[:0], nil)
 		d, ok = c.cache.GetBytes(st.keyBuf, false)

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"sort"
 	"strings"
 
@@ -12,9 +13,17 @@ import (
 // Parameters must be bound beforehand (BindParams); unbound parameters
 // never match any value.
 func Evaluate(q *Query, inst Instance) [][]sqlvalue.Value {
+	return EvaluateCtx(context.Background(), q, inst)
+}
+
+// EvaluateCtx is Evaluate that gives up once ctx is done, checking it
+// every 1024 candidate tuples. The answer of an evaluation that gave up
+// is partial: callers tell by ctx.Err and must not use it.
+func EvaluateCtx(ctx context.Context, q *Query, inst Instance) [][]sqlvalue.Value {
 	var out [][]sqlvalue.Value
 	seen := make(map[string]bool)
 	bind := make(map[string]sqlvalue.Value)
+	steps, stop := 0, false
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(q.Atoms) {
@@ -38,6 +47,12 @@ func Evaluate(q *Query, inst Instance) [][]sqlvalue.Value {
 		}
 		a := q.Atoms[i]
 		for _, tuple := range inst[a.Table] {
+			if steps++; steps&1023 == 0 && ctx.Err() != nil {
+				stop = true
+			}
+			if stop {
+				return
+			}
 			if len(tuple) != len(a.Args) {
 				continue
 			}

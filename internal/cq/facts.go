@@ -26,7 +26,7 @@ import (
 type srcKind uint8
 
 const (
-	fromTerm srcKind = iota // the term itself: a constant, or a negative pattern's variable
+	fromTerm srcKind = iota // the term itself: a negative pattern's variable
 	fromSlot                // the call's value of a slot
 	fromCol                 // the row's value in a result column
 )
@@ -39,13 +39,10 @@ type termSrc struct {
 }
 
 func (s termSrc) value(raw, row []sqlvalue.Value) sqlvalue.Value {
-	switch s.kind {
-	case fromSlot:
+	if s.kind == fromSlot {
 		return raw[s.idx]
-	case fromCol:
-		return row[s.idx]
 	}
-	return s.term.Const
+	return row[s.idx]
 }
 
 func (s termSrc) ground(raw, row []sqlvalue.Value) Term {
@@ -71,7 +68,7 @@ func (a *extAtom) build(raw, row []sqlvalue.Value) Atom {
 
 // colCheck is a test every row must pass: its value in col is Identical
 // to want's — the previous column of a repeated head variable, or the
-// value a head slot or constant stands for.
+// value a head slot stands for.
 type colCheck struct {
 	col  int32
 	want termSrc
@@ -95,41 +92,23 @@ type FactExtractor struct {
 }
 
 // Facts returns the statement's fact extractor, nil when no answer to
-// it can yield a fact (a fallback plan has none: see BoundFacts).
+// it can yield a fact (a refused plan's answers yield none).
 func (p *StmtPlan) Facts() *FactExtractor { return p.facts }
 
 // ReadsRows reports whether the facts of an answer depend on its rows,
-// not only on their count: a fallback plan's may (its extractor is
-// compiled per call), and so do an extractor's positive atoms. An
-// answer to any other statement may be recorded by its row count alone.
+// not only on their count: they do when the extractor has positive
+// atoms. An answer to any other statement may be recorded by its row
+// count alone.
 func (p *StmtPlan) ReadsRows() bool {
-	return p.Fallback() || p.facts != nil && len(p.facts.atoms) > 0
+	return p.facts != nil && len(p.facts.atoms) > 0
 }
 
 // limited reports a LIMIT or OFFSET: a result it can cut short says
 // nothing about the rows it does not show.
 func limited(sel *sqlparser.SelectStmt) bool { return sel.Limit != nil || sel.Offset != nil }
 
-// BoundFacts binds args into sel, translates it and compiles the
-// extractor of the result: what deriving facts from a fallback plan's
-// statement takes, per call. Nil when binding or translation fails, or
-// when the result yields no fact.
-func (tr *Translator) BoundFacts(sel *sqlparser.SelectStmt, args sqlparser.Args) *FactExtractor {
-	bound, err := sqlparser.Bind(sel, args)
-	if err != nil {
-		return nil
-	}
-	b := bound.(*sqlparser.SelectStmt)
-	ucq, err := tr.TranslateSelect(b)
-	if err != nil || len(ucq) != 1 {
-		return nil // outside the fragment, or disjunctive: no branch is known to have matched
-	}
-	return compileFacts(ucq[0], limited(b))
-}
-
-// compileFacts compiles the extractor of one disjunct: a plan template,
-// whose value sites are slots, or a bound translation, whose values are
-// constants.
+// compileFacts compiles the extractor of one plan template, whose
+// value sites are all slots.
 func compileFacts(q *Query, limited bool) *FactExtractor {
 	if q.AggApprox {
 		// An aggregate's answer does not expose the rows it was computed
@@ -142,36 +121,28 @@ func compileFacts(q *Query, limited bool) *FactExtractor {
 	cols := make(map[string]int32)
 	for i, h := range q.Head {
 		at := int32(i)
-		switch s := slotOf(h); {
-		case s >= 0:
+		if s := slotOf(h); s >= 0 {
 			x.checks = append(x.checks, colCheck{col: at, want: termSrc{kind: fromSlot, idx: s}})
-		case h.IsConst():
-			x.checks = append(x.checks, colCheck{col: at, want: termSrc{term: h}})
-		case h.IsVar():
-			if prev, ok := cols[h.Var]; ok {
-				x.checks = append(x.checks, colCheck{col: at, want: termSrc{kind: fromCol, idx: prev}})
-			}
-			cols[h.Var] = at
+			continue
 		}
+		if prev, ok := cols[h.Var]; ok {
+			x.checks = append(x.checks, colCheck{col: at, want: termSrc{kind: fromCol, idx: prev}})
+		}
+		cols[h.Var] = at
 	}
 next:
 	for _, a := range q.Atoms {
 		ea := extAtom{table: a.Table, args: make([]termSrc, len(a.Args))}
 		for i, t := range a.Args {
-			switch s := slotOf(t); {
-			case s >= 0:
+			if s := slotOf(t); s >= 0 {
 				ea.args[i] = termSrc{kind: fromSlot, idx: s}
-			case t.IsConst():
-				ea.args[i] = termSrc{term: t}
-			case t.IsVar():
-				c, ok := cols[t.Var]
-				if !ok {
-					continue next // the row does not show it
-				}
-				ea.args[i] = termSrc{kind: fromCol, idx: c}
-			default:
-				continue next // a parameter no value was given for
+				continue
 			}
+			c, ok := cols[t.Var]
+			if !ok {
+				continue next // the row does not show it
+			}
+			ea.args[i] = termSrc{kind: fromCol, idx: c}
 		}
 		x.atoms = append(x.atoms, ea)
 	}
@@ -214,7 +185,7 @@ func negPattern(q *Query) (*extAtom, []slotComp) {
 }
 
 // AppendFacts appends to dst the facts one answer yields: raw are the
-// call's slot values (StmtPlan.Resolve; nil for a BoundFacts extractor),
+// call's slot values (StmtPlan.Resolve),
 // rows the answer's rows that were kept and omitted the count of those
 // that were not. An answer is empty only when it had no row at all, kept
 // or not. A nil extractor yields nothing.

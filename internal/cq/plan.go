@@ -27,10 +27,11 @@ package cq
 // ground comparison between the two): equal values in two slots change
 // nothing but which of two identical constants is written.
 //
-// A statement the parameter form cannot be translated for (a bare
-// parameter used as a whole condition, anything outside the fragment)
-// gets a fallback plan, and its callers bind and translate per call as
-// before; the choice is the statement's, there is no switch.
+// A statement whose parameter form does not translate (anything
+// outside the fragment, and a bare parameter used as a whole condition,
+// whatever its value) gets a refused plan: it keeps the translation
+// error, and every call of the statement is blocked with it. Nothing is
+// bound or translated per call, for any statement.
 
 import (
 	"slices"
@@ -123,12 +124,15 @@ type StmtPlan struct {
 	Shape uint64
 
 	slots []slotSource
-	// What Bind would demand of the arguments, slots or not (a LIMIT ?
-	// has no slot and still needs its value).
-	needPos    int
-	extraNamed []string
+	// params are the statement's distinct parameters in the order Bind
+	// meets them: what a call must supply, slots or not (a LIMIT ? has no
+	// slot and still needs its value).
+	params []sqlparser.Param
+	// refusal is the block reason of every call of a statement whose
+	// parameter form does not translate; such a plan has no templates.
+	refusal string
 
-	disj   []planDisjunct // nil: fallback
+	disj   []planDisjunct
 	census []Census       // parallel to disj
 	facts  *FactExtractor // nil: no answer yields a fact (facts.go)
 	// Arena sizes of one instantiation.
@@ -152,9 +156,11 @@ type planDisjunct struct {
 	slotted bool // some comparison has a slot side
 }
 
-// Fallback reports that the statement has no templates: bind and
-// translate it per call.
-func (p *StmtPlan) Fallback() bool { return p.disj == nil }
+// Refusal returns the reason every call of the statement is blocked
+// with when its parameter form does not translate: "blocked
+// conservatively: " and the translation error. It is empty for a
+// statement with templates.
+func (p *StmtPlan) Refusal() string { return p.refusal }
 
 // Disjuncts is the number of templates an instantiation yields.
 func (p *StmtPlan) Disjuncts() int { return len(p.disj) }
@@ -177,7 +183,8 @@ func (tr *Translator) CachedPlan(sel *sqlparser.SelectStmt) *StmtPlan {
 // are keyed by the statement pointer — sqlparser's parse cache hands out
 // one shared statement per SQL text — and the entry keeps the statement
 // alive, so an address cannot be reused while its plan is cached. A
-// statement parsed outside that cache is planned on every call.
+// statement parsed outside that cache is planned on every call. A
+// refused plan has shape 0, which no planned statement shares.
 func (tr *Translator) Plan(sel *sqlparser.SelectStmt) *StmtPlan {
 	if p := tr.CachedPlan(sel); p != nil {
 		return p
@@ -200,18 +207,20 @@ func (tr *Translator) Plan(sel *sqlparser.SelectStmt) *StmtPlan {
 			break
 		}
 	}
-	if len(tr.shapes) >= planCacheMax {
-		// Ids only ever grow, so a shape interned again after this gets a
-		// new one: its older plans stop sharing with it, nothing collides.
-		tr.shapes = make(map[string]uint64)
+	if p.refusal == "" {
+		if len(tr.shapes) >= planCacheMax {
+			// Ids only ever grow, so a shape interned again after this gets a
+			// new one: its older plans stop sharing with it, nothing collides.
+			tr.shapes = make(map[string]uint64)
+		}
+		id, ok := tr.shapes[shape]
+		if !ok {
+			tr.nextShape++
+			id = tr.nextShape
+			tr.shapes[shape] = id
+		}
+		p.Shape = id
 	}
-	id, ok := tr.shapes[shape]
-	if !ok {
-		tr.nextShape++
-		id = tr.nextShape
-		tr.shapes[shape] = id
-	}
-	p.Shape = id
 	tr.plans[sel] = p
 	return p
 }
@@ -221,6 +230,11 @@ func (tr *Translator) Plan(sel *sqlparser.SelectStmt) *StmtPlan {
 // their placeholders: the shape's identity.
 func (tr *Translator) compilePlan(sel *sqlparser.SelectStmt) (*StmtPlan, string) {
 	p := &StmtPlan{}
+	for _, prm := range sqlparser.Params(sel) {
+		if !slices.ContainsFunc(p.params, func(q sqlparser.Param) bool { return q.Name == prm.Name && q.Index == prm.Index }) {
+			p.params = append(p.params, *prm)
+		}
+	}
 	st := &slotTable{
 		lits:  make(map[*sqlparser.Literal]int),
 		pos:   make(map[int]int),
@@ -228,16 +242,10 @@ func (tr *Translator) compilePlan(sel *sqlparser.SelectStmt) (*StmtPlan, string)
 	}
 	ucq, err := tr.translateSelect(sel, st)
 	if err != nil {
+		p.refusal = "blocked conservatively: " + err.Error()
 		return p, ""
 	}
 	p.slots = st.slots
-	for _, prm := range sqlparser.Params(sel) {
-		if prm.Name == "" {
-			p.needPos = max(p.needPos, prm.Index+1)
-		} else if _, ok := st.named[prm.Name]; !ok && !slices.Contains(p.extraNamed, prm.Name) {
-			p.extraNamed = append(p.extraNamed, prm.Name)
-		}
-	}
 	var shape strings.Builder
 	p.disj = make([]planDisjunct, len(ucq))
 	p.census = make([]Census, len(ucq))
@@ -277,13 +285,10 @@ func (tr *Translator) compilePlan(sel *sqlparser.SelectStmt) (*StmtPlan, string)
 // Resolve fills dst with the slot values for one call: literals from
 // the statement, positional values from args, named ones from
 // args.Named and then defaults (the checker passes the session, whose
-// attributes a query may name). ok is false exactly when sqlparser.Bind
-// would fail on the same arguments.
-func (p *StmtPlan) Resolve(dst []sqlvalue.Value, args sqlparser.Args, defaults map[string]sqlvalue.Value) ([]sqlvalue.Value, bool) {
+// attributes a query may name). It fails exactly when sqlparser.Bind
+// fails on the same arguments, with Bind's error.
+func (p *StmtPlan) Resolve(dst []sqlvalue.Value, args sqlparser.Args, defaults map[string]sqlvalue.Value) ([]sqlvalue.Value, error) {
 	dst = dst[:0]
-	if len(args.Positional) < p.needPos {
-		return dst, false
-	}
 	named := func(name string) (sqlvalue.Value, bool) {
 		v, ok := args.Named[name]
 		if !ok {
@@ -291,9 +296,14 @@ func (p *StmtPlan) Resolve(dst []sqlvalue.Value, args sqlparser.Args, defaults m
 		}
 		return v, ok
 	}
-	for _, name := range p.extraNamed {
-		if _, ok := named(name); !ok {
-			return dst, false
+	for i := range p.params {
+		prm := &p.params[i]
+		ok := prm.Index < len(args.Positional)
+		if prm.Name != "" {
+			_, ok = named(prm.Name)
+		}
+		if !ok {
+			return dst, (*sqlparser.NoValueError)(prm)
 		}
 	}
 	for i := range p.slots {
@@ -303,14 +313,11 @@ func (p *StmtPlan) Resolve(dst []sqlvalue.Value, args sqlparser.Args, defaults m
 		case slotPositional:
 			dst = append(dst, args.Positional[s.index])
 		default:
-			v, ok := named(s.name)
-			if !ok {
-				return dst, false
-			}
+			v, _ := named(s.name) // checked above
 			dst = append(dst, v)
 		}
 	}
-	return dst, true
+	return dst, nil
 }
 
 // groundStep decides a comparison whose sides are both slots, as

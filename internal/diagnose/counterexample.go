@@ -76,10 +76,18 @@ func writeInstance(b *strings.Builder, inst cq.Instance) {
 //
 // The search is bounded and sound: any returned counterexample is
 // genuine. Absence of a result does not prove compliance. A canceled
-// ctx aborts the search between probe evaluations and reports no
-// counterexample; callers distinguish "none found" from "gave up" via
-// ctx.Err.
+// ctx aborts the search, within an evaluation or between two, and
+// reports no counterexample; callers distinguish "none found" from
+// "gave up" via ctx.Err.
 func FindCounterexample(ctx context.Context, s *schema.Schema, p *policy.Policy, session map[string]sqlvalue.Value, q *cq.Query, facts []cq.Fact) (*Counterexample, bool) {
+	ce, ok := findCounterexample(ctx, s, p, session, q, facts)
+	if ctx.Err() != nil {
+		return nil, false // an evaluation may have given up part way
+	}
+	return ce, ok
+}
+
+func findCounterexample(ctx context.Context, s *schema.Schema, p *policy.Policy, session map[string]sqlvalue.Value, q *cq.Query, facts []cq.Fact) (*Counterexample, bool) {
 	if ctx.Err() != nil {
 		return nil, false
 	}
@@ -135,12 +143,12 @@ func FindCounterexample(ctx context.Context, s *schema.Schema, p *policy.Policy,
 	viewKeys := func(in cq.Instance) string {
 		keys := make([]string, len(views))
 		for i, v := range views {
-			keys[i] = cq.AnswerKey(cq.Evaluate(v, in))
+			keys[i] = cq.AnswerKey(cq.EvaluateCtx(ctx, v, in))
 		}
 		return strings.Join(keys, "\x01")
 	}
 	baseViews := viewKeys(inst)
-	baseAnswers := cq.Evaluate(bound, inst)
+	baseAnswers := cq.EvaluateCtx(ctx, bound, inst)
 	if len(baseAnswers) == 0 {
 		return nil, false
 	}
@@ -170,7 +178,7 @@ func FindCounterexample(ctx context.Context, s *schema.Schema, p *policy.Policy,
 		n = 12 // bound the subset search
 	}
 	for mask := 1; mask < 1<<n; mask++ {
-		if mask&15 == 0 && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return nil, false
 		}
 		d2 := cq.Instance{}
@@ -191,7 +199,7 @@ func FindCounterexample(ctx context.Context, s *schema.Schema, p *policy.Policy,
 		if viewKeys(d2) != baseViews {
 			continue
 		}
-		newAnswers := cq.Evaluate(bound, d2)
+		newAnswers := cq.EvaluateCtx(ctx, bound, d2)
 		for _, a := range baseAnswers {
 			if !cq.ContainsRow(newAnswers, a) {
 				return &Counterexample{D1: inst.Clone(), D2: d2, Answer: a}, true
@@ -250,7 +258,7 @@ func FindCounterexample(ctx context.Context, s *schema.Schema, p *policy.Policy,
 				if !negOK {
 					continue
 				}
-				newAnswers := cq.Evaluate(bound, d2)
+				newAnswers := cq.EvaluateCtx(ctx, bound, d2)
 				if cq.AnswerKey(newAnswers) == cq.AnswerKey(baseAnswers) {
 					continue
 				}
@@ -297,8 +305,11 @@ func FindCounterexample(ctx context.Context, s *schema.Schema, p *policy.Policy,
 					continue
 				}
 				k1 := viewKeys(d1)
-				a1 := cq.Evaluate(bound, d1)
+				a1 := cq.EvaluateCtx(ctx, bound, d1)
 				for _, v2 := range cands {
+					if ctx.Err() != nil {
+						return nil, false
+					}
 					if sqlvalue.Identical(v1, v2) {
 						continue
 					}
@@ -307,7 +318,7 @@ func FindCounterexample(ctx context.Context, s *schema.Schema, p *policy.Policy,
 					if viewKeys(d2) != k1 || !negFactsHold(d2, facts, session) {
 						continue
 					}
-					a2 := cq.Evaluate(bound, d2)
+					a2 := cq.EvaluateCtx(ctx, bound, d2)
 					for _, a := range a1 {
 						if !cq.ContainsRow(a2, a) {
 							return &Counterexample{D1: d1, D2: d2, Answer: a}, true

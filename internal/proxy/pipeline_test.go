@@ -477,7 +477,6 @@ func TestLaneClaimWaitsForUnsentAnswers(t *testing.T) {
 // two frames with one flush between them.
 func TestLastInLineFlushes(t *testing.T) {
 	srv := testServer(t, Enforce)
-	srv.initObs()
 	client, server := net.Pipe()
 	defer client.Close()
 	go io.Copy(io.Discard, client)

@@ -32,7 +32,6 @@ const shadowDiffRingMax = 256
 // open the stage is persisted before StagePolicy returns; a WAL
 // failure un-stages the candidate so memory and log never disagree.
 func (s *Server) StagePolicy(views map[string]string) (checker.PolicyVersion, error) {
-	s.initObs()
 	pol, err := policy.New(s.Checker.Policy().Schema, views)
 	if err != nil {
 		return checker.PolicyVersion{}, err
@@ -61,7 +60,6 @@ func (s *Server) StagePolicy(views map[string]string) (checker.PolicyVersion, er
 // decisions warmed serve enforcement immediately. The divergence ring
 // is cleared — its records describe a trial that is over.
 func (s *Server) PromotePolicy() (checker.PolicyVersion, error) {
-	s.initObs()
 	pv, err := s.Checker.Promote()
 	if err != nil {
 		return checker.PolicyVersion{}, err
@@ -81,7 +79,6 @@ func (s *Server) PromotePolicy() (checker.PolicyVersion, error) {
 
 // RollbackPolicy discards the staged candidate and ends shadow mode.
 func (s *Server) RollbackPolicy() (checker.PolicyVersion, error) {
-	s.initObs()
 	pv, err := s.Checker.Rollback()
 	if err != nil {
 		return checker.PolicyVersion{}, err
@@ -195,7 +192,6 @@ func (s *Server) shadowDiffLog(diff *ShadowDiff) {
 // policyStatus assembles the PolicyBody for the policy.* ops.
 // withDiffs additionally drains ringed records newer than after.
 func (s *Server) policyStatus(after uint64, withDiffs bool) *PolicyBody {
-	s.initObs()
 	active, cand := s.Checker.Versions()
 	pb := &PolicyBody{
 		ActiveEpoch:       active.Epoch,

@@ -64,11 +64,6 @@ type Server struct {
 	// connections, rejected dials) and the slow-decision log. Defaults
 	// to log.Printf.
 	Logf func(format string, args ...any)
-	// Metrics is the observability registry the server reports into.
-	// Nil means the checker's registry, so `stats` responses and an
-	// acproxy -metrics endpoint see checker and proxy instruments side
-	// by side. Set before Listen or the first HandleInCtx.
-	Metrics *obsv.Registry
 	// SlowLogThreshold, when positive, turns on the structured
 	// slow-decision log: every query whose end-to-end handling takes at
 	// least this long emits one JSON line through Logf with the
@@ -117,10 +112,9 @@ type Server struct {
 	shadowSubs []func(ShadowDiff)
 
 	// All counters and the query-latency histogram live in the obsv
-	// registry (resolved once by initObs); the checker's quantile
+	// registry (resolved once by NewServer); the checker's quantile
 	// machinery is the same code. obsv instruments are nil-safe, so a
 	// disabled registry costs one nil check per bump.
-	obsOnce        sync.Once
 	reg            *obsv.Registry
 	mQueries       *obsv.Counter
 	mViolations    *obsv.Counter
@@ -149,10 +143,38 @@ type Server struct {
 	mShadowLat     *obsv.Histogram
 }
 
-// NewServer builds a proxy server over the engine and checker, and
-// declares in the engine the secondary indexes the active policy pins.
+// NewServer builds a proxy server over the engine and checker, resolves
+// its instruments in the checker's registry, and declares in the engine
+// the secondary indexes the active policy pins. The server, the checker
+// and the engine so report into one registry: `stats` responses and an
+// acproxy -metrics endpoint see checker, proxy and engine instruments
+// side by side. A caller who wants a shared or a disabled registry gives
+// it to the checker.
 func NewServer(db *engine.DB, c *checker.Checker, mode Mode) *Server {
-	s := &Server{DB: db, Checker: c, Mode: mode, conns: make(map[net.Conn]struct{})}
+	reg := c.Metrics()
+	s := &Server{DB: db, Checker: c, Mode: mode, conns: make(map[net.Conn]struct{}), reg: reg}
+	s.mQueries = reg.Counter("proxy.queries")
+	s.mViolations = reg.Counter("proxy.violations")
+	s.mConnsTotal = reg.Counter("proxy.conns.total")
+	s.mConnsRejected = reg.Counter("proxy.conns.rejected")
+	s.mReqsCanceled = reg.Counter("proxy.reqs.canceled")
+	s.mFactReused = reg.Counter("proxy.factcache.reused")
+	s.mFactTrans = reg.Counter("proxy.factcache.translated")
+	s.mSlowQueries = reg.Counter("proxy.slow.queries")
+	s.mQueryLat = reg.Histogram("proxy.query.micros")
+	s.mInlineHits = reg.Counter("proxy.inline.hits")
+	s.mInlineBypass = reg.Counter("proxy.inline.bypass")
+	s.mWriteFrames = reg.Counter("proxy.write.frames")
+	s.mWriteFlushes = reg.Counter("proxy.write.flushes")
+	s.mShadowDecides = reg.Counter("proxy.shadow.decides")
+	s.mShadowDiverge = reg.Counter("proxy.shadow.divergences")
+	s.mShadowTighten = reg.Counter("proxy.shadow.diverge.tighten")
+	s.mShadowLoosen = reg.Counter("proxy.shadow.diverge.loosen")
+	s.mShadowLat = reg.Histogram("proxy.shadow.micros")
+	if db != nil {
+		// Scan timings surface alongside decision timings.
+		db.SetMetrics(reg)
+	}
 	s.declareIndexes(c.Policy())
 	return s
 }
@@ -171,50 +193,8 @@ func (s *Server) declareIndexes(p *policy.Policy) {
 	}
 }
 
-// initObs resolves the server's instruments exactly once: the explicit
-// Metrics registry if set, else the checker's (proxy.* and checker.*
-// names then share one snapshot). It also points the engine at the
-// same registry so scan timings surface alongside decision timings.
-func (s *Server) initObs() {
-	s.obsOnce.Do(func() {
-		reg := s.Metrics
-		if reg == nil && s.Checker != nil {
-			reg = s.Checker.Metrics()
-		}
-		if reg == nil {
-			reg = obsv.NewRegistry()
-		}
-		s.reg = reg
-		s.mQueries = reg.Counter("proxy.queries")
-		s.mViolations = reg.Counter("proxy.violations")
-		s.mConnsTotal = reg.Counter("proxy.conns.total")
-		s.mConnsRejected = reg.Counter("proxy.conns.rejected")
-		s.mReqsCanceled = reg.Counter("proxy.reqs.canceled")
-		s.mFactReused = reg.Counter("proxy.factcache.reused")
-		s.mFactTrans = reg.Counter("proxy.factcache.translated")
-		s.mSlowQueries = reg.Counter("proxy.slow.queries")
-		s.mQueryLat = reg.Histogram("proxy.query.micros")
-		s.mInlineHits = reg.Counter("proxy.inline.hits")
-		s.mInlineBypass = reg.Counter("proxy.inline.bypass")
-		s.mWriteFrames = reg.Counter("proxy.write.frames")
-		s.mWriteFlushes = reg.Counter("proxy.write.flushes")
-		s.mShadowDecides = reg.Counter("proxy.shadow.decides")
-		s.mShadowDiverge = reg.Counter("proxy.shadow.divergences")
-		s.mShadowTighten = reg.Counter("proxy.shadow.diverge.tighten")
-		s.mShadowLoosen = reg.Counter("proxy.shadow.diverge.loosen")
-		s.mShadowLat = reg.Histogram("proxy.shadow.micros")
-		if s.DB != nil {
-			s.DB.SetMetrics(reg)
-		}
-	})
-}
-
-// MetricsRegistry returns the registry the server reports into,
-// resolving it on first use.
-func (s *Server) MetricsRegistry() *obsv.Registry {
-	s.initObs()
-	return s.reg
-}
+// MetricsRegistry returns the registry the server reports into.
+func (s *Server) MetricsRegistry() *obsv.Registry { return s.reg }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
@@ -263,7 +243,6 @@ func (s *Server) OpenDurable() error {
 	if s.Durable() != nil {
 		return nil
 	}
-	s.initObs()
 	opts := s.WALOpts
 	if opts.Metrics == nil {
 		opts.Metrics = s.reg
@@ -346,7 +325,6 @@ func (s *Server) Durable() *durable.Manager {
 // It returns the bound address immediately; connections are served on
 // background goroutines until Close.
 func (s *Server) Listen(addr string) (string, error) {
-	s.initObs()
 	if err := s.OpenDurable(); err != nil {
 		return "", err
 	}
@@ -934,7 +912,6 @@ func releaseResponse(resp *Response) {
 // the compliance check and the engine scan; cancellation yields a
 // response with the "canceled" error code.
 func (s *Server) handle(ctx context.Context, req *Request, sess *session) Response {
-	s.initObs()
 	switch req.Op {
 	case "hello":
 		return s.openSession(req, sess)
@@ -982,7 +959,6 @@ func (s *Server) handle(ctx context.Context, req *Request, sess *session) Respon
 // fact-cache hit rates, latency percentiles over the recent window,
 // and connection accounting.
 func (s *Server) StatsSnapshot() *StatsBody {
-	s.initObs()
 	cs := s.Checker.Stats()
 	body := &StatsBody{
 		Queries:    int(s.mQueries.Value()),

@@ -28,7 +28,6 @@ type session struct {
 // applies HistoryWindow and attaches the server's fact-cache counters
 // for the trace's life.
 func (s *Server) newTrace() *trace.Trace {
-	s.initObs()
 	tr := &trace.Trace{}
 	tr.SetWindow(s.HistoryWindow)
 	tr.CountInto(s.mFactReused, s.mFactTrans)

@@ -57,13 +57,13 @@ func Bind(s Statement, args Args) (Statement, error) {
 		if p.Name != "" {
 			val, found := args.Named[p.Name]
 			if !found {
-				err = fmt.Errorf("sql: no value for named parameter ?%s", p.Name)
+				err = (*NoValueError)(p)
 				return e
 			}
 			v = val
 		} else {
 			if p.Index < 0 || p.Index >= len(args.Positional) {
-				err = fmt.Errorf("sql: no value for positional parameter #%d", p.Index+1)
+				err = (*NoValueError)(p)
 				return e
 			}
 			v = args.Positional[p.Index]
@@ -74,6 +74,18 @@ func Bind(s Statement, args Args) (Statement, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// NoValueError is Bind's error for a parameter the arguments have no
+// value for. It points at the parameter, so making one allocates
+// nothing; the message is rendered only when asked for.
+type NoValueError Param
+
+func (p *NoValueError) Error() string {
+	if p.Name != "" {
+		return "sql: no value for named parameter ?" + p.Name
+	}
+	return fmt.Sprintf("sql: no value for positional parameter #%d", p.Index+1)
 }
 
 // CloneSelect deep-copies a SELECT statement.

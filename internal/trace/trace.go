@@ -393,21 +393,16 @@ type deriver struct {
 }
 
 // derive returns the facts of one entry (cq/facts.go has the rules),
-// valid until the next call. A statement whose answers yield no fact
-// costs its plan lookup; a statement no plan expresses is bound and
-// translated, once in the entry's life.
+// valid until the next call. A statement whose answers yield no fact —
+// a refused one among them — costs its plan lookup.
 func (d *deriver) derive(e *Entry) []cq.Fact {
 	plan := d.tr.Plan(e.Stmt)
-	if plan.Fallback() {
-		d.facts = d.tr.BoundFacts(e.Stmt, e.Args).AppendFacts(d.facts[:0], nil, e.Rows, e.Omitted)
-		return d.facts
-	}
 	x := plan.Facts()
 	if x == nil {
 		return nil
 	}
-	var ok bool
-	if d.raw, ok = plan.Resolve(d.raw, e.Args, nil); !ok {
+	var err error
+	if d.raw, err = plan.Resolve(d.raw, e.Args, nil); err != nil {
 		return nil
 	}
 	d.facts = x.AppendFacts(d.facts[:0], d.raw, e.Rows, e.Omitted)

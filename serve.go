@@ -34,7 +34,6 @@ type serveConfig struct {
 	pg        bool
 	pgAddr    string
 	pgMax     int
-	metrics   *Metrics
 	proxyOpts []ProxyOption
 	// shadowViews, when non-nil, stages a candidate policy as soon as
 	// the core is up (after WAL recovery, so the stage persists).
@@ -85,16 +84,6 @@ func WithShadowPolicy(views map[string]string) ServeOption {
 	return func(c *serveConfig) { c.shadowViews = views }
 }
 
-// WithListenerMetrics points every listener and the proxy core at one
-// explicit metrics registry, so a single snapshot covers checker.*,
-// pipeline.*, proxy.*, and engine.* across all ingress surfaces. By
-// default the core reports into its checker's registry, which is
-// already shared; use this to aggregate several Serve stacks or to
-// isolate serving metrics from offline checker use.
-func WithListenerMetrics(reg *Metrics) ServeOption {
-	return func(c *serveConfig) { c.metrics = reg }
-}
-
 // WithProxyConfig applies proxy-core options (durability, history
 // window, timeouts, connection limits) without implying a v2
 // listener — for pgwire-only deployments that still want a WAL:
@@ -129,9 +118,6 @@ func Serve(db *DB, c *Checker, mode ProxyMode, opts ...ServeOption) (*Service, e
 	core := proxy.NewServer(db, c, mode)
 	for _, o := range cfg.proxyOpts {
 		o(core)
-	}
-	if cfg.metrics != nil {
-		core.Metrics = cfg.metrics
 	}
 	svc := &Service{core: core}
 	if cfg.v2 {

@@ -179,15 +179,14 @@ func TestServeRequiresListener(t *testing.T) {
 }
 
 // TestServeBothListeners binds both ingress surfaces on one core and
-// verifies each serves decisions, with both reporting into the one
-// registry given to WithListenerMetrics.
+// verifies each serves decisions, with both reporting into the
+// checker's registry.
 func TestServeBothListeners(t *testing.T) {
 	f := apps.Calendar()
 	reg := beyond.NewMetrics()
-	svc, err := beyond.Serve(f.MustNewDB(8), beyond.NewChecker(f.Policy()), beyond.Enforce,
+	svc, err := beyond.Serve(f.MustNewDB(8), beyond.NewChecker(f.Policy(), beyond.WithMetrics(reg)), beyond.Enforce,
 		beyond.WithV2Listener("127.0.0.1:0"),
-		beyond.WithPgListener("127.0.0.1:0"),
-		beyond.WithListenerMetrics(reg))
+		beyond.WithPgListener("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestServeBothListeners(t *testing.T) {
 		t.Fatalf("unbound listener: v2=%q pg=%q", svc.V2Addr(), svc.PgAddr())
 	}
 	if svc.Metrics() != reg {
-		t.Fatal("Service.Metrics is not the WithListenerMetrics registry")
+		t.Fatal("Service.Metrics is not the checker's registry")
 	}
 
 	ctx := context.Background()
