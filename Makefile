@@ -60,9 +60,11 @@ coldsmoke:
 # range reads (32 reads of 500 rows keep no row, only their counts, in
 # process and over pgwire), the engine's bound range read (the same count
 # for 50 rows as for 500, at most 4, and through a secondary index for 8
-# rows as for 128), a pgwire DataRow framed from typed
-# values (exactly 0), and a pgwire range-read exchange, whose rows stream
-# from the scan (the same count and bytes for 50 rows as for 500).
+# rows as for 128; BenchmarkRangeScan fails a point or range read past 4
+# and a full scan that keeps no row past 2), a pgwire DataRow framed from
+# typed values (exactly 0; BenchmarkDataRow fails 212 rows of pg_scan's
+# (INT, TEXT) that allocate), and a pgwire range-read exchange, whose rows
+# stream from the scan (the same count and bytes for 50 rows as for 500).
 allocbudget:
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmDecide|BenchmarkColdDecide' -benchmem -benchtime=100x ./internal/checker
 	$(GO) test -run 'TestWarmDecideAllocBudget|TestColdDecideAllocBudget|TestUnplannedStatementsBlock' -count=1 ./internal/checker
@@ -70,7 +72,9 @@ allocbudget:
 	$(GO) test -run 'TestTraceAllocBudget' -count=1 ./internal/trace
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmEncode' -benchmem -benchtime=100x ./internal/proxy
 	$(GO) test -run 'TestWarmEncodeAllocBudget|TestRangeReadKeepsNoRows' -count=1 ./internal/proxy
+	$(GO) test -run '^$$' -bench 'BenchmarkRangeScan' -benchmem -benchtime=100x ./internal/engine
 	$(GO) test -run 'TestScanAllocsConstant|TestInsertRowAllocs' -count=1 ./internal/engine
+	$(GO) test -run '^$$' -bench 'BenchmarkDataRow' -benchmem -benchtime=100x ./internal/pgwire
 	$(GO) test -run 'TestDataRowAllocs|TestPgExchangeAllocsConstant' -count=1 ./internal/pgwire
 
 # Postgres wire-protocol conformance: raw-socket client exercising the

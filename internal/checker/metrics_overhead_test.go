@@ -118,6 +118,81 @@ func TestMetricsOverheadGuard(t *testing.T) {
 		attempts, ratios)
 }
 
+// instrumentUpdates runs decide once and counts the instrument updates
+// it made in reg: one for each counter whose count changed (a batched
+// Add is one update, whatever its amount) and one for each histogram
+// sample.
+func instrumentUpdates(reg *obsv.Registry, decide func()) int64 {
+	before := reg.Snapshot()
+	decide()
+	var n int64
+	for name, v := range reg.Snapshot() {
+		switch x := v.(type) {
+		case int64:
+			if prev, _ := before[name].(int64); x != prev {
+				n++
+			}
+		case obsv.HistogramSnapshot:
+			prev, _ := before[name].(obsv.HistogramSnapshot)
+			n += x.Count - prev.Count
+		}
+	}
+	return n
+}
+
+// TestMetricsOverheadDeterministic is the deterministic twin of the two
+// timing guards above: it checks, by counting, what their timing stands
+// for. A block of instrumented decisions — sampleEvery of them per
+// eight, so every sampling phase is in it — records at most a fixed
+// number of instrument updates, and an instrumented decision allocates
+// no more than the same decision under obsv.Disabled(). It covers the
+// warm, trace-dependent decision TestMetricsOverheadGuard times and the
+// cold search TestColdPathMetricsOverheadGuard times; an extra Observe
+// in a stage, a counter bumped per fact, or an allocating instrument
+// fails it on any machine.
+func TestMetricsOverheadDeterministic(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation accounting")
+	}
+	const block = 8 * sampleEvery
+	ctx, sess := context.Background(), session(1)
+	tr := hotpathTrace(50)
+	cold := func(reg *obsv.Registry) func() {
+		c := NewWithOptions(benchColdPolicy(benchColdSchema(t), 64), Options{Metrics: reg})
+		sel, sess := benchColdQuery(), benchColdSession()
+		return func() {
+			if d := c.CheckCold(ctx, sel, sqlparser.NoArgs, sess, nil); !d.Allowed {
+				t.Fatalf("cold workload should be allowed: %+v", d)
+			}
+		}
+	}
+	warm := func(reg *obsv.Registry) func() {
+		c, sel := newHotpathChecker(t, reg, tr)
+		return func() { c.Check(ctx, sel, sqlparser.NoArgs, sess, tr) }
+	}
+	for _, tc := range []struct {
+		name    string
+		decide  func(*obsv.Registry) func()
+		updates int64 // the budget per block, as measured when the twin was written
+	}{
+		{"warm", warm, 680},
+		{"cold", cold, 192},
+	} {
+		reg := obsv.NewRegistry()
+		on, off := tc.decide(reg), tc.decide(obsv.Disabled())
+		var got int64
+		for range block {
+			got += instrumentUpdates(reg, on)
+		}
+		if got > tc.updates {
+			t.Errorf("%s: %d instrument updates per %d decisions, budget %d", tc.name, got, block, tc.updates)
+		}
+		if a, b := testing.AllocsPerRun(block, on), testing.AllocsPerRun(block, off); a > b {
+			t.Errorf("%s: an instrumented decision allocates %v times, %v under obsv.Disabled()", tc.name, a, b)
+		}
+	}
+}
+
 // TestColdPathMetricsOverheadGuard is the cold-path sibling of
 // TestMetricsOverheadGuard: the instrumented cold coverage search
 // (CheckCold, so every check runs the full search) must stay within 5%

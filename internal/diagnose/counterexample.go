@@ -17,7 +17,10 @@ package diagnose
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -99,6 +102,7 @@ func findCounterexample(ctx context.Context, s *schema.Schema, p *policy.Policy,
 	// Add positive fact rows; remember them so they're never deleted
 	// (both instances must stay consistent with the trace).
 	protected := map[string]bool{}
+	rows := newRowSet(inst)
 	for _, f := range facts {
 		if f.Negated {
 			continue
@@ -124,8 +128,8 @@ func findCounterexample(ctx context.Context, s *schema.Schema, p *policy.Policy,
 		}
 		key := f.Atom.Table + "|" + cq.AnswerKey([][]sqlvalue.Value{row})
 		protected[key] = true
-		if !instanceHasRow(inst, f.Atom.Table, row) {
-			inst[f.Atom.Table] = append(inst[f.Atom.Table], row)
+		if !rows.has(f.Atom.Table, row) {
+			rows.add(f.Atom.Table, row)
 		}
 	}
 	// Negative facts must hold on D1 (and every subset, since removal
@@ -369,19 +373,84 @@ func comparisonConstants(q *cq.Query, views []*cq.Query) []int64 {
 	return out
 }
 
-func instanceHasRow(inst cq.Instance, table string, row []sqlvalue.Value) bool {
-	for _, r := range inst[table] {
-		if len(r) != len(row) {
-			continue
+// rowSet files an instance's rows under a key that sqlvalue.Identical
+// rows share, so that adding a trace fact's row probes one bucket
+// instead of scanning its table: FindCounterexample adds every positive
+// fact before its search first polls ctx. A numeric cell is keyed by its
+// float64 bits (-0 as 0), since Identical compares INTEGER with REAL by
+// Compare: 2 and 2.0 are one row. A bucket is checked with Identical
+// itself. NaN defeats any key — Identical finds it equal to every
+// INTEGER and to no REAL, itself included — so a row with a NaN cell is
+// filed apart and compared with every probe of its table, and a probe
+// with a NaN cell scans the table.
+type rowSet struct {
+	inst     cq.Instance
+	keyed    map[string][][]sqlvalue.Value // rowKey → its rows
+	nan      map[string][][]sqlvalue.Value // table → its rows with a NaN cell
+	compared int                           // rows compared cell by cell, for the work-bound test
+}
+
+func newRowSet(inst cq.Instance) *rowSet {
+	s := &rowSet{inst: inst, keyed: map[string][][]sqlvalue.Value{}, nan: map[string][][]sqlvalue.Value{}}
+	for t, rows := range inst {
+		for _, r := range rows {
+			s.file(t, r)
 		}
-		same := true
-		for i := range r {
-			if !sqlvalue.Identical(r[i], row[i]) {
-				same = false
-				break
+	}
+	return s
+}
+
+// rowKey keys row of table; nan reports a NaN cell, which has no key.
+func rowKey(table string, row []sqlvalue.Value) (key string, nan bool) {
+	b := append([]byte(table), 0)
+	for _, v := range row {
+		switch v.Type() {
+		case sqlvalue.Int, sqlvalue.Real:
+			f := v.Real()
+			if math.IsNaN(f) {
+				return "", true
 			}
+			if f == 0 {
+				f = 0 // -0 is Identical to 0
+			}
+			b = binary.AppendUvarint(append(b, 'f'), math.Float64bits(f))
+		case sqlvalue.Text:
+			b = append(binary.AppendUvarint(append(b, 't'), uint64(len(v.Text()))), v.Text()...)
+		default: // NULL, BOOLEAN: no 0 byte in either key
+			b = append(v.AppendKey(b), 0)
 		}
-		if same {
+	}
+	return string(b), false
+}
+
+func (s *rowSet) file(table string, row []sqlvalue.Value) {
+	if key, nan := rowKey(table, row); nan {
+		s.nan[table] = append(s.nan[table], row)
+	} else {
+		s.keyed[key] = append(s.keyed[key], row)
+	}
+}
+
+// has reports whether the instance holds a row Identical to row, cell by
+// cell.
+func (s *rowSet) has(table string, row []sqlvalue.Value) bool {
+	key, nan := rowKey(table, row)
+	if nan {
+		return s.anyIdentical(s.inst[table], row)
+	}
+	return s.anyIdentical(s.keyed[key], row) || s.anyIdentical(s.nan[table], row)
+}
+
+// add appends row to table's rows and files it.
+func (s *rowSet) add(table string, row []sqlvalue.Value) {
+	s.inst[table] = append(s.inst[table], row)
+	s.file(table, row)
+}
+
+func (s *rowSet) anyIdentical(rows [][]sqlvalue.Value, row []sqlvalue.Value) bool {
+	for _, r := range rows {
+		s.compared++
+		if slices.EqualFunc(r, row, sqlvalue.Identical) {
 			return true
 		}
 	}

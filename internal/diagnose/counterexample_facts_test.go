@@ -2,6 +2,9 @@ package diagnose
 
 import (
 	"context"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -130,5 +133,63 @@ func TestNegPatternCoversVariablePattern(t *testing.T) {
 	other := cq.Atom{Table: "attendance", Args: []cq.Term{cq.CInt(2), cq.CInt(7)}}
 	if negPatternCovers(pattern, other, map[string]sqlvalue.Value{}) {
 		t.Fatal("constant mismatch must not be covered")
+	}
+}
+
+// TestRowSetAgreesWithIdentical pins rowSet.has to a scan of the table
+// under sqlvalue.Identical, cell by cell, over rows drawn from the
+// values where classes meet: 2 and 2.0, 0 and -0, NaN (equal to every
+// INTEGER, to no REAL), integers past float64's precision, NULL, TEXT
+// and BOOLEAN.
+func TestRowSetAgreesWithIdentical(t *testing.T) {
+	pool := []sqlvalue.Value{
+		sqlvalue.NewInt(2), sqlvalue.NewReal(2), sqlvalue.NewReal(2.5), sqlvalue.NewInt(0), sqlvalue.NewReal(math.Copysign(0, -1)),
+		sqlvalue.NewReal(math.NaN()), sqlvalue.NewInt(1 << 60), sqlvalue.NewInt(1<<60 + 1), sqlvalue.NewNull(),
+		sqlvalue.NewText("2"), sqlvalue.NewText(""), sqlvalue.NewBool(true),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		inst := cq.Instance{}
+		rows := newRowSet(inst)
+		for i := 0; i < 12; i++ {
+			table := []string{"a", "b"}[rng.Intn(2)]
+			row := make([]sqlvalue.Value, 1+rng.Intn(2))
+			for c := range row {
+				row[c] = pool[rng.Intn(len(pool))]
+			}
+			want := slices.ContainsFunc(inst[table], func(r []sqlvalue.Value) bool {
+				return slices.EqualFunc(r, row, sqlvalue.Identical)
+			})
+			if got := rows.has(table, row); got != want {
+				t.Fatalf("round %d: has(%s %v) = %v over %v, a scan under Identical says %v", round, table, row, got, inst[table], want)
+			}
+			if !want {
+				rows.add(table, row)
+			}
+		}
+	}
+}
+
+// TestFactRowsFiledInLinearWork is the work bound of adding a trace's
+// positive facts to a frozen instance: counted in rows compared, not in
+// time, 2 000 distinct facts compare none and the same facts again one
+// each, where a scan of the table per fact compared 4 004 000.
+func TestFactRowsFiledInLinearWork(t *testing.T) {
+	_, _, _, facts := slowSearchInput(t)
+	inst := cq.Instance{"t": {{sqlvalue.NewInt(1), sqlvalue.NewInt(1)}}}
+	rows := newRowSet(inst)
+	for pass := 0; pass < 2; pass++ {
+		for _, f := range facts {
+			row := []sqlvalue.Value{f.Atom.Args[0].Const, f.Atom.Args[1].Const}
+			if !rows.has("t", row) {
+				rows.add("t", row)
+			}
+		}
+	}
+	if n := len(inst["t"]); n != len(facts)+1 {
+		t.Fatalf("%d rows, want %d", n, len(facts)+1)
+	}
+	if rows.compared > len(facts) {
+		t.Errorf("adding %d facts twice compared %d rows, want at most %d", len(facts), rows.compared, len(facts))
 	}
 }

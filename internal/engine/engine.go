@@ -63,14 +63,14 @@ type keyIndex struct {
 // by cmp.Compare, which places NaN (first, equal to itself) as Key()
 // does and Less cannot.
 func compareKey(a, b *sqlvalue.Value) int {
-	if a.Type() == b.Type() {
-		switch a.Type() {
+	if t := sqlvalue.TypeOf(a); t == sqlvalue.TypeOf(b) {
+		switch t {
 		case sqlvalue.Int:
-			return cmp.Compare(a.Int(), b.Int())
+			return cmp.Compare(sqlvalue.IntOf(a), sqlvalue.IntOf(b))
 		case sqlvalue.Real:
-			return cmp.Compare(a.Real(), b.Real())
+			return cmp.Compare(sqlvalue.RealOf(a), sqlvalue.RealOf(b))
 		case sqlvalue.Text:
-			return strings.Compare(a.Text(), b.Text())
+			return strings.Compare(sqlvalue.TextOf(a), sqlvalue.TextOf(b))
 		}
 	}
 	switch {

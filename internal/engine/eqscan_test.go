@@ -130,8 +130,15 @@ func TestEqScanParity(t *testing.T) {
 // (checkScanParity): every key, literal type and side, tables filled
 // out of key order and rewritten, against a keyless full scan too.
 func TestEqScanRandomizedParity(t *testing.T) {
+	var reach scanReach
 	for seed := int64(0); seed < 100; seed++ {
-		checkScanParity(t, seed)
+		checkScanParity(t, seed, &reach)
+	}
+	t.Logf("%+v", reach)
+	// A generator that never reaches a case pins nothing about it.
+	if reach.allExact < reach.reads/20 || reach.nullable < reach.reads/100 || reach.crossClass < reach.reads/20 ||
+		reach.textRange < reach.reads/200 || reach.composite < reach.reads/50 || reach.realNaN < reach.reads/100 {
+		t.Fatalf("generator is lopsided: %+v", reach)
 	}
 	rng := rand.New(rand.NewSource(11))
 	db := randSeededDB(t, rng, 40)
@@ -188,6 +195,32 @@ func TestEqCondHoldsParity(t *testing.T) {
 				}
 				if got := litLeft.holds(Row{r}); got != want {
 					t.Errorf("literal %v op %d row %v: holds %v, evaluator %v", l, op, r, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEqCondTypedParity pins holds' typed comparisons — INTEGER against
+// INTEGER, TEXT = and <> against TEXT — to the evaluator over values
+// that order both ways, every operator, the literal on either side.
+func TestEqCondTypedParity(t *testing.T) {
+	for _, pool := range [][]sqlvalue.Value{
+		{sqlvalue.NewInt(math.MinInt64), sqlvalue.NewInt(-1), sqlvalue.NewInt(2), sqlvalue.NewInt(3), sqlvalue.NewInt(math.MaxInt64)},
+		{sqlvalue.NewText(""), sqlvalue.NewText("a"), sqlvalue.NewText("ab"), sqlvalue.NewText("b"), sqlvalue.NewText("%")},
+	} {
+		for op, m := range mirrored {
+			for _, l := range pool {
+				for _, r := range pool {
+					v, err := applyBinary(op, l, r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := truth(v) == sqlvalue.True
+					right, left := eqCond{op: op, lit: r}, eqCond{op: m, lit: l, litLeft: op == sqlparser.OpLike}
+					if right.holds(Row{l}) != want || left.holds(Row{r}) != want {
+						t.Errorf("%v op %d %v: holds %v / %v, evaluator %v", l, op, r, right.holds(Row{l}), left.holds(Row{r}), want)
+					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -163,12 +164,16 @@ type evaluator struct {
 
 // tick is called once per row produced or filtered in the hot loops;
 // every 1024 ticks it polls the context so a canceled query stops
-// scanning within a bounded number of rows.
+// scanning within a bounded number of rows. It is small enough to
+// inline; the poll is not.
 func (ev *evaluator) tick() error {
-	ev.ops++
-	if ev.ops&1023 != 0 || ev.ctx == nil {
+	if ev.ops++; ev.ops&1023 != 0 || ev.ctx == nil {
 		return nil
 	}
+	return ev.poll()
+}
+
+func (ev *evaluator) poll() error {
 	if err := ev.ctx.Err(); err != nil {
 		return fmt.Errorf("engine: query %w", acerr.Canceled(err))
 	}
@@ -476,30 +481,48 @@ type eqCond struct {
 
 // holds reports whether the conjunct is TRUE on row r — exactly
 // truth(applyBinary(op, l, r)) == True — with one comparison that builds
-// no Value.
+// no Value: INTEGER against INTEGER, and TEXT = or <> against TEXT,
+// compare the payloads read through pointers (sqlvalue.TypeOf); every
+// other pair of classes goes through Compare, Equal or Like.
 func (c *eqCond) holds(r Row) bool {
-	v := r[c.pos]
+	v, lit := &r[c.pos], &c.lit
+	switch t := sqlvalue.TypeOf(v); {
+	case t == sqlvalue.Int && sqlvalue.TypeOf(lit) == sqlvalue.Int && c.op != sqlparser.OpLike:
+		return c.order(cmp.Compare(sqlvalue.IntOf(v), sqlvalue.IntOf(lit)))
+	case t == sqlvalue.Text && sqlvalue.TypeOf(lit) == sqlvalue.Text && (c.op == sqlparser.OpEq || c.op == sqlparser.OpNe):
+		return (sqlvalue.TextOf(v) == sqlvalue.TextOf(lit)) == (c.op == sqlparser.OpEq)
+	}
 	switch c.op {
 	case sqlparser.OpEq:
-		return sqlvalue.Equal(v, c.lit) == sqlvalue.True
+		return sqlvalue.Equal(*v, c.lit) == sqlvalue.True
 	case sqlparser.OpNe:
-		return sqlvalue.Equal(v, c.lit) == sqlvalue.False
+		return sqlvalue.Equal(*v, c.lit) == sqlvalue.False
 	case sqlparser.OpLike:
 		if c.litLeft {
-			return sqlvalue.Like(c.lit, v) == sqlvalue.True
+			return sqlvalue.Like(c.lit, *v) == sqlvalue.True
 		}
-		return sqlvalue.Like(v, c.lit) == sqlvalue.True
+		return sqlvalue.Like(*v, c.lit) == sqlvalue.True
 	}
-	n, ok := sqlvalue.Compare(v, c.lit)
+	n, ok := sqlvalue.Compare(*v, c.lit)
+	return ok && c.order(n)
+}
+
+// order reports whether c's comparison operator accepts an ordering
+// that came out n.
+func (c *eqCond) order(n int) bool {
 	switch c.op {
+	case sqlparser.OpEq:
+		return n == 0
+	case sqlparser.OpNe:
+		return n != 0
 	case sqlparser.OpLt:
-		return ok && n < 0
+		return n < 0
 	case sqlparser.OpLe:
-		return ok && n <= 0
+		return n <= 0
 	case sqlparser.OpGt:
-		return ok && n > 0
+		return n > 0
 	case sqlparser.OpGe:
-		return ok && n >= 0
+		return n >= 0
 	}
 	return false
 }
@@ -565,20 +588,23 @@ func localConds(conds []eqCond, e sqlparser.Expr, td *tableData, name string) (_
 // one range, and equality on a longer prefix probes a composite key.
 // When no key narrows it to at most one row, a secondary index whose
 // leading columns its equalities pin may narrow it further; the first
-// such read builds the index. Every conjunct still filters every
-// candidate, so the range need only hold the rows they accept — a
-// literal of another type sorts by class, one never TRUE (NULL, an
-// unordered class) accepts none. Positions come back ascending, so the
+// such read builds the index. The range holds every row the conjuncts
+// accept — a literal of another type sorts by class, one never TRUE
+// (NULL, an unordered class) accepts none — and, for each conjunct that
+// narrowed it and is exact (exact), only those rows. rest is conds
+// without those conjuncts, filtered in place: what the caller must
+// still test on each candidate. Positions come back ascending, so the
 // statement meets a full scan's rows in its order. ok is false when no
-// index narrows the statement.
-func (db *DB) candidates(td *tableData, conds []eqCond) (pos []int32, ok bool) {
+// index narrows the statement; rest is then conds.
+func (db *DB) candidates(td *tableData, conds []eqCond) (pos []int32, rest []eqCond, ok bool) {
 	var buf keyBuf
+	var enforced uint64 // bit i: the chosen range enforces conds[i]
 	for _, ix := range td.keys {
 		if td.def.Columns[ix.cols[0]].Type == sqlvalue.Real {
 			continue // NaN equals every number under Compare: no range holds it
 		}
-		lo, hi, narrowed := 0, len(ix.pos), false
-		for _, c := range conds {
+		lo, hi, narrowed, exact := 0, len(ix.pos), false, uint64(0)
+		for i, c := range conds {
 			if c.pos != ix.cols[0] {
 				continue
 			}
@@ -599,16 +625,18 @@ func (db *DB) candidates(td *tableData, conds []eqCond) (pos []int32, ok bool) {
 				continue
 			}
 			narrowed = true
+			exact |= td.exact(i, &c)
 		}
-		if prefix := eqPrefix(buf[:0], td, ix.cols, conds); len(prefix) > 1 {
+		if prefix, used := eqPrefix(buf[:0], td, ix.cols, conds); len(prefix) > 1 {
 			lo, hi = ix.equal(prefix, lo, hi)
+			exact |= used
 		}
 		if narrowed && (!ok || hi-lo < len(pos)) {
-			pos, ok = ix.pos[lo:hi], true
+			pos, ok, enforced = ix.pos[lo:hi], true, exact
 		}
 	}
 	for _, sx := range td.secs {
-		prefix := eqPrefix(buf[:0], td, sx.cols, conds)
+		prefix, used := eqPrefix(buf[:0], td, sx.cols, conds)
 		if ok && len(pos) <= 1 || len(prefix) == 0 {
 			continue
 		}
@@ -616,46 +644,69 @@ func (db *DB) candidates(td *tableData, conds []eqCond) (pos []int32, ok bool) {
 		lo := sx.seek(td.rows, prefix, -1, 0, len(sx.pos))
 		hi := sx.seek(td.rows, prefix, math.MaxInt32, lo, len(sx.pos))
 		if !ok || hi-lo < len(pos) {
-			pos, ok = sx.pos[lo:hi], true
+			pos, ok, enforced = sx.pos[lo:hi], true, used
 		}
 	}
 	if ok && !slices.IsSorted(pos) {
 		pos = slices.Clone(pos)
 		slices.Sort(pos)
 	}
-	return pos, ok
+	rest = conds[:0]
+	for i, c := range conds {
+		if enforced&(1<<i) == 0 {
+			rest = append(rest, c)
+		}
+	}
+	return pos, rest, ok
+}
+
+// exact returns bit i if a range of an index over c's column, narrowed
+// by c, holds exactly the rows c accepts, else 0. compareKey orders the
+// column's values as Compare does only when the column is NOT NULL
+// (NULL sorts first under compareKey and compares to nothing), not
+// REAL (NaN) and the literal is of the column's class (2.0 and '2'
+// sort by class against an INTEGER column, and NULL never compares).
+// A conjunct past the 64th is never exact.
+func (td *tableData) exact(i int, c *eqCond) uint64 {
+	col := &td.def.Columns[c.pos]
+	if !col.NotNull || col.Type == sqlvalue.Real || c.lit.Type() != col.Type {
+		return 0
+	}
+	return 1 << i
 }
 
 // eqPrefix appends to buf the literals conds equate the leading columns
-// cols of an index with, up to the first column none pins. It stops, too,
-// at a REAL column or a NaN literal: NaN equals every number under
+// cols of an index with, up to the first column none pins, and returns
+// the exact bits (tableData.exact) of the conjuncts it took. It stops,
+// too, at a REAL column or a NaN literal: NaN equals every number under
 // Equal, which eqCond.holds tests, but only itself under compareKey, so
 // no range of the index holds every row such an equality accepts.
-func eqPrefix(buf []sqlvalue.Value, td *tableData, cols []int, conds []eqCond) []sqlvalue.Value {
+func eqPrefix(buf []sqlvalue.Value, td *tableData, cols []int, conds []eqCond) (_ []sqlvalue.Value, exact uint64) {
 next:
 	for _, col := range cols {
-		for _, c := range conds {
+		for i, c := range conds {
 			if c.op == sqlparser.OpEq && c.pos == col && td.def.Columns[col].Type != sqlvalue.Real &&
 				!(c.lit.Type() == sqlvalue.Real && math.IsNaN(c.lit.Real())) {
 				buf = append(buf, c.lit)
+				exact |= td.exact(i, &c)
 				continue next
 			}
 		}
 		break
 	}
-	return buf
+	return buf, exact
 }
 
 // matchRows appends to buf, ascending, the positions of td's rows that
 // where accepts: the rows an UPDATE or DELETE writes. It narrows through
 // candidates as a read does; each candidate is then tested with
-// eqCond.holds when every conjunct is column op literal, else with the
-// generic evaluator (an OR, a subquery, an expression). A nil where
-// accepts every row.
+// eqCond.holds for every conjunct the range does not enforce when every
+// conjunct is column op literal, else with the generic evaluator (an
+// OR, a subquery, an expression). A nil where accepts every row.
 func (ev *evaluator) matchRows(buf []int32, td *tableData, name string, where sqlparser.Expr) ([]int32, error) {
 	var condBuf [8]eqCond
 	conds, complete := localConds(condBuf[:0], where, td, name)
-	pos, narrowed := ev.db.candidates(td, conds)
+	pos, conds, narrowed := ev.db.candidates(td, conds)
 	n := len(td.rows)
 	if narrowed {
 		n = len(pos)
@@ -714,13 +765,13 @@ type rowsOut struct {
 // columns, literals, or an unqualified *, resolving every column
 // reference ONCE and then scanning its candidate rows with direct
 // index accesses — no per-row env, no per-row name resolution, no
-// per-row Value or allocation: each conjunct is one comparison
-// (eqCond.holds). A streamed row is projected into one reused buffer as
-// the scan finds it. Collected, the kept candidates are marked first,
-// then projected into one exact-size slab that every result row is a
-// capacity-capped window of, so a read allocates its Result, its
-// column names, the slab and the row headers, however many rows it
-// returns. ok=false means the shape is out of scope and the generic
+// per-row Value or allocation: each conjunct the candidate range does
+// not enforce is one comparison (eqCond.holds). A streamed row is
+// projected into one reused buffer as the scan finds it. Collected, the
+// kept candidates are marked first, then projected into one exact-size
+// slab that every result row is a capacity-capped window of, so a read
+// allocates its Result, its column names, the slab and the row headers,
+// however many rows it returns. ok=false means the shape is out of scope and the generic
 // evaluator must run; semantics for in-scope shapes are identical to
 // the generic path (same tristate WHERE filtering, same output column
 // names), which TestEqScanParity pins by running every corpus query
@@ -777,7 +828,7 @@ func (ev *evaluator) tryEqScan(sel *sqlparser.SelectStmt, out *rowsOut) (cols []
 	}
 
 	cols = outputColumns(sel, &scope{entries: []scopeEntry{{name: name, table: td.def}}})
-	pos, narrowed := ev.db.candidates(td, conds)
+	pos, conds, narrowed := ev.db.candidates(td, conds)
 	n := len(td.rows)
 	if narrowed {
 		n = len(pos)
@@ -836,8 +887,8 @@ scan:
 
 // project appends to dst the cells projs select from stored row r.
 func project(dst Row, projs []eqProj, r Row) Row {
-	for _, pr := range projs {
-		switch {
+	for i := range projs {
+		switch pr := &projs[i]; {
 		case pr.star:
 			dst = append(dst, r...)
 		case pr.pos < 0:
@@ -864,7 +915,7 @@ func (ev *evaluator) tableRows(te sqlparser.TableExpr, sc *scope, parent *env, w
 		name := refName(t)
 		sc.addTable(td.def, name, base)
 		conds, _ := localConds(nil, where, td, name)
-		pos, narrowed := ev.db.candidates(td, conds)
+		pos, _, narrowed := ev.db.candidates(td, conds)
 		if !narrowed {
 			return slices.Clone(td.rows), nil
 		}

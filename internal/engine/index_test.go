@@ -41,10 +41,11 @@ func keylessMirror(t testing.TB, db *DB) *DB {
 }
 
 // scanTables are the tables the parity generator reads: two
-// single-column keys, Attendance's composite (UId, EId) and Scores'
-// (a, b), whose REAL b holds NaN. eq names the columns of scanDB's
-// secondary indexes, each with the prefix of the TEXT it holds ("" for
-// an INTEGER column).
+// single-column keys, Attendance's composite (UId, EId), Scores'
+// (a, b), whose REAL b holds NaN, and Marks, whose three single-column
+// keys are a nullable INTEGER holding NULL, a TEXT of digits and a REAL
+// holding NaN. eq names the columns of scanDB's secondary indexes, each
+// with the prefix of the TEXT it holds ("" for an INTEGER column).
 var scanTables = []struct {
 	name, proj string
 	cols       []string // key leading column first
@@ -54,14 +55,19 @@ var scanTables = []struct {
 	{"Events", "*", []string{"EId", "Title", "Notes"}, [][2]string{{"Title", "e"}, {"Notes", "n"}}},
 	{"Attendance", "EId, UId", []string{"UId", "EId"}, [][2]string{{"EId", ""}}},
 	{"Scores", "a, b", []string{"a", "b"}, nil},
+	{"Marks", "*", []string{"id", "tag", "w"}, nil},
 }
 
 // scanDB is calendarDB with secondary indexes on non-key columns —
-// Users(Name), Events(Title, Notes), Attendance(EId) — and the table
-// Scores, whose composite key ends in a REAL column.
+// Users(Name), Events(Title, Notes), Attendance(EId) — and two tables:
+// Scores, whose composite key ends in a REAL column, and Marks, whose
+// primary key id is nullable and whose UNIQUE keys are the TEXT tag and
+// the REAL w.
 func scanDB(t testing.TB) *DB {
 	db := seedCalendar(t, calendarSchema().
-		Table("Scores").NotNullCol("a", sqlvalue.Int).NotNullCol("b", sqlvalue.Real).PK("a", "b").Done())
+		Table("Scores").NotNullCol("a", sqlvalue.Int).NotNullCol("b", sqlvalue.Real).PK("a", "b").Done().
+		Table("Marks").Col("id", sqlvalue.Int).NotNullCol("tag", sqlvalue.Text).Col("w", sqlvalue.Real).
+		PK("id").Unique("tag").Unique("w").Done())
 	for _, ix := range []struct {
 		table string
 		cols  []string
@@ -107,6 +113,12 @@ func scanQuery(rng *rand.Rand, n int) string {
 			col = tb.cols[rng.Intn(len(tb.cols))]
 		}
 		op, lit := ops[rng.Intn(len(ops))], scanLiteral(rng, n)
+		if tb.name == "Attendance" && rng.Intn(4) == 0 { // the composite key's equality prefix
+			col, op, lit = []string{"UId", "EId"}[rng.Intn(2)], "=", fmt.Sprint(rng.Intn(n+4))
+		}
+		if col == "tag" && rng.Intn(2) == 0 { // a TEXT literal for the TEXT key
+			lit = fmt.Sprintf("'%d'", rng.Intn(3*n))
+		}
 		if len(tb.eq) > 0 && rng.Intn(3) == 0 { // an equality on an indexed column
 			eq := tb.eq[rng.Intn(len(tb.eq))]
 			col, op = eq[0], "="
@@ -162,6 +174,8 @@ func scanMutation(rng *rand.Rand, n int) string {
 		fmt.Sprintf("INSERT INTO Users (UId, Name) VALUES (%d, 'i'), (%d, 'j')", rng.Intn(2*n), rng.Intn(2*n)),
 		fmt.Sprintf("DELETE FROM Scores WHERE a = %d AND b = %s", k%4, lit),
 		fmt.Sprintf("UPDATE Scores SET b = b + 1 WHERE %s = b AND a = %d", lit, k%4),
+		fmt.Sprintf("DELETE FROM Marks WHERE id < %s", lit),
+		fmt.Sprintf("UPDATE Marks SET w = w + 0.25 WHERE tag >= %s AND id <> %d", lit, k),
 		"",
 	}
 	return writes[rng.Intn(len(writes))]
@@ -196,13 +210,75 @@ func checkWriteParity(t *testing.T, at string, rng *rand.Rand, db, gen *DB, n in
 	checkIndexes(t, db)
 }
 
+// scanReach counts, over generated reads the bound scan serves, the
+// conjuncts that meet each rule of tableData.exact on a column some
+// index leads with, and the reads whose range enforces every conjunct.
+type scanReach struct {
+	reads, allExact int
+	nullable        int // < or <= on a nullable key column that holds NULL
+	crossClass      int // a non-NULL literal of another class than the key column's
+	textRange       int // < <= > >= with a TEXT literal on a TEXT key column
+	composite       int // an equality prefix of two columns narrows a composite key
+	realNaN         int // a comparison on a REAL key column that holds NaN
+}
+
+// count classifies one generated read q over db.
+func (st *scanReach) count(db *DB, q string) {
+	sel := sqlparser.MustParseSelect(q)
+	ref, ok := sel.From[0].(*sqlparser.TableRef)
+	if !ok || len(sel.OrderBy) > 0 || sqlparser.IsAggregate(sel.Items[0].Expr) {
+		return
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	td, _ := db.table(ref.Name)
+	conds, complete := localConds(nil, sel.Where, td, refName(ref))
+	if !complete {
+		return
+	}
+	st.reads++
+	if _, rest, _ := db.candidates(td, slices.Clone(conds)); len(rest) == 0 {
+		st.allExact++
+	}
+	has := func(c int, null bool) bool { // a row holds NULL (null) or NaN in column c
+		return slices.ContainsFunc(td.rows, func(r Row) bool {
+			v := r[c]
+			return null && v.IsNull() || !null && v.Type() == sqlvalue.Real && math.IsNaN(v.Real())
+		})
+	}
+	for _, ix := range td.keys {
+		if prefix, _ := eqPrefix(nil, td, ix.cols, conds); len(prefix) > 1 {
+			st.composite++
+		}
+		for _, c := range conds {
+			if c.pos != ix.cols[0] {
+				continue
+			}
+			col, lt := td.def.Columns[c.pos], c.lit.Type()
+			ordered := c.op == sqlparser.OpLt || c.op == sqlparser.OpLe || c.op == sqlparser.OpGt || c.op == sqlparser.OpGe
+			switch {
+			case col.Type == sqlvalue.Real:
+				if has(c.pos, false) {
+					st.realNaN++
+				}
+			case lt != sqlvalue.Null && lt != col.Type:
+				st.crossClass++
+			case !col.NotNull && (c.op == sqlparser.OpLt || c.op == sqlparser.OpLe) && has(c.pos, true):
+				st.nullable++
+			case col.Type == sqlvalue.Text && lt == sqlvalue.Text && ordered:
+				st.textRange++
+			}
+		}
+	}
+}
+
 // checkScanParity runs one generated case: a scanDB filled out of key
 // order, then written step by step, served and through the reference
 // row finder side by side (checkWriteParity), sometimes cloned between
 // steps; after every step each generated read must render
 // byte-identically served, through execGeneric, and through execGeneric
 // over a keyless copy of the rows.
-func checkScanParity(t *testing.T, seed int64) {
+func checkScanParity(t *testing.T, seed int64, reach *scanReach) {
 	rng := rand.New(rand.NewSource(seed))
 	db := scanDB(t)
 	n := 8 + rng.Intn(24)
@@ -211,6 +287,18 @@ func checkScanParity(t *testing.T, seed int64) {
 		db.MustExec("INSERT INTO Events (EId, Title, Notes) VALUES (?, ?, ?)", i+4, fmt.Sprintf("e%d", rng.Intn(5)),
 			[]any{nil, fmt.Sprintf("n%d", rng.Intn(3))}[rng.Intn(2)])
 		_ = db.InsertRow("Scores", i%4, []float64{math.NaN(), float64(i % 5), float64(i%5) + 0.5}[rng.Intn(3)]) // duplicates rejected
+		// One row of Marks in two has a NULL id or a NaN w; a second NULL
+		// or NaN is a duplicate key, and the row goes in without it.
+		id, w := any(i+1), any(float64(i)/2)
+		switch rng.Intn(4) {
+		case 0:
+			id = nil
+		case 1:
+			w = math.NaN()
+		}
+		if db.InsertRow("Marks", id, fmt.Sprint(rng.Intn(3*n)), w) != nil {
+			_ = db.InsertRow("Marks", i+1, fmt.Sprint(rng.Intn(3*n)), float64(i)/2) // a duplicate tag too: the row is dropped
+		}
 	}
 	for i := 0; i < 2*n; i++ {
 		_, _, _ = db.Exec("INSERT INTO Attendance (UId, EId) VALUES (?, ?)",
@@ -221,6 +309,7 @@ func checkScanParity(t *testing.T, seed int64) {
 		ref := keylessMirror(t, db)
 		for i := 0; i < 20; i++ {
 			q := scanQuery(rng, n)
+			reach.count(db, q)
 			served, generic, scan := servedQuery(db, q), genericQuery(t, db, q), genericQuery(t, ref, q)
 			if streamed := streamedQuery(db, q); served != scan || generic != scan || streamed != scan {
 				t.Fatalf("seed %d step %d: %q\nserved:\n%s\nstreamed:\n%s\ngeneric:\n%s\nfull scan:\n%s", seed, step, q, served, streamed, generic, scan)
@@ -240,7 +329,9 @@ func FuzzScanParity(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed)
 	}
-	f.Fuzz(checkScanParity)
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkScanParity(t, seed, &scanReach{})
+	})
 }
 
 // TestCorrelatedSubqueryPinsNothing pins that an outer reference
@@ -659,20 +750,36 @@ func TestSecondaryIndexVisitsRange(t *testing.T) {
 	checkIndexes(t, db)
 }
 
+// BenchmarkRangeScan times collected bound-scan reads over a 4 000-row
+// table: a primary-key point read, a 200-row range whose TEXT conjunct
+// the range does not enforce, and a full scan that keeps no row. It
+// fails when a read allocates more than its contract: the Result, the
+// column names, the slab and the row headers (4), or, keeping no row,
+// the first two.
 func BenchmarkRangeScan(b *testing.B) {
 	db := rangeDB(b, 4000)
-	for _, c := range []struct{ name, q string }{
-		{"point", "SELECT Title FROM Events WHERE EId = 2345"},
-		{"range200", "SELECT EId, Title FROM Events WHERE Title = 'public' AND EId >= 2000 AND EId < 2200"},
-		{"fullscan", "SELECT EId, Title FROM Events WHERE Title = 'none'"},
+	for _, c := range []struct {
+		name, q string
+		allocs  float64
+	}{
+		{"point", "SELECT Title FROM Events WHERE EId = 2345", 4},
+		{"range200", "SELECT EId, Title FROM Events WHERE Title = 'public' AND EId >= 2000 AND EId < 2200", 4},
+		{"fullscan", "SELECT EId, Title FROM Events WHERE Title = 'none'", 2},
 	} {
 		sel := sqlparser.MustParseSelect(c.q)
+		read := func() {
+			if _, err := db.Query(sel); err != nil {
+				b.Fatal(err)
+			}
+		}
 		b.Run(c.name, func(b *testing.B) {
+			if n := testing.AllocsPerRun(10, read); n > c.allocs {
+				b.Fatalf("%s allocates %v times, contract is at most %v", c.q, n, c.allocs)
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(sel); err != nil {
-					b.Fatal(err)
-				}
+				read()
 			}
 		})
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 // The DataRow encoder writes typed values directly into the
-// per-connection message buffer (valueText) instead of materializing a
+// per-connection message buffer (dataRow) instead of materializing a
 // string per cell (renderValue). These tests pin both halves of that
 // bargain: the wire bytes are exactly the Postgres v3 framing (golden
 // tests, byte literals computed by hand from the protocol spec), and
@@ -123,13 +123,19 @@ func referenceCell(v sqlvalue.Value) []byte {
 	return append(out, s...)
 }
 
-// valueTextCell renders one cell through the production path, into a
-// deliberately dirty, reused buffer.
-func valueTextCell(m *msgBuf, v sqlvalue.Value) []byte {
-	m.begin('D')
+// dataRowCell renders one cell through the production path — a
+// one-cell DataRow appended to a deliberately dirty, reused buffer — and
+// returns the cell's bytes after the row's 7-byte header, having checked
+// that header.
+func dataRowCell(t testing.TB, m *msgBuf, v sqlvalue.Value) []byte {
+	m.begin('X')
 	start := len(m.buf)
-	m.valueText(v)
-	return m.buf[start:]
+	m.dataRow([]sqlvalue.Value{v})
+	row := m.buf[start:]
+	if row[0] != 'D' || int(binary.BigEndian.Uint32(row[1:])) != len(row)-1 || binary.BigEndian.Uint16(row[5:]) != 1 {
+		t.Fatalf("DataRow header of %#v: %x", v, row)
+	}
+	return row[7:]
 }
 
 // TestValueTextMatchesRenderValue walks every value shape the engine
@@ -150,15 +156,15 @@ func TestValueTextMatchesRenderValue(t *testing.T) {
 		values = append(values, sqlvalue.MustFromAny(v))
 	}
 	for _, v := range values {
-		got := valueTextCell(&m, v)
+		got := dataRowCell(t, &m, v)
 		want := referenceCell(v)
 		if !bytes.Equal(got, want) {
-			t.Errorf("valueText(%#v):\n got  %x\n want %x", v, got, want)
+			t.Errorf("DataRow cell %#v:\n got  %x\n want %x", v, got, want)
 		}
 	}
 }
 
-// FuzzValueTextParity fuzzes the direct-append cell encoder against
+// FuzzValueTextParity fuzzes the DataRow cell encoder against
 // the renderValue reference across every value class, reusing one
 // msgBuf the whole run the way a connection does. kind selects the
 // class (0 is NULL); the other arguments supply the value.
@@ -182,10 +188,10 @@ func FuzzValueTextParity(f *testing.F) {
 		case 4:
 			v = sqlvalue.NewBool(i%2 == 0)
 		}
-		got := valueTextCell(&m, v)
+		got := dataRowCell(t, &m, v)
 		want := referenceCell(v)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("valueText(%#v):\n got  %x\n want %x", v, got, want)
+			t.Fatalf("DataRow cell %#v:\n got  %x\n want %x", v, got, want)
 		}
 	})
 }
@@ -202,5 +208,31 @@ func TestDataRowAllocs(t *testing.T) {
 		m.dataRow(row)
 	}); n != 0 {
 		t.Errorf("DataRow from typed values: %v allocs, contract is exactly 0", n)
+	}
+}
+
+// BenchmarkDataRow frames pg_scan's average read: 212 rows of (INT,
+// TEXT), the cells of the forum fixture's public posts, into one reused
+// buffer. It fails when framing a row allocates.
+func BenchmarkDataRow(b *testing.B) {
+	rows := make([][]sqlvalue.Value, 212)
+	for i := range rows {
+		rows[i] = []sqlvalue.Value{sqlvalue.NewInt(int64(2*i + 1)), sqlvalue.NewText("public post by " + strconv.Itoa(i))}
+	}
+	var m msgBuf
+	frame := func() {
+		m.buf = m.buf[:0]
+		for _, r := range rows {
+			m.dataRow(r)
+		}
+	}
+	if n := testing.AllocsPerRun(10, frame); n != 0 {
+		b.Fatalf("framing %d rows allocates %v times, contract is 0", len(rows), n)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(m.buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame()
 	}
 }

@@ -158,45 +158,43 @@ func writeRowDescription(w io.Writer, m *msgBuf, cols []string) error {
 	return writeMsg(w, m)
 }
 
-// valueText appends one DataRow cell: NULL as length -1, otherwise a
+// dataRow appends one DataRow after whatever m already holds, in one
+// pass over a local slice: each cell is NULL as length -1, otherwise a
 // 4-byte length placeholder followed by the value's Postgres text
-// rendering appended DIRECTLY into the message buffer (strconv append
-// forms, no intermediate string or []byte copy), with the length
-// patched afterward. The golden and fuzz tests in frame_test.go pin it
-// to a string-building reference.
-func (m *msgBuf) valueText(v sqlvalue.Value) {
-	if v.IsNull() {
-		m.int32(-1)
-		return
-	}
-	at := len(m.buf)
-	m.buf = append(m.buf, 0, 0, 0, 0)
-	switch v.Type() {
-	case sqlvalue.Int:
-		m.buf = strconv.AppendInt(m.buf, v.Int(), 10)
-	case sqlvalue.Real:
-		m.buf = strconv.AppendFloat(m.buf, v.Real(), 'g', -1, 64)
-	case sqlvalue.Bool:
-		if v.Bool() {
-			m.buf = append(m.buf, 't')
-		} else {
-			m.buf = append(m.buf, 'f')
-		}
-	case sqlvalue.Text:
-		m.buf = append(m.buf, v.Text()...)
-	}
-	binary.BigEndian.PutUint32(m.buf[at:], uint32(len(m.buf)-at-4))
-}
-
-// dataRow appends one DataRow after whatever m already holds.
+// rendering appended in place (strconv append forms, no intermediate
+// string or []byte copy), with the length patched afterward. Cells are
+// read through pointers (sqlvalue.TypeOf), so none is copied. The golden
+// and fuzz tests in frame_test.go pin it to a string-building reference.
 func (m *msgBuf) dataRow(row []sqlvalue.Value) {
-	at := len(m.buf)
-	m.buf = append(m.buf, 'D', 0, 0, 0, 0)
-	m.int16(int16(len(row)))
-	for _, v := range row {
-		m.valueText(v)
+	b := m.buf
+	at := len(b)
+	b = binary.BigEndian.AppendUint16(append(b, 'D', 0, 0, 0, 0), uint16(len(row)))
+	for i := range row {
+		v := &row[i]
+		if sqlvalue.TypeOf(v) == sqlvalue.Null {
+			b = append(b, 0xff, 0xff, 0xff, 0xff)
+			continue
+		}
+		cell := len(b)
+		b = append(b, 0, 0, 0, 0)
+		switch sqlvalue.TypeOf(v) {
+		case sqlvalue.Int:
+			b = strconv.AppendInt(b, sqlvalue.IntOf(v), 10)
+		case sqlvalue.Real:
+			b = strconv.AppendFloat(b, sqlvalue.RealOf(v), 'g', -1, 64)
+		case sqlvalue.Bool:
+			if sqlvalue.BoolOf(v) {
+				b = append(b, 't')
+			} else {
+				b = append(b, 'f')
+			}
+		case sqlvalue.Text:
+			b = append(b, sqlvalue.TextOf(v)...)
+		}
+		binary.BigEndian.PutUint32(b[cell:], uint32(len(b)-cell-4))
 	}
-	binary.BigEndian.PutUint32(m.buf[at+1:], uint32(len(m.buf)-at-1))
+	binary.BigEndian.PutUint32(b[at+1:], uint32(len(b)-at-1))
+	m.buf = b
 }
 
 func writeCommandComplete(w io.Writer, m *msgBuf, tag string) error {

@@ -173,6 +173,30 @@ func (v Value) Text() string { return v.s }
 // Bool returns the BOOLEAN payload; it is only meaningful when Type()==Bool.
 func (v Value) Bool() bool { return v.i != 0 }
 
+// TypeOf, IntOf, RealOf, BoolOf and TextOf are Type, Int, Real, Bool
+// and Text read through a pointer. A Value is 40 bytes, too large for
+// the compiler to keep in registers, so each value-receiver accessor a
+// loop inlines first copies the whole Value to the stack; the scans
+// and encoders that read stored cells one by one use these instead.
+func TypeOf(v *Value) Type { return v.typ }
+
+// IntOf is Int through a pointer (see TypeOf).
+func IntOf(v *Value) int64 { return v.i }
+
+// RealOf is Real through a pointer (see TypeOf).
+func RealOf(v *Value) float64 {
+	if v.typ == Int {
+		return float64(v.i)
+	}
+	return v.f
+}
+
+// BoolOf is Bool through a pointer (see TypeOf).
+func BoolOf(v *Value) bool { return v.i != 0 }
+
+// TextOf is Text through a pointer (see TypeOf).
+func TextOf(v *Value) string { return v.s }
+
 // Any returns the value as a native Go value (nil, int64, float64,
 // string, or bool).
 func (v Value) Any() any {

@@ -29,6 +29,18 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	}
 }
 
+// TestPointerAccessors pins TypeOf, IntOf, RealOf, BoolOf and TextOf to
+// the accessors they read through a pointer, on every class.
+func TestPointerAccessors(t *testing.T) {
+	for _, v := range []Value{NewNull(), NewInt(-7), NewReal(2.5), NewReal(math.NaN()), NewText("hi"), NewBool(true), NewBool(false)} {
+		r := RealOf(&v)
+		if TypeOf(&v) != v.Type() || IntOf(&v) != v.Int() || r != v.Real() && !math.IsNaN(r) ||
+			BoolOf(&v) != v.Bool() || TextOf(&v) != v.Text() {
+			t.Errorf("%#v: pointer accessors %v %v %v %v %q", v, TypeOf(&v), IntOf(&v), r, BoolOf(&v), TextOf(&v))
+		}
+	}
+}
+
 func TestFromAny(t *testing.T) {
 	cases := []struct {
 		in   any
