@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 DATE    ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ 2>/dev/null || echo unknown)
 LDFLAGS  = -ldflags "-X repro/internal/buildinfo.Version=$(VERSION) -X repro/internal/buildinfo.Commit=$(COMMIT) -X repro/internal/buildinfo.Date=$(DATE)"
 
-.PHONY: build test vet race bench benchsmoke coldsmoke allocbudget pgsmoke driversmoke shadowsmoke metricslint fmtcheck fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck loc ci
+.PHONY: build test vet race bench benchsmoke coldsmoke timingguard allocbudget pgsmoke driversmoke shadowsmoke metricslint fmtcheck fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck loc ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -45,6 +45,15 @@ benchsmoke:
 # filling a statement plan allocates or the plan is not found again.
 coldsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkColdPath|BenchmarkPlanInstantiate' -benchtime=100x ./internal/checker
+
+# Wall-clock gates, kept out of plain `go test` because a neighbouring
+# process on a shared box can decide their verdict: the instrumented
+# checker, warm and cold, within 5% of the no-op-metrics build
+# (interleaved min-of-trials, four attempts). Each runs once and fails
+# outright; TestMetricsOverheadDeterministic is their deterministic
+# twin in the tier-1 suite.
+timingguard:
+	$(GO) test -run '^$$' -bench 'BenchmarkMetricsOverheadGuard|BenchmarkColdPathMetricsOverheadGuard' -benchtime=1x ./internal/checker
 
 # Allocation contracts: a fixed-iteration -benchmem smoke of the
 # warm-tier benchmarks (the borrowed history-free and the template
@@ -194,4 +203,4 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping"; fi
 
-ci: fmtcheck vet test race coldsmoke allocbudget benchsmoke pgsmoke driversmoke shadowsmoke metricslint fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck
+ci: fmtcheck vet test race coldsmoke timingguard allocbudget benchsmoke pgsmoke driversmoke shadowsmoke metricslint fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck

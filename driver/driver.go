@@ -7,6 +7,10 @@
 //	db, _ := sql.Open("beyond", "127.0.0.1:7781?MyUId=1")
 //	rows, err := db.QueryContext(ctx, "SELECT EId FROM Attendance WHERE UId = ?", 1)
 //
+// Ordinal arguments fill `?` and `$N` placeholders. A named parameter
+// may be written `?Name` or `:Name`; the server's lexer reads both as
+// one token.
+//
 // The DSN is "host:port" optionally followed by ?key=value pairs:
 // every key except the reserved "session" becomes a policy session
 // attribute (values typed by int -> float -> bool -> text inference);

@@ -329,7 +329,7 @@ func (c *Checker) CheckSQL(ctx context.Context, sql string, args sqlparser.Args,
 	if timed {
 		start = time.Now()
 	}
-	sel, err := sqlparser.ParseSelectCached(sql)
+	sel, err := sqlparser.ParseSelectNorm(sql)
 	if timed {
 		d := time.Since(start)
 		c.mParse.Observe(d.Microseconds())

@@ -174,7 +174,7 @@ func TestCoverParityFixtures(t *testing.T) {
 		views := f.Policy().Disjuncts(nil)
 		decide := func(label, sql string, args sqlparser.Args, sess map[string]sqlvalue.Value, tr *trace.Trace) Decision {
 			t.Helper()
-			sel, err := sqlparser.ParseSelectCached(sql)
+			sel, err := sqlparser.ParseSelectNorm(sql)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", f.Name, label, err)
 			}

@@ -294,7 +294,7 @@ func TestFactElisionFixtures(t *testing.T) {
 		var full []trace.Entry
 		short := &trace.Trace{}
 		record := func(label, sql string, argv []any) {
-			sel, err := sqlparser.ParseSelectCached(sql)
+			sel, err := sqlparser.ParseSelectNorm(sql)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", f.Name, label, err)
 			}

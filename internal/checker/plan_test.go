@@ -628,6 +628,63 @@ func TestPlanSharedShape(t *testing.T) {
 	}
 }
 
+// TestPlaceholderSpellingsShareDecisions: the parse cache keys the raw
+// text, so each placeholder spelling of a statement — `?`, `$N`,
+// `?name`, `:name`, in either case — is its own statement and its own
+// plan, and the plans meet at one shape. After one spelling is decided,
+// another spelling's first decision, in a fresh session, is a
+// history-free hit: no cover search runs, in the history-free stage or
+// in the cover stage. CheckSQL is the first to parse each text.
+func TestPlaceholderSpellingsShareDecisions(t *testing.T) {
+	ctx := context.Background()
+	c := New(calendarPolicy(t))
+	named := sqlparser.NamedArgs(map[string]any{"u": 1, "e": 2})
+	spellings := []struct {
+		sql  string
+		args sqlparser.Args
+	}{
+		{"SELECT EId FROM Attendance WHERE UId = ? AND EId = ?", sqlparser.PositionalArgs(1, 2)},
+		{"SELECT EId FROM Attendance WHERE UId = $1 AND EId = $2", sqlparser.PositionalArgs(1, 2)},
+		{"SELECT EId FROM Attendance WHERE UId = ?u AND EId = ?e", named},
+		{"SELECT EId FROM Attendance WHERE UId = :u AND EId = :e", named},
+		{"select EId from Attendance where UId = :u and EId = :e", named},
+	}
+	reg := c.Metrics()
+	hits, covers := reg.Counter("checker.histfree.hit"), reg.Counter("pipeline.decide.cover.runs")
+	// Every cover search counts the views it kept or pruned.
+	searched := func() int64 {
+		return reg.Counter("checker.cold.views.kept").Value() + reg.Counter("checker.cold.views.pruned").Value()
+	}
+	for i, sp := range spellings {
+		h, cv, sv := hits.Value(), covers.Value(), searched()
+		d, err := c.CheckSQL(ctx, sp.sql, sp.args, session(1), &trace.Trace{})
+		if err != nil || !d.Allowed {
+			t.Fatalf("%q: %+v, %v", sp.sql, d, err)
+		}
+		dh, dcv, dsv := hits.Value()-h, covers.Value()-cv, searched()-sv
+		if i == 0 {
+			if dh != 0 || dsv == 0 {
+				t.Fatalf("%q, the first spelling: histfree hits +%d, views searched +%d; want a cold search", sp.sql, dh, dsv)
+			}
+		} else if dh != 1 || dcv != 0 || dsv != 0 || d.Tier != TierHistFree {
+			t.Errorf("%q: tier %q, histfree hits +%d, cover stage runs +%d, views searched +%d; want a history-free hit",
+				sp.sql, d.Tier, dh, dcv, dsv)
+		}
+	}
+	var shape uint64
+	for i, sp := range spellings {
+		sel, err := sqlparser.ParseSelectNorm(sp.sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sp.sql, err)
+		}
+		if p := c.tr.Plan(sel); i == 0 {
+			shape = p.Shape
+		} else if p.Shape != shape || shape == 0 {
+			t.Fatalf("%q: shape %d, want %d", sp.sql, p.Shape, shape)
+		}
+	}
+}
+
 // TestPlansSurvivePolicyLifecycle: plans depend on the schema, not the
 // policy, so they are reused across stage / promote / rollback and
 // ResetCache — and a checker that has been through all of it decides

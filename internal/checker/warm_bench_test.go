@@ -20,7 +20,7 @@ const warmSQL = "SELECT EId FROM Attendance WHERE UId = ?"
 // checkSQLBorrowed is the proxy-facing decide path: a parse-cache hit,
 // then CheckBorrowed.
 func checkSQLBorrowed(ctx context.Context, c *Checker, sql string, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace) (Decision, error) {
-	sel, err := sqlparser.ParseSelectCached(sql)
+	sel, err := sqlparser.ParseSelectNorm(sql)
 	if err != nil {
 		return Decision{}, err
 	}

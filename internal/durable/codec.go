@@ -264,7 +264,7 @@ func decodeAppend(payload []byte) (name string, idx uint64, e trace.Entry, err e
 	if r.err != nil {
 		return name, idx, e, r.err
 	}
-	e.Stmt, err = sqlparser.ParseSelectCached(e.SQL)
+	e.Stmt, err = sqlparser.ParseSelectNorm(e.SQL)
 	if err != nil {
 		return name, idx, e, fmt.Errorf("durable: replayed entry does not parse: %w", err)
 	}

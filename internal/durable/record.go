@@ -28,7 +28,6 @@ package durable
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -99,15 +98,12 @@ func checkFileHeader(h []byte, magic [4]byte) error {
 		return fmt.Errorf("durable: bad file magic")
 	}
 	if h[4] > FormatVersion {
-		return fmt.Errorf("durable: format version %d %w %d", h[4], errNewerFormat, FormatVersion)
+		// Recovery fails rather than misread a file this reader
+		// predates or, for a checkpoint, fall back past its state.
+		return fmt.Errorf("durable: format version %d newer than supported %d", h[4], FormatVersion)
 	}
 	return nil
 }
-
-// errNewerFormat refuses a file stamped with a format version this
-// reader predates: recovery fails rather than misread it or, for a
-// checkpoint, fall back past the state it carries.
-var errNewerFormat = errors.New("newer than supported")
 
 // appendRecord frames one record (type+payload) onto buf. It allocates
 // nothing beyond growing buf: the WAL frames under its queue lock.

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -90,13 +89,13 @@ func Recover(dir string) (*RecoveryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Newest complete checkpoint wins; an invalid one (should be
-	// impossible given atomic rename, but disks happen) falls back to
+	// Newest complete checkpoint wins; a torn or incomplete one (should
+	// be impossible given atomic rename, but disks happen) falls back to
 	// the next older.
 	for i := len(cks) - 1; i >= 0; i-- {
 		ok, err := res.replayCheckpoint(filepath.Join(dir, ckptName(cks[i])))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("durable: replay %s: %w", ckptName(cks[i]), err)
 		}
 		if ok {
 			res.CheckpointCut = cks[i]
@@ -142,8 +141,11 @@ func Recover(dir string) (*RecoveryResult, error) {
 }
 
 // replayCheckpoint applies one checkpoint file. ok=false (without
-// error) means the file is incomplete or malformed and the caller
-// should fall back to an older one.
+// error) means the file is torn or incomplete and the caller should fall
+// back to an older one. A file or an intact record this reader cannot
+// read fails recovery, as in a segment: falling back past it would
+// drop the state it carries without a word, when no older checkpoint
+// or compacted segment still holds that state.
 func (res *RecoveryResult) replayCheckpoint(path string) (ok bool, err error) {
 	var (
 		sawMeta bool
@@ -176,13 +178,8 @@ func (res *RecoveryResult) replayCheckpoint(path string) (ok bool, err error) {
 		}
 		return res.apply(typ, payload)
 	})
-	if errors.Is(err, errRemovedRecord) || errors.Is(err, errNewerFormat) {
-		return false, err
-	}
 	if err != nil {
-		// A malformed checkpoint is a fallback, not a fatal error; the
-		// state built so far is discarded by the caller.
-		return false, nil
+		return false, err
 	}
 	if sr.torn || !sawMeta || !sawEnd || uint64(count) != wantEnd {
 		return false, nil
@@ -190,11 +187,6 @@ func (res *RecoveryResult) replayCheckpoint(path string) (ok bool, err error) {
 	res.RecordsReplayed += count
 	return true, nil
 }
-
-// errRemovedRecord refuses a record of a reserved type: an intact
-// record this reader no longer understands, so recovery fails rather
-// than drop the state it carries, in a checkpoint as in a segment.
-var errRemovedRecord = errors.New("reserved record type")
 
 // apply folds one intact record into the state. Append records dedup
 // by absolute index: a record the checkpoint already covers is
@@ -250,7 +242,9 @@ func (res *RecoveryResult) apply(typ byte, payload []byte) error {
 	case recPolicyStage, recPolicyPromote, recPolicyRollback:
 		return res.applyPolicyVersion(typ, payload)
 	case recLease, recShipped:
-		return fmt.Errorf("%w %d: written by cluster mode, which was removed", errRemovedRecord, typ)
+		// A reserved type: recovery fails rather than drop the state
+		// the record carried.
+		return fmt.Errorf("reserved record type %d: written by cluster mode, which was removed", typ)
 	default:
 		return fmt.Errorf("unknown record type %d", typ)
 	}

@@ -19,7 +19,7 @@ import (
 // a query the repo's grammar accepts.
 func testEntry(t testing.TB, sql string, args sqlparser.Args, rows [][]sqlvalue.Value) trace.Entry {
 	t.Helper()
-	stmt, err := sqlparser.ParseSelectCached(sql)
+	stmt, err := sqlparser.ParseSelectNorm(sql)
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}

@@ -24,11 +24,10 @@ const (
 	stateNoSuchPortal      = "34000"
 )
 
-// prepared is a named statement from Parse: the original SQL (the
-// proxy normalizes it on ingest, so re-submitting the text hits the
-// shared parse-cache entry and the checker's plan for that statement,
-// and from the second execution on its history-free decision), its
-// leading keyword, and
+// prepared is a named statement from Parse: the original SQL (each
+// execution re-submits the text, which hits the shared parse-cache
+// entry and the checker's plan for that statement, and from the second
+// execution on its history-free decision), its leading keyword, and
 // what Describe needs.
 type prepared struct {
 	sql       string
@@ -300,7 +299,7 @@ func (c *conn) simpleQuery(base context.Context, sql string) {
 		return
 	}
 	for _, s := range stmts {
-		if !c.execStatement(base, s, nil, true) {
+		if !c.execStatement(base, firstKeyword(s), s, nil, true) {
 			break
 		}
 	}
@@ -349,13 +348,11 @@ func (c *conn) execControl(kw string) bool {
 }
 
 // execStatement runs one statement through the enforcement proxy and
-// writes its result messages. sendRowDesc selects simple-protocol
-// framing (RowDescription before rows); the extended protocol
-// describes via Describe and Execute sends rows alone. Returns false
-// after writing an ErrorResponse.
-func (c *conn) execStatement(base context.Context, sql string, args []any, sendRowDesc bool) bool {
-	kw := firstKeyword(sql)
-
+// writes its result messages; kw is its leading keyword (firstKeyword).
+// sendRowDesc selects simple-protocol framing (RowDescription before
+// rows); the extended protocol describes via Describe and Execute sends
+// rows alone. Returns false after writing an ErrorResponse.
+func (c *conn) execStatement(base context.Context, kw, sql string, args []any, sendRowDesc bool) bool {
 	if c.tx == 'E' && kw != "COMMIT" && kw != "END" && kw != "ROLLBACK" && kw != "ABORT" {
 		_ = writeErrorResponse(c.w, &c.m, stateInFailedTx,
 			"current transaction is aborted, commands ignored until end of transaction block")
@@ -630,7 +627,7 @@ func (c *conn) handleExecute(base context.Context, p *payloadReader) bool {
 		_ = writeEmptyQueryResponse(c.w, &c.m)
 		return true
 	}
-	return c.execStatement(base, po.stmt.sql, po.args, false)
+	return c.execStatement(base, po.stmt.kw, po.stmt.sql, po.args, false)
 }
 
 func (c *conn) handleClose(p *payloadReader) bool {

@@ -442,8 +442,8 @@ func TestExtendedProtocol(t *testing.T) {
 		}
 	}
 
-	// ?-style placeholders normalize to the same statement identity:
-	// a v2-flavoured spelling works over pgwire too.
+	// The lexer reads ?-style placeholders too: a v2-flavoured spelling
+	// works over pgwire.
 	msgs = pc.parseBindExecute("SELECT EId FROM Attendance WHERE UId = ?", "1")
 	wantCommandTag(t, msgs, "SELECT 1")
 

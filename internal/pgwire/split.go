@@ -59,8 +59,13 @@ func splitStatements(src string) []string {
 				i++
 			}
 		case '$':
-			// Possible dollar-quoted string: $tag$ ... $tag$.
+			// A dollar-quoted string $tag$ ... $tag$, or a $N parameter:
+			// as in the lexer, a tag never starts with a digit.
 			j := i + 1
+			if j < len(src) && isDigit(src[j]) {
+				i = j
+				break
+			}
 			for j < len(src) && isTagChar(src[j]) {
 				j++
 			}
@@ -83,9 +88,12 @@ func splitStatements(src string) []string {
 	return out
 }
 
+// isTagChar is the lexer's identifier byte, the bytes of a dollar tag.
 func isTagChar(c byte) bool {
-	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
+	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || isDigit(c) || c >= 0x80
 }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // firstKeyword returns the statement's leading keyword, upper-cased.
 func firstKeyword(sql string) string {

@@ -1088,10 +1088,9 @@ func (s *Server) runQuery(ctx context.Context, req *Request, sess *session) (Res
 	if err != nil {
 		return Response{Error: err.Error(), Code: acerr.CodeBadRequest}, d
 	}
-	// Normalizing parse: `$N` / `:name` spellings alias to the same
-	// shared statement as the canonical form, so decisions and the
-	// checker's statement-identity caches agree across ingress surfaces
-	// (v2 protocol, Postgres wire, database/sql driver).
+	// Cached parse of the raw text. Each placeholder spelling is its own
+	// statement; their plans share a shape, so decisions agree across
+	// ingress surfaces (v2 protocol, Postgres wire, database/sql driver).
 	sel, err := sqlparser.ParseSelectNorm(req.SQL)
 	if err != nil {
 		return Response{Error: err.Error(), Code: acerr.CodeParse}, d

@@ -169,8 +169,8 @@ type Literal struct {
 
 func (*Literal) expr() {}
 
-// Param is a positional (?), explicit-index ($N), or named (?Name)
-// parameter.
+// Param is a positional (?), explicit-index ($N), or named (?Name or
+// :Name) parameter.
 type Param struct {
 	Name  string // empty for positional
 	Index int    // 0-based position among positional params; -1 for named
@@ -409,6 +409,19 @@ func Params(s Statement) []*Param {
 		collectExpr(st.Where)
 	}
 	return out
+}
+
+// NumPositionalParams reports how many positional values a statement
+// needs: the count of sequential `?` parameters or, with explicit $N
+// placeholders, the highest index used.
+func NumPositionalParams(s Statement) int {
+	n := 0
+	for _, p := range Params(s) {
+		if p.Name == "" && p.Index+1 > n {
+			n = p.Index + 1
+		}
+	}
+	return n
 }
 
 func walkTableExpr(te TableExpr, collectExpr func(Expr)) {

@@ -15,14 +15,14 @@ const (
 	tokInt
 	tokFloat
 	tokString
-	tokParam  // ? or ?Name
+	tokParam  // ?, $N, ?Name or :Name
 	tokSymbol // punctuation and operators
 )
 
 // token is one lexed token.
 type token struct {
 	kind tokenKind
-	text string // keyword text upper-cased; param text excludes '?'
+	text string // keyword text upper-cased; a named param's text is its name
 	pos  int    // byte offset in input
 }
 
@@ -101,10 +101,12 @@ scan:
 		}
 		return token{kind: tokString, text: b.String(), pos: start}, nil
 
-	case c == '?': // parameter
+	case c == '?' || c == ':' && l.pos+1 < len(l.src) && isIdentStart(l.src[l.pos+1]):
+		// Parameter: sequential `?`, or a named one as `?name` or
+		// `:name`. A `::` is the cast operator (below), not a name.
 		l.pos++
 		n := l.pos
-		for n < len(l.src) && (isIdentChar(l.src[n]) || l.src[n] == '_') {
+		for n < len(l.src) && isIdentChar(l.src[n]) {
 			n++
 		}
 		name := l.src[l.pos:n]

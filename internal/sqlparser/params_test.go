@@ -1,97 +1,75 @@
 package sqlparser
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sqlvalue"
 )
 
-func TestNormalizeParams(t *testing.T) {
+// TestLexPlaceholders pins the one placeholder rule, the lexer's: the
+// spellings it reads as parameters, the bytes it reads as data
+// (strings, comments, dollar quotes), `::` as the cast, and the
+// spellings it refuses. Each parameter renders as ?name (named, both
+// ?name and :name), $N (explicit index) or #N (sequential ?).
+func TestLexPlaceholders(t *testing.T) {
 	cases := []struct {
-		in, want string
+		src  string
+		want string // the parameters in source order; "error": rejected
 	}{
-		// Bare ? becomes sequential $N.
-		{"SELECT a FROM t WHERE b = ?", "SELECT a FROM t WHERE b = $1"},
-		{"SELECT a FROM t WHERE b = ? AND c = ?", "SELECT a FROM t WHERE b = $1 AND c = $2"},
-		// :name becomes the native ?name form.
-		{"SELECT a FROM t WHERE b = :uid", "SELECT a FROM t WHERE b = ?uid"},
-		// Already canonical: returned unchanged.
-		{"SELECT a FROM t WHERE b = $1", "SELECT a FROM t WHERE b = $1"},
-		{"SELECT a FROM t WHERE b = ?uid", "SELECT a FROM t WHERE b = ?uid"},
-		{"SELECT a FROM t", "SELECT a FROM t"},
-		// $N does not advance the bare-? counter (parser numbers them
-		// independently).
-		{"SELECT a FROM t WHERE b = $2 AND c = ?", "SELECT a FROM t WHERE b = $2 AND c = $1"},
-		// Placeholder bytes inside strings, identifiers and comments are
-		// data, not placeholders.
-		{"SELECT '?' FROM t WHERE a = ?", "SELECT '?' FROM t WHERE a = $1"},
-		{"SELECT 'it''s ?' FROM t WHERE a = ?", "SELECT 'it''s ?' FROM t WHERE a = $1"},
-		{`SELECT "?" FROM t WHERE a = ?`, `SELECT "?" FROM t WHERE a = $1`},
-		{"SELECT a FROM t -- ? :x $1\nWHERE b = ?", "SELECT a FROM t -- ? :x $1\nWHERE b = $1"},
-		{"SELECT a /* ? :x */ FROM t WHERE b = ?", "SELECT a /* ? :x */ FROM t WHERE b = $1"},
-		{"SELECT $tag$? :x$tag$ FROM t WHERE a = ?", "SELECT $tag$? :x$tag$ FROM t WHERE a = $1"},
-		{"SELECT $$? :x$$ FROM t WHERE a = ?", "SELECT $$? :x$$ FROM t WHERE a = $1"},
-		// :: is the cast operator; the type name after it is not :name.
-		{"SELECT a::text FROM t WHERE b = ?", "SELECT a::text FROM t WHERE b = $1"},
-		// Unterminated constructs bail out unchanged; the parser reports
-		// the real error.
-		{"SELECT 'unterminated", "SELECT 'unterminated"},
-		{"SELECT /* unterminated", "SELECT /* unterminated"},
-		{"SELECT $tag$ unterminated", "SELECT $tag$ unterminated"},
+		{"SELECT a FROM t WHERE b = :uid", "?uid"},
+		{"SELECT a FROM t WHERE b = ?uid", "?uid"},
+		{"SELECT a FROM t WHERE b = :_x1 AND c = ?_x1", "?_x1 ?_x1"},
+		{"SELECT a FROM t WHERE b = ? AND c = ?", "#1 #2"},
+		// $N does not advance the sequential counter.
+		{"SELECT a FROM t WHERE b = $2 AND c = ?", "$2 #1"},
+		{"SELECT a FROM t WHERE b = :b AND c = ? AND d = $1", "?b #1 $1"},
+		// Placeholder bytes inside strings, comments and dollar quotes
+		// are data.
+		{"SELECT '?' FROM t WHERE a = :x", "?x"},
+		{"SELECT 'it''s :y ?' FROM t WHERE a = ?", "#1"},
+		{"SELECT a FROM t -- ? :x $1\nWHERE b = :b", "?b"},
+		{"SELECT a /* ? :x */ FROM t WHERE b = ?", "#1"},
+		{"SELECT $tag$? :x$tag$ FROM t WHERE a = :a", "?a"},
+		{"SELECT $$? :x$$ FROM t WHERE a = ?", "#1"},
+		// :: is the cast; the type name after it is not a parameter.
+		{"SELECT a::text FROM t WHERE b = :b::int8", "?b"},
+		// A name starts as an identifier does; a lone ':' is no token.
+		{"SELECT a FROM t WHERE b = :1", "error"},
+		{"SELECT a FROM t WHERE b = : b", "error"},
+		{"SELECT a FROM t WHERE b = :", "error"},
+		{"SELECT 'unterminated :x", "error"},
+		{"SELECT a FROM t WHERE b = :x /* unterminated", "error"},
 	}
 	for _, c := range cases {
-		if got := NormalizeParams(c.in); got != c.want {
-			t.Errorf("NormalizeParams(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-// TestNormalizeParamsNoAlloc pins that already-canonical statements
-// come back as the identical string (no copy).
-func TestNormalizeParamsNoAlloc(t *testing.T) {
-	src := "SELECT a FROM t WHERE b = $1 AND c = ?uid"
-	if got := NormalizeParams(src); got != src {
-		t.Fatalf("canonical input rewritten: %q", got)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		_ = NormalizeParams(src)
-	})
-	if allocs != 0 {
-		t.Fatalf("NormalizeParams allocates %v per canonical call, want 0", allocs)
-	}
-}
-
-// TestNormalizeMatchesParser asserts the load-bearing property: for a
-// statement mixing styles, parsing the normalized text yields the same
-// parameter indices the parser assigns to the raw text. The decision
-// caches key on the shared parsed statement, so a disagreement here
-// would silently bind arguments to the wrong positions.
-func TestNormalizeMatchesParser(t *testing.T) {
-	srcs := []string{
-		"SELECT a FROM t WHERE b = ? AND c = ?",
-		"SELECT a FROM t WHERE b = $2 AND c = ?",
-		"SELECT a FROM t WHERE b = $1 AND c = $1",
-		"SELECT a FROM t WHERE b = ?uid AND c = ?",
-	}
-	for _, src := range srcs {
-		raw, err := Parse(src)
+		stmt, err := Parse(c.src)
 		if err != nil {
-			t.Fatalf("Parse(%q): %v", src, err)
+			if c.want != "error" {
+				t.Errorf("Parse(%q): %v", c.src, err)
+			}
+			continue
 		}
-		norm, err := Parse(NormalizeParams(src))
-		if err != nil {
-			t.Fatalf("Parse(NormalizeParams(%q)=%q): %v", src, NormalizeParams(src), err)
-		}
-		rp, np := Params(raw), Params(norm)
-		if len(rp) != len(np) {
-			t.Fatalf("%q: param count raw %d vs normalized %d", src, len(rp), len(np))
-		}
-		for i := range rp {
-			if rp[i].Name != np[i].Name || rp[i].Index != np[i].Index {
-				t.Errorf("%q param %d: raw {%q %d} vs normalized {%q %d}",
-					src, i, rp[i].Name, rp[i].Index, np[i].Name, np[i].Index)
+		var got []string
+		for _, p := range Params(stmt) {
+			switch {
+			case p.Name != "":
+				got = append(got, "?"+p.Name)
+			case p.Explicit:
+				got = append(got, fmt.Sprintf("$%d", p.Index+1))
+			default:
+				got = append(got, fmt.Sprintf("#%d", p.Index+1))
 			}
 		}
+		if g := strings.Join(got, " "); g != c.want {
+			t.Errorf("Parse(%q) params = %q, want %q", c.src, g, c.want)
+		}
+	}
+	// :name and ?name are one token: the statements render alike.
+	a := MustParse("SELECT a FROM t WHERE b = :uid AND c = ?")
+	b := MustParse("SELECT a FROM t WHERE b = ?uid AND c = ?")
+	if a.SQL() != b.SQL() {
+		t.Errorf(":name renders %q, ?name %q", a.SQL(), b.SQL())
 	}
 }
 
@@ -185,53 +163,6 @@ func TestParseCasts(t *testing.T) {
 	}
 }
 
-// TestParseNormSharesStatement pins the cross-surface cache-keying
-// contract: the same logical statement in different placeholder styles
-// resolves to the SAME shared Statement pointer, which is what keys
-// the checker's statement plans.
-func TestParseNormSharesStatement(t *testing.T) {
-	variants := []string{
-		"SELECT EId FROM Attendance WHERE UId = ? AND EId = ?",
-		"SELECT EId FROM Attendance WHERE UId = $1 AND EId = $2",
-		"SELECT EId FROM Attendance WHERE UId = :p1 AND EId = :p2",
-	}
-	a, err := ParseNorm(variants[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ParseNorm(variants[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("? and $N variants parsed to distinct statements: %p vs %p", a, b)
-	}
-	// The :name variant normalizes to ?name — different canonical text
-	// (named vs positional), so it must NOT alias to the positional one.
-	c, err := ParseNorm(variants[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Error(":name variant aliased to positional statement")
-	}
-	// Second lookup of each raw text hits the alias entry directly.
-	a2, err := ParseNorm(variants[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2 != a {
-		t.Error("repeat ParseNorm returned a different pointer")
-	}
-	sel, err := ParseSelectNorm(variants[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Statement(sel) != a {
-		t.Error("ParseSelectNorm did not share the cached statement")
-	}
-}
-
 func TestNumPositionalParams(t *testing.T) {
 	cases := []struct {
 		src  string
@@ -241,6 +172,7 @@ func TestNumPositionalParams(t *testing.T) {
 		{"SELECT a FROM t WHERE b = $2", 2},
 		{"SELECT a FROM t WHERE b = $1 AND c = $1", 1},
 		{"SELECT a FROM t WHERE b = ?uid", 0},
+		{"SELECT a FROM t WHERE b = :uid AND c = ?", 1},
 		{"SELECT a FROM t", 0},
 	}
 	for _, c := range cases {
@@ -250,10 +182,6 @@ func TestNumPositionalParams(t *testing.T) {
 		}
 		if got := NumPositionalParams(stmt); got != c.want {
 			t.Errorf("NumPositionalParams(%q) = %d, want %d", c.src, got, c.want)
-		}
-		wantNamed := c.src == "SELECT a FROM t WHERE b = ?uid"
-		if got := HasNamedParams(stmt); got != wantNamed {
-			t.Errorf("HasNamedParams(%q) = %v, want %v", c.src, got, wantNamed)
 		}
 	}
 }

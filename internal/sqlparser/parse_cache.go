@@ -1,9 +1,6 @@
 package sqlparser
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Applications issue the same statement shapes over and over (only
 // the bound arguments change), so the proxy hot path would otherwise
@@ -102,10 +99,13 @@ func storeParse(sql string, stmt Statement, err error) {
 	sh.mu.Unlock()
 }
 
-// ParseCached is Parse backed by the process-wide statement cache.
-// The returned statement is shared across callers and must not be
-// modified; Bind it (which copies) before evaluation.
-func ParseCached(src string) (Statement, error) {
+// ParseNorm is Parse backed by the process-wide statement cache, keyed
+// by the raw SQL text: a repeat of a text is one cache probe. The
+// returned statement is shared across callers and must not be modified;
+// Bind it (which copies) before evaluation. Each placeholder spelling of
+// a statement (`?`, `$1`, `?name`, `:name`) is its own entry; the
+// checker's statement plans meet again at their shape (cq.StmtPlan).
+func ParseNorm(src string) (Statement, error) {
 	if stmt, err, ok := cachedParse(src); ok {
 		return stmt, err
 	}
@@ -114,59 +114,8 @@ func ParseCached(src string) (Statement, error) {
 	return stmt, err
 }
 
-// ParseSelectCached is ParseSelect backed by the statement cache,
-// with the same sharing contract as ParseCached.
-func ParseSelectCached(src string) (*SelectStmt, error) {
-	stmt, err := ParseCached(src)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: expected SELECT, got %T", stmt)
-	}
-	return sel, nil
-}
-
-// ParseNorm is ParseCached with placeholder normalization on the miss
-// path: the raw text is normalized (NormalizeParams) and BOTH texts
-// cache the one statement parsed from the canonical form. The same
-// logical statement arriving as "... WHERE a = ?" over the v2
-// protocol, "... WHERE a = $1" over the Postgres wire, or
-// "... WHERE a = :a" from a client library therefore returns the SAME
-// shared *Statement, so every statement-identity cache downstream (the
-// checker's statement plans key on the shared statement pointer) hits
-// across ingress surfaces. The warm path is one cache probe on the raw
-// text — normalization only runs on a miss.
-func ParseNorm(src string) (Statement, error) {
-	if stmt, err, ok := cachedParse(src); ok {
-		return stmt, err
-	}
-	norm := NormalizeParams(src)
-	if norm == src {
-		stmt, err := Parse(src)
-		storeParse(src, stmt, err)
-		return stmt, err
-	}
-	stmt, err, ok := cachedParse(norm)
-	if !ok {
-		stmt, err = Parse(norm)
-		storeParse(norm, stmt, err)
-	}
-	storeParse(src, stmt, err)
-	return stmt, err
-}
-
 // ParseSelectNorm is ParseNorm requiring a SELECT, with the same
-// sharing contract as ParseSelectCached.
+// sharing contract.
 func ParseSelectNorm(src string) (*SelectStmt, error) {
-	stmt, err := ParseNorm(src)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: expected SELECT, got %T", stmt)
-	}
-	return sel, nil
+	return asSelect(ParseNorm(src))
 }

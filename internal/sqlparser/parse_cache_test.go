@@ -18,7 +18,7 @@ func TestParseCacheErrorChurnDoesNotEvictTemplates(t *testing.T) {
 	}
 	stmts := make([]Statement, len(hot))
 	for i, sql := range hot {
-		st, err := ParseCached(sql)
+		st, err := ParseNorm(sql)
 		if err != nil {
 			t.Fatalf("prime %q: %v", sql, err)
 		}
@@ -28,15 +28,15 @@ func TestParseCacheErrorChurnDoesNotEvictTemplates(t *testing.T) {
 	// Far more unique failures than the whole template cache holds.
 	for i := 0; i < parseCacheShards*parseCachePerShard*4; i++ {
 		sql := fmt.Sprintf("SELEC bogus FROM t%d WHERE", i)
-		if _, err := ParseCached(sql); err == nil {
+		if _, err := ParseNorm(sql); err == nil {
 			t.Fatalf("expected parse error for %q", sql)
 		}
 	}
 
-	// ParseCached returns the SHARED statement per SQL text, so pointer
+	// ParseNorm returns the SHARED statement per SQL text, so pointer
 	// identity proves the template survived the churn uncached-free.
 	for i, sql := range hot {
-		st, err := ParseCached(sql)
+		st, err := ParseNorm(sql)
 		if err != nil {
 			t.Fatalf("re-parse %q: %v", sql, err)
 		}
@@ -61,11 +61,11 @@ func TestParseCacheErrorChurnDoesNotEvictTemplates(t *testing.T) {
 // statement returns the cached error without re-lexing.
 func TestParseCacheMemoizesErrors(t *testing.T) {
 	const bad = "SELECT FROM WHERE !!"
-	_, err1 := ParseCached(bad)
+	_, err1 := ParseNorm(bad)
 	if err1 == nil {
 		t.Fatal("expected parse error")
 	}
-	_, err2 := ParseCached(bad)
+	_, err2 := ParseNorm(bad)
 	if err2 == nil {
 		t.Fatal("expected cached parse error")
 	}

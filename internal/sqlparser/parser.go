@@ -31,7 +31,11 @@ func Parse(src string) (Statement, error) {
 
 // ParseSelect parses a statement and requires it to be a SELECT.
 func ParseSelect(src string) (*SelectStmt, error) {
-	s, err := Parse(src)
+	return asSelect(Parse(src))
+}
+
+// asSelect requires a parsed statement to be a SELECT.
+func asSelect(s Statement, err error) (*SelectStmt, error) {
 	if err != nil {
 		return nil, err
 	}

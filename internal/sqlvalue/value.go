@@ -235,35 +235,20 @@ func (v Value) String() string {
 	return "?"
 }
 
-// Key returns a string usable as a map key such that Key(a)==Key(b)
-// iff Equal(a,b) is definitely true (NULLs get a distinguished key and
-// compare unequal to everything including themselves under SQL =, but
-// Key treats all NULLs as identical so rows can be grouped).
+// Key returns a string usable as a map key: Key(a)==Key(b) only if
+// Equal(a,b) is TRUE, except that all NULLs share one key (they compare
+// unequal to everything under SQL =, but group together). Integral
+// REALs within int64 key as the INTEGER they equal, so 2.0 groups with
+// 2; two numerics Equal only after rounding to float64 (2^53+1 and
+// 2^53.0) keep distinct keys.
 func (v Value) Key() string {
-	switch v.typ {
-	case Null:
-		return "n"
-	case Int:
-		return "i" + strconv.FormatInt(v.i, 10)
-	case Real:
-		// Normalize integral reals so 2.0 groups with INTEGER 2 in
-		// numeric contexts only when compared via Compare; for keys we
-		// keep the class distinct unless integral.
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
-			return "i" + strconv.FormatInt(int64(v.f), 10)
-		}
-		return "f" + strconv.FormatFloat(v.f, 'b', -1, 64)
-	case Text:
-		return "t" + v.s
-	case Bool:
-		return "b" + strconv.FormatInt(v.i, 10)
-	}
-	return "?"
+	var b [32]byte
+	return string(v.AppendKey(b[:0]))
 }
 
-// AppendKey appends exactly what Key returns to buf without
-// allocating. It exists for hot paths that build composite cache keys
-// into reused buffers (the checker's warm decide path).
+// AppendKey appends v's Key to buf without allocating. It exists for
+// hot paths that build composite cache keys into reused buffers (the
+// checker's warm decide path).
 func (v Value) AppendKey(buf []byte) []byte {
 	switch v.typ {
 	case Null:
@@ -272,7 +257,9 @@ func (v Value) AppendKey(buf []byte) []byte {
 		buf = append(buf, 'i')
 		return strconv.AppendInt(buf, v.i, 10)
 	case Real:
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
+		// -2^63 is an int64 and 2^63 is not: the upper bound is strict,
+		// against 2^63 itself (math.MaxInt64 rounds up to it as a float).
+		if v.f == math.Trunc(v.f) && v.f >= -(1<<63) && v.f < 1<<63 {
 			buf = append(buf, 'i')
 			return strconv.AppendInt(buf, int64(v.f), 10)
 		}

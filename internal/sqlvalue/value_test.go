@@ -372,6 +372,41 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 	}
 }
 
+// TestKeySharedOnlyWhenEqual: over the numeric boundary values, two
+// values share a key only if Equal finds them TRUE. REAL 2^63 once took
+// INTEGER MinInt64's key, its int64 conversion overflowing.
+func TestKeySharedOnlyWhenEqual(t *testing.T) {
+	const two63 = float64(1 << 63)
+	vals := []Value{
+		NewInt(math.MinInt64), NewInt(math.MaxInt64), NewInt(math.MaxInt64 - 1023),
+		NewInt(1<<63 - 1024), NewInt(-(1<<63 - 1024)),
+		NewReal(two63), NewReal(-two63), NewReal(two63 - 1024), NewReal(-(two63 - 1024)),
+		NewReal(math.Copysign(0, -1)), NewReal(0), NewInt(0),
+		NewInt(1<<53 - 1), NewInt(1 << 53), NewInt(1<<53 + 1),
+		NewReal(1<<53 - 1), NewReal(1 << 53), NewReal(1<<53 + 2),
+		NewReal(math.Inf(1)), NewReal(math.Inf(-1)),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if a.Key() == b.Key() && Equal(a, b) != True {
+				t.Errorf("%s (%s) and %s (%s) share key %q but Equal is %v",
+					a, a.Type(), b, b.Type(), a.Key(), Equal(a, b))
+			}
+		}
+	}
+	// The integral REALs inside int64 still key as their INTEGER.
+	for _, p := range [][2]Value{
+		{NewReal(-two63), NewInt(math.MinInt64)},
+		{NewReal(two63 - 1024), NewInt(1<<63 - 1024)},
+		{NewReal(math.Copysign(0, -1)), NewInt(0)},
+		{NewReal(1 << 53), NewInt(1 << 53)},
+	} {
+		if p[0].Key() != p[1].Key() {
+			t.Errorf("%s keys %q, %s keys %q", p[0], p[0].Key(), p[1], p[1].Key())
+		}
+	}
+}
+
 func TestAppendKeyMatchesKeyProperty(t *testing.T) {
 	f := func(i int64, fl float64, s string, b bool, pick uint8) bool {
 		var v Value
