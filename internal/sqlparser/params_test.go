@@ -73,6 +73,91 @@ func TestLexPlaceholders(t *testing.T) {
 	}
 }
 
+// TestNormalizeParams pins the parser's rendering as the one normal
+// form of every placeholder spelling: `:name` and `?name` print as
+// ?name, bare `?` stays sequential, `$N` keeps its index, and
+// placeholder bytes inside strings, comments and dollar quotes stay
+// data. The normal form is a fixed point: parsing it renders it again.
+func TestNormalizeParams(t *testing.T) {
+	cases := []struct {
+		in, want string
+	}{
+		{"SELECT a FROM t WHERE b = ?", "SELECT a FROM t WHERE b = ?"},
+		{"SELECT a FROM t WHERE b = ? AND c = ?", "SELECT a FROM t WHERE b = ? AND c = ?"},
+		{"SELECT a FROM t WHERE b = :uid", "SELECT a FROM t WHERE b = ?uid"},
+		{"SELECT a FROM t WHERE b = ?uid", "SELECT a FROM t WHERE b = ?uid"},
+		{"SELECT a FROM t WHERE b = $1", "SELECT a FROM t WHERE b = $1"},
+		{"SELECT a FROM t WHERE b = $2 AND c = ?", "SELECT a FROM t WHERE b = $2 AND c = ?"},
+		{"SELECT a FROM t", "SELECT a FROM t"},
+		{"SELECT '?' FROM t WHERE a = :x", "SELECT '?' FROM t WHERE a = ?x"},
+		{"SELECT a FROM t -- ? :x $1\nWHERE b = :b", "SELECT a FROM t WHERE b = ?b"},
+		{"SELECT a /* ? :x */ FROM t WHERE b = ?", "SELECT a FROM t WHERE b = ?"},
+		{"SELECT $tag$? :x$tag$ FROM t WHERE a = :a", "SELECT '? :x' FROM t WHERE a = ?a"},
+	}
+	for _, c := range cases {
+		stmt, err := Parse(c.in)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", c.in, err)
+			continue
+		}
+		if got := stmt.SQL(); got != c.want {
+			t.Errorf("Parse(%q).SQL() = %q, want %q", c.in, got, c.want)
+			continue
+		}
+		again, err := Parse(c.want)
+		if err != nil {
+			t.Errorf("Parse(%q) of the normal form: %v", c.want, err)
+			continue
+		}
+		if got := again.SQL(); got != c.want {
+			t.Errorf("normal form %q renders again as %q", c.want, got)
+		}
+	}
+}
+
+// TestNormalizeMatchesParser asserts the load-bearing property of the
+// parse cache: for statements mixing placeholder styles, the shared
+// statement ParseNorm returns, the uncached parse of the raw text and
+// the parse of its rendered normal form assign the same parameter
+// names, indices and explicitness. A disagreement would bind arguments
+// to the wrong positions.
+func TestNormalizeMatchesParser(t *testing.T) {
+	srcs := []string{
+		"SELECT a FROM t WHERE b = ? AND c = ?",
+		"SELECT a FROM t WHERE b = $2 AND c = ?",
+		"SELECT a FROM t WHERE b = $1 AND c = $1",
+		"SELECT a FROM t WHERE b = ?uid AND c = ?",
+		"SELECT a FROM t WHERE b = :uid AND c = ? AND d = $1",
+	}
+	for _, src := range srcs {
+		raw, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		cached, err := ParseNorm(src)
+		if err != nil {
+			t.Fatalf("ParseNorm(%q): %v", src, err)
+		}
+		norm, err := Parse(raw.SQL())
+		if err != nil {
+			t.Fatalf("Parse(%q) of the normal form: %v", raw.SQL(), err)
+		}
+		rp := Params(raw)
+		for name, other := range map[string]Statement{"ParseNorm": cached, "normal form": norm} {
+			op := Params(other)
+			if len(rp) != len(op) {
+				t.Fatalf("%q: param count raw %d vs %s %d", src, len(rp), name, len(op))
+			}
+			for i := range rp {
+				if rp[i].Name != op[i].Name || rp[i].Index != op[i].Index || rp[i].Explicit != op[i].Explicit {
+					t.Errorf("%q param %d: raw {%q %d %v} vs %s {%q %d %v}", src, i,
+						rp[i].Name, rp[i].Index, rp[i].Explicit, name, op[i].Name, op[i].Index, op[i].Explicit)
+				}
+			}
+		}
+	}
+}
+
 func TestParseDollarPlaceholders(t *testing.T) {
 	stmt, err := Parse("SELECT a FROM t WHERE b = $2 AND c = $1 AND d = $2")
 	if err != nil {
