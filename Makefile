@@ -73,7 +73,8 @@ timingguard:
 # and a full scan that keeps no row past 2), a pgwire DataRow framed from
 # typed values (exactly 0; BenchmarkDataRow fails 212 rows of pg_scan's
 # (INT, TEXT) that allocate), and a pgwire range-read exchange, whose rows
-# stream from the scan (the same count and bytes for 50 rows as for 500).
+# stream from the scan (the same count and bytes for 50 rows as for 500,
+# and exactly one write for a read of 1, 50, 200 or 500 rows).
 allocbudget:
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmDecide|BenchmarkColdDecide' -benchmem -benchtime=100x ./internal/checker
 	$(GO) test -run 'TestWarmDecideAllocBudget|TestColdDecideAllocBudget|TestUnplannedStatementsBlock' -count=1 ./internal/checker
@@ -84,7 +85,7 @@ allocbudget:
 	$(GO) test -run '^$$' -bench 'BenchmarkRangeScan' -benchmem -benchtime=100x ./internal/engine
 	$(GO) test -run 'TestScanAllocsConstant|TestInsertRowAllocs' -count=1 ./internal/engine
 	$(GO) test -run '^$$' -bench 'BenchmarkDataRow' -benchmem -benchtime=100x ./internal/pgwire
-	$(GO) test -run 'TestDataRowAllocs|TestPgExchangeAllocsConstant' -count=1 ./internal/pgwire
+	$(GO) test -run 'TestDataRowAllocs|TestPgExchangeAllocsConstant|TestExchangeIsOneWrite' -count=1 ./internal/pgwire
 
 # Postgres wire-protocol conformance: raw-socket client exercising the
 # simple and extended flows, mid-transaction blocks, cancellation, the
@@ -160,7 +161,8 @@ fuzzwal:
 # Values; every pgwire DataRow cell must equal the string-building
 # reference rendering; a fuzzed pgwire frontend byte stream, startup
 # included, must neither panic the connection nor keep it from ending
-# with its input.
+# with its input, must get only whole backend messages back, and must
+# leave the connection at most rowsKeep of output capacity.
 fuzzwire:
 	$(GO) test -run '^$$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/proxy
 	$(GO) test -run '^$$' -fuzz=FuzzEncodeResponsePooled -fuzztime=10s ./internal/proxy

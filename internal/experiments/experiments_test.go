@@ -1,9 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/checker"
+	"repro/internal/sqlparser"
+	"repro/internal/trace"
 )
 
 func TestRunE1AllDecisionsCorrect(t *testing.T) {
@@ -245,5 +251,49 @@ func TestTableRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestE2HitsRunNoCoverStage is TestRunE2Shapes's deterministic twin: it
+// checks, in counters and allocations instead of time, why E2's cached
+// rows beat its cold one. On E2's statement a repeat decision with no
+// trace (the "decision only, cached" row) is a template hit, and under a
+// trace (the histfree-tier row) a history-free hit; neither runs the
+// cover stage, and neither allocates through CheckBorrowed (Check, which
+// E2 times, adds only its defensive Views copy).
+func TestE2HitsRunNoCoverStage(t *testing.T) {
+	f := apps.Calendar()
+	w := f.Corpus[0]
+	sel := sqlparser.MustParseSelect(w.SQL)
+	argv := sqlparser.PositionalArgs(w.Args...)
+	sess := f.Session(w.UId)
+	ctx := context.Background()
+	chk := checker.New(f.Policy())
+	covers := chk.Metrics().Counter("pipeline.decide.cover.runs")
+	for _, tc := range []struct {
+		tier string
+		tr   *trace.Trace
+	}{
+		{checker.TierTemplate, nil},
+		{checker.TierHistFree, &trace.Trace{}},
+	} {
+		if d := chk.Check(ctx, sel, argv, sess, tc.tr); !d.Allowed {
+			t.Fatalf("%s: priming decision %+v, want allowed", tc.tier, d)
+		}
+		before := covers.Value()
+		var d checker.Decision
+		allocs := testing.AllocsPerRun(100, func() { d = chk.CheckBorrowed(ctx, sel, argv, sess, tc.tr) })
+		if !d.Allowed || d.Tier != tc.tier {
+			t.Errorf("repeat decision %+v, want allowed on the %s tier", d, tc.tier)
+		}
+		if n := covers.Value() - before; n != 0 {
+			t.Errorf("%s hits ran the cover stage %d times, want 0", tc.tier, n)
+		}
+		if allocs != 0 && !raceEnabled {
+			t.Errorf("a %s hit allocates %v times, want 0", tc.tier, allocs)
+		}
+	}
+	if covers.Value() == 0 {
+		t.Error("the cold priming decision ran no cover stage: the counter counts nothing")
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/sqlvalue"
 )
 
-const rowsKeep = 64 << 10 // the most DataRow buffer a conn keeps between statements
+const rowsKeep = 64 << 10 // the most output buffer a conn keeps between exchanges
 
 // SQLSTATEs for protocol-level conditions the acerr vocabulary does
 // not cover (they never cross the v2 wire).
@@ -52,8 +52,12 @@ type conn struct {
 	srv  *Server
 	netc netConn
 	r    *bufio.Reader
-	w    *bufio.Writer
-	m    msgBuf
+	// out is the whole write side: every backend message, each DataRow
+	// framed from the scan included, is appended to it, and flush writes
+	// it with one Write before the next kernel read. Appending is all a
+	// scan does under the engine's read lock; a statement that fails
+	// truncates out back to where its replies began.
+	out []byte
 	// readBuf is the connection's reusable frontend-payload buffer;
 	// readMsg grows it to the largest message seen and every payload
 	// consumer copies what it keeps, so steady state reads allocate
@@ -62,10 +66,7 @@ type conn struct {
 
 	pid, secret int32
 
-	// rows gathers a read's DataRows (frameRow) for w, written once the
-	// query returns: never under the engine's read lock, never on error.
-	rows  msgBuf
-	nrows int
+	nrows int // DataRows frameRow appended for the running statement
 
 	closing bool // set by protoError: serve then closes the connection
 
@@ -112,22 +113,37 @@ func (c *conn) statementCtx(base context.Context) (context.Context, func()) {
 
 // flushReader is the connection's read side. Before any kernel read —
 // exactly when every buffered frontend message is handled and the
-// server is about to wait on the client — it flushes the replies
-// buffered in w. An exchange's replies thus leave in one write, yet are
-// always on the wire before the server waits, so no client can wait on
-// output the server holds.
+// server is about to wait on the client — it flushes c.out. An
+// exchange's replies, however many rows they hold, thus leave in one
+// write, yet are always on the wire before the server waits, so no
+// client can wait on output the server holds.
 type flushReader struct{ c *conn }
 
 func (f flushReader) Read(p []byte) (int, error) {
-	if err := f.c.w.Flush(); err != nil {
+	if err := f.c.flush(); err != nil {
 		return 0, err
 	}
 	return f.c.netc.Read(p)
 }
 
+// flush writes c.out in one Write and empties it, keeping its capacity
+// for the next exchange only up to rowsKeep — also when a failed
+// statement truncated what it had framed.
+func (c *conn) flush() error {
+	var err error
+	if len(c.out) > 0 {
+		_, err = c.netc.Write(c.out)
+	}
+	c.out = c.out[:0]
+	if cap(c.out) > rowsKeep {
+		c.out = nil
+	}
+	return err
+}
+
 func (c *conn) serve(base context.Context) {
 	c.r = bufio.NewReader(flushReader{c})
-	c.w = bufio.NewWriter(c.netc)
+	defer c.flush()
 	c.tx = 'I'
 	c.stmts = make(map[string]*prepared)
 	c.portals = make(map[string]*portal)
@@ -170,13 +186,13 @@ func (c *conn) serve(base context.Context) {
 			ok = c.handleClose(&p)
 		case 'S':
 			skipTillSync = false
-			_ = writeReadyForQuery(c.w, &c.m, c.tx)
+			c.out = appendReadyForQuery(c.out, c.tx)
 		case 'H':
 			// Flush: flushReader writes the replies before the next read.
 		case 'X':
 			return
 		case 'd', 'c', 'f', 'F':
-			_ = writeErrorResponse(c.w, &c.m, acerr.SQLStateFeatureNotSupported,
+			c.out = appendErrorResponse(c.out, acerr.SQLStateFeatureNotSupported,
 				"COPY and function-call messages are not supported")
 			ok = false
 		default:
@@ -193,8 +209,8 @@ func (c *conn) serve(base context.Context) {
 
 // protoError reports an unrecoverable protocol violation.
 func (c *conn) protoError(msg string) {
-	_ = writeErrorResponse(c.w, &c.m, stateProtocolViolation, msg)
-	_ = c.w.Flush()
+	c.out = appendErrorResponse(c.out, stateProtocolViolation, msg)
+	_ = c.flush()
 	// Half-close before the close: the client then reads the error and
 	// EOF even when input it sent after the violation, still unread
 	// here, turns the close into a reset.
@@ -219,9 +235,7 @@ func (c *conn) startup(base context.Context) bool {
 		case sslRequestCode:
 			// No TLS: answer 'N' and let the client continue in
 			// cleartext (the posture every stock driver handles).
-			if _, err := c.netc.Write([]byte{'N'}); err != nil {
-				return false
-			}
+			c.out = append(c.out, 'N')
 			continue
 		case cancelCode:
 			p := payloadReader{b: payload}
@@ -254,20 +268,19 @@ func (c *conn) startup(base context.Context) bool {
 		Op: "hello", Name: durableName, Session: attrs,
 	}, c.sess)
 	if hello.Error != "" {
-		_ = writeErrorResponse(c.w, &c.m, acerr.SQLStateFor(hello.Code), hello.Error)
-		_ = c.w.Flush()
+		c.out = appendErrorResponse(c.out, acerr.SQLStateFor(hello.Code), hello.Error)
 		return false
 	}
 
-	_ = writeAuthOK(c.w, &c.m)
-	_ = writeParameterStatus(c.w, &c.m, "server_version", "13.0 (beyond)")
-	_ = writeParameterStatus(c.w, &c.m, "server_encoding", "UTF8")
-	_ = writeParameterStatus(c.w, &c.m, "client_encoding", "UTF8")
-	_ = writeParameterStatus(c.w, &c.m, "DateStyle", "ISO")
-	_ = writeParameterStatus(c.w, &c.m, "standard_conforming_strings", "on")
-	_ = writeBackendKeyData(c.w, &c.m, c.pid, c.secret)
-	_ = writeReadyForQuery(c.w, &c.m, 'I')
-	return c.w.Flush() == nil
+	c.out = appendAuthOK(c.out)
+	c.out = appendParameterStatus(c.out, "server_version", "13.0 (beyond)")
+	c.out = appendParameterStatus(c.out, "server_encoding", "UTF8")
+	c.out = appendParameterStatus(c.out, "client_encoding", "UTF8")
+	c.out = appendParameterStatus(c.out, "DateStyle", "ISO")
+	c.out = appendParameterStatus(c.out, "standard_conforming_strings", "on")
+	c.out = appendBackendKeyData(c.out, c.pid, c.secret)
+	c.out = appendReadyForQuery(c.out, 'I')
+	return true
 }
 
 // parseStartupParams walks the null-terminated key/value pairs of a
@@ -294,8 +307,8 @@ func parseStartupParams(payload []byte) map[string]string {
 func (c *conn) simpleQuery(base context.Context, sql string) {
 	stmts := splitStatements(sql)
 	if len(stmts) == 0 {
-		_ = writeEmptyQueryResponse(c.w, &c.m)
-		_ = writeReadyForQuery(c.w, &c.m, c.tx)
+		c.out = bodiless(c.out, 'I') // EmptyQueryResponse
+		c.out = appendReadyForQuery(c.out, c.tx)
 		return
 	}
 	for _, s := range stmts {
@@ -303,7 +316,7 @@ func (c *conn) simpleQuery(base context.Context, sql string) {
 			break
 		}
 	}
-	_ = writeReadyForQuery(c.w, &c.m, c.tx)
+	c.out = appendReadyForQuery(c.out, c.tx)
 }
 
 // isControl reports whether kw is handled by the bridge itself rather
@@ -343,7 +356,7 @@ func (c *conn) execControl(kw string) bool {
 		// Accepted and ignored: stock drivers send these on connect.
 		tag = kw
 	}
-	_ = writeCommandComplete(c.w, &c.m, tag)
+	c.out = appendCommandComplete(c.out, tag)
 	return true
 }
 
@@ -351,10 +364,11 @@ func (c *conn) execControl(kw string) bool {
 // writes its result messages; kw is its leading keyword (firstKeyword).
 // sendRowDesc selects simple-protocol framing (RowDescription before
 // rows); the extended protocol describes via Describe and Execute sends
-// rows alone. Returns false after writing an ErrorResponse.
+// rows alone. Returns false after writing an ErrorResponse, which
+// replaces whatever the statement had framed.
 func (c *conn) execStatement(base context.Context, kw, sql string, args []any, sendRowDesc bool) bool {
 	if c.tx == 'E' && kw != "COMMIT" && kw != "END" && kw != "ROLLBACK" && kw != "ABORT" {
-		_ = writeErrorResponse(c.w, &c.m, stateInFailedTx,
+		c.out = appendErrorResponse(c.out, stateInFailedTx,
 			"current transaction is aborted, commands ignored until end of transaction block")
 		return false
 	}
@@ -366,29 +380,29 @@ func (c *conn) execStatement(base context.Context, kw, sql string, args []any, s
 	if kw == "SELECT" {
 		op = "query"
 	}
+	mark := len(c.out)
+	c.nrows = 0
 	ctx, done := c.statementCtx(base)
 	resp := c.srv.cfg.Proxy.HandleInCtx(ctx, &proxy.Request{Op: op, SQL: sql, Args: args, Sink: c.frameRow}, c.sess)
 	done()
-	defer c.dropRows()
 
 	if resp.Blocked {
 		c.failTx()
-		_ = writeErrorResponse(c.w, &c.m, acerr.SQLStateBlocked,
+		c.out = appendErrorResponse(c.out[:mark], acerr.SQLStateBlocked,
 			"blocked by policy: "+resp.Reason)
 		return false
 	}
 	if resp.Error != "" {
 		c.failTx()
-		_ = writeErrorResponse(c.w, &c.m, acerr.SQLStateFor(resp.Code), resp.Error)
+		c.out = appendErrorResponse(c.out[:mark], acerr.SQLStateFor(resp.Code), resp.Error)
 		return false
 	}
 
 	if op == "query" {
 		if sendRowDesc {
-			_ = writeRowDescription(c.w, &c.m, resp.Columns)
+			c.spliceRowDescription(mark, resp.Columns)
 		}
-		_, _ = c.w.Write(c.rows.buf)
-		_ = writeCommandCompleteSelect(c.w, &c.m, c.nrows)
+		c.out = appendCommandCompleteSelect(c.out, c.nrows)
 		return true
 	}
 	var tag string
@@ -404,22 +418,29 @@ func (c *conn) execStatement(base context.Context, kw, sql string, args []any, s
 	default:
 		tag = kw
 	}
-	_ = writeCommandComplete(c.w, &c.m, tag)
+	c.out = appendCommandComplete(c.out, tag)
 	return true
 }
 
-// frameRow is the one place pgwire frames a DataRow.
+// frameRow is the one place pgwire frames a DataRow: straight into
+// c.out, from the scan, under the engine's read lock.
 func (c *conn) frameRow(row []sqlvalue.Value) {
-	c.rows.dataRow(row)
+	c.out = appendDataRow(c.out, row)
 	c.nrows++
 }
 
-// dropRows empties c.rows after a statement.
-func (c *conn) dropRows() {
-	c.rows.buf, c.nrows = c.rows.buf[:0], 0
-	if cap(c.rows.buf) > rowsKeep {
-		c.rows.buf = nil
-	}
+// spliceRowDescription puts the RowDescription of cols at mark, in
+// front of the DataRows framed after it, with one move of the rows: the
+// description is appended twice, the rows move up over the first copy,
+// and the second copy lands at mark.
+func (c *conn) spliceRowDescription(mark int, cols []string) {
+	end := len(c.out)
+	c.out = appendRowDescription(c.out, cols)
+	d := len(c.out) - end
+	c.out = append(c.out, c.out[end:end+d]...)
+	copy(c.out[mark+d:], c.out[mark:end])
+	copy(c.out[mark:], c.out[end+d:])
+	c.out = c.out[:end+d]
 }
 
 func (c *conn) failTx() {
@@ -453,7 +474,7 @@ func (c *conn) handleParse(p *payloadReader) bool {
 		// the proxy's own ingest parse of the same text.
 		stmt, err := sqlparser.ParseNorm(sql)
 		if err != nil {
-			_ = writeErrorResponse(c.w, &c.m, acerr.SQLStateParse, err.Error())
+			c.out = appendErrorResponse(c.out, acerr.SQLStateParse, err.Error())
 			return false
 		}
 		st.numParams = sqlparser.NumPositionalParams(stmt)
@@ -462,7 +483,7 @@ func (c *conn) handleParse(p *payloadReader) bool {
 		}
 	}
 	c.stmts[name] = st
-	_ = writeParseComplete(c.w, &c.m)
+	c.out = bodiless(c.out, '1') // ParseComplete
 	return true
 }
 
@@ -475,7 +496,7 @@ func (c *conn) handleBind(p *payloadReader) bool {
 	}
 	st, ok := c.stmts[stmtName]
 	if !ok {
-		_ = writeErrorResponse(c.w, &c.m, stateNoSuchStatement,
+		c.out = appendErrorResponse(c.out, stateNoSuchStatement,
 			"prepared statement "+strconv.Quote(stmtName)+" does not exist")
 		return false
 	}
@@ -492,7 +513,7 @@ func (c *conn) handleBind(p *payloadReader) bool {
 			return false
 		}
 		if fmts[i] != 0 {
-			_ = writeErrorResponse(c.w, &c.m, acerr.SQLStateFeatureNotSupported,
+			c.out = appendErrorResponse(c.out, acerr.SQLStateFeatureNotSupported,
 				"binary parameter format is not supported")
 			return false
 		}
@@ -525,7 +546,7 @@ func (c *conn) handleBind(p *payloadReader) bool {
 		}
 		v, derr := decodeTextParam(string(raw), oid)
 		if derr != nil {
-			_ = writeErrorResponse(c.w, &c.m, acerr.SQLStateBadRequest,
+			c.out = appendErrorResponse(c.out, acerr.SQLStateBadRequest,
 				"parameter $"+strconv.Itoa(i+1)+": "+derr.Error())
 			return false
 		}
@@ -544,14 +565,14 @@ func (c *conn) handleBind(p *payloadReader) bool {
 			return false
 		}
 		if f != 0 {
-			_ = writeErrorResponse(c.w, &c.m, acerr.SQLStateFeatureNotSupported,
+			c.out = appendErrorResponse(c.out, acerr.SQLStateFeatureNotSupported,
 				"binary result format is not supported")
 			return false
 		}
 	}
 
 	c.portals[portalName] = &portal{stmt: st, args: args}
-	_ = writeBindComplete(c.w, &c.m)
+	c.out = bodiless(c.out, '2') // BindComplete
 	return true
 }
 
@@ -570,18 +591,18 @@ func (c *conn) handleDescribe(p *payloadReader) bool {
 	case 'S':
 		st, ok := c.stmts[name]
 		if !ok {
-			_ = writeErrorResponse(c.w, &c.m, stateNoSuchStatement,
+			c.out = appendErrorResponse(c.out, stateNoSuchStatement,
 				"prepared statement "+strconv.Quote(name)+" does not exist")
 			return false
 		}
 		oids := make([]int32, st.numParams)
 		copy(oids, st.paramOIDs)
-		_ = writeParameterDescription(c.w, &c.m, oids)
+		c.out = appendParameterDescription(c.out, oids)
 		c.describeResult(st)
 	case 'P':
 		po, ok := c.portals[name]
 		if !ok {
-			_ = writeErrorResponse(c.w, &c.m, stateNoSuchPortal,
+			c.out = appendErrorResponse(c.out, stateNoSuchPortal,
 				"portal "+strconv.Quote(name)+" does not exist")
 			return false
 		}
@@ -598,10 +619,10 @@ func (c *conn) handleDescribe(p *payloadReader) bool {
 // column a star item expands to included — and NoData otherwise.
 func (c *conn) describeResult(st *prepared) {
 	if st.cols == nil {
-		_ = writeNoData(c.w, &c.m)
+		c.out = bodiless(c.out, 'n') // NoData
 		return
 	}
-	_ = writeRowDescription(c.w, &c.m, st.cols)
+	c.out = appendRowDescription(c.out, st.cols)
 }
 
 func (c *conn) handleExecute(base context.Context, p *payloadReader) bool {
@@ -619,12 +640,12 @@ func (c *conn) handleExecute(base context.Context, p *payloadReader) bool {
 	}
 	po, ok := c.portals[name]
 	if !ok {
-		_ = writeErrorResponse(c.w, &c.m, stateNoSuchPortal,
+		c.out = appendErrorResponse(c.out, stateNoSuchPortal,
 			"portal "+strconv.Quote(name)+" does not exist")
 		return false
 	}
 	if strings.TrimSpace(po.stmt.sql) == "" {
-		_ = writeEmptyQueryResponse(c.w, &c.m)
+		c.out = bodiless(c.out, 'I') // EmptyQueryResponse
 		return true
 	}
 	return c.execStatement(base, po.stmt.kw, po.stmt.sql, po.args, false)
@@ -650,7 +671,7 @@ func (c *conn) handleClose(p *payloadReader) bool {
 		c.protoError("malformed Close")
 		return false
 	}
-	_ = writeCloseComplete(c.w, &c.m)
+	c.out = bodiless(c.out, '3') // CloseComplete
 	return true
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,8 +118,10 @@ func bindExecute() []byte {
 }
 
 // TestExchangeIsOneWrite pins the flush rule: a Bind/Execute/Sync
-// exchange for a one-row read reaches the client in exactly one write,
-// holding every reply through ReadyForQuery.
+// exchange reaches the client in exactly one write, holding every reply
+// through ReadyForQuery — for a one-row read, and for pg_scan's range
+// reads of 50, 200 and 500 rows, which the connection frames into the
+// same buffer as the rest of the exchange.
 func TestExchangeIsOneWrite(t *testing.T) {
 	sc := startScripted(t)
 	out, writes := sc.exchange(t, append(bindExecute(), frontend('S', nil)...))
@@ -128,6 +131,60 @@ func TestExchangeIsOneWrite(t *testing.T) {
 	msgs := backendMsgs(t, out)
 	if got := msgTypes(msgs); got != "2DCZ" {
 		t.Fatalf("replies %q, want BindComplete, DataRow, CommandComplete, ReadyForQuery", got)
+	}
+
+	sc, _ = servePostsRange(t, forumProxy(t, proxy.Enforce, 1000))
+	for _, rows := range []int{50, 200, 500} {
+		out, writes := sc.exchange(t, postsRange(rows))
+		want := "2" + strings.Repeat("D", rows) + "CZ"
+		if got := msgTypes(backendMsgs(t, out)); writes != 1 || got != want {
+			t.Errorf("%d-row read: %d writes of %d replies %.8q..., want 1 write of BindComplete, %d DataRows, CommandComplete, ReadyForQuery",
+				rows, writes, len(got), got, rows)
+		}
+	}
+}
+
+// TestSimpleQueryErrorKeepsEarlierReplies: in one simple Query, a
+// statement that is blocked, or whose evaluation fails, answers with an
+// ErrorResponse and no DataRow, and the statement before it keeps its
+// replies, all in the exchange's one write. (A read canceled while its
+// rows are framed takes them back too: TestStreamedReadCanceled.)
+func TestSimpleQueryErrorKeepsEarlierReplies(t *testing.T) {
+	sc, _ := serveScripted(t, testProxy(t, proxy.Enforce), "attr.MyUId\x001\x00")
+	out, writes := sc.exchange(t, frontend('Q', []byte(
+		"SELECT EId FROM Attendance WHERE UId = 1; SELECT * FROM Events WHERE EId = 3\x00")))
+	msgs := backendMsgs(t, out)
+	if got := msgTypes(msgs); writes != 1 || got != "TDCEZ" {
+		t.Fatalf("%d writes of %q, want 1 write of the first statement's RowDescription, DataRow, CommandComplete, then ErrorResponse, ReadyForQuery", writes, got)
+	}
+	if got := dataRowValues(t, msgs[1]); len(got) != 1 || got[0] != "2" {
+		t.Fatalf("first statement's row %v, want [2]", got)
+	}
+	wantSQLState(t, msgs, "42501")
+
+	sc, _ = serveScripted(t, padProxy(t, 100, 10), "")
+	out, _ = sc.exchange(t, frontend('Q', []byte(
+		"SELECT N FROM Big WHERE N < 3; SELECT N FROM Big WHERE N >= 0 AND N > (SELECT N FROM Big WHERE N >= 0)\x00")))
+	msgs = backendMsgs(t, out)
+	if got := msgTypes(msgs); got != "TDDDCEZ" {
+		t.Fatalf("replies %q, want the first read's 3 rows, then ErrorResponse, ReadyForQuery", got)
+	}
+	wantOwnRows(t, append(msgs[:5:5], msgs[6]))
+	wantSQLState(t, msgs, "XX000")
+}
+
+// TestOutputCapacityKept: a read whose replies outgrow rowsKeep leaves
+// in one write, and the connection then keeps at most rowsKeep of output
+// capacity.
+func TestOutputCapacityKept(t *testing.T) {
+	const rows = 2000
+	sc, c := servePostsRange(t, forumProxy(t, proxy.Enforce, 500+rows))
+	out, writes := sc.exchange(t, postsRange(rows))
+	if len(out) <= rowsKeep || writes != 1 || countMsgs(backendMsgs(t, out), 'D') != rows {
+		t.Fatalf("%d-row read: %d bytes in %d writes, want more than %d in 1", rows, len(out), writes, rowsKeep)
+	}
+	if n := cap(c.out); n > rowsKeep {
+		t.Fatalf("connection keeps %d bytes of output capacity, want at most %d", n, rowsKeep)
 	}
 }
 

@@ -14,14 +14,14 @@ import (
 )
 
 // The DataRow encoder writes typed values directly into the
-// per-connection message buffer (dataRow) instead of materializing a
+// connection's output buffer (appendDataRow) instead of materializing a
 // string per cell (renderValue). These tests pin both halves of that
 // bargain: the wire bytes are exactly the Postgres v3 framing (golden
 // tests, byte literals computed by hand from the protocol spec), and
 // the direct-append rendering is byte-identical to the renderValue
 // reference for every value the engine can produce (equivalence tests
-// and fuzz). The msgBuf is reused across every case, as the connection
-// loop reuses it across every query.
+// and fuzz). One buffer is reused across every case, as a connection
+// reuses its output buffer across every exchange.
 
 // renderValue is the reference rendering of one cell, from the Go
 // value a Value boxes to (Value.Any): its Postgres text form, ok=false
@@ -71,24 +71,20 @@ func TestDataRowGolden(t *testing.T) {
 		" 00000001 74"+ // "t"
 		" 00000001 66") // "f"
 
-	// A read's rows gather in one buffer: a row must be framed after the
-	// ones before it and leave them as they were.
-	var m msgBuf
-	m.begin('X')
-	m.cstr("stale")
-	stale := bytes.Clone(m.buf)
-	m.dataRow(row)
-	if !bytes.Equal(m.buf, append(stale, want...)) {
-		t.Errorf("DataRow bytes:\n got  %x\n want %x", m.buf[len(stale):], want)
+	// An exchange's replies gather in one buffer: a row must be framed
+	// after the messages before it and leave them as they were.
+	stale := appendCommandComplete(nil, "stale")
+	b := appendDataRow(bytes.Clone(stale), row)
+	if !bytes.Equal(b, append(stale, want...)) {
+		t.Errorf("DataRow bytes:\n got  %x\n want %x", b[len(stale):], want)
 	}
 
 	// Integral REALs render without a decimal point, exactly like the
 	// v2 JSON surface renders them.
-	m.buf = m.buf[:0]
-	m.dataRow([]sqlvalue.Value{sqlvalue.NewReal(3)})
+	b = appendDataRow(b[:0], []sqlvalue.Value{sqlvalue.NewReal(3)})
 	want = mustHex(t, "44 0000000b 0001 00000001 33")
-	if !bytes.Equal(m.buf, want) {
-		t.Errorf("integral REAL DataRow:\n got  %x\n want %x", m.buf, want)
+	if !bytes.Equal(b, want) {
+		t.Errorf("integral REAL DataRow:\n got  %x\n want %x", b, want)
 	}
 }
 
@@ -96,18 +92,14 @@ func TestDataRowGolden(t *testing.T) {
 // driver ingress parses on every SELECT: every column is announced as
 // text (OID 25), variable length, text format.
 func TestRowDescriptionGolden(t *testing.T) {
-	var buf bytes.Buffer
-	var m msgBuf
-	if err := writeRowDescription(&buf, &m, []string{"EId"}); err != nil {
-		t.Fatal(err)
-	}
+	got := appendRowDescription(nil, []string{"EId"})
 	want := mustHex(t, "54 0000001c 0001"+
 		" 45496400"+ // "EId\0"
 		" 00000000 0000"+ // table OID, attnum
 		" 00000019"+ // type OID 25 (text)
 		" ffff ffffffff 0000") // typlen -1, typmod -1, format text
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("RowDescription bytes:\n got  %x\n want %x", buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("RowDescription bytes:\n got  %x\n want %x", got, want)
 	}
 }
 
@@ -127,11 +119,11 @@ func referenceCell(v sqlvalue.Value) []byte {
 // one-cell DataRow appended to a deliberately dirty, reused buffer — and
 // returns the cell's bytes after the row's 7-byte header, having checked
 // that header.
-func dataRowCell(t testing.TB, m *msgBuf, v sqlvalue.Value) []byte {
-	m.begin('X')
-	start := len(m.buf)
-	m.dataRow([]sqlvalue.Value{v})
-	row := m.buf[start:]
+func dataRowCell(t testing.TB, b *[]byte, v sqlvalue.Value) []byte {
+	*b = appendCommandComplete((*b)[:0], "X")
+	start := len(*b)
+	*b = appendDataRow(*b, []sqlvalue.Value{v})
+	row := (*b)[start:]
 	if row[0] != 'D' || int(binary.BigEndian.Uint32(row[1:])) != len(row)-1 || binary.BigEndian.Uint16(row[5:]) != 1 {
 		t.Fatalf("DataRow header of %#v: %x", v, row)
 	}
@@ -142,7 +134,7 @@ func dataRowCell(t testing.TB, m *msgBuf, v sqlvalue.Value) []byte {
 // emits and checks the direct-append rendering byte-for-byte against
 // the renderValue reference.
 func TestValueTextMatchesRenderValue(t *testing.T) {
-	var m msgBuf
+	var b []byte
 	var values []sqlvalue.Value
 	for _, v := range []any{
 		nil,
@@ -156,7 +148,7 @@ func TestValueTextMatchesRenderValue(t *testing.T) {
 		values = append(values, sqlvalue.MustFromAny(v))
 	}
 	for _, v := range values {
-		got := dataRowCell(t, &m, v)
+		got := dataRowCell(t, &b, v)
 		want := referenceCell(v)
 		if !bytes.Equal(got, want) {
 			t.Errorf("DataRow cell %#v:\n got  %x\n want %x", v, got, want)
@@ -166,7 +158,7 @@ func TestValueTextMatchesRenderValue(t *testing.T) {
 
 // FuzzValueTextParity fuzzes the DataRow cell encoder against
 // the renderValue reference across every value class, reusing one
-// msgBuf the whole run the way a connection does. kind selects the
+// buffer the whole run the way a connection does. kind selects the
 // class (0 is NULL); the other arguments supply the value.
 func FuzzValueTextParity(f *testing.F) {
 	f.Add(uint8(0), int64(0), uint64(0), "")
@@ -175,7 +167,7 @@ func FuzzValueTextParity(f *testing.F) {
 	f.Add(uint8(2), int64(0), math.Float64bits(math.Inf(1)), "")
 	f.Add(uint8(3), int64(0), uint64(0), "hello\x00world\"quote")
 	f.Add(uint8(4), int64(1), uint64(0), "")
-	var m msgBuf
+	var b []byte
 	f.Fuzz(func(t *testing.T, kind uint8, i int64, fbits uint64, s string) {
 		var v sqlvalue.Value
 		switch kind % 5 {
@@ -188,7 +180,7 @@ func FuzzValueTextParity(f *testing.F) {
 		case 4:
 			v = sqlvalue.NewBool(i%2 == 0)
 		}
-		got := dataRowCell(t, &m, v)
+		got := dataRowCell(t, &b, v)
 		want := referenceCell(v)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("DataRow cell %#v:\n got  %x\n want %x", v, got, want)
@@ -197,15 +189,14 @@ func FuzzValueTextParity(f *testing.F) {
 }
 
 // TestDataRowAllocs is the framing half of the allocation contract: a
-// DataRow framed from a []sqlvalue.Value into a warmed message buffer
+// DataRow framed from a []sqlvalue.Value into a warmed output buffer
 // allocates nothing.
 func TestDataRowAllocs(t *testing.T) {
 	row := []sqlvalue.Value{sqlvalue.NewInt(1 << 40), sqlvalue.NewText("a post body"),
 		sqlvalue.NewReal(2.5), sqlvalue.NewBool(true), sqlvalue.NewNull()}
-	var m msgBuf
+	var b []byte
 	if n := testing.AllocsPerRun(100, func() {
-		m.buf = m.buf[:0]
-		m.dataRow(row)
+		b = appendDataRow(b[:0], row)
 	}); n != 0 {
 		t.Errorf("DataRow from typed values: %v allocs, contract is exactly 0", n)
 	}
@@ -219,18 +210,18 @@ func BenchmarkDataRow(b *testing.B) {
 	for i := range rows {
 		rows[i] = []sqlvalue.Value{sqlvalue.NewInt(int64(2*i + 1)), sqlvalue.NewText("public post by " + strconv.Itoa(i))}
 	}
-	var m msgBuf
+	var buf []byte
 	frame := func() {
-		m.buf = m.buf[:0]
+		buf = buf[:0]
 		for _, r := range rows {
-			m.dataRow(r)
+			buf = appendDataRow(buf, r)
 		}
 	}
 	if n := testing.AllocsPerRun(10, frame); n != 0 {
 		b.Fatalf("framing %d rows allocates %v times, contract is 0", len(rows), n)
 	}
 	b.ReportAllocs()
-	b.SetBytes(int64(len(m.buf)))
+	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		frame()

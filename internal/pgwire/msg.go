@@ -85,90 +85,72 @@ func readMsg(r io.Reader, scratch *[]byte) (typ byte, payload []byte, err error)
 	return hdr[0], payload, nil
 }
 
-// msgBuf builds one backend message. Zero value is ready after begin.
-type msgBuf struct {
-	buf []byte
+// Backend messages are appended to the connection's output buffer in
+// place: begin appends the type byte and a length placeholder, finish
+// patches the length of the message begun at at.
+
+func begin(b []byte, typ byte) ([]byte, int) { return append(b, typ, 0, 0, 0, 0), len(b) }
+
+func finish(b []byte, at int) []byte {
+	binary.BigEndian.PutUint32(b[at+1:], uint32(len(b)-at-1))
+	return b
 }
 
-func (m *msgBuf) begin(typ byte) {
-	m.buf = append(m.buf[:0], typ, 0, 0, 0, 0)
+func cstr(b []byte, s string) []byte { return append(append(b, s...), 0) }
+
+func int16be(b []byte, v int16) []byte { return binary.BigEndian.AppendUint16(b, uint16(v)) }
+func int32be(b []byte, v int32) []byte { return binary.BigEndian.AppendUint32(b, uint32(v)) }
+
+// --- Backend messages ---
+
+// bodiless appends a message that carries no body: ParseComplete ('1'),
+// BindComplete ('2'), CloseComplete ('3'), NoData ('n') or
+// EmptyQueryResponse ('I').
+func bodiless(b []byte, typ byte) []byte { return append(b, typ, 0, 0, 0, 4) }
+
+func appendAuthOK(b []byte) []byte { return append(b, 'R', 0, 0, 0, 8, 0, 0, 0, 0) }
+
+func appendParameterStatus(b []byte, k, v string) []byte {
+	b, at := begin(b, 'S')
+	return finish(cstr(cstr(b, k), v), at)
 }
 
-func (m *msgBuf) byte(b byte)    { m.buf = append(m.buf, b) }
-func (m *msgBuf) bytes(b []byte) { m.buf = append(m.buf, b...) }
-func (m *msgBuf) int16(v int16)  { m.buf = binary.BigEndian.AppendUint16(m.buf, uint16(v)) }
-func (m *msgBuf) int32(v int32)  { m.buf = binary.BigEndian.AppendUint32(m.buf, uint32(v)) }
-func (m *msgBuf) cstr(s string)  { m.buf = append(append(m.buf, s...), 0) }
-
-// finish patches the length and returns the wire bytes (valid until
-// the next begin).
-func (m *msgBuf) finish() []byte {
-	binary.BigEndian.PutUint32(m.buf[1:5], uint32(len(m.buf)-1))
-	return m.buf
+func appendBackendKeyData(b []byte, pid, secret int32) []byte {
+	return int32be(int32be(append(b, 'K', 0, 0, 0, 12), pid), secret)
 }
 
-func writeMsg(w io.Writer, m *msgBuf) error {
-	_, err := w.Write(m.finish())
-	return err
+func appendReadyForQuery(b []byte, status byte) []byte {
+	return append(b, 'Z', 0, 0, 0, 5, status)
 }
 
-// --- Backend message writers ---
-
-func writeAuthOK(w io.Writer, m *msgBuf) error {
-	m.begin('R')
-	m.int32(0)
-	return writeMsg(w, m)
-}
-
-func writeParameterStatus(w io.Writer, m *msgBuf, k, v string) error {
-	m.begin('S')
-	m.cstr(k)
-	m.cstr(v)
-	return writeMsg(w, m)
-}
-
-func writeBackendKeyData(w io.Writer, m *msgBuf, pid, secret int32) error {
-	m.begin('K')
-	m.int32(pid)
-	m.int32(secret)
-	return writeMsg(w, m)
-}
-
-func writeReadyForQuery(w io.Writer, m *msgBuf, status byte) error {
-	m.begin('Z')
-	m.byte(status)
-	return writeMsg(w, m)
-}
-
-// writeRowDescription describes result columns. The engine is
+// appendRowDescription describes result columns. The engine is
 // dynamically typed, so every column is announced as text (OID 25);
 // values arrive in text format regardless.
-func writeRowDescription(w io.Writer, m *msgBuf, cols []string) error {
-	m.begin('T')
-	m.int16(int16(len(cols)))
+func appendRowDescription(b []byte, cols []string) []byte {
+	b, at := begin(b, 'T')
+	b = int16be(b, int16(len(cols)))
 	for _, c := range cols {
-		m.cstr(c)
-		m.int32(0) // table OID
-		m.int16(0) // attribute number
-		m.int32(oidText)
-		m.int16(-1) // typlen (variable)
-		m.int32(-1) // typmod
-		m.int16(0)  // format: text
+		b = cstr(b, c)
+		b = int32be(b, 0) // table OID
+		b = int16be(b, 0) // attribute number
+		b = int32be(b, oidText)
+		b = int16be(b, -1) // typlen (variable)
+		b = int32be(b, -1) // typmod
+		b = int16be(b, 0)  // format: text
 	}
-	return writeMsg(w, m)
+	return finish(b, at)
 }
 
-// dataRow appends one DataRow after whatever m already holds, in one
-// pass over a local slice: each cell is NULL as length -1, otherwise a
-// 4-byte length placeholder followed by the value's Postgres text
-// rendering appended in place (strconv append forms, no intermediate
-// string or []byte copy), with the length patched afterward. Cells are
-// read through pointers (sqlvalue.TypeOf), so none is copied. The golden
-// and fuzz tests in frame_test.go pin it to a string-building reference.
-func (m *msgBuf) dataRow(row []sqlvalue.Value) {
-	b := m.buf
-	at := len(b)
-	b = binary.BigEndian.AppendUint16(append(b, 'D', 0, 0, 0, 0), uint16(len(row)))
+// appendDataRow appends one DataRow in one pass: each cell is NULL as
+// length -1, otherwise a 4-byte length placeholder followed by the
+// value's Postgres text rendering appended in place (strconv append
+// forms, no intermediate string or []byte copy), with the length
+// patched afterward. Cells are read through pointers (sqlvalue.TypeOf),
+// so none is copied. The golden and fuzz tests in frame_test.go pin it
+// to a string-building reference.
+func appendDataRow(b []byte, row []sqlvalue.Value) []byte {
+	b, at := begin(b, 'D')
+	b = int16be(b, int16(len(row)))
 	for i := range row {
 		v := &row[i]
 		if sqlvalue.TypeOf(v) == sqlvalue.Null {
@@ -193,76 +175,42 @@ func (m *msgBuf) dataRow(row []sqlvalue.Value) {
 		}
 		binary.BigEndian.PutUint32(b[cell:], uint32(len(b)-cell-4))
 	}
-	binary.BigEndian.PutUint32(b[at+1:], uint32(len(b)-at-1))
-	m.buf = b
+	return finish(b, at)
 }
 
-func writeCommandComplete(w io.Writer, m *msgBuf, tag string) error {
-	m.begin('C')
-	m.cstr(tag)
-	return writeMsg(w, m)
+func appendCommandComplete(b []byte, tag string) []byte {
+	b, at := begin(b, 'C')
+	return finish(cstr(b, tag), at)
 }
 
-// writeCommandCompleteSelect writes the "SELECT n" completion tag
+// appendCommandCompleteSelect appends the "SELECT n" completion tag
 // without materializing the tag string (the per-query concat showed up
 // in the saturation profile).
-func writeCommandCompleteSelect(w io.Writer, m *msgBuf, n int) error {
-	m.begin('C')
-	m.buf = append(m.buf, "SELECT "...)
-	m.buf = strconv.AppendInt(m.buf, int64(n), 10)
-	m.byte(0)
-	return writeMsg(w, m)
+func appendCommandCompleteSelect(b []byte, n int) []byte {
+	b, at := begin(b, 'C')
+	b = strconv.AppendInt(append(b, "SELECT "...), int64(n), 10)
+	return finish(append(b, 0), at)
 }
 
-func writeEmptyQueryResponse(w io.Writer, m *msgBuf) error {
-	m.begin('I')
-	return writeMsg(w, m)
-}
-
-func writeParseComplete(w io.Writer, m *msgBuf) error {
-	m.begin('1')
-	return writeMsg(w, m)
-}
-
-func writeBindComplete(w io.Writer, m *msgBuf) error {
-	m.begin('2')
-	return writeMsg(w, m)
-}
-
-func writeCloseComplete(w io.Writer, m *msgBuf) error {
-	m.begin('3')
-	return writeMsg(w, m)
-}
-
-func writeNoData(w io.Writer, m *msgBuf) error {
-	m.begin('n')
-	return writeMsg(w, m)
-}
-
-func writeParameterDescription(w io.Writer, m *msgBuf, oids []int32) error {
-	m.begin('t')
-	m.int16(int16(len(oids)))
+func appendParameterDescription(b []byte, oids []int32) []byte {
+	b, at := begin(b, 't')
+	b = int16be(b, int16(len(oids)))
 	for _, o := range oids {
-		m.int32(o)
+		b = int32be(b, o)
 	}
-	return writeMsg(w, m)
+	return finish(b, at)
 }
 
-// writeErrorResponse reports an error with its SQLSTATE. Severity is
+// appendErrorResponse reports an error with its SQLSTATE. Severity is
 // always ERROR: the listener never kills the connection for statement
 // errors, matching server behaviour.
-func writeErrorResponse(w io.Writer, m *msgBuf, sqlstate, message string) error {
-	m.begin('E')
-	m.byte('S')
-	m.cstr("ERROR")
-	m.byte('V')
-	m.cstr("ERROR")
-	m.byte('C')
-	m.cstr(sqlstate)
-	m.byte('M')
-	m.cstr(message)
-	m.byte(0)
-	return writeMsg(w, m)
+func appendErrorResponse(b []byte, sqlstate, message string) []byte {
+	b, at := begin(b, 'E')
+	b = cstr(append(b, 'S'), "ERROR")
+	b = cstr(append(b, 'V'), "ERROR")
+	b = cstr(append(b, 'C'), sqlstate)
+	b = cstr(append(b, 'M'), message)
+	return finish(append(b, 0), at)
 }
 
 // --- Frontend payload parsing helpers ---

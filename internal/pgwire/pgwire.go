@@ -144,8 +144,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			s.mu.Unlock()
 			// The client has not completed startup, but an ErrorResponse
 			// before AuthenticationOk is legal and what real servers do.
-			var m msgBuf
-			_ = writeErrorResponse(nc, &m, acerr.SQLStateTooManyConns, "too many connections")
+			_, _ = nc.Write(appendErrorResponse(nil, acerr.SQLStateTooManyConns, "too many connections"))
 			nc.Close()
 			s.logf("pgwire: rejected %s: connection limit (%d) reached", nc.RemoteAddr(), s.maxConns())
 			continue

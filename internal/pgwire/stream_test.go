@@ -202,11 +202,36 @@ func TestOffFramesEnforceRows(t *testing.T) {
 	}
 }
 
+// servePostsRange serves one connection to a forum proxy as principal 2
+// and prepares, as statement "r", pg_scan's range read of public posts.
+func servePostsRange(t *testing.T, px *proxy.Server) (*scriptConn, *conn) {
+	t.Helper()
+	sc, c := serveScripted(t, px, "attr.MyUId\x002\x00")
+	parse := frontend('P', []byte("r\x00SELECT PId, Body FROM Posts WHERE Visibility = 'public' AND PId >= $1 AND PId < $2\x00\x00\x00"))
+	sc.exchange(t, append(parse, frontend('S', nil)...))
+	return sc, c
+}
+
+// postsRange is the Bind/Execute/Sync of statement "r" that reads rows
+// public posts, from PId 1001 on (the fixture must hold 500+rows users).
+// Both bounds are at least 256, which Go boxes in an interface with one
+// allocation, as it does not a smaller integer.
+func postsRange(rows int) []byte {
+	b := []byte("\x00r\x00\x00\x00\x00\x02")
+	for _, a := range []string{"1001", fmt.Sprint(1001 + 2*rows)} {
+		b = binary.BigEndian.AppendUint32(b, uint32(len(a)))
+		b = append(b, a...)
+	}
+	b = frontend('B', append(b, 0, 0))
+	b = append(b, frontend('E', []byte{0, 0, 0, 0, 0})...)
+	return append(b, frontend('S', nil)...)
+}
+
 // TestPgExchangeAllocsConstant is the pg exchange's allocation
 // contract: a Bind/Execute/Sync of a prepared range read costs the
 // server the same number of allocations for 50 rows as for 500 — the
 // rows stream from the engine's scan into the connection's reused
-// DataRow buffer, and no result set is built. Measured over the
+// output buffer, and no result set is built. Measured over the
 // in-memory scriptConn, whose side allocates nothing.
 func TestPgExchangeAllocsConstant(t *testing.T) {
 	if raceEnabled {
@@ -214,24 +239,10 @@ func TestPgExchangeAllocsConstant(t *testing.T) {
 	}
 	px := forumProxy(t, proxy.Enforce, 1000)
 	px.HistoryWindow = 32
-	sc, _ := serveScripted(t, px, "attr.MyUId\x002\x00")
-	parse := frontend('P', []byte("r\x00SELECT PId, Body FROM Posts WHERE Visibility = 'public' AND PId >= $1 AND PId < $2\x00\x00\x00"))
-	sc.exchange(t, append(parse, frontend('S', nil)...))
-	// Both bounds of both reads are at least 256, which Go boxes in an
-	// interface with one allocation, as it does not a smaller integer.
-	exchange := func(hi string) []byte {
-		b := []byte("\x00r\x00\x00\x00\x00\x02")
-		for _, a := range []string{"1001", hi} {
-			b = binary.BigEndian.AppendUint32(b, uint32(len(a)))
-			b = append(b, a...)
-		}
-		b = frontend('B', append(b, 0, 0))
-		b = append(b, frontend('E', []byte{0, 0, 0, 0, 0})...)
-		return append(b, frontend('S', nil)...)
-	}
+	sc, _ := servePostsRange(t, px)
 	counts, bytesPer := map[int]float64{}, map[int]uint64{}
 	for _, rows := range []int{50, 500} {
-		ex := exchange(fmt.Sprint(1001 + 2*rows))
+		ex := postsRange(rows)
 		for i := 0; i < 3; i++ {
 			out, _ := sc.exchange(t, ex)
 			if msgs := backendMsgs(t, out); countMsgs(msgs, 'D') != rows {
@@ -257,12 +268,18 @@ func TestPgExchangeAllocsConstant(t *testing.T) {
 }
 
 // memConn is an in-memory netConn over a fixed frontend byte stream:
-// Read serves it, then io.EOF; writes are discarded.
-type memConn struct{ r *bytes.Reader }
+// Read serves it, then io.EOF; Write appends to out.
+type memConn struct {
+	r   *bytes.Reader
+	out []byte
+}
 
-func (m memConn) Read(p []byte) (int, error)  { return m.r.Read(p) }
-func (m memConn) Write(p []byte) (int, error) { return len(p), nil }
-func (m memConn) Close() error                { return nil }
+func (m *memConn) Read(p []byte) (int, error) { return m.r.Read(p) }
+func (m *memConn) Write(p []byte) (int, error) {
+	m.out = append(m.out, p...)
+	return len(p), nil
+}
+func (m *memConn) Close() error { return nil }
 
 // startupMsg frames a v3 StartupMessage with the given parameters
 // ("key\x00value\x00" pairs).
@@ -275,7 +292,9 @@ func startupMsg(params string) []byte {
 // fuzzed frontend byte stream, startup message included, against the
 // smallest forum fixture (six posts, so a fuzzed cross join stays
 // small; a statement's context ends after a second): serve must not
-// panic, and must return once the input ends.
+// panic, must return once the input ends, must write only whole backend
+// messages (after the one-byte answers to SSLRequests), and must then
+// keep at most rowsKeep of output capacity.
 func FuzzPgFrontend(f *testing.F) {
 	start := startupMsg("user\x00fuzz\x00attr.MyUId\x002\x00")
 	parse := frontend('P', []byte("\x00SELECT Body FROM Posts WHERE PId = $1\x00\x00\x00"))
@@ -296,7 +315,8 @@ func FuzzPgFrontend(f *testing.F) {
 		defer px.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
-		c := &conn{srv: NewServer(Config{Proxy: px}), netc: memConn{bytes.NewReader(in)}, pid: 1, secret: 2}
+		mc := &memConn{r: bytes.NewReader(in)}
+		c := &conn{srv: NewServer(Config{Proxy: px}), netc: mc, pid: 1, secret: 2}
 		done := make(chan string, 1)
 		go func() {
 			defer func() {
@@ -314,6 +334,10 @@ func FuzzPgFrontend(f *testing.F) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatal("serve did not return after its input ended")
+		}
+		backendMsgs(t, bytes.TrimLeft(mc.out, "N"))
+		if n := cap(c.out); n > rowsKeep {
+			t.Fatalf("connection keeps %d bytes of output capacity, want at most %d", n, rowsKeep)
 		}
 	})
 }

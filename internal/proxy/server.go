@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -1126,6 +1127,13 @@ func (s *Server) finishQuery(ctx context.Context, req *Request, sess *session, s
 	}
 
 	bound, err := sqlparser.Bind(sel, args)
+	if nv, ok := err.(*sqlparser.NoValueError); ok && nv.Name != "" {
+		// A named parameter the request leaves out is the session's
+		// attribute of that name, as the checker resolved it. The trace
+		// records the values the read ran with.
+		args = withSessionNamed(sel, args, sess.attrs)
+		bound, err = sqlparser.Bind(sel, args)
+	}
 	if err != nil {
 		return Response{Error: err.Error(), Code: acerr.CodeBadRequest}
 	}
@@ -1163,6 +1171,22 @@ func (s *Server) finishQuery(ctx context.Context, req *Request, sess *session, s
 		return Response{OK: true, Columns: res.Columns}
 	}
 	return Response{OK: true, Columns: res.Columns, Rows: res.Rows}
+}
+
+// withSessionNamed returns args whose Named, a new map, also holds
+// each named parameter of sel that args lacks and attrs has.
+func withSessionNamed(sel *sqlparser.SelectStmt, args sqlparser.Args, attrs map[string]sqlvalue.Value) sqlparser.Args {
+	named := make(map[string]sqlvalue.Value, len(args.Named)+1)
+	maps.Copy(named, args.Named)
+	for _, p := range sqlparser.Params(sel) {
+		if _, ok := named[p.Name]; p.Name != "" && !ok {
+			if v, ok := attrs[p.Name]; ok {
+				named[p.Name] = v
+			}
+		}
+	}
+	args.Named = named
+	return args
 }
 
 // sink hands rows to the request's Sink, which takes them in place of

@@ -5,6 +5,7 @@ import (
 	"context"
 	"database/sql"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -167,6 +168,16 @@ func (p *pgClient) extQuery(t *testing.T, sqlText string, args []any) (nrows int
 	}
 	rows, state, msg := p.untilReady(t)
 	return len(rows), state, msg
+}
+
+// simpleQuery runs sql as one simple-protocol Query.
+func (p *pgClient) simpleQuery(t *testing.T, sqlText string) (rows [][]byte, state, msg string) {
+	t.Helper()
+	q := binary.BigEndian.AppendUint32([]byte{'Q'}, uint32(len(sqlText)+5))
+	if _, err := p.c.Write(append(append(q, sqlText...), 0)); err != nil {
+		t.Fatal(err)
+	}
+	return p.untilReady(t)
 }
 
 // --- Facade tests ---
@@ -481,5 +492,84 @@ func TestIngressDecisionParityAcrossPromote(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// v2Line sends one request line on a v2 connection and decodes the
+// response line.
+func v2Line(t *testing.T, r *bufio.Reader, c net.Conn, line string) proxy.Response {
+	t.Helper()
+	if _, err := io.WriteString(c, line+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp proxy.Response
+	if err := json.Unmarshal(b, &resp); err != nil {
+		t.Fatalf("%s: %v", b, err)
+	}
+	return resp
+}
+
+// TestNamedParamsBindFromSession: a named parameter the request leaves
+// out is the session attribute of that name when the read runs, as it
+// is when the read is decided, over v2 and over pgwire's simple
+// protocol, in both spellings; a request's own named value wins over
+// the attribute in the decision and in the rows.
+func TestNamedParamsBindFromSession(t *testing.T) {
+	f := apps.Calendar()
+	svc, err := beyond.Serve(f.MustNewDB(8), beyond.NewChecker(f.Policy()), beyond.Enforce,
+		beyond.WithV2Listener("127.0.0.1:0"),
+		beyond.WithPgListener("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	const own = "SELECT EId FROM Attendance WHERE UId = 1"
+	spellings := []string{"SELECT EId FROM Attendance WHERE UId = ?MyUId", "SELECT EId FROM Attendance WHERE UId = :MyUId"}
+
+	c, err := net.Dial("tcp", svc.V2Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := bufio.NewReader(c)
+	// U is user 2 in the session, whose attendance user 1 may not read.
+	if resp := v2Line(t, r, c, `{"op":"hello","session":{"MyUId":1,"U":2}}`); !resp.OK {
+		t.Fatalf("hello: %+v", resp)
+	}
+	want := v2Line(t, r, c, `{"op":"query","sql":"`+own+`"}`)
+	if !want.OK || want.Blocked || len(want.Rows) == 0 {
+		t.Fatalf("v2 %q: %+v, want user 1's rows", own, want)
+	}
+	rows := func(resp proxy.Response) string { b, _ := json.Marshal(resp.Rows); return string(b) }
+	for _, q := range spellings {
+		got := v2Line(t, r, c, `{"op":"query","sql":"`+q+`"}`)
+		if !got.OK || got.Blocked || rows(got) != rows(want) {
+			t.Errorf("v2 %q: %+v, want the rows of %q: %s", q, got, own, rows(want))
+		}
+	}
+	const byU = "SELECT EId FROM Attendance WHERE UId = ?U"
+	if got := v2Line(t, r, c, `{"op":"query","sql":"`+byU+`"}`); !got.Blocked {
+		t.Errorf("v2 %q with U from the session: %+v, want blocked", byU, got)
+	}
+	got := v2Line(t, r, c, `{"op":"query","sql":"`+byU+`","named":{"U":1}}`)
+	if !got.OK || got.Blocked || rows(got) != rows(want) {
+		t.Errorf("v2 %q with the request's U = 1: %+v, want the rows of %q: %s", byU, got, own, rows(want))
+	}
+
+	pc := pgDial(t, svc.PgAddr(), map[string]string{"attr.MyUId": "1"})
+	defer pc.close()
+	pgWant, state, msg := pc.simpleQuery(t, own)
+	if state != "" || len(pgWant) == 0 {
+		t.Fatalf("pgwire %q: %s %s, %d rows", own, state, msg, len(pgWant))
+	}
+	for _, q := range spellings {
+		pgGot, state, msg := pc.simpleQuery(t, q)
+		if state != "" || fmt.Sprint(pgGot) != fmt.Sprint(pgWant) {
+			t.Errorf("pgwire %q: %s %s, rows %v, want the rows of %q: %v", q, state, msg, pgGot, own, pgWant)
+		}
 	}
 }
