@@ -263,15 +263,15 @@ func NewChecker(p *Policy, opts ...CheckerOption) *Checker {
 // WithV2Listener or WithProxyConfig).
 type ProxyOption func(*ProxyServer)
 
-// WithMaxConns bounds simultaneous proxy connections (negative means
-// unlimited).
+// WithMaxConns bounds simultaneous proxy connections over every
+// listener, v2 and pgwire together (negative means unlimited).
 func WithMaxConns(n int) ProxyOption {
 	return func(s *ProxyServer) { s.MaxConns = n }
 }
 
-// WithReadTimeout sets the per-connection idle deadline: a connection
-// that sends nothing, or stops reading its responses, for this long is
-// dropped.
+// WithReadTimeout sets the per-connection idle deadline on every
+// listener, v2 and pgwire alike: a connection that sends nothing, or
+// stops reading its responses, for this long is dropped.
 func WithReadTimeout(d time.Duration) ProxyOption {
 	return func(s *ProxyServer) { s.ReadTimeout = d }
 }

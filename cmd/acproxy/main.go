@@ -77,8 +77,8 @@ func main() {
 	pgAddr := flag.String("pg-addr", "", "also serve the Postgres wire protocol (v3) on this address (empty disables)")
 	size := flag.Int("size", 50, "seed rows per main table")
 	mode := flag.String("mode", "enforce", "enforce|log-only|off")
-	maxConns := flag.Int("max-conns", 0, "simultaneous connection limit (0 = default, <0 = unlimited)")
-	readTimeout := flag.Duration("read-timeout", 10*time.Minute, "per-connection idle read deadline (0 disables)")
+	maxConns := flag.Int("max-conns", 0, "simultaneous connection limit over all listeners (0 = default, <0 = unlimited)")
+	readTimeout := flag.Duration("read-timeout", 10*time.Minute, "per-connection idle deadline, both directions, on all listeners (0 disables)")
 	cacheSize := flag.Int("cache-size", 0, "decision-template cache bound (0 = default)")
 	maxInFlight := flag.Int("max-inflight", 0, "per-connection pipelined window, protocol v2 (0 = default)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics JSON over HTTP on this address (empty disables)")

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/acerr"
 	"repro/internal/proxy"
@@ -84,7 +85,7 @@ type conn struct {
 type netConn interface {
 	Read([]byte) (int, error)
 	Write([]byte) (int, error)
-	Close() error
+	SetDeadline(time.Time) error
 }
 
 func (c *conn) cancelCurrent() {
@@ -111,21 +112,6 @@ func (c *conn) statementCtx(base context.Context) (context.Context, func()) {
 	}
 }
 
-// flushReader is the connection's read side. Before any kernel read —
-// exactly when every buffered frontend message is handled and the
-// server is about to wait on the client — it flushes c.out. An
-// exchange's replies, however many rows they hold, thus leave in one
-// write, yet are always on the wire before the server waits, so no
-// client can wait on output the server holds.
-type flushReader struct{ c *conn }
-
-func (f flushReader) Read(p []byte) (int, error) {
-	if err := f.c.flush(); err != nil {
-		return 0, err
-	}
-	return f.c.netc.Read(p)
-}
-
 // flush writes c.out in one Write and empties it, keeping its capacity
 // for the next exchange only up to rowsKeep — also when a failed
 // statement truncated what it had framed.
@@ -142,7 +128,11 @@ func (c *conn) flush() error {
 }
 
 func (c *conn) serve(base context.Context) {
-	c.r = bufio.NewReader(flushReader{c})
+	// The proxy's read side flushes c.out before each kernel read: an
+	// exchange's replies, however many rows they hold, thus leave in one
+	// write, yet are on the wire before the server waits on the client.
+	// It also renews the idle deadline there.
+	c.r = bufio.NewReader(c.srv.px.ReadSide(base, c.netc, c.flush))
 	defer c.flush()
 	c.tx = 'I'
 	c.stmts = make(map[string]*prepared)
@@ -188,7 +178,7 @@ func (c *conn) serve(base context.Context) {
 			skipTillSync = false
 			c.out = appendReadyForQuery(c.out, c.tx)
 		case 'H':
-			// Flush: flushReader writes the replies before the next read.
+			// Flush: the read side writes the replies before the next read.
 		case 'X':
 			return
 		case 'd', 'c', 'f', 'F':
@@ -264,7 +254,7 @@ func (c *conn) startup(base context.Context) bool {
 			durableName = v
 		}
 	}
-	hello := c.srv.cfg.Proxy.HandleInCtx(base, &proxy.Request{
+	hello := c.srv.px.HandleInCtx(base, &proxy.Request{
 		Op: "hello", Name: durableName, Session: attrs,
 	}, c.sess)
 	if hello.Error != "" {
@@ -383,7 +373,7 @@ func (c *conn) execStatement(base context.Context, kw, sql string, args []any, s
 	mark := len(c.out)
 	c.nrows = 0
 	ctx, done := c.statementCtx(base)
-	resp := c.srv.cfg.Proxy.HandleInCtx(ctx, &proxy.Request{Op: op, SQL: sql, Args: args, Sink: c.frameRow}, c.sess)
+	resp := c.srv.px.HandleInCtx(ctx, &proxy.Request{Op: op, SQL: sql, Args: args, Sink: c.frameRow}, c.sess)
 	done()
 
 	if resp.Blocked {
@@ -479,7 +469,7 @@ func (c *conn) handleParse(p *payloadReader) bool {
 		}
 		st.numParams = sqlparser.NumPositionalParams(stmt)
 		if sel, ok := stmt.(*sqlparser.SelectStmt); ok {
-			st.cols = c.srv.cfg.Proxy.DB.ResultColumns(sel)
+			st.cols = c.srv.px.DB.ResultColumns(sel)
 		}
 	}
 	c.stmts[name] = st

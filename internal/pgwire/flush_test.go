@@ -23,8 +23,9 @@ type scriptConn struct {
 	idle    chan struct{}
 	pending []byte
 
-	out    []byte
-	writes int
+	out       []byte
+	writes    int
+	deadlines int // SetDeadline calls
 }
 
 func (s *scriptConn) Read(p []byte) (int, error) {
@@ -47,7 +48,10 @@ func (s *scriptConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (s *scriptConn) Close() error { return nil }
+func (s *scriptConn) SetDeadline(time.Time) error {
+	s.deadlines++
+	return nil
+}
 
 // send hands the server one chunk of frontend messages and waits until
 // it would block on the client again, allocating nothing itself.
@@ -82,7 +86,7 @@ func frontend(typ byte, payload []byte) []byte {
 func serveScripted(t *testing.T, px *proxy.Server, params string) (*scriptConn, *conn) {
 	t.Helper()
 	sc := &scriptConn{in: make(chan []byte), idle: make(chan struct{}, 1)}
-	c := &conn{srv: NewServer(Config{Proxy: px}), netc: sc, pid: 1, secret: 2}
+	c := &conn{srv: NewServer(px), netc: sc, pid: 1, secret: 2}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -140,6 +144,29 @@ func TestExchangeIsOneWrite(t *testing.T) {
 		if got := msgTypes(backendMsgs(t, out)); writes != 1 || got != want {
 			t.Errorf("%d-row read: %d writes of %d replies %.8q..., want 1 write of BindComplete, %d DataRows, CommandComplete, ReadyForQuery",
 				rows, writes, len(got), got, rows)
+		}
+	}
+}
+
+// TestDeadlineOnlyWithReadTimeout: with ReadTimeout 0 the read side
+// sets no deadline; with it set, it renews the deadline before each
+// kernel read, and an exchange still leaves in one write.
+func TestDeadlineOnlyWithReadTimeout(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		px := testProxy(t, proxy.Enforce)
+		px.ReadTimeout = timeout
+		sc, _ := serveScripted(t, px, "attr.MyUId\x001\x00")
+		parse := frontend('P', append([]byte("\x00SELECT EId FROM Attendance WHERE UId = 1\x00"), 0, 0))
+		if _, writes := sc.exchange(t, append(append(parse, bindExecute()...), frontend('S', nil)...)); writes != 1 {
+			t.Errorf("ReadTimeout %v: Parse/Bind/Execute/Sync issued %d writes, want 1", timeout, writes)
+		}
+		const reads = 3 // for the startup, for the exchange, and waiting after it
+		want := 0
+		if timeout > 0 {
+			want = reads
+		}
+		if sc.deadlines != want {
+			t.Errorf("ReadTimeout %v: %d SetDeadline calls over %d kernel reads, want %d", timeout, sc.deadlines, reads, want)
 		}
 	}
 }

@@ -34,156 +34,48 @@ import (
 	"repro/internal/proxy"
 )
 
-// Config parameterizes a listener.
-type Config struct {
-	// Proxy is the enforcement server every statement is decided by.
-	Proxy *proxy.Server
-	// MaxConns bounds concurrent connections; 0 means 256.
-	MaxConns int
-	// Logf receives structured log lines; nil silences them.
-	Logf func(format string, args ...any)
-}
-
-// Server is a Postgres wire-protocol listener over one enforcement
-// proxy.
+// Server is the Postgres wire protocol as an ingress of one
+// enforcement proxy: it listens through the proxy's listener core
+// (proxy.Server.ListenIngress), which owns the sockets, the connection
+// limit, the idle deadline and the drain. What it keeps itself is the
+// pid -> connection map CancelRequests are routed by.
 type Server struct {
-	cfg Config
+	px *proxy.Server
 
 	mu      sync.Mutex
-	ln      net.Listener
-	closed  bool
-	conns   map[*conn]struct{}
 	byPid   map[int32]*conn
 	nextPid int32
-
-	closeCtx    context.Context
-	closeCancel context.CancelFunc
-	wg          sync.WaitGroup
 }
 
-// NewServer returns an unstarted listener bound to the proxy.
-func NewServer(cfg Config) *Server {
-	return &Server{cfg: cfg}
+// NewServer returns the Postgres wire ingress of px; listen with
+// px.ListenIngress(addr, NewServer(px)).
+func NewServer(px *proxy.Server) *Server {
+	return &Server{px: px, byPid: make(map[int32]*conn)}
 }
 
-func (s *Server) maxConns() int {
-	if s.cfg.MaxConns > 0 {
-		return s.cfg.MaxConns
-	}
-	return 256
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
-// Listen binds addr and starts accepting. It returns the actual
-// address (useful with ":0").
-func (s *Server) Listen(addr string) (string, error) {
-	if err := s.cfg.Proxy.OpenDurable(); err != nil {
-		return "", err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.closed = false
-	if s.conns == nil {
-		s.conns = make(map[*conn]struct{})
-		s.byPid = make(map[int32]*conn)
-	}
-	s.closeCtx, s.closeCancel = context.WithCancel(context.Background())
-	s.mu.Unlock()
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-// Close stops the listener, cancels in-flight statements, and waits
-// for connection handlers to drain.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed && s.ln == nil {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return nil
-	}
-	s.closed = true
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-		s.ln = nil
-	}
-	if s.closeCancel != nil {
-		s.closeCancel()
-	}
-	for c := range s.conns {
-		c.netc.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			nc.Close()
-			return
-		}
-		if len(s.conns) >= s.maxConns() {
-			s.mu.Unlock()
-			// The client has not completed startup, but an ErrorResponse
-			// before AuthenticationOk is legal and what real servers do.
-			_, _ = nc.Write(appendErrorResponse(nil, acerr.SQLStateTooManyConns, "too many connections"))
-			nc.Close()
-			s.logf("pgwire: rejected %s: connection limit (%d) reached", nc.RemoteAddr(), s.maxConns())
-			continue
-		}
-		c := s.register(nc)
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			defer s.unregister(c)
-			c.serve(s.closeCtx)
-		}()
-	}
-}
-
-// register allocates the connection's cancellation identity
-// (BackendKeyData) and tracks it for Close and CancelRequest routing.
-// Caller holds s.mu.
-func (s *Server) register(nc net.Conn) *conn {
-	s.nextPid++
+// Serve runs one client connection: it allocates the connection's
+// cancellation identity (BackendKeyData), tracks it for CancelRequest
+// routing, and speaks the protocol until the client leaves.
+func (s *Server) Serve(ctx context.Context, nc net.Conn) {
 	var sb [4]byte
 	_, _ = rand.Read(sb[:])
-	c := &conn{
-		srv:    s,
-		netc:   nc,
-		pid:    s.nextPid,
-		secret: int32(binary.BigEndian.Uint32(sb[:])),
-	}
-	s.conns[c] = struct{}{}
-	s.byPid[c.pid] = c
-	return c
-}
-
-func (s *Server) unregister(c *conn) {
+	c := &conn{srv: s, netc: nc, secret: int32(binary.BigEndian.Uint32(sb[:]))}
 	s.mu.Lock()
-	delete(s.conns, c)
+	s.nextPid++
+	c.pid = s.nextPid
+	s.byPid[c.pid] = c
+	s.mu.Unlock()
+	c.serve(ctx)
+	s.mu.Lock()
 	delete(s.byPid, c.pid)
 	s.mu.Unlock()
-	c.netc.Close()
+}
+
+// Refuse answers a connection past the proxy's connection limit. The
+// client has not completed startup, but an ErrorResponse before
+// AuthenticationOk is legal and what real servers do.
+func (*Server) Refuse(nc net.Conn) {
+	_, _ = nc.Write(appendErrorResponse(nil, acerr.SQLStateTooManyConns, "too many connections"))
 }
 
 // cancelByKey services a CancelRequest: find the connection by pid,

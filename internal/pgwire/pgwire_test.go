@@ -1,7 +1,10 @@
 package pgwire
 
 import (
+	"bufio"
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -9,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/acerr"
 	"repro/internal/checker"
 	"repro/internal/engine"
 	"repro/internal/policy"
@@ -48,19 +52,15 @@ func testProxy(t *testing.T, mode proxy.Mode) *proxy.Server {
 	return proxy.NewServer(db, checker.New(pol), mode)
 }
 
-func listen(t *testing.T, px *proxy.Server, cfg Config) (string, *Server) {
+// listen serves the Postgres wire protocol for px on a free port.
+func listen(t *testing.T, px *proxy.Server) string {
 	t.Helper()
-	cfg.Proxy = px
-	srv := NewServer(cfg)
-	addr, err := srv.Listen("127.0.0.1:0")
+	addr, err := px.ListenIngress("127.0.0.1:0", NewServer(px))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		srv.Close()
-		px.Close()
-	})
-	return addr, srv
+	t.Cleanup(func() { px.Close() })
+	return addr
 }
 
 // --- Raw-socket test client ---
@@ -349,7 +349,7 @@ func dataRowValues(t *testing.T, m backendMsg) []string {
 // --- Conformance tests ---
 
 func TestSimpleQueryFlow(t *testing.T) {
-	addr, _ := listen(t, testProxy(t, proxy.Enforce), Config{})
+	addr := listen(t, testProxy(t, proxy.Enforce))
 	pc := dialPg(t, addr, map[string]string{"user": "alice", "attr.MyUId": "1"})
 
 	// Allowed SELECT: RowDescription + one DataRow + tag + 'I'.
@@ -402,7 +402,7 @@ func TestSimpleQueryFlow(t *testing.T) {
 const SQLStateBlockedWire = "42501"
 
 func TestExtendedProtocol(t *testing.T) {
-	addr, _ := listen(t, testProxy(t, proxy.Enforce), Config{})
+	addr := listen(t, testProxy(t, proxy.Enforce))
 	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
 
 	msgs := pc.parseBindExecute("SELECT EId FROM Attendance WHERE UId = $1", "1")
@@ -483,7 +483,7 @@ func TestExtendedProtocol(t *testing.T) {
 // client such as libpq rejects a DataRow whose cell count differs from
 // the RowDescription it was given.
 func TestDescribeMatchesSimpleProtocol(t *testing.T) {
-	addr, _ := listen(t, testProxy(t, proxy.LogOnly), Config{})
+	addr := listen(t, testProxy(t, proxy.LogOnly))
 	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
 	for _, c := range []struct{ sql, arg string }{
 		{"SELECT * FROM Events WHERE EId = $1", "2"},
@@ -528,7 +528,7 @@ func TestDescribeMatchesSimpleProtocol(t *testing.T) {
 }
 
 func TestMidTransactionBlock(t *testing.T) {
-	addr, _ := listen(t, testProxy(t, proxy.Enforce), Config{})
+	addr := listen(t, testProxy(t, proxy.Enforce))
 	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
 
 	msgs := pc.query("BEGIN")
@@ -594,7 +594,7 @@ func TestCancelRequest(t *testing.T) {
 		fmt.Fprintf(&sb, "(%d)", i)
 	}
 	db.MustExec(sb.String())
-	addr, _ := listen(t, px, Config{})
+	addr := listen(t, px)
 	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
 
 	// A 2000^3 cross join with an unsatisfiable filter: never finishes
@@ -622,7 +622,7 @@ func TestCancelRequest(t *testing.T) {
 // fills the same plan slots and so lands on the same key.
 func TestPreparedStatementFrontCacheHit(t *testing.T) {
 	px := testProxy(t, proxy.Enforce)
-	addr, _ := listen(t, px, Config{})
+	addr := listen(t, px)
 	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
 
 	pc.sendParse("q", "SELECT EId FROM Attendance WHERE UId = $1", nil)
@@ -646,15 +646,25 @@ func TestPreparedStatementFrontCacheHit(t *testing.T) {
 }
 
 func TestConnectionLimit(t *testing.T) {
-	addr, _ := listen(t, testProxy(t, proxy.Enforce), Config{MaxConns: 1})
+	px := testProxy(t, proxy.Enforce)
+	px.MaxConns = 1
+	px.Logf = t.Logf
+	addr := listen(t, px)
 	_ = dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
+	if got := refusal(t, addr); got != "53300" {
+		t.Fatalf("SQLSTATE = %q, want 53300", got)
+	}
+}
 
+// refusal dials addr and returns the SQLSTATE of the ErrorResponse the
+// server answers with before any startup exchange.
+func refusal(t *testing.T, addr string) string {
+	t.Helper()
 	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// The rejection is written before any startup exchange.
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var hdr [5]byte
 	if _, err := io.ReadFull(c, hdr[:]); err != nil {
@@ -667,9 +677,120 @@ func TestConnectionLimit(t *testing.T) {
 	if _, err := io.ReadFull(c, payload); err != nil {
 		t.Fatal(err)
 	}
-	if f := errorFields(payload); f['C'] != "53300" {
-		t.Fatalf("SQLSTATE = %q, want 53300", f['C'])
+	return errorFields(payload)['C']
+}
+
+// waitNoConns waits until px holds no connection of any ingress.
+func waitNoConns(t *testing.T, px *proxy.Server, after string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for px.StatsSnapshot().ActiveConns != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("a connection is still held 2s after %s", after)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestSharedConnectionLimit: v2 and pgwire connections share one
+// MaxConns. A v2 connection holding the only slot turns a pgwire dial
+// away with 53300; a pgwire connection holding it turns a v2 dial away
+// with the JSON refusal.
+func TestSharedConnectionLimit(t *testing.T) {
+	px := testProxy(t, proxy.Enforce)
+	px.MaxConns = 1
+	px.Logf = t.Logf
+	pgAddr := listen(t, px)
+	v2Addr, err := px.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cl, err := proxy.Dial(v2Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Hello(context.Background(), map[string]any{"MyUId": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := refusal(t, pgAddr); got != "53300" {
+		t.Fatalf("pgwire dial while v2 holds the slot: SQLSTATE %q, want 53300", got)
+	}
+	cl.Close()
+	waitNoConns(t, px, "the v2 client closed")
+
+	_ = dialPg(t, pgAddr, map[string]string{"attr.MyUId": "1"})
+	c, err := net.DialTimeout("tcp", v2Addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	line, err := bufio.NewReader(c).ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("v2 dial while pgwire holds the slot: %v, want the refusal", err)
+	}
+	var resp proxy.Response
+	if err := json.Unmarshal(line, &resp); err != nil || resp.Code != acerr.CodeTooManyConns {
+		t.Fatalf("v2 dial while pgwire holds the slot: %s (%v), want code %s", line, err, acerr.CodeTooManyConns)
+	}
+}
+
+// TestConnCountersCountPgwire: proxy.conns.total and ActiveConns count
+// pgwire connections.
+func TestConnCountersCountPgwire(t *testing.T) {
+	px := testProxy(t, proxy.Enforce)
+	addr := listen(t, px)
+	a := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
+	b := dialPg(t, addr, map[string]string{"attr.MyUId": "2"})
+	if st := px.StatsSnapshot(); st.ActiveConns != 2 {
+		t.Fatalf("ActiveConns = %d with two pgwire clients, want 2", st.ActiveConns)
+	}
+	if n := px.MetricsRegistry().Counter("proxy.conns.total").Value(); n != 2 {
+		t.Fatalf("proxy.conns.total = %d after two pgwire dials, want 2", n)
+	}
+	a.c.Close()
+	b.c.Close()
+	waitNoConns(t, px, "both pgwire clients closed")
+}
+
+// TestIdleClientDropped: under ReadTimeout, a pgwire client that sends
+// nothing after startup is dropped, and its slot freed.
+func TestIdleClientDropped(t *testing.T) {
+	px := testProxy(t, proxy.Enforce)
+	px.ReadTimeout = 100 * time.Millisecond
+	addr := listen(t, px)
+	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
+	pc.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := pc.c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("idle client read %v, want EOF", err)
+	}
+	waitNoConns(t, px, "the client went idle")
+}
+
+// TestStalledReaderDropped: a pgwire client that sends queries but
+// never reads their replies is dropped after ReadTimeout — the deadline
+// covers the server's writes too — and its slot freed.
+func TestStalledReaderDropped(t *testing.T) {
+	px := padProxy(t, 200, 100)
+	px.ReadTimeout = 200 * time.Millisecond
+	addr := listen(t, px)
+	pc := dialPg(t, addr, nil)
+	q := frontend('Q', []byte("SELECT N, Pad FROM Big\x00"))
+	wrote := make(chan int, 1)
+	go func() {
+		n := 0
+		for {
+			pc.c.SetWriteDeadline(time.Now().Add(time.Second))
+			if _, err := pc.c.Write(q); err != nil {
+				wrote <- n
+				return
+			}
+			n++
+		}
+	}()
+	n := <-wrote
+	waitNoConns(t, px, fmt.Sprintf("the client stopped reading (%d queries written)", n))
 }
 
 // wantViolationThenClose reads every reply up to the end of the
@@ -705,7 +826,7 @@ func (pc *pgConn) wantViolationThenClose() {
 // (it once panicked the whole proxy in make), and the server serves the
 // next connection.
 func TestParseNegativeParamTypeCount(t *testing.T) {
-	addr, _ := listen(t, testProxy(t, proxy.Enforce), Config{})
+	addr := listen(t, testProxy(t, proxy.Enforce))
 	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
 	pc.send('P', []byte("\x00SELECT EId FROM Attendance WHERE UId = $1\x00\xff\xff"))
 	pc.sendSync()
@@ -716,7 +837,7 @@ func TestParseNegativeParamTypeCount(t *testing.T) {
 // TestBindNegativeFormatCount: the same for a Bind with a negative
 // parameter-format count.
 func TestBindNegativeFormatCount(t *testing.T) {
-	addr, _ := listen(t, testProxy(t, proxy.Enforce), Config{})
+	addr := listen(t, testProxy(t, proxy.Enforce))
 	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
 	pc.sendParse("", "SELECT EId FROM Attendance WHERE UId = $1", nil)
 	pc.send('B', []byte("\x00\x00\xff\xff"))
@@ -728,7 +849,7 @@ func TestBindNegativeFormatCount(t *testing.T) {
 // TestBindNegativeParamCount: the same for a Bind with a negative
 // parameter count, 0xFFFF.
 func TestBindNegativeParamCount(t *testing.T) {
-	addr, _ := listen(t, testProxy(t, proxy.Enforce), Config{})
+	addr := listen(t, testProxy(t, proxy.Enforce))
 	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
 	pc.sendParse("", "SELECT EId FROM Attendance WHERE UId = $1", nil)
 	pc.send('B', []byte("\x00\x00\x00\x00\xff\xff"))

@@ -104,7 +104,7 @@ func wantOwnRows(t *testing.T, msgs []backendMsg) {
 // while the rows are being framed.
 func TestStreamedReadCanceled(t *testing.T) {
 	const rows = 100_000
-	addr, _ := listen(t, padProxy(t, rows, 100), Config{})
+	addr := listen(t, padProxy(t, rows, 100))
 	pc := dialPg(t, addr, nil)
 	const read = "SELECT N, Pad FROM Big WHERE N >= 0"
 
@@ -144,7 +144,7 @@ func TestStreamedReadCanceled(t *testing.T) {
 // answers with an ErrorResponse and no DataRow, and the next statement
 // frames its own rows only.
 func TestStreamedReadFails(t *testing.T) {
-	addr, _ := listen(t, padProxy(t, 100, 10), Config{})
+	addr := listen(t, padProxy(t, 100, 10))
 	pc := dialPg(t, addr, nil)
 	msgs := pc.query("SELECT N, Pad FROM Big WHERE N >= 0 AND N > (SELECT N FROM Big WHERE N >= 0)")
 	wantSQLState(t, msgs, "XX000")
@@ -160,7 +160,7 @@ func TestStreamedReadFails(t *testing.T) {
 // blocked in a write, while another connection's INSERT, which needs
 // the write lock, still completes.
 func TestStalledReaderDoesNotBlockWriters(t *testing.T) {
-	addr, _ := listen(t, padProxy(t, 16_000, 1000), Config{})
+	addr := listen(t, padProxy(t, 16_000, 1000))
 	stalled := dialPg(t, addr, nil)
 	stalled.send('Q', []byte("SELECT N, Pad FROM Big WHERE N >= 0\x00"))
 	if m := stalled.read(); m.typ == 'E' {
@@ -279,7 +279,7 @@ func (m *memConn) Write(p []byte) (int, error) {
 	m.out = append(m.out, p...)
 	return len(p), nil
 }
-func (m *memConn) Close() error { return nil }
+func (m *memConn) SetDeadline(time.Time) error { return nil }
 
 // startupMsg frames a v3 StartupMessage with the given parameters
 // ("key\x00value\x00" pairs).
@@ -316,7 +316,7 @@ func FuzzPgFrontend(f *testing.F) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
 		mc := &memConn{r: bytes.NewReader(in)}
-		c := &conn{srv: NewServer(Config{Proxy: px}), netc: mc, pid: 1, secret: 2}
+		c := &conn{srv: NewServer(px), netc: mc, pid: 1, secret: 2}
 		done := make(chan string, 1)
 		go func() {
 			defer func() {

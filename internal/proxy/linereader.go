@@ -4,32 +4,12 @@ import (
 	"bufio"
 	"errors"
 	"io"
-	"net"
 )
 
 // errLineTooLong drops a connection whose request line exceeds the
 // configured bound. The message keeps the "too long" phrasing clients
 // and tests have matched since the bufio.Scanner-based read loop.
 var errLineTooLong = errors.New("request line too long")
-
-// flushConn interposes on the connection's read side: just before any
-// kernel read — i.e. exactly when the reader has drained every
-// buffered request and is about to block waiting on the client — it
-// flushes responses parked in the write buffer: the reader's inline
-// answers and control replies, and a runner's answer that had another
-// goroutine behind it for the write lock. Responses therefore coalesce
-// across a pipelined burst (K answers, one write syscall) yet are
-// always on the wire before the server waits for the client, so the
-// interposition can never deadlock a request/response client.
-type flushConn struct {
-	c     net.Conn
-	flush func()
-}
-
-func (f flushConn) Read(p []byte) (int, error) {
-	f.flush()
-	return f.c.Read(p)
-}
 
 // lineReader yields newline-delimited request lines with a hard length
 // bound, replacing the previous bufio.Scanner loop (whose token limit

@@ -102,7 +102,7 @@ func TestSessionIsolation(t *testing.T) {
 	}
 
 	// A separate connection for user 2 must not inherit that history.
-	cl2, err := Dial(srv.ln.Addr().String())
+	cl2, err := Dial(srv.lns[0].Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,15 +88,11 @@ func openIngress(t *testing.T, ingress string, srv *proxy.Server, f *apps.Fixtur
 	}
 
 	srv.WALDir, srv.WALOpts.Fsync = t.TempDir(), durable.FsyncOff
-	pg := pgwire.NewServer(pgwire.Config{Proxy: srv})
-	addr, err := pg.Listen("127.0.0.1:0")
+	addr, err := srv.ListenIngress("127.0.0.1:0", pgwire.NewServer(srv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		pg.Close()
-		srv.Close()
-	})
+	t.Cleanup(func() { srv.Close() })
 	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -45,14 +45,15 @@ type Server struct {
 	Checker *checker.Checker
 	Mode    Mode
 
-	// MaxConns bounds simultaneous connections; excess connections get
-	// one error Response and are closed. 0 means DefaultMaxConns;
+	// MaxConns bounds simultaneous connections over every listener,
+	// v2 and pgwire together; excess connections get their protocol's
+	// refusal (Ingress.Refuse) and are closed. 0 means DefaultMaxConns;
 	// negative means unlimited.
 	MaxConns int
-	// ReadTimeout is the per-connection idle deadline, in either
-	// direction: a connection that sends nothing for this long, or
-	// stops reading its responses for this long, is dropped. 0
-	// disables the deadline.
+	// ReadTimeout is the per-connection idle deadline on every
+	// listener, in either direction: a connection that sends nothing
+	// for this long, or stops reading its responses for this long, is
+	// dropped. 0 disables the deadline.
 	ReadTimeout time.Duration
 	// MaxLineBytes bounds one request line; an over-long line gets a
 	// final error Response and the connection is closed. 0 means
@@ -87,13 +88,15 @@ type Server struct {
 	// builds its traces with the server's constructor (session.go).
 	HistoryWindow int
 
+	// The listener core (listen.go): every listening socket of every
+	// ingress, and one table of their connections.
 	mu     sync.Mutex
-	ln     net.Listener
+	lns    []net.Listener
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
 	closed bool
-	// closeCtx is the ancestor of every request context served by this
-	// listener; Close cancels it so in-flight checks and scans abort
+	// closeCtx is the ancestor of every request context served by the
+	// listeners; Close cancels it so in-flight checks and scans abort
 	// instead of delaying the drain.
 	closeCtx    context.Context
 	closeCancel context.CancelFunc
@@ -322,97 +325,6 @@ func (s *Server) Durable() *durable.Manager {
 	return s.wal
 }
 
-// Listen starts accepting connections on addr (e.g. "127.0.0.1:0").
-// It returns the bound address immediately; connections are served on
-// background goroutines until Close.
-func (s *Server) Listen(addr string) (string, error) {
-	if err := s.OpenDurable(); err != nil {
-		return "", err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.closed = false
-	s.ln = ln
-	s.closeCtx, s.closeCancel = context.WithCancel(context.Background())
-	s.mu.Unlock()
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-// Close stops the listener and drains in-flight connections: it
-// cancels every in-flight request context (aborting checks and scans
-// mid-decision), interrupts each connection's pending read, lets
-// handlers write their final responses, and only then returns.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed && s.ln == nil {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return nil
-	}
-	s.closed = true
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-		s.ln = nil
-	}
-	if s.closeCancel != nil {
-		s.closeCancel()
-	}
-	// Wake blocked readers (and writers stuck on dead peers); handlers
-	// mid-request finish normally and notice on the next read.
-	for c := range s.conns {
-		_ = c.SetDeadline(time.Now())
-	}
-	wal := s.wal
-	s.wal = nil
-	s.mu.Unlock()
-	s.wg.Wait()
-	// Drain complete: no handler can append again. Checkpoint and close
-	// the WAL so a restart replays one small checkpoint, not the whole
-	// tail. (A crash before this point is what recovery is for.)
-	if wal != nil {
-		if werr := wal.Close(); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	return err
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mConnsTotal.Inc()
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		if len(s.conns) >= s.maxConns() {
-			s.mu.Unlock()
-			s.mConnsRejected.Inc()
-			_ = json.NewEncoder(conn).Encode(Response{
-				Error: "server at connection limit",
-				Code:  acerr.CodeTooManyConns,
-			})
-			conn.Close()
-			s.logf("proxy: rejected %s: connection limit (%d) reached", conn.RemoteAddr(), s.maxConns())
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
-}
-
 // pipeJob is one dispatched request: the decoded request, its
 // already-started context (the per-request deadline ticks from
 // dispatch, so queue time counts), and the un-registration hook.
@@ -518,7 +430,7 @@ type pipeConn struct {
 	// reader's own (inline answers and control replies) and a runner's
 	// that had another goroutine behind it. The reader flushes them
 	// (flushPending) just before it would block on the kernel read — see
-	// flushConn — so a pipelined burst of K inline answers costs one
+	// ReadSide — so a pipelined burst of K inline answers costs one
 	// write syscall. Guarded by writeMu.
 	dirty bool
 
@@ -604,7 +516,7 @@ func (pc *pipeConn) answer(resp *Response) {
 
 // park writes one of the reader's own responses (an inline answer or a
 // control reply) WITHOUT flushing, marking the connection dirty; the
-// flush happens when the reader is about to block (flushConn →
+// flush happens when the reader is about to block (ReadSide →
 // flushPending) or when a runner next flushes.
 func (pc *pipeConn) park(resp *Response) {
 	pc.lockWrite()
@@ -615,15 +527,17 @@ func (pc *pipeConn) park(resp *Response) {
 }
 
 // flushPending flushes responses parked in the buffered writer, if
-// any. Called by the reader just before it would block on the kernel
-// read, so a client waiting for its answer always gets it before the
-// server waits for the client.
-func (pc *pipeConn) flushPending() {
+// any. The reader's ReadSide calls it just before it would block on
+// the kernel read, so a client waiting for its answer always gets it
+// before the server waits for the client.
+func (pc *pipeConn) flushPending() error {
 	pc.lockWrite()
+	var err error
 	if pc.dirty {
-		_ = pc.flush()
+		err = pc.flush()
 	}
 	pc.writeMu.Unlock()
+	return err
 }
 
 // lane returns (creating on first use) the ordered queue for a
@@ -715,38 +629,15 @@ func (pc *pipeConn) cancelRequest(target uint64) {
 	}
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	s.mu.Lock()
-	base := s.closeCtx
-	s.mu.Unlock()
-	if base == nil {
-		base = context.Background()
-	}
-	connCtx, connCancel := context.WithCancel(base)
+func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
+	connCtx, connCancel := context.WithCancel(ctx)
 	defer connCancel()
 
 	pc := newPipeConn(s, connCtx, conn)
-	// The reader interposes flushPending before every kernel read, so
-	// responses parked in the write buffer always reach the wire before
-	// the server blocks waiting for the client.
-	lr := newLineReader(flushConn{c: conn, flush: pc.flushPending}, s.maxLineBytes())
+	lr := newLineReader(s.ReadSide(ctx, conn, pc.flushPending), s.maxLineBytes())
 
 	var readErr error
 	for {
-		if s.ReadTimeout > 0 {
-			// Both directions: a client that stops reading stalls
-			// whichever goroutine writes to it, runner or reader, and the
-			// reader behind it, until the write deadline fails
-			// (writeFailed).
-			_ = conn.SetDeadline(time.Now().Add(s.ReadTimeout))
-		}
 		line, err := lr.ReadLine()
 		if err != nil {
 			if err != io.EOF {
@@ -792,7 +683,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}
 	// Every runner has answered: put what is parked on the wire.
-	pc.flushPending()
+	_ = pc.flushPending()
 }
 
 // dispatch routes one request line. Control ops (cancel, stats) are
@@ -921,7 +812,7 @@ func (s *Server) handle(ctx context.Context, req *Request, sess *session) Respon
 		return s.handleQuery(ctx, req, sess)
 
 	case "exec":
-		return s.handleExec(ctx, req)
+		return s.handleExec(ctx, req, sess)
 
 	case "batch":
 		return s.handleBatch(ctx, req, sess)
@@ -1126,14 +1017,8 @@ func (s *Server) finishQuery(ctx context.Context, req *Request, sess *session, s
 		s.mViolations.Inc()
 	}
 
-	bound, err := sqlparser.Bind(sel, args)
-	if nv, ok := err.(*sqlparser.NoValueError); ok && nv.Name != "" {
-		// A named parameter the request leaves out is the session's
-		// attribute of that name, as the checker resolved it. The trace
-		// records the values the read ran with.
-		args = withSessionNamed(sel, args, sess.attrs)
-		bound, err = sqlparser.Bind(sel, args)
-	}
+	// The trace records the values the read ran with.
+	bound, args, err := bindSession(sel, args, sess.attrs)
 	if err != nil {
 		return Response{Error: err.Error(), Code: acerr.CodeBadRequest}
 	}
@@ -1173,12 +1058,20 @@ func (s *Server) finishQuery(ctx context.Context, req *Request, sess *session, s
 	return Response{OK: true, Columns: res.Columns, Rows: res.Rows}
 }
 
-// withSessionNamed returns args whose Named, a new map, also holds
-// each named parameter of sel that args lacks and attrs has.
-func withSessionNamed(sel *sqlparser.SelectStmt, args sqlparser.Args, attrs map[string]sqlvalue.Value) sqlparser.Args {
+// bindSession binds stmt for execution, by one rule for reads and
+// writes: a named parameter the request leaves out is the session's
+// attribute of that name, as the checker resolves it, and a value the
+// request gives wins. It returns the args it bound with; a value still
+// missing is a *sqlparser.NoValueError, which both paths answer as a
+// bad request.
+func bindSession(stmt sqlparser.Statement, args sqlparser.Args, attrs map[string]sqlvalue.Value) (sqlparser.Statement, sqlparser.Args, error) {
+	bound, err := sqlparser.Bind(stmt, args)
+	if nv, ok := err.(*sqlparser.NoValueError); !ok || nv.Name == "" {
+		return bound, args, err
+	}
 	named := make(map[string]sqlvalue.Value, len(args.Named)+1)
 	maps.Copy(named, args.Named)
-	for _, p := range sqlparser.Params(sel) {
+	for _, p := range sqlparser.Params(stmt) {
 		if _, ok := named[p.Name]; p.Name != "" && !ok {
 			if v, ok := attrs[p.Name]; ok {
 				named[p.Name] = v
@@ -1186,7 +1079,8 @@ func withSessionNamed(sel *sqlparser.SelectStmt, args sqlparser.Args, attrs map[
 		}
 	}
 	args.Named = named
-	return args
+	bound, err = sqlparser.Bind(stmt, args)
+	return bound, args, err
 }
 
 // sink hands rows to the request's Sink, which takes them in place of
@@ -1197,7 +1091,7 @@ func (req *Request) sink(rows []engine.Row) {
 	}
 }
 
-func (s *Server) handleExec(ctx context.Context, req *Request) Response {
+func (s *Server) handleExec(ctx context.Context, req *Request, sess *session) Response {
 	if ctx.Err() != nil {
 		return canceledResponse(ctx)
 	}
@@ -1211,7 +1105,11 @@ func (s *Server) handleExec(ctx context.Context, req *Request) Response {
 	if err != nil {
 		return Response{Error: err.Error(), Code: acerr.CodeParse}
 	}
-	_, n, err := s.DB.ExecStmt(stmt, args)
+	bound, _, err := bindSession(stmt, args, sess.attrs)
+	if err != nil {
+		return Response{Error: err.Error(), Code: acerr.CodeBadRequest}
+	}
+	_, n, err := s.DB.ExecStmt(bound, sqlparser.NoArgs)
 	if err != nil {
 		return Response{Error: err.Error(), Code: acerr.CodeEngine}
 	}
@@ -1232,7 +1130,7 @@ func (s *Server) handleBatch(ctx context.Context, req *Request, sess *session) R
 		case "query":
 			r = s.handleQuery(ctx, sub, sess)
 		case "exec":
-			r = s.handleExec(ctx, sub)
+			r = s.handleExec(ctx, sub, sess)
 		default:
 			r = Response{
 				Error: fmt.Sprintf("batch: unsupported op %q", sub.Op),

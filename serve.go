@@ -10,7 +10,10 @@ package beyond
 //
 // Both listeners converge on the same proxy core, so a statement is
 // decided identically — same checker, same caches, same session
-// traces, same WAL — no matter which door it came through.
+// traces, same WAL — no matter which door it came through. The core
+// also owns both listeners' connections: one connection limit
+// (WithMaxConns), one idle deadline (WithReadTimeout) and one drain
+// (Service.Close) hold for v2 and pgwire together.
 //
 //	svc, err := beyond.Serve(db, chk, beyond.Enforce,
 //		beyond.WithV2Listener("127.0.0.1:7781"),
@@ -33,7 +36,6 @@ type serveConfig struct {
 	v2Addr    string
 	pg        bool
 	pgAddr    string
-	pgMax     int
 	proxyOpts []ProxyOption
 	// shadowViews, when non-nil, stages a candidate policy as soon as
 	// the core is up (after WAL recovery, so the stage persists).
@@ -60,17 +62,13 @@ func WithV2Listener(addr string, opts ...ProxyOption) ServeOption {
 
 // WithPgListener binds the Postgres wire-protocol (v3) listener on
 // addr, so psql and stock Postgres drivers reach enforcement without
-// a custom client.
+// a custom client. Its connections count against the core's one
+// connection limit and idle deadline.
 func WithPgListener(addr string) ServeOption {
 	return func(c *serveConfig) {
 		c.pg = true
 		c.pgAddr = addr
 	}
-}
-
-// WithPgMaxConns bounds concurrent pgwire connections (0 = default).
-func WithPgMaxConns(n int) ServeOption {
-	return func(c *serveConfig) { c.pgMax = n }
 }
 
 // WithShadowPolicy stages a candidate policy (view SQL by name) the
@@ -99,7 +97,6 @@ func WithProxyConfig(opts ...ProxyOption) ServeOption {
 // bound listeners. Close shuts everything down.
 type Service struct {
 	core   *ProxyServer
-	pg     *pgwire.Server
 	v2Addr string
 	pgAddr string
 }
@@ -128,13 +125,11 @@ func Serve(db *DB, c *Checker, mode ProxyMode, opts ...ServeOption) (*Service, e
 		svc.v2Addr = addr
 	}
 	if cfg.pg {
-		pg := pgwire.NewServer(pgwire.Config{Proxy: core, MaxConns: cfg.pgMax, Logf: core.Logf})
-		addr, err := pg.Listen(cfg.pgAddr)
+		addr, err := core.ListenIngress(cfg.pgAddr, pgwire.NewServer(core))
 		if err != nil {
 			svc.Close()
 			return nil, fmt.Errorf("beyond: pg listener: %w", err)
 		}
-		svc.pg = pg
 		svc.pgAddr = addr
 	}
 	if cfg.shadowViews != nil {
@@ -173,17 +168,6 @@ func (s *Service) PromotePolicy() (PolicyVersion, error) { return s.core.Promote
 // RollbackPolicy discards the staged candidate and ends the trial.
 func (s *Service) RollbackPolicy() (PolicyVersion, error) { return s.core.RollbackPolicy() }
 
-// Close stops all listeners and the core, in ingress-first order so
-// in-flight statements drain before the WAL closes.
-func (s *Service) Close() error {
-	var first error
-	if s.pg != nil {
-		if err := s.pg.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if err := s.core.Close(); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
+// Close stops every listener, drains every connection, and only then
+// closes the WAL (proxy.Server.Close).
+func (s *Service) Close() error { return s.core.Close() }

@@ -12,11 +12,14 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	beyond "repro"
 	_ "repro/driver"
+	"repro/internal/acerr"
 	"repro/internal/apps"
 	"repro/internal/proxy"
+	"repro/internal/sqlparser"
 )
 
 // --- Minimal Postgres wire client (test-only, extended protocol) ---
@@ -571,5 +574,105 @@ func TestNamedParamsBindFromSession(t *testing.T) {
 		if state != "" || fmt.Sprint(pgGot) != fmt.Sprint(pgWant) {
 			t.Errorf("pgwire %q: %s %s, rows %v, want the rows of %q: %v", q, state, msg, pgGot, own, pgWant)
 		}
+	}
+}
+
+// TestNamedParamsBindWritesFromSession: a write binds its named
+// parameters by the read's rule — a parameter the request leaves out is
+// the session attribute, a request's own value wins — over v2 exec,
+// exec inside a batch, and pgwire's simple protocol; a value still
+// missing is bad_request on a write, as on a read that reaches
+// execution (under Enforce the checker blocks such a read first).
+func TestNamedParamsBindWritesFromSession(t *testing.T) {
+	f := apps.Calendar()
+	db := f.MustNewDB(8)
+	svc, err := beyond.Serve(db, beyond.NewChecker(f.Policy()), beyond.Enforce,
+		beyond.WithV2Listener("127.0.0.1:0"),
+		beyond.WithPgListener("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	name := func(uid int) string {
+		t.Helper()
+		res, err := db.QuerySQL(fmt.Sprintf("SELECT Name FROM Users WHERE UId = %d", uid), sqlparser.NoArgs)
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("user %d: %v", uid, err)
+		}
+		return res.Rows[0][0].Text()
+	}
+
+	c, err := net.Dial("tcp", svc.V2Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := bufio.NewReader(c)
+	if resp := v2Line(t, r, c, `{"op":"hello","session":{"MyUId":1}}`); !resp.OK {
+		t.Fatalf("hello: %+v", resp)
+	}
+	if got := v2Line(t, r, c, `{"op":"exec","sql":"UPDATE Users SET Name = 'v2' WHERE UId = ?MyUId"}`); !got.OK || got.Affected != 1 || name(1) != "v2" {
+		t.Errorf("v2 exec with MyUId from the session: %+v, user 1 named %q", got, name(1))
+	}
+	got := v2Line(t, r, c, `{"op":"batch","batch":[{"op":"exec","sql":"UPDATE Users SET Name = 'batch' WHERE UId = :MyUId"}]}`)
+	if !got.OK || len(got.Batch) != 1 || !got.Batch[0].OK || got.Batch[0].Affected != 1 || name(1) != "batch" {
+		t.Errorf("v2 batch exec with MyUId from the session: %+v, user 1 named %q", got, name(1))
+	}
+	if got := v2Line(t, r, c, `{"op":"exec","sql":"UPDATE Users SET Name = 'own' WHERE UId = ?MyUId","named":{"MyUId":2}}`); !got.OK || name(2) != "own" || name(1) != "batch" {
+		t.Errorf("v2 exec with the request's MyUId = 2: %+v, users 1 and 2 named %q, %q", got, name(1), name(2))
+	}
+	if got := v2Line(t, r, c, `{"op":"exec","sql":"UPDATE Users SET Name = 'x' WHERE UId = ?Nobody"}`); got.OK || got.Code != acerr.CodeBadRequest {
+		t.Errorf("v2 exec with no value for ?Nobody: %+v, want code %s", got, acerr.CodeBadRequest)
+	}
+
+	pc := pgDial(t, svc.PgAddr(), map[string]string{"attr.MyUId": "3"})
+	defer pc.close()
+	if _, state, msg := pc.simpleQuery(t, "UPDATE Users SET Name = 'pg' WHERE UId = :MyUId"); state != "" || name(3) != "pg" {
+		t.Errorf("pgwire UPDATE with MyUId from the session: %s %s, user 3 named %q", state, msg, name(3))
+	}
+}
+
+// TestCloseRecoversDurablePgwireSession: Service.Close drains a pgwire
+// client that stays connected — it returns without waiting for the
+// client — and a restart over the same WAL recovers every entry the
+// client's durable session had acknowledged.
+func TestCloseRecoversDurablePgwireSession(t *testing.T) {
+	f := apps.Calendar()
+	dir := t.TempDir()
+	serve := func() *beyond.Service {
+		t.Helper()
+		svc, err := beyond.Serve(f.MustNewDB(8), beyond.NewChecker(f.Policy()), beyond.Enforce,
+			beyond.WithPgListener("127.0.0.1:0"),
+			beyond.WithProxyConfig(beyond.WithDurability(dir)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	svc := serve()
+	pc := pgDial(t, svc.PgAddr(), map[string]string{"attr.MyUId": "1", "session": "s"})
+	defer pc.close()
+	const acked = 3
+	for i := 0; i < acked; i++ {
+		if _, state, msg := pc.simpleQuery(t, "SELECT EId FROM Attendance WHERE UId = 1"); state != "" {
+			t.Fatalf("read %d: %s %s", i, state, msg)
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- svc.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return while a pgwire client stayed connected")
+	}
+
+	svc = serve()
+	defer svc.Close()
+	s := svc.Proxy().Durable().Recovery().Sessions["s"]
+	if s == nil || s.Base+uint64(len(s.Entries)) != acked {
+		t.Fatalf("recovered session %+v, want %d entries", s, acked)
 	}
 }
