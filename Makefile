@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 DATE    ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ 2>/dev/null || echo unknown)
 LDFLAGS  = -ldflags "-X repro/internal/buildinfo.Version=$(VERSION) -X repro/internal/buildinfo.Commit=$(COMMIT) -X repro/internal/buildinfo.Date=$(DATE)"
 
-.PHONY: build test vet race bench benchsmoke coldsmoke timingguard allocbudget pgsmoke driversmoke shadowsmoke metricslint fmtcheck fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck loc ci
+.PHONY: build test vet race bench benchsmoke coldsmoke timingguard allocbudget pgsmoke driversmoke shadowsmoke metricslint doclint fmtcheck fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck loc ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -58,8 +58,10 @@ coldsmoke:
 # What `go test` still asserts on elapsed time, each a liveness bound
 # ("returns at all"), set far from the time a correct tree takes:
 #   - TestFindCounterexample{Cancel,Deadline}MidSearch (internal/diagnose),
-#     2 s for a search that runs many seconds uncanceled (no twin yet:
-#     ROADMAP 22(a)'s step counter);
+#     2 s for a search that runs many seconds uncanceled; twin
+#     TestFindCounterexampleCancelStepBound, which counts cq.EvaluateCtx's
+#     candidate tuples (cq.EvalSteps) around a cancel landed at a chosen
+#     ctx check;
 #   - TestCancelAbortsSlowQuery (internal/proxy), 2 s, and
 #     TestContextCancellation (driver), 5 s, for joins of millions of
 #     rows; both then check the connection still serves;
@@ -131,6 +133,12 @@ shadowsmoke:
 # directions.
 metricslint:
 	$(GO) test -count=1 -run 'TestMetricNamesDocumented' .
+
+# Document identifier check: every back-quoted Go-style identifier in
+# DESIGN.md and README.md must name a declaration in the tree (or the
+# standard library), or sit on a line that marks it as gone.
+doclint:
+	$(GO) test -count=1 -run 'TestDocIdentifiersResolve' .
 
 # Non-test Go lines per package directory, then the total and the
 # total outside bench/: the size figures a simplicity change reports.
@@ -224,4 +232,4 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping"; fi
 
-ci: fmtcheck vet test race coldsmoke timingguard allocbudget benchsmoke pgsmoke driversmoke shadowsmoke metricslint fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck
+ci: fmtcheck vet test race coldsmoke timingguard allocbudget benchsmoke pgsmoke driversmoke shadowsmoke metricslint doclint fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/sqlvalue"
 )
@@ -16,10 +17,23 @@ func Evaluate(q *Query, inst Instance) [][]sqlvalue.Value {
 	return EvaluateCtx(context.Background(), q, inst)
 }
 
-// EvaluateCtx is Evaluate that gives up once ctx is done, checking it
-// every 1024 candidate tuples. The answer of an evaluation that gave up
-// is partial: callers tell by ctx.Err and must not use it.
+// evalSteps counts the candidate tuples EvaluateCtx has tried, over
+// the process (EvalSteps).
+var evalSteps atomic.Int64
+
+// EvalSteps reports how many candidate tuples EvaluateCtx has tried in
+// this process. It counts each block of 1024 as the evaluation reaches
+// it, before its ctx check, so a test can bound the work a canceled
+// search does after the cancel.
+func EvalSteps() int64 { return evalSteps.Load() }
+
+// EvaluateCtx is Evaluate that gives up once ctx is done: at its start,
+// and every 1024 candidate tuples after. The answer of an evaluation
+// that gave up is partial: callers tell by ctx.Err and must not use it.
 func EvaluateCtx(ctx context.Context, q *Query, inst Instance) [][]sqlvalue.Value {
+	if ctx.Err() != nil {
+		return nil
+	}
 	var out [][]sqlvalue.Value
 	seen := make(map[string]bool)
 	bind := make(map[string]sqlvalue.Value)
@@ -47,11 +61,14 @@ func EvaluateCtx(ctx context.Context, q *Query, inst Instance) [][]sqlvalue.Valu
 		}
 		a := q.Atoms[i]
 		for _, tuple := range inst[a.Table] {
-			if steps++; steps&1023 == 0 && ctx.Err() != nil {
-				stop = true
-			}
 			if stop {
 				return
+			}
+			if steps++; steps&1023 == 0 {
+				evalSteps.Add(1024)
+				if stop = ctx.Err() != nil; stop {
+					return
+				}
 			}
 			if len(tuple) != len(a.Args) {
 				continue
@@ -89,6 +106,7 @@ func EvaluateCtx(ctx context.Context, q *Query, inst Instance) [][]sqlvalue.Valu
 		}
 	}
 	rec(0)
+	evalSteps.Add(int64(steps & 1023))
 	return out
 }
 

@@ -108,3 +108,58 @@ func TestDiagnoseCanceledReturnsTypedError(t *testing.T) {
 		t.Fatalf("want errors.Is(err, acerr.ErrCanceled), got %v", err)
 	}
 }
+
+// cancelAt is a context whose Err turns Canceled at its n-th call: a
+// cancel that lands at a known check of the search, with no clock. It
+// records cq.EvalSteps at that call, the calls after it, and the most
+// candidate tuples tried between two calls.
+type cancelAt struct {
+	context.Context
+	n, calls          int
+	steps, last, most int64
+}
+
+func (c *cancelAt) Err() error {
+	now := cq.EvalSteps()
+	c.most, c.last = max(c.most, now-c.last), now
+	if c.calls++; c.calls < c.n {
+		return nil
+	}
+	if c.calls == c.n {
+		c.steps = now
+	}
+	return context.Canceled
+}
+
+// TestFindCounterexampleCancelStepBound is the deterministic twin of
+// TestFindCounterexample{Cancel,Deadline}MidSearch: a cancel lands at
+// the n-th ctx check of the slow search. The search checks ctx at least
+// once every 1024 candidate tuples, so at most one evaluation's block
+// can run after a cancel; here none does (the evaluation in flight
+// stops at the check that saw the cancel, and each evaluation after it
+// refuses at its first). And it starts no further probe: a probe
+// re-evaluates the query and all eight views, each of which checks ctx
+// once. A search that ran one more block, or one more probe, fails it,
+// however fast the box.
+func TestFindCounterexampleCancelStepBound(t *testing.T) {
+	s, p, q, facts := slowSearchInput(t)
+	for _, n := range []int{1, 2, 10, 100, 400} {
+		start := cq.EvalSteps()
+		ctx := &cancelAt{Context: context.Background(), n: n, last: start}
+		if _, ok := FindCounterexample(ctx, s, p, session(1), q, facts); ok {
+			t.Fatal("full-release view admits no counterexample")
+		}
+		if ctx.calls < n {
+			t.Fatalf("cancel at check %d: the search returned after %d checks", n, ctx.calls)
+		}
+		if ctx.most > 1024 {
+			t.Errorf("cancel at check %d: %d candidate tuples tried between two ctx checks, want at most 1024", n, ctx.most)
+		}
+		if after := cq.EvalSteps() - ctx.steps; after != 0 {
+			t.Errorf("cancel at check %d (after %d steps): %d candidate tuples tried after the cancel, want 0", n, ctx.steps-start, after)
+		}
+		if after := ctx.calls - n; after > 12 {
+			t.Errorf("cancel at check %d: %d ctx checks after the cancel; a further probe makes at least 9", n, after)
+		}
+	}
+}

@@ -39,6 +39,10 @@ type Manager struct {
 
 	// newTrace builds a live session's trace (UseTraces).
 	newTrace func() *trace.Trace
+	// readSeq is the ReadSeq restored entries get (SetPolicy): the
+	// startup state, or 0, which retires their facts under a clock
+	// (counted in durable.recover.retired_entries).
+	readSeq uint64
 
 	recovery RecoveryResult
 
@@ -54,6 +58,7 @@ type Manager struct {
 	mRecoveredSess    *obsv.Counter
 	mRecoveredEntries *obsv.Counter
 	mTornTruncated    *obsv.Counter
+	mRetired          *obsv.Counter
 }
 
 type liveSession struct {
@@ -92,6 +97,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 	m.mRecoveredSess = reg.Counter("durable.recovered.sessions")
 	m.mRecoveredEntries = reg.Counter("durable.recovered.entries")
 	m.mTornTruncated = reg.Counter("durable.tail.truncated")
+	m.mRetired = reg.Counter("durable.recover.retired_entries")
 	m.mRecoveryMicros.ObserveSince(start)
 	m.mRecoveredSess.Add(int64(len(rec.Sessions)))
 	for _, s := range rec.Sessions {
@@ -125,16 +131,23 @@ func (m *Manager) Recovery() RecoveryResult { return m.recovery }
 func (m *Manager) Log() *Log { return m.log }
 
 // SetPolicy records the policy identity the proxy now enforces. It is
-// WAL-logged when it differs from the recovered snapshot; a changed
-// fingerprint or database hash across a restart is worth a warning —
-// restored histories were observed under the old one (decisions stay
-// sound either way: facts only ever widen what is allowed when they
-// are true of the data, and a stale fact can only have come from a
-// changed database, which is exactly what the warning flags).
+// WAL-logged when it differs from the recovered snapshot. It also fixes
+// the database state restored entries describe. A fact is true only of
+// the state its read saw, and a stale fact can allow a read it should
+// block. So when the database's content hash differs from the recovered
+// one, or none was recovered, restored entries contribute no facts
+// (ReadSeq 0). Otherwise they read as of p.Seq, the startup state, and
+// a write after startup retires them as it retires any fact. A previous
+// run's writes are not logged, so with equal hashes a restored fact
+// read after such a write can still be stale (DESIGN.md §11).
 func (m *Manager) SetPolicy(p PolicyID) error {
 	m.mu.Lock()
 	prev := m.policy
 	m.policy = &p
+	m.readSeq = 0
+	if rp := m.recovery.Policy; rp != nil && rp.DBHash == p.DBHash {
+		m.readSeq = p.Seq
+	}
 	// An unversioned override of a promoted policy orphans the version:
 	// the active policy is no longer the one the promote produced.
 	if m.active != nil && m.active.Fingerprint != p.Fingerprint {
@@ -172,6 +185,12 @@ func (m *Manager) Session(name string, attrs map[string]sqlvalue.Value) (tr *tra
 	if ls == nil {
 		ls = &liveSession{tr: m.newTrace()}
 		if rec := m.recovered[name]; rec != nil {
+			for i := range rec.Entries {
+				rec.Entries[i].ReadSeq = m.readSeq
+			}
+			if m.readSeq == 0 {
+				m.mRetired.Add(int64(len(rec.Entries)))
+			}
 			ls.tr.Restore(rec.Entries, rec.Base)
 			restored = ls.tr.Len()
 			delete(m.recovered, name)

@@ -61,6 +61,9 @@ type PolicyID struct {
 	Fingerprint string
 	Views       map[string]string
 	DBHash      uint64
+	// Seq is the database's write sequence (engine.DB.Seq) when DBHash
+	// was taken; it is not logged. Restored entries read as of it.
+	Seq uint64
 }
 
 // Recover rebuilds session state from a WAL directory: it replays the

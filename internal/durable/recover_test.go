@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obsv"
 	"repro/internal/sqlparser"
 	"repro/internal/sqlvalue"
 	"repro/internal/trace"
@@ -91,5 +92,75 @@ func TestCheckpointUndecodableRecordFailsRecover(t *testing.T) {
 			n = len(res.Sessions)
 		}
 		t.Fatalf("recovering a checkpoint whose append does not parse: %d sessions, error %v", n, err)
+	}
+}
+
+// fixedClock is a write clock that stands still: the database is at Seq
+// and every table was last written at table.
+type fixedClock struct{ seq, table uint64 }
+
+func (c fixedClock) Seq() uint64            { return c.seq }
+func (c fixedClock) TableSeq(string) uint64 { return c.table }
+
+// TestRestoredEntriesRetiredOnHashChange: a restored entry reads as of
+// the startup state when the database's content hash is the logged one,
+// so it derives its facts; when the hash differs, it contributes no
+// fact, and the manager counts it in durable.recover.retired_entries.
+func TestRestoredEntriesRetiredOnHashChange(t *testing.T) {
+	e := trace.Entry{
+		SQL:     "SELECT id FROM events WHERE uid = 7",
+		Stmt:    sqlparser.MustParseSelect("SELECT id FROM events WHERE uid = 7"),
+		Columns: []string{"id"},
+		Rows:    [][]sqlvalue.Value{intRow(2)},
+	}
+	dir := t.TempDir()
+	m, err := Open(dir, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetPolicy(PolicyID{Fingerprint: "fp", DBHash: 1, Seq: 3}); err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := m.Session("s", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Append(e)
+	if err := m.Log().Close(); err != nil { // as after a crash
+		t.Fatal(err)
+	}
+	sch := eventsSchema(t)
+	for _, c := range []struct {
+		hash    uint64
+		facts   int
+		retired int64
+	}{{hash: 1, facts: 1}, {hash: 2, retired: 1}} {
+		opts := testOpts()
+		opts.Metrics = obsv.NewRegistry()
+		m, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.UseTraces(func() *trace.Trace {
+			tr := &trace.Trace{}
+			tr.SetClock(fixedClock{seq: 9, table: 5})
+			return tr
+		})
+		if err := m.SetPolicy(PolicyID{Fingerprint: "fp", DBHash: c.hash, Seq: 9}); err != nil {
+			t.Fatal(err)
+		}
+		tr, restored, err := m.Session("s", nil)
+		if err != nil || restored != 1 {
+			t.Fatalf("hash %d: restored %d, %v", c.hash, restored, err)
+		}
+		if got := len(tr.Facts(sch)); got != c.facts {
+			t.Errorf("hash %d: the restored entry derives %d facts, want %d", c.hash, got, c.facts)
+		}
+		if got := opts.Metrics.Counter("durable.recover.retired_entries").Value(); got != c.retired {
+			t.Errorf("hash %d: durable.recover.retired_entries = %d, want %d", c.hash, got, c.retired)
+		}
+		if err := m.Log().Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

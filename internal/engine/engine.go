@@ -45,6 +45,8 @@ type tableData struct {
 	rows []Row       // live rows; deletion keeps the survivors' order
 	keys []*keyIndex // the primary key first, if any, then each UNIQUE key
 	secs []*secIndex // the secondary indexes DeclareIndex declared
+	// wrote is the write sequence (DB.Seq) of the table's last change.
+	wrote atomic.Uint64
 }
 
 // keyIndex is the ordered index over one declared key: row positions
@@ -231,6 +233,9 @@ type DB struct {
 	// obs holds the optional scan instruments (SetMetrics); an atomic
 	// pointer so installing metrics never races with running queries.
 	obs atomic.Pointer[engineObs]
+
+	// seq is the write sequence (Seq), stepped under mu's write lock.
+	seq atomic.Uint64
 }
 
 // engineObs bundles the engine's instruments so they install
@@ -261,11 +266,13 @@ func (db *DB) SetMetrics(reg *obsv.Registry) {
 	})
 }
 
-// New creates an empty database for the schema.
+// New creates an empty database for the schema, at write sequence 1.
 func New(s *schema.Schema) *DB {
 	db := &DB{schema: s, tables: make(map[string]*tableData)}
+	db.seq.Store(1)
 	for _, t := range s.Tables() {
 		td := &tableData{def: t}
+		td.wrote.Store(1)
 		if len(t.PrimaryKey) > 0 {
 			td.keys = append(td.keys, &keyIndex{cols: columnPositions(t, t.PrimaryKey), what: "primary key"})
 		}
@@ -315,6 +322,27 @@ func (db *DB) DeclareIndex(table string, cols []string) error {
 	return nil
 }
 
+// Seq is the database's write sequence: it names the state the
+// database is in. New's empty database is state 1, at which every table
+// was written; each statement or call that changes a row steps it, at
+// the row change, so a write whose later row fails steps it too. A read
+// reports the state it saw (Result.Seq). Sequence 0 names no state.
+func (db *DB) Seq() uint64 { return db.seq.Load() }
+
+// TableSeq is the write sequence of the last change to a row of the
+// named table, in any letter case; 0 for a table the schema lacks. A
+// read that saw state s still describes the table while TableSeq <= s.
+func (db *DB) TableSeq(table string) uint64 {
+	td, ok := db.table(table)
+	if !ok {
+		return 0
+	}
+	return td.wrote.Load()
+}
+
+// wrote records a change to a row of td, under the write lock.
+func (db *DB) wrote(td *tableData) { td.wrote.Store(db.seq.Add(1)) }
+
 // table finds a table by name in any letter case.
 func (db *DB) table(name string) (*tableData, bool) {
 	var buf [64]byte
@@ -340,6 +368,8 @@ func (db *DB) RowCount(table string) int {
 type Result struct {
 	Columns []string
 	Rows    []Row
+	// Seq is the write sequence (DB.Seq) of the state the read saw.
+	Seq uint64
 }
 
 // Empty reports whether the result has no rows.
@@ -438,7 +468,7 @@ func (db *DB) Insert(ins *sqlparser.InsertStmt) (int, error) {
 			for i := range appended {
 				appended[i] = int32(start + i)
 			}
-			td.deleteRows(appended)
+			db.deleteRows(td, appended)
 			return 0, err
 		}
 	}
@@ -515,6 +545,7 @@ func (db *DB) insertRowLocked(td *tableData, row Row) error {
 		}
 	}
 	td.rows = append(td.rows, row)
+	db.wrote(td)
 	for _, ix := range td.keys {
 		ix.file(keyInto(kb[:0], ix.cols, row), len(td.rows)-1)
 	}
@@ -684,6 +715,7 @@ func (db *DB) replaceRowLocked(td *tableData, ri int, updated Row, checkFKs bool
 		}
 	}
 	td.rows[ri] = updated
+	db.wrote(td)
 	return nil
 }
 
@@ -701,15 +733,16 @@ func (db *DB) Delete(del *sqlparser.DeleteStmt) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	td.deleteRows(pos)
+	db.deleteRows(td, pos)
 	return len(pos), nil
 }
 
 // deleteRows removes the rows at pos, ascending.
-func (td *tableData) deleteRows(pos []int32) {
+func (db *DB) deleteRows(td *tableData, pos []int32) {
 	if len(pos) == 0 {
 		return
 	}
+	db.wrote(td)
 	moved := make([]int32, len(td.rows)) // old position -> new, -1 if deleted
 	n := 0
 	for i, row := range td.rows {

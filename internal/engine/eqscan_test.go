@@ -56,7 +56,7 @@ func streamedQuery(db *DB, q string) string {
 		return "error: " + err.Error()
 	}
 	res := &Result{}
-	cols, n, err := db.QueryEach(context.Background(), bound.(*sqlparser.SelectStmt), func(r Row) {
+	cols, _, n, err := db.QueryEach(context.Background(), bound.(*sqlparser.SelectStmt), func(r Row) {
 		res.Rows = append(res.Rows, slices.Clone(r))
 	})
 	if err != nil {
@@ -279,7 +279,7 @@ func TestQueryEachCanceled(t *testing.T) {
 	db := rangeDB(t, 4000)
 	ctx, cancel := context.WithCancel(context.Background())
 	seen := 0
-	_, _, err := db.QueryEach(ctx, sqlparser.MustParseSelect("SELECT EId, Title FROM Events WHERE EId >= 1"), func(Row) {
+	_, _, _, err := db.QueryEach(ctx, sqlparser.MustParseSelect("SELECT EId, Title FROM Events WHERE EId >= 1"), func(Row) {
 		if seen++; seen == 10 {
 			cancel()
 		}

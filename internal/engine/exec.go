@@ -30,19 +30,20 @@ func (db *DB) QueryCtx(ctx context.Context, sel *sqlparser.SelectStmt) (*Result,
 }
 
 // QueryEach runs a SELECT as QueryCtx does but hands each row to emit,
-// returning the columns and the row count. A bound scan emits a row as
-// it finds it, under the read lock (emit must not wait on a writer, or
-// a socket), in a buffer reused for the next; other reads build first.
-func (db *DB) QueryEach(ctx context.Context, sel *sqlparser.SelectStmt, emit func(Row)) ([]string, int, error) {
+// returning the columns, the write sequence the read saw (Result.Seq)
+// and the row count. A bound scan emits a row as it finds it, under the
+// read lock (emit must not wait on a writer, or a socket), in a buffer
+// reused for the next; other reads build first.
+func (db *DB) QueryEach(ctx context.Context, sel *sqlparser.SelectStmt, emit func(Row)) ([]string, uint64, int, error) {
 	out := rowsOut{emit: emit}
 	res, err := db.read(ctx, sel, &out)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	for _, r := range res.Rows {
 		emit(r)
 	}
-	return res.Columns, out.n + len(res.Rows), nil
+	return res.Columns, res.Seq, out.n + len(res.Rows), nil
 }
 
 // read runs sel under the read lock, counted into engine.queries and
@@ -57,6 +58,9 @@ func (db *DB) read(ctx context.Context, sel *sqlparser.SelectStmt, out *rowsOut)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	res, err := (&evaluator{db: db, ctx: ctx}).execSelect(sel, nil, out)
+	if res != nil {
+		res.Seq = db.seq.Load()
+	}
 	if obs != nil {
 		obs.scan.ObserveSince(start)
 	}

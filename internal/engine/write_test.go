@@ -66,7 +66,7 @@ func genericExec(t testing.TB, db *DB, q string) (int, error) {
 	if upd, ok := bound.(*sqlparser.UpdateStmt); ok {
 		return db.updateRows(ev, td, upd, pos)
 	}
-	td.deleteRows(pos)
+	db.deleteRows(td, pos)
 	return len(pos), nil
 }
 

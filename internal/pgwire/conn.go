@@ -351,7 +351,8 @@ func (c *conn) execControl(kw string) bool {
 }
 
 // execStatement runs one statement through the enforcement proxy and
-// writes its result messages; kw is its leading keyword (firstKeyword).
+// writes its result messages; kw is its leading keyword (firstKeyword),
+// which picks control statements and command tags.
 // sendRowDesc selects simple-protocol framing (RowDescription before
 // rows); the extended protocol describes via Describe and Execute sends
 // rows alone. Returns false after writing an ErrorResponse, which
@@ -366,14 +367,10 @@ func (c *conn) execStatement(base context.Context, kw, sql string, args []any, s
 		return c.execControl(kw)
 	}
 
-	op := "exec"
-	if kw == "SELECT" {
-		op = "query"
-	}
 	mark := len(c.out)
 	c.nrows = 0
 	ctx, done := c.statementCtx(base)
-	resp := c.srv.px.HandleInCtx(ctx, &proxy.Request{Op: op, SQL: sql, Args: args, Sink: c.frameRow}, c.sess)
+	resp := c.srv.px.HandleInCtx(ctx, &proxy.Request{Op: "query", SQL: sql, Args: args, Sink: c.frameRow}, c.sess)
 	done()
 
 	if resp.Blocked {
@@ -388,7 +385,7 @@ func (c *conn) execStatement(base context.Context, kw, sql string, args []any, s
 		return false
 	}
 
-	if op == "query" {
+	if resp.Columns != nil { // the proxy's parse made it a read
 		if sendRowDesc {
 			c.spliceRowDescription(mark, resp.Columns)
 		}

@@ -374,6 +374,15 @@ func TestSimpleQueryFlow(t *testing.T) {
 		t.Fatalf("blocked message = %q", f['M'])
 	}
 
+	// A parenthesized read has no leading keyword: its parse makes it a
+	// read, decided and answered as one.
+	msgs = pc.query("(SELECT EId FROM Attendance WHERE UId = 1)")
+	if findMsg(msgs, 'T') == nil || countMsgs(msgs, 'D') != 1 {
+		t.Fatalf("parenthesized read: %s, want RowDescription and 1 DataRow", msgTypes(msgs))
+	}
+	wantCommandTag(t, msgs, "SELECT 1")
+	wantSQLState(t, pc.query("(SELECT * FROM Events WHERE EId = 3)"), SQLStateBlockedWire)
+
 	// Writes pass through as exec.
 	wantCommandTag(t, pc.query("INSERT INTO Attendance (UId, EId) VALUES (1, 3)"), "INSERT 0 1")
 
@@ -446,6 +455,14 @@ func TestExtendedProtocol(t *testing.T) {
 	// works over pgwire.
 	msgs = pc.parseBindExecute("SELECT EId FROM Attendance WHERE UId = ?", "1")
 	wantCommandTag(t, msgs, "SELECT 1")
+
+	// A parenthesized read is decided and answered as a read here too.
+	msgs = pc.parseBindExecute("(SELECT EId FROM Attendance WHERE UId = $1)", "1")
+	if d := findMsg(msgs, 'D'); d == nil || strings.Join(dataRowValues(t, *d), ",") != "2" {
+		t.Fatalf("parenthesized read: %s, want the DataRow [2]", msgTypes(msgs))
+	}
+	wantCommandTag(t, msgs, "SELECT 1")
+	wantSQLState(t, pc.parseBindExecute("(SELECT * FROM Events WHERE EId = $1)", "3"), SQLStateBlockedWire)
 
 	// Parse-time syntax error, then skip-till-Sync: the queued Bind
 	// and Execute must be discarded, not answered.

@@ -121,7 +121,7 @@ func (s *Server) clearShadowDiffs() {
 	s.shadowMu.Unlock()
 }
 
-// dualDecide is runQuery's shadow-mode check: one consistent decision
+// dualDecide is query's shadow-mode check: one consistent decision
 // under the (active, candidate) pair, divergence recording, and the
 // overhead histogram. The active verdict is what enforcement uses.
 func (s *Server) dualDecide(ctx context.Context, req *Request, sel *sqlparser.SelectStmt, args sqlparser.Args, sess *session) checker.Decision {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -288,7 +287,7 @@ func (s *Server) OpenDurable() error {
 		}
 		id := durable.PolicyID{Fingerprint: pol.Fingerprint(), Views: views}
 		if s.DB != nil {
-			id.DBHash = s.DB.ContentHash()
+			id.Seq, id.DBHash = s.DB.Seq(), s.DB.ContentHash()
 		}
 		if err := m.SetPolicy(id); err != nil {
 			m.Close()
@@ -730,7 +729,7 @@ func (s *Server) dispatch(pc *pipeConn, req *Request) {
 // inline execution has already finished. Requests with a per-request
 // timeout, and servers running a slow-log, a shadow trial, or with
 // enforcement off, all take the general path: those features need the
-// full handleQuery/dualDecide plumbing.
+// full query/dualDecide plumbing.
 func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
 	if req.TimeoutMillis != 0 || s.SlowLogThreshold > 0 ||
 		s.Mode == Off || s.Checker == nil || s.Checker.ShadowStaged() {
@@ -740,13 +739,10 @@ func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
 	if !ln.tryClaim() {
 		return false
 	}
-	args, err := buildArgs(req)
-	if err != nil {
-		ln.releaseClaim()
-		return false
-	}
-	sel, err := sqlparser.ParseSelectNorm(req.SQL)
-	if err != nil {
+	stmt, args, bad := s.prepare(req, ln.sess)
+	sel, ok := stmt.(*sqlparser.SelectStmt)
+	if bad != nil || !ok {
+		// The general path answers it.
 		ln.releaseClaim()
 		return false
 	}
@@ -808,11 +804,8 @@ func (s *Server) handle(ctx context.Context, req *Request, sess *session) Respon
 	case "hello":
 		return s.openSession(req, sess)
 
-	case "query":
-		return s.handleQuery(ctx, req, sess)
-
-	case "exec":
-		return s.handleExec(ctx, req, sess)
+	case "query", "exec":
+		return s.statement(ctx, req, sess)
 
 	case "batch":
 		return s.handleBatch(ctx, req, sess)
@@ -913,18 +906,89 @@ func canceledResponse(ctx context.Context) Response {
 	}
 }
 
-// handleQuery wraps the query path in timing: every query lands in the
-// proxy.query.micros histogram, and — when SlowLogThreshold is set — a
-// query that overruns it emits one structured slow-decision line with
-// the verdict, the cache tier that answered, and the per-stage
-// breakdown collected through the request's SpanSet.
-func (s *Server) handleQuery(ctx context.Context, req *Request, sess *session) Response {
+// statement is the one statement path: v2 "query", "exec" and "batch"
+// and pgwire simple and extended all enter it with raw SQL, and the
+// inline fast path shares its front half (prepare). The parsed
+// statement's type, not the op, picks the path: a SELECT is decided
+// and read (query); any other statement goes unbound, with the resolved
+// arguments, to the engine, which binds it once. Writes are not
+// decided: the paper controls data revelation (reads), and write
+// authorization stays in the app.
+func (s *Server) statement(ctx context.Context, req *Request, sess *session) Response {
+	if ctx.Err() != nil {
+		return canceledResponse(ctx)
+	}
+	stmt, args, bad := s.prepare(req, sess)
+	if bad != nil {
+		return *bad
+	}
+	if sel, ok := stmt.(*sqlparser.SelectStmt); ok {
+		return s.query(ctx, req, sess, sel, args)
+	}
+	_, n, err := s.DB.ExecStmt(stmt, args)
+	if err != nil {
+		return Response{Error: err.Error(), Code: acerr.CodeEngine}
+	}
+	return Response{OK: true, Affected: n}
+}
+
+// prepare parses a request's SQL once (the cached parse of the raw
+// text) and resolves its arguments once (sqlparser.Needs.Resolve): a
+// named value the request leaves out is the session's attribute of
+// that name. A request it cannot prepare gets its answer, a parse error
+// or a bad request, before any decision is made or counted.
+func (s *Server) prepare(req *Request, sess *session) (sqlparser.Statement, sqlparser.Args, *Response) {
+	stmt, needs, err := sqlparser.ParseNeeds(req.SQL)
+	if err != nil {
+		return nil, sqlparser.Args{}, &Response{Error: err.Error(), Code: acerr.CodeParse}
+	}
+	var args sqlparser.Args
+	args.Positional, err = decodeValues(req.Args)
+	for k, v := range req.Named {
+		if args.Named == nil {
+			args.Named = make(map[string]sqlvalue.Value, len(req.Named))
+		}
+		if err == nil {
+			args.Named[k], err = decodeValue(v)
+		}
+	}
+	if err == nil {
+		args, err = needs.Resolve(args, sess.attrs)
+	}
+	if err != nil {
+		return nil, args, &Response{Error: err.Error(), Code: acerr.CodeBadRequest}
+	}
+	return stmt, args, nil
+}
+
+// query decides a read and runs it (finishQuery), timed into the
+// proxy.query.micros histogram; when SlowLogThreshold is set, a read
+// that overruns it emits one structured slow-decision line with the
+// verdict, the cache tier that answered, and the per-stage breakdown
+// collected through the request's SpanSet.
+func (s *Server) query(ctx context.Context, req *Request, sess *session, sel *sqlparser.SelectStmt, args sqlparser.Args) Response {
 	start := time.Now()
+	s.mQueries.Inc()
 	var spans *obsv.SpanSet
 	if s.SlowLogThreshold > 0 {
 		ctx, spans = obsv.WithSpanSet(ctx)
 	}
-	resp, d := s.runQuery(ctx, req, sess)
+	var d checker.Decision
+	if s.Mode != Off {
+		// The proxy reads no Decision.Views, so the zero-copy check is
+		// safe. With a candidate staged, the active verdict enforces.
+		if s.Checker.ShadowStaged() {
+			d = s.dualDecide(ctx, req, sel, args, sess)
+		} else {
+			d = s.Checker.CheckBorrowed(ctx, sel, args, sess.attrs, sess.tr)
+		}
+	}
+	var resp Response
+	if ctx.Err() != nil {
+		resp = canceledResponse(ctx)
+	} else {
+		resp = s.finishQuery(ctx, req, sess, sel, args, d)
+	}
 	elapsed := time.Since(start)
 	s.mQueryLat.Observe(elapsed.Microseconds())
 	if spans != nil && elapsed >= s.SlowLogThreshold {
@@ -966,49 +1030,9 @@ func (s *Server) slowLog(req *Request, resp *Response, d checker.Decision, elaps
 	}
 }
 
-// runQuery is the query path proper: check, execute, record history.
-// The returned Decision is the checker's verdict (zero-valued when the
-// request failed before or without a check).
-func (s *Server) runQuery(ctx context.Context, req *Request, sess *session) (Response, checker.Decision) {
-	var d checker.Decision
-	s.mQueries.Inc()
-
-	if ctx.Err() != nil {
-		return canceledResponse(ctx), d
-	}
-	args, err := buildArgs(req)
-	if err != nil {
-		return Response{Error: err.Error(), Code: acerr.CodeBadRequest}, d
-	}
-	// Cached parse of the raw text. Each placeholder spelling is its own
-	// statement; their plans share a shape, so decisions agree across
-	// ingress surfaces (v2 protocol, Postgres wire, database/sql driver).
-	sel, err := sqlparser.ParseSelectNorm(req.SQL)
-	if err != nil {
-		return Response{Error: err.Error(), Code: acerr.CodeParse}, d
-	}
-
-	if s.Mode != Off {
-		// Borrowed check: the proxy only reads the scalar verdict
-		// (Allowed/Reason/Tier), never Decision.Views, so the zero-copy
-		// variant is safe and keeps warm hits allocation-free. With a
-		// candidate staged the dual-decide path checks both policies; the
-		// active verdict always enforces.
-		if s.Checker.ShadowStaged() {
-			d = s.dualDecide(ctx, req, sel, args, sess)
-		} else {
-			d = s.Checker.CheckBorrowed(ctx, sel, args, sess.attrs, sess.tr)
-		}
-		if ctx.Err() != nil {
-			return canceledResponse(ctx), d
-		}
-	}
-	return s.finishQuery(ctx, req, sess, sel, args, d), d
-}
-
-// finishQuery is the post-decision half of the query path, shared by
-// runQuery and the inline fast path: enforce the verdict, bind,
-// execute, record history, build the response.
+// finishQuery is the post-decision half of a read, shared by query
+// and the inline fast path: enforce the verdict, bind once, execute,
+// record history, build the response.
 func (s *Server) finishQuery(ctx context.Context, req *Request, sess *session, sel *sqlparser.SelectStmt, args sqlparser.Args, d checker.Decision) Response {
 	if s.Mode != Off && !d.Allowed {
 		if s.Mode == Enforce {
@@ -1017,20 +1041,21 @@ func (s *Server) finishQuery(ctx context.Context, req *Request, sess *session, s
 		s.mViolations.Inc()
 	}
 
-	// The trace records the values the read ran with.
-	bound, args, err := bindSession(sel, args, sess.attrs)
+	// Bound once, with the args the trace records.
+	stmt, err := sqlparser.Bind(sel, args)
 	if err != nil {
 		return Response{Error: err.Error(), Code: acerr.CodeBadRequest}
 	}
+	bound := stmt.(*sqlparser.SelectStmt)
 	// A statement whose facts read no row keeps only the count in the
 	// trace: no decision reads its rows, and holding them would pin the
 	// result set. Then a Sink takes them straight from the scan.
 	keep := s.Mode != Off && (s.Checker == nil || s.Checker.ReadsRows(sel))
 	res, n := &engine.Result{}, 0
 	if req.Sink != nil && !keep {
-		res.Columns, n, err = s.DB.QueryEach(ctx, bound.(*sqlparser.SelectStmt), req.Sink)
+		res.Columns, res.Seq, n, err = s.DB.QueryEach(ctx, bound, req.Sink)
 	} else {
-		res, err = s.DB.QueryCtx(ctx, bound.(*sqlparser.SelectStmt))
+		res, err = s.DB.QueryCtx(ctx, bound)
 	}
 	if err != nil {
 		if errors.Is(err, acerr.ErrCanceled) {
@@ -1045,75 +1070,19 @@ func (s *Server) finishQuery(ctx context.Context, req *Request, sess *session, s
 	// every result row afresh (stored rows are copy-on-write), so the
 	// trace and the response share its rows.
 	if s.Mode != Off {
-		e := trace.Entry{SQL: req.SQL, Stmt: sel, Args: args, Columns: res.Columns, Rows: res.Rows}
+		e := trace.Entry{SQL: req.SQL, Stmt: sel, Args: args, Columns: res.Columns, Rows: res.Rows, ReadSeq: res.Seq}
 		if !keep {
 			e.Rows, e.Omitted = nil, n+len(res.Rows)
 		}
 		sess.tr.Append(e)
 	}
 	if req.Sink != nil {
-		req.sink(res.Rows)
+		for _, r := range res.Rows {
+			req.Sink(r)
+		}
 		return Response{OK: true, Columns: res.Columns}
 	}
 	return Response{OK: true, Columns: res.Columns, Rows: res.Rows}
-}
-
-// bindSession binds stmt for execution, by one rule for reads and
-// writes: a named parameter the request leaves out is the session's
-// attribute of that name, as the checker resolves it, and a value the
-// request gives wins. It returns the args it bound with; a value still
-// missing is a *sqlparser.NoValueError, which both paths answer as a
-// bad request.
-func bindSession(stmt sqlparser.Statement, args sqlparser.Args, attrs map[string]sqlvalue.Value) (sqlparser.Statement, sqlparser.Args, error) {
-	bound, err := sqlparser.Bind(stmt, args)
-	if nv, ok := err.(*sqlparser.NoValueError); !ok || nv.Name == "" {
-		return bound, args, err
-	}
-	named := make(map[string]sqlvalue.Value, len(args.Named)+1)
-	maps.Copy(named, args.Named)
-	for _, p := range sqlparser.Params(stmt) {
-		if _, ok := named[p.Name]; p.Name != "" && !ok {
-			if v, ok := attrs[p.Name]; ok {
-				named[p.Name] = v
-			}
-		}
-	}
-	args.Named = named
-	bound, err = sqlparser.Bind(stmt, args)
-	return bound, args, err
-}
-
-// sink hands rows to the request's Sink, which takes them in place of
-// Response.Rows.
-func (req *Request) sink(rows []engine.Row) {
-	for _, r := range rows {
-		req.Sink(r)
-	}
-}
-
-func (s *Server) handleExec(ctx context.Context, req *Request, sess *session) Response {
-	if ctx.Err() != nil {
-		return canceledResponse(ctx)
-	}
-	args, err := buildArgs(req)
-	if err != nil {
-		return Response{Error: err.Error(), Code: acerr.CodeBadRequest}
-	}
-	// Writes pass through: the paper's setting controls data
-	// revelation (reads); write authorization stays in the app.
-	stmt, err := sqlparser.ParseNorm(req.SQL)
-	if err != nil {
-		return Response{Error: err.Error(), Code: acerr.CodeParse}
-	}
-	bound, _, err := bindSession(stmt, args, sess.attrs)
-	if err != nil {
-		return Response{Error: err.Error(), Code: acerr.CodeBadRequest}
-	}
-	_, n, err := s.DB.ExecStmt(bound, sqlparser.NoArgs)
-	if err != nil {
-		return Response{Error: err.Error(), Code: acerr.CodeEngine}
-	}
-	return Response{OK: true, Affected: n}
 }
 
 // handleBatch executes a batch's sub-requests in order on the batch's
@@ -1125,42 +1094,15 @@ func (s *Server) handleBatch(ctx context.Context, req *Request, sess *session) R
 	out := Response{OK: true, Batch: make([]Response, 0, len(req.Batch))}
 	for i := range req.Batch {
 		sub := &req.Batch[i]
-		var r Response
-		switch sub.Op {
-		case "query":
-			r = s.handleQuery(ctx, sub, sess)
-		case "exec":
-			r = s.handleExec(ctx, sub, sess)
-		default:
-			r = Response{
-				Error: fmt.Sprintf("batch: unsupported op %q", sub.Op),
-				Code:  acerr.CodeBadRequest,
-			}
+		r := Response{
+			Error: fmt.Sprintf("batch: unsupported op %q", sub.Op),
+			Code:  acerr.CodeBadRequest,
+		}
+		if sub.Op == "query" || sub.Op == "exec" {
+			r = s.statement(ctx, sub, sess)
 		}
 		r.ID = sub.ID
 		out.Batch = append(out.Batch, r)
 	}
 	return out
-}
-
-func buildArgs(req *Request) (sqlparser.Args, error) {
-	var args sqlparser.Args
-	if len(req.Args) > 0 {
-		vals, err := decodeValues(req.Args)
-		if err != nil {
-			return args, err
-		}
-		args.Positional = vals
-	}
-	if len(req.Named) > 0 {
-		args.Named = make(map[string]sqlvalue.Value, len(req.Named))
-		for k, v := range req.Named {
-			sv, err := decodeValue(v)
-			if err != nil {
-				return args, err
-			}
-			args.Named[k] = sv
-		}
-	}
-	return args, nil
 }

@@ -25,11 +25,15 @@ type session struct {
 
 // newTrace is the one constructor of session traces, ephemeral and —
 // through the WAL manager, which OpenDurable hands it — durable. It
-// applies HistoryWindow and attaches the server's fact-cache counters
-// for the trace's life.
+// applies HistoryWindow, puts the trace under the database's write
+// clock, so that a write retires the facts it may have falsified, and
+// attaches the server's fact-cache counters for the trace's life.
 func (s *Server) newTrace() *trace.Trace {
 	tr := &trace.Trace{}
 	tr.SetWindow(s.HistoryWindow)
+	if s.DB != nil {
+		tr.SetClock(s.DB)
+	}
 	tr.CountInto(s.mFactReused, s.mFactTrans)
 	return tr
 }

@@ -7,6 +7,8 @@
 package sqlparser
 
 import (
+	"slices"
+
 	"repro/internal/sqlvalue"
 )
 
@@ -414,11 +416,25 @@ func Params(s Statement) []*Param {
 // NumPositionalParams reports how many positional values a statement
 // needs: the count of sequential `?` parameters or, with explicit $N
 // placeholders, the highest index used.
-func NumPositionalParams(s Statement) int {
-	n := 0
+func NumPositionalParams(s Statement) int { return NeedsOf(s).Positional }
+
+// Needs is what a statement's parameters ask of a call's arguments:
+// Positional values (NumPositionalParams), and the Named ones, each
+// once, in source order.
+type Needs struct {
+	Positional int
+	Named      []string
+}
+
+// NeedsOf walks s for its Needs. ParseNeeds caches the result with the
+// parse, so a repeat of a text pays no walk.
+func NeedsOf(s Statement) Needs {
+	var n Needs
 	for _, p := range Params(s) {
-		if p.Name == "" && p.Index+1 > n {
-			n = p.Index + 1
+		if p.Name == "" {
+			n.Positional = max(n.Positional, p.Index+1)
+		} else if !slices.Contains(n.Named, p.Name) {
+			n.Named = append(n.Named, p.Name)
 		}
 	}
 	return n

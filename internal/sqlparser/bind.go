@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/sqlvalue"
 )
@@ -42,6 +43,34 @@ func (a Args) With(name string, v any) Args {
 	}
 	named[name] = sqlvalue.MustFromAny(v)
 	return Args{Positional: a.Positional, Named: named}
+}
+
+// Resolve returns args with every value n asks for: a named one args
+// lacks comes from defaults, else it is a *NoValueError. Args that have
+// every value come back as they are, at no allocation.
+func (n Needs) Resolve(args Args, defaults map[string]sqlvalue.Value) (Args, error) {
+	if len(args.Positional) < n.Positional {
+		return args, &NoValueError{Index: len(args.Positional)}
+	}
+	var named map[string]sqlvalue.Value
+	for _, name := range n.Named {
+		if _, ok := args.Named[name]; ok {
+			continue
+		}
+		v, ok := defaults[name]
+		if !ok {
+			return args, &NoValueError{Name: name, Index: -1}
+		}
+		if named == nil {
+			named = make(map[string]sqlvalue.Value, len(args.Named)+len(n.Named))
+			maps.Copy(named, args.Named)
+		}
+		named[name] = v
+	}
+	if named != nil {
+		args.Named = named
+	}
+	return args, nil
 }
 
 // Bind returns a copy of the statement with every parameter replaced

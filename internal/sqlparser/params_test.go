@@ -270,3 +270,50 @@ func TestNumPositionalParams(t *testing.T) {
 		}
 	}
 }
+
+// TestNeedsResolve: Resolve fills a named value the arguments lack from
+// the defaults, lets the arguments' own value win, reports a value
+// still missing as Bind's *NoValueError, and hands back arguments that
+// need nothing filled without allocating.
+func TestNeedsResolve(t *testing.T) {
+	defaults := map[string]sqlvalue.Value{"uid": sqlvalue.NewInt(7)}
+	_, needs, err := ParseNeeds("SELECT a FROM t WHERE b = :uid AND c = ? AND d = ?uid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(needs) != "{1 [uid]}" {
+		t.Fatalf("needs = %v, want {1 [uid]}", needs)
+	}
+	args, err := needs.Resolve(PositionalArgs(1), defaults)
+	if err != nil || args.Named["uid"].Int() != 7 {
+		t.Errorf("Resolve from defaults: %v, %v; want uid 7", args, err)
+	}
+	own := Args{Positional: PositionalArgs(1).Positional, Named: map[string]sqlvalue.Value{"uid": sqlvalue.NewInt(2)}}
+	if args, err := needs.Resolve(own, defaults); err != nil || args.Named["uid"].Int() != 2 {
+		t.Errorf("Resolve with the call's own uid: %v, %v; want uid 2", args, err)
+	}
+	for _, c := range []struct {
+		args     Args
+		defaults map[string]sqlvalue.Value
+		want     string
+	}{
+		{NoArgs, defaults, "sql: no value for positional parameter #1"},
+		{PositionalArgs(1), nil, "sql: no value for named parameter ?uid"},
+	} {
+		_, err := needs.Resolve(c.args, c.defaults)
+		if _, ok := err.(*NoValueError); !ok || err.Error() != c.want {
+			t.Errorf("Resolve(%v, %v) = %v, want %q", c.args, c.defaults, err, c.want)
+		}
+	}
+
+	_, positional, _ := ParseNeeds("SELECT a FROM t WHERE b = ? AND c = $2")
+	in := PositionalArgs(1, 2)
+	if n := testing.AllocsPerRun(100, func() {
+		_, _, _ = ParseNeeds("SELECT a FROM t WHERE b = ? AND c = $2")
+		if _, err := positional.Resolve(in, defaults); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a cached parse and Resolve of positional args: %v allocs, want 0", n)
+	}
+}

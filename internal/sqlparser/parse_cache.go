@@ -24,7 +24,7 @@ const (
 
 type parseShard struct {
 	mu sync.Mutex
-	m  map[string]Statement
+	m  map[string]*parsed
 	// errs memoizes parse failures under its own small bound so
 	// repeated bad statements skip re-parsing without competing with
 	// hot templates for space.
@@ -32,6 +32,12 @@ type parseShard struct {
 }
 
 var parseCache [parseCacheShards]parseShard
+
+// parsed is a cached statement with what its parameters need.
+type parsed struct {
+	stmt  Statement
+	needs Needs
+}
 
 func parseShardFor(sql string) *parseShard {
 	// FNV-1a over the statement text.
@@ -42,13 +48,13 @@ func parseShardFor(sql string) *parseShard {
 	return &parseCache[h%parseCacheShards]
 }
 
-func cachedParse(sql string) (Statement, error, bool) {
+func cachedParse(sql string) (*parsed, error, bool) {
 	if len(sql) > parseCacheMaxSQLLen {
 		return nil, nil, false
 	}
 	sh := parseShardFor(sql)
 	sh.mu.Lock()
-	stmt, ok := sh.m[sql]
+	p, ok := sh.m[sql]
 	if !ok {
 		var err error
 		if err, ok = sh.errs[sql]; ok {
@@ -59,10 +65,10 @@ func cachedParse(sql string) (Statement, error, bool) {
 		return nil, nil, false
 	}
 	sh.mu.Unlock()
-	return stmt, nil, true
+	return p, nil, true
 }
 
-func storeParse(sql string, stmt Statement, err error) {
+func storeParse(sql string, p *parsed, err error) {
 	if len(sql) > parseCacheMaxSQLLen {
 		return
 	}
@@ -85,7 +91,7 @@ func storeParse(sql string, stmt Statement, err error) {
 		return
 	}
 	if sh.m == nil {
-		sh.m = make(map[string]Statement, parseCachePerShard)
+		sh.m = make(map[string]*parsed, parseCachePerShard)
 	}
 	if len(sh.m) >= parseCachePerShard {
 		// Evict an arbitrary entry; the workload's statement-shape
@@ -95,7 +101,7 @@ func storeParse(sql string, stmt Statement, err error) {
 			break
 		}
 	}
-	sh.m[sql] = stmt
+	sh.m[sql] = p
 	sh.mu.Unlock()
 }
 
@@ -106,12 +112,23 @@ func storeParse(sql string, stmt Statement, err error) {
 // a statement (`?`, `$1`, `?name`, `:name`) is its own entry; the
 // checker's statement plans meet again at their shape (cq.StmtPlan).
 func ParseNorm(src string) (Statement, error) {
-	if stmt, err, ok := cachedParse(src); ok {
-		return stmt, err
+	stmt, _, err := ParseNeeds(src)
+	return stmt, err
+}
+
+// ParseNeeds is ParseNorm returning the statement's Needs too, cached
+// with it: a repeat of a text walks nothing.
+func ParseNeeds(src string) (Statement, Needs, error) {
+	if p, err, ok := cachedParse(src); ok {
+		if err != nil {
+			return nil, Needs{}, err
+		}
+		return p.stmt, p.needs, nil
 	}
 	stmt, err := Parse(src)
-	storeParse(src, stmt, err)
-	return stmt, err
+	p := &parsed{stmt, NeedsOf(stmt)}
+	storeParse(src, p, err)
+	return p.stmt, p.needs, err
 }
 
 // ParseSelectNorm is ParseNorm requiring a SELECT, with the same

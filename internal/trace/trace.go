@@ -13,6 +13,12 @@
 // entry from a bounded window drops exactly its facts: the session's
 // fact list is re-assembled from the survivors' memos, and no entry is
 // derived twice in its life. Only a schema change starts over.
+//
+// A fact describes the database state its read saw. Under a Clock (the
+// database's write clock, SetClock), a fact is usable only while no
+// write to its table came after the newest read that yielded it; the
+// session's fact list holds the usable facts only. The entries stay, so
+// windows and the WAL see no difference. Dropping a fact only tightens.
 package trace
 
 import (
@@ -41,6 +47,17 @@ type Entry struct {
 	// (cq.StmtPlan.ReadsRows); the answer had len(Rows)+Omitted rows.
 	// Zero keeps every row.
 	Omitted int
+	// ReadSeq is the write sequence of the database state the read saw
+	// (engine.Result.Seq); under a Clock, 0 names no state, so the
+	// entry's facts are never usable.
+	ReadSeq uint64
+}
+
+// Clock is a database's write clock (engine.DB): Seq is its write
+// sequence, TableSeq that of the last write to a table.
+type Clock interface {
+	Seq() uint64
+	TableSeq(table string) uint64
 }
 
 // RowCount is the number of rows the answer had, kept or omitted.
@@ -64,6 +81,8 @@ type Trace struct {
 	// allocating.
 	entries []Entry
 	fc      *factCache
+	// clock, when set, retires the facts a write may have falsified.
+	clock Clock
 	// window bounds len(entries); 0 means unlimited.
 	window int
 	// evicted counts entries dropped from the front over the trace's
@@ -95,8 +114,12 @@ type factCache struct {
 	ends   []int32
 	facts  []cq.Fact
 	keys   []string
+	seen   []uint64         // per listed fact, the newest ReadSeq that yielded it
 	listed map[string]int32 // position in the list by key
 	stale  bool
+	// facts[:checked] were usable at clock sequence at (retire).
+	at      uint64
+	checked int
 }
 
 // FactCacheStats reports the incremental fact cache's effectiveness:
@@ -168,6 +191,17 @@ func (t *Trace) Evicted() uint64 {
 	return t.evicted
 }
 
+// SetClock puts the trace under a database's write clock (nil removes
+// it): from then on its fact list holds only the usable facts.
+func (t *Trace) SetClock(c Clock) {
+	t.mu.Lock()
+	t.clock = c
+	if t.fc != nil {
+		t.fc.checked = 0
+	}
+	t.mu.Unlock()
+}
+
 // SetHook installs the append observer (nil uninstalls). The durable
 // WAL uses it to log every recorded entry; the hook runs under the
 // trace lock and may block (e.g. waiting on group commit), which
@@ -232,6 +266,7 @@ func (t *Trace) Clone() *Trace {
 		entries: append([]Entry(nil), t.entries...),
 		window:  t.window,
 		evicted: t.evicted,
+		clock:   t.clock,
 	}
 }
 
@@ -281,8 +316,10 @@ func (t *Trace) Facts(s *schema.Schema) []cq.Fact {
 // immutable snapshots — the cache only ever appends past their length
 // or re-assembles into new arrays, never rewrites a returned one — so
 // the warm decide path can walk a long history with zero per-check
-// allocation. Callers must not mutate either slice or retain them
-// across a schema change. Entries are derived through tr's statement
+// allocation. Under a Clock they hold the usable facts only; when
+// nothing was written since the last call, that costs one load.
+// Callers must not mutate either slice or retain them across a schema
+// change. Entries are derived through tr's statement
 // plans, so a statement the caller's translator has already planned is
 // not translated again.
 func (t *Trace) FactsKeyed(tr *cq.Translator) ([]cq.Fact, []string) {
@@ -296,7 +333,7 @@ func (t *Trace) FactsKeyed(tr *cq.Translator) ([]cq.Fact, []string) {
 	n := len(fc.ends)
 	d := deriver{tr: tr}
 	for i := n; i < len(t.entries); i++ {
-		fc.add(d.derive(&t.entries[i]))
+		fc.add(d.derive(&t.entries[i]), t.entries[i].ReadSeq)
 	}
 	t.reused += uint64(n)
 	t.reusedC.Add(int64(n))
@@ -305,7 +342,10 @@ func (t *Trace) FactsKeyed(tr *cq.Translator) ([]cq.Fact, []string) {
 		t.translatedC.Add(int64(k))
 	}
 	if fc.stale {
-		fc.reassemble()
+		fc.reassemble(t.entries)
+	}
+	if t.clock != nil {
+		fc.retire(t.clock, t.entries)
 	}
 	// Full slice expressions pin capacity at the snapshot length, so a
 	// later in-place append can never write inside a returned view.
@@ -313,9 +353,9 @@ func (t *Trace) FactsKeyed(tr *cq.Translator) ([]cq.Fact, []string) {
 	return fc.facts[:n:n], fc.keys[:n:n]
 }
 
-// add memoizes the facts of the next entry: each takes its place on the
-// list if it has none yet.
-func (fc *factCache) add(facts []cq.Fact) {
+// add memoizes the facts of the next entry, whose read saw state seq:
+// each takes its place on the list if it has none yet.
+func (fc *factCache) add(facts []cq.Fact, seq uint64) {
 	for _, f := range facts {
 		k := f.String()
 		at, ok := fc.listed[k]
@@ -324,10 +364,55 @@ func (fc *factCache) add(facts []cq.Fact) {
 			fc.listed[k] = at
 			fc.facts = append(fc.facts, f)
 			fc.keys = append(fc.keys, k)
+			fc.seen = append(fc.seen, seq)
+		} else {
+			fc.seen[at] = max(fc.seen[at], seq)
 		}
 		fc.occ = append(fc.occ, at)
 	}
 	fc.ends = append(fc.ends, int32(len(fc.occ)))
+}
+
+// retire drops from the list the facts no longer usable: a fact is
+// usable while its table's last write (Clock.TableSeq) came no later
+// than the newest read that yielded it. Only the facts listed since the
+// last look are checked, unless the clock has moved. A dropped fact's
+// occurrences leave the memo, so only a fresher read lists it again;
+// the list is re-assembled into new arrays, so the snapshots handed out
+// before stay as they were.
+func (fc *factCache) retire(c Clock, entries []Entry) {
+	if now := c.Seq(); now != fc.at {
+		fc.at, fc.checked = now, 0
+	}
+	var gone []bool
+	for i := fc.checked; i < len(fc.facts); i++ {
+		if !fc.fresh(c, i) {
+			if gone == nil {
+				gone = make([]bool, len(fc.facts))
+			}
+			gone[i] = true
+		}
+	}
+	if gone != nil {
+		occ, from := fc.occ[:0], int32(0)
+		for i, end := range fc.ends {
+			for _, at := range fc.occ[from:end] {
+				if !gone[at] {
+					occ = append(occ, at)
+				}
+			}
+			from, fc.ends[i] = end, int32(len(occ))
+		}
+		fc.occ = occ
+		fc.reassemble(entries)
+	}
+	fc.checked = len(fc.facts)
+}
+
+// fresh reports whether no write to listed fact i's table came after
+// the newest read that yielded it.
+func (fc *factCache) fresh(c Clock, i int) bool {
+	return c.TableSeq(fc.facts[i].Atom.Table) <= fc.seen[i]
 }
 
 // forget drops the memo of the n oldest entries (those of them that
@@ -352,7 +437,7 @@ func (fc *factCache) forget(n int) {
 // Every fact a survivor yields is on the old list, so the memo is all it
 // takes; the new list goes into new arrays of its exact size, so the
 // snapshots handed out before stay as they were.
-func (fc *factCache) reassemble() {
+func (fc *factCache) reassemble(entries []Entry) {
 	moved := make([]int32, len(fc.facts)) // old position -> new + 1; 0: gone
 	n := int32(0)
 	for i, at := range fc.occ {
@@ -375,7 +460,14 @@ func (fc *factCache) reassemble() {
 			delete(fc.listed, k) // only evicted entries yielded it
 		}
 	}
-	fc.facts, fc.keys, fc.stale = facts, keys, false
+	seen, from := make([]uint64, n), int32(0)
+	for i, end := range fc.ends {
+		for _, at := range fc.occ[from:end] {
+			seen[at] = max(seen[at], entries[i].ReadSeq)
+		}
+		from = end
+	}
+	fc.facts, fc.keys, fc.seen, fc.stale, fc.checked = facts, keys, seen, false, 0
 }
 
 // Facts derives ground facts from the trace, using the trace's

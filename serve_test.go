@@ -520,7 +520,10 @@ func v2Line(t *testing.T, r *bufio.Reader, c net.Conn, line string) proxy.Respon
 // out is the session attribute of that name when the read runs, as it
 // is when the read is decided, over v2 and over pgwire's simple
 // protocol, in both spellings; a request's own named value wins over
-// the attribute in the decision and in the rows.
+// the attribute in the decision and in the rows. A read with no value
+// for a parameter is a bad request on both wires, answered before any
+// decision is made or counted; and a v2 exec carrying a read is decided
+// as the read.
 func TestNamedParamsBindFromSession(t *testing.T) {
 	f := apps.Calendar()
 	svc, err := beyond.Serve(f.MustNewDB(8), beyond.NewChecker(f.Policy()), beyond.Enforce,
@@ -562,6 +565,21 @@ func TestNamedParamsBindFromSession(t *testing.T) {
 	if !got.OK || got.Blocked || rows(got) != rows(want) {
 		t.Errorf("v2 %q with the request's U = 1: %+v, want the rows of %q: %s", byU, got, own, rows(want))
 	}
+	if got := v2Line(t, r, c, `{"op":"exec","sql":"`+byU+`"}`); !got.Blocked {
+		t.Errorf("v2 exec %q with U from the session: %+v, want blocked", byU, got)
+	}
+	if got := v2Line(t, r, c, `{"op":"exec","sql":"`+own+`"}`); !got.OK || got.Blocked || rows(got) != rows(want) {
+		t.Errorf("v2 exec %q: %+v, want its rows %s", own, got, rows(want))
+	}
+	decisions := func() int { return v2Line(t, r, c, `{"op":"stats"}`).Stats.Decisions }
+	before := decisions()
+	const nobody = "SELECT EId FROM Attendance WHERE UId = ?Nobody"
+	if got := v2Line(t, r, c, `{"op":"query","sql":"`+nobody+`"}`); got.OK || got.Blocked || got.Code != acerr.CodeBadRequest {
+		t.Errorf("v2 %q: %+v, want code %s", nobody, got, acerr.CodeBadRequest)
+	}
+	if after := decisions(); after != before {
+		t.Errorf("v2 %q: decisions %d before, %d after; want none counted", nobody, before, after)
+	}
 
 	pc := pgDial(t, svc.PgAddr(), map[string]string{"attr.MyUId": "1"})
 	defer pc.close()
@@ -575,14 +593,20 @@ func TestNamedParamsBindFromSession(t *testing.T) {
 			t.Errorf("pgwire %q: %s %s, rows %v, want the rows of %q: %v", q, state, msg, pgGot, own, pgWant)
 		}
 	}
+	before = decisions()
+	if _, state, msg := pc.simpleQuery(t, nobody); state != acerr.SQLStateBadRequest {
+		t.Errorf("pgwire %q: %s %s, want SQLSTATE %s", nobody, state, msg, acerr.SQLStateBadRequest)
+	}
+	if after := decisions(); after != before {
+		t.Errorf("pgwire %q: decisions %d before, %d after; want none counted", nobody, before, after)
+	}
 }
 
 // TestNamedParamsBindWritesFromSession: a write binds its named
 // parameters by the read's rule — a parameter the request leaves out is
 // the session attribute, a request's own value wins — over v2 exec,
 // exec inside a batch, and pgwire's simple protocol; a value still
-// missing is bad_request on a write, as on a read that reaches
-// execution (under Enforce the checker blocks such a read first).
+// missing is bad_request on a write, as on a read, in every mode.
 func TestNamedParamsBindWritesFromSession(t *testing.T) {
 	f := apps.Calendar()
 	db := f.MustNewDB(8)
