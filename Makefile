@@ -50,11 +50,15 @@ coldsmoke:
 # process on a shared box can decide their verdict. Each runs once and
 # fails outright; each has a deterministic twin in the tier-1 suite:
 #   - the instrumented checker, warm and cold, within 5% of the
-#     no-op-metrics build (interleaved min-of-trials, four attempts);
-#     twin TestMetricsOverheadDeterministic (internal/checker);
+#     no-op-metrics build (the median of interleaved paired trials;
+#     a median over budget by more than the trials' spread fails, one
+#     within the spread runs again, up to four rounds); twin
+#     TestMetricsOverheadDeterministic (internal/checker);
 #   - E2's template and history-free hits faster than its cold decision
-#     (best-of-3 passes interleaved across configurations); twin
-#     TestE2HitsRunNoCoverStage (internal/experiments).
+#     (the median hit/cold ratio of nine E2 runs, each a median of five
+#     passes interleaved across configurations, read against the runs'
+#     spread the same way); twin TestE2HitsRunNoCoverStage
+#     (internal/experiments).
 # What `go test` still asserts on elapsed time, each a liveness bound
 # ("returns at all"), set far from the time a correct tree takes:
 #   - TestFindCounterexample{Cancel,Deadline}MidSearch (internal/diagnose),

@@ -69,7 +69,7 @@ const (
 func discKey(t cq.Term) (termKey, bool) {
 	switch t.Kind {
 	case cq.KindParam:
-		return termKey{kind: keyParam, s: t.Param}, true
+		return termKey{kind: keyParam, s: t.Name}, true
 	case cq.KindConst:
 		switch typ := t.Const.Type(); typ {
 		case sqlvalue.Real:
@@ -201,10 +201,10 @@ func compileView(syms *symTab, q *cq.Query) compiledView {
 		if !t.IsVar() {
 			return -1
 		}
-		s, ok := slots[t.Var]
+		s, ok := slots[t.Name]
 		if !ok {
 			s = int32(len(v.slotVars))
-			slots[t.Var] = s
+			slots[t.Name] = s
 			v.slotVars = append(v.slotVars, t)
 		}
 		return s
@@ -212,7 +212,7 @@ func compileView(syms *symTab, q *cq.Query) compiledView {
 	inHead := make(map[string]bool, len(q.Head))
 	for _, t := range q.Head {
 		if t.IsVar() {
-			inHead[t.Var] = true
+			inHead[t.Name] = true
 		}
 	}
 	for ai, a := range q.Atoms {
@@ -223,8 +223,8 @@ func compileView(syms *symTab, q *cq.Query) compiledView {
 				v.grounds = append(v.grounds, t)
 				continue
 			}
-			op := posOp{kind: opCheck, vis: inHead[t.Var]}
-			if _, bound := slots[t.Var]; !bound {
+			op := posOp{kind: opCheck, vis: inHead[t.Name]}
+			if _, bound := slots[t.Name]; !bound {
 				op.kind = opBind
 			}
 			op.arg = slotOf(t)

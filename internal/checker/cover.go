@@ -607,7 +607,7 @@ func (m *matcher) offer() {
 	m.viewCSOK = false
 	for _, s := range v.head {
 		if t := m.slots[s]; t.IsVar() {
-			if id := sc.occ.VarID(t.Var); id >= 0 {
+			if id := sc.occ.VarID(t.Name); id >= 0 {
 				m.visible.set(id)
 			}
 		}
@@ -656,8 +656,8 @@ func (m *matcher) atomCoverOK(ap *atomProg, ai int32) bool {
 		}
 		if o.InComps {
 			for _, qc := range q.Comps {
-				involves := qc.Left.IsVar() && qc.Left.Var == o.Name ||
-					qc.Right.IsVar() && qc.Right.Var == o.Name
+				involves := qc.Left.IsVar() && qc.Left.Name == o.Name ||
+					qc.Right.IsVar() && qc.Right.Name == o.Name
 				if involves && !m.viewClosure().Implies(qc) {
 					return false
 				}
@@ -742,7 +742,7 @@ func atomInstanceOf(a, p cq.Atom, cs *cq.Constraints) bool {
 	for i, pt := range p.Args {
 		at := a.Args[i]
 		if pt.IsVar() {
-			if prev, ok := bind[pt.Var]; ok {
+			if prev, ok := bind[pt.Name]; ok {
 				if !prev.Equal(at) && !cs.Implies(cq.Comparison{Op: cq.Eq, Left: prev, Right: at}) {
 					return false
 				}
@@ -750,7 +750,7 @@ func atomInstanceOf(a, p cq.Atom, cs *cq.Constraints) bool {
 				if bind == nil {
 					bind = make(map[string]cq.Term)
 				}
-				bind[pt.Var] = at
+				bind[pt.Name] = at
 			}
 			continue
 		}

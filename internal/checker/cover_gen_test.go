@@ -75,8 +75,8 @@ func (g *coverGen) query(name, prefix string, maxAtoms, pVar int) *cq.Query {
 	seen := map[string]bool{}
 	for _, a := range q.Atoms {
 		for _, t := range a.Args {
-			if t.IsVar() && !seen[t.Var] {
-				seen[t.Var] = true
+			if t.IsVar() && !seen[t.Name] {
+				seen[t.Name] = true
 				vars = append(vars, t)
 			}
 		}

@@ -38,21 +38,21 @@ func refCensus(q *cq.Query) map[string]*refOcc {
 			if !t.IsVar() {
 				continue
 			}
-			o := get(t.Var)
+			o := get(t.Name)
 			o.atoms[ai] = true
-			o.multiIn = o.multiIn || here[t.Var]
-			here[t.Var] = true
+			o.multiIn = o.multiIn || here[t.Name]
+			here[t.Name] = true
 		}
 	}
 	for _, t := range q.Head {
 		if t.IsVar() {
-			get(t.Var).inHead = true
+			get(t.Name).inHead = true
 		}
 	}
 	for _, cmp := range q.Comps {
 		for _, t := range []cq.Term{cmp.Left, cmp.Right} {
 			if t.IsVar() {
-				get(t.Var).inComps = true
+				get(t.Name).inComps = true
 			}
 		}
 	}
@@ -73,7 +73,7 @@ func refCandidates(v, q, target *cq.Query, occ map[string]*refOcc, limit int) []
 	headVars := map[string]bool{}
 	for _, t := range v.Head {
 		if t.IsVar() {
-			headVars[t.Var] = true
+			headVars[t.Name] = true
 		}
 	}
 	var out []refCand
@@ -111,25 +111,25 @@ func refCandidates(v, q, target *cq.Query, occ map[string]*refOcc, limit int) []
 // comparison the view's own body implies.
 func refAtomCoverOK(viewAtom, qAtom cq.Atom, headVars map[string]bool, viewCS *cq.Constraints, occ map[string]*refOcc, q *cq.Query, enforced map[string]bool) bool {
 	for k, y := range viewAtom.Args {
-		if !y.IsVar() || headVars[y.Var] {
+		if !y.IsVar() || headVars[y.Name] {
 			continue
 		}
 		t := qAtom.Args[k]
 		if !t.IsVar() {
 			return false
 		}
-		o := occ[t.Var]
+		o := occ[t.Name]
 		if o.inHead || len(o.atoms) > 1 || o.multiIn {
 			return false
 		}
 		if o.inComps {
 			for _, qc := range q.Comps {
-				involves := qc.Left.IsVar() && qc.Left.Var == t.Var || qc.Right.IsVar() && qc.Right.Var == t.Var
+				involves := qc.Left.IsVar() && qc.Left.Name == t.Name || qc.Right.IsVar() && qc.Right.Name == t.Name
 				if involves && !viewCS.Implies(qc) {
 					return false
 				}
 			}
-			enforced[t.Var] = true
+			enforced[t.Name] = true
 		}
 	}
 	return true

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,9 +12,9 @@ import (
 	"repro/internal/sqlvalue"
 )
 
-// Exports for the write-retirement gate (retire_gate_test.go). The gate
-// is a checker_test test because it drives internal/proxy, which
-// imports this package.
+// Exports for the write-retirement gate and the soundness oracles
+// (retire_gate_test.go). They are checker_test tests because they drive
+// internal/proxy, which imports this package.
 
 // GenWorld is one seeded world of the cover generator (newCoverGen):
 // its relations and policy, and draws of one-table reads, sessions,
@@ -43,10 +44,64 @@ func (w *GenWorld) Checker(pol *policy.Policy) *Checker {
 	return c
 }
 
+// Policy is the world's generated views as a policy over sch, each its
+// own named view: the views Checker enforces but those with an atom of
+// the wrong arity or a head variable no atom binds, which no view
+// translated from SQL has.
+func (w *GenWorld) Policy(sch *schema.Schema) *policy.Policy {
+	return viewsPolicy(sch, w.gc.views)
+}
+
+// DrawPolicy draws a fresh policy over the world's relations, its views
+// drawn and named (V0, V1, ...) as the world's own are, and filtered as
+// Policy filters them.
+func (w *GenWorld) DrawPolicy(sch *schema.Schema) *policy.Policy {
+	var views []*cq.Query
+	for i, n := 0, 1+w.g.rng.Intn(8); i < n; i++ {
+		views = append(views, w.g.query(fmt.Sprintf("V%d", i), "x", 3, 60))
+	}
+	return viewsPolicy(sch, views)
+}
+
+func viewsPolicy(sch *schema.Schema, views []*cq.Query) *policy.Policy {
+	p := &policy.Policy{Schema: sch}
+next:
+	for _, q := range views {
+		bound := map[string]bool{}
+		for _, a := range q.Atoms {
+			if tb, _ := sch.Table(a.Table); len(tb.Columns) != len(a.Args) {
+				continue next
+			}
+			for _, t := range a.Args {
+				if t.IsVar() {
+					bound[t.Name] = true
+				}
+			}
+		}
+		for _, t := range q.Head {
+			if t.IsVar() && !bound[t.Name] {
+				continue next
+			}
+		}
+		p.Views = append(p.Views, &policy.View{Name: q.Name, SQL: q.String(), CQs: cq.UCQ{q}})
+	}
+	return p
+}
+
+// RefusedRead is a Read with a bare positional parameter as a whole
+// condition: a statement that has no plan, so every path must block it.
+func (w *GenWorld) RefusedRead() string {
+	st := w.read()
+	st.addBareCondition()
+	return st.sql
+}
+
 // Read renders a read of one table: an atom of a generated view or
 // template, or a fresh one, rendered as SQL with its value sites drawn
 // (coverGen.statement).
-func (w *GenWorld) Read() string {
+func (w *GenWorld) Read() string { return w.read().sql }
+
+func (w *GenWorld) read() genStmt {
 	g := w.g
 	q := g.query("", "y", 1, 50)
 	if qs := append(append([]*cq.Query(nil), w.gc.views...), w.gc.tpl...); g.rng.Intn(2) == 0 {
@@ -59,7 +114,7 @@ func (w *GenWorld) Read() string {
 			}
 		}
 	}
-	return g.statement([]*cq.Query{q}).sql
+	return g.statement([]*cq.Query{q})
 }
 
 // Session draws a session's attributes.

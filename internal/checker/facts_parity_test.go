@@ -111,7 +111,7 @@ func (g *coverGen) answer(head []cq.Term) [][]sqlvalue.Value {
 				row[i] = h.Const
 			case h.IsVar():
 				for j := range i {
-					if head[j].IsVar() && head[j].Var == h.Var {
+					if head[j].IsVar() && head[j].Name == h.Name {
 						row[i] = row[j]
 					}
 				}

@@ -68,10 +68,10 @@ func refEntryFacts(tr *cq.Translator, e *trace.Entry, stats *refFactStats, add f
 		for i, h := range q.Head {
 			switch {
 			case h.IsVar():
-				if prev, dup := bind[h.Var]; dup && !sqlvalue.Identical(prev, row[i]) {
+				if prev, dup := bind[h.Name]; dup && !sqlvalue.Identical(prev, row[i]) {
 					okRow = false
 				}
-				bind[h.Var] = row[i]
+				bind[h.Name] = row[i]
 			case h.IsConst():
 				if !sqlvalue.Identical(h.Const, row[i]) {
 					okRow = false
@@ -90,7 +90,7 @@ func refEntryFacts(tr *cq.Translator, e *trace.Entry, stats *refFactStats, add f
 				case arg.IsConst():
 					ground.Args[i] = arg
 				case arg.IsVar():
-					v, ok := bind[arg.Var]
+					v, ok := bind[arg.Name]
 					if !ok {
 						full = false
 					} else {

@@ -3,6 +3,8 @@ package checker
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,9 +49,10 @@ func newHotpathChecker(t testing.TB, reg *obsv.Registry, tr *trace.Trace) (*Chec
 // per-stage clock reads and atomic instruments are noise; this guard
 // fails if instrumentation ever grows a hot-path allocation or lock.
 //
-// Measurement is interleaved min-of-trials (the minimum is the
-// stablest location statistic under scheduler noise). Skipped under
-// -race, which inflates atomics far past any real deployment.
+// Each trial times a block of instrumented checks and a block of no-op
+// ones back to back, and the verdict reads the median of the trials'
+// ratios against their spread (overheadGuard). Skipped under -race,
+// which inflates atomics far past any real deployment.
 func BenchmarkMetricsOverheadGuard(b *testing.B) {
 	if raceEnabled {
 		b.Skip("race detector inflates atomic costs; overhead guard runs in the normal build")
@@ -57,65 +60,65 @@ func BenchmarkMetricsOverheadGuard(b *testing.B) {
 	tr := hotpathTrace(50)
 	cOn, selOn := newHotpathChecker(b, nil, tr)               // default: metrics on
 	cOff, selOff := newHotpathChecker(b, obsv.Disabled(), tr) // no-op build
-
-	// Many small strictly-interleaved blocks, min-of per side: the
-	// minimum is the stablest location statistic under scheduler and
-	// frequency noise, and interleaving exposes both sides to the
-	// same machine conditions.
-	const (
-		iters  = 50
-		trials = 30
-	)
+	const iters = 50
 	sess := session(1)
-	measure := func(c *Checker, sel *sqlparser.SelectStmt) time.Duration {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			c.Check(context.Background(), sel, sqlparser.NoArgs, sess, tr)
-		}
-		return time.Since(start)
-	}
-	measure(cOn, selOn) // warmup
-	measure(cOff, selOff)
-
-	attempt := func() float64 {
-		minOn, minOff := time.Duration(1<<62), time.Duration(1<<62)
-		for trial := 0; trial < trials; trial++ {
-			// Alternate which side goes first so ordering effects (branch
-			// history, cache residency left by the previous block) cancel.
-			if trial%2 == 0 {
-				if d := measure(cOn, selOn); d < minOn {
-					minOn = d
-				}
-				if d := measure(cOff, selOff); d < minOff {
-					minOff = d
-				}
-			} else {
-				if d := measure(cOff, selOff); d < minOff {
-					minOff = d
-				}
-				if d := measure(cOn, selOn); d < minOn {
-					minOn = d
-				}
+	measure := func(c *Checker, sel *sqlparser.SelectStmt) func() time.Duration {
+		return func() time.Duration {
+			start := time.Now()
+			for i := 0; i < iters; i++ {
+				c.Check(context.Background(), sel, sqlparser.NoArgs, sess, tr)
 			}
+			return time.Since(start)
 		}
-		ratio := float64(minOn) / float64(minOff)
-		b.Logf("instrumented %v vs no-op %v per %d checks (ratio %.3f)", minOn, minOff, iters, ratio)
-		return ratio
 	}
+	overheadGuard(b, "instrumented Check", 30, measure(cOn, selOn), measure(cOff, selOff))
+}
 
-	// Timing guard: a real regression fails every attempt; scheduler
-	// noise clears on a retry. Pass if any attempt lands inside budget.
-	const attempts = 4
-	var ratios []float64
-	for i := 0; i < attempts; i++ {
-		r := attempt()
-		if r <= 1.05 {
+// overheadGuard is the verdict of the metrics overhead guards: the
+// instrumented side (on) within 5% of the no-op side (off). A round
+// runs trials strictly interleaved — each times one block of each side
+// back to back, alternating which goes first, so ordering effects
+// cancel and both sides see the same machine — and takes the median of
+// the trials' on/off ratios and their spread (interquartile range). A
+// round whose median is within budget passes. One whose median is over
+// it by more than the spread fails at once: a real regression moves
+// every trial. One in between, where noise could have put the median
+// over, runs again, up to four rounds.
+func overheadGuard(b *testing.B, what string, trials int, on, off func() time.Duration) {
+	const budget, rounds = 1.05, 4
+	on() // warmup
+	off()
+	var seen []string
+	for range rounds {
+		ratios := make([]float64, trials)
+		for i := range ratios {
+			var dOn, dOff time.Duration
+			if i%2 == 0 {
+				dOn, dOff = on(), off()
+			} else {
+				dOff, dOn = off(), on()
+			}
+			ratios[i] = float64(dOn) / float64(dOff)
+		}
+		med, spread := medianSpread(ratios)
+		b.Logf("%s vs no-op: median ratio %.3f, spread %.3f over %d trials", what, med, spread, trials)
+		if med <= budget {
 			return
 		}
-		ratios = append(ratios, r)
+		seen = append(seen, fmt.Sprintf("%.3f (spread %.3f)", med, spread))
+		if med-budget > spread {
+			break
+		}
 	}
-	b.Errorf("instrumented CheckSQL exceeded the 5%% overhead budget on all %d attempts (ratios %.3f)",
-		attempts, ratios)
+	b.Errorf("%s exceeded the 5%% overhead budget: median ratios %s", what, strings.Join(seen, ", "))
+}
+
+// medianSpread returns the median of xs and their interquartile range.
+func medianSpread(xs []float64) (med, spread float64) {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	q := func(p float64) float64 { return s[int(p*float64(len(s)-1)+0.5)] }
+	return q(0.5), q(0.75) - q(0.25)
 }
 
 // instrumentUpdates runs decide once and counts the instrument updates
@@ -219,58 +222,17 @@ func BenchmarkColdPathMetricsOverheadGuard(b *testing.B) {
 		}
 		return c
 	}
-	cOn := newCold(nil)              // default: metrics on
-	cOff := newCold(obsv.Disabled()) // no-op build
-
-	const (
-		iters  = 20
-		trials = 20
-	)
-	measure := func(c *Checker) time.Duration {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			c.CheckCold(context.Background(), sel, sqlparser.NoArgs, sess, nil)
-		}
-		return time.Since(start)
-	}
-	measure(cOn) // warmup
-	measure(cOff)
-
-	attempt := func() float64 {
-		minOn, minOff := time.Duration(1<<62), time.Duration(1<<62)
-		for trial := 0; trial < trials; trial++ {
-			if trial%2 == 0 {
-				if d := measure(cOn); d < minOn {
-					minOn = d
-				}
-				if d := measure(cOff); d < minOff {
-					minOff = d
-				}
-			} else {
-				if d := measure(cOff); d < minOff {
-					minOff = d
-				}
-				if d := measure(cOn); d < minOn {
-					minOn = d
-				}
+	const iters = 20
+	measure := func(c *Checker) func() time.Duration {
+		return func() time.Duration {
+			start := time.Now()
+			for i := 0; i < iters; i++ {
+				c.CheckCold(context.Background(), sel, sqlparser.NoArgs, sess, nil)
 			}
+			return time.Since(start)
 		}
-		ratio := float64(minOn) / float64(minOff)
-		b.Logf("instrumented cold %v vs no-op %v per %d checks (ratio %.3f)", minOn, minOff, iters, ratio)
-		return ratio
 	}
-
-	const attempts = 4
-	var ratios []float64
-	for i := 0; i < attempts; i++ {
-		r := attempt()
-		if r <= 1.05 {
-			return
-		}
-		ratios = append(ratios, r)
-	}
-	b.Errorf("instrumented parallel cold path exceeded the 5%% overhead budget on all %d attempts (ratios %.3f)",
-		attempts, ratios)
+	overheadGuard(b, "instrumented cold path", 20, measure(newCold(nil)), measure(newCold(obsv.Disabled())))
 }
 
 // BenchmarkCheckMetricsOn / BenchmarkCheckMetricsOff are the

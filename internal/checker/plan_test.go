@@ -151,8 +151,8 @@ type stmtRender struct {
 func (r *stmtRender) site(t cq.Term) string {
 	g := r.g
 	if t.IsParam() {
-		r.named[t.Param] = true
-		return "?" + t.Param
+		r.named[t.Name] = true
+		return "?" + t.Name
 	}
 	switch n := g.rng.Intn(10); {
 	case n < 3:
@@ -183,7 +183,7 @@ func (r *stmtRender) selectSQL(q *cq.Query, width int) (string, int) {
 		from = append(from, fmt.Sprintf("%s t%d", a.Table, ai))
 		for k, t := range a.Args {
 			c := fmt.Sprintf("t%d.c%d", ai, k)
-			switch first, seen := col[t.Var]; {
+			switch first, seen := col[t.Name]; {
 			case !t.IsVar() && g.rng.Intn(6) == 0:
 				where = append(where, fmt.Sprintf("%s IN (%s, %s, %s)", c, r.site(t), r.site(g.ground()), r.site(g.ground())))
 			case !t.IsVar():
@@ -191,13 +191,13 @@ func (r *stmtRender) selectSQL(q *cq.Query, width int) (string, int) {
 			case seen:
 				where = append(where, c+" = "+first)
 			default:
-				col[t.Var] = c
+				col[t.Name] = c
 			}
 		}
 	}
 	operand := func(t cq.Term) string {
 		if t.IsVar() {
-			return col[t.Var]
+			return col[t.Name]
 		}
 		return r.site(t)
 	}
@@ -208,7 +208,7 @@ func (r *stmtRender) selectSQL(q *cq.Query, width int) (string, int) {
 	}
 	var items []string
 	for _, t := range q.Head {
-		if c := col[t.Var]; c != "" {
+		if c := col[t.Name]; c != "" {
 			items = append(items, c)
 		}
 	}
@@ -251,6 +251,12 @@ func (g *coverGen) bareCondition(st *genStmt) int {
 	if g.rng.Intn(6) > 0 {
 		return 0
 	}
+	return st.addBareCondition()
+}
+
+// addBareCondition appends a bare positional parameter as a whole
+// condition to the statement's last arm, and returns its position.
+func (st *genStmt) addBareCondition() int {
 	st.npos++
 	arm := st.sql[strings.LastIndex(st.sql, " UNION ")+1:]
 	if strings.Contains(arm, " WHERE ") {

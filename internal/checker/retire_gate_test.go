@@ -2,15 +2,20 @@ package checker_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/checker"
+	"repro/internal/cq"
+	"repro/internal/diagnose"
 	"repro/internal/engine"
 	"repro/internal/policy"
 	"repro/internal/proxy"
+	"repro/internal/schema"
 	"repro/internal/sqlparser"
 	"repro/internal/sqlvalue"
 	"repro/internal/trace"
@@ -55,38 +60,12 @@ func gateCase(t *testing.T, seed int64, st *gateStats) {
 	rng := w.Rand()
 	sch := w.Schema(t)
 	pol := policy.MustNew(sch, nil)
-	db := engine.New(sch)
-	tables := sch.Tables()
-	small := func() string {
-		v := sqlvalue.NewInt(int64(rng.Intn(3)))
-		if rng.Intn(8) == 0 {
-			v = w.Value()
-		}
-		return (&sqlparser.Literal{Value: v}).SQL()
-	}
-	insert := func() string {
-		tb := tables[rng.Intn(len(tables))]
-		vals := make([]string, len(tb.Columns))
-		for i := range vals {
-			vals[i] = small()
-		}
-		return fmt.Sprintf("INSERT INTO %s VALUES (%s)", tb.Name, strings.Join(vals, ", "))
-	}
-	for range 6 {
-		_, _, _ = db.Exec(insert(), sqlparser.NoArgs)
-	}
+	wr := newWriter(w, sch)
+	db := wr.seeded()
 	srv := proxy.NewServer(db, w.Checker(pol), proxy.Enforce)
 	ref := w.Checker(pol)
 
-	type user struct {
-		attrs map[string]sqlvalue.Value
-		sess  *proxy.Session
-	}
-	users := make([]user, 2)
-	for i := range users {
-		users[i].attrs = w.Session()
-		users[i].sess = proxy.NewSession(users[i].attrs)
-	}
+	users := drawUsers(w)
 	var steps []string
 	logf := func(format string, args ...any) { steps = append(steps, fmt.Sprintf(format, args...)) }
 	for range 100 {
@@ -94,16 +73,7 @@ func gateCase(t *testing.T, seed int64, st *gateStats) {
 		ui := rng.Intn(len(users))
 		u := users[ui]
 		if rng.Intn(10) < 3 {
-			var sql string
-			switch tb := tables[rng.Intn(len(tables))]; rng.Intn(3) {
-			case 0:
-				sql = insert()
-			case 1:
-				col := tb.Columns[rng.Intn(len(tb.Columns))].Name
-				sql = fmt.Sprintf("UPDATE %s SET %s = %s WHERE c0 = %s", tb.Name, col, small(), small())
-			default:
-				sql = fmt.Sprintf("DELETE FROM %s WHERE c0 = %s", tb.Name, small())
-			}
+			sql := wr.write()
 			resp := srv.HandleInCtx(ctx, &proxy.Request{Op: "exec", SQL: sql}, u.sess)
 			logf("u%d %s -> affected %d %s", ui, sql, resp.Affected, resp.Error)
 			if resp.Affected > 0 {
@@ -135,14 +105,7 @@ func gateCase(t *testing.T, seed int64, st *gateStats) {
 				st.retiredBlocks++
 			}
 		}
-		req := &proxy.Request{Op: "query", SQL: sql, Named: map[string]any{}}
-		for _, v := range args.Positional {
-			req.Args = append(req.Args, v)
-		}
-		for k, v := range args.Named {
-			req.Named[k] = v
-		}
-		resp := srv.HandleInCtx(ctx, req, u.sess)
+		resp := srv.HandleInCtx(ctx, queryRequest(sql, args), u.sess)
 		logf("u%d %s %v %v -> blocked %v %s (reference: allowed %v, %d of %d entries kept)",
 			ui, sql, args.Positional, args.Named, resp.Blocked, resp.Error, want.Allowed, kept.Len(), len(entries))
 		if resp.Error != "" {
@@ -161,6 +124,88 @@ func gateCase(t *testing.T, seed int64, st *gateStats) {
 			st.factAllows++
 		}
 	}
+}
+
+// user is one principal of a gate: its attributes and its session.
+type user struct {
+	attrs map[string]sqlvalue.Value
+	sess  *proxy.Session
+}
+
+// drawUsers draws a gate's two principals.
+func drawUsers(w *checker.GenWorld) []user {
+	users := make([]user, 2)
+	for i := range users {
+		users[i].attrs = w.Session()
+		users[i].sess = proxy.NewSession(users[i].attrs)
+	}
+	return users
+}
+
+// writer draws the gates' writes: an INSERT, UPDATE or DELETE of small
+// values, mostly 0 to 2 so that they meet the rows reads touch, on one
+// of a world's tables.
+type writer struct {
+	w      *checker.GenWorld
+	rng    *rand.Rand
+	sch    *schema.Schema
+	tables []*schema.Table
+}
+
+func newWriter(w *checker.GenWorld, sch *schema.Schema) *writer {
+	return &writer{w: w, rng: w.Rand(), sch: sch, tables: sch.Tables()}
+}
+
+// small renders a value literal: 0, 1 or 2, and one time in eight a
+// value of the world's pool.
+func (wr *writer) small() string {
+	v := sqlvalue.NewInt(int64(wr.rng.Intn(3)))
+	if wr.rng.Intn(8) == 0 {
+		v = wr.w.Value()
+	}
+	return (&sqlparser.Literal{Value: v}).SQL()
+}
+
+func (wr *writer) insert() string {
+	tb := wr.tables[wr.rng.Intn(len(wr.tables))]
+	vals := make([]string, len(tb.Columns))
+	for i := range vals {
+		vals[i] = wr.small()
+	}
+	return fmt.Sprintf("INSERT INTO %s VALUES (%s)", tb.Name, strings.Join(vals, ", "))
+}
+
+// seeded is a database of the world's tables after six drawn inserts.
+func (wr *writer) seeded() *engine.DB {
+	db := engine.New(wr.sch)
+	for range 6 {
+		_, _, _ = db.Exec(wr.insert(), sqlparser.NoArgs)
+	}
+	return db
+}
+
+func (wr *writer) write() string {
+	switch tb := wr.tables[wr.rng.Intn(len(wr.tables))]; wr.rng.Intn(3) {
+	case 0:
+		return wr.insert()
+	case 1:
+		col := tb.Columns[wr.rng.Intn(len(tb.Columns))].Name
+		return fmt.Sprintf("UPDATE %s SET %s = %s WHERE c0 = %s", tb.Name, col, wr.small(), wr.small())
+	default:
+		return fmt.Sprintf("DELETE FROM %s WHERE c0 = %s", tb.Name, wr.small())
+	}
+}
+
+// queryRequest is the v2 query request of a read with its arguments.
+func queryRequest(sql string, args sqlparser.Args) *proxy.Request {
+	req := &proxy.Request{Op: "query", SQL: sql, Named: map[string]any{}}
+	for _, v := range args.Positional {
+		req.Args = append(req.Args, v)
+	}
+	for k, v := range args.Named {
+		req.Named[k] = v
+	}
+	return req
 }
 
 // unchanged reports whether entry e's statement, run again on db with
@@ -189,4 +234,248 @@ func rendered(rows [][]sqlvalue.Value) string {
 	}
 	slices.Sort(out)
 	return strings.Join(out, "\n")
+}
+
+// TestSoundnessOracles runs the two soundness oracles over seeded
+// interleavings through the proxy's statement path in Enforce mode, on
+// a checker whose decision cache is a few entries (so shards fill and
+// admission runs) and sessions whose traces keep a few entries (so
+// appends evict). The steps mix new reads, reads of an earlier text
+// with new arguments (plan reuse), reads that have no plan, writes
+// (INSERT, UPDATE, DELETE), policy changes (StagePolicy, Promote,
+// Rollback, SetActivePolicy) and ResetCache.
+//
+//   - Every tier equals cold: the proxy's answer to a read, from
+//     whichever tier gave it, is CheckCold's: on the empty history when
+//     that allows the read (the history-free tier's answer, which facts
+//     can only confirm), else on the session's usable trace (its trace
+//     under the write clock, as the read found it). It is the same
+//     allow or block and, for a block, the same reason. Half the reads
+//     are first decided by Check on the same inputs, which must also
+//     give CheckCold's views. A read that has no plan blocks on every
+//     path.
+//   - An allow is never refuted: for every allowed read, each disjunct
+//     of the read with its arguments bound has no counterexample
+//     (diagnose.FindCounterexample) under the active policy and the
+//     session's usable facts. Each search is bounded by a step budget
+//     (cq.EvalSteps), not a clock; a search that runs out counts as
+//     finding nothing.
+//
+// A failing seed prints its steps.
+func TestSoundnessOracles(t *testing.T) {
+	var st oracleStats
+	for seed := int64(1); st.steps < 6000; seed++ {
+		oracleCase(t, seed, &st)
+	}
+	t.Logf("%+v", st)
+	if st.allows == 0 || st.tierChecks == 0 || st.refused == 0 || st.reused == 0 || st.promotes == 0 ||
+		st.searched == 0 || st.evicting == 0 || st.writes == 0 {
+		t.Fatalf("the oracles left a step kind unexercised: %+v", st)
+	}
+}
+
+// oracleStats counts what the oracles exercised: steps, decided reads,
+// allows, reads first decided through Check (tierChecks), reads of a
+// text read before (reused), reads with no plan (refused), writes that
+// changed a row, promotes that took, searches for a counterexample
+// (searched) and those that ran out of steps (outOfSteps), and reads
+// decided on a full history window (evicting).
+type oracleStats struct {
+	steps, reads, allows, tierChecks, reused, refused, writes, promotes int
+	searched, outOfSteps, evicting                                      int
+}
+
+// oracleSearchSteps bounds each counterexample search in candidate
+// tuples (cq.EvalSteps).
+const oracleSearchSteps = 200_000
+
+func oracleCase(t *testing.T, seed int64, st *oracleStats) {
+	t.Helper()
+	ctx := context.Background()
+	w := checker.NewGenWorld(seed)
+	rng := w.Rand()
+	sch := w.Schema(t)
+	base := w.Policy(sch)
+	chk := checker.NewWithOptions(base, checker.Options{CacheSize: 16 << rng.Intn(3)})
+	wr := newWriter(w, sch)
+	db := wr.seeded()
+	srv := proxy.NewServer(db, chk, proxy.Enforce)
+	srv.HistoryWindow = 1 + rng.Intn(4)
+	srv.Logf = func(string, ...any) {} // policy steps and shadow diffs are in the step list
+
+	users := drawUsers(w)
+	type read struct {
+		sql     string
+		refused bool // no plan
+	}
+	var reads []read
+	var steps []string
+	logf := func(format string, args ...any) { steps = append(steps, fmt.Sprintf(format, args...)) }
+	fail := func(format string, args ...any) {
+		t.Fatalf("seed %d: %s\nsteps:\n%s", seed, fmt.Sprintf(format, args...), strings.Join(steps, "\n"))
+	}
+	for range 80 {
+		st.steps++
+		ui := rng.Intn(len(users))
+		u := users[ui]
+		switch n := rng.Intn(100); {
+		case n < 15:
+			sql := wr.write()
+			resp := srv.HandleInCtx(ctx, &proxy.Request{Op: "exec", SQL: sql}, u.sess)
+			logf("u%d %s -> affected %d %s", ui, sql, resp.Affected, resp.Error)
+			if resp.Affected > 0 {
+				st.writes++
+			}
+			continue
+		case n < 20:
+			var err error
+			switch rng.Intn(4) {
+			case 0:
+				var pv checker.PolicyVersion
+				pol := w.DrawPolicy(sch)
+				pv, err = chk.StagePolicy(pol)
+				logf("stage epoch %d:\n%s", pv.Epoch, pol)
+			case 1:
+				var pv checker.PolicyVersion
+				if pv, err = srv.PromotePolicy(); err == nil {
+					st.promotes++
+				}
+				logf("promote epoch %d", pv.Epoch)
+			case 2:
+				_, err = srv.RollbackPolicy()
+				logf("rollback")
+			default:
+				pol := base
+				if rng.Intn(2) == 0 {
+					pol = w.DrawPolicy(sch)
+				}
+				var pv checker.PolicyVersion
+				pv, _, err = chk.SetActivePolicy(pol)
+				logf("set active epoch %d:\n%s", pv.Epoch, pol)
+			}
+			if err != nil && !errors.Is(err, checker.ErrNoCandidate) {
+				fail("policy change: %v", err)
+			}
+			continue
+		case n < 22:
+			chk.ResetCache()
+			logf("reset cache")
+			continue
+		}
+		// A read: one time in six a text read before, with new arguments;
+		// one time in twenty a read with no plan; else a new read.
+		var rd read
+		switch n := rng.Intn(20); {
+		case n < 4 && len(reads) > 0:
+			rd = reads[rng.Intn(len(reads))]
+			st.reused++
+		case n == 4:
+			rd = read{w.RefusedRead(), true}
+		default:
+			rd = read{w.Read(), false}
+		}
+		reads = append(reads, rd)
+		sql := rd.sql
+		sel, needs, err := sqlparser.ParseNeeds(sql)
+		if err != nil {
+			fail("generated read does not parse: %v\n%s", err, sql)
+		}
+		args := w.Call(needs, u.attrs)
+		tr := u.sess.Trace()
+		if tr == nil {
+			tr = &trace.Trace{} // the session's trace is built at its first request
+		}
+		if tr.Len() == srv.HistoryWindow {
+			st.evicting++
+		}
+		facts := tr.Facts(sch)
+		// The tiers answer a read the empty history allows with that
+		// decision (history-free), and any other with the decision on
+		// the usable trace; an allow of the empty history stands under
+		// every trace.
+		want := chk.CheckCold(ctx, sel.(*sqlparser.SelectStmt), args, u.attrs, nil)
+		if withFacts := chk.CheckCold(ctx, sel.(*sqlparser.SelectStmt), args, u.attrs, tr); !want.Allowed {
+			want = withFacts
+		} else if !withFacts.Allowed {
+			fail("u%d %s %v %v: the empty history allows it, the usable trace blocks it: %s", ui, sql, args.Positional, args.Named, withFacts.Reason)
+		}
+		if rng.Intn(2) == 0 {
+			st.tierChecks++
+			got := chk.Check(ctx, sel.(*sqlparser.SelectStmt), args, u.attrs, tr)
+			if got.Allowed != want.Allowed || !slices.Equal(got.Views, want.Views) || got.Reason != want.Reason {
+				fail("u%d %s %v %v: Check (tier %q) gives allowed %v views %v (%s); CheckCold gives allowed %v views %v (%s)",
+					ui, sql, args.Positional, args.Named, got.Tier, got.Allowed, got.Views, got.Reason, want.Allowed, want.Views, want.Reason)
+			}
+		}
+		resp := srv.HandleInCtx(ctx, queryRequest(sql, args), u.sess)
+		logf("u%d %s %v %v -> blocked %v %s %s (cold: allowed %v %s)",
+			ui, sql, args.Positional, args.Named, resp.Blocked, resp.Reason, resp.Error, want.Allowed, want.Reason)
+		st.reads++
+		if rd.refused {
+			st.refused++
+			if !resp.Blocked || want.Allowed {
+				fail("a read with no plan was not blocked")
+			}
+		}
+		if resp.Blocked == want.Allowed || resp.Blocked && resp.Reason != want.Reason {
+			fail("the proxy's answer is not CheckCold's")
+		}
+		if resp.Blocked {
+			continue
+		}
+		st.allows++
+		if ce := refute(ctx, sch, chk.Policy(), sel.(*sqlparser.SelectStmt), needs, args, u.attrs, facts, st); ce != "" {
+			fail("the allowed read (%s) has a counterexample under session %v and policy\n%sfacts %v\n%s", want.Reason, u.attrs, chk.Policy(), facts, ce)
+		}
+	}
+}
+
+// refute searches every disjunct of the read, with its arguments (and
+// the session attributes it names and they lack) bound, for a
+// counterexample under pol and facts, each within oracleSearchSteps
+// candidate tuples. It returns the first one rendered, or "".
+func refute(ctx context.Context, sch *schema.Schema, pol *policy.Policy, sel *sqlparser.SelectStmt, needs sqlparser.Needs, args sqlparser.Args, session map[string]sqlvalue.Value, facts []cq.Fact, st *oracleStats) string {
+	resolved := sqlparser.Args{Positional: args.Positional, Named: map[string]sqlvalue.Value{}}
+	for _, n := range needs.Named {
+		if v, ok := args.Named[n]; ok {
+			resolved.Named[n] = v
+		} else {
+			resolved.Named[n] = session[n]
+		}
+	}
+	bound, err := sqlparser.Bind(sel, resolved)
+	if err != nil {
+		return ""
+	}
+	ucq, err := (&cq.Translator{Schema: sch}).TranslateSelect(bound.(*sqlparser.SelectStmt))
+	if err != nil {
+		return ""
+	}
+	for _, q := range ucq {
+		st.searched++
+		budget := &stepBudget{Context: ctx, start: cq.EvalSteps(), n: oracleSearchSteps}
+		if ce, ok := diagnose.FindCounterexample(budget, sch, pol, session, q, facts); ok {
+			return fmt.Sprintf("disjunct %s\n%s", q, ce)
+		}
+		if budget.Err() != nil {
+			st.outOfSteps++
+		}
+	}
+	return ""
+}
+
+// stepBudget is a context that turns Canceled once evaluations have
+// tried more than n candidate tuples (cq.EvalSteps) since start: a
+// bound on a search's work that no clock or neighbouring load can
+// move.
+type stepBudget struct {
+	context.Context
+	start, n int64
+}
+
+func (c *stepBudget) Err() error {
+	if cq.EvalSteps()-c.start > c.n {
+		return context.Canceled
+	}
+	return nil
 }

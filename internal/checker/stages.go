@@ -300,7 +300,7 @@ func (st *decideState) appendCacheKey(buf []byte, factKeys []string) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, st.plan.Shape)
 	for i, t := range st.gen {
 		if t.IsParam() {
-			buf = appendFramed(buf, "p", t.Param)
+			buf = appendFramed(buf, "p", t.Name)
 		} else {
 			buf = appendKeyed(buf, st.raw[i])
 		}

@@ -54,10 +54,10 @@ func (oc *Census) Build(q *Query) {
 				oc.ArgVar = append(oc.ArgVar, -1)
 				continue
 			}
-			id := oc.VarID(t.Var)
+			id := oc.VarID(t.Name)
 			if id < 0 {
 				id = int32(len(oc.Vars))
-				oc.Vars = append(oc.Vars, VarOcc{Name: t.Var, last: -1})
+				oc.Vars = append(oc.Vars, VarOcc{Name: t.Name, last: -1})
 			}
 			o := &oc.Vars[id]
 			if o.last == int32(ai) {
@@ -90,7 +90,7 @@ func (oc *Census) termVar(t Term) int32 {
 	if !t.IsVar() {
 		return -1
 	}
-	return oc.VarID(t.Var)
+	return oc.VarID(t.Name)
 }
 
 // Reset empties the census, dropping its references into the query.

@@ -118,19 +118,19 @@ func fkImplies(s *schema.Schema, rest *Query, removed Atom, orig *Query) bool {
 	for _, a := range orig.Atoms {
 		for _, t := range a.Args {
 			if t.IsVar() {
-				occ[t.Var]++
+				occ[t.Name]++
 			}
 		}
 	}
 	for _, t := range orig.Head {
 		if t.IsVar() {
-			occ[t.Var]++
+			occ[t.Name]++
 		}
 	}
 	for _, c := range orig.Comps {
 		for _, t := range []Term{c.Left, c.Right} {
 			if t.IsVar() {
-				occ[t.Var]++
+				occ[t.Name]++
 			}
 		}
 	}
@@ -141,7 +141,7 @@ func fkImplies(s *schema.Schema, rest *Query, removed Atom, orig *Query) bool {
 		}
 		match := true
 		for k, t := range removed.Args {
-			if t.IsVar() && occ[t.Var] <= 1 {
+			if t.IsVar() && occ[t.Name] <= 1 {
 				continue // private existential position
 			}
 			if !b.Args[k].Equal(t) {

@@ -29,16 +29,17 @@ const (
 )
 
 // Term is a variable, a constant, or a named parameter (a runtime
-// constant generic over principals, e.g. ?MyUId).
+// constant generic over principals, e.g. ?MyUId). A Term is 56 bytes:
+// the kind, the one name a variable or a parameter has, and the value
+// a constant has.
 type Term struct {
 	Kind  TermKind
-	Var   string         // KindVar
+	Name  string         // KindVar, KindParam
 	Const sqlvalue.Value // KindConst
-	Param string         // KindParam
 }
 
 // V returns a variable term.
-func V(name string) Term { return Term{Kind: KindVar, Var: name} }
+func V(name string) Term { return Term{Kind: KindVar, Name: name} }
 
 // C returns a constant term.
 func C(v sqlvalue.Value) Term { return Term{Kind: KindConst, Const: v} }
@@ -50,7 +51,7 @@ func CInt(n int64) Term { return C(sqlvalue.NewInt(n)) }
 func CText(s string) Term { return C(sqlvalue.NewText(s)) }
 
 // P returns a parameter term.
-func P(name string) Term { return Term{Kind: KindParam, Param: name} }
+func P(name string) Term { return Term{Kind: KindParam, Name: name} }
 
 // IsVar reports whether the term is a variable.
 func (t Term) IsVar() bool { return t.Kind == KindVar }
@@ -65,9 +66,9 @@ func (t Term) IsParam() bool { return t.Kind == KindParam }
 func (t Term) Key() string {
 	switch t.Kind {
 	case KindVar:
-		return "v:" + t.Var
+		return "v:" + t.Name
 	case KindParam:
-		return "p:" + t.Param
+		return "p:" + t.Name
 	default:
 		return "c:" + t.Const.Key()
 	}
@@ -80,9 +81,9 @@ func (t Term) Equal(o Term) bool {
 	}
 	switch t.Kind {
 	case KindVar:
-		return t.Var == o.Var
+		return t.Name == o.Name
 	case KindParam:
-		return t.Param == o.Param
+		return t.Name == o.Name
 	default:
 		return sqlvalue.Identical(t.Const, o.Const)
 	}
@@ -92,9 +93,9 @@ func (t Term) Equal(o Term) bool {
 func (t Term) String() string {
 	switch t.Kind {
 	case KindVar:
-		return t.Var
+		return t.Name
 	case KindParam:
-		return "?" + t.Param
+		return "?" + t.Name
 	default:
 		return t.Const.String()
 	}
@@ -269,9 +270,9 @@ func (q *Query) Vars() []string {
 	seen := make(map[string]bool)
 	var out []string
 	add := func(t Term) {
-		if t.IsVar() && !seen[t.Var] {
-			seen[t.Var] = true
-			out = append(out, t.Var)
+		if t.IsVar() && !seen[t.Name] {
+			seen[t.Name] = true
+			out = append(out, t.Name)
 		}
 	}
 	for _, a := range q.Atoms {
@@ -295,7 +296,7 @@ func (q *Query) Params() []string {
 	seen := make(map[string]bool)
 	add := func(t Term) {
 		if t.IsParam() {
-			seen[t.Param] = true
+			seen[t.Name] = true
 		}
 	}
 	for _, a := range q.Atoms {
@@ -349,7 +350,7 @@ func (q *Query) Substitute(sub func(Term) Term) *Query {
 func (q *Query) BindParams(vals map[string]sqlvalue.Value) *Query {
 	return q.Substitute(func(t Term) Term {
 		if t.IsParam() {
-			if v, ok := vals[t.Param]; ok {
+			if v, ok := vals[t.Name]; ok {
 				return C(v)
 			}
 		}
@@ -362,7 +363,7 @@ func (q *Query) BindParams(vals map[string]sqlvalue.Value) *Query {
 func (q *Query) RenameVars(prefix string) *Query {
 	return q.Substitute(func(t Term) Term {
 		if t.IsVar() {
-			return V(prefix + t.Var)
+			return V(prefix + t.Name)
 		}
 		return t
 	})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/schema"
 	"repro/internal/sqlvalue"
@@ -53,6 +54,15 @@ func one(t *testing.T, u UCQ) *Query {
 		t.Fatalf("want 1 disjunct, got %d:\n%s", len(u), u)
 	}
 	return u[0]
+}
+
+// TestTermSize pins the compact layout: the kind, the one name a
+// variable or a parameter has, and a constant's 32-byte Value. Every
+// fact, plan template and memoized generalization is made of Terms.
+func TestTermSize(t *testing.T) {
+	if n := unsafe.Sizeof(Term{}); n != 56 {
+		t.Errorf("a Term is %d bytes; want 56", n)
+	}
 }
 
 func TestTranslateSimple(t *testing.T) {

@@ -84,13 +84,13 @@ func EvaluateCtx(ctx context.Context, q *Query, inst Instance) [][]sqlvalue.Valu
 				case KindParam:
 					ok = false // unbound parameter matches nothing
 				case KindVar:
-					if v, has := bind[t.Var]; has {
+					if v, has := bind[t.Name]; has {
 						if !sqlvalue.Identical(v, tuple[k]) {
 							ok = false
 						}
 					} else {
-						bind[t.Var] = tuple[k]
-						bound = append(bound, t.Var)
+						bind[t.Name] = tuple[k]
+						bound = append(bound, t.Name)
 					}
 				}
 				if !ok {
@@ -128,14 +128,15 @@ func EvaluateUCQ(u UCQ, inst Instance) [][]sqlvalue.Value {
 
 // AnswerKey returns a canonical string for an answer set, independent
 // of row order — two instances agree on a query iff their AnswerKeys
-// match.
+// match. Each row's key ends in a newline, so the one empty row of a
+// boolean query that holds keys apart from no row at all.
 func AnswerKey(rows [][]sqlvalue.Value) string {
 	keys := make([]string, len(rows))
 	for i, r := range rows {
-		keys[i] = rowKey(r)
+		keys[i] = rowKey(r) + "\n"
 	}
 	sort.Strings(keys)
-	return strings.Join(keys, "\n")
+	return strings.Join(keys, "")
 }
 
 // ContainsRow reports whether the answer set contains the row.
@@ -163,7 +164,7 @@ func termValue(t Term, bind map[string]sqlvalue.Value) (sqlvalue.Value, bool) {
 	case KindConst:
 		return t.Const, true
 	case KindVar:
-		v, ok := bind[t.Var]
+		v, ok := bind[t.Name]
 		return v, ok
 	}
 	return sqlvalue.Value{}, false

@@ -125,10 +125,10 @@ func compileFacts(q *Query, limited bool) *FactExtractor {
 			x.checks = append(x.checks, colCheck{col: at, want: termSrc{kind: fromSlot, idx: s}})
 			continue
 		}
-		if prev, ok := cols[h.Var]; ok {
+		if prev, ok := cols[h.Name]; ok {
 			x.checks = append(x.checks, colCheck{col: at, want: termSrc{kind: fromCol, idx: prev}})
 		}
-		cols[h.Var] = at
+		cols[h.Name] = at
 	}
 next:
 	for _, a := range q.Atoms {
@@ -138,7 +138,7 @@ next:
 				ea.args[i] = termSrc{kind: fromSlot, idx: s}
 				continue
 			}
-			c, ok := cols[t.Var]
+			c, ok := cols[t.Name]
 			if !ok {
 				continue next // the row does not show it
 			}

@@ -14,7 +14,7 @@ type Mapping map[string]Term
 // Apply rewrites a term under the mapping.
 func (m Mapping) Apply(t Term) Term {
 	if t.IsVar() {
-		if to, ok := m[t.Var]; ok {
+		if to, ok := m[t.Name]; ok {
 			return to
 		}
 	}
@@ -94,7 +94,7 @@ func homSearch(src, tgt *Query, tgtCS *Constraints, init Mapping, limit int) []H
 				tt := ta.Args[k]
 				switch {
 				case st.IsVar():
-					if bound, has := next[st.Var]; has {
+					if bound, has := next[st.Name]; has {
 						if !termsMatch(bound, tt, tgtCS) {
 							ok = false
 						}
@@ -103,7 +103,7 @@ func homSearch(src, tgt *Query, tgtCS *Constraints, init Mapping, limit int) []H
 							next = next.Clone()
 							cloned = true
 						}
-						next[st.Var] = tt
+						next[st.Name] = tt
 					}
 				default:
 					if !termsMatch(st, tt, tgtCS) {
@@ -153,12 +153,12 @@ func Contains(sub, super *Query) bool {
 	for i, st := range super.Head {
 		tt := sub.Head[i]
 		if st.IsVar() {
-			if bound, has := init[st.Var]; has {
+			if bound, has := init[st.Name]; has {
 				if !termsMatch(bound, tt, subCS) {
 					return false
 				}
 			} else {
-				init[st.Var] = tt
+				init[st.Name] = tt
 			}
 		} else if !termsMatch(st, tt, subCS) {
 			return false
@@ -190,13 +190,13 @@ func InfoContains(s *schema.Schema, sub, super *Query) bool {
 	subHeadVars := make(map[string]bool, len(sub.Head))
 	for _, t := range sub.Head {
 		if t.IsVar() {
-			subHeadVars[t.Var] = true
+			subHeadVars[t.Name] = true
 		}
 	}
 	superHeadVars := make(map[string]bool, len(super.Head))
 	for _, t := range super.Head {
 		if t.IsVar() {
-			superHeadVars[t.Var] = true
+			superHeadVars[t.Name] = true
 		}
 	}
 	homs := FindHoms(super, target, nil, 128)
@@ -253,7 +253,7 @@ func InfoContains(s *schema.Schema, sub, super *Query) bool {
 			ta := target.Atoms[ti]
 			for k, y := range sa.Args {
 				t := ta.Args[k]
-				if !y.IsVar() || superHeadVars[y.Var] {
+				if !y.IsVar() || superHeadVars[y.Name] {
 					continue // pinned or visible
 				}
 				if visible[t.Key()] {
@@ -263,7 +263,7 @@ func InfoContains(s *schema.Schema, sub, super *Query) bool {
 					ok = false // invisible selection on a constant/param
 					break
 				}
-				if subHeadVars[t.Var] {
+				if subHeadVars[t.Name] {
 					ok = false // output variable must be visible
 					break
 				}
@@ -273,8 +273,8 @@ func InfoContains(s *schema.Schema, sub, super *Query) bool {
 				}
 				// Comparisons on t must be enforced by super itself.
 				for _, sc := range sub.Comps {
-					involves := sc.Left.IsVar() && sc.Left.Var == t.Var ||
-						sc.Right.IsVar() && sc.Right.Var == t.Var
+					involves := sc.Left.IsVar() && sc.Left.Name == t.Name ||
+						sc.Right.IsVar() && sc.Right.Name == t.Name
 					if involves && !superCS.Implies(sc) {
 						ok = false
 						break
@@ -369,18 +369,18 @@ func headSafe(q *Query) bool {
 	for _, a := range q.Atoms {
 		for _, t := range a.Args {
 			if t.IsVar() {
-				inAtoms[t.Var] = true
+				inAtoms[t.Name] = true
 			}
 		}
 	}
 	for _, t := range q.Head {
-		if t.IsVar() && !inAtoms[t.Var] {
+		if t.IsVar() && !inAtoms[t.Name] {
 			return false
 		}
 	}
 	for _, c := range q.Comps {
 		for _, t := range []Term{c.Left, c.Right} {
-			if t.IsVar() && !inAtoms[t.Var] {
+			if t.IsVar() && !inAtoms[t.Name] {
 				return false
 			}
 		}
@@ -411,11 +411,11 @@ func (q *Query) CanonicalKey() string {
 		if !t.IsVar() {
 			return t
 		}
-		if n, ok := names[t.Var]; ok {
+		if n, ok := names[t.Name]; ok {
 			return V(n)
 		}
 		n := "v" + itoa(len(names))
-		names[t.Var] = n
+		names[t.Name] = n
 		return V(n)
 	}
 	var b strings.Builder
@@ -463,7 +463,7 @@ func skeleton(a Atom) string {
 		case KindVar:
 			s += "v,"
 		case KindParam:
-			s += "?" + t.Param + ","
+			s += "?" + t.Name + ","
 		default:
 			s += t.Const.Key() + ","
 		}

@@ -77,10 +77,10 @@ func slotTerm(n int) Term { return P("\x00" + strconv.Itoa(n)) }
 
 // slotOf returns the slot a placeholder stands for, or -1.
 func slotOf(t Term) int32 {
-	if t.Kind != KindParam || len(t.Param) == 0 || t.Param[0] != 0 {
+	if t.Kind != KindParam || len(t.Name) == 0 || t.Name[0] != 0 {
 		return -1
 	}
-	n, _ := strconv.Atoi(t.Param[1:])
+	n, _ := strconv.Atoi(t.Name[1:])
 	return int32(n)
 }
 

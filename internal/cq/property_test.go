@@ -256,3 +256,19 @@ func TestEvaluateDeduplicates(t *testing.T) {
 		t.Fatalf("set semantics violated: %v", rows)
 	}
 }
+
+// TestAnswerKeyBooleanQuery: a query with an empty head answers one
+// empty row when it holds and none when it does not, and the two
+// answers key apart — else a boolean view would look unchanged by a
+// deletion that falsifies it.
+func TestAnswerKeyBooleanQuery(t *testing.T) {
+	q := &Query{Atoms: []Atom{{Table: "r", Args: []Term{CInt(1)}}}}
+	holds := Evaluate(q, Instance{"r": {{sqlvalue.NewInt(1)}}})
+	fails := Evaluate(q, Instance{"r": {{sqlvalue.NewInt(2)}}})
+	if len(holds) != 1 || len(fails) != 0 {
+		t.Fatalf("answers %v and %v; want one empty row and none", holds, fails)
+	}
+	if AnswerKey(holds) == AnswerKey(fails) {
+		t.Errorf("a boolean query that holds and one that does not share the answer key %q", AnswerKey(holds))
+	}
+}

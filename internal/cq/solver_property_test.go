@@ -22,7 +22,7 @@ func randComparison(rng *rand.Rand, terms []Term) Comparison {
 func holdsUnder(c Comparison, assign map[string]int) bool {
 	val := func(t Term) int {
 		if t.IsVar() {
-			return assign[t.Var]
+			return assign[t.Name]
 		}
 		return int(t.Const.Int()) * 2
 	}

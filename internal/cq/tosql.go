@@ -38,15 +38,15 @@ func ToSQL(s *schema.Schema, q *Query) (string, error) {
 			col := alias + "." + tab.Columns[ci].Name
 			switch term.Kind {
 			case KindVar:
-				if first, seen := binding[term.Var]; seen {
+				if first, seen := binding[term.Name]; seen {
 					conds = append(conds, fmt.Sprintf("%s = %s.%s", col, first.alias, first.column))
 				} else {
-					binding[term.Var] = site{alias: alias, column: tab.Columns[ci].Name}
+					binding[term.Name] = site{alias: alias, column: tab.Columns[ci].Name}
 				}
 			case KindConst:
 				conds = append(conds, fmt.Sprintf("%s = %s", col, term.Const.String()))
 			case KindParam:
-				conds = append(conds, fmt.Sprintf("%s = ?%s", col, term.Param))
+				conds = append(conds, fmt.Sprintf("%s = ?%s", col, term.Name))
 			}
 		}
 	}
@@ -54,15 +54,15 @@ func ToSQL(s *schema.Schema, q *Query) (string, error) {
 	termSQL := func(t Term) (string, error) {
 		switch t.Kind {
 		case KindVar:
-			b, ok := binding[t.Var]
+			b, ok := binding[t.Name]
 			if !ok {
-				return "", fmt.Errorf("cq: head/comparison variable %s not bound by any atom", t.Var)
+				return "", fmt.Errorf("cq: head/comparison variable %s not bound by any atom", t.Name)
 			}
 			return b.alias + "." + b.column, nil
 		case KindConst:
 			return t.Const.String(), nil
 		default:
-			return "?" + t.Param, nil
+			return "?" + t.Name, nil
 		}
 	}
 

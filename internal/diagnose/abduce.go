@@ -149,7 +149,7 @@ func partialEmbeddings(q *cq.Query, v *cq.Query) []candidateCheck {
 				qt := qa.Args[k]
 				switch {
 				case vt.IsVar():
-					if bnd, has := m[vt.Var]; has {
+					if bnd, has := m[vt.Name]; has {
 						if !bnd.Equal(qt) && !qcs.Implies(cq.Comparison{Op: cq.Eq, Left: bnd, Right: qt}) {
 							ok = false
 						}
@@ -158,7 +158,7 @@ func partialEmbeddings(q *cq.Query, v *cq.Query) []candidateCheck {
 							m = m.Clone()
 							cloned = true
 						}
-						m[vt.Var] = qt
+						m[vt.Name] = qt
 					}
 				default:
 					if !vt.Equal(qt) && !qcs.Implies(cq.Comparison{Op: cq.Eq, Left: vt, Right: qt}) {
@@ -185,7 +185,7 @@ func termMapped(t cq.Term, v *cq.Query) bool {
 		return true
 	}
 	// A view variable that stayed unmapped keeps its w_ prefix.
-	return !strings.HasPrefix(t.Var, "w_")
+	return !strings.HasPrefix(t.Name, "w_")
 }
 
 // buildCheck turns the missing atoms into a probe query. Every
@@ -212,10 +212,10 @@ func buildCheck(s *schema.Schema, session map[string]sqlvalue.Value, cand candid
 			conds = append(conds, fmt.Sprintf("%s = %s", col, t.Const.String()))
 			pinned++
 		case t.IsParam():
-			conds = append(conds, fmt.Sprintf("%s = ?%s", col, t.Param))
+			conds = append(conds, fmt.Sprintf("%s = ?%s", col, t.Name))
 			pinned++
 		default:
-			if !strings.HasPrefix(t.Var, "w_") {
+			if !strings.HasPrefix(t.Name, "w_") {
 				return AccessCheck{}, false // depends on a query variable
 			}
 			// Unmapped view variable: existential, no condition.
@@ -250,7 +250,7 @@ func groundAtom(a cq.Atom, session map[string]sqlvalue.Value) cq.Atom {
 	out := cq.Atom{Table: a.Table, Args: make([]cq.Term, len(a.Args))}
 	for i, t := range a.Args {
 		if t.IsParam() {
-			if v, ok := session[t.Param]; ok {
+			if v, ok := session[t.Name]; ok {
 				out.Args[i] = cq.C(v)
 				continue
 			}
@@ -270,18 +270,18 @@ func negPatternCovers(pattern, cand cq.Atom, session map[string]sqlvalue.Value) 
 	for i, pt := range pattern.Args {
 		ct := cand.Args[i]
 		if pt.IsParam() {
-			if v, ok := session[pt.Param]; ok {
+			if v, ok := session[pt.Name]; ok {
 				pt = cq.C(v)
 			}
 		}
 		switch {
 		case pt.IsVar():
-			if prev, ok := bind[pt.Var]; ok {
+			if prev, ok := bind[pt.Name]; ok {
 				if !prev.Equal(ct) {
 					return false
 				}
 			} else {
-				bind[pt.Var] = ct
+				bind[pt.Name] = ct
 			}
 		default:
 			if !pt.Equal(ct) {

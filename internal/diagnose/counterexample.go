@@ -114,7 +114,7 @@ func findCounterexample(ctx context.Context, s *schema.Schema, p *policy.Policy,
 			case t.IsConst():
 				row[i] = t.Const
 			case t.IsParam():
-				v, has := session[t.Param]
+				v, has := session[t.Name]
 				if !has {
 					ok = false
 				}
@@ -473,17 +473,17 @@ func patternMatches(inst cq.Instance, pattern cq.Atom, session map[string]sqlval
 					ok = false
 				}
 			case t.IsParam():
-				v, has := session[t.Param]
+				v, has := session[t.Name]
 				if !has || !sqlvalue.Identical(v, row[i]) {
 					ok = false
 				}
 			default:
-				if prev, has := bind[t.Var]; has {
+				if prev, has := bind[t.Name]; has {
 					if !sqlvalue.Identical(prev, row[i]) {
 						ok = false
 					}
 				} else {
-					bind[t.Var] = row[i]
+					bind[t.Name] = row[i]
 				}
 			}
 			if !ok {

@@ -118,7 +118,7 @@ func unifyIntoQuery(q *cq.Query, v *cq.Query) []*cq.Query {
 
 	apply := func(sub map[string]cq.Term, t cq.Term) cq.Term {
 		for t.IsVar() {
-			n, ok := sub[t.Var]
+			n, ok := sub[t.Name]
 			if !ok || n.Equal(t) {
 				break
 			}
@@ -137,10 +137,10 @@ func unifyIntoQuery(q *cq.Query, v *cq.Query) []*cq.Query {
 		}
 		switch {
 		case a.IsVar():
-			ns[a.Var] = b
+			ns[a.Name] = b
 			return ns, true
 		case b.IsVar():
-			ns[b.Var] = a
+			ns[b.Name] = a
 			return ns, true
 		default:
 			return nil, false // distinct constants/params

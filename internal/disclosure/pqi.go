@@ -164,7 +164,7 @@ func derivedViews(p *policy.Policy) []derived {
 					// Fold the equality into a substitution for cleaner
 					// homomorphism behaviour.
 					folded := joined.Substitute(func(t cq.Term) cq.Term {
-						if t.IsVar() && t.Var == bt.Var {
+						if t.IsVar() && t.Name == bt.Name {
 							return at
 						}
 						return t

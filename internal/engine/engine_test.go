@@ -190,6 +190,20 @@ func TestOrderLimitOffset(t *testing.T) {
 	if res.Rows[0][1].Text() != "alice" {
 		t.Fatalf("positional order: %v", res)
 	}
+	// A LIMIT or OFFSET that is not an integer counts as 0 rows, TRUE
+	// as 1, on a single SELECT and on a UNION.
+	for sql, want := range map[string]int{
+		"SELECT UId FROM Users ORDER BY UId LIMIT 1.5":                                     0,
+		"SELECT UId FROM Users ORDER BY UId LIMIT 2 OFFSET 1.5":                            2,
+		"SELECT UId FROM Users ORDER BY UId LIMIT TRUE OFFSET 'x'":                         1,
+		"SELECT UId FROM Users UNION SELECT EId FROM Events LIMIT 2.5":                     0,
+		"SELECT UId FROM Users UNION SELECT EId FROM Events ORDER BY 1 LIMIT 1 OFFSET 1.5": 1,
+	} {
+		res := mustQuery(t, db, sql)
+		if len(res.Rows) != want || want > 0 && res.Rows[0][0].Int() != 1 {
+			t.Errorf("%s: %v; want the first %d rows", sql, res.Rows, want)
+		}
+	}
 }
 
 func TestInListAndSubquery(t *testing.T) {

@@ -246,7 +246,7 @@ func TestScanAllocsConstant(t *testing.T) {
 		})
 		next := res.Rows[1][0]
 		_ = append(res.Rows[0], sqlvalue.NewText("spill"))
-		if cap(res.Rows[0]) != 2 || res.Rows[1][0] != next {
+		if cap(res.Rows[0]) != 2 || !sqlvalue.Identical(res.Rows[1][0], next) {
 			t.Errorf("row 0 has capacity %d; an append to it rewrote row 1 to %v", cap(res.Rows[0]), res.Rows[1])
 		}
 	}

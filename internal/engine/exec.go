@@ -278,7 +278,7 @@ func (ev *evaluator) execSelect(sel *sqlparser.SelectStmt, parent *env, out *row
 		if err != nil {
 			return nil, err
 		}
-		n := int(v.Int())
+		n := limitCount(v)
 		if n > len(res.Rows) {
 			n = len(res.Rows)
 		}
@@ -291,7 +291,7 @@ func (ev *evaluator) execSelect(sel *sqlparser.SelectStmt, parent *env, out *row
 		if err != nil {
 			return nil, err
 		}
-		if n := int(v.Int()); n >= 0 && n < len(res.Rows) {
+		if n := limitCount(v); n >= 0 && n < len(res.Rows) {
 			res.Rows = res.Rows[:n]
 		}
 	}
@@ -453,7 +453,7 @@ func (ev *evaluator) execGeneric(sel *sqlparser.SelectStmt, parent *env) (*Resul
 		if err != nil {
 			return nil, err
 		}
-		n := int(v.Int())
+		n := limitCount(v)
 		if n > len(res.Rows) {
 			n = len(res.Rows)
 		}
@@ -466,7 +466,7 @@ func (ev *evaluator) execGeneric(sel *sqlparser.SelectStmt, parent *env) (*Resul
 		if err != nil {
 			return nil, err
 		}
-		if n := int(v.Int()); n >= 0 && n < len(res.Rows) {
+		if n := limitCount(v); n >= 0 && n < len(res.Rows) {
 			res.Rows = res.Rows[:n]
 		}
 	}
@@ -1080,6 +1080,16 @@ func (ev *evaluator) orderKeysRow(sel *sqlparser.SelectStmt, e *env, out Row, co
 		keys[i] = v
 	}
 	return keys, nil
+}
+
+// limitCount reads a LIMIT or OFFSET value as a row count: an INTEGER
+// or a BOOLEAN as its integer, any other value as 0.
+func limitCount(v sqlvalue.Value) int {
+	switch v.Type() {
+	case sqlvalue.Int, sqlvalue.Bool:
+		return int(v.Int())
+	}
+	return 0
 }
 
 // orderValue resolves an ORDER BY expression: positional integer,

@@ -9,7 +9,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -166,18 +166,13 @@ func RunE2(dbSize, iters int) (*Table, error) {
 	}
 	bsel := bound.(*sqlparser.SelectStmt)
 
-	// Best-of-3 passes: the minimum mean is the least noisy estimator
-	// of the true cost, which keeps the cached-vs-cold comparison
-	// stable even under the race detector's scheduling jitter. The
-	// passes interleave across the configurations measured together, so
-	// a burst of load lands on one pass of each, not on every pass of
-	// one.
+	// The median of five passes, which interleave across the
+	// configurations measured together: a burst of load lands on one
+	// pass of each, not on every pass of one, and moves no median.
 	measure := func(fns ...func() error) ([]float64, error) {
-		best := make([]float64, len(fns))
-		for k := range best {
-			best[k] = math.MaxFloat64
-		}
-		for pass := 0; pass < 3; pass++ {
+		const passes = 5
+		per := make([][passes]float64, len(fns))
+		for pass := 0; pass < passes; pass++ {
 			for k, fn := range fns {
 				start := time.Now()
 				for i := 0; i < iters; i++ {
@@ -185,12 +180,15 @@ func RunE2(dbSize, iters int) (*Table, error) {
 						return nil, err
 					}
 				}
-				if ns := float64(time.Since(start).Nanoseconds()) / float64(iters); ns < best[k] {
-					best[k] = ns
-				}
+				per[k][pass] = float64(time.Since(start).Nanoseconds()) / float64(iters)
 			}
 		}
-		return best, nil
+		med := make([]float64, len(fns))
+		for k := range per {
+			slices.Sort(per[k][:])
+			med[k] = per[k][passes/2]
+		}
+		return med, nil
 	}
 
 	coldChk := checker.New(f.Policy())

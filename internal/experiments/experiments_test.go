@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,9 +29,10 @@ func TestRunE1AllDecisionsCorrect(t *testing.T) {
 	}
 }
 
-// e2Nanos runs E2 (best-of-3 passes interleaved across its
-// configurations) and returns each configuration's ns per operation,
-// failing on a missing or malformed row.
+// e2Nanos runs E2 (each configuration's median of five passes
+// interleaved across its configurations) and returns each
+// configuration's ns per operation, failing on a missing or malformed
+// row.
 func e2Nanos(tb testing.TB) map[string]float64 {
 	tb.Helper()
 	tab, err := RunE2(32, 300)
@@ -77,14 +80,51 @@ func TestRunE2Shapes(t *testing.T) { e2Nanos(t) }
 // the statement, which cost more than this one-atom query's whole cold
 // decision (EXPERIMENTS.md E2). A hit now fills the plan's slots and
 // probes.
+//
+// A round runs E2 nine times and takes, per tier, the median of the
+// runs' hit/cold ratios and their spread (interquartile range). A round
+// whose medians are all below 1 passes. One with a median at 1 or over
+// by more than its spread fails at once: a real regression moves every
+// run. One in between, where noise could have put a median over, runs
+// again, up to four rounds.
 func BenchmarkE2HitsBeatColdGuard(b *testing.B) {
-	ns := e2Nanos(b)
-	if hf, cold := ns[e2Histfree], ns[e2Cold]; hf >= cold {
-		b.Errorf("histfree-tier decision (%v) should beat cold (%v)", hf, cold)
+	const runs, rounds = 9, 4
+	tiers := []string{e2Histfree, e2Cached}
+	var seen []string
+	for range rounds {
+		ratios := map[string][]float64{}
+		for range runs {
+			ns := e2Nanos(b)
+			for _, tier := range tiers {
+				ratios[tier] = append(ratios[tier], ns[tier]/ns[e2Cold])
+			}
+		}
+		pass, clear := true, false
+		for _, tier := range tiers {
+			med, spread := medianSpread(ratios[tier])
+			b.Logf("%s / %s: median %.3f, spread %.3f over %d runs", tier, e2Cold, med, spread, runs)
+			if med >= 1 {
+				pass = false
+				clear = clear || med-1 > spread
+				seen = append(seen, fmt.Sprintf("%s %.3f (spread %.3f)", tier, med, spread))
+			}
+		}
+		if pass {
+			return
+		}
+		if clear {
+			break
+		}
 	}
-	if cached, cold := ns[e2Cached], ns[e2Cold]; cached >= cold {
-		b.Errorf("template-cache hit (%v) should beat cold (%v)", cached, cold)
-	}
+	b.Errorf("a cache hit did not beat the cold decision: median hit/cold ratios %s", strings.Join(seen, ", "))
+}
+
+// medianSpread returns the median of xs and their interquartile range.
+func medianSpread(xs []float64) (med, spread float64) {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	q := func(p float64) float64 { return s[int(p*float64(len(s)-1)+0.5)] }
+	return q(0.5), q(0.75) - q(0.25)
 }
 
 func TestRunE3HistoryMatters(t *testing.T) {

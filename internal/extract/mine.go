@@ -266,9 +266,9 @@ func (m *miner) generalizeSiteWithGuards(samples []Sample, sites []aligned, prio
 	}
 	q := ucq[0].RenameVars(fmt.Sprintf("s%d_", si))
 	q = q.Substitute(func(t cq.Term) cq.Term {
-		if t.IsParam() && strings.HasPrefix(t.Param, "__arg") {
+		if t.IsParam() && strings.HasPrefix(t.Name, "__arg") {
 			var k int
-			fmt.Sscanf(t.Param, "__arg%d", &k)
+			fmt.Sscanf(t.Name, "__arg%d", &k)
 			if k >= 0 && k < nArgs {
 				return argTerms[k]
 			}
@@ -284,14 +284,14 @@ func (m *miner) generalizeSiteWithGuards(samples []Sample, sites []aligned, prio
 	exposed := map[string]bool{}
 	for _, t := range q.Head {
 		if t.IsVar() {
-			exposed[t.Var] = true
+			exposed[t.Name] = true
 		}
 	}
 	for k, t := range argTerms {
-		if t.IsVar() && !exposed[t.Var] {
+		if t.IsVar() && !exposed[t.Name] {
 			q.Head = append(q.Head, t)
 			q.HeadNames = append(q.HeadNames, fmt.Sprintf("arg%d", k))
-			exposed[t.Var] = true
+			exposed[t.Name] = true
 		}
 	}
 
@@ -314,12 +314,12 @@ func (m *miner) generalizeSiteWithGuards(samples []Sample, sites []aligned, prio
 			pairs := map[string]cq.Term{}
 			for k, gt := range corr {
 				if k < len(argTerms) && argTerms[k].IsVar() {
-					pairs[argTerms[k].Var] = gt
+					pairs[argTerms[k].Name] = gt
 				}
 			}
 			sub = func(t cq.Term) cq.Term {
 				if t.IsVar() {
-					if to, ok := pairs[t.Var]; ok {
+					if to, ok := pairs[t.Name]; ok {
 						return to
 					}
 				}
@@ -433,9 +433,9 @@ func (m *miner) opaqueArgPositions(sql string, nArgs int) ([]bool, error) {
 				continue
 			}
 			for ci, t := range a.Args {
-				if t.IsParam() && strings.HasPrefix(t.Param, "__arg") {
+				if t.IsParam() && strings.HasPrefix(t.Name, "__arg") {
 					var k int
-					fmt.Sscanf(t.Param, "__arg%d", &k)
+					fmt.Sscanf(t.Name, "__arg%d", &k)
 					if k >= 0 && k < nArgs && m.columnOpaque(tab, ci) {
 						out[k] = true
 					}

@@ -200,10 +200,10 @@ func translateIssuance(s *schema.Schema, app *appdsl.App, issued []appdsl.Issuan
 		rq := q.RenameVars(prefix)
 		// Resolve RowRef markers against the producing issuance's head.
 		rq = rq.Substitute(func(t cq.Term) cq.Term {
-			if !t.IsParam() || !strings.HasPrefix(t.Param, "__row_") {
+			if !t.IsParam() || !strings.HasPrefix(t.Name, "__row_") {
 				return t
 			}
-			rr, ok := parseRowRefMarker(t.Param)
+			rr, ok := parseRowRefMarker(t.Name)
 			if !ok {
 				return t
 			}
@@ -265,11 +265,11 @@ func parseRowRefMarker(s string) (appdsl.RowRef, bool) {
 func generalizeFreeParams(q *cq.Query) {
 	vars := map[string]cq.Term{}
 	repl := func(t cq.Term) cq.Term {
-		if t.IsParam() && strings.HasPrefix(t.Param, freeParamPrefix) {
-			v, ok := vars[t.Param]
+		if t.IsParam() && strings.HasPrefix(t.Name, freeParamPrefix) {
+			v, ok := vars[t.Name]
 			if !ok {
-				v = cq.V("free_" + strings.TrimPrefix(t.Param, freeParamPrefix))
-				vars[t.Param] = v
+				v = cq.V("free_" + strings.TrimPrefix(t.Name, freeParamPrefix))
+				vars[t.Name] = v
 			}
 			return v
 		}
@@ -296,14 +296,14 @@ func generalizeFreeParams(q *cq.Query) {
 	have := map[string]bool{}
 	for _, t := range q.Head {
 		if t.IsVar() {
-			have[t.Var] = true
+			have[t.Name] = true
 		}
 	}
 	for _, n := range names {
 		v := vars[n]
-		if !have[v.Var] {
+		if !have[v.Name] {
 			q.Head = append(q.Head, v)
-			q.HeadNames = append(q.HeadNames, v.Var)
+			q.HeadNames = append(q.HeadNames, v.Name)
 		}
 	}
 }

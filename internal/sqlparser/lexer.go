@@ -157,6 +157,18 @@ scan:
 				n++
 			}
 		}
+		// An exponent, as Value.String renders many REALs (1e+06,
+		// 2.5e-07): e or E, an optional sign, and digits.
+		if e := n + 1; e < len(l.src) && (l.src[n] == 'e' || l.src[n] == 'E') {
+			if l.src[e] == '+' || l.src[e] == '-' {
+				e++
+			}
+			if e < len(l.src) && l.src[e] >= '0' && l.src[e] <= '9' {
+				for n = e; n < len(l.src) && l.src[n] >= '0' && l.src[n] <= '9'; n++ {
+				}
+				isFloat = true
+			}
+		}
 		text := l.src[l.pos:n]
 		l.pos = n
 		if isFloat {

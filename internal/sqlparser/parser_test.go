@@ -251,6 +251,21 @@ func TestParseNegativeNumbers(t *testing.T) {
 	if sel.Items[1].Expr.(*Literal).Value.Real() != -2.5 {
 		t.Fatal("negative float literal")
 	}
+	// An exponent makes a REAL, in the forms a REAL renders to.
+	sel = MustParseSelect("SELECT 1e+06, 2.5E-7, -3e2, 1e FROM T")
+	for i, want := range []float64{1e6, 2.5e-7, -300} {
+		if v := sel.Items[i].Expr.(*Literal).Value; v.Type() != sqlvalue.Real || v.Real() != want {
+			t.Errorf("item %d is %s; want the REAL %g", i, v, want)
+		}
+	}
+	if it := sel.Items[3]; it.Alias != "e" {
+		t.Errorf("1e without digits is %s AS %q; want 1 AS e", it.Expr.SQL(), it.Alias)
+	}
+	// A REAL -0 prints as what reads back as it.
+	sel = MustParseSelect("SELECT -0.0 FROM T")
+	if got := sel.SQL(); got != "SELECT -0.0 FROM T" || MustParseSelect(got).SQL() != got {
+		t.Errorf("SELECT -0.0 prints as %q", got)
+	}
 }
 
 func TestParseErrors(t *testing.T) {

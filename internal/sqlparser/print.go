@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/sqlvalue"
 )
 
 // SQL renders the statement deterministically. Parsing the rendering
@@ -244,7 +246,12 @@ func renderChild(e Expr, parentPrec int) string {
 }
 
 // SQL renders the literal.
-func (l *Literal) SQL() string { return l.Value.String() }
+func (l *Literal) SQL() string {
+	if l.Value.Type() == sqlvalue.Real && l.Value.String() == "-0" {
+		return "-0.0" // "-0" would read back as the INTEGER 0
+	}
+	return l.Value.String()
+}
 
 // SQL renders the parameter. Explicit $N placeholders keep their
 // index so printing preserves repetition and out-of-order use.

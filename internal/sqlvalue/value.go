@@ -61,18 +61,31 @@ func ParseType(name string) (Type, error) {
 }
 
 // Value is an immutable SQL value. The zero Value is NULL.
+//
+// A Value is 32 bytes: the class, one 8-byte payload and a string. n
+// holds an INTEGER's bits, a BOOLEAN's 0 or 1, or a REAL's
+// math.Float64bits, so two Values with the same fields need not be
+// equal under SQL (NaN) and two equal ones need not have the same
+// fields (0.0 and -0.0). The zero-size func array makes == on Values a
+// compile error: compare with Identical, Equal or Compare.
 type Value struct {
+	_   [0]func()
 	typ Type
-	i   int64   // Int, Bool (0/1)
-	f   float64 // Real
-	s   string  // Text
+	n   uint64 // Int, Bool (0/1), Real (math.Float64bits)
+	s   string // Text
 }
 
+// i is the INTEGER or BOOLEAN payload.
+func (v Value) i() int64 { return int64(v.n) }
+
+// f is the REAL payload.
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+
 // NewInt returns an INTEGER value.
-func NewInt(v int64) Value { return Value{typ: Int, i: v} }
+func NewInt(v int64) Value { return Value{typ: Int, n: uint64(v)} }
 
 // NewReal returns a REAL value.
-func NewReal(v float64) Value { return Value{typ: Real, f: v} }
+func NewReal(v float64) Value { return Value{typ: Real, n: math.Float64bits(v)} }
 
 // NewText returns a TEXT value.
 func NewText(v string) Value { return Value{typ: Text, s: v} }
@@ -80,7 +93,7 @@ func NewText(v string) Value { return Value{typ: Text, s: v} }
 // NewBool returns a BOOLEAN value.
 func NewBool(v bool) Value {
 	if v {
-		return Value{typ: Bool, i: 1}
+		return Value{typ: Bool, n: 1}
 	}
 	return Value{typ: Bool}
 }
@@ -156,43 +169,42 @@ func (v Value) Type() Type { return v.typ }
 func (v Value) IsNull() bool { return v.typ == Null }
 
 // Int returns the INTEGER payload; it is only meaningful when Type()==Int.
-func (v Value) Int() int64 { return v.i }
+func (v Value) Int() int64 { return v.i() }
 
 // Real returns the REAL payload; for an INTEGER value it returns the
 // integer converted to float64.
 func (v Value) Real() float64 {
 	if v.typ == Int {
-		return float64(v.i)
+		return float64(v.i())
 	}
-	return v.f
+	return v.f()
 }
 
 // Text returns the TEXT payload; it is only meaningful when Type()==Text.
 func (v Value) Text() string { return v.s }
 
 // Bool returns the BOOLEAN payload; it is only meaningful when Type()==Bool.
-func (v Value) Bool() bool { return v.i != 0 }
+func (v Value) Bool() bool { return v.i() != 0 }
 
 // TypeOf, IntOf, RealOf, BoolOf and TextOf are Type, Int, Real, Bool
-// and Text read through a pointer. A Value is 40 bytes, too large for
-// the compiler to keep in registers, so each value-receiver accessor a
-// loop inlines first copies the whole Value to the stack; the scans
-// and encoders that read stored cells one by one use these instead.
+// and Text read through a pointer: each reads one field of a stored
+// cell where a value-receiver accessor may first copy the whole Value.
+// The scans and encoders that read stored cells one by one use these.
 func TypeOf(v *Value) Type { return v.typ }
 
 // IntOf is Int through a pointer (see TypeOf).
-func IntOf(v *Value) int64 { return v.i }
+func IntOf(v *Value) int64 { return v.i() }
 
 // RealOf is Real through a pointer (see TypeOf).
 func RealOf(v *Value) float64 {
 	if v.typ == Int {
-		return float64(v.i)
+		return float64(v.i())
 	}
-	return v.f
+	return v.f()
 }
 
 // BoolOf is Bool through a pointer (see TypeOf).
-func BoolOf(v *Value) bool { return v.i != 0 }
+func BoolOf(v *Value) bool { return v.i() != 0 }
 
 // TextOf is Text through a pointer (see TypeOf).
 func TextOf(v *Value) string { return v.s }
@@ -204,13 +216,13 @@ func (v Value) Any() any {
 	case Null:
 		return nil
 	case Int:
-		return v.i
+		return v.i()
 	case Real:
-		return v.f
+		return v.f()
 	case Text:
 		return v.s
 	case Bool:
-		return v.i != 0
+		return v.i() != 0
 	}
 	return nil
 }
@@ -221,13 +233,13 @@ func (v Value) String() string {
 	case Null:
 		return "NULL"
 	case Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case Real:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case Text:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case Bool:
-		if v.i != 0 {
+		if v.i() != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -255,22 +267,22 @@ func (v Value) AppendKey(buf []byte) []byte {
 		return append(buf, 'n')
 	case Int:
 		buf = append(buf, 'i')
-		return strconv.AppendInt(buf, v.i, 10)
+		return strconv.AppendInt(buf, v.i(), 10)
 	case Real:
 		// -2^63 is an int64 and 2^63 is not: the upper bound is strict,
 		// against 2^63 itself (math.MaxInt64 rounds up to it as a float).
-		if v.f == math.Trunc(v.f) && v.f >= -(1<<63) && v.f < 1<<63 {
+		if x := v.f(); x == math.Trunc(x) && x >= -(1<<63) && x < 1<<63 {
 			buf = append(buf, 'i')
-			return strconv.AppendInt(buf, int64(v.f), 10)
+			return strconv.AppendInt(buf, int64(x), 10)
 		}
 		buf = append(buf, 'f')
-		return strconv.AppendFloat(buf, v.f, 'b', -1, 64)
+		return strconv.AppendFloat(buf, v.f(), 'b', -1, 64)
 	case Text:
 		buf = append(buf, 't')
 		return append(buf, v.s...)
 	case Bool:
 		buf = append(buf, 'b')
-		return strconv.AppendInt(buf, v.i, 10)
+		return strconv.AppendInt(buf, v.i(), 10)
 	}
 	return append(buf, '?')
 }
@@ -283,9 +295,9 @@ func (v Value) AppendKey(buf []byte) []byte {
 func (v Value) AppendJSON(buf []byte) (_ []byte, ok bool) {
 	switch v.typ {
 	case Int:
-		return strconv.AppendInt(buf, v.i, 10), true
+		return strconv.AppendInt(buf, v.i(), 10), true
 	case Real:
-		x := v.f
+		x := v.f()
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return buf, false
 		}
@@ -296,7 +308,7 @@ func (v Value) AppendJSON(buf []byte) (_ []byte, ok bool) {
 	case Text:
 		return appendJSONString(buf, v.s), true
 	case Bool:
-		return strconv.AppendBool(buf, v.i != 0), true
+		return strconv.AppendBool(buf, v.i() != 0), true
 	}
 	return append(buf, "null"...), true
 }
@@ -322,7 +334,7 @@ func (v Value) MarshalJSON() ([]byte, error) {
 	if b, ok := v.AppendJSON(nil); ok {
 		return b, nil
 	}
-	return nil, fmt.Errorf("sqlvalue: REAL %v has no JSON form", v.f)
+	return nil, fmt.Errorf("sqlvalue: REAL %v has no JSON form", v.f())
 }
 
 // UnmarshalJSON implements json.Unmarshaler for MarshalJSON's form. A
@@ -453,9 +465,9 @@ func Compare(a, b Value) (int, bool) {
 	switch {
 	case a.typ == Int && b.typ == Int:
 		switch {
-		case a.i < b.i:
+		case a.i() < b.i():
 			return -1, true
-		case a.i > b.i:
+		case a.i() > b.i():
 			return 1, true
 		}
 		return 0, true
@@ -463,9 +475,9 @@ func Compare(a, b Value) (int, bool) {
 		return strings.Compare(a.s, b.s), true
 	case a.typ == Bool:
 		switch {
-		case a.i < b.i:
+		case a.i() < b.i():
 			return -1, true
-		case a.i > b.i:
+		case a.i() > b.i():
 			return 1, true
 		}
 		return 0, true
@@ -509,11 +521,11 @@ func Identical(a, b Value) bool {
 	case Null:
 		return true
 	case Real:
-		return a.f == b.f
+		return a.f() == b.f()
 	case Text:
 		return a.s == b.s
 	default:
-		return a.i == b.i
+		return a.i() == b.i()
 	}
 }
 
@@ -576,21 +588,21 @@ func arith(a, b Value, op byte) (Value, error) {
 	if a.typ == Int && b.typ == Int {
 		switch op {
 		case '+':
-			return NewInt(a.i + b.i), nil
+			return NewInt(a.i() + b.i()), nil
 		case '-':
-			return NewInt(a.i - b.i), nil
+			return NewInt(a.i() - b.i()), nil
 		case '*':
-			return NewInt(a.i * b.i), nil
+			return NewInt(a.i() * b.i()), nil
 		case '/':
-			if b.i == 0 {
+			if b.i() == 0 {
 				return NewNull(), nil
 			}
-			return NewInt(a.i / b.i), nil
+			return NewInt(a.i() / b.i()), nil
 		case '%':
-			if b.i == 0 {
+			if b.i() == 0 {
 				return NewNull(), nil
 			}
-			return NewInt(a.i % b.i), nil
+			return NewInt(a.i() % b.i()), nil
 		}
 	}
 	af, bf := a.Real(), b.Real()
@@ -665,11 +677,11 @@ func CoerceTo(v Value, t Type) (Value, error) {
 	case Int:
 		switch v.typ {
 		case Real:
-			if v.f == math.Trunc(v.f) {
-				return NewInt(int64(v.f)), nil
+			if x := v.f(); x == math.Trunc(x) {
+				return NewInt(int64(x)), nil
 			}
 		case Bool:
-			return NewInt(v.i), nil
+			return NewInt(v.i()), nil
 		case Text:
 			if n, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64); err == nil {
 				return NewInt(n), nil
@@ -678,7 +690,7 @@ func CoerceTo(v Value, t Type) (Value, error) {
 	case Real:
 		switch v.typ {
 		case Int:
-			return NewReal(float64(v.i)), nil
+			return NewReal(float64(v.i())), nil
 		case Text:
 			if f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64); err == nil {
 				return NewReal(f), nil
@@ -688,7 +700,7 @@ func CoerceTo(v Value, t Type) (Value, error) {
 		return NewText(v.String()), nil
 	case Bool:
 		if v.typ == Int {
-			return NewBool(v.i != 0), nil
+			return NewBool(v.i() != 0), nil
 		}
 	}
 	return Value{}, fmt.Errorf("sqlvalue: cannot coerce %s to %s", v.typ, t)

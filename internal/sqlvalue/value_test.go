@@ -456,7 +456,7 @@ func TestValueJSON(t *testing.T) {
 			t.Errorf("Marshal(%s) = %s, %v; want %s", c.v, b, err, c.js)
 		}
 		var got Value
-		if err := json.Unmarshal(b, &got); err != nil || got != c.back {
+		if err := json.Unmarshal(b, &got); err != nil || !same(got, c.back) {
 			t.Errorf("Unmarshal(%s) = %#v, %v; want %#v", b, got, err, c.back)
 		}
 	}
@@ -478,7 +478,7 @@ func TestValueJSON(t *testing.T) {
 		`1e19`:                 NewReal(1e19),
 	} {
 		var got Value
-		if err := got.UnmarshalJSON([]byte(js)); err != nil || got != want {
+		if err := got.UnmarshalJSON([]byte(js)); err != nil || !same(got, want) {
 			t.Errorf("UnmarshalJSON(%s) = %#v, %v; want %#v", js, got, err, want)
 		}
 	}
@@ -508,3 +508,8 @@ func TestFromAnyUnsigned(t *testing.T) {
 		t.Errorf("uint64 beyond int64 -> %v, want REAL %g", v, float64(big))
 	}
 }
+
+// same reports the same class and an identical payload: a decoded
+// value must be the REAL or the INTEGER the case names, not one that
+// equals it.
+func same(a, b Value) bool { return a.Type() == b.Type() && Identical(a, b) }
