@@ -90,7 +90,8 @@ timingguard:
 # into a full window, and deriving a window of statements that yield no
 # fact, must be exactly 0 allocs/op), the proxy's pooled encode path
 # end-to-end (history-free warm probe through wire encode of typed rows
-# must be exactly 0 allocs/op on the v2 surface), the proxy's trace of
+# must be exactly 0 allocs/op on the v2 surface), a warm v2 read through
+# dispatch and the inline path (pinned at its count, 14), the proxy's trace of
 # range reads (32 reads of 500 rows keep no row, only their counts, in
 # process and over pgwire), the engine's bound range read (the same count
 # for 50 rows as for 500, at most 4, and through a secondary index for 8
@@ -105,8 +106,8 @@ allocbudget:
 	$(GO) test -run 'TestWarmDecideAllocBudget|TestColdDecideAllocBudget|TestUnplannedStatementsBlock' -count=1 ./internal/checker
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceAppendWindowed|BenchmarkFactsWindowedScan' -benchmem -benchtime=100x ./internal/trace
 	$(GO) test -run 'TestTraceAllocBudget' -count=1 ./internal/trace
-	$(GO) test -run '^$$' -bench 'BenchmarkWarmEncode' -benchmem -benchtime=100x ./internal/proxy
-	$(GO) test -run 'TestWarmEncodeAllocBudget|TestRangeReadKeepsNoRows' -count=1 ./internal/proxy
+	$(GO) test -run '^$$' -bench 'BenchmarkWarmEncode|BenchmarkInlineRead' -benchmem -benchtime=100x ./internal/proxy
+	$(GO) test -run 'TestWarmEncodeAllocBudget|TestInlineReadAllocBudget|TestRangeReadKeepsNoRows' -count=1 ./internal/proxy
 	$(GO) test -run '^$$' -bench 'BenchmarkRangeScan' -benchmem -benchtime=100x ./internal/engine
 	$(GO) test -run 'TestScanAllocsConstant|TestInsertRowAllocs' -count=1 ./internal/engine
 	$(GO) test -run '^$$' -bench 'BenchmarkDataRow' -benchmem -benchtime=100x ./internal/pgwire

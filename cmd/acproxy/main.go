@@ -193,17 +193,20 @@ func main() {
 			ws.Appends, ws.Batches, ws.Fsyncs, ws.AppendedBytes, ws.Checkpoints, ws.CompactedSegments)
 	}
 
-	st := srv.StatsSnapshot()
+	// The banner reads the registry the -metrics endpoint serves.
+	reg := srv.MetricsRegistry()
+	n := func(name string) int64 { return reg.Counter(name).Value() }
 	fmt.Printf("acproxy: queries=%d decisions=%d allowed=%d blocked=%d violations=%d\n",
-		st.Queries, st.Decisions, st.Allowed, st.Blocked, st.Violations)
-	fmt.Printf("acproxy: decision cache: hits=%d (%.1f%%), %d templates resident\n",
-		st.CacheHits, 100*st.CacheHitRate, st.CacheEntries)
-	fmt.Printf("acproxy: fact cache: reused=%d translated=%d (%.1f%% hit rate)\n",
-		st.FactEntriesReused, st.FactEntriesTranslated, 100*st.FactCacheHitRate)
-	fmt.Printf("acproxy: latency: p50=%dµs p90=%dµs p99=%dµs mean=%.0fµs over %d queries\n",
-		st.LatencyP50Micros, st.LatencyP90Micros, st.LatencyP99Micros,
-		st.LatencyMeanMicros, st.LatencySamples)
-	fmt.Printf("acproxy: connections: total=%d rejected=%d canceled-requests=%d\n", st.TotalConns, st.RejectedConns, st.CanceledReqs)
+		n("proxy.queries"), n("checker.decisions"), n("checker.allowed"), n("checker.blocked"), n("proxy.violations"))
+	fmt.Printf("acproxy: decision cache: hits=%d, %d templates resident\n",
+		n("checker.cache.hits"), n("checker.cache.entries"))
+	fmt.Printf("acproxy: fact cache: reused=%d translated=%d\n",
+		n("proxy.factcache.reused"), n("proxy.factcache.translated"))
+	lat := reg.Histogram("proxy.query.micros").Snapshot()
+	fmt.Printf("acproxy: latency: p50=%dµs p90=%dµs p99=%dµs over the last %d queries; mean=%.0fµs over all %d\n",
+		lat.P50, lat.P90, lat.P99, lat.Samples, lat.Mean, lat.Count)
+	fmt.Printf("acproxy: connections: total=%d rejected=%d canceled-requests=%d\n",
+		n("proxy.conns.total"), n("proxy.conns.rejected"), n("proxy.reqs.canceled"))
 }
 
 // readPolicyFile loads a candidate policy file: one JSON object

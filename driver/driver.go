@@ -31,7 +31,6 @@ import (
 	sqldriver "database/sql/driver"
 	"fmt"
 	"net/url"
-	"strconv"
 	"strings"
 
 	"repro/internal/acerr"
@@ -110,29 +109,9 @@ func parseDSN(dsn string) (dsnConfig, error) {
 			cfg.session = v
 			continue
 		}
-		cfg.attrs[k] = typeAttr(v)
+		cfg.attrs[k] = proxy.TypeAttr(v)
 	}
 	return cfg, nil
-}
-
-// typeAttr types a DSN attribute string by affinity (int -> float ->
-// bool -> text), matching the pgwire listener's startup-parameter
-// typing so the same principal keys the same decisions on both
-// surfaces.
-func typeAttr(s string) any {
-	if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return v
-	}
-	if v, err := strconv.ParseFloat(s, 64); err == nil {
-		return v
-	}
-	switch strings.ToLower(s) {
-	case "true", "t":
-		return true
-	case "false", "f":
-		return false
-	}
-	return s
 }
 
 // Connector dials and binds sessions; it is safe for concurrent use

@@ -5,6 +5,7 @@ import (
 	"database/sql"
 	"errors"
 	"fmt"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -255,5 +256,25 @@ func TestDurableSessionDSN(t *testing.T) {
 	var eid int64
 	if err := db.QueryRow("SELECT EId FROM Attendance WHERE UId = ?", 1).Scan(&eid); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAttrTyping: a DSN attribute is typed as pgwire types an attr.*
+// startup parameter or an untyped parameter (proxy.TypeAttr; the same
+// table is in internal/pgwire), so one principal keys the same
+// decisions on both surfaces.
+func TestAttrTyping(t *testing.T) {
+	for in, want := range map[string]string{
+		"1": "int64 1", "-7": "int64 -7", "2.0": "float64 2", "1e3": "float64 1000",
+		"NaN": "float64 NaN", "t": "bool true", "FALSE": "bool false",
+		"0x10": "string 0x10", "": "string ",
+	} {
+		cfg, err := parseDSN("127.0.0.1:7781?A=" + url.QueryEscape(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%T %v", cfg.attrs["A"], cfg.attrs["A"]); got != want {
+			t.Errorf("DSN attribute %q: %s, want %s", in, got, want)
+		}
 	}
 }

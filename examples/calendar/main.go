@@ -68,8 +68,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("proxy stats: %d queries, %d allowed, %d blocked, %d cache hits\n",
-		st.Queries, st.Allowed, st.Blocked, st.CacheHits)
+	fmt.Printf("proxy stats: %v queries, %v allowed, %v blocked, %v cache hits\n",
+		st["proxy.queries"], st["checker.allowed"], st["checker.blocked"], st["checker.cache.hits"])
 
 	// Example 3.1: extract the policy from the handler code and
 	// compare with the operator's hand-written one.

@@ -102,6 +102,7 @@ func TestAdmissionStoresSecondSighting(t *testing.T) {
 	if n := c.cache.Len(); n != 32 {
 		t.Fatalf("a stored key must evict one: %d entries, want 32", n)
 	}
+	entriesCounted(t, c)
 	if d := decideEId(t, c, sel, 7, tr); !d.FromCache || d.Tier != TierHistFree {
 		t.Fatalf("third sighting: tier %q, from cache %v; want a histfree hit", d.Tier, d.FromCache)
 	}
@@ -136,10 +137,12 @@ func TestAdmissionUnconditionalAfterResetCache(t *testing.T) {
 	if err := p.Add("VAllEvents", "SELECT * FROM Events"); err != nil {
 		t.Fatal(err)
 	}
+	entriesCounted(t, c)
 	c.ResetCache()
 	if n := c.cache.Len(); n != 0 {
 		t.Fatalf("%d entries of the dead epoch still held after ResetCache", n)
 	}
+	entriesCounted(t, c)
 	declined := c.mDeclined.Value()
 	decideEId(t, c, sel, 7, nil)
 	if d := decideEId(t, c, sel, 7, nil); !d.FromCache {
@@ -147,6 +150,16 @@ func TestAdmissionUnconditionalAfterResetCache(t *testing.T) {
 	}
 	if c.mDeclined.Value() != declined {
 		t.Fatal("admission declined a store into a cache with room")
+	}
+	entriesCounted(t, c)
+}
+
+// entriesCounted fails unless checker.cache.entries counts the entries
+// the decision cache holds.
+func entriesCounted(t *testing.T, c *Checker) {
+	t.Helper()
+	if got, want := c.Metrics().Counter("checker.cache.entries").Value(), int64(c.cache.Len()); got != want {
+		t.Fatalf("checker.cache.entries = %d, the cache holds %d", got, want)
 	}
 }
 

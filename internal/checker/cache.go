@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obsv"
 )
 
 // decisionCache is a sharded, bounded, approximately-LRU cache of
@@ -24,6 +26,9 @@ type decisionCache struct {
 	perShard int           // capacity per shard
 	clock    atomic.Uint64 // global recency counter
 	shards   [cacheShards]cacheShard
+	// entries counts the resident entries (checker.cache.entries): +1
+	// where one is stored beside the others, -1 where one is dropped.
+	entries *obsv.Counter
 }
 
 const (
@@ -54,13 +59,14 @@ type cacheEntry struct {
 }
 
 // newDecisionCache builds a cache holding at most total entries
-// overall (rounded up to a multiple of the shard count).
-func newDecisionCache(total int) *decisionCache {
+// overall (rounded up to a multiple of the shard count), counting them
+// in entries.
+func newDecisionCache(total int, entries *obsv.Counter) *decisionCache {
 	per := (total + cacheShards - 1) / cacheShards
 	if per < 1 {
 		per = 1
 	}
-	c := &decisionCache{perShard: per}
+	c := &decisionCache{perShard: per, entries: entries}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*cacheEntry)
 	}
@@ -119,7 +125,8 @@ func (c *decisionCache) Put(key []byte, d Decision) bool {
 	sh := c.shardOf(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, exists := sh.m[string(key)]; !exists && len(sh.m) >= c.perShard {
+	_, exists := sh.m[string(key)]
+	if !exists && len(sh.m) >= c.perShard {
 		if !sh.seen(h, c.perShard) {
 			return false
 		}
@@ -138,6 +145,10 @@ func (c *decisionCache) Put(key []byte, d Decision) bool {
 			}
 		}
 		delete(sh.m, victim)
+		c.entries.Add(-1)
+	}
+	if !exists {
+		c.entries.Inc()
 	}
 	if len(d.Views) > 0 {
 		d.Views = append([]string(nil), d.Views...)
@@ -187,6 +198,7 @@ func (c *decisionCache) dropEpochs(live func(epoch uint64) bool) {
 		for k := range sh.m {
 			if len(k) < 8 || !live(binary.BigEndian.Uint64([]byte(k[:8]))) {
 				delete(sh.m, k)
+				c.entries.Add(-1)
 			}
 		}
 		sh.mu.Unlock()

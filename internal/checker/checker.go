@@ -213,7 +213,7 @@ func NewWithOptions(p *policy.Policy, opts Options) *Checker {
 		opts.Metrics = obsv.NewRegistry()
 	}
 	c := &Checker{
-		cache: newDecisionCache(opts.CacheSize),
+		cache: newDecisionCache(opts.CacheSize, opts.Metrics.Counter("checker.cache.entries")),
 		tr:    &cq.Translator{Schema: p.Schema},
 		gen:   make(map[string]map[string]genEntry),
 		reg:   opts.Metrics,

@@ -36,25 +36,19 @@ func (w *GenWorld) Rand() *rand.Rand { return w.g.rng }
 // Schema declares the world's relations, r<i>(c0 .. c<arity-1>).
 func (w *GenWorld) Schema(tb testing.TB) *schema.Schema { return w.g.schema(tb) }
 
-// Checker is a checker enforcing the world's generated views, over pol's
-// schema.
-func (w *GenWorld) Checker(pol *policy.Policy) *Checker {
-	c := New(pol)
-	c.vers.Store(&versionTable{active: &polVersion{epoch: 1, fp: "gen", comp: compilePolicy("gen", w.gc.views), pol: pol}})
-	return c
-}
+// Checker is a checker enforcing the world's policy over sch.
+func (w *GenWorld) Checker(sch *schema.Schema) *Checker { return New(w.Policy(sch)) }
 
 // Policy is the world's generated views as a policy over sch, each its
-// own named view: the views Checker enforces but those with an atom of
-// the wrong arity or a head variable no atom binds, which no view
-// translated from SQL has.
+// own named view. Some have an atom of the wrong arity or a head
+// variable no atom binds, which no view translated from SQL has: the
+// checker leaves those out.
 func (w *GenWorld) Policy(sch *schema.Schema) *policy.Policy {
 	return viewsPolicy(sch, w.gc.views)
 }
 
 // DrawPolicy draws a fresh policy over the world's relations, its views
-// drawn and named (V0, V1, ...) as the world's own are, and filtered as
-// Policy filters them.
+// drawn and named (V0, V1, ...) as the world's own are.
 func (w *GenWorld) DrawPolicy(sch *schema.Schema) *policy.Policy {
 	var views []*cq.Query
 	for i, n := 0, 1+w.g.rng.Intn(8); i < n; i++ {
@@ -65,24 +59,7 @@ func (w *GenWorld) DrawPolicy(sch *schema.Schema) *policy.Policy {
 
 func viewsPolicy(sch *schema.Schema, views []*cq.Query) *policy.Policy {
 	p := &policy.Policy{Schema: sch}
-next:
 	for _, q := range views {
-		bound := map[string]bool{}
-		for _, a := range q.Atoms {
-			if tb, _ := sch.Table(a.Table); len(tb.Columns) != len(a.Args) {
-				continue next
-			}
-			for _, t := range a.Args {
-				if t.IsVar() {
-					bound[t.Name] = true
-				}
-			}
-		}
-		for _, t := range q.Head {
-			if t.IsVar() && !bound[t.Name] {
-				continue next
-			}
-		}
 		p.Views = append(p.Views, &policy.View{Name: q.Name, SQL: q.String(), CQs: cq.UCQ{q}})
 	}
 	return p

@@ -1,8 +1,9 @@
-// Package pipeline_test tests the checker's decide stage table from
-// outside the checker: only through its exported API and the
-// pipeline.decide.* metrics and spans it publishes (DESIGN.md §9.1,
-// §9.2). The table itself lives in internal/checker/stages.go.
-package pipeline_test
+// The checker's decide stage table, tested from outside the checker:
+// only through its exported API and the pipeline.decide.* metrics and
+// spans it publishes (DESIGN.md §9.1, §9.2). The table itself lives in
+// stages.go.
+
+package checker_test
 
 import (
 	"context"

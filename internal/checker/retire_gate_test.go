@@ -59,11 +59,10 @@ func gateCase(t *testing.T, seed int64, st *gateStats) {
 	w := checker.NewGenWorld(seed)
 	rng := w.Rand()
 	sch := w.Schema(t)
-	pol := policy.MustNew(sch, nil)
 	wr := newWriter(w, sch)
 	db := wr.seeded()
-	srv := proxy.NewServer(db, w.Checker(pol), proxy.Enforce)
-	ref := w.Checker(pol)
+	srv := proxy.NewServer(db, w.Checker(sch), proxy.Enforce)
+	ref := w.Checker(sch)
 
 	users := drawUsers(w)
 	var steps []string

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/cq"
 	"repro/internal/policy"
 )
 
@@ -67,7 +68,15 @@ var ErrNoCandidate = errors.New("checker: no candidate policy staged")
 // event, never per decision.
 func (c *Checker) compilePol(p *policy.Policy) *compiledPolicy {
 	start := time.Now()
-	comp := compilePolicy(p.Fingerprint(), p.Disjuncts(nil))
+	// A malformed disjunct reveals nothing (cq.Query.WellFormed), so
+	// leaving it out only tightens; no view translated from SQL is one.
+	var views []*cq.Query
+	for _, q := range p.Disjuncts(nil) {
+		if q.WellFormed(p.Schema) {
+			views = append(views, q)
+		}
+	}
+	comp := compilePolicy(p.Fingerprint(), views)
 	c.mCompile.Observe(time.Since(start).Microseconds())
 	return comp
 }

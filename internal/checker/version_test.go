@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/cq"
 	"repro/internal/policy"
+	"repro/internal/schema"
 	"repro/internal/sqlparser"
 	"repro/internal/sqlvalue"
 	"repro/internal/trace"
@@ -280,5 +282,38 @@ func TestShadowWithHistoryTrace(t *testing.T) {
 	}
 	if sd.Kind != DivergeTighten {
 		t.Fatalf("want tighten, got %q", sd.Kind)
+	}
+}
+
+// TestMalformedViewsLeftOut: a view with an atom of the wrong arity, or
+// with a head or comparison variable no atom binds, reveals nothing
+// (cq.Evaluate gives it no rows), so the checker enforces the policy
+// without it. Here V4's head variable x9 is bound by no atom; enforcing
+// V4 allowed the read, which FindCounterexample then refuted.
+func TestMalformedViewsLeftOut(t *testing.T) {
+	sch := schema.NewBuilder().Table("r0").
+		NotNullCol("c0", sqlvalue.Int).NotNullCol("c1", sqlvalue.Int).PK("c0").Done().MustBuild()
+	v4 := &cq.Query{
+		Name: "V4",
+		Head: []cq.Term{cq.V("x1"), cq.V("x9")},
+		Atoms: []cq.Atom{
+			{Table: "r0", Args: []cq.Term{cq.V("x1"), cq.V("x2")}},
+			{Table: "r0", Args: []cq.Term{cq.V("x3"), cq.V("x4")}},
+		},
+	}
+	wrongArity := &cq.Query{
+		Name:  "V5",
+		Head:  []cq.Term{cq.V("x1")},
+		Atoms: []cq.Atom{{Table: "r0", Args: []cq.Term{cq.V("x1")}}},
+	}
+	for _, q := range []*cq.Query{v4, wrongArity} {
+		if q.WellFormed(sch) {
+			t.Fatalf("%s is malformed over %s", q, sch)
+		}
+		pol := &policy.Policy{Schema: sch, Views: []*policy.View{{Name: q.Name, SQL: q.String(), CQs: cq.UCQ{q}}}}
+		sel := sqlparser.MustParseSelect("SELECT t0.c0 FROM r0 t0 WHERE t0.c0 <= t0.c0")
+		if d := New(pol).CheckCold(context.Background(), sel, sqlparser.NoArgs, nil, nil); d.Allowed {
+			t.Errorf("%s: allowed (%s), want blocked: the view reveals nothing", q, d.Reason)
+		}
 	}
 }

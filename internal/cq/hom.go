@@ -362,8 +362,23 @@ func Minimize(q *Query) *Query {
 	}
 }
 
-// headSafe reports whether every head variable still appears in some
-// atom (a query whose head variable is unbound is not well-formed).
+// WellFormed reports whether q is a view a policy over s can enforce:
+// each atom names a table of s with that table's arity, and every head
+// and comparison variable is bound by an atom (headSafe). A view
+// translated from SQL always is. Evaluate gives any other view no rows,
+// so leaving it out of a policy can only tighten.
+func (q *Query) WellFormed(s *schema.Schema) bool {
+	for _, a := range q.Atoms {
+		if t, ok := s.Table(a.Table); !ok || len(t.Columns) != len(a.Args) {
+			return false
+		}
+	}
+	return headSafe(q)
+}
+
+// headSafe reports whether every head and comparison variable still
+// appears in some atom (a query where one is unbound is not
+// well-formed).
 func headSafe(q *Query) bool {
 	inAtoms := make(map[string]bool)
 	for _, a := range q.Atoms {

@@ -172,6 +172,7 @@ type Log struct {
 	mFsyncMicros  *obsv.Histogram
 	mBatchRecords *obsv.Histogram
 	mAppends      *obsv.Counter
+	mAppendBytes  *obsv.Counter
 	mFsyncs       *obsv.Counter
 }
 
@@ -253,6 +254,7 @@ func OpenLog(dir string, opts Options) (*Log, error) {
 	l.mFsyncMicros = reg.Histogram("durable.fsync.micros")
 	l.mBatchRecords = reg.Histogram("durable.batch.records")
 	l.mAppends = reg.Counter("durable.appends")
+	l.mAppendBytes = reg.Counter("durable.appended.bytes")
 	l.mFsyncs = reg.Counter("durable.fsyncs")
 	if err := l.rotateLocked(); err != nil {
 		return nil, err
@@ -402,6 +404,7 @@ func (l *Log) commit(buf []byte) error {
 	}
 	l.size += int64(len(buf))
 	l.appendedBytes.Add(int64(len(buf)))
+	l.mAppendBytes.Add(int64(len(buf)))
 	switch l.opts.Fsync {
 	case FsyncAlways:
 		return l.syncLocked()

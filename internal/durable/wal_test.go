@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obsv"
 	"repro/internal/sqlparser"
 	"repro/internal/sqlvalue"
 	"repro/internal/trace"
@@ -64,7 +65,9 @@ func testOpts() Options {
 
 func TestAppendRecoverRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(dir, testOpts())
+	opts := testOpts()
+	opts.Metrics = obsv.NewRegistry()
+	m, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +95,14 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 	}
 	if err := m.SetPolicy(PolicyID{Fingerprint: "fp-1", Views: map[string]string{"v": "SELECT id FROM events"}, DBHash: 42}); err != nil {
 		t.Fatal(err)
+	}
+	// The registry twins the log's own counters.
+	st := m.Log().Stats()
+	if got := opts.Metrics.Counter("durable.appends").Value(); got != st.Appends || got == 0 {
+		t.Fatalf("durable.appends = %d, the log counted %d", got, st.Appends)
+	}
+	if got := opts.Metrics.Counter("durable.appended.bytes").Value(); got != st.AppendedBytes || got == 0 {
+		t.Fatalf("durable.appended.bytes = %d, the log counted %d", got, st.AppendedBytes)
 	}
 	if err := m.Log().Close(); err != nil { // close WITHOUT checkpoint: recovery reads raw segments
 		t.Fatal(err)

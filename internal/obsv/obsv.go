@@ -32,8 +32,9 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing atomic counter. A nil Counter
-// is a valid no-op instrument.
+// Counter is an atomic counter. Most only rise; one that counts what
+// is resident (cache entries, open connections) also falls, by Add with
+// a negative d. A nil Counter is a valid no-op instrument.
 type Counter struct {
 	v atomic.Int64
 }

@@ -148,19 +148,14 @@ func TestSpanSetThroughContext(t *testing.T) {
 	ss.Record("bind", 3*time.Microsecond)
 	ss.Record("cover", 5*time.Microsecond)
 	ss.Record("bind", 2*time.Microsecond) // accumulates
-	ss.SetTier("template")
 	m := ss.Micros()
 	if m["bind"] != 5 || m["cover"] != 5 {
 		t.Fatalf("micros = %v", m)
 	}
-	if ss.Tier() != "template" {
-		t.Fatalf("tier = %q", ss.Tier())
-	}
 	// Nil SpanSet is a no-op.
 	var nilSS *SpanSet
 	nilSS.Record("x", time.Second)
-	nilSS.SetTier("histfree")
-	if nilSS.Micros() != nil || nilSS.Tier() != "" {
+	if nilSS.Micros() != nil {
 		t.Fatal("nil SpanSet must be inert")
 	}
 }

@@ -21,7 +21,6 @@ type SpanSet struct {
 	mu    sync.Mutex
 	names []string
 	us    []int64
-	tier  string
 }
 
 type spanKey struct{}
@@ -58,27 +57,6 @@ func (s *SpanSet) Record(name string, d time.Duration) {
 	s.names = append(s.names, name)
 	s.us = append(s.us, us)
 	s.mu.Unlock()
-}
-
-// SetTier notes which cache tier answered the operation ("histfree",
-// "template", or "" for a cold decision). No-op on a nil receiver.
-func (s *SpanSet) SetTier(t string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.tier = t
-	s.mu.Unlock()
-}
-
-// Tier returns the answering cache tier; empty on nil or cold.
-func (s *SpanSet) Tier() string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tier
 }
 
 // Micros returns the recorded spans as a name→microseconds map, in

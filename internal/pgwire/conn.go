@@ -249,7 +249,7 @@ func (c *conn) startup(base context.Context) bool {
 	for k, v := range params {
 		switch {
 		case strings.HasPrefix(k, "attr."):
-			attrs[strings.TrimPrefix(k, "attr.")] = parseAttrValue(v)
+			attrs[strings.TrimPrefix(k, "attr.")] = proxy.TypeAttr(v)
 		case k == "session":
 			durableName = v
 		}
@@ -370,18 +370,19 @@ func (c *conn) execStatement(base context.Context, kw, sql string, args []any, s
 	mark := len(c.out)
 	c.nrows = 0
 	ctx, done := c.statementCtx(base)
-	resp := c.srv.px.HandleInCtx(ctx, &proxy.Request{Op: "query", SQL: sql, Args: args, Sink: c.frameRow}, c.sess)
+	req := proxy.Request{Op: "query", SQL: sql, Args: args, Sink: c.frameRow}
+	resp := c.srv.px.HandleInCtx(ctx, &req, c.sess)
 	done()
 
 	if resp.Blocked {
 		c.failTx()
-		c.out = appendErrorResponse(c.out[:mark], acerr.SQLStateBlocked,
-			"blocked by policy: "+resp.Reason)
+		c.out = appendStatementError(c.out[:mark], acerr.SQLStateBlocked,
+			"blocked by policy: "+resp.Reason, req.RID)
 		return false
 	}
 	if resp.Error != "" {
 		c.failTx()
-		c.out = appendErrorResponse(c.out[:mark], acerr.SQLStateFor(resp.Code), resp.Error)
+		c.out = appendStatementError(c.out[:mark], acerr.SQLStateFor(resp.Code), resp.Error, req.RID)
 		return false
 	}
 
@@ -688,5 +689,5 @@ func decodeTextParam(s string, oid int32) (any, error) {
 	case oidText, oidVarchar:
 		return s, nil
 	}
-	return parseAttrValue(s), nil
+	return proxy.TypeAttr(s), nil
 }

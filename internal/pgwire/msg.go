@@ -205,11 +205,22 @@ func appendParameterDescription(b []byte, oids []int32) []byte {
 // always ERROR: the listener never kills the connection for statement
 // errors, matching server behaviour.
 func appendErrorResponse(b []byte, sqlstate, message string) []byte {
+	return appendStatementError(b, sqlstate, message, 0)
+}
+
+// appendStatementError is appendErrorResponse for a statement the proxy
+// answered: a Detail field, "request <rid>", names its request id
+// (proxy.Request.RID), which the slow-log and shadow-diff lines of the
+// same statement carry. rid 0 adds no Detail.
+func appendStatementError(b []byte, sqlstate, message string, rid uint64) []byte {
 	b, at := begin(b, 'E')
 	b = cstr(append(b, 'S'), "ERROR")
 	b = cstr(append(b, 'V'), "ERROR")
 	b = cstr(append(b, 'C'), sqlstate)
 	b = cstr(append(b, 'M'), message)
+	if rid != 0 {
+		b = append(strconv.AppendUint(append(b, "Drequest "...), rid, 10), 0)
+	}
 	return finish(append(b, 0), at)
 }
 

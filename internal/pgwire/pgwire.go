@@ -27,7 +27,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"net"
-	"strings"
 	"sync"
 
 	"repro/internal/acerr"
@@ -89,23 +88,4 @@ func (s *Server) cancelByKey(pid, secret int32) {
 		return
 	}
 	c.cancelCurrent()
-}
-
-// parseAttrValue types a startup-parameter string by affinity:
-// int -> float -> bool -> text, mirroring how the v2 protocol's JSON
-// attributes arrive typed.
-func parseAttrValue(s string) any {
-	if v, err := parseInt(s); err == nil {
-		return v
-	}
-	if v, err := parseFloat(s); err == nil {
-		return v
-	}
-	switch strings.ToLower(s) {
-	case "true", "t":
-		return true
-	case "false", "f":
-		return false
-	}
-	return s
 }

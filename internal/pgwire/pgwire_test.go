@@ -701,7 +701,7 @@ func refusal(t *testing.T, addr string) string {
 func waitNoConns(t *testing.T, px *proxy.Server, after string) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for px.StatsSnapshot().ActiveConns != 0 {
+	for px.MetricsRegistry().Counter("proxy.conns.active").Value() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("a connection is still held 2s after %s", after)
 		}
@@ -753,15 +753,15 @@ func TestSharedConnectionLimit(t *testing.T) {
 	}
 }
 
-// TestConnCountersCountPgwire: proxy.conns.total and ActiveConns count
-// pgwire connections.
+// TestConnCountersCountPgwire: proxy.conns.total and proxy.conns.active
+// count pgwire connections.
 func TestConnCountersCountPgwire(t *testing.T) {
 	px := testProxy(t, proxy.Enforce)
 	addr := listen(t, px)
 	a := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
 	b := dialPg(t, addr, map[string]string{"attr.MyUId": "2"})
-	if st := px.StatsSnapshot(); st.ActiveConns != 2 {
-		t.Fatalf("ActiveConns = %d with two pgwire clients, want 2", st.ActiveConns)
+	if n := px.MetricsRegistry().Counter("proxy.conns.active").Value(); n != 2 {
+		t.Fatalf("proxy.conns.active = %d with two pgwire clients, want 2", n)
 	}
 	if n := px.MetricsRegistry().Counter("proxy.conns.total").Value(); n != 2 {
 		t.Fatalf("proxy.conns.total = %d after two pgwire dials, want 2", n)
@@ -873,4 +873,24 @@ func TestBindNegativeParamCount(t *testing.T) {
 	pc.sendSync()
 	pc.wantViolationThenClose()
 	wantCommandTag(t, dialPg(t, addr, map[string]string{"attr.MyUId": "1"}).query("SELECT EId FROM Attendance WHERE UId = 1"), "SELECT 1")
+}
+
+// TestAttrTyping: an untyped (OID 0) parameter is typed as an attr.*
+// startup parameter and a driver DSN attribute are (proxy.TypeAttr; the
+// same table is in driver), so one principal keys the same decisions on
+// every surface.
+func TestAttrTyping(t *testing.T) {
+	for in, want := range map[string]string{
+		"1": "int64 1", "-7": "int64 -7", "2.0": "float64 2", "1e3": "float64 1000",
+		"NaN": "float64 NaN", "t": "bool true", "FALSE": "bool false",
+		"0x10": "string 0x10", "": "string ",
+	} {
+		v, err := decodeTextParam(in, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%T %v", v, v); got != want {
+			t.Errorf("untyped parameter %q: %s, want %s", in, got, want)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/cq"
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/sqlvalue"
@@ -15,8 +16,10 @@ import (
 // Owner to the principal and Kind to a constant, declares (Owner, Kind);
 // every bundled fixture declares nothing, so serving them changes no
 // access path; a pinned REAL column and a column one view leaves
-// unpinned are dropped, and a key that leads with the pinned columns,
-// or that they hold whole, leaves its table without an index.
+// unpinned are dropped, a key that leads with the pinned columns, or
+// that they hold whole, leaves its table without an index, and a
+// malformed view (no SQL view is one), which the checker leaves out,
+// pins nothing.
 func TestIndexes(t *testing.T) {
 	cold := func(keyed ...string) *schema.Schema {
 		return schema.NewBuilder().Table("R00").
@@ -37,12 +40,22 @@ func TestIndexes(t *testing.T) {
 		}
 		return out
 	}
+	// Atoms of two arities, neither R00's, ahead of the cold views.
+	malformed := policy.MustNew(cold("Id"), coldViews)
+	malformed.Views = append([]*policy.View{{Name: "Bad", CQs: cq.UCQ{{
+		Head: []cq.Term{cq.V("a")},
+		Atoms: []cq.Atom{
+			{Table: "r00", Args: []cq.Term{cq.V("a")}},
+			{Table: "r00", Args: []cq.Term{cq.V("a"), cq.V("b"), cq.V("c")}},
+		},
+	}}}}, malformed.Views...)
 	cases := []struct {
 		name string
 		pol  *policy.Policy
 		want string
 	}{
 		{"cold shape", policy.MustNew(cold("Id"), coldViews), "map[R00:[Owner Kind]]"},
+		{"a malformed view", malformed, "map[R00:[Owner Kind]]"},
 		{"one view pins less", policy.MustNew(cold("Id"), withView("Mine", "SELECT Id FROM R00 WHERE Owner = ?MyUId")), "map[R00:[Owner]]"},
 		{"one view pins nothing", policy.MustNew(cold("Id"), withView("All", "SELECT Id FROM R00")), "map[]"},
 		{"key leads with another column", policy.MustNew(cold("Kind", "Id"), map[string]string{

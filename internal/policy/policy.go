@@ -137,9 +137,14 @@ func (p *Policy) Disjuncts(session map[string]sqlvalue.Value) []*cq.Query {
 // those a parameter pins in every atom first (no ordered range holds
 // what a REAL equality accepts: NaN equals every number under '='). A
 // table whose key leads with those columns, or lies among them, has none.
+// A malformed view, which the checker leaves out (cq.Query.WellFormed),
+// pins nothing.
 func (p *Policy) Indexes() map[string][]string {
 	pins := map[string][]cq.TermKind{} // per column, the least pin of any atom: KindVar < KindConst < KindParam
 	for _, q := range p.Disjuncts(nil) {
+		if !q.WellFormed(p.Schema) {
+			continue
+		}
 		for _, a := range q.Atoms {
 			pn, seen := pins[a.Table]
 			for i, t := range a.Args {

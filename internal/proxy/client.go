@@ -343,13 +343,15 @@ func (c *Client) Exec(ctx context.Context, sql string, args ...any) (int, error)
 	return c.def.Exec(ctx, sql, args...)
 }
 
-// Stats fetches server counters.
-func (c *Client) Stats(ctx context.Context) (*StatsBody, error) {
+// Stats fetches the server's metrics registry snapshot, as encoding/json
+// decodes it: each counter by name as a float64, each histogram as an
+// object of its HistogramSnapshot fields.
+func (c *Client) Stats(ctx context.Context) (map[string]any, error) {
 	resp, err := c.def.call(ctx, &Request{Op: "stats"})
 	if err != nil {
 		return nil, err
 	}
-	return resp.Stats, nil
+	return resp.Metrics, nil
 }
 
 // BatchItem is one statement of a Batch call.

@@ -197,7 +197,7 @@ func TestStalledReaderDropped(t *testing.T) {
 	}()
 	n := <-wrote
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.StatsSnapshot().ActiveConns != 0 {
+	for srv.mConnsActive.Value() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("connection still held 2s after its client stopped reading (%d requests written)", n)
 		}
@@ -333,14 +333,13 @@ func TestConcurrentMixedOps(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := srv.StatsSnapshot()
-	if st.Queries == 0 || st.TotalConns < 10 {
-		t.Errorf("stats after stress: %+v", st)
+	if q, total := srv.mQueries.Value(), srv.mConnsTotal.Value(); q == 0 || total < 10 {
+		t.Errorf("stats after stress: %d queries over %d connections", q, total)
 	}
 }
 
 // TestExtendedStats: the stats op exposes latency percentiles, cache
-// hit rates, fact-cache counters, and connection accounting.
+// counters, fact-cache counters, and connection accounting.
 func TestExtendedStats(t *testing.T) {
 	srv := testServer(t, Enforce)
 	quietLog(t, srv)
@@ -362,22 +361,23 @@ func TestExtendedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Queries != 4 || st.Decisions != 4 {
-		t.Fatalf("counters: %+v", st)
+	if metric(t, st, "proxy.queries") != 4 || metric(t, st, "checker.decisions") != 4 {
+		t.Fatalf("counters: %v", st)
 	}
-	if st.LatencySamples != 4 || st.LatencyP50Micros < 0 || st.LatencyP99Micros < st.LatencyP50Micros {
-		t.Errorf("latency: %+v", st)
+	lat := st["proxy.query.micros"].(map[string]any)
+	if lat["count"] != 4.0 || lat["samples"] != 4.0 || lat["p50"].(float64) < 0 || lat["p99"].(float64) < lat["p50"].(float64) {
+		t.Errorf("latency: %v", lat)
 	}
-	if st.FactEntriesTranslated == 0 {
-		t.Errorf("fact cache: expected translated entries, got %+v", st)
+	if metric(t, st, "proxy.factcache.translated") == 0 {
+		t.Errorf("fact cache: expected translated entries, got %v", st)
 	}
-	if st.FactEntriesReused == 0 || st.FactCacheHitRate <= 0 {
-		t.Errorf("fact cache: expected reuse across checks, got %+v", st)
+	if metric(t, st, "proxy.factcache.reused") == 0 {
+		t.Errorf("fact cache: expected reuse across checks, got %v", st)
 	}
-	if st.CacheHits == 0 || st.CacheHitRate <= 0 {
-		t.Errorf("decision cache: expected template hits, got %+v", st)
+	if metric(t, st, "checker.cache.hits") == 0 || metric(t, st, "checker.cache.entries") == 0 {
+		t.Errorf("decision cache: expected template hits and entries, got %v", st)
 	}
-	if st.ActiveConns != 1 || st.TotalConns != 1 {
-		t.Errorf("conn accounting: %+v", st)
+	if metric(t, st, "proxy.conns.active") != 1 || metric(t, st, "proxy.conns.total") != 1 {
+		t.Errorf("conn accounting: %v", st)
 	}
 }

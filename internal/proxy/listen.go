@@ -132,6 +132,7 @@ func (s *Server) acceptLoop(ctx context.Context, ln net.Listener, in Ingress) {
 			continue
 		}
 		s.conns[conn] = struct{}{}
+		s.mConnsActive.Inc()
 		s.wg.Add(1)
 		s.mu.Unlock()
 		go func() {
@@ -139,6 +140,7 @@ func (s *Server) acceptLoop(ctx context.Context, ln net.Listener, in Ingress) {
 			in.Serve(ctx, conn)
 			s.mu.Lock()
 			delete(s.conns, conn)
+			s.mConnsActive.Add(-1)
 			s.mu.Unlock()
 			conn.Close()
 		}()

@@ -201,7 +201,7 @@ func TestCancelAbortsSlowQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.CanceledReqs >= 1 {
+		if metric(t, st, "proxy.reqs.canceled") >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -271,13 +271,13 @@ func TestV1WireCompat(t *testing.T) {
 	if err := enc.Encode(Request{Op: "stats"}); err != nil {
 		t.Fatal(err)
 	}
-	if st := read(); !st.OK || st.ID != 0 || st.Stats == nil {
+	if st := read(); !st.OK || st.ID != 0 || st.Metrics == nil {
 		t.Fatalf("unnumbered stats: %+v", st)
 	}
 	if err := enc.Encode(Request{Op: "cancel"}); err != nil {
 		t.Fatal(err)
 	}
-	if c := read(); !c.OK || c.ID != 0 || c.Stats != nil || c.Rows != nil {
+	if c := read(); !c.OK || c.ID != 0 || c.Metrics != nil || c.Rows != nil {
 		t.Fatalf("unnumbered cancel: %+v", c)
 	}
 	if err := enc.Encode(Request{Op: "query", SQL: "SELECT EId FROM Attendance WHERE UId = 1"}); err != nil {

@@ -17,8 +17,8 @@ import (
 // candidate policy. The active verdict enforces; a disagreement — the
 // candidate would block what the active allows ("tighten") or allow
 // what it blocks ("loosen") — becomes a ShadowDiff record that goes to
-// the structured log, to any registered subscribers, and into a
-// bounded ring the "policy.diff" op polls. Promote swaps the candidate
+// the structured log and into a bounded ring the "policy.diff" op
+// polls. Promote swaps the candidate
 // in (its shadow-warmed caches come with it); Rollback discards it.
 // With a WAL open, every lifecycle step is also a durable record, so a
 // crash mid-trial restores both versions (see OpenDurable).
@@ -93,15 +93,6 @@ func (s *Server) RollbackPolicy() (checker.PolicyVersion, error) {
 	return pv, nil
 }
 
-// SubscribeShadow registers a callback invoked for every divergence
-// record, after it is sequenced and ringed. Callbacks run on the
-// query path — keep them fast or hand off. There is no unsubscribe.
-func (s *Server) SubscribeShadow(fn func(ShadowDiff)) {
-	s.shadowMu.Lock()
-	s.shadowSubs = append(s.shadowSubs, fn)
-	s.shadowMu.Unlock()
-}
-
 // ShadowDiffs returns the ringed divergence records with Seq > after
 // (oldest first) and the newest sequence issued so far.
 func (s *Server) ShadowDiffs(after uint64) (diffs []ShadowDiff, last uint64) {
@@ -140,8 +131,7 @@ func (s *Server) dualDecide(ctx context.Context, req *Request, sel *sqlparser.Se
 	return sd.Active
 }
 
-// recordDivergence sequences one diff record into the ring and fans it
-// out to the log and subscribers.
+// recordDivergence sequences one diff record into the ring and logs it.
 func (s *Server) recordDivergence(req *Request, sess *session, sd checker.ShadowDecision) {
 	s.mShadowDiverge.Inc()
 	switch sd.Kind {
@@ -151,6 +141,7 @@ func (s *Server) recordDivergence(req *Request, sess *session, sd checker.Shadow
 		s.mShadowLoosen.Inc()
 	}
 	diff := ShadowDiff{
+		RID:           req.RID,
 		SQL:           req.SQL,
 		Session:       sess.name,
 		ActiveAllowed: sd.Active.Allowed,
@@ -169,12 +160,8 @@ func (s *Server) recordDivergence(req *Request, sess *session, sd checker.Shadow
 		s.diffRing = s.diffRing[:len(s.diffRing)-1]
 	}
 	s.diffRing = append(s.diffRing, diff)
-	subs := s.shadowSubs
 	s.shadowMu.Unlock()
 	s.shadowDiffLog(&diff)
-	for _, fn := range subs {
-		fn(diff)
-	}
 }
 
 // shadowDiffLog emits one divergence as a single JSON line through

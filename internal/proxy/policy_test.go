@@ -180,32 +180,22 @@ func TestPolicyStageRejectsBadViews(t *testing.T) {
 	}
 }
 
-func TestShadowSubscriberAndServerAPI(t *testing.T) {
+func TestShadowServerAPI(t *testing.T) {
 	srv := testServer(t, Enforce)
 	cl := dialTest(t, srv)
 	ctx := context.Background()
 	if err := cl.Hello(ctx, map[string]any{"MyUId": 1}); err != nil {
 		t.Fatal(err)
 	}
-	got := make(chan ShadowDiff, 4)
-	srv.SubscribeShadow(func(d ShadowDiff) { got <- d })
 	if _, err := srv.StagePolicy(wideViews()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Query(ctx, "SELECT Title FROM Events"); !errors.Is(err, ErrBlocked) {
 		t.Fatalf("active policy still enforces: %v", err)
 	}
-	select {
-	case d := <-got:
-		if d.Kind != checker.DivergeLoosen {
-			t.Fatalf("subscriber diff: %+v", d)
-		}
-	default:
-		t.Fatal("subscriber did not receive the divergence")
-	}
 	diffs, last := srv.ShadowDiffs(0)
-	if len(diffs) != 1 || last != diffs[0].Seq {
-		t.Fatalf("ShadowDiffs: %d records, last %d", len(diffs), last)
+	if len(diffs) != 1 || last != diffs[0].Seq || diffs[0].Kind != checker.DivergeLoosen {
+		t.Fatalf("ShadowDiffs: %+v, last %d", diffs, last)
 	}
 	if _, err := srv.RollbackPolicy(); err != nil {
 		t.Fatal(err)

@@ -45,6 +45,8 @@ package proxy
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/sqlvalue"
 )
@@ -120,6 +122,12 @@ type Request struct {
 	// TimeoutMillis bounds this request's queueing plus execution; 0
 	// means no per-request deadline.
 	TimeoutMillis int64 `json:"timeoutMillis,omitempty"`
+	// RID is the server-minted request id of a statement, unique and
+	// increasing across every ingress of the Server; the slow log, shadow
+	// diffs and pgwire error details name it. It is minted where the
+	// statement enters (dispatch, statement) and never travels on the
+	// v2 wire.
+	RID uint64 `json:"-"`
 }
 
 // Response is one server message.
@@ -145,7 +153,9 @@ type Response struct {
 	// request's Sink took them; a kept trace entry shares them.
 	Rows     [][]sqlvalue.Value `json:"rows,omitempty"`
 	Affected int                `json:"affected,omitempty"`
-	Stats    *StatsBody         `json:"stats,omitempty"`
+	// Metrics, on a "stats" response, is the server's metrics registry
+	// snapshot (obsv.Registry.Snapshot): what acproxy -metrics serves.
+	Metrics map[string]any `json:"metrics,omitempty"`
 	// Policy reports the policy lifecycle state (policy.* ops).
 	Policy *PolicyBody `json:"policy,omitempty"`
 	// Batch holds sub-responses of a "batch" op, in request order.
@@ -186,12 +196,14 @@ type PolicyBody struct {
 
 // ShadowDiff is one dual-decide divergence: a live query the active
 // and candidate policies decided differently. Records stream to the
-// structured log and to subscribers, and a bounded ring retains the
-// most recent ones for policy.diff polling.
+// structured log, and a bounded ring retains the most recent ones for
+// policy.diff polling.
 type ShadowDiff struct {
 	// Seq orders diffs; the ring evicts oldest-first, so gaps in Seq
 	// tell a poller it missed records.
-	Seq     uint64 `json:"seq"`
+	Seq uint64 `json:"seq"`
+	// RID is the diverging statement's request id.
+	RID     uint64 `json:"rid"`
 	SQL     string `json:"sql"`
 	Session string `json:"session,omitempty"`
 	// Active / Shadow are the two verdicts; Kind classifies the
@@ -206,67 +218,26 @@ type ShadowDiff struct {
 	ShadowEpoch   uint64 `json:"shadowEpoch,omitempty"`
 }
 
-// StatsBody reports server counters over the wire: decision counts,
-// cache effectiveness (decision templates and the per-session
-// trace-fact cache), recent-window latency percentiles, and
-// connection accounting.
-type StatsBody struct {
-	Queries    int `json:"queries"`
-	Decisions  int `json:"decisions"`
-	Allowed    int `json:"allowed"`
-	Blocked    int `json:"blocked"`
-	CacheHits  int `json:"cacheHits"`
-	Violations int `json:"violations"` // log-only mode
-
-	// Cache effectiveness.
-	CacheHitRate          float64 `json:"cacheHitRate"`
-	CacheEntries          int     `json:"cacheEntries"`
-	FactEntriesReused     uint64  `json:"factEntriesReused"`
-	FactEntriesTranslated uint64  `json:"factEntriesTranslated"`
-	FactCacheHitRate      float64 `json:"factCacheHitRate"`
-
-	// Cold-path effectiveness: candidate policy views the compiled
-	// index searched vs pruned before any embedding search.
-	ColdViewsKept   int     `json:"coldViewsKept"`
-	ColdViewsPruned int     `json:"coldViewsPruned"`
-	ColdPruneRatio  float64 `json:"coldPruneRatio"`
-
-	// Latency over the recent-query window, in microseconds.
-	LatencyP50Micros  int64   `json:"latencyP50Micros"`
-	LatencyP90Micros  int64   `json:"latencyP90Micros"`
-	LatencyP99Micros  int64   `json:"latencyP99Micros"`
-	LatencyMeanMicros float64 `json:"latencyMeanMicros"`
-	LatencySamples    int     `json:"latencySamples"`
-
-	// Connection accounting.
-	ActiveConns   int `json:"activeConns"`
-	TotalConns    int `json:"totalConns"`
-	RejectedConns int `json:"rejectedConns"`
-	// CanceledReqs counts in-flight requests aborted by a "cancel"
-	// op.
-	CanceledReqs int `json:"canceledReqs,omitempty"`
-
-	// Inline fast path and the write path: queries executed on the
-	// read goroutine (warm lane-idle hits), warm probes that fell back
-	// to the lane queue, response frames encoded, and flush syscalls
-	// issued — frames/flushes is the write batching factor.
-	InlineHits   int `json:"inlineHits,omitempty"`
-	InlineBypass int `json:"inlineBypass,omitempty"`
-	WriteFrames  int `json:"writeFrames,omitempty"`
-	WriteFlushes int `json:"writeFlushes,omitempty"`
-
-	// Durability (WAL) accounting; zero / absent when the proxy runs
-	// without a WAL.
-	WALEnabled       bool  `json:"walEnabled,omitempty"`
-	WALAppends       int64 `json:"walAppends,omitempty"`
-	WALBatches       int64 `json:"walBatches,omitempty"`
-	WALFsyncs        int64 `json:"walFsyncs,omitempty"`
-	WALAppendedBytes int64 `json:"walAppendedBytes,omitempty"`
-	WALCheckpoints   int64 `json:"walCheckpoints,omitempty"`
-	// WALRecoveredSessions / WALRecoveredEntries report what the last
-	// Open replayed from disk.
-	WALRecoveredSessions int `json:"walRecoveredSessions,omitempty"`
-	WALRecoveredEntries  int `json:"walRecoveredEntries,omitempty"`
+// TypeAttr types an attribute that arrives as text by affinity: an
+// integer, else a float, else a boolean (true/t, false/f, any case),
+// else the text itself. pgwire types attr.* startup parameters and
+// untyped (OID 0) parameters with it, and the database/sql driver its
+// DSN attributes, so the same principal keys the same decisions on
+// every surface; the result decodes as a v2 JSON attribute does.
+func TypeAttr(s string) any {
+	if v, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return v
+	}
+	if v, err := strconv.ParseFloat(s, 64); err == nil {
+		return v
+	}
+	switch strings.ToLower(s) {
+	case "true", "t":
+		return true
+	case "false", "f":
+		return false
+	}
+	return s
 }
 
 // decodeValues converts JSON-decoded values to engine values.

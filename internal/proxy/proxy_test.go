@@ -132,8 +132,8 @@ func TestLogOnlyMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Violations != 1 {
-		t.Errorf("violations: %+v", st)
+	if metric(t, st, "proxy.violations") != 1 {
+		t.Errorf("violations: %v", st)
 	}
 }
 
@@ -234,8 +234,8 @@ func TestStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Queries != 2 || st.Allowed != 1 || st.Blocked != 1 {
-		t.Errorf("stats: %+v", st)
+	if metric(t, st, "proxy.queries") != 2 || metric(t, st, "checker.allowed") != 1 || metric(t, st, "checker.blocked") != 1 {
+		t.Errorf("stats: %v", st)
 	}
 }
 

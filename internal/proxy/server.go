@@ -107,12 +107,14 @@ type Server struct {
 	wal   *durable.Manager
 
 	// Shadow dual-decide state (policy.go): the bounded ring of recent
-	// divergence records a policy.diff polls, the monotone diff
-	// sequence, and subscriber callbacks. Guarded by shadowMu.
-	shadowMu   sync.Mutex
-	diffRing   []ShadowDiff
-	diffSeq    uint64
-	shadowSubs []func(ShadowDiff)
+	// divergence records a policy.diff polls and the monotone diff
+	// sequence. Guarded by shadowMu.
+	shadowMu sync.Mutex
+	diffRing []ShadowDiff
+	diffSeq  uint64
+
+	// nextRID mints request ids (Request.RID).
+	nextRID atomic.Uint64
 
 	// All counters and the query-latency histogram live in the obsv
 	// registry (resolved once by NewServer); the checker's quantile
@@ -122,6 +124,7 @@ type Server struct {
 	mQueries       *obsv.Counter
 	mViolations    *obsv.Counter
 	mConnsTotal    *obsv.Counter
+	mConnsActive   *obsv.Counter
 	mConnsRejected *obsv.Counter
 	mReqsCanceled  *obsv.Counter
 	mFactReused    *obsv.Counter
@@ -149,16 +152,17 @@ type Server struct {
 // NewServer builds a proxy server over the engine and checker, resolves
 // its instruments in the checker's registry, and declares in the engine
 // the secondary indexes the active policy pins. The server, the checker
-// and the engine so report into one registry: `stats` responses and an
-// acproxy -metrics endpoint see checker, proxy and engine instruments
-// side by side. A caller who wants a shared or a disabled registry gives
-// it to the checker.
+// and the engine so report into one registry, and a `stats` response is
+// its snapshot: the object an acproxy -metrics endpoint serves, with
+// checker, proxy and engine instruments side by side. A caller who
+// wants a shared or a disabled registry gives it to the checker.
 func NewServer(db *engine.DB, c *checker.Checker, mode Mode) *Server {
 	reg := c.Metrics()
 	s := &Server{DB: db, Checker: c, Mode: mode, conns: make(map[net.Conn]struct{}), reg: reg}
 	s.mQueries = reg.Counter("proxy.queries")
 	s.mViolations = reg.Counter("proxy.violations")
 	s.mConnsTotal = reg.Counter("proxy.conns.total")
+	s.mConnsActive = reg.Counter("proxy.conns.active")
 	s.mConnsRejected = reg.Counter("proxy.conns.rejected")
 	s.mReqsCanceled = reg.Counter("proxy.reqs.canceled")
 	s.mFactReused = reg.Counter("proxy.factcache.reused")
@@ -688,9 +692,10 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 // dispatch routes one request line. Control ops (cancel, stats) are
 // answered from the read loop — they must overtake the queued work
 // they report on or abort — and every one gets a reply, numbered or
-// not. Warm queries take the inline fast path (tryInlineQuery) when
-// their lane is idle. Everything else acquires a window slot (the
-// backpressure point) and joins its session lane.
+// not. A statement gets its request id here, so a read the inline fast
+// path (tryInlineQuery) leaves to its lane keeps it. Warm queries take
+// that path when their lane is idle. Everything else acquires a window
+// slot (the backpressure point) and joins its session lane.
 func (s *Server) dispatch(pc *pipeConn, req *Request) {
 	switch req.Op {
 	case "cancel":
@@ -699,11 +704,12 @@ func (s *Server) dispatch(pc *pipeConn, req *Request) {
 		releaseRequest(req)
 		return
 	case "stats":
-		pc.park(&Response{ID: req.ID, OK: true, Stats: s.StatsSnapshot()})
+		pc.park(&Response{ID: req.ID, OK: true, Metrics: s.reg.Snapshot()})
 		releaseRequest(req)
 		return
-	case "query":
-		if s.tryInlineQuery(pc, req) {
+	case "query", "exec":
+		req.RID = s.nextRID.Add(1)
+		if req.Op == "query" && s.tryInlineQuery(pc, req) {
 			return
 		}
 	}
@@ -717,7 +723,8 @@ func (s *Server) dispatch(pc *pipeConn, req *Request) {
 // trace-independent allow, answered by the history-free probe),
 // executing it right here on the read goroutine skips the window slot,
 // the queue handoff and the runner wakeup — the whole request is one
-// goroutine's straight-line code.
+// goroutine's straight-line code. It runs query's warm-only decision,
+// so an inline read is counted, timed and slow-logged as a queued one.
 // Reporting false means "not eligible, dispatch normally"; the request
 // is untouched in that case.
 //
@@ -726,13 +733,15 @@ func (s *Server) dispatch(pc *pipeConn, req *Request) {
 // is already in the write buffer, and while the reader executes inline
 // it cannot dispatch the session's next request. Cancellation needs no
 // registration — a "cancel" for this request cannot be read until the
-// inline execution has already finished. Requests with a per-request
-// timeout, and servers running a slow-log, a shadow trial, or with
-// enforcement off, all take the general path: those features need the
-// full query/dualDecide plumbing.
+// inline execution has already finished.
 func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
-	if req.TimeoutMillis != 0 || s.SlowLogThreshold > 0 ||
-		s.Mode == Off || s.Checker == nil || s.Checker.ShadowStaged() {
+	// Off's reads run on lane runners, and they are what
+	// enforce_overhead_x divides by on the v2 workloads (DESIGN.md §7);
+	// moving them is the benchmark's call. A staged candidate's half of
+	// a dual decide can go cold, which the read goroutine must not wait
+	// on. A per-request timeout needs the registered request context
+	// (beginRequest).
+	if s.Mode == Off || s.Checker.ShadowStaged() || req.TimeoutMillis != 0 {
 		return false
 	}
 	ln := pc.lane(req.SID)
@@ -741,25 +750,18 @@ func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
 	}
 	stmt, args, bad := s.prepare(req, ln.sess)
 	sel, ok := stmt.(*sqlparser.SelectStmt)
+	var r Response
+	if bad == nil && ok {
+		r, ok = s.query(pc.ctx, req, ln.sess, sel, args, true)
+	}
 	if bad != nil || !ok {
-		// The general path answers it.
+		// The general path answers it: a statement that is no read or
+		// does not prepare, or a decision that is not warm.
 		ln.releaseClaim()
 		return false
 	}
-	d, ok := s.Checker.CheckWarmBorrowed(sel, args, ln.sess.attrs)
-	if !ok {
-		// Cold or deep-tier decision: release the lane and let the
-		// general path decide (and count the miss) off the read
-		// goroutine.
-		ln.releaseClaim()
-		s.mInlineBypass.Inc()
-		return false
-	}
-	start := time.Now()
-	s.mQueries.Inc()
 	resp := acquireResponse()
-	*resp = s.finishQuery(pc.ctx, req, ln.sess, sel, args, d)
-	s.mQueryLat.Observe(time.Since(start).Microseconds())
+	*resp = r
 	resp.ID = req.ID
 	releaseRequest(req)
 	ln.releaseClaim()
@@ -811,7 +813,7 @@ func (s *Server) handle(ctx context.Context, req *Request, sess *session) Respon
 		return s.handleBatch(ctx, req, sess)
 
 	case "stats":
-		return Response{OK: true, Stats: s.StatsSnapshot()}
+		return Response{OK: true, Metrics: s.reg.Snapshot()}
 
 	case "policy.stage":
 		if _, err := s.StagePolicy(req.Views); err != nil {
@@ -840,65 +842,6 @@ func (s *Server) handle(ctx context.Context, req *Request, sess *session) Respon
 	return Response{Error: fmt.Sprintf("unknown op %q", req.Op), Code: acerr.CodeBadRequest}
 }
 
-// StatsSnapshot assembles the extended server counters: decision and
-// fact-cache hit rates, latency percentiles over the recent window,
-// and connection accounting.
-func (s *Server) StatsSnapshot() *StatsBody {
-	cs := s.Checker.Stats()
-	body := &StatsBody{
-		Queries:    int(s.mQueries.Value()),
-		Decisions:  cs.Decisions,
-		Allowed:    cs.Allowed,
-		Blocked:    cs.Blocked,
-		CacheHits:  cs.CacheHits,
-		Violations: int(s.mViolations.Value()),
-
-		CacheEntries:          cs.CacheEntries,
-		FactEntriesReused:     uint64(s.mFactReused.Value()),
-		FactEntriesTranslated: uint64(s.mFactTrans.Value()),
-
-		ColdViewsKept:   cs.ColdViewsKept,
-		ColdViewsPruned: cs.ColdViewsPruned,
-
-		TotalConns:    int(s.mConnsTotal.Value()),
-		RejectedConns: int(s.mConnsRejected.Value()),
-		CanceledReqs:  int(s.mReqsCanceled.Value()),
-
-		InlineHits:   int(s.mInlineHits.Value()),
-		InlineBypass: int(s.mInlineBypass.Value()),
-		WriteFrames:  int(s.mWriteFrames.Value()),
-		WriteFlushes: int(s.mWriteFlushes.Value()),
-	}
-	if cs.Decisions > 0 {
-		body.CacheHitRate = float64(cs.CacheHits) / float64(cs.Decisions)
-	}
-	if tot := body.FactEntriesReused + body.FactEntriesTranslated; tot > 0 {
-		body.FactCacheHitRate = float64(body.FactEntriesReused) / float64(tot)
-	}
-	if tot := cs.ColdViewsKept + cs.ColdViewsPruned; tot > 0 {
-		body.ColdPruneRatio = float64(cs.ColdViewsPruned) / float64(tot)
-	}
-	s.mu.Lock()
-	body.ActiveConns = len(s.conns)
-	wal := s.wal
-	s.mu.Unlock()
-	if wal != nil {
-		ws := wal.Stats()
-		body.WALEnabled = true
-		body.WALAppends = ws.Appends
-		body.WALBatches = ws.Batches
-		body.WALFsyncs = ws.Fsyncs
-		body.WALAppendedBytes = ws.AppendedBytes
-		body.WALCheckpoints = ws.Checkpoints
-		body.WALRecoveredSessions = wal.RecoveredSessionCount()
-		body.WALRecoveredEntries = wal.RecoveredEntryCount()
-	}
-	hs := s.mQueryLat.Snapshot()
-	body.LatencyP50Micros, body.LatencyP90Micros, body.LatencyP99Micros = hs.P50, hs.P90, hs.P99
-	body.LatencySamples, body.LatencyMeanMicros = int(hs.Count), hs.Mean
-	return body
-}
-
 func canceledResponse(ctx context.Context) Response {
 	return Response{
 		Error: fmt.Sprintf("canceled: %v", ctx.Err()),
@@ -908,13 +851,18 @@ func canceledResponse(ctx context.Context) Response {
 
 // statement is the one statement path: v2 "query", "exec" and "batch"
 // and pgwire simple and extended all enter it with raw SQL, and the
-// inline fast path shares its front half (prepare). The parsed
+// inline fast path shares its front half (prepare). A statement that
+// enters without a request id — a batch's sub-request, or one from
+// HandleInCtx (pgwire, in-process callers) — gets one here. The parsed
 // statement's type, not the op, picks the path: a SELECT is decided
 // and read (query); any other statement goes unbound, with the resolved
 // arguments, to the engine, which binds it once. Writes are not
 // decided: the paper controls data revelation (reads), and write
 // authorization stays in the app.
 func (s *Server) statement(ctx context.Context, req *Request, sess *session) Response {
+	if req.RID == 0 {
+		req.RID = s.nextRID.Add(1)
+	}
 	if ctx.Err() != nil {
 		return canceledResponse(ctx)
 	}
@@ -923,7 +871,8 @@ func (s *Server) statement(ctx context.Context, req *Request, sess *session) Res
 		return *bad
 	}
 	if sel, ok := stmt.(*sqlparser.SelectStmt); ok {
-		return s.query(ctx, req, sess, sel, args)
+		resp, _ := s.query(ctx, req, sess, sel, args, false)
+		return resp
 	}
 	_, n, err := s.DB.ExecStmt(stmt, args)
 	if err != nil {
@@ -965,16 +914,26 @@ func (s *Server) prepare(req *Request, sess *session) (sqlparser.Statement, sqlp
 // proxy.query.micros histogram; when SlowLogThreshold is set, a read
 // that overruns it emits one structured slow-decision line with the
 // verdict, the cache tier that answered, and the per-stage breakdown
-// collected through the request's SpanSet.
-func (s *Server) query(ctx context.Context, req *Request, sess *session, sel *sqlparser.SelectStmt, args sqlparser.Args) Response {
+// collected through the request's SpanSet. With warm set (the inline
+// fast path) it decides only from the warm tier (CheckWarmBorrowed): a
+// miss counts proxy.inline.bypass and reports false having counted
+// nothing else, and the read's lane then decides it in full.
+func (s *Server) query(ctx context.Context, req *Request, sess *session, sel *sqlparser.SelectStmt, args sqlparser.Args, warm bool) (Response, bool) {
 	start := time.Now()
+	var d checker.Decision
+	if warm {
+		var ok bool
+		if d, ok = s.Checker.CheckWarmBorrowed(sel, args, sess.attrs); !ok {
+			s.mInlineBypass.Inc()
+			return Response{}, false
+		}
+	}
 	s.mQueries.Inc()
 	var spans *obsv.SpanSet
 	if s.SlowLogThreshold > 0 {
 		ctx, spans = obsv.WithSpanSet(ctx)
 	}
-	var d checker.Decision
-	if s.Mode != Off {
+	if !warm && s.Mode != Off {
 		// The proxy reads no Decision.Views, so the zero-copy check is
 		// safe. With a candidate staged, the active verdict enforces.
 		if s.Checker.ShadowStaged() {
@@ -995,7 +954,7 @@ func (s *Server) query(ctx context.Context, req *Request, sess *session, sel *sq
 		s.mSlowQueries.Inc()
 		s.slowLog(req, &resp, d, elapsed, spans)
 	}
-	return resp
+	return resp, true
 }
 
 // slowLog emits one slow-decision record as a single JSON line through
@@ -1010,6 +969,7 @@ func (s *Server) slowLog(req *Request, resp *Response, d checker.Decision, elaps
 	}
 	rec := struct {
 		Event       string           `json:"event"`
+		RID         uint64           `json:"rid"`
 		SQL         string           `json:"sql"`
 		TotalMicros int64            `json:"totalMicros"`
 		Decision    string           `json:"decision"`
@@ -1018,6 +978,7 @@ func (s *Server) slowLog(req *Request, resp *Response, d checker.Decision, elaps
 		StageMicros map[string]int64 `json:"stageMicros,omitempty"`
 	}{
 		Event:       "slow_query",
+		RID:         req.RID,
 		SQL:         req.SQL,
 		TotalMicros: elapsed.Microseconds(),
 		Decision:    verdict,

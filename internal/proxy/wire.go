@@ -31,7 +31,7 @@ func appendString(buf []byte, s string) []byte {
 // ok=false when resp needs the reflective encoder (stats, policy,
 // batch, views, or an error payload).
 func appendResponse(buf []byte, resp *Response) ([]byte, bool) {
-	if resp.Error != "" || resp.Stats != nil || resp.Policy != nil || resp.Batch != nil || resp.Views != nil {
+	if resp.Error != "" || resp.Metrics != nil || resp.Policy != nil || resp.Batch != nil || resp.Views != nil {
 		return buf, false
 	}
 	buf = append(buf, '{')

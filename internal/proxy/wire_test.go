@@ -46,7 +46,7 @@ func TestWireEncodeResponseMatchesJSON(t *testing.T) {
 func TestWireEncodeResponseBailsOnComplex(t *testing.T) {
 	cases := []Response{
 		{ID: 1, Error: "boom"},
-		{ID: 2, OK: true, Stats: &StatsBody{}},
+		{ID: 2, OK: true, Metrics: map[string]any{}},
 		{ID: 3, OK: true, Batch: []Response{{OK: true}}},
 		{ID: 4, OK: true, Rows: [][]sqlvalue.Value{{sqlvalue.NewReal(math.NaN())}}},
 	}

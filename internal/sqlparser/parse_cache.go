@@ -8,27 +8,18 @@ import "sync"
 // memoizes parse results process-wide. Cached statements are SHARED:
 // callers must treat them as immutable templates — Bind and MapExprs
 // already deep-copy, which is how every evaluation path consumes them.
+// A text that fails to parse is not stored, so a stream of malformed
+// statements never displaces a template.
 
 const (
 	parseCacheShards    = 16
 	parseCachePerShard  = 512
 	parseCacheMaxSQLLen = 4096 // don't retain giant one-off statements
-
-	// parseErrCachePerShard bounds the separate negative cache. Parse
-	// errors MUST NOT share the statement-template budget: a stream of
-	// unique malformed SQL (a buggy client, a probing attacker) would
-	// otherwise evict every hot template and force the whole workload
-	// back through the parser (negative-cache poisoning + thrash).
-	parseErrCachePerShard = 64
 )
 
 type parseShard struct {
 	mu sync.Mutex
 	m  map[string]*parsed
-	// errs memoizes parse failures under its own small bound so
-	// repeated bad statements skip re-parsing without competing with
-	// hot templates for space.
-	errs map[string]error
 }
 
 var parseCache [parseCacheShards]parseShard
@@ -48,48 +39,23 @@ func parseShardFor(sql string) *parseShard {
 	return &parseCache[h%parseCacheShards]
 }
 
-func cachedParse(sql string) (*parsed, error, bool) {
+func cachedParse(sql string) (*parsed, bool) {
 	if len(sql) > parseCacheMaxSQLLen {
-		return nil, nil, false
+		return nil, false
 	}
 	sh := parseShardFor(sql)
 	sh.mu.Lock()
 	p, ok := sh.m[sql]
-	if !ok {
-		var err error
-		if err, ok = sh.errs[sql]; ok {
-			sh.mu.Unlock()
-			return nil, err, true
-		}
-		sh.mu.Unlock()
-		return nil, nil, false
-	}
 	sh.mu.Unlock()
-	return p, nil, true
+	return p, ok
 }
 
-func storeParse(sql string, p *parsed, err error) {
+func storeParse(sql string, p *parsed) {
 	if len(sql) > parseCacheMaxSQLLen {
 		return
 	}
 	sh := parseShardFor(sql)
 	sh.mu.Lock()
-	if err != nil {
-		// Failures go to the separate bounded negative cache so they can
-		// never displace a hot statement template.
-		if sh.errs == nil {
-			sh.errs = make(map[string]error, parseErrCachePerShard)
-		}
-		if len(sh.errs) >= parseErrCachePerShard {
-			for k := range sh.errs {
-				delete(sh.errs, k)
-				break
-			}
-		}
-		sh.errs[sql] = err
-		sh.mu.Unlock()
-		return
-	}
 	if sh.m == nil {
 		sh.m = make(map[string]*parsed, parseCachePerShard)
 	}
@@ -119,16 +85,16 @@ func ParseNorm(src string) (Statement, error) {
 // ParseNeeds is ParseNorm returning the statement's Needs too, cached
 // with it: a repeat of a text walks nothing.
 func ParseNeeds(src string) (Statement, Needs, error) {
-	if p, err, ok := cachedParse(src); ok {
-		if err != nil {
-			return nil, Needs{}, err
-		}
+	if p, ok := cachedParse(src); ok {
 		return p.stmt, p.needs, nil
 	}
 	stmt, err := Parse(src)
+	if err != nil {
+		return nil, Needs{}, err
+	}
 	p := &parsed{stmt, NeedsOf(stmt)}
-	storeParse(src, p, err)
-	return p.stmt, p.needs, err
+	storeParse(src, p)
+	return p.stmt, p.needs, nil
 }
 
 // ParseSelectNorm is ParseNorm requiring a SELECT, with the same

@@ -6,8 +6,18 @@ import (
 	"testing"
 
 	"repro/internal/cq"
+	"repro/internal/obsv"
 	"repro/internal/schema"
 )
+
+// counted attaches fresh fact-cache counters to tr (CountInto) and
+// returns them: entries reused and entries translated.
+func counted(tr *Trace) (reused, translated *obsv.Counter) {
+	reg := obsv.NewRegistry()
+	reused, translated = reg.Counter("reused"), reg.Counter("translated")
+	tr.CountInto(reused, translated)
+	return reused, translated
+}
 
 // fromScratch derives the facts of tr's current entries in a fresh
 // trace, which carries no memo over.
@@ -60,6 +70,7 @@ func TestIncrementalFactsMatchUncached(t *testing.T) {
 func TestFactCacheIsIncremental(t *testing.T) {
 	s := calSchema(t)
 	tr := &Trace{}
+	reused, translated := counted(tr)
 	for i := 0; i < 10; i++ {
 		tr.Append(entry(fmt.Sprintf("SELECT 1 FROM Attendance WHERE UId=1 AND EId=%d", i), iv(1)))
 	}
@@ -67,14 +78,13 @@ func TestFactCacheIsIncremental(t *testing.T) {
 	tr.Facts(s)
 	tr.Append(entry("SELECT 1 FROM Attendance WHERE UId=1 AND EId=99", iv(1)))
 	tr.Facts(s)
-	st := tr.FactCacheStats()
-	if st.Translated != 11 {
-		t.Errorf("translated %d entries, want 11 (each exactly once)", st.Translated)
+	if n := translated.Value(); n != 11 {
+		t.Errorf("translated %d entries, want 11 (each exactly once)", n)
 	}
 	// Second call reuses 10, third call reuses 10 more (before
 	// translating the new entry).
-	if st.Reused != 20 {
-		t.Errorf("reused %d entries, want 20", st.Reused)
+	if n := reused.Value(); n != 20 {
+		t.Errorf("reused %d entries, want 20", n)
 	}
 }
 
@@ -84,15 +94,15 @@ func TestFactCacheRebuildsOnSchemaChange(t *testing.T) {
 	s1 := calSchema(t)
 	s2 := calSchema(t) // structurally equal, distinct identity
 	tr := &Trace{}
+	_, translated := counted(tr)
 	tr.Append(entry("SELECT 1 FROM Attendance WHERE UId=1 AND EId=2", iv(1)))
 	f1 := tr.Facts(s1)
 	f2 := tr.Facts(s2)
 	if len(f1) != 1 || len(f2) != 1 {
 		t.Fatalf("facts: %v / %v", f1, f2)
 	}
-	st := tr.FactCacheStats()
-	if st.Translated != 2 {
-		t.Errorf("schema switch must rebuild: translated=%d, want 2", st.Translated)
+	if n := translated.Value(); n != 2 {
+		t.Errorf("schema switch must rebuild: translated=%d, want 2", n)
 	}
 }
 
@@ -115,6 +125,7 @@ func TestFactsReturnedSliceIsPrivate(t *testing.T) {
 func TestConcurrentFactsAndAppend(t *testing.T) {
 	s := calSchema(t)
 	tr := &Trace{}
+	_, translated := counted(tr)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(2)
@@ -135,9 +146,8 @@ func TestConcurrentFactsAndAppend(t *testing.T) {
 	if got := len(tr.Facts(s)); got != 100 {
 		t.Fatalf("expected 100 facts after concurrent appends, got %d", got)
 	}
-	st := tr.FactCacheStats()
-	if st.Translated != 100 {
-		t.Errorf("each entry should be translated exactly once, got %d", st.Translated)
+	if n := translated.Value(); n != 100 {
+		t.Errorf("each entry should be translated exactly once, got %d", n)
 	}
 }
 
@@ -199,12 +209,13 @@ func TestCloneRebuildsLazily(t *testing.T) {
 	tr.Append(entry("SELECT 1 FROM Attendance WHERE UId=1 AND EId=2", iv(1)))
 	orig := tr.Facts(s)
 	cp := tr.Clone()
+	reused, translated := counted(cp)
 	got := cp.Facts(s)
 	if len(got) != len(orig) || got[0].String() != orig[0].String() {
 		t.Fatalf("clone facts: %v, want %v", got, orig)
 	}
-	if st := cp.FactCacheStats(); st.Translated != 1 {
-		t.Errorf("clone should rebuild from scratch: %+v", st)
+	if translated.Value() != 1 || reused.Value() != 0 {
+		t.Errorf("clone should rebuild from scratch: reused %d, translated %d", reused.Value(), translated.Value())
 	}
 }
 

@@ -92,9 +92,8 @@ type Trace struct {
 	// hook, when set, observes every Append with the entry's absolute
 	// index (see SetHook).
 	hook func(idx uint64, e *Entry)
-	// Cache counters: entries whose derivation was reused vs freshly
-	// derived (FactCacheStats), also added to the two of CountInto.
-	reused, translated   uint64
+	// Cache counters (CountInto): entries whose derivation was reused
+	// vs freshly derived.
 	reusedC, translatedC *obsv.Counter
 }
 
@@ -120,14 +119,6 @@ type factCache struct {
 	// facts[:checked] were usable at clock sequence at (retire).
 	at      uint64
 	checked int
-}
-
-// FactCacheStats reports the incremental fact cache's effectiveness:
-// Reused counts entries whose derived facts were served from cache,
-// Translated counts entries that had to be derived.
-type FactCacheStats struct {
-	Reused     uint64
-	Translated uint64
 }
 
 // Append records a query and its observed result. The entry must not
@@ -282,19 +273,14 @@ func (t *Trace) String() string {
 }
 
 // CountInto adds the trace's fact-cache counts from now on to two
-// counters as well (nil counts nothing). A server attaches its totals
-// once, when it builds the trace, so a shared trace counts once.
+// counters (nil counts nothing): reused, the entries whose derived facts
+// a derivation served from the cache, and translated, the entries it
+// had to derive. A server attaches its totals once, when it builds the
+// trace, so a shared trace counts once.
 func (t *Trace) CountInto(reused, translated *obsv.Counter) {
 	t.mu.Lock()
 	t.reusedC, t.translatedC = reused, translated
 	t.mu.Unlock()
-}
-
-// FactCacheStats returns the cache counters.
-func (t *Trace) FactCacheStats() FactCacheStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return FactCacheStats{Reused: t.reused, Translated: t.translated}
 }
 
 // Facts derives ground facts from the trace, incrementally: entries
@@ -335,10 +321,8 @@ func (t *Trace) FactsKeyed(tr *cq.Translator) ([]cq.Fact, []string) {
 	for i := n; i < len(t.entries); i++ {
 		fc.add(d.derive(&t.entries[i]), t.entries[i].ReadSeq)
 	}
-	t.reused += uint64(n)
 	t.reusedC.Add(int64(n))
 	if k := len(t.entries) - n; k > 0 {
-		t.translated += uint64(k)
 		t.translatedC.Add(int64(k))
 	}
 	if fc.stale {

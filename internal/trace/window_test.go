@@ -147,6 +147,7 @@ func TestRestoreInvalidatesFactCache(t *testing.T) {
 func TestEvictionKeepsFactsOfSurvivors(t *testing.T) {
 	s := calSchema(t)
 	tr := &Trace{}
+	_, translated := counted(tr)
 	tr.SetWindow(3)
 	tr.Append(probeEntry(1, 1))
 	tr.Append(probeEntry(1, 2))
@@ -164,8 +165,8 @@ func TestEvictionKeepsFactsOfSurvivors(t *testing.T) {
 	if got := fmt.Sprint(Facts(s, tr)); got != fmt.Sprint(want) {
 		t.Fatalf("facts after the second eviction: %s, want %s", got, want)
 	}
-	if st := tr.FactCacheStats(); st.Translated != 5 {
-		t.Fatalf("derived %d entries, want 5 (each once)", st.Translated)
+	if n := translated.Value(); n != 5 {
+		t.Fatalf("derived %d entries, want 5 (each once)", n)
 	}
 }
 
@@ -194,13 +195,14 @@ func TestEvictionInterleavings(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tr := &Trace{}
+		_, counter := counted(tr)
 		tr.SetWindow(1 + rng.Intn(4))
 		si, last := 0, 0 // the schema in use, and the one last derived under
 		// derived[i] reports whether the i-th entry of the window was
 		// derived under schemas[last]; translated is what the trace's
 		// counter should read.
 		var derived []bool
-		var translated uint64
+		var translated int64
 		var held []cq.Fact
 		var heldKeys, was []string
 		for step := 0; step < 60; step++ {
@@ -219,6 +221,7 @@ func TestEvictionInterleavings(t *testing.T) {
 				derived = make([]bool, len(entries)+1)
 			case r < 16:
 				tr = tr.Clone()
+				_, counter = counted(tr)
 				translated = 0
 				derived = make([]bool, tr.Len())
 				held = nil
@@ -245,8 +248,8 @@ func TestEvictionInterleavings(t *testing.T) {
 			got, gotKeys := tr.FactsKeyed(&cq.Translator{Schema: schemas[si]})
 			want, wantKeys := fromScratch(tr, schemas[si])
 			sameFacts(t, what, got, gotKeys, want, wantKeys)
-			if st := tr.FactCacheStats(); st.Translated != translated {
-				t.Fatalf("%s: derived %d entries in all, want %d", what, st.Translated, translated)
+			if n := counter.Value(); n != translated {
+				t.Fatalf("%s: derived %d entries in all, want %d", what, n, translated)
 			}
 			for i, f := range held {
 				if f.String() != was[i] || heldKeys[i] != was[i] {

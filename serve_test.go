@@ -571,14 +571,14 @@ func TestNamedParamsBindFromSession(t *testing.T) {
 	if got := v2Line(t, r, c, `{"op":"exec","sql":"`+own+`"}`); !got.OK || got.Blocked || rows(got) != rows(want) {
 		t.Errorf("v2 exec %q: %+v, want its rows %s", own, got, rows(want))
 	}
-	decisions := func() int { return v2Line(t, r, c, `{"op":"stats"}`).Stats.Decisions }
+	decisions := func() any { return v2Line(t, r, c, `{"op":"stats"}`).Metrics["checker.decisions"] }
 	before := decisions()
 	const nobody = "SELECT EId FROM Attendance WHERE UId = ?Nobody"
 	if got := v2Line(t, r, c, `{"op":"query","sql":"`+nobody+`"}`); got.OK || got.Blocked || got.Code != acerr.CodeBadRequest {
 		t.Errorf("v2 %q: %+v, want code %s", nobody, got, acerr.CodeBadRequest)
 	}
 	if after := decisions(); after != before {
-		t.Errorf("v2 %q: decisions %d before, %d after; want none counted", nobody, before, after)
+		t.Errorf("v2 %q: decisions %v before, %v after; want none counted", nobody, before, after)
 	}
 
 	pc := pgDial(t, svc.PgAddr(), map[string]string{"attr.MyUId": "1"})
