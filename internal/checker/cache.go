@@ -3,6 +3,7 @@ package checker
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,11 +11,14 @@ import (
 )
 
 // decisionCache is a sharded, bounded, approximately-LRU cache of
-// decision templates. Reads take only a shard RLock plus one atomic
-// store; writes lock one shard. Eviction is sampled LRU (Redis-style):
-// when a shard is full, a handful of entries are sampled and the least
-// recently used one is dropped — bounded memory without a global list
-// to serialize on.
+// decision templates, one entry per template identity (the
+// history-free key, appendCacheKey). An entry holds the template's
+// history-free verdict and the history-dependent allows decided under
+// it, each beside its justification (cacheEntry). Reads take only a
+// shard RLock plus one atomic store; writes lock one shard. Eviction
+// is sampled LRU (Redis-style): when a shard is full, a handful of
+// entries are sampled and the least recently used one is dropped —
+// bounded memory without a global list to serialize on.
 //
 // A full shard admits only keys that come back (TinyLFU's doorkeeper,
 // Einziger et al. 2017): a key it does not hold is stored only if its
@@ -53,9 +57,57 @@ type cacheShard struct {
 	recorded int // hashes recorded in door since it was last cleared
 }
 
+// cacheEntry is one template's cached decisions. Views are copied on
+// the way in (Put, Justify) and, unless borrowed, on the way out.
 type cacheEntry struct {
-	d    Decision      // Views copied on the way in and out; see GetBytes/Put
+	// d is the template's history-free verdict: an allow, which holds
+	// under every trace, or a denial, the marker that the template needs
+	// facts.
+	d Decision
+	// just lists allows decided on facts, oldest first, at most
+	// maxJustified. Justify replaces the list whole under the shard's
+	// write lock; probes load it without a lock.
+	just atomic.Pointer[[]justified]
 	used atomic.Uint64 // last-touch tick from decisionCache.clock
+}
+
+// justified is an allow decided on facts, under its justification J:
+// the interned ids (factID) of the session-generalized facts its cover
+// used, sorted. The cover over J alone decides d, and coverage is
+// monotone in the facts, so d answers every check of the template whose
+// usable facts include J.
+type justified struct {
+	ids []uint64
+	d   Decision
+}
+
+// maxJustified bounds the allows an entry keeps under justifications.
+const maxJustified = 4
+
+// justifiedBy returns the first allow whose justification is among ids,
+// the session's usable facts, or nil. It renders, sorts and allocates
+// nothing: J is a handful of ids, each looked up by a scan.
+func (e *cacheEntry) justifiedBy(ids []uint64) *justified {
+	p := e.just.Load()
+	if p == nil {
+		return nil
+	}
+	for i := range *p {
+		if j := &(*p)[i]; subset(j.ids, ids) {
+			return j
+		}
+	}
+	return nil
+}
+
+// subset reports whether every id of j is in ids.
+func subset(j, ids []uint64) bool {
+	for _, x := range j {
+		if !slices.Contains(ids, x) {
+			return false
+		}
+	}
+	return true
 }
 
 // newDecisionCache builds a cache holding at most total entries
@@ -73,10 +125,12 @@ func newDecisionCache(total int, entries *obsv.Counter) *decisionCache {
 	return c
 }
 
-// keyHash is the key's FNV-1a hash. Its top bits pick the shard
-// (shardOf) and the doorkeeper's probes (seen): FNV-1a mixes every byte
-// into its high bits, while its low bits see only the low bits of each
-// byte, so keys whose ids step by two would reach half the shards.
+// keyHash is the key's FNV-1a hash, finished by MurmurHash3's 64-bit
+// mixer. Its top bits pick the shard (shardOf) and the doorkeeper's
+// probes (seen). FNV-1a's low bits see only the low bits of each byte,
+// and the last bytes reach its top bits only through carries, so keys
+// that differ in a trailing id would crowd a few shards; the mixer
+// spreads every bit over all of them.
 func keyHash(key []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -87,48 +141,52 @@ func keyHash(key []byte) uint64 {
 		h ^= uint64(b)
 		h *= prime64
 	}
-	return h
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }
 
 func (c *decisionCache) shardOf(h uint64) *cacheShard { return &c.shards[h>>(64-shardBits)] }
 
-// GetBytes probes with the key still in a scratch buffer — the map
-// lookup uses the compiler's no-copy []byte→string indexing, so a warm
-// probe allocates nothing. The key is compared in full: two different
-// keys never share an entry. copyViews true returns a defensive copy of
-// Views (cached templates are shared across principals, and a caller
-// mutating d.Views must not corrupt later hits); false returns the
-// cache-owned slice (borrowed: read-only, stable until ResetCache).
-func (c *decisionCache) GetBytes(key []byte, copyViews bool) (Decision, bool) {
+// Get returns the entry under key, or nil. It probes with the key
+// still in a scratch buffer — the map lookup uses the compiler's
+// no-copy []byte→string indexing, so a warm probe allocates nothing.
+// The key is compared in full: two different keys never share an
+// entry. The entry's decisions are shared across principals: a caller
+// hands out a copy of their Views (hitDecision) or borrows them
+// read-only, stable until ResetCache.
+func (c *decisionCache) Get(key []byte) *cacheEntry {
 	sh := c.shardOf(keyHash(key))
 	sh.mu.RLock()
-	e, ok := sh.m[string(key)]
+	e := sh.m[string(key)]
 	sh.mu.RUnlock()
-	if !ok {
-		return Decision{}, false
+	if e != nil {
+		e.used.Store(c.clock.Add(1))
 	}
-	e.used.Store(c.clock.Add(1))
-	d := e.d
-	if copyViews && len(d.Views) > 0 {
-		d.Views = append([]string(nil), d.Views...)
-	}
-	return d, true
+	return e
 }
 
-// Put offers a decision template and reports whether it was stored.
-// A shard with room stores it; a full one stores it only at its second
-// sighting (see decisionCache), evicting a sampled-LRU victim. The key
-// and Views are copied only when the template is stored, so the
-// caller's scratch and slice stay private.
-func (c *decisionCache) Put(key []byte, d Decision) bool {
+// Put offers a template's history-free verdict and returns the entry
+// holding it, or nil when admission declined it. A key already held
+// keeps its entry, with the allows stored under it: the verdict is a
+// function of the key. A shard with room stores; a full one stores only
+// at the key's second sighting (see decisionCache), evicting a
+// sampled-LRU victim. The key and Views are copied only when the
+// template is stored, so the caller's scratch and slice stay private.
+func (c *decisionCache) Put(key []byte, d Decision) *cacheEntry {
 	h := keyHash(key)
 	sh := c.shardOf(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, exists := sh.m[string(key)]
-	if !exists && len(sh.m) >= c.perShard {
+	if e := sh.m[string(key)]; e != nil {
+		e.used.Store(c.clock.Add(1))
+		return e
+	}
+	if len(sh.m) >= c.perShard {
 		if !sh.seen(h, c.perShard) {
-			return false
+			return nil
 		}
 		// Sample a few entries (map iteration order is pseudorandom)
 		// and drop the least recently used.
@@ -147,16 +205,48 @@ func (c *decisionCache) Put(key []byte, d Decision) bool {
 		delete(sh.m, victim)
 		c.entries.Add(-1)
 	}
-	if !exists {
-		c.entries.Inc()
+	c.entries.Inc()
+	e := &cacheEntry{d: ownViews(d)}
+	e.used.Store(c.clock.Add(1))
+	sh.m[string(key)] = e
+	return e
+}
+
+// Justify stores an allow decided on facts under its justification ids
+// (sorted) in the entry under key, dropping the entry's oldest allow
+// past maxJustified, and reports whether an entry was there to take it.
+// ids are copied.
+func (c *decisionCache) Justify(key []byte, ids []uint64, d Decision) bool {
+	sh := c.shardOf(keyHash(key))
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e := sh.m[string(key)]
+	if e == nil {
+		return false
 	}
+	var old []justified
+	if p := e.just.Load(); p != nil {
+		old = *p
+	}
+	for i := range old {
+		if slices.Equal(old[i].ids, ids) {
+			return true // a concurrent decision of the same check stored it
+		}
+	}
+	if len(old) == maxJustified {
+		old = old[1:]
+	}
+	list := append(slices.Clip(old), justified{ids: slices.Clone(ids), d: ownViews(d)})
+	e.just.Store(&list)
+	return true
+}
+
+// ownViews returns d with its own copy of Views.
+func ownViews(d Decision) Decision {
 	if len(d.Views) > 0 {
 		d.Views = append([]string(nil), d.Views...)
 	}
-	e := &cacheEntry{d: d}
-	e.used.Store(c.clock.Add(1))
-	sh.m[string(key)] = e
-	return true
+	return d
 }
 
 // seen reports whether the doorkeeper has recorded h since it was last

@@ -77,7 +77,11 @@ const (
 	TierFront = "front"
 	// TierHistFree marks a history-free decision-template hit.
 	TierHistFree = "histfree"
-	// TierTemplate marks a full (trace-keyed) decision-template hit.
+	// TierTemplate marks a decision-template hit that looked at the
+	// session's facts: an allow stored under a justification (the facts
+	// its proof used) that is among the session's usable facts, or, when
+	// the session has no usable facts, the template's history-free
+	// verdict.
 	TierTemplate = "template"
 )
 
@@ -150,10 +154,11 @@ const genCacheMax = 1 << 16
 const maxHomsPerView = 64
 
 // genEntry is one memoized fact generalization: the rewritten fact
-// plus its canonical string (reused for decision-cache keys).
+// plus the id its canonical string is interned as (factID), which
+// justifications name it by.
 type genEntry struct {
-	f   cq.Fact
-	key string
+	f  cq.Fact
+	id uint64
 }
 
 // Checker vets queries against a policy.
@@ -176,10 +181,15 @@ type Checker struct {
 	// rendered session signature → raw fact canonical string → entry.
 	// Both levels are indexed by converted bytes or shared strings, so
 	// a memo hit allocates nothing. genN counts total inner entries for
-	// the epoch-reset bound.
-	genMu sync.RWMutex
-	gen   map[string]map[string]genEntry
-	genN  int
+	// the epoch-reset bound. genIDs interns each generalized fact's
+	// canonical string as an id from lastGenID, a counter never reset:
+	// the map resets with the memo, and an id it forgot is never issued
+	// again, so a justification naming it only misses.
+	genMu     sync.RWMutex
+	gen       map[string]map[string]genEntry
+	genN      int
+	genIDs    map[string]uint64
+	lastGenID uint64
 
 	// Observability: the stage table (stages.go) plus named obsv
 	// instruments, resolved once here so the hot path never touches
@@ -213,10 +223,11 @@ func NewWithOptions(p *policy.Policy, opts Options) *Checker {
 		opts.Metrics = obsv.NewRegistry()
 	}
 	c := &Checker{
-		cache: newDecisionCache(opts.CacheSize, opts.Metrics.Counter("checker.cache.entries")),
-		tr:    &cq.Translator{Schema: p.Schema},
-		gen:   make(map[string]map[string]genEntry),
-		reg:   opts.Metrics,
+		cache:  newDecisionCache(opts.CacheSize, opts.Metrics.Counter("checker.cache.entries")),
+		tr:     &cq.Translator{Schema: p.Schema},
+		gen:    make(map[string]map[string]genEntry),
+		genIDs: make(map[string]uint64),
+		reg:    opts.Metrics,
 	}
 	reg := c.reg
 	c.mDecisions = reg.Counter("checker.decisions")
@@ -301,12 +312,15 @@ func (c *Checker) ResetCache() {
 	c.installActive(c.Policy())
 }
 
-// store offers a decision template to the cache, counting a store that
-// admission turned down.
-func (c *Checker) store(key []byte, d Decision) {
-	if !c.cache.Put(key, d) {
+// store offers a template's history-free verdict to the cache and
+// returns the entry holding it, counting a store that admission turned
+// down (nil).
+func (c *Checker) store(key []byte, d Decision) *cacheEntry {
+	e := c.cache.Put(key, d)
+	if e == nil {
 		c.mDeclined.Inc()
 	}
+	return e
 }
 
 // dropDeadEpochs frees the decision cache of entries that no resident
@@ -428,12 +442,14 @@ func (c *Checker) generalizeFactMemo(f cq.Fact, rawKey string, session map[strin
 		return e, true
 	}
 	g := generalizeFact(f, session)
-	e = genEntry{f: g, key: g.String()}
+	key := g.String()
 	c.genMu.Lock()
 	if c.genN >= genCacheMax {
 		c.gen = make(map[string]map[string]genEntry)
+		c.genIDs = make(map[string]uint64)
 		c.genN = 0
 	}
+	e = genEntry{f: g, id: c.factIDLocked(key)}
 	inner := c.gen[string(sig)]
 	if inner == nil {
 		inner = make(map[string]genEntry)
@@ -445,6 +461,19 @@ func (c *Checker) generalizeFactMemo(f cq.Fact, rawKey string, session map[strin
 	inner[rawKey] = e
 	c.genMu.Unlock()
 	return e, false
+}
+
+// factIDLocked returns the id a generalized fact's canonical string is
+// interned as, issuing the next one for a string the map does not hold.
+// Callers hold genMu for writing.
+func (c *Checker) factIDLocked(key string) uint64 {
+	id, ok := c.genIDs[key]
+	if !ok {
+		c.lastGenID++
+		id = c.lastGenID
+		c.genIDs[key] = id
+	}
+	return id
 }
 
 // generalized returns the term a constant is written as in a decision

@@ -37,9 +37,10 @@ import (
 // censuses memoized by the decision; sc is the decision's pooled
 // search scratch. Callers must check ctx.Err() before caching the
 // result: a cancellation mid-search yields a decision that must not
-// be stored.
+// be stored. An allow leaves its justification in sc.just.
 func (c *Checker) coverAll(ctx context.Context, comp *compiledPolicy, tpl []*cq.Query, occs []cq.Census, facts []cq.Fact, sc *coverScratch) Decision {
 	sc.used = sc.used[:0]
+	sc.just = sc.just[:0]
 	for i, q := range tpl {
 		res := c.coverDisjunct(ctx, sc, comp, q, &occs[i], facts)
 		if ctx.Err() != nil {
@@ -121,6 +122,16 @@ type coverScratch struct {
 
 	m    matcher
 	used []string // views picked so far by this coverAll
+	// just is the justification J of an allow, as indices into facts,
+	// with repeats: the facts the search's proof used. Per disjunct, the
+	// negative fact that made it vacuous, or the facts that fact-covered
+	// its atoms, the fact atoms of each pick's embedding, and those of
+	// every embedding a view counted if it reached maxHomsPerView. The
+	// search over J alone (in the same order) finds the same picks, so
+	// it decides the same allow: facts outside J only add embeddings,
+	// dropping facts keeps the order of the embeddings that remain, and
+	// every embedding that picked, or filled a view's cap, lands on J.
+	just []int32
 }
 
 // release drops every reference the scratch holds, keeping capacity.
@@ -132,6 +143,7 @@ func (sc *coverScratch) release() {
 	sc.comp, sc.q, sc.occ, sc.facts = nil, nil, nil, nil
 	clear(sc.used)
 	sc.used = sc.used[:0]
+	sc.just = sc.just[:0]
 	sc.m.release()
 }
 
@@ -148,7 +160,10 @@ type matcher struct {
 	v      *compiledView
 	vi     int32
 	slots  []*cq.Term // slot -> the target term it is bound to
-	images []int32    // view atom -> query atom it landed on, -1 for a fact atom
+	images []int32    // view atom -> query atom it landed on, or ^i for fact i
+	// capFacts collects the fact atoms of the view's counted embeddings:
+	// if the view reaches its cap they join the justification.
+	capFacts []int32
 	// touchAfter[i]: some view atom at or after i agrees with some query
 	// atom on every pinned position, so a branch that has only touched
 	// facts so far can still reach the query.
@@ -238,6 +253,7 @@ func (c *Checker) coverDisjunct(ctx context.Context, sc *coverScratch, comp *com
 	for _, a := range q.Atoms {
 		for i := range facts {
 			if f := &facts[i]; f.Negated && f.Atom.Table == a.Table && atomInstanceOf(a, f.Atom, m.cs) {
+				sc.just = append(sc.just, int32(i))
 				return coverResult{ok: true}
 			}
 		}
@@ -246,7 +262,11 @@ func (c *Checker) coverDisjunct(ctx context.Context, sc *coverScratch, comp *com
 	// Fact-covered atoms: fully ground atoms whose row is known. Every
 	// other atom needs a covering view.
 	for ai, a := range q.Atoms {
-		sc.need[ai] = !factCovered(a, facts)
+		fi := factCovering(a, facts)
+		sc.need[ai] = fi < 0
+		if fi >= 0 {
+			sc.just = append(sc.just, int32(fi))
+		}
 	}
 	m.resetAcc()
 	if m.remaining == 0 {
@@ -311,17 +331,18 @@ func (c *Checker) coverDisjunct(ctx context.Context, sc *coverScratch, comp *com
 	return coverResult{ok: true}
 }
 
-// factCovered reports whether a is fully ground and a known row.
-func factCovered(a cq.Atom, facts []cq.Fact) bool {
+// factCovering returns the index of the first positive fact that is a,
+// when a is fully ground and a known row, else -1.
+func factCovering(a cq.Atom, facts []cq.Fact) int {
 	if !atomGround(a) {
-		return false
+		return -1
 	}
 	for i := range facts {
 		if f := &facts[i]; !f.Negated && atomsEqual(a, f.Atom) {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // eqTouched reports whether an equality among the disjunct's
@@ -484,6 +505,7 @@ func (m *matcher) setView(vi int32) {
 	m.v, m.vi, m.count = v, vi, 0
 	m.slots = resized(m.slots, len(v.slotVars))
 	m.images = resized(m.images, len(v.atoms))
+	m.capFacts = m.capFacts[:0]
 }
 
 // runView enumerates view vi's embeddings that touch the query, in
@@ -508,6 +530,9 @@ func (m *matcher) runView(vi int32) (done bool) {
 		}
 	}
 	m.embed(0, false)
+	if m.count >= maxHomsPerView {
+		m.sc.just = append(m.sc.just, m.capFacts...)
+	}
 	return m.remaining == 0
 }
 
@@ -538,7 +563,7 @@ func (m *matcher) embed(i int, touched bool) (stop bool) {
 		if rel != ap.rel || !m.bind(ap, sc.facts[fi].Atom.Args) {
 			continue
 		}
-		m.images[i] = -1
+		m.images[i] = ^int32(fi)
 		if m.embed(i+1, touched) {
 			return true
 		}
@@ -593,8 +618,19 @@ func (m *matcher) leaf() (stop bool) {
 		}
 	}
 	m.count++
+	m.capFacts = m.appendFacts(m.capFacts)
 	m.offer()
 	return m.count >= maxHomsPerView || m.remaining == 0
+}
+
+// appendFacts appends the facts the current embedding's atoms landed on.
+func (m *matcher) appendFacts(dst []int32) []int32 {
+	for _, ai := range m.images {
+		if ai < 0 {
+			dst = append(dst, ^ai)
+		}
+	}
+	return dst
 }
 
 // offer applies the cover rules to the current embedding (slots,
@@ -621,12 +657,17 @@ func (m *matcher) offer() {
 		return
 	}
 	m.offers++
+	picked := false
 	for _, ai := range m.covered {
 		m.seen[ai] = true
 		if sc.need[ai] && m.pick[ai] < 0 && m.observable(ai) {
 			m.pick[ai] = m.vi
 			m.remaining--
+			picked = true
 		}
+	}
+	if picked {
+		sc.just = m.appendFacts(sc.just)
 	}
 }
 

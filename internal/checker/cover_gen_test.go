@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cq"
@@ -156,17 +157,53 @@ func newGenChecker(tb testing.TB) *Checker {
 
 // decideGen runs coverAll for a generated case on the given scratch.
 func decideGen(c *Checker, comp *compiledPolicy, gc genCase, sc *coverScratch) Decision {
-	occs := make([]cq.Census, len(gc.tpl))
-	for i, q := range gc.tpl {
+	return decideCover(c, comp, gc.tpl, gc.facts, sc)
+}
+
+// decideCover runs coverAll for templates over facts on the given
+// scratch.
+func decideCover(c *Checker, comp *compiledPolicy, tpl []*cq.Query, facts []cq.Fact, sc *coverScratch) Decision {
+	occs := make([]cq.Census, len(tpl))
+	for i, q := range tpl {
 		occs[i].Build(q)
 	}
-	return c.coverAll(context.Background(), comp, gc.tpl, occs, gc.facts, sc)
+	return c.coverAll(context.Background(), comp, tpl, occs, facts, sc)
+}
+
+// justFacts returns the facts of the justification coverAll left in sc,
+// in their order in facts.
+func justFacts(sc *coverScratch, facts []cq.Fact) []cq.Fact {
+	at := slices.Clone(sc.just)
+	slices.Sort(at)
+	var out []cq.Fact
+	for _, i := range slices.Compact(at) {
+		out = append(out, facts[i])
+	}
+	return out
+}
+
+// checkJustification decides tpl over facts with the compiled search
+// and, for an allow that has facts, again over its justification alone:
+// the two Decisions must be byte-identical.
+func checkJustification(t *testing.T, c *Checker, comp *compiledPolicy, tpl []*cq.Query, facts []cq.Fact, label string) {
+	t.Helper()
+	sc := &coverScratch{}
+	d := decideCover(c, comp, tpl, facts, sc)
+	if !d.Allowed || len(facts) == 0 {
+		return
+	}
+	just := justFacts(sc, facts)
+	if dJ, dF := fmt.Sprintf("%#v", decideCover(c, comp, tpl, just, &coverScratch{})), fmt.Sprintf("%#v", d); dJ != dF {
+		t.Fatalf("%s: the search over the allow's justification decides otherwise:\nall facts:     %s\njustification: %s\nfacts %v\njustification %v", label, dF, dJ, facts, just)
+	}
 }
 
 // checkGenCase asserts the parity contract on one generated case: the
 // compiled search decides byte-identically to the independent reference
-// procedure (cover_ref_test.go), and every view the index kept out of a
-// disjunct's search yields no covering candidate under that reference.
+// procedure (cover_ref_test.go), an allow that has facts decides the
+// same over its justification alone, and every view the index kept out
+// of a disjunct's search yields no covering candidate under that
+// reference.
 func checkGenCase(t *testing.T, c *Checker, gc genCase) Decision {
 	t.Helper()
 	comp := compilePolicy("gen", gc.views)
@@ -175,6 +212,7 @@ func checkGenCase(t *testing.T, c *Checker, gc genCase) Decision {
 	if gC, gR := fmt.Sprintf("%#v", dC), fmt.Sprintf("%#v", dR); gC != gR {
 		t.Fatalf("searches disagree:\ncompiled:  %s\nreference: %s\n%s", gC, gR, gc)
 	}
+	checkJustification(t, c, comp, gc.tpl, gc.facts, gc.String())
 
 	for i, q := range gc.tpl {
 		var occ cq.Census

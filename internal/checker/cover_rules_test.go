@@ -230,6 +230,39 @@ func TestCapSameFirstEmbeddings(t *testing.T) {
 	}
 }
 
+// A view that reaches its cap on embeddings into facts keeps those facts
+// in the allow's justification. W0 lands s on each known s row; each
+// embedding is counted (b > 5 entails b > c for c <= 5), but only s(5)
+// enforces the query's b > 5, and 64 rows come first. So W0 covers
+// nothing, and W1, which needs s(5), covers r0(a, b). Without the 64
+// rows, W0 would reach s(5) and cover the atom itself: the search over
+// J would name another view.
+func TestJustificationKeepsCappedViews(t *testing.T) {
+	b, x, y, k := cq.V("b"), cq.V("x"), cq.V("y"), cq.V("k")
+	gc := genCase{
+		views: []*cq.Query{
+			{Name: "W0", Head: []cq.Term{x}, Atoms: []cq.Atom{r("r0", x, y), r("s", k)},
+				Comps: []cq.Comparison{{Op: cq.Gt, Left: y, Right: k}}},
+			{Name: "W1", Head: []cq.Term{x, y}, Atoms: []cq.Atom{r("r0", x, y), r("s", cq.CInt(5))}},
+		},
+		tpl: []*cq.Query{{Head: []cq.Term{cq.V("a")}, Atoms: []cq.Atom{r("r0", cq.V("a"), b)},
+			Comps: []cq.Comparison{{Op: cq.Gt, Left: b, Right: cq.CInt(5)}}}},
+	}
+	for c := int64(-100); c < -100+maxHomsPerView; c++ {
+		gc.facts = append(gc.facts, cq.Fact{Atom: r("s", cq.CInt(c))})
+	}
+	gc.facts = append(gc.facts, cq.Fact{Atom: r("s", cq.CInt(5))})
+	reference, compiled, sc := ruleCase(t, gc)
+	sameDecision(t, reference, compiled)
+	if !compiled.Allowed || len(compiled.Views) != 1 || compiled.Views[0] != "W1" {
+		t.Fatalf("W0's cap must be spent before s(5), and W1 cover: %+v", compiled)
+	}
+	if just := justFacts(sc, gc.facts); len(just) != len(gc.facts) {
+		t.Fatalf("the justification keeps %d of the %d facts: %v", len(just), len(gc.facts), just)
+	}
+	checkJustification(t, newGenChecker(t), compilePolicy("rules", gc.views), gc.tpl, gc.facts, "capped view")
+}
+
 // A search far larger than the generator's: 64 join views over 128
 // known rows, every embedding enumerated. It blocks when no view
 // exposes the join column, and allows through the one view that does

@@ -160,7 +160,8 @@ func coverInputs(ctx context.Context, c *Checker, sql string, args sqlparser.Arg
 // against one trace per fixture that keeps every earlier probe and
 // answer (facts accumulate, so view atoms find more rows to land on);
 // and the fixture's own policy views and sensitive queries issued as
-// queries with no history.
+// queries with no history. An allow that has facts must also decide the
+// same over its justification alone (checkJustification).
 func TestCoverParityFixtures(t *testing.T) {
 	ctx := context.Background()
 	total, histAllows := 0, 0
@@ -184,6 +185,7 @@ func TestCoverParityFixtures(t *testing.T) {
 			want := got[0]
 			if tpl, facts, ok := coverInputs(ctx, compiled, sql, args, sess, tr); ok {
 				want = fmt.Sprintf("%#v", refDecide(views, tpl, facts, maxHomsPerView))
+				checkJustification(t, compiled, compiled.activeVersion().comp, tpl, facts, f.Name+"/"+label)
 			}
 			if got[0] != want || got[1] != want {
 				t.Fatalf("%s/%s: searches disagree:\nreference: %s\ncompiled:  %s\nbind-then-translate: %s",

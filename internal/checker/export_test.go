@@ -1,8 +1,10 @@
 package checker
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cq"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
 	"repro/internal/sqlvalue"
+	"repro/internal/trace"
 )
 
 // Exports for the write-retirement gate and the soundness oracles
@@ -126,3 +129,51 @@ func (w *GenWorld) Call(n sqlparser.Needs, sess map[string]sqlvalue.Value) sqlpa
 
 // Value draws one value from the generator's pool, NULL included.
 func (w *GenWorld) Value() sqlvalue.Value { return w.g.value() }
+
+// Justification returns the justification of the allow the template
+// tier answers the check with from a stored allow: the session's usable
+// facts, session-generalized, that the allow's J names, in the
+// session's order. ok is false when the template holds no allow under a
+// justification among the session's facts; an error names an id of the
+// allow's J that no usable fact of the session has.
+func (c *Checker) Justification(ctx context.Context, sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace) (facts []cq.Fact, ok bool, err error) {
+	st := decidePool.Get().(*decideState)
+	defer st.release()
+	st.c, st.ver, st.sel, st.args, st.session, st.tr = c, c.vers.Load().active, sel, args, session, tr
+	if stageBind(ctx, st) != outNext || stageFacts(ctx, st) != outNext {
+		return nil, false, nil
+	}
+	e := c.cache.Get(st.appendCacheKey(nil))
+	if e == nil {
+		return nil, false, nil
+	}
+	j := e.justifiedBy(st.factIDs)
+	if j == nil {
+		return nil, false, nil
+	}
+	var at []int
+	for _, id := range j.ids {
+		i := slices.Index(st.factIDs, id)
+		if i < 0 {
+			return nil, true, fmt.Errorf("the justification names fact id %d, which the session's usable facts lack", id)
+		}
+		at = append(at, i)
+	}
+	slices.Sort(at)
+	for _, i := range at {
+		facts = append(facts, st.facts[i])
+	}
+	return facts, true, nil
+}
+
+// CoverOver decides the check by the cover search over the given
+// session-generalized facts alone, under the active policy.
+func (c *Checker) CoverOver(ctx context.Context, sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value, facts []cq.Fact) Decision {
+	st := decidePool.Get().(*decideState)
+	defer st.release()
+	st.c, st.ver, st.sel, st.args, st.session = c, c.vers.Load().active, sel, args, session
+	if stageBind(ctx, st) != outNext {
+		return st.d
+	}
+	return c.coverAll(ctx, st.ver.comp, st.templates(), st.plan.Census(), facts, st.coverScratch())
+}

@@ -144,11 +144,14 @@ func stageRefFacts(_ context.Context, st *decideState) outcome {
 	}
 	entries, _ := st.tr.SnapshotState()
 	facts, _ := refFacts(st.c.tr, entries, nil)
-	st.facts, st.factKeys = st.facts[:0], st.factKeys[:0]
+	st.facts, st.factIDs = st.facts[:0], st.factIDs[:0]
+	c := st.c
+	c.genMu.Lock()
+	defer c.genMu.Unlock()
 	for _, f := range facts {
 		g := generalizeFact(f, st.session)
 		st.facts = append(st.facts, g)
-		st.factKeys = append(st.factKeys, g.String())
+		st.factIDs = append(st.factIDs, c.factIDLocked(g.String()))
 	}
 	return outNext
 }

@@ -251,7 +251,11 @@ func rendered(rows [][]sqlvalue.Value) string {
 //     under the write clock, as the read found it). It is the same
 //     allow or block and, for a block, the same reason. Half the reads
 //     are first decided by Check on the same inputs, which must also
-//     give CheckCold's views. A read that has no plan blocks on every
+//     give CheckCold's views. An allow the template tier answers from a
+//     stored allow is the cover over that allow's justification J alone
+//     instead — the same allow, reason and views, byte for byte — and J
+//     must be among the session's usable facts, which CheckCold must
+//     allow the read on too. A read that has no plan blocks on every
 //     path.
 //   - An allow is never refuted: for every allowed read, each disjunct
 //     of the read with its arguments bound has no counterexample
@@ -267,21 +271,23 @@ func TestSoundnessOracles(t *testing.T) {
 		oracleCase(t, seed, &st)
 	}
 	t.Logf("%+v", st)
-	if st.allows == 0 || st.tierChecks == 0 || st.refused == 0 || st.reused == 0 || st.promotes == 0 ||
+	if st.allows == 0 || st.tierChecks == 0 || st.justHits == 0 || st.refused == 0 || st.reused == 0 || st.repeated == 0 || st.promotes == 0 ||
 		st.searched == 0 || st.evicting == 0 || st.writes == 0 {
 		t.Fatalf("the oracles left a step kind unexercised: %+v", st)
 	}
 }
 
 // oracleStats counts what the oracles exercised: steps, decided reads,
-// allows, reads first decided through Check (tierChecks), reads of a
-// text read before (reused), reads with no plan (refused), writes that
-// changed a row, promotes that took, searches for a counterexample
-// (searched) and those that ran out of steps (outOfSteps), and reads
-// decided on a full history window (evicting).
+// allows, reads first decided through Check (tierChecks) and those of
+// them the template tier allowed under a justification (justHits),
+// reads of a text read before with new arguments (reused) and with the
+// same ones (repeated), reads with no plan (refused),
+// writes that changed a row, promotes that took, searches for a
+// counterexample (searched) and those that ran out of steps
+// (outOfSteps), and reads decided on a full history window (evicting).
 type oracleStats struct {
-	steps, reads, allows, tierChecks, reused, refused, writes, promotes int
-	searched, outOfSteps, evicting                                      int
+	steps, reads, allows, tierChecks, justHits, reused, repeated, refused, writes, promotes int
+	searched, outOfSteps, evicting                                                          int
 }
 
 // oracleSearchSteps bounds each counterexample search in candidate
@@ -305,9 +311,11 @@ func oracleCase(t *testing.T, seed int64, st *oracleStats) {
 	users := drawUsers(w)
 	type read struct {
 		sql     string
-		refused bool // no plan
+		refused bool            // no plan
+		args    *sqlparser.Args // the arguments it was read with
+		user    int             // by users[user]
 	}
-	var reads []read
+	var reads, allowed []read
 	var steps []string
 	logf := func(format string, args ...any) { steps = append(steps, fmt.Sprintf(format, args...)) }
 	fail := func(format string, args ...any) {
@@ -361,25 +369,38 @@ func oracleCase(t *testing.T, seed int64, st *oracleStats) {
 			logf("reset cache")
 			continue
 		}
-		// A read: one time in six a text read before, with new arguments;
-		// one time in twenty a read with no plan; else a new read.
+		// A read: one time in five a text read before, with new
+		// arguments; one time in ten an earlier allowed read again by its
+		// user, arguments and all, which a cached template can answer, or
+		// has to decide again on the facts the user's session now holds;
+		// one time in twenty a
+		// read with no plan; else a new read.
 		var rd read
 		switch n := rng.Intn(20); {
 		case n < 4 && len(reads) > 0:
 			rd = reads[rng.Intn(len(reads))]
+			rd.args = nil
 			st.reused++
+		case n >= 18 && len(allowed) > 0:
+			rd = allowed[rng.Intn(len(allowed))]
+			ui, u = rd.user, users[rd.user]
+			st.repeated++
 		case n == 4:
-			rd = read{w.RefusedRead(), true}
+			rd = read{sql: w.RefusedRead(), refused: true}
 		default:
-			rd = read{w.Read(), false}
+			rd = read{sql: w.Read()}
 		}
-		reads = append(reads, rd)
 		sql := rd.sql
 		sel, needs, err := sqlparser.ParseNeeds(sql)
 		if err != nil {
 			fail("generated read does not parse: %v\n%s", err, sql)
 		}
-		args := w.Call(needs, u.attrs)
+		if rd.args == nil {
+			args := w.Call(needs, u.attrs)
+			rd.args, rd.user = &args, ui
+		}
+		reads = append(reads, rd)
+		args := *rd.args
 		tr := u.sess.Trace()
 		if tr == nil {
 			tr = &trace.Trace{} // the session's trace is built at its first request
@@ -393,7 +414,8 @@ func oracleCase(t *testing.T, seed int64, st *oracleStats) {
 		// the usable trace; an allow of the empty history stands under
 		// every trace.
 		want := chk.CheckCold(ctx, sel.(*sqlparser.SelectStmt), args, u.attrs, nil)
-		if withFacts := chk.CheckCold(ctx, sel.(*sqlparser.SelectStmt), args, u.attrs, tr); !want.Allowed {
+		withFacts := chk.CheckCold(ctx, sel.(*sqlparser.SelectStmt), args, u.attrs, tr)
+		if !want.Allowed {
 			want = withFacts
 		} else if !withFacts.Allowed {
 			fail("u%d %s %v %v: the empty history allows it, the usable trace blocks it: %s", ui, sql, args.Positional, args.Named, withFacts.Reason)
@@ -401,9 +423,25 @@ func oracleCase(t *testing.T, seed int64, st *oracleStats) {
 		if rng.Intn(2) == 0 {
 			st.tierChecks++
 			got := chk.Check(ctx, sel.(*sqlparser.SelectStmt), args, u.attrs, tr)
-			if got.Allowed != want.Allowed || !slices.Equal(got.Views, want.Views) || got.Reason != want.Reason {
-				fail("u%d %s %v %v: Check (tier %q) gives allowed %v views %v (%s); CheckCold gives allowed %v views %v (%s)",
-					ui, sql, args.Positional, args.Named, got.Tier, got.Allowed, got.Views, got.Reason, want.Allowed, want.Views, want.Reason)
+			tierWant, from := want, "CheckCold"
+			if got.Tier == checker.TierTemplate && got.Allowed {
+				// With a trace the history-free tier answers an empty
+				// history's allow, so this is an allow stored under a
+				// justification.
+				st.justHits++
+				just, ok, err := chk.Justification(ctx, sel.(*sqlparser.SelectStmt), args, u.attrs, tr)
+				if err != nil || !ok {
+					fail("u%d %s %v %v: a template-tier allow with no justification among the session's usable facts (%v)", ui, sql, args.Positional, args.Named, err)
+				}
+				if !withFacts.Allowed {
+					fail("u%d %s %v %v: the template tier allows under justification %v what CheckCold on the usable trace blocks: %s", ui, sql, args.Positional, args.Named, just, withFacts.Reason)
+				}
+				tierWant = chk.CoverOver(ctx, sel.(*sqlparser.SelectStmt), args, u.attrs, just)
+				from = fmt.Sprintf("the cover over its justification %v", just)
+			}
+			if got.Allowed != tierWant.Allowed || !slices.Equal(got.Views, tierWant.Views) || got.Reason != tierWant.Reason {
+				fail("u%d %s %v %v: Check (tier %q) gives allowed %v views %v (%s); %s gives allowed %v views %v (%s)",
+					ui, sql, args.Positional, args.Named, got.Tier, got.Allowed, got.Views, got.Reason, from, tierWant.Allowed, tierWant.Views, tierWant.Reason)
 			}
 		}
 		resp := srv.HandleInCtx(ctx, queryRequest(sql, args), u.sess)
@@ -423,6 +461,7 @@ func oracleCase(t *testing.T, seed int64, st *oracleStats) {
 			continue
 		}
 		st.allows++
+		allowed = append(allowed, rd)
 		if ce := refute(ctx, sch, chk.Policy(), sel.(*sqlparser.SelectStmt), needs, args, u.attrs, facts, st); ce != "" {
 			fail("the allowed read (%s) has a counterexample under session %v and policy\n%sfacts %v\n%s", want.Reason, u.attrs, chk.Policy(), facts, ce)
 		}

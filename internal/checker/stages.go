@@ -66,21 +66,27 @@ type decideState struct {
 	tpl  []*cq.Query
 	inst cq.Instantiation
 
+	// entry is the decision cache's entry under the history-free key
+	// (keyBuf): the one the history-free stage found or stored, or, with
+	// no trace, the one the template stage found. nil when there is none.
+	entry *cacheEntry
 	// hfDenied marks a denial the history-free stage decided cold, left
 	// in d: with no facts it is the verdict, whether or not the cache
 	// kept it.
 	hfDenied bool
 
-	// Session-generalized trace facts (stage "facts").
-	facts    []cq.Fact
-	factKeys []string
+	// Session-generalized trace facts (stage "facts"), each with its
+	// interned id (factID).
+	facts   []cq.Fact
+	factIDs []uint64
 
 	// The verdict.
 	d Decision
 
 	// Pooled scratch, reused across decisions (capacity survives the
 	// pool round-trip; contents never do).
-	keyBuf    []byte   // decision-cache keys: the probe's, kept for the verdict's Put
+	keyBuf    []byte   // the decision-cache key: the probe's, kept for the verdict's store
+	justBuf   []uint64 // the verdict's justification ids
 	sigBuf    []byte   // the rendered session signature (stage "facts")
 	attrs     []string // session attribute names, sorted (attrNames)
 	attrsDone bool
@@ -98,21 +104,21 @@ func (st *decideState) release() {
 	clear(st.raw)
 	clear(st.gen)
 	clear(st.facts)
-	clear(st.factKeys)
 	clear(st.attrs)
 	if st.cover != nil {
 		st.cover.release()
 	}
 	*st = decideState{
-		sigBuf:   st.sigBuf[:0],
-		keyBuf:   st.keyBuf[:0],
-		attrs:    st.attrs[:0],
-		raw:      st.raw[:0],
-		gen:      st.gen[:0],
-		inst:     st.inst,
-		facts:    st.facts[:0],
-		factKeys: st.factKeys[:0],
-		cover:    st.cover,
+		sigBuf:  st.sigBuf[:0],
+		keyBuf:  st.keyBuf[:0],
+		justBuf: st.justBuf[:0],
+		attrs:   st.attrs[:0],
+		raw:     st.raw[:0],
+		gen:     st.gen[:0],
+		inst:    st.inst,
+		facts:   st.facts[:0],
+		factIDs: st.factIDs[:0],
+		cover:   st.cover,
 	}
 	decidePool.Put(st)
 }
@@ -282,19 +288,19 @@ func (st *decideState) templates() []*cq.Query {
 }
 
 // Decision-cache keys. Layout: the deciding epoch (8 bytes), 'P', the
-// template's identity, '#', the sorted generalized fact keys. Every
-// variable-length component is behind its length, so two different
-// component lists never render to the same bytes, and the cache's maps
-// compare whole keys: nothing is looked up by a hash that could collide
-// into somebody else's allow. With no facts the key is the history-free
-// key, by design: a template decided without facts IS its decision for
-// an empty history.
+// template's identity. Every variable-length component is behind its
+// length, so two different component lists never render to the same
+// bytes, and the cache's maps compare whole keys: nothing is looked up
+// by a hash that could collide into somebody else's allow. There is one
+// key per template, the history-free key: its entry holds the
+// template's verdict on an empty history and the allows decided on
+// facts, each under the facts its proof used (cacheEntry).
 //
 // The template's identity is its plan's shape, each slot as written
 // into the template (the session attribute's parameter, or the value),
 // and the outcomes of the plan's ground steps — which is everything
 // Instantiate's result depends on.
-func (st *decideState) appendCacheKey(buf []byte, factKeys []string) []byte {
+func (st *decideState) appendCacheKey(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, st.ver.epoch)
 	buf = append(buf, 'P')
 	buf = binary.BigEndian.AppendUint64(buf, st.plan.Shape)
@@ -305,12 +311,7 @@ func (st *decideState) appendCacheKey(buf []byte, factKeys []string) []byte {
 			buf = appendKeyed(buf, st.raw[i])
 		}
 	}
-	buf = st.plan.AppendOutcomes(buf, st.raw)
-	buf = append(buf, '#')
-	for _, k := range factKeys {
-		buf = appendFramed(buf, "", k)
-	}
-	return buf
+	return st.plan.AppendOutcomes(buf, st.raw)
 }
 
 // appendFramed appends prefix+s behind its length (a uvarint).
@@ -437,22 +438,20 @@ func (st *decideState) bindPlan(plan *cq.StmtPlan) error {
 // Coverage is monotone in the trace facts (facts only add atoms a
 // homomorphism may land on), so a template allowed with ZERO facts
 // stays allowed under every trace. Such decisions cache on (policy,
-// template) alone and never churn as the trace grows — without this,
-// the full key below changes on every write and view-only-allowed hot
-// queries would re-derive from scratch each request. A cached
+// template) alone and never churn as the trace grows. A cached
 // history-free DENIAL is only a marker that the template needs facts;
-// it is never returned as the answer.
+// it is never returned as the answer here, and its entry is kept for
+// the template stage, which probes the allows stored beside it.
 func stageHistFree(ctx context.Context, st *decideState) outcome {
 	c := st.c
 	if st.tr == nil {
 		return outNext
 	}
-	st.keyBuf = st.appendCacheKey(st.keyBuf[:0], nil)
-	if d, ok := c.cache.GetBytes(st.keyBuf, !st.borrow); ok {
-		if d.Allowed {
-			d.FromCache = true
-			d.Tier = TierHistFree
-			st.d = d
+	st.keyBuf = st.appendCacheKey(st.keyBuf[:0])
+	if e := c.cache.Get(st.keyBuf); e != nil {
+		st.entry = e
+		if e.d.Allowed {
+			st.d = hitDecision(e.d, TierHistFree, !st.borrow)
 			c.mHistFreeHit.Inc()
 			return outDone
 		}
@@ -463,7 +462,7 @@ func stageHistFree(ctx context.Context, st *decideState) outcome {
 		st.d = canceledDecision(ctx)
 		return outAbort
 	}
-	c.store(st.keyBuf, d)
+	st.entry = c.store(st.keyBuf, d)
 	st.d = d
 	if d.Allowed {
 		return outDone
@@ -472,9 +471,19 @@ func stageHistFree(ctx context.Context, st *decideState) outcome {
 	return outNext
 }
 
-// stageFacts derives the session-generalized trace facts. factKeys
-// carries each generalized fact's canonical string for the cache key,
-// so it is rendered once per (fact, session shape), not per check.
+// hitDecision is a cached decision as a tier hands it out: marked with
+// the tier, and with its own copy of Views unless borrowed.
+func hitDecision(d Decision, tier string, copyViews bool) Decision {
+	if copyViews {
+		d = ownViews(d)
+	}
+	d.FromCache = true
+	d.Tier = tier
+	return d
+}
+
+// stageFacts derives the session-generalized trace facts and their
+// interned ids, memoized per (fact, session shape), not per check.
 func stageFacts(ctx context.Context, st *decideState) outcome {
 	c := st.c
 	if st.tr == nil {
@@ -486,7 +495,7 @@ func stageFacts(ctx context.Context, st *decideState) outcome {
 	// lookups per fact, no rendering.
 	raw, rawKeys := st.tr.FactsKeyed(c.tr)
 	st.facts = st.facts[:0]
-	st.factKeys = st.factKeys[:0]
+	st.factIDs = st.factIDs[:0]
 	var hits, misses int64
 	for i, f := range raw {
 		if i&63 == 63 && ctx.Err() != nil {
@@ -500,7 +509,7 @@ func stageFacts(ctx context.Context, st *decideState) outcome {
 			misses++
 		}
 		st.facts = append(st.facts, g.f)
-		st.factKeys = append(st.factKeys, g.key)
+		st.factIDs = append(st.factIDs, g.id)
 	}
 	// One batched add per check instead of one atomic per fact — long
 	// histories would otherwise pay fifty-plus counter bumps here.
@@ -513,27 +522,34 @@ func stageFacts(ctx context.Context, st *decideState) outcome {
 	return outNext
 }
 
-// stageTemplate probes the full decision-template cache, keyed by
-// (policy, templates, generalized facts).
+// stageTemplate is the decision-template tier: the template's entry
+// answers with the first allow stored under it whose justification is
+// among the session's usable facts, or, when the session has none, with
+// its history-free verdict (with no trace the history-free stage did
+// not run, so that may be an allow).
 func stageTemplate(ctx context.Context, st *decideState) outcome {
 	c := st.c
-	// factKeys is per-decision scratch whose order nothing else needs
-	// (st.facts carries the facts for the cover stage), so sort it in
-	// place — the key requires a canonical order, not this one.
-	slices.Sort(st.factKeys)
-	st.keyBuf = st.appendCacheKey(st.keyBuf[:0], st.factKeys)
-	if d, ok := c.cache.GetBytes(st.keyBuf, !st.borrow); ok {
-		d.FromCache = true
-		d.Tier = TierTemplate
-		st.d = d
-		c.mTemplateHit.Inc()
-		return outDone
+	if st.tr == nil {
+		st.keyBuf = st.appendCacheKey(st.keyBuf[:0])
+		st.entry = c.cache.Get(st.keyBuf)
 	}
-	// Miss: keyBuf keeps the key for the verdict's Put.
+	if e := st.entry; e != nil {
+		if len(st.factIDs) == 0 {
+			st.d = hitDecision(e.d, TierTemplate, !st.borrow)
+			c.mTemplateHit.Inc()
+			return outDone
+		}
+		if j := e.justifiedBy(st.factIDs); j != nil {
+			st.d = hitDecision(j.d, TierTemplate, !st.borrow)
+			c.mTemplateHit.Inc()
+			return outDone
+		}
+	}
 	c.mTemplateMiss.Inc()
-	if st.hfDenied && len(st.factKeys) == 0 {
-		// The history-free stage decided this very key, and the cache
-		// declined it: its denial stands without a second search.
+	if st.hfDenied && len(st.factIDs) == 0 {
+		// The history-free stage decided this very template on no
+		// facts, and the cache declined it: its denial stands without a
+		// second search.
 		return outDone
 	}
 	return outNext
@@ -550,9 +566,32 @@ func stageCover(ctx context.Context, st *decideState) outcome {
 	return outNext
 }
 
-// stageVerdict finalizes a cold decision: offer the template to the
-// cache so the next identical check hits a cache tier instead.
+// stageVerdict offers a cold decision to the cache so that the next
+// check it answers hits a cache tier instead. With no trace it is the
+// template's history-free verdict. With one, an allow is stored under
+// its justification beside that verdict, and a block is not stored: it
+// was decided on facts, and the facts one session holds rarely come
+// back together (DESIGN.md §6).
 func stageVerdict(ctx context.Context, st *decideState) outcome {
-	st.c.store(st.keyBuf, st.d)
+	c := st.c
+	if st.tr == nil {
+		c.store(st.keyBuf, st.d)
+		return outNext
+	}
+	if st.d.Allowed && !c.cache.Justify(st.keyBuf, st.justification(), st.d) {
+		c.mDeclined.Inc()
+	}
 	return outNext
+}
+
+// justification returns the ids of the facts the cover stage's allow
+// used (coverScratch.just), sorted and without repeats.
+func (st *decideState) justification() []uint64 {
+	st.justBuf = st.justBuf[:0]
+	for _, fi := range st.cover.just {
+		st.justBuf = append(st.justBuf, st.factIDs[fi])
+	}
+	slices.Sort(st.justBuf)
+	st.justBuf = slices.Compact(st.justBuf)
+	return st.justBuf
 }

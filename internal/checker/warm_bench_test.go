@@ -2,6 +2,7 @@ package checker
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/sqlparser"
@@ -125,11 +126,12 @@ func BenchmarkWarmDecideHistFreeSafe(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmDecideTemplate measures the full template tier: a
-// trace-dependent decision (the fact-covered Events row) repeated by
-// the same principal. Its history-free key holds only a denial marker
-// (it needs facts), so each hit walks bind → histfree → facts →
-// template probe.
+// BenchmarkWarmDecideTemplate measures the template tier: a
+// trace-dependent decision (Example 2.1's fetch after its probe) whose
+// trace has grown since the allow was stored, so only the allow's
+// justification, not the session's whole fact set, can match. Its
+// history-free key holds a denial marker (it needs facts), so each hit
+// walks bind → histfree → facts → template probe.
 func BenchmarkWarmDecideTemplate(b *testing.B) {
 	c, tr := warmChecker(b)
 	ctx := context.Background()
@@ -137,6 +139,20 @@ func BenchmarkWarmDecideTemplate(b *testing.B) {
 	sess := session(1)
 	if d, err := checkSQLBorrowed(ctx, c, sql, sqlparser.NoArgs, sess, tr); err != nil || !d.Allowed {
 		b.Fatalf("prime: %+v %v", d, err)
+	}
+	// Unrelated reads since: the session's facts are no longer the set
+	// the allow was decided on.
+	before, _ := tr.FactsKeyed(c.tr)
+	for uid := int64(2); uid < 6; uid++ {
+		q := sqlparser.MustParseSelect(fmt.Sprintf("SELECT Name FROM Users WHERE UId=%d", uid))
+		tr.Append(trace.Entry{
+			SQL: q.SQL(), Stmt: q, Args: sqlparser.NoArgs,
+			Columns: []string{"Name"},
+			Rows:    [][]sqlvalue.Value{{sqlvalue.NewText(fmt.Sprint("user", uid))}},
+		})
+	}
+	if after, _ := tr.FactsKeyed(c.tr); len(after) <= len(before) {
+		b.Fatalf("the reads added no fact: %d before, %d after", len(before), len(after))
 	}
 	if d, _ := checkSQLBorrowed(ctx, c, sql, sqlparser.NoArgs, sess, tr); d.Tier != TierTemplate {
 		b.Fatalf("prime: want template tier, got %+v", d)
@@ -155,15 +171,16 @@ func BenchmarkWarmDecideTemplate(b *testing.B) {
 // allocbudget target (and by any plain `go test` run). Both warm tiers
 // fill the statement plan's slots and key the cache from them — no AST
 // copy, no translation, no rendered template — so a borrowed
-// history-free hit allocates nothing (an exact contract), the safe API
-// exactly its Views copy, and a template hit nothing either (budgeted
-// with headroom: it also derives the trace's facts). A regression (a
-// new per-check string, map, or closure on the warm path) fails loudly
+// history-free hit allocates nothing, the safe API exactly its Views
+// copy, and a template hit nothing either: its facts come from the
+// trace's and the generalization memo's caches, and its justification
+// is matched by id. Each is an exact contract. A regression (a new
+// per-check string, map, or closure on the warm path) fails loudly
 // rather than landing silently.
 const (
 	budgetHistFreeAllocs = 0
 	budgetHistFreeSafe   = 1 // the defensive Views copy
-	budgetTemplateAllocs = 2 // measured 0
+	budgetTemplateAllocs = 0
 )
 
 func TestWarmDecideAllocBudget(t *testing.T) {
@@ -184,7 +201,7 @@ func TestWarmDecideAllocBudget(t *testing.T) {
 		{"front", BenchmarkWarmDecideRepeat, budgetHistFreeAllocs, true},
 		{"histfree", BenchmarkWarmDecideHistFree, budgetHistFreeAllocs, true},
 		{"histfree-safe", BenchmarkWarmDecideHistFreeSafe, budgetHistFreeSafe, true},
-		{"template", BenchmarkWarmDecideTemplate, budgetTemplateAllocs, false},
+		{"template", BenchmarkWarmDecideTemplate, budgetTemplateAllocs, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

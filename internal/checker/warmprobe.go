@@ -9,8 +9,8 @@ package checker
 // fill and one map probe, guaranteed not to stall the connection's
 // reader behind compiling a plan, translation, or an embedding search.
 //
-// The key is the one the history-free stage probes (appendCacheKey with
-// no facts), filled from the statement's plan as stageBind fills it. A
+// The key is the one the history-free stage probes (appendCacheKey),
+// filled from the statement's plan as stageBind fills it. A
 // cached allow under it holds under every trace (coverage is monotone
 // in the facts); a cached denial is only a marker that the template
 // needs facts, so the probe reports it as a miss.
@@ -40,18 +40,16 @@ func (c *Checker) CheckWarmBorrowed(sel *sqlparser.SelectStmt, args sqlparser.Ar
 	ver := c.vers.Load().active
 	st := decidePool.Get().(*decideState)
 	st.c, st.ver, st.sel, st.args, st.session = c, ver, sel, args, session
-	var d Decision
-	ok := st.bindPlan(plan) == nil
-	if ok {
-		st.keyBuf = st.appendCacheKey(st.keyBuf[:0], nil)
-		d, ok = c.cache.GetBytes(st.keyBuf, false)
+	var e *cacheEntry
+	if st.bindPlan(plan) == nil {
+		st.keyBuf = st.appendCacheKey(st.keyBuf[:0])
+		e = c.cache.Get(st.keyBuf)
 	}
 	st.release()
-	if !ok || !d.Allowed {
+	if e == nil || !e.d.Allowed {
 		return Decision{}, false
 	}
-	d.FromCache = true
-	d.Tier = TierHistFree
+	d := hitDecision(e.d, TierHistFree, false)
 	d.Epoch = ver.epoch
 	c.mDecisions.Inc()
 	c.mAllowed.Inc()

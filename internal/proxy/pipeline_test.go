@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -490,7 +491,7 @@ func TestLastInLineFlushes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pc.answer(&Response{ID: id, OK: true})
+			pc.answer(&lane{}, &Response{ID: id, OK: true})
 		}()
 	}
 	for pc.waiting.Load() != 2 {
@@ -507,6 +508,60 @@ func TestLastInLineFlushes(t *testing.T) {
 	}
 	if pc.dirty {
 		t.Error("an answer was left parked after the last in line flushed")
+	}
+}
+
+// claimConn is a connection whose Write records, for each write that
+// carries the answer to request id last, whether lane ln could be
+// claimed for inline execution at that moment.
+type claimConn struct {
+	net.Conn
+	ln        *lane
+	last      []byte
+	claimable []bool
+}
+
+func (c *claimConn) Write(b []byte) (int, error) {
+	if bytes.Contains(b, c.last) {
+		ok := c.ln.tryClaim()
+		if ok {
+			c.ln.releaseClaim()
+		}
+		c.claimable = append(c.claimable, ok)
+	}
+	return c.Conn.Write(b)
+}
+
+// TestRunnerGivesLaneUpBeforeLastAnswer pins that a lane runner's last
+// answer reaches the connection after the runner has given its lane up:
+// a client that sends its next read on receiving that answer must find
+// the lane idle, so that a warm read is answered inline instead of
+// queuing behind a runner about to exit. Three queued reads are drained
+// by one runner; when the third answer's bytes reach Write, tryClaim
+// must succeed.
+func TestRunnerGivesLaneUpBeforeLastAnswer(t *testing.T) {
+	srv := testServer(t, Enforce)
+	client, server := net.Pipe()
+	defer client.Close()
+	go io.Copy(io.Discard, client)
+	conn := &claimConn{Conn: server, last: []byte(`"id":3,`)}
+	pc := newPipeConn(srv, context.Background(), conn)
+	defer server.Close()
+	ln := pc.lane(0)
+	conn.ln = ln
+	for id := uint64(1); id <= 3; id++ {
+		req := acquireRequest()
+		*req = Request{Op: "query", ID: id, SQL: "SELECT EId FROM Attendance WHERE UId = 1"}
+		pc.sem <- struct{}{}
+		ctx, done := pc.beginRequest(req)
+		if start := ln.push(pipeJob{req: req, ctx: ctx, done: done}); start != (id == 1) {
+			t.Fatalf("push %d: start a runner %v", id, start)
+		}
+	}
+	pc.wg.Add(1)
+	pc.runLane(ln)
+	if len(conn.claimable) != 1 || !conn.claimable[0] {
+		t.Fatalf("writes of the last answer found the lane claimable: %v, want [true]", conn.claimable)
 	}
 }
 

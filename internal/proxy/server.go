@@ -502,12 +502,19 @@ func (pc *pipeConn) writeFailed(err error) error {
 	return err
 }
 
-// answer writes a lane runner's response and flushes it unless another
-// goroutine waits for writeMu; that one (or the last behind it) flushes
-// this response with its own.
-func (pc *pipeConn) answer(resp *Response) {
+// answer writes a lane runner's response, takes the lane's next job
+// (pop), and only then flushes, unless another goroutine waits for
+// writeMu; that one (or the last behind it) flushes this response with
+// its own. Popping before the flush means the runner's last answer
+// leaves with the lane already given up: a client that sends its next
+// read on receiving it finds the lane idle, and a warm read is answered
+// inline instead of queuing behind a runner about to exit. The answer
+// is in the buffer before the pop, so it still precedes any inline one.
+func (pc *pipeConn) answer(ln *lane, resp *Response) (next pipeJob, more bool) {
 	pc.lockWrite()
-	if err := pc.encodeResp(resp); err == nil {
+	err := pc.encodeResp(resp)
+	next, more = ln.pop()
+	if err == nil {
 		if pc.waiting.Load() == 0 {
 			_ = pc.flush()
 		} else {
@@ -515,6 +522,7 @@ func (pc *pipeConn) answer(resp *Response) {
 		}
 	}
 	pc.writeMu.Unlock()
+	return next, more
 }
 
 // park writes one of the reader's own responses (an inline answer or a
@@ -570,14 +578,10 @@ func (pc *pipeConn) enqueue(ln *lane, job pipeJob) {
 // Strict in-session order holds because push only starts a runner when
 // none is live, pop relinquishes the lane under the same lock that
 // guards the queue, and each answer is in the write buffer before the
-// next pop.
+// next pop (answer).
 func (pc *pipeConn) runLane(ln *lane) {
 	defer pc.wg.Done()
-	for {
-		job, ok := ln.pop()
-		if !ok {
-			return
-		}
+	for job, ok := ln.pop(); ok; {
 		// Pooled response: handle's value result is copied into a
 		// recycled struct, released once encoded, so a warm request
 		// costs zero response-object allocations.
@@ -586,7 +590,7 @@ func (pc *pipeConn) runLane(ln *lane) {
 		job.done()
 		resp.ID = job.req.ID
 		releaseRequest(job.req)
-		pc.answer(resp)
+		job, ok = pc.answer(ln, resp)
 		releaseResponse(resp)
 		<-pc.sem
 	}
