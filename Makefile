@@ -1,8 +1,9 @@
 # Development targets. `make ci` is what a gate should run: formatting,
 # vet, the tier-1 suite (shuffled, so inter-test order dependencies
 # can't hide), the race-detector pass (which includes the concurrency
-# stress tests in internal/proxy and internal/checker), a short fuzz
-# smoke of the SQL parser, and staticcheck when installed.
+# stress tests in internal/proxy and internal/checker), the soundness
+# gates at ten times their steps, a short fuzz smoke of the SQL parser,
+# and staticcheck when installed.
 
 GO ?= go
 
@@ -13,7 +14,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 DATE    ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ 2>/dev/null || echo unknown)
 LDFLAGS  = -ldflags "-X repro/internal/buildinfo.Version=$(VERSION) -X repro/internal/buildinfo.Commit=$(COMMIT) -X repro/internal/buildinfo.Date=$(DATE)"
 
-.PHONY: build test vet race bench benchsmoke coldsmoke timingguard allocbudget pgsmoke driversmoke shadowsmoke metricslint doclint fmtcheck fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck loc ci
+.PHONY: build test vet race bench benchsmoke coldsmoke timingguard allocbudget pgsmoke driversmoke shadowsmoke metricslint doclint oracles fmtcheck fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck loc ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -145,6 +146,15 @@ metricslint:
 doclint:
 	$(GO) test -count=1 -run 'TestDocIdentifiersResolve' .
 
+# The write-retirement gate and the soundness oracles of internal/checker
+# (every tier's answer against the cold checker over seeded reads,
+# writes and policy changes) at ten times the steps the tier-1 suite
+# runs, through their test flag -gate.scale: the seeds past the suite's,
+# where a rarer interleaving shows. About 15 s; the timeout is the
+# budget.
+oracles:
+	$(GO) test -count=1 -timeout 120s -run 'TestWritesRetireFactsGate|TestSoundnessOracles' ./internal/checker -args -gate.scale=10
+
 # Non-test Go lines per package directory, then the total and the
 # total outside bench/: the size figures a simplicity change reports.
 loc:
@@ -237,4 +247,4 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping"; fi
 
-ci: fmtcheck vet test race coldsmoke timingguard allocbudget benchsmoke pgsmoke driversmoke shadowsmoke metricslint doclint fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck
+ci: fmtcheck vet test race coldsmoke timingguard allocbudget benchsmoke pgsmoke driversmoke shadowsmoke metricslint doclint oracles fuzz fuzzwal fuzzwire killrecover pipesmoke walsmoke enginesmoke staticcheck

@@ -107,8 +107,8 @@ type (
 	// metrics registry; the zero value is the production configuration.
 	CheckerOptions = checker.Options
 	// Metrics is the observability registry: atomic counters and
-	// bounded latency histograms that the checker, pipeline stages,
-	// proxy, engine, and diagnosis search all report into. See
+	// bounded latency histograms that the checker, its decision
+	// sections, proxy, engine, and diagnosis search all report into. See
 	// DESIGN.md §9 for the metric-name inventory.
 	Metrics = obsv.Registry
 	// SpanSet collects a per-request stage-latency breakdown through
@@ -289,7 +289,7 @@ func WithMaxInFlight(n int) ProxyOption {
 // WithSlowLog turns on the proxy's structured slow-decision log:
 // queries at or over the threshold emit one JSON line (through the
 // server's Logf) with the verdict, the cache tier that answered, and
-// the per-stage latency breakdown. See DESIGN.md §9 for the schema.
+// the per-section latency breakdown. See DESIGN.md §9 for the schema.
 func WithSlowLog(threshold time.Duration) ProxyOption {
 	return func(s *ProxyServer) { s.SlowLogThreshold = threshold }
 }

@@ -17,13 +17,13 @@
 // Observability:
 //
 //   - -metrics ADDR serves the live obsv registry as JSON over HTTP
-//     at /metrics: per-stage pipeline counters and latencies, cache
+//     at /metrics: decision counters, per-section latencies, cache
 //     tier hit counts, proxy query percentiles, engine scan timings.
 //   - -pprof exposes net/http/pprof profiling endpoints on the same
 //     HTTP server (or 127.0.0.1:6060 when -metrics is unset).
 //   - -slowlog D emits one structured JSON line for every query that
 //     takes at least D, with the verdict, the cache tier that
-//     answered, and the per-stage breakdown (DESIGN.md §9).
+//     answered, and the per-section breakdown (DESIGN.md §9).
 //
 // Durability:
 //

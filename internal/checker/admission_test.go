@@ -78,7 +78,7 @@ func TestAdmissionDeclinesOneOffAtCapacity(t *testing.T) {
 
 	// A trace-carrying check goes through the history-free tier.
 	d := decideEId(t, c, sel, 7, &trace.Trace{})
-	if d.FromCache {
+	if d.Tier != "" {
 		t.Fatalf("a key never seen answered from cache: %+v", d)
 	}
 	if got := cachedKeys(c); !slices.Equal(got, keys) {
@@ -93,18 +93,18 @@ func TestAdmissionStoresSecondSighting(t *testing.T) {
 	c, sel := admitChecker(t, 32)
 	fillCache(t, c, sel)
 	tr := &trace.Trace{}
-	if d := decideEId(t, c, sel, 7, tr); d.FromCache {
+	if d := decideEId(t, c, sel, 7, tr); d.Tier != "" {
 		t.Fatalf("first sighting answered from cache: %+v", d)
 	}
-	if d := decideEId(t, c, sel, 7, tr); d.FromCache {
+	if d := decideEId(t, c, sel, 7, tr); d.Tier != "" {
 		t.Fatalf("second sighting answered from cache: %+v", d)
 	}
 	if n := c.cache.Len(); n != 32 {
 		t.Fatalf("a stored key must evict one: %d entries, want 32", n)
 	}
 	entriesCounted(t, c)
-	if d := decideEId(t, c, sel, 7, tr); !d.FromCache || d.Tier != TierHistFree {
-		t.Fatalf("third sighting: tier %q, from cache %v; want a histfree hit", d.Tier, d.FromCache)
+	if d := decideEId(t, c, sel, 7, tr); d.Tier != TierHistFree {
+		t.Fatalf("third sighting: tier %q; want a histfree hit", d.Tier)
 	}
 }
 
@@ -114,7 +114,7 @@ func TestAdmissionKeepsHotEntry(t *testing.T) {
 	// Make a hot key resident: two sightings store it, the third hits.
 	decideEId(t, c, sel, 7, nil)
 	decideEId(t, c, sel, 7, nil)
-	if d := decideEId(t, c, sel, 7, nil); !d.FromCache {
+	if d := decideEId(t, c, sel, 7, nil); d.Tier == "" {
 		t.Fatal("hot key not resident after its second sighting")
 	}
 	// Four capacities of one-off keys, the hot key untouched. Storing
@@ -122,7 +122,7 @@ func TestAdmissionKeepsHotEntry(t *testing.T) {
 	for eid := int64(2_000_000); eid < 2_000_000+4*256; eid++ {
 		decideEId(t, c, sel, eid, nil)
 	}
-	if d := decideEId(t, c, sel, 7, nil); !d.FromCache {
+	if d := decideEId(t, c, sel, 7, nil); d.Tier == "" {
 		t.Fatal("a stream of one-off keys evicted the hot entry")
 	}
 }
@@ -145,7 +145,7 @@ func TestAdmissionUnconditionalAfterResetCache(t *testing.T) {
 	entriesCounted(t, c)
 	declined := c.mDeclined.Value()
 	decideEId(t, c, sel, 7, nil)
-	if d := decideEId(t, c, sel, 7, nil); !d.FromCache {
+	if d := decideEId(t, c, sel, 7, nil); d.Tier == "" {
 		t.Fatal("after ResetCache a first sighting must be stored")
 	}
 	if c.mDeclined.Value() != declined {

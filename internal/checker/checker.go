@@ -19,16 +19,16 @@
 // when it is planned, and every call of it blocks with that reason;
 // nothing is bound or translated per call.
 //
-// The decide path is a fixed table of named stages (stages.go):
-// bind (fill the statement plan's slots) → history-free template probe
-// → fact derivation → template-cache probe → policy coverage →
-// verdict. Every stage reports run counts and latency into the
-// checker's obsv.Registry, so per-phase time (the Blockaid-style parse
-// / cache probe / solver breakdown) is observable at runtime rather
-// than reconstructed from ad-hoc benchmarks. CheckCold
-// runs only the table's bind, facts and cover stages: the decision with
-// every cache out of the way, which the parity tests and the cold
-// timings use. The coverage algorithm itself lives in cover.go.
+// A decision is straight-line code (decide.go): bind (fill the
+// statement plan's slots) → history-free template probe → fact
+// derivation → justified-allow probe → policy coverage → store. Each
+// section's latency is sampled into the checker's obsv.Registry, so
+// per-phase time (the Blockaid-style parse / cache probe / solver
+// breakdown) is observable at runtime rather than reconstructed from
+// ad-hoc benchmarks. CheckCold runs only bind, facts and coverage: the
+// decision with every cache out of the way, which the parity tests and
+// the cold timings use. The coverage algorithm itself lives in
+// cover.go.
 //
 // Decisions are memoized as parameter-generic templates (Blockaid's
 // "decision cache"): constants equal to session attributes are
@@ -93,8 +93,6 @@ type Decision struct {
 	Reason string
 	// Views lists the policy views used to cover the query.
 	Views []string
-	// FromCache reports a decision-template hit.
-	FromCache bool
 	// Tier names the cache tier that answered ("histfree" or
 	// "template"); empty for a cold decision.
 	Tier string
@@ -132,10 +130,10 @@ type Options struct {
 	// CacheSize bounds the decision-template cache (total entries
 	// across shards); 0 means the default.
 	CacheSize int
-	// Metrics is the observability registry every decide stage and
+	// Metrics is the observability registry every decision section and
 	// counter reports into. Nil means a fresh private registry;
-	// obsv.Disabled() turns instrumentation off (stage clock reads are
-	// skipped entirely). Sharing one registry across checkers
+	// obsv.Disabled() turns instrumentation off (section clock reads
+	// are skipped entirely). Sharing one registry across checkers
 	// aggregates their instruments.
 	Metrics *obsv.Registry
 }
@@ -148,10 +146,6 @@ const DefaultCacheSize = 8192
 // across all session signatures); past it the memo is dropped
 // wholesale and rebuilt (epoch reset, no tracking cost).
 const genCacheMax = 1 << 16
-
-// maxHomsPerView bounds the embeddings the cover search enumerates per
-// view disjunct.
-const maxHomsPerView = 64
 
 // genEntry is one memoized fact generalization: the rewritten fact
 // plus the id its canonical string is interned as (factID), which
@@ -191,14 +185,20 @@ type Checker struct {
 	genIDs    map[string]uint64
 	lastGenID uint64
 
-	// Observability: the stage table (stages.go) plus named obsv
-	// instruments, resolved once here so the hot path never touches
+	// deriveFacts fills a decision's session-generalized trace facts
+	// (memoFacts), reporting false when ctx was canceled; a test swaps
+	// in the reference derivation (newRefFactsChecker).
+	deriveFacts func(context.Context, *decideState) bool
+
+	// Observability: the decision's timed sections (decide.go) plus named
+	// obsv instruments, resolved once here so the hot path never touches
 	// the registry map. All are nil-safe no-ops under obsv.Disabled().
-	reg           *obsv.Registry
-	stages        [numStages]stage
-	mDecideTotal  *obsv.Histogram
-	mDecideAborts *obsv.Counter
-	stageTick     atomic.Uint64 // samples the stage histograms
+	reg                               *obsv.Registry
+	secBind, secHistFree, secFacts    section
+	secTemplate, secCover, secVerdict section
+	mDecideTotal                      *obsv.Histogram
+	mDecideAborts                     *obsv.Counter
+	decideTick                        atomic.Uint64 // samples the section histograms
 
 	mDecisions, mAllowed, mBlocked, mCacheHits *obsv.Counter
 	mHistFreeHit, mTemplateHit, mTemplateMiss  *obsv.Counter
@@ -223,11 +223,12 @@ func NewWithOptions(p *policy.Policy, opts Options) *Checker {
 		opts.Metrics = obsv.NewRegistry()
 	}
 	c := &Checker{
-		cache:  newDecisionCache(opts.CacheSize, opts.Metrics.Counter("checker.cache.entries")),
-		tr:     &cq.Translator{Schema: p.Schema},
-		gen:    make(map[string]map[string]genEntry),
-		genIDs: make(map[string]uint64),
-		reg:    opts.Metrics,
+		cache:       newDecisionCache(opts.CacheSize, opts.Metrics.Counter("checker.cache.entries")),
+		tr:          &cq.Translator{Schema: p.Schema},
+		gen:         make(map[string]map[string]genEntry),
+		genIDs:      make(map[string]uint64),
+		deriveFacts: memoFacts,
+		reg:         opts.Metrics,
 	}
 	reg := c.reg
 	c.mDecisions = reg.Counter("checker.decisions")
@@ -247,7 +248,10 @@ func NewWithOptions(p *policy.Policy, opts Options) *Checker {
 	c.mCompile = reg.Histogram("checker.compile.micros")
 	c.mColdSelect = reg.Histogram("checker.cold.select.micros")
 	c.mColdMatch = reg.Histogram("checker.cold.match.micros")
-	c.initStages()
+	c.secBind, c.secHistFree, c.secFacts = c.section("bind"), c.section("histfree"), c.section("facts")
+	c.secTemplate, c.secCover, c.secVerdict = c.section("template"), c.section("cover"), c.section("verdict")
+	c.mDecideTotal = reg.Histogram("pipeline.decide.total.micros")
+	c.mDecideAborts = reg.Counter("pipeline.decide.aborts")
 	comp := c.compilePol(p)
 	c.nextEpoch = 1
 	c.vers.Store(&versionTable{active: &polVersion{epoch: 1, fp: comp.fp, comp: comp, pol: p}})
@@ -278,7 +282,7 @@ func (c *Checker) WarmTrace(tr *trace.Trace) {
 func (c *Checker) ReadsRows(sel *sqlparser.SelectStmt) bool { return c.tr.Plan(sel).ReadsRows() }
 
 // Metrics returns the checker's observability registry (the one every
-// decide stage reports into). Share it with the proxy server and the
+// decision reports into). Share it with the proxy server and the
 // diagnose search to get one consolidated snapshot.
 func (c *Checker) Metrics() *obsv.Registry { return c.reg }
 
@@ -335,7 +339,7 @@ func (c *Checker) dropDeadEpochs() {
 // CheckSQL parses and checks a SELECT. A parse failure wraps
 // acerr.ErrParse; a context cancellation mid-check wraps
 // acerr.ErrCanceled (the accompanying Decision conservatively blocks).
-// Parse time is the decide path's first stage observationally: it lands
+// Parse time is the decision's first section observationally: it lands
 // in checker.parse.micros and in the request SpanSet as "parse".
 func (c *Checker) CheckSQL(ctx context.Context, sql string, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace) (Decision, error) {
 	var start time.Time
@@ -384,7 +388,7 @@ func (c *Checker) CheckBorrowed(ctx context.Context, sel *sqlparser.SelectStmt, 
 }
 
 func (c *Checker) check(ctx context.Context, sel *sqlparser.SelectStmt, args sqlparser.Args, session map[string]sqlvalue.Value, tr *trace.Trace, borrow bool) Decision {
-	return c.countDecision(c.decide(ctx, sel, args, session, tr, borrow))
+	return c.countDecision(c.decideVersion(ctx, c.vers.Load().active, sel, args, session, tr, borrow))
 }
 
 // countDecision applies the decision accounting (decisions,
@@ -396,7 +400,7 @@ func (c *Checker) countDecision(d Decision) Decision {
 	} else {
 		c.mBlocked.Inc()
 	}
-	if d.FromCache {
+	if d.Tier != "" {
 		c.mCacheHits.Inc()
 	}
 	return d
@@ -431,8 +435,8 @@ func appendSessionSig(buf []byte, names []string, session map[string]sqlvalue.Va
 // rendered once by the trace's fact cache (trace.FactsKeyed); together
 // with the rendered session signature sig it keys the two-level memo,
 // so a hit is two map lookups and no allocation. Counting is left to
-// the caller (the facts stage batches one atomic add per check instead
-// of one per fact). Memoized facts are shared; callers must treat their atoms as
+// the caller (memoFacts batches one atomic add per check instead of
+// one per fact). Memoized facts are shared; callers must treat their atoms as
 // immutable.
 func (c *Checker) generalizeFactMemo(f cq.Fact, rawKey string, session map[string]sqlvalue.Value, sig []byte) (genEntry, bool) {
 	c.genMu.RLock()
@@ -479,10 +483,11 @@ func (c *Checker) factIDLocked(key string) uint64 {
 // generalized returns the term a constant is written as in a decision
 // template: the parameter of the session attribute it equals — the
 // first in names, which callers pass sorted, so ambiguities resolve
-// deterministically — or itself.
+// deterministically — or itself. NULL equals nothing, so it stays
+// itself.
 func generalized(names []string, session map[string]sqlvalue.Value, v sqlvalue.Value) cq.Term {
 	for _, n := range names {
-		if sqlvalue.Identical(session[n], v) {
+		if sqlvalue.Identical(session[n], v) && !v.IsNull() {
 			return cq.P(n)
 		}
 	}

@@ -190,12 +190,12 @@ func TestInvisibleColumnFilterBlocked(t *testing.T) {
 func TestDecisionTemplatesGeneralizeAcrossUsers(t *testing.T) {
 	c := New(calendarPolicy(t))
 	d1 := mustCheck(t, c, "SELECT EId FROM Attendance WHERE UId = 1", session(1), nil)
-	if !d1.Allowed || d1.FromCache {
+	if !d1.Allowed || d1.Tier != "" {
 		t.Fatalf("first decision: %+v", d1)
 	}
 	// Same shape for user 2 must hit the template cache.
 	d2 := mustCheck(t, c, "SELECT EId FROM Attendance WHERE UId = 2", session(2), nil)
-	if !d2.Allowed || !d2.FromCache {
+	if !d2.Allowed || d2.Tier == "" {
 		t.Fatalf("second decision should be a cache hit: %+v", d2)
 	}
 	st := c.Stats()
@@ -220,7 +220,7 @@ func TestCacheDisabled(t *testing.T) {
 	}
 	decisions := c.Stats().Decisions
 	d := c.CheckCold(ctx, warm, sqlparser.NoArgs, session(1), tr)
-	if !d.Allowed || d.FromCache || d.Tier != "" || d.Epoch != c.activeVersion().epoch {
+	if !d.Allowed || d.Tier != "" || d.Epoch != c.activeVersion().epoch {
 		t.Fatalf("CheckCold on a warm key: %+v", d)
 	}
 	if c.Stats().Decisions != decisions {
@@ -238,7 +238,7 @@ func TestCacheDisabled(t *testing.T) {
 	if c.Stats().CacheEntries != entries {
 		t.Fatalf("CheckCold wrote the decision cache: entries %d -> %d", entries, c.Stats().CacheEntries)
 	}
-	if d := c.Check(ctx, unseen, sqlparser.NoArgs, session(1), tr); d.FromCache || d.Tier != "" {
+	if d := c.Check(ctx, unseen, sqlparser.NoArgs, session(1), tr); d.Tier != "" {
 		t.Fatalf("a key only CheckCold saw was warm: %+v", d)
 	}
 }
@@ -249,7 +249,7 @@ func TestCacheDisabled(t *testing.T) {
 // to the other, and that is sound only while the two decide alike.
 // Each statement is warmed with one argument and then asked with
 // another; the answer, and the inline probe's when it hits, must be
-// CheckCold's, taken as the stage table takes it: without the history
+// CheckCold's, taken as the decision takes it: without the history
 // when that allows, and only otherwise with it.
 func TestNumericKeyEqualityWarmMatchesCold(t *testing.T) {
 	stmts := []string{
@@ -294,7 +294,7 @@ func TestNumericKeyEqualityWarmMatchesCold(t *testing.T) {
 				}
 				want := render(cold)
 				d := c.Check(ctx, sel, args, sess, tr)
-				if d.FromCache {
+				if d.Tier != "" {
 					hits++
 				}
 				if got := render(d); got != want {

@@ -134,7 +134,7 @@ func (cd *coldDecide) decide(b *testing.B, i int64) {
 }
 
 func (cd *coldDecide) check(i int64) error {
-	if d := cd.c.Check(context.Background(), cd.sel, cd.args(i), cd.sess, cd.tr); d.Allowed != cd.wantAllowed || d.FromCache {
+	if d := cd.c.Check(context.Background(), cd.sel, cd.args(i), cd.sess, cd.tr); d.Allowed != cd.wantAllowed || d.Tier != "" {
 		return fmt.Errorf("decision %d: %+v", i, d)
 	}
 	return nil
@@ -152,7 +152,7 @@ func benchColdDecide(b *testing.B, nfacts int, full bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if d := cd.c.Check(ctx, cd.sel, argv[i], cd.sess, cd.tr); d.Allowed != cd.wantAllowed || d.FromCache {
+		if d := cd.c.Check(ctx, cd.sel, argv[i], cd.sess, cd.tr); d.Allowed != cd.wantAllowed || d.Tier != "" {
 			b.Fatalf("iteration %d: %+v", i, d)
 		}
 	}
@@ -242,8 +242,8 @@ func BenchmarkPlanInstantiate(b *testing.B) {
 			plan := c.tr.Plan(sel)
 			instantiate := func() {
 				st.plan, st.tpl, st.attrsDone = nil, nil, false
-				if stageBind(context.Background(), st) != outNext || len(st.templates()) != plan.Disjuncts() {
-					b.Fatalf("bind: %+v", st.d)
+				if d, decided := st.bind(); decided || len(st.templates()) != plan.Disjuncts() {
+					b.Fatalf("bind: %+v", d)
 				}
 				if st.plan != plan || plan.Refusal() != "" {
 					b.Fatal("the statement was planned again, or has no plan")

@@ -118,7 +118,7 @@ func TestCachedDecisionViewsNotAliased(t *testing.T) {
 	d1.Views[0] = "CORRUPTED"
 
 	d2 := mustCheck(t, c, "SELECT EId FROM Attendance WHERE UId = 2", session(2), nil)
-	if !d2.FromCache {
+	if d2.Tier == "" {
 		t.Fatal("expected a template cache hit")
 	}
 	if len(d2.Views) != 1 || d2.Views[0] != "V1" {
@@ -165,7 +165,7 @@ func TestDecisionCacheLRUKeepsHotEntry(t *testing.T) {
 		mustCheck(t, c, fmt.Sprintf("SELECT EId FROM Attendance WHERE UId = 1 AND EId = %d", i), session(1), nil)
 	}
 	d := mustCheck(t, c, hot, session(1), nil)
-	if !d.FromCache {
+	if d.Tier == "" {
 		t.Error("hot template should have survived sampled-LRU eviction")
 	}
 }

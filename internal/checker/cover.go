@@ -1,7 +1,7 @@
 package checker
 
-// The policy-coverage decision procedure — the "solver" behind the
-// cover stage. coverAll checks every disjunct of a
+// The policy-coverage decision procedure — the "solver" behind a cold
+// decision. coverAll checks every disjunct of a
 // decision template; coverDisjunct finds the policy views that embed
 // into the disjunct and picks, per query atom, the first embedding
 // that covers it under the visibility rules.
@@ -125,12 +125,11 @@ type coverScratch struct {
 	// just is the justification J of an allow, as indices into facts,
 	// with repeats: the facts the search's proof used. Per disjunct, the
 	// negative fact that made it vacuous, or the facts that fact-covered
-	// its atoms, the fact atoms of each pick's embedding, and those of
-	// every embedding a view counted if it reached maxHomsPerView. The
-	// search over J alone (in the same order) finds the same picks, so
-	// it decides the same allow: facts outside J only add embeddings,
+	// its atoms, and the fact atoms of each pick's embedding. The search
+	// over J alone (in the same order) finds the same picks, so it
+	// decides the same allow: facts outside J only add embeddings,
 	// dropping facts keeps the order of the embeddings that remain, and
-	// every embedding that picked, or filled a view's cap, lands on J.
+	// every embedding that picked lands on J.
 	just []int32
 }
 
@@ -161,14 +160,10 @@ type matcher struct {
 	vi     int32
 	slots  []*cq.Term // slot -> the target term it is bound to
 	images []int32    // view atom -> query atom it landed on, or ^i for fact i
-	// capFacts collects the fact atoms of the view's counted embeddings:
-	// if the view reaches its cap they join the justification.
-	capFacts []int32
 	// touchAfter[i]: some view atom at or after i agrees with some query
 	// atom on every pinned position, so a branch that has only touched
 	// facts so far can still reach the query.
 	touchAfter []bool
-	count      int // embeddings found for this view (maxHomsPerView)
 
 	// Per-embedding scratch.
 	visible  bitset  // query variables the view head exposes
@@ -273,7 +268,7 @@ func (c *Checker) coverDisjunct(ctx context.Context, sc *coverScratch, comp *com
 		return coverResult{ok: true} // reveals nothing beyond rows already known
 	}
 
-	// Timed like the decide stages: every search of a request that
+	// Timed like the decision's sections: every search of a request that
 	// carries a SpanSet, else one in sampleEvery — three clock reads are
 	// a tenth of a small search. The kept/pruned counters are exact.
 	var spans *obsv.SpanSet
@@ -502,10 +497,9 @@ func (m *matcher) agrees(v *compiledView, ap *atomProg, args []cq.Term) bool {
 // setView points the matcher at view vi and sizes its per-view arrays.
 func (m *matcher) setView(vi int32) {
 	v := &m.sc.comp.views[vi]
-	m.v, m.vi, m.count = v, vi, 0
+	m.v, m.vi = v, vi
 	m.slots = resized(m.slots, len(v.slotVars))
 	m.images = resized(m.images, len(v.atoms))
-	m.capFacts = m.capFacts[:0]
 }
 
 // runView enumerates view vi's embeddings that touch the query, in
@@ -530,17 +524,14 @@ func (m *matcher) runView(vi int32) (done bool) {
 		}
 	}
 	m.embed(0, false)
-	if m.count >= maxHomsPerView {
-		m.sc.just = append(m.sc.just, m.capFacts...)
-	}
 	return m.remaining == 0
 }
 
 // embed matches view atoms i.. against the target, query atoms before
 // fact atoms (the order cq.FindHoms enumerates), and reports whether
-// the view is finished: its embedding cap is spent, or nothing is left
-// to pick. touched: an earlier atom landed on a query atom. A branch
-// that cannot reach a query atom any more is not entered (rule 2).
+// the search is finished: nothing is left to pick. touched: an earlier
+// atom landed on a query atom. A branch that cannot reach a query atom
+// any more is not entered (rule 2).
 func (m *matcher) embed(i int, touched bool) (stop bool) {
 	v, sc := m.v, m.sc
 	if i == len(v.atoms) {
@@ -609,28 +600,15 @@ func (m *matcher) imageComp(i int) cq.Comparison {
 }
 
 // leaf completes an embedding: the view's comparisons must be entailed
-// by the target's, then the embedding counts against the cap and is
-// offered.
+// by the target's, then the embedding is offered.
 func (m *matcher) leaf() (stop bool) {
 	for i := range m.v.comps {
 		if !m.cs.Implies(m.imageComp(i)) {
 			return false
 		}
 	}
-	m.count++
-	m.capFacts = m.appendFacts(m.capFacts)
 	m.offer()
-	return m.count >= maxHomsPerView || m.remaining == 0
-}
-
-// appendFacts appends the facts the current embedding's atoms landed on.
-func (m *matcher) appendFacts(dst []int32) []int32 {
-	for _, ai := range m.images {
-		if ai < 0 {
-			dst = append(dst, ^ai)
-		}
-	}
-	return dst
+	return m.remaining == 0
 }
 
 // offer applies the cover rules to the current embedding (slots,
@@ -667,7 +645,11 @@ func (m *matcher) offer() {
 		}
 	}
 	if picked {
-		sc.just = m.appendFacts(sc.just)
+		for _, ai := range m.images {
+			if ai < 0 {
+				sc.just = append(sc.just, ^ai)
+			}
+		}
 	}
 }
 

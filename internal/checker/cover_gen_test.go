@@ -208,7 +208,7 @@ func checkGenCase(t *testing.T, c *Checker, gc genCase) Decision {
 	t.Helper()
 	comp := compilePolicy("gen", gc.views)
 	dC := decideGen(c, comp, gc, &coverScratch{})
-	dR := refDecide(gc.views, gc.tpl, gc.facts, maxHomsPerView)
+	dR := refDecide(gc.views, gc.tpl, gc.facts)
 	if gC, gR := fmt.Sprintf("%#v", dC), fmt.Sprintf("%#v", dR); gC != gR {
 		t.Fatalf("searches disagree:\ncompiled:  %s\nreference: %s\n%s", gC, gR, gc)
 	}
@@ -237,7 +237,7 @@ func checkGenCase(t *testing.T, c *Checker, gc genCase) Decision {
 			if kept[int32(vi)] {
 				continue
 			}
-			if v := comp.views[vi].q; len(refCandidates(v, q, target, refCensus(q), maxHomsPerView)) > 0 {
+			if v := comp.views[vi].q; len(refCandidates(v, q, target, refCensus(q))) > 0 {
 				t.Fatalf("disjunct %d: the index pruned view %s, which covers under the reference\n%s", i, v.Name, gc)
 			}
 		}

@@ -69,7 +69,7 @@ type refCand struct {
 
 // refCandidates derives the covering candidates of view v among its
 // embeddings into target (q's atoms, then the positive facts).
-func refCandidates(v, q, target *cq.Query, occ map[string]*refOcc, limit int) []refCand {
+func refCandidates(v, q, target *cq.Query, occ map[string]*refOcc) []refCand {
 	headVars := map[string]bool{}
 	for _, t := range v.Head {
 		if t.IsVar() {
@@ -77,7 +77,7 @@ func refCandidates(v, q, target *cq.Query, occ map[string]*refOcc, limit int) []
 		}
 	}
 	var out []refCand
-	for _, h := range cq.FindHoms(v, target, nil, limit) {
+	for _, h := range cq.FindHoms(v, target, nil, 0) {
 		cand := refCand{
 			view:     v.Name,
 			covers:   make([]bool, len(q.Atoms)),
@@ -175,7 +175,7 @@ func refSearch(occ map[string]*refOcc, cands []refCand, need []int, options [][]
 }
 
 // refDisjunct decides one disjunct; on ok it returns the views used.
-func refDisjunct(views []*cq.Query, q *cq.Query, facts []cq.Fact, limit int) (ok bool, used []string, reason string) {
+func refDisjunct(views []*cq.Query, q *cq.Query, facts []cq.Fact) (ok bool, used []string, reason string) {
 	cs := cq.NewConstraints()
 	cs.AddAll(q.Comps)
 	if !cs.Consistent() {
@@ -196,7 +196,7 @@ func refDisjunct(views []*cq.Query, q *cq.Query, facts []cq.Fact, limit int) (ok
 	occ := refCensus(q)
 	var cands []refCand
 	for _, v := range views {
-		cands = append(cands, refCandidates(v, q, target, occ, limit)...)
+		cands = append(cands, refCandidates(v, q, target, occ)...)
 	}
 	var need []int
 	for ai, a := range q.Atoms {
@@ -230,10 +230,10 @@ func refDisjunct(views []*cq.Query, q *cq.Query, facts []cq.Fact, limit int) (ok
 }
 
 // refDecide is coverAll under the reference procedure.
-func refDecide(views, tpl []*cq.Query, facts []cq.Fact, limit int) Decision {
+func refDecide(views, tpl []*cq.Query, facts []cq.Fact) Decision {
 	seen := map[string]bool{}
 	for _, q := range tpl {
-		ok, used, reason := refDisjunct(views, q, facts, limit)
+		ok, used, reason := refDisjunct(views, q, facts)
 		if !ok {
 			return Decision{Reason: reason}
 		}

@@ -134,8 +134,8 @@ func primeE1Trace(t *testing.T, db *engine.DB, w apps.WorkloadQuery) *trace.Trac
 	return tr
 }
 
-// coverInputs runs the bind and facts stages for one check
-// and returns what the cover stage would be handed: the decision
+// coverInputs binds one check and derives its facts, and returns what
+// the cover search would be handed: the decision
 // template and the session-generalized trace facts. ok is false when
 // binding already decided the check.
 func coverInputs(ctx context.Context, c *Checker, sql string, args sqlparser.Args, sess map[string]sqlvalue.Value, tr *trace.Trace) (tpl []*cq.Query, facts []cq.Fact, ok bool) {
@@ -144,7 +144,7 @@ func coverInputs(ctx context.Context, c *Checker, sql string, args sqlparser.Arg
 		return nil, nil, false
 	}
 	st := &decideState{c: c, ver: c.activeVersion(), sel: sel, args: args, session: sess, tr: tr}
-	if stageBind(ctx, st) != outNext || stageFacts(ctx, st) != outNext {
+	if _, decided := st.bind(); decided || tr != nil && !memoFacts(ctx, st) {
 		return nil, nil, false
 	}
 	return st.templates(), st.facts, true
@@ -168,7 +168,7 @@ func TestCoverParityFixtures(t *testing.T) {
 	for _, f := range apps.All() {
 		db := f.MustNewDB(24)
 		compiled := New(f.Policy())
-		// The same search on the templates of the bind stage that plans
+		// The same search on the templates of the binding that plans
 		// replaced: the statement bound and translated per decision
 		// (plan_test.go).
 		oracle := New(f.Policy())
@@ -184,7 +184,7 @@ func TestCoverParityFixtures(t *testing.T) {
 			got := [2]string{fmt.Sprintf("%#v", d), fmt.Sprintf("%#v", oracleDecide(ctx, oracle, sel, args, sess, tr, true))}
 			want := got[0]
 			if tpl, facts, ok := coverInputs(ctx, compiled, sql, args, sess, tr); ok {
-				want = fmt.Sprintf("%#v", refDecide(views, tpl, facts, maxHomsPerView))
+				want = fmt.Sprintf("%#v", refDecide(views, tpl, facts))
 				checkJustification(t, compiled, compiled.activeVersion().comp, tpl, facts, f.Name+"/"+label)
 			}
 			if got[0] != want || got[1] != want {

@@ -129,19 +129,16 @@ func refFacts(tr *cq.Translator, entries []trace.Entry, stats *refFactStats) ([]
 	return facts, keys
 }
 
-// newRefFactsChecker is a checker whose facts stage derives the whole
-// trace through the reference on every check; every other stage is the
+// newRefFactsChecker is a checker that derives the whole trace's facts
+// through the reference on every check; every other step is the
 // production one.
 func newRefFactsChecker(p *policy.Policy) *Checker {
 	c := New(p)
-	c.stages[stFacts].run = stageRefFacts
+	c.deriveFacts = refFactsOf
 	return c
 }
 
-func stageRefFacts(_ context.Context, st *decideState) outcome {
-	if st.tr == nil {
-		return outNext
-	}
+func refFactsOf(_ context.Context, st *decideState) bool {
 	entries, _ := st.tr.SnapshotState()
 	facts, _ := refFacts(st.c.tr, entries, nil)
 	st.facts, st.factIDs = st.facts[:0], st.factIDs[:0]
@@ -153,5 +150,5 @@ func stageRefFacts(_ context.Context, st *decideState) outcome {
 		st.facts = append(st.facts, g)
 		st.factIDs = append(st.factIDs, c.factIDLocked(g.String()))
 	}
-	return outNext
+	return true
 }

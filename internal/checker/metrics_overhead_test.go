@@ -45,8 +45,8 @@ func newHotpathChecker(t testing.TB, reg *obsv.Registry, tr *trace.Trace) (*Chec
 // asserts the instrumented Check path stays within 5% of a
 // no-op-metrics (obsv.Disabled) build on the hot-path workload: a warm
 // trace-dependent check against a 50-entry history. The per-op cost
-// there is tens of microseconds, against which the stage table's
-// per-stage clock reads and atomic instruments are noise; this guard
+// there is tens of microseconds, against which the decision's
+// per-section clock reads and atomic instruments are noise; this guard
 // fails if instrumentation ever grows a hot-path allocation or lock.
 //
 // Each trial times a block of instrumented checks and a block of no-op
@@ -151,7 +151,7 @@ func instrumentUpdates(reg *obsv.Registry, decide func()) int64 {
 // no more than the same decision under obsv.Disabled(). It covers the
 // warm, trace-dependent decision BenchmarkMetricsOverheadGuard times and
 // the cold search BenchmarkColdPathMetricsOverheadGuard times; an extra Observe
-// in a stage, a counter bumped per fact, or an allocating instrument
+// in a section, a counter bumped per fact, or an allocating instrument
 // fails it on any machine.
 func TestMetricsOverheadDeterministic(t *testing.T) {
 	if raceEnabled {
@@ -178,7 +178,7 @@ func TestMetricsOverheadDeterministic(t *testing.T) {
 		decide  func(*obsv.Registry) func()
 		updates int64 // the budget per block, as measured when the twin was written
 	}{
-		{"warm", warm, 680},
+		{"warm", warm, 360},
 		{"cold", cold, 192},
 	} {
 		reg := obsv.NewRegistry()

@@ -33,8 +33,9 @@ import (
 
 // bindTranslate binds the call's arguments — the session's attributes
 // under them — into a copy of the statement, translates the copy and
-// generalizes its constants into st.tpl.
-func bindTranslate(st *decideState) outcome {
+// generalizes its constants into st.tpl. decided reports a call that
+// binding or translating already decides, as d.
+func bindTranslate(st *decideState) (d Decision, decided bool) {
 	args := st.args
 	if len(st.session) > 0 {
 		merged := make(map[string]sqlvalue.Value, len(args.Named)+len(st.session))
@@ -48,30 +49,28 @@ func bindTranslate(st *decideState) outcome {
 	}
 	bound, err := sqlparser.Bind(st.sel, args)
 	if err != nil {
-		st.d = Decision{Reason: fmt.Sprintf("bind: %v", err)}
-		return outDone
+		return Decision{Reason: fmt.Sprintf("bind: %v", err)}, true
 	}
 	ucq, err := st.c.tr.TranslateSelect(bound.(*sqlparser.SelectStmt))
 	if err != nil {
-		st.d = Decision{Reason: fmt.Sprintf("blocked conservatively: %v", err)}
-		return outDone
+		return Decision{Reason: fmt.Sprintf("blocked conservatively: %v", err)}, true
 	}
 	st.tpl = make([]*cq.Query, len(ucq))
 	for i, q := range ucq {
 		st.tpl[i] = generalizeConsts(q, st.session)
 	}
-	return outNext
+	return Decision{}, false
 }
 
-// oracleDecide decides from bindTranslate's templates what c's stage
-// table decides from the plan: Check's verdict (a history-free allow
+// oracleDecide decides from bindTranslate's templates what c decides
+// from the plan: Check's verdict (a history-free allow
 // first, then the search with the trace's facts), or with cold set
 // CheckCold's (the search with the facts only). It reads and writes no
 // decision cache.
 func oracleDecide(ctx context.Context, c *Checker, sel *sqlparser.SelectStmt, args sqlparser.Args, sess map[string]sqlvalue.Value, tr *trace.Trace, cold bool) Decision {
 	st := &decideState{c: c, ver: c.activeVersion(), sel: sel, args: args, session: sess, tr: tr}
-	if bindTranslate(st) != outNext {
-		return st.d
+	if d, decided := bindTranslate(st); decided {
+		return d
 	}
 	occ := make([]cq.Census, len(st.tpl))
 	for i, q := range st.tpl {
@@ -82,7 +81,9 @@ func oracleDecide(ctx context.Context, c *Checker, sel *sqlparser.SelectStmt, ar
 			return d
 		}
 	}
-	stageFacts(ctx, st)
+	if tr != nil {
+		memoFacts(ctx, st)
+	}
 	return c.coverAll(ctx, st.ver.comp, st.tpl, occ, st.facts, st.coverScratch())
 }
 
@@ -380,7 +381,6 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 		t.Fatalf("seed %d: generated statement does not parse: %v\n%s", seed, err, st.sql)
 	}
 	tr := g.history()
-	limit := maxHomsPerView
 	fail := func(what string, args sqlparser.Args, sess map[string]sqlvalue.Value, got, want string) {
 		t.Helper()
 		t.Fatalf("seed %d: %s differ\nstatement: %s\nargs:      %v %v\nsession:   %v\nplan:   %s\noracle: %s\n%s",
@@ -391,25 +391,26 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 		setArg(args, cond, sqlvalue.NewInt(int64(min(g.rng.Intn(6), 1)))) // mostly true
 		stats.calls++
 
-		// The bind stage alone: slot vector, generalization, templates.
+		// Binding alone: slot vector, generalization, templates.
 		pst := &decideState{c: planned, ver: planned.activeVersion(), sel: sel, args: args, session: sess, tr: tr}
 		ost := &decideState{c: oracle, ver: oracle.activeVersion(), sel: sel, args: args, session: sess, tr: tr}
-		pout, oout := stageBind(ctx, pst), bindTranslate(ost)
+		pd, pdecided := pst.bind()
+		od, odecided := bindTranslate(ost)
 		if cond > 0 {
 			// No plan: every call blocks, with Bind's message when it lacks
 			// an argument and with the parameter form's error otherwise.
 			stats.bare++
 			want := planned.tr.Plan(sel).Refusal()
-			if strings.HasPrefix(ost.d.Reason, "bind: ") {
-				want = ost.d.Reason
+			if strings.HasPrefix(od.Reason, "bind: ") {
+				want = od.Reason
 			}
-			if pout != outDone || pst.d.Reason != want || want == "" {
-				fail("bind outcomes of a bare-parameter statement", args, sess, fmt.Sprint(pout, " ", pst.d.Reason), fmt.Sprint(outDone, " ", want))
+			if !pdecided || pd.Reason != want || want == "" {
+				fail("bind outcomes of a bare-parameter statement", args, sess, fmt.Sprint(pdecided, " ", pd.Reason), fmt.Sprint(true, " ", want))
 			}
-		} else if pout != oout || pst.d.Reason != ost.d.Reason {
-			fail("bind outcomes", args, sess, fmt.Sprint(pout, " ", pst.d.Reason), fmt.Sprint(oout, " ", ost.d.Reason))
+		} else if pdecided != odecided || pd.Reason != od.Reason {
+			fail("bind outcomes", args, sess, fmt.Sprint(pdecided, " ", pd.Reason), fmt.Sprint(odecided, " ", od.Reason))
 		}
-		if pout != outNext {
+		if pdecided {
 			stats.bindErrs++
 		} else {
 			if got, want := tplStrings(pst.templates()), tplStrings(ost.tpl); got != want {
@@ -478,16 +479,16 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 			dw, warm := planned.CheckWarmBorrowed(sel, args, sess)
 			if warm {
 				stats.warmHits++
-				if pout != outNext {
-					fail("inline probe on a call bind rejects", args, sess, fmt.Sprintf("%+v", dw), pst.d.Reason)
+				if pdecided {
+					fail("inline probe on a call bind rejects", args, sess, fmt.Sprintf("%+v", dw), pd.Reason)
 				}
 			}
-			if pout == outNext && stageFacts(ctx, pst) == outNext {
-				// The stage table answers from the history-free pass when that
+			if !pdecided && memoFacts(ctx, pst) {
+				// The decision answers from the history-free pass when that
 				// allows, and only otherwise looks at the facts.
-				dr := refDecide(gc.views, pst.templates(), nil, limit)
+				dr := refDecide(gc.views, pst.templates(), nil)
 				if !dr.Allowed {
-					dr = refDecide(gc.views, pst.templates(), pst.facts, limit)
+					dr = refDecide(gc.views, pst.templates(), pst.facts)
 				}
 				want := fmt.Sprintf("%v %q %q", dr.Allowed, dr.Reason, dr.Views)
 				if got != want {
@@ -500,7 +501,7 @@ func checkPlanCase(t *testing.T, seed int64, stats *planStats) {
 			if dp.Allowed && round == 0 {
 				stats.allowed++
 			}
-			if dp.FromCache {
+			if dp.Tier != "" {
 				stats.cacheHits++
 			}
 		}
@@ -619,7 +620,7 @@ func TestPlanSharedShape(t *testing.T) {
 	if a, b, c3 := c.tr.Plan(lit).Shape, c.tr.Plan(pos).Shape, c.tr.Plan(named).Shape; a != b || b != c3 || a == c.tr.Plan(other).Shape {
 		t.Fatalf("shapes: literal %d, positional %d, named %d, other %d", a, b, c3, c.tr.Plan(other).Shape)
 	}
-	if d := c.Check(ctx, lit, sqlparser.NoArgs, session(4), tr); !d.Allowed || d.FromCache {
+	if d := c.Check(ctx, lit, sqlparser.NoArgs, session(4), tr); !d.Allowed || d.Tier != "" {
 		t.Fatalf("cold: %+v", d)
 	}
 	if d := c.Check(ctx, pos, sqlparser.PositionalArgs(5), session(5), tr); d.Tier != TierHistFree {
@@ -639,8 +640,8 @@ func TestPlanSharedShape(t *testing.T) {
 // `?name`, `:name`, in either case — is its own statement and its own
 // plan, and the plans meet at one shape. After one spelling is decided,
 // another spelling's first decision, in a fresh session, is a
-// history-free hit: no cover search runs, in the history-free stage or
-// in the cover stage. CheckSQL is the first to parse each text.
+// history-free hit: no cover search runs. CheckSQL is the first to
+// parse each text.
 func TestPlaceholderSpellingsShareDecisions(t *testing.T) {
 	ctx := context.Background()
 	c := New(calendarPolicy(t))
@@ -656,25 +657,25 @@ func TestPlaceholderSpellingsShareDecisions(t *testing.T) {
 		{"select EId from Attendance where UId = :u and EId = :e", named},
 	}
 	reg := c.Metrics()
-	hits, covers := reg.Counter("checker.histfree.hit"), reg.Counter("pipeline.decide.cover.runs")
+	hits := reg.Counter("checker.histfree.hit")
 	// Every cover search counts the views it kept or pruned.
 	searched := func() int64 {
 		return reg.Counter("checker.cold.views.kept").Value() + reg.Counter("checker.cold.views.pruned").Value()
 	}
 	for i, sp := range spellings {
-		h, cv, sv := hits.Value(), covers.Value(), searched()
+		h, sv := hits.Value(), searched()
 		d, err := c.CheckSQL(ctx, sp.sql, sp.args, session(1), &trace.Trace{})
 		if err != nil || !d.Allowed {
 			t.Fatalf("%q: %+v, %v", sp.sql, d, err)
 		}
-		dh, dcv, dsv := hits.Value()-h, covers.Value()-cv, searched()-sv
+		dh, dsv := hits.Value()-h, searched()-sv
 		if i == 0 {
 			if dh != 0 || dsv == 0 {
 				t.Fatalf("%q, the first spelling: histfree hits +%d, views searched +%d; want a cold search", sp.sql, dh, dsv)
 			}
-		} else if dh != 1 || dcv != 0 || dsv != 0 || d.Tier != TierHistFree {
-			t.Errorf("%q: tier %q, histfree hits +%d, cover stage runs +%d, views searched +%d; want a history-free hit",
-				sp.sql, d.Tier, dh, dcv, dsv)
+		} else if dh != 1 || dsv != 0 || d.Tier != TierHistFree {
+			t.Errorf("%q: tier %q, histfree hits +%d, views searched +%d; want a history-free hit",
+				sp.sql, d.Tier, dh, dsv)
 		}
 	}
 	var shape uint64

@@ -3,6 +3,7 @@ package checker_test
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -23,8 +24,9 @@ import (
 
 // TestWritesRetireFactsGate gates the retirement of stale facts: seeded
 // interleavings of reads, decisions and writes (INSERT, UPDATE, DELETE)
-// on the cover generator's relations, run through the proxy's statement
-// path in Enforce mode. Before each read the reference re-runs every
+// on the cover generator's relations, Example 2.1-shaped probes and
+// fetches among the reads (checker.JoinRead), run through the proxy's
+// statement path in Enforce mode. Before each read the reference re-runs every
 // statement of the session's trace on the current database, keeps the
 // entries whose answer is unchanged, and decides the read with
 // CheckCold over those alone. The proxy must never allow what the
@@ -36,21 +38,29 @@ import (
 // its steps.
 func TestWritesRetireFactsGate(t *testing.T) {
 	var st gateStats
-	for seed := int64(1); st.steps < 10000; seed++ {
+	steps := 10000 * *gateScale
+	for seed := int64(1); st.steps < steps; seed++ {
 		gateCase(t, seed, &st)
 	}
 	t.Logf("%+v", st)
-	if st.factAllows == 0 || st.retiredBlocks == 0 {
-		t.Fatalf("the gate exercised no history-dependent allow or no retirement: %+v", st)
+	// The floor is half the history-dependent allows 10000 steps made
+	// when it was set (337).
+	if st.factAllows < 168*steps/10000 || st.retiredBlocks == 0 {
+		t.Fatalf("the gate exercised too few history-dependent allows (floor %d) or no retirement: %+v", 168*steps/10000, st)
 	}
 }
+
+// gateScale multiplies the step counts of TestWritesRetireFactsGate and
+// TestSoundnessOracles (make oracles runs them at 10).
+var gateScale = flag.Int("gate.scale", 1, "multiply the step counts of the write-retirement gate and the soundness oracles")
 
 // gateStats counts what the gate exercised: decided reads, allows, the
 // allows the empty trace would block (factAllows), reads the reference
 // blocks and the session's whole trace, stale entries kept, would allow
-// (retiredBlocks), and writes that changed a row.
+// (retiredBlocks), writes that changed a row, and the fetches probes set
+// up (JoinRead).
 type gateStats struct {
-	steps, reads, allows, factAllows, retiredBlocks, writes int
+	steps, reads, allows, factAllows, retiredBlocks, writes, fetches int
 }
 
 func gateCase(t *testing.T, seed int64, st *gateStats) {
@@ -67,6 +77,8 @@ func gateCase(t *testing.T, seed int64, st *gateStats) {
 	users := drawUsers(w)
 	var steps []string
 	logf := func(format string, args ...any) { steps = append(steps, fmt.Sprintf(format, args...)) }
+	var fetch *checker.JoinRead // a probe's, to fetch on the next read of user fetchUser
+	var fetchUser int
 	for range 100 {
 		st.steps++
 		ui := rng.Intn(len(users))
@@ -80,7 +92,29 @@ func gateCase(t *testing.T, seed int64, st *gateStats) {
 			}
 			continue
 		}
-		sql := w.Read()
+		// One read in four is an Example 2.1-shaped probe, whose fetch is
+		// the user's next read.
+		var join *checker.JoinRead
+		var sql string
+		if fetch != nil {
+			ui, u = fetchUser, users[fetchUser]
+			if tr := u.sess.Trace(); tr != nil {
+				sql, _ = fetch.Fetch(tr.Facts(sch))
+			}
+		}
+		switch {
+		case sql != "":
+			st.fetches++
+		case fetch == nil && rng.Intn(4) == 0:
+			if join = w.JoinRead(); join != nil {
+				sql = join.Probe
+				break
+			}
+			fallthrough
+		default:
+			sql = w.Read()
+		}
+		fetch = nil
 		sel, needs, err := sqlparser.ParseNeeds(sql)
 		if err != nil {
 			t.Fatalf("seed %d: generated read does not parse: %v\n%s", seed, err, sql)
@@ -107,6 +141,9 @@ func gateCase(t *testing.T, seed int64, st *gateStats) {
 		resp := srv.HandleInCtx(ctx, queryRequest(sql, args), u.sess)
 		logf("u%d %s %v %v -> blocked %v %s (reference: allowed %v, %d of %d entries kept)",
 			ui, sql, args.Positional, args.Named, resp.Blocked, resp.Error, want.Allowed, kept.Len(), len(entries))
+		if join != nil {
+			fetch, fetchUser = join, ui
+		}
 		if resp.Error != "" {
 			continue
 		}
@@ -240,7 +277,8 @@ func rendered(rows [][]sqlvalue.Value) string {
 // a checker whose decision cache is a few entries (so shards fill and
 // admission runs) and sessions whose traces keep a few entries (so
 // appends evict). The steps mix new reads, reads of an earlier text
-// with new arguments (plan reuse), reads that have no plan, writes
+// with new arguments (plan reuse), reads that have no plan,
+// Example 2.1-shaped probes and fetches (checker.JoinRead), writes
 // (INSERT, UPDATE, DELETE), policy changes (StagePolicy, Promote,
 // Rollback, SetActivePolicy) and ResetCache.
 //
@@ -267,7 +305,8 @@ func rendered(rows [][]sqlvalue.Value) string {
 // A failing seed prints its steps.
 func TestSoundnessOracles(t *testing.T) {
 	var st oracleStats
-	for seed := int64(1); st.steps < 6000; seed++ {
+	steps := 6000 * *gateScale
+	for seed := int64(1); st.steps < steps; seed++ {
 		oracleCase(t, seed, &st)
 	}
 	t.Logf("%+v", st)
@@ -275,11 +314,19 @@ func TestSoundnessOracles(t *testing.T) {
 		st.searched == 0 || st.evicting == 0 || st.writes == 0 {
 		t.Fatalf("the oracles left a step kind unexercised: %+v", st)
 	}
+	// The floors are half what 6000 steps made when they were set: 224
+	// history-dependent allows, 58 of them checked as template hits.
+	if st.factAllows < 112*steps/6000 || st.justHits < 29*steps/6000 {
+		t.Fatalf("the oracles exercised too few history-dependent allows (floor %d) or template hits (floor %d): %+v",
+			112*steps/6000, 29*steps/6000, st)
+	}
 }
 
 // oracleStats counts what the oracles exercised: steps, decided reads,
 // allows, reads first decided through Check (tierChecks) and those of
-// them the template tier allowed under a justification (justHits),
+// them the template tier allowed under a justification (justHits), the
+// allows the empty history would block (factAllows), fetches probes set
+// up (JoinRead),
 // reads of a text read before with new arguments (reused) and with the
 // same ones (repeated), reads with no plan (refused),
 // writes that changed a row, promotes that took, searches for a
@@ -287,7 +334,7 @@ func TestSoundnessOracles(t *testing.T) {
 // (outOfSteps), and reads decided on a full history window (evicting).
 type oracleStats struct {
 	steps, reads, allows, tierChecks, justHits, reused, repeated, refused, writes, promotes int
-	searched, outOfSteps, evicting                                                          int
+	searched, outOfSteps, evicting, fetches, factAllows                                     int
 }
 
 // oracleSearchSteps bounds each counterexample search in candidate
@@ -311,11 +358,14 @@ func oracleCase(t *testing.T, seed int64, st *oracleStats) {
 	users := drawUsers(w)
 	type read struct {
 		sql     string
-		refused bool            // no plan
-		args    *sqlparser.Args // the arguments it was read with
-		user    int             // by users[user]
+		refused bool              // no plan
+		join    *checker.JoinRead // a probe: its fetch is the user's next read
+		args    *sqlparser.Args   // the arguments it was read with
+		user    int               // by users[user]
 	}
 	var reads, allowed []read
+	var fetch *checker.JoinRead // a probe's, to fetch on the next read of user fetchUser
+	var fetchUser int
 	var steps []string
 	logf := func(format string, args ...any) { steps = append(steps, fmt.Sprintf(format, args...)) }
 	fail := func(format string, args ...any) {
@@ -369,14 +419,24 @@ func oracleCase(t *testing.T, seed int64, st *oracleStats) {
 			logf("reset cache")
 			continue
 		}
-		// A read: one time in five a text read before, with new
-		// arguments; one time in ten an earlier allowed read again by its
-		// user, arguments and all, which a cached template can answer, or
-		// has to decide again on the facts the user's session now holds;
-		// one time in twenty a
-		// read with no plan; else a new read.
+		// A read: the fetch a probe set up; else one time in five a text
+		// read before, with new arguments; one time in ten an earlier
+		// allowed read again by its user, arguments and all, which a
+		// cached template can answer, or has to decide again on the facts
+		// the user's session now holds; one time in twenty a read with no
+		// plan; one time in five an Example 2.1-shaped probe; else a new
+		// read.
 		var rd read
+		if fetch != nil {
+			ui, u = fetchUser, users[fetchUser]
+			if tr := u.sess.Trace(); tr != nil {
+				rd.sql, _ = fetch.Fetch(tr.Facts(sch))
+			}
+			fetch = nil
+		}
 		switch n := rng.Intn(20); {
+		case rd.sql != "":
+			st.fetches++
 		case n < 4 && len(reads) > 0:
 			rd = reads[rng.Intn(len(reads))]
 			rd.args = nil
@@ -387,6 +447,12 @@ func oracleCase(t *testing.T, seed int64, st *oracleStats) {
 			st.repeated++
 		case n == 4:
 			rd = read{sql: w.RefusedRead(), refused: true}
+		case n >= 14:
+			if jr := w.JoinRead(); jr != nil {
+				rd = read{sql: jr.Probe, join: jr}
+				break
+			}
+			fallthrough
 		default:
 			rd = read{sql: w.Read()}
 		}
@@ -416,6 +482,9 @@ func oracleCase(t *testing.T, seed int64, st *oracleStats) {
 		want := chk.CheckCold(ctx, sel.(*sqlparser.SelectStmt), args, u.attrs, nil)
 		withFacts := chk.CheckCold(ctx, sel.(*sqlparser.SelectStmt), args, u.attrs, tr)
 		if !want.Allowed {
+			if withFacts.Allowed {
+				st.factAllows++
+			}
 			want = withFacts
 		} else if !withFacts.Allowed {
 			fail("u%d %s %v %v: the empty history allows it, the usable trace blocks it: %s", ui, sql, args.Positional, args.Named, withFacts.Reason)
@@ -447,6 +516,9 @@ func oracleCase(t *testing.T, seed int64, st *oracleStats) {
 		resp := srv.HandleInCtx(ctx, queryRequest(sql, args), u.sess)
 		logf("u%d %s %v %v -> blocked %v %s %s (cold: allowed %v %s)",
 			ui, sql, args.Positional, args.Named, resp.Blocked, resp.Reason, resp.Error, want.Allowed, want.Reason)
+		if rd.join != nil {
+			fetch, fetchUser = rd.join, ui
+		}
 		st.reads++
 		if rd.refused {
 			st.refused++

@@ -56,7 +56,7 @@ func classifyShadow(active, shadow Decision) (bool, string) {
 // into the checker's decision counters exactly like Check; the shadow
 // half is advisory and deliberately kept out of allowed/blocked
 // accounting so shadow traffic never skews enforcement stats. Both
-// halves run the full stage table and warm the decision caches
+// halves run the full decision and warm the decision caches
 // under their own epochs — a later Promote therefore arrives with the
 // candidate's cache tiers already hot. ok is false (and only the
 // active half is decided) when no candidate is staged.

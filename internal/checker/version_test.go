@@ -87,7 +87,7 @@ func TestRepublishChangedFingerprintBumpsEpochAndInvalidates(t *testing.T) {
 		t.Fatalf("changed fingerprint must bump the epoch: %d -> %d", d0.Epoch, active.Epoch)
 	}
 	d := mustCheck(t, c, q, session(1), tr)
-	if d.FromCache {
+	if d.Tier != "" {
 		t.Fatalf("epoch bump must invalidate warm entries keyed under the old epoch: tier %q", d.Tier)
 	}
 	if d.Epoch != active.Epoch {

@@ -333,7 +333,9 @@ func (cs *Constraints) ValueOf(t Term) (sqlvalue.Value, bool) {
 }
 
 // Implies reports whether the comparison is entailed by the set. An
-// inconsistent set implies everything.
+// inconsistent set implies everything; otherwise a comparison with a
+// NULL constant is never entailed, as under SQL it is never true — not
+// even NULL >= NULL, which reflexivity would otherwise give.
 //
 // Implies never grows the set: a term the set has not seen is judged
 // as the fresh singleton class interning it would create, without
@@ -346,6 +348,9 @@ func (cs *Constraints) Implies(c Comparison) bool {
 	cl := cs.close()
 	if cl.inconsistent {
 		return true
+	}
+	if c.Left.IsConst() && c.Left.Const.IsNull() || c.Right.IsConst() && c.Right.Const.IsNull() {
+		return false
 	}
 	i, iKnown := cs.classOf(cl, c.Left)
 	j, jKnown := cs.classOf(cl, c.Right)

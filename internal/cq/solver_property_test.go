@@ -117,6 +117,22 @@ func TestSolverSoundnessBruteForce(t *testing.T) {
 	}
 }
 
+// TestSolverNullImpliesNothing: a comparison with a NULL constant is
+// never implied, reflexive or not, whatever the set says of the other
+// side.
+func TestSolverNullImpliesNothing(t *testing.T) {
+	null := C(sqlvalue.NewNull())
+	cs := NewConstraints()
+	cs.Add(Comparison{Op: Le, Left: V("a"), Right: C(sqlvalue.NewInt(5))})
+	for _, op := range []CompOp{Eq, Ne, Lt, Le, Gt, Ge} {
+		for _, c := range []Comparison{{Op: op, Left: null, Right: null}, {Op: op, Left: V("a"), Right: null}, {Op: op, Left: null, Right: V("b")}} {
+			if cs.Implies(c) {
+				t.Errorf("%v implied", c)
+			}
+		}
+	}
+}
+
 // TestSolverImpliesReflexivity: every asserted comparison (and its
 // trivial consequences) is implied.
 func TestSolverImpliesReflexivity(t *testing.T) {

@@ -197,7 +197,7 @@ func RunE2(dbSize, iters int) (*Table, error) {
 	rls := baseline.MustNewRLS(f.Schema, f.RLSRules)
 	// The decision-only rows are the stable signal for the cached-vs-cold
 	// comparison. "decision only, cached" decides without a session
-	// trace, which bypasses the history-free stage: the template stage
+	// trace, which has no history-free probe: the template tier
 	// answers. Under a trace, as every proxy decision runs, the repeat is
 	// a history-free hit.
 	tr := &trace.Trace{}

@@ -7,7 +7,7 @@
 // — reports into a Registry, and the edges surface it: acproxy's
 // -metrics endpoint serializes a Snapshot as JSON, the benchmark in
 // bench/ reads Snapshots, and the proxy's slow-decision log attaches
-// per-stage micros from the context SpanSet.
+// per-section micros from the context SpanSet.
 //
 // Design constraints, in order:
 //

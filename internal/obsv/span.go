@@ -7,14 +7,14 @@ import (
 )
 
 // SpanSet collects named span durations for ONE logical operation —
-// the per-stage breakdown of a single decision — so an edge (the
+// the per-section breakdown of a single decision — so an edge (the
 // proxy's slow-decision log) can report where that specific request's
 // time went, not just aggregate histograms. It is carried through
 // context.Context: instrumented code records into it only when the
 // caller asked (WithSpanSet), so the common path pays one context
 // lookup and nothing else.
 //
-// A SpanSet is safe for concurrent use (pipeline stages may run on
+// A SpanSet is safe for concurrent use (a decision's sections run on
 // the caller's goroutine but engine scans report from within the same
 // request context). A nil SpanSet is a valid no-op.
 type SpanSet struct {

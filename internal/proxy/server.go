@@ -68,7 +68,7 @@ type Server struct {
 	// SlowLogThreshold, when positive, turns on the structured
 	// slow-decision log: every query whose end-to-end handling takes at
 	// least this long emits one JSON line through Logf with the
-	// decision, the cache tier that answered, and the per-stage
+	// decision, the cache tier that answered, and the per-section
 	// breakdown. See DESIGN.md §9 for the schema.
 	SlowLogThreshold time.Duration
 	// WALDir, when set, turns on durable enforcement state: sessions
@@ -917,7 +917,7 @@ func (s *Server) prepare(req *Request, sess *session) (sqlparser.Statement, sqlp
 // query decides a read and runs it (finishQuery), timed into the
 // proxy.query.micros histogram; when SlowLogThreshold is set, a read
 // that overruns it emits one structured slow-decision line with the
-// verdict, the cache tier that answered, and the per-stage breakdown
+// verdict, the cache tier that answered, and the per-section breakdown
 // collected through the request's SpanSet. With warm set (the inline
 // fast path) it decides only from the warm tier (CheckWarmBorrowed): a
 // miss counts proxy.inline.bypass and reports false having counted
